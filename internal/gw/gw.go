@@ -35,7 +35,10 @@ type Result struct {
 	SDPValue float64    // relaxation objective (upper bound on MaxCut)
 	Rounds   int
 	SDPIters int
-	Method   sdp.Method
+	// Converged is false when the relaxation stopped at its iteration
+	// cap instead of its residual test; the rounding is still valid.
+	Converged bool
+	Method    sdp.Method
 }
 
 // Solve runs Goemans-Williamson on g using randomness from r.
@@ -49,10 +52,11 @@ func Solve(g *graph.Graph, opts Options, r *rng.Rand) (*Result, error) {
 	}
 	n := g.N()
 	res := &Result{
-		SDPValue: rel.Value,
-		Rounds:   opts.Rounds,
-		SDPIters: rel.Iterations,
-		Method:   rel.Method,
+		SDPValue:  rel.Value,
+		Rounds:    opts.Rounds,
+		SDPIters:  rel.Iterations,
+		Converged: rel.Converged,
+		Method:    rel.Method,
 	}
 	if n == 0 {
 		res.Best = maxcut.Cut{Spins: []int8{}, Value: 0}
@@ -63,7 +67,7 @@ func Solve(g *graph.Graph, opts Options, r *rng.Rand) (*Result, error) {
 	normal := make([]float64, k)
 	spins := make([]int8, n)
 	sum := 0.0
-	best := maxcut.Cut{Value: math.Inf(-1)}
+	best := maxcut.Cut{Spins: make([]int8, n), Value: math.Inf(-1)}
 	for round := 0; round < opts.Rounds; round++ {
 		for j := range normal {
 			normal[j] = r.NormFloat64()
@@ -72,7 +76,8 @@ func Solve(g *graph.Graph, opts Options, r *rng.Rand) (*Result, error) {
 		v := g.CutValue(spins)
 		sum += v
 		if v > best.Value {
-			best = maxcut.Cut{Spins: append([]int8(nil), spins...), Value: v}
+			best.Value = v
+			copy(best.Spins, spins)
 		}
 	}
 	res.Average = sum / float64(opts.Rounds)

@@ -111,6 +111,33 @@ func TestGWSingleEdge(t *testing.T) {
 	}
 }
 
+func TestGWReportsRelaxationConvergence(t *testing.T) {
+	// K8 meets the ADMM residual test in 15 iterations; a 12-node path (a
+	// leaf shape sparse ER partitions produce) is still moving at the
+	// 600-iteration cap. Both round to valid cuts; only the flag differs.
+	quick, err := Solve(graph.Complete(8), Options{}, rng.New(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !quick.Converged || quick.SDPIters >= 600 {
+		t.Fatalf("K8: converged %v after %d iterations", quick.Converged, quick.SDPIters)
+	}
+	path := graph.Path(12)
+	slow, err := Solve(path, Options{}, rng.New(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if slow.Converged || slow.SDPIters != 600 {
+		t.Fatalf("path12: converged %v after %d iterations, want the cap reported", slow.Converged, slow.SDPIters)
+	}
+	if err := slow.Best.Validate(path); err != nil {
+		t.Fatal(err)
+	}
+	if slow.Best.Value != 11 {
+		t.Fatalf("path12 best cut %v want 11", slow.Best.Value)
+	}
+}
+
 func TestRoundTieBreak(t *testing.T) {
 	// A vector orthogonal to the hyperplane normal lands on +1.
 	v := linalg.NewMat(2, 2)
@@ -153,6 +180,20 @@ func TestGWLargeGraphViaMixing(t *testing.T) {
 	}
 	if res.Best.Value < g.TotalWeight()/2 {
 		t.Fatalf("GW best %v below half weight %v", res.Best.Value, g.TotalWeight()/2)
+	}
+}
+
+// BenchmarkGWLeaf16 is one GW leaf at the qubit budget the benchmark
+// workloads use: relaxation plus 30 roundings on 16 nodes.
+func BenchmarkGWLeaf16(b *testing.B) {
+	g := graph.ErdosRenyi(16, 0.4, graph.Unweighted, rng.New(16))
+	r := rng.New(2)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := Solve(g, Options{}, r); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"sort"
 	"testing"
 	"time"
 
@@ -29,9 +30,11 @@ func (t delayTransport) RoundTrip(r *http.Request) (*http.Response, error) {
 // TestTimingNeverEntersCheckpoints pins the telemetry/identity split
 // for remote dispatch: Attempts[].Nanos (and every other wall-time
 // measurement) is telemetry only. Two runs whose attempts take very
-// different wall times must produce byte-identical checkpoints with
-// identical fingerprints, and runs restored from either checkpoint
-// must re-attribute identically with zero Nanos.
+// different wall times must produce checkpoints with byte-identical
+// canonical forms (header + records by key: the append order is the
+// workers' completion order, which is scheduling, not timing leaking
+// into a record) and identical fingerprints, and runs restored from
+// either checkpoint must re-attribute identically with zero Nanos.
 func TestTimingNeverEntersCheckpoints(t *testing.T) {
 	big := graph.ErdosRenyi(36, 0.15, graph.Unweighted, rng.New(5))
 	dir := t.TempDir()
@@ -69,8 +72,8 @@ func TestTimingNeverEntersCheckpoints(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(fast, slow) {
-		t.Fatalf("attempt timing leaked into the checkpoint:\nfast:\n%s\nslow:\n%s", fast, slow)
+	if cf, cs := rt.CanonicalRecords(fast), rt.CanonicalRecords(slow); !bytes.Equal(cf, cs) {
+		t.Fatalf("attempt timing leaked into the checkpoint:\nfast:\n%s\nslow:\n%s", cf, cs)
 	}
 	fh, err := rt.SniffHeader(fast)
 	if err != nil {
@@ -103,6 +106,8 @@ func TestTimingNeverEntersCheckpoints(t *testing.T) {
 		if err != nil {
 			t.Fatalf("resume from %s: %v", path, err)
 		}
+		// Events arrive in completion order; compare them by task.
+		sort.Slice(events, func(i, j int) bool { return events[i].Task < events[j].Task })
 		return events
 	}
 	fastEvents := resume(fastPath)

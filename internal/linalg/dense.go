@@ -6,8 +6,9 @@
 // module must build offline with the standard library only.
 //
 // The types are deliberately plain (flat float64 slices, row-major) so
-// hot loops vectorize well and allocations can be reused across solver
-// iterations.
+// hot loops run on contiguous slices, and the one stateful type, SymEig,
+// owns every buffer it needs so a solver loop allocates nothing per
+// iteration.
 package linalg
 
 import (
@@ -80,11 +81,8 @@ func (a *Dense) Symmetrize() {
 func (a *Dense) MaxAbsOffDiag() float64 {
 	max := 0.0
 	for i := 0; i < a.N; i++ {
-		for j := 0; j < a.N; j++ {
-			if i == j {
-				continue
-			}
-			if v := math.Abs(a.At(i, j)); v > max {
+		for j, v := range a.Row(i) {
+			if v = math.Abs(v); v > max && j != i {
 				max = v
 			}
 		}

@@ -13,16 +13,9 @@ import (
 // decoded from raw fuzz bytes: the first byte sizes the node set, the
 // second the budget, and each subsequent byte pair adds one edge.
 func FuzzSizeCapped(f *testing.F) {
-	// Pathological seeds: empty graph, single node, isolated nodes
-	// (no edge bytes), a complete graph, a single giant hub, and a
-	// budget of 1.
-	f.Add([]byte{0, 4})
-	f.Add([]byte{1, 1})
-	f.Add([]byte{20, 4})
-	f.Add(completeBytes(12, 4))
-	f.Add(hubBytes(25, 5))
-	f.Add(completeBytes(9, 1))
-	f.Add([]byte{16, 3, 0, 1, 1, 2, 2, 3, 8, 9})
+	for _, seed := range fuzzSeeds() {
+		f.Add(seed)
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		g, maxSize := graphFromBytes(data)
@@ -59,6 +52,21 @@ func FuzzSizeCapped(f *testing.F) {
 			}
 		}
 	})
+}
+
+// fuzzSeeds is the seed corpus: empty graph, single node, isolated
+// nodes (no edge bytes), a complete graph, a single giant hub, a budget
+// of 1, and a few chains.
+func fuzzSeeds() [][]byte {
+	return [][]byte{
+		{0, 4},
+		{1, 1},
+		{20, 4},
+		completeBytes(12, 4),
+		hubBytes(25, 5),
+		completeBytes(9, 1),
+		{16, 3, 0, 1, 1, 2, 2, 3, 8, 9},
+	}
 }
 
 // graphFromBytes decodes (graph, maxSize) from fuzz bytes. Node count

@@ -7,7 +7,6 @@
 package partition
 
 import (
-	"container/heap"
 	"fmt"
 	"sort"
 
@@ -82,33 +81,62 @@ type heapItem struct {
 	stamp int
 }
 
+// mergeHeap is a binary max-heap of candidate merges, typed so a push
+// or pop moves a value instead of boxing it into an interface.
 type mergeHeap []heapItem
 
-func (h mergeHeap) Len() int { return len(h) }
-
-// Less imposes a TOTAL order (gain desc, then pair, then stamp): map
+// before imposes a TOTAL order (gain desc, then pair, then stamp): map
 // iteration randomizes push order, and only a total order keeps the pop
 // sequence — and therefore the whole partition — deterministic.
-func (h mergeHeap) Less(i, j int) bool {
-	if h[i].dq != h[j].dq {
-		return h[i].dq > h[j].dq // max-heap on gain
+func (x heapItem) before(y heapItem) bool {
+	if x.dq != y.dq {
+		return x.dq > y.dq // max-heap on gain
 	}
-	if h[i].pair.a != h[j].pair.a {
-		return h[i].pair.a < h[j].pair.a
+	if x.pair.a != y.pair.a {
+		return x.pair.a < y.pair.a
 	}
-	if h[i].pair.b != h[j].pair.b {
-		return h[i].pair.b < h[j].pair.b
+	if x.pair.b != y.pair.b {
+		return x.pair.b < y.pair.b
 	}
-	return h[i].stamp > h[j].stamp
+	return x.stamp > y.stamp
 }
-func (h mergeHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *mergeHeap) Push(x interface{}) { *h = append(*h, x.(heapItem)) }
-func (h *mergeHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	it := old[n-1]
-	*h = old[:n-1]
-	return it
+
+func (h *mergeHeap) push(it heapItem) {
+	s := append(*h, it)
+	*h = s
+	for i := len(s) - 1; i > 0; {
+		parent := (i - 1) / 2
+		if !s[i].before(s[parent]) {
+			break
+		}
+		s[i], s[parent] = s[parent], s[i]
+		i = parent
+	}
+}
+
+// pop removes and returns the first item in the order; h must be non-empty.
+func (h *mergeHeap) pop() heapItem {
+	s := *h
+	top := s[0]
+	n := len(s) - 1
+	s[0] = s[n]
+	s = s[:n]
+	*h = s
+	for i := 0; ; {
+		first := i
+		if l := 2*i + 1; l < n && s[l].before(s[first]) {
+			first = l
+		}
+		if r := 2*i + 2; r < n && s[r].before(s[first]) {
+			first = r
+		}
+		if first == i {
+			break
+		}
+		s[i], s[first] = s[first], s[i]
+		i = first
+	}
+	return top
 }
 
 // GreedyModularity runs CNM agglomeration: every node starts as its own
@@ -150,10 +178,10 @@ func GreedyModularity(g *graph.Graph) [][]int {
 		e[ed.J][ed.I] += ed.W / m2
 	}
 
-	h := &mergeHeap{}
+	h := make(mergeHeap, 0, g.M())
 	push := func(c, d int) {
 		dq := 2 * (e[c][d] - a[c]*a[d])
-		heap.Push(h, heapItem{dq: dq, pair: mkPair(c, d), stamp: stamps[c] + stamps[d]})
+		h.push(heapItem{dq: dq, pair: mkPair(c, d), stamp: stamps[c] + stamps[d]})
 	}
 	for c := 0; c < n; c++ {
 		for d := range e[c] {
@@ -163,8 +191,8 @@ func GreedyModularity(g *graph.Graph) [][]int {
 		}
 	}
 
-	for h.Len() > 0 {
-		it := heap.Pop(h).(heapItem)
+	for len(h) > 0 {
+		it := h.pop()
 		c, d := it.pair.a, it.pair.b
 		if !alive[c] || !alive[d] {
 			continue

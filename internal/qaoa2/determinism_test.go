@@ -21,27 +21,31 @@ import (
 // and the task-graph runtime.
 func TestSeedDeterminismAcrossParallelismAndPaths(t *testing.T) {
 	g := graph.ErdosRenyi(56, 0.12, graph.UniformWeights, rng.New(17))
-	var want *Result
-	for _, useRuntime := range []bool{false, true} {
-		for _, par := range []int{1, 4, runtime.GOMAXPROCS(0)} {
-			res, err := Solve(g, Options{
-				MaxQubits:   7,
-				Solver:      cheapAnneal(),
-				MergeSolver: cheapAnneal(),
-				Parallelism: par,
-				Seed:        99,
-				Runtime:     useRuntime,
-			})
-			if err != nil {
-				t.Fatalf("runtime=%v par=%d: %v", useRuntime, par, err)
-			}
-			if want == nil {
-				want = res
-				continue
-			}
-			if !reflect.DeepEqual(want, res) {
-				t.Fatalf("runtime=%v par=%d diverged:\nwant %+v\ngot  %+v",
-					useRuntime, par, want, res)
+	// GW rides along for its per-solve eigensolver workspace: concurrent
+	// leaves must not share warm-start state.
+	for _, sub := range []SubSolver{cheapAnneal(), GWSolver{}} {
+		var want *Result
+		for _, useRuntime := range []bool{false, true} {
+			for _, par := range []int{1, 4, runtime.GOMAXPROCS(0)} {
+				res, err := Solve(g, Options{
+					MaxQubits:   7,
+					Solver:      sub,
+					MergeSolver: sub,
+					Parallelism: par,
+					Seed:        99,
+					Runtime:     useRuntime,
+				})
+				if err != nil {
+					t.Fatalf("%s runtime=%v par=%d: %v", sub.Name(), useRuntime, par, err)
+				}
+				if want == nil {
+					want = res
+					continue
+				}
+				if !reflect.DeepEqual(want, res) {
+					t.Fatalf("%s runtime=%v par=%d diverged:\nwant %+v\ngot  %+v",
+						sub.Name(), useRuntime, par, want, res)
+				}
 			}
 		}
 	}

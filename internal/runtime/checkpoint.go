@@ -2,11 +2,13 @@ package runtime
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"hash/fnv"
 	"math"
 	"os"
+	"sort"
 	"sync"
 
 	"qaoa2/internal/graph"
@@ -174,6 +176,40 @@ func SniffHeader(data []byte) (Header, error) {
 		return h, fmt.Errorf("runtime: checkpoint header: %w", err)
 	}
 	return h, nil
+}
+
+// CanonicalRecords returns serialized checkpoint data in canonical form:
+// the header line, then the record lines sorted by task key. Workers
+// append records in completion order, so the raw bytes of two runs of
+// the same computation differ by scheduling alone; the canonical form is
+// what such runs must agree on. Lines that do not parse as a record sort
+// first, in byte order.
+func CanonicalRecords(data []byte) []byte {
+	lines := splitLines(data)
+	if len(lines) == 0 {
+		return nil
+	}
+	type record struct {
+		key  string
+		line []byte
+	}
+	records := make([]record, len(lines)-1)
+	for i, line := range lines[1:] {
+		var e entry
+		_ = json.Unmarshal(line, &e) // a line that is no record keeps key ""
+		records[i] = record{e.Key, line}
+	}
+	sort.Slice(records, func(i, j int) bool {
+		if records[i].key != records[j].key {
+			return records[i].key < records[j].key
+		}
+		return bytes.Compare(records[i].line, records[j].line) < 0
+	})
+	out := append(append(make([]byte, 0, len(data)+1), lines[0]...), '\n')
+	for _, r := range records {
+		out = append(append(out, r.line...), '\n')
+	}
+	return out
 }
 
 // load parses an existing checkpoint file; it returns false when the

@@ -239,6 +239,29 @@ func TestCheckpointDuplicateRecordIgnored(t *testing.T) {
 	}
 }
 
+func TestCanonicalRecordsIgnoresAppendOrder(t *testing.T) {
+	hdr := `{"version":1,"graph":"abc123"}`
+	a := `{"key":"s0/sub1","spins":"+-","value":1}`
+	b := `{"key":"s0/sub10","spins":"-+","value":1}`
+	c := `{"key":"s1/merge","spins":"++","value":0}`
+	one := []byte(strings.Join([]string{hdr, a, b, c}, "\n") + "\n")
+	two := []byte(strings.Join([]string{hdr, c, b, a}, "\n") + "\n")
+	if got := CanonicalRecords(two); string(got) != string(one) {
+		t.Fatalf("canonical form:\n%s\nwant:\n%s", got, one)
+	}
+	if got := CanonicalRecords(one); string(got) != string(one) {
+		t.Fatalf("canonical form of sorted data changed:\n%s", got)
+	}
+	// A changed record must still show.
+	moved := []byte(strings.Replace(string(two), `"+-"`, `"--"`, 1))
+	if string(CanonicalRecords(moved)) == string(one) {
+		t.Fatal("canonical form hid a changed record")
+	}
+	if CanonicalRecords(nil) != nil {
+		t.Fatal("canonical form of empty data is not empty")
+	}
+}
+
 func TestSpinsEncoding(t *testing.T) {
 	spins := []int8{1, -1, -1, 1}
 	enc := EncodeSpins(spins)

@@ -136,48 +136,56 @@ func VectorObjective(g *graph.Graph, v *linalg.Mat) float64 {
 // the standard two-block splitting
 //
 //	X ← Π_{diag=1}(Z − U + C/ρ),   Z ← Π_PSD(X + U),   U ← U + X − Z.
+//
+// One linalg.SymEig serves every projection of the loop: the iterates
+// X + U converge, so each decomposition warm-starts from the previous
+// one's eigenbasis. The workspace is created here and dropped on return —
+// a result never depends on what was solved before.
 func solveADMM(g *graph.Graph, opts Options) (*Result, error) {
 	n := g.N()
 	if opts.MaxIters <= 0 {
 		opts.MaxIters = 600
 	}
+	rho := opts.Rho
 	c := g.Laplacian()
 	c.Scale(1.0 / 4.0)
+	c.Scale(1 / rho) // C/ρ, the only form the loop uses
 
-	x := linalg.Identity(n)
+	x := linalg.NewDense(n)
 	z := linalg.Identity(n)
-	u := linalg.NewDense(n)
 	zPrev := linalg.NewDense(n)
-	scratch := linalg.NewDense(n)
+	u := linalg.NewDense(n)
+	eig := linalg.NewSymEig(n)
 
-	rho := opts.Rho
 	iter := 0
 	converged := false
 	for ; iter < opts.MaxIters; iter++ {
-		// X-update: affine projection onto diag(X)=1 of Z − U + C/ρ.
-		x.CopyFrom(z)
-		x.AxpyMat(-1, u)
-		x.AxpyMat(1/rho, c)
+		// X-update: affine projection onto diag(X)=1 of Z − U + C/ρ;
+		// the old Z becomes zPrev and its buffer receives X + U.
+		z, zPrev = zPrev, z
+		for i, zp := range zPrev.Data {
+			x.Data[i] = zp - u.Data[i] + c.Data[i]
+		}
 		for i := 0; i < n; i++ {
 			x.Set(i, i, 1)
 		}
+		for i, xv := range x.Data {
+			z.Data[i] = xv + u.Data[i]
+		}
 		// Z-update: PSD projection of X + U.
-		zPrev.CopyFrom(z)
-		z.CopyFrom(x)
-		z.AxpyMat(1, u)
-		linalg.ProjectPSD(z)
-		// U-update (scaled dual).
-		u.AxpyMat(1, x)
-		u.AxpyMat(-1, z)
-
-		// Residuals.
-		scratch.CopyFrom(x)
-		scratch.AxpyMat(-1, z)
-		primal := scratch.FrobeniusNorm()
-		scratch.CopyFrom(z)
-		scratch.AxpyMat(-1, zPrev)
-		dual := rho * scratch.FrobeniusNorm()
-		scale := math.Max(1, x.FrobeniusNorm())
+		eig.ProjectPSD(z)
+		// U-update (scaled dual) and residuals in one pass.
+		var primal, dual, xnorm float64
+		for i, xv := range x.Data {
+			zv := z.Data[i]
+			u.Data[i] = u.Data[i] + xv - zv
+			dp, dd := xv-zv, zv-zPrev.Data[i]
+			primal += dp * dp
+			dual += dd * dd
+			xnorm += xv * xv
+		}
+		primal, dual = math.Sqrt(primal), rho*math.Sqrt(dual)
+		scale := math.Max(1, math.Sqrt(xnorm))
 		if primal <= opts.Tol*scale && dual <= opts.Tol*scale {
 			converged = true
 			iter++
@@ -187,7 +195,7 @@ func solveADMM(g *graph.Graph, opts Options) (*Result, error) {
 
 	// Z is the PSD iterate; its diagonal is ≈1 at convergence, and the
 	// row normalization below absorbs the residual deviation.
-	vec := linalg.GramFactor(z)
+	vec := eig.GramFactor(z)
 	normalizeRows(vec)
 	return &Result{
 		Vectors:    vec,

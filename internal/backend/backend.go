@@ -180,19 +180,49 @@ func ByName(name string) (Backend, error) {
 // table[x] = cut value of bit string x, with bit q of x assigning node q
 // (0 → +1 side, 1 → −1 side). layout must map logical node to physical
 // wire (identity when nil).
+//
+// The table is built by doubling, in O(2^n) additions instead of one
+// branch per (edge, bit string): raising wire b on a string x < 2^b
+// (all higher wires still 0) moves its node across the cut, which gains
+// every incident edge whose other end sits on the 0 side and loses the
+// rest —
+//
+//	table[2^b + x] = table[x] + δ_b[x]
+//	δ_b[x] = deg_w(node_b) − 2·Σ_{wires j < b set in x} w(b, j)
+//
+// and δ_b obeys the same kind of recurrence, δ_b[2^j + y] = δ_b[y] −
+// 2·w(b, j), so it is built in place in table[2^b : 2^(b+1)] before
+// table[:2^b] is added onto it. Integer-weighted graphs (every QAOA²
+// leaf of an unweighted instance) give exact tables either way.
 func CutTable(g *graph.Graph, layout []int) []float64 {
 	n := g.N()
-	size := 1 << uint(n)
-	table := make([]float64, size)
-	for _, e := range g.Edges() {
-		bi := uint64(1) << uint(physOf(layout, e.I))
-		bj := uint64(1) << uint(physOf(layout, e.J))
-		w := e.W
-		for x := 0; x < size; x++ {
-			u := uint64(x)
-			if (u&bi != 0) != (u&bj != 0) {
-				table[x] += w
+	table := make([]float64, 1<<uint(n))
+	node := make([]int, n) // inverse wire map: the node on each wire
+	for q := range node {
+		node[physOf(layout, q)] = q
+	}
+	low := make([]float64, n) // low[j] = w(b, j) for the wires j below b
+	for b := 0; b < n; b++ {
+		deg := 0.0
+		clear(low[:b])
+		for _, h := range g.Neighbors(node[b]) {
+			deg += h.W
+			if j := physOf(layout, h.To); j < b {
+				low[j] += h.W
 			}
+		}
+		delta := table[1<<uint(b) : 2<<uint(b)]
+		delta[0] = deg
+		for j := 0; j < b; j++ {
+			w2 := 2 * low[j]
+			lower := delta[:1<<uint(j)]
+			upper := delta[1<<uint(j) : 2<<uint(j)]
+			for y, v := range lower {
+				upper[y] = v - w2
+			}
+		}
+		for x, v := range table[:1<<uint(b)] {
+			delta[x] += v
 		}
 	}
 	return table

@@ -3,6 +3,8 @@ package backend
 import (
 	"math"
 	"math/cmplx"
+	"slices"
+	"sort"
 	"testing"
 
 	"qaoa2/internal/graph"
@@ -20,6 +22,84 @@ func TestCutTableMatchesGraph(t *testing.T) {
 		want := g.CutValueBits(bits)
 		if math.Abs(table[x]-want) > 1e-12 {
 			t.Fatalf("table[%d]=%v want %v", x, table[x], want)
+		}
+	}
+}
+
+// cutTableByEdges is the CutTable oracle: the per-edge loop CutTable was
+// before the doubling recurrence — one pass over all 2^n bit strings per
+// edge.
+func cutTableByEdges(g *graph.Graph, layout []int) []float64 {
+	size := 1 << uint(g.N())
+	table := make([]float64, size)
+	for _, e := range g.Edges() {
+		bi := uint64(1) << uint(physOf(layout, e.I))
+		bj := uint64(1) << uint(physOf(layout, e.J))
+		for x := 0; x < size; x++ {
+			u := uint64(x)
+			if (u&bi != 0) != (u&bj != 0) {
+				table[x] += e.W
+			}
+		}
+	}
+	return table
+}
+
+// TestCutTableMatchesEdgeLoop pins the doubling recurrence to the
+// per-edge oracle: exactly on unweighted and integer-weighted graphs
+// (all partial sums are integers), to 1e-12 relative on real weights,
+// under identity and shuffled layouts, and checks the spin-flip
+// symmetry the Z2 engines rely on.
+func TestCutTableMatchesEdgeLoop(t *testing.T) {
+	r := rng.New(11)
+	weightings := []struct {
+		name  string
+		w     func() float64
+		exact bool
+	}{
+		{"unweighted", func() float64 { return 1 }, true},
+		{"integer", func() float64 { return float64(int(r.Uint64()%9) - 4) }, true},
+		{"real", func() float64 { return r.Float64()*2 - 0.5 }, false},
+	}
+	for n := 1; n <= 14; n++ {
+		shuffled := make([]int, n)
+		for q := range shuffled {
+			shuffled[q] = q
+		}
+		for q := n - 1; q > 0; q-- {
+			k := int(r.Uint64() % uint64(q+1))
+			shuffled[q], shuffled[k] = shuffled[k], shuffled[q]
+		}
+		for _, wt := range weightings {
+			g := graph.New(n)
+			for i := 0; i < n; i++ {
+				for j := i + 1; j < n; j++ {
+					if r.Float64() < 0.45 {
+						g.MustAddEdge(i, j, wt.w())
+					}
+				}
+			}
+			for _, layout := range [][]int{nil, shuffled} {
+				got := CutTable(g, layout)
+				want := cutTableByEdges(g, layout)
+				scale := 0.0
+				for _, e := range g.Edges() {
+					scale += math.Abs(e.W)
+				}
+				tol := 0.0 // exact: every partial sum is an integer
+				if !wt.exact {
+					tol = 1e-12 * scale
+				}
+				full := len(got) - 1
+				for x := range want {
+					if math.Abs(got[x]-want[x]) > tol {
+						t.Fatalf("n=%d %s layout=%v: table[%d] = %v, want %v (tolerance %v)", n, wt.name, layout, x, got[x], want[x], tol)
+					}
+					if math.Abs(got[x]-got[full^x]) > tol {
+						t.Fatalf("n=%d %s: table[%d] = %v but table[~%d] = %v", n, wt.name, x, got[x], x, got[full^x])
+					}
+				}
+			}
 		}
 	}
 }
@@ -51,19 +131,85 @@ func TestDefaultRule(t *testing.T) {
 	}
 }
 
-func TestIndexLevels(t *testing.T) {
-	diag := []float64{2, 0, 1, 1, 0, 2, 2, 2}
-	levels, idx := indexLevels(diag, 16)
-	if len(levels) != 3 {
-		t.Fatalf("levels %v", levels)
-	}
-	for i, v := range diag {
-		if levels[idx[i]] != v {
-			t.Fatalf("levels[idx[%d]] = %v want %v", i, levels[idx[i]], v)
+// indexLevels is the phase-table oracle: the map-based factoring the
+// fused preambles used before phaseTables. It factors diag into
+// (levels, idx) with diag[i] = levels[idx[i]] when the distinct-value
+// count is at most maxLevels; otherwise it returns (nil, nil).
+func indexLevels(diag []float64, maxLevels int) ([]float64, []int32) {
+	seen := make(map[float64]int32, maxLevels)
+	for _, v := range diag {
+		if _, ok := seen[v]; !ok {
+			if len(seen) == maxLevels {
+				return nil, nil
+			}
+			seen[v] = 0
 		}
 	}
-	if levels, idx := indexLevels(diag, 2); levels != nil || idx != nil {
-		t.Fatal("level cap not enforced")
+	levels := make([]float64, 0, len(seen))
+	for v := range seen {
+		levels = append(levels, v)
+	}
+	sort.Float64s(levels)
+	for j, v := range levels {
+		seen[v] = int32(j)
+	}
+	idx := make([]int32, len(diag))
+	for i, v := range diag {
+		idx[i] = seen[v]
+	}
+	return levels, idx
+}
+
+// TestIndexLevels pins phaseTables to the oracle — same levels, same
+// index, dense shift exactly when the level cap is exceeded — on cut
+// tables (full and Z2 half length), on a table one value under and one
+// over the cap, and on a real-valued diagonal.
+func TestIndexLevels(t *testing.T) {
+	r := rng.New(5)
+	cut := CutTable(graph.ErdosRenyi(11, 0.4, graph.UniformWeights, r), nil)
+	ramp := func(n int) []float64 {
+		d := make([]float64, 2*n)
+		for i := range d {
+			d[i] = float64((i * 7) % n)
+		}
+		return d
+	}
+	noisy := make([]float64, 1<<13)
+	for i := range noisy {
+		noisy[i] = r.Float64()
+	}
+	cases := []struct {
+		name string
+		diag []float64
+		add  float64
+		n    int
+	}{
+		{"tiny", []float64{2, 0, 1, 1, 0, 2, 2, 2}, 0, 8},
+		{"cut", cut, -7.5, len(cut)},
+		{"cut-z2", cut, -7.5, len(cut) / 2},
+		{"at-cap", ramp(maxPhaseLevels), 0.25, 2 * maxPhaseLevels},
+		{"over-cap", ramp(maxPhaseLevels + 1), 0.25, 2 * (maxPhaseLevels + 1)},
+		{"real", noisy, 1, len(noisy)},
+	}
+	for _, tc := range cases {
+		want := make([]float64, tc.n)
+		for i := range want {
+			want[i] = tc.diag[i] + tc.add
+		}
+		wantLevels, wantIdx := indexLevels(want, maxPhaseLevels)
+		levels, idx, shift := phaseTables(tc.diag, tc.add, tc.n)
+		if wantLevels == nil {
+			if levels != nil || idx != nil || !slices.Equal(shift, want) {
+				t.Fatalf("%s: over the level cap, want the dense shift table only", tc.name)
+			}
+			continue
+		}
+		if shift != nil {
+			t.Fatalf("%s: dense shift materialised on the indexed path", tc.name)
+		}
+		if !slices.Equal(levels, wantLevels) || !slices.Equal(idx, wantIdx) {
+			t.Fatalf("%s: (levels, idx) differ from the oracle (%d vs %d levels)", tc.name, len(levels), len(wantLevels))
+		}
 	}
 }
 

@@ -108,3 +108,18 @@ func TestEvaluateBatchRepeatedCallsReuseBuffers(t *testing.T) {
 		}
 	}
 }
+
+// BenchmarkFusedPrepare20 times compiling one paper-scale leaf: a
+// 20-node, ~95-edge unweighted graph (G(20, 0.5), the density of the
+// benchmark's leaf-heavy communities) into cut table, phase tables and
+// engine. ReportAllocs pins that the indexed path holds no 2^n
+// temporaries beyond the tables the ansatz keeps.
+func BenchmarkFusedPrepare20(b *testing.B) {
+	g := graph.ErdosRenyi(20, 0.5, graph.Unweighted, rng.New(20))
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := (backend.Fused{}).Prepare(g, backend.Config{Layers: 3}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

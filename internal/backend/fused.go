@@ -1,9 +1,10 @@
 package backend
 
 import (
+	"math"
 	"os"
 	"runtime"
-	"sort"
+	"slices"
 	"sync"
 
 	"qaoa2/internal/graph"
@@ -77,17 +78,7 @@ func (f Fused) Prepare(g *graph.Graph, cfg Config) (Ansatz, error) {
 	if a.z2 {
 		phaseLen /= 2
 	}
-	shift := make([]float64, phaseLen)
-	for i := range shift {
-		shift[i] = diag[i] - half
-	}
-	a.levels, a.idx = indexLevels(shift, maxPhaseLevels)
-	if a.levels != nil {
-		// The indexed path never reads the dense shift table; drop it
-		// rather than pin 2^n float64 per prepared ansatz.
-		shift = nil
-	}
-	a.shift = shift
+	a.levels, a.idx, a.shift = phaseTables(diag, -half, phaseLen)
 	eng, err := a.newEngine()
 	if err != nil {
 		return nil, err
@@ -96,32 +87,71 @@ func (f Fused) Prepare(g *graph.Graph, cfg Config) (Ansatz, error) {
 	return a, nil
 }
 
-// indexLevels factors diag into (levels, idx) with diag[i] =
-// levels[idx[i]] when the distinct-value count is at most maxLevels;
-// otherwise it returns (nil, nil).
-func indexLevels(diag []float64, maxLevels int) ([]float64, []int32) {
-	seen := make(map[float64]int32, maxLevels)
-	for _, v := range diag {
-		if _, ok := seen[v]; !ok {
-			if len(seen) == maxLevels {
-				return nil, nil
-			}
-			seen[v] = 0
+// phaseCacheBits sizes phaseTables' direct-mapped value cache: 1024
+// slots hold every level of an unweighted leaf (at most m+1 ≈ 100) with
+// few collisions, and fit the stack.
+const phaseCacheBits = 10
+
+// phaseTables compiles the phase diagonal shift[i] = diag[i] + add,
+// i < n, into the form the engines take: factored as (levels, idx) with
+// shift[i] = levels[idx[i]] and levels ascending when it has at most
+// maxPhaseLevels distinct values, else dense as shift (the per-amplitude
+// Sincos fallback). Exactly one form is non-nil, and the indexed path
+// never materialises the dense table — 2^n float64 the engines would
+// not read.
+//
+// Both passes resolve a value through a direct-mapped cache keyed by a
+// hash of its bits, and fall back to a binary search of the sorted
+// levels only on a cache miss: a cut table has few distinct values, so
+// nearly every amplitude costs one multiply and one compare.
+func phaseTables(diag []float64, add float64, n int) (levels []float64, idx []int32, shift []float64) {
+	diag = diag[:n]
+	var keys [1 << phaseCacheBits]float64 // value last resolved in each slot
+	var at [1 << phaseCacheBits]int32     // its position in levels (second pass)
+	slot := func(v float64) uint64 {
+		return math.Float64bits(v) * 0x9e3779b97f4a7c15 >> (64 - phaseCacheBits)
+	}
+	forget := func() {
+		for h := range keys {
+			keys[h] = math.NaN() // equal to no value
 		}
 	}
-	levels := make([]float64, 0, len(seen))
-	for v := range seen {
-		levels = append(levels, v)
+
+	forget()
+	levels = make([]float64, 0, 64)
+	for _, d := range diag {
+		v := d + add
+		h := slot(v)
+		if keys[h] == v {
+			continue
+		}
+		keys[h] = v
+		j, found := slices.BinarySearch(levels, v)
+		if found {
+			continue
+		}
+		if len(levels) == maxPhaseLevels || v != v {
+			shift = make([]float64, n)
+			for i := range shift {
+				shift[i] = diag[i] + add
+			}
+			return nil, nil, shift
+		}
+		levels = slices.Insert(levels, j, v)
 	}
-	sort.Float64s(levels)
-	for j, v := range levels {
-		seen[v] = int32(j)
+
+	forget()
+	idx = make([]int32, n)
+	for i, d := range diag {
+		v := d + add
+		h := slot(v)
+		if keys[h] != v {
+			j, _ := slices.BinarySearch(levels, v)
+			keys[h], at[h] = v, int32(j)
+		}
+		idx[i] = at[h]
 	}
-	idx := make([]int32, len(diag))
-	for i, v := range diag {
-		idx[i] = seen[v]
-	}
-	return levels, idx
+	return levels, idx, nil
 }
 
 type fusedAnsatz struct {

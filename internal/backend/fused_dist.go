@@ -82,15 +82,7 @@ func (f FusedDist) Prepare(g *graph.Graph, cfg Config) (Ansatz, error) {
 	if a.z2 {
 		phaseLen /= 2
 	}
-	shift := make([]float64, phaseLen)
-	for i := range shift {
-		shift[i] = diag[i] - half
-	}
-	a.levels, a.idx = indexLevels(shift, maxPhaseLevels)
-	if a.levels != nil {
-		shift = nil
-	}
-	a.shift = shift
+	a.levels, a.idx, a.shift = phaseTables(diag, -half, phaseLen)
 	eng, err := a.newEngine()
 	if err != nil {
 		return nil, err

@@ -85,16 +85,8 @@ func (f Fused) PrepareIsing(h *ising.Hamiltonian, cfg Config) (Ansatz, error) {
 	if a.z2 {
 		phaseLen /= 2
 	}
-	offset := h.Offset()
-	shift := make([]float64, phaseLen)
-	for i := range shift {
-		shift[i] = offset - energy[i]
-	}
-	a.levels, a.idx = indexLevels(shift, maxPhaseLevels)
-	if a.levels != nil {
-		shift = nil
-	}
-	a.shift = shift
+	// shift = offset − E = D + offset.
+	a.levels, a.idx, a.shift = phaseTables(diag, h.Offset(), phaseLen)
 	eng, err := a.newEngine()
 	if err != nil {
 		return nil, err

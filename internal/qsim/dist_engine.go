@@ -105,7 +105,7 @@ type distRank struct {
 	wg       sync.WaitGroup
 	phases   []complex128   // per-layer phase scratch (own copy per rank)
 	partials []float64      // per-chunk energy accumulators
-	mirrors  [][]complex128 // per-worker mirror-pair scratch (z2)
+	scratch  [][]complex128 // per-worker kernel scratch (workerScratch)
 
 	// Current pass parameters, read by the prepared bodies.
 	gamma  float64
@@ -156,33 +156,44 @@ func NewDistZ2Engine(nFull, ranks int, diag []float64, levels []float64, idx []i
 }
 
 func newDistEngine(nEff, z2Full, ranks int, diag []float64, levels []float64, idx []int32, shift []float64) (*DistEngine, error) {
+	e, rs, err := buildDistEngine(nEff, z2Full, ranks, diag, levels, idx, shift)
+	if err != nil {
+		return nil, err
+	}
+	e.launch(rs)
+	return e, nil
+}
+
+// buildDistEngine validates the configuration and wires the engine and
+// its rank states; nothing runs until launch.
+func buildDistEngine(nEff, z2Full, ranks int, diag []float64, levels []float64, idx []int32, shift []float64) (*DistEngine, []*distRank, error) {
 	pg := 0
 	for 1<<uint(pg) < ranks {
 		pg++
 	}
 	if ranks < 1 || 1<<uint(pg) != ranks {
-		return nil, fmt.Errorf("qsim: dist engine rank count %d is not a power of two", ranks)
+		return nil, nil, fmt.Errorf("qsim: dist engine rank count %d is not a power of two", ranks)
 	}
 	if pg > nEff-1 {
-		return nil, fmt.Errorf("qsim: %d ranks leave no local qubits on a %d-qubit slice space (need ranks ≤ %d)",
+		return nil, nil, fmt.Errorf("qsim: %d ranks leave no local qubits on a %d-qubit slice space (need ranks ≤ %d)",
 			ranks, nEff, 1<<uint(nEff-1))
 	}
 	size := 1 << uint(nEff)
 	if len(diag) != size {
-		return nil, fmt.Errorf("qsim: dist engine diagonal has %d entries, want %d", len(diag), size)
+		return nil, nil, fmt.Errorf("qsim: dist engine diagonal has %d entries, want %d", len(diag), size)
 	}
 	indexed := levels != nil || idx != nil
 	if indexed && (levels == nil || idx == nil) {
-		return nil, fmt.Errorf("qsim: dist engine phase levels and index must be given together")
+		return nil, nil, fmt.Errorf("qsim: dist engine phase levels and index must be given together")
 	}
 	if indexed == (shift != nil) {
-		return nil, fmt.Errorf("qsim: dist engine needs exactly one of (levels, idx) or shift")
+		return nil, nil, fmt.Errorf("qsim: dist engine needs exactly one of (levels, idx) or shift")
 	}
 	if indexed && len(idx) != size {
-		return nil, fmt.Errorf("qsim: dist engine phase index has %d entries, want %d", len(idx), size)
+		return nil, nil, fmt.Errorf("qsim: dist engine phase index has %d entries, want %d", len(idx), size)
 	}
 	if shift != nil && len(shift) != size {
-		return nil, fmt.Errorf("qsim: dist engine phase diagonal has %d entries, want %d", len(shift), size)
+		return nil, nil, fmt.Errorf("qsim: dist engine phase diagonal has %d entries, want %d", len(shift), size)
 	}
 
 	sh := &distShared{
@@ -210,7 +221,7 @@ func newDistEngine(nEff, z2Full, ranks int, diag []float64, levels []float64, id
 
 	world, err := comm.NewWorld(ranks)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	out := &State{n: nEff, amps: make([]complex128, size), z2Full: z2Full}
 	e := &DistEngine{
@@ -226,10 +237,11 @@ func newDistEngine(nEff, z2Full, ranks int, diag []float64, levels []float64, id
 	if pool != nil {
 		workers = pool.workers
 	}
+	rs := make([]*distRank, ranks)
 	for r := 0; r < ranks; r++ {
 		comm, err := world.Rank(r)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		d := &distRank{
 			sh:       sh,
@@ -240,22 +252,30 @@ func newDistEngine(nEff, z2Full, ranks int, diag []float64, levels []float64, id
 			pool:     pool,
 			phases:   make([]complex128, len(levels)),
 			partials: make([]float64, workers),
+			scratch:  workerScratch(workers, scratchLen(sh.nLocal, sh.m0, sh.z2)),
 		}
 		if pg > 0 {
 			d.recv = make([]complex128, sh.sliceLen)
 		}
 		d.lowBody = d.runLowChunk
 		if sh.z2 {
-			d.mirrors = mirrorScratch(workers, sh.m0)
 			d.lowBody = d.runMirrorChunk
 		}
 		d.highBody = d.runHighChunk
 		d.globalBody = d.runGlobalChunk
+		rs[r] = d
+	}
+	return e, rs, nil
+}
+
+// launch starts one persistent goroutine per rank and arms the
+// finalizer that stops them when the engine is abandoned.
+func (e *DistEngine) launch(rs []*distRank) {
+	for r, d := range rs {
 		e.start[r] = make(chan distEvalReq, 1)
 		go runDistRank(d, e.start[r], e.results)
 	}
 	runtime.SetFinalizer(e, (*DistEngine).Stop)
-	return e, nil
 }
 
 // runDistRank is a rank goroutine's loop: one evaluation per request,
@@ -634,7 +654,7 @@ func (d *distRank) runMirrorChunk(w, start, end int) {
 			}
 			return
 		}
-		sc := d.mirrors[w][:2*tl]
+		sc := d.scratch[w][:2*tl]
 		for t := start; t < end; t++ {
 			fb := t * tl
 			rb := (globalTiles - 1 - t) * tl
@@ -673,7 +693,7 @@ func (d *distRank) runMirrorChunk(w, start, end int) {
 	// member; the partner tile is recv[localTiles−1−j] either way.
 	globalTiles := localTiles * sh.ranks
 	fwdSide := d.rank < sh.ranks/2
-	sc := d.mirrors[w][:2*tl]
+	sc := d.scratch[w][:2*tl]
 	for j := start; j < end; j++ {
 		gt := d.rank*localTiles + j
 		mirror := (localTiles - 1 - j) * tl
@@ -720,49 +740,16 @@ func (d *distRank) runMirrorChunk(w, start, end int) {
 	}
 }
 
-// runHighChunk is the gathered local high sweep (Engine.runHighChunk
-// with globally-offset diagonal indexing for the energy fold).
+// runHighChunk runs the current local high group's sweep (rxHighSweep)
+// over one chunk of batches; the energy fold indexes the GLOBAL
+// diagonal through this slice's window of it.
 func (d *distRank) runHighChunk(w, start, end int) {
-	sh := d.sh
-	amps := d.amps
-	tl := 1 << uint(d.m)
-	stride := 1 << uint(d.g0)
-	mask := stride - 1
-	c, sn := d.c, d.sn
-	acc := 0.0
-	var buf [highBufLen]complex128
-	bb := buf[:tl*highBatch]
-	for u := start; u < end; u++ {
-		t := u * highBatch
-		base := (t&^mask)<<uint(d.m) | t&mask
-		p := base
-		for v := 0; v < tl; v++ {
-			copy(bb[v*highBatch:(v+1)*highBatch], amps[p:p+highBatch])
-			p += stride
-		}
-		rxTile(bb, highBatch, c, sn)
-		if d.expect {
-			p = base
-			for v := 0; v < tl; v++ {
-				dg := sh.diag[d.base+p : d.base+p+highBatch]
-				row := bb[v*highBatch : (v+1)*highBatch]
-				for j := range row {
-					a := row[j]
-					re, im := real(a), imag(a)
-					acc += (re*re + im*im) * dg[j]
-				}
-				p += stride
-			}
-		}
-		p = base
-		for v := 0; v < tl; v++ {
-			copy(amps[p:p+highBatch], bb[v*highBatch:(v+1)*highBatch])
-			p += stride
-		}
-	}
 	if d.expect {
-		d.partials[w] += acc
+		diag := d.sh.diag[d.base : d.base+len(d.amps)]
+		d.partials[w] += rxHighSweep(d.amps, d.scratch[w], diag, d.g0, d.m, start, end, d.c, d.sn)
+		return
 	}
+	rxHighSweep(d.amps, d.scratch[w], nil, d.g0, d.m, start, end, d.c, d.sn)
 }
 
 // runGlobalChunk is the element-wise butterfly of one global qubit's RX

@@ -44,7 +44,7 @@ type Engine struct {
 	phases []complex128 // per-layer scratch: e^{-iγ·levels[j]}
 
 	partials []float64      // per-chunk energy accumulators
-	mirrors  [][]complex128 // per-worker mirror-pair scratch (Z2 engines)
+	scratch  [][]complex128 // per-worker kernel scratch (workerScratch)
 	wg       sync.WaitGroup
 
 	// Current pass parameters, read by the prepared bodies.
@@ -92,37 +92,40 @@ func NewZ2Engine(nFull int, diag []float64, levels []float64, idx []int32, shift
 	if err != nil {
 		return nil, err
 	}
-	e, err := newEngine(s, diag, levels, idx, shift)
-	if err != nil {
-		return nil, err
-	}
-	e.z2 = true
-	if e.m0 == lowBlockQubits {
-		// The mirror sweep works on a 2-tile scratch buffer; halving the
-		// tile keeps the pair at 16 KiB — the same L1 working set the
-		// full engine's low sweep was sized for.
-		e.m0 = lowBlockQubits - 1
-	}
-	e.mirrors = mirrorScratch(len(e.partials), e.m0)
-	e.lowBody = e.runMirrorChunk
-	return e, nil
+	return newEngine(s, diag, levels, idx, shift)
 }
 
-// mirrorScratch allocates one mirror-pair buffer per worker. The
+// scratchLen is the per-worker scratch an engine over nEff index qubits
+// with an m0-qubit low group needs: the high sweep's level buffer when
+// there are high groups at all, and on Z2 engines the mirror sweep's
+// tile pair.
+func scratchLen(nEff, m0 int, z2 bool) int {
+	n := 0
+	if nEff > m0 {
+		n = highBufLen
+	}
+	if z2 && 2<<uint(m0) > n {
+		n = 2 << uint(m0)
+	}
+	return n
+}
+
+// workerScratch allocates one kernel scratch buffer per worker. The
 // buffers live on the heap rather than the chunk bodies' stacks so the
-// vector kernel sees the same allocator alignment as the statevector
-// itself.
-func mirrorScratch(workers, m0 int) [][]complex128 {
+// vector kernels see the allocator's alignment — whole cache lines, as
+// for the statevector itself — where a stack array is only 8-byte
+// aligned and every ZMM access to it would split a line.
+func workerScratch(workers, n int) [][]complex128 {
 	sc := make([][]complex128, workers)
 	for i := range sc {
-		sc[i] = make([]complex128, 2<<uint(m0))
+		sc[i] = make([]complex128, n)
 	}
 	return sc
 }
 
 // newEngine wires an evaluator over an allocated state buffer; table
 // lengths must match the state (for a Z2-reduced state, the halved
-// index space).
+// index space, and the engine runs the mirrored low sweep).
 func newEngine(s *State, diag []float64, levels []float64, idx []int32, shift []float64) (*Engine, error) {
 	n := s.N()
 	if len(diag) != s.Len() {
@@ -150,16 +153,27 @@ func newEngine(s *State, diag []float64, levels []float64, idx []int32, shift []
 		shift:  shift,
 		phases: make([]complex128, len(levels)),
 		m0:     n,
+		z2:     s.z2Full != 0,
 	}
 	if e.m0 > lowBlockQubits {
 		e.m0 = lowBlockQubits
+	}
+	e.lowBody = e.runLowChunk
+	if e.z2 {
+		if e.m0 == lowBlockQubits {
+			// The mirror sweep works on a 2-tile scratch buffer; halving the
+			// tile keeps the pair at 16 KiB — the same L1 working set the
+			// full engine's low sweep was sized for.
+			e.m0 = lowBlockQubits - 1
+		}
+		e.lowBody = e.runMirrorChunk
 	}
 	workers := 1
 	if p := s.kernelPool(); p != nil {
 		workers = p.workers
 	}
 	e.partials = make([]float64, workers)
-	e.lowBody = e.runLowChunk
+	e.scratch = workerScratch(workers, scratchLen(n, e.m0, e.z2))
 	e.highBody = e.runHighChunk
 	return e, nil
 }
@@ -257,9 +271,7 @@ func (e *Engine) dispatch(total, itemLen int, body func(w, start, end int)) {
 		// The pool grew after construction (pool override on the state);
 		// re-size outside the steady-state path.
 		e.partials = make([]float64, p.workers)
-		if e.z2 {
-			e.mirrors = mirrorScratch(p.workers, e.m0)
-		}
+		e.scratch = workerScratch(p.workers, scratchLen(e.n, e.m0, e.z2))
 	}
 	p.run(total, body, &e.wg)
 }
@@ -426,7 +438,7 @@ func (e *Engine) runMirrorChunk(w, start, end int) {
 		}
 		return
 	}
-	sc := e.mirrors[w][:2*tl]
+	sc := e.scratch[w][:2*tl]
 	for t := start; t < end; t++ {
 		fb := t * tl
 		rb := (tiles - 1 - t) * tl
@@ -473,46 +485,13 @@ func z2Boundary(buf []complex128, c, sn float64) {
 	}
 }
 
-// runHighChunk is the gathered high sweep of mixer.go's rxHighPass,
-// plus the optional cache-resident energy fold on the final sweep.
+// runHighChunk runs the current high group's sweep (rxHighSweep, which
+// butterflies the strided rows where they live) over one chunk of
+// batches, folding the energy in on the evaluation's final sweep.
 func (e *Engine) runHighChunk(w, start, end int) {
-	amps := e.state.amps
-	tl := 1 << uint(e.m)
-	stride := 1 << uint(e.g0)
-	mask := stride - 1
-	c, sn := e.c, e.sn
-	acc := 0.0
-	var buf [highBufLen]complex128
-	bb := buf[:tl*highBatch]
-	for u := start; u < end; u++ {
-		t := u * highBatch
-		base := (t&^mask)<<uint(e.m) | t&mask
-		p := base
-		for v := 0; v < tl; v++ {
-			copy(bb[v*highBatch:(v+1)*highBatch], amps[p:p+highBatch])
-			p += stride
-		}
-		rxTile(bb, highBatch, c, sn)
-		if e.expect {
-			p = base
-			for v := 0; v < tl; v++ {
-				d := e.diag[p : p+highBatch]
-				row := bb[v*highBatch : (v+1)*highBatch]
-				for j := range row {
-					a := row[j]
-					re, im := real(a), imag(a)
-					acc += (re*re + im*im) * d[j]
-				}
-				p += stride
-			}
-		}
-		p = base
-		for v := 0; v < tl; v++ {
-			copy(amps[p:p+highBatch], bb[v*highBatch:(v+1)*highBatch])
-			p += stride
-		}
-	}
 	if e.expect {
-		e.partials[w] += acc
+		e.partials[w] += rxHighSweep(e.state.amps, e.scratch[w], e.diag, e.g0, e.m, start, end, e.c, e.sn)
+		return
 	}
+	rxHighSweep(e.state.amps, e.scratch[w], nil, e.g0, e.m, start, end, e.c, e.sn)
 }

@@ -23,29 +23,36 @@ import (
 //
 //   - HIGH groups cover mixerBlockQubits qubits each. Their tiles are
 //     strided; highBatch consecutive tiles (adjacent base indices) are
-//     gathered together so every gather/scatter moves a contiguous run
-//     of highBatch amplitudes per stream — the "paired-block" pattern
-//     generalized to 2^m blocks per pass. The combined buffer is then
-//     one butterfly network whose levels start at h = highBatch.
+//     processed together as 2^m ROWS of highBatch contiguous
+//     amplitudes, 2^g0 apart — the "paired-block" pattern generalized
+//     to 2^m blocks per pass. The rows are never copied out and back:
+//     the first butterfly level reads them where they live and lands in
+//     an 8 KiB scratch, the middle levels run in scratch, and the last
+//     level stores straight back to the rows (rxHighSweep).
 //
-// The per-tile butterfly network (rxTile) has an AVX2+FMA assembly fast
-// path on amd64 (mixer_amd64.s) with a portable Go fallback; both are
-// pinned amplitude-identical (1e-12) to the per-qubit ApplyRX walk by
-// mixer_test.go.
+// Two kernels carry all of it, each in three tiers — AVX-512F, AVX2+FMA
+// (mixer_avx512_amd64.s, mixer_amd64.s) and portable Go — picked once
+// per process (KernelTier): rxTile runs a whole butterfly network on a
+// contiguous tile, rxRows runs one level over rows with independent
+// source and destination strides. Within a tier the two apply the same
+// c·v + σ⊙swap(partner) update, so how a network is split between them
+// does not change a bit of the result; across tiers, and against the
+// per-qubit ApplyRX walk, mixer_test.go pins amplitudes at 1e-12.
 
 const (
 	// lowBlockQubits sizes the in-place low group: 2^10 amplitudes =
 	// 16 KiB tiles, L1-resident through all ten butterfly levels.
 	lowBlockQubits = 10
-	// mixerBlockQubits sizes the gathered high groups: with highBatch
-	// tiles per buffer the working set is 2^6·highBatch amplitudes =
-	// 8 KiB, and the gather cost is amortized over six levels.
+	// mixerBlockQubits sizes the high groups: with highBatch tiles per
+	// batch the scratch working set is 2^6·highBatch amplitudes = 8 KiB,
+	// and one pass over the strided rows is amortized over six levels.
 	mixerBlockQubits = 6
-	// highBatch is the number of consecutive tiles gathered per
-	// combined buffer; their base indices are adjacent, so each stream
-	// copies highBatch·16 contiguous bytes.
+	// highBatch is the number of consecutive tiles processed per batch;
+	// their base indices are adjacent, so every row is highBatch·16 =
+	// 128 contiguous bytes, two cache lines (the assembly row kernels
+	// hard-code this width).
 	highBatch = 8
-	// highBufLen is the combined high-group buffer length.
+	// highBufLen is the high sweep's scratch length.
 	highBufLen = (1 << mixerBlockQubits) * highBatch
 )
 
@@ -86,31 +93,71 @@ func (s *State) rxLowPass(m int, c, sn float64) {
 // lowBlockQubits, so the tile stride 2^g0 is a multiple of highBatch
 // and batches never straddle a stride boundary.
 func (s *State) rxHighPass(g0, m int, c, sn float64) {
+	batches := len(s.amps) >> uint(m) / highBatch
+	amps := s.amps
+	s.parForTiles(batches, highBatch<<uint(m), func(start, end int) {
+		rxHighSweep(amps, make([]complex128, highBufLen), nil, g0, m, start, end, c, sn)
+	})
+}
+
+// rxHighSweep is THE high-group sweep: it butterflies qubits [g0, g0+m)
+// over batches [start, end), each batch being highBatch adjacent tiles —
+// 2^m rows of highBatch contiguous amplitudes, 2^g0 apart. Engine,
+// DistEngine and ApplyRXAll all reach the high butterflies through it.
+//
+// The state is never copied. The first level (d = 1) reads the strided
+// rows where they live and writes the butterflied result into scratch
+// (the caller's, at least highBufLen long and ideally cache-line
+// aligned — see workerScratch); the middle levels run in scratch
+// through rxTile, one call per half because the last level is held
+// back; the last level (d = 2^(m−1)) reads scratch and stores straight
+// back to the strided rows. A one-qubit group is a single in-place
+// strided level. Every amplitude sees the same update sequence, in the
+// same level order, as a gather → rxTile → scatter walk, so the results
+// are bit-identical to it (mixer_rows_test.go keeps that walk as the
+// oracle).
+//
+// With diag non-nil (len(amps) entries, the expectation diagonal of
+// this slice) the sweep also returns Σ|a|²·diag over the rows it just
+// stored, read back while they are cache-resident in (row, column)
+// order; with diag nil it returns 0.
+func rxHighSweep(amps, scratch []complex128, diag []float64, g0, m, start, end int, c, sn float64) float64 {
 	tl := 1 << uint(m)
 	stride := 1 << uint(g0)
 	mask := stride - 1
-	batches := len(s.amps) >> uint(m) / highBatch
-	amps := s.amps
-	s.parForTiles(batches, tl*highBatch, func(start, end int) {
-		var buf [highBufLen]complex128
-		bb := buf[:tl*highBatch]
-		for u := start; u < end; u++ {
-			t := u * highBatch
-			// Insert m zero bits at position g0 of the tile counter.
-			base := (t&^mask)<<uint(m) | t&mask
+	bb := scratch[:tl*highBatch]
+	half := len(bb) / 2
+	acc := 0.0
+	for u := start; u < end; u++ {
+		t := u * highBatch
+		// Insert m zero bits at position g0 of the tile counter.
+		base := (t&^mask)<<uint(m) | t&mask
+		rows := amps[base:]
+		if tl == 2 {
+			rxRows(rows, stride, rows, stride, 2, 1, c, sn)
+		} else {
+			rxRows(bb, highBatch, rows, stride, tl, 1, c, sn)
+			if tl >= 8 {
+				rxTile(bb[:half], 2*highBatch, c, sn)
+				rxTile(bb[half:], 2*highBatch, c, sn)
+			}
+			rxRows(rows, stride, bb, highBatch, tl, tl/2, c, sn)
+		}
+		if diag != nil {
 			p := base
 			for v := 0; v < tl; v++ {
-				copy(bb[v*highBatch:(v+1)*highBatch], amps[p:p+highBatch])
-				p += stride
-			}
-			rxTile(bb, highBatch, c, sn)
-			p = base
-			for v := 0; v < tl; v++ {
-				copy(amps[p:p+highBatch], bb[v*highBatch:(v+1)*highBatch])
+				d := diag[p : p+highBatch]
+				row := amps[p : p+highBatch]
+				for j := range row {
+					a := row[j]
+					re, im := real(a), imag(a)
+					acc += (re*re + im*im) * d[j]
+				}
 				p += stride
 			}
 		}
-	})
+	}
+	return acc
 }
 
 // parForTiles is parFor for sweeps whose work items are tiles of
@@ -128,9 +175,10 @@ func (s *State) parForTiles(tiles, tileLen int, body func(start, end int)) {
 
 // rxTile applies the butterfly levels h = h0, 2·h0, ..., len(buf)/2 of
 // the network RX(θ)^⊗log2(len(buf)) to a cache-resident tile. h0 = 1 is
-// the full network; h0 = highBatch treats buf as highBatch interleaved
-// tiles and skips their (already separate) low levels. len(buf) and h0
-// must be powers of two, len(buf) ≥ 2·h0; c = cos(θ/2), sn = sin(θ/2).
+// the full network; h0 = k·highBatch treats buf as rows of highBatch
+// interleaved tiles and starts at the level pairing row v with row
+// v+k. len(buf) and h0 must be powers of two, len(buf) ≥ 2·h0;
+// c = cos(θ/2), sn = sin(θ/2).
 func rxTile(buf []complex128, h0 int, c, sn float64) {
 	if useMixerAsm {
 		// The AVX-512 tier nests UNDER useMixerAsm so one flag still
@@ -144,6 +192,45 @@ func rxTile(buf []complex128, h0 int, c, sn float64) {
 		return
 	}
 	rxTileGo(buf, h0, c, sn)
+}
+
+// rxRows applies ONE butterfly level to rows of highBatch amplitudes:
+// row v (v&d == 0) pairs with row v+d, row v of src starting at
+// src[v·srcStride] and its result going to dst[v·dstStride] (strides in
+// amplitudes). dst and src may be the same slice with the same stride —
+// each pair is read before it is written. rows is a multiple of 2·d.
+// The per-amplitude arithmetic is rxTile's in every kernel tier.
+func rxRows(dst []complex128, dstStride int, src []complex128, srcStride int, rows, d int, c, sn float64) {
+	// The assembly kernels index raw pointers: prove the last row fits.
+	_ = dst[(rows-1)*dstStride+highBatch-1]
+	_ = src[(rows-1)*srcStride+highBatch-1]
+	if useMixerAsm {
+		if useMixerAsm512 {
+			rxRowsAsm512(&dst[0], &src[0], dstStride*16, srcStride*16, rows, d, c, sn)
+		} else {
+			rxRowsAsm(&dst[0], &src[0], dstStride*16, srcStride*16, rows, d, c, sn)
+		}
+		return
+	}
+	rxRowsGo(dst, dstStride, src, srcStride, rows, d, c, sn)
+}
+
+// rxRowsGo is the portable row kernel: rxTileGo's butterfly with
+// separate source and destination rows.
+func rxRowsGo(dst []complex128, dstStride int, src []complex128, srcStride int, rows, d int, c, sn float64) {
+	for a := 0; a < rows; a += d << 1 {
+		for b := a; b < a+d; b++ {
+			s0 := src[b*srcStride : b*srcStride+highBatch]
+			s1 := src[(b+d)*srcStride : (b+d)*srcStride+highBatch]
+			d0 := dst[b*dstStride : b*dstStride+highBatch]
+			d1 := dst[(b+d)*dstStride : (b+d)*dstStride+highBatch]
+			for j := range s0 {
+				a0, a1 := s0[j], s1[j]
+				d0[j] = complex(c*real(a0)+sn*imag(a1), c*imag(a0)-sn*real(a1))
+				d1[j] = complex(sn*imag(a0)+c*real(a1), c*imag(a1)-sn*real(a0))
+			}
+		}
+	}
 }
 
 // KernelTier reports the active rxTile implementation tier: "avx512",

@@ -18,6 +18,23 @@ func rxTileAsm(buf *complex128, n, h0 int, c, sn float64)
 //go:noescape
 func rxTileAsm512(buf *complex128, n, h0 int, c, sn float64)
 
+// rxRowsAsm is the AVX2+FMA single-level row kernel (mixer_amd64.s):
+// the contract of rxRows with strides in BYTES. Callers must have
+// checked useMixerAsm.
+//
+//go:noescape
+func rxRowsAsm(dst, src *complex128, dstStride, srcStride, rows, d int, c, sn float64)
+
+// rxRowsAsm512 is the AVX-512F single-level row kernel
+// (mixer_avx512_amd64.s); same contract as rxRowsAsm. Callers must have
+// checked useMixerAsm512.
+//
+//go:noescape
+func rxRowsAsm512(dst, src *complex128, dstStride, srcStride, rows, d int, c, sn float64)
+
+// The assembly row kernels hard-code 8-amplitude (128-byte) rows.
+var _ = [1]struct{}{}[highBatch-8]
+
 // cpuidex executes CPUID with the given leaf/sub-leaf.
 func cpuidex(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
 

@@ -96,6 +96,63 @@ done:
 	VZEROUPPER
 	RET
 
+// ROWPAIR butterflies two complexes of row v (off(SI)) with the two at
+// the same offset of row v+d (off(SI)(R13)), writing off(DI) and
+// off(DI)(R12): the inner-loop body of rxTileAsm with separate source
+// and destination.
+#define ROWPAIR(off) \
+	VMOVUPD off(SI), Y3            \
+	VMOVUPD off(SI)(R13*1), Y4     \
+	VPERMILPD $0x5, Y3, Y5         \
+	VPERMILPD $0x5, Y4, Y6         \
+	VMULPD  Y0, Y3, Y7             \
+	VFMADD231PD Y1, Y6, Y7         \
+	VMULPD  Y0, Y4, Y8             \
+	VFMADD231PD Y1, Y5, Y8         \
+	VMOVUPD Y7, off(DI)            \
+	VMOVUPD Y8, off(DI)(R12*1)
+
+// func rxRowsAsm(dst, src *complex128, dstStride, srcStride, rows, d int, c, sn float64)
+// One butterfly level over rows of highBatch = 8 amplitudes (four YMM
+// registers): row v pairs with row v+d, source rows sit srcStride bytes
+// apart and destination rows dstStride bytes apart (dst == src with
+// equal strides is the in-place form). Same update as rxTileAsm's
+// level-h loop, so a level run here is bit-identical to the same level
+// run by rxTileAsm on a gathered copy. rows is a multiple of 2·d.
+TEXT ·rxRowsAsm(SB), NOSPLIT, $0-64
+	MOVQ dst+0(FP), DI
+	MOVQ src+8(FP), SI
+	MOVQ dstStride+16(FP), R8
+	MOVQ srcStride+24(FP), R9
+	MOVQ rows+32(FP), R10
+	MOVQ d+40(FP), R11
+	VBROADCASTSD c+48(FP), Y0      // Y0 = (c, c, c, c)
+	VBROADCASTSD sn+56(FP), Y1
+	VXORPD rxsign<>(SB), Y1, Y1    // Y1 = σ = (s, −s, s, −s)
+
+	MOVQ R11, R12
+	IMULQ R8, R12                  // partner row offset in dst
+	MOVQ R11, R13
+	IMULQ R9, R13                  // partner row offset in src
+	LEAQ (R11)(R11*1), BX          // rows per block: 2·d
+rowblock:
+	MOVQ R11, CX                   // d row pairs per block
+rowpair:
+	ROWPAIR(0)
+	ROWPAIR(32)
+	ROWPAIR(64)
+	ROWPAIR(96)
+	ADDQ R9, SI
+	ADDQ R8, DI
+	DECQ CX
+	JNZ  rowpair
+	ADDQ R13, SI                   // skip the partner half of the block
+	ADDQ R12, DI
+	SUBQ BX, R10
+	JG   rowblock
+	VZEROUPPER
+	RET
+
 // func cpuidex(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
 TEXT ·cpuidex(SB), NOSPLIT, $0-24
 	MOVL leaf+0(FP), AX

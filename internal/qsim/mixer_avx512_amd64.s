@@ -125,3 +125,61 @@ inner:
 done:
 	VZEROUPPER
 	RET
+
+// func rxRowsAsm512(dst, src *complex128, dstStride, srcStride, rows, d int, c, sn float64)
+// One butterfly level over rows of highBatch = 8 amplitudes (two ZMM
+// registers): row v pairs with row v+d, source rows sit srcStride bytes
+// apart and destination rows dstStride bytes apart (dst == src with
+// equal strides is the in-place form). The update is the lvlh loop's
+// VMULPD + VFMADD231PD chain, so a level run here is bit-identical to
+// the same level run by rxTileAsm512 on a gathered copy. rows is a
+// multiple of 2·d.
+TEXT ·rxRowsAsm512(SB), NOSPLIT, $0-64
+	MOVQ dst+0(FP), DI
+	MOVQ src+8(FP), SI
+	MOVQ dstStride+16(FP), R8
+	MOVQ srcStride+24(FP), R9
+	MOVQ rows+32(FP), R10
+	MOVQ d+40(FP), R11
+	VBROADCASTSD c+48(FP), Z0         // Z0 = (c, ..., c)
+	VBROADCASTSD sn+56(FP), Z1
+	VPXORQ rxsign512<>(SB), Z1, Z1    // Z1 = σ = (s, −s, s, −s, ...)
+
+	MOVQ R11, R12
+	IMULQ R8, R12                     // partner row offset in dst
+	MOVQ R11, R13
+	IMULQ R9, R13                     // partner row offset in src
+	LEAQ (R11)(R11*1), BX             // rows per block: 2·d
+rowblock:
+	MOVQ R11, CX                      // d row pairs per block
+rowpair:
+	VMOVUPD (SI), Z2                  // row v
+	VMOVUPD 64(SI), Z3
+	VMOVUPD (SI)(R13*1), Z4           // row v+d
+	VMOVUPD 64(SI)(R13*1), Z5
+	VPERMILPD $0x55, Z2, Z6           // swap re/im within each complex
+	VPERMILPD $0x55, Z3, Z7
+	VPERMILPD $0x55, Z4, Z8
+	VPERMILPD $0x55, Z5, Z9
+	VMULPD  Z0, Z2, Z10               // c·v0
+	VMULPD  Z0, Z3, Z11
+	VMULPD  Z0, Z4, Z12               // c·v1
+	VMULPD  Z0, Z5, Z13
+	VFMADD231PD Z1, Z8, Z10           // + σ⊙swap(v1)
+	VFMADD231PD Z1, Z9, Z11
+	VFMADD231PD Z1, Z6, Z12           // + σ⊙swap(v0)
+	VFMADD231PD Z1, Z7, Z13
+	VMOVUPD Z10, (DI)
+	VMOVUPD Z11, 64(DI)
+	VMOVUPD Z12, (DI)(R12*1)
+	VMOVUPD Z13, 64(DI)(R12*1)
+	ADDQ R9, SI
+	ADDQ R8, DI
+	DECQ CX
+	JNZ  rowpair
+	ADDQ R13, SI                      // skip the partner half of the block
+	ADDQ R12, DI
+	SUBQ BX, R10
+	JG   rowblock
+	VZEROUPPER
+	RET

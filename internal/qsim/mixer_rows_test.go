@@ -1,0 +1,257 @@
+package qsim
+
+import (
+	"fmt"
+	"math"
+	"testing"
+
+	"qaoa2/internal/rng"
+)
+
+// gatherSweep is the high-sweep oracle: the gather → rxTile → scatter
+// loop the engines and ApplyRXAll each carried before rxHighSweep. It
+// copies every batch's strided rows into a contiguous buffer, runs the
+// whole butterfly network there, folds the energy on the buffer and
+// copies the rows back. Same contract as rxHighSweep.
+func gatherSweep(amps []complex128, diag []float64, g0, m, start, end int, c, sn float64) float64 {
+	tl := 1 << uint(m)
+	stride := 1 << uint(g0)
+	mask := stride - 1
+	acc := 0.0
+	bb := make([]complex128, tl*highBatch)
+	for u := start; u < end; u++ {
+		t := u * highBatch
+		base := (t&^mask)<<uint(m) | t&mask
+		p := base
+		for v := 0; v < tl; v++ {
+			copy(bb[v*highBatch:(v+1)*highBatch], amps[p:p+highBatch])
+			p += stride
+		}
+		rxTile(bb, highBatch, c, sn)
+		if diag != nil {
+			p = base
+			for v := 0; v < tl; v++ {
+				d := diag[p : p+highBatch]
+				row := bb[v*highBatch : (v+1)*highBatch]
+				for j := range row {
+					a := row[j]
+					re, im := real(a), imag(a)
+					acc += (re*re + im*im) * d[j]
+				}
+				p += stride
+			}
+		}
+		p = base
+		for v := 0; v < tl; v++ {
+			copy(amps[p:p+highBatch], bb[v*highBatch:(v+1)*highBatch])
+			p += stride
+		}
+	}
+	return acc
+}
+
+// kernelTiers runs body once per kernel tier this machine can execute,
+// flipping the dispatch flags as mixer_avx512_test.go does.
+func kernelTiers(t *testing.T, body func(t *testing.T)) {
+	savedAsm, saved512 := useMixerAsm, useMixerAsm512
+	defer func() { useMixerAsm, useMixerAsm512 = savedAsm, saved512 }()
+	tiers := []struct{ asm, asm512 bool }{{false, false}}
+	if savedAsm {
+		tiers = append(tiers, struct{ asm, asm512 bool }{true, false})
+	}
+	if savedAsm && saved512 {
+		tiers = append(tiers, struct{ asm, asm512 bool }{true, true})
+	}
+	for _, tier := range tiers {
+		useMixerAsm, useMixerAsm512 = tier.asm, tier.asm512
+		t.Run(KernelTier(), body)
+	}
+}
+
+// firstBitDiff returns the first index at which a and b differ in their
+// float64 bit patterns, or −1.
+func firstBitDiff(a, b []complex128) int {
+	for i := range a {
+		if math.Float64bits(real(a[i])) != math.Float64bits(real(b[i])) ||
+			math.Float64bits(imag(a[i])) != math.Float64bits(imag(b[i])) {
+			return i
+		}
+	}
+	return -1
+}
+
+// TestRxRowsMatchesGatheredTile pins the single-level row kernel, in
+// every tier, bit for bit against the same level run by rxTile on a
+// gathered copy (in the portable tier that is rxTileGo): every group
+// width m = 1…6 and every level d of it, row strides 2^9…2^14, in place
+// on the strided rows, strided → contiguous scratch and scratch →
+// strided. The amplitudes between rows are checked untouched.
+func TestRxRowsMatchesGatheredTile(t *testing.T) {
+	const c, sn = 0.731688868873821, 0.681638760023334
+	const maxRows, maxStride = 1 << mixerBlockQubits, 1 << 14
+	pristine := randomTile((maxRows-1)*maxStride+2*highBatch, 77)
+	got := make([]complex128, len(pristine))
+	want := make([]complex128, len(pristine))
+	bb := make([]complex128, highBufLen)
+	sc := make([]complex128, highBufLen)
+
+	// level applies level d to the rows of want through a gathered copy.
+	level := func(rows, stride, d int) {
+		for v := 0; v < rows; v++ {
+			copy(bb[v*highBatch:(v+1)*highBatch], want[v*stride:])
+		}
+		block := 2 * d * highBatch
+		for a := 0; a < rows*highBatch; a += block {
+			rxTile(bb[a:a+block], d*highBatch, c, sn)
+		}
+		for v := 0; v < rows; v++ {
+			copy(want[v*stride:v*stride+highBatch], bb[v*highBatch:(v+1)*highBatch])
+		}
+	}
+	kernelTiers(t, func(t *testing.T) {
+		for g0 := 9; g0 <= 14; g0++ {
+			stride := 1 << uint(g0)
+			for m := 1; m <= mixerBlockQubits; m++ {
+				rows := 1 << uint(m)
+				span := (rows-1)*stride + 2*highBatch
+				for d := 1; d < rows; d <<= 1 {
+					for _, form := range []string{"in-place", "to-scratch", "from-scratch"} {
+						copy(got[:span], pristine)
+						copy(want[:span], pristine)
+						level(rows, stride, d)
+						switch form {
+						case "in-place":
+							rxRows(got, stride, got, stride, rows, d, c, sn)
+						case "to-scratch":
+							rxRows(sc, highBatch, got, stride, rows, d, c, sn)
+							for v := 0; v < rows; v++ {
+								copy(got[v*stride:v*stride+highBatch], sc[v*highBatch:])
+							}
+						case "from-scratch":
+							for v := 0; v < rows; v++ {
+								copy(sc[v*highBatch:(v+1)*highBatch], got[v*stride:])
+							}
+							rxRows(got, stride, sc, highBatch, rows, d, c, sn)
+						}
+						if i := firstBitDiff(got[:span], want[:span]); i >= 0 {
+							t.Fatalf("stride=2^%d m=%d d=%d %s: amp %d = %v, want %v", g0, m, d, form, i, got[i], want[i])
+						}
+					}
+				}
+			}
+		}
+	})
+}
+
+// TestRxHighSweepMatchesGatherSweep pins the shared sweep bit for bit
+// against the oracle on every (stride, width) geometry, with and
+// without the energy fold, over a sub-range of batches.
+func TestRxHighSweepMatchesGatherSweep(t *testing.T) {
+	const c, sn = 0.5403023058681398, 0.8414709848078965
+	scratch := make([]complex128, highBufLen)
+	kernelTiers(t, func(t *testing.T) {
+		for g0 := 9; g0 <= 12; g0++ {
+			for m := 1; m <= mixerBlockQubits; m++ {
+				n := 1 << uint(g0+m)
+				want := randomTile(n, uint64(g0*8+m))
+				got := append([]complex128(nil), want...)
+				diag := make([]float64, n)
+				r := rng.New(uint64(n))
+				for i := range diag {
+					diag[i] = float64(r.Uint64() % 9)
+				}
+				batches := n >> uint(m) / highBatch
+				start, end := batches/4, batches
+				for _, d := range [][]float64{nil, diag} {
+					we := gatherSweep(want, d, g0, m, start, end, c, sn)
+					ge := rxHighSweep(got, scratch, d, g0, m, start, end, c, sn)
+					if math.Float64bits(ge) != math.Float64bits(we) {
+						t.Fatalf("g0=%d m=%d fold=%v: energy %v, want %v", g0, m, d != nil, ge, we)
+					}
+					if i := firstBitDiff(got, want); i >= 0 {
+						t.Fatalf("g0=%d m=%d fold=%v: amp %d = %v, want %v", g0, m, d != nil, i, got[i], want[i])
+					}
+				}
+			}
+		}
+	})
+}
+
+// TestEnginesBitIdenticalToGatherSweep runs Engine and DistEngine
+// (ranks 1 and 4) against twins whose high sweeps are the gather
+// oracle: energy and every amplitude must agree in their float64 bits
+// at nFull = 12…21, p = 1…3, reduced and unreduced. The twin engines
+// differ from the production ones only in highBody.
+func TestEnginesBitIdenticalToGatherSweep(t *testing.T) {
+	sizes := []int{12, 13, 14, 15, 16, 17, 18, 19, 20, 21}
+	if testing.Short() {
+		sizes = []int{12, 17, 18}
+	}
+	check := func(t *testing.T, name string, eval, oracle func(g, b []float64) float64, st, ost *State) {
+		t.Helper()
+		for p := 1; p <= 3; p++ {
+			gammas, betas := distParams(st.N(), p)
+			got, want := eval(gammas, betas), oracle(gammas, betas)
+			if math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("%s p=%d: energy %v, oracle sweep %v", name, p, got, want)
+			}
+			if i := firstBitDiff(st.amps, ost.amps); i >= 0 {
+				t.Fatalf("%s p=%d: amp %d = %v, oracle sweep %v", name, p, i, st.amps[i], ost.amps[i])
+			}
+		}
+	}
+	for _, nFull := range sizes {
+		for _, z2 := range []bool{false, true} {
+			diag, levels, idx, _ := z2Fixture(t, nFull, uint64(nFull)*3+1)
+			nEff, z2Full := nFull, 0
+			if z2 {
+				nEff, z2Full = nFull-1, nFull
+				diag, idx = diag[:1<<uint(nEff)], idx[:1<<uint(nEff)]
+			}
+			name := fmt.Sprintf("nFull=%d z2=%v", nFull, z2)
+
+			build := func() *Engine {
+				s := &State{n: nEff, amps: make([]complex128, 1<<uint(nEff)), z2Full: z2Full}
+				e, err := newEngine(s, diag, levels, idx, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return e
+			}
+			eng, twin := build(), build()
+			twin.highBody = func(w, start, end int) {
+				if twin.expect {
+					twin.partials[w] += gatherSweep(twin.state.amps, twin.diag, twin.g0, twin.m, start, end, twin.c, twin.sn)
+					return
+				}
+				gatherSweep(twin.state.amps, nil, twin.g0, twin.m, start, end, twin.c, twin.sn)
+			}
+			check(t, name+" engine", eng.Evaluate, twin.Evaluate, eng.State(), twin.State())
+
+			for _, ranks := range []int{1, 4} {
+				de, err := newDistEngine(nEff, z2Full, ranks, diag, levels, idx, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				dt, rs, err := buildDistEngine(nEff, z2Full, ranks, diag, levels, idx, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, d := range rs {
+					d.highBody = func(w, start, end int) {
+						if d.expect {
+							dg := d.sh.diag[d.base : d.base+len(d.amps)]
+							d.partials[w] += gatherSweep(d.amps, dg, d.g0, d.m, start, end, d.c, d.sn)
+							return
+						}
+						gatherSweep(d.amps, nil, d.g0, d.m, start, end, d.c, d.sn)
+					}
+				}
+				dt.launch(rs)
+				check(t, fmt.Sprintf("%s dist:%d", name, ranks), de.Evaluate, dt.Evaluate, de.State(), dt.State())
+				de.Stop()
+				dt.Stop()
+			}
+		}
+	}
+}

@@ -12,12 +12,12 @@
 //     path above is only one of the execution backends;
 //
 //   - a cache-blocked fused execution engine for the QAOA objective:
-//     the blocked multi-qubit mixer ApplyRXAll (mixer.go, with an
-//     AVX2+FMA fast path on amd64) and Engine (engine.go), which runs
-//     whole p-layer evaluations — phase, mixer, initial state and
-//     energy reduction fused into ⌈1 + (n−10)/6⌉ sweeps per layer —
-//     with zero steady-state allocations over a persistent worker pool
-//     (pool.go);
+//     the blocked multi-qubit mixer ApplyRXAll (mixer.go, with
+//     AVX-512 and AVX2+FMA kernel tiers on amd64) and Engine
+//     (engine.go), which runs whole p-layer evaluations — phase, mixer,
+//     initial state and energy reduction fused into ⌈1 + (n−10)/6⌉
+//     sweeps per layer — with zero steady-state allocations over a
+//     persistent worker pool (pool.go);
 //
 //   - measurement: probability extraction, shot sampling, highest- and
 //     top-K-amplitude queries (the paper decodes the best-amplitude bit

@@ -253,9 +253,16 @@ func TestZ2EngineZeroAlloc(t *testing.T) {
 // BenchmarkEngineZ2Evaluate16p3 is the reduced twin of
 // BenchmarkEngineEvaluate16p3: same full problem size, half the stored
 // amplitudes.
-func BenchmarkEngineZ2Evaluate16p3(b *testing.B) {
-	diag, levels, idx, _ := z2Fixture(b, 16, 41)
-	eng, err := NewZ2Engine(16, diag[:1<<15], levels, idx[:1<<15], nil)
+func BenchmarkEngineZ2Evaluate16p3(b *testing.B) { benchmarkEngineZ2(b, 16) }
+
+// BenchmarkEngineZ2Evaluate20p3 is the paper-scale leaf: an 8 MiB
+// half-vector, two high groups per layer, nothing cache-resident.
+func BenchmarkEngineZ2Evaluate20p3(b *testing.B) { benchmarkEngineZ2(b, 20) }
+
+func benchmarkEngineZ2(b *testing.B, nFull int) {
+	half := 1 << uint(nFull-1)
+	diag, levels, idx, _ := z2Fixture(b, nFull, 41)
+	eng, err := NewZ2Engine(nFull, diag[:half], levels, idx[:half], nil)
 	if err != nil {
 		b.Fatal(err)
 	}

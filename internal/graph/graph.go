@@ -9,6 +9,7 @@ package graph
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"qaoa2/internal/linalg"
@@ -139,6 +140,24 @@ func (g *Graph) TotalWeight() float64 {
 		s += e.W
 	}
 	return s
+}
+
+// IntegralWeights reports whether every edge weight is an integer and
+// the absolute weights sum to less than 2^53. Every partial sum of edge
+// weights is then an integer float64 represents exactly, so a cut value
+// is the same float in whatever order it is summed, and two cut values
+// computed by different code compare with == as the integers they are.
+// Optimality certificates (qaoa.Result.Optimal) are issued only under
+// this guard.
+func (g *Graph) IntegralWeights() bool {
+	sum := 0.0
+	for _, e := range g.edges {
+		if e.W != math.Trunc(e.W) { // NaN fails here, ±Inf at the sum
+			return false
+		}
+		sum += math.Abs(e.W)
+	}
+	return sum < 1<<53
 }
 
 // Clone returns a deep copy of g.

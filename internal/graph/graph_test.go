@@ -277,6 +277,34 @@ func TestConnectedComponents(t *testing.T) {
 	}
 }
 
+func TestIntegralWeights(t *testing.T) {
+	pair := func(ws ...float64) *Graph {
+		g := New(len(ws) + 1)
+		for i, w := range ws {
+			g.MustAddEdge(i, i+1, w)
+		}
+		return g
+	}
+	for _, tc := range []struct {
+		name string
+		g    *Graph
+		want bool
+	}{
+		{"edgeless", New(3), true},
+		{"unit", pair(1, 1, 1), true},
+		{"signed integers", pair(-3, 4, 0), true},
+		{"half", pair(1, 0.5), false},
+		{"nan", pair(1, math.NaN()), false},
+		{"inf", pair(1, math.Inf(-1)), false},
+		{"sum below 2^53", pair(1<<52, 1<<52-1), true},
+		{"sum at 2^53", pair(1<<52, -(1 << 52)), false},
+	} {
+		if got := tc.g.IntegralWeights(); got != tc.want {
+			t.Errorf("%s: IntegralWeights = %v, want %v", tc.name, got, tc.want)
+		}
+	}
+}
+
 func TestCloneIsDeep(t *testing.T) {
 	g := New(3)
 	g.MustAddEdge(0, 1, 1)

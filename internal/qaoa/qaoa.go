@@ -13,6 +13,7 @@ package qaoa
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"qaoa2/internal/backend"
@@ -158,6 +159,12 @@ type Result struct {
 	// Layout maps logical node → physical wire of State (nil when
 	// identity, i.e. no routing was requested).
 	Layout []int
+	// Optimal certifies Cut as a maximum cut of the graph: its value
+	// equals the maximum of the cut table the ansatz holds. The
+	// certificate is exact arithmetic, not a tolerance — it is issued
+	// only when graph.IntegralWeights holds, so a graph with real
+	// weights never gets one, whatever its cut.
+	Optimal bool
 }
 
 // CutTable returns the diagonal of H_C in the computational basis:
@@ -182,7 +189,7 @@ func Solve(g *graph.Graph, opts Options, r *rng.Rand) (*Result, error) {
 	opts = opts.withDefaults()
 	n := g.N()
 	if n == 0 {
-		return &Result{Cut: maxcut.Cut{Spins: []int8{}, Value: 0}}, nil
+		return &Result{Cut: maxcut.Cut{Spins: []int8{}, Value: 0}, Optimal: true}, nil
 	}
 	if n > qsim.MaxQubits {
 		return nil, fmt.Errorf("qaoa: %d nodes exceeds simulator capacity of %d qubits", n, qsim.MaxQubits)
@@ -193,7 +200,7 @@ func Solve(g *graph.Graph, opts Options, r *rng.Rand) (*Result, error) {
 		for i := range spins {
 			spins[i] = 1
 		}
-		return &Result{Cut: maxcut.Cut{Spins: spins, Value: 0}}, nil
+		return &Result{Cut: maxcut.Cut{Spins: spins, Value: 0}, Optimal: true}, nil
 	}
 
 	be := opts.Backend
@@ -265,7 +272,16 @@ func Solve(g *graph.Graph, opts Options, r *rng.Rand) (*Result, error) {
 		Report:      ans.Report(),
 		State:       s,
 		Layout:      layout,
+		Optimal:     g.IntegralWeights() && cut.Value == tableMax(table),
 	}, nil
+}
+
+// tableMax returns the largest entry of a cut table, the graph's exact
+// optimum. A bit string and its complement cut the same edges, and the
+// complement of an index in the lower half lies in the upper half, so
+// the lower half holds every value.
+func tableMax(table []float64) float64 {
+	return slices.Max(table[:len(table)/2])
 }
 
 // minimize dispatches one optimizer run on the objective.

@@ -3,11 +3,15 @@ package qaoa2
 import (
 	"path/filepath"
 	"runtime"
+	"slices"
+	"sync"
 	"testing"
 
 	"qaoa2/internal/graph"
+	"qaoa2/internal/maxcut"
 	"qaoa2/internal/rng"
 	rt "qaoa2/internal/runtime"
+	"qaoa2/internal/solver"
 )
 
 // The per-solver attribution invariants (ISSUE 5 satellite): a
@@ -189,6 +193,88 @@ func TestAttributionSurvivesCheckpointRestore(t *testing.T) {
 		}
 		if s.Attempts != nil {
 			t.Fatalf("restored part %d carries attempts %+v", i, s.Attempts)
+		}
+	}
+}
+
+// uncertified hides a solver's optimality certificate: it is a plain
+// Solver, so SolveAttributed reports its name and nothing else.
+type uncertified struct{ inner SubSolver }
+
+func (u uncertified) Name() string { return u.inner.Name() }
+
+func (u uncertified) SolveSub(g *graph.Graph, r *rng.Rand) (maxcut.Cut, error) {
+	return u.inner.SolveSub(g, r)
+}
+
+// TestCertifiedSkipKeepsAttributionShape: when the first member of a
+// composite certifies its cut, the members behind it are skipped — and
+// the sub-reports of the synchronous path and the events of the runtime
+// path still list one attempt per member, the skipped ones by name
+// only, while cut and winners are those of a run in which nobody could
+// certify and every member ran.
+func TestCertifiedSkipKeepsAttributionShape(t *testing.T) {
+	g := graph.ErdosRenyi(36, 0.2, graph.Unweighted, rng.New(41))
+	parts, err := fixedPartition(g, 6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	members := []SubSolver{ExactSolver{}, OneExchangeSolver{}, RandomSolver{Trials: 1}}
+	everyMemberRuns := []SubSolver{uncertified{ExactSolver{}}, OneExchangeSolver{}, RandomSolver{Trials: 1}}
+	for label, build := range map[string]func([]SubSolver) SubSolver{
+		"best":      func(m []SubSolver) SubSolver { return BestOfSolver{Solvers: m} },
+		"portfolio": func(m []SubSolver) SubSolver { return PortfolioSolver{Solvers: m} },
+	} {
+		opts := Options{
+			MaxQubits: 6, Partition: parts, MergeSolver: OneExchangeSolver{}, Seed: 77,
+		}
+		opts.Solver = build(everyMemberRuns)
+		want, err := Solve(g, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, useRuntime := range []bool{false, true} {
+			var mu sync.Mutex
+			events := map[int][]solver.Attempt{}
+			opts.Solver = build(members)
+			opts.Runtime = useRuntime
+			opts.OnRuntimeEvent = func(ev rt.Event) {
+				if ev.Kind == "sub-solve" && ev.Stage == 0 {
+					mu.Lock()
+					events[ev.Index] = ev.Attempts
+					mu.Unlock()
+				}
+			}
+			res, err := Solve(g, opts)
+			if err != nil {
+				t.Fatalf("%s runtime=%v: %v", label, useRuntime, err)
+			}
+			if res.Cut.Value != want.Cut.Value || !slices.Equal(res.Cut.Spins, want.Cut.Spins) {
+				t.Fatalf("%s runtime=%v: skipping changed the cut", label, useRuntime)
+			}
+			for i, sr := range res.SubReports {
+				if sr.Solver != want.SubReports[i].Solver || sr.Value != want.SubReports[i].Value {
+					t.Fatalf("%s runtime=%v: part %d won by %q/%v, every-member run says %q/%v", label, useRuntime,
+						i, sr.Solver, sr.Value, want.SubReports[i].Solver, want.SubReports[i].Value)
+				}
+				lists := [][]solver.Attempt{sr.Attempts}
+				if useRuntime {
+					lists = append(lists, events[i])
+				}
+				for _, attempts := range lists {
+					if len(attempts) != len(members) {
+						t.Fatalf("%s runtime=%v: part %d has %d attempts for %d members", label, useRuntime, i, len(attempts), len(members))
+					}
+					if a := attempts[0]; a.Solver != "exact" || a.Value != sr.Value || a.Err != "" {
+						t.Fatalf("%s runtime=%v: part %d first attempt %+v", label, useRuntime, i, a)
+					}
+					for j, m := range members[1:] {
+						if a := attempts[j+1]; a != (solver.Attempt{Solver: m.Name(), Err: solver.SkippedOptimal}) {
+							t.Fatalf("%s runtime=%v: part %d member %d reported %+v, want a bare skipped entry", label, useRuntime, i, j+1, a)
+						}
+					}
+				}
+			}
 		}
 	}
 }

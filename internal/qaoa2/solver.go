@@ -30,7 +30,8 @@ type (
 	SDPGWSolver = solver.SDPGWSolver
 	// RQAOASolver solves sub-graphs with recursive QAOA.
 	RQAOASolver = solver.RQAOASolver
-	// BestOfSolver runs every inner solver and keeps the best cut.
+	// BestOfSolver runs inner solvers in turn and keeps the best cut,
+	// stopping at a certified optimum.
 	BestOfSolver = solver.BestOfSolver
 	// PortfolioSolver races inner solvers under a shared deadline.
 	PortfolioSolver = solver.PortfolioSolver

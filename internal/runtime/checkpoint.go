@@ -10,6 +10,7 @@ import (
 	"os"
 	"sort"
 	"sync"
+	"time"
 
 	"qaoa2/internal/graph"
 	"qaoa2/internal/maxcut"
@@ -67,10 +68,17 @@ type Record struct {
 }
 
 // Checkpoint is an append-only on-disk store of completed task
-// results: a header line followed by one JSON line per task. Appends
-// are flushed and fsynced per record, so a run killed at any instant
-// loses at most the line being written — and a torn trailing line is
-// skipped on load. Safe for concurrent use by the runtime's workers.
+// results: a header line followed by one JSON line per task. Safe for
+// concurrent use by the runtime's workers.
+//
+// Durability contract. Every record is handed to the operating system
+// (one write(2)) before Record returns, so a PROCESS killed at any
+// instant loses at most the line being written — and a torn trailing
+// line is skipped on load. The file is fsynced when syncInterval has
+// passed since the last fsync, and on Close, so a HOST crash loses at
+// most syncInterval of completed tasks plus the line in flight; resume
+// recomputes them bit-identically. A task that costs more than
+// syncInterval is still fsynced per record.
 type Checkpoint struct {
 	mu      sync.Mutex
 	f       *os.File
@@ -78,6 +86,25 @@ type Checkpoint struct {
 	entries map[string]Record
 	// restored counts entries loaded from disk at open time.
 	restored int
+	// now and fsync are time.Now and f.Sync, held as fields so a test
+	// can inject a clock and count fsyncs; synced is the time of the
+	// last fsync (zero before the first).
+	now    func() time.Time
+	fsync  func() error
+	synced time.Time
+}
+
+// syncInterval bounds what a host crash can lose (see Checkpoint). An
+// fsync costs ~0.3 ms here, a small leaf solve ~0.4 ms: per-record
+// fsync doubled the cost of a checkpointed run of small tasks.
+const syncInterval = 50 * time.Millisecond
+
+// attach makes f the checkpoint's file.
+func (c *Checkpoint) attach(f *os.File) {
+	c.f = f
+	c.w = bufio.NewWriter(f)
+	c.now = time.Now
+	c.fsync = f.Sync
 }
 
 // GraphFingerprint hashes a graph instance (node count, edge
@@ -131,8 +158,7 @@ func OpenCheckpoint(path string, h Header) (*Checkpoint, error) {
 				f.Close()
 				return nil, err
 			}
-			c.f = f
-			c.w = bufio.NewWriter(f)
+			c.attach(f)
 			return c, nil
 		}
 		// Header mismatch or corrupt header: start over.
@@ -143,8 +169,7 @@ func OpenCheckpoint(path string, h Header) (*Checkpoint, error) {
 	if err != nil {
 		return nil, fmt.Errorf("runtime: create checkpoint: %w", err)
 	}
-	c.f = f
-	c.w = bufio.NewWriter(f)
+	c.attach(f)
 	hdr, err := json.Marshal(h)
 	if err != nil {
 		f.Close()
@@ -265,8 +290,9 @@ func (c *Checkpoint) Len() int {
 	return len(c.entries)
 }
 
-// Record appends one completed task and flushes it to disk before
-// returning, so the entry survives a kill immediately after.
+// Record appends one completed task and writes it to the file before
+// returning, so the entry survives a kill of the process immediately
+// after (see Checkpoint for what a host crash can lose).
 func (c *Checkpoint) Record(key string, r Record) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -292,18 +318,24 @@ func (c *Checkpoint) Record(key string, r Record) error {
 	return nil
 }
 
-// flush drains the buffer and fsyncs. Caller holds mu.
+// flush drains the buffer to the file, and fsyncs when syncInterval has
+// passed since the last fsync. Caller holds mu.
 func (c *Checkpoint) flush() error {
 	if err := c.w.Flush(); err != nil {
 		return fmt.Errorf("runtime: checkpoint flush: %w", err)
 	}
-	if err := c.f.Sync(); err != nil {
+	now := c.now()
+	if now.Sub(c.synced) < syncInterval {
+		return nil
+	}
+	if err := c.fsync(); err != nil {
 		return fmt.Errorf("runtime: checkpoint sync: %w", err)
 	}
+	c.synced = now
 	return nil
 }
 
-// Close flushes and closes the underlying file.
+// Close flushes, fsyncs and closes the underlying file.
 func (c *Checkpoint) Close() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -311,6 +343,9 @@ func (c *Checkpoint) Close() error {
 		return nil
 	}
 	err := c.w.Flush()
+	if err == nil {
+		err = c.fsync()
+	}
 	if cerr := c.f.Close(); err == nil {
 		err = cerr
 	}

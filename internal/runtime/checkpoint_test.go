@@ -1,10 +1,12 @@
 package runtime
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"qaoa2/internal/maxcut"
 )
@@ -41,6 +43,73 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	}
 	if len(rec.Cut.Spins) != 3 || rec.Cut.Spins[1] != -1 {
 		t.Fatalf("spins %v", rec.Cut.Spins)
+	}
+}
+
+// TestCheckpointSyncsByTimeNotByRecord drives the durability contract
+// with an injected clock: records closer together than syncInterval
+// share an fsync, a record that took longer gets its own, Close always
+// syncs — and every record is in the file the moment Record returns,
+// which a second handle opened WITHOUT closing the first (a killed
+// process never closes) proves by restoring all of them.
+func TestCheckpointSyncsByTimeNotByRecord(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "s.ckpt")
+	c, err := OpenCheckpoint(path, testHeader())
+	if err != nil {
+		t.Fatal(err)
+	}
+	clock := time.Unix(1000, 0)
+	syncs := 0
+	fsync := c.fsync
+	c.now = func() time.Time { return clock }
+	c.fsync = func() error { syncs++; return fsync() }
+	c.synced = clock // the header's fsync, on the injected timeline
+
+	records := 0
+	record := func(after time.Duration) {
+		t.Helper()
+		clock = clock.Add(after)
+		key := fmt.Sprintf("s0/sub%d", records)
+		if err := c.Record(key, Record{Cut: maxcut.Cut{Spins: []int8{1, -1}, Value: 1}, Solver: "exact"}); err != nil {
+			t.Fatal(err)
+		}
+		records++
+	}
+	// Ten 10 ms tasks: fsyncs at 50 ms and 100 ms only.
+	for i := 0; i < 10; i++ {
+		record(10 * time.Millisecond)
+	}
+	if syncs != 2 {
+		t.Fatalf("%d fsyncs for ten records 10 ms apart, want 2", syncs)
+	}
+	// Tasks slower than the interval are synced one by one, as before.
+	record(syncInterval)
+	record(syncInterval + time.Millisecond)
+	if syncs != 4 {
+		t.Fatalf("%d fsyncs after two slow records, want 4", syncs)
+	}
+	// Three more inside the interval: written, not yet synced.
+	for i := 0; i < 3; i++ {
+		record(time.Millisecond)
+	}
+	if syncs != 4 {
+		t.Fatalf("%d fsyncs, want the last three records to be waiting", syncs)
+	}
+
+	killed, err := OpenCheckpoint(path, testHeader())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if killed.Restored() != records {
+		t.Fatalf("reopen beside an unclosed handle restored %d of %d records", killed.Restored(), records)
+	}
+	killed.Close()
+
+	if err := c.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if syncs != 5 {
+		t.Fatalf("%d fsyncs after Close, want Close to sync the waiting records", syncs)
 	}
 }
 

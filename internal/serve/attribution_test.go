@@ -1,6 +1,8 @@
 package serve
 
 import (
+	"context"
+	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
@@ -91,6 +93,58 @@ func TestServeCompositeAttributionEndToEnd(t *testing.T) {
 		if saw == 0 {
 			t.Fatalf("%s: stream carried no sub-solve events", name)
 		}
+	}
+}
+
+// TestSkippedAttemptsReachTheWire: "best" submitted by name over HTTP
+// on an integer-weighted graph certifies its QAOA leaves and skips GW;
+// the NDJSON stream and the job result still list both members for
+// every leaf, the skipped one as {"solver":"gw","err":"skipped:optimal"}.
+func TestSkippedAttemptsReachTheWire(t *testing.T) {
+	s, err := New(Config{GlobalParallelism: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	hs := httptest.NewServer(s.Handler())
+	defer hs.Close()
+	c := &Client{Base: hs.URL, HTTP: hs.Client()}
+
+	g := graph.ErdosRenyi(36, 0.25, graph.Unweighted, rng.New(6))
+	var evs []Event
+	st, err := c.Solve(context.Background(), SolveRequest{
+		Graph: GraphSpecOf(g), MaxQubits: 6, Solver: "best", Merge: "one-exchange", Layers: 2, Seed: 4,
+	}, func(ev Event) { evs = append(evs, ev) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.State != JobDone {
+		t.Fatalf("state %s (err %q)", st.State, st.Error)
+	}
+	skipped := solver.Attempt{Solver: "gw", Err: solver.SkippedOptimal}
+	check := func(where string, attempts []solver.Attempt) bool {
+		t.Helper()
+		if len(attempts) != 2 || attempts[0].Solver != "qaoa" || attempts[0].Err != "" {
+			t.Fatalf("%s: attempts %+v, want qaoa then gw", where, attempts)
+		}
+		if attempts[1].Err != "" && attempts[1] != skipped {
+			t.Fatalf("%s: second attempt %+v, want a gw result or a bare skipped entry", where, attempts[1])
+		}
+		return attempts[1] == skipped
+	}
+	streamed, reported := 0, 0
+	for _, ev := range evs {
+		if ev.Kind == "sub-solve" && ev.Stage == 0 && check("event "+ev.Task, ev.Attempts) {
+			streamed++
+		}
+	}
+	for _, r := range st.Result.Reports {
+		if check("report", r.Attempts) {
+			reported++
+		}
+	}
+	if streamed == 0 || streamed != reported {
+		t.Fatalf("skipped attempts: %d on the stream, %d in the result; want the same non-zero count", streamed, reported)
 	}
 }
 

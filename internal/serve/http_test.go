@@ -1,9 +1,11 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -196,5 +198,58 @@ func TestHTTPAPISurface(t *testing.T) {
 	lresp.Body.Close()
 	if len(list) != 1 || list[0].ID != st.ID {
 		t.Fatalf("jobs listing %+v, want exactly %s", list, st.ID)
+	}
+}
+
+// spaces is an endless stream of JSON whitespace.
+type spaces struct{}
+
+func (spaces) Read(p []byte) (int, error) {
+	for i := range p {
+		p[i] = ' '
+	}
+	return len(p), nil
+}
+
+// TestSolveBodyLimit posts one valid request padded with leading
+// whitespace to exactly maxSolveBody bytes and to one byte more: the
+// first is decoded and accepted, the second is refused with 413 and
+// the typed error envelope — so it is the size, not the content, that
+// the limit rejects. The handler is called directly: the decoder's walk
+// over 16 MiB is the cost of the test, a loopback hop would double it.
+func TestSolveBodyLimit(t *testing.T) {
+	s, err := New(Config{GlobalParallelism: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+
+	req, err := json.Marshal(ringReq(10, 77))
+	if err != nil {
+		t.Fatal(err)
+	}
+	post := func(size int64) *httptest.ResponseRecorder {
+		body := io.MultiReader(io.LimitReader(spaces{}, size-int64(len(req))), bytes.NewReader(req))
+		rec := httptest.NewRecorder()
+		s.Handler().ServeHTTP(rec, httptest.NewRequest("POST", "/v1/solve", body))
+		return rec
+	}
+
+	rec := post(maxSolveBody)
+	var st JobStatus
+	if err := json.NewDecoder(rec.Body).Decode(&st); err != nil {
+		t.Fatal(err)
+	}
+	if rec.Code != http.StatusOK || st.ID == "" {
+		t.Fatalf("body of exactly the limit: HTTP %d, status %+v; want 200 and a job", rec.Code, st)
+	}
+
+	rec = post(maxSolveBody + 1)
+	var body errorBody
+	if err := json.NewDecoder(rec.Body).Decode(&body); err != nil {
+		t.Fatal(err)
+	}
+	if rec.Code != http.StatusRequestEntityTooLarge || !strings.Contains(body.Error, "request body too large") {
+		t.Fatalf("body one byte over the limit: HTTP %d %q, want 413 and the typed error", rec.Code, body.Error)
 	}
 }

@@ -74,7 +74,8 @@ func (s MLAdaptiveSolver) SolveSub(g *graph.Graph, r *rng.Rand) (maxcut.Cut, err
 // member (the whole point of the attribution plumbing — reports show
 // the per-sub-graph quantum-vs-classical decision directly), resolved
 // through SolveAttributed so a nested composite member attributes
-// through to its leaf winner.
+// through to its leaf winner, and the member's optimality certificate
+// passes through with it.
 func (s MLAdaptiveSolver) SolveSubAttributed(g *graph.Graph, r *rng.Rand) (maxcut.Cut, Report, error) {
 	chosen := s.Choose(g)
 	start := time.Now()
@@ -87,6 +88,7 @@ func (s MLAdaptiveSolver) SolveSubAttributed(g *graph.Graph, r *rng.Rand) (maxcu
 		Attempts: []Attempt{{
 			Solver: rep.Winner, Value: cut.Value, Nanos: time.Since(start).Nanoseconds(),
 		}},
+		Optimal: rep.Optimal,
 	}, nil
 }
 

@@ -17,6 +17,13 @@ import (
 // portfolio returns the identical cut (and winner) as the equivalent
 // best-of, at the wall time of the slowest member instead of the sum.
 //
+// Like best-of, the race is settled by a certified optimum
+// (Report.Optimal): once a member finishes optimal and every member
+// before it has finished — earliest index wins ties, so earlier members
+// must still be heard — the portfolio returns without waiting for the
+// rest and reports them SkippedOptimal, whether or not they happened to
+// finish, so the report does not depend on machine speed.
+//
 // With a Deadline, members still running when it expires are abandoned
 // (their goroutines finish in the background and are discarded) and
 // the best finished cut wins; if nothing has finished, the race waits
@@ -44,11 +51,12 @@ func (s PortfolioSolver) SolveSub(g *graph.Graph, r *rng.Rand) (maxcut.Cut, erro
 // solver that produced the cut (the member itself unless the member
 // is a nested composite).
 type outcome struct {
-	idx    int
-	cut    maxcut.Cut
-	winner string
-	nanos  int64
-	err    error
+	idx     int
+	cut     maxcut.Cut
+	winner  string
+	optimal bool
+	nanos   int64
+	err     error
 }
 
 // SolveSubAttributed implements Attributor: winner is the finished
@@ -72,7 +80,7 @@ func (s PortfolioSolver) SolveSubAttributed(g *graph.Graph, r *rng.Rand) (maxcut
 		go func(i int, inner Solver) {
 			start := time.Now()
 			cut, rep, err := SolveAttributed(inner, g, streams[i])
-			ch <- outcome{idx: i, cut: cut, winner: rep.Winner,
+			ch <- outcome{idx: i, cut: cut, winner: rep.Winner, optimal: rep.Optimal,
 				nanos: time.Since(start).Nanoseconds(), err: err}
 		}(i, inner)
 	}
@@ -86,15 +94,29 @@ func (s PortfolioSolver) SolveSubAttributed(g *graph.Graph, r *rng.Rand) (maxcut
 	finished := make([]*outcome, n)
 	got := 0
 	succeeded := 0
+	// heard counts the members finished with no gap from index 0;
+	// settled is the index of the certified optimum that ends the race
+	// (n while there is none). It is the first optimal member in index
+	// order whatever the finishing order, since the prefix before a
+	// later one contains it.
+	heard, settled := 0, n
+	collect := func(o outcome) {
+		finished[o.idx] = &o
+		got++
+		if o.err == nil {
+			succeeded++
+		}
+		for ; heard < n && finished[heard] != nil && settled == n; heard++ {
+			if f := finished[heard]; f.err == nil && f.optimal {
+				settled = heard
+			}
+		}
+	}
 	expired := false
-	for got < n && !expired {
+	for got < n && !expired && settled == n {
 		select {
 		case o := <-ch:
-			finished[o.idx] = &o
-			got++
-			if o.err == nil {
-				succeeded++
-			}
+			collect(o)
 		case <-timeout:
 			expired = true
 		}
@@ -103,19 +125,18 @@ func (s PortfolioSolver) SolveSubAttributed(g *graph.Graph, r *rng.Rand) (maxcut
 	// any member SUCCEEDED (nothing finished, or only errors so far),
 	// keep waiting until a success lands or every member is exhausted.
 	for expired && succeeded == 0 && got < n {
-		o := <-ch
-		finished[o.idx] = &o
-		got++
-		if o.err == nil {
-			succeeded++
-		}
+		collect(<-ch)
 	}
 
-	rep := Report{Attempts: make([]Attempt, n)}
+	rep := Report{Attempts: make([]Attempt, n), Optimal: settled < n}
 	var best maxcut.Cut
 	found := false
 	var firstErr error
 	for i, inner := range s.Solvers {
+		if i > settled {
+			rep.Attempts[i] = Attempt{Solver: inner.Name(), Err: SkippedOptimal}
+			continue
+		}
 		o := finished[i]
 		if o == nil {
 			rep.Attempts[i] = Attempt{Solver: inner.Name(), Err: "portfolio: abandoned at deadline"}

@@ -57,9 +57,15 @@ type Attempt struct {
 	// identity: it varies run to run and is excluded from checkpoint
 	// records and determinism comparisons.
 	Nanos int64 `json:"nanos"`
-	// Err records a failed or abandoned attempt ("" on success).
+	// Err records a failed, abandoned or skipped attempt ("" on
+	// success).
 	Err string `json:"err,omitempty"`
 }
+
+// SkippedOptimal is the Attempt.Err of a composite member that never
+// ran because an earlier member's cut was certified optimal. Such an
+// attempt has zero Value and Nanos.
+const SkippedOptimal = "skipped:optimal"
 
 // Report is the attribution of one composite solve.
 type Report struct {
@@ -68,11 +74,20 @@ type Report struct {
 	Winner string
 	// Attempts details every inner try (nil for non-composite solvers).
 	Attempts []Attempt
+	// Optimal certifies the returned cut as a maximum cut of the
+	// sub-graph (see qaoa.Result.Optimal for what is proven and when).
+	// Composites stop on it: no later member can win a strict
+	// comparison against an optimum. It rides on the report, not on the
+	// Solver interface, so decorators that forward a Report forward the
+	// certificate with it, and a solver that cannot certify says
+	// nothing.
+	Optimal bool
 }
 
 // Attributor is implemented by composite solvers (best-of, portfolio,
 // ml-adaptive) that can attribute the returned cut to the inner solver
-// that actually produced it.
+// that actually produced it, and by plain solvers (qaoa, exact) that
+// have a certificate to report with it.
 type Attributor interface {
 	Solver
 	// SolveSubAttributed is SolveSub plus attribution. It MUST return
@@ -106,11 +121,19 @@ func (s QAOASolver) Name() string { return "qaoa" }
 
 // SolveSub implements Solver.
 func (s QAOASolver) SolveSub(g *graph.Graph, r *rng.Rand) (maxcut.Cut, error) {
+	cut, _, err := s.SolveSubAttributed(g, r)
+	return cut, err
+}
+
+// SolveSubAttributed implements Attributor: a plain solver's report
+// (its own name, no attempts) plus the optimality certificate QAOA
+// reads off the cut table it already holds.
+func (s QAOASolver) SolveSubAttributed(g *graph.Graph, r *rng.Rand) (maxcut.Cut, Report, error) {
 	res, err := qaoa.Solve(g, s.Opts, r)
 	if err != nil {
-		return maxcut.Cut{}, err
+		return maxcut.Cut{}, Report{}, err
 	}
-	return res.Cut, nil
+	return res.Cut, Report{Winner: s.Name(), Optimal: res.Optimal}, nil
 }
 
 // GWSolver solves sub-graphs with Goemans-Williamson, returning the best
@@ -166,12 +189,16 @@ func (s RQAOASolver) SolveSub(g *graph.Graph, r *rng.Rand) (maxcut.Cut, error) {
 	return res.Cut, nil
 }
 
-// BestOfSolver runs every inner solver sequentially and keeps the best
+// BestOfSolver runs its inner solvers sequentially and keeps the best
 // cut — the paper's "Best" series, i.e. the run-time
 // quantum-or-classical decision the heterogeneous SLURM allocation
-// makes possible. PortfolioSolver is the concurrent, deadline-bounded
-// sibling; both derive inner randomness identically (Split(i+1)), so
-// without a deadline they return the same cut.
+// makes possible. It stops at the first member whose cut is certified
+// optimal (Report.Optimal): a later member replaces the kept cut only
+// on a strictly greater value, which an optimum rules out, so the
+// result is the one running every member would have returned.
+// PortfolioSolver is the concurrent, deadline-bounded sibling; both
+// derive inner randomness identically (Split(i+1)), so without a
+// deadline they return the same cut.
 type BestOfSolver struct {
 	Solvers []Solver
 }
@@ -191,7 +218,8 @@ func (s BestOfSolver) SolveSub(g *graph.Graph, r *rng.Rand) (maxcut.Cut, error) 
 // member attributes through to the leaf solver that actually produced
 // its cut (attempt labels carry the leaf name too; nested attempt
 // lists are not retained — attribution is one level of attempts, all
-// the way down on names).
+// the way down on names). Members after a certified optimum stay in
+// Attempts as SkippedOptimal entries, one per member.
 func (s BestOfSolver) SolveSubAttributed(g *graph.Graph, r *rng.Rand) (maxcut.Cut, Report, error) {
 	if len(s.Solvers) == 0 {
 		return maxcut.Cut{}, Report{}, fmt.Errorf("solver: best-of has no inner solvers")
@@ -200,8 +228,16 @@ func (s BestOfSolver) SolveSubAttributed(g *graph.Graph, r *rng.Rand) (maxcut.Cu
 	rep := Report{Attempts: make([]Attempt, 0, len(s.Solvers))}
 	found := false
 	for i, inner := range s.Solvers {
+		// A skipped member's stream is derived all the same: each Split
+		// draws from r, and the caller's rng must leave in the state
+		// running every member would leave it in.
+		stream := r.Split(uint64(i) + 1)
+		if rep.Optimal {
+			rep.Attempts = append(rep.Attempts, Attempt{Solver: inner.Name(), Err: SkippedOptimal})
+			continue
+		}
 		start := time.Now()
-		cut, innerRep, err := SolveAttributed(inner, g, r.Split(uint64(i)+1))
+		cut, innerRep, err := SolveAttributed(inner, g, stream)
 		if err != nil {
 			return maxcut.Cut{}, Report{}, fmt.Errorf("solver: inner solver %s: %w", inner.Name(), err)
 		}
@@ -213,6 +249,9 @@ func (s BestOfSolver) SolveSubAttributed(g *graph.Graph, r *rng.Rand) (maxcut.Cu
 			rep.Winner = innerRep.Winner
 			found = true
 		}
+		// An optimal member's value is the maximum, so the kept cut —
+		// this one, or an earlier one it tied — is optimal too.
+		rep.Optimal = innerRep.Optimal
 	}
 	return best, rep, nil
 }
@@ -256,6 +295,17 @@ func (ExactSolver) Name() string { return "exact" }
 // SolveSub implements Solver.
 func (ExactSolver) SolveSub(g *graph.Graph, _ *rng.Rand) (maxcut.Cut, error) {
 	return maxcut.BruteForce(g)
+}
+
+// SolveSubAttributed implements Attributor: brute force certifies its
+// own cut, under the same exact-arithmetic guard as QAOA's certificate
+// so that Report.Optimal means one thing whoever issues it.
+func (s ExactSolver) SolveSubAttributed(g *graph.Graph, _ *rng.Rand) (maxcut.Cut, Report, error) {
+	cut, err := maxcut.BruteForce(g)
+	if err != nil {
+		return maxcut.Cut{}, Report{}, err
+	}
+	return cut, Report{Winner: s.Name(), Optimal: g.IntegralWeights()}, nil
 }
 
 // OneExchangeSolver is the NetworkX one_exchange local-search baseline.

@@ -10,6 +10,7 @@ import (
 
 	"qaoa2/internal/graph"
 	"qaoa2/internal/maxcut"
+	"qaoa2/internal/qaoa"
 	"qaoa2/internal/rng"
 )
 
@@ -217,29 +218,91 @@ func TestNestedCompositeAttributesLeafWinner(t *testing.T) {
 	}
 }
 
+// withoutTiming strips the telemetry from an attempt list.
+func withoutTiming(attempts []Attempt) []Attempt {
+	out := append([]Attempt(nil), attempts...)
+	for i := range out {
+		out[i].Nanos = 0
+	}
+	return out
+}
+
+// TestPortfolioMatchesBestOfWithoutDeadline pins the no-deadline
+// equivalence — cut, winner, certificate, attempt list up to timing and
+// the caller's rng afterwards — on line-ups where nothing is certified,
+// where the first member settles the race, and where a later one does
+// (earlier members must still be heard). Run it under -race: settled
+// races leave member goroutines running behind the return.
 func TestPortfolioMatchesBestOfWithoutDeadline(t *testing.T) {
-	g := testGraph(18, 0.3, 11)
-	inner := func() []Solver {
-		return []Solver{
-			AnnealSolver{Opts: maxcut.AnnealOptions{Sweeps: 40}},
-			OneExchangeSolver{},
-			RandomSolver{Trials: 3},
+	g := testGraph(12, 0.3, 11)
+	anneal := AnnealSolver{Opts: maxcut.AnnealOptions{Sweeps: 40}}
+	q := QAOASolver{Opts: qaoa.Options{Layers: 2, MaxIters: 20}}
+	for name, inner := range map[string][]Solver{
+		"uncertified":    {anneal, OneExchangeSolver{}, RandomSolver{Trials: 3}},
+		"first settles":  {q, GWSolver{}, anneal},
+		"second settles": {anneal, q, GWSolver{}},
+		"last settles":   {GWSolver{}, anneal, ExactSolver{}},
+		"nested":         {anneal, BestOfSolver{Solvers: []Solver{q, GWSolver{}}}, OneExchangeSolver{}},
+	} {
+		for seed := uint64(0); seed < 5; seed++ {
+			rb, rp := rng.New(seed), rng.New(seed)
+			bCut, bRep, err := BestOfSolver{Solvers: inner}.SolveSubAttributed(g, rb)
+			if err != nil {
+				t.Fatal(err)
+			}
+			pCut, pRep, err := PortfolioSolver{Solvers: inner}.SolveSubAttributed(g, rp)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if bCut.Value != pCut.Value || !reflect.DeepEqual(bCut.Spins, pCut.Spins) {
+				t.Fatalf("%s seed %d: portfolio cut differs from best-of", name, seed)
+			}
+			if bRep.Winner != pRep.Winner || bRep.Optimal != pRep.Optimal {
+				t.Fatalf("%s seed %d: portfolio winner %q optimal %v, best-of winner %q optimal %v",
+					name, seed, pRep.Winner, pRep.Optimal, bRep.Winner, bRep.Optimal)
+			}
+			if b, p := withoutTiming(bRep.Attempts), withoutTiming(pRep.Attempts); !reflect.DeepEqual(b, p) {
+				t.Fatalf("%s seed %d: portfolio attempts %+v, best-of %+v", name, seed, p, b)
+			}
+			if rb.Uint64() != rp.Uint64() {
+				t.Fatalf("%s seed %d: portfolio left the caller's rng in a different state", name, seed)
+			}
+			if name != "uncertified" && !bRep.Optimal {
+				t.Fatalf("%s seed %d: line-up built to certify did not", name, seed)
+			}
 		}
 	}
-	for seed := uint64(0); seed < 5; seed++ {
-		bCut, bRep, err := BestOfSolver{Solvers: inner()}.SolveSubAttributed(g, rng.New(seed))
-		if err != nil {
-			t.Fatal(err)
-		}
-		pCut, pRep, err := PortfolioSolver{Solvers: inner()}.SolveSubAttributed(g, rng.New(seed))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if bCut.Value != pCut.Value || !reflect.DeepEqual(bCut.Spins, pCut.Spins) {
-			t.Fatalf("seed %d: portfolio cut differs from best-of", seed)
-		}
-		if bRep.Winner != pRep.Winner {
-			t.Fatalf("seed %d: portfolio winner %q, best-of winner %q", seed, pRep.Winner, bRep.Winner)
+}
+
+// TestPortfolioSettlesOnCertifiedOptimum checks the two halves of the
+// settle rule with members of known speed: a certified optimum ends the
+// race without waiting for later members, but not before every earlier
+// member has been heard, since an earlier member wins a tie.
+func TestPortfolioSettlesOnCertifiedOptimum(t *testing.T) {
+	g := testGraph(8, 0.5, 1)
+	exact, err := maxcut.BruteForce(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	cut, rep, err := PortfolioSolver{Solvers: []Solver{
+		fixedSolver{name: "slow-tie", value: exact.Value, delay: 30 * time.Millisecond},
+		ExactSolver{},
+		fixedSolver{name: "never-heard", value: 1, delay: 5 * time.Second},
+		fixedSolver{name: "fails-unheard", err: fmt.Errorf("boom")},
+	}}.SolveSubAttributed(g, rng.New(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if elapsed := time.Since(start); elapsed > 2*time.Second {
+		t.Fatalf("race waited %v for a member behind the optimum", elapsed)
+	}
+	if rep.Winner != "slow-tie" || cut.Value != exact.Value || !rep.Optimal {
+		t.Fatalf("winner %q value %v optimal %v, want the earlier member's tie", rep.Winner, cut.Value, rep.Optimal)
+	}
+	for i, name := range []string{"never-heard", "fails-unheard"} {
+		if at := rep.Attempts[2+i]; at != (Attempt{Solver: name, Err: SkippedOptimal}) {
+			t.Fatalf("member behind the optimum reported as %+v", at)
 		}
 	}
 }

@@ -213,13 +213,13 @@ func BenchmarkScalingStatevector(b *testing.B) {
 	var points []experiments.ScalingPoint
 	var err error
 	for i := 0; i < b.N; i++ {
-		points, err = experiments.RunScaling(qubits, 2, ranks, 7)
+		points, err = experiments.RunEngineScaling(qubits, 2, ranks, 7)
 		if err != nil {
 			b.Fatal(err)
 		}
 	}
 	b.StopTimer()
-	printOnce("Scaling", experiments.RenderScaling(points))
+	printOnce("Scaling", experiments.RenderEngineScaling(points))
 }
 
 // BenchmarkGWScaling regenerates the §3.4 complexity observation: GW

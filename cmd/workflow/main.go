@@ -120,12 +120,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fmt.Fprint(stdout, experiments.RenderFig2(points))
 	fmt.Fprintln(stdout)
 
-	scaling, err := experiments.RunScaling(*qubits, 2, rankList, 7)
+	scaling, err := experiments.RunEngineScaling(*qubits, 2, rankList, 7)
 	if err != nil {
 		fmt.Fprintf(stderr, "workflow: %v\n", err)
 		return 1
 	}
-	fmt.Fprint(stdout, experiments.RenderScaling(scaling))
+	fmt.Fprint(stdout, experiments.RenderEngineScaling(scaling))
 
 	if *solveNodes > 0 {
 		fmt.Fprintln(stdout)
@@ -193,9 +193,9 @@ func submitDemo(w io.Writer, base string, nodes int, p float64, maxQubits, paral
 	return nil
 }
 
-// runtimeDemo runs one QAOA² solve through the asynchronous task-graph
-// runtime (the real counterpart of the simulated schedule above),
-// streaming completed tasks and reporting checkpoint restores. Solver
+// runtimeDemo runs one QAOA² solve on the task-graph executor (the real
+// counterpart of the simulated schedule above), streaming completed
+// tasks and reporting checkpoint restores. Solver
 // names resolve through the shared registry, so the local demo and the
 // remote submission accept the identical name set.
 func runtimeDemo(w io.Writer, nodes int, p float64, maxQubits, parallelism int,
@@ -215,7 +215,6 @@ func runtimeDemo(w io.Writer, nodes int, p float64, maxQubits, parallelism int,
 		SolverSpec:     qaoa2.SolverSpec{Name: solverName, Seed: seed},
 		MergeSpec:      qaoa2.SolverSpec{Name: mergeName, Seed: seed},
 		Seed:           seed,
-		Runtime:        true,
 		CheckpointPath: checkpoint,
 		OnRuntimeEvent: func(ev qaoa2.RuntimeEvent) {
 			switch ev.Kind {

@@ -1,10 +1,12 @@
-// The documentation gate: every Go package in the module must carry a
-// package comment. Running inside `go test ./...` makes the gate
-// self-enforcing in CI — a PR that lands an undocumented package fails
-// here with the exact directory named.
+// The source-tree gates: every Go package in the module must carry a
+// package comment, and the QAOA² executor must stay the only one.
+// Running inside `go test ./...` makes the gates self-enforcing in CI —
+// a PR that lands an undocumented package, or a second execution path,
+// fails here with the exact place named.
 package qaoa2_test
 
 import (
+	"go/ast"
 	"go/parser"
 	"go/token"
 	"io/fs"
@@ -57,5 +59,55 @@ func TestEveryPackageHasGodoc(t *testing.T) {
 	if len(missing) > 0 {
 		t.Fatalf("packages without a package doc comment:\n  %s",
 			strings.Join(missing, "\n  "))
+	}
+}
+
+// TestOneExecutor keeps the second QAOA² executor from growing back:
+// no non-test file outside bench/ reads or sets Options.Runtime (the
+// field's declaration survives only for the benchmark module), and
+// internal/qaoa2 — the front of the algorithm, not its executor —
+// starts no goroutine of its own. The check is syntactic: any
+// `.Runtime` selector or `Runtime:` literal key counts.
+func TestOneExecutor(t *testing.T) {
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if name := d.Name(); name == ".git" || path == "bench" {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		fset := token.NewFileSet()
+		f, err := parser.ParseFile(fset, path, nil, 0)
+		if err != nil {
+			return err
+		}
+		inQAOA2 := filepath.ToSlash(filepath.Dir(path)) == "internal/qaoa2"
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch x := n.(type) {
+			case *ast.SelectorExpr:
+				if x.Sel.Name == "Runtime" {
+					t.Errorf("%s: reads or sets .Runtime", fset.Position(x.Pos()))
+				}
+			case *ast.KeyValueExpr:
+				if id, ok := x.Key.(*ast.Ident); ok && id.Name == "Runtime" {
+					t.Errorf("%s: sets Runtime in a literal", fset.Position(x.Pos()))
+				}
+			case *ast.GoStmt:
+				if inQAOA2 {
+					t.Errorf("%s: internal/qaoa2 starts a goroutine", fset.Position(x.Pos()))
+				}
+			}
+			return true
+		})
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 }

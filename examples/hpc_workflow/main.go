@@ -82,10 +82,10 @@ func main() {
 	}
 
 	// ----- Task-graph runtime: async execution with checkpoint/resume -----
-	// The same QAOA² solve as an explicit DAG of partition / sub-solve /
-	// merge / stitch tasks on a bounded worker pool. Every completed
-	// solve is appended to the checkpoint, so killing the process and
-	// re-running this program resumes instead of re-solving.
+	// An in-process QAOA² solve: a DAG of partition / sub-solve / merge /
+	// stitch tasks on a bounded worker pool. Every completed solve is
+	// appended to the checkpoint, so killing the process and re-running
+	// this program resumes instead of re-solving.
 	// Per-user filename: the checkpoint must persist across runs (that
 	// is the demo) without colliding with other users' files in /tmp.
 	ckpt := filepath.Join(os.TempDir(), fmt.Sprintf("qaoa2_hpc_workflow_%d.ckpt", os.Getuid()))
@@ -99,7 +99,6 @@ func main() {
 		Solver:         qaoa2.AnnealSolver{},
 		MergeSolver:    qaoa2.AnnealSolver{},
 		Seed:           9,
-		Runtime:        true,
 		CheckpointPath: ckpt,
 		OnRuntimeEvent: func(ev qaoa2.RuntimeEvent) {
 			switch {

@@ -230,8 +230,8 @@ func (c *Circuit) GateCounts() map[Kind]int {
 	return m
 }
 
-// Backend is the simulator interface a circuit executes against; both
-// qsim.State and qsim.DistState implement it.
+// Backend is the simulator interface a circuit executes against;
+// qsim.State implements it.
 type Backend interface {
 	ApplyH(q int)
 	ApplyX(q int)

@@ -200,8 +200,10 @@ func TestRunFig2Workflow(t *testing.T) {
 	}
 }
 
+// TestRunScalingTrafficModel is the single-layer schedule: global-qubit
+// exchanges only, no Z2 mirror exchange between layers.
 func TestRunScalingTrafficModel(t *testing.T) {
-	points, err := RunScaling(10, 1, []int{1, 2, 4}, 7)
+	points, err := RunEngineScaling(10, 1, []int{1, 2, 4}, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,7 +217,7 @@ func TestRunScalingTrafficModel(t *testing.T) {
 	if points[2].Messages <= points[1].Messages {
 		t.Fatalf("messages not growing with ranks: %+v", points)
 	}
-	out := RenderScaling(points)
+	out := RenderEngineScaling(points)
 	if !strings.Contains(out, "ranks") {
 		t.Fatalf("scaling render:\n%s", out)
 	}

@@ -160,71 +160,14 @@ type ScalingPoint struct {
 	Bytes     uint64
 }
 
-// RunScaling applies a fixed p-layer QAOA ansatz to a block-distributed
-// statevector for every rank count, measuring wall time and traffic.
-// Rank counts must be powers of two below 2^qubits.
-func RunScaling(qubits, layers int, ranks []int, seed uint64) ([]ScalingPoint, error) {
-	r := rng.New(seed)
-	g := graph.ErdosRenyi(qubits, 0.3, graph.Unweighted, r)
-	tpl, err := synth.BuildTemplate(synth.Model{Graph: g, Layers: layers}, synth.Preferences{})
-	if err != nil {
-		return nil, err
-	}
-	gammas, betas := make([]float64, layers), make([]float64, layers)
-	for i := range gammas {
-		gammas[i] = 0.4
-		betas[i] = 0.3
-	}
-	if err := tpl.Bind(gammas, betas); err != nil {
-		return nil, err
-	}
-	var out []ScalingPoint
-	for _, rk := range ranks {
-		d, err := qsim.NewDistPlusState(qubits, rk)
-		if err != nil {
-			return nil, err
-		}
-		start := time.Now()
-		tpl.Circuit.Apply(d)
-		elapsed := time.Since(start).Seconds()
-		out = append(out, ScalingPoint{
-			Ranks:     rk,
-			Qubits:    qubits,
-			Seconds:   elapsed,
-			CommGates: d.Stats.CommGates,
-			Messages:  d.Stats.MessagesSent,
-			Bytes:     d.Stats.BytesSent,
-		})
-	}
-	return out, nil
-}
-
-// RenderScaling tabulates the scaling run.
-func RenderScaling(points []ScalingPoint) string {
-	header := []string{"ranks", "qubits", "seconds", "comm gates", "messages", "bytes"}
-	var rows [][]string
-	for _, p := range points {
-		rows = append(rows, []string{
-			fmt.Sprintf("%d", p.Ranks),
-			fmt.Sprintf("%d", p.Qubits),
-			fmt.Sprintf("%.4f", p.Seconds),
-			fmt.Sprintf("%d", p.CommGates),
-			fmt.Sprintf("%d", p.Messages),
-			fmt.Sprintf("%d", p.Bytes),
-		})
-	}
-	return RenderTable("Distributed statevector scaling (cache-blocking ranks)", header, rows)
-}
-
-// RunEngineScaling is the sharded-engine counterpart of RunScaling: the
-// same fixed-size graph evaluated through the fused-dist backend
-// (qsim.DistEngine) at every rank count, measuring per-evaluation wall
-// time and the exchange traffic of the global-qubit mixer rotations.
-// Unlike the gate-walk DistState sweep, diagonal cost layers here never
-// communicate, so the traffic column isolates the mixer's pairwise
-// slice exchanges — the quantity the closed form
-// DistStats.CommBytesExpected predicts. Rank counts must be powers of
-// two; they are clamped per the fused-dist backend rules.
+// RunEngineScaling evaluates one fixed-size graph through the
+// fused-dist backend (qsim.DistEngine) at every rank count, measuring
+// per-evaluation wall time and the exchange traffic of the global-qubit
+// mixer rotations. Diagonal cost layers never communicate, so the
+// traffic column isolates the mixer's pairwise slice exchanges — the
+// quantity the closed form DistStats.CommBytesExpected predicts. Rank
+// counts must be powers of two; they are clamped per the fused-dist
+// backend rules.
 func RunEngineScaling(qubits, layers int, ranks []int, seed uint64) ([]ScalingPoint, error) {
 	r := rng.New(seed)
 	g := graph.ErdosRenyi(qubits, 0.3, graph.Unweighted, r)

@@ -1,35 +1,6 @@
 package hpc
 
-import (
-	"fmt"
-
-	"qaoa2/internal/graph"
-	"qaoa2/internal/runtime"
-)
-
-// Checkpoint is the on-disk store the task-graph runtime
-// (internal/runtime) streams completed sub-solves through — the real
-// artifact behind the checkpoint/restart mechanism whose cost
-// SplitStep below models in virtual time. Re-exported here because
-// checkpointing is the HPC-workflow concern: a distributed driver
-// opens the store, hands it to runtime.Options.Checkpoint (or lets
-// qaoa2.Options.CheckpointPath manage it), and an interrupted
-// allocation resumes without re-solving finished sub-graphs.
-type Checkpoint = runtime.Checkpoint
-
-// CheckpointHeader identifies the run a Checkpoint belongs to; resume
-// only happens on an exact match.
-type CheckpointHeader = runtime.Header
-
-// OpenCheckpoint opens (or resumes) the checkpoint at path.
-func OpenCheckpoint(path string, h CheckpointHeader) (*Checkpoint, error) {
-	return runtime.OpenCheckpoint(path, h)
-}
-
-// GraphFingerprint hashes a graph instance for CheckpointHeader.Graph.
-func GraphFingerprint(g *graph.Graph) string {
-	return runtime.GraphFingerprint(g)
-}
+import "fmt"
 
 // SplitStep slices a (classical) step into `slices` sequential chunks,
 // each carrying the original resource requirement and an additional

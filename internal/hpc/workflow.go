@@ -1,3 +1,9 @@
+// Package hpc is the supercomputing substrate standing in for the
+// paper's HPE-Cray EX environment: the coordinator/worker distribution
+// scheme of Fig. 2 over an in-process MPI-like communicator (hpc/comm,
+// the mpi4py substitute), and a discrete-event SLURM-like scheduler
+// (sched.go) that models MPMD and heterogeneous jobs, exclusive
+// quantum-device access and the idle-time behaviour of Fig. 1.
 package hpc
 
 import (
@@ -5,6 +11,7 @@ import (
 	"time"
 
 	"qaoa2/internal/graph"
+	"qaoa2/internal/hpc/comm"
 	"qaoa2/internal/maxcut"
 	"qaoa2/internal/partition"
 	"qaoa2/internal/qaoa2"
@@ -63,7 +70,7 @@ type CoordinatedResult struct {
 	// overhead incurred by the coordination" the paper reports.
 	Elapsed time.Duration
 	// Comm is the message traffic between coordinator and workers.
-	Comm WorldStats
+	Comm comm.WorldStats
 }
 
 // message tags for the coordinator protocol.
@@ -131,7 +138,7 @@ func CoordinatedSolve(g *graph.Graph, opts CoordinatedOptions) (*CoordinatedResu
 		names[i] = solvers[i].Name()
 	}
 
-	world, err := NewWorld(opts.Workers + 1)
+	world, err := comm.NewWorld(opts.Workers + 1)
 	if err != nil {
 		return nil, err
 	}
@@ -140,7 +147,7 @@ func CoordinatedSolve(g *graph.Graph, opts CoordinatedOptions) (*CoordinatedResu
 	busy := make([]time.Duration, opts.Workers)
 	begin := time.Now()
 
-	world.Run(func(c *Comm) {
+	world.Run(func(c *comm.Comm) {
 		if c.Rank() == 0 {
 			coordinator(c, subs, cuts, busy)
 			return
@@ -171,7 +178,7 @@ func CoordinatedSolve(g *graph.Graph, opts CoordinatedOptions) (*CoordinatedResu
 }
 
 // coordinator streams tasks on demand and collects results.
-func coordinator(c *Comm, subs []*graph.Graph, cuts []maxcut.Cut, busy []time.Duration) {
+func coordinator(c *comm.Comm, subs []*graph.Graph, cuts []maxcut.Cut, busy []time.Duration) {
 	workers := c.Size() - 1
 	next := 0
 	// Seed every worker with one task.
@@ -180,7 +187,7 @@ func coordinator(c *Comm, subs []*graph.Graph, cuts []maxcut.Cut, busy []time.Du
 		next++
 	}
 	for done := 0; done < len(subs); done++ {
-		payload, from := c.Recv(AnySource, tagResult)
+		payload, from := c.Recv(comm.AnySource, tagResult)
 		res := payload.(taskResult)
 		cuts[res.index] = res.cut
 		busy[res.worker-1] += res.busy
@@ -198,7 +205,7 @@ func coordinator(c *Comm, subs []*graph.Graph, cuts []maxcut.Cut, busy []time.Du
 // worker pulls tasks until the stop sentinel arrives. Per-task
 // randomness derives from the task index so results are
 // placement-independent.
-func worker(c *Comm, solvers []qaoa2.SubSolver, seed uint64) {
+func worker(c *comm.Comm, solvers []qaoa2.SubSolver, seed uint64) {
 	for {
 		payload, _ := c.Recv(0, tagTask)
 		t := payload.(task)

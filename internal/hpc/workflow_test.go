@@ -1,6 +1,7 @@
 package hpc
 
 import (
+	"math"
 	"testing"
 
 	"qaoa2/internal/graph"
@@ -169,5 +170,34 @@ func TestCoordinatedBeatsRandom(t *testing.T) {
 	random := maxcut.RandomCut(g, 1, rng.New(7))
 	if res.Cut.Value <= random.Value {
 		t.Fatalf("coordinated %v not above random %v", res.Cut.Value, random.Value)
+	}
+}
+
+// TestCoordinatedMergePinned pins one coordinated run — GW leaves on
+// the workers, a merge graph of 19 nodes that divides again at the
+// coordinator — to the cut the synchronous merge recursion returned
+// before the task-graph executor took over qaoa2.MergeSubSolutions.
+func TestCoordinatedMergePinned(t *testing.T) {
+	const (
+		wantBits  = 0x40544d9ed84df005 // 81.21282012568561
+		wantSpins = "+-+---+-++--+--++-++-+--+----+-+++++++-++---+-+----+++-----+"
+	)
+	g := graph.ErdosRenyi(60, 0.12, graph.UniformWeights, rng.New(6))
+	for _, workers := range []int{1, 3} {
+		res, err := CoordinatedSolve(g, CoordinatedOptions{
+			Workers: workers, MaxQubits: 5, Solver: qaoa2.GWSolver{}, MergeSolver: qaoa2.GWSolver{}, Seed: 12,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		spins := make([]byte, len(res.Cut.Spins))
+		for v, s := range res.Cut.Spins {
+			spins[v] = "-+"[(s+1)/2]
+		}
+		if math.Float64bits(res.Cut.Value) != wantBits || string(spins) != wantSpins ||
+			res.Levels != 2 || res.SubGraphs != 19 {
+			t.Fatalf("workers=%d: cut %v (%#x) over %d levels, %d sub-graphs, spins %s",
+				workers, res.Cut.Value, math.Float64bits(res.Cut.Value), res.Levels, res.SubGraphs, spins)
+		}
 	}
 }

@@ -18,9 +18,9 @@ import (
 // composite run's SubReport.Solver always names the member that
 // ACTUALLY produced the kept cut — verified independently by re-running
 // every member standalone on the same derived rng streams — and the
-// attribution is bit-identical at every Parallelism, on the
-// synchronous and the task-graph runtime paths alike. Wall-time
-// telemetry (Attempts[i].Nanos) is explicitly outside the invariant.
+// attribution is bit-identical at every Parallelism and equal to the
+// reference recursion's. Wall-time telemetry (Attempts[i].Nanos) is
+// explicitly outside the invariant.
 
 // attributionMembers is the composite pool under test: deterministic,
 // cheap, and genuinely competitive so different sub-graphs crown
@@ -73,79 +73,59 @@ func TestAttributionNamesActualWinnerEverywhere(t *testing.T) {
 		"portfolio": PortfolioSolver{Solvers: attributionMembers()},
 	}
 	for label, comp := range composites {
-		var want *Result
-		for _, useRuntime := range []bool{false, true} {
-			for _, par := range []int{1, 2, 4, runtime.GOMAXPROCS(0)} {
-				res, err := Solve(g, Options{
-					MaxQubits:   6,
-					Partition:   parts,
-					Solver:      comp,
-					MergeSolver: OneExchangeSolver{},
-					Parallelism: par,
-					Seed:        seed,
-					Runtime:     useRuntime,
-				})
-				if err != nil {
-					t.Fatalf("%s runtime=%v par=%d: %v", label, useRuntime, par, err)
+		opts := Options{MaxQubits: 6, Partition: parts, Solver: comp,
+			MergeSolver: OneExchangeSolver{}, Seed: seed}
+		want, err := referenceSolve(g, opts)
+		if err != nil {
+			t.Fatalf("%s reference: %v", label, err)
+		}
+		for _, par := range []int{1, 2, 4, runtime.GOMAXPROCS(0)} {
+			opts.Parallelism = par
+			res, err := Solve(g, opts)
+			if err != nil {
+				t.Fatalf("%s par=%d: %v", label, par, err)
+			}
+			// Invariant 1: the reported solver is the recomputed
+			// winner, and the reported value is its value.
+			distinct := map[string]bool{}
+			for i, sr := range res.SubReports {
+				wantName, wantValue := expectedWinner(t, g, parts[i], i, seed)
+				if sr.Solver != wantName || sr.Value != wantValue {
+					t.Fatalf("%s par=%d: part %d attributed %q/%v, independent recomputation says %q/%v",
+						label, par, i, sr.Solver, sr.Value, wantName, wantValue)
 				}
-				// Invariant 1: the reported solver is the recomputed
-				// winner, and the reported value is its value.
-				distinct := map[string]bool{}
-				for i, sr := range res.SubReports {
-					wantName, wantValue := expectedWinner(t, g, parts[i], i, seed)
-					if sr.Solver != wantName || sr.Value != wantValue {
-						t.Fatalf("%s runtime=%v par=%d: part %d attributed %q/%v, independent recomputation says %q/%v",
-							label, useRuntime, par, i, sr.Solver, sr.Value, wantName, wantValue)
+				distinct[sr.Solver] = true
+				// Invariant 2: attempts cover every member in pool
+				// order, and the winner's attempt carries the kept
+				// value.
+				if len(sr.Attempts) != len(attributionMembers()) {
+					t.Fatalf("%s: part %d has %d attempts, want %d",
+						label, i, len(sr.Attempts), len(attributionMembers()))
+				}
+				winnerSeen := false
+				for j, member := range attributionMembers() {
+					if sr.Attempts[j].Solver != member.Name() {
+						t.Fatalf("%s: part %d attempt %d names %q, want %q",
+							label, i, j, sr.Attempts[j].Solver, member.Name())
 					}
-					distinct[sr.Solver] = true
-					// Invariant 2: attempts cover every member in pool
-					// order, and the winner's attempt carries the kept
-					// value.
-					if len(sr.Attempts) != len(attributionMembers()) {
-						t.Fatalf("%s: part %d has %d attempts, want %d",
-							label, i, len(sr.Attempts), len(attributionMembers()))
-					}
-					winnerSeen := false
-					for j, member := range attributionMembers() {
-						if sr.Attempts[j].Solver != member.Name() {
-							t.Fatalf("%s: part %d attempt %d names %q, want %q",
-								label, i, j, sr.Attempts[j].Solver, member.Name())
-						}
-						if sr.Attempts[j].Solver == sr.Solver && sr.Attempts[j].Value == sr.Value {
-							winnerSeen = true
-						}
-					}
-					if !winnerSeen {
-						t.Fatalf("%s: part %d winner %q not among its attempts %+v",
-							label, i, sr.Solver, sr.Attempts)
+					if sr.Attempts[j].Solver == sr.Solver && sr.Attempts[j].Value == sr.Value {
+						winnerSeen = true
 					}
 				}
-				// The pool must be genuinely competitive or this test
-				// proves nothing.
-				if len(distinct) < 2 {
-					t.Fatalf("%s: every part won by %v — pool not competitive, pick other members", label, distinct)
+				if !winnerSeen {
+					t.Fatalf("%s: part %d winner %q not among its attempts %+v",
+						label, i, sr.Solver, sr.Attempts)
 				}
-				// Invariant 3: bit-identical (modulo Nanos) across every
-				// parallelism and both paths.
-				if want == nil {
-					want = res
-					continue
-				}
-				if want.Cut.Value != res.Cut.Value {
-					t.Fatalf("%s runtime=%v par=%d: value %v, first run %v",
-						label, useRuntime, par, res.Cut.Value, want.Cut.Value)
-				}
-				for v := range want.Cut.Spins {
-					if want.Cut.Spins[v] != res.Cut.Spins[v] {
-						t.Fatalf("%s runtime=%v par=%d: spin %d diverged", label, useRuntime, par, v)
-					}
-				}
-				for i := range want.SubReports {
-					if !sameSubReport(want.SubReports[i], res.SubReports[i]) {
-						t.Fatalf("%s runtime=%v par=%d: sub-report %d diverged:\n%+v\n%+v",
-							label, useRuntime, par, i, want.SubReports[i], res.SubReports[i])
-					}
-				}
+			}
+			// The pool must be genuinely competitive or this test
+			// proves nothing.
+			if len(distinct) < 2 {
+				t.Fatalf("%s: every part won by %v — pool not competitive, pick other members", label, distinct)
+			}
+			// Invariant 3: bit-identical (modulo Nanos) to the
+			// reference at every parallelism.
+			if err := sameResult(want, res); err != nil {
+				t.Fatalf("%s par=%d: diverged from the reference: %v", label, par, err)
 			}
 		}
 	}
@@ -209,10 +189,9 @@ func (u uncertified) SolveSub(g *graph.Graph, r *rng.Rand) (maxcut.Cut, error) {
 
 // TestCertifiedSkipKeepsAttributionShape: when the first member of a
 // composite certifies its cut, the members behind it are skipped — and
-// the sub-reports of the synchronous path and the events of the runtime
-// path still list one attempt per member, the skipped ones by name
-// only, while cut and winners are those of a run in which nobody could
-// certify and every member ran.
+// the sub-reports and the sub-solve events still list one attempt per
+// member, the skipped ones by name only, while cut and winners are
+// those of a run in which nobody could certify and every member ran.
 func TestCertifiedSkipKeepsAttributionShape(t *testing.T) {
 	g := graph.ErdosRenyi(36, 0.2, graph.Unweighted, rng.New(41))
 	parts, err := fixedPartition(g, 6)
@@ -233,45 +212,35 @@ func TestCertifiedSkipKeepsAttributionShape(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, useRuntime := range []bool{false, true} {
-			var mu sync.Mutex
-			events := map[int][]solver.Attempt{}
-			opts.Solver = build(members)
-			opts.Runtime = useRuntime
-			opts.OnRuntimeEvent = func(ev rt.Event) {
-				if ev.Kind == "sub-solve" && ev.Stage == 0 {
-					mu.Lock()
-					events[ev.Index] = ev.Attempts
-					mu.Unlock()
-				}
+		var mu sync.Mutex
+		events := map[int][]solver.Attempt{}
+		opts.Solver = build(members)
+		opts.OnRuntimeEvent = func(ev rt.Event) {
+			if ev.Kind == "sub-solve" && ev.Stage == 0 {
+				mu.Lock()
+				events[ev.Index] = ev.Attempts
+				mu.Unlock()
 			}
-			res, err := Solve(g, opts)
-			if err != nil {
-				t.Fatalf("%s runtime=%v: %v", label, useRuntime, err)
+		}
+		res := solveVsReference(t, label, g, opts)
+		if res.Cut.Value != want.Cut.Value || !slices.Equal(res.Cut.Spins, want.Cut.Spins) {
+			t.Fatalf("%s: skipping changed the cut", label)
+		}
+		for i, sr := range res.SubReports {
+			if sr.Solver != want.SubReports[i].Solver || sr.Value != want.SubReports[i].Value {
+				t.Fatalf("%s: part %d won by %q/%v, every-member run says %q/%v", label,
+					i, sr.Solver, sr.Value, want.SubReports[i].Solver, want.SubReports[i].Value)
 			}
-			if res.Cut.Value != want.Cut.Value || !slices.Equal(res.Cut.Spins, want.Cut.Spins) {
-				t.Fatalf("%s runtime=%v: skipping changed the cut", label, useRuntime)
-			}
-			for i, sr := range res.SubReports {
-				if sr.Solver != want.SubReports[i].Solver || sr.Value != want.SubReports[i].Value {
-					t.Fatalf("%s runtime=%v: part %d won by %q/%v, every-member run says %q/%v", label, useRuntime,
-						i, sr.Solver, sr.Value, want.SubReports[i].Solver, want.SubReports[i].Value)
+			for _, attempts := range [][]solver.Attempt{sr.Attempts, events[i]} {
+				if len(attempts) != len(members) {
+					t.Fatalf("%s: part %d has %d attempts for %d members", label, i, len(attempts), len(members))
 				}
-				lists := [][]solver.Attempt{sr.Attempts}
-				if useRuntime {
-					lists = append(lists, events[i])
+				if a := attempts[0]; a.Solver != "exact" || a.Value != sr.Value || a.Err != "" {
+					t.Fatalf("%s: part %d first attempt %+v", label, i, a)
 				}
-				for _, attempts := range lists {
-					if len(attempts) != len(members) {
-						t.Fatalf("%s runtime=%v: part %d has %d attempts for %d members", label, useRuntime, i, len(attempts), len(members))
-					}
-					if a := attempts[0]; a.Solver != "exact" || a.Value != sr.Value || a.Err != "" {
-						t.Fatalf("%s runtime=%v: part %d first attempt %+v", label, useRuntime, i, a)
-					}
-					for j, m := range members[1:] {
-						if a := attempts[j+1]; a != (solver.Attempt{Solver: m.Name(), Err: solver.SkippedOptimal}) {
-							t.Fatalf("%s runtime=%v: part %d member %d reported %+v, want a bare skipped entry", label, useRuntime, i, j+1, a)
-						}
+				for j, m := range members[1:] {
+					if a := attempts[j+1]; a != (solver.Attempt{Solver: m.Name(), Err: solver.SkippedOptimal}) {
+						t.Fatalf("%s: part %d member %d reported %+v, want a bare skipped entry", label, i, j+1, a)
 					}
 				}
 			}

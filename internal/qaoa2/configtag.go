@@ -3,44 +3,8 @@ package qaoa2
 import (
 	"fmt"
 
-	"qaoa2/internal/graph"
-	rt "qaoa2/internal/runtime"
 	"qaoa2/internal/solver"
 )
-
-// solveRuntime executes the solve through the asynchronous task-graph
-// runtime. opts already has defaults applied; the runtime mirrors the
-// synchronous recursion's seed derivations exactly, so the converted
-// Result is identical to the synchronous path's.
-func solveRuntime(g *graph.Graph, opts Options) (*Result, error) {
-	res, err := rt.Solve(g, rt.Options{
-		MaxQubits:      opts.MaxQubits,
-		Solver:         opts.Solver,
-		MergeSolver:    opts.MergeSolver,
-		Parallelism:    opts.Parallelism,
-		Partition:      opts.Partition,
-		Seed:           opts.Seed,
-		CheckpointPath: opts.CheckpointPath,
-		ConfigTag:      configTag(opts),
-		OnEvent:        opts.OnRuntimeEvent,
-		Interrupt:      opts.Interrupt,
-	})
-	if err != nil {
-		return nil, err
-	}
-	reports := make([]SubReport, len(res.SubReports))
-	for i, r := range res.SubReports {
-		reports[i] = SubReport(r)
-	}
-	return &Result{
-		Cut:        res.Cut,
-		Levels:     res.Levels,
-		SubGraphs:  res.SubGraphs,
-		SubReports: reports,
-		IntraCut:   res.IntraCut,
-		CrossCut:   res.CrossCut,
-	}, nil
-}
 
 // configTag fingerprints solver configuration that Solver.Name() does
 // not reflect, so two configurations sharing a name never share a

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"path/filepath"
 	"reflect"
-	"runtime"
 	"sync"
 	"testing"
 
@@ -17,37 +16,14 @@ import (
 // TestSeedDeterminismAcrossParallelismAndPaths is the determinism
 // regression: an identical Seed must yield an identical Result — cut
 // value, spins, levels and the full sub-report sequence — for
-// Parallelism ∈ {1, 4, GOMAXPROCS}, on both the synchronous recursion
-// and the task-graph runtime.
+// Parallelism ∈ {1, 4, GOMAXPROCS}, and that Result is the reference
+// recursion's.
 func TestSeedDeterminismAcrossParallelismAndPaths(t *testing.T) {
 	g := graph.ErdosRenyi(56, 0.12, graph.UniformWeights, rng.New(17))
 	// GW rides along for its per-solve eigensolver workspace: concurrent
 	// leaves must not share warm-start state.
 	for _, sub := range []SubSolver{cheapAnneal(), GWSolver{}} {
-		var want *Result
-		for _, useRuntime := range []bool{false, true} {
-			for _, par := range []int{1, 4, runtime.GOMAXPROCS(0)} {
-				res, err := Solve(g, Options{
-					MaxQubits:   7,
-					Solver:      sub,
-					MergeSolver: sub,
-					Parallelism: par,
-					Seed:        99,
-					Runtime:     useRuntime,
-				})
-				if err != nil {
-					t.Fatalf("%s runtime=%v par=%d: %v", sub.Name(), useRuntime, par, err)
-				}
-				if want == nil {
-					want = res
-					continue
-				}
-				if !reflect.DeepEqual(want, res) {
-					t.Fatalf("%s runtime=%v par=%d diverged:\nwant %+v\ngot  %+v",
-						sub.Name(), useRuntime, par, want, res)
-				}
-			}
-		}
+		solveVsReference(t, sub.Name(), g, Options{MaxQubits: 7, Solver: sub, MergeSolver: sub, Seed: 99})
 	}
 	// And a different seed must (in general) change the result stream:
 	// the solver consumed randomness, so at minimum the derived spins
@@ -106,6 +82,10 @@ func TestCheckpointResumeMatchesUninterrupted(t *testing.T) {
 	if restores == 0 {
 		t.Fatal("resume restored nothing from the checkpoint")
 	}
+	if got.Stats.Restored != restores {
+		t.Fatalf("stats count %d restores, events %d", got.Stats.Restored, restores)
+	}
+	want.Stats, got.Stats = rt.Stats{}, rt.Stats{} // what ran, not what was found
 	if !reflect.DeepEqual(want, got) {
 		t.Fatalf("resumed result differs from uninterrupted run:\nwant %+v\ngot  %+v", want, got)
 	}

@@ -11,14 +11,15 @@ import (
 )
 
 // The QAOA² divide-and-conquer invariants, property-tested across
-// random graph ensembles, seeds, qubit budgets and both execution
-// paths (synchronous recursion and task-graph runtime):
+// random graph ensembles, seeds and qubit budgets, with the executor at
+// Parallelism 1/4/GOMAXPROCS held to the reference recursion
+// (reference_test.go):
 //
 //  1. IntraCut + CrossCut == Cut.Value (1e-9)
 //  2. every spin is ±1 and every node carries one (disjoint cover)
 //  3. Cut.Value equals the maxcut recomputation from the spins
 //  4. first-level sub-reports respect the qubit budget
-//  5. the runtime path returns the synchronous path's Result exactly
+//  5. the executor returns the reference recursion's Result exactly
 
 // checkInvariants asserts 1–4 on one solve result.
 func checkInvariants(t *testing.T, label string, g *graph.Graph, res *Result, maxQubits int) {
@@ -56,56 +57,6 @@ func checkInvariants(t *testing.T, label string, g *graph.Graph, res *Result, ma
 	}
 }
 
-// solveBothPaths runs the synchronous and runtime paths and asserts
-// they agree exactly (invariant 5) before returning the result.
-func solveBothPaths(t *testing.T, label string, g *graph.Graph, opts Options) *Result {
-	t.Helper()
-	sync, err := Solve(g, opts)
-	if err != nil {
-		t.Fatalf("%s sync: %v", label, err)
-	}
-	opts.Runtime = true
-	async, err := Solve(g, opts)
-	if err != nil {
-		t.Fatalf("%s runtime: %v", label, err)
-	}
-	if sync.Cut.Value != async.Cut.Value {
-		t.Fatalf("%s: sync value %v != runtime value %v", label, sync.Cut.Value, async.Cut.Value)
-	}
-	for v := range sync.Cut.Spins {
-		if sync.Cut.Spins[v] != async.Cut.Spins[v] {
-			t.Fatalf("%s: spin %d differs between paths", label, v)
-		}
-	}
-	if sync.Levels != async.Levels || sync.SubGraphs != async.SubGraphs ||
-		sync.IntraCut != async.IntraCut || sync.CrossCut != async.CrossCut {
-		t.Fatalf("%s: metadata differs:\nsync    %+v\nruntime %+v", label, sync, async)
-	}
-	for i := range sync.SubReports {
-		if !sameSubReport(sync.SubReports[i], async.SubReports[i]) {
-			t.Fatalf("%s: sub-report %d differs: %+v vs %+v",
-				label, i, sync.SubReports[i], async.SubReports[i])
-		}
-	}
-	return sync
-}
-
-// sameSubReport compares two sub-reports modulo per-attempt wall
-// time, which is telemetry (varies run to run) rather than identity.
-func sameSubReport(a, b SubReport) bool {
-	if a.Nodes != b.Nodes || a.Edges != b.Edges || a.Value != b.Value ||
-		a.Solver != b.Solver || len(a.Attempts) != len(b.Attempts) {
-		return false
-	}
-	for i := range a.Attempts {
-		x, y := a.Attempts[i], b.Attempts[i]
-		if x.Solver != y.Solver || x.Value != y.Value || x.Err != y.Err {
-			return false
-		}
-	}
-	return true
-}
-
 func cheapAnneal() SubSolver {
 	return AnnealSolver{Opts: maxcut.AnnealOptions{Sweeps: 30}}
 }
@@ -134,7 +85,7 @@ func TestInvariantsAcrossRandomGraphs(t *testing.T) {
 					g := fam.gen(n, rng.New(seed*31+uint64(n)))
 					opts := Options{MaxQubits: mq, Solver: cheapAnneal(),
 						MergeSolver: cheapAnneal(), Seed: seed}
-					res := solveBothPaths(t, label, g, opts)
+					res := solveVsReference(t, label, g, opts)
 					checkInvariants(t, label, g, res, mq)
 				}
 			}
@@ -148,7 +99,7 @@ func TestInvariantsWithExactSolver(t *testing.T) {
 			label := fmt.Sprintf("exact/q%d/s%d", mq, seed)
 			g := graph.ErdosRenyi(26, 0.2, graph.Unweighted, rng.New(seed+100))
 			opts := Options{MaxQubits: mq, Solver: ExactSolver{}, Seed: seed}
-			res := solveBothPaths(t, label, g, opts)
+			res := solveVsReference(t, label, g, opts)
 			checkInvariants(t, label, g, res, mq)
 		}
 	}
@@ -160,7 +111,7 @@ func TestInvariantsWithQAOALeaves(t *testing.T) {
 	}
 	g := graph.ErdosRenyi(20, 0.25, graph.Unweighted, rng.New(42))
 	opts := Options{MaxQubits: 7, Solver: fastQAOA(), Seed: 42}
-	res := solveBothPaths(t, "qaoa-leaves", g, opts)
+	res := solveVsReference(t, "qaoa-leaves", g, opts)
 	checkInvariants(t, "qaoa-leaves", g, res, 7)
 }
 
@@ -179,10 +130,57 @@ func TestInvariantsPathologicalGraphs(t *testing.T) {
 	}
 	for _, tc := range cases {
 		opts := Options{MaxQubits: tc.mq, Solver: cheapAnneal(), Seed: 3}
-		res := solveBothPaths(t, tc.name, tc.g, opts)
+		res := solveVsReference(t, tc.name, tc.g, opts)
 		if tc.g.N() > 0 {
 			checkInvariants(t, tc.name, tc.g, res, tc.mq)
 		}
+	}
+}
+
+// TestInvariantsGuardCases drives the three branches of the merge
+// decision that random ensembles rarely reach, against the reference:
+// an edgeless merge graph (every part keeps its orientation), an
+// all-singleton partition (contraction stalls, 1-exchange orients the
+// merge nodes instead of dividing forever) and an explicit Partition.
+func TestInvariantsGuardCases(t *testing.T) {
+	singletons := func(n int) [][]int {
+		parts := make([][]int, n)
+		for v := range parts {
+			parts[v] = []int{v}
+		}
+		return parts
+	}
+	weighted := graph.ErdosRenyi(14, 0.5, graph.UniformWeights, rng.New(5))
+	cases := []struct {
+		name   string
+		g      *graph.Graph
+		mq     int
+		parts  [][]int
+		levels int
+	}{
+		{"edgeless-merge", isolatedPlusClique(12, 4), 4, nil, 1},
+		{"singleton-stall", weighted, 4, singletons(weighted.N()), 1},
+		{"explicit-partition", weighted, 5, [][]int{{0, 3, 6, 9, 12}, {1, 4, 7, 10, 13}, {2, 5, 8, 11}}, 1},
+		{"explicit-partition-recursing", weighted, 3, [][]int{{0, 1}, {2, 3}, {4, 5}, {6, 7}, {8, 9}, {10, 11}, {12, 13}}, 2},
+	}
+	for _, tc := range cases {
+		opts := Options{MaxQubits: tc.mq, Solver: cheapAnneal(), MergeSolver: cheapAnneal(),
+			Partition: tc.parts, Seed: 11}
+		res := solveVsReference(t, tc.name, tc.g, opts)
+		checkInvariants(t, tc.name, tc.g, res, tc.mq)
+		if res.Levels != tc.levels {
+			t.Fatalf("%s: %d levels, want %d", tc.name, res.Levels, tc.levels)
+		}
+	}
+	// The stall guard's answer is the 1-exchange cut of the signed merge
+	// graph, not the merge solver's.
+	stalled, err := Solve(weighted, Options{MaxQubits: 4, Solver: cheapAnneal(),
+		MergeSolver: failingSolver{}, Partition: singletons(weighted.N()), Seed: 11})
+	if err != nil {
+		t.Fatalf("stall guard consulted the merge solver: %v", err)
+	}
+	if stalled.Levels != 1 {
+		t.Fatalf("stall guard used %d levels", stalled.Levels)
 	}
 }
 
@@ -211,7 +209,7 @@ func twoCliquesBridge(k int) *graph.Graph {
 
 // isolatedPlusClique is a k-clique plus isolated nodes: the merge
 // graph is edgeless while exceeding the cap, exercising the recursion
-// guard on both paths.
+// guard.
 func isolatedPlusClique(n, k int) *graph.Graph {
 	g := graph.New(n)
 	for i := 0; i < k; i++ {

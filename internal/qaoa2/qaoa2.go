@@ -2,16 +2,12 @@ package qaoa2
 
 import (
 	"fmt"
-	"runtime"
 	"sort"
-	"sync"
 
 	"qaoa2/internal/backend"
 	"qaoa2/internal/graph"
 	"qaoa2/internal/maxcut"
-	"qaoa2/internal/partition"
 	"qaoa2/internal/qaoa"
-	"qaoa2/internal/rng"
 	rt "qaoa2/internal/runtime"
 	"qaoa2/internal/solver"
 )
@@ -54,9 +50,10 @@ type Options struct {
 	// lifetime), so with Restarts > 1 consider lowering Parallelism to
 	// keep total workers near the core count.
 	Restarts int
-	// Parallelism bounds concurrent sub-graph solves (default
-	// GOMAXPROCS), standing in for the pool of simulated quantum
-	// devices / classical nodes of Fig. 2.
+	// Parallelism is the executor's worker-pool size: it bounds
+	// concurrent sub-graph solves (default GOMAXPROCS), standing in for
+	// the pool of simulated quantum devices / classical nodes of Fig. 2.
+	// Results are bit-identical at every value.
 	Parallelism int
 	// Partition overrides the greedy-modularity division with an
 	// explicit node grouping (each part ≤ MaxQubits, disjoint cover of
@@ -65,25 +62,23 @@ type Options struct {
 	Partition [][]int
 	// Seed derives the per-sub-graph deterministic random streams.
 	Seed uint64
-	// Runtime executes the solve through the asynchronous task-graph
-	// runtime (internal/runtime): the same divide-and-conquer unfolded
-	// into an explicit DAG of partition/sub-solve/merge/stitch tasks
-	// run by a bounded worker pool. Results are identical to the
-	// synchronous path for every Parallelism; opt in for streaming
-	// sub-reports and checkpoint/resume.
+	// Runtime has no effect: every solve runs on the task-graph
+	// executor (internal/runtime). Nothing in this module reads it; the
+	// declaration stays only until the benchmark module stops assigning
+	// it.
 	Runtime bool
 	// CheckpointPath persists every completed sub-graph and merge
 	// solve to this file so an interrupted run resumes without
-	// re-solving finished tasks. Implies Runtime.
+	// re-solving finished tasks.
 	CheckpointPath string
 	// OnRuntimeEvent, when set, streams task-completion events
 	// (completed sub-solves as they land, merge levels, restores).
-	// Implies Runtime. Calls are serialized.
+	// Calls are serialized.
 	OnRuntimeEvent func(rt.Event)
-	// Interrupt aborts a runtime-path solve once closed: no new task
-	// starts and Solve returns runtime.ErrInterrupted after in-flight
-	// tasks finish. Completed tasks stay in the checkpoint, so a later
-	// call resumes. Implies Runtime.
+	// Interrupt aborts a solve once closed: no new task starts and
+	// Solve returns runtime.ErrInterrupted after in-flight tasks
+	// finish. Completed tasks stay in the checkpoint, so a later call
+	// resumes.
 	Interrupt <-chan struct{}
 }
 
@@ -119,43 +114,14 @@ func (o Options) withDefaults() (Options, error) {
 		o.MergeSolver = o.Solver
 		o.MergeSpec = o.SolverSpec
 	}
-	if o.Parallelism <= 0 {
-		o.Parallelism = runtime.GOMAXPROCS(0)
-	}
 	return o, nil
 }
 
 // SubReport records one solved sub-graph at the first level.
-type SubReport struct {
-	Nodes int     // sub-graph size
-	Edges int     // sub-graph edge count
-	Value float64 // cut value found by the solver
-	// Solver names the solver that actually produced the kept cut:
-	// for composite strategies (best, portfolio, ml-adaptive) this is
-	// the WINNING member, so the report exposes the per-sub-graph
-	// quantum-vs-classical decision directly.
-	Solver string
-	// Attempts details every inner try of a composite solve, with
-	// per-attempt timing (nil for plain solvers, and for solves
-	// restored from a checkpoint — timing is telemetry, not identity).
-	Attempts []solver.Attempt
-}
+type SubReport = rt.SubReport
 
 // Result reports a QAOA² run.
-type Result struct {
-	Cut maxcut.Cut
-	// Levels is the number of merge levels used (0 when the graph fit
-	// directly on the device).
-	Levels int
-	// SubGraphs counts the first-level sub-graphs.
-	SubGraphs int
-	// SubReports details every first-level sub-graph solve.
-	SubReports []SubReport
-	// IntraCut is the weight cut inside sub-graphs before merging;
-	// CrossCut is the weight cut across sub-graphs after the merge
-	// flips. Their sum equals Cut.Value.
-	IntraCut, CrossCut float64
-}
+type Result = rt.Result
 
 // Solve runs the QAOA² divide-and-conquer on g.
 func Solve(g *graph.Graph, opts Options) (*Result, error) {
@@ -163,134 +129,15 @@ func Solve(g *graph.Graph, opts Options) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	n := g.N()
-	if n == 0 {
-		return &Result{Cut: maxcut.Cut{Spins: []int8{}, Value: 0}}, nil
-	}
-
-	if opts.Runtime || opts.CheckpointPath != "" || opts.OnRuntimeEvent != nil ||
-		opts.Interrupt != nil {
-		return solveRuntime(g, opts)
-	}
-
-	// Small enough for the device: a single direct solve (unless an
-	// explicit partition was requested).
-	if n <= opts.MaxQubits && opts.Partition == nil {
-		cut, rep, err := solver.SolveAttributed(opts.Solver, g, rng.New(opts.Seed))
-		if err != nil {
-			return nil, err
-		}
-		return &Result{
-			Cut:       cut,
-			SubGraphs: 1,
-			SubReports: []SubReport{{
-				Nodes: n, Edges: g.M(), Value: cut.Value,
-				Solver: rep.Winner, Attempts: rep.Attempts,
-			}},
-			IntraCut: cut.Value,
-		}, nil
-	}
-
-	parts := opts.Partition
-	if parts == nil {
-		parts, err = partition.SizeCapped(g, opts.MaxQubits)
-		if err != nil {
-			return nil, err
-		}
-	} else {
-		for i, p := range parts {
-			if len(p) == 0 {
-				return nil, fmt.Errorf("qaoa2: explicit partition part %d is empty", i)
-			}
-			if len(p) > opts.MaxQubits {
-				return nil, fmt.Errorf("qaoa2: explicit partition part %d has %d nodes, budget %d",
-					i, len(p), opts.MaxQubits)
-			}
-		}
-	}
-
-	// Solve all sub-graphs in parallel (paper §3.3 step 3: "All
-	// sub-graphs are solved with QAOA in parallel over different
-	// (simulated) quantum devices").
-	type subResult struct {
-		cut     maxcut.Cut
-		mapping []int
-		report  SubReport
-		err     error
-	}
-	results := make([]subResult, len(parts))
-	sem := make(chan struct{}, opts.Parallelism)
-	var wg sync.WaitGroup
-	for i, part := range parts {
-		wg.Add(1)
-		go func(i int, part []int) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			sub, mapping, err := g.InducedSubgraph(part)
-			if err != nil {
-				results[i] = subResult{err: err}
-				return
-			}
-			cut, rep, err := solver.SolveAttributed(opts.Solver, sub,
-				rng.New(opts.Seed).Split(uint64(i)+0x9e37))
-			if err != nil {
-				results[i] = subResult{err: fmt.Errorf("qaoa2: sub-graph %d: %w", i, err)}
-				return
-			}
-			results[i] = subResult{
-				cut:     cut,
-				mapping: mapping,
-				report: SubReport{
-					Nodes: sub.N(), Edges: sub.M(), Value: cut.Value,
-					Solver: rep.Winner, Attempts: rep.Attempts,
-				},
-			}
-		}(i, part)
-	}
-	wg.Wait()
-	for i := range results {
-		if results[i].err != nil {
-			return nil, results[i].err
-		}
-	}
-
-	reports := make([]SubReport, len(parts))
-	cuts := make([]maxcut.Cut, len(parts))
-	for i, res := range results {
-		reports[i] = res.report
-		cuts[i] = res.cut
-	}
-
-	cut, levels, err := MergeSubSolutions(g, parts, cuts, opts)
-	if err != nil {
-		return nil, err
-	}
-
-	groupOf := make([]int, n)
-	for i, part := range parts {
-		for _, v := range part {
-			groupOf[v] = i
-		}
-	}
-	intra := intraCutValue(g, groupOf, cut.Spins)
-	res := &Result{
-		Cut:        cut,
-		Levels:     levels,
-		SubGraphs:  len(parts),
-		SubReports: reports,
-		IntraCut:   intra,
-		CrossCut:   cut.Value - intra,
-	}
-	return res, nil
+	return rt.Solve(g, opts.executor())
 }
 
 // MergeSubSolutions performs the QAOA² merging procedure (paper §3.3
 // steps 4-5) given already-solved sub-graphs: it stitches the
 // sub-solutions into a global assignment, builds the signed contracted
 // graph (+w for currently-uncut cross edges, −w for cut ones), solves it
-// with opts.MergeSolver (recursing through Solve when it exceeds the
-// qubit budget), and flips every sub-graph whose merge-node is −1.
+// with opts.MergeSolver (dividing again when it exceeds the qubit
+// budget), and flips every sub-graph whose merge-node is −1.
 // parts[i] lists the original node ids of sub-graph i; cuts[i] is the
 // sub-solution over the SAME node order. Exposed so distributed drivers
 // (internal/hpc's coordinator workflow) can reuse the merge step.
@@ -299,116 +146,32 @@ func MergeSubSolutions(g *graph.Graph, parts [][]int, cuts []maxcut.Cut, opts Op
 	if err != nil {
 		return maxcut.Cut{}, 0, err
 	}
-	n := g.N()
-	if len(parts) != len(cuts) {
-		return maxcut.Cut{}, 0, fmt.Errorf("qaoa2: %d parts but %d cuts", len(parts), len(cuts))
-	}
-	spins := make([]int8, n)
-	groupOf := make([]int, n)
-	for i := range groupOf {
-		groupOf[i] = -1
-	}
-	for i, part := range parts {
-		if len(cuts[i].Spins) != len(part) {
-			return maxcut.Cut{}, 0, fmt.Errorf("qaoa2: part %d has %d nodes but cut has %d spins",
-				i, len(part), len(cuts[i].Spins))
-		}
-		for k, orig := range part {
-			if orig < 0 || orig >= n {
-				return maxcut.Cut{}, 0, fmt.Errorf("qaoa2: part %d references node %d outside graph", i, orig)
-			}
-			if groupOf[orig] != -1 {
-				return maxcut.Cut{}, 0, fmt.Errorf("qaoa2: node %d appears in two parts", orig)
-			}
-			spins[orig] = cuts[i].Spins[k]
-			groupOf[orig] = i
-		}
-	}
-	for v, grp := range groupOf {
-		if grp == -1 {
-			return maxcut.Cut{}, 0, fmt.Errorf("qaoa2: node %d not covered by any part", v)
-		}
-	}
-
-	merged, err := g.Contract(groupOf, len(parts), func(e graph.Edge) float64 {
-		if spins[e.I] != spins[e.J] {
-			return -e.W
-		}
-		return e.W
-	})
+	res, err := rt.Merge(g, parts, cuts, opts.executor())
 	if err != nil {
 		return maxcut.Cut{}, 0, err
 	}
-
-	var flips []int8
-	var levels int
-	switch {
-	case merged.M() == 0:
-		// No cross weight to gain: keep every part's orientation. This
-		// is also the recursion guard — an edgeless merge graph never
-		// contracts further. (Mirrored by the task-graph runtime.)
-		flips = make([]int8, merged.N())
-		for i := range flips {
-			flips[i] = 1
-		}
-		levels = 1
-	case merged.N() > opts.MaxQubits && merged.N() >= n:
-		// Contraction made no progress (all-singleton partition):
-		// recursing would loop forever. Orient the merge nodes with the
-		// deterministic 1-exchange local search instead. (Mirrored by
-		// the task-graph runtime.)
-		cut := maxcut.OneExchange(merged, rng.New(opts.Seed).Split(0x1e4c))
-		flips = cut.Spins
-		levels = 1
-	default:
-		flips, levels, err = solveMerge(merged, opts, 1)
-		if err != nil {
-			return maxcut.Cut{}, 0, err
-		}
-	}
-	for v := 0; v < n; v++ {
-		if flips[groupOf[v]] < 0 {
-			spins[v] = -spins[v]
-		}
-	}
-	return maxcut.Cut{Spins: spins, Value: g.CutValue(spins)}, levels, nil
+	return res.Cut, res.Levels, nil
 }
 
-// solveMerge returns the ±1 orientation of each merge-graph node.
-func solveMerge(merged *graph.Graph, opts Options, level int) ([]int8, int, error) {
-	if merged.N() <= opts.MaxQubits {
-		cut, err := opts.MergeSolver.SolveSub(merged, rng.New(opts.Seed).Split(uint64(level)*0x51ed))
-		if err != nil {
-			return nil, 0, fmt.Errorf("qaoa2: merge level %d: %w", level, err)
-		}
-		return cut.Spins, level, nil
+// executor maps defaulted options onto the executor's.
+func (o Options) executor() rt.Options {
+	ro := rt.Options{
+		MaxQubits:      o.MaxQubits,
+		Solver:         o.Solver,
+		MergeSolver:    o.MergeSolver,
+		Parallelism:    o.Parallelism,
+		Partition:      o.Partition,
+		Seed:           o.Seed,
+		CheckpointPath: o.CheckpointPath,
+		OnEvent:        o.OnRuntimeEvent,
+		Interrupt:      o.Interrupt,
 	}
-	// Still too large: apply the whole divide-and-conquer to the merge
-	// graph with the merge solver on both roles.
-	sub, err := Solve(merged, Options{
-		MaxQubits:   opts.MaxQubits,
-		Solver:      opts.MergeSolver,
-		MergeSolver: opts.MergeSolver,
-		Backend:     opts.Backend,
-		Restarts:    opts.Restarts,
-		Parallelism: opts.Parallelism,
-		Seed:        opts.Seed ^ (uint64(level) * 0xabcd),
-	})
-	if err != nil {
-		return nil, 0, err
+	if o.CheckpointPath != "" {
+		// Only a checkpoint header reads the tag, and rendering it
+		// prints both solvers' full state.
+		ro.ConfigTag = configTag(o)
 	}
-	return sub.Cut.Spins, level + sub.Levels, nil
-}
-
-// intraCutValue sums cut weight of edges inside sub-graphs.
-func intraCutValue(g *graph.Graph, groupOf []int, spins []int8) float64 {
-	v := 0.0
-	for _, e := range g.Edges() {
-		if groupOf[e.I] == groupOf[e.J] && spins[e.I] != spins[e.J] {
-			v += e.W
-		}
-	}
-	return v
+	return ro
 }
 
 // SummarizeSubReports aggregates first-level sub-reports per solver for

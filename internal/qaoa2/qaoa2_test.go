@@ -248,18 +248,7 @@ func TestExplicitPartitionOverride(t *testing.T) {
 	if err := res.Cut.Validate(g); err != nil {
 		t.Fatal(err)
 	}
-	// Oversized part rejected.
-	if _, err := Solve(g, Options{MaxQubits: 3, Solver: ExactSolver{}, Partition: parts}); err == nil {
-		t.Fatal("oversized explicit part accepted")
-	}
-	// Empty part rejected.
-	if _, err := Solve(g, Options{MaxQubits: 4, Solver: ExactSolver{}, Partition: [][]int{{}}}); err == nil {
-		t.Fatal("empty explicit part accepted")
-	}
-	// Incomplete cover rejected (MergeSubSolutions validates).
-	if _, err := Solve(g, Options{MaxQubits: 4, Solver: ExactSolver{}, Partition: parts[:2]}); err == nil {
-		t.Fatal("partial partition accepted")
-	}
+	// Rejected partitions: TestErrorsNameThePartOrNode.
 }
 
 func TestEmptyGraph(t *testing.T) {

@@ -6,6 +6,11 @@
 // quantum-or-classical choice the paper's SLURM workflow enables — and
 // the sub-solutions are merged by solving a signed contracted graph,
 // recursively if it still exceeds the qubit budget.
+//
+// The package is the front of that algorithm, not its executor: Solve
+// resolves Options (defaults, registry specs, the checkpoint config
+// tag) and hands the solve to internal/runtime, the one implementation
+// of partition → sub-solve → merge → stitch. No goroutine starts here.
 package qaoa2
 
 import (
@@ -14,9 +19,8 @@ import (
 
 // SubSolver produces a cut for one sub-graph. It IS the solver plane's
 // interface (internal/solver): every solver in the registry plugs in
-// here, and anything satisfying this interface works on every
-// execution path. Implementations must be safe for concurrent use:
-// sub-graphs are solved in parallel (Fig. 2's worker pool).
+// here. Implementations must be safe for concurrent use: sub-graphs
+// are solved in parallel (Fig. 2's worker pool).
 type SubSolver = solver.Solver
 
 // The concrete solvers live in internal/solver (the registry); these

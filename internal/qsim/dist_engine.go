@@ -9,12 +9,22 @@ import (
 	"qaoa2/internal/hpc/comm"
 )
 
+// DistStats records the communication behaviour of a distributed
+// simulation; the scaling experiment (paper §4: "33 qubits ... on 512
+// compute nodes", "almost ideal scaling") reads these counters.
+type DistStats struct {
+	LocalGates   int    // gates applied without communication
+	CommGates    int    // gates that required rank exchange
+	MessagesSent int    // point-to-point messages (one per rank per exchange)
+	BytesSent    uint64 // payload volume of those messages
+}
+
 // DistEngine is the sharded fused evaluator: the cache-blocked
 // diagonal-phase + blocked-mixer sweeps of Engine, run on rank-local
-// statevector slices over an hpc.World (via its leaf comm package). It promotes the dense gate walk
-// of DistState to the production path — the decomposition behind the
-// paper's §4 scaling result (33 qubits over 512 compute nodes) fused
-// with the single-node engine's zero-allocation sweep machinery.
+// statevector slices over a comm.World — the cache-blocking
+// decomposition of the paper's aer backend (Doi & Horii) behind its §4
+// scaling result (33 qubits over 512 compute nodes), fused with the
+// single-node engine's zero-allocation sweep machinery.
 //
 // Slice layout: the 2^nEff-amplitude vector (nEff = n, or nFull−1 on
 // the Z2-reduced variant) is split into ranks = 2^pg contiguous slices;

@@ -1,18 +1,19 @@
-// Package runtime executes QAOA² as an explicit asynchronous task
-// graph — the real counterpart of the virtual-time schedule simulated
-// by internal/hpc (paper Fig. 2). A solve unfolds into a DAG of
-// partition, sub-solve, merge-build, merge-solve and stitch tasks; a
-// fixed worker pool (Options.Parallelism, the pool of quantum devices
-// and classical nodes) runs ready tasks as dependencies drain, streams
-// every completed sub-report to the caller, and appends completed
-// solves to an on-disk Checkpoint so an interrupted run resumes
-// without re-solving finished sub-graphs.
+// Package runtime is the QAOA² executor: the one implementation of
+// partition → sub-solve → merge-build → merge-solve → stitch (paper
+// §3.3), and the real counterpart of the virtual-time schedule
+// simulated by internal/hpc (paper Fig. 2). A solve unfolds into a DAG
+// of those tasks; a fixed worker pool (Options.Parallelism, the pool of
+// quantum devices and classical nodes) runs ready tasks as dependencies
+// drain, streams every completed sub-report to the caller, and appends
+// completed solves to an on-disk Checkpoint so an interrupted run
+// resumes without re-solving finished sub-graphs. qaoa2.Solve fills in
+// defaults and calls Solve; qaoa2.MergeSubSolutions calls Merge, which
+// enters the same graph behind already-solved parts.
 //
 // The computation tree is a function of (graph, seed, solver config)
 // only — per-task randomness derives from the task's position, never
-// from scheduling — so the runtime returns bit-identical results to
-// the synchronous qaoa2.Solve recursion at every parallelism, and
-// checkpoint entries are transferable between processes.
+// from scheduling — so results are bit-identical at every parallelism
+// and checkpoint entries are transferable between processes.
 package runtime
 
 import (
@@ -29,24 +30,15 @@ import (
 	"qaoa2/internal/solver"
 )
 
-// SubSolver produces a cut for one sub-graph. It is structurally
-// identical to qaoa2.SubSolver, so every solver of that package
-// satisfies it without adaptation (the import must point this way
-// round: qaoa2 depends on runtime).
-type SubSolver interface {
-	Name() string
-	SolveSub(g *graph.Graph, r *rng.Rand) (maxcut.Cut, error)
-}
-
 // Options configures Solve. Solver and MergeSolver are required — the
 // qaoa2 facade fills its defaults before delegating here.
 type Options struct {
 	// MaxQubits is the sub-graph node cap (default 16).
 	MaxQubits int
 	// Solver handles first-level sub-graphs.
-	Solver SubSolver
+	Solver solver.Solver
 	// MergeSolver handles merge graphs on every level.
-	MergeSolver SubSolver
+	MergeSolver solver.Solver
 	// Parallelism is the worker-pool size — the real admission
 	// control: at most this many tasks, in particular concurrent
 	// sub-graph solves, run at once (default GOMAXPROCS).
@@ -120,27 +112,40 @@ type Stats struct {
 	Stages int
 }
 
-// SubReport records one solved first-level sub-graph (mirrors
-// qaoa2.SubReport, field for field — qaoa2 converts by struct
-// conversion).
+// SubReport records one solved sub-graph at the first level.
 type SubReport struct {
-	Nodes    int
-	Edges    int
-	Value    float64
-	Solver   string
+	Nodes int     // sub-graph size
+	Edges int     // sub-graph edge count
+	Value float64 // cut value found by the solver
+	// Solver names the solver that actually produced the kept cut:
+	// for composite strategies (best, portfolio, ml-adaptive) this is
+	// the WINNING member, so the report exposes the per-sub-graph
+	// quantum-vs-classical decision directly.
+	Solver string
+	// Attempts details every inner try of a composite solve, with
+	// per-attempt timing (nil for plain solvers, and for solves
+	// restored from a checkpoint — timing is telemetry, not identity).
 	Attempts []solver.Attempt
 }
 
-// Result reports a runtime QAOA² run. Cut, Levels, SubGraphs,
-// SubReports, IntraCut and CrossCut carry exactly the values the
-// synchronous qaoa2.Solve returns for the same inputs.
+// Result reports a QAOA² run.
 type Result struct {
-	Cut                maxcut.Cut
-	Levels             int
-	SubGraphs          int
-	SubReports         []SubReport
+	Cut maxcut.Cut
+	// Levels is the number of merge levels used (0 when the graph fit
+	// directly on the device).
+	Levels int
+	// SubGraphs counts the first-level sub-graphs.
+	SubGraphs int
+	// SubReports details every first-level sub-graph solve (nil from
+	// Merge, which solves none).
+	SubReports []SubReport
+	// IntraCut is the weight cut inside sub-graphs before merging;
+	// CrossCut is the weight cut across sub-graphs after the merge
+	// flips. Their sum equals Cut.Value.
 	IntraCut, CrossCut float64
-	Stats              Stats
+	// Stats counts what the run executed. Restored depends on the
+	// checkpoint a run found, so Stats is not part of result identity.
+	Stats Stats
 }
 
 // stage is one divide level: stage 0 is the original graph, stage k+1
@@ -149,10 +154,9 @@ type stage struct {
 	index  int
 	g      *graph.Graph
 	seed   uint64
-	solver SubSolver
+	solver solver.Solver
 
 	parts   [][]int
-	subs    []*graph.Graph
 	cuts    []maxcut.Cut
 	reports []SubReport
 	groupOf []int
@@ -176,9 +180,59 @@ type solveState struct {
 	result *Result
 }
 
-// Solve runs the QAOA² divide-and-conquer on g through the task-graph
-// runtime.
+// Solve runs the QAOA² divide-and-conquer on g.
 func Solve(g *graph.Graph, opts Options) (*Result, error) {
+	return run(g, opts, func(st *solveState) error {
+		if g.N() <= st.opts.MaxQubits && st.opts.Partition == nil {
+			st.exec.add(&task{id: "s0/direct", kind: kindSubSolve, run: func() error {
+				return st.runDirect(g)
+			}})
+			return nil
+		}
+		if err := validatePartition(st.opts.Partition, st.opts.MaxQubits); err != nil {
+			return err
+		}
+		st.addStage(g, st.opts.Seed, st.opts.Solver, st.opts.Partition)
+		return nil
+	})
+}
+
+// Merge performs the QAOA² merging procedure (paper §3.3 steps 4-5) on
+// sub-graphs solved elsewhere: it enters the task graph at a stage 0
+// whose partition and sub-solve tasks are already done — parts[i] lists
+// the original node ids of sub-graph i, cuts[i] its solution over the
+// same node order — and runs merge-build, the merge solve (or the
+// stages it unfolds into) and the stitch from there. Distributed
+// drivers (hpc.CoordinatedSolve) that solve the parts on their own
+// workers use it.
+func Merge(g *graph.Graph, parts [][]int, cuts []maxcut.Cut, opts Options) (*Result, error) {
+	// The given cuts are not a function of the checkpoint header, so a
+	// stored merge record could belong to other cuts.
+	opts.Checkpoint, opts.CheckpointPath = nil, ""
+	return run(g, opts, func(st *solveState) error {
+		if len(parts) != len(cuts) {
+			return fmt.Errorf("runtime: %d parts but %d cuts", len(parts), len(cuts))
+		}
+		for i, part := range parts {
+			if len(cuts[i].Spins) != len(part) {
+				return fmt.Errorf("runtime: part %d has %d nodes but cut has %d spins",
+					i, len(part), len(cuts[i].Spins))
+			}
+		}
+		sg := st.newStage(g, st.opts.Seed, st.opts.Solver)
+		groupOf, err := sg.cover(parts)
+		if err != nil {
+			return err
+		}
+		sg.parts, sg.cuts, sg.groupOf = parts, cuts, groupOf
+		st.exec.add(st.mergeBuildTask(sg))
+		return nil
+	})
+}
+
+// run applies the option defaults, opens the checkpoint, lets root
+// schedule the first task(s) and drives the task graph to its result.
+func run(g *graph.Graph, opts Options, root func(*solveState) error) (*Result, error) {
 	if opts.Solver == nil || opts.MergeSolver == nil {
 		return nil, fmt.Errorf("runtime: Solver and MergeSolver are required")
 	}
@@ -188,8 +242,7 @@ func Solve(g *graph.Graph, opts Options) (*Result, error) {
 	if opts.Parallelism <= 0 {
 		opts.Parallelism = runtime.GOMAXPROCS(0)
 	}
-	n := g.N()
-	if n == 0 {
+	if g.N() == 0 {
 		return &Result{Cut: maxcut.Cut{Spins: []int8{}, Value: 0}}, nil
 	}
 
@@ -212,16 +265,8 @@ func Solve(g *graph.Graph, opts Options) (*Result, error) {
 
 	st := &solveState{opts: opts, ckpt: ckpt}
 	st.exec = newExecutor(opts.Interrupt)
-
-	if n <= opts.MaxQubits && opts.Partition == nil {
-		st.exec.add(&task{id: "s0/direct", kind: kindSubSolve, run: func() error {
-			return st.runDirect(g)
-		}})
-	} else {
-		if err := validatePartition(opts.Partition, opts.MaxQubits); err != nil {
-			return nil, err
-		}
-		st.addStage(g, opts.Seed, opts.Solver, opts.Partition)
+	if err := root(st); err != nil {
+		return nil, err
 	}
 	st.exec.start(opts.Parallelism)
 	if err := st.exec.wait(); err != nil {
@@ -234,8 +279,8 @@ func Solve(g *graph.Graph, opts Options) (*Result, error) {
 	return st.result, nil
 }
 
-// validatePartition mirrors the synchronous path's explicit-partition
-// checks.
+// validatePartition rejects an explicit partition with an empty or
+// over-budget part before any task runs.
 func validatePartition(parts [][]int, maxQubits int) error {
 	for i, p := range parts {
 		if len(p) == 0 {
@@ -316,7 +361,7 @@ type solved struct {
 // name, so a restored composite solve re-attributes to the member
 // that actually produced the cut; attempts and timing are telemetry
 // of the run that solved, never of a restore.
-func (st *solveState) solveTask(key string, g *graph.Graph, s SubSolver, r *rng.Rand) (solved, error) {
+func (st *solveState) solveTask(key string, g *graph.Graph, s solver.Solver, r *rng.Rand) (solved, error) {
 	if st.ckpt != nil {
 		if rec, ok := st.ckpt.Lookup(key); ok && len(rec.Cut.Spins) == g.N() {
 			name := rec.Solver
@@ -340,19 +385,61 @@ func (st *solveState) solveTask(key string, g *graph.Graph, s SubSolver, r *rng.
 	return solved{cut: cut, winner: rep.Winner, attempts: rep.Attempts, nanos: nanos}, nil
 }
 
-// addStage appends a new divide level and schedules its partition
-// task. Safe to call before the pool starts and from inside tasks.
-func (st *solveState) addStage(g *graph.Graph, seed uint64, solver SubSolver, explicit [][]int) {
+// newStage appends a new divide level. Safe to call before the pool
+// starts and from inside tasks.
+func (st *solveState) newStage(g *graph.Graph, seed uint64, s solver.Solver) *stage {
 	st.mu.Lock()
-	sg := &stage{index: len(st.stages), g: g, seed: seed, solver: solver}
+	defer st.mu.Unlock()
+	sg := &stage{index: len(st.stages), g: g, seed: seed, solver: s}
 	st.stages = append(st.stages, sg)
 	st.stats.Stages++
-	st.mu.Unlock()
+	return sg
+}
+
+// addStage appends a new divide level and schedules its partition task.
+func (st *solveState) addStage(g *graph.Graph, seed uint64, s solver.Solver, explicit [][]int) {
+	sg := st.newStage(g, seed, s)
 	st.exec.add(&task{
 		id:   fmt.Sprintf("s%d/partition", sg.index),
 		kind: kindPartition,
 		run:  func() error { return st.runPartition(sg, explicit) },
 	})
+}
+
+// cover maps every node of the stage's graph to the part holding it,
+// rejecting anything but a disjoint cover.
+func (sg *stage) cover(parts [][]int) ([]int, error) {
+	groupOf := make([]int, sg.g.N())
+	for i := range groupOf {
+		groupOf[i] = -1
+	}
+	for i, part := range parts {
+		for _, v := range part {
+			if v < 0 || v >= sg.g.N() {
+				return nil, fmt.Errorf("runtime: stage %d part %d references node %d outside graph",
+					sg.index, i, v)
+			}
+			if groupOf[v] != -1 {
+				return nil, fmt.Errorf("runtime: stage %d node %d appears in two parts", sg.index, v)
+			}
+			groupOf[v] = i
+		}
+	}
+	for v, grp := range groupOf {
+		if grp == -1 {
+			return nil, fmt.Errorf("runtime: stage %d node %d not covered by any part", sg.index, v)
+		}
+	}
+	return groupOf, nil
+}
+
+// mergeBuildTask is the barrier behind a stage's sub-solves.
+func (st *solveState) mergeBuildTask(sg *stage) *task {
+	return &task{
+		id:   fmt.Sprintf("s%d/merge-build", sg.index),
+		kind: kindMergeBuild,
+		run:  func() error { return st.runMergeBuild(sg) },
+	}
 }
 
 // runPartition divides a stage's graph and schedules one sub-solve
@@ -366,33 +453,21 @@ func (st *solveState) runPartition(sg *stage, explicit [][]int) error {
 			return err
 		}
 	}
-	sg.parts = parts
-	sg.subs = make([]*graph.Graph, len(parts))
+	groupOf, err := sg.cover(parts)
+	if err != nil {
+		return err
+	}
+	sg.parts, sg.groupOf = parts, groupOf
 	sg.cuts = make([]maxcut.Cut, len(parts))
 	sg.reports = make([]SubReport, len(parts))
 
-	groupOf := make([]int, sg.g.N())
-	for i := range groupOf {
-		groupOf[i] = -1
-	}
-	for i, part := range parts {
-		for _, v := range part {
-			if v < 0 || v >= sg.g.N() {
-				return fmt.Errorf("runtime: stage %d part %d references node %d outside graph",
-					sg.index, i, v)
-			}
-			if groupOf[v] != -1 {
-				return fmt.Errorf("runtime: stage %d node %d appears in two parts", sg.index, v)
-			}
-			groupOf[v] = i
-		}
-	}
-	for v, grp := range groupOf {
-		if grp == -1 {
-			return fmt.Errorf("runtime: stage %d node %d not covered by any part", sg.index, v)
-		}
-	}
-	sg.groupOf = groupOf
+	// Report before scheduling: a successor may finish, and report,
+	// before this task returns.
+	st.mu.Lock()
+	st.stats.Tasks++
+	st.mu.Unlock()
+	st.emit(Event{Task: fmt.Sprintf("s%d/partition", sg.index), Kind: kindPartition.String(),
+		Stage: sg.index, Index: -1, Nodes: sg.g.N(), Edges: sg.g.M()})
 
 	subTasks := make([]*task, len(parts))
 	for i := range parts {
@@ -403,22 +478,13 @@ func (st *solveState) runPartition(sg *stage, explicit [][]int) error {
 			run:  func() error { return st.runSub(sg, i) },
 		}
 	}
-	mergeT := &task{
-		id:   fmt.Sprintf("s%d/merge-build", sg.index),
-		kind: kindMergeBuild,
-		run:  func() error { return st.runMergeBuild(sg) },
-	}
+	mergeT := st.mergeBuildTask(sg)
 	// Register the barrier before its dependencies so the executor
 	// never observes a drained graph between sub-task completions.
 	st.exec.add(mergeT, subTasks...)
 	for _, t := range subTasks {
 		st.exec.add(t)
 	}
-	st.mu.Lock()
-	st.stats.Tasks++
-	st.mu.Unlock()
-	st.emit(Event{Task: fmt.Sprintf("s%d/partition", sg.index), Kind: kindPartition.String(),
-		Stage: sg.index, Index: -1, Nodes: sg.g.N(), Edges: sg.g.M()})
 	return nil
 }
 
@@ -438,7 +504,6 @@ func (st *solveState) runSub(sg *stage, i int) error {
 		return fmt.Errorf("runtime: stage %d part %d has %d nodes but cut has %d spins",
 			sg.index, i, len(sg.parts[i]), len(sv.cut.Spins))
 	}
-	sg.subs[i] = sub
 	sg.cuts[i] = sv.cut
 	sg.reports[i] = SubReport{Nodes: sub.N(), Edges: sub.M(), Value: sv.cut.Value,
 		Solver: sv.winner, Attempts: sv.attempts}

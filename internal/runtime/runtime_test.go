@@ -13,6 +13,7 @@ import (
 	"qaoa2/internal/graph"
 	"qaoa2/internal/maxcut"
 	"qaoa2/internal/rng"
+	"qaoa2/internal/solver"
 )
 
 // exactSolver mirrors qaoa2.ExactSolver without importing qaoa2 (the
@@ -36,7 +37,7 @@ func (annealSolver) SolveSub(g *graph.Graph, r *rng.Rand) (maxcut.Cut, error) {
 // > 0, invocation failAfter+1 and later return an error — simulating a
 // run killed mid-solve.
 type countingSolver struct {
-	inner     SubSolver
+	inner     solver.Solver
 	calls     atomic.Int64
 	failAfter int64
 }

@@ -47,7 +47,8 @@ const maxSolveBody = 16 << 20
 //	GET  /healthz           liveness/drain state
 //
 // Submission errors map to 400 (bad request), 413 (body over
-// maxSolveBody), 429 (queue full) and 503 (draining).
+// maxSolveBody, or an instance over maxGraphNodes / maxGraphEdges),
+// 429 (queue full) and 503 (draining).
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/solve", s.handleSolve)
@@ -79,7 +80,7 @@ func writeError(w http.ResponseWriter, err error, retryAfter int) {
 	code := http.StatusBadRequest
 	var tooLarge *http.MaxBytesError
 	switch {
-	case errors.As(err, &tooLarge):
+	case errors.As(err, &tooLarge), errors.Is(err, ErrTooLarge):
 		code = http.StatusRequestEntityTooLarge
 	case errors.Is(err, ErrQueueFull):
 		code = http.StatusTooManyRequests

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -251,5 +252,56 @@ func TestSolveBodyLimit(t *testing.T) {
 	}
 	if rec.Code != http.StatusRequestEntityTooLarge || !strings.Contains(body.Error, "request body too large") {
 		t.Fatalf("body one byte over the limit: HTTP %d %q, want 413 and the typed error", rec.Code, body.Error)
+	}
+}
+
+// TestInstanceSizeBounds: the node count of a GraphSpec is an allocation
+// request, so it is refused before graph.New sees it — at Build, which
+// every route to a graph passes (plain requests, problem conflict
+// graphs, raw Hamiltonians, number partitioning, JobKey) — with the
+// typed error, and over HTTP with 413 and the usual envelope. The
+// bounds themselves are admitted.
+func TestInstanceSizeBounds(t *testing.T) {
+	if g, err := (GraphSpec{Nodes: maxGraphNodes}).Build(); err != nil || g.N() != maxGraphNodes {
+		t.Fatalf("graph of exactly maxGraphNodes refused: %v", err)
+	}
+	if err := checkSize(maxGraphNodes, maxGraphEdges); err != nil {
+		t.Fatalf("instance at both bounds refused: %v", err)
+	}
+	errOf := func(_ any, err error) error { return err }
+	refused := map[string]error{
+		"nodes":              errOf(GraphSpec{Nodes: maxGraphNodes + 1}.Build()),
+		"edges":              errOf(GraphSpec{Nodes: 2, Edges: make([]EdgeSpec, maxGraphEdges+1)}.Build()),
+		"mis conflict graph": errOf(ProblemSpec{Kind: "mis", Graph: &GraphSpec{Nodes: 10_000_000_000}}.Build()),
+		"ising vars":         errOf(ProblemSpec{Kind: "ising", Vars: 10_000_000_000}.Build()),
+		"ising couplings":    errOf(ProblemSpec{Kind: "ising", Vars: 2, Couplings: make([]CouplingSpec, maxGraphEdges+1)}.Build()),
+		// 1449 numbers couple in 1449·1448/2 = 1 049 076 pairs, just over 2^20.
+		"number-partition pairs": errOf(ProblemSpec{Kind: "number-partition", Numbers: make([]float64, 1449)}.Build()),
+		"job key":                errOf(SolveRequest{Graph: GraphSpec{Nodes: maxGraphNodes + 1}}.JobKey()),
+	}
+	for what, err := range refused {
+		if !errors.Is(err, ErrTooLarge) {
+			t.Errorf("%s over the bound: error %v, want ErrTooLarge", what, err)
+		}
+	}
+
+	s, err := New(Config{GlobalParallelism: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	for _, body := range []string{
+		`{"graph":{"nodes":10000000000}}`,
+		`{"problem":{"kind":"ising","vars":10000000000}}`,
+	} {
+		rec := httptest.NewRecorder()
+		s.Handler().ServeHTTP(rec, httptest.NewRequest("POST", "/v1/solve", strings.NewReader(body)))
+		var eb errorBody
+		if err := json.NewDecoder(rec.Body).Decode(&eb); err != nil {
+			t.Fatal(err)
+		}
+		if rec.Code != http.StatusRequestEntityTooLarge || !strings.Contains(eb.Error, "instance too large: 10000000000 nodes") {
+			t.Fatalf("%s: HTTP %d %q, want 413 naming the node count", body, rec.Code, eb.Error)
+		}
 	}
 }

@@ -72,10 +72,17 @@ func (p ProblemSpec) Build() (*ising.Problem, error) {
 		}
 		return ising.MinVertexCover(g, p.Penalty)
 	case ising.KindNumberPartition:
+		k := len(p.Numbers) // one variable per number, one coupling per pair
+		if err := checkSize(k, k*(k-1)/2); err != nil {
+			return nil, err
+		}
 		return ising.NumberPartition(p.Numbers)
 	case ising.KindIsing:
 		if p.Vars <= 0 {
 			return nil, fmt.Errorf("serve: raw ising problem needs vars >= 1, got %d", p.Vars)
+		}
+		if err := checkSize(p.Vars, len(p.Couplings)); err != nil {
+			return nil, err
 		}
 		if p.Fields != nil && len(p.Fields) != p.Vars {
 			return nil, fmt.Errorf("serve: %d fields for %d ising variables", len(p.Fields), p.Vars)

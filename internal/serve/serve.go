@@ -676,7 +676,6 @@ func (s *Server) runJob(j *job) {
 		MaxQubits:      j.req.MaxQubits,
 		Parallelism:    j.parallelism,
 		Seed:           j.req.Seed,
-		Runtime:        true,
 		CheckpointPath: s.checkpointPath(j),
 		OnRuntimeEvent: func(ev rt.Event) { s.appendEvent(j, ev) },
 		Interrupt:      s.drainCh,

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"errors"
 	"fmt"
 
 	"qaoa2/internal/graph"
@@ -32,10 +33,42 @@ func GraphSpecOf(g *graph.Graph) GraphSpec {
 	return spec
 }
 
+// Instance bounds. Nodes is an allocation request: graph.New sizes the
+// adjacency table from it before a single edge is read, so without a
+// bound a 30-byte body asks for gigabytes behind maxSolveBody. 2^20 of
+// each is fifty times the nodes and twenty-five times the edges of the
+// largest Gset instance (G81: 20 000 nodes, 40 000 edges), more edges
+// than a maxSolveBody body can spell out, and costs tens of megabytes
+// to hold. In-process callers of Submit never pass the body limit, and
+// a number-partition problem squares its input, so edges are bounded
+// here too.
+const (
+	maxGraphNodes = 1 << 20
+	maxGraphEdges = 1 << 20
+)
+
+// ErrTooLarge rejects an instance over the bounds above (HTTP 413).
+var ErrTooLarge = errors.New("serve: instance too large")
+
+// checkSize is the one size gate every submitted instance passes,
+// graphs directly and problems before their Hamiltonian is built.
+func checkSize(nodes, edges int) error {
+	if nodes > maxGraphNodes {
+		return fmt.Errorf("%w: %d nodes, limit %d", ErrTooLarge, nodes, maxGraphNodes)
+	}
+	if edges > maxGraphEdges {
+		return fmt.Errorf("%w: %d edges, limit %d", ErrTooLarge, edges, maxGraphEdges)
+	}
+	return nil
+}
+
 // Build materializes the instance.
 func (s GraphSpec) Build() (*graph.Graph, error) {
 	if s.Nodes <= 0 {
 		return nil, fmt.Errorf("serve: graph needs nodes >= 1, got %d", s.Nodes)
+	}
+	if err := checkSize(s.Nodes, len(s.Edges)); err != nil {
+		return nil, err
 	}
 	g := graph.New(s.Nodes)
 	for _, e := range s.Edges {

@@ -7,9 +7,8 @@
 // daemon, CLIs, remote HPC dispatch) to agree on what a solver is and
 // what it is called. This package provides:
 //
-//   - Solver, the per-sub-graph solve interface (structurally
-//     identical to qaoa2.SubSolver and runtime.SubSolver, so one
-//     implementation serves every layer);
+//   - Solver, the per-sub-graph solve interface every layer takes
+//     (qaoa2.SubSolver is an alias of it);
 //   - the concrete solvers: simulated QAOA, Goemans-Williamson, the
 //     SDP-pinned GW variant, recursive QAOA, simulated annealing,
 //     local search, brute force, random baselines, and the composite
@@ -35,9 +34,7 @@ import (
 
 // Solver produces a cut for one sub-graph. Implementations must be
 // safe for concurrent use: sub-graphs are solved in parallel (the
-// paper's Fig. 2 worker pool). It is structurally identical to
-// qaoa2.SubSolver and runtime.SubSolver, so a Solver plugs into every
-// execution path without adaptation.
+// paper's Fig. 2 worker pool).
 type Solver interface {
 	// Name labels the solver in reports and checkpoints ("qaoa", ...).
 	Name() string

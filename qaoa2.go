@@ -390,18 +390,17 @@ func SolveRQAOA(g *Graph, opts RQAOAOptions, r *Rand) (*RQAOAResult, error) {
 	return rqaoa.Solve(g, opts, r)
 }
 
-// Task-graph runtime (the asynchronous execution engine behind
-// Options.Runtime / Options.CheckpointPath; see DESIGN.md). The
-// runtime unfolds a QAOA² solve into an explicit DAG of partition,
-// sub-solve, merge and stitch tasks run by a bounded worker pool,
-// streams completed sub-reports, and checkpoints completed solves so
-// interrupted runs resume.
+// Task-graph executor (what every Solve runs on; see DESIGN.md). It
+// unfolds a QAOA² solve into an explicit DAG of partition, sub-solve,
+// merge and stitch tasks run by a bounded worker pool, streams
+// completed sub-reports (Options.OnRuntimeEvent), and checkpoints
+// completed solves (Options.CheckpointPath) so interrupted runs resume.
 type (
 	// RuntimeEvent is one completed runtime task (streamed through
 	// Options.OnRuntimeEvent).
 	RuntimeEvent = runtime.Event
 	// Checkpoint is the crash-tolerant on-disk store of completed
-	// solves (also exported as hpc.Checkpoint).
+	// solves.
 	Checkpoint = runtime.Checkpoint
 	// CheckpointHeader identifies the run a Checkpoint belongs to.
 	CheckpointHeader = runtime.Header

@@ -20,7 +20,12 @@ import (
 // decodeArgmax reproduces the paper's decoding rule: the cut value of
 // the highest-probability basis state.
 func decodeArgmax(g *graph.Graph, s *qsim.State) float64 {
-	return g.CutValueBits(qsim.BitsOf(s.MaxAmpIndex(), g.N()))
+	x := s.MaxAmpIndex()
+	bits := make([]uint8, g.N())
+	for q := range bits {
+		bits[q] = uint8(x >> uint(q) & 1)
+	}
+	return g.CutValueBits(bits)
 }
 
 func TestFusedMatchesDense(t *testing.T) {

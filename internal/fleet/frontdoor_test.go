@@ -1,15 +1,21 @@
 package fleet
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
+	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 
 	"qaoa2/internal/graph"
 	"qaoa2/internal/hpc"
 	q2 "qaoa2/internal/qaoa2"
+	"qaoa2/internal/retry"
 	"qaoa2/internal/rng"
 	"qaoa2/internal/serve"
 )
@@ -130,5 +136,72 @@ func getJSON(t *testing.T, url string, v any) {
 	}
 	if err := json.NewDecoder(resp.Body).Decode(v); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// spaces is an endless stream of JSON whitespace.
+type spaces struct{}
+
+func (spaces) Read(p []byte) (int, error) {
+	for i := range p {
+		p[i] = ' '
+	}
+	return len(p), nil
+}
+
+// TestFrontDoorSizeBounds: the front door holds a request body before
+// any worker sees it, so it carries the worker's bound. One valid
+// request padded to exactly serve.MaxSolveBody is routed and solved;
+// one byte more is refused with 413 — as is an instance over the node
+// bound, which the coordinator's own JobKey rejects with
+// serve.ErrTooLarge and which used to surface as 502 Bad Gateway.
+func TestFrontDoorSizeBounds(t *testing.T) {
+	_, c := startFleet(t, 1, nil)
+	req, err := json.Marshal(fleetReq(12, 6, 43))
+	if err != nil {
+		t.Fatal(err)
+	}
+	post := func(body io.Reader) (int, string) {
+		rec := httptest.NewRecorder()
+		c.Handler().ServeHTTP(rec, httptest.NewRequest("POST", "/v1/solve", body))
+		var reply struct {
+			ID    string `json:"id"`
+			Error string `json:"error"`
+		}
+		if err := json.NewDecoder(rec.Body).Decode(&reply); err != nil {
+			t.Fatal(err)
+		}
+		return rec.Code, reply.ID + reply.Error
+	}
+	padded := func(size int64) io.Reader {
+		return io.MultiReader(io.LimitReader(spaces{}, size-int64(len(req))), bytes.NewReader(req))
+	}
+
+	if code, id := post(padded(serve.MaxSolveBody)); code != http.StatusOK || id == "" {
+		t.Fatalf("body of exactly the limit: HTTP %d %q; want 200 and a job", code, id)
+	}
+	if code, msg := post(padded(serve.MaxSolveBody + 1)); code != http.StatusRequestEntityTooLarge || !strings.Contains(msg, "request body too large") {
+		t.Fatalf("body one byte over the limit: HTTP %d %q, want 413 and the typed error", code, msg)
+	}
+	code, msg := post(strings.NewReader(`{"graph":{"nodes":10000000000}}`))
+	if code != http.StatusRequestEntityTooLarge || !strings.Contains(msg, serve.ErrTooLarge.Error()) {
+		t.Fatalf("instance over the node bound: HTTP %d %q, want 413 %q", code, msg, serve.ErrTooLarge)
+	}
+	if code, _ := post(strings.NewReader(`{"graph":`)); code != http.StatusBadRequest {
+		t.Fatalf("truncated body: HTTP %d, want 400", code)
+	}
+
+	// What a worker answered over the wire still passes through with
+	// its own code, and a failure with no type is still the gateway's.
+	for want, err := range map[int]error{
+		http.StatusRequestEntityTooLarge: fmt.Errorf("fleet: submit: %w", &retry.StatusError{Code: http.StatusRequestEntityTooLarge, Msg: "serve: instance too large"}),
+		http.StatusTooManyRequests:       &retry.StatusError{Code: http.StatusTooManyRequests, Msg: "queue full"},
+		http.StatusBadGateway:            errors.New("connection refused"),
+	} {
+		rec := httptest.NewRecorder()
+		writeError(rec, err)
+		if rec.Code != want {
+			t.Fatalf("writeError(%v): HTTP %d, want %d", err, rec.Code, want)
+		}
 	}
 }

@@ -42,11 +42,15 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 
 // writeError forwards a worker's typed status error (code and
 // Retry-After hint intact — the worker derived them from its real
-// queue state) or maps coordinator-level failures.
+// queue state) or maps coordinator-level failures. An instance over
+// the size bounds is the client's fault, not a gateway's: 413, as a
+// worker answers it.
 func writeError(w http.ResponseWriter, err error) {
 	code := http.StatusBadGateway
 	var se *retry.StatusError
 	switch {
+	case errors.Is(err, serve.ErrTooLarge):
+		code = http.StatusRequestEntityTooLarge
 	case errors.As(err, &se):
 		code = se.Code
 		if se.RetryAfter > 0 {
@@ -62,10 +66,15 @@ func writeError(w http.ResponseWriter, err error) {
 
 func (c *Coordinator) handleSolve(w http.ResponseWriter, r *http.Request) {
 	var req serve.SolveRequest
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, serve.MaxSolveBody))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
-		writeJSON(w, http.StatusBadRequest, map[string]string{"error": "fleet: bad request body: " + err.Error()})
+		code := http.StatusBadRequest
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			code = http.StatusRequestEntityTooLarge
+		}
+		writeJSON(w, code, map[string]string{"error": "fleet: bad request body: " + err.Error()})
 		return
 	}
 	st, err := c.Submit(r.Context(), req)

@@ -248,10 +248,34 @@ func (g *Graph) AdjacencyMatrix() *linalg.Dense {
 	return a
 }
 
+// fromEdges builds the graph on n nodes whose Edges() is edges, which
+// it keeps. The caller guarantees what AddEdge would check or merge:
+// I < J in range and no pair listed twice. Adjacency rows are cut from
+// one array at their exact length, so a later AddEdge reallocates the
+// row it grows and never writes into the next one.
+func fromEdges(n int, edges []Edge) *Graph {
+	deg := make([]int, n)
+	for _, e := range edges {
+		deg[e.I]++
+		deg[e.J]++
+	}
+	adj := make([][]Half, n)
+	halves := make([]Half, 2*len(edges))
+	for v, d := range deg {
+		adj[v], halves = halves[:0:d], halves[d:]
+	}
+	for idx, e := range edges {
+		adj[e.I] = append(adj[e.I], Half{To: e.J, W: e.W, Edge: idx})
+		adj[e.J] = append(adj[e.J], Half{To: e.I, W: e.W, Edge: idx})
+	}
+	return &Graph{n: n, edges: edges, adj: adj}
+}
+
 // InducedSubgraph builds the subgraph on the given nodes. It returns
-// the subgraph (nodes renumbered 0..len(nodes)-1 in the given order)
-// and the original-node index for each subgraph node. Duplicate nodes
-// are an error.
+// the subgraph (nodes renumbered 0..len(nodes)-1 in the given order,
+// edges in the parent's edge order) and the original-node index for
+// each subgraph node. Duplicate nodes are an error. The cost is the
+// summed degree of the given nodes, not the size of g.
 func (g *Graph) InducedSubgraph(nodes []int) (*Graph, []int, error) {
 	inv := make(map[int]int, len(nodes))
 	for k, v := range nodes {
@@ -263,14 +287,30 @@ func (g *Graph) InducedSubgraph(nodes []int) (*Graph, []int, error) {
 		}
 		inv[v] = k
 	}
-	sub := New(len(nodes))
-	for _, e := range g.edges {
-		i, iok := inv[e.I]
-		j, jok := inv[e.J]
-		if iok && jok {
-			sub.MustAddEdge(i, j, e.W)
+	// Each inside edge is found once, from its lower end; sorting the
+	// indices restores the parent's edge order.
+	var inside []int
+	for _, v := range nodes {
+		for _, h := range g.adj[v] {
+			if h.To < v {
+				continue
+			}
+			if _, ok := inv[h.To]; ok {
+				inside = append(inside, h.Edge)
+			}
 		}
 	}
+	sort.Ints(inside)
+	edges := make([]Edge, len(inside))
+	for k, idx := range inside {
+		e := g.edges[idx]
+		i, j := inv[e.I], inv[e.J]
+		if i > j {
+			i, j = j, i
+		}
+		edges[k] = Edge{I: i, J: j, W: e.W}
+	}
+	sub := fromEdges(len(nodes), edges)
 	mapping := make([]int, len(nodes))
 	copy(mapping, nodes)
 	return sub, mapping, nil
@@ -281,9 +321,9 @@ func (g *Graph) InducedSubgraph(nodes []int) (*Graph, []int, error) {
 // transforms each original cross-group edge weight before accumulation
 // (QAOA² uses this hook to flip the sign of already-cut edges). Edges
 // within a group are dropped. Group pairs connected by several edges get
-// a single edge carrying the accumulated transformed weight; exact
-// cancellations (accumulated weight 0) keep their edge so connectivity
-// is preserved.
+// a single edge carrying the transformed weights accumulated in edge
+// order; exact cancellations (accumulated weight 0) keep their edge so
+// connectivity is preserved. Edges are ordered by group pair.
 func (g *Graph) Contract(groupOf []int, numGroups int, weight func(e Edge) float64) (*Graph, error) {
 	if len(groupOf) != g.n {
 		return nil, fmt.Errorf("graph: groupOf length %d != n %d", len(groupOf), g.n)
@@ -293,8 +333,9 @@ func (g *Graph) Contract(groupOf []int, numGroups int, weight func(e Edge) float
 			return nil, fmt.Errorf("graph: node %d assigned to invalid group %d", v, gr)
 		}
 	}
-	type key struct{ a, b int }
-	acc := make(map[key]float64)
+	// Group pair and transformed weight of every cross edge, in edge
+	// order.
+	cross := make([]Edge, 0, len(g.edges))
 	for _, e := range g.edges {
 		gi, gj := groupOf[e.I], groupOf[e.J]
 		if gi == gj {
@@ -303,24 +344,39 @@ func (g *Graph) Contract(groupOf []int, numGroups int, weight func(e Edge) float
 		if gi > gj {
 			gi, gj = gj, gi
 		}
-		acc[key{gi, gj}] += weight(e)
+		cross = append(cross, Edge{I: gi, J: gj, W: weight(e)})
 	}
-	q := New(numGroups)
-	// Deterministic edge order: sort keys.
-	keys := make([]key, 0, len(acc))
-	for k := range acc {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(x, y int) bool {
-		if keys[x].a != keys[y].a {
-			return keys[x].a < keys[y].a
+	// Order by group pair with two stable counting passes (higher group,
+	// then lower), so each pair's run is still in edge order.
+	next := make([]int, numGroups)
+	pass := func(dst, src []Edge, group func(Edge) int) {
+		clear(next)
+		for _, e := range src {
+			next[group(e)]++
 		}
-		return keys[x].b < keys[y].b
-	})
-	for _, k := range keys {
-		q.MustAddEdge(k.a, k.b, acc[k])
+		at := 0
+		for k, c := range next {
+			next[k], at = at, at+c
+		}
+		for _, e := range src {
+			k := group(e)
+			dst[next[k]] = e
+			next[k]++
+		}
 	}
-	return q, nil
+	byHigher := make([]Edge, len(cross))
+	pass(byHigher, cross, func(e Edge) int { return e.J })
+	pass(cross, byHigher, func(e Edge) int { return e.I })
+	merged := cross[:0]
+	for lo := 0; lo < len(cross); {
+		hi, sum := lo, 0.0
+		for ; hi < len(cross) && cross[hi].I == cross[lo].I && cross[hi].J == cross[lo].J; hi++ {
+			sum += cross[hi].W
+		}
+		merged = append(merged, Edge{I: cross[lo].I, J: cross[lo].J, W: sum})
+		lo = hi
+	}
+	return fromEdges(numGroups, merged), nil
 }
 
 // ConnectedComponents returns the node sets of the connected components,

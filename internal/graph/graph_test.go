@@ -1,7 +1,10 @@
 package graph
 
 import (
+	"fmt"
 	"math"
+	"slices"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -361,5 +364,277 @@ func TestAccessors(t *testing.T) {
 	}
 	if s := g.String(); s != "graph{n=3 m=2 w=2.500}" {
 		t.Fatalf("String() = %q", s)
+	}
+}
+
+// inducedSubgraphEdgeScan is InducedSubgraph as it stood before the
+// neighbour-driven walk: every parent edge tested against the node map,
+// survivors added with AddEdge. Kept as the reference for edge order,
+// adjacency order and weights.
+func inducedSubgraphEdgeScan(g *Graph, nodes []int) (*Graph, []int, error) {
+	inv := make(map[int]int, len(nodes))
+	for k, v := range nodes {
+		if v < 0 || v >= g.n {
+			return nil, nil, fmt.Errorf("graph: node %d out of range", v)
+		}
+		if _, dup := inv[v]; dup {
+			return nil, nil, fmt.Errorf("graph: duplicate node %d in subgraph spec", v)
+		}
+		inv[v] = k
+	}
+	sub := New(len(nodes))
+	for _, e := range g.edges {
+		i, iok := inv[e.I]
+		j, jok := inv[e.J]
+		if iok && jok {
+			sub.MustAddEdge(i, j, e.W)
+		}
+	}
+	mapping := make([]int, len(nodes))
+	copy(mapping, nodes)
+	return sub, mapping, nil
+}
+
+// contractMapAccumulate is Contract as it stood on a map keyed by group
+// pair with the keys sorted afterwards, kept as the reference for edge
+// order and for the bits of every accumulated weight.
+func contractMapAccumulate(g *Graph, groupOf []int, numGroups int, weight func(e Edge) float64) (*Graph, error) {
+	if len(groupOf) != g.n {
+		return nil, fmt.Errorf("graph: groupOf length %d != n %d", len(groupOf), g.n)
+	}
+	for v, gr := range groupOf {
+		if gr < 0 || gr >= numGroups {
+			return nil, fmt.Errorf("graph: node %d assigned to invalid group %d", v, gr)
+		}
+	}
+	type key struct{ a, b int }
+	acc := make(map[key]float64)
+	for _, e := range g.edges {
+		gi, gj := groupOf[e.I], groupOf[e.J]
+		if gi == gj {
+			continue
+		}
+		if gi > gj {
+			gi, gj = gj, gi
+		}
+		acc[key{gi, gj}] += weight(e)
+	}
+	q := New(numGroups)
+	keys := make([]key, 0, len(acc))
+	for k := range acc {
+		keys = append(keys, k)
+	}
+	sort.Slice(keys, func(x, y int) bool {
+		if keys[x].a != keys[y].a {
+			return keys[x].a < keys[y].a
+		}
+		return keys[x].b < keys[y].b
+	})
+	for _, k := range keys {
+		q.MustAddEdge(k.a, k.b, acc[k])
+	}
+	return q, nil
+}
+
+// requireSameGraph fails unless got and want have the same node count,
+// the same Edges() (order, endpoints, weight bits) and the same
+// Neighbors(v) order for every node.
+func requireSameGraph(t *testing.T, name string, got, want *Graph) {
+	t.Helper()
+	if got.N() != want.N() || got.M() != want.M() {
+		t.Fatalf("%s: n=%d m=%d, want n=%d m=%d", name, got.N(), got.M(), want.N(), want.M())
+	}
+	for k, w := range want.Edges() {
+		e := got.Edges()[k]
+		if e.I != w.I || e.J != w.J || math.Float64bits(e.W) != math.Float64bits(w.W) {
+			t.Fatalf("%s: edge %d is %+v, want %+v", name, k, e, w)
+		}
+	}
+	for v := 0; v < want.N(); v++ {
+		gh, wh := got.Neighbors(v), want.Neighbors(v)
+		if len(gh) != len(wh) {
+			t.Fatalf("%s: node %d has %d neighbours, want %d", name, v, len(gh), len(wh))
+		}
+		for k, w := range wh {
+			h := gh[k]
+			if h.To != w.To || h.Edge != w.Edge || math.Float64bits(h.W) != math.Float64bits(w.W) {
+				t.Fatalf("%s: node %d neighbour %d is %+v, want %+v", name, v, k, h, w)
+			}
+		}
+	}
+}
+
+// signedCopy returns g with every weight replaced by a draw from
+// (-1, 1), so sums of them round differently in different orders.
+func signedCopy(g *Graph, r *rng.Rand) *Graph {
+	s := New(g.N())
+	for _, e := range g.Edges() {
+		s.MustAddEdge(e.I, e.J, 2*r.Float64()-1)
+	}
+	return s
+}
+
+func TestInducedSubgraphMatchesEdgeScan(t *testing.T) {
+	r := rng.New(11)
+	er := ErdosRenyi(300, 0.03, Unweighted, r)
+	graphs := map[string]*Graph{
+		"unweighted": er,
+		"weighted":   ErdosRenyi(300, 0.03, UniformWeights, r),
+		"signed":     signedCopy(er, r),
+		"dense":      signedCopy(Complete(24), r),
+		"edgeless":   New(9),
+	}
+	for name, g := range graphs {
+		check := func(kind string, nodes []int) {
+			t.Helper()
+			got, gotMap, err := g.InducedSubgraph(nodes)
+			if err != nil {
+				t.Fatalf("%s %s: %v", name, kind, err)
+			}
+			want, wantMap, err := inducedSubgraphEdgeScan(g, nodes)
+			if err != nil {
+				t.Fatal(err)
+			}
+			requireSameGraph(t, name+" "+kind, got, want)
+			if !slices.Equal(gotMap, wantMap) || !slices.Equal(gotMap, nodes) {
+				t.Fatalf("%s %s: mapping %v, want %v", name, kind, gotMap, wantMap)
+			}
+		}
+		n := g.N()
+		check("empty", nil)
+		check("singleton", []int{n / 2})
+		check("whole graph", r.Perm(n))
+		whole := make([]int, n)
+		for i := range whole {
+			whole[i] = i
+		}
+		check("whole graph in order", whole)
+		for trial := 0; trial < 40; trial++ {
+			shuffled := r.Perm(n)[:1+r.Intn(n)]
+			check("shuffled subset", shuffled)
+			sorted := slices.Clone(shuffled)
+			sort.Ints(sorted)
+			check("sorted subset", sorted)
+		}
+	}
+}
+
+// TestInducedSubgraphGrowsLikeAnyGraph guards the pre-sized adjacency:
+// the rows are cut from one array, so an edge added to the sub-graph
+// afterwards must grow its two rows without writing into their
+// neighbours'.
+func TestInducedSubgraphGrowsLikeAnyGraph(t *testing.T) {
+	nodes := []int{0, 1, 2, 3, 4}
+	got, _, err := Path(6).InducedSubgraph(nodes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, _, _ := inducedSubgraphEdgeScan(Path(6), nodes)
+	for _, g := range []*Graph{got, want} {
+		g.MustAddEdge(0, 3, 7)
+		g.MustAddEdge(1, 2, 0.5) // merges into the existing edge
+	}
+	requireSameGraph(t, "after AddEdge", got, want)
+}
+
+func TestContractMatchesMapAccumulate(t *testing.T) {
+	r := rng.New(12)
+	er := ErdosRenyi(400, 0.04, Unweighted, r)
+	graphs := map[string]*Graph{
+		"unweighted": er,
+		"weighted":   ErdosRenyi(400, 0.04, UniformWeights, r),
+		"signed":     signedCopy(er, r),
+		"edgeless":   New(7),
+	}
+	for name, g := range graphs {
+		for _, groups := range []int{1, 2, 7, 40, g.N()} {
+			groupOf := make([]int, g.N())
+			spins := make([]int8, g.N())
+			for v := range groupOf {
+				groupOf[v] = r.Intn(groups)
+				spins[v] = int8(2*r.Intn(2) - 1)
+			}
+			hooks := map[string]func(e Edge) float64{
+				"plain": func(e Edge) float64 { return e.W },
+				// The QAOA² merge hook: unit weights then cancel exactly.
+				"signed by cut": func(e Edge) float64 {
+					if spins[e.I] != spins[e.J] {
+						return -e.W
+					}
+					return e.W
+				},
+			}
+			for hook, weight := range hooks {
+				got, err := g.Contract(groupOf, groups, weight)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, err := contractMapAccumulate(g, groupOf, groups, weight)
+				if err != nil {
+					t.Fatal(err)
+				}
+				requireSameGraph(t, fmt.Sprintf("%s, %d groups, %s", name, groups, hook), got, want)
+			}
+		}
+	}
+}
+
+// er1200Parts stands in for the divide step of the benchmark's
+// dag-checkpoint solve without importing the partitioner: ER(1200, 8/n)
+// cut into 12-node parts along a breadth-first order, so parts keep
+// edges inside as communities do.
+func er1200Parts() (*Graph, [][]int, []int) {
+	g := ErdosRenyi(1200, 8.0/1200, Unweighted, rng.New(1))
+	var order []int
+	seen := make([]bool, g.N())
+	for s := 0; s < g.N(); s++ {
+		if seen[s] {
+			continue
+		}
+		seen[s] = true
+		for queue := []int{s}; len(queue) > 0; queue = queue[1:] {
+			order = append(order, queue[0])
+			for _, h := range g.Neighbors(queue[0]) {
+				if !seen[h.To] {
+					seen[h.To] = true
+					queue = append(queue, h.To)
+				}
+			}
+		}
+	}
+	groupOf := make([]int, g.N())
+	var parts [][]int
+	for lo := 0; lo < len(order); lo += 12 {
+		part := slices.Clone(order[lo : lo+12])
+		sort.Ints(part)
+		for _, v := range part {
+			groupOf[v] = len(parts)
+		}
+		parts = append(parts, part)
+	}
+	return g, parts, groupOf
+}
+
+func BenchmarkInducedSubgraphParts(b *testing.B) {
+	g, parts, _ := er1200Parts()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, part := range parts {
+			if _, _, err := g.InducedSubgraph(part); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+}
+
+func BenchmarkContractER1200(b *testing.B) {
+	g, parts, groupOf := er1200Parts()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := g.Contract(groupOf, len(parts), func(e Edge) float64 { return e.W }); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

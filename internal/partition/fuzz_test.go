@@ -1,6 +1,7 @@
 package partition
 
 import (
+	"reflect"
 	"testing"
 
 	"qaoa2/internal/graph"
@@ -9,7 +10,9 @@ import (
 // FuzzSizeCapped fuzzes the QAOA² divider: for ANY graph and ANY
 // positive qubit budget, the produced partition must be a disjoint
 // cover of all nodes with every part sized within the budget — the
-// invariant the whole divide-and-conquer rests on. The graph is
+// invariant the whole divide-and-conquer rests on — and the indexed
+// merge queue must find the communities the lazy boxed heap finds. The
+// graph is
 // decoded from raw fuzz bytes: the first byte sizes the node set, the
 // second the budget, and each subsequent byte pair adds one edge.
 func FuzzSizeCapped(f *testing.F) {
@@ -50,6 +53,9 @@ func FuzzSizeCapped(f *testing.F) {
 			if !ok {
 				t.Fatalf("node %d not covered by any part", v)
 			}
+		}
+		if got, want := GreedyModularity(g), greedyModularityBoxed(g); !reflect.DeepEqual(got, want) {
+			t.Fatalf("GreedyModularity(n=%d, m=%d) = %v, lazy heap oracle %v", g.N(), g.M(), got, want)
 		}
 	})
 }

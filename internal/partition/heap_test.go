@@ -11,9 +11,45 @@ import (
 	"qaoa2/internal/rng"
 )
 
-// boxedHeap is the container/heap merge queue GreedyModularity used
-// before the typed mergeHeap, kept as the reference the typed heap must
-// reproduce: same total order, so the same pop sequence.
+// pairKey orders an unordered community pair.
+type pairKey struct{ a, b int }
+
+func mkPair(a, b int) pairKey {
+	if a > b {
+		a, b = b, a
+	}
+	return pairKey{a, b}
+}
+
+// heapItem is a candidate merge of the lazy queue: stamp invalidates
+// stale entries (communities mutate after the push).
+type heapItem struct {
+	dq    float64
+	pair  pairKey
+	stamp int
+}
+
+// before is the lazy queue's total order (gain desc, then pair, then
+// stamp). Restricted to valid entries — one per live pair — it is the
+// order of merge.before.
+func (x heapItem) before(y heapItem) bool {
+	if x.dq != y.dq {
+		return x.dq > y.dq
+	}
+	if x.pair.a != y.pair.a {
+		return x.pair.a < y.pair.a
+	}
+	if x.pair.b != y.pair.b {
+		return x.pair.b < y.pair.b
+	}
+	return x.stamp > y.stamp
+}
+
+// boxedHeap is the lazy container/heap merge queue GreedyModularity
+// first ran on: every neighbour of a merged community is pushed again
+// and stale entries are skipped when popped. Kept as the reference the
+// indexed mergeQueue must reproduce: same total order over the same
+// valid entries, so the same pop sequence.
 type boxedHeap []heapItem
 
 func (h boxedHeap) Len() int            { return len(h) }
@@ -115,18 +151,100 @@ func greedyModularityBoxed(g *graph.Graph) [][]int {
 	return out
 }
 
+// checkedGreedy is GreedyModularity's loop with the queue audited after
+// every merge: one entry per live pair and never more than the M it
+// started with, each at the position it records, parents before
+// children, both rows pointing at the same entry.
+func checkedGreedy(t *testing.T, name string, g *graph.Graph) {
+	t.Helper()
+	m2 := 2 * g.TotalWeight()
+	if g.N() == 0 || m2 == 0 {
+		return
+	}
+	s := newCNM(g, m2)
+	for step := 0; ; step++ {
+		if len(s.queue) > g.M() {
+			t.Fatalf("%s step %d: queue holds %d entries, graph has %d edges", name, step, len(s.queue), g.M())
+		}
+		halves := 0
+		for c, row := range s.rows {
+			halves += len(row)
+			for d, m := range row {
+				if mkPair(c, d) != (pairKey{m.a, m.b}) || s.rows[d][c] != m {
+					t.Fatalf("%s step %d: row %d entry %d is pair {%d,%d}", name, step, c, d, m.a, m.b)
+				}
+			}
+		}
+		if halves != 2*len(s.queue) {
+			t.Fatalf("%s step %d: %d row entries for %d queued pairs", name, step, halves, len(s.queue))
+		}
+		for i, m := range s.queue {
+			if m.pos != i {
+				t.Fatalf("%s step %d: entry at %d records position %d", name, step, i, m.pos)
+			}
+			if i > 0 && m.before(s.queue[(i-1)/2]) {
+				t.Fatalf("%s step %d: entry %d sorts before its parent", name, step, i)
+			}
+		}
+		if !s.mergeBest() {
+			return
+		}
+	}
+}
+
+// mergeGraphOf builds the signed contracted graph a QAOA² solve hands
+// to its merge level: parts from SizeCapped, each part's spins from a
+// greedy local assignment, cut edges entering with flipped sign. Its
+// total weight — the partitioner's m2 — can be small or negative.
+func mergeGraphOf(t *testing.T, g *graph.Graph, budget int) *graph.Graph {
+	t.Helper()
+	parts, err := SizeCapped(g, budget)
+	if err != nil {
+		t.Fatal(err)
+	}
+	groupOf := make([]int, g.N())
+	spins := make([]int8, g.N())
+	for pi, part := range parts {
+		for _, v := range part {
+			groupOf[v] = pi
+			pull := 0.0
+			for _, h := range g.Neighbors(v) {
+				if groupOf[h.To] == pi {
+					pull += h.W * float64(spins[h.To])
+				}
+			}
+			spins[v] = 1
+			if pull > 0 {
+				spins[v] = -1
+			}
+		}
+	}
+	merged, err := g.Contract(groupOf, len(parts), func(e graph.Edge) float64 {
+		if spins[e.I] != spins[e.J] {
+			return -e.W
+		}
+		return e.W
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return merged
+}
+
 // TestTypedHeapKeepsPartitions walks the same recursion SizeCapped does
 // (every community above the budget is partitioned again on its induced
-// sub-graph) over the fuzz corpus and the ER graphs the benchmark
-// partitions, and requires the typed heap's communities to equal the
-// boxed heap's at every level.
+// sub-graph) over the fuzz corpus, the ER graphs the benchmark
+// partitions and the signed merge graph of one of them, and requires
+// the indexed queue's communities to equal the lazy boxed heap's at
+// every level.
 func TestTypedHeapKeepsPartitions(t *testing.T) {
 	var walk func(name string, g *graph.Graph, budget, depth int)
 	walk = func(name string, g *graph.Graph, budget, depth int) {
 		got, want := GreedyModularity(g), greedyModularityBoxed(g)
 		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("%s depth %d: typed heap partition differs\n got %v\nwant %v", name, depth, got, want)
+			t.Fatalf("%s depth %d: indexed queue partition differs\n got %v\nwant %v", name, depth, got, want)
 		}
+		checkedGreedy(t, name, g)
 		if len(got) <= 1 {
 			return
 		}
@@ -149,4 +267,8 @@ func TestTypedHeapKeepsPartitions(t *testing.T) {
 	walk("ER(200)", graph.ErdosRenyi(200, 0.05, graph.Unweighted, rng.New(1)), 16, 0)
 	walk("ER(200) weighted", graph.ErdosRenyi(200, 0.05, graph.UniformWeights, rng.New(2)), 8, 0)
 	walk("ER(1400)", graph.ErdosRenyi(1400, 10.0/1400, graph.Unweighted, rng.New(3)), 16, 0)
+	er1200 := graph.ErdosRenyi(1200, 8.0/1200, graph.Unweighted, rng.New(4))
+	walk("ER(1200)", er1200, 12, 0)
+	walk("ER(1200) merge graph", mergeGraphOf(t, er1200, 12), 12, 0)
+	walk("ER(200) weighted merge graph", mergeGraphOf(t, graph.ErdosRenyi(200, 0.05, graph.UniformWeights, rng.New(5)), 8), 8, 0)
 }

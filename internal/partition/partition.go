@@ -63,80 +63,169 @@ func Modularity(g *graph.Graph, communities [][]int) (float64, error) {
 	return q, nil
 }
 
-// pairKey orders an unordered community pair.
-type pairKey struct{ a, b int }
-
-func mkPair(a, b int) pairKey {
-	if a > b {
-		a, b = b, a
-	}
-	return pairKey{a, b}
+// merge is the one queue entry of a live pair of adjacent communities
+// a < b: w is the fraction of edge weight between them, dq the
+// modularity gain of merging them, pos its index in the mergeQueue.
+// Both communities' adjacency rows point at the same entry.
+type merge struct {
+	w, dq float64
+	a, b  int
+	pos   int
 }
 
-// heapItem is a candidate merge with its modularity gain.
-type heapItem struct {
-	dq   float64
-	pair pairKey
-	// stamp invalidates stale entries lazily (communities mutate).
-	stamp int
-}
-
-// mergeHeap is a binary max-heap of candidate merges, typed so a push
-// or pop moves a value instead of boxing it into an interface.
-type mergeHeap []heapItem
-
-// before imposes a TOTAL order (gain desc, then pair, then stamp): map
-// iteration randomizes push order, and only a total order keeps the pop
-// sequence — and therefore the whole partition — deterministic.
-func (x heapItem) before(y heapItem) bool {
+// before is a TOTAL order over live entries (gain desc, then pair):
+// rows are maps, so the order entries are touched in is random, and
+// only a total order over unique keys keeps the pop sequence — and
+// therefore the whole partition — deterministic.
+func (x *merge) before(y *merge) bool {
 	if x.dq != y.dq {
 		return x.dq > y.dq // max-heap on gain
 	}
-	if x.pair.a != y.pair.a {
-		return x.pair.a < y.pair.a
+	if x.a != y.a {
+		return x.a < y.a
 	}
-	if x.pair.b != y.pair.b {
-		return x.pair.b < y.pair.b
-	}
-	return x.stamp > y.stamp
+	return x.b < y.b
 }
 
-func (h *mergeHeap) push(it heapItem) {
-	s := append(*h, it)
-	*h = s
-	for i := len(s) - 1; i > 0; {
+// mergeQueue is an index-tracked binary max-heap holding exactly one
+// entry per live community pair — NetworkX's indexed priority queue.
+// Entries are re-keyed or removed in place when a community changes, so
+// it only ever shrinks from its initial M entries.
+type mergeQueue []*merge
+
+func (q mergeQueue) swap(i, j int) {
+	q[i], q[j] = q[j], q[i]
+	q[i].pos, q[j].pos = i, j
+}
+
+func (q mergeQueue) up(i int) bool {
+	moved := false
+	for i > 0 {
 		parent := (i - 1) / 2
-		if !s[i].before(s[parent]) {
+		if !q[i].before(q[parent]) {
 			break
 		}
-		s[i], s[parent] = s[parent], s[i]
-		i = parent
+		q.swap(i, parent)
+		i, moved = parent, true
 	}
+	return moved
 }
 
-// pop removes and returns the first item in the order; h must be non-empty.
-func (h *mergeHeap) pop() heapItem {
-	s := *h
-	top := s[0]
-	n := len(s) - 1
-	s[0] = s[n]
-	s = s[:n]
-	*h = s
-	for i := 0; ; {
+func (q mergeQueue) down(i int) {
+	for n := len(q); ; {
 		first := i
-		if l := 2*i + 1; l < n && s[l].before(s[first]) {
+		if l := 2*i + 1; l < n && q[l].before(q[first]) {
 			first = l
 		}
-		if r := 2*i + 2; r < n && s[r].before(s[first]) {
+		if r := 2*i + 2; r < n && q[r].before(q[first]) {
 			first = r
 		}
 		if first == i {
-			break
+			return
 		}
-		s[i], s[first] = s[first], s[i]
+		q.swap(i, first)
 		i = first
 	}
-	return top
+}
+
+// fix restores the heap order after the key of m alone has changed.
+func (q mergeQueue) fix(m *merge) {
+	if !q.up(m.pos) {
+		q.down(m.pos)
+	}
+}
+
+// remove deletes m from the queue.
+func (q *mergeQueue) remove(m *merge) {
+	s := *q
+	i, n := m.pos, len(s)-1
+	if i != n {
+		s.swap(i, n)
+	}
+	s[n] = nil
+	*q = s[:n]
+	if i != n {
+		(*q).fix((*q)[i])
+	}
+}
+
+// cnm is the state of one Clauset-Newman-Moore agglomeration. A
+// community is named by its smallest node: merging the pair c < d
+// folds d into c.
+type cnm struct {
+	a       []float64        // a[c]: fraction of total degree in c
+	rows    []map[int]*merge // rows[c][d]: the entry of pair {c,d}; nil once c is merged away
+	members [][]int
+	queue   mergeQueue
+}
+
+func newCNM(g *graph.Graph, m2 float64) *cnm {
+	n := g.N()
+	s := &cnm{
+		a:       make([]float64, n),
+		rows:    make([]map[int]*merge, n),
+		members: make([][]int, n),
+		queue:   make(mergeQueue, g.M()),
+	}
+	for v := 0; v < n; v++ {
+		s.members[v] = []int{v}
+		s.a[v] = g.WeightedDegree(v) / m2
+		s.rows[v] = make(map[int]*merge, g.Degree(v))
+	}
+	entries := make([]merge, g.M())
+	for k, ed := range g.Edges() {
+		m := &entries[k]
+		*m = merge{w: ed.W / m2, a: ed.I, b: ed.J, pos: k}
+		m.dq = 2 * (m.w - s.a[m.a]*s.a[m.b])
+		s.rows[m.a][m.b] = m
+		s.rows[m.b][m.a] = m
+		s.queue[k] = m
+	}
+	for i := len(s.queue)/2 - 1; i >= 0; i-- {
+		s.queue.down(i)
+	}
+	return s
+}
+
+// mergeBest applies the merge with the largest modularity gain and
+// reports false, changing nothing, once no merge improves Q.
+func (s *cnm) mergeBest() bool {
+	if len(s.queue) == 0 || s.queue[0].dq <= 1e-15 {
+		return false
+	}
+	top := s.queue[0]
+	c, d := top.a, top.b
+	s.queue.remove(top)
+	s.members[c] = append(s.members[c], s.members[d]...)
+	s.members[d] = nil
+	s.a[c] += s.a[d]
+	delete(s.rows[c], d)
+	// Fold d's row into c's. The queue is fixed after every single key
+	// change, so it is a valid heap at each step.
+	for nb, m := range s.rows[d] {
+		if nb == c {
+			continue
+		}
+		delete(s.rows[nb], d)
+		if cm, ok := s.rows[c][nb]; ok {
+			cm.w += m.w
+			s.queue.remove(m)
+			continue
+		}
+		m.a, m.b = c, nb
+		if nb < c {
+			m.a, m.b = nb, c
+		}
+		s.rows[c][nb] = m
+		s.rows[nb][c] = m
+		s.queue.fix(m)
+	}
+	s.rows[d] = nil
+	for nb, m := range s.rows[c] {
+		m.dq = 2 * (m.w - s.a[c]*s.a[nb])
+		s.queue.fix(m)
+	}
+	return true
 }
 
 // GreedyModularity runs CNM agglomeration: every node starts as its own
@@ -158,85 +247,17 @@ func GreedyModularity(g *graph.Graph) [][]int {
 		}
 		return out
 	}
-
-	// State: community id = smallest-index representative via DSU-like
-	// alive map. e[c][d] = fraction of edge weight between c and d;
-	// a[c] = fraction of degree in c.
-	alive := make([]bool, n)
-	members := make([][]int, n)
-	a := make([]float64, n)
-	e := make([]map[int]float64, n)
-	stamps := make([]int, n)
-	for v := 0; v < n; v++ {
-		alive[v] = true
-		members[v] = []int{v}
-		a[v] = g.WeightedDegree(v) / m2
-		e[v] = make(map[int]float64)
+	s := newCNM(g, m2)
+	for s.mergeBest() {
 	}
-	for _, ed := range g.Edges() {
-		e[ed.I][ed.J] += ed.W / m2
-		e[ed.J][ed.I] += ed.W / m2
-	}
-
-	h := make(mergeHeap, 0, g.M())
-	push := func(c, d int) {
-		dq := 2 * (e[c][d] - a[c]*a[d])
-		h.push(heapItem{dq: dq, pair: mkPair(c, d), stamp: stamps[c] + stamps[d]})
-	}
-	for c := 0; c < n; c++ {
-		for d := range e[c] {
-			if c < d {
-				push(c, d)
-			}
-		}
-	}
-
-	for len(h) > 0 {
-		it := h.pop()
-		c, d := it.pair.a, it.pair.b
-		if !alive[c] || !alive[d] {
-			continue
-		}
-		if it.stamp != stamps[c]+stamps[d] {
-			continue // stale entry: community changed since push
-		}
-		if it.dq <= 1e-15 {
-			break // best remaining merge no longer improves Q
-		}
-		// Merge d into c.
-		members[c] = append(members[c], members[d]...)
-		members[d] = nil
-		alive[d] = false
-		a[c] += a[d]
-		stamps[c]++
-		for nb, w := range e[d] {
-			if nb == c {
-				continue
-			}
-			e[c][nb] += w
-			e[nb][c] += w
-			delete(e[nb], d)
-		}
-		delete(e[c], d)
-		e[d] = nil
-		// Refresh candidate merges around c.
-		for nb := range e[c] {
-			if alive[nb] {
-				push(c, nb)
-			}
-		}
-	}
-
 	var out [][]int
-	for c := 0; c < n; c++ {
-		if alive[c] {
-			nodes := append([]int(nil), members[c]...)
+	for _, nodes := range s.members {
+		if nodes != nil {
 			sort.Ints(nodes)
 			out = append(out, nodes)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i][0] < out[j][0] })
-	return out
+	return out // already ordered by smallest node: members[c] starts at c
 }
 
 // SizeCapped partitions g into parts of at most maxSize nodes: greedy

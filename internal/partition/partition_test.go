@@ -2,6 +2,7 @@ package partition
 
 import (
 	"math"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -258,4 +259,42 @@ func BenchmarkSizeCapped500(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// er1200 is the graph shape of the benchmark's dag-checkpoint solve.
+func er1200() *graph.Graph {
+	return graph.ErdosRenyi(1200, 8.0/1200, graph.Unweighted, rng.New(1))
+}
+
+func BenchmarkSizeCappedER1200(b *testing.B) {
+	g := er1200()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := SizeCapped(g, 12); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// TestSizeCappedAllocationCeiling pins what one divide of the
+// dag-checkpoint shape allocates. The lazy merge heap it replaced grew
+// by one entry per neighbour per merge and took 20 MB here; a queue of
+// one entry per live pair takes under 4.
+func TestSizeCappedAllocationCeiling(t *testing.T) {
+	g := er1200()
+	const runs = 3
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		if _, err := SizeCapped(g, 12); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	perRun := (after.TotalAlloc - before.TotalAlloc) / runs
+	if perRun > 6<<20 {
+		t.Fatalf("SizeCapped(ER(1200), 12) allocates %d bytes, ceiling %d", perRun, 6<<20)
+	}
+	t.Logf("SizeCapped(ER(1200), 12): %d bytes per run", perRun)
 }

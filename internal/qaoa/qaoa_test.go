@@ -11,12 +11,21 @@ import (
 	"qaoa2/internal/synth"
 )
 
+// bitsOf unpacks basis index x into n bits, bit q = qubit q.
+func bitsOf(x uint64, n int) []uint8 {
+	bits := make([]uint8, n)
+	for q := range bits {
+		bits[q] = uint8(x >> uint(q) & 1)
+	}
+	return bits
+}
+
 func TestCutTableMatchesGraph(t *testing.T) {
 	r := rng.New(1)
 	g := graph.ErdosRenyi(6, 0.5, graph.UniformWeights, r)
 	table := CutTable(g, nil)
 	for x := 0; x < 1<<6; x++ {
-		bits := qsim.BitsOf(uint64(x), 6)
+		bits := bitsOf(uint64(x), 6)
 		want := g.CutValueBits(bits)
 		if math.Abs(table[x]-want) > 1e-12 {
 			t.Fatalf("table[%d]=%v want %v", x, table[x], want)

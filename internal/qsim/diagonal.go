@@ -36,37 +36,3 @@ func (s *State) ApplyPhaseDiagonal(theta float64, diag []float64) {
 		}
 	})
 }
-
-// ApplyPhaseDiagonalIndexed is ApplyPhaseDiagonal for a diagonal with
-// few distinct values: diag[i] = levels[idx[i]]. The e^{-iθ·level}
-// factors are computed once per level and applied by table lookup,
-// replacing a Sincos per amplitude with one per level — the common case
-// for unweighted MaxCut, whose cut values are the integers 0..m.
-// len(idx) must be 2^n and every idx[i] must index levels.
-//
-// This convenience form allocates the per-level factor table on every
-// call; hot loops (thousands of evaluations per sub-graph) should hold
-// a scratch slice and use ApplyPhaseDiagonalIndexedScratch.
-func (s *State) ApplyPhaseDiagonalIndexed(theta float64, levels []float64, idx []int32) {
-	s.ApplyPhaseDiagonalIndexedScratch(theta, levels, idx, make([]complex128, len(levels)))
-}
-
-// ApplyPhaseDiagonalIndexedScratch is ApplyPhaseDiagonalIndexed with a
-// caller-owned scratch slice for the per-level phase factors
-// (len(scratch) ≥ len(levels)), making repeated applications
-// allocation-free.
-func (s *State) ApplyPhaseDiagonalIndexedScratch(theta float64, levels []float64, idx []int32, scratch []complex128) {
-	if len(idx) != len(s.amps) {
-		panic("qsim: phase diagonal index length mismatch")
-	}
-	phases := scratch[:len(levels)]
-	for j, v := range levels {
-		sin, cos := math.Sincos(-theta * v)
-		phases[j] = complex(cos, sin)
-	}
-	s.parFor(len(s.amps), func(start, end int) {
-		for i := start; i < end; i++ {
-			s.amps[i] *= phases[idx[i]]
-		}
-	})
-}

@@ -14,34 +14,6 @@ func (s *State) Probability(i uint64) float64 {
 	return re*re + im*im
 }
 
-// Probabilities materializes the full 2^n probability vector — for a
-// Z2-reduced state, the probabilities of the EXPANDED computational
-// basis (length 2^Z2Full()), so consumers see identical semantics on
-// either representation. Callers working at high qubit counts should
-// prefer the streaming accessors.
-func (s *State) Probabilities() []float64 {
-	if s.z2Full != 0 {
-		half := len(s.amps)
-		mask := 2*half - 1
-		p := make([]float64, 2*half)
-		for i, a := range s.amps {
-			v := z2PairProb(a)
-			p[i] = v
-			p[mask^i] = v
-		}
-		return p
-	}
-	p := make([]float64, len(s.amps))
-	s.parFor(len(s.amps), func(start, end int) {
-		for i := start; i < end; i++ {
-			a := s.amps[i]
-			re, im := real(a), imag(a)
-			p[i] = re*re + im*im
-		}
-	})
-	return p
-}
-
 // MaxAmpIndex returns the basis state with the largest probability (the
 // paper's solution-decoding rule: "the bit string corresponding to the
 // highest amplitude ... is chosen as a solution"). Ties resolve to the
@@ -212,13 +184,4 @@ func (s *State) ExpectDiagonal(table []float64) float64 {
 		mu.Unlock()
 	})
 	return total
-}
-
-// BitsOf unpacks basis index x into n bits, bit q = qubit q.
-func BitsOf(x uint64, n int) []uint8 {
-	bits := make([]uint8, n)
-	for q := 0; q < n; q++ {
-		bits[q] = uint8(x >> uint(q) & 1)
-	}
-	return bits
 }

@@ -11,10 +11,9 @@ func TestProbabilitiesSumToOne(t *testing.T) {
 	s, _ := NewPlusState(6)
 	s.ApplyRZZ(0, 3, 0.4)
 	s.ApplyRX(2, 0.9)
-	p := s.Probabilities()
 	sum := 0.0
-	for _, v := range p {
-		sum += v
+	for i := 0; i < s.Len(); i++ {
+		sum += s.Probability(uint64(i))
 	}
 	if math.Abs(sum-1) > 1e-10 {
 		t.Fatalf("probabilities sum to %v", sum)
@@ -149,16 +148,6 @@ func TestExpectDiagonalParallelPath(t *testing.T) {
 	}
 	if math.Abs(got-want) > 1e-9 {
 		t.Fatalf("parallel %v serial %v", got, want)
-	}
-}
-
-func TestBitsOf(t *testing.T) {
-	bits := BitsOf(0b1011, 5)
-	want := []uint8{1, 1, 0, 1, 0}
-	for i := range want {
-		if bits[i] != want[i] {
-			t.Fatalf("BitsOf = %v want %v", bits, want)
-		}
 	}
 }
 

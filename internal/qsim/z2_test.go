@@ -125,13 +125,13 @@ func TestZ2MeasurementMatchesExpanded(t *testing.T) {
 			t.Fatalf("n=%d: expansion has %d qubits / %d amps", nFull, full.N(), full.Len())
 		}
 
-		rp, fp := red.Probabilities(), full.Probabilities()
-		if len(rp) != len(fp) {
-			t.Fatalf("n=%d: reduced Probabilities has %d entries, want %d", nFull, len(rp), len(fp))
-		}
-		for i := range rp {
-			if rp[i] != fp[i] {
-				t.Fatalf("n=%d: probability[%d] = %v reduced vs %v expanded", nFull, i, rp[i], fp[i])
+		mask := uint64(full.Len() - 1)
+		for i, a := range red.amps {
+			rp := z2PairProb(a)
+			for _, x := range []uint64{uint64(i), mask ^ uint64(i)} {
+				if fp := full.Probability(x); rp != fp {
+					t.Fatalf("n=%d: probability[%d] = %v reduced vs %v expanded", nFull, x, rp, fp)
+				}
 			}
 		}
 
@@ -192,8 +192,8 @@ func TestZ2CollapseMaterializes(t *testing.T) {
 		t.Fatalf("PostSelect left Z2Full=%d len=%d", ps.Z2Full(), ps.Len())
 	}
 	norm := 0.0
-	for _, p := range ps.Probabilities() {
-		norm += p
+	for i := 0; i < ps.Len(); i++ {
+		norm += ps.Probability(uint64(i))
 	}
 	if math.Abs(norm-1) > 1e-12 {
 		t.Fatalf("post-selected norm %v", norm)

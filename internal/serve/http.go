@@ -26,14 +26,15 @@ type errorBody struct {
 // magnitude past any real solve.
 const maxCheckpointImport = 64 << 20
 
-// maxSolveBody bounds POST /v1/solve bodies. The decoder buffers a
+// MaxSolveBody bounds POST /v1/solve bodies, here and at the fleet
+// front door that forwards them. The decoder buffers a
 // whole request before anything validates it, so the bound is what a
 // hostile client can make the server hold per connection. An edge is
 // ~26 bytes of JSON at unit weight and ~45 with a 17-digit real one,
 // so 16 MiB admits 350 000 to 600 000 edges: ER(2500, 0.1), past the
 // largest graph of the paper's Fig. 4, with room to spare, and the
 // largest Gset instance (G81, 40 000 edges) more than ten times over.
-const maxSolveBody = 16 << 20
+const MaxSolveBody = 16 << 20
 
 // Handler returns the HTTP API:
 //
@@ -47,7 +48,7 @@ const maxSolveBody = 16 << 20
 //	GET  /healthz           liveness/drain state
 //
 // Submission errors map to 400 (bad request), 413 (body over
-// maxSolveBody, or an instance over maxGraphNodes / maxGraphEdges),
+// MaxSolveBody, or an instance over maxGraphNodes / maxGraphEdges),
 // 429 (queue full) and 503 (draining).
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
@@ -97,7 +98,7 @@ func writeError(w http.ResponseWriter, err error, retryAfter int) {
 
 func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	var req SolveRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSolveBody))
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, MaxSolveBody))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
 		writeError(w, fmt.Errorf("serve: bad request body: %w", err), 0)

@@ -213,7 +213,7 @@ func (spaces) Read(p []byte) (int, error) {
 }
 
 // TestSolveBodyLimit posts one valid request padded with leading
-// whitespace to exactly maxSolveBody bytes and to one byte more: the
+// whitespace to exactly MaxSolveBody bytes and to one byte more: the
 // first is decoded and accepted, the second is refused with 413 and
 // the typed error envelope — so it is the size, not the content, that
 // the limit rejects. The handler is called directly: the decoder's walk
@@ -236,7 +236,7 @@ func TestSolveBodyLimit(t *testing.T) {
 		return rec
 	}
 
-	rec := post(maxSolveBody)
+	rec := post(MaxSolveBody)
 	var st JobStatus
 	if err := json.NewDecoder(rec.Body).Decode(&st); err != nil {
 		t.Fatal(err)
@@ -245,7 +245,7 @@ func TestSolveBodyLimit(t *testing.T) {
 		t.Fatalf("body of exactly the limit: HTTP %d, status %+v; want 200 and a job", rec.Code, st)
 	}
 
-	rec = post(maxSolveBody + 1)
+	rec = post(MaxSolveBody + 1)
 	var body errorBody
 	if err := json.NewDecoder(rec.Body).Decode(&body); err != nil {
 		t.Fatal(err)

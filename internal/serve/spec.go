@@ -35,10 +35,10 @@ func GraphSpecOf(g *graph.Graph) GraphSpec {
 
 // Instance bounds. Nodes is an allocation request: graph.New sizes the
 // adjacency table from it before a single edge is read, so without a
-// bound a 30-byte body asks for gigabytes behind maxSolveBody. 2^20 of
+// bound a 30-byte body asks for gigabytes behind MaxSolveBody. 2^20 of
 // each is fifty times the nodes and twenty-five times the edges of the
 // largest Gset instance (G81: 20 000 nodes, 40 000 edges), more edges
-// than a maxSolveBody body can spell out, and costs tens of megabytes
+// than a MaxSolveBody body can spell out, and costs tens of megabytes
 // to hold. In-process callers of Submit never pass the body limit, and
 // a number-partition problem squares its input, so edges are bounded
 // here too.

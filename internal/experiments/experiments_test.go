@@ -250,8 +250,8 @@ func TestRunGWScalingBothMethods(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// 30 nodes gets both methods; 150 still both (≤ AutoADMMLimit?) —
-	// 150 > 120 so mixing only: expect 3 points.
+	// 30 nodes gets both methods; 150 is past gwScalingADMMLimit, so
+	// mixing only: expect 3 points.
 	if len(points) != 3 {
 		t.Fatalf("points %d: %+v", len(points), points)
 	}
@@ -259,7 +259,7 @@ func TestRunGWScalingBothMethods(t *testing.T) {
 	for _, p := range points {
 		if p.Method == sdp.ADMM {
 			sawADMM = true
-			if p.Nodes > sdp.AutoADMMLimit {
+			if p.Nodes > gwScalingADMMLimit {
 				t.Fatalf("ADMM run at %d nodes", p.Nodes)
 			}
 		}
@@ -270,7 +270,7 @@ func TestRunGWScalingBothMethods(t *testing.T) {
 	if !sawADMM {
 		t.Fatal("no ADMM measurement")
 	}
-	if out := RenderGWScaling(points); !strings.Contains(out, "method") {
+	if out := RenderGWScaling(points); !strings.Contains(out, "method") || !strings.Contains(out, "converged") {
 		t.Fatalf("render:\n%s", out)
 	}
 }

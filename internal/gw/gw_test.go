@@ -112,29 +112,56 @@ func TestGWSingleEdge(t *testing.T) {
 }
 
 func TestGWReportsRelaxationConvergence(t *testing.T) {
-	// K8 meets the ADMM residual test in 15 iterations; a 12-node path (a
-	// leaf shape sparse ER partitions produce) is still moving at the
-	// 600-iteration cap. Both round to valid cuts; only the flag differs.
-	quick, err := Solve(graph.Complete(8), Options{}, rng.New(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !quick.Converged || quick.SDPIters >= 600 {
-		t.Fatalf("K8: converged %v after %d iterations", quick.Converged, quick.SDPIters)
-	}
+	// A 12-node path is the leaf shape sparse ER partitions produce most;
+	// the default relaxation settles on it well under its 300-sweep cap.
+	// A budget too small to settle is reported, and still rounds to a
+	// valid cut; only the flag differs.
 	path := graph.Path(12)
-	slow, err := Solve(path, Options{}, rng.New(1))
+	res, err := Solve(path, Options{}, rng.New(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if slow.Converged || slow.SDPIters != 600 {
-		t.Fatalf("path12: converged %v after %d iterations, want the cap reported", slow.Converged, slow.SDPIters)
+	if res.Method != sdp.Mixing || !res.Converged || res.SDPIters > 150 {
+		t.Fatalf("path12: %v converged %v after %d sweeps", res.Method, res.Converged, res.SDPIters)
 	}
-	if err := slow.Best.Validate(path); err != nil {
+	if res.Best.Value != 11 {
+		t.Fatalf("path12 best cut %v want 11", res.Best.Value)
+	}
+	capped, err := Solve(path, Options{SDP: sdp.Options{MaxIters: 3}}, rng.New(1))
+	if err != nil {
 		t.Fatal(err)
 	}
-	if slow.Best.Value != 11 {
-		t.Fatalf("path12 best cut %v want 11", slow.Best.Value)
+	if capped.Converged || capped.SDPIters != 3 {
+		t.Fatalf("path12 with 3 sweeps: converged %v after %d, want the cap reported", capped.Converged, capped.SDPIters)
+	}
+	if err := capped.Best.Validate(path); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestGWMeetsGuaranteeAtEveryLeafOrder holds the default path to the
+// Goemans-Williamson bound on what QAOA² hands it: at every order 2-16,
+// on unit and real-weighted ER pieces, the best of 30 roundings reaches
+// 0.878·OPT and never exceeds OPT.
+func TestGWMeetsGuaranteeAtEveryLeafOrder(t *testing.T) {
+	r := rng.New(11)
+	for n := 2; n <= 16; n++ {
+		for _, w := range []graph.Weighting{graph.Unweighted, graph.UniformWeights} {
+			for _, p := range []float64{0.25, 0.7} {
+				g := graph.ErdosRenyi(n, p, w, r)
+				opt, err := maxcut.BruteForce(g)
+				if err != nil {
+					t.Fatal(err)
+				}
+				res, err := Solve(g, Options{}, r)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if res.Best.Value < 0.878*opt.Value || res.Best.Value > opt.Value+1e-9 {
+					t.Fatalf("n=%d p=%v %v: GW best %v, optimum %v", n, p, w, res.Best.Value, opt.Value)
+				}
+			}
+		}
 	}
 }
 
@@ -184,7 +211,7 @@ func TestGWLargeGraphViaMixing(t *testing.T) {
 }
 
 // BenchmarkGWLeaf16 is one GW leaf at the qubit budget the benchmark
-// workloads use: relaxation plus 30 roundings on 16 nodes.
+// workloads use: the default relaxation plus 30 roundings on 16 nodes.
 func BenchmarkGWLeaf16(b *testing.B) {
 	g := graph.ErdosRenyi(16, 0.4, graph.Unweighted, rng.New(16))
 	r := rng.New(2)

@@ -175,12 +175,14 @@ func TestCoordinatedBeatsRandom(t *testing.T) {
 
 // TestCoordinatedMergePinned pins one coordinated run — GW leaves on
 // the workers, a merge graph of 19 nodes that divides again at the
-// coordinator — to the cut the synchronous merge recursion returned
-// before the task-graph executor took over qaoa2.MergeSubSolutions.
+// coordinator — to one cut at every worker count. The pin was
+// re-captured when GW's default relaxation became the mixing method (a
+// different, equally valid embedding is rounded; under the ADMM default
+// it was 81.21282012568561 over 2 levels).
 func TestCoordinatedMergePinned(t *testing.T) {
 	const (
-		wantBits  = 0x40544d9ed84df005 // 81.21282012568561
-		wantSpins = "+-+---+-++--+--++-++-+--+----+-+++++++-++---+-+----+++-----+"
+		wantBits  = 0x4053bea9bcbb82ea // 78.9791099387327
+		wantSpins = "-++---+-++--+----+++-+--+----+-++++++++++---++-++--++++-----"
 	)
 	g := graph.ErdosRenyi(60, 0.12, graph.UniformWeights, rng.New(6))
 	for _, workers := range []int{1, 3} {
@@ -195,7 +197,7 @@ func TestCoordinatedMergePinned(t *testing.T) {
 			spins[v] = "-+"[(s+1)/2]
 		}
 		if math.Float64bits(res.Cut.Value) != wantBits || string(spins) != wantSpins ||
-			res.Levels != 2 || res.SubGraphs != 19 {
+			res.Levels != 3 || res.SubGraphs != 19 {
 			t.Fatalf("workers=%d: cut %v (%#x) over %d levels, %d sub-graphs, spins %s",
 				workers, res.Cut.Value, math.Float64bits(res.Cut.Value), res.Levels, res.SubGraphs, spins)
 		}

@@ -20,8 +20,9 @@ import (
 // recursion's.
 func TestSeedDeterminismAcrossParallelismAndPaths(t *testing.T) {
 	g := graph.ErdosRenyi(56, 0.12, graph.UniformWeights, rng.New(17))
-	// GW rides along for its per-solve eigensolver workspace: concurrent
-	// leaves must not share warm-start state.
+	// GW rides along as leaf and merge solver (the contracted merge graph
+	// carries signed weights): its relaxation owns its embedding and its
+	// seeded stream per solve, so concurrent leaves share nothing.
 	for _, sub := range []SubSolver{cheapAnneal(), GWSolver{}} {
 		solveVsReference(t, sub.Name(), g, Options{MaxQubits: 7, Solver: sub, MergeSolver: sub, Seed: 99})
 	}

@@ -112,22 +112,16 @@ func TestSDPUpperBoundsMaxCut(t *testing.T) {
 	}
 }
 
-func TestAutoSelectsBySize(t *testing.T) {
-	small := graph.Complete(10)
-	res, err := Solve(small, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Method != ADMM {
-		t.Fatalf("auto picked %v for n=10", res.Method)
-	}
-	big := graph.ErdosRenyi(AutoADMMLimit+30, 0.05, graph.Unweighted, rng.New(1))
-	res, err = Solve(big, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Method != Mixing {
-		t.Fatalf("auto picked %v for n=%d", res.Method, big.N())
+func TestDefaultIsMixingAtEveryOrder(t *testing.T) {
+	for _, n := range []int{1, 2, 10, 120, 150} {
+		g := graph.ErdosRenyi(n, 0.2, graph.Unweighted, rng.New(uint64(n)))
+		res, err := Solve(g, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Method != Mixing || !res.Converged {
+			t.Fatalf("n=%d: default ran %v, converged %v after %d sweeps", n, res.Method, res.Converged, res.Iterations)
+		}
 	}
 }
 
@@ -168,7 +162,7 @@ func TestMixingDeterministicForSeed(t *testing.T) {
 }
 
 func TestMethodString(t *testing.T) {
-	if Auto.String() != "auto" || ADMM.String() != "admm" || Mixing.String() != "mixing" {
+	if Method(0) != Mixing || ADMM.String() != "admm" || Mixing.String() != "mixing" {
 		t.Fatal("method strings broken")
 	}
 }

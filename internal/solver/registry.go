@@ -48,8 +48,9 @@ type Spec struct {
 	Sweeps int `json:"sweeps,omitempty"` // anneal: full sweeps
 	Trials int `json:"trials,omitempty"` // random: best-of draws
 	Cutoff int `json:"cutoff,omitempty"` // rqaoa: brute-force residual size
-	// Method pins the SDP relaxation solver for "sdp-gw"
-	// ("admm", "mixing", "auto"; default mixing).
+	// Method pins the SDP relaxation solver for "sdp-gw" ("mixing",
+	// the default, or "admm", the reference; "auto" is the default's
+	// older spelling, kept so stored specs still build).
 	Method string `json:"method,omitempty"`
 
 	// Composite solvers (best, portfolio, ml-adaptive).
@@ -190,14 +191,12 @@ func qaoaOptions(spec Spec) (qaoa.Options, error) {
 // sdpMethod parses Spec.Method for "sdp-gw".
 func sdpMethod(name string) (sdp.Method, error) {
 	switch name {
-	case "", "mixing":
+	case "", "mixing", "auto":
 		return sdp.Mixing, nil
 	case "admm":
 		return sdp.ADMM, nil
-	case "auto":
-		return sdp.Auto, nil
 	default:
-		return 0, fmt.Errorf("solver: unknown SDP method %q (want admm|mixing|auto)", name)
+		return 0, fmt.Errorf("solver: unknown SDP method %q (want mixing|admm)", name)
 	}
 }
 

@@ -152,13 +152,13 @@ func (s GWSolver) SolveSub(g *graph.Graph, r *rng.Rand) (maxcut.Cut, error) {
 	return res.Best, nil
 }
 
-// SDPGWSolver is Goemans-Williamson with the SDP relaxation method
-// pinned explicitly (registry name "sdp-gw") instead of the gw
-// package's size-based auto rule — by default the Burer-Monteiro
-// low-rank mixing method, the solver that kept scaling where the
-// paper's reference SCS build aborted beyond 2000 nodes. It embeds
-// GWSolver (one SolveSub implementation) and differs only in name —
-// the registry and attribution identity of the pinned variant.
+// SDPGWSolver is Goemans-Williamson with the SDP relaxation method and
+// seed named by the spec (registry name "sdp-gw") — the Burer-Monteiro
+// low-rank mixing method that "gw" also runs, the solver that kept
+// scaling where the paper's reference SCS build aborted beyond 2000
+// nodes, or the ADMM reference. It embeds GWSolver (one SolveSub
+// implementation) and differs only in name — the registry and
+// attribution identity of the pinned variant.
 type SDPGWSolver struct {
 	GWSolver
 }

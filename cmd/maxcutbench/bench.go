@@ -32,9 +32,9 @@ type benchConfig struct {
 // shape as a dispatch-overhead sentinel, and a 20-qubit point where
 // the half-vector's memory advantage shows beyond the L2-resident
 // sizes.
-// The fused-dist points track the sharded engine: ranks=1 is the
-// degenerate single-slice configuration (held near fused-z2 cost by
-// the ratio gate — the sharding layer must cost nothing when not
+// The fused-dist points track the sharded engine: ranks=1 builds the
+// inline engine, the same code as fused-z2 (the ratio gate holds the
+// two within noise — the sharding layer must cost nothing when not
 // sharding), ranks=4 measures the pairwise-exchange overhead at both
 // tracked qubit scales.
 var benchConfigs = []benchConfig{

@@ -114,7 +114,28 @@ func TestCutTableMatchesEdgeLoop(t *testing.T) {
 }
 
 func TestByName(t *testing.T) {
-	for name, want := range map[string]string{"fused": "fused", "dense": "dense", "noisy": "noisy"} {
+	checkByName(t, map[string]string{
+		"fused": "fused", "fused-z2": "fused", "fused-full": "fused-full",
+		"dense": "dense", "noisy": "noisy",
+	}, []string{"gpu"})
+	if be, err := ByName(""); err != nil || be != nil {
+		t.Fatalf("ByName(\"\") = %v, %v; want nil, nil", be, err)
+	}
+}
+
+// TestFusedDistByName: every sharded spelling resolves to the canonical
+// rank-suffixed name, and every malformed rank suffix is rejected.
+func TestFusedDistByName(t *testing.T) {
+	checkByName(t, map[string]string{
+		"fused-dist": "fused-dist:4", "fused-dist:1": "fused-dist:1", "fused-dist:8": "fused-dist:8",
+	}, []string{"fused-dist:3", "fused-dist:0", "fused-dist:-2", "fused-dist:x", "fused-dist:"})
+}
+
+// checkByName resolves each spelling to its canonical Name and requires
+// every bad spelling to be rejected.
+func checkByName(t *testing.T, good map[string]string, bad []string) {
+	t.Helper()
+	for name, want := range good {
 		be, err := ByName(name)
 		if err != nil {
 			t.Fatal(err)
@@ -123,11 +144,10 @@ func TestByName(t *testing.T) {
 			t.Fatalf("ByName(%q).Name() = %q", name, be.Name())
 		}
 	}
-	if be, err := ByName(""); err != nil || be != nil {
-		t.Fatalf("ByName(\"\") = %v, %v; want nil, nil", be, err)
-	}
-	if _, err := ByName("gpu"); err == nil {
-		t.Fatal("unknown backend name accepted")
+	for _, name := range bad {
+		if _, err := ByName(name); err == nil {
+			t.Fatalf("%q accepted", name)
+		}
 	}
 }
 

@@ -1,7 +1,9 @@
 package backend
 
 import (
+	"fmt"
 	"math"
+	"math/bits"
 	"os"
 	"runtime"
 	"slices"
@@ -17,6 +19,10 @@ import (
 // up to 2^n, in which case the fused path falls back to a per-amplitude
 // Sincos.
 const maxPhaseLevels = 4096
+
+// defaultDistRanks is the rank count "fused-dist" selects when no
+// explicit ":N" suffix is given.
+const defaultDistRanks = 4
 
 // Fused is the diagonal-cost fast path: because H_C is diagonal in the
 // computational basis, the whole e^{-iγ H_C} cost layer is one
@@ -45,46 +51,82 @@ const maxPhaseLevels = 4096
 // Set Full (backend name "fused-full"), or the environment variable
 // QAOA2_NOZ2, to force the unreduced engine — the A/B control for
 // benchmarks and for bisecting any suspected reduction issue.
+//
+// Ranks ≥ 1 ("fused-dist:N") runs the same engine over N statevector
+// slices of the in-process hpc comm world: cost layers stay rank-local
+// (diagonals never communicate) and only the top log2(N) qubits' mixer
+// rotations run as pairwise slice exchanges — the paper's §4
+// multi-node decomposition, metered through qsim.DistStats. Rank count
+// is a CONFIG knob, not a capacity requirement: sub-graphs too small to
+// give every rank at least one local qubit are clamped to the largest
+// valid power of two, so QAOA² leaf solves of any size run under one
+// backend selection. At one rank the engine is the inline single-node
+// one (held at fused-z2 cost by the bench ratio gate).
 type Fused struct {
 	// Full disables the Z2 symmetry reduction and simulates all 2^n
 	// amplitudes.
 	Full bool
+	// Ranks is the statevector slice count (a power of two). 0 selects
+	// the single-node engine with the native batch path ("fused",
+	// "fused-full"); N ≥ 1 names the backend "fused-dist:N".
+	Ranks int
 }
 
-// Name implements Backend.
+// Name implements Backend, matching the ByName spelling.
 func (f Fused) Name() string {
-	if f.Full {
+	switch {
+	case f.Ranks != 0:
+		return fmt.Sprintf("fused-dist:%d", f.Ranks)
+	case f.Full:
 		return "fused-full"
 	}
 	return "fused"
 }
 
-// Prepare implements Backend: computes the cost diagonal once, plus —
-// when the graph has few distinct cut values — an indexed form that
-// replaces per-amplitude trigonometry with a per-level lookup, and
-// builds the persistent fused execution engine.
+// Prepare implements Backend: computes the cost diagonal once — cut
+// tables satisfy cut(x) = cut(~x), so every graph is Z2-eligible — and
+// compiles it into the fused engine.
 func (f Fused) Prepare(g *graph.Graph, cfg Config) (Ansatz, error) {
 	if err := checkGraph(g, cfg); err != nil {
 		return nil, err
 	}
-	diag := CutTable(g, nil)
-	half := g.TotalWeight() / 2
-	a := &fusedAnsatz{n: g.N(), layers: cfg.Layers, diag: diag}
-	// The Z2-reduced engine needs a pair to fold, i.e. at least two
-	// qubits; cut tables satisfy cut(x) = cut(~x), so the reduced phase
-	// tables are the prefix halves.
-	a.z2 = !f.Full && g.N() >= 2 && os.Getenv("QAOA2_NOZ2") == ""
-	phaseLen := len(diag)
-	if a.z2 {
-		phaseLen /= 2
+	return f.prepare(CutTable(g, nil), -g.TotalWeight()/2, true, cfg.Layers)
+}
+
+// prepare is the preamble Prepare and PrepareIsing share: the Z2
+// decision, the phase tables, the rank clamp and the engine build. diag
+// is the full expectation table, diag[i] + add the phase diagonal, and
+// symmetric reports diag(x) == diag(~x). When the diagonal has few
+// distinct values the phase tables take an indexed form that replaces
+// per-amplitude trigonometry with a per-level lookup.
+func (f Fused) prepare(diag []float64, add float64, symmetric bool, layers int) (Ansatz, error) {
+	if f.Ranks < 0 || f.Ranks&(f.Ranks-1) != 0 {
+		return nil, fmt.Errorf("backend: fused-dist rank count %d is not a power of two", f.Ranks)
 	}
-	a.levels, a.idx, a.shift = phaseTables(diag, -half, phaseLen)
+	fa := &fusedAnsatz{}
+	a := &fa.engineAnsatz
+	a.n, a.layers, a.diag = bits.Len(uint(len(diag)))-1, layers, diag
+	// The Z2-reduced engine needs a pair to fold, i.e. at least two
+	// qubits; its phase tables are the prefix halves.
+	a.z2 = !f.Full && symmetric && a.n >= 2 && os.Getenv("QAOA2_NOZ2") == ""
+	nEff, phaseLen := a.n, len(diag)
+	if a.z2 {
+		nEff, phaseLen = nEff-1, phaseLen/2
+	}
+	// Clamp: every rank must keep at least one local qubit of the
+	// (possibly reduced) index space. Small QAOA² leaves routinely hit
+	// this; the backend stays selectable at any sub-graph size.
+	a.ranks = min(max(f.Ranks, 1), 1<<uint(nEff-1))
+	a.levels, a.idx, a.shift = phaseTables(diag, add, phaseLen)
 	eng, err := a.newEngine()
 	if err != nil {
 		return nil, err
 	}
 	a.eng = eng
-	return a, nil
+	if f.Ranks != 0 {
+		return a, nil
+	}
+	return fa, nil
 }
 
 // phaseCacheBits sizes phaseTables' direct-mapped value cache: 1024
@@ -154,16 +196,25 @@ func phaseTables(diag []float64, add float64, n int) (levels []float64, idx []in
 	return levels, idx, nil
 }
 
-type fusedAnsatz struct {
+// engineAnsatz is a prepared fused ansatz: the compiled tables and the
+// engine built over them.
+type engineAnsatz struct {
 	n, layers int
+	ranks     int       // effective (clamped) slice count
 	z2        bool      // engines run on the Z2-reduced half-vector
-	diag      []float64 // FULL cut-value table, the ⟨H_C⟩ diagonal
-	shift     []float64 // diag − W/2 (nil on the indexed path; half-length when z2)
+	diag      []float64 // FULL expectation table, the ⟨H_C⟩ diagonal
+	shift     []float64 // phase diagonal (nil on the indexed path; half-length when z2)
 	levels    []float64 // distinct shift values (nil → Sincos fallback)
 	idx       []int32   // shift[i] = levels[idx[i]] (half-length when z2)
 	eng       *qsim.Engine
+}
+
+// fusedAnsatz is the single-node engineAnsatz plus the native batch
+// path.
+type fusedAnsatz struct {
+	engineAnsatz
 	// batch holds one serial-mode engine per batch worker, sharing the
-	// read-only tables above; grown lazily by EvaluateBatch.
+	// read-only tables; grown lazily by EvaluateBatch.
 	batch []*qsim.Engine
 }
 
@@ -171,23 +222,31 @@ type fusedAnsatz struct {
 // Diagonal() must keep returning the full 2^n table (sampled-energy
 // decoding indexes it with full basis states), so the reduced engine
 // takes the prefix half as a sub-slice.
-func (a *fusedAnsatz) newEngine() (*qsim.Engine, error) {
+func (a *engineAnsatz) newEngine() (*qsim.Engine, error) {
+	diag := a.diag
 	if a.z2 {
-		return qsim.NewZ2Engine(a.n, a.diag[:len(a.diag)/2], a.levels, a.idx, a.shift)
+		diag = diag[:len(diag)/2]
 	}
-	return qsim.NewEngine(a.n, a.diag, a.levels, a.idx, a.shift)
+	return qsim.NewEngine(a.n, a.z2, a.ranks, diag, a.levels, a.idx, a.shift)
 }
 
 // Evaluate implements Ansatz. The returned state is the engine's reused
 // buffer, valid until the next Evaluate; on the default Z2 path it is a
 // reduced state (qsim.State with Z2Full() != 0), whose measurement
 // accessors are bit-identical to the expanded statevector's.
-func (a *fusedAnsatz) Evaluate(gammas, betas []float64) (float64, *qsim.State, error) {
+func (a *engineAnsatz) Evaluate(gammas, betas []float64) (float64, *qsim.State, error) {
 	if err := checkParams(a.layers, gammas, betas); err != nil {
 		return 0, nil, err
 	}
 	return a.eng.Evaluate(gammas, betas), a.eng.State(), nil
 }
+
+// Ranks returns the effective slice count after small-graph clamping.
+func (a *engineAnsatz) Ranks() int { return a.ranks }
+
+// Stats exposes the engine's communication ledger for scaling
+// experiments and bench provenance.
+func (a *engineAnsatz) Stats() qsim.DistStats { return a.eng.Stats() }
 
 // EvaluateBatch implements BatchEvaluator: the K parameter vectors are
 // striped over min(K, GOMAXPROCS) workers, each owning a persistent
@@ -237,10 +296,10 @@ func (a *fusedAnsatz) EvaluateBatch(gammas, betas [][]float64, energies []float6
 }
 
 // Diagonal implements Ansatz.
-func (a *fusedAnsatz) Diagonal() []float64 { return a.diag }
+func (a *engineAnsatz) Diagonal() []float64 { return a.diag }
 
 // Layout implements Ansatz: always identity.
-func (a *fusedAnsatz) Layout() []int { return nil }
+func (a *engineAnsatz) Layout() []int { return nil }
 
 // Report implements Ansatz: no circuit is synthesized.
-func (a *fusedAnsatz) Report() synth.Report { return synth.Report{} }
+func (a *engineAnsatz) Report() synth.Report { return synth.Report{} }

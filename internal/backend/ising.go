@@ -2,7 +2,6 @@ package backend
 
 import (
 	"fmt"
-	"os"
 
 	"qaoa2/internal/ising"
 	"qaoa2/internal/qsim"
@@ -30,7 +29,7 @@ func PrepareIsing(b Backend, h *ising.Hamiltonian, cfg Config) (Ansatz, error) {
 	if ib, ok := b.(IsingBackend); ok {
 		return ib.PrepareIsing(h, cfg)
 	}
-	return nil, fmt.Errorf("backend: %s cannot execute Ising Hamiltonians (want fused|fused-full|dense)", b.Name())
+	return nil, fmt.Errorf("backend: %s cannot execute Ising Hamiltonians (want fused|fused-z2|fused-full|fused-dist[:ranks]|dense)", b.Name())
 }
 
 // checkIsing validates the common PrepareIsing preconditions.
@@ -50,12 +49,23 @@ func checkIsing(h *ising.Hamiltonian, cfg Config) error {
 	return nil
 }
 
-// PrepareIsing implements IsingBackend on the fused path: the Ising
-// cost layer is as diagonal as MaxCut's, so the identical engine
-// executes it — only the tables change. The expectation diagonal is
-// D = −E (maximization convention) and the phase table is
-// shift = offset − E, which reproduces the global phase of the Dense
-// reference walk (RZZ(−2γJ_ij) · RZ(−2γh_i) per layer accrues
+// maximizationDiagonal is D = −E over full basis states, the
+// maximization-convention diagonal of h.
+func maximizationDiagonal(h *ising.Hamiltonian) []float64 {
+	energy := h.Table()
+	diag := make([]float64, len(energy))
+	for i, e := range energy {
+		diag[i] = -e
+	}
+	return diag
+}
+
+// PrepareIsing implements IsingBackend on the fused path, at every rank
+// count: the Ising cost layer is as diagonal as MaxCut's, so the
+// identical engine executes it — only the tables change. The
+// expectation diagonal is D = −E (maximization convention) and the
+// phase table is shift = offset − E, which reproduces the global phase
+// of the Dense reference walk (RZZ(−2γJ_ij) · RZ(−2γh_i) per layer accrues
 // e^{+iγ(E−offset)} on basis state x), keeping Fused amplitude-identical
 // to Dense; the Ising parity tests pin it at 1e-12 like the MaxCut
 // ones. For the MaxCut degenerate case (ising.MaxCutProblem: E = −cut,
@@ -74,25 +84,8 @@ func (f Fused) PrepareIsing(h *ising.Hamiltonian, cfg Config) (Ansatz, error) {
 	if err := checkIsing(h, cfg); err != nil {
 		return nil, err
 	}
-	energy := h.Table()
-	diag := make([]float64, len(energy))
-	for i, e := range energy {
-		diag[i] = -e
-	}
-	a := &fusedAnsatz{n: h.N(), layers: cfg.Layers, diag: diag}
-	a.z2 = !f.Full && h.N() >= 2 && h.Z2Symmetric() && os.Getenv("QAOA2_NOZ2") == ""
-	phaseLen := len(diag)
-	if a.z2 {
-		phaseLen /= 2
-	}
 	// shift = offset − E = D + offset.
-	a.levels, a.idx, a.shift = phaseTables(diag, h.Offset(), phaseLen)
-	eng, err := a.newEngine()
-	if err != nil {
-		return nil, err
-	}
-	a.eng = eng
-	return a, nil
+	return f.prepare(maximizationDiagonal(h), h.Offset(), h.Z2Symmetric(), cfg.Layers)
 }
 
 // PrepareIsing implements IsingBackend on the reference gate walk: one
@@ -107,12 +100,7 @@ func (Dense) PrepareIsing(h *ising.Hamiltonian, cfg Config) (Ansatz, error) {
 	if err := checkIsing(h, cfg); err != nil {
 		return nil, err
 	}
-	energy := h.Table()
-	diag := make([]float64, len(energy))
-	for i, e := range energy {
-		diag[i] = -e
-	}
-	return &denseIsingAnsatz{n: h.N(), layers: cfg.Layers, h: h.Clone(), diag: diag}, nil
+	return &denseIsingAnsatz{n: h.N(), layers: cfg.Layers, h: h.Clone(), diag: maximizationDiagonal(h)}, nil
 }
 
 type denseIsingAnsatz struct {

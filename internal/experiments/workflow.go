@@ -160,10 +160,10 @@ type ScalingPoint struct {
 	Bytes     uint64
 }
 
-// RunEngineScaling evaluates one fixed-size graph through the
-// fused-dist backend (qsim.DistEngine) at every rank count, measuring
-// per-evaluation wall time and the exchange traffic of the global-qubit
-// mixer rotations. Diagonal cost layers never communicate, so the
+// RunEngineScaling evaluates one fixed-size graph through the sharded
+// fused backend (fused-dist: qsim.Engine over rank slices) at every
+// rank count, measuring per-evaluation wall time and the exchange
+// traffic of the global-qubit mixer rotations. Diagonal cost layers never communicate, so the
 // traffic column isolates the mixer's pairwise slice exchanges — the
 // quantity the closed form DistStats.CommBytesExpected predicts. Rank
 // counts must be powers of two; they are clamped per the fused-dist
@@ -178,7 +178,7 @@ func RunEngineScaling(qubits, layers int, ranks []int, seed uint64) ([]ScalingPo
 	}
 	var out []ScalingPoint
 	for _, rk := range ranks {
-		ans, err := backend.FusedDist{Ranks: rk}.Prepare(g, backend.Config{Layers: layers})
+		ans, err := backend.Fused{Ranks: rk}.Prepare(g, backend.Config{Layers: layers})
 		if err != nil {
 			return nil, err
 		}

@@ -15,10 +15,13 @@ import (
 	"sync/atomic"
 )
 
-// message is one point-to-point transfer.
+// message is one point-to-point transfer. Amplitude slices travel in
+// their own typed field: boxing a slice into payload would allocate on
+// every send, and slice exchanges run once per mixer layer.
 type message struct {
 	from, tag int
 	payload   interface{}
+	slice     []complex128
 	bytes     int
 }
 
@@ -123,12 +126,19 @@ const AnySource = -1
 // Send delivers payload to rank `to` with a tag. bytes is the accounted
 // payload size for the traffic statistics (pass 0 when irrelevant).
 func (c *Comm) Send(to, tag int, payload interface{}, bytes int) {
+	c.send(to, message{tag: tag, payload: payload, bytes: bytes})
+}
+
+// send delivers m to rank `to`, stamping the sender and booking the
+// traffic.
+func (c *Comm) send(to int, m message) {
 	if to < 0 || to >= c.world.size {
 		panic(fmt.Sprintf("hpc: Send to invalid rank %d", to))
 	}
 	c.world.msgCount.Add(1)
-	c.world.byteCount.Add(int64(bytes))
-	c.world.boxes[to] <- message{from: c.rank, tag: tag, payload: payload, bytes: bytes}
+	c.world.byteCount.Add(int64(m.bytes))
+	m.from = c.rank
+	c.world.boxes[to] <- m
 }
 
 // Recv blocks until a message with the given source (or AnySource) and
@@ -136,18 +146,24 @@ func (c *Comm) Send(to, tag int, payload interface{}, bytes int) {
 // messages are buffered, so interleaved tags between the same pair of
 // ranks cannot deadlock.
 func (c *Comm) Recv(from, tag int) (payload interface{}, source int) {
+	m := c.recv(from, tag)
+	return m.payload, m.from
+}
+
+// recv is Recv returning the whole matched message.
+func (c *Comm) recv(from, tag int) message {
 	// Check buffered messages first.
 	pend := c.world.pending[c.rank]
 	for i, m := range pend {
 		if (from == AnySource || m.from == from) && m.tag == tag {
 			c.world.pending[c.rank] = append(pend[:i:i], pend[i+1:]...)
-			return m.payload, m.from
+			return m
 		}
 	}
 	for {
 		m := <-c.world.boxes[c.rank]
 		if (from == AnySource || m.from == from) && m.tag == tag {
-			return m.payload, m.from
+			return m
 		}
 		c.world.pending[c.rank] = append(c.world.pending[c.rank], m)
 	}
@@ -160,7 +176,8 @@ func (c *Comm) Barrier() { c.world.barrier.wait() }
 // to partner, partner's slice is copied into recv, and a world barrier
 // separates the round — on return every rank's send buffer is safe to
 // mutate again. The in-process transfer passes the send slice by
-// reference and the receiver copies it out, so the accounted traffic
+// reference (in the message's typed slice field, so a round allocates
+// nothing) and the receiver copies it out, so the accounted traffic
 // (16 bytes per amplitude, both directions counted at their senders) is
 // exactly what an MPI_Sendrecv of the slice would move.
 //
@@ -168,13 +185,8 @@ func (c *Comm) Barrier() { c.world.barrier.wait() }
 // call it in the same round (with partner pairings forming a perfect
 // matching), or the barrier deadlocks.
 func (c *Comm) ExchangeSlices(partner, tag int, send, recv []complex128) {
-	c.Send(partner, tag, send, 16*len(send))
-	payload, _ := c.Recv(partner, tag)
-	data, ok := payload.([]complex128)
-	if !ok {
-		panic(fmt.Sprintf("hpc: rank %d slice exchange with %d received %T, want []complex128",
-			c.rank, partner, payload))
-	}
+	c.send(partner, message{tag: tag, slice: send, bytes: 16 * len(send)})
+	data := c.recv(partner, tag).slice
 	if len(data) != len(recv) {
 		panic(fmt.Sprintf("hpc: rank %d slice exchange with %d received %d amplitudes, want %d",
 			c.rank, partner, len(data), len(recv)))

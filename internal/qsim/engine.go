@@ -3,14 +3,17 @@ package qsim
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"sync"
+
+	"qaoa2/internal/hpc/comm"
 )
 
 // Engine is the fused-layer QAOA evaluator: a persistent execution
 // object prepared once per (qubit count, cost diagonal) that runs whole
 // p-layer objective evaluations with the minimum number of statevector
 // sweeps and ZERO steady-state allocations. It is the engine behind
-// internal/backend's fused path; the optimizer inner loop calls
+// internal/backend's fused paths; the optimizer inner loop calls
 // Evaluate thousands of times per sub-graph.
 //
 // Fusion layout per layer (blocked mixer geometry of mixer.go):
@@ -28,22 +31,58 @@ import (
 // A p-layer evaluation therefore touches the state p·⌈1 + (n−10)/6⌉
 // times instead of the p·(1+n) + 2 sweeps of the unfused kernel walk.
 //
-// Allocation-freedom: the pass bodies are closures created once at
-// construction and parameterized through Engine fields; the per-layer
+// Decomposition: the schedule and its chunk bodies live in ONE sweep
+// core (sweep) that owns a window [base, base+len) of the global index
+// space. An inline engine (ranks = 1) is one core over the whole vector,
+// run on the caller's goroutine. A sharded engine splits the vector
+// into ranks = 2^pg contiguous slices — the cache-blocking
+// decomposition of the paper's aer backend (Doi & Horii) behind its §4
+// scaling result — and runs the same core once per slice
+// (dist_engine.go): the low sweep, the local high groups and the
+// diagonal cost phases touch only the slice (every core knows its
+// global offset into the shared tables), and only the top pg "global"
+// qubits' rotations cross slices, as pairwise exchanges over a
+// comm.World.
+//
+// Allocation-freedom: the pass bodies are method values bound once at
+// construction and parameterized through core fields; the per-layer
 // phase table, the expectation partials and the dispatch WaitGroup are
-// hoisted into the Engine. An Engine is NOT safe for concurrent use —
+// hoisted into the core. An Engine is NOT safe for concurrent use —
 // batch drivers create one Engine per worker (see SetSerial).
 type Engine struct {
-	state *State
-	n     int
+	state *State   // the whole vector; cores[r] sweeps slice r of it
+	cores []*sweep // one per rank; cores[0] runs on the caller's goroutine
 
-	diag   []float64    // expectation diagonal: ⟨D⟩ table (cut values)
-	levels []float64    // distinct phase-diagonal values (indexed path)
-	idx    []int32      // phase diagonal = levels[idx[i]] (indexed path)
-	shift  []float64    // dense phase diagonal (fallback path)
-	phases []complex128 // per-layer scratch: e^{-iγ·levels[j]}
+	// Rank wiring, nil on an inline engine (dist_engine.go).
+	world    *comm.World
+	start    []chan evalReq // start[r-1] wakes rank r
+	results  chan rankResult
+	partials []float64 // per-rank energies, summed in rank order
+	stats    DistStats
+	stopOnce sync.Once
+}
 
-	partials []float64      // per-chunk energy accumulators
+// sweep is the one fused sweep core: the layer schedule and its chunk
+// bodies over the window amps = global[base : base+len(amps)], reading
+// the GLOBAL tables through base. On an inline engine the window is the
+// whole vector; on a sharded engine each rank's core owns one slice and
+// reaches its partner's through recv.
+type sweep struct {
+	state *State       // the whole vector (resolves the kernel pool)
+	amps  []complex128 // this core's window
+	base  int          // global index of amps[0]
+	nLoc  int          // window qubits: len(amps) == 2^nLoc
+	m0    int          // low-group qubit count
+	z2    bool         // the vector is the Z2-reduced half-vector
+	norm  float64      // first-layer amplitude 1/√(global length)
+
+	diag   []float64 // expectation diagonal: ⟨D⟩ table (cut values)
+	levels []float64 // distinct phase-diagonal values (indexed path)
+	idx    []int32   // phase diagonal = levels[idx[i]] (indexed path)
+	shift  []float64 // dense phase diagonal (fallback path)
+
+	phases   []complex128   // per-layer scratch: e^{-iγ·levels[j]}
+	partials []float64      // per-worker energy accumulators
 	scratch  [][]complex128 // per-worker kernel scratch (workerScratch)
 	wg       sync.WaitGroup
 
@@ -53,55 +92,147 @@ type Engine struct {
 	first  bool    // layer 0: synthesize phase·|+⟩ in place of loading
 	expect bool    // accumulate ⟨D⟩ during this pass
 	g0, m  int     // current high-group qubit range [g0, g0+m)
+	bit0   bool    // this rank holds the 0-side of the global butterfly
 
-	m0       int  // low-group qubit count: min(n, lowBlockQubits)
-	z2       bool // state is the Z2-reduced half-vector of n+1 qubits
-	lowBody  func(w, start, end int)
-	highBody func(w, start, end int)
+	// Rank wiring; on an inline core rank = pg = 0, ranks = 1.
+	comm            *comm.Comm
+	recv            []complex128 // partner slice of the current exchange
+	rank, ranks, pg int
+
+	// Ledger: fused sweeps run on the window and exchange rounds.
+	localSweeps, commSweeps int
+
+	lowBody, highBody, globalBody func(w, start, end int)
 }
 
-// NewEngine builds an evaluator for an n-qubit cost diagonal. diag is
-// the expectation table (len 2^n). The phase diagonal — the cost table
-// shifted to reproduce the gate walk's global phase — is given either
-// factored as (levels, idx) with phase[i] = levels[idx[i]] (the indexed
-// fast path: one Sincos per distinct value) or dense as shift (one
-// Sincos per amplitude); exactly one form must be non-nil.
-func NewEngine(n int, diag []float64, levels []float64, idx []int32, shift []float64) (*Engine, error) {
-	s, err := NewState(n)
-	if err != nil {
-		return nil, err
-	}
-	return newEngine(s, diag, levels, idx, shift)
-}
-
-// NewZ2Engine builds a symmetry-reduced evaluator for an nFull-qubit
-// Z2-symmetric cost diagonal (diagonal(i) == diagonal(~i), which holds
-// for every MaxCut cut table): the engine stores only the 2^(nFull−1)
-// even-sector amplitudes (z2.go) and runs every fused sweep on the
-// half-vector. All tables are the REDUCED prefixes — diag, idx and
-// shift have 2^(nFull−1) entries, i.e. fullTable[:2^(nFull−1)], since
-// representatives index the prefix directly.
+// NewEngine builds an evaluator for an nFull-qubit cost diagonal over
+// ranks slices (a power of two; 1 builds the inline engine). diag is
+// the expectation table; the phase diagonal — the cost table shifted to
+// reproduce the gate walk's global phase — is given either factored as
+// (levels, idx) with phase[i] = levels[idx[i]] (the indexed fast path:
+// one Sincos per distinct value) or dense as shift (one Sincos per
+// amplitude); exactly one form must be non-nil.
 //
-// The mixer layer on the reduced state is the blocked butterfly on the
-// nFull−1 effective qubits plus the boundary rotation of qubit nFull−1,
-// which acts through the pairing i ↔ ~i; the engine fuses the boundary
-// level into the mirrored low sweep (runMirrorChunk), so a layer still
-// costs ⌈2 + (n−11)/6⌉ sweeps — on half the amplitudes.
-func NewZ2Engine(nFull int, diag []float64, levels []float64, idx []int32, shift []float64) (*Engine, error) {
-	s, err := NewZ2State(nFull)
+// z2 builds the symmetry-reduced evaluator for a Z2-symmetric diagonal
+// (diagonal(i) == diagonal(~i), which holds for every MaxCut cut
+// table): the engine stores only the 2^(nFull−1) even-sector amplitudes
+// (z2.go) and every table is the REDUCED prefix fullTable[:2^(nFull−1)],
+// since representatives index the prefix directly. The boundary
+// rotation of qubit nFull−1 pairs index i with its complement — tile t
+// with the mirror tile T−1−t — and is fused into the mirrored low sweep
+// (runMirrorChunk); across ranks the mirror tile arrives by one
+// exchange between ranks r ↔ ranks−1−r per layer after the first.
+//
+// Every rank keeps at least one local qubit: ranks ≤ 2^(n−1) for the
+// n = nFull (or nFull−1 reduced) index qubits.
+func NewEngine(nFull int, z2 bool, ranks int, diag, levels []float64, idx []int32, shift []float64) (*Engine, error) {
+	e, err := buildEngine(nFull, z2, ranks, diag, levels, idx, shift)
 	if err != nil {
 		return nil, err
 	}
-	return newEngine(s, diag, levels, idx, shift)
+	e.launch()
+	return e, nil
 }
 
-// scratchLen is the per-worker scratch an engine over nEff index qubits
+// buildEngine validates the configuration and wires the engine and its
+// cores; no rank goroutine runs until launch.
+func buildEngine(nFull int, z2 bool, ranks int, diag, levels []float64, idx []int32, shift []float64) (*Engine, error) {
+	var s *State
+	var err error
+	if z2 {
+		s, err = NewZ2State(nFull)
+	} else {
+		s, err = NewState(nFull)
+	}
+	if err != nil {
+		return nil, err
+	}
+	pg := bits.Len(uint(ranks)) - 1
+	if ranks < 1 || 1<<uint(pg) != ranks {
+		return nil, fmt.Errorf("qsim: engine rank count %d is not a power of two", ranks)
+	}
+	if pg > s.n-1 {
+		return nil, fmt.Errorf("qsim: %d ranks leave no local qubits on a %d-qubit index space (need ranks ≤ %d)",
+			ranks, s.n, 1<<uint(s.n-1))
+	}
+	size := s.Len()
+	if len(diag) != size {
+		return nil, fmt.Errorf("qsim: engine diagonal has %d entries, want %d", len(diag), size)
+	}
+	indexed := levels != nil || idx != nil
+	if indexed && (levels == nil || idx == nil) {
+		return nil, fmt.Errorf("qsim: engine phase levels and index must be given together")
+	}
+	if indexed == (shift != nil) {
+		return nil, fmt.Errorf("qsim: engine needs exactly one of (levels, idx) or shift")
+	}
+	if indexed && len(idx) != size {
+		return nil, fmt.Errorf("qsim: engine phase index has %d entries, want %d", len(idx), size)
+	}
+	if shift != nil && len(shift) != size {
+		return nil, fmt.Errorf("qsim: engine phase diagonal has %d entries, want %d", len(shift), size)
+	}
+
+	e := &Engine{state: s, cores: make([]*sweep, ranks)}
+	if ranks > 1 {
+		if e.world, err = comm.NewWorld(ranks); err != nil {
+			return nil, err
+		}
+		e.partials = make([]float64, ranks)
+	}
+	workers := 1
+	if p := s.kernelPool(); p != nil {
+		workers = p.workers
+	}
+	sliceLen := size / ranks
+	for r := range e.cores {
+		c := &sweep{
+			state:  s,
+			amps:   s.amps[r*sliceLen : (r+1)*sliceLen],
+			base:   r * sliceLen,
+			nLoc:   s.n - pg,
+			m0:     min(s.n-pg, lowBlockQubits),
+			z2:     z2,
+			norm:   1 / math.Sqrt(float64(size)),
+			diag:   diag,
+			levels: levels,
+			idx:    idx,
+			shift:  shift,
+			phases: make([]complex128, len(levels)),
+			rank:   r,
+			ranks:  ranks,
+			pg:     pg,
+		}
+		c.lowBody = c.runLowChunk
+		if z2 {
+			if c.m0 == lowBlockQubits {
+				// The mirror sweep works on a 2-tile scratch buffer; halving
+				// the tile keeps the pair at 16 KiB — the same L1 working set
+				// the full engine's low sweep was sized for.
+				c.m0 = lowBlockQubits - 1
+			}
+			c.lowBody = c.runMirrorChunk
+		}
+		c.highBody = c.runHighChunk
+		c.partials = make([]float64, workers)
+		c.scratch = workerScratch(workers, scratchLen(c.nLoc, c.m0, z2))
+		if ranks > 1 {
+			c.comm, _ = e.world.Rank(r)
+			c.recv = make([]complex128, sliceLen)
+			c.globalBody = c.runGlobalChunk
+		}
+		e.cores[r] = c
+	}
+	return e, nil
+}
+
+// scratchLen is the per-worker scratch a core over nLoc window qubits
 // with an m0-qubit low group needs: the high sweep's level buffer when
 // there are high groups at all, and on Z2 engines the mirror sweep's
 // tile pair.
-func scratchLen(nEff, m0 int, z2 bool) int {
+func scratchLen(nLoc, m0 int, z2 bool) int {
 	n := 0
-	if nEff > m0 {
+	if nLoc > m0 {
 		n = highBufLen
 	}
 	if z2 && 2<<uint(m0) > n {
@@ -123,63 +254,11 @@ func workerScratch(workers, n int) [][]complex128 {
 	return sc
 }
 
-// newEngine wires an evaluator over an allocated state buffer; table
-// lengths must match the state (for a Z2-reduced state, the halved
-// index space, and the engine runs the mirrored low sweep).
-func newEngine(s *State, diag []float64, levels []float64, idx []int32, shift []float64) (*Engine, error) {
-	n := s.N()
-	if len(diag) != s.Len() {
-		return nil, fmt.Errorf("qsim: engine diagonal has %d entries, want %d", len(diag), s.Len())
-	}
-	indexed := levels != nil || idx != nil
-	if indexed && (levels == nil || idx == nil) {
-		return nil, fmt.Errorf("qsim: engine phase levels and index must be given together")
-	}
-	if indexed == (shift != nil) {
-		return nil, fmt.Errorf("qsim: engine needs exactly one of (levels, idx) or shift")
-	}
-	if indexed && len(idx) != s.Len() {
-		return nil, fmt.Errorf("qsim: engine phase index has %d entries, want %d", len(idx), s.Len())
-	}
-	if shift != nil && len(shift) != s.Len() {
-		return nil, fmt.Errorf("qsim: engine phase diagonal has %d entries, want %d", len(shift), s.Len())
-	}
-	e := &Engine{
-		state:  s,
-		n:      n,
-		diag:   diag,
-		levels: levels,
-		idx:    idx,
-		shift:  shift,
-		phases: make([]complex128, len(levels)),
-		m0:     n,
-		z2:     s.z2Full != 0,
-	}
-	if e.m0 > lowBlockQubits {
-		e.m0 = lowBlockQubits
-	}
-	e.lowBody = e.runLowChunk
-	if e.z2 {
-		if e.m0 == lowBlockQubits {
-			// The mirror sweep works on a 2-tile scratch buffer; halving the
-			// tile keeps the pair at 16 KiB — the same L1 working set the
-			// full engine's low sweep was sized for.
-			e.m0 = lowBlockQubits - 1
-		}
-		e.lowBody = e.runMirrorChunk
-	}
-	workers := 1
-	if p := s.kernelPool(); p != nil {
-		workers = p.workers
-	}
-	e.partials = make([]float64, workers)
-	e.scratch = workerScratch(workers, scratchLen(n, e.m0, e.z2))
-	e.highBody = e.runHighChunk
-	return e, nil
-}
-
 // State returns the engine's statevector buffer: after Evaluate it
-// holds the final state, valid until the next Evaluate.
+// holds the final state, valid until the next Evaluate. On a sharded
+// engine the rank slices alias this one backing array, so the
+// "gather" is free at every rank count. On a Z2 engine it is a reduced
+// state whose measurement accessors report full-space results.
 func (e *Engine) State() *State { return e.state }
 
 // SetSerial forces single-goroutine kernel execution (see
@@ -189,132 +268,173 @@ func (e *Engine) SetSerial(serial bool) { e.state.SetSerial(serial) }
 // Evaluate runs the full p-layer fused evaluation at (γ⃗, β⃗) — the
 // ansatz Π_l RX(2β_l)^⊗n · e^{-iγ_l D'} |+⟩^⊗n — and returns the exact
 // energy ⟨ψ|D|ψ⟩. len(gammas) must equal len(betas); p = 0 degenerates
-// to ⟨+|D|+⟩.
+// to ⟨+|D|+⟩. Partials are summed in rank order (and per-worker order
+// inside each rank), so repeated evaluations are bit-identical.
 func (e *Engine) Evaluate(gammas, betas []float64) float64 {
 	if len(gammas) != len(betas) {
 		panic(fmt.Sprintf("qsim: engine got %d gammas but %d betas", len(gammas), len(betas)))
 	}
+	if e.world == nil {
+		return e.cores[0].evaluate(gammas, betas)
+	}
+	return e.evaluateRanks(gammas, betas)
+}
+
+// evaluate is one core's full evaluation: the fused layer schedule on
+// its window, with global-qubit rotations (and, on Z2 slices, the
+// mirror tiles) routed through barrier-separated slice exchanges.
+func (s *sweep) evaluate(gammas, betas []float64) float64 {
 	p := len(gammas)
 	if p == 0 {
-		e.state.FillPlus()
-		return e.state.ExpectDiagonal(e.diag)
-	}
-	groups := 1 + (e.n-e.m0+mixerBlockQubits-1)/mixerBlockQubits
-	tiles := len(e.state.amps) >> uint(e.m0)
-	lowTotal, lowLen := tiles, 1<<uint(e.m0)
-	if e.z2 {
-		// The mirrored low sweep consumes tile PAIRS (t, tiles−1−t) so it
-		// can fuse the boundary rotation into the tile butterfly.
-		lowTotal = tiles / 2
-		if lowTotal == 0 {
-			lowTotal = 1
+		s.localSweeps++
+		if s.comm == nil {
+			s.state.FillPlus()
+			return s.state.ExpectDiagonal(s.diag)
 		}
+		// Degenerate ⟨+|D|+⟩ on a slice: fill it and dot it locally.
+		amp := complex(s.norm, 0)
+		acc := 0.0
+		for i := range s.amps {
+			s.amps[i] = amp
+			acc += real(amp) * real(amp) * s.diag[s.base+i]
+		}
+		return acc
+	}
+	groups := 1 + (s.nLoc-s.m0+mixerBlockQubits-1)/mixerBlockQubits
+	tiles := len(s.amps) >> uint(s.m0)
+	lowTotal, lowLen := tiles, 1<<uint(s.m0)
+	if s.z2 {
+		// The mirrored low sweep butterflies tile PAIRS. On one slice an
+		// item is a pair of local tiles; across ranks an item is one local
+		// tile whose partner arrives in recv.
 		lowLen *= 2
+		if s.pg == 0 {
+			lowTotal = max(tiles/2, 1)
+		}
 	}
 	for l := 0; l < p; l++ {
-		e.gamma = gammas[l]
-		e.c = math.Cos(betas[l]) // RX(2β): θ/2 = β
-		e.sn = math.Sin(betas[l])
-		e.first = l == 0
+		s.gamma = gammas[l]
+		s.c = math.Cos(betas[l]) // RX(2β): θ/2 = β
+		s.sn = math.Sin(betas[l])
+		s.first = l == 0
 		last := l == p-1
-		if e.levels != nil {
+		if s.levels != nil {
 			amp := 1.0
-			if e.first {
-				amp = 1 / math.Sqrt(float64(len(e.state.amps)))
+			if s.first {
+				amp = s.norm
 			}
-			for j, v := range e.levels {
-				sin, cos := math.Sincos(-e.gamma * v)
-				e.phases[j] = complex(amp*cos, amp*sin)
+			for j, v := range s.levels {
+				sin, cos := math.Sincos(-s.gamma * v)
+				s.phases[j] = complex(amp*cos, amp*sin)
 			}
 		}
-		e.expect = last && groups == 1
-		if e.expect {
-			e.resetPartials()
+		if s.z2 && s.pg > 0 && !s.first {
+			// Mirror exchange for the fused boundary rotation. The first
+			// layer synthesizes phase·|+⟩ straight from the tables and
+			// reads no amplitudes, so it needs no partner data.
+			s.exchange(s.ranks - 1 - s.rank)
 		}
-		e.dispatch(lowTotal, lowLen, e.lowBody)
-		for g0 := e.m0; g0 < e.n; g0 += mixerBlockQubits {
-			e.g0 = g0
-			e.m = e.n - g0
-			if e.m > mixerBlockQubits {
-				e.m = mixerBlockQubits
+		s.expect = last && groups == 1 && s.pg == 0
+		if s.expect {
+			s.resetPartials()
+		}
+		s.dispatch(lowTotal, lowLen, s.lowBody)
+		for g0 := s.m0; g0 < s.nLoc; g0 += mixerBlockQubits {
+			s.g0 = g0
+			s.m = min(s.nLoc-g0, mixerBlockQubits)
+			s.expect = last && s.pg == 0 && g0+mixerBlockQubits >= s.nLoc
+			if s.expect {
+				s.resetPartials()
 			}
-			e.expect = last && g0+mixerBlockQubits >= e.n
-			if e.expect {
-				e.resetPartials()
+			batches := len(s.amps) >> uint(s.m) / highBatch
+			s.dispatch(batches, 1<<uint(s.m)*highBatch, s.highBody)
+		}
+		s.localSweeps += groups
+		for gq := 0; gq < s.pg; gq++ {
+			s.exchange(s.rank ^ 1<<uint(gq))
+			s.bit0 = s.rank&(1<<uint(gq)) == 0
+			s.expect = last && gq == s.pg-1
+			if s.expect {
+				s.resetPartials()
 			}
-			batches := len(e.state.amps) >> uint(e.m) / highBatch
-			e.dispatch(batches, 1<<uint(e.m)*highBatch, e.highBody)
+			s.dispatch(len(s.amps), 1, s.globalBody)
 		}
 	}
 	total := 0.0
-	for _, v := range e.partials {
+	for _, v := range s.partials {
 		total += v
 	}
 	return total
 }
 
-func (e *Engine) resetPartials() {
-	for i := range e.partials {
-		e.partials[i] = 0
+func (s *sweep) resetPartials() {
+	for i := range s.partials {
+		s.partials[i] = 0
 	}
 }
 
 // dispatch runs a prepared pass body over [0, total) chunks through the
 // kernel pool, inline when the sweep is small or the state is serial.
-func (e *Engine) dispatch(total, itemLen int, body func(w, start, end int)) {
-	p := e.state.kernelPool()
+// Concurrent ranks interleave their chunks on the same workers; each
+// core waits only on its own WaitGroup.
+func (s *sweep) dispatch(total, itemLen int, body func(w, start, end int)) {
+	p := s.state.kernelPool()
 	if p == nil || total*itemLen < parallelThreshold {
 		body(0, 0, total)
 		return
 	}
-	if p.workers > len(e.partials) {
+	if p.workers > len(s.partials) {
 		// The pool grew after construction (pool override on the state);
 		// re-size outside the steady-state path.
-		e.partials = make([]float64, p.workers)
-		e.scratch = workerScratch(p.workers, scratchLen(e.n, e.m0, e.z2))
+		s.partials = make([]float64, p.workers)
+		s.scratch = workerScratch(p.workers, scratchLen(s.nLoc, s.m0, s.z2))
 	}
-	p.run(total, body, &e.wg)
+	p.run(total, body, &s.wg)
+}
+
+// foldEnergy returns acc + Σ|buf[i]|²·d[i], accumulated in index order.
+func foldEnergy(acc float64, buf []complex128, d []float64) float64 {
+	for i, a := range buf {
+		re, im := real(a), imag(a)
+		acc += (re*re + im*im) * d[i]
+	}
+	return acc
 }
 
 // runLowChunk is the fused low sweep: per contiguous tile, apply the
 // cost phases (synthesizing the first layer's phase·|+⟩ directly), run
 // the low butterfly levels, and — when this is the evaluation's final
 // sweep — accumulate the energy while the tile is cache-resident.
-func (e *Engine) runLowChunk(w, start, end int) {
-	amps := e.state.amps
-	tl := 1 << uint(e.m0)
-	c, sn := e.c, e.sn
+func (s *sweep) runLowChunk(w, start, end int) {
+	tl := 1 << uint(s.m0)
+	c, sn := s.c, s.sn
 	acc := 0.0
 	for t := start; t < end; t++ {
-		base := t * tl
-		buf := amps[base : base+tl]
-		e.phaseTile(buf, base)
+		lb := t * tl
+		gb := s.base + lb
+		buf := s.amps[lb : lb+tl]
+		s.phaseTile(buf, gb)
 		rxTile(buf, 1, c, sn)
-		if e.expect {
-			d := e.diag[base : base+tl]
-			for i := range buf {
-				a := buf[i]
-				re, im := real(a), imag(a)
-				acc += (re*re + im*im) * d[i]
-			}
+		if s.expect {
+			acc = foldEnergy(acc, buf, s.diag[gb:gb+tl])
 		}
 	}
-	if e.expect {
-		e.partials[w] += acc
+	if s.expect {
+		s.partials[w] += acc
 	}
 }
 
 // phaseTile applies the current layer's cost phases to one
 // cache-resident tile — synthesizing phase·|+⟩ in place on the first
-// layer — with base the tile's offset into the diagonal tables. On a
-// Z2 engine len(e.state.amps) is the half-vector length, which makes
+// layer — with base the tile's GLOBAL offset into the diagonal tables.
+// On a Z2 engine the global length is the half-vector's, which makes
 // the first-layer amplitude 1/√(2^(nFull−1)) = √2·2^(-nFull/2): the
 // reduction's renormalization falls out automatically.
-func (e *Engine) phaseTile(buf []complex128, base int) {
-	if e.levels != nil {
-		idx := e.idx[base : base+len(buf)]
-		ph := e.phases
-		if e.first {
+func (s *sweep) phaseTile(buf []complex128, base int) {
+	if s.levels != nil {
+		idx := s.idx[base : base+len(buf)]
+		ph := s.phases
+		if s.first {
 			for i := range buf {
 				buf[i] = ph[idx[i]]
 			}
@@ -325,10 +445,10 @@ func (e *Engine) phaseTile(buf []complex128, base int) {
 		}
 		return
 	}
-	sh := e.shift[base : base+len(buf)]
-	gamma := e.gamma
-	if e.first {
-		amp0 := 1 / math.Sqrt(float64(len(e.state.amps)))
+	sh := s.shift[base : base+len(buf)]
+	gamma := s.gamma
+	if s.first {
+		amp0 := s.norm
 		for i := range buf {
 			sin, cos := math.Sincos(-gamma * sh[i])
 			buf[i] = complex(amp0*cos, amp0*sin)
@@ -342,24 +462,25 @@ func (e *Engine) phaseTile(buf []complex128, base int) {
 }
 
 // phaseTileInto is phaseTile fused with the mirror sweep's scratch
-// load: it reads src (one tile of the half-vector), applies the layer's
-// phases, and writes the result to dst — in index order when reversed
-// is false, back-to-front (dst[i] ← src[len−1−i]) when true. base is
-// the tile's offset into the diagonal tables; the tables are addressed
-// in SRC order, so the reversed copy phases each amplitude with its own
-// diagonal entry. On the first layer src is not read at all — the
-// phased |+⟩ synthesis writes straight into scratch.
-func (e *Engine) phaseTileInto(dst, src []complex128, base int, reversed bool) {
+// load: it reads src (one tile, from the window or the partner's
+// received slice), applies the layer's phases, and writes the result to
+// dst — in index order when reversed is false, back-to-front
+// (dst[i] ← src[len−1−i]) when true. base is the tile's GLOBAL offset
+// into the diagonal tables; the tables are addressed in SRC order, so
+// the reversed copy phases each amplitude with its own diagonal entry.
+// On the first layer src is not read at all — the phased |+⟩ synthesis
+// writes straight into scratch.
+func (s *sweep) phaseTileInto(dst, src []complex128, base int, reversed bool) {
 	last := len(dst) - 1
-	if e.levels != nil {
-		idx := e.idx[base : base+len(dst)]
-		ph := e.phases
+	if s.levels != nil {
+		idx := s.idx[base : base+len(dst)]
+		ph := s.phases
 		switch {
-		case e.first && reversed:
+		case s.first && reversed:
 			for i := range dst {
 				dst[i] = ph[idx[last-i]]
 			}
-		case e.first:
+		case s.first:
 			for i := range dst {
 				dst[i] = ph[idx[i]]
 			}
@@ -375,10 +496,10 @@ func (e *Engine) phaseTileInto(dst, src []complex128, base int, reversed bool) {
 		}
 		return
 	}
-	sh := e.shift[base : base+len(dst)]
-	gamma := e.gamma
-	if e.first {
-		amp0 := 1 / math.Sqrt(float64(len(e.state.amps)))
+	sh := s.shift[base : base+len(dst)]
+	gamma := s.gamma
+	if s.first {
+		amp0 := s.norm
 		for i := range dst {
 			j := i
 			if reversed {
@@ -403,8 +524,9 @@ func (e *Engine) phaseTileInto(dst, src []complex128, base int, reversed bool) {
 // rotation — RX on full qubit nFull−1, which pairs reduced index i with
 // its complement maskLow^i — is an index REVERSAL, not a strided
 // butterfly, so it cannot ride the blocked kernels directly. Instead
-// the sweep processes mirror tile pairs: tile t is copied forward and
-// tile tiles−1−t REVERSED into one 2·tileLen scratch buffer, where
+// the sweep processes mirror tile pairs: global tile f is copied
+// forward and tile T−1−f REVERSED into one 2·tileLen scratch buffer,
+// where
 //
 //   - butterfly levels h ≤ tileLen/2 act inside each half, applying the
 //     low-qubit rotations to both tiles (the reversed copy swaps each
@@ -413,62 +535,74 @@ func (e *Engine) phaseTileInto(dst, src []complex128, base int, reversed bool) {
 //     exactly the boundary pairing i ↔ maskLow^i.
 //
 // One rxTile call on the scratch therefore applies ALL low levels plus
-// the boundary to both tiles, inheriting the AVX2 kernel and its
+// the boundary to both tiles, inheriting the vector kernels and their
 // portable fallback, and the phase/energy folds run on the same
-// cache-resident data. Chunk index t ranges over pairs, [0, tiles/2).
-func (e *Engine) runMirrorChunk(w, start, end int) {
-	amps := e.state.amps
-	tl := 1 << uint(e.m0)
-	c, sn := e.c, e.sn
-	acc := 0.0
-	tiles := len(amps) >> uint(e.m0)
+// cache-resident data.
+//
+// On one slice both tiles are local and chunk item t is the pair
+// (t, T−1−t), t < T/2; the sweep writes both halves back. Across ranks
+// item t is local tile t, its mirror lives on rank ranks−1−r and came
+// in through this layer's mirror exchange; both sides of a pair
+// assemble the identical scratch and each writes back only its own
+// half — the butterfly work is done twice across the pair, which is
+// cheaper than a second exchange to return the partner half (the
+// standard redundant-compute tradeoff of distributed mirrored sweeps).
+func (s *sweep) runMirrorChunk(w, start, end int) {
+	tl := 1 << uint(s.m0)
+	c, sn := s.c, s.sn
+	tiles := len(s.amps) << uint(s.pg) >> uint(s.m0) // global tile count T
 	if tiles == 1 {
 		// Single-tile half-vector (nFull ≤ lowBlockQubits+1): all low
 		// levels in place, then the boundary reversal as a scalar pass.
-		e.phaseTile(amps, 0)
-		rxTile(amps, 1, c, sn)
-		z2Boundary(amps, c, sn)
-		if e.expect {
-			for i := range amps {
-				a := amps[i]
-				re, im := real(a), imag(a)
-				acc += (re*re + im*im) * e.diag[i]
-			}
-			e.partials[w] += acc
+		s.phaseTile(s.amps, 0)
+		rxTile(s.amps, 1, c, sn)
+		z2Boundary(s.amps, c, sn)
+		if s.expect {
+			s.partials[w] += foldEnergy(0, s.amps, s.diag)
 		}
 		return
 	}
-	sc := e.scratch[w][:2*tl]
+	acc := 0.0
+	sc := s.scratch[w][:2*tl]
 	for t := start; t < end; t++ {
-		fb := t * tl
-		rb := (tiles - 1 - t) * tl
-		fwd := amps[fb : fb+tl]
-		rev := amps[rb : rb+tl]
-		e.phaseTileInto(sc[:tl], fwd, fb, false)
-		e.phaseTileInto(sc[tl:2*tl], rev, rb, true)
+		f := s.base/tl + t // the item's forward tile (or, upper ranks, its mirror)
+		if f >= tiles/2 {
+			f = tiles - 1 - f
+		}
+		fb, rb := f*tl, (tiles-1-f)*tl
+		fwd, fOwn := s.tile(fb, tl)
+		rev, rOwn := s.tile(rb, tl)
+		s.phaseTileInto(sc[:tl], fwd, fb, false)
+		s.phaseTileInto(sc[tl:], rev, rb, true)
 		rxTile(sc, 1, c, sn)
-		copy(fwd, sc[:tl])
-		for i := 0; i < tl; i++ {
-			rev[tl-1-i] = sc[tl+i]
-		}
-		if e.expect {
-			df := e.diag[fb : fb+tl]
-			dr := e.diag[rb : rb+tl]
-			for i := range fwd {
-				a := fwd[i]
-				re, im := real(a), imag(a)
-				acc += (re*re + im*im) * df[i]
+		if fOwn {
+			copy(fwd, sc[:tl])
+			if s.expect {
+				acc = foldEnergy(acc, fwd, s.diag[fb:fb+tl])
 			}
+		}
+		if rOwn {
 			for i := range rev {
-				a := rev[i]
-				re, im := real(a), imag(a)
-				acc += (re*re + im*im) * dr[i]
+				rev[tl-1-i] = sc[tl+i]
+			}
+			if s.expect {
+				acc = foldEnergy(acc, rev, s.diag[rb:rb+tl])
 			}
 		}
 	}
-	if e.expect {
-		e.partials[w] += acc
+	if s.expect {
+		s.partials[w] += acc
 	}
+}
+
+// tile returns the tl amplitudes at global offset gb: from this core's
+// window when it owns them, else from the mirror rank's slice in recv.
+func (s *sweep) tile(gb, tl int) (buf []complex128, own bool) {
+	if lb := gb - s.base; lb >= 0 && lb < len(s.amps) {
+		return s.amps[lb : lb+tl], true
+	}
+	lb := gb - (s.ranks-1-s.rank)*len(s.amps)
+	return s.recv[lb : lb+tl], false
 }
 
 // z2Boundary applies the boundary rotation to a single-tile reduced
@@ -487,11 +621,13 @@ func z2Boundary(buf []complex128, c, sn float64) {
 
 // runHighChunk runs the current high group's sweep (rxHighSweep, which
 // butterflies the strided rows where they live) over one chunk of
-// batches, folding the energy in on the evaluation's final sweep.
-func (e *Engine) runHighChunk(w, start, end int) {
-	if e.expect {
-		e.partials[w] += rxHighSweep(e.state.amps, e.scratch[w], e.diag, e.g0, e.m, start, end, e.c, e.sn)
+// batches, folding the energy in on the evaluation's final sweep
+// through the window's slice of the global diagonal.
+func (s *sweep) runHighChunk(w, start, end int) {
+	if s.expect {
+		diag := s.diag[s.base : s.base+len(s.amps)]
+		s.partials[w] += rxHighSweep(s.amps, s.scratch[w], diag, s.g0, s.m, start, end, s.c, s.sn)
 		return
 	}
-	rxHighSweep(e.state.amps, e.scratch[w], nil, e.g0, e.m, start, end, e.c, e.sn)
+	rxHighSweep(s.amps, s.scratch[w], nil, s.g0, s.m, start, end, s.c, s.sn)
 }

@@ -1,6 +1,7 @@
 package qsim
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -30,6 +31,35 @@ func engineFixture(t testing.TB, n int, seed uint64) (diag, levels []float64, id
 	return diag, lv, idx, shift
 }
 
+// z2Fixture builds a random Z2-SYMMETRIC cut-like diagonal over nFull
+// qubits — table(i) = table(~i), the invariant every MaxCut cut table
+// satisfies — plus its factored and dense phase forms. The reduced
+// engine consumes the prefix halves table[:2^(nFull−1)]; the reference
+// walk consumes the full tables.
+func z2Fixture(t testing.TB, nFull int, seed uint64) (diag, levels []float64, idx []int32, shift []float64) {
+	t.Helper()
+	r := rng.New(seed)
+	size := 1 << uint(nFull)
+	mask := size - 1
+	nLevels := 7
+	levels = make([]float64, nLevels)
+	for j := range levels {
+		levels[j] = float64(j) - 2.5
+	}
+	diag = make([]float64, size)
+	shift = make([]float64, size)
+	idx = make([]int32, size)
+	for i := 0; i < size/2; i++ {
+		k := int32(r.Uint64() % uint64(nLevels))
+		for _, j := range [2]int{i, mask ^ i} {
+			idx[j] = k
+			shift[j] = levels[k]
+			diag[j] = levels[k] + 2.5
+		}
+	}
+	return diag, levels, idx, shift
+}
+
 // referenceEvaluate is the unfused kernel walk the engine must match:
 // FillPlus, then per layer one phase pass and n ApplyRX calls, then
 // ExpectDiagonal.
@@ -49,107 +79,325 @@ func referenceEvaluate(t testing.TB, n int, shift, diag, gammas, betas []float64
 	return s.ExpectDiagonal(diag), s
 }
 
-func TestEngineMatchesKernelWalk(t *testing.T) {
-	for _, n := range []int{1, 3, 6, 9, 11, 14, 16} {
-		for p := 1; p <= 3; p++ {
-			diag, levels, idx, shift := engineFixture(t, n, uint64(n*31+p))
-			pr := rng.New(uint64(n*7 + p))
-			gammas := make([]float64, p)
-			betas := make([]float64, p)
-			for l := 0; l < p; l++ {
-				gammas[l] = pr.Float64() * 2 * math.Pi
-				betas[l] = pr.Float64() * math.Pi
-			}
-			want, ws := referenceEvaluate(t, n, shift, diag, gammas, betas)
+// distParams draws the shared deterministic parameter schedule.
+func distParams(nFull, p int) (gammas, betas []float64) {
+	pr := rng.New(uint64(nFull*17 + p))
+	gammas = make([]float64, p)
+	betas = make([]float64, p)
+	for l := 0; l < p; l++ {
+		gammas[l] = pr.Float64() * 2 * math.Pi
+		betas[l] = pr.Float64() * math.Pi
+	}
+	return gammas, betas
+}
 
-			for _, mode := range []string{"indexed", "dense"} {
-				var eng *Engine
-				var err error
-				if mode == "indexed" {
-					eng, err = NewEngine(n, diag, levels, idx, nil)
-				} else {
-					eng, err = NewEngine(n, diag, nil, nil, shift)
-				}
-				if err != nil {
-					t.Fatal(err)
-				}
-				got := eng.Evaluate(gammas, betas)
-				if math.Abs(got-want) > 1e-12 {
-					t.Fatalf("n=%d p=%d %s: energy %v, want %v", n, p, mode, got, want)
-				}
-				if d := maxAmpDiff(eng.State(), ws); d > 1e-12 {
-					t.Fatalf("n=%d p=%d %s: amplitudes deviate by %v", n, p, mode, d)
-				}
-				// A second evaluation must reproduce the first (buffer
-				// reuse across calls, first-layer in-place synthesis).
-				if again := eng.Evaluate(gammas, betas); again != got {
-					t.Fatalf("n=%d p=%d %s: re-evaluation drifted: %v then %v", n, p, mode, got, again)
+// testEngine builds one configuration of the engine table from FULL
+// fixture tables: the reduced engine takes the prefix halves, dense
+// selects the shift form over (levels, idx). ok is false when the rank
+// count leaves a rank without a local qubit.
+func testEngine(t testing.TB, nFull int, z2 bool, ranks int, dense bool,
+	diag, levels []float64, idx []int32, shift []float64) (eng *Engine, ok bool) {
+	t.Helper()
+	nEff := nFull
+	if z2 {
+		nEff--
+	}
+	if nEff < 1 || ranks > 1<<uint(nEff-1) {
+		return nil, false
+	}
+	size := 1 << uint(nEff)
+	diag, idx, shift = diag[:size], idx[:size], shift[:size]
+	if dense {
+		levels, idx = nil, nil
+	} else {
+		shift = nil
+	}
+	eng, err := NewEngine(nFull, z2, ranks, diag, levels, idx, shift)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return eng, true
+}
+
+// The engine table spans z2 × ranks × indexed/dense phase; each
+// MatchesKernelWalk test below runs one slice of it through
+// checkEngineTable: inline (ranks 1) and sharded, reduced and
+// unreduced, indexed and dense phases.
+var (
+	inlineRanks  = []int{1}
+	shardedRanks = []int{2, 4, 8}
+	bothPhases   = []bool{false, true}
+	indexedPhase = []bool{false}
+)
+
+// checkEngineTable pins the engine configurations z2s × ranks × dense
+// × assembly/portable tile kernel against the unfused kernel walk at
+// 1e-12, energy AND amplitudes (reduced states expanded first). It also
+// gates the measured exchange volume against both closed forms exactly
+// and requires re-evaluation to be bit-stable (buffer reuse, first-layer
+// in-place synthesis). The size list crosses every sweep regime:
+// single-tile reduced vectors with the scalar boundary pass, windows
+// below, at and above lowBlockQubits, and local high groups live.
+func checkEngineTable(t *testing.T, z2s []bool, rankList []int, denses []bool) {
+	t.Helper()
+	saved := useMixerAsm
+	defer func() { useMixerAsm = saved }()
+	for _, asm := range []bool{false, saved} {
+		useMixerAsm = asm
+		for _, nFull := range []int{1, 2, 3, 4, 6, 9, 11, 12, 14, 16} {
+			for p := 1; p <= 3; p++ {
+				gammas, betas := distParams(nFull, p)
+				for _, z2 := range z2s {
+					fixture := engineFixture
+					if z2 {
+						fixture = z2Fixture
+					}
+					diag, levels, idx, shift := fixture(t, nFull, uint64(nFull*41+p))
+					want, ws := referenceEvaluate(t, nFull, shift, diag, gammas, betas)
+					for _, ranks := range rankList {
+						for _, dense := range denses {
+							eng, ok := testEngine(t, nFull, z2, ranks, dense, diag, levels, idx, shift)
+							if !ok {
+								continue
+							}
+							name := fmt.Sprintf("asm=%v n=%d p=%d z2=%v ranks=%d dense=%v", asm, nFull, p, z2, ranks, dense)
+							got := eng.Evaluate(gammas, betas)
+							if math.Abs(got-want) > 1e-12 {
+								t.Fatalf("%s: energy %v, want %v", name, got, want)
+							}
+							st := eng.State()
+							if z2 {
+								if st.Z2Full() != nFull || st.Len() != 1<<uint(nFull-1) {
+									t.Fatalf("%s: state not reduced: Z2Full=%d Len=%d", name, st.Z2Full(), st.Len())
+								}
+								st = st.ExpandZ2()
+							}
+							if d := maxAmpDiff(st, ws); d > 1e-12 {
+								t.Fatalf("%s: amplitudes deviate by %v", name, d)
+							}
+							sent := eng.Stats().BytesSent
+							if closed := eng.CommBytesExpected(p); sent != closed {
+								t.Fatalf("%s: BytesSent=%d, closed form says %d", name, sent, closed)
+							}
+							if closed := (DistStats{}).CommBytesExpected(nFull, ranks, p); !z2 && sent != closed {
+								t.Fatalf("%s: BytesSent=%d, DistStats closed form says %d", name, sent, closed)
+							}
+							if again := eng.Evaluate(gammas, betas); again != got {
+								t.Fatalf("%s: re-evaluation drifted: %v then %v", name, got, again)
+							}
+							eng.Stop()
+						}
+					}
 				}
 			}
 		}
 	}
+	if !saved {
+		t.Log("assembly tile kernel not available on this machine; Go fallback covered")
+	}
 }
 
-func TestEngineZeroLayers(t *testing.T) {
-	diag, levels, idx, _ := engineFixture(t, 5, 3)
-	eng, err := NewEngine(5, diag, levels, idx, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := eng.Evaluate(nil, nil)
+// TestEngineMatchesKernelWalk: the inline unreduced engine, both phase
+// forms.
+func TestEngineMatchesKernelWalk(t *testing.T) {
+	checkEngineTable(t, []bool{false}, inlineRanks, bothPhases)
+}
+
+// TestZ2EngineMatchesKernelWalk: the inline reduced engine, both phase
+// forms.
+func TestZ2EngineMatchesKernelWalk(t *testing.T) {
+	checkEngineTable(t, []bool{true}, inlineRanks, bothPhases)
+}
+
+// TestDistEngineMatchesKernelWalk: the unreduced engine over 2, 4 and 8
+// rank slices, indexed phase.
+func TestDistEngineMatchesKernelWalk(t *testing.T) {
+	checkEngineTable(t, []bool{false}, shardedRanks, indexedPhase)
+}
+
+// TestDistZ2EngineMatchesKernelWalk: the reduced engine over 2, 4 and 8
+// rank slices (mirror exchanges for the boundary rotation), indexed
+// phase.
+func TestDistZ2EngineMatchesKernelWalk(t *testing.T) {
+	checkEngineTable(t, []bool{true}, shardedRanks, indexedPhase)
+}
+
+// TestDistEngineDensePhase: the dense shift-table phase over rank
+// slices, reduced and unreduced.
+func TestDistEngineDensePhase(t *testing.T) {
+	checkEngineTable(t, []bool{false, true}, shardedRanks, []bool{true})
+}
+
+// checkZeroLayers: p = 0 degenerates to ⟨+|D|+⟩, the uniform mean,
+// and moves no data between ranks.
+func checkZeroLayers(t *testing.T, ranks int) {
+	t.Helper()
+	diag, levels, idx, shift := engineFixture(t, 6, 5)
 	want := 0.0
 	for _, v := range diag {
 		want += v / float64(len(diag))
 	}
-	if math.Abs(got-want) > 1e-12 {
-		t.Fatalf("p=0 energy %v, want uniform mean %v", got, want)
+	eng, _ := testEngine(t, 6, false, ranks, false, diag, levels, idx, shift)
+	defer eng.Stop()
+	if got := eng.Evaluate(nil, nil); math.Abs(got-want) > 1e-12 {
+		t.Fatalf("ranks=%d: p=0 energy %v, want uniform mean %v", ranks, got, want)
+	}
+	if st := eng.Stats(); st.BytesSent != 0 || st.MessagesSent != 0 || st.CommGates != 0 {
+		t.Fatalf("ranks=%d: p=0 moved data: %+v", ranks, st)
 	}
 }
 
+func TestEngineZeroLayers(t *testing.T)     { checkZeroLayers(t, 1) }
+func TestDistEngineZeroLayers(t *testing.T) { checkZeroLayers(t, 4) }
+
+// badShape is one constructor call that must be rejected.
+type badShape struct {
+	name   string
+	nFull  int
+	z2     bool
+	ranks  int
+	diag   []float64
+	levels []float64
+	idx    []int32
+	shift  []float64
+}
+
+func checkRejects(t *testing.T, cases []badShape) {
+	t.Helper()
+	for _, tc := range cases {
+		if _, err := NewEngine(tc.nFull, tc.z2, tc.ranks, tc.diag, tc.levels, tc.idx, tc.shift); err == nil {
+			t.Fatalf("%s accepted", tc.name)
+		}
+	}
+}
+
+// TestEngineRejectsBadShapes: qubit count, table lengths and the
+// exactly-one-phase-form rule of the inline engine.
 func TestEngineRejectsBadShapes(t *testing.T) {
 	diag, levels, idx, shift := engineFixture(t, 4, 9)
-	if _, err := NewEngine(4, diag[:3], levels, idx, nil); err == nil {
-		t.Fatal("short diagonal accepted")
-	}
-	if _, err := NewEngine(4, diag, levels, idx, shift); err == nil {
-		t.Fatal("both phase forms accepted")
-	}
-	if _, err := NewEngine(4, diag, nil, nil, nil); err == nil {
-		t.Fatal("no phase form accepted")
-	}
-	if _, err := NewEngine(4, diag, levels, idx[:7], nil); err == nil {
-		t.Fatal("short phase index accepted")
-	}
-	if _, err := NewEngine(4, diag, levels, nil, shift); err == nil {
-		t.Fatal("levels without index accepted")
+	checkRejects(t, []badShape{
+		{"short diagonal", 4, false, 1, diag[:3], levels, idx, nil},
+		{"both phase forms", 4, false, 1, diag, levels, idx, shift},
+		{"no phase form", 4, false, 1, diag, nil, nil, nil},
+		{"short phase index", 4, false, 1, diag, levels, idx[:7], nil},
+		{"levels without index", 4, false, 1, diag, levels, nil, shift},
+		{"zero qubits", 0, false, 1, diag, levels, idx, nil},
+	})
+}
+
+// TestDistEngineValidation: rank counts and the sharded table rules.
+func TestDistEngineValidation(t *testing.T) {
+	diag, levels, idx, shift := engineFixture(t, 4, 9)
+	checkRejects(t, []badShape{
+		{"zero rank count", 4, false, 0, diag, levels, idx, nil},
+		{"non-power-of-two rank count", 4, false, 3, diag, levels, idx, nil},
+		{"rank count leaving no local qubits", 4, false, 16, diag, levels, idx, nil},
+		{"sharded short diagonal", 4, false, 2, diag[:7], levels, idx, nil},
+		{"sharded both phase forms", 4, false, 2, diag, levels, idx, shift},
+		{"sharded no phase form", 4, false, 2, diag, nil, nil, nil},
+		{"sharded levels without index", 4, false, 2, diag, levels, nil, nil},
+	})
+}
+
+// TestZ2EngineRejectsBadShapes: the reduced engine takes the prefix
+// halves only and needs a sharded index space of at least one qubit
+// per rank.
+func TestZ2EngineRejectsBadShapes(t *testing.T) {
+	_, levels, _, _ := engineFixture(t, 4, 9)
+	zdiag, _, zidx, zshift := z2Fixture(t, 4, 9)
+	checkRejects(t, []badShape{
+		{"single-qubit reduction", 1, true, 1, []float64{0}, levels, []int32{0}, nil},
+		{"full-length diagonal for reduced engine", 4, true, 1, zdiag, levels, zidx, nil},
+		{"full-length phase index for reduced engine", 4, true, 1, zdiag[:8], levels, zidx, nil},
+		{"full-length dense phase diagonal for reduced engine", 4, true, 1, zdiag[:8], nil, nil, zshift},
+		{"reduced both phase forms", 4, true, 1, zdiag[:8], levels, zidx[:8], zshift[:8]},
+		{"reduced rank count beyond half-vector", 4, true, 8, zdiag[:8], levels, zidx[:8], nil},
+	})
+}
+
+// checkZeroAlloc pins the acceptance criterion: steady-state objective
+// evaluations allocate nothing, for both phase forms and across the
+// low-sweep regimes (single tile with the scalar boundary pass,
+// mirrored pairs local and exchanged, high groups live).
+func checkZeroAlloc(t *testing.T, z2s []bool, rankList []int) {
+	t.Helper()
+	gammas := []float64{0.3, 1.1, 0.7}
+	betas := []float64{0.9, 0.2, 0.5}
+	for _, nFull := range []int{9, 13} {
+		diag, levels, idx, shift := z2Fixture(t, nFull, 17)
+		for _, z2 := range z2s {
+			for _, ranks := range rankList {
+				for _, dense := range bothPhases {
+					eng, _ := testEngine(t, nFull, z2, ranks, dense, diag, levels, idx, shift)
+					eng.Evaluate(gammas, betas) // warm up lazy growth, if any
+					allocs := testing.AllocsPerRun(20, func() {
+						eng.Evaluate(gammas, betas)
+					})
+					eng.Stop()
+					if allocs != 0 {
+						t.Fatalf("n=%d z2=%v ranks=%d dense=%v: Evaluate allocates %v objects per call, want 0",
+							nFull, z2, ranks, dense, allocs)
+					}
+				}
+			}
+		}
 	}
 }
 
-// TestEngineZeroAlloc pins the acceptance criterion: steady-state
-// objective evaluations allocate nothing.
-func TestEngineZeroAlloc(t *testing.T) {
-	diag, levels, idx, shift := engineFixture(t, 12, 17)
-	gammas := []float64{0.3, 1.1, 0.7}
-	betas := []float64{0.9, 0.2, 0.5}
-	for _, mode := range []string{"indexed", "dense"} {
-		var eng *Engine
-		var err error
-		if mode == "indexed" {
-			eng, err = NewEngine(12, diag, levels, idx, nil)
-		} else {
-			eng, err = NewEngine(12, diag, nil, nil, shift)
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		eng.Evaluate(gammas, betas) // warm up lazy growth, if any
-		allocs := testing.AllocsPerRun(20, func() {
-			eng.Evaluate(gammas, betas)
-		})
-		if allocs != 0 {
-			t.Fatalf("%s: Evaluate allocates %v objects per call, want 0", mode, allocs)
-		}
+func TestEngineZeroAlloc(t *testing.T)   { checkZeroAlloc(t, []bool{false}, inlineRanks) }
+func TestZ2EngineZeroAlloc(t *testing.T) { checkZeroAlloc(t, []bool{true}, inlineRanks) }
+
+// TestDistEngineZeroAllocLocal: every rank sweeps its slice locally and
+// the exchanges carry slices unboxed, so a warm sharded evaluation
+// allocates nothing either, reduced and unreduced.
+func TestDistEngineZeroAllocLocal(t *testing.T) {
+	checkZeroAlloc(t, []bool{false, true}, []int{2, 4})
+}
+
+// checkStatsLedger hand-computes the fused comm pattern's ledger on 8
+// full qubits over 4 ranks, the engine counterpart of
+// TestDistStatsCounts.
+func checkStatsLedger(t *testing.T, z2 bool, p int, want DistStats) {
+	t.Helper()
+	diag, levels, idx, shift := z2Fixture(t, 8, 13)
+	eng, _ := testEngine(t, 8, z2, 4, false, diag, levels, idx, shift)
+	defer eng.Stop()
+	gammas, betas := distParams(8, p)
+	eng.Evaluate(gammas, betas)
+	if got := eng.Stats(); got != want {
+		t.Fatalf("z2=%v: ledger %+v, want %+v", z2, got, want)
 	}
+	if closed := eng.CommBytesExpected(p); closed != want.BytesSent {
+		t.Fatalf("z2=%v: closed form %d, want %d", z2, closed, want.BytesSent)
+	}
+	if closed := (DistStats{}).CommBytesExpected(8, 4, p); !z2 && closed != want.BytesSent {
+		t.Fatalf("DistStats closed form %d, want %d", closed, want.BytesSent)
+	}
+}
+
+// TestDistEngineStatsLedger: 2 global qubits and 64-amplitude slices at
+// p=2 run one fused local sweep and two exchange rounds per layer —
+// every round is 4 slice messages of 64·16 bytes.
+func TestDistEngineStatsLedger(t *testing.T) {
+	checkStatsLedger(t, false, 2, DistStats{
+		LocalGates:   2,         // 1 fused low sweep per layer (no high groups at 6 local qubits)
+		CommGates:    4,         // 2 global qubits × 2 layers
+		MessagesSent: 16,        // 4 exchange rounds × 4 ranks
+		BytesSent:    16 * 1024, // 16 messages × 64 amplitudes × 16 bytes
+	})
+}
+
+// TestDistZ2EngineStatsLedger: the reduced schedule (7 sharded qubits
+// in 32-amplitude slices, p=3) adds one mirror exchange per layer AFTER
+// the first: the first layer synthesizes phase·|+⟩ and reads no partner
+// amplitudes.
+func TestDistZ2EngineStatsLedger(t *testing.T) {
+	checkStatsLedger(t, true, 3, DistStats{
+		LocalGates:   3,        // 1 fused mirror sweep per layer
+		CommGates:    8,        // 2 global qubits × 3 layers + 2 mirror exchanges
+		MessagesSent: 32,       // 8 exchange rounds × 4 ranks
+		BytesSent:    32 * 512, // 32 messages × 32 amplitudes × 16 bytes
+	})
 }
 
 // TestEngineOnExplicitPool runs fused evaluations through a private
@@ -163,10 +411,7 @@ func TestEngineOnExplicitPool(t *testing.T) {
 	gammas := []float64{0.4, 0.8}
 	betas := []float64{1.2, 0.3}
 
-	eng, err := NewEngine(n, diag, levels, idx, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	eng, _ := testEngine(t, n, false, 1, false, diag, levels, idx, shift)
 	eng.state.pool = pool
 	got := eng.Evaluate(gammas, betas)
 	want, ws := referenceEvaluate(t, n, shift, diag, gammas, betas)
@@ -178,17 +423,50 @@ func TestEngineOnExplicitPool(t *testing.T) {
 	}
 }
 
-func BenchmarkEngineEvaluate16p3(b *testing.B) {
-	diag, levels, idx, _ := engineFixture(b, 16, 41)
-	eng, err := NewEngine(16, diag, levels, idx, nil)
-	if err != nil {
-		b.Fatal(err)
-	}
-	gammas := []float64{0.35, 0.7, 1.05}
-	betas := []float64{0.525, 0.35, 0.175}
+// benchmarkEngine times a warm p=3 evaluation of one engine
+// configuration.
+func benchmarkEngine(b *testing.B, eng *Engine, gammas, betas []float64) {
+	defer eng.Stop()
+	eng.Evaluate(gammas, betas)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		eng.Evaluate(gammas, betas)
 	}
+}
+
+var (
+	benchGammas = []float64{0.35, 0.7, 1.05}
+	benchBetas  = []float64{0.525, 0.35, 0.175}
+)
+
+func BenchmarkEngineEvaluate16p3(b *testing.B) {
+	diag, levels, idx, shift := engineFixture(b, 16, 41)
+	eng, _ := testEngine(b, 16, false, 1, false, diag, levels, idx, shift)
+	benchmarkEngine(b, eng, benchGammas, benchBetas)
+}
+
+// BenchmarkEngineZ2Evaluate16p3 is the reduced twin of
+// BenchmarkEngineEvaluate16p3: same full problem size, half the stored
+// amplitudes.
+func BenchmarkEngineZ2Evaluate16p3(b *testing.B) { benchmarkEngineZ2(b, 16) }
+
+// BenchmarkEngineZ2Evaluate20p3 is the paper-scale leaf: an 8 MiB
+// half-vector, two high groups per layer, nothing cache-resident.
+func BenchmarkEngineZ2Evaluate20p3(b *testing.B) { benchmarkEngineZ2(b, 20) }
+
+func benchmarkEngineZ2(b *testing.B, nFull int) {
+	diag, levels, idx, shift := z2Fixture(b, nFull, 41)
+	eng, _ := testEngine(b, nFull, true, 1, false, diag, levels, idx, shift)
+	benchmarkEngine(b, eng, benchGammas, benchBetas)
+}
+
+func BenchmarkDistEngine16Q3PRanks1(b *testing.B) { benchmarkDistEngine(b, 16, 1) }
+func BenchmarkDistEngine16Q3PRanks4(b *testing.B) { benchmarkDistEngine(b, 16, 4) }
+
+func benchmarkDistEngine(b *testing.B, n, ranks int) {
+	diag, levels, idx, shift := engineFixture(b, n, 9)
+	eng, _ := testEngine(b, n, false, ranks, false, diag, levels, idx, shift)
+	gammas, betas := distParams(n, 3)
+	benchmarkEngine(b, eng, gammas, betas)
 }

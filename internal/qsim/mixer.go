@@ -102,8 +102,9 @@ func (s *State) rxHighPass(g0, m int, c, sn float64) {
 
 // rxHighSweep is THE high-group sweep: it butterflies qubits [g0, g0+m)
 // over batches [start, end), each batch being highBatch adjacent tiles —
-// 2^m rows of highBatch contiguous amplitudes, 2^g0 apart. Engine,
-// DistEngine and ApplyRXAll all reach the high butterflies through it.
+// 2^m rows of highBatch contiguous amplitudes, 2^g0 apart. The
+// engine's sweep core and ApplyRXAll both reach the high butterflies
+// through it.
 //
 // The state is never copied. The first level (d = 1) reads the strided
 // rows where they live and writes the butterflied result into scratch

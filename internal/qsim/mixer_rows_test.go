@@ -177,80 +177,57 @@ func TestRxHighSweepMatchesGatherSweep(t *testing.T) {
 	})
 }
 
-// TestEnginesBitIdenticalToGatherSweep runs Engine and DistEngine
-// (ranks 1 and 4) against twins whose high sweeps are the gather
-// oracle: energy and every amplitude must agree in their float64 bits
-// at nFull = 12…21, p = 1…3, reduced and unreduced. The twin engines
-// differ from the production ones only in highBody.
+// TestEnginesBitIdenticalToGatherSweep runs the engine inline and at
+// ranks 4 against twins whose high sweeps are the gather oracle: energy
+// and every amplitude must agree in their float64 bits at nFull =
+// 12…21, p = 1…3, reduced and unreduced. The twins differ from the
+// production engines only in every core's highBody, swapped between
+// buildEngine and launch.
 func TestEnginesBitIdenticalToGatherSweep(t *testing.T) {
 	sizes := []int{12, 13, 14, 15, 16, 17, 18, 19, 20, 21}
 	if testing.Short() {
 		sizes = []int{12, 17, 18}
 	}
-	check := func(t *testing.T, name string, eval, oracle func(g, b []float64) float64, st, ost *State) {
-		t.Helper()
-		for p := 1; p <= 3; p++ {
-			gammas, betas := distParams(st.N(), p)
-			got, want := eval(gammas, betas), oracle(gammas, betas)
-			if math.Float64bits(got) != math.Float64bits(want) {
-				t.Fatalf("%s p=%d: energy %v, oracle sweep %v", name, p, got, want)
-			}
-			if i := firstBitDiff(st.amps, ost.amps); i >= 0 {
-				t.Fatalf("%s p=%d: amp %d = %v, oracle sweep %v", name, p, i, st.amps[i], ost.amps[i])
-			}
-		}
-	}
 	for _, nFull := range sizes {
 		for _, z2 := range []bool{false, true} {
 			diag, levels, idx, _ := z2Fixture(t, nFull, uint64(nFull)*3+1)
-			nEff, z2Full := nFull, 0
 			if z2 {
-				nEff, z2Full = nFull-1, nFull
-				diag, idx = diag[:1<<uint(nEff)], idx[:1<<uint(nEff)]
+				diag, idx = diag[:len(diag)/2], idx[:len(idx)/2]
 			}
-			name := fmt.Sprintf("nFull=%d z2=%v", nFull, z2)
-
-			build := func() *Engine {
-				s := &State{n: nEff, amps: make([]complex128, 1<<uint(nEff)), z2Full: z2Full}
-				e, err := newEngine(s, diag, levels, idx, nil)
-				if err != nil {
-					t.Fatal(err)
-				}
-				return e
-			}
-			eng, twin := build(), build()
-			twin.highBody = func(w, start, end int) {
-				if twin.expect {
-					twin.partials[w] += gatherSweep(twin.state.amps, twin.diag, twin.g0, twin.m, start, end, twin.c, twin.sn)
-					return
-				}
-				gatherSweep(twin.state.amps, nil, twin.g0, twin.m, start, end, twin.c, twin.sn)
-			}
-			check(t, name+" engine", eng.Evaluate, twin.Evaluate, eng.State(), twin.State())
-
 			for _, ranks := range []int{1, 4} {
-				de, err := newDistEngine(nEff, z2Full, ranks, diag, levels, idx, nil)
+				name := fmt.Sprintf("nFull=%d z2=%v ranks=%d", nFull, z2, ranks)
+				eng, err := NewEngine(nFull, z2, ranks, diag, levels, idx, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
-				dt, rs, err := buildDistEngine(nEff, z2Full, ranks, diag, levels, idx, nil)
+				twin, err := buildEngine(nFull, z2, ranks, diag, levels, idx, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
-				for _, d := range rs {
-					d.highBody = func(w, start, end int) {
-						if d.expect {
-							dg := d.sh.diag[d.base : d.base+len(d.amps)]
-							d.partials[w] += gatherSweep(d.amps, dg, d.g0, d.m, start, end, d.c, d.sn)
+				for _, c := range twin.cores {
+					c.highBody = func(w, start, end int) {
+						if c.expect {
+							dg := c.diag[c.base : c.base+len(c.amps)]
+							c.partials[w] += gatherSweep(c.amps, dg, c.g0, c.m, start, end, c.c, c.sn)
 							return
 						}
-						gatherSweep(d.amps, nil, d.g0, d.m, start, end, d.c, d.sn)
+						gatherSweep(c.amps, nil, c.g0, c.m, start, end, c.c, c.sn)
 					}
 				}
-				dt.launch(rs)
-				check(t, fmt.Sprintf("%s dist:%d", name, ranks), de.Evaluate, dt.Evaluate, de.State(), dt.State())
-				de.Stop()
-				dt.Stop()
+				twin.launch()
+				for p := 1; p <= 3; p++ {
+					gammas, betas := distParams(eng.State().N(), p)
+					got, want := eng.Evaluate(gammas, betas), twin.Evaluate(gammas, betas)
+					if math.Float64bits(got) != math.Float64bits(want) {
+						t.Fatalf("%s p=%d: energy %v, oracle sweep %v", name, p, got, want)
+					}
+					st, ost := eng.State(), twin.State()
+					if i := firstBitDiff(st.amps, ost.amps); i >= 0 {
+						t.Fatalf("%s p=%d: amp %d = %v, oracle sweep %v", name, p, i, st.amps[i], ost.amps[i])
+					}
+				}
+				eng.Stop()
+				twin.Stop()
 			}
 		}
 	}

@@ -23,9 +23,11 @@
 //     top-K-amplitude queries (the paper decodes the best-amplitude bit
 //     string; top-K is its suggested improvement);
 //
-//   - a block-distributed mode (dist.go) that reproduces the
-//     cache-blocking rank-exchange pattern of the MPI-parallel aer
-//     simulator (Doi & Horii), for the scaling experiments.
+//   - a sharded mode of the same engine (dist_engine.go): one sweep
+//     core per contiguous rank slice, exchanging slices over a
+//     comm.World only for the global qubits — the cache-blocking
+//     rank-exchange pattern of the MPI-parallel aer simulator (Doi &
+//     Horii), for the scaling experiments.
 //
 // Convention: qubit q is bit q of the basis-state index (little-endian),
 // so |x_{n-1} ... x_1 x_0⟩ has index Σ x_q 2^q.

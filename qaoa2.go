@@ -130,13 +130,11 @@ type (
 	DenseBackend = backend.Dense
 	// FusedBackend is the diagonal-cost fast path (the default). It
 	// simulates only the 2^(n−1) Z2 even-sector amplitudes unless Full
-	// is set (or QAOA2_NOZ2 is in the environment).
+	// is set (or QAOA2_NOZ2 is in the environment). Ranks ≥ 1 shards
+	// the statevector over a power-of-two rank count of the in-process
+	// comm world ("fused-dist:N"), with only the top log2(ranks)
+	// qubits' rotations routed through slice exchanges.
 	FusedBackend = backend.Fused
-	// FusedDistBackend is the sharded fused engine: the same cost
-	// diagonal and mixer sweeps executed across a power-of-two rank
-	// count over the in-process comm world, with only the top
-	// log2(ranks) qubits' rotations routed through slice exchanges.
-	FusedDistBackend = backend.FusedDist
 	// NoisyBackend averages trajectory-sampled Pauli noise.
 	NoisyBackend = backend.Noisy
 )

@@ -183,8 +183,9 @@ func BenchmarkFig1HetJobs(b *testing.B) {
 }
 
 // BenchmarkFig2Coordinator regenerates Fig. 2: the coordinator/worker
-// distribution scheme, sweeping worker counts and measuring the
-// coordination overhead the paper reports as minimal.
+// distribution scheme as qaoa2.Solve on the executor's worker pool,
+// sweeping worker counts and measuring the coordination overhead the
+// paper reports as minimal.
 func BenchmarkFig2Coordinator(b *testing.B) {
 	cfg := experiments.DefaultFig2Config()
 	var points []experiments.Fig2Point

@@ -1,6 +1,7 @@
 // Command workflow demonstrates the paper's HPC-side results: the
 // Fig. 1 heterogeneous-job idle-time reduction, the Fig. 2
-// coordinator/worker distribution scheme, the cache-blocking
+// coordinator/worker distribution scheme (a worker-count sweep of the
+// task-graph executor), the cache-blocking
 // distributed-statevector scaling measurement — and, beyond the
 // virtual-time simulator, a REAL solve through the asynchronous
 // task-graph runtime with checkpoint/resume, either in-process or

@@ -66,8 +66,11 @@ func TestEveryPackageHasGodoc(t *testing.T) {
 // no non-test file outside bench/ reads or sets Options.Runtime (the
 // field's declaration survives only for the benchmark module), and
 // internal/qaoa2 — the front of the algorithm, not its executor —
-// starts no goroutine of its own. The check is syntactic: any
-// `.Runtime` selector or `Runtime:` literal key counts.
+// starts no goroutine of its own. Nor does a second divide-and-conquer
+// driver: only the executor (internal/runtime), the partitioner itself
+// and the partition ablation (internal/experiments) import
+// internal/partition. The check is syntactic: any `.Runtime` selector
+// or `Runtime:` literal key counts.
 func TestOneExecutor(t *testing.T) {
 	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
@@ -87,7 +90,14 @@ func TestOneExecutor(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		inQAOA2 := filepath.ToSlash(filepath.Dir(path)) == "internal/qaoa2"
+		dir := filepath.ToSlash(filepath.Dir(path))
+		inQAOA2 := dir == "internal/qaoa2"
+		for _, imp := range f.Imports {
+			if imp.Path.Value == `"qaoa2/internal/partition"` &&
+				dir != "internal/runtime" && dir != "internal/partition" && dir != "internal/experiments" {
+				t.Errorf("%s: divides graphs outside the executor (imports internal/partition)", path)
+			}
+		}
 		ast.Inspect(f, func(n ast.Node) bool {
 			switch x := n.(type) {
 			case *ast.SelectorExpr:

@@ -1,10 +1,10 @@
 // HPC workflow: the paper's supercomputing side. First the Fig. 1
 // scheduling comparison — monolithic vs heterogeneous SLURM jobs
-// sharing one exclusive quantum device — then the Fig. 2 coordinator
-// scheme: a dedicated coordinator rank streams sub-graphs to workers
-// whose solver is chosen at run time by a density policy, and finally
-// the asynchronous task-graph runtime with checkpoint/resume — the
-// real execution engine behind the simulated schedules.
+// sharing one exclusive quantum device — then the Fig. 2 scheme: the
+// task-graph executor's worker pool solves the sub-graphs, each routed
+// at run time to QAOA or GW by a density policy, and finally the same
+// executor with checkpoint/resume — the real execution engine behind
+// the simulated schedules.
 package main
 
 import (
@@ -50,35 +50,40 @@ func main() {
 			mode, m.Makespan, m.QPUIdleFrac)
 	}
 
-	// ----- Fig. 2: coordinator/worker distribution with run-time policy -----
+	// ----- Fig. 2: the executor's worker pool with a run-time density router -----
 	g := qaoa2.ErdosRenyi(150, 0.1, qaoa2.Unweighted, qaoa2.NewRand(3))
 	fmt.Printf("\ncoordinated QAOA² on %v\n", g)
+	const workers = 4
+	busy := make([]time.Duration, workers)
 	start := time.Now()
-	res, err := qaoa2.CoordinatedSolve(g, qaoa2.CoordinatedOptions{
-		Workers:   4,
+	res, err := qaoa2.Solve(g, qaoa2.Options{
 		MaxQubits: 12,
-		Policy: qaoa2.DensityPolicy(0.55,
+		Solver: qaoa2.DensityPolicy(0.55,
 			qaoa2.QAOASolver{Opts: qaoa2.QAOAOptions{Layers: 2, MaxIters: 30}}, // sparse -> quantum
 			qaoa2.GWSolver{}), // dense -> classical
 		MergeSolver: qaoa2.GWSolver{},
+		Parallelism: workers,
 		Seed:        3,
+		OnRuntimeEvent: func(ev qaoa2.RuntimeEvent) {
+			busy[ev.Worker] += time.Duration(ev.Nanos)
+		},
 	})
 	if err != nil {
 		log.Fatal(err)
 	}
 	quantum, classical := 0, 0
-	for _, name := range res.Assignments {
-		if name == "qaoa" {
+	for _, r := range res.SubReports {
+		if r.Solver == "qaoa" {
 			quantum++
 		} else {
 			classical++
 		}
 	}
 	fmt.Printf("  %d sub-graphs: %d routed to QAOA, %d to GW\n", res.SubGraphs, quantum, classical)
-	fmt.Printf("  cut %.1f in %v (%d messages between coordinator and workers)\n",
-		res.Cut.Value, time.Since(start).Round(time.Millisecond), res.Comm.Messages)
-	for w, busy := range res.WorkerBusy {
-		fmt.Printf("  worker %d busy %v\n", w+1, busy.Round(time.Millisecond))
+	fmt.Printf("  cut %.1f in %v (%d executor tasks)\n",
+		res.Cut.Value, time.Since(start).Round(time.Millisecond), res.Stats.Tasks)
+	for w, b := range busy {
+		fmt.Printf("  worker %d busy %v\n", w+1, b.Round(time.Millisecond))
 	}
 
 	// ----- Task-graph runtime: async execution with checkpoint/resume -----

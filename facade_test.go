@@ -92,13 +92,15 @@ func TestFacadeRQAOA(t *testing.T) {
 	}
 }
 
-func TestFacadeCoordinatedSolve(t *testing.T) {
+// TestFacadeFig2Workflow runs the paper's Fig. 2 workflow through
+// the facade: Solve with a density router on a two-worker pool.
+func TestFacadeFig2Workflow(t *testing.T) {
 	g := qaoa2.ErdosRenyi(30, 0.2, qaoa2.Unweighted, qaoa2.NewRand(7))
-	res, err := qaoa2.CoordinatedSolve(g, qaoa2.CoordinatedOptions{
-		Workers:     2,
+	res, err := qaoa2.Solve(g, qaoa2.Options{
 		MaxQubits:   8,
-		Solver:      qaoa2.GWSolver{},
+		Solver:      qaoa2.DensityPolicy(0.7, qaoa2.ExactSolver{}, qaoa2.GWSolver{}),
 		MergeSolver: qaoa2.GWSolver{},
+		Parallelism: 2,
 		Seed:        7,
 	})
 	if err != nil {
@@ -107,14 +109,23 @@ func TestFacadeCoordinatedSolve(t *testing.T) {
 	if err := res.Cut.Validate(g); err != nil {
 		t.Fatal(err)
 	}
+	for _, r := range res.SubReports {
+		if r.Solver != "exact" && r.Solver != "gw" {
+			t.Fatalf("sub-graph routed to %q", r.Solver)
+		}
+	}
 }
 
 func TestFacadeDensityPolicy(t *testing.T) {
 	p := qaoa2.DensityPolicy(0.5, qaoa2.ExactSolver{}, qaoa2.GWSolver{})
 	sparse := qaoa2.NewGraph(5)
 	sparse.MustAddEdge(0, 1, 1)
-	if p(sparse).Name() != "exact" {
-		t.Fatal("sparse not routed to quantum solver")
+	res, err := qaoa2.Solve(sparse, qaoa2.Options{MaxQubits: 8, Solver: p})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.SubReports[0].Solver != "exact" {
+		t.Fatalf("sparse graph routed to %q, not the quantum solver", res.SubReports[0].Solver)
 	}
 }
 

@@ -6,8 +6,11 @@ import (
 	"testing"
 
 	"qaoa2/internal/graph"
+	"qaoa2/internal/mlselect"
 	"qaoa2/internal/qaoa"
+	"qaoa2/internal/rng"
 	"qaoa2/internal/sdp"
+	"qaoa2/internal/solver"
 )
 
 // tinyGrid keeps unit tests fast; the benches run DefaultFig3Config.
@@ -179,20 +182,23 @@ func TestRunFig1IdleReduction(t *testing.T) {
 }
 
 func TestRunFig2Workflow(t *testing.T) {
-	cfg := Fig2Config{Nodes: 60, EdgeProb: 0.1, Workers: []int{1, 2}, MaxQubits: 10, Seed: 6}
+	cfg := Fig2Config{Nodes: 60, EdgeProb: 0.1, Workers: []int{1, 2, 4}, MaxQubits: 10, Seed: 6}
 	points, err := RunFig2(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(points) != 2 {
+	if len(points) != 3 {
 		t.Fatalf("points %d", len(points))
 	}
-	// Same instance and per-part seeding: identical cut values.
-	if points[0].Cut != points[1].Cut {
-		t.Fatalf("cut differs across worker counts: %v vs %v", points[0].Cut, points[1].Cut)
+	// Same instance and per-part seeding: one cut at every worker count.
+	for _, p := range points[1:] {
+		if math.Float64bits(p.Cut) != math.Float64bits(points[0].Cut) || p.Tasks != points[0].Tasks {
+			t.Fatalf("%d workers: cut %v in %d tasks, 1 worker: %v in %d",
+				p.Workers, p.Cut, p.Tasks, points[0].Cut, points[0].Tasks)
+		}
 	}
-	if points[0].Messages == 0 {
-		t.Fatal("no traffic recorded")
+	if points[0].Tasks == 0 || points[0].SumBusy <= 0 {
+		t.Fatalf("no work recorded: %+v", points[0])
 	}
 	out := RenderFig2(points)
 	if !strings.Contains(out, "workers") {
@@ -338,6 +344,33 @@ func TestSelectorDatasetLabels(t *testing.T) {
 		if s.Y != want {
 			t.Fatalf("sample %d label %d want %d", i, s.Y, want)
 		}
+	}
+}
+
+// TestDefaultSelectorDecisionsOnFig3Grid: deciding on the logit sign
+// routes every Fig. 3 grid instance as the Probability ≥ 0.5 rule did,
+// so the shipped selector's behaviour is unchanged.
+func TestDefaultSelectorDecisionsOnFig3Grid(t *testing.T) {
+	cfg := DefaultFig3Config()
+	m := solver.DefaultSelector()
+	quantum, total := 0, 0
+	for _, w := range cfg.Weightings {
+		for ni, n := range cfg.NodeCounts {
+			for pi, p := range cfg.EdgeProbs {
+				g := graph.ErdosRenyi(n, p, w, rng.New(cfg.cellSeed(w, ni, pi, 0)))
+				got := m.PredictQAOA(g)
+				if want := m.Probability(mlselect.Features(g)) >= 0.5; got != want {
+					t.Errorf("n=%d p=%v w=%v: logit sign says %v, probability rule %v", n, p, w, got, want)
+				}
+				if got {
+					quantum++
+				}
+				total++
+			}
+		}
+	}
+	if quantum == 0 || quantum == total {
+		t.Fatalf("selector routes %d of %d grid instances to QAOA: degenerate", quantum, total)
 	}
 }
 

@@ -107,6 +107,12 @@ type GridResult struct {
 	Records []GridRecord
 }
 
+// cellSeed is the stable per-cell stream: instance identity does not
+// depend on the sweep order.
+func (cfg GridConfig) cellSeed(w graph.Weighting, ni, pi, inst int) uint64 {
+	return cfg.Seed ^ uint64(w+1)<<40 ^ uint64(ni+1)<<20 ^ uint64(pi+1)<<8 ^ uint64(inst)
+}
+
 // RunGrid executes the grid search. Deterministic for a fixed config.
 func RunGrid(cfg GridConfig) (*GridResult, error) {
 	if len(cfg.NodeCounts) == 0 || len(cfg.EdgeProbs) == 0 || len(cfg.Layers) == 0 ||
@@ -121,9 +127,7 @@ func RunGrid(cfg GridConfig) (*GridResult, error) {
 		for ni, n := range cfg.NodeCounts {
 			for pi, p := range cfg.EdgeProbs {
 				for inst := 0; inst < cfg.InstancesPerCell; inst++ {
-					// Stable per-cell stream: instance identity does not
-					// depend on the sweep order.
-					cellSeed := cfg.Seed ^ uint64(w+1)<<40 ^ uint64(ni+1)<<20 ^ uint64(pi+1)<<8 ^ uint64(inst)
+					cellSeed := cfg.cellSeed(w, ni, pi, inst)
 					r := rng.New(cellSeed)
 					g := graph.ErdosRenyi(n, p, w, r)
 					gwRes, err := gw.Solve(g, gw.Options{}, r.Split(1))

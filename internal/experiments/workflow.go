@@ -9,9 +9,11 @@ import (
 	"qaoa2/internal/graph"
 	"qaoa2/internal/gw"
 	"qaoa2/internal/hpc"
+	"qaoa2/internal/qaoa"
 	"qaoa2/internal/qaoa2"
 	"qaoa2/internal/qsim"
 	"qaoa2/internal/rng"
+	"qaoa2/internal/runtime"
 	"qaoa2/internal/sdp"
 	"qaoa2/internal/synth"
 )
@@ -73,13 +75,13 @@ func RenderFig1(r *Fig1Result) string {
 type Fig2Config struct {
 	Nodes     int     // graph size
 	EdgeProb  float64 // instance density
-	Workers   []int   // worker counts to sweep
+	Workers   []int   // worker counts (executor Parallelism) to sweep
 	MaxQubits int
 	Seed      uint64
 }
 
-// DefaultFig2Config exercises the coordinator with GW leaf solvers so
-// run time is dominated by real work, not simulation overhead.
+// DefaultFig2Config is a laptop-scale instance whose sub-graphs
+// straddle the router's density threshold.
 func DefaultFig2Config() Fig2Config {
 	return Fig2Config{Nodes: 120, EdgeProb: 0.1, Workers: []int{1, 2, 4}, MaxQubits: 12, Seed: 4}
 }
@@ -89,42 +91,48 @@ type Fig2Point struct {
 	Workers      int
 	Cut          float64
 	Elapsed      time.Duration
-	SumBusy      time.Duration // total worker compute
+	SumBusy      time.Duration // total solve time over all workers
 	OverheadFrac float64       // 1 − busy/(workers·elapsed): idle + coordination
-	Messages     int64
+	Tasks        int           // executor tasks run
 }
+
+// fig2Threshold is the router's density threshold: sparser sub-graphs
+// go to QAOA, denser ones to GW.
+const fig2Threshold = 0.55
 
 // RunFig2 sweeps worker counts over the same instance, demonstrating
 // the Fig. 2 distribution scheme and measuring the coordination
-// overhead the paper calls "minimal".
+// overhead the paper calls "minimal". The scheme is qaoa2.Solve with a
+// density router: the executor's pool is the worker set, and busy time
+// is the sum of its solve tasks' wall times (runtime.Event.Nanos).
 func RunFig2(cfg Fig2Config) ([]Fig2Point, error) {
 	r := rng.New(cfg.Seed)
 	g := graph.ErdosRenyi(cfg.Nodes, cfg.EdgeProb, graph.Unweighted, r)
 	var out []Fig2Point
 	for _, w := range cfg.Workers {
-		res, err := hpc.CoordinatedSolve(g, hpc.CoordinatedOptions{
-			Workers:     w,
-			MaxQubits:   cfg.MaxQubits,
-			Solver:      qaoa2.GWSolver{},
-			MergeSolver: qaoa2.GWSolver{},
-			Seed:        cfg.Seed,
+		var busy time.Duration
+		start := time.Now()
+		res, err := qaoa2.Solve(g, qaoa2.Options{
+			MaxQubits: cfg.MaxQubits,
+			Solver: hpc.DensityPolicy(fig2Threshold,
+				qaoa2.QAOASolver{Opts: qaoa.Options{Layers: 2, MaxIters: 30}}, qaoa2.GWSolver{}),
+			MergeSolver:    qaoa2.GWSolver{},
+			Parallelism:    w,
+			Seed:           cfg.Seed,
+			OnRuntimeEvent: func(ev runtime.Event) { busy += time.Duration(ev.Nanos) },
 		})
 		if err != nil {
 			return nil, err
 		}
-		var busy time.Duration
-		for _, b := range res.WorkerBusy {
-			busy += b
-		}
 		point := Fig2Point{
-			Workers:  w,
-			Cut:      res.Cut.Value,
-			Elapsed:  res.Elapsed,
-			SumBusy:  busy,
-			Messages: res.Comm.Messages,
+			Workers: w,
+			Cut:     res.Cut.Value,
+			Elapsed: time.Since(start),
+			SumBusy: busy,
+			Tasks:   res.Stats.Tasks,
 		}
-		if res.Elapsed > 0 && w > 0 {
-			point.OverheadFrac = 1 - float64(busy)/(float64(w)*float64(res.Elapsed))
+		if point.Elapsed > 0 && w > 0 {
+			point.OverheadFrac = 1 - float64(busy)/(float64(w)*float64(point.Elapsed))
 		}
 		out = append(out, point)
 	}
@@ -133,7 +141,7 @@ func RunFig2(cfg Fig2Config) ([]Fig2Point, error) {
 
 // RenderFig2 tabulates the sweep.
 func RenderFig2(points []Fig2Point) string {
-	header := []string{"workers", "cut", "elapsed", "sum busy", "overhead frac", "messages"}
+	header := []string{"workers", "cut", "elapsed", "sum busy", "overhead frac", "tasks"}
 	var rows [][]string
 	for _, p := range points {
 		rows = append(rows, []string{
@@ -142,7 +150,7 @@ func RenderFig2(points []Fig2Point) string {
 			p.Elapsed.Round(time.Microsecond).String(),
 			p.SumBusy.Round(time.Microsecond).String(),
 			fmtF(p.OverheadFrac),
-			fmt.Sprintf("%d", p.Messages),
+			fmt.Sprintf("%d", p.Tasks),
 		})
 	}
 	return RenderTable("Fig2: coordinator workflow sweep", header, rows)

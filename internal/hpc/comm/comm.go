@@ -1,12 +1,10 @@
 // Package comm is the in-process MPI-like communicator (mpi4py
-// substitute) underlying the hpc layer: fixed-size rank worlds, tagged
-// point-to-point messaging with traffic accounting, and collectives.
-// It lives in its own leaf package so low-level consumers — notably the
-// sharded statevector engine in internal/qsim — can exchange slices
-// over a World without importing the full hpc scheduling/remote stack
-// (which itself depends on the solver plane and hence on qsim).
-// Package hpc aliases every name here, so hpc-level callers are
-// unaffected.
+// substitute) behind the sharded statevector engine in internal/qsim:
+// fixed-size rank worlds, pairwise slice exchanges with traffic
+// accounting, and a reusable barrier. It is a leaf package so qsim can
+// exchange slices over a World without importing the hpc
+// scheduling/remote stack (which depends on the solver plane and hence
+// on qsim).
 package comm
 
 import (
@@ -16,11 +14,10 @@ import (
 )
 
 // message is one point-to-point transfer. Amplitude slices travel in
-// their own typed field: boxing a slice into payload would allocate on
+// a typed field: boxing a slice into an interface would allocate on
 // every send, and slice exchanges run once per mixer layer.
 type message struct {
 	from, tag int
-	payload   interface{}
 	slice     []complex128
 	bytes     int
 }
@@ -63,44 +60,14 @@ func NewWorld(size int) (*World, error) {
 	return w, nil
 }
 
-// Size returns the number of ranks.
-func (w *World) Size() int { return w.size }
-
 // Stats returns a traffic snapshot.
 func (w *World) Stats() WorldStats {
 	return WorldStats{Messages: w.msgCount.Load(), Bytes: w.byteCount.Load()}
 }
 
-// Run executes body once per rank in its own goroutine and blocks until
-// every rank returns. The first panic (if any) is re-raised after all
-// goroutines finish, so tests fail cleanly.
-func (w *World) Run(body func(c *Comm)) {
-	var wg sync.WaitGroup
-	panics := make(chan interface{}, w.size)
-	for r := 0; r < w.size; r++ {
-		wg.Add(1)
-		go func(rank int) {
-			defer wg.Done()
-			defer func() {
-				if p := recover(); p != nil {
-					panics <- p
-				}
-			}()
-			body(&Comm{world: w, rank: rank})
-		}(r)
-	}
-	wg.Wait()
-	select {
-	case p := <-panics:
-		panic(p)
-	default:
-	}
-}
-
-// Rank returns a communicator handle for rank r without running a
-// collective body: long-lived per-rank workers (the sharded statevector
-// engine's rank goroutines) hold their handles across many exchanges
-// instead of re-entering Run for every superstep.
+// Rank returns rank r's communicator handle. Long-lived per-rank
+// workers (the sharded statevector engine's rank goroutines) hold their
+// handles across many exchanges.
 func (w *World) Rank(r int) (*Comm, error) {
 	if r < 0 || r >= w.size {
 		return nil, fmt.Errorf("hpc: rank %d outside world of size %d", r, w.size)
@@ -114,26 +81,14 @@ type Comm struct {
 	rank  int
 }
 
-// Rank returns this rank's id in [0, Size).
+// Rank returns this rank's id in [0, world size).
 func (c *Comm) Rank() int { return c.rank }
-
-// Size returns the world size.
-func (c *Comm) Size() int { return c.world.size }
-
-// AnySource matches messages from any sender in Recv.
-const AnySource = -1
-
-// Send delivers payload to rank `to` with a tag. bytes is the accounted
-// payload size for the traffic statistics (pass 0 when irrelevant).
-func (c *Comm) Send(to, tag int, payload interface{}, bytes int) {
-	c.send(to, message{tag: tag, payload: payload, bytes: bytes})
-}
 
 // send delivers m to rank `to`, stamping the sender and booking the
 // traffic.
 func (c *Comm) send(to int, m message) {
 	if to < 0 || to >= c.world.size {
-		panic(fmt.Sprintf("hpc: Send to invalid rank %d", to))
+		panic(fmt.Sprintf("hpc: send to invalid rank %d", to))
 	}
 	c.world.msgCount.Add(1)
 	c.world.byteCount.Add(int64(m.bytes))
@@ -141,28 +96,21 @@ func (c *Comm) send(to int, m message) {
 	c.world.boxes[to] <- m
 }
 
-// Recv blocks until a message with the given source (or AnySource) and
-// tag arrives, returning its payload and actual source. Out-of-order
-// messages are buffered, so interleaved tags between the same pair of
-// ranks cannot deadlock.
-func (c *Comm) Recv(from, tag int) (payload interface{}, source int) {
-	m := c.recv(from, tag)
-	return m.payload, m.from
-}
-
-// recv is Recv returning the whole matched message.
+// recv blocks until a message with the given source and tag arrives.
+// Out-of-order messages are buffered, so interleaved tags between the
+// same pair of ranks cannot deadlock.
 func (c *Comm) recv(from, tag int) message {
 	// Check buffered messages first.
 	pend := c.world.pending[c.rank]
 	for i, m := range pend {
-		if (from == AnySource || m.from == from) && m.tag == tag {
+		if m.from == from && m.tag == tag {
 			c.world.pending[c.rank] = append(pend[:i:i], pend[i+1:]...)
 			return m
 		}
 	}
 	for {
 		m := <-c.world.boxes[c.rank]
-		if (from == AnySource || m.from == from) && m.tag == tag {
+		if m.from == from && m.tag == tag {
 			return m
 		}
 		c.world.pending[c.rank] = append(c.world.pending[c.rank], m)
@@ -193,44 +141,6 @@ func (c *Comm) ExchangeSlices(partner, tag int, send, recv []complex128) {
 	}
 	copy(recv, data)
 	c.Barrier()
-}
-
-// tagInternal offsets library-internal collective tags away from user
-// tags.
-const tagInternal = 1 << 30
-
-// Bcast distributes root's value to every rank and returns it (the
-// caller passes its local value; non-roots pass nil).
-func (c *Comm) Bcast(root int, value interface{}, bytes int) interface{} {
-	if c.rank == root {
-		for r := 0; r < c.world.size; r++ {
-			if r != root {
-				c.Send(r, tagInternal, value, bytes)
-			}
-		}
-		return value
-	}
-	v, _ := c.Recv(root, tagInternal)
-	return v
-}
-
-// Gather collects one value per rank at root, in rank order. Non-root
-// callers receive nil.
-func (c *Comm) Gather(root int, value interface{}, bytes int) []interface{} {
-	if c.rank != root {
-		c.Send(root, tagInternal+1, value, bytes)
-		return nil
-	}
-	out := make([]interface{}, c.world.size)
-	out[c.rank] = value
-	for r := 0; r < c.world.size; r++ {
-		if r == root {
-			continue
-		}
-		v, _ := c.Recv(r, tagInternal+1)
-		out[r] = v
-	}
-	return out
 }
 
 // reusableBarrier is a two-phase sense-reversing barrier.

@@ -1,9 +1,55 @@
 package comm
 
 import (
+	"sync"
 	"sync/atomic"
 	"testing"
 )
+
+// runRanks runs body once per rank on its own goroutine, as the sharded
+// engine's rank workers do, and re-raises the first panic once every
+// rank has returned.
+func runRanks(w *World, body func(c *Comm)) {
+	var wg sync.WaitGroup
+	panics := make(chan interface{}, w.size)
+	for r := 0; r < w.size; r++ {
+		c, _ := w.Rank(r)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			defer func() {
+				if p := recover(); p != nil {
+					panics <- p
+				}
+			}()
+			body(c)
+		}()
+	}
+	wg.Wait()
+	select {
+	case p := <-panics:
+		panic(p)
+	default:
+	}
+}
+
+// text packs a string into a slice message, one amplitude and one
+// accounted byte per character.
+func text(s string) message {
+	slice := make([]complex128, len(s))
+	for i, b := range []byte(s) {
+		slice[i] = complex(float64(b), 0)
+	}
+	return message{slice: slice, bytes: len(s)}
+}
+
+func (m message) text() string {
+	b := make([]byte, len(m.slice))
+	for i, v := range m.slice {
+		b[i] = byte(real(v))
+	}
+	return string(b)
+}
 
 func TestWorldValidation(t *testing.T) {
 	if _, err := NewWorld(0); err == nil {
@@ -13,27 +59,29 @@ func TestWorldValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if w.Size() != 3 {
-		t.Fatalf("size %d", w.Size())
+	if w.size != 3 {
+		t.Fatalf("size %d", w.size)
 	}
 }
 
 func TestPingPong(t *testing.T) {
 	w, _ := NewWorld(2)
-	w.Run(func(c *Comm) {
+	runRanks(w, func(c *Comm) {
 		switch c.Rank() {
 		case 0:
-			c.Send(1, 7, "ping", 4)
-			v, src := c.Recv(1, 8)
-			if v.(string) != "pong" || src != 1 {
-				t.Errorf("rank0 got %v from %d", v, src)
+			ping := text("ping")
+			ping.tag = 7
+			c.send(1, ping)
+			if m := c.recv(1, 8); m.text() != "pong" || m.from != 1 {
+				t.Errorf("rank0 got %q from %d", m.text(), m.from)
 			}
 		case 1:
-			v, src := c.Recv(0, 7)
-			if v.(string) != "ping" || src != 0 {
-				t.Errorf("rank1 got %v from %d", v, src)
+			if m := c.recv(0, 7); m.text() != "ping" || m.from != 0 {
+				t.Errorf("rank1 got %q from %d", m.text(), m.from)
 			}
-			c.Send(0, 8, "pong", 4)
+			pong := text("pong")
+			pong.tag = 8
+			c.send(0, pong)
 		}
 	})
 	stats := w.Stats()
@@ -44,72 +92,20 @@ func TestPingPong(t *testing.T) {
 
 func TestRecvBuffersOutOfOrderTags(t *testing.T) {
 	w, _ := NewWorld(2)
-	w.Run(func(c *Comm) {
+	runRanks(w, func(c *Comm) {
 		switch c.Rank() {
 		case 0:
-			c.Send(1, 1, "first", 0)
-			c.Send(1, 2, "second", 0)
+			first, second := text("first"), text("second")
+			first.tag, second.tag = 1, 2
+			c.send(1, first)
+			c.send(1, second)
 		case 1:
-			// Receive in reverse tag order; tag-1 message must be
+			// Receive in reverse tag order; the tag-1 message must be
 			// buffered, not lost.
-			v2, _ := c.Recv(0, 2)
-			v1, _ := c.Recv(0, 1)
-			if v1.(string) != "first" || v2.(string) != "second" {
-				t.Errorf("got %v %v", v1, v2)
+			second, first := c.recv(0, 2), c.recv(0, 1)
+			if first.text() != "first" || second.text() != "second" {
+				t.Errorf("got %q %q", first.text(), second.text())
 			}
-		}
-	})
-}
-
-func TestAnySource(t *testing.T) {
-	w, _ := NewWorld(4)
-	w.Run(func(c *Comm) {
-		if c.Rank() == 0 {
-			seen := map[int]bool{}
-			for i := 0; i < 3; i++ {
-				v, src := c.Recv(AnySource, 5)
-				if v.(int) != src*10 {
-					t.Errorf("payload %v from %d", v, src)
-				}
-				seen[src] = true
-			}
-			if len(seen) != 3 {
-				t.Errorf("sources %v", seen)
-			}
-			return
-		}
-		c.Send(0, 5, c.Rank()*10, 8)
-	})
-}
-
-func TestBcast(t *testing.T) {
-	w, _ := NewWorld(5)
-	var sum atomic.Int64
-	w.Run(func(c *Comm) {
-		var v interface{}
-		if c.Rank() == 2 {
-			v = 42
-		}
-		got := c.Bcast(2, v, 8)
-		sum.Add(int64(got.(int)))
-	})
-	if sum.Load() != 5*42 {
-		t.Fatalf("bcast sum %d", sum.Load())
-	}
-}
-
-func TestGather(t *testing.T) {
-	w, _ := NewWorld(4)
-	w.Run(func(c *Comm) {
-		vals := c.Gather(0, c.Rank()*c.Rank(), 8)
-		if c.Rank() == 0 {
-			for r := 0; r < 4; r++ {
-				if vals[r].(int) != r*r {
-					t.Errorf("gather[%d] = %v", r, vals[r])
-				}
-			}
-		} else if vals != nil {
-			t.Errorf("non-root got %v", vals)
 		}
 	})
 }
@@ -117,7 +113,7 @@ func TestGather(t *testing.T) {
 func TestBarrierSynchronizes(t *testing.T) {
 	w, _ := NewWorld(8)
 	var before, violations atomic.Int64
-	w.Run(func(c *Comm) {
+	runRanks(w, func(c *Comm) {
 		before.Add(1)
 		c.Barrier()
 		// After the barrier every rank must observe all 8 arrivals.
@@ -133,7 +129,7 @@ func TestBarrierSynchronizes(t *testing.T) {
 func TestBarrierReusable(t *testing.T) {
 	w, _ := NewWorld(4)
 	var counter atomic.Int64
-	w.Run(func(c *Comm) {
+	runRanks(w, func(c *Comm) {
 		for round := 1; round <= 3; round++ {
 			counter.Add(1)
 			c.Barrier()
@@ -145,20 +141,6 @@ func TestBarrierReusable(t *testing.T) {
 	})
 }
 
-func TestRunPropagatesPanic(t *testing.T) {
-	w, _ := NewWorld(2)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("panic not propagated")
-		}
-	}()
-	w.Run(func(c *Comm) {
-		if c.Rank() == 1 {
-			panic("worker exploded")
-		}
-	})
-}
-
 func TestSendValidatesRank(t *testing.T) {
 	w, _ := NewWorld(2)
 	defer func() {
@@ -166,9 +148,9 @@ func TestSendValidatesRank(t *testing.T) {
 			t.Fatal("invalid rank accepted")
 		}
 	}()
-	w.Run(func(c *Comm) {
+	runRanks(w, func(c *Comm) {
 		if c.Rank() == 0 {
-			c.Send(5, 1, nil, 0)
+			c.send(5, message{})
 		}
 	})
 }
@@ -184,23 +166,24 @@ func TestRankHandle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c1.Rank() != 1 || c1.Size() != 3 {
-		t.Fatalf("handle rank=%d size=%d", c1.Rank(), c1.Size())
+	if c1.Rank() != 1 || c1.world != w {
+		t.Fatalf("handle rank=%d", c1.Rank())
 	}
-	// A long-lived handle interoperates with Run-scoped communicators.
+	// Handles taken separately talk to each other.
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		v, src := c1.Recv(0, 9)
-		if v.(string) != "hello" || src != 0 {
-			t.Errorf("handle got %v from %d", v, src)
+		if m := c1.recv(0, 9); m.text() != "hello" || m.from != 0 {
+			t.Errorf("handle got %q from %d", m.text(), m.from)
 		}
 	}()
 	c0, err := w.Rank(0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	c0.Send(1, 9, "hello", 5)
+	hello := text("hello")
+	hello.tag = 9
+	c0.send(1, hello)
 	<-done
 }
 
@@ -210,7 +193,7 @@ func TestRankHandle(t *testing.T) {
 func TestExchangeSlices(t *testing.T) {
 	const ranks, n = 4, 8
 	w, _ := NewWorld(ranks)
-	w.Run(func(c *Comm) {
+	runRanks(w, func(c *Comm) {
 		send := make([]complex128, n)
 		recv := make([]complex128, n)
 		for i := range send {
@@ -248,7 +231,7 @@ func TestExchangeSlicesLengthMismatchPanics(t *testing.T) {
 			t.Fatal("length mismatch accepted")
 		}
 	}()
-	w.Run(func(c *Comm) {
+	runRanks(w, func(c *Comm) {
 		buf := make([]complex128, 4+c.Rank()) // ranks disagree on length
 		c.ExchangeSlices(c.Rank()^1, 1, buf, buf)
 	})

@@ -2,23 +2,31 @@ package hpc
 
 import (
 	"math"
+	"path/filepath"
+	"reflect"
 	"testing"
 
 	"qaoa2/internal/graph"
 	"qaoa2/internal/maxcut"
 	"qaoa2/internal/qaoa2"
 	"qaoa2/internal/rng"
+	rt "qaoa2/internal/runtime"
+	"qaoa2/internal/solver"
 )
 
-func TestCoordinatedSolveExactLeaves(t *testing.T) {
-	r := rng.New(1)
-	g := graph.ErdosRenyi(40, 0.15, graph.Unweighted, r)
-	res, err := CoordinatedSolve(g, CoordinatedOptions{
-		Workers:     3,
-		MaxQubits:   8,
-		Solver:      qaoa2.ExactSolver{},
-		MergeSolver: qaoa2.ExactSolver{},
-		Seed:        1,
+// The paper's Fig. 2 scheme is qaoa2.Solve with a routed solver: the
+// executor's pool is the worker set, Parallelism the worker count.
+
+func TestCoordinatedExactLeaves(t *testing.T) {
+	g := graph.ErdosRenyi(40, 0.15, graph.Unweighted, rng.New(1))
+	var busy int64
+	res, err := qaoa2.Solve(g, qaoa2.Options{
+		MaxQubits:      8,
+		Solver:         qaoa2.ExactSolver{},
+		MergeSolver:    qaoa2.ExactSolver{},
+		Parallelism:    3,
+		Seed:           1,
+		OnRuntimeEvent: func(ev rt.Event) { busy += ev.Nanos },
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -26,55 +34,59 @@ func TestCoordinatedSolveExactLeaves(t *testing.T) {
 	if err := res.Cut.Validate(g); err != nil {
 		t.Fatal(err)
 	}
-	if res.SubGraphs < 2 {
-		t.Fatalf("sub-graphs %d", res.SubGraphs)
+	if res.SubGraphs < 2 || len(res.SubReports) != res.SubGraphs {
+		t.Fatalf("%d sub-reports for %d sub-graphs", len(res.SubReports), res.SubGraphs)
 	}
-	if len(res.Assignments) != res.SubGraphs {
-		t.Fatalf("assignments %d for %d sub-graphs", len(res.Assignments), res.SubGraphs)
-	}
-	if res.Comm.Messages == 0 {
-		t.Fatal("no messages recorded")
+	if res.Stats.Tasks <= res.SubGraphs || busy <= 0 {
+		t.Fatalf("%d tasks, %dns busy", res.Stats.Tasks, busy)
 	}
 }
 
+// TestCoordinatedMatchesInProcessQAOA2: a router that sends every
+// sub-graph to one member yields that member's solve bit for bit — the
+// member gets the sub-graph's stream unsplit.
 func TestCoordinatedMatchesInProcessQAOA2(t *testing.T) {
-	// With deterministic sub-solvers and index-derived seeds, the
-	// coordinated run must produce exactly the cut of the in-process
-	// qaoa2.Solve using identical partitioning and seeding.
-	r := rng.New(2)
-	g := graph.ErdosRenyi(36, 0.2, graph.Unweighted, r)
-	coord, err := CoordinatedSolve(g, CoordinatedOptions{
-		Workers:     4,
-		MaxQubits:   7,
-		Solver:      qaoa2.ExactSolver{},
-		MergeSolver: qaoa2.ExactSolver{},
-		Seed:        9,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Exact solvers ignore randomness, so both paths yield optimal
-	// sub-cuts; merge uses the same exact solver.
-	direct, err := qaoa2.Solve(g, qaoa2.Options{
-		MaxQubits: 7, Solver: qaoa2.ExactSolver{}, MergeSolver: qaoa2.ExactSolver{}, Seed: 9,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if coord.Cut.Value != direct.Cut.Value {
-		t.Fatalf("coordinated %v != direct %v", coord.Cut.Value, direct.Cut.Value)
+	g := graph.ErdosRenyi(36, 0.2, graph.Unweighted, rng.New(2))
+	gw, anneal := qaoa2.GWSolver{}, qaoa2.AnnealSolver{Opts: maxcut.AnnealOptions{Sweeps: 30}}
+	for _, tc := range []struct {
+		threshold float64
+		member    qaoa2.SubSolver
+	}{{2, gw}, {-1, anneal}} {
+		opts := qaoa2.Options{MaxQubits: 7, MergeSolver: qaoa2.ExactSolver{}, Seed: 9}
+		opts.Solver = tc.member
+		want, err := qaoa2.Solve(g, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		opts.Solver = DensityPolicy(tc.threshold, gw, anneal)
+		got, err := qaoa2.Solve(g, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got.Cut, want.Cut) {
+			t.Fatalf("routed to %s: cut %v, member alone %v", tc.member.Name(), got.Cut.Value, want.Cut.Value)
+		}
+		for i, r := range got.SubReports {
+			if r.Solver != tc.member.Name() || r.Value != want.SubReports[i].Value {
+				t.Fatalf("sub-graph %d: %+v, member alone %+v", i, r, want.SubReports[i])
+			}
+		}
 	}
 }
 
 func TestCoordinatedSingleWorker(t *testing.T) {
-	r := rng.New(3)
-	g := graph.ErdosRenyi(30, 0.2, graph.Unweighted, r)
-	res, err := CoordinatedSolve(g, CoordinatedOptions{
-		Workers:     1,
+	g := graph.ErdosRenyi(30, 0.2, graph.Unweighted, rng.New(3))
+	res, err := qaoa2.Solve(g, qaoa2.Options{
 		MaxQubits:   8,
 		Solver:      qaoa2.GWSolver{},
 		MergeSolver: qaoa2.ExactSolver{},
+		Parallelism: 1,
 		Seed:        3,
+		OnRuntimeEvent: func(ev rt.Event) {
+			if ev.Worker != 0 {
+				t.Errorf("%s ran on worker %d of 1", ev.Task, ev.Worker)
+			}
+		},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -82,62 +94,84 @@ func TestCoordinatedSingleWorker(t *testing.T) {
 	if err := res.Cut.Validate(g); err != nil {
 		t.Fatal(err)
 	}
-	if len(res.WorkerBusy) != 1 {
-		t.Fatalf("worker busy %v", res.WorkerBusy)
-	}
 }
 
+// TestCoordinatedDeterministicAcrossWorkerCounts: a routed run's cut
+// and routing (sub-graph densities 0.5 to 1 around a 0.7 threshold) do
+// not depend on how many workers ran it.
 func TestCoordinatedDeterministicAcrossWorkerCounts(t *testing.T) {
-	// The cut must not depend on how many workers processed the parts
-	// (per-part seeding): run with 1 and 5 workers and compare.
-	r := rng.New(4)
-	g := graph.ErdosRenyi(32, 0.2, graph.Unweighted, r)
-	values := map[int]float64{}
+	g := graph.ErdosRenyi(32, 0.2, graph.Unweighted, rng.New(4))
+	var base *qaoa2.Result
 	for _, workers := range []int{1, 5} {
-		res, err := CoordinatedSolve(g, CoordinatedOptions{
-			Workers:     workers,
+		res, err := qaoa2.Solve(g, qaoa2.Options{
 			MaxQubits:   6,
-			Solver:      qaoa2.GWSolver{},
+			Solver:      DensityPolicy(0.7, qaoa2.AnnealSolver{}, qaoa2.GWSolver{}),
 			MergeSolver: qaoa2.GWSolver{},
+			Parallelism: workers,
 			Seed:        11,
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		values[workers] = res.Cut.Value
-	}
-	if values[1] != values[5] {
-		t.Fatalf("placement-dependent result: %v", values)
+		if base == nil {
+			checkMixed(t, res, "anneal", "gw")
+			base = res
+			continue
+		}
+		if !reflect.DeepEqual(res.Cut, base.Cut) {
+			t.Fatalf("placement-dependent cut: %v vs %v", res.Cut.Value, base.Cut.Value)
+		}
+		for i, r := range res.SubReports {
+			if r.Solver != base.SubReports[i].Solver || r.Value != base.SubReports[i].Value {
+				t.Fatalf("sub-graph %d: %+v vs %+v", i, r, base.SubReports[i])
+			}
+		}
 	}
 }
 
+// TestDensityPolicyRoutes: the router picks the quantum member exactly
+// when density ≤ threshold, attributes the solve to that member, and
+// returns the member's own cut on the same stream.
 func TestDensityPolicyRoutes(t *testing.T) {
-	quantum := qaoa2.ExactSolver{}
-	classical := qaoa2.GWSolver{}
-	policy := DensityPolicy(0.5, quantum, classical)
+	quantum, classical := qaoa2.ExactSolver{}, qaoa2.AnnealSolver{Opts: maxcut.AnnealOptions{Sweeps: 30}}
 	sparse := graph.Path(10) // density 9/45 = 0.2
-	if got := policy(sparse); got.Name() != "exact" {
-		t.Fatalf("sparse routed to %s", got.Name())
-	}
-	dense := graph.Complete(6) // density 1
-	if got := policy(dense); got.Name() != "gw" {
-		t.Fatalf("dense routed to %s", got.Name())
+	d := sparse.Density()
+	for _, tc := range []struct {
+		g         *graph.Graph
+		threshold float64
+		want      qaoa2.SubSolver
+	}{
+		{sparse, 0.5, quantum},
+		{graph.Complete(6), 0.5, classical},
+		{sparse, d, quantum},
+		{sparse, math.Nextafter(d, -1), classical},
+	} {
+		cut, rep, err := solver.SolveAttributed(DensityPolicy(tc.threshold, quantum, classical), tc.g, rng.New(5))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.Winner != tc.want.Name() {
+			t.Fatalf("density %v, threshold %v: routed to %s, want %s", tc.g.Density(), tc.threshold, rep.Winner, tc.want.Name())
+		}
+		alone, err := tc.want.SolveSub(tc.g, rng.New(5))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(cut, alone) {
+			t.Fatalf("routed %s cut %v differs from the member alone %v", rep.Winner, cut.Value, alone.Value)
+		}
 	}
 }
 
 func TestCoordinatedWithPolicyMixesSolvers(t *testing.T) {
-	r := rng.New(5)
-	// Planted communities: dense blobs, sparse cross wiring → after
-	// partitioning, sub-graphs are dense (blobs) while the policy
-	// threshold splits them from any sparse leftovers.
-	g, _ := graph.PlantedCommunities(4, 6, 0.9, 0.05, graph.Unweighted, r)
-	res, err := CoordinatedSolve(g, CoordinatedOptions{
-		Workers:   2,
-		MaxQubits: 8,
-		Policy: DensityPolicy(0.5,
-			qaoa2.ExactSolver{},
-			qaoa2.GWSolver{}),
+	// Planted communities: the partition recovers the blobs, whose
+	// densities (0.73 to 1) straddle the threshold.
+	g, _ := graph.PlantedCommunities(4, 6, 0.9, 0.05, graph.Unweighted, rng.New(5))
+	res, err := qaoa2.Solve(g, qaoa2.Options{
+		MaxQubits:   8,
+		Solver:      DensityPolicy(0.95, qaoa2.ExactSolver{}, qaoa2.GWSolver{}),
 		MergeSolver: qaoa2.ExactSolver{},
+		Parallelism: 2,
 		Seed:        5,
 	})
 	if err != nil {
@@ -146,22 +180,71 @@ func TestCoordinatedWithPolicyMixesSolvers(t *testing.T) {
 	if err := res.Cut.Validate(g); err != nil {
 		t.Fatal(err)
 	}
-	// All assignments must be one of the two policy outputs.
-	for _, name := range res.Assignments {
-		if name != "exact" && name != "gw" {
-			t.Fatalf("unexpected solver %q", name)
+	checkMixed(t, res, "exact", "gw")
+}
+
+// checkMixed fails unless the run routed sub-graphs to both members
+// and nowhere else.
+func checkMixed(t *testing.T, res *qaoa2.Result, quantum, classical string) {
+	t.Helper()
+	routed := map[string]int{}
+	for _, r := range res.SubReports {
+		routed[r.Solver]++
+	}
+	if len(routed) != 2 || routed[quantum] == 0 || routed[classical] == 0 {
+		t.Fatalf("routing %v, want both %s and %s", routed, quantum, classical)
+	}
+}
+
+// TestDensityPolicyResumesCheckpoint: a routed run fingerprints like
+// any other solver, so rerunning it restores every solve task.
+func TestDensityPolicyResumesCheckpoint(t *testing.T) {
+	g := graph.ErdosRenyi(40, 0.15, graph.Unweighted, rng.New(8))
+	path := filepath.Join(t.TempDir(), "fig2.ckpt")
+	restored := 0
+	opts := qaoa2.Options{
+		MaxQubits:      7,
+		Solver:         DensityPolicy(0.7, qaoa2.ExactSolver{}, qaoa2.GWSolver{}),
+		MergeSolver:    qaoa2.GWSolver{},
+		Parallelism:    3,
+		Seed:           8,
+		CheckpointPath: path,
+		OnRuntimeEvent: func(ev rt.Event) {
+			if ev.Restored {
+				restored++
+			}
+		},
+	}
+	first, err := qaoa2.Solve(g, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkMixed(t, first, "exact", "gw")
+	second, err := qaoa2.Solve(g, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	solves := first.Stats.SubSolves + first.Stats.MergeSolves
+	if restored != solves || second.Stats.Restored != solves {
+		t.Fatalf("resume restored %d of %d solves (stats %+v)", restored, solves, second.Stats)
+	}
+	if !reflect.DeepEqual(first.Cut, second.Cut) {
+		t.Fatalf("resumed cut %v differs from %v", second.Cut.Value, first.Cut.Value)
+	}
+	for i, r := range second.SubReports {
+		if r.Solver != first.SubReports[i].Solver {
+			t.Fatalf("sub-graph %d re-attributed to %s, solved by %s", i, r.Solver, first.SubReports[i].Solver)
 		}
 	}
 }
 
 func TestCoordinatedBeatsRandom(t *testing.T) {
-	r := rng.New(6)
-	g := graph.ErdosRenyi(48, 0.15, graph.Unweighted, r)
-	res, err := CoordinatedSolve(g, CoordinatedOptions{
-		Workers:     3,
+	g := graph.ErdosRenyi(48, 0.15, graph.Unweighted, rng.New(6))
+	res, err := qaoa2.Solve(g, qaoa2.Options{
 		MaxQubits:   10,
 		Solver:      qaoa2.GWSolver{},
 		MergeSolver: qaoa2.GWSolver{},
+		Parallelism: 3,
 		Seed:        6,
 	})
 	if err != nil {
@@ -173,21 +256,20 @@ func TestCoordinatedBeatsRandom(t *testing.T) {
 	}
 }
 
-// TestCoordinatedMergePinned pins one coordinated run — GW leaves on
-// the workers, a merge graph of 19 nodes that divides again at the
-// coordinator — to one cut at every worker count. The pin was
-// re-captured when GW's default relaxation became the mixing method (a
-// different, equally valid embedding is rounded; under the ADMM default
-// it was 81.21282012568561 over 2 levels).
+// TestCoordinatedMergePinned pins one Fig. 2 run — GW leaves, a merge
+// graph that divides again — to one cut at every worker count. The pin
+// was re-captured when the coordinator became qaoa2.Solve: its leaves
+// now draw the executor's per-part streams, so GW rounds other
+// hyperplanes (the dedicated coordinator gave 78.9791099387327).
 func TestCoordinatedMergePinned(t *testing.T) {
 	const (
-		wantBits  = 0x4053bea9bcbb82ea // 78.9791099387327
-		wantSpins = "-++---+-++--+----+++-+--+----+-++++++++++---++-++--++++-----"
+		wantBits  = 0x40543557523959ed // 80.83345466232977
+		wantSpins = "+-+---+-++--+--++-++-+-++----+-+++-+++-++---+-+----+++-----+"
 	)
 	g := graph.ErdosRenyi(60, 0.12, graph.UniformWeights, rng.New(6))
 	for _, workers := range []int{1, 3} {
-		res, err := CoordinatedSolve(g, CoordinatedOptions{
-			Workers: workers, MaxQubits: 5, Solver: qaoa2.GWSolver{}, MergeSolver: qaoa2.GWSolver{}, Seed: 12,
+		res, err := qaoa2.Solve(g, qaoa2.Options{
+			MaxQubits: 5, Solver: qaoa2.GWSolver{}, MergeSolver: qaoa2.GWSolver{}, Parallelism: workers, Seed: 12,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -197,7 +279,7 @@ func TestCoordinatedMergePinned(t *testing.T) {
 			spins[v] = "-+"[(s+1)/2]
 		}
 		if math.Float64bits(res.Cut.Value) != wantBits || string(spins) != wantSpins ||
-			res.Levels != 3 || res.SubGraphs != 19 {
+			res.Levels != 2 || res.SubGraphs != 19 {
 			t.Fatalf("workers=%d: cut %v (%#x) over %d levels, %d sub-graphs, spins %s",
 				workers, res.Cut.Value, math.Float64bits(res.Cut.Value), res.Levels, res.SubGraphs, spins)
 		}

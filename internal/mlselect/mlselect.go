@@ -157,20 +157,28 @@ func Train(samples []Sample, opts TrainOptions) (*Model, error) {
 	return m, nil
 }
 
-// Probability returns P(QAOA wins | features).
-func (m *Model) Probability(x []float64) float64 {
+// logit returns the model's log-odds z = bias + w·x.
+func (m *Model) logit(x []float64) float64 {
 	z := m.Bias
 	for j, w := range m.Weights {
 		if j < len(x) {
 			z += w * x[j]
 		}
 	}
-	return 1 / (1 + math.Exp(-z))
+	return z
+}
+
+// Probability returns P(QAOA wins | features).
+func (m *Model) Probability(x []float64) float64 {
+	return 1 / (1 + math.Exp(-m.logit(x)))
 }
 
 // PredictQAOA reports whether the model recommends QAOA for the graph.
+// It decides on the sign of the logit, not on Probability ≥ 0.5: for z
+// just below 0 the sigmoid rounds to exactly 0.5, which would route a
+// graph the model scores negative to QAOA.
 func (m *Model) PredictQAOA(g *graph.Graph) bool {
-	return m.Probability(Features(g)) >= 0.5
+	return m.logit(Features(g)) >= 0
 }
 
 // Accuracy evaluates the model on labeled samples.
@@ -181,7 +189,7 @@ func Accuracy(m *Model, samples []Sample) float64 {
 	correct := 0
 	for _, s := range samples {
 		pred := 0
-		if m.Probability(s.X) >= 0.5 {
+		if m.logit(s.X) >= 0 {
 			pred = 1
 		}
 		if pred == s.Y {

@@ -1,6 +1,7 @@
 package mlselect
 
 import (
+	"math"
 	"testing"
 
 	"qaoa2/internal/graph"
@@ -124,6 +125,38 @@ func TestTrainDeterministic(t *testing.T) {
 	for i := range a.Weights {
 		if a.Weights[i] != b.Weights[i] {
 			t.Fatal("training not deterministic")
+		}
+	}
+}
+
+// TestDecisionOnLogitSign pins the decision rule at its boundary. A
+// one-weight gate on the density feature (weight −1, bias t) scores
+// z = t − density, so it must pick QAOA exactly when density ≤ t. One
+// ulp of threshold below the density gives z ≈ −3e-17, where the
+// sigmoid rounds to exactly 0.5: a Probability ≥ 0.5 rule would pick
+// QAOA there.
+func TestDecisionOnLogitSign(t *testing.T) {
+	g := graph.Path(10) // density 9/45
+	d := g.Density()
+	for _, tc := range []struct {
+		name      string
+		threshold float64
+		want      bool
+	}{
+		{"equal", d, true},
+		{"ulp above", math.Nextafter(d, 1), true},
+		{"ulp below", math.Nextafter(d, -1), false},
+	} {
+		m := &Model{Weights: []float64{0, -1}, Bias: tc.threshold}
+		if got := m.PredictQAOA(g); got != tc.want {
+			t.Errorf("%s: PredictQAOA = %v, want %v", tc.name, got, tc.want)
+		}
+		label := 0
+		if tc.want {
+			label = 1
+		}
+		if acc := Accuracy(m, []Sample{{X: Features(g), Y: label}}); acc != 1 {
+			t.Errorf("%s: Accuracy = %v, want 1", tc.name, acc)
 		}
 	}
 }

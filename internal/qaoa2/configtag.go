@@ -11,9 +11,7 @@ import (
 // checkpoint. Registry-built solvers (Options.SolverSpec) fingerprint
 // by their canonical spec JSON — stable across processes, so the
 // serve daemon's resume re-binds to the identical solver. Explicitly
-// constructed solvers fall back to their full printed state; anything
-// %#v renders unstably (e.g. function-valued fields print as
-// addresses) errs toward NOT resuming, never toward resuming wrongly.
+// constructed solvers fingerprint by solver.ConfigTag.
 func configTag(opts Options) string {
 	backendName := "default"
 	if opts.Backend != nil {
@@ -26,17 +24,10 @@ func configTag(opts Options) string {
 }
 
 // solverTag fingerprints one solver role: canonical spec when the
-// solver came from the registry, the solver's own ConfigTag when it
-// provides one (solvers holding process-local state — connections,
-// breakers — implement it to expose only their result-determining
-// configuration, so their checkpoints stay resumable across
-// processes), printed state otherwise.
+// solver came from the registry, solver.ConfigTag otherwise.
 func solverTag(spec solver.Spec, s SubSolver) string {
 	if spec.Name != "" {
 		return "spec:" + spec.Canonical()
 	}
-	if ct, ok := s.(interface{ ConfigTag() string }); ok {
-		return "tag:" + ct.ConfigTag()
-	}
-	return fmt.Sprintf("%#v", s)
+	return solver.ConfigTag(s)
 }

@@ -3,7 +3,6 @@ package qaoa2
 import (
 	"errors"
 	"runtime"
-	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -24,6 +23,15 @@ func (failingSolver) Name() string { return "failing" }
 
 func (failingSolver) SolveSub(*graph.Graph, *rng.Rand) (maxcut.Cut, error) {
 	return maxcut.Cut{}, errors.New("device offline")
+}
+
+// shortSolver returns a cut with no spins, whatever the graph.
+type shortSolver struct{}
+
+func (shortSolver) Name() string { return "short" }
+
+func (shortSolver) SolveSub(*graph.Graph, *rng.Rand) (maxcut.Cut, error) {
+	return maxcut.Cut{}, nil
 }
 
 func TestSolveLeavesNoGoroutineBehind(t *testing.T) {
@@ -97,6 +105,7 @@ func TestErrorsNameThePartOrNode(t *testing.T) {
 		{"node outside graph", Options{MaxQubits: 4, Partition: [][]int{{0, 1, 2, 12}}}, "part 0 references node 12"},
 		{"failing sub-solver", Options{MaxQubits: 4, Partition: thirds, Solver: failingSolver{}, Parallelism: 1}, "sub-graph 0: device offline"},
 		{"failing merge solver", Options{MaxQubits: 4, Partition: thirds, MergeSolver: failingSolver{}}, "stage 0 merge: device offline"},
+		{"short sub-cut", Options{MaxQubits: 4, Partition: thirds, Solver: shortSolver{}, Parallelism: 1}, "part 0 has 4 nodes but cut has 0 spins"},
 	}
 	for _, tc := range cases {
 		if tc.opts.Solver == nil {
@@ -105,75 +114,6 @@ func TestErrorsNameThePartOrNode(t *testing.T) {
 		_, err := Solve(g, tc.opts)
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: error %v, want one containing %q", tc.name, err, tc.want)
-		}
-	}
-	cuts := make([]maxcut.Cut, len(thirds))
-	if _, _, err := MergeSubSolutions(g, thirds, cuts[:2], Options{Solver: ExactSolver{}}); err == nil ||
-		!strings.Contains(err.Error(), "3 parts but 2 cuts") {
-		t.Errorf("parts/cuts mismatch: error %v", err)
-	}
-	if _, _, err := MergeSubSolutions(g, thirds, cuts, Options{Solver: ExactSolver{}}); err == nil ||
-		!strings.Contains(err.Error(), "part 0 has 4 nodes but cut has 0 spins") {
-		t.Errorf("short cut: error %v", err)
-	}
-}
-
-// TestMergeSubSolutionsMatchesReference: entering the executor behind
-// already-solved parts (what hpc.CoordinatedSolve does) gives the
-// reference merge's cut and level count — one merge solve, a merge
-// graph that divides again, and the two guards.
-func TestMergeSubSolutionsMatchesReference(t *testing.T) {
-	g := graph.ErdosRenyi(40, 0.15, graph.UniformWeights, rng.New(21))
-	singletons := make([][]int, g.N())
-	for v := range singletons {
-		singletons[v] = []int{v}
-	}
-	cases := []struct {
-		name      string
-		g         *graph.Graph
-		mq        int
-		parts     [][]int
-		minLevels int
-	}{
-		{"one merge solve", g, 12, nil, 1},
-		{"merge graph divides again", g, 4, nil, 2},
-		{"edgeless merge graph", isolatedPlusClique(12, 4), 4, nil, 1},
-		{"stalled contraction", g, 4, singletons, 1},
-	}
-	for _, tc := range cases {
-		opts := Options{MaxQubits: tc.mq, Solver: cheapAnneal(), MergeSolver: cheapAnneal(), Seed: 9}
-		parts := tc.parts
-		if parts == nil {
-			parts, _ = fixedPartition(tc.g, tc.mq)
-		}
-		cuts := make([]maxcut.Cut, len(parts))
-		for i, part := range parts {
-			sub, _, err := tc.g.InducedSubgraph(part)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if cuts[i], err = opts.Solver.SolveSub(sub, rng.New(opts.Seed).Split(uint64(i)+0x517c)); err != nil {
-				t.Fatal(err)
-			}
-		}
-		defaulted, err := opts.withDefaults()
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, wantLevels, _, err := referenceMerge(tc.g, parts, cuts, defaulted)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, par := range []int{1, 4} {
-			opts.Parallelism = par
-			got, levels, err := MergeSubSolutions(tc.g, parts, cuts, opts)
-			if err != nil {
-				t.Fatalf("%s par=%d: %v", tc.name, par, err)
-			}
-			if levels != wantLevels || levels < tc.minLevels || got.Value != want.Value || !slices.Equal(got.Spins, want.Spins) {
-				t.Fatalf("%s par=%d: cut %v in %d levels, reference %v in %d (want at least %d)",
-					tc.name, par, got.Value, levels, want.Value, wantLevels, tc.minLevels)
-			}
 		}
 	}
 }

@@ -6,7 +6,6 @@ import (
 
 	"qaoa2/internal/backend"
 	"qaoa2/internal/graph"
-	"qaoa2/internal/maxcut"
 	"qaoa2/internal/qaoa"
 	rt "qaoa2/internal/runtime"
 	"qaoa2/internal/solver"
@@ -130,27 +129,6 @@ func Solve(g *graph.Graph, opts Options) (*Result, error) {
 		return nil, err
 	}
 	return rt.Solve(g, opts.executor())
-}
-
-// MergeSubSolutions performs the QAOA² merging procedure (paper §3.3
-// steps 4-5) given already-solved sub-graphs: it stitches the
-// sub-solutions into a global assignment, builds the signed contracted
-// graph (+w for currently-uncut cross edges, −w for cut ones), solves it
-// with opts.MergeSolver (dividing again when it exceeds the qubit
-// budget), and flips every sub-graph whose merge-node is −1.
-// parts[i] lists the original node ids of sub-graph i; cuts[i] is the
-// sub-solution over the SAME node order. Exposed so distributed drivers
-// (internal/hpc's coordinator workflow) can reuse the merge step.
-func MergeSubSolutions(g *graph.Graph, parts [][]int, cuts []maxcut.Cut, opts Options) (maxcut.Cut, int, error) {
-	opts, err := opts.withDefaults()
-	if err != nil {
-		return maxcut.Cut{}, 0, err
-	}
-	res, err := rt.Merge(g, parts, cuts, opts.executor())
-	if err != nil {
-		return maxcut.Cut{}, 0, err
-	}
-	return res.Cut, res.Levels, nil
 }
 
 // executor maps defaulted options onto the executor's.

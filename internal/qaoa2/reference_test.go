@@ -74,8 +74,7 @@ func referenceSolve(g *graph.Graph, opts Options) (*Result, error) {
 		IntraCut: intra, CrossCut: cut.Value - intra}, nil
 }
 
-// referenceMerge is the merge step of the reference recursion (the old
-// MergeSubSolutions body): stitch, contract with signed weights, orient
+// referenceMerge is the merge step of the reference recursion: stitch, contract with signed weights, orient
 // the merge nodes — trivially when the merge graph is edgeless, by
 // 1-exchange when contraction stalled, by the merge solver when it fits
 // the device, by recursing otherwise — and flip. opts carries defaults.

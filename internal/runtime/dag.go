@@ -54,7 +54,7 @@ func (k taskKind) String() string {
 type task struct {
 	id   string
 	kind taskKind
-	run  func() error
+	run  func(worker int) error // worker: the pool worker running it
 
 	// executor state, guarded by executor.mu.
 	pending int // unmet dependencies
@@ -87,7 +87,7 @@ func newExecutor(interrupt <-chan struct{}) *executor {
 // a worker that finds an empty, drained graph exits immediately.
 func (e *executor) start(workers int) {
 	for w := 0; w < workers; w++ {
-		go e.worker()
+		go e.worker(w)
 	}
 }
 
@@ -129,7 +129,7 @@ func (e *executor) interrupted() bool {
 // worker pulls ready tasks until the graph drains or aborts. Workers
 // exit when no work can ever arrive again (drained or aborted with
 // nothing running: a running task may still add successors).
-func (e *executor) worker() {
+func (e *executor) worker(id int) {
 	e.mu.Lock()
 	for {
 		for len(e.queue) == 0 && e.err == nil && e.outstanding > 0 {
@@ -150,7 +150,7 @@ func (e *executor) worker() {
 		e.running++
 		e.mu.Unlock()
 
-		err := t.run()
+		err := t.run(id)
 
 		e.mu.Lock()
 		e.running--

@@ -7,8 +7,7 @@
 // drain, streams every completed sub-report to the caller, and appends
 // completed solves to an on-disk Checkpoint so an interrupted run
 // resumes without re-solving finished sub-graphs. qaoa2.Solve fills in
-// defaults and calls Solve; qaoa2.MergeSubSolutions calls Merge, which
-// enters the same graph behind already-solved parts.
+// defaults and calls Solve.
 //
 // The computation tree is a function of (graph, seed, solver config)
 // only — per-task randomness derives from the task's position, never
@@ -96,6 +95,10 @@ type Event struct {
 	// Timing is telemetry: it never enters checkpoints or result
 	// identity.
 	Nanos int64
+	// Worker is the pool worker that ran the task, in
+	// [0, Options.Parallelism). Like Nanos it is telemetry: scheduling
+	// decides it, so it never enters checkpoints or result identity.
+	Worker int
 	// Restored marks results served from the checkpoint.
 	Restored bool
 }
@@ -136,8 +139,7 @@ type Result struct {
 	Levels int
 	// SubGraphs counts the first-level sub-graphs.
 	SubGraphs int
-	// SubReports details every first-level sub-graph solve (nil from
-	// Merge, which solves none).
+	// SubReports details every first-level sub-graph solve.
 	SubReports []SubReport
 	// IntraCut is the weight cut inside sub-graphs before merging;
 	// CrossCut is the weight cut across sub-graphs after the merge
@@ -180,59 +182,10 @@ type solveState struct {
 	result *Result
 }
 
-// Solve runs the QAOA² divide-and-conquer on g.
+// Solve runs the QAOA² divide-and-conquer on g: it applies the option
+// defaults, opens the checkpoint, schedules the root task(s) and drives
+// the task graph to its result.
 func Solve(g *graph.Graph, opts Options) (*Result, error) {
-	return run(g, opts, func(st *solveState) error {
-		if g.N() <= st.opts.MaxQubits && st.opts.Partition == nil {
-			st.exec.add(&task{id: "s0/direct", kind: kindSubSolve, run: func() error {
-				return st.runDirect(g)
-			}})
-			return nil
-		}
-		if err := validatePartition(st.opts.Partition, st.opts.MaxQubits); err != nil {
-			return err
-		}
-		st.addStage(g, st.opts.Seed, st.opts.Solver, st.opts.Partition)
-		return nil
-	})
-}
-
-// Merge performs the QAOA² merging procedure (paper §3.3 steps 4-5) on
-// sub-graphs solved elsewhere: it enters the task graph at a stage 0
-// whose partition and sub-solve tasks are already done — parts[i] lists
-// the original node ids of sub-graph i, cuts[i] its solution over the
-// same node order — and runs merge-build, the merge solve (or the
-// stages it unfolds into) and the stitch from there. Distributed
-// drivers (hpc.CoordinatedSolve) that solve the parts on their own
-// workers use it.
-func Merge(g *graph.Graph, parts [][]int, cuts []maxcut.Cut, opts Options) (*Result, error) {
-	// The given cuts are not a function of the checkpoint header, so a
-	// stored merge record could belong to other cuts.
-	opts.Checkpoint, opts.CheckpointPath = nil, ""
-	return run(g, opts, func(st *solveState) error {
-		if len(parts) != len(cuts) {
-			return fmt.Errorf("runtime: %d parts but %d cuts", len(parts), len(cuts))
-		}
-		for i, part := range parts {
-			if len(cuts[i].Spins) != len(part) {
-				return fmt.Errorf("runtime: part %d has %d nodes but cut has %d spins",
-					i, len(part), len(cuts[i].Spins))
-			}
-		}
-		sg := st.newStage(g, st.opts.Seed, st.opts.Solver)
-		groupOf, err := sg.cover(parts)
-		if err != nil {
-			return err
-		}
-		sg.parts, sg.cuts, sg.groupOf = parts, cuts, groupOf
-		st.exec.add(st.mergeBuildTask(sg))
-		return nil
-	})
-}
-
-// run applies the option defaults, opens the checkpoint, lets root
-// schedule the first task(s) and drives the task graph to its result.
-func run(g *graph.Graph, opts Options, root func(*solveState) error) (*Result, error) {
 	if opts.Solver == nil || opts.MergeSolver == nil {
 		return nil, fmt.Errorf("runtime: Solver and MergeSolver are required")
 	}
@@ -265,8 +218,15 @@ func run(g *graph.Graph, opts Options, root func(*solveState) error) (*Result, e
 
 	st := &solveState{opts: opts, ckpt: ckpt}
 	st.exec = newExecutor(opts.Interrupt)
-	if err := root(st); err != nil {
-		return nil, err
+	if g.N() <= opts.MaxQubits && opts.Partition == nil {
+		st.exec.add(&task{id: "s0/direct", kind: kindSubSolve, run: func(w int) error {
+			return st.runDirect(g, w)
+		}})
+	} else {
+		if err := validatePartition(opts.Partition, opts.MaxQubits); err != nil {
+			return nil, err
+		}
+		st.addStage(g, opts.Seed, opts.Solver, opts.Partition)
 	}
 	st.exec.start(opts.Parallelism)
 	if err := st.exec.wait(); err != nil {
@@ -319,7 +279,7 @@ func partitionTag(parts [][]int) string {
 }
 
 // runDirect handles a graph that fits the device: a single solve task.
-func (st *solveState) runDirect(g *graph.Graph) error {
+func (st *solveState) runDirect(g *graph.Graph, worker int) error {
 	sv, err := st.solveTask("s0/direct", g, st.opts.Solver, rng.New(st.opts.Seed))
 	if err != nil {
 		return err
@@ -342,7 +302,7 @@ func (st *solveState) runDirect(g *graph.Graph) error {
 	st.mu.Unlock()
 	st.emit(Event{Task: "s0/direct", Kind: kindSubSolve.String(), Stage: 0, Index: 0,
 		Nodes: g.N(), Edges: g.M(), Value: sv.cut.Value, Solver: sv.winner,
-		Attempts: sv.attempts, Nanos: sv.nanos, Restored: sv.restored})
+		Attempts: sv.attempts, Nanos: sv.nanos, Worker: worker, Restored: sv.restored})
 	return nil
 }
 
@@ -385,24 +345,18 @@ func (st *solveState) solveTask(key string, g *graph.Graph, s solver.Solver, r *
 	return solved{cut: cut, winner: rep.Winner, attempts: rep.Attempts, nanos: nanos}, nil
 }
 
-// newStage appends a new divide level. Safe to call before the pool
-// starts and from inside tasks.
-func (st *solveState) newStage(g *graph.Graph, seed uint64, s solver.Solver) *stage {
+// addStage appends a new divide level and schedules its partition task.
+// Safe to call before the pool starts and from inside tasks.
+func (st *solveState) addStage(g *graph.Graph, seed uint64, s solver.Solver, explicit [][]int) {
 	st.mu.Lock()
-	defer st.mu.Unlock()
 	sg := &stage{index: len(st.stages), g: g, seed: seed, solver: s}
 	st.stages = append(st.stages, sg)
 	st.stats.Stages++
-	return sg
-}
-
-// addStage appends a new divide level and schedules its partition task.
-func (st *solveState) addStage(g *graph.Graph, seed uint64, s solver.Solver, explicit [][]int) {
-	sg := st.newStage(g, seed, s)
+	st.mu.Unlock()
 	st.exec.add(&task{
 		id:   fmt.Sprintf("s%d/partition", sg.index),
 		kind: kindPartition,
-		run:  func() error { return st.runPartition(sg, explicit) },
+		run:  func(w int) error { return st.runPartition(sg, explicit, w) },
 	})
 }
 
@@ -433,18 +387,9 @@ func (sg *stage) cover(parts [][]int) ([]int, error) {
 	return groupOf, nil
 }
 
-// mergeBuildTask is the barrier behind a stage's sub-solves.
-func (st *solveState) mergeBuildTask(sg *stage) *task {
-	return &task{
-		id:   fmt.Sprintf("s%d/merge-build", sg.index),
-		kind: kindMergeBuild,
-		run:  func() error { return st.runMergeBuild(sg) },
-	}
-}
-
 // runPartition divides a stage's graph and schedules one sub-solve
 // task per part plus the merge-build barrier behind them.
-func (st *solveState) runPartition(sg *stage, explicit [][]int) error {
+func (st *solveState) runPartition(sg *stage, explicit [][]int, worker int) error {
 	parts := explicit
 	if parts == nil {
 		var err error
@@ -467,7 +412,7 @@ func (st *solveState) runPartition(sg *stage, explicit [][]int) error {
 	st.stats.Tasks++
 	st.mu.Unlock()
 	st.emit(Event{Task: fmt.Sprintf("s%d/partition", sg.index), Kind: kindPartition.String(),
-		Stage: sg.index, Index: -1, Nodes: sg.g.N(), Edges: sg.g.M()})
+		Stage: sg.index, Index: -1, Nodes: sg.g.N(), Edges: sg.g.M(), Worker: worker})
 
 	subTasks := make([]*task, len(parts))
 	for i := range parts {
@@ -475,10 +420,14 @@ func (st *solveState) runPartition(sg *stage, explicit [][]int) error {
 		subTasks[i] = &task{
 			id:   fmt.Sprintf("s%d/sub%d", sg.index, i),
 			kind: kindSubSolve,
-			run:  func() error { return st.runSub(sg, i) },
+			run:  func(w int) error { return st.runSub(sg, i, w) },
 		}
 	}
-	mergeT := st.mergeBuildTask(sg)
+	mergeT := &task{
+		id:   fmt.Sprintf("s%d/merge-build", sg.index),
+		kind: kindMergeBuild,
+		run:  func(w int) error { return st.runMergeBuild(sg, w) },
+	}
 	// Register the barrier before its dependencies so the executor
 	// never observes a drained graph between sub-task completions.
 	st.exec.add(mergeT, subTasks...)
@@ -489,7 +438,7 @@ func (st *solveState) runPartition(sg *stage, explicit [][]int) error {
 }
 
 // runSub solves one sub-graph of a stage.
-func (st *solveState) runSub(sg *stage, i int) error {
+func (st *solveState) runSub(sg *stage, i, worker int) error {
 	sub, _, err := sg.g.InducedSubgraph(sg.parts[i])
 	if err != nil {
 		return err
@@ -517,7 +466,7 @@ func (st *solveState) runSub(sg *stage, i int) error {
 	st.mu.Unlock()
 	st.emit(Event{Task: key, Kind: kindSubSolve.String(), Stage: sg.index, Index: i,
 		Nodes: sub.N(), Edges: sub.M(), Value: sv.cut.Value, Solver: sv.winner,
-		Attempts: sv.attempts, Nanos: sv.nanos, Restored: sv.restored})
+		Attempts: sv.attempts, Nanos: sv.nanos, Worker: worker, Restored: sv.restored})
 	return nil
 }
 
@@ -525,7 +474,7 @@ func (st *solveState) runSub(sg *stage, i int) error {
 // decides how to orient it: trivially (edgeless), by a merge solve
 // (fits the device), by local search (contraction stalled) or by
 // unfolding the next stage.
-func (st *solveState) runMergeBuild(sg *stage) error {
+func (st *solveState) runMergeBuild(sg *stage, worker int) error {
 	spins := make([]int8, sg.g.N())
 	for i, part := range sg.parts {
 		for k, orig := range part {
@@ -546,7 +495,7 @@ func (st *solveState) runMergeBuild(sg *stage) error {
 	st.stats.Tasks++
 	st.mu.Unlock()
 	st.emit(Event{Task: fmt.Sprintf("s%d/merge-build", sg.index), Kind: kindMergeBuild.String(),
-		Stage: sg.index, Index: -1, Nodes: merged.N(), Edges: merged.M()})
+		Stage: sg.index, Index: -1, Nodes: merged.N(), Edges: merged.M(), Worker: worker})
 
 	switch {
 	case merged.M() == 0:
@@ -562,7 +511,7 @@ func (st *solveState) runMergeBuild(sg *stage) error {
 		st.exec.add(&task{
 			id:   fmt.Sprintf("s%d/merge", sg.index),
 			kind: kindMergeSolve,
-			run:  func() error { return st.runMergeSolve(sg) },
+			run:  func(w int) error { return st.runMergeSolve(sg, w) },
 		})
 	case merged.N() >= sg.g.N():
 		// Contraction made no progress (all-singleton partition):
@@ -578,7 +527,7 @@ func (st *solveState) runMergeBuild(sg *stage) error {
 }
 
 // runMergeSolve orients the deepest stage's merge graph.
-func (st *solveState) runMergeSolve(sg *stage) error {
+func (st *solveState) runMergeSolve(sg *stage, worker int) error {
 	key := fmt.Sprintf("s%d/merge", sg.index)
 	sv, err := st.solveTask(key, sg.merged, st.opts.MergeSolver,
 		rng.New(sg.seed).Split(0x51ed))
@@ -600,7 +549,7 @@ func (st *solveState) runMergeSolve(sg *stage) error {
 	st.mu.Unlock()
 	st.emit(Event{Task: key, Kind: kindMergeSolve.String(), Stage: sg.index, Index: -1,
 		Nodes: sg.merged.N(), Edges: sg.merged.M(), Value: sv.cut.Value, Solver: sv.winner,
-		Attempts: sv.attempts, Nanos: sv.nanos, Restored: sv.restored})
+		Attempts: sv.attempts, Nanos: sv.nanos, Worker: worker, Restored: sv.restored})
 	st.scheduleStitch(sg.index)
 	return nil
 }
@@ -611,13 +560,13 @@ func (st *solveState) scheduleStitch(deepest int) {
 	st.exec.add(&task{
 		id:   "stitch",
 		kind: kindStitch,
-		run:  func() error { return st.runStitch(deepest) },
+		run:  func(w int) error { return st.runStitch(deepest, w) },
 	})
 }
 
 // runStitch resolves the stage chain bottom-up: a stage's stitched
 // spins are exactly the flip orientation of the stage below it.
-func (st *solveState) runStitch(deepest int) error {
+func (st *solveState) runStitch(deepest, worker int) error {
 	var spins []int8
 	for k := deepest; k >= 0; k-- {
 		sg := st.stages[k]
@@ -656,7 +605,7 @@ func (st *solveState) runStitch(deepest int) error {
 	}
 	st.mu.Unlock()
 	st.emit(Event{Task: "stitch", Kind: kindStitch.String(), Stage: 0, Index: -1,
-		Nodes: root.g.N(), Edges: root.g.M(), Value: value})
+		Nodes: root.g.N(), Edges: root.g.M(), Value: value, Worker: worker})
 	return nil
 }
 

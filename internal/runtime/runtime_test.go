@@ -115,6 +115,12 @@ func TestDeterministicAcrossParallelism(t *testing.T) {
 	for _, par := range []int{1, 2, 7} {
 		opts := Options{MaxQubits: 6, Solver: annealSolver{}, MergeSolver: annealSolver{},
 			Parallelism: par, Seed: 11}
+		// The worker id is telemetry: always a pool slot, never identity.
+		opts.OnEvent = func(ev Event) {
+			if ev.Worker < 0 || ev.Worker >= par {
+				t.Errorf("parallelism %d: %s ran on worker %d", par, ev.Task, ev.Worker)
+			}
+		}
 		res, err := Solve(g, opts)
 		if err != nil {
 			t.Fatal(err)

@@ -2,6 +2,7 @@ package solver
 
 import (
 	"fmt"
+	"math"
 	"time"
 
 	"qaoa2/internal/graph"
@@ -51,17 +52,39 @@ func (s MLAdaptiveSolver) model() *mlselect.Model {
 // overhead is benchmarkable: BenchmarkMLAdaptiveDispatch measures
 // exactly this decision path).
 func (s MLAdaptiveSolver) Choose(g *graph.Graph) Solver {
-	quantum, classical := s.Quantum, s.Classical
+	quantum, classical := s.members()
+	if s.model().PredictQAOA(g) {
+		return quantum
+	}
+	return classical
+}
+
+// members returns the quantum and classical members with their
+// defaults applied.
+func (s MLAdaptiveSolver) members() (quantum, classical Solver) {
+	quantum, classical = s.Quantum, s.Classical
 	if quantum == nil {
 		quantum = QAOASolver{}
 	}
 	if classical == nil {
 		classical = GWSolver{}
 	}
-	if s.model().PredictQAOA(g) {
-		return quantum
+	return quantum, classical
+}
+
+// ConfigTag renders the gate's weights and bias (as float64 bits) and
+// both members' tags. The printed state would show the Model pointer,
+// a different address in every process, so a run gated by an explicit
+// Model could never resume its checkpoint.
+func (s MLAdaptiveSolver) ConfigTag() string {
+	m := s.model()
+	bits := make([]uint64, len(m.Weights))
+	for i, w := range m.Weights {
+		bits[i] = math.Float64bits(w)
 	}
-	return classical
+	quantum, classical := s.members()
+	return fmt.Sprintf("ml-adaptive|weights:%v|bias:%v|quantum:%s|classical:%s",
+		bits, math.Float64bits(m.Bias), ConfigTag(quantum), ConfigTag(classical))
 }
 
 // SolveSub implements Solver.

@@ -42,6 +42,20 @@ type Solver interface {
 	SolveSub(g *graph.Graph, r *rng.Rand) (maxcut.Cut, error)
 }
 
+// ConfigTag fingerprints a solver's result-determining configuration
+// for checkpoint headers: the solver's own ConfigTag when it provides
+// one (solvers holding process-local state — pointers, connections,
+// breakers — implement it to expose only what decides their results,
+// so their checkpoints resume across processes), its printed state
+// otherwise. Anything %#v renders unstably errs toward NOT resuming,
+// never toward resuming wrongly.
+func ConfigTag(s Solver) string {
+	if ct, ok := s.(interface{ ConfigTag() string }); ok {
+		return "tag:" + ct.ConfigTag()
+	}
+	return fmt.Sprintf("%#v", s)
+}
+
 // Attempt records one inner solver's try inside a composite solve —
 // the per-solver attribution and timing telemetry that flows up
 // through SubReports, runtime events, and the serve NDJSON stream.

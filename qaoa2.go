@@ -571,26 +571,16 @@ func NewFaultInjector(seed uint64) *FaultInjector { return faults.New(seed) }
 
 // HPC workflow front end.
 type (
-	// CoordinatedOptions configures the Fig. 2 coordinator workflow.
-	CoordinatedOptions = hpc.CoordinatedOptions
-	// CoordinatedResult reports a coordinated run.
-	CoordinatedResult = hpc.CoordinatedResult
-	// Policy selects a solver per sub-graph at run time.
-	Policy = hpc.Policy
 	// RemoteSolver dispatches sub-graph solves to a qaoa2d daemon.
 	RemoteSolver = hpc.RemoteSolver
 )
 
-// CoordinatedSolve runs QAOA² as a coordinator/worker message-passing
-// workflow (the paper's Fig. 2 scheme).
-func CoordinatedSolve(g *Graph, opts CoordinatedOptions) (*CoordinatedResult, error) {
-	return hpc.CoordinatedSolve(g, opts)
-}
-
 // DensityPolicy routes sparse sub-graphs to the quantum solver and
 // dense ones to the classical solver, the naive rule the paper's grid
-// search motivates.
-func DensityPolicy(threshold float64, quantum, classical SubSolver) Policy {
+// search motivates. Solve with it runs the paper's Fig. 2 workflow:
+// Options.Parallelism is the worker count, and each SubReport names
+// the member a sub-graph was routed to.
+func DensityPolicy(threshold float64, quantum, classical SubSolver) SubSolver {
 	return hpc.DensityPolicy(threshold, quantum, classical)
 }
 

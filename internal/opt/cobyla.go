@@ -34,7 +34,37 @@ type COBYLAOptions struct {
 	Rhoend float64
 	// MaxEvals bounds objective evaluations (default 100·dim).
 	MaxEvals int
+	// Stop, when set, ends the run after any evaluation it answers true
+	// for (see budget).
+	Stop func() bool
 }
+
+// budget counts objective evaluations against a cap and a caller's stop
+// predicate. Stop is asked after every evaluation; once it answers true
+// the run makes no further call to the objective: eval returns +Inf,
+// which every optimizer step rejects, so the run falls through to its
+// Result with the best point it kept.
+type budget struct {
+	f       Objective
+	max     int
+	stop    func() bool
+	evals   int
+	stopped bool
+}
+
+func (b *budget) eval(x []float64) float64 {
+	if b.stopped {
+		return math.Inf(1)
+	}
+	b.evals++
+	v := b.f(x)
+	b.stopped = b.stop != nil && b.stop()
+	return v
+}
+
+// done reports whether the run must end: its budget is spent or it was
+// stopped.
+func (b *budget) done() bool { return b.stopped || b.evals >= b.max }
 
 // MinimizeCOBYLA minimizes f starting from x0 using a linear-
 // approximation trust-region method in the spirit of Powell's COBYLA
@@ -58,11 +88,8 @@ func MinimizeCOBYLA(f Objective, x0 []float64, opts COBYLAOptions) Result {
 		opts.MaxEvals = 100 * dim
 	}
 
-	evals := 0
-	eval := func(x []float64) float64 {
-		evals++
-		return f(x)
-	}
+	run := &budget{f: f, max: opts.MaxEvals, stop: opts.Stop}
+	eval := run.eval
 
 	type vertex struct {
 		x []float64
@@ -74,7 +101,7 @@ func MinimizeCOBYLA(f Objective, x0 []float64, opts COBYLAOptions) Result {
 	buildSimplex := func(center []float64, fc float64) []vertex {
 		simplex := make([]vertex, 0, dim+1)
 		simplex = append(simplex, vertex{x: append([]float64(nil), center...), f: fc})
-		for i := 0; i < dim && evals < opts.MaxEvals; i++ {
+		for i := 0; i < dim && !run.done(); i++ {
 			xi := append([]float64(nil), center...)
 			xi[i] += rho
 			simplex = append(simplex, vertex{x: xi, f: eval(xi)})
@@ -105,7 +132,7 @@ func MinimizeCOBYLA(f Objective, x0 []float64, opts COBYLAOptions) Result {
 	}
 
 	converged := false
-	for evals < opts.MaxEvals {
+	for !run.done() {
 		if len(simplex) < dim+1 {
 			// Budget ran out mid-build; finish with what we have.
 			break
@@ -165,7 +192,7 @@ func MinimizeCOBYLA(f Objective, x0 []float64, opts COBYLAOptions) Result {
 	return Result{
 		X:         simplex[b].x,
 		F:         simplex[b].f,
-		Evals:     evals,
+		Evals:     run.evals,
 		Converged: converged,
 	}
 }

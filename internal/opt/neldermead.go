@@ -7,6 +7,9 @@ type NelderMeadOptions struct {
 	Step     float64 // initial simplex edge length (default 0.5)
 	Tol      float64 // simplex f-spread tolerance (default 1e-8)
 	MaxEvals int     // evaluation budget (default 200·dim)
+	// Stop, when set, ends the run after any evaluation it answers true
+	// for (see budget).
+	Stop func() bool
 }
 
 // MinimizeNelderMead minimizes f with the standard downhill-simplex
@@ -26,22 +29,20 @@ func MinimizeNelderMead(f Objective, x0 []float64, opts NelderMeadOptions) Resul
 		opts.MaxEvals = 200 * dim
 	}
 
-	evals := 0
-	eval := func(x []float64) float64 {
-		evals++
-		return f(x)
-	}
+	run := &budget{f: f, max: opts.MaxEvals, stop: opts.Stop}
+	eval := run.eval
 
-	// Initial simplex.
-	pts := make([][]float64, dim+1)
-	fs := make([]float64, dim+1)
-	pts[0] = append([]float64(nil), x0...)
-	fs[0] = eval(pts[0])
-	for i := 0; i < dim; i++ {
+	// Initial simplex: x0 and one step along each axis, cut short by a
+	// stop.
+	pts := make([][]float64, 0, dim+1)
+	fs := make([]float64, 0, dim+1)
+	for i := 0; i <= dim && !run.stopped; i++ {
 		p := append([]float64(nil), x0...)
-		p[i] += opts.Step
-		pts[i+1] = p
-		fs[i+1] = eval(p)
+		if i > 0 {
+			p[i-1] += opts.Step
+		}
+		pts = append(pts, p)
+		fs = append(fs, eval(p))
 	}
 
 	order := func() (lo, hi, second int) {
@@ -66,7 +67,7 @@ func MinimizeNelderMead(f Objective, x0 []float64, opts NelderMeadOptions) Resul
 	centroid := make([]float64, dim)
 	trial := make([]float64, dim)
 	converged := false
-	for evals < opts.MaxEvals {
+	for !run.done() {
 		lo, hi, second := order()
 		if math.Abs(fs[hi]-fs[lo]) <= opts.Tol*(math.Abs(fs[hi])+math.Abs(fs[lo])+1e-30) {
 			converged = true
@@ -133,7 +134,7 @@ func MinimizeNelderMead(f Objective, x0 []float64, opts NelderMeadOptions) Resul
 						pts[i][j] = pts[lo][j] + 0.5*(pts[i][j]-pts[lo][j])
 					}
 					fs[i] = eval(pts[i])
-					if evals >= opts.MaxEvals {
+					if run.done() {
 						break
 					}
 				}
@@ -141,5 +142,5 @@ func MinimizeNelderMead(f Objective, x0 []float64, opts NelderMeadOptions) Resul
 		}
 	}
 	lo, _, _ := order()
-	return Result{X: pts[lo], F: fs[lo], Evals: evals, Converged: converged}
+	return Result{X: pts[lo], F: fs[lo], Evals: run.evals, Converged: converged}
 }

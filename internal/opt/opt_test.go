@@ -1,6 +1,7 @@
 package opt
 
 import (
+	"fmt"
 	"math"
 	"testing"
 )
@@ -187,6 +188,44 @@ func TestAllOptimizersOnQuadraticBowl(t *testing.T) {
 	for name, res := range map[string]Result{"cobyla": cob, "neldermead": nm, "spsa": sp} {
 		if res.F > f0/10 {
 			t.Fatalf("%s barely improved: %v -> %v", name, f0, res.F)
+		}
+	}
+}
+
+// TestStopEndsAtTheApprovedEvaluation: each optimizer makes no call to
+// the objective after the one Stop answered true for, at every position
+// a stop can land (the first point, inside the first simplex, deep in
+// the iteration), and a Stop that never fires leaves the run exactly as
+// without one.
+func TestStopEndsAtTheApprovedEvaluation(t *testing.T) {
+	x0 := []float64{2, -3, 1}
+	runs := map[string]func(f Objective, stop func() bool) Result{
+		"cobyla": func(f Objective, stop func() bool) Result {
+			return MinimizeCOBYLA(f, x0, COBYLAOptions{Rhobeg: 0.5, MaxEvals: 200, Stop: stop})
+		},
+		"nelder-mead": func(f Objective, stop func() bool) Result {
+			return MinimizeNelderMead(f, x0, NelderMeadOptions{MaxEvals: 200, Stop: stop})
+		},
+		"spsa": func(f Objective, stop func() bool) Result {
+			return MinimizeSPSA(f, x0, SPSAOptions{MaxEvals: 200, Seed: 3, Stop: stop})
+		},
+	}
+	for name, run := range runs {
+		free := run(sphere, nil)
+		never := run(sphere, func() bool { return false })
+		if fmt.Sprint(never) != fmt.Sprint(free) {
+			t.Errorf("%s: a Stop that never fires changed the run: %v, want %v", name, never, free)
+		}
+		for _, at := range []int{1, 2, 3, 4, 5, 17, 60} {
+			calls := 0
+			f := func(x []float64) float64 { calls++; return sphere(x) }
+			res := run(f, func() bool { return calls == at })
+			if calls != at || res.Evals != at {
+				t.Errorf("%s: stop at evaluation %d made %d calls, reported %d", name, at, calls, res.Evals)
+			}
+			if len(res.X) != len(x0) || math.IsInf(res.F, 0) {
+				t.Errorf("%s: stop at %d returned %v", name, at, res)
+			}
 		}
 	}
 }

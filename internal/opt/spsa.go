@@ -14,6 +14,9 @@ type SPSAOptions struct {
 	Gamma    float64 // perturbation decay exponent (default 0.101)
 	MaxEvals int     // evaluation budget, 2 per iteration (default 200)
 	Seed     uint64
+	// Stop, when set, ends the run after any evaluation it answers true
+	// for (see budget).
+	Stop func() bool
 }
 
 // MinimizeSPSA minimizes f by simultaneous-perturbation stochastic
@@ -44,18 +47,15 @@ func MinimizeSPSA(f Objective, x0 []float64, opts SPSAOptions) Result {
 
 	x := append([]float64(nil), x0...)
 	bestX := append([]float64(nil), x...)
-	evals := 0
-	eval := func(p []float64) float64 {
-		evals++
-		return f(p)
-	}
+	run := &budget{f: f, max: opts.MaxEvals, stop: opts.Stop}
+	eval := run.eval
 	bestF := eval(x)
 
 	plus := make([]float64, dim)
 	minus := make([]float64, dim)
 	delta := make([]float64, dim)
 	stability := float64(opts.MaxEvals) / 20
-	for k := 0; evals+2 <= opts.MaxEvals; k++ {
+	for k := 0; !run.stopped && run.evals+2 <= opts.MaxEvals; k++ {
 		ak := opts.A / math.Pow(float64(k)+1+stability, opts.Alpha)
 		ck := opts.C / math.Pow(float64(k)+1, opts.Gamma)
 		for i := range delta {
@@ -83,11 +83,11 @@ func MinimizeSPSA(f Objective, x0 []float64, opts SPSAOptions) Result {
 		}
 	}
 	// Final check at the converged iterate.
-	if evals < opts.MaxEvals {
+	if !run.done() {
 		if fx := eval(x); fx < bestF {
 			bestF = fx
 			copy(bestX, x)
 		}
 	}
-	return Result{X: bestX, F: bestF, Evals: evals, Converged: true}
+	return Result{X: bestX, F: bestF, Evals: run.evals, Converged: true}
 }

@@ -90,7 +90,7 @@ func SolveIsing(h *ising.Hamiltonian, opts Options, r *rng.Rand) (*IsingResult, 
 	if opts.Restarts > 1 {
 		res, err2 = multiStart(ans, opts, x0, shotRand, table)
 	} else {
-		res, err2 = runOptimizer(ans, opts, x0, shotRand, table, opts.Seed)
+		res, _, err2 = runOptimizer(ans, opts, x0, shotRand, table, opts.Seed, nil)
 	}
 	if err2 != nil {
 		return nil, err2

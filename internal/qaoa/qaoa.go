@@ -7,11 +7,14 @@
 // F_p = ⟨ψ|H_C|ψ⟩ is maximized; the solution bit string is decoded from
 // the highest amplitude of the final statevector (optionally the best
 // cut among the top-K amplitudes, the improvement the paper suggests in
-// §3.2/§5).
+// §3.2/§5). Solve spends the optimizer's whole budget; SolveCut, the
+// entry point of QAOA² leaves, stops as soon as the decoded cut is
+// certified optimal.
 package qaoa
 
 import (
 	"fmt"
+	"maps"
 	"math"
 	"slices"
 	"sort"
@@ -183,9 +186,28 @@ func physOf(layout []int, q int) int {
 	return layout[q]
 }
 
-// Solve runs QAOA on g. The graph must fit the simulator
-// (g.N() ≤ qsim.MaxQubits).
+// Solve runs QAOA on g for the optimizer's whole budget and decodes the
+// state at the best parameters found. The graph must fit the simulator
+// (g.N() ≤ qsim.MaxQubits). Callers that read more than the cut — the
+// trained angles (paraminit), the final state's correlations (rqaoa),
+// the expectation (Fig. 3, Table 1) — use Solve.
 func Solve(g *graph.Graph, opts Options, r *rng.Rand) (*Result, error) {
+	return solve(g, opts, r, false)
+}
+
+// SolveCut runs QAOA on g for its cut: like Solve, but it stops the
+// optimizer at the first evaluation whose state decodes — by decode's
+// rule — to a cut equal to the cut table's maximum, and returns that
+// evaluation's angles, expectation and state with Optimal set. The stop
+// rule is exact arithmetic on the table, so it is only applied where
+// the certificate is (graph.IntegralWeights, DecodeShots == 0) and to a
+// single start (Restarts ≤ 1); any other graph or option set returns
+// exactly what Solve returns.
+func SolveCut(g *graph.Graph, opts Options, r *rng.Rand) (*Result, error) {
+	return solve(g, opts, r, true)
+}
+
+func solve(g *graph.Graph, opts Options, r *rng.Rand, stopAtCertificate bool) (*Result, error) {
 	opts = opts.withDefaults()
 	n := g.N()
 	if n == 0 {
@@ -217,6 +239,15 @@ func Solve(g *graph.Graph, opts Options, r *rng.Rand) (*Result, error) {
 	}
 	layout := ans.Layout()
 	table := ans.Diagonal()
+	// The certificate exists where exact arithmetic lets a cut equal the
+	// table's maximum; SolveCut also stops on it when decoding is exact.
+	var cert, stopAt *certifier
+	if g.IntegralWeights() {
+		cert = &certifier{table: table, max: tableMax(table), topK: opts.TopK}
+		if stopAtCertificate && opts.DecodeShots == 0 {
+			stopAt = cert
+		}
+	}
 
 	shotRand := r
 	if shotRand == nil {
@@ -237,24 +268,35 @@ func Solve(g *graph.Graph, opts Options, r *rng.Rand) (*Result, error) {
 	copy(x0[p:], initBetas)
 
 	var res opt.Result
-	var err2 error
+	var hit *point
 	if opts.Restarts > 1 {
-		res, err2 = multiStart(ans, opts, x0, shotRand, table)
+		// Multi-start runs its whole budget: SolveCut stops single starts
+		// only.
+		res, err = multiStart(ans, opts, x0, shotRand, table)
 	} else {
-		res, err2 = runOptimizer(ans, opts, x0, shotRand, table, opts.Seed)
+		res, hit, err = runOptimizer(ans, opts, x0, shotRand, table, opts.Seed, stopAt)
 	}
-	if err2 != nil {
-		return nil, err2
-	}
-
-	// Re-run at the best parameters for decoding and exact expectation.
-	gammas := make([]float64, p)
-	betas := make([]float64, p)
-	copy(gammas, res.X[:p])
-	copy(betas, res.X[p:])
-	expectation, s, err := ans.Evaluate(gammas, betas)
 	if err != nil {
 		return nil, err
+	}
+
+	gammas := make([]float64, p)
+	betas := make([]float64, p)
+	var expectation float64
+	var s *qsim.State
+	if hit != nil {
+		// A certified evaluation already holds everything to report.
+		copy(gammas, hit.x[:p])
+		copy(betas, hit.x[p:])
+		expectation, s = hit.energy, hit.state
+	} else {
+		// Re-run at the best parameters for decoding and exact expectation.
+		copy(gammas, res.X[:p])
+		copy(betas, res.X[p:])
+		expectation, s, err = ans.Evaluate(gammas, betas)
+		if err != nil {
+			return nil, err
+		}
 	}
 
 	var cut maxcut.Cut
@@ -272,8 +314,42 @@ func Solve(g *graph.Graph, opts Options, r *rng.Rand) (*Result, error) {
 		Report:      ans.Report(),
 		State:       s,
 		Layout:      layout,
-		Optimal:     g.IntegralWeights() && cut.Value == tableMax(table),
+		Optimal:     cert != nil && cut.Value == cert.max,
 	}, nil
+}
+
+// certifier is SolveCut's stop rule: a state is certified when decode
+// would read a cut off it whose table value is the table's maximum —
+// the candidates are decode's own (MaxAmpIndex, or TopAmpIndices).
+// Both are entries of one table, so the test is exact wherever
+// graph.IntegralWeights holds. A nil certifier certifies nothing.
+type certifier struct {
+	table []float64
+	max   float64
+	topK  int
+}
+
+func (c *certifier) certifies(s *qsim.State) bool {
+	if c == nil {
+		return false
+	}
+	if c.topK == 1 {
+		return c.table[s.MaxAmpIndex()] == c.max
+	}
+	for _, idx := range s.TopAmpIndices(c.topK) {
+		if c.table[idx] == c.max {
+			return true
+		}
+	}
+	return false
+}
+
+// point is a certified evaluation: its parameters, exact energy and
+// final state.
+type point struct {
+	x      []float64
+	energy float64
+	state  *qsim.State
 }
 
 // tableMax returns the largest entry of a cut table, the graph's exact
@@ -285,48 +361,60 @@ func tableMax(table []float64) float64 {
 }
 
 // minimize dispatches one optimizer run on the objective.
-func minimize(opts Options, objective func([]float64) float64, x0 []float64, seed uint64) (opt.Result, error) {
+// stop, when non-nil, is asked after every evaluation.
+func minimize(opts Options, objective func([]float64) float64, x0 []float64, seed uint64, stop func() bool) (opt.Result, error) {
 	switch opts.Optimizer {
 	case COBYLA:
 		return opt.MinimizeCOBYLA(objective, x0, opt.COBYLAOptions{
 			Rhobeg:   opts.Rhobeg,
 			MaxEvals: opts.MaxIters,
+			Stop:     stop,
 		}), nil
 	case NelderMead:
 		return opt.MinimizeNelderMead(objective, x0, opt.NelderMeadOptions{
 			Step:     opts.Rhobeg,
 			MaxEvals: opts.MaxIters,
+			Stop:     stop,
 		}), nil
 	case SPSA:
 		return opt.MinimizeSPSA(objective, x0, opt.SPSAOptions{
 			C:        opts.Rhobeg / 2,
 			MaxEvals: opts.MaxIters,
 			Seed:     seed,
+			Stop:     stop,
 		}), nil
 	default:
 		return opt.Result{}, fmt.Errorf("qaoa: unknown optimizer %v", opts.Optimizer)
 	}
 }
 
-// sampledEnergy estimates ⟨H_C⟩ from a finite-shot histogram of s.
+// sampledEnergy estimates ⟨H_C⟩ from a finite-shot histogram of s. It
+// sums in ascending basis order: map order would make the rounding of
+// real-weighted tables differ from call to call.
 func sampledEnergy(s *qsim.State, table []float64, shots int, r *rng.Rand) float64 {
 	hist := s.Sample(shots, r)
 	total := 0.0
-	for basis, count := range hist {
-		total += table[basis] * float64(count)
+	for _, basis := range slices.Sorted(maps.Keys(hist)) {
+		total += table[basis] * float64(hist[basis])
 	}
 	return total / float64(shots)
 }
 
 // runOptimizer performs a single optimizer run from x0; objective
 // evaluations go straight through the ansatz (with optional shot
-// sampling from shotRand).
-func runOptimizer(ans backend.Ansatz, opts Options, x0 []float64, shotRand *rng.Rand, table []float64, seed uint64) (opt.Result, error) {
+// sampling from shotRand). With a certifier it stops at the first
+// certified evaluation and returns it.
+func runOptimizer(ans backend.Ansatz, opts Options, x0 []float64, shotRand *rng.Rand, table []float64, seed uint64, cert *certifier) (opt.Result, *point, error) {
 	p := opts.Layers
+	var hit *point
 	objective := func(x []float64) float64 {
 		energy, s, err := ans.Evaluate(x[:p], x[p:])
 		if err != nil {
 			panic(err) // parameter lengths are fixed by construction
+		}
+		if cert.certifies(s) {
+			// The optimizer stops after this call, so s stays valid.
+			hit = &point{x: slices.Clone(x), energy: energy, state: s}
 		}
 		f := energy
 		if opts.Shots > 0 {
@@ -334,7 +422,12 @@ func runOptimizer(ans backend.Ansatz, opts Options, x0 []float64, shotRand *rng.
 		}
 		return -f // optimizers minimize
 	}
-	return minimize(opts, objective, x0, seed)
+	var stop func() bool
+	if cert != nil {
+		stop = func() bool { return hit != nil }
+	}
+	res, err := minimize(opts, objective, x0, seed, stop)
+	return res, hit, err
 }
 
 // multiStart runs opts.Restarts lockstep optimizer instances over ONE
@@ -385,7 +478,7 @@ func multiStart(ans backend.Ansatz, opts Options, x0 []float64, shotRand *rng.Ra
 				reqCh <- evalRequest{slot: k, x: x, resp: resp}
 				return <-resp
 			}
-			results[k], errs[k] = minimize(opts, objective, starts[k], opts.Seed+uint64(k)*0x9e3779b9)
+			results[k], errs[k] = minimize(opts, objective, starts[k], opts.Seed+uint64(k)*0x9e3779b9, nil)
 		}(k)
 	}
 
@@ -484,11 +577,13 @@ func ZZCorrelation(s *qsim.State, layout []int, i, j int) float64 {
 }
 
 // decode extracts the solution bit string: the best cut among the top-K
-// probability basis states (K=1 is the paper's rule).
+// probability basis states (K=1 is the paper's rule, where MaxAmpIndex
+// is TopAmpIndices(1) without the selection bookkeeping).
 func decode(g *graph.Graph, s *qsim.State, layout []int, topK int) maxcut.Cut {
-	n := g.N()
-	indices := s.TopAmpIndices(topK)
-	return bestCutOf(g, layout, n, indices)
+	if topK == 1 {
+		return bestCutOf(g, layout, g.N(), []uint64{s.MaxAmpIndex()})
+	}
+	return bestCutOf(g, layout, g.N(), s.TopAmpIndices(topK))
 }
 
 // decodeSampled extracts the solution from a finite-shot histogram: the

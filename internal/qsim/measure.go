@@ -20,12 +20,23 @@ func (s *State) Probability(i uint64) float64 {
 // smallest index for determinism.
 //
 // On a Z2-reduced state (z2.go) the scan over representatives IS the
-// full-space argmax: pair members have equal probability and the
-// representative is the numerically smaller index, so the returned
-// index matches the expanded state's argmax exactly.
+// full-space argmax: each pair is ranked by z2PairProb, the probability
+// its members have in the expansion, and the representative is the
+// numerically smaller index, so the returned index matches the expanded
+// state's argmax — and TopAmpIndices(1) — exactly. (Ranking by the
+// stored |a|² instead can split a tie the expansion has.)
 func (s *State) MaxAmpIndex() uint64 {
 	best := uint64(0)
 	bestP := -1.0
+	if s.z2Full != 0 {
+		for i, a := range s.amps {
+			if p := z2PairProb(a); p > bestP {
+				bestP = p
+				best = uint64(i)
+			}
+		}
+		return best
+	}
 	for i := range s.amps {
 		a := s.amps[i]
 		re, im := real(a), imag(a)

@@ -21,6 +21,31 @@ func z2EvaluatedState(t testing.TB, nFull int, seed uint64) *State {
 	return eng.State()
 }
 
+// TestZ2MaxAmpIndexKeepsExpandedTies: two stored amplitudes whose |a|²
+// differ in the last bit can carry the same expanded probability (the
+// 1/√2 scaling rounds them together). The expansion ties them and picks
+// the lower index, and so must MaxAmpIndex — QAOA's certificate and its
+// decode both read it and must agree with TopAmpIndices(1).
+func TestZ2MaxAmpIndexKeepsExpandedTies(t *testing.T) {
+	a := complex(0.006072534395455154, 0.009752416188605784)
+	b := complex(0.006072534395455155, 0.009752416188605784)
+	if real(a)*real(a)+imag(a)*imag(a) >= real(b)*real(b)+imag(b)*imag(b) || z2PairProb(a) != z2PairProb(b) {
+		t.Fatal("fixture lost its near-tie")
+	}
+	s, err := NewZ2State(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range s.amps {
+		s.amps[i] = 0
+	}
+	s.amps[1], s.amps[2] = a, b
+	got, top, full := s.MaxAmpIndex(), s.TopAmpIndices(1)[0], s.ExpandZ2().MaxAmpIndex()
+	if got != 1 || top != 1 || full != 1 {
+		t.Fatalf("MaxAmpIndex %d, TopAmpIndices(1) %d, expanded argmax %d; want 1 for all", got, top, full)
+	}
+}
+
 // TestZ2MeasurementMatchesExpanded pins the strongest sampling
 // guarantee the reduction offers: every read-only measurement accessor
 // on the reduced state is BIT-IDENTICAL to the same call on the

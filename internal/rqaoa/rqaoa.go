@@ -5,7 +5,10 @@
 // |⟨Z_i Z_j⟩| correlation is frozen into the constraint z_i = sign·z_j,
 // and node i is eliminated by merging its edges into j (weights signed
 // by the constraint). When the graph is small enough the remainder is
-// solved exactly and the constraints are unwound.
+// solved exactly and the constraints are unwound; a step whose QAOA cut
+// is certified optimal (qaoa.Result.Optimal) ends the recursion early,
+// since no later elimination can beat a maximum cut of the current
+// graph.
 package rqaoa
 
 import (
@@ -31,7 +34,7 @@ type Options struct {
 // Result reports an RQAOA run.
 type Result struct {
 	Cut          maxcut.Cut
-	Eliminations int // variables frozen by correlation rounding
+	Eliminations int // variables frozen by correlation rounding before the exact or certified finish
 }
 
 // constraint records z_eliminated = sign · z_keeper.
@@ -63,11 +66,20 @@ func Solve(g *graph.Graph, opts Options, r *rng.Rand) (*Result, error) {
 		orig[i] = i
 	}
 	var constraints []constraint
+	var final []int8 // spins of work's nodes once known
 
 	for work.N() > opts.Cutoff && work.M() > 0 {
 		res, err := qaoa.Solve(work, opts.QAOA, r)
 		if err != nil {
 			return nil, err
+		}
+		if res.Optimal {
+			// A maximum cut of the reduced graph: every later elimination
+			// path ends in some assignment of this same graph, and its
+			// constraints add the same constant to any of them, so none
+			// can cut more. Unwind from it.
+			final = res.Cut.Spins
+			break
 		}
 		// Strongest-correlation edge.
 		bestEdge := -1
@@ -97,17 +109,20 @@ func Solve(g *graph.Graph, opts Options, r *rng.Rand) (*Result, error) {
 		work, orig = eliminate(work, orig, e.I, e.J, sign)
 	}
 
-	// Exact solve of the residual.
-	residual, err := maxcut.BruteForce(work)
-	if err != nil {
-		return nil, err
+	if final == nil {
+		// Exact solve of the residual.
+		residual, err := maxcut.BruteForce(work)
+		if err != nil {
+			return nil, err
+		}
+		final = residual.Spins
 	}
 
 	// Unwind: seed spins of surviving nodes, then apply constraints in
 	// reverse elimination order.
 	spins := make([]int8, n)
 	for i, o := range orig {
-		spins[o] = residual.Spins[i]
+		spins[o] = final[i]
 	}
 	for k := len(constraints) - 1; k >= 0; k-- {
 		c := constraints[k]

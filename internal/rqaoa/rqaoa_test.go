@@ -77,6 +77,37 @@ func TestRQAOABipartiteExact(t *testing.T) {
 	}
 }
 
+// TestRQAOAStopsOnCertifiedStep: when the first QAOA step certifies its
+// cut, that cut is a maximum cut of the whole graph, so RQAOA returns it
+// without eliminating a variable or brute-forcing a residual.
+func TestRQAOAStopsOnCertifiedStep(t *testing.T) {
+	for seed := uint64(1); seed <= 4; seed++ {
+		g := graph.ErdosRenyi(12, 0.5, graph.Unweighted, rng.New(seed))
+		step, err := qaoa.Solve(g, fastQAOA(), rng.New(seed))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !step.Optimal {
+			t.Fatalf("seed %d: step 0 not certified; pick another graph", seed)
+		}
+		res, err := Solve(g, Options{Cutoff: 6, QAOA: fastQAOA()}, rng.New(seed))
+		if err != nil {
+			t.Fatal(err)
+		}
+		opt, err := maxcut.BruteForce(g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Eliminations != 0 || res.Cut.Value != opt.Value {
+			t.Fatalf("seed %d: %d eliminations, cut %v, want 0 and the optimum %v",
+				seed, res.Eliminations, res.Cut.Value, opt.Value)
+		}
+		if err := res.Cut.Validate(g); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
 func TestRQAOAEmptyAndEdgeless(t *testing.T) {
 	res, err := Solve(graph.New(0), Options{}, rng.New(1))
 	if err != nil || res.Cut.Value != 0 {

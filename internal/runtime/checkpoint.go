@@ -34,8 +34,11 @@ type Header struct {
 	Config string `json:"config,omitempty"`
 }
 
-// checkpointVersion is bumped whenever the entry format changes.
-const checkpointVersion = 1
+// checkpointVersion is bumped whenever the entry format changes, or
+// whenever what a task computes does: version 2 marks QAOA leaves that
+// stop at their certificate (qaoa.SolveCut), which may settle on another
+// optimal assignment than the full-budget optimizer of version 1.
+const checkpointVersion = 2
 
 // Fingerprint digests the header into a stable 16-hex-character id.
 // Two runs share a fingerprint exactly when their checkpoints are

@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -252,6 +253,60 @@ func TestCheckpointResumeAfterKill(t *testing.T) {
 	res3.Stats = Stats{}
 	if !reflect.DeepEqual(res3, want) {
 		t.Fatal("fully restored result differs")
+	}
+}
+
+// TestCheckpointVersionGatesResume: a checkpoint written under version
+// 1 — leaf records of the full-budget optimizer — restores nothing, and
+// a version-2 checkpoint restores every task with bit-identical spins.
+func TestCheckpointVersionGatesResume(t *testing.T) {
+	g := testGraph(40, 0.2, 12)
+	path := filepath.Join(t.TempDir(), "ver.ckpt")
+	opts := Options{MaxQubits: 6, Solver: annealSolver{}, MergeSolver: annealSolver{}, Seed: 5}
+	want, err := Solve(g, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tasks := want.Stats.SubSolves + want.Stats.MergeSolves
+
+	withPath := opts
+	withPath.CheckpointPath = path
+	if _, err := Solve(g, withPath); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.HasPrefix(string(data), `{"version":2,`) {
+		t.Fatalf("checkpoint header %.40q, want version 2", data)
+	}
+	old := strings.Replace(string(data), `{"version":2,`, `{"version":1,`, 1)
+	if err := os.WriteFile(path, []byte(old), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	for _, c := range []struct {
+		name     string
+		restored int
+	}{{"version 1", 0}, {"version 2", tasks}} {
+		cs := &countingSolver{inner: annealSolver{}}
+		run := withPath
+		run.Solver, run.MergeSolver = cs, cs
+		res, err := Solve(g, run)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Stats.Restored != c.restored || int(cs.calls.Load()) != tasks-c.restored {
+			t.Fatalf("%s: restored %d with %d solver calls, want %d of %d tasks",
+				c.name, res.Stats.Restored, cs.calls.Load(), c.restored, tasks)
+		}
+		res.Stats = Stats{}
+		ref := *want
+		ref.Stats = Stats{}
+		if !reflect.DeepEqual(*res, ref) {
+			t.Fatalf("%s: resumed result differs from the uninterrupted run", c.name)
+		}
 	}
 }
 

@@ -138,9 +138,11 @@ func (s QAOASolver) SolveSub(g *graph.Graph, r *rng.Rand) (maxcut.Cut, error) {
 
 // SolveSubAttributed implements Attributor: a plain solver's report
 // (its own name, no attempts) plus the optimality certificate QAOA
-// reads off the cut table it already holds.
+// reads off the cut table it already holds. A leaf needs only its cut,
+// so it runs qaoa.SolveCut, which stops the optimizer once that
+// certificate is earned.
 func (s QAOASolver) SolveSubAttributed(g *graph.Graph, r *rng.Rand) (maxcut.Cut, Report, error) {
-	res, err := qaoa.Solve(g, s.Opts, r)
+	res, err := qaoa.SolveCut(g, s.Opts, r)
 	if err != nil {
 		return maxcut.Cut{}, Report{}, err
 	}

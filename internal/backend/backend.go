@@ -30,6 +30,7 @@ package backend
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -107,6 +108,28 @@ func EvaluateBatch(a Ansatz, gammas, betas [][]float64, energies []float64) erro
 		energies[k] = e
 	}
 	return nil
+}
+
+// TableMaxer is the optional extension of Ansatz for backends that know
+// the largest entry of their Diagonal without scanning it — for a
+// MaxCut ansatz the graph's maximum cut, which certifies a decoded cut
+// optimal (internal/qaoa).
+type TableMaxer interface {
+	// TableMax returns the largest entry of Diagonal().
+	TableMax() float64
+}
+
+// TableMax returns the largest entry of a MaxCut ansatz's diagonal:
+// through a's own TableMax when it implements TableMaxer, else by a
+// scan of the lower half of Diagonal() — a bit string and its
+// complement cut the same edges, and the complement of a lower-half
+// index lies in the upper half, so the lower half holds every value.
+func TableMax(a Ansatz) float64 {
+	if tm, ok := a.(TableMaxer); ok {
+		return tm.TableMax()
+	}
+	table := a.Diagonal()
+	return slices.Max(table[:len(table)/2])
 }
 
 // checkBatchParams validates an EvaluateBatch call.
@@ -196,20 +219,32 @@ func ByName(name string) (Backend, error) {
 // table[:2^b] is added onto it. Integer-weighted graphs (every QAOA²
 // leaf of an unweighted instance) give exact tables either way.
 func CutTable(g *graph.Graph, layout []int) []float64 {
+	table := make([]float64, 1<<uint(g.N()))
+	doubleCuts(g, layout, table)
+	return table
+}
+
+// doubleCuts runs CutTable's recurrence over the first log2(len(table))
+// wires, from table[0] (the all-zero string's entry) up, and returns
+// the smallest and largest entry it wrote or started from. Entries hold
+// cut values offset by table[0]: CutTable starts from 0, the integral
+// build (cutLevels) from a level offset in int32.
+func doubleCuts[T int32 | float64](g *graph.Graph, layout []int, table []T) (first, last T) {
 	n := g.N()
-	table := make([]float64, 1<<uint(n))
 	node := make([]int, n) // inverse wire map: the node on each wire
 	for q := range node {
 		node[physOf(layout, q)] = q
 	}
-	low := make([]float64, n) // low[j] = w(b, j) for the wires j below b
-	for b := 0; b < n; b++ {
-		deg := 0.0
+	first, last = table[0], table[0]
+	low := make([]T, n) // low[j] = w(b, j) for the wires j below b
+	for b := 0; 2<<uint(b) <= len(table); b++ {
+		var deg T
 		clear(low[:b])
 		for _, h := range g.Neighbors(node[b]) {
-			deg += h.W
+			w := T(h.W)
+			deg += w
 			if j := physOf(layout, h.To); j < b {
-				low[j] += h.W
+				low[j] += w
 			}
 		}
 		delta := table[1<<uint(b) : 2<<uint(b)]
@@ -223,10 +258,17 @@ func CutTable(g *graph.Graph, layout []int) []float64 {
 			}
 		}
 		for x, v := range table[:1<<uint(b)] {
-			delta[x] += v
+			v += delta[x]
+			delta[x] = v
+			if v < first {
+				first = v
+			}
+			if v > last {
+				last = v
+			}
 		}
 	}
-	return table
+	return first, last
 }
 
 // physOf maps logical node q to its physical wire under layout.

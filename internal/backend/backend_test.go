@@ -189,10 +189,11 @@ func indexLevels(diag []float64, maxLevels int) ([]float64, []int32) {
 	return levels, idx
 }
 
-// TestIndexLevels pins phaseTables to the oracle — same levels, same
-// index, dense shift exactly when the level cap is exceeded — on cut
-// tables (full and Z2 half length), on a table one value under and one
-// over the cap, and on a real-valued diagonal.
+// TestIndexLevels pins phaseTables to the oracle — the distinct values
+// and index of the diagonal itself, phase levels value + add, the dense
+// form exactly when the level cap is exceeded — on cut tables (full and
+// Z2 half length), on a table one value under and one over the cap, and
+// on a real-valued diagonal.
 func TestIndexLevels(t *testing.T) {
 	r := rng.New(5)
 	cut := CutTable(graph.ErdosRenyi(11, 0.4, graph.UniformWeights, r), nil)
@@ -221,23 +222,29 @@ func TestIndexLevels(t *testing.T) {
 		{"real", noisy, 1, len(noisy)},
 	}
 	for _, tc := range cases {
-		want := make([]float64, tc.n)
-		for i := range want {
-			want[i] = tc.diag[i] + tc.add
+		shifted := make([]float64, tc.n)
+		for i := range shifted {
+			shifted[i] = tc.diag[i] + tc.add
 		}
-		wantLevels, wantIdx := indexLevels(want, maxPhaseLevels)
-		levels, idx, shift := phaseTables(tc.diag, tc.add, tc.n)
-		if wantLevels == nil {
-			if levels != nil || idx != nil || !slices.Equal(shift, want) {
-				t.Fatalf("%s: over the level cap, want the dense shift table only", tc.name)
+		wantValues, wantIdx := indexLevels(tc.diag[:tc.n], maxPhaseLevels)
+		got := phaseTables(tc.diag, tc.add, tc.n)
+		if wantValues == nil {
+			if got.Levels != nil || got.Values != nil || got.Idx != nil ||
+				!slices.Equal(got.Shift, shifted) || !slices.Equal(got.Diag, tc.diag[:tc.n]) {
+				t.Fatalf("%s: over the level cap, want the dense form only", tc.name)
 			}
 			continue
 		}
-		if shift != nil {
-			t.Fatalf("%s: dense shift materialised on the indexed path", tc.name)
+		if got.Diag != nil || got.Shift != nil {
+			t.Fatalf("%s: dense form materialised on the indexed path", tc.name)
 		}
-		if !slices.Equal(levels, wantLevels) || !slices.Equal(idx, wantIdx) {
-			t.Fatalf("%s: (levels, idx) differ from the oracle (%d vs %d levels)", tc.name, len(levels), len(wantLevels))
+		if !slices.Equal(got.Values, wantValues) || !slices.Equal(got.Idx, wantIdx) {
+			t.Fatalf("%s: (values, idx) differ from the oracle (%d vs %d values)", tc.name, len(got.Values), len(wantValues))
+		}
+		for j, v := range got.Values {
+			if got.Levels[j] != v+tc.add {
+				t.Fatalf("%s: level %d = %v, want value %v + %v", tc.name, j, got.Levels[j], v, tc.add)
+			}
 		}
 	}
 }
@@ -255,7 +262,7 @@ func TestFusedLUTMatchesSincos(t *testing.T) {
 		t.Fatal(err)
 	}
 	fa := a.(*fusedAnsatz)
-	if fa.levels == nil {
+	if fa.cost.Levels == nil {
 		t.Fatal("expected LUT path at 8 qubits")
 	}
 	gammas := []float64{0.37, 0.81}
@@ -265,12 +272,16 @@ func TestFusedLUTMatchesSincos(t *testing.T) {
 		t.Fatal(err)
 	}
 	keep := sLUT.Clone()
-	// Force the Sincos fallback: drop the LUT and rebuild the dense
-	// shift table Prepare discards when the LUT path is taken.
-	fa.levels, fa.idx = nil, nil
-	fa.shift = make([]float64, len(fa.diag))
-	for i, v := range fa.diag {
-		fa.shift[i] = v - g.TotalWeight()/2
+	// Force the Sincos fallback: rebuild the engine over the dense form
+	// of the same tables.
+	diag := fa.Diagonal()[:len(fa.cost.Idx)]
+	shift := make([]float64, len(diag))
+	for i, v := range diag {
+		shift[i] = v - g.TotalWeight()/2
+	}
+	fa.cost = qsim.CostTables{Diag: diag, Shift: shift}
+	if fa.eng, err = fa.newEngine(); err != nil {
+		t.Fatal(err)
 	}
 	eSin, sSin, err := fa.Evaluate(gammas, betas)
 	if err != nil {

@@ -113,9 +113,11 @@ func TestEvaluateBatchRepeatedCallsReuseBuffers(t *testing.T) {
 
 // BenchmarkFusedPrepare20 times compiling one paper-scale leaf: a
 // 20-node, ~95-edge unweighted graph (G(20, 0.5), the density of the
-// benchmark's leaf-heavy communities) into cut table, phase tables and
-// engine. ReportAllocs pins that the indexed path holds no 2^n
-// temporaries beyond the tables the ansatz keeps.
+// benchmark's leaf-heavy communities) into the int32 level index over
+// the engine's index space (2^19 entries, 2^20 under QAOA2_NOZ2), its
+// level tables and the engine. ReportAllocs pins that Prepare holds the
+// index and the state and nothing of 2^n size besides: no float64 cut
+// table, which Diagonal() builds only when a caller asks for it.
 func BenchmarkFusedPrepare20(b *testing.B) {
 	g := graph.ErdosRenyi(20, 0.5, graph.Unweighted, rng.New(20))
 	b.ReportAllocs()

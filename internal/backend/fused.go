@@ -3,7 +3,6 @@ package backend
 import (
 	"fmt"
 	"math"
-	"math/bits"
 	"os"
 	"runtime"
 	"slices"
@@ -17,7 +16,8 @@ import (
 // maxPhaseLevels bounds the distinct-cut-value lookup table. Unweighted
 // graphs have at most m+1 distinct cut values; weighted graphs can have
 // up to 2^n, in which case the fused path falls back to a per-amplitude
-// Sincos.
+// Sincos. It also bounds the integral build (cutLevels): a graph takes
+// it only when Σ|w| + 1 ≤ maxPhaseLevels.
 const maxPhaseLevels = 4096
 
 // defaultDistRanks is the rank count "fused-dist" selects when no
@@ -28,10 +28,12 @@ const defaultDistRanks = 4
 // computational basis, the whole e^{-iγ H_C} cost layer is one
 // element-wise phase pass e^{-iγ·(cut(x) − W/2)}, and the β mixer is a
 // cache-blocked multi-qubit butterfly sweep — no circuit synthesis, no
-// gate list, no per-evaluation allocation. Prepare compiles the cost
-// diagonal into a persistent qsim.Engine that fuses the phase pass, the
-// initial-state preparation and the energy reduction into the blocked
-// mixer sweeps (see qsim/engine.go). The −W/2 shift reproduces the
+// gate list, no per-evaluation allocation. Prepare builds the cost
+// diagonal once, in the only form the engine reads — a level index over
+// the engine's own index space (qsim.CostTables) — and compiles it into
+// a persistent qsim.Engine that fuses the phase pass, the initial-state
+// preparation and the energy reduction into the blocked mixer sweeps
+// (see qsim/engine.go). The −W/2 shift reproduces the
 // global phase the RZZ-product gate walk accrues, keeping Fused
 // amplitude-identical to Dense (the parity tests pin this to 1e-12).
 //
@@ -83,41 +85,51 @@ func (f Fused) Name() string {
 	return "fused"
 }
 
-// Prepare implements Backend: computes the cost diagonal once — cut
-// tables satisfy cut(x) = cut(~x), so every graph is Z2-eligible — and
-// compiles it into the fused engine.
+// Prepare implements Backend: builds the cost tables once over the
+// engine's index space — cut tables satisfy cut(x) = cut(~x), so every
+// graph is Z2-eligible — and compiles them into the fused engine. A
+// graph inside integralSpan's guard (every QAOA² leaf of an unweighted
+// instance) takes cutLevels and never holds a float64 cut table; any
+// other graph takes CutTable and phaseTables.
 func (f Fused) Prepare(g *graph.Graph, cfg Config) (Ansatz, error) {
 	if err := checkGraph(g, cfg); err != nil {
 		return nil, err
 	}
-	return f.prepare(CutTable(g, nil), -g.TotalWeight()/2, true, cfg.Layers)
+	add := -g.TotalWeight() / 2
+	return f.prepare(g.N(), true, cfg.Layers, func(k int) (qsim.CostTables, []float64) {
+		if lo, ok := integralSpan(g); ok {
+			return cutLevels(g, k, lo, add), nil
+		}
+		diag := CutTable(g, nil)
+		return phaseTables(diag, add, 1<<uint(k)), diag
+	})
 }
 
 // prepare is the preamble Prepare and PrepareIsing share: the Z2
-// decision, the phase tables, the rank clamp and the engine build. diag
-// is the full expectation table, diag[i] + add the phase diagonal, and
-// symmetric reports diag(x) == diag(~x). When the diagonal has few
-// distinct values the phase tables take an indexed form that replaces
-// per-amplitude trigonometry with a per-level lookup.
-func (f Fused) prepare(diag []float64, add float64, symmetric bool, layers int) (Ansatz, error) {
+// decision, the rank clamp, the cost tables and the engine build.
+// symmetric reports diag(x) == diag(~x) for the n-qubit diagonal.
+// tables builds the engine's tables over its 2^k-entry index space (k =
+// n, or n − 1 on the Z2-reduced engine, whose tables are the prefix
+// halves) and returns the full 2^n diagonal too when it built one.
+func (f Fused) prepare(n int, symmetric bool, layers int, tables func(k int) (qsim.CostTables, []float64)) (Ansatz, error) {
 	if f.Ranks < 0 || f.Ranks&(f.Ranks-1) != 0 {
 		return nil, fmt.Errorf("backend: fused-dist rank count %d is not a power of two", f.Ranks)
 	}
 	fa := &fusedAnsatz{}
 	a := &fa.engineAnsatz
-	a.n, a.layers, a.diag = bits.Len(uint(len(diag)))-1, layers, diag
+	a.n, a.layers = n, layers
 	// The Z2-reduced engine needs a pair to fold, i.e. at least two
-	// qubits; its phase tables are the prefix halves.
-	a.z2 = !f.Full && symmetric && a.n >= 2 && os.Getenv("QAOA2_NOZ2") == ""
-	nEff, phaseLen := a.n, len(diag)
+	// qubits.
+	a.z2 = !f.Full && symmetric && n >= 2 && os.Getenv("QAOA2_NOZ2") == ""
+	k := n
 	if a.z2 {
-		nEff, phaseLen = nEff-1, phaseLen/2
+		k--
 	}
 	// Clamp: every rank must keep at least one local qubit of the
 	// (possibly reduced) index space. Small QAOA² leaves routinely hit
 	// this; the backend stays selectable at any sub-graph size.
-	a.ranks = min(max(f.Ranks, 1), 1<<uint(nEff-1))
-	a.levels, a.idx, a.shift = phaseTables(diag, add, phaseLen)
+	a.ranks = min(max(f.Ranks, 1), 1<<uint(k-1))
+	a.cost, a.diag = tables(k)
 	eng, err := a.newEngine()
 	if err != nil {
 		return nil, err
@@ -129,27 +141,75 @@ func (f Fused) prepare(diag []float64, add float64, symmetric bool, layers int) 
 	return fa, nil
 }
 
+// integralSpan reports whether g takes the integral build (cutLevels):
+// graph.IntegralWeights holds and Σ|w| + 1 ≤ maxPhaseLevels, so every
+// cut value is one of the Σ|w| + 1 integers from lo = Σ_{w<0} w up. The
+// span guard is also what keeps cutLevels' int32 recurrence from
+// overflowing: every value it forms — a level index, or a partial sum
+// of one wire's δ — stays within 3·Σ|w| < 2^14 in magnitude.
+func integralSpan(g *graph.Graph) (lo int, ok bool) {
+	if !g.IntegralWeights() {
+		return 0, false
+	}
+	span := 0.0
+	for _, e := range g.Edges() {
+		span += math.Abs(e.W)
+		lo += min(int(e.W), 0)
+	}
+	return lo, span+1 <= maxPhaseLevels
+}
+
+// cutLevels is the integral build: CutTable's doubling recurrence run
+// in int32 over the first k wires — the engine's own index space of 2^k
+// entries, the Z2 prefix half when k = n − 1 — writing each entry as
+// its level index cut(x) − lo. The same pass tracks the largest and
+// smallest index, so the levels cover exactly the cut range: level j
+// has value float64(lo' + j) and phase that value + add, with lo' the
+// smallest cut. Under integralSpan every CutTable entry is that integer
+// exactly, so Values[Idx[x]] == CutTable(g, nil)[x] and the phases are
+// phaseTables' own, without the 2^n float64 table.
+func cutLevels(g *graph.Graph, k, lo int, add float64) qsim.CostTables {
+	idx := make([]int32, 1<<uint(k))
+	idx[0] = int32(-lo) // cut(0) = 0
+	first, last := doubleCuts(g, nil, idx)
+	if first > 0 {
+		// Negative edges no cut can take all of: start the levels at the
+		// smallest cut rather than at Σ_{w<0} w.
+		for i := range idx {
+			idx[i] -= first
+		}
+	}
+	levels := make([]float64, last-first+1)
+	values := make([]float64, len(levels))
+	for j := range values {
+		values[j] = float64(lo + int(first) + j)
+		levels[j] = values[j] + add
+	}
+	return qsim.CostTables{Levels: levels, Values: values, Idx: idx}
+}
+
 // phaseCacheBits sizes phaseTables' direct-mapped value cache: 1024
 // slots hold every level of an unweighted leaf (at most m+1 ≈ 100) with
 // few collisions, and fit the stack.
 const phaseCacheBits = 10
 
-// phaseTables compiles the phase diagonal shift[i] = diag[i] + add,
-// i < n, into the form the engines take: factored as (levels, idx) with
-// shift[i] = levels[idx[i]] and levels ascending when it has at most
-// maxPhaseLevels distinct values, else dense as shift (the per-amplitude
-// Sincos fallback). Exactly one form is non-nil, and the indexed path
-// never materialises the dense table — 2^n float64 the engines would
-// not read.
+// phaseTables is the float build: it compiles the first n entries of a
+// diagonal, with phase diagonal diag[i] + add, into the engine's
+// tables. When diag[:n] has at most maxPhaseLevels distinct values they
+// take the indexed form — Values the distinct values ascending, Idx
+// with Values[Idx[i]] == diag[i], Levels[j] = Values[j] + add — else
+// the dense form (diag[:n], and the shifted copy for the per-amplitude
+// Sincos fallback). It serves real weights, Ising diagonals and the
+// tests' oracle for cutLevels.
 //
 // Both passes resolve a value through a direct-mapped cache keyed by a
 // hash of its bits, and fall back to a binary search of the sorted
-// levels only on a cache miss: a cut table has few distinct values, so
-// nearly every amplitude costs one multiply and one compare.
-func phaseTables(diag []float64, add float64, n int) (levels []float64, idx []int32, shift []float64) {
+// values only on a cache miss: a cut table has few distinct values, so
+// nearly every entry costs one hash and one compare.
+func phaseTables(diag []float64, add float64, n int) qsim.CostTables {
 	diag = diag[:n]
 	var keys [1 << phaseCacheBits]float64 // value last resolved in each slot
-	var at [1 << phaseCacheBits]int32     // its position in levels (second pass)
+	var at [1 << phaseCacheBits]int32     // its position in values (second pass)
 	slot := func(v float64) uint64 {
 		return math.Float64bits(v) * 0x9e3779b97f4a7c15 >> (64 - phaseCacheBits)
 	}
@@ -160,53 +220,57 @@ func phaseTables(diag []float64, add float64, n int) (levels []float64, idx []in
 	}
 
 	forget()
-	levels = make([]float64, 0, 64)
+	values := make([]float64, 0, 64)
 	for _, d := range diag {
-		v := d + add
-		h := slot(v)
-		if keys[h] == v {
+		h := slot(d)
+		if keys[h] == d {
 			continue
 		}
-		keys[h] = v
-		j, found := slices.BinarySearch(levels, v)
+		keys[h] = d
+		j, found := slices.BinarySearch(values, d)
 		if found {
 			continue
 		}
-		if len(levels) == maxPhaseLevels || v != v {
-			shift = make([]float64, n)
+		if len(values) == maxPhaseLevels || d != d {
+			shift := make([]float64, n)
 			for i := range shift {
 				shift[i] = diag[i] + add
 			}
-			return nil, nil, shift
+			return qsim.CostTables{Diag: diag, Shift: shift}
 		}
-		levels = slices.Insert(levels, j, v)
+		values = slices.Insert(values, j, d)
 	}
 
 	forget()
-	idx = make([]int32, n)
+	idx := make([]int32, n)
 	for i, d := range diag {
-		v := d + add
-		h := slot(v)
-		if keys[h] != v {
-			j, _ := slices.BinarySearch(levels, v)
-			keys[h], at[h] = v, int32(j)
+		h := slot(d)
+		if keys[h] != d {
+			j, _ := slices.BinarySearch(values, d)
+			keys[h], at[h] = d, int32(j)
 		}
 		idx[i] = at[h]
 	}
-	return levels, idx, nil
+	levels := make([]float64, len(values))
+	for j, v := range values {
+		levels[j] = v + add
+	}
+	return qsim.CostTables{Levels: levels, Values: values, Idx: idx}
 }
 
 // engineAnsatz is a prepared fused ansatz: the compiled tables and the
 // engine built over them.
 type engineAnsatz struct {
 	n, layers int
-	ranks     int       // effective (clamped) slice count
-	z2        bool      // engines run on the Z2-reduced half-vector
-	diag      []float64 // FULL expectation table, the ⟨H_C⟩ diagonal
-	shift     []float64 // phase diagonal (nil on the indexed path; half-length when z2)
-	levels    []float64 // distinct shift values (nil → Sincos fallback)
-	idx       []int32   // shift[i] = levels[idx[i]] (half-length when z2)
-	eng       *qsim.Engine
+	ranks     int             // effective (clamped) slice count
+	z2        bool            // engines run on the Z2-reduced half-vector
+	cost      qsim.CostTables // the engine's tables (half-length when z2)
+	diagOnce  sync.Once
+	// diag is the full 2^n ⟨H_C⟩ diagonal Diagonal returns: kept from
+	// the float build, built on the first Diagonal call after the
+	// integral one (which has no float64 table of its own).
+	diag []float64
+	eng  *qsim.Engine
 }
 
 // fusedAnsatz is the single-node engineAnsatz plus the native batch
@@ -219,15 +283,8 @@ type fusedAnsatz struct {
 }
 
 // newEngine builds an execution engine over the ansatz's shared tables.
-// Diagonal() must keep returning the full 2^n table (sampled-energy
-// decoding indexes it with full basis states), so the reduced engine
-// takes the prefix half as a sub-slice.
 func (a *engineAnsatz) newEngine() (*qsim.Engine, error) {
-	diag := a.diag
-	if a.z2 {
-		diag = diag[:len(diag)/2]
-	}
-	return qsim.NewEngine(a.n, a.z2, a.ranks, diag, a.levels, a.idx, a.shift)
+	return qsim.NewEngine(a.n, a.z2, a.ranks, a.cost)
 }
 
 // Evaluate implements Ansatz. The returned state is the engine's reused
@@ -295,8 +352,36 @@ func (a *fusedAnsatz) EvaluateBatch(gammas, betas [][]float64, energies []float6
 	return nil
 }
 
-// Diagonal implements Ansatz.
-func (a *engineAnsatz) Diagonal() []float64 { return a.diag }
+// Diagonal implements Ansatz. After the integral build the first call
+// expands the level index into the full table — entry x is
+// Values[Idx[x]], and on a Z2 engine the upper half is filled by
+// complement, cut(x) = cut(~x) — so a caller that never asks (every
+// exactly decoded leaf) never pays for 2^n float64s.
+func (a *engineAnsatz) Diagonal() []float64 {
+	a.diagOnce.Do(func() {
+		if a.diag != nil {
+			return
+		}
+		a.diag = make([]float64, 1<<uint(a.n))
+		for x, j := range a.cost.Idx {
+			a.diag[x] = a.cost.Values[j]
+		}
+		mask := len(a.diag) - 1
+		for x := len(a.cost.Idx); x < len(a.diag); x++ {
+			a.diag[x] = a.diag[mask^x]
+		}
+	})
+	return a.diag
+}
+
+// TableMax implements TableMaxer without a scan: Values ascend, so the
+// indexed form's maximum is its last value.
+func (a *engineAnsatz) TableMax() float64 {
+	if v := a.cost.Values; v != nil {
+		return v[len(v)-1]
+	}
+	return slices.Max(a.cost.Diag)
+}
 
 // Layout implements Ansatz: always identity.
 func (a *engineAnsatz) Layout() []int { return nil }

@@ -85,7 +85,10 @@ func (f Fused) PrepareIsing(h *ising.Hamiltonian, cfg Config) (Ansatz, error) {
 		return nil, err
 	}
 	// shift = offset − E = D + offset.
-	return f.prepare(maximizationDiagonal(h), h.Offset(), h.Z2Symmetric(), cfg.Layers)
+	diag := maximizationDiagonal(h)
+	return f.prepare(h.N(), h.Z2Symmetric(), cfg.Layers, func(k int) (qsim.CostTables, []float64) {
+		return phaseTables(diag, h.Offset(), 1<<uint(k)), diag
+	})
 }
 
 // PrepareIsing implements IsingBackend on the reference gate walk: one

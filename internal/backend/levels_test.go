@@ -1,0 +1,258 @@
+package backend
+
+import (
+	"fmt"
+	"math"
+	"os"
+	"runtime"
+	"slices"
+	"sync"
+	"testing"
+
+	"qaoa2/internal/graph"
+	"qaoa2/internal/qsim"
+	"qaoa2/internal/rng"
+)
+
+// floatPrepare is the float-build oracle: f.Prepare with the tables
+// always taken from CutTable and phaseTables, the path real-weighted
+// graphs take.
+func floatPrepare(f Fused, g *graph.Graph, layers int) (Ansatz, error) {
+	add := -g.TotalWeight() / 2
+	return f.prepare(g.N(), true, layers, func(k int) (qsim.CostTables, []float64) {
+		diag := CutTable(g, nil)
+		return phaseTables(diag, add, 1<<uint(k)), diag
+	})
+}
+
+// engineOf returns the engine ansatz behind a fused Ansatz.
+func engineOf(a Ansatz) *engineAnsatz {
+	if fa, ok := a.(*fusedAnsatz); ok {
+		return &fa.engineAnsatz
+	}
+	return a.(*engineAnsatz)
+}
+
+// sameEvaluation requires two ansätze to return bit-identical energies
+// and amplitudes at the same angles.
+func sameEvaluation(t *testing.T, name string, got, want Ansatz, gammas, betas []float64) {
+	t.Helper()
+	eg, sg, err := got.Evaluate(gammas, betas)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ew, sw, err := want.Evaluate(gammas, betas)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if math.Float64bits(eg) != math.Float64bits(ew) {
+		t.Fatalf("%s: energy %v, float build %v", name, eg, ew)
+	}
+	if sg.Len() != sw.Len() {
+		t.Fatalf("%s: %d amplitudes, float build %d", name, sg.Len(), sw.Len())
+	}
+	for i := 0; i < sg.Len(); i++ {
+		a, b := sg.Amp(uint64(i)), sw.Amp(uint64(i))
+		if math.Float64bits(real(a)) != math.Float64bits(real(b)) || math.Float64bits(imag(a)) != math.Float64bits(imag(b)) {
+			t.Fatalf("%s: amplitude %d = %v, float build %v", name, i, a, b)
+		}
+	}
+}
+
+// TestFusedIntegralBuildMatchesFloatBuild is the integral build's
+// differential test: at n = 1…14 on unweighted, signed-integer
+// (merge-graph-like) and zero-weight-edge graphs, under fused,
+// fused-full and fused-dist:4, the ansatz Prepare builds from int32
+// level indices must evaluate bit for bit like the CutTable →
+// phaseTables oracle, expand Diagonal() to CutTable bit for bit, and
+// report CutTable's maximum as TableMax.
+func TestFusedIntegralBuildMatchesFloatBuild(t *testing.T) {
+	r := rng.New(28)
+	weightings := []struct {
+		name string
+		w    func() float64
+	}{
+		{"unweighted", func() float64 { return 1 }},
+		{"signed", func() float64 { return float64(int(r.Uint64()%13) - 6) }},
+		{"zero-edges", func() float64 { return float64(r.Uint64() % 2) }},
+	}
+	backends := []Fused{{}, {Full: true}, {Ranks: 4}}
+	for n := 1; n <= 14; n++ {
+		for _, wt := range weightings {
+			g := graph.New(n)
+			for i := 0; i < n; i++ {
+				for j := i + 1; j < n; j++ {
+					if r.Float64() < 0.5 {
+						g.MustAddEdge(i, j, wt.w())
+					}
+				}
+			}
+			table := CutTable(g, nil)
+			layers := 1 + n%3
+			gammas, betas := make([]float64, layers), make([]float64, layers)
+			for l := range gammas {
+				gammas[l], betas[l] = r.Float64()*2, r.Float64()
+			}
+			for _, f := range backends {
+				name := fmt.Sprintf("n=%d %s %s", n, wt.name, f.Name())
+				got, err := f.Prepare(g, Config{Layers: layers})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if engineOf(got).diag != nil {
+					t.Fatalf("%s: the integral build holds a float64 table", name)
+				}
+				want, err := floatPrepare(f, g, layers)
+				if err != nil {
+					t.Fatal(err)
+				}
+				sameEvaluation(t, name, got, want, gammas, betas)
+				if m := TableMax(got); math.Float64bits(m) != math.Float64bits(slices.Max(table)) {
+					t.Fatalf("%s: TableMax %v, CutTable max %v", name, m, slices.Max(table))
+				}
+				diag := got.Diagonal()
+				if len(diag) != len(table) {
+					t.Fatalf("%s: Diagonal has %d entries, want %d", name, len(diag), len(table))
+				}
+				for x, v := range table {
+					if math.Float64bits(diag[x]) != math.Float64bits(v) {
+						t.Fatalf("%s: Diagonal()[%d] = %v, CutTable %v", name, x, diag[x], v)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestFusedIntegralSpanGuard pins the guard at its boundary: a graph
+// with Σ|w| + 1 = maxPhaseLevels takes the int32 build, one more unit
+// of weight takes the float build, and both evaluate bit for bit like
+// the float oracle. Real weights never take the int32 build, however
+// small their span.
+func TestFusedIntegralSpanGuard(t *testing.T) {
+	const n = 9
+	signedGraph := func(extra float64) *graph.Graph {
+		// 35 edges of ±113 (Σ|w| = 3955) plus one of 140 + extra.
+		g := graph.New(n)
+		e := 0
+		for i := 0; i < n; i++ {
+			for j := i + 1; j < n; j++ {
+				w := 113.0
+				if e%2 == 1 {
+					w = -113
+				}
+				if e == 35 {
+					w = 140 + extra
+				}
+				g.MustAddEdge(i, j, w)
+				e++
+			}
+		}
+		return g
+	}
+	realWeighted := graph.New(n)
+	for i := 0; i+1 < n; i++ {
+		realWeighted.MustAddEdge(i, i+1, 1.5)
+	}
+	gammas, betas := []float64{0.4, 0.013}, []float64{0.7, 0.2}
+	for _, tc := range []struct {
+		name     string
+		g        *graph.Graph
+		integral bool
+	}{
+		{"at the cap", signedGraph(0), true},
+		{"one unit over", signedGraph(1), false},
+		{"real weights", realWeighted, false},
+	} {
+		span := 0.0
+		for _, e := range tc.g.Edges() {
+			span += math.Abs(e.W)
+		}
+		if tc.integral && span+1 != maxPhaseLevels {
+			t.Fatalf("%s: fixture spans Σ|w| + 1 = %v, want %d", tc.name, span+1, maxPhaseLevels)
+		}
+		for _, f := range []Fused{{}, {Full: true}} {
+			name := tc.name + " " + f.Name()
+			got, err := f.Prepare(tc.g, Config{Layers: 2})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if took := engineOf(got).diag == nil; took != tc.integral {
+				t.Fatalf("%s: int32 build taken = %v, want %v", name, took, tc.integral)
+			}
+			want, err := floatPrepare(f, tc.g, 2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sameEvaluation(t, name, got, want, gammas, betas)
+		}
+	}
+}
+
+// preparedBytes is the heap Fused{}.Prepare allocates for g.
+func preparedBytes(t *testing.T, g *graph.Graph) uint64 {
+	t.Helper()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	a, err := Fused{}.Prepare(g, Config{Layers: 3})
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runtime.KeepAlive(a)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// TestFusedPrepareHoldsNoFloatTable pins the integral build's memory: a
+// 16-node unweighted leaf allocates its level index and its state and
+// no 2^n float64 table (512 KiB here). The per-engine overhead that
+// does not grow with n — kernel scratch per pool worker, the level
+// tables — is measured on an 11-node graph and allowed on top.
+func TestFusedPrepareHoldsNoFloatTable(t *testing.T) {
+	small := graph.ErdosRenyi(11, 0.5, graph.Unweighted, rng.New(16))
+	big := graph.ErdosRenyi(16, 0.5, graph.Unweighted, rng.New(16))
+	preparedBytes(t, small) // start the kernel pool outside the measurement
+	// The engine stores 2^k amplitudes (16 B) and level indices (4 B):
+	// k = n − 1 on the Z2-reduced engine, n on the full one.
+	reduced := os.Getenv("QAOA2_NOZ2") == ""
+	tables := func(n int) uint64 {
+		if reduced {
+			n--
+		}
+		return 20 << uint(n)
+	}
+	overhead := int64(preparedBytes(t, small)) - int64(tables(11))
+	const slack = 64 << 10
+	limit := int64(tables(16)) + max(overhead, 0) + slack
+	if got := int64(preparedBytes(t, big)); got > limit {
+		t.Fatalf("Prepare of a 16-node leaf allocated %d B, want ≤ %d B (state + index %d B, fixed overhead %d B, slack %d B)",
+			got, limit, tables(16), overhead, slack)
+	}
+}
+
+// TestFusedDiagonalConcurrentFirstCall: the lazy expansion runs once
+// however many goroutines ask first, and every caller gets the same
+// table (run under -race).
+func TestFusedDiagonalConcurrentFirstCall(t *testing.T) {
+	g := graph.ErdosRenyi(10, 0.5, graph.Unweighted, rng.New(4))
+	a, err := Fused{}.Prepare(g, Config{Layers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tables := make([][]float64, 4)
+	var wg sync.WaitGroup
+	for i := range tables {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			tables[i] = a.Diagonal()
+		}(i)
+	}
+	wg.Wait()
+	want := CutTable(g, nil)
+	for i, d := range tables {
+		if &d[0] != &tables[0][0] || !slices.Equal(d, want) {
+			t.Fatalf("caller %d got a different or wrong table", i)
+		}
+	}
+}

@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"qaoa2/internal/backend"
 	"qaoa2/internal/graph"
 	"qaoa2/internal/qsim"
 	"qaoa2/internal/rng"
@@ -28,7 +29,7 @@ func TestNoisyExpectationZeroNoiseMatchesExact(t *testing.T) {
 	}
 	s, _ := qsim.NewState(8)
 	tpl.Circuit.Apply(s)
-	want := s.ExpectDiagonal(CutTable(g, nil))
+	want := s.ExpectDiagonal(backend.CutTable(g, nil))
 	if math.Abs(noisy-want) > 1e-10 {
 		t.Fatalf("zero-noise expectation %v want %v", noisy, want)
 	}

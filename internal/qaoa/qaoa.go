@@ -170,15 +170,6 @@ type Result struct {
 	Optimal bool
 }
 
-// CutTable returns the diagonal of H_C in the computational basis:
-// table[x] = cut value of bit string x, with bit q of x assigning node q
-// (0 → +1 side, 1 → −1 side). layout must map logical node to physical
-// wire (identity when nil). It is kept as a re-export of
-// backend.CutTable for existing callers.
-func CutTable(g *graph.Graph, layout []int) []float64 {
-	return backend.CutTable(g, layout)
-}
-
 func physOf(layout []int, q int) int {
 	if layout == nil {
 		return q
@@ -238,12 +229,17 @@ func solve(g *graph.Graph, opts Options, r *rng.Rand, stopAtCertificate bool) (*
 		return nil, err
 	}
 	layout := ans.Layout()
-	table := ans.Diagonal()
+	// Only the sampled objective reads the diagonal; an exactly scored
+	// leaf never asks the backend to materialise it.
+	var table []float64
+	if opts.Shots > 0 {
+		table = ans.Diagonal()
+	}
 	// The certificate exists where exact arithmetic lets a cut equal the
 	// table's maximum; SolveCut also stops on it when decoding is exact.
 	var cert, stopAt *certifier
 	if g.IntegralWeights() {
-		cert = &certifier{table: table, max: tableMax(table), topK: opts.TopK}
+		cert = &certifier{g: g, layout: layout, max: backend.TableMax(ans), topK: opts.TopK}
 		if stopAtCertificate && opts.DecodeShots == 0 {
 			stopAt = cert
 		}
@@ -284,11 +280,13 @@ func solve(g *graph.Graph, opts Options, r *rng.Rand, stopAtCertificate bool) (*
 	betas := make([]float64, p)
 	var expectation float64
 	var s *qsim.State
+	var cut maxcut.Cut
 	if hit != nil {
-		// A certified evaluation already holds everything to report.
+		// A certified evaluation already holds everything to report, its
+		// decoded cut included.
 		copy(gammas, hit.x[:p])
 		copy(betas, hit.x[p:])
-		expectation, s = hit.energy, hit.state
+		expectation, s, cut = hit.energy, hit.state, hit.cut
 	} else {
 		// Re-run at the best parameters for decoding and exact expectation.
 		copy(gammas, res.X[:p])
@@ -297,13 +295,11 @@ func solve(g *graph.Graph, opts Options, r *rng.Rand, stopAtCertificate bool) (*
 		if err != nil {
 			return nil, err
 		}
-	}
-
-	var cut maxcut.Cut
-	if opts.DecodeShots > 0 {
-		cut = decodeSampled(g, s, layout, opts.TopK, opts.DecodeShots, shotRand)
-	} else {
-		cut = decode(g, s, layout, opts.TopK)
+		if opts.DecodeShots > 0 {
+			cut = decodeSampled(g, s, layout, opts.TopK, opts.DecodeShots, shotRand)
+		} else {
+			cut = decode(g, s, layout, opts.TopK)
+		}
 	}
 	return &Result{
 		Cut:         cut,
@@ -318,46 +314,34 @@ func solve(g *graph.Graph, opts Options, r *rng.Rand, stopAtCertificate bool) (*
 	}, nil
 }
 
-// certifier is SolveCut's stop rule: a state is certified when decode
-// would read a cut off it whose table value is the table's maximum —
-// the candidates are decode's own (MaxAmpIndex, or TopAmpIndices).
-// Both are entries of one table, so the test is exact wherever
-// graph.IntegralWeights holds. A nil certifier certifies nothing.
+// certifier is SolveCut's stop rule: a state is certified when the cut
+// decode reads off it has the diagonal's maximum value
+// (backend.TableMax). Under graph.IntegralWeights both are integers
+// computed exactly (g.CutValueBits and the backend's table), so the
+// test is exact. A nil certifier certifies nothing.
 type certifier struct {
-	table []float64
-	max   float64
-	topK  int
+	g      *graph.Graph
+	layout []int
+	max    float64
+	topK   int
 }
 
-func (c *certifier) certifies(s *qsim.State) bool {
+// certifies decodes s and returns its cut when that cut is optimal.
+func (c *certifier) certifies(s *qsim.State) (maxcut.Cut, bool) {
 	if c == nil {
-		return false
+		return maxcut.Cut{}, false
 	}
-	if c.topK == 1 {
-		return c.table[s.MaxAmpIndex()] == c.max
-	}
-	for _, idx := range s.TopAmpIndices(c.topK) {
-		if c.table[idx] == c.max {
-			return true
-		}
-	}
-	return false
+	cut := decode(c.g, s, c.layout, c.topK)
+	return cut, cut.Value == c.max
 }
 
-// point is a certified evaluation: its parameters, exact energy and
-// final state.
+// point is a certified evaluation: its parameters, exact energy, final
+// state and decoded cut.
 type point struct {
 	x      []float64
 	energy float64
 	state  *qsim.State
-}
-
-// tableMax returns the largest entry of a cut table, the graph's exact
-// optimum. A bit string and its complement cut the same edges, and the
-// complement of an index in the lower half lies in the upper half, so
-// the lower half holds every value.
-func tableMax(table []float64) float64 {
-	return slices.Max(table[:len(table)/2])
+	cut    maxcut.Cut
 }
 
 // minimize dispatches one optimizer run on the objective.
@@ -412,9 +396,9 @@ func runOptimizer(ans backend.Ansatz, opts Options, x0 []float64, shotRand *rng.
 		if err != nil {
 			panic(err) // parameter lengths are fixed by construction
 		}
-		if cert.certifies(s) {
+		if cut, ok := cert.certifies(s); ok {
 			// The optimizer stops after this call, so s stays valid.
-			hit = &point{x: slices.Clone(x), energy: energy, state: s}
+			hit = &point{x: slices.Clone(x), energy: energy, state: s, cut: cut}
 		}
 		f := energy
 		if opts.Shots > 0 {

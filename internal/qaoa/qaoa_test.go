@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"qaoa2/internal/backend"
 	"qaoa2/internal/graph"
 	"qaoa2/internal/maxcut"
 	"qaoa2/internal/qsim"
@@ -23,7 +24,7 @@ func bitsOf(x uint64, n int) []uint8 {
 func TestCutTableMatchesGraph(t *testing.T) {
 	r := rng.New(1)
 	g := graph.ErdosRenyi(6, 0.5, graph.UniformWeights, r)
-	table := CutTable(g, nil)
+	table := backend.CutTable(g, nil)
 	for x := 0; x < 1<<6; x++ {
 		bits := bitsOf(uint64(x), 6)
 		want := g.CutValueBits(bits)
@@ -37,7 +38,7 @@ func TestCutTableWithLayout(t *testing.T) {
 	g := graph.New(3)
 	g.MustAddEdge(0, 1, 1)
 	layout := []int{2, 0, 1} // logical q lives on wire layout[q]
-	table := CutTable(g, layout)
+	table := backend.CutTable(g, layout)
 	// Logical bits: node0 = bit2, node1 = bit0. x=0b001 → node1=1,
 	// node0=0 → edge cut.
 	if table[0b001] != 1 {

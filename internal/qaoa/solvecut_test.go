@@ -7,6 +7,7 @@ import (
 	"runtime"
 	"testing"
 
+	"qaoa2/internal/backend"
 	"qaoa2/internal/graph"
 	"qaoa2/internal/maxcut"
 	"qaoa2/internal/rng"
@@ -190,7 +191,7 @@ func TestSolveCutStopsAtFirstCertifiedPoint(t *testing.T) {
 	if fmt.Sprint(res.Gammas, res.Betas) != fmt.Sprint(gammas, betas) {
 		t.Fatalf("angles %v %v, want the starting ramp %v %v", res.Gammas, res.Betas, gammas, betas)
 	}
-	if want := res.State.ExpandZ2().ExpectDiagonal(CutTable(g, nil)); math.Abs(res.Expectation-want) > 1e-9 {
+	if want := res.State.ExpandZ2().ExpectDiagonal(backend.CutTable(g, nil)); math.Abs(res.Expectation-want) > 1e-9 {
 		t.Fatalf("expectation %v, state's %v", res.Expectation, want)
 	}
 }
@@ -239,5 +240,54 @@ func TestSolveCutRestartsAcrossCores(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// diagonalCounter is a backend whose ansätze count Diagonal() calls. It
+// forwards backend.TableMaxer, as a decorator must for the certificate
+// to stay scan-free.
+type diagonalCounter struct {
+	backend.Backend
+	calls *int
+}
+
+func (b diagonalCounter) Prepare(g *graph.Graph, cfg backend.Config) (backend.Ansatz, error) {
+	a, err := b.Backend.Prepare(g, cfg)
+	return countingAnsatz{Ansatz: a, calls: b.calls}, err
+}
+
+type countingAnsatz struct {
+	backend.Ansatz
+	calls *int
+}
+
+func (a countingAnsatz) Diagonal() []float64 {
+	*a.calls++
+	return a.Ansatz.Diagonal()
+}
+
+func (a countingAnsatz) TableMax() float64 { return backend.TableMax(a.Ansatz) }
+
+// TestSolveCutNeverMaterializesDiagonal: an exactly scored, certified
+// leaf reads its maximum through backend.TableMax and its cut through
+// one decode, so the fused backend never expands its level index into a
+// 2^n float64 diagonal. A sampled objective does need it.
+func TestSolveCutNeverMaterializesDiagonal(t *testing.T) {
+	g := graph.ErdosRenyi(12, 0.5, graph.Unweighted, rng.New(8))
+	calls := 0
+	opts := Options{Layers: 3, Backend: diagonalCounter{Backend: backend.Fused{}, calls: &calls}}
+	res, err := SolveCut(g, opts, rng.New(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Optimal || calls != 0 {
+		t.Fatalf("optimal %v with %d Diagonal() calls, want a certificate and none", res.Optimal, calls)
+	}
+	opts.Shots, opts.MaxIters = 64, 3
+	if _, err := SolveCut(g, opts, rng.New(1)); err != nil {
+		t.Fatal(err)
+	}
+	if calls != 1 {
+		t.Fatalf("sampled objective made %d Diagonal() calls, want 1", calls)
 	}
 }

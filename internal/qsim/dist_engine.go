@@ -186,6 +186,6 @@ func (s *sweep) runGlobalChunk(w, start, end int) {
 		}
 	}
 	if s.expect {
-		s.partials[w] += foldEnergy(0, mine, s.diag[s.base+start:s.base+end])
+		s.partials[w] += s.cost.fold(0, mine, s.base+start)
 	}
 }

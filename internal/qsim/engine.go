@@ -26,7 +26,9 @@ import (
 //
 //   - The energy ⟨ψ|D|ψ⟩ is folded into the LAST mixer sweep of the
 //     last layer, accumulated per chunk while the tiles are still in
-//     cache, so no separate ExpectDiagonal sweep runs either.
+//     cache, so no separate ExpectDiagonal sweep runs either. On the
+//     indexed form the fold reads D through the phase index it already
+//     streams (CostTables), not a 2^n float64 table.
 //
 // A p-layer evaluation therefore touches the state p·⌈1 + (n−10)/6⌉
 // times instead of the p·(1+n) + 2 sweeps of the unfused kernel walk.
@@ -76,10 +78,7 @@ type sweep struct {
 	z2    bool         // the vector is the Z2-reduced half-vector
 	norm  float64      // first-layer amplitude 1/√(global length)
 
-	diag   []float64 // expectation diagonal: ⟨D⟩ table (cut values)
-	levels []float64 // distinct phase-diagonal values (indexed path)
-	idx    []int32   // phase diagonal = levels[idx[i]] (indexed path)
-	shift  []float64 // dense phase diagonal (fallback path)
+	cost CostTables // the GLOBAL phase and expectation tables
 
 	phases   []complex128   // per-layer scratch: e^{-iγ·levels[j]}
 	partials []float64      // per-worker energy accumulators
@@ -106,27 +105,27 @@ type sweep struct {
 }
 
 // NewEngine builds an evaluator for an nFull-qubit cost diagonal over
-// ranks slices (a power of two; 1 builds the inline engine). diag is
-// the expectation table; the phase diagonal — the cost table shifted to
-// reproduce the gate walk's global phase — is given either factored as
-// (levels, idx) with phase[i] = levels[idx[i]] (the indexed fast path:
-// one Sincos per distinct value) or dense as shift (one Sincos per
-// amplitude); exactly one form must be non-nil.
+// ranks slices (a power of two; 1 builds the inline engine). cost holds
+// the expectation diagonal and the phase diagonal — the cost table
+// shifted to reproduce the gate walk's global phase — in one of its two
+// forms: indexed (Levels, Values, Idx: one Sincos per distinct value)
+// or dense (Diag, Shift: one Sincos per amplitude).
 //
 // z2 builds the symmetry-reduced evaluator for a Z2-symmetric diagonal
 // (diagonal(i) == diagonal(~i), which holds for every MaxCut cut
 // table): the engine stores only the 2^(nFull−1) even-sector amplitudes
-// (z2.go) and every table is the REDUCED prefix fullTable[:2^(nFull−1)],
-// since representatives index the prefix directly. The boundary
-// rotation of qubit nFull−1 pairs index i with its complement — tile t
-// with the mirror tile T−1−t — and is fused into the mirrored low sweep
-// (runMirrorChunk); across ranks the mirror tile arrives by one
-// exchange between ranks r ↔ ranks−1−r per layer after the first.
+// (z2.go) and every per-entry table is the REDUCED prefix
+// fullTable[:2^(nFull−1)], since representatives index the prefix
+// directly. The boundary rotation of qubit nFull−1 pairs index i with
+// its complement — tile t with the mirror tile T−1−t — and is fused
+// into the mirrored low sweep (runMirrorChunk); across ranks the mirror
+// tile arrives by one exchange between ranks r ↔ ranks−1−r per layer
+// after the first.
 //
 // Every rank keeps at least one local qubit: ranks ≤ 2^(n−1) for the
 // n = nFull (or nFull−1 reduced) index qubits.
-func NewEngine(nFull int, z2 bool, ranks int, diag, levels []float64, idx []int32, shift []float64) (*Engine, error) {
-	e, err := buildEngine(nFull, z2, ranks, diag, levels, idx, shift)
+func NewEngine(nFull int, z2 bool, ranks int, cost CostTables) (*Engine, error) {
+	e, err := buildEngine(nFull, z2, ranks, cost)
 	if err != nil {
 		return nil, err
 	}
@@ -136,7 +135,7 @@ func NewEngine(nFull int, z2 bool, ranks int, diag, levels []float64, idx []int3
 
 // buildEngine validates the configuration and wires the engine and its
 // cores; no rank goroutine runs until launch.
-func buildEngine(nFull int, z2 bool, ranks int, diag, levels []float64, idx []int32, shift []float64) (*Engine, error) {
+func buildEngine(nFull int, z2 bool, ranks int, cost CostTables) (*Engine, error) {
 	var s *State
 	var err error
 	if z2 {
@@ -156,21 +155,19 @@ func buildEngine(nFull int, z2 bool, ranks int, diag, levels []float64, idx []in
 			ranks, s.n, 1<<uint(s.n-1))
 	}
 	size := s.Len()
-	if len(diag) != size {
-		return nil, fmt.Errorf("qsim: engine diagonal has %d entries, want %d", len(diag), size)
-	}
-	indexed := levels != nil || idx != nil
-	if indexed && (levels == nil || idx == nil) {
-		return nil, fmt.Errorf("qsim: engine phase levels and index must be given together")
-	}
-	if indexed == (shift != nil) {
-		return nil, fmt.Errorf("qsim: engine needs exactly one of (levels, idx) or shift")
-	}
-	if indexed && len(idx) != size {
-		return nil, fmt.Errorf("qsim: engine phase index has %d entries, want %d", len(idx), size)
-	}
-	if shift != nil && len(shift) != size {
-		return nil, fmt.Errorf("qsim: engine phase diagonal has %d entries, want %d", len(shift), size)
+	indexed := cost.Levels != nil || cost.Values != nil || cost.Idx != nil
+	dense := cost.Diag != nil || cost.Shift != nil
+	switch {
+	case indexed == dense:
+		return nil, fmt.Errorf("qsim: engine needs exactly one of (Levels, Values, Idx) or (Diag, Shift)")
+	case indexed && (cost.Idx == nil || len(cost.Levels) == 0 || len(cost.Values) != len(cost.Levels)):
+		return nil, fmt.Errorf("qsim: engine has %d phase levels and %d values, want as many of each and an index",
+			len(cost.Levels), len(cost.Values))
+	case indexed && len(cost.Idx) != size:
+		return nil, fmt.Errorf("qsim: engine phase index has %d entries, want %d", len(cost.Idx), size)
+	case dense && (len(cost.Diag) != size || len(cost.Shift) != size):
+		return nil, fmt.Errorf("qsim: engine diagonal has %d entries and phase diagonal %d, want %d",
+			len(cost.Diag), len(cost.Shift), size)
 	}
 
 	e := &Engine{state: s, cores: make([]*sweep, ranks)}
@@ -194,11 +191,8 @@ func buildEngine(nFull int, z2 bool, ranks int, diag, levels []float64, idx []in
 			m0:     min(s.n-pg, lowBlockQubits),
 			z2:     z2,
 			norm:   1 / math.Sqrt(float64(size)),
-			diag:   diag,
-			levels: levels,
-			idx:    idx,
-			shift:  shift,
-			phases: make([]complex128, len(levels)),
+			cost:   cost,
+			phases: make([]complex128, len(cost.Levels)),
 			rank:   r,
 			ranks:  ranks,
 			pg:     pg,
@@ -286,19 +280,13 @@ func (e *Engine) Evaluate(gammas, betas []float64) float64 {
 func (s *sweep) evaluate(gammas, betas []float64) float64 {
 	p := len(gammas)
 	if p == 0 {
+		// Degenerate ⟨+|D|+⟩: fill the window and dot it locally.
 		s.localSweeps++
-		if s.comm == nil {
-			s.state.FillPlus()
-			return s.state.ExpectDiagonal(s.diag)
-		}
-		// Degenerate ⟨+|D|+⟩ on a slice: fill it and dot it locally.
 		amp := complex(s.norm, 0)
-		acc := 0.0
 		for i := range s.amps {
 			s.amps[i] = amp
-			acc += real(amp) * real(amp) * s.diag[s.base+i]
 		}
-		return acc
+		return s.cost.fold(0, s.amps, s.base)
 	}
 	groups := 1 + (s.nLoc-s.m0+mixerBlockQubits-1)/mixerBlockQubits
 	tiles := len(s.amps) >> uint(s.m0)
@@ -318,12 +306,12 @@ func (s *sweep) evaluate(gammas, betas []float64) float64 {
 		s.sn = math.Sin(betas[l])
 		s.first = l == 0
 		last := l == p-1
-		if s.levels != nil {
+		if s.cost.Levels != nil {
 			amp := 1.0
 			if s.first {
 				amp = s.norm
 			}
-			for j, v := range s.levels {
+			for j, v := range s.cost.Levels {
 				sin, cos := math.Sincos(-s.gamma * v)
 				s.phases[j] = complex(amp*cos, amp*sin)
 			}
@@ -392,15 +380,6 @@ func (s *sweep) dispatch(total, itemLen int, body func(w, start, end int)) {
 	p.run(total, body, &s.wg)
 }
 
-// foldEnergy returns acc + Σ|buf[i]|²·d[i], accumulated in index order.
-func foldEnergy(acc float64, buf []complex128, d []float64) float64 {
-	for i, a := range buf {
-		re, im := real(a), imag(a)
-		acc += (re*re + im*im) * d[i]
-	}
-	return acc
-}
-
 // runLowChunk is the fused low sweep: per contiguous tile, apply the
 // cost phases (synthesizing the first layer's phase·|+⟩ directly), run
 // the low butterfly levels, and — when this is the evaluation's final
@@ -416,7 +395,7 @@ func (s *sweep) runLowChunk(w, start, end int) {
 		s.phaseTile(buf, gb)
 		rxTile(buf, 1, c, sn)
 		if s.expect {
-			acc = foldEnergy(acc, buf, s.diag[gb:gb+tl])
+			acc = s.cost.fold(acc, buf, gb)
 		}
 	}
 	if s.expect {
@@ -431,8 +410,8 @@ func (s *sweep) runLowChunk(w, start, end int) {
 // the first-layer amplitude 1/√(2^(nFull−1)) = √2·2^(-nFull/2): the
 // reduction's renormalization falls out automatically.
 func (s *sweep) phaseTile(buf []complex128, base int) {
-	if s.levels != nil {
-		idx := s.idx[base : base+len(buf)]
+	if s.cost.Idx != nil {
+		idx := s.cost.Idx[base : base+len(buf)]
 		ph := s.phases
 		if s.first {
 			for i := range buf {
@@ -445,7 +424,7 @@ func (s *sweep) phaseTile(buf []complex128, base int) {
 		}
 		return
 	}
-	sh := s.shift[base : base+len(buf)]
+	sh := s.cost.Shift[base : base+len(buf)]
 	gamma := s.gamma
 	if s.first {
 		amp0 := s.norm
@@ -472,8 +451,8 @@ func (s *sweep) phaseTile(buf []complex128, base int) {
 // writes straight into scratch.
 func (s *sweep) phaseTileInto(dst, src []complex128, base int, reversed bool) {
 	last := len(dst) - 1
-	if s.levels != nil {
-		idx := s.idx[base : base+len(dst)]
+	if s.cost.Idx != nil {
+		idx := s.cost.Idx[base : base+len(dst)]
 		ph := s.phases
 		switch {
 		case s.first && reversed:
@@ -496,7 +475,7 @@ func (s *sweep) phaseTileInto(dst, src []complex128, base int, reversed bool) {
 		}
 		return
 	}
-	sh := s.shift[base : base+len(dst)]
+	sh := s.cost.Shift[base : base+len(dst)]
 	gamma := s.gamma
 	if s.first {
 		amp0 := s.norm
@@ -558,7 +537,7 @@ func (s *sweep) runMirrorChunk(w, start, end int) {
 		rxTile(s.amps, 1, c, sn)
 		z2Boundary(s.amps, c, sn)
 		if s.expect {
-			s.partials[w] += foldEnergy(0, s.amps, s.diag)
+			s.partials[w] += s.cost.fold(0, s.amps, 0)
 		}
 		return
 	}
@@ -578,7 +557,7 @@ func (s *sweep) runMirrorChunk(w, start, end int) {
 		if fOwn {
 			copy(fwd, sc[:tl])
 			if s.expect {
-				acc = foldEnergy(acc, fwd, s.diag[fb:fb+tl])
+				acc = s.cost.fold(acc, fwd, fb)
 			}
 		}
 		if rOwn {
@@ -586,7 +565,7 @@ func (s *sweep) runMirrorChunk(w, start, end int) {
 				rev[tl-1-i] = sc[tl+i]
 			}
 			if s.expect {
-				acc = foldEnergy(acc, rev, s.diag[rb:rb+tl])
+				acc = s.cost.fold(acc, rev, rb)
 			}
 		}
 	}
@@ -622,12 +601,11 @@ func z2Boundary(buf []complex128, c, sn float64) {
 // runHighChunk runs the current high group's sweep (rxHighSweep, which
 // butterflies the strided rows where they live) over one chunk of
 // batches, folding the energy in on the evaluation's final sweep
-// through the window's slice of the global diagonal.
+// through the window's share of the global tables.
 func (s *sweep) runHighChunk(w, start, end int) {
 	if s.expect {
-		diag := s.diag[s.base : s.base+len(s.amps)]
-		s.partials[w] += rxHighSweep(s.amps, s.scratch[w], diag, s.g0, s.m, start, end, s.c, s.sn)
+		s.partials[w] += rxHighSweep(s.amps, s.scratch[w], &s.cost, s.base, s.g0, s.m, start, end, s.c, s.sn)
 		return
 	}
-	rxHighSweep(s.amps, s.scratch[w], nil, s.g0, s.m, start, end, s.c, s.sn)
+	rxHighSweep(s.amps, s.scratch[w], nil, 0, s.g0, s.m, start, end, s.c, s.sn)
 }

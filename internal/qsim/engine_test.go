@@ -91,10 +91,24 @@ func distParams(nFull, p int) (gammas, betas []float64) {
 	return gammas, betas
 }
 
+// fixtureTables is the fixtures' cost in the engine's form over the
+// first size entries: indexed (levels, their unshifted values, idx) or,
+// when dense, (diag, shift).
+func fixtureTables(size int, dense bool, diag, levels []float64, idx []int32, shift []float64) CostTables {
+	if dense {
+		return CostTables{Diag: diag[:size], Shift: shift[:size]}
+	}
+	values := make([]float64, len(levels))
+	for j, v := range levels {
+		values[j] = v + 2.5 // the fixtures' diag = level + 2.5
+	}
+	return CostTables{Levels: levels, Values: values, Idx: idx[:size]}
+}
+
 // testEngine builds one configuration of the engine table from FULL
 // fixture tables: the reduced engine takes the prefix halves, dense
-// selects the shift form over (levels, idx). ok is false when the rank
-// count leaves a rank without a local qubit.
+// selects the (diag, shift) form over the indexed one. ok is false when
+// the rank count leaves a rank without a local qubit.
 func testEngine(t testing.TB, nFull int, z2 bool, ranks int, dense bool,
 	diag, levels []float64, idx []int32, shift []float64) (eng *Engine, ok bool) {
 	t.Helper()
@@ -105,14 +119,7 @@ func testEngine(t testing.TB, nFull int, z2 bool, ranks int, dense bool,
 	if nEff < 1 || ranks > 1<<uint(nEff-1) {
 		return nil, false
 	}
-	size := 1 << uint(nEff)
-	diag, idx, shift = diag[:size], idx[:size], shift[:size]
-	if dense {
-		levels, idx = nil, nil
-	} else {
-		shift = nil
-	}
-	eng, err := NewEngine(nFull, z2, ranks, diag, levels, idx, shift)
+	eng, err := NewEngine(nFull, z2, ranks, fixtureTables(1<<uint(nEff), dense, diag, levels, idx, shift))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -252,50 +259,58 @@ func TestDistEngineZeroLayers(t *testing.T) { checkZeroLayers(t, 4) }
 
 // badShape is one constructor call that must be rejected.
 type badShape struct {
-	name   string
-	nFull  int
-	z2     bool
-	ranks  int
-	diag   []float64
-	levels []float64
-	idx    []int32
-	shift  []float64
+	name  string
+	nFull int
+	z2    bool
+	ranks int
+	cost  CostTables
 }
 
 func checkRejects(t *testing.T, cases []badShape) {
 	t.Helper()
 	for _, tc := range cases {
-		if _, err := NewEngine(tc.nFull, tc.z2, tc.ranks, tc.diag, tc.levels, tc.idx, tc.shift); err == nil {
+		if _, err := NewEngine(tc.nFull, tc.z2, tc.ranks, tc.cost); err == nil {
 			t.Fatalf("%s accepted", tc.name)
 		}
 	}
 }
 
 // TestEngineRejectsBadShapes: qubit count, table lengths and the
-// exactly-one-phase-form rule of the inline engine.
+// exactly-one-form rule of the inline engine.
 func TestEngineRejectsBadShapes(t *testing.T) {
 	diag, levels, idx, shift := engineFixture(t, 4, 9)
+	indexed := fixtureTables(16, false, diag, levels, idx, shift)
+	dense := fixtureTables(16, true, diag, levels, idx, shift)
+	both := indexed
+	both.Diag, both.Shift = dense.Diag, dense.Shift
 	checkRejects(t, []badShape{
-		{"short diagonal", 4, false, 1, diag[:3], levels, idx, nil},
-		{"both phase forms", 4, false, 1, diag, levels, idx, shift},
-		{"no phase form", 4, false, 1, diag, nil, nil, nil},
-		{"short phase index", 4, false, 1, diag, levels, idx[:7], nil},
-		{"levels without index", 4, false, 1, diag, levels, nil, shift},
-		{"zero qubits", 0, false, 1, diag, levels, idx, nil},
+		{"short diagonal", 4, false, 1, CostTables{Diag: diag[:3], Shift: shift}},
+		{"short phase diagonal", 4, false, 1, CostTables{Diag: diag, Shift: shift[:3]}},
+		{"diagonal without phases", 4, false, 1, CostTables{Diag: diag}},
+		{"both forms", 4, false, 1, both},
+		{"no form", 4, false, 1, CostTables{}},
+		{"short phase index", 4, false, 1, CostTables{Levels: levels, Values: indexed.Values, Idx: idx[:7]}},
+		{"levels without index", 4, false, 1, CostTables{Levels: levels, Values: indexed.Values}},
+		{"levels without values", 4, false, 1, CostTables{Levels: levels, Idx: idx}},
+		{"fewer values than levels", 4, false, 1, CostTables{Levels: levels, Values: indexed.Values[:2], Idx: idx}},
+		{"zero qubits", 0, false, 1, indexed},
 	})
 }
 
 // TestDistEngineValidation: rank counts and the sharded table rules.
 func TestDistEngineValidation(t *testing.T) {
 	diag, levels, idx, shift := engineFixture(t, 4, 9)
+	indexed := fixtureTables(16, false, diag, levels, idx, shift)
+	both := indexed
+	both.Diag, both.Shift = diag, shift
 	checkRejects(t, []badShape{
-		{"zero rank count", 4, false, 0, diag, levels, idx, nil},
-		{"non-power-of-two rank count", 4, false, 3, diag, levels, idx, nil},
-		{"rank count leaving no local qubits", 4, false, 16, diag, levels, idx, nil},
-		{"sharded short diagonal", 4, false, 2, diag[:7], levels, idx, nil},
-		{"sharded both phase forms", 4, false, 2, diag, levels, idx, shift},
-		{"sharded no phase form", 4, false, 2, diag, nil, nil, nil},
-		{"sharded levels without index", 4, false, 2, diag, levels, nil, nil},
+		{"zero rank count", 4, false, 0, indexed},
+		{"non-power-of-two rank count", 4, false, 3, indexed},
+		{"rank count leaving no local qubits", 4, false, 16, indexed},
+		{"sharded short diagonal", 4, false, 2, CostTables{Diag: diag[:7], Shift: shift}},
+		{"sharded both forms", 4, false, 2, both},
+		{"sharded no form", 4, false, 2, CostTables{}},
+		{"sharded levels without index", 4, false, 2, CostTables{Levels: levels, Values: indexed.Values}},
 	})
 }
 
@@ -303,15 +318,18 @@ func TestDistEngineValidation(t *testing.T) {
 // halves only and needs a sharded index space of at least one qubit
 // per rank.
 func TestZ2EngineRejectsBadShapes(t *testing.T) {
-	_, levels, _, _ := engineFixture(t, 4, 9)
-	zdiag, _, zidx, zshift := z2Fixture(t, 4, 9)
+	zdiag, levels, zidx, zshift := z2Fixture(t, 4, 9)
+	half := fixtureTables(8, false, zdiag, levels, zidx, zshift)
+	full := fixtureTables(16, false, zdiag, levels, zidx, zshift)
+	both := half
+	both.Diag, both.Shift = zdiag[:8], zshift[:8]
 	checkRejects(t, []badShape{
-		{"single-qubit reduction", 1, true, 1, []float64{0}, levels, []int32{0}, nil},
-		{"full-length diagonal for reduced engine", 4, true, 1, zdiag, levels, zidx, nil},
-		{"full-length phase index for reduced engine", 4, true, 1, zdiag[:8], levels, zidx, nil},
-		{"full-length dense phase diagonal for reduced engine", 4, true, 1, zdiag[:8], nil, nil, zshift},
-		{"reduced both phase forms", 4, true, 1, zdiag[:8], levels, zidx[:8], zshift[:8]},
-		{"reduced rank count beyond half-vector", 4, true, 8, zdiag[:8], levels, zidx[:8], nil},
+		{"single-qubit reduction", 1, true, 1, CostTables{Levels: levels[:1], Values: half.Values[:1], Idx: []int32{0}}},
+		{"full-length phase index for reduced engine", 4, true, 1, full},
+		{"full-length diagonal for reduced engine", 4, true, 1, CostTables{Diag: zdiag, Shift: zshift[:8]}},
+		{"full-length dense phase diagonal for reduced engine", 4, true, 1, CostTables{Diag: zdiag[:8], Shift: zshift}},
+		{"reduced both forms", 4, true, 1, both},
+		{"reduced rank count beyond half-vector", 4, true, 8, half},
 	})
 }
 

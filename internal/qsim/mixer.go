@@ -96,7 +96,7 @@ func (s *State) rxHighPass(g0, m int, c, sn float64) {
 	batches := len(s.amps) >> uint(m) / highBatch
 	amps := s.amps
 	s.parForTiles(batches, highBatch<<uint(m), func(start, end int) {
-		rxHighSweep(amps, make([]complex128, highBufLen), nil, g0, m, start, end, c, sn)
+		rxHighSweep(amps, make([]complex128, highBufLen), nil, 0, g0, m, start, end, c, sn)
 	})
 }
 
@@ -118,11 +118,11 @@ func (s *State) rxHighPass(g0, m int, c, sn float64) {
 // are bit-identical to it (mixer_rows_test.go keeps that walk as the
 // oracle).
 //
-// With diag non-nil (len(amps) entries, the expectation diagonal of
-// this slice) the sweep also returns Σ|a|²·diag over the rows it just
-// stored, read back while they are cache-resident in (row, column)
-// order; with diag nil it returns 0.
-func rxHighSweep(amps, scratch []complex128, diag []float64, g0, m, start, end int, c, sn float64) float64 {
+// With cost non-nil (tables whose entry off+i belongs to amps[i]) the
+// sweep also returns Σ|a|²·D over the rows it just stored, read back
+// while they are cache-resident in (row, column) order; with cost nil
+// it returns 0.
+func rxHighSweep(amps, scratch []complex128, cost *CostTables, off, g0, m, start, end int, c, sn float64) float64 {
 	tl := 1 << uint(m)
 	stride := 1 << uint(g0)
 	mask := stride - 1
@@ -144,16 +144,10 @@ func rxHighSweep(amps, scratch []complex128, diag []float64, g0, m, start, end i
 			}
 			rxRows(rows, stride, bb, highBatch, tl, tl/2, c, sn)
 		}
-		if diag != nil {
+		if cost != nil {
 			p := base
 			for v := 0; v < tl; v++ {
-				d := diag[p : p+highBatch]
-				row := amps[p : p+highBatch]
-				for j := range row {
-					a := row[j]
-					re, im := real(a), imag(a)
-					acc += (re*re + im*im) * d[j]
-				}
+				acc = cost.fold(acc, amps[p:p+highBatch], off+p)
 				p += stride
 			}
 		}

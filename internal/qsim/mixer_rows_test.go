@@ -144,8 +144,9 @@ func TestRxRowsMatchesGatheredTile(t *testing.T) {
 }
 
 // TestRxHighSweepMatchesGatherSweep pins the shared sweep bit for bit
-// against the oracle on every (stride, width) geometry, with and
-// without the energy fold, over a sub-range of batches.
+// against the oracle on every (stride, width) geometry, without the
+// energy fold and with it through either table form, over a sub-range
+// of batches.
 func TestRxHighSweepMatchesGatherSweep(t *testing.T) {
 	const c, sn = 0.5403023058681398, 0.8414709848078965
 	scratch := make([]complex128, highBufLen)
@@ -156,20 +157,28 @@ func TestRxHighSweepMatchesGatherSweep(t *testing.T) {
 				want := randomTile(n, uint64(g0*8+m))
 				got := append([]complex128(nil), want...)
 				diag := make([]float64, n)
+				idx := make([]int32, n)
 				r := rng.New(uint64(n))
 				for i := range diag {
-					diag[i] = float64(r.Uint64() % 9)
+					idx[i] = int32(r.Uint64() % 9)
+					diag[i] = float64(idx[i])
 				}
+				values := []float64{0, 1, 2, 3, 4, 5, 6, 7, 8}
 				batches := n >> uint(m) / highBatch
 				start, end := batches/4, batches
-				for _, d := range [][]float64{nil, diag} {
+				folds := []*CostTables{nil, {Diag: diag}, {Levels: values, Values: values, Idx: idx}}
+				for form, cost := range folds {
+					var d []float64
+					if cost != nil {
+						d = diag
+					}
 					we := gatherSweep(want, d, g0, m, start, end, c, sn)
-					ge := rxHighSweep(got, scratch, d, g0, m, start, end, c, sn)
+					ge := rxHighSweep(got, scratch, cost, 0, g0, m, start, end, c, sn)
 					if math.Float64bits(ge) != math.Float64bits(we) {
-						t.Fatalf("g0=%d m=%d fold=%v: energy %v, want %v", g0, m, d != nil, ge, we)
+						t.Fatalf("g0=%d m=%d form=%d: energy %v, want %v", g0, m, form, ge, we)
 					}
 					if i := firstBitDiff(got, want); i >= 0 {
-						t.Fatalf("g0=%d m=%d fold=%v: amp %d = %v, want %v", g0, m, d != nil, i, got[i], want[i])
+						t.Fatalf("g0=%d m=%d form=%d: amp %d = %v, want %v", g0, m, form, i, got[i], want[i])
 					}
 				}
 			}
@@ -190,24 +199,26 @@ func TestEnginesBitIdenticalToGatherSweep(t *testing.T) {
 	}
 	for _, nFull := range sizes {
 		for _, z2 := range []bool{false, true} {
-			diag, levels, idx, _ := z2Fixture(t, nFull, uint64(nFull)*3+1)
+			diag, levels, idx, shift := z2Fixture(t, nFull, uint64(nFull)*3+1)
+			size := len(diag)
 			if z2 {
-				diag, idx = diag[:len(diag)/2], idx[:len(idx)/2]
+				size /= 2
 			}
+			cost := fixtureTables(size, false, diag, levels, idx, shift)
 			for _, ranks := range []int{1, 4} {
 				name := fmt.Sprintf("nFull=%d z2=%v ranks=%d", nFull, z2, ranks)
-				eng, err := NewEngine(nFull, z2, ranks, diag, levels, idx, nil)
+				eng, err := NewEngine(nFull, z2, ranks, cost)
 				if err != nil {
 					t.Fatal(err)
 				}
-				twin, err := buildEngine(nFull, z2, ranks, diag, levels, idx, nil)
+				twin, err := buildEngine(nFull, z2, ranks, cost)
 				if err != nil {
 					t.Fatal(err)
 				}
 				for _, c := range twin.cores {
 					c.highBody = func(w, start, end int) {
 						if c.expect {
-							dg := c.diag[c.base : c.base+len(c.amps)]
+							dg := diag[c.base : c.base+len(c.amps)]
 							c.partials[w] += gatherSweep(c.amps, dg, c.g0, c.m, start, end, c.c, c.sn)
 							return
 						}

@@ -11,9 +11,8 @@ import (
 // half-vector state, still marked reduced.
 func z2EvaluatedState(t testing.TB, nFull int, seed uint64) *State {
 	t.Helper()
-	diag, levels, idx, _ := z2Fixture(t, nFull, seed)
-	half := 1 << uint(nFull-1)
-	eng, err := NewEngine(nFull, true, 1, diag[:half], levels, idx[:half], nil)
+	diag, levels, idx, shift := z2Fixture(t, nFull, seed)
+	eng, err := NewEngine(nFull, true, 1, fixtureTables(1<<uint(nFull-1), false, diag, levels, idx, shift))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,0 +1,172 @@
+package graph
+
+import (
+	"bytes"
+	"errors"
+	"fmt"
+	"io"
+	"math"
+	"runtime"
+	"strings"
+	"testing"
+)
+
+// readerSeeds are the inputs every reader's fuzz target starts from,
+// written in Read's 0-based format; inFormat rewrites them for the
+// other two. They cover a header far over MaxNodes, one just over
+// it, NaN and infinite weights, parallel weights that sum to +Inf, a
+// self-loop, an out-of-range endpoint, both edge-count mismatches and
+// one valid graph.
+var readerSeeds = []string{
+	"2000000000 0\n",
+	fmt.Sprintf("%d 0\n", MaxNodes+1),
+	"3 1\n0 1 NaN\n",
+	"3 1\n0 1 +Inf\n",
+	"3 1\n0 1 -inf\n",
+	"3 2\n0 1 1e308\n1 0 1e308\n",
+	"3 1\n1 1 1\n",
+	"3 1\n0 5 1\n",
+	"3 2\n0 1 1\n",
+	"3 1\n0 1 1\n1 2 1\n",
+	"# comment\n4 3\n0 1 1.5\n1 2 -2\n2 3 1\n",
+}
+
+// formats are the three readers, each with the writer of one header
+// line and one edge line of its syntax.
+var formats = []struct {
+	name   string
+	read   func(io.Reader) (*Graph, error)
+	header func(n, m string) string
+	edge   func(i, j int, w string) string
+}{
+	{"graph", Read,
+		func(n, m string) string { return n + " " + m },
+		func(i, j int, w string) string { return fmt.Sprintf("%d %d %s", i, j, w) }},
+	{"gset", ReadGset,
+		func(n, m string) string { return n + " " + m },
+		func(i, j int, w string) string { return fmt.Sprintf("%d %d %s", i+1, j+1, w) }},
+	{"dimacs", ReadDIMACS,
+		func(n, m string) string { return "p edge " + n + " " + m },
+		func(i, j int, w string) string { return fmt.Sprintf("e %d %d %s", i+1, j+1, w) }},
+}
+
+// inFormat rewrites a seed of Read's format in format k's syntax.
+func inFormat(k int, seed string) string {
+	f := formats[k]
+	var out []string
+	header := true
+	for _, line := range strings.Split(seed, "\n") {
+		fields := strings.Fields(line)
+		switch {
+		case len(fields) == 0 || strings.HasPrefix(line, "#"):
+			if k == 2 && len(fields) > 0 {
+				line = "c" + line[1:]
+			}
+			out = append(out, line)
+		case header:
+			out = append(out, f.header(fields[0], fields[1]))
+			header = false
+		default:
+			var i, j int
+			fmt.Sscan(fields[0]+" "+fields[1], &i, &j)
+			out = append(out, f.edge(i, j, fields[2]))
+		}
+	}
+	return strings.Join(out, "\n")
+}
+
+// fuzzRead is the property all three targets check: an input either
+// fails with an error, or parses to a graph of at most MaxNodes nodes
+// with finite weights that WriteTo and Read reproduce bit for bit.
+// Either way the bytes allocated are bounded by the input's length and
+// the returned graph's size, never by what a header declares.
+func fuzzRead(t *testing.T, read func(io.Reader) (*Graph, error), data []byte) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	g, err := read(bytes.NewReader(data))
+	runtime.ReadMemStats(&after)
+	limit := uint64(1<<20 + 256*len(data))
+	if err == nil {
+		limit += 64 * uint64(g.N())
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc > limit {
+		t.Fatalf("reading %d bytes allocated %d bytes, limit %d (err %v)", len(data), alloc, limit, err)
+	}
+	if err != nil {
+		return
+	}
+	if g.N() > MaxNodes {
+		t.Fatalf("accepted %d nodes, limit %d", g.N(), MaxNodes)
+	}
+	for _, e := range g.Edges() {
+		if math.IsNaN(e.W) || math.IsInf(e.W, 0) {
+			t.Fatalf("accepted edge %+v with a non-finite weight", e)
+		}
+	}
+	var buf bytes.Buffer
+	if _, err := g.WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	back, err := Read(&buf)
+	if err != nil {
+		t.Fatalf("written graph does not read back: %v", err)
+	}
+	if back.N() != g.N() || back.M() != g.M() {
+		t.Fatalf("round trip n=%d m=%d, want n=%d m=%d", back.N(), back.M(), g.N(), g.M())
+	}
+	for k, e := range g.Edges() {
+		if b := back.Edges()[k]; b.I != e.I || b.J != e.J || math.Float64bits(b.W) != math.Float64bits(e.W) {
+			t.Fatalf("edge %d round-tripped %+v, want %+v", k, b, e)
+		}
+	}
+}
+
+func fuzzFormat(f *testing.F, k int) {
+	for _, seed := range readerSeeds {
+		f.Add([]byte(inFormat(k, seed)))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		fuzzRead(t, formats[k].read, data)
+	})
+}
+
+func FuzzRead(f *testing.F)       { fuzzFormat(f, 0) }
+func FuzzReadGset(f *testing.F)   { fuzzFormat(f, 1) }
+func FuzzReadDIMACS(f *testing.F) { fuzzFormat(f, 2) }
+
+// TestReadersRefuseTyped: an oversized header and every kind of
+// non-finite weight fail with a *RefusedError in each format, malformed
+// input fails with another error, and a header at the bound is
+// accepted.
+func TestReadersRefuseTyped(t *testing.T) {
+	refused := []string{readerSeeds[0], readerSeeds[1], readerSeeds[2], readerSeeds[3], readerSeeds[4], readerSeeds[5]}
+	for k, f := range formats {
+		for _, seed := range refused {
+			in := inFormat(k, seed)
+			_, err := f.read(strings.NewReader(in))
+			var re *RefusedError
+			if !errors.As(err, &re) {
+				t.Fatalf("%s %q: error %v is not a *RefusedError", f.name, in, err)
+			}
+			if re.Format != strings.TrimPrefix(f.name, "graph") {
+				t.Fatalf("%s %q: refusal names format %q", f.name, in, re.Format)
+			}
+		}
+		for _, seed := range []string{readerSeeds[6], readerSeeds[7], readerSeeds[8], readerSeeds[9]} {
+			in := inFormat(k, seed)
+			_, err := f.read(strings.NewReader(in))
+			var re *RefusedError
+			if err == nil || errors.As(err, &re) {
+				t.Fatalf("%s %q: error %v, want a malformed-input error", f.name, in, err)
+			}
+		}
+		g, err := f.read(strings.NewReader(inFormat(k, readerSeeds[10])))
+		if err != nil || g.N() != 4 || g.M() != 3 {
+			t.Fatalf("%s: valid seed read as %v, %v", f.name, g, err)
+		}
+	}
+	g, err := Read(strings.NewReader(fmt.Sprintf("%d 0\n", MaxNodes)))
+	if err != nil || g.N() != MaxNodes {
+		t.Fatalf("header at the bound: %v", err)
+	}
+}

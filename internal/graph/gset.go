@@ -15,13 +15,13 @@ import (
 //	i j w        (one line per edge, 1-based endpoints, integer weight)
 //
 // It is the 1-based sibling of Read; blank lines and '#' or 'c'
-// comment lines are ignored. The declared edge count must match.
+// comment lines are ignored. The declared edge count must match. A
+// header over MaxNodes nodes and a non-finite weight fail with a
+// *RefusedError.
 func ReadGset(r io.Reader) (*Graph, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<16), 1<<24)
-	var g *Graph
-	edgesWanted := -1
-	edgesSeen := 0
+	er := edgeReader{format: "gset", base: 1, n: -1}
 	lineNo := 0
 	for sc.Scan() {
 		lineNo++
@@ -30,44 +30,38 @@ func ReadGset(r io.Reader) (*Graph, error) {
 			continue
 		}
 		fields := strings.Fields(line)
-		if g == nil {
+		if er.n < 0 {
 			if len(fields) != 2 {
-				return nil, fmt.Errorf("graph: gset line %d: want header \"n m\", got %q", lineNo, line)
+				return nil, er.errorf(lineNo, "want header \"n m\", got %q", line)
 			}
 			n, err1 := strconv.Atoi(fields[0])
 			m, err2 := strconv.Atoi(fields[1])
 			if err1 != nil || err2 != nil || n < 0 || m < 0 {
-				return nil, fmt.Errorf("graph: gset line %d: bad header %q", lineNo, line)
+				return nil, er.errorf(lineNo, "bad header %q", line)
 			}
-			g = New(n)
-			edgesWanted = m
+			if err := er.header(lineNo, n, m); err != nil {
+				return nil, err
+			}
 			continue
 		}
 		if len(fields) != 3 {
-			return nil, fmt.Errorf("graph: gset line %d: want \"i j w\", got %q", lineNo, line)
+			return nil, er.errorf(lineNo, "want \"i j w\", got %q", line)
 		}
 		i, j, w, err := edgeFields(fields[0], fields[1], fields[2])
 		if err != nil {
-			return nil, fmt.Errorf("graph: gset line %d: %v", lineNo, err)
+			return nil, er.errorf(lineNo, "%v", err)
 		}
-		if i < 1 || j < 1 {
-			return nil, fmt.Errorf("graph: gset line %d: endpoints are 1-based, got (%d,%d)", lineNo, i, j)
+		if err := er.edge(lineNo, i, j, w); err != nil {
+			return nil, err
 		}
-		if err := g.AddEdge(i-1, j-1, w); err != nil {
-			return nil, fmt.Errorf("graph: gset line %d: %v", lineNo, err)
-		}
-		edgesSeen++
 	}
 	if err := sc.Err(); err != nil {
 		return nil, err
 	}
-	if g == nil {
+	if er.n < 0 {
 		return nil, fmt.Errorf("graph: empty gset input")
 	}
-	if edgesSeen != edgesWanted {
-		return nil, fmt.Errorf("graph: gset header declares %d edges, found %d", edgesWanted, edgesSeen)
-	}
-	return g, nil
+	return er.graph()
 }
 
 // ReadDIMACS parses the DIMACS edge format:
@@ -76,13 +70,13 @@ func ReadGset(r io.Reader) (*Graph, error) {
 //	p edge n m
 //	e i j [w]    (1-based endpoints; weight defaults to 1)
 //
-// The declared edge count must match the 'e' lines seen.
+// The declared edge count must match the 'e' lines seen. A problem line
+// over MaxNodes nodes and a non-finite weight fail with a
+// *RefusedError.
 func ReadDIMACS(r io.Reader) (*Graph, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<16), 1<<24)
-	var g *Graph
-	edgesWanted := -1
-	edgesSeen := 0
+	er := edgeReader{format: "dimacs", base: 1, n: -1}
 	lineNo := 0
 	for sc.Scan() {
 		lineNo++
@@ -93,25 +87,26 @@ func ReadDIMACS(r io.Reader) (*Graph, error) {
 		fields := strings.Fields(line)
 		switch fields[0] {
 		case "p":
-			if g != nil {
-				return nil, fmt.Errorf("graph: dimacs line %d: duplicate problem line", lineNo)
+			if er.n >= 0 {
+				return nil, er.errorf(lineNo, "duplicate problem line")
 			}
 			if len(fields) != 4 || fields[1] != "edge" {
-				return nil, fmt.Errorf("graph: dimacs line %d: want \"p edge n m\", got %q", lineNo, line)
+				return nil, er.errorf(lineNo, "want \"p edge n m\", got %q", line)
 			}
 			n, err1 := strconv.Atoi(fields[2])
 			m, err2 := strconv.Atoi(fields[3])
 			if err1 != nil || err2 != nil || n < 0 || m < 0 {
-				return nil, fmt.Errorf("graph: dimacs line %d: bad problem line %q", lineNo, line)
+				return nil, er.errorf(lineNo, "bad problem line %q", line)
 			}
-			g = New(n)
-			edgesWanted = m
+			if err := er.header(lineNo, n, m); err != nil {
+				return nil, err
+			}
 		case "e":
-			if g == nil {
-				return nil, fmt.Errorf("graph: dimacs line %d: edge before the problem line", lineNo)
+			if er.n < 0 {
+				return nil, er.errorf(lineNo, "edge before the problem line")
 			}
 			if len(fields) != 3 && len(fields) != 4 {
-				return nil, fmt.Errorf("graph: dimacs line %d: want \"e i j [w]\", got %q", lineNo, line)
+				return nil, er.errorf(lineNo, "want \"e i j [w]\", got %q", line)
 			}
 			wField := "1"
 			if len(fields) == 4 {
@@ -119,29 +114,22 @@ func ReadDIMACS(r io.Reader) (*Graph, error) {
 			}
 			i, j, w, err := edgeFields(fields[1], fields[2], wField)
 			if err != nil {
-				return nil, fmt.Errorf("graph: dimacs line %d: %v", lineNo, err)
+				return nil, er.errorf(lineNo, "%v", err)
 			}
-			if i < 1 || j < 1 {
-				return nil, fmt.Errorf("graph: dimacs line %d: endpoints are 1-based, got (%d,%d)", lineNo, i, j)
+			if err := er.edge(lineNo, i, j, w); err != nil {
+				return nil, err
 			}
-			if err := g.AddEdge(i-1, j-1, w); err != nil {
-				return nil, fmt.Errorf("graph: dimacs line %d: %v", lineNo, err)
-			}
-			edgesSeen++
 		default:
-			return nil, fmt.Errorf("graph: dimacs line %d: unknown record %q", lineNo, fields[0])
+			return nil, er.errorf(lineNo, "unknown record %q", fields[0])
 		}
 	}
 	if err := sc.Err(); err != nil {
 		return nil, err
 	}
-	if g == nil {
+	if er.n < 0 {
 		return nil, fmt.Errorf("graph: dimacs input has no problem line")
 	}
-	if edgesSeen != edgesWanted {
-		return nil, fmt.Errorf("graph: dimacs problem line declares %d edges, found %d", edgesWanted, edgesSeen)
-	}
-	return g, nil
+	return er.graph()
 }
 
 // edgeFields parses one "i j w" edge triple.

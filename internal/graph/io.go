@@ -2,8 +2,10 @@ package graph
 
 import (
 	"bufio"
+	"errors"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 	"strings"
 )
@@ -33,14 +35,111 @@ func (g *Graph) WriteTo(w io.Writer) (int64, error) {
 	return total, bw.Flush()
 }
 
+// MaxNodes is the largest node count Read, ReadGset and ReadDIMACS
+// accept. A header is a few bytes, so without a bound it could ask for
+// any node table: "2000000000 0" alone would be a 48 GB allocation. The
+// bound equals the solve service's instance limit and is far above the
+// largest catalogued instance (3000 nodes).
+const MaxNodes = 1 << 20
+
+// RefusedError is the error the readers return for input that parses
+// but is refused: a header declaring more than MaxNodes nodes, or an
+// edge weight — as written, or summed over an edge listed twice — that
+// is NaN or infinite.
+type RefusedError struct {
+	Format string // "" for Read's own format, "gset" or "dimacs"
+	Line   int    // physical line, comments and blanks counted; 0 for a summed weight
+	Reason string
+}
+
+func (e *RefusedError) Error() string { return readPrefix(e.Format, e.Line) + e.Reason }
+
+// readPrefix starts every reader error: the package, the format, and
+// the line when there is one.
+func readPrefix(format string, line int) string {
+	p := "graph: "
+	if format != "" {
+		p += format + " "
+	}
+	if line > 0 {
+		p += fmt.Sprintf("line %d: ", line)
+	}
+	return p
+}
+
+// edgeReader is what the three readers share once a line is split into
+// numbers: the header's bound, the per-edge checks, and a graph built
+// only after the whole input has been read and checked, so a failed or
+// refused read allocates in proportion to its input, never to its
+// header.
+type edgeReader struct {
+	format string // as in RefusedError
+	base   int    // the file's first node number: 0 or 1
+	n, m   int    // declared sizes; n is -1 before the header
+	edges  []Edge
+}
+
+func (r *edgeReader) errorf(line int, format string, args ...any) error {
+	return errors.New(readPrefix(r.format, line) + fmt.Sprintf(format, args...))
+}
+
+// header records the declared node and edge counts.
+func (r *edgeReader) header(line, n, m int) error {
+	if n > MaxNodes {
+		return &RefusedError{Format: r.format, Line: line,
+			Reason: fmt.Sprintf("header declares %d nodes, limit %d", n, MaxNodes)}
+	}
+	r.n, r.m = n, m
+	return nil
+}
+
+// edge checks one edge line, endpoints numbered as in the file.
+func (r *edgeReader) edge(line, i, j int, w float64) error {
+	if math.IsNaN(w) || math.IsInf(w, 0) {
+		return &RefusedError{Format: r.format, Line: line, Reason: fmt.Sprintf("weight %v is not finite", w)}
+	}
+	if i < r.base || j < r.base {
+		if r.base == 1 {
+			return r.errorf(line, "endpoints are 1-based, got (%d,%d)", i, j)
+		}
+		return r.errorf(line, "edge {%d,%d} out of range [0,%d)", i, j, r.n)
+	}
+	i, j = i-r.base, j-r.base
+	if i == j {
+		return r.errorf(line, "self-loop on node %d", i)
+	}
+	if i >= r.n || j >= r.n {
+		return r.errorf(line, "edge {%d,%d} out of range [0,%d)", i, j, r.n)
+	}
+	r.edges = append(r.edges, Edge{I: i, J: j, W: w})
+	return nil
+}
+
+// graph builds the graph from a fully read input.
+func (r *edgeReader) graph() (*Graph, error) {
+	if len(r.edges) != r.m {
+		return nil, r.errorf(0, "header declares %d edges, found %d", r.m, len(r.edges))
+	}
+	g := New(r.n)
+	for _, e := range r.edges {
+		g.MustAddEdge(e.I, e.J, e.W) // every edge was checked
+	}
+	for _, e := range g.edges {
+		if math.IsNaN(e.W) || math.IsInf(e.W, 0) {
+			return nil, &RefusedError{Format: r.format,
+				Reason: fmt.Sprintf("edge {%d,%d} is listed more than once and its weights sum to %v", e.I+r.base, e.J+r.base, e.W)}
+		}
+	}
+	return g, nil
+}
+
 // Read parses the format produced by WriteTo. Lines starting with '#'
-// and blank lines are ignored.
+// and blank lines are ignored. A header over MaxNodes nodes and a
+// non-finite weight fail with a *RefusedError.
 func Read(r io.Reader) (*Graph, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<16), 1<<24)
-	var g *Graph
-	edgesWanted := -1
-	edgesSeen := 0
+	er := edgeReader{n: -1}
 	lineNo := 0
 	for sc.Scan() {
 		lineNo++
@@ -49,53 +148,42 @@ func Read(r io.Reader) (*Graph, error) {
 			continue
 		}
 		fields := strings.Fields(line)
-		if g == nil {
+		if er.n < 0 {
 			if len(fields) != 2 {
-				return nil, fmt.Errorf("graph: line %d: want header \"n m\", got %q", lineNo, line)
+				return nil, er.errorf(lineNo, "want header \"n m\", got %q", line)
 			}
 			n, err := strconv.Atoi(fields[0])
 			if err != nil {
-				return nil, fmt.Errorf("graph: line %d: bad node count: %v", lineNo, err)
+				return nil, er.errorf(lineNo, "bad node count: %v", err)
 			}
 			m, err := strconv.Atoi(fields[1])
 			if err != nil {
-				return nil, fmt.Errorf("graph: line %d: bad edge count: %v", lineNo, err)
+				return nil, er.errorf(lineNo, "bad edge count: %v", err)
 			}
 			if n < 0 || m < 0 {
-				return nil, fmt.Errorf("graph: line %d: negative header values", lineNo)
+				return nil, er.errorf(lineNo, "negative header values")
 			}
-			g = New(n)
-			edgesWanted = m
+			if err := er.header(lineNo, n, m); err != nil {
+				return nil, err
+			}
 			continue
 		}
 		if len(fields) != 3 {
-			return nil, fmt.Errorf("graph: line %d: want \"i j w\", got %q", lineNo, line)
+			return nil, er.errorf(lineNo, "want \"i j w\", got %q", line)
 		}
-		i, err := strconv.Atoi(fields[0])
+		i, j, w, err := edgeFields(fields[0], fields[1], fields[2])
 		if err != nil {
-			return nil, fmt.Errorf("graph: line %d: bad endpoint: %v", lineNo, err)
+			return nil, er.errorf(lineNo, "%v", err)
 		}
-		j, err := strconv.Atoi(fields[1])
-		if err != nil {
-			return nil, fmt.Errorf("graph: line %d: bad endpoint: %v", lineNo, err)
+		if err := er.edge(lineNo, i, j, w); err != nil {
+			return nil, err
 		}
-		w, err := strconv.ParseFloat(fields[2], 64)
-		if err != nil {
-			return nil, fmt.Errorf("graph: line %d: bad weight: %v", lineNo, err)
-		}
-		if err := g.AddEdge(i, j, w); err != nil {
-			return nil, fmt.Errorf("graph: line %d: %v", lineNo, err)
-		}
-		edgesSeen++
 	}
 	if err := sc.Err(); err != nil {
 		return nil, err
 	}
-	if g == nil {
+	if er.n < 0 {
 		return nil, fmt.Errorf("graph: empty input")
 	}
-	if edgesSeen != edgesWanted {
-		return nil, fmt.Errorf("graph: header declares %d edges, found %d", edgesWanted, edgesSeen)
-	}
-	return g, nil
+	return er.graph()
 }

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"qaoa2/internal/graph"
 	"qaoa2/internal/maxcut"
 	"qaoa2/internal/qaoa2"
 	"qaoa2/internal/solver"
@@ -106,5 +107,15 @@ func TestFixtureSolvesThroughQAOA2(t *testing.T) {
 	}
 	if res.Cut.Value < 0.9*in.BestKnown {
 		t.Fatalf("decomposed solve found %g, optimum %g", res.Cut.Value, in.BestKnown)
+	}
+}
+
+// TestCatalogWithinReaderBound: graph.ReadGset refuses headers over
+// graph.MaxNodes, so every catalogued instance must fit under it.
+func TestCatalogWithinReaderBound(t *testing.T) {
+	for _, in := range Catalog() {
+		if in.Nodes > graph.MaxNodes {
+			t.Errorf("%s has %d nodes, over the readers' bound %d", in.Name, in.Nodes, graph.MaxNodes)
+		}
 	}
 }

@@ -151,27 +151,53 @@ func greedyModularityBoxed(g *graph.Graph) [][]int {
 	return out
 }
 
-// checkedGreedy is GreedyModularity's loop with the queue audited after
-// every merge: one entry per live pair and never more than the M it
-// started with, each at the position it records, parents before
-// children, both rows pointing at the same entry.
+// checkedGreedy is GreedyModularity's loop with the workspace audited
+// after every merge: one entry per live pair and never more than the M
+// it started with, each at the queue position it records, parents
+// before children; every row entry names its row's community, both
+// recorded slots point back at the entry, no row holds an entry of a
+// dead community or two entries of one pair, and the rows hold each
+// queued pair twice.
 func checkedGreedy(t *testing.T, name string, g *graph.Graph) {
 	t.Helper()
 	m2 := 2 * g.TotalWeight()
 	if g.N() == 0 || m2 == 0 {
 		return
 	}
-	s := newCNM(g, m2)
+	s := newCNM(g.N(), g.M())
+	s.reset(g, m2)
 	for step := 0; ; step++ {
 		if len(s.queue) > g.M() {
 			t.Fatalf("%s step %d: queue holds %d entries, graph has %d edges", name, step, len(s.queue), g.M())
 		}
 		halves := 0
-		for c, row := range s.rows {
+		seen := make([]int, g.N()) // seen[o] = c+1: row c has a pair with o
+		for c, row := range s.rows[:g.N()] {
 			halves += len(row)
-			for d, m := range row {
-				if mkPair(c, d) != (pairKey{m.a, m.b}) || s.rows[d][c] != m {
-					t.Fatalf("%s step %d: row %d entry %d is pair {%d,%d}", name, step, c, d, m.a, m.b)
+			if len(row) > 0 && s.tail[c] < 0 {
+				t.Fatalf("%s step %d: dead community %d holds %d entries", name, step, c, len(row))
+			}
+			for i, k := range row {
+				m := &s.entries[k]
+				if m.a != int32(c) && m.b != int32(c) {
+					t.Fatalf("%s step %d: row %d holds pair {%d,%d}", name, step, c, m.a, m.b)
+				}
+				if m.a >= m.b || s.tail[m.a] < 0 || s.tail[m.b] < 0 {
+					t.Fatalf("%s step %d: row %d entry is pair {%d,%d}", name, step, c, m.a, m.b)
+				}
+				if m.slot(int32(c)) != int32(i) {
+					t.Fatalf("%s step %d: row %d slot %d holds an entry recording slot %d", name, step, c, i, m.slot(int32(c)))
+				}
+				o := m.other(int32(c))
+				if s.rows[o][m.slot(o)] != k {
+					t.Fatalf("%s step %d: pair {%d,%d} is not at its slot in row %d", name, step, m.a, m.b, o)
+				}
+				if seen[o] == c+1 {
+					t.Fatalf("%s step %d: row %d holds two entries for pair {%d,%d}", name, step, c, m.a, m.b)
+				}
+				seen[o] = c + 1
+				if s.queue[m.pos] != m {
+					t.Fatalf("%s step %d: pair {%d,%d} is not at its queue position", name, step, m.a, m.b)
 				}
 			}
 		}

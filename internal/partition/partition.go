@@ -65,18 +65,46 @@ func Modularity(g *graph.Graph, communities [][]int) (float64, error) {
 
 // merge is the one queue entry of a live pair of adjacent communities
 // a < b: w is the fraction of edge weight between them, dq the
-// modularity gain of merging them, pos its index in the mergeQueue.
-// Both communities' adjacency rows point at the same entry.
+// modularity gain of merging them, pos its index in the mergeQueue, and
+// sa, sb its slots in rows[a] and rows[b].
 type merge struct {
-	w, dq float64
-	a, b  int
-	pos   int
+	w, dq  float64
+	a, b   int32
+	sa, sb int32
+	pos    int
 }
 
-// before is a TOTAL order over live entries (gain desc, then pair):
-// rows are maps, so the order entries are touched in is random, and
-// only a total order over unique keys keeps the pop sequence — and
-// therefore the whole partition — deterministic.
+// other returns the community paired with c.
+func (x *merge) other(c int32) int32 {
+	if x.a == c {
+		return x.b
+	}
+	return x.a
+}
+
+// slot returns x's slot in c's row.
+func (x *merge) slot(c int32) int32 {
+	if x.a == c {
+		return x.sa
+	}
+	return x.sb
+}
+
+func (x *merge) setSlot(c, i int32) {
+	if x.a == c {
+		x.sa = i
+	} else {
+		x.sb = i
+	}
+}
+
+// before is a TOTAL order over live entries (gain desc, then pair).
+// Gains tie often (in an unweighted graph every edge whose endpoints
+// have the same degree product has the same dq), and which of the tied
+// entries tops the heap would otherwise depend on the order entries
+// were touched in, which swap-removes permute. Only a total order over unique keys makes the
+// pop sequence — and therefore the whole partition — a function of the
+// keys alone, the same as the lazy-heap oracle's.
 func (x *merge) before(y *merge) bool {
 	if x.dq != y.dq {
 		return x.dq > y.dq // max-heap on gain
@@ -149,42 +177,90 @@ func (q *mergeQueue) remove(m *merge) {
 	}
 }
 
-// cnm is the state of one Clauset-Newman-Moore agglomeration. A
-// community is named by its smallest node: merging the pair c < d
-// folds d into c.
+// cnm is one Clauset-Newman-Moore agglomeration and the workspace it
+// runs in. A community is named by its smallest node: merging the pair
+// c < d folds d into c. Every slice is sized by the graph the workspace
+// is made for and serves any run over a graph no larger, such as
+// SizeCapped's induced sub-graphs. Nodes, entries and slots are int32.
 type cnm struct {
-	a       []float64        // a[c]: fraction of total degree in c
-	rows    []map[int]*merge // rows[c][d]: the entry of pair {c,d}; nil once c is merged away
-	members [][]int
+	a       []float64 // a[c]: fraction of total degree in c
+	entries []merge   // entries[k] starts as edge k's pair
 	queue   mergeQueue
+	// rows[c] lists c's live pairs as indices into entries; it is empty
+	// once c is merged away. A row starts as c's window of slots, in
+	// adjacency order, and moves to spare when it outgrows the window.
+	rows  [][]int32
+	slots []int32 // 2·M
+	spare []int32
+	at    []int32 // at[nb]: while c absorbs d, c's entry for {c, nb}; else -1
+	next  []int32 // next[v]: the member after v in its community, -1 at the end
+	tail  []int32 // tail[c]: c's last member; -1 once c is merged away
 }
 
-func newCNM(g *graph.Graph, m2 float64) *cnm {
-	n := g.N()
-	s := &cnm{
+func newCNM(n, m int) *cnm {
+	return &cnm{
 		a:       make([]float64, n),
-		rows:    make([]map[int]*merge, n),
-		members: make([][]int, n),
-		queue:   make(mergeQueue, g.M()),
+		entries: make([]merge, m),
+		queue:   make(mergeQueue, m),
+		rows:    make([][]int32, n),
+		slots:   make([]int32, 2*m),
+		at:      make([]int32, n),
+		next:    make([]int32, n),
+		tail:    make([]int32, n),
 	}
+}
+
+// reset loads g, whose total weight is m2/2, as n singleton
+// communities with one queue entry per edge.
+func (s *cnm) reset(g *graph.Graph, m2 float64) {
+	n, m := g.N(), g.M()
+	free := s.slots[:2*m]
 	for v := 0; v < n; v++ {
-		s.members[v] = []int{v}
 		s.a[v] = g.WeightedDegree(v) / m2
-		s.rows[v] = make(map[int]*merge, g.Degree(v))
+		d := g.Degree(v)
+		s.rows[v], free = free[:0:d], free[d:]
+		s.at[v], s.next[v], s.tail[v] = -1, -1, int32(v)
 	}
-	entries := make([]merge, g.M())
+	s.spare = s.spare[:0]
+	s.queue = s.queue[:m]
 	for k, ed := range g.Edges() {
-		m := &entries[k]
-		*m = merge{w: ed.W / m2, a: ed.I, b: ed.J, pos: k}
-		m.dq = 2 * (m.w - s.a[m.a]*s.a[m.b])
-		s.rows[m.a][m.b] = m
-		s.rows[m.b][m.a] = m
-		s.queue[k] = m
+		i, j := int32(ed.I), int32(ed.J)
+		e := &s.entries[k]
+		*e = merge{w: ed.W / m2, a: i, b: j, sa: int32(len(s.rows[i])), sb: int32(len(s.rows[j])), pos: k}
+		e.dq = 2 * (e.w - s.a[i]*s.a[j])
+		s.rows[i] = append(s.rows[i], int32(k))
+		s.rows[j] = append(s.rows[j], int32(k))
+		s.queue[k] = e
 	}
-	for i := len(s.queue)/2 - 1; i >= 0; i-- {
+	for i := m/2 - 1; i >= 0; i-- {
 		s.queue.down(i)
 	}
-	return s
+}
+
+// unlink swap-removes e from c's row.
+func (s *cnm) unlink(c int32, e *merge) {
+	row := s.rows[c]
+	i, last := e.slot(c), row[len(row)-1]
+	row[i] = last
+	s.entries[last].setSlot(c, i)
+	s.rows[c] = row[:len(row)-1]
+}
+
+// reserve makes room for k more entries in c's row. A row that outgrows
+// its window moves to spare at twice the size it needs.
+func (s *cnm) reserve(c int32, k int) {
+	row := s.rows[c]
+	if len(row)+k <= cap(row) {
+		return
+	}
+	size := 2 * (len(row) + k)
+	if cap(s.spare)-len(s.spare) < size {
+		s.spare = make([]int32, 0, max(size, 2*cap(s.spare)))
+	}
+	at := len(s.spare)
+	s.spare = s.spare[:at+size]
+	s.rows[c] = s.spare[at : at+len(row) : at+size]
+	copy(s.rows[c], row)
 }
 
 // mergeBest applies the merge with the largest modularity gain and
@@ -196,44 +272,56 @@ func (s *cnm) mergeBest() bool {
 	top := s.queue[0]
 	c, d := top.a, top.b
 	s.queue.remove(top)
-	s.members[c] = append(s.members[c], s.members[d]...)
-	s.members[d] = nil
+	s.unlink(c, top)
 	s.a[c] += s.a[d]
-	delete(s.rows[c], d)
+	s.next[s.tail[c]], s.tail[c], s.tail[d] = d, s.tail[d], -1
+	kept := len(s.rows[c])
+	for _, k := range s.rows[c] {
+		s.at[s.entries[k].other(c)] = k
+	}
 	// Fold d's row into c's. The queue is fixed after every single key
 	// change, so it is a valid heap at each step.
-	for nb, m := range s.rows[d] {
-		if nb == c {
+	s.reserve(c, len(s.rows[d])-1)
+	for _, k := range s.rows[d] {
+		m := &s.entries[k]
+		if m == top {
 			continue
 		}
-		delete(s.rows[nb], d)
-		if cm, ok := s.rows[c][nb]; ok {
-			cm.w += m.w
+		nb := m.other(d)
+		if ck := s.at[nb]; ck >= 0 {
+			s.entries[ck].w += m.w
+			s.unlink(nb, m)
 			s.queue.remove(m)
 			continue
 		}
-		m.a, m.b = c, nb
-		if nb < c {
-			m.a, m.b = nb, c
+		// m now stands for {c, nb}: it keeps its slot in nb's row, takes
+		// the next one in c's, and gets its gain now, by the same
+		// formula as c's own entries below.
+		sc, snb := int32(len(s.rows[c])), m.slot(nb)
+		s.rows[c] = append(s.rows[c], k)
+		if c < nb {
+			m.a, m.sa, m.b, m.sb = c, sc, nb, snb
+		} else {
+			m.a, m.sa, m.b, m.sb = nb, snb, c, sc
 		}
-		s.rows[c][nb] = m
-		s.rows[nb][c] = m
+		m.dq = 2 * (m.w - s.a[c]*s.a[nb])
 		s.queue.fix(m)
 	}
 	s.rows[d] = nil
-	for nb, m := range s.rows[c] {
+	for _, k := range s.rows[c][:kept] {
+		m := &s.entries[k]
+		nb := m.other(c)
+		s.at[nb] = -1
 		m.dq = 2 * (m.w - s.a[c]*s.a[nb])
 		s.queue.fix(m)
 	}
 	return true
 }
 
-// GreedyModularity runs CNM agglomeration: every node starts as its own
-// community and the merge with the largest modularity gain is applied
-// while a positive gain exists. Communities are returned as sorted node
-// lists ordered by their smallest node. Matches NetworkX's
-// greedy_modularity_communities on connected weighted graphs.
-func GreedyModularity(g *graph.Graph) [][]int {
+// communities runs the agglomeration on g, which is no larger than the
+// workspace, until no merge gains modularity, and returns the
+// communities as sorted node lists ordered by their smallest node.
+func (s *cnm) communities(g *graph.Graph) [][]int {
 	n := g.N()
 	if n == 0 {
 		return nil
@@ -247,17 +335,39 @@ func GreedyModularity(g *graph.Graph) [][]int {
 		}
 		return out
 	}
-	s := newCNM(g, m2)
+	s.reset(g, m2)
 	for s.mergeBest() {
 	}
-	var out [][]int
-	for _, nodes := range s.members {
-		if nodes != nil {
-			sort.Ints(nodes)
-			out = append(out, nodes)
+	count := 0
+	for _, t := range s.tail[:n] {
+		if t >= 0 {
+			count++
 		}
 	}
-	return out // already ordered by smallest node: members[c] starts at c
+	out := make([][]int, 0, count)
+	nodes := make([]int, 0, n)
+	for c, t := range s.tail[:n] {
+		if t < 0 {
+			continue
+		}
+		from := len(nodes)
+		for v := int32(c); v >= 0; v = s.next[v] {
+			nodes = append(nodes, int(v))
+		}
+		part := nodes[from:len(nodes):len(nodes)]
+		sort.Ints(part)
+		out = append(out, part)
+	}
+	return out
+}
+
+// GreedyModularity runs CNM agglomeration: every node starts as its own
+// community and the merge with the largest modularity gain is applied
+// while a positive gain exists. Communities are returned as sorted node
+// lists ordered by their smallest node. Matches NetworkX's
+// greedy_modularity_communities on connected weighted graphs.
+func GreedyModularity(g *graph.Graph) [][]int {
+	return newCNM(g.N(), g.M()).communities(g)
 }
 
 // SizeCapped partitions g into parts of at most maxSize nodes: greedy
@@ -275,14 +385,18 @@ func SizeCapped(g *graph.Graph, maxSize int) ([][]int, error) {
 		all[i] = i
 	}
 	var out [][]int
-	if err := splitRecursive(g, all, maxSize, &out, 0); err != nil {
+	var ws *cnm // one workspace for every level, made only if one runs
+	if g.N() > maxSize {
+		ws = newCNM(g.N(), g.M())
+	}
+	if err := splitRecursive(g, all, maxSize, &out, 0, ws); err != nil {
 		return nil, err
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i][0] < out[j][0] })
 	return out, nil
 }
 
-func splitRecursive(g *graph.Graph, nodes []int, maxSize int, out *[][]int, depth int) error {
+func splitRecursive(g *graph.Graph, nodes []int, maxSize int, out *[][]int, depth int, ws *cnm) error {
 	if len(nodes) == 0 {
 		return nil
 	}
@@ -299,7 +413,7 @@ func splitRecursive(g *graph.Graph, nodes []int, maxSize int, out *[][]int, dept
 	if err != nil {
 		return err
 	}
-	comms := GreedyModularity(sub)
+	comms := ws.communities(sub)
 	if len(comms) <= 1 {
 		comms = bisect(sub)
 	}
@@ -308,7 +422,7 @@ func splitRecursive(g *graph.Graph, nodes []int, maxSize int, out *[][]int, dept
 		for i, v := range comm {
 			mapped[i] = mapping[v]
 		}
-		if err := splitRecursive(g, mapped, maxSize, out, depth+1); err != nil {
+		if err := splitRecursive(g, mapped, maxSize, out, depth+1, ws); err != nil {
 			return err
 		}
 	}

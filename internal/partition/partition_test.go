@@ -1,6 +1,8 @@
 package partition
 
 import (
+	"encoding/binary"
+	"hash/fnv"
 	"math"
 	"runtime"
 	"testing"
@@ -266,6 +268,11 @@ func er1200() *graph.Graph {
 	return graph.ErdosRenyi(1200, 8.0/1200, graph.Unweighted, rng.New(1))
 }
 
+// er1400 is the graph shape of the benchmark's merge-heavy solve.
+func er1400() *graph.Graph {
+	return graph.ErdosRenyi(1400, 10.0/1400, graph.Unweighted, rng.New(1))
+}
+
 func BenchmarkSizeCappedER1200(b *testing.B) {
 	g := er1200()
 	b.ReportAllocs()
@@ -277,10 +284,66 @@ func BenchmarkSizeCappedER1200(b *testing.B) {
 	}
 }
 
+func BenchmarkSizeCappedER1400(b *testing.B) {
+	g := er1400()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := SizeCapped(g, 16); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// partsFNV hashes a partition: every node of every part in order as a
+// little-endian uint32, each part closed by 0xffffffff.
+func partsFNV(parts [][]int) uint64 {
+	h := fnv.New64a()
+	var b [4]byte
+	for _, p := range parts {
+		for _, v := range p {
+			binary.LittleEndian.PutUint32(b[:], uint32(v))
+			h.Write(b[:])
+		}
+		binary.LittleEndian.PutUint32(b[:], math.MaxUint32)
+		h.Write(b[:])
+	}
+	return h.Sum64()
+}
+
+// TestSizeCappedPinnedPartitions pins the divide of the benchmark's
+// merge-heavy and dag-checkpoint shapes to the partitions the map-row
+// agglomeration produced, so a change to the divide's storage or order
+// that moves any node fails here, not only in the oracle walk.
+func TestSizeCappedPinnedPartitions(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		g      *graph.Graph
+		budget int
+		parts  int
+		fnv    uint64
+	}{
+		{"merge-heavy ER(1400)", er1400(), 16, 238, 0x46eb91e70c514495},
+		{"dag-checkpoint ER(1200)", er1200(), 12, 234, 0x46fdaa131d32c749},
+	} {
+		parts, err := SizeCapped(tc.g, tc.budget)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := partsFNV(parts); len(parts) != tc.parts || got != tc.fnv {
+			t.Errorf("%s, budget %d: %d parts, FNV %#x; pinned %d parts, FNV %#x",
+				tc.name, tc.budget, len(parts), got, tc.parts, tc.fnv)
+		}
+	}
+}
+
 // TestSizeCappedAllocationCeiling pins what one divide of the
 // dag-checkpoint shape allocates. The lazy merge heap it replaced grew
 // by one entry per neighbour per merge and took 20 MB here; a queue of
-// one entry per live pair takes under 4.
+// one entry per live pair takes under 4. The malloc count pins the
+// storage: rows kept as one map per node cost ~18 000 allocations
+// here; slice rows in one workspace per call leave ~1 500, nearly all
+// of them the induced sub-graphs and the parts themselves.
 func TestSizeCappedAllocationCeiling(t *testing.T) {
 	g := er1200()
 	const runs = 3
@@ -293,8 +356,12 @@ func TestSizeCappedAllocationCeiling(t *testing.T) {
 	}
 	runtime.ReadMemStats(&after)
 	perRun := (after.TotalAlloc - before.TotalAlloc) / runs
+	mallocs := (after.Mallocs - before.Mallocs) / runs
 	if perRun > 6<<20 {
 		t.Fatalf("SizeCapped(ER(1200), 12) allocates %d bytes, ceiling %d", perRun, 6<<20)
 	}
-	t.Logf("SizeCapped(ER(1200), 12): %d bytes per run", perRun)
+	if mallocs > 2000 {
+		t.Fatalf("SizeCapped(ER(1200), 12) makes %d allocations, ceiling %d", mallocs, 2000)
+	}
+	t.Logf("SizeCapped(ER(1200), 12): %d bytes, %d allocations per run", perRun, mallocs)
 }

@@ -32,18 +32,15 @@ type benchConfig struct {
 // shape as a dispatch-overhead sentinel, and a 20-qubit point where
 // the half-vector's memory advantage shows beyond the L2-resident
 // sizes.
-// The fused-dist points track the sharded engine: ranks=1 builds the
-// inline engine, the same code as fused-z2 (the ratio gate holds the
-// two within noise — the sharding layer must cost nothing when not
-// sharding), ranks=4 measures the pairwise-exchange overhead at both
-// tracked qubit scales.
+// The fused-dist points track the sharded engine: ranks=4 measures the
+// pairwise-exchange overhead at both tracked qubit scales. (Ranks=1 is
+// not tracked: it builds the inline engine, the fused-z2 rows' code.)
 var benchConfigs = []benchConfig{
 	{"fused-z2", 16, 3},
 	{"fused-full", 16, 3},
 	{"dense", 16, 3},
 	{"fused-z2", 12, 2},
 	{"fused-z2", 20, 3},
-	{"fused-dist:1", 16, 3},
 	{"fused-dist:4", 16, 3},
 	{"fused-dist:4", 20, 3},
 }

@@ -152,22 +152,12 @@ const (
 	// compressing the ratio). The floor sits below that band's noise;
 	// losing the reduction entirely would read ~1.0×.
 	z2FullMinRatio = 1.5
-	// distZ2MaxRatio: at ranks=1 the sharded backend builds the inline
-	// engine — the same code, on the same goroutine, as fused-z2 — so
-	// the ratio is pure measurement noise: 0.84–1.08× over ten runs on a
-	// shared 2-vCPU host, where a 1.05× ceiling failed three runs in
-	// ten. The ceiling sits just above that band and catches a sharding
-	// layer creeping back into the single-slice path (the old rank
-	// goroutine handoff measured up to 1.12×).
-	distZ2MaxRatio = 1.10
 )
 
 // ratioGate checks the fused-z2-vs-dense and fused-z2-vs-fused-full
-// ratios on the 16q/p3 acceptance configuration of the fresh run, plus
-// — when the sharded engine was measured — the fused-dist:1 overhead
-// ceiling over fused-z2.
+// ratios on the 16q/p3 acceptance configuration of the fresh run.
 func ratioGate(fresh BenchReport) (ok bool, msg string) {
-	var z2, full, dense, dist1 float64
+	var z2, full, dense float64
 	for _, r := range fresh.Results {
 		if r.Qubits == 16 && r.Layers == 3 {
 			switch r.Backend {
@@ -177,8 +167,6 @@ func ratioGate(fresh BenchReport) (ok bool, msg string) {
 				full = r.NsPerOp
 			case "dense":
 				dense = r.NsPerOp
-			case "fused-dist:1":
-				dist1 = r.NsPerOp
 			}
 		}
 	}
@@ -193,15 +181,7 @@ func ratioGate(fresh BenchReport) (ok bool, msg string) {
 	if z2Ratio < z2FullMinRatio {
 		return false, fmt.Sprintf("ratio gate FAILED: fused-z2 is only %.2fx faster than fused-full (floor %.1fx) — symmetry-reduction regression, independent of baseline hardware", z2Ratio, z2FullMinRatio)
 	}
-	distNote := ""
-	if dist1 > 0 {
-		distRatio := dist1 / z2
-		if distRatio > distZ2MaxRatio {
-			return false, fmt.Sprintf("ratio gate FAILED: fused-dist:1 costs %.2fx fused-z2 (ceiling %.2fx) — the sharding layer must be free when not sharding, independent of baseline hardware", distRatio, distZ2MaxRatio)
-		}
-		distNote = fmt.Sprintf(", fused-dist:1 at %.2fx fused-z2 (ceiling %.2fx)", distRatio, distZ2MaxRatio)
-	}
-	return true, fmt.Sprintf("ratio gate: fused-z2 %.1fx faster than dense (floor %.0fx), %.2fx faster than fused-full (floor %.1fx)%s", denseRatio, fusedDenseMinRatio, z2Ratio, z2FullMinRatio, distNote)
+	return true, fmt.Sprintf("ratio gate: fused-z2 %.1fx faster than dense (floor %.0fx), %.2fx faster than fused-full (floor %.1fx)", denseRatio, fusedDenseMinRatio, z2Ratio, z2FullMinRatio)
 }
 
 // countMissing tallies baseline configurations absent from the fresh

@@ -217,32 +217,6 @@ func TestCountMissing(t *testing.T) {
 	}
 }
 
-func TestRatioGateFusedDist(t *testing.T) {
-	healthy := map[string]float64{
-		"fused-z2/16q/p3":   1_000_000,
-		"fused-full/16q/p3": 1_900_000,
-		"dense/16q/p3":      30_000_000,
-	}
-	// Within the ceiling: passes and the message reports the ratio.
-	healthy["fused-dist:1/16q/p3"] = 1_080_000
-	if ok, msg := ratioGate(report(healthy)); !ok || !strings.Contains(msg, "fused-dist:1") {
-		t.Fatalf("1.08x dist ratio failed: %s", msg)
-	}
-	// Beyond the ceiling: the sharding layer started costing something —
-	// including the 1.12x a rank-goroutine handoff used to cost.
-	for _, ns := range []float64{1_120_000, 1_500_000} {
-		healthy["fused-dist:1/16q/p3"] = ns
-		if ok, msg := ratioGate(report(healthy)); ok || !strings.Contains(msg, "fused-dist:1") {
-			t.Fatalf("%.2fx dist ratio passed: %s", ns/1e6, msg)
-		}
-	}
-	// Absent measurement (A/B subsets) leaves the classic gate intact.
-	delete(healthy, "fused-dist:1/16q/p3")
-	if ok, msg := ratioGate(report(healthy)); !ok {
-		t.Fatalf("dist-free run failed: %s", msg)
-	}
-}
-
 func TestMachineClassKernelTier(t *testing.T) {
 	a := BenchMachine{GoOS: "linux", GoArch: "amd64", NumCPU: 1, GoMaxProcs: 1, CPUModel: "Xeon", KernelTier: "avx512"}
 	b := a

@@ -10,6 +10,7 @@ import (
 	"qaoa2/internal/qaoa2"
 	"qaoa2/internal/rng"
 	"qaoa2/internal/sdp"
+	"qaoa2/internal/solver"
 )
 
 // Fig4Config parameterizes the large-graph QAOA² comparison of Fig. 4:
@@ -74,9 +75,9 @@ func RunFig4(cfg Fig4Config) ([]Fig4Row, error) {
 		r := rng.New(seed)
 		g := graph.ErdosRenyi(n, cfg.EdgeProb, graph.Unweighted, r)
 
-		qaoaLeaf := qaoa2.QAOASolver{Opts: cfg.QAOA}
-		gwLeaf := qaoa2.GWSolver{}
-		classicalMerge := qaoa2.GWSolver{} // "in case of further iterations ... the classical solution is chosen"
+		qaoaLeaf := solver.QAOASolver{Opts: cfg.QAOA}
+		gwLeaf := solver.GWSolver{}
+		classicalMerge := solver.GWSolver{} // "in case of further iterations ... the classical solution is chosen"
 
 		row := Fig4Row{Nodes: n}
 
@@ -100,7 +101,7 @@ func RunFig4(cfg Fig4Config) ([]Fig4Row, error) {
 
 		resB, err := qaoa2.Solve(g, qaoa2.Options{
 			MaxQubits:   cfg.MaxQubits,
-			Solver:      qaoa2.BestOfSolver{Solvers: []qaoa2.SubSolver{qaoaLeaf, gwLeaf}},
+			Solver:      solver.BestOfSolver{Solvers: []solver.Solver{qaoaLeaf, gwLeaf}},
 			MergeSolver: classicalMerge, Seed: seed,
 		})
 		if err != nil {

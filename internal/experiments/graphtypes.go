@@ -10,6 +10,7 @@ import (
 	"qaoa2/internal/qaoa2"
 	"qaoa2/internal/rng"
 	"qaoa2/internal/sdp"
+	"qaoa2/internal/solver"
 )
 
 // GraphFamily is one graph class for the §5 outlook experiment ("this
@@ -71,8 +72,8 @@ func RunGraphTypes(families []GraphFamily, nodes, maxQubits int, seed uint64) ([
 		g := fam.Generate(nodes, r)
 		res, err := qaoa2.Solve(g, qaoa2.Options{
 			MaxQubits:   maxQubits,
-			Solver:      qaoa2.GWSolver{},
-			MergeSolver: qaoa2.GWSolver{},
+			Solver:      solver.GWSolver{},
+			MergeSolver: solver.GWSolver{},
 			Seed:        seed,
 		})
 		if err != nil {
@@ -174,8 +175,8 @@ func RunPartitionAblation(nodes int, prob float64, maxQubits int, seed uint64) (
 	for _, cfg := range configs {
 		res, err := qaoa2.Solve(g, qaoa2.Options{
 			MaxQubits:   maxQubits,
-			Solver:      qaoa2.GWSolver{},
-			MergeSolver: qaoa2.GWSolver{},
+			Solver:      solver.GWSolver{},
+			MergeSolver: solver.GWSolver{},
 			Partition:   cfg.parts,
 			Seed:        seed,
 		})

@@ -15,6 +15,7 @@ import (
 	"qaoa2/internal/rng"
 	"qaoa2/internal/runtime"
 	"qaoa2/internal/sdp"
+	"qaoa2/internal/solver"
 	"qaoa2/internal/synth"
 )
 
@@ -115,8 +116,8 @@ func RunFig2(cfg Fig2Config) ([]Fig2Point, error) {
 		res, err := qaoa2.Solve(g, qaoa2.Options{
 			MaxQubits: cfg.MaxQubits,
 			Solver: hpc.DensityPolicy(fig2Threshold,
-				qaoa2.QAOASolver{Opts: qaoa.Options{Layers: 2, MaxIters: 30}}, qaoa2.GWSolver{}),
-			MergeSolver:    qaoa2.GWSolver{},
+				solver.QAOASolver{Opts: qaoa.Options{Layers: 2, MaxIters: 30}}, solver.GWSolver{}),
+			MergeSolver:    solver.GWSolver{},
 			Parallelism:    w,
 			Seed:           cfg.Seed,
 			OnRuntimeEvent: func(ev runtime.Event) { busy += time.Duration(ev.Nanos) },

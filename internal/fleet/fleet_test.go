@@ -3,17 +3,19 @@ package fleet
 import (
 	"context"
 	"fmt"
+	"net/http"
 	"net/http/httptest"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"qaoa2/internal/graph"
 	"qaoa2/internal/maxcut"
-	q2 "qaoa2/internal/qaoa2"
 	"qaoa2/internal/retry"
 	"qaoa2/internal/rng"
 	"qaoa2/internal/serve"
+	"qaoa2/internal/solver"
 )
 
 // erSpec builds a ring-plus-chords instance: enough structure to
@@ -46,7 +48,7 @@ func (s slowAnneal) Name() string { return "anneal" }
 
 func (s slowAnneal) SolveSub(g *graph.Graph, r *rng.Rand) (maxcut.Cut, error) {
 	time.Sleep(time.Duration(s.DelayMS) * time.Millisecond)
-	return q2.AnnealSolver{}.SolveSub(g, r)
+	return solver.AnnealSolver{}.SolveSub(g, r)
 }
 
 func slowResolve(ms int) func(serve.SolveRequest) (serve.Solvers, error) {
@@ -61,18 +63,30 @@ type testWorker struct {
 	spec   WorkerSpec
 	srv    *serve.Server
 	hs     *httptest.Server
-	killed bool
+	killed atomic.Bool
 }
 
-// kill simulates a crashed worker: every open connection is torn and
-// the listener closes, so in-flight streams die mid-line and new
-// dials are refused. The serve.Server keeps running (a real crashed
-// process would not, but the fleet cannot tell the difference through
-// a dead socket).
+// kill simulates a crashed worker: the listener closes, so new dials
+// are refused, then every open connection is torn, so in-flight
+// streams die mid-line. The serve.Server keeps running (a real crashed
+// process would not), so the handler aborts every request that still
+// reaches it after the kill: one on a connection accepted just before
+// the listener closed, or on a pooled keep-alive connection. Without
+// that, a /healthz probe could be answered by a killed worker.
 func (w *testWorker) kill() {
-	w.killed = true
-	w.hs.CloseClientConnections()
+	w.killed.Store(true)
 	w.hs.Listener.Close()
+	w.hs.CloseClientConnections()
+}
+
+// handler serves srv until the worker is killed.
+func (w *testWorker) handler(next http.Handler) http.Handler {
+	return http.HandlerFunc(func(rw http.ResponseWriter, r *http.Request) {
+		if w.killed.Load() {
+			panic(http.ErrAbortHandler)
+		}
+		next.ServeHTTP(rw, r)
+	})
 }
 
 // startFleet spins up n in-process workers plus a coordinator wired
@@ -90,8 +104,9 @@ func startFleet(t *testing.T, n int, resolve func(serve.SolveRequest) (serve.Sol
 		if err != nil {
 			t.Fatal(err)
 		}
-		hs := httptest.NewServer(srv.Handler())
-		w := &testWorker{spec: WorkerSpec{Name: fmt.Sprintf("w%d", i), URL: hs.URL}, srv: srv, hs: hs}
+		w := &testWorker{srv: srv}
+		w.hs = httptest.NewServer(w.handler(srv.Handler()))
+		w.spec = WorkerSpec{Name: fmt.Sprintf("w%d", i), URL: w.hs.URL}
 		workers = append(workers, w)
 		specs = append(specs, w.spec)
 	}
@@ -112,7 +127,7 @@ func startFleet(t *testing.T, n int, resolve func(serve.SolveRequest) (serve.Sol
 	t.Cleanup(func() {
 		c.Close()
 		for _, w := range workers {
-			if !w.killed {
+			if !w.killed.Load() {
 				w.hs.Close()
 			}
 			w.srv.Close()

@@ -18,6 +18,7 @@ import (
 	"qaoa2/internal/retry"
 	"qaoa2/internal/rng"
 	"qaoa2/internal/serve"
+	"qaoa2/internal/solver"
 )
 
 // TestFrontDoorWireCompatible: a serve.Client pointed at the front
@@ -103,7 +104,7 @@ func TestRemoteSolverThroughFrontDoor(t *testing.T) {
 		res, err := q2.Solve(big, q2.Options{
 			MaxQubits:   8,
 			Solver:      hpc.RemoteSolver{Client: &serve.Client{Base: base}},
-			MergeSolver: q2.AnnealSolver{},
+			MergeSolver: solver.AnnealSolver{},
 			Seed:        4,
 		})
 		if err != nil {

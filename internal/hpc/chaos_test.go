@@ -16,6 +16,7 @@ import (
 	"qaoa2/internal/retry"
 	"qaoa2/internal/rng"
 	"qaoa2/internal/serve"
+	"qaoa2/internal/solver"
 )
 
 // chaosSeed is the fault-schedule seed: QAOA2_FAULT_SEED overrides
@@ -69,7 +70,7 @@ func TestChaosSoakBitIdentical(t *testing.T) {
 	want, err := q2.Solve(big, q2.Options{
 		MaxQubits:   6,
 		Solver:      localMirror{},
-		MergeSolver: q2.AnnealSolver{},
+		MergeSolver: solver.AnnealSolver{},
 		Seed:        4,
 	})
 	if err != nil {
@@ -136,7 +137,7 @@ func TestChaosSoakBitIdentical(t *testing.T) {
 	got, err := q2.Solve(big, q2.Options{
 		MaxQubits:   6,
 		Solver:      remote,
-		MergeSolver: q2.AnnealSolver{},
+		MergeSolver: solver.AnnealSolver{},
 		Seed:        4,
 	})
 	if err != nil {

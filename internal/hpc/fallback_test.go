@@ -12,6 +12,7 @@ import (
 	"qaoa2/internal/retry"
 	"qaoa2/internal/rng"
 	"qaoa2/internal/serve"
+	"qaoa2/internal/solver"
 )
 
 // failingSolver always errors; it stands in for a broken local path.
@@ -49,14 +50,14 @@ func TestFallbackDegradationBreaker(t *testing.T) {
 		Client:   &serve.Client{Base: "http://127.0.0.1:1"},
 		Retry:    tinyRetry(3),
 		Breaker:  br,
-		Fallback: q2.AnnealSolver{},
+		Fallback: solver.AnnealSolver{},
 	}
 
 	start := time.Now()
 	degraded, err := q2.Solve(big, q2.Options{
 		MaxQubits:   6,
 		Solver:      dead,
-		MergeSolver: q2.AnnealSolver{},
+		MergeSolver: solver.AnnealSolver{},
 		Seed:        4,
 	})
 	if err != nil {
@@ -73,7 +74,7 @@ func TestFallbackDegradationBreaker(t *testing.T) {
 	local, err := q2.Solve(big, q2.Options{
 		MaxQubits:   6,
 		Solver:      localMirror{},
-		MergeSolver: q2.AnnealSolver{},
+		MergeSolver: solver.AnnealSolver{},
 		Seed:        4,
 	})
 	if err != nil {
@@ -134,7 +135,7 @@ func TestFallbackBothPathsFail(t *testing.T) {
 func TestRemoteTerminalFallsBack(t *testing.T) {
 	_, client := startService(t)
 	g := graph.ErdosRenyi(8, 0.5, graph.Unweighted, rng.New(1))
-	bad := RemoteSolver{Client: client, Solver: "bogus", Retry: tinyRetry(3), Fallback: q2.AnnealSolver{}}
+	bad := RemoteSolver{Client: client, Solver: "bogus", Retry: tinyRetry(3), Fallback: solver.AnnealSolver{}}
 	cut, report, err := bad.SolveSubAttributed(g, rng.New(1))
 	if err != nil {
 		t.Fatalf("fallback did not rescue a terminal rejection: %v", err)

@@ -13,6 +13,7 @@ import (
 	q2 "qaoa2/internal/qaoa2"
 	"qaoa2/internal/rng"
 	rt "qaoa2/internal/runtime"
+	"qaoa2/internal/solver"
 )
 
 // delayTransport adds fixed latency to every request, so two runs of
@@ -48,7 +49,7 @@ func TestTimingNeverEntersCheckpoints(t *testing.T) {
 		res, err := q2.Solve(big, q2.Options{
 			MaxQubits:      8,
 			Solver:         RemoteSolver{Client: client},
-			MergeSolver:    q2.AnnealSolver{},
+			MergeSolver:    solver.AnnealSolver{},
 			Seed:           4,
 			CheckpointPath: path,
 		})
@@ -98,7 +99,7 @@ func TestTimingNeverEntersCheckpoints(t *testing.T) {
 		_, err := q2.Solve(big, q2.Options{
 			MaxQubits:      8,
 			Solver:         RemoteSolver{Client: client},
-			MergeSolver:    q2.AnnealSolver{},
+			MergeSolver:    solver.AnnealSolver{},
 			Seed:           4,
 			CheckpointPath: path,
 			OnRuntimeEvent: func(ev rt.Event) { events = append(events, ev) },

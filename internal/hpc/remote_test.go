@@ -9,6 +9,7 @@ import (
 	q2 "qaoa2/internal/qaoa2"
 	"qaoa2/internal/rng"
 	"qaoa2/internal/serve"
+	"qaoa2/internal/solver"
 )
 
 // startService spins an in-process solve service with an HTTP front.
@@ -31,7 +32,7 @@ type localMirror struct{}
 func (localMirror) Name() string { return "local-mirror" }
 
 func (localMirror) SolveSub(g *graph.Graph, r *rng.Rand) (maxcut.Cut, error) {
-	return q2.AnnealSolver{}.SolveSub(g, rng.New(r.Uint64()))
+	return solver.AnnealSolver{}.SolveSub(g, rng.New(r.Uint64()))
 }
 
 // TestRemoteSolverMatchesLocal pins the dispatch contract: a remote
@@ -83,7 +84,7 @@ func TestRemoteSolverInsideDivideAndConquer(t *testing.T) {
 	remoteRes, err := q2.Solve(big, q2.Options{
 		MaxQubits:   8,
 		Solver:      RemoteSolver{Client: client},
-		MergeSolver: q2.AnnealSolver{},
+		MergeSolver: solver.AnnealSolver{},
 		Seed:        4,
 	})
 	if err != nil {
@@ -92,7 +93,7 @@ func TestRemoteSolverInsideDivideAndConquer(t *testing.T) {
 	localRes, err := q2.Solve(big, q2.Options{
 		MaxQubits:   8,
 		Solver:      localMirror{},
-		MergeSolver: q2.AnnealSolver{},
+		MergeSolver: solver.AnnealSolver{},
 		Seed:        4,
 	})
 	if err != nil {

@@ -22,8 +22,8 @@ func TestCoordinatedExactLeaves(t *testing.T) {
 	var busy int64
 	res, err := qaoa2.Solve(g, qaoa2.Options{
 		MaxQubits:      8,
-		Solver:         qaoa2.ExactSolver{},
-		MergeSolver:    qaoa2.ExactSolver{},
+		Solver:         solver.ExactSolver{},
+		MergeSolver:    solver.ExactSolver{},
 		Parallelism:    3,
 		Seed:           1,
 		OnRuntimeEvent: func(ev rt.Event) { busy += ev.Nanos },
@@ -47,12 +47,12 @@ func TestCoordinatedExactLeaves(t *testing.T) {
 // member gets the sub-graph's stream unsplit.
 func TestCoordinatedMatchesInProcessQAOA2(t *testing.T) {
 	g := graph.ErdosRenyi(36, 0.2, graph.Unweighted, rng.New(2))
-	gw, anneal := qaoa2.GWSolver{}, qaoa2.AnnealSolver{Opts: maxcut.AnnealOptions{Sweeps: 30}}
+	gw, anneal := solver.GWSolver{}, solver.AnnealSolver{Opts: maxcut.AnnealOptions{Sweeps: 30}}
 	for _, tc := range []struct {
 		threshold float64
-		member    qaoa2.SubSolver
+		member    solver.Solver
 	}{{2, gw}, {-1, anneal}} {
-		opts := qaoa2.Options{MaxQubits: 7, MergeSolver: qaoa2.ExactSolver{}, Seed: 9}
+		opts := qaoa2.Options{MaxQubits: 7, MergeSolver: solver.ExactSolver{}, Seed: 9}
 		opts.Solver = tc.member
 		want, err := qaoa2.Solve(g, opts)
 		if err != nil {
@@ -78,8 +78,8 @@ func TestCoordinatedSingleWorker(t *testing.T) {
 	g := graph.ErdosRenyi(30, 0.2, graph.Unweighted, rng.New(3))
 	res, err := qaoa2.Solve(g, qaoa2.Options{
 		MaxQubits:   8,
-		Solver:      qaoa2.GWSolver{},
-		MergeSolver: qaoa2.ExactSolver{},
+		Solver:      solver.GWSolver{},
+		MergeSolver: solver.ExactSolver{},
 		Parallelism: 1,
 		Seed:        3,
 		OnRuntimeEvent: func(ev rt.Event) {
@@ -105,8 +105,8 @@ func TestCoordinatedDeterministicAcrossWorkerCounts(t *testing.T) {
 	for _, workers := range []int{1, 5} {
 		res, err := qaoa2.Solve(g, qaoa2.Options{
 			MaxQubits:   6,
-			Solver:      DensityPolicy(0.7, qaoa2.AnnealSolver{}, qaoa2.GWSolver{}),
-			MergeSolver: qaoa2.GWSolver{},
+			Solver:      DensityPolicy(0.7, solver.AnnealSolver{}, solver.GWSolver{}),
+			MergeSolver: solver.GWSolver{},
 			Parallelism: workers,
 			Seed:        11,
 		})
@@ -133,13 +133,13 @@ func TestCoordinatedDeterministicAcrossWorkerCounts(t *testing.T) {
 // when density ≤ threshold, attributes the solve to that member, and
 // returns the member's own cut on the same stream.
 func TestDensityPolicyRoutes(t *testing.T) {
-	quantum, classical := qaoa2.ExactSolver{}, qaoa2.AnnealSolver{Opts: maxcut.AnnealOptions{Sweeps: 30}}
+	quantum, classical := solver.ExactSolver{}, solver.AnnealSolver{Opts: maxcut.AnnealOptions{Sweeps: 30}}
 	sparse := graph.Path(10) // density 9/45 = 0.2
 	d := sparse.Density()
 	for _, tc := range []struct {
 		g         *graph.Graph
 		threshold float64
-		want      qaoa2.SubSolver
+		want      solver.Solver
 	}{
 		{sparse, 0.5, quantum},
 		{graph.Complete(6), 0.5, classical},
@@ -169,8 +169,8 @@ func TestCoordinatedWithPolicyMixesSolvers(t *testing.T) {
 	g, _ := graph.PlantedCommunities(4, 6, 0.9, 0.05, graph.Unweighted, rng.New(5))
 	res, err := qaoa2.Solve(g, qaoa2.Options{
 		MaxQubits:   8,
-		Solver:      DensityPolicy(0.95, qaoa2.ExactSolver{}, qaoa2.GWSolver{}),
-		MergeSolver: qaoa2.ExactSolver{},
+		Solver:      DensityPolicy(0.95, solver.ExactSolver{}, solver.GWSolver{}),
+		MergeSolver: solver.ExactSolver{},
 		Parallelism: 2,
 		Seed:        5,
 	})
@@ -204,8 +204,8 @@ func TestDensityPolicyResumesCheckpoint(t *testing.T) {
 	restored := 0
 	opts := qaoa2.Options{
 		MaxQubits:      7,
-		Solver:         DensityPolicy(0.7, qaoa2.ExactSolver{}, qaoa2.GWSolver{}),
-		MergeSolver:    qaoa2.GWSolver{},
+		Solver:         DensityPolicy(0.7, solver.ExactSolver{}, solver.GWSolver{}),
+		MergeSolver:    solver.GWSolver{},
 		Parallelism:    3,
 		Seed:           8,
 		CheckpointPath: path,
@@ -242,8 +242,8 @@ func TestCoordinatedBeatsRandom(t *testing.T) {
 	g := graph.ErdosRenyi(48, 0.15, graph.Unweighted, rng.New(6))
 	res, err := qaoa2.Solve(g, qaoa2.Options{
 		MaxQubits:   10,
-		Solver:      qaoa2.GWSolver{},
-		MergeSolver: qaoa2.GWSolver{},
+		Solver:      solver.GWSolver{},
+		MergeSolver: solver.GWSolver{},
 		Parallelism: 3,
 		Seed:        6,
 	})
@@ -269,7 +269,7 @@ func TestCoordinatedMergePinned(t *testing.T) {
 	g := graph.ErdosRenyi(60, 0.12, graph.UniformWeights, rng.New(6))
 	for _, workers := range []int{1, 3} {
 		res, err := qaoa2.Solve(g, qaoa2.Options{
-			MaxQubits: 5, Solver: qaoa2.GWSolver{}, MergeSolver: qaoa2.GWSolver{}, Parallelism: workers, Seed: 12,
+			MaxQubits: 5, Solver: solver.GWSolver{}, MergeSolver: solver.GWSolver{}, Parallelism: workers, Seed: 12,
 		})
 		if err != nil {
 			t.Fatal(err)

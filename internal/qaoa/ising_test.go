@@ -1,6 +1,7 @@
 package qaoa
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -58,13 +59,67 @@ func TestSolveIsingFindsGroundState(t *testing.T) {
 	}
 }
 
-// TestSolveIsingMatchesMaxCutSolve pins the degenerate case: solving
-// ising.MaxCutProblem(g) is the same optimization as Solve(g). The two
-// diagonal tables differ only in floating-point summation order, which
-// is enough to perturb a COBYLA trajectory, so the pin is on outcomes:
-// both routes must reach the brute-force optimum of this small
-// instance, with Energy = −cut.
+// TestSolveIsingMatchesMaxCutSolve pins the shared variational loop:
+// on an integral-weight graph the diagonal −E of ising.MaxCutProblem(g)
+// equals the cut table exactly, so SolveIsing runs Solve's trajectory
+// bit for bit on every fused engine and option set: spins, evaluations,
+// angles, Energy = −cut and Expectation = −⟨cut⟩.
 func TestSolveIsingMatchesMaxCutSolve(t *testing.T) {
+	r := rng.New(9)
+	graphs := []*graph.Graph{
+		graph.ErdosRenyi(7, 0.6, graph.Unweighted, r),
+		graph.ErdosRenyi(10, 0.4, graph.Unweighted, r),
+		signedIntegral(8, 0.5, r),
+	}
+	variants := []Options{
+		{Layers: 2, MaxIters: 30},
+		{Layers: 2, MaxIters: 30, TopK: 4},
+		{Layers: 2, MaxIters: 30, Shots: 256, Seed: 3},
+		{Layers: 2, MaxIters: 30, DecodeShots: 128, TopK: 2, Seed: 4},
+		{Layers: 2, MaxIters: 20, Restarts: 3, Seed: 5},
+		{Layers: 2, MaxIters: 30, Optimizer: NelderMead},
+	}
+	bits := func(xs ...float64) []uint64 {
+		out := make([]uint64, len(xs))
+		for i, x := range xs {
+			out[i] = math.Float64bits(x)
+		}
+		return out
+	}
+	for gi, g := range graphs {
+		p, err := ising.MaxCutProblem(g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, be := range []backend.Backend{backend.Fused{}, backend.Fused{Full: true}, backend.Fused{Ranks: 2}} {
+			for vi, opts := range variants {
+				opts.Backend = be
+				want, err := Solve(g, opts, rng.New(7))
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := SolveIsing(p.H, opts, rng.New(7))
+				if err != nil {
+					t.Fatal(err)
+				}
+				gotBits := fmt.Sprint(got.Spins, got.Evaluations, bits(got.Gammas...), bits(got.Betas...), bits(got.Energy, got.Expectation))
+				wantBits := fmt.Sprint(want.Cut.Spins, want.Evaluations, bits(want.Gammas...), bits(want.Betas...), bits(-want.Cut.Value, -want.Expectation))
+				if gotBits != wantBits {
+					t.Errorf("graph %d, %s, options %d: SolveIsing differs from Solve:\n%s\n%s", gi, be.Name(), vi, gotBits, wantBits)
+				}
+			}
+		}
+	}
+}
+
+// TestSolveIsingMaxCutOutcome covers what the bit-identity pin cannot:
+// real weights, where the Ising diagonal and the cut table differ in
+// floating-point summation order, and the dense backend, whose gate
+// walk applies the two cost layers in different orders. Either
+// difference is enough to perturb a COBYLA trajectory, so the pin is on
+// outcomes: both routes must reach the brute-force optimum of this
+// small instance, with Energy = −cut.
+func TestSolveIsingMaxCutOutcome(t *testing.T) {
 	g := graph.New(7)
 	r := rng.New(9)
 	for i := 0; i < 7; i++ {
@@ -82,24 +137,26 @@ func TestSolveIsingMatchesMaxCutSolve(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts := Options{Layers: 3, TopK: 8, Seed: 7}
-	cutRes, err := Solve(g, opts, rng.New(7))
-	if err != nil {
-		t.Fatal(err)
-	}
-	isingRes, err := SolveIsing(p.H, opts, rng.New(7))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(cutRes.Cut.Value-want.Value) > 1e-9 {
-		t.Fatalf("MaxCut route found %g, optimum %g", cutRes.Cut.Value, want.Value)
-	}
-	if math.Abs(isingRes.Energy+want.Value) > 1e-9 {
-		t.Fatalf("Ising route energy %g, want −optimum = %g", isingRes.Energy, -want.Value)
-	}
-	// Energy must be the exact negated cut of the decoded assignment.
-	if math.Abs(isingRes.Energy+g.CutValue(isingRes.Spins)) > 1e-12 {
-		t.Fatalf("energy %g inconsistent with decoded cut %g", isingRes.Energy, g.CutValue(isingRes.Spins))
+	for _, be := range []backend.Backend{nil, backend.Dense{}} {
+		opts := Options{Layers: 3, TopK: 8, Seed: 7, Backend: be}
+		cutRes, err := Solve(g, opts, rng.New(7))
+		if err != nil {
+			t.Fatal(err)
+		}
+		isingRes, err := SolveIsing(p.H, opts, rng.New(7))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if math.Abs(cutRes.Cut.Value-want.Value) > 1e-9 {
+			t.Fatalf("%v: MaxCut route found %g, optimum %g", be, cutRes.Cut.Value, want.Value)
+		}
+		if math.Abs(isingRes.Energy+want.Value) > 1e-9 {
+			t.Fatalf("%v: Ising route energy %g, want −optimum = %g", be, isingRes.Energy, -want.Value)
+		}
+		// Energy must be the exact negated cut of the decoded assignment.
+		if math.Abs(isingRes.Energy+g.CutValue(isingRes.Spins)) > 1e-12 {
+			t.Fatalf("%v: energy %g inconsistent with decoded cut %g", be, isingRes.Energy, g.CutValue(isingRes.Spins))
+		}
 	}
 }
 

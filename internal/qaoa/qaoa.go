@@ -9,7 +9,9 @@
 // cut among the top-K amplitudes, the improvement the paper suggests in
 // §3.2/§5). Solve spends the optimizer's whole budget; SolveCut, the
 // entry point of QAOA² leaves, stops as soon as the decoded cut is
-// certified optimal.
+// certified optimal. SolveIsing is the same variational loop on the
+// ansatz backend.PrepareIsing compiles from an Ising Hamiltonian, with
+// −E in place of the cut as the value of a decoded bit string.
 package qaoa
 
 import (
@@ -216,33 +218,56 @@ func solve(g *graph.Graph, opts Options, r *rng.Rand, stopAtCertificate bool) (*
 		return &Result{Cut: maxcut.Cut{Spins: spins, Value: 0}, Optimal: true}, nil
 	}
 
-	be := opts.Backend
-	if be == nil {
-		be = backend.Default(opts.Synthesis)
-	}
-	ans, err := be.Prepare(g, backend.Config{
-		Layers:    opts.Layers,
-		Synthesis: opts.Synthesis,
-		Seed:      opts.Seed,
-	})
+	be, cfg := opts.backend()
+	ans, err := be.Prepare(g, cfg)
 	if err != nil {
 		return nil, err
 	}
-	layout := ans.Layout()
+	// The certificate exists where exact arithmetic lets a cut equal the
+	// table's maximum (backend.TableMax): under graph.IntegralWeights both
+	// are integers computed exactly. SolveCut also stops on it when
+	// decoding is exact.
+	certified := g.IntegralWeights()
+	var tableMax float64
+	var stopAt *float64
+	if certified {
+		tableMax = backend.TableMax(ans)
+		if stopAtCertificate && opts.DecodeShots == 0 {
+			stopAt = &tableMax
+		}
+	}
+	res, err := run(ans, n, g.CutValueBits, stopAt, opts, r)
+	if err != nil {
+		return nil, err
+	}
+	res.Optimal = certified && res.Cut.Value == tableMax
+	return res, nil
+}
+
+// backend resolves the execution backend (nil applies backend.Default)
+// and the configuration every entry point prepares its ansatz with.
+func (o Options) backend() (backend.Backend, backend.Config) {
+	be := o.Backend
+	if be == nil {
+		be = backend.Default(o.Synthesis)
+	}
+	return be, backend.Config{Layers: o.Layers, Synthesis: o.Synthesis, Seed: o.Seed}
+}
+
+// run is the QAOA variational loop every entry point shares. It trains
+// the prepared ansatz on n logical qubits (one start, or opts.Restarts
+// lockstep starts), re-evaluates the best parameters and decodes the
+// final state into the bit string of highest value, where value is the
+// objective's exact score of a bit string. With stopAt, a single start
+// stops at the first evaluation whose decoded value equals *stopAt and
+// reports that evaluation. Result.Optimal is left to the caller.
+func run(ans backend.Ansatz, n int, value func(bits []uint8) float64, stopAt *float64, opts Options, r *rng.Rand) (*Result, error) {
+	dec := decoder{n: n, layout: ans.Layout(), topK: opts.TopK, value: value}
 	// Only the sampled objective reads the diagonal; an exactly scored
 	// leaf never asks the backend to materialise it.
 	var table []float64
 	if opts.Shots > 0 {
 		table = ans.Diagonal()
-	}
-	// The certificate exists where exact arithmetic lets a cut equal the
-	// table's maximum; SolveCut also stops on it when decoding is exact.
-	var cert, stopAt *certifier
-	if g.IntegralWeights() {
-		cert = &certifier{g: g, layout: layout, max: backend.TableMax(ans), topK: opts.TopK}
-		if stopAtCertificate && opts.DecodeShots == 0 {
-			stopAt = cert
-		}
 	}
 
 	shotRand := r
@@ -265,12 +290,13 @@ func solve(g *graph.Graph, opts Options, r *rng.Rand, stopAtCertificate bool) (*
 
 	var res opt.Result
 	var hit *point
+	var err error
 	if opts.Restarts > 1 {
 		// Multi-start runs its whole budget: SolveCut stops single starts
 		// only.
 		res, err = multiStart(ans, opts, x0, shotRand, table)
 	} else {
-		res, hit, err = runOptimizer(ans, opts, x0, shotRand, table, opts.Seed, stopAt)
+		res, hit, err = runOptimizer(ans, opts, x0, shotRand, table, dec, stopAt)
 	}
 	if err != nil {
 		return nil, err
@@ -296,9 +322,9 @@ func solve(g *graph.Graph, opts Options, r *rng.Rand, stopAtCertificate bool) (*
 			return nil, err
 		}
 		if opts.DecodeShots > 0 {
-			cut = decodeSampled(g, s, layout, opts.TopK, opts.DecodeShots, shotRand)
+			cut = dec.sampled(s, opts.DecodeShots, shotRand)
 		} else {
-			cut = decode(g, s, layout, opts.TopK)
+			cut = dec.exact(s)
 		}
 	}
 	return &Result{
@@ -309,30 +335,8 @@ func solve(g *graph.Graph, opts Options, r *rng.Rand, stopAtCertificate bool) (*
 		Evaluations: res.Evals,
 		Report:      ans.Report(),
 		State:       s,
-		Layout:      layout,
-		Optimal:     cert != nil && cut.Value == cert.max,
+		Layout:      dec.layout,
 	}, nil
-}
-
-// certifier is SolveCut's stop rule: a state is certified when the cut
-// decode reads off it has the diagonal's maximum value
-// (backend.TableMax). Under graph.IntegralWeights both are integers
-// computed exactly (g.CutValueBits and the backend's table), so the
-// test is exact. A nil certifier certifies nothing.
-type certifier struct {
-	g      *graph.Graph
-	layout []int
-	max    float64
-	topK   int
-}
-
-// certifies decodes s and returns its cut when that cut is optimal.
-func (c *certifier) certifies(s *qsim.State) (maxcut.Cut, bool) {
-	if c == nil {
-		return maxcut.Cut{}, false
-	}
-	cut := decode(c.g, s, c.layout, c.topK)
-	return cut, cut.Value == c.max
 }
 
 // point is a certified evaluation: its parameters, exact energy, final
@@ -386,9 +390,10 @@ func sampledEnergy(s *qsim.State, table []float64, shots int, r *rng.Rand) float
 
 // runOptimizer performs a single optimizer run from x0; objective
 // evaluations go straight through the ansatz (with optional shot
-// sampling from shotRand). With a certifier it stops at the first
-// certified evaluation and returns it.
-func runOptimizer(ans backend.Ansatz, opts Options, x0 []float64, shotRand *rng.Rand, table []float64, seed uint64, cert *certifier) (opt.Result, *point, error) {
+// sampling from shotRand). With stopAt it decodes every evaluated state
+// and stops at the first whose decoded value equals *stopAt, returning
+// that evaluation.
+func runOptimizer(ans backend.Ansatz, opts Options, x0 []float64, shotRand *rng.Rand, table []float64, dec decoder, stopAt *float64) (opt.Result, *point, error) {
 	p := opts.Layers
 	var hit *point
 	objective := func(x []float64) float64 {
@@ -396,9 +401,11 @@ func runOptimizer(ans backend.Ansatz, opts Options, x0 []float64, shotRand *rng.
 		if err != nil {
 			panic(err) // parameter lengths are fixed by construction
 		}
-		if cut, ok := cert.certifies(s); ok {
-			// The optimizer stops after this call, so s stays valid.
-			hit = &point{x: slices.Clone(x), energy: energy, state: s, cut: cut}
+		if stopAt != nil {
+			if cut := dec.exact(s); cut.Value == *stopAt {
+				// The optimizer stops after this call, so s stays valid.
+				hit = &point{x: slices.Clone(x), energy: energy, state: s, cut: cut}
+			}
 		}
 		f := energy
 		if opts.Shots > 0 {
@@ -407,10 +414,10 @@ func runOptimizer(ans backend.Ansatz, opts Options, x0 []float64, shotRand *rng.
 		return -f // optimizers minimize
 	}
 	var stop func() bool
-	if cert != nil {
+	if stopAt != nil {
 		stop = func() bool { return hit != nil }
 	}
-	res, err := minimize(opts, objective, x0, seed, stop)
+	res, err := minimize(opts, objective, x0, opts.Seed, stop)
 	return res, hit, err
 }
 
@@ -560,20 +567,31 @@ func ZZCorrelation(s *qsim.State, layout []int, i, j int) float64 {
 	return corr
 }
 
-// decode extracts the solution bit string: the best cut among the top-K
-// probability basis states (K=1 is the paper's rule, where MaxAmpIndex
-// is TopAmpIndices(1) without the selection bookkeeping).
-func decode(g *graph.Graph, s *qsim.State, layout []int, topK int) maxcut.Cut {
-	if topK == 1 {
-		return bestCutOf(g, layout, g.N(), []uint64{s.MaxAmpIndex()})
-	}
-	return bestCutOf(g, layout, g.N(), s.TopAmpIndices(topK))
+// decoder reads the solution bit string off a state: of the candidate
+// basis states it keeps the one of highest value, the objective's exact
+// score (g.CutValueBits for MaxCut, −E for an Ising Hamiltonian), and
+// returns it as a maxcut.Cut whose Value is that score.
+type decoder struct {
+	n      int   // logical qubits
+	layout []int // logical node → physical wire (nil: identity)
+	topK   int
+	value  func(bits []uint8) float64
 }
 
-// decodeSampled extracts the solution from a finite-shot histogram: the
-// best cut among the K most frequent outcomes (ties: higher count, then
-// lower basis index, for determinism).
-func decodeSampled(g *graph.Graph, s *qsim.State, layout []int, topK, shots int, r *rng.Rand) maxcut.Cut {
+// exact decodes from the statevector: the best of the top-K probability
+// basis states (K=1 is the paper's rule, where MaxAmpIndex is
+// TopAmpIndices(1) without the selection bookkeeping).
+func (d decoder) exact(s *qsim.State) maxcut.Cut {
+	if d.topK == 1 {
+		return d.best([]uint64{s.MaxAmpIndex()})
+	}
+	return d.best(s.TopAmpIndices(d.topK))
+}
+
+// sampled decodes from a finite-shot histogram: the best of the K most
+// frequent outcomes (ties: higher count, then lower basis index, for
+// determinism).
+func (d decoder) sampled(s *qsim.State, shots int, r *rng.Rand) maxcut.Cut {
 	hist := s.Sample(shots, r)
 	type entry struct {
 		idx   uint64
@@ -589,29 +607,23 @@ func decodeSampled(g *graph.Graph, s *qsim.State, layout []int, topK, shots int,
 		}
 		return entries[a].idx < entries[b].idx
 	})
-	if topK < 1 {
-		topK = 1
-	}
-	if topK > len(entries) {
-		topK = len(entries)
-	}
+	topK := min(d.topK, len(entries))
 	indices := make([]uint64, topK)
 	for i := 0; i < topK; i++ {
 		indices[i] = entries[i].idx
 	}
-	return bestCutOf(g, layout, g.N(), indices)
+	return d.best(indices)
 }
 
-// bestCutOf evaluates candidate basis states and keeps the best cut.
-func bestCutOf(g *graph.Graph, layout []int, n int, indices []uint64) maxcut.Cut {
+// best scores candidate basis states and keeps the highest value.
+func (d decoder) best(indices []uint64) maxcut.Cut {
 	best := maxcut.Cut{Value: math.Inf(-1)}
 	for _, idx := range indices {
-		bits := make([]uint8, n)
-		for q := 0; q < n; q++ {
-			bits[q] = uint8(idx >> uint(physOf(layout, q)) & 1)
+		bits := make([]uint8, d.n)
+		for q := range bits {
+			bits[q] = uint8(idx >> uint(physOf(d.layout, q)) & 1)
 		}
-		v := g.CutValueBits(bits)
-		if v > best.Value {
+		if v := d.value(bits); v > best.Value {
 			best = maxcut.Cut{Spins: graph.SpinsFromBits(bits), Value: v}
 		}
 	}

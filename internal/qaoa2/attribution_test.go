@@ -27,11 +27,11 @@ import (
 // different winners — one-exchange wins exactly the parts where its
 // local search lands on the optimum (it precedes exact, and ties keep
 // the earliest member), exact wins the rest, random almost never.
-func attributionMembers() []SubSolver {
-	return []SubSolver{
-		RandomSolver{Trials: 1},
-		OneExchangeSolver{},
-		ExactSolver{},
+func attributionMembers() []solver.Solver {
+	return []solver.Solver{
+		solver.RandomSolver{Trials: 1},
+		solver.OneExchangeSolver{},
+		solver.ExactSolver{},
 	}
 }
 
@@ -68,13 +68,13 @@ func TestAttributionNamesActualWinnerEverywhere(t *testing.T) {
 	}
 	const seed = 77
 
-	composites := map[string]SubSolver{
-		"best":      BestOfSolver{Solvers: attributionMembers()},
-		"portfolio": PortfolioSolver{Solvers: attributionMembers()},
+	composites := map[string]solver.Solver{
+		"best":      solver.BestOfSolver{Solvers: attributionMembers()},
+		"portfolio": solver.PortfolioSolver{Solvers: attributionMembers()},
 	}
 	for label, comp := range composites {
 		opts := Options{MaxQubits: 6, Partition: parts, Solver: comp,
-			MergeSolver: OneExchangeSolver{}, Seed: seed}
+			MergeSolver: solver.OneExchangeSolver{}, Seed: seed}
 		want, err := referenceSolve(g, opts)
 		if err != nil {
 			t.Fatalf("%s reference: %v", label, err)
@@ -137,11 +137,11 @@ func TestAttributionNamesActualWinnerEverywhere(t *testing.T) {
 // telemetry belongs to the run that solved).
 func TestAttributionSurvivesCheckpointRestore(t *testing.T) {
 	g := graph.ErdosRenyi(30, 0.25, graph.Unweighted, rng.New(9))
-	comp := BestOfSolver{Solvers: attributionMembers()}
+	comp := solver.BestOfSolver{Solvers: attributionMembers()}
 	opts := Options{
 		MaxQubits:      6,
 		Solver:         comp,
-		MergeSolver:    OneExchangeSolver{},
+		MergeSolver:    solver.OneExchangeSolver{},
 		Seed:           13,
 		CheckpointPath: filepath.Join(t.TempDir(), "attr.ckpt"),
 	}
@@ -179,7 +179,7 @@ func TestAttributionSurvivesCheckpointRestore(t *testing.T) {
 
 // uncertified hides a solver's optimality certificate: it is a plain
 // Solver, so SolveAttributed reports its name and nothing else.
-type uncertified struct{ inner SubSolver }
+type uncertified struct{ inner solver.Solver }
 
 func (u uncertified) Name() string { return u.inner.Name() }
 
@@ -198,14 +198,14 @@ func TestCertifiedSkipKeepsAttributionShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	members := []SubSolver{ExactSolver{}, OneExchangeSolver{}, RandomSolver{Trials: 1}}
-	everyMemberRuns := []SubSolver{uncertified{ExactSolver{}}, OneExchangeSolver{}, RandomSolver{Trials: 1}}
-	for label, build := range map[string]func([]SubSolver) SubSolver{
-		"best":      func(m []SubSolver) SubSolver { return BestOfSolver{Solvers: m} },
-		"portfolio": func(m []SubSolver) SubSolver { return PortfolioSolver{Solvers: m} },
+	members := []solver.Solver{solver.ExactSolver{}, solver.OneExchangeSolver{}, solver.RandomSolver{Trials: 1}}
+	everyMemberRuns := []solver.Solver{uncertified{solver.ExactSolver{}}, solver.OneExchangeSolver{}, solver.RandomSolver{Trials: 1}}
+	for label, build := range map[string]func([]solver.Solver) solver.Solver{
+		"best":      func(m []solver.Solver) solver.Solver { return solver.BestOfSolver{Solvers: m} },
+		"portfolio": func(m []solver.Solver) solver.Solver { return solver.PortfolioSolver{Solvers: m} },
 	} {
 		opts := Options{
-			MaxQubits: 6, Partition: parts, MergeSolver: OneExchangeSolver{}, Seed: 77,
+			MaxQubits: 6, Partition: parts, MergeSolver: solver.OneExchangeSolver{}, Seed: 77,
 		}
 		opts.Solver = build(everyMemberRuns)
 		want, err := Solve(g, opts)

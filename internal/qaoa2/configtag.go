@@ -25,7 +25,7 @@ func configTag(opts Options) string {
 
 // solverTag fingerprints one solver role: canonical spec when the
 // solver came from the registry, solver.ConfigTag otherwise.
-func solverTag(spec solver.Spec, s SubSolver) string {
+func solverTag(spec solver.Spec, s solver.Solver) string {
 	if spec.Name != "" {
 		return "spec:" + spec.Canonical()
 	}

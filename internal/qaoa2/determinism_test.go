@@ -24,7 +24,7 @@ func TestSeedDeterminismAcrossParallelismAndPaths(t *testing.T) {
 	// GW rides along as leaf and merge solver (the contracted merge graph
 	// carries signed weights): its relaxation owns its embedding and its
 	// seeded stream per solve, so concurrent leaves share nothing.
-	for _, sub := range []SubSolver{cheapAnneal(), GWSolver{}} {
+	for _, sub := range []solver.Solver{cheapAnneal(), solver.GWSolver{}} {
 		solveVsReference(t, sub.Name(), g, Options{MaxQubits: 7, Solver: sub, MergeSolver: sub, Seed: 99})
 	}
 	// And a different seed must (in general) change the result stream:
@@ -101,7 +101,7 @@ func TestCheckpointStaleOnSolverConfigChange(t *testing.T) {
 	g := graph.ErdosRenyi(36, 0.2, graph.Unweighted, rng.New(31))
 	path := filepath.Join(t.TempDir(), "cfg.ckpt")
 	mk := func(sweeps int) Options {
-		s := AnnealSolver{Opts: maxcut.AnnealOptions{Sweeps: sweeps}}
+		s := solver.AnnealSolver{Opts: maxcut.AnnealOptions{Sweeps: sweeps}}
 		return Options{MaxQubits: 6, Solver: s, MergeSolver: s, Seed: 5, CheckpointPath: path}
 	}
 	if _, err := Solve(g, mk(30)); err != nil {
@@ -143,7 +143,7 @@ func TestCheckpointResumesWithExplicitModel(t *testing.T) {
 	mk := func(bias float64) Options {
 		m := solver.DefaultSelector()
 		m.Bias += bias
-		s := MLAdaptiveSolver{Model: m, Quantum: ExactSolver{}, Classical: cheapAnneal()}
+		s := solver.MLAdaptiveSolver{Model: m, Quantum: solver.ExactSolver{}, Classical: cheapAnneal()}
 		return Options{MaxQubits: 6, Solver: s, MergeSolver: s, Seed: 8, CheckpointPath: path,
 			OnRuntimeEvent: func(ev rt.Event) {
 				if ev.Restored {

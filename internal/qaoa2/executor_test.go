@@ -10,6 +10,7 @@ import (
 	"qaoa2/internal/graph"
 	"qaoa2/internal/maxcut"
 	"qaoa2/internal/rng"
+	"qaoa2/internal/solver"
 )
 
 // The contract of the single execution path: Solve is the task-graph
@@ -38,7 +39,7 @@ func TestSolveLeavesNoGoroutineBehind(t *testing.T) {
 	g := graph.ErdosRenyi(48, 0.15, graph.Unweighted, rng.New(3))
 	before := runtime.NumGoroutine()
 	for i := 0; i < 4; i++ {
-		opts := Options{MaxQubits: 6, Solver: ExactSolver{}, Parallelism: 8, Seed: uint64(i)}
+		opts := Options{MaxQubits: 6, Solver: solver.ExactSolver{}, Parallelism: 8, Seed: uint64(i)}
 		if _, err := Solve(g, opts); err != nil {
 			t.Fatal(err)
 		}
@@ -69,7 +70,7 @@ func TestSolveLeavesNoGoroutineBehind(t *testing.T) {
 // shows in a benchmark.
 func TestSolveAllocationCeiling(t *testing.T) {
 	g := twoCliquesBridge(6)
-	opts := Options{MaxQubits: 6, Solver: ExactSolver{}, Parallelism: 1, Seed: 1}
+	opts := Options{MaxQubits: 6, Solver: solver.ExactSolver{}, Parallelism: 1, Seed: 1}
 	res, err := Solve(g, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -109,7 +110,7 @@ func TestErrorsNameThePartOrNode(t *testing.T) {
 	}
 	for _, tc := range cases {
 		if tc.opts.Solver == nil {
-			tc.opts.Solver = ExactSolver{}
+			tc.opts.Solver = solver.ExactSolver{}
 		}
 		_, err := Solve(g, tc.opts)
 		if err == nil || !strings.Contains(err.Error(), tc.want) {

@@ -8,6 +8,7 @@ import (
 	"qaoa2/internal/graph"
 	"qaoa2/internal/maxcut"
 	"qaoa2/internal/rng"
+	"qaoa2/internal/solver"
 )
 
 // The QAOA² divide-and-conquer invariants, property-tested across
@@ -57,8 +58,8 @@ func checkInvariants(t *testing.T, label string, g *graph.Graph, res *Result, ma
 	}
 }
 
-func cheapAnneal() SubSolver {
-	return AnnealSolver{Opts: maxcut.AnnealOptions{Sweeps: 30}}
+func cheapAnneal() solver.Solver {
+	return solver.AnnealSolver{Opts: maxcut.AnnealOptions{Sweeps: 30}}
 }
 
 func TestInvariantsAcrossRandomGraphs(t *testing.T) {
@@ -98,7 +99,7 @@ func TestInvariantsWithExactSolver(t *testing.T) {
 		for seed := uint64(0); seed < 3; seed++ {
 			label := fmt.Sprintf("exact/q%d/s%d", mq, seed)
 			g := graph.ErdosRenyi(26, 0.2, graph.Unweighted, rng.New(seed+100))
-			opts := Options{MaxQubits: mq, Solver: ExactSolver{}, Seed: seed}
+			opts := Options{MaxQubits: mq, Solver: solver.ExactSolver{}, Seed: seed}
 			res := solveVsReference(t, label, g, opts)
 			checkInvariants(t, label, g, res, mq)
 		}

@@ -1,3 +1,16 @@
+// Package qaoa2 implements QAOA-in-QAOA (Zhou et al.; paper §3.3), the
+// repository's primary contribution: large MaxCut instances are divided
+// into qubit-sized sub-graphs by greedy modularity, the sub-graphs are
+// solved in parallel by a pluggable solver — simulated QAOA, classical
+// Goemans-Williamson, or a composite strategy making the run-time
+// quantum-or-classical choice the paper's SLURM workflow enables — and
+// the sub-solutions are merged by solving a signed contracted graph,
+// recursively if it still exceeds the qubit budget.
+//
+// The package is the front of that algorithm, not its executor: Solve
+// resolves Options (defaults, registry specs, the checkpoint config
+// tag) and hands the solve to internal/runtime, the one implementation
+// of partition → sub-solve → merge → stitch. No goroutine starts here.
 package qaoa2
 
 import (
@@ -19,11 +32,11 @@ type Options struct {
 	// Solver handles first-level sub-graphs (default QAOA with paper
 	// defaults). The paper's run-time decision mechanism plugs in
 	// GWSolver, BestOfSolver, or any registry solver here.
-	Solver SubSolver
+	Solver solver.Solver
 	// MergeSolver handles merge graphs on every recursion level
 	// (default: same as Solver). The paper chooses the classical
 	// solution for further iterations in the Fig. 4 runs.
-	MergeSolver SubSolver
+	MergeSolver solver.Solver
 	// SolverSpec names a registry solver (internal/solver) to build
 	// when Solver is nil — the declarative, JSON-serializable route the
 	// serve daemon and CLIs use. Its canonical form is folded into
@@ -36,7 +49,7 @@ type Options struct {
 	// sub- and merge solvers (nil = backend.Default, the fused path).
 	// It is ignored when an explicit Solver/MergeSolver is provided —
 	// set the backend inside that solver's own options instead (e.g.
-	// QAOASolver{Opts: qaoa.Options{Backend: ...}}).
+	// solver.QAOASolver{Opts: qaoa.Options{Backend: ...}}).
 	Backend backend.Backend
 	// Restarts forwards qaoa.Options.Restarts to the DEFAULT QAOA sub-
 	// and merge solvers: every sub-graph solve runs this many batched
@@ -107,7 +120,7 @@ func (o Options) withDefaults() (Options, error) {
 		o.MergeSolver = s
 	}
 	if o.Solver == nil {
-		o.Solver = QAOASolver{Opts: qaoa.Options{Backend: o.Backend, Restarts: o.Restarts}}
+		o.Solver = solver.QAOASolver{Opts: qaoa.Options{Backend: o.Backend, Restarts: o.Restarts}}
 	}
 	if o.MergeSolver == nil {
 		o.MergeSolver = o.Solver
@@ -115,9 +128,6 @@ func (o Options) withDefaults() (Options, error) {
 	}
 	return o, nil
 }
-
-// SubReport records one solved sub-graph at the first level.
-type SubReport = rt.SubReport
 
 // Result reports a QAOA² run.
 type Result = rt.Result
@@ -154,7 +164,7 @@ func (o Options) executor() rt.Options {
 
 // SummarizeSubReports aggregates first-level sub-reports per solver for
 // logs: count and total value, sorted by solver name.
-func SummarizeSubReports(reports []SubReport) string {
+func SummarizeSubReports(reports []rt.SubReport) string {
 	type agg struct {
 		count int
 		value float64

@@ -9,15 +9,17 @@ import (
 	"qaoa2/internal/maxcut"
 	"qaoa2/internal/qaoa"
 	"qaoa2/internal/rng"
+	rt "qaoa2/internal/runtime"
+	"qaoa2/internal/solver"
 )
 
-func fastQAOA() SubSolver {
-	return QAOASolver{Opts: qaoa.Options{Layers: 2, MaxIters: 40}}
+func fastQAOA() solver.Solver {
+	return solver.QAOASolver{Opts: qaoa.Options{Layers: 2, MaxIters: 40}}
 }
 
 func TestSolveSmallGraphDirect(t *testing.T) {
 	g := graph.Complete(5)
-	res, err := Solve(g, Options{MaxQubits: 8, Solver: ExactSolver{}})
+	res, err := Solve(g, Options{MaxQubits: 8, Solver: solver.ExactSolver{}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,7 +34,7 @@ func TestSolveSmallGraphDirect(t *testing.T) {
 func TestSolveDividesAndMerges(t *testing.T) {
 	r := rng.New(1)
 	g := graph.ErdosRenyi(24, 0.2, graph.Unweighted, r)
-	res, err := Solve(g, Options{MaxQubits: 8, Solver: ExactSolver{}, Seed: 1})
+	res, err := Solve(g, Options{MaxQubits: 8, Solver: solver.ExactSolver{}, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +60,7 @@ func TestMergeImprovesOverNaiveStitch(t *testing.T) {
 	r := rng.New(2)
 	for trial := 0; trial < 5; trial++ {
 		g := graph.ErdosRenyi(20, 0.3, graph.UniformWeights, r)
-		res, err := Solve(g, Options{MaxQubits: 7, Solver: ExactSolver{}, Seed: uint64(trial)})
+		res, err := Solve(g, Options{MaxQubits: 7, Solver: solver.ExactSolver{}, Seed: uint64(trial)})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -88,7 +90,7 @@ func TestQAOA2WithExactLeavesNearOptimum(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := Solve(g, Options{MaxQubits: 6, Solver: ExactSolver{}, Seed: uint64(trial)})
+		res, err := Solve(g, Options{MaxQubits: 6, Solver: solver.ExactSolver{}, Seed: uint64(trial)})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -125,7 +127,7 @@ func TestQAOALeafSolver(t *testing.T) {
 func TestGWLeafSolver(t *testing.T) {
 	r := rng.New(5)
 	g := graph.ErdosRenyi(20, 0.25, graph.Unweighted, r)
-	res, err := Solve(g, Options{MaxQubits: 7, Solver: GWSolver{}, Seed: 5})
+	res, err := Solve(g, Options{MaxQubits: 7, Solver: solver.GWSolver{}, Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +138,7 @@ func TestGWLeafSolver(t *testing.T) {
 
 func TestBestOfSolverTakesBetter(t *testing.T) {
 	g := graph.Bipartite(4, 4)
-	best := BestOfSolver{Solvers: []SubSolver{RandomSolver{}, ExactSolver{}}}
+	best := solver.BestOfSolver{Solvers: []solver.Solver{solver.RandomSolver{}, solver.ExactSolver{}}}
 	cut, err := best.SolveSub(g, rng.New(6))
 	if err != nil {
 		t.Fatal(err)
@@ -150,7 +152,7 @@ func TestBestOfSolverTakesBetter(t *testing.T) {
 }
 
 func TestBestOfSolverEmpty(t *testing.T) {
-	if _, err := (BestOfSolver{}).SolveSub(graph.Complete(2), rng.New(1)); err == nil {
+	if _, err := (solver.BestOfSolver{}).SolveSub(graph.Complete(2), rng.New(1)); err == nil {
 		t.Fatal("empty best-of accepted")
 	}
 }
@@ -162,15 +164,15 @@ func TestBestOfSubCutsMatchExact(t *testing.T) {
 	// patterns interact differently across cut edges.)
 	r := rng.New(7)
 	g := graph.ErdosRenyi(24, 0.2, graph.Unweighted, r)
-	mk := func(s SubSolver, seed uint64) []SubReport {
-		res, err := Solve(g, Options{MaxQubits: 8, Solver: s, MergeSolver: ExactSolver{}, Seed: seed})
+	mk := func(s solver.Solver, seed uint64) []rt.SubReport {
+		res, err := Solve(g, Options{MaxQubits: 8, Solver: s, MergeSolver: solver.ExactSolver{}, Seed: seed})
 		if err != nil {
 			t.Fatal(err)
 		}
 		return res.SubReports
 	}
-	best := mk(BestOfSolver{Solvers: []SubSolver{GWSolver{}, ExactSolver{}}}, 9)
-	exact := mk(ExactSolver{}, 9)
+	best := mk(solver.BestOfSolver{Solvers: []solver.Solver{solver.GWSolver{}, solver.ExactSolver{}}}, 9)
+	exact := mk(solver.ExactSolver{}, 9)
 	if len(best) != len(exact) {
 		t.Fatalf("partition changed between runs: %d vs %d parts", len(best), len(exact))
 	}
@@ -186,7 +188,7 @@ func TestMergeRecursionManyParts(t *testing.T) {
 	// (≥16 nodes) must itself recurse.
 	r := rng.New(8)
 	g := graph.ErdosRenyi(64, 0.15, graph.Unweighted, r)
-	res, err := Solve(g, Options{MaxQubits: 4, Solver: ExactSolver{}, Seed: 8})
+	res, err := Solve(g, Options{MaxQubits: 4, Solver: solver.ExactSolver{}, Seed: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,11 +203,11 @@ func TestMergeRecursionManyParts(t *testing.T) {
 func TestAllSolversProduceValidCuts(t *testing.T) {
 	r := rng.New(9)
 	g := graph.ErdosRenyi(10, 0.4, graph.UniformWeights, r)
-	solvers := []SubSolver{
-		fastQAOA(), GWSolver{}, RandomSolver{Trials: 3},
-		AnnealSolver{Opts: maxcut.AnnealOptions{Sweeps: 50}},
-		ExactSolver{}, OneExchangeSolver{},
-		BestOfSolver{Solvers: []SubSolver{GWSolver{}, RandomSolver{}}},
+	solvers := []solver.Solver{
+		fastQAOA(), solver.GWSolver{}, solver.RandomSolver{Trials: 3},
+		solver.AnnealSolver{Opts: maxcut.AnnealOptions{Sweeps: 50}},
+		solver.ExactSolver{}, solver.OneExchangeSolver{},
+		solver.BestOfSolver{Solvers: []solver.Solver{solver.GWSolver{}, solver.RandomSolver{}}},
 	}
 	for _, s := range solvers {
 		cut, err := s.SolveSub(g, rng.New(10))
@@ -219,13 +221,13 @@ func TestAllSolversProduceValidCuts(t *testing.T) {
 }
 
 func TestSolverNames(t *testing.T) {
-	names := map[string]SubSolver{
-		"qaoa":         QAOASolver{},
-		"gw":           GWSolver{},
-		"random":       RandomSolver{},
-		"anneal":       AnnealSolver{},
-		"exact":        ExactSolver{},
-		"one-exchange": OneExchangeSolver{},
+	names := map[string]solver.Solver{
+		"qaoa":         solver.QAOASolver{},
+		"gw":           solver.GWSolver{},
+		"random":       solver.RandomSolver{},
+		"anneal":       solver.AnnealSolver{},
+		"exact":        solver.ExactSolver{},
+		"one-exchange": solver.OneExchangeSolver{},
 	}
 	for want, s := range names {
 		if s.Name() != want {
@@ -238,7 +240,7 @@ func TestExplicitPartitionOverride(t *testing.T) {
 	r := rng.New(30)
 	g := graph.ErdosRenyi(12, 0.4, graph.Unweighted, r)
 	parts := [][]int{{0, 1, 2, 3}, {4, 5, 6, 7}, {8, 9, 10, 11}}
-	res, err := Solve(g, Options{MaxQubits: 4, Solver: ExactSolver{}, Partition: parts, Seed: 1})
+	res, err := Solve(g, Options{MaxQubits: 4, Solver: solver.ExactSolver{}, Partition: parts, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -261,11 +263,11 @@ func TestEmptyGraph(t *testing.T) {
 func TestDeterministicForSeed(t *testing.T) {
 	r := rng.New(11)
 	g := graph.ErdosRenyi(20, 0.3, graph.Unweighted, r)
-	a, err := Solve(g, Options{MaxQubits: 6, Solver: GWSolver{}, Seed: 77})
+	a, err := Solve(g, Options{MaxQubits: 6, Solver: solver.GWSolver{}, Seed: 77})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Solve(g, Options{MaxQubits: 6, Solver: GWSolver{}, Seed: 77})
+	b, err := Solve(g, Options{MaxQubits: 6, Solver: solver.GWSolver{}, Seed: 77})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -275,7 +277,7 @@ func TestDeterministicForSeed(t *testing.T) {
 }
 
 func TestSummarizeSubReports(t *testing.T) {
-	s := SummarizeSubReports([]SubReport{
+	s := SummarizeSubReports([]rt.SubReport{
 		{Solver: "qaoa", Value: 2},
 		{Solver: "gw", Value: 3},
 		{Solver: "qaoa", Value: 1},
@@ -291,7 +293,7 @@ func TestLargeSparseGraphWithClassicalLeaves(t *testing.T) {
 	}
 	r := rng.New(12)
 	g := graph.ErdosRenyi(300, 0.05, graph.Unweighted, r)
-	res, err := Solve(g, Options{MaxQubits: 16, Solver: GWSolver{}, MergeSolver: GWSolver{}, Seed: 13})
+	res, err := Solve(g, Options{MaxQubits: 16, Solver: solver.GWSolver{}, MergeSolver: solver.GWSolver{}, Seed: 13})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -309,7 +311,7 @@ func BenchmarkQAOA2Exact64(b *testing.B) {
 	g := graph.ErdosRenyi(64, 0.15, graph.Unweighted, rng.New(1))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Solve(g, Options{MaxQubits: 10, Solver: ExactSolver{}, Seed: uint64(i)}); err != nil {
+		if _, err := Solve(g, Options{MaxQubits: 10, Solver: solver.ExactSolver{}, Seed: uint64(i)}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -10,6 +10,7 @@ import (
 	"qaoa2/internal/maxcut"
 	"qaoa2/internal/partition"
 	"qaoa2/internal/rng"
+	rt "qaoa2/internal/runtime"
 	"qaoa2/internal/solver"
 )
 
@@ -35,7 +36,7 @@ func referenceSolve(g *graph.Graph, opts Options) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &Result{Cut: cut, SubGraphs: 1, IntraCut: cut.Value, SubReports: []SubReport{{
+		return &Result{Cut: cut, SubGraphs: 1, IntraCut: cut.Value, SubReports: []rt.SubReport{{
 			Nodes: n, Edges: g.M(), Value: cut.Value, Solver: rep.Winner, Attempts: rep.Attempts,
 		}}}, nil
 	}
@@ -45,7 +46,7 @@ func referenceSolve(g *graph.Graph, opts Options) (*Result, error) {
 			return nil, err
 		}
 	}
-	reports := make([]SubReport, len(parts))
+	reports := make([]rt.SubReport, len(parts))
 	cuts := make([]maxcut.Cut, len(parts))
 	for i, part := range parts {
 		sub, _, err := g.InducedSubgraph(part)
@@ -57,7 +58,7 @@ func referenceSolve(g *graph.Graph, opts Options) (*Result, error) {
 			return nil, fmt.Errorf("reference: sub-graph %d: %w", i, err)
 		}
 		cuts[i] = cut
-		reports[i] = SubReport{Nodes: sub.N(), Edges: sub.M(), Value: cut.Value,
+		reports[i] = rt.SubReport{Nodes: sub.N(), Edges: sub.M(), Value: cut.Value,
 			Solver: rep.Winner, Attempts: rep.Attempts}
 	}
 	cut, levels, groupOf, err := referenceMerge(g, parts, cuts, opts)
@@ -166,7 +167,7 @@ func sameResult(a, b *Result) error {
 
 // sameSubReport compares two sub-reports modulo per-attempt wall
 // time, which is telemetry (varies run to run) rather than identity.
-func sameSubReport(a, b SubReport) bool {
+func sameSubReport(a, b rt.SubReport) bool {
 	if a.Nodes != b.Nodes || a.Edges != b.Edges || math.Float64bits(a.Value) != math.Float64bits(b.Value) ||
 		a.Solver != b.Solver || len(a.Attempts) != len(b.Attempts) {
 		return false

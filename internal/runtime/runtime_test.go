@@ -17,7 +17,7 @@ import (
 	"qaoa2/internal/solver"
 )
 
-// exactSolver mirrors qaoa2.ExactSolver without importing qaoa2 (the
+// exactSolver mirrors solver.ExactSolver without importing qaoa2 (the
 // dependency points the other way).
 type exactSolver struct{}
 

@@ -150,7 +150,7 @@ type JobResult struct {
 	Problem *ProblemReport `json:"problem,omitempty"`
 }
 
-// SubReport mirrors qaoa2.SubReport in wire form. Solver names the
+// SubReport mirrors runtime.SubReport in wire form. Solver names the
 // member that actually produced the kept cut; Attempts carries the
 // per-member attribution of composite solves.
 type SubReport struct {

@@ -8,9 +8,9 @@ import (
 
 	"qaoa2/internal/graph"
 	"qaoa2/internal/maxcut"
-	q2 "qaoa2/internal/qaoa2"
 	"qaoa2/internal/rng"
 	rt "qaoa2/internal/runtime"
+	"qaoa2/internal/solver"
 )
 
 // testGate instruments and throttles the test solver. Solvers consult
@@ -127,7 +127,7 @@ func (gatedAnneal) SolveSub(g *graph.Graph, r *rng.Rand) (maxcut.Cut, error) {
 		tg.enter(g.N())
 		defer tg.leave()
 	}
-	return q2.AnnealSolver{}.SolveSub(g, r)
+	return solver.AnnealSolver{}.SolveSub(g, r)
 }
 
 // gatedResolve routes every request to the gated solver.

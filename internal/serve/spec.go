@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"qaoa2/internal/graph"
-	q2 "qaoa2/internal/qaoa2"
 	rt "qaoa2/internal/runtime"
 	"qaoa2/internal/solver"
 )
@@ -207,8 +206,8 @@ func (r SolveRequest) JobKey() (string, error) {
 // Solvers binds a request to the concrete sub-graph and merge-graph
 // solvers the runtime will run.
 type Solvers struct {
-	Sub   q2.SubSolver
-	Merge q2.SubSolver
+	Sub   solver.Solver
+	Merge solver.Solver
 }
 
 // SolverSpec maps a request's solver-shaping fields onto the registry

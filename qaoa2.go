@@ -186,37 +186,37 @@ type (
 	Result = qaoa2.Result
 	// SubReport records one solved first-level sub-graph, attributed
 	// to the solver that actually produced the kept cut.
-	SubReport = qaoa2.SubReport
+	SubReport = runtime.SubReport
 	// SubSolver is the pluggable per-sub-graph solver interface (the
 	// solver plane's interface; see the registry exports below).
-	SubSolver = qaoa2.SubSolver
+	SubSolver = solver.Solver
 	// QAOASolver solves sub-graphs with simulated QAOA.
-	QAOASolver = qaoa2.QAOASolver
+	QAOASolver = solver.QAOASolver
 	// GWSolver solves sub-graphs classically with GW.
-	GWSolver = qaoa2.GWSolver
+	GWSolver = solver.GWSolver
 	// SDPGWSolver is GW with the SDP relaxation method pinned
 	// (registry name "sdp-gw"; default the scalable mixing method).
-	SDPGWSolver = qaoa2.SDPGWSolver
+	SDPGWSolver = solver.SDPGWSolver
 	// RQAOASolver solves sub-graphs with recursive QAOA (registry
 	// name "rqaoa").
-	RQAOASolver = qaoa2.RQAOASolver
+	RQAOASolver = solver.RQAOASolver
 	// BestOfSolver keeps the best cut among its inner solvers.
-	BestOfSolver = qaoa2.BestOfSolver
+	BestOfSolver = solver.BestOfSolver
 	// PortfolioSolver races its inner solvers concurrently under an
 	// optional shared deadline and keeps the best finished cut
 	// (registry name "portfolio").
-	PortfolioSolver = qaoa2.PortfolioSolver
+	PortfolioSolver = solver.PortfolioSolver
 	// MLAdaptiveSolver gates QAOA-vs-classical per sub-graph with the
 	// mlselect feature classifier (registry name "ml-adaptive").
-	MLAdaptiveSolver = qaoa2.MLAdaptiveSolver
+	MLAdaptiveSolver = solver.MLAdaptiveSolver
 	// RandomSolver is the random-partition baseline solver.
-	RandomSolver = qaoa2.RandomSolver
+	RandomSolver = solver.RandomSolver
 	// AnnealSolver solves sub-graphs with simulated annealing.
-	AnnealSolver = qaoa2.AnnealSolver
+	AnnealSolver = solver.AnnealSolver
 	// ExactSolver brute-forces sub-graphs (tests, small merges).
-	ExactSolver = qaoa2.ExactSolver
+	ExactSolver = solver.ExactSolver
 	// OneExchangeSolver is the 1-swap local-search baseline solver.
-	OneExchangeSolver = qaoa2.OneExchangeSolver
+	OneExchangeSolver = solver.OneExchangeSolver
 )
 
 // Solve runs the QAOA² divide-and-conquer MaxCut solver.

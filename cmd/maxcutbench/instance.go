@@ -29,14 +29,16 @@ func runInstance(w io.Writer, name, dir, subName, mergeName string, maxQubits, l
 	if err != nil {
 		return err
 	}
-	opts := qaoa2.Options{
-		MaxQubits:  maxQubits,
-		SolverSpec: solver.Spec{Name: subName, Layers: layers, Seed: seed},
-		MergeSpec:  solver.Spec{Name: mergeName, Layers: layers, Seed: seed},
-		Seed:       seed,
+	sub, err := solver.Build(solver.Spec{Name: subName, Layers: layers, Seed: seed})
+	if err != nil {
+		return err
+	}
+	merge, err := solver.Build(solver.Spec{Name: mergeName, Layers: layers, Seed: seed})
+	if err != nil {
+		return err
 	}
 	start := time.Now()
-	res, err := qaoa2.Solve(g, opts)
+	res, err := qaoa2.Solve(g, qaoa2.Options{MaxQubits: maxQubits, Solver: sub, MergeSolver: merge, Seed: seed})
 	if err != nil {
 		return err
 	}

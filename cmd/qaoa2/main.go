@@ -61,8 +61,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
-	be, err := root.BackendByName(*backendN)
-	if err != nil {
+	// The backend reaches the solvers through their specs below; check
+	// it here too, so a bad name is a usage error even for solvers that
+	// run no circuit (gw, anneal, ...).
+	if _, err := root.BackendByName(*backendN); err != nil {
 		fmt.Fprintf(stderr, "qaoa2: %v\n", err)
 		return 2
 	}
@@ -99,7 +101,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		MaxQubits:   *maxQubits,
 		Solver:      sub,
 		MergeSolver: mrg,
-		Backend:     be,
 		Seed:        *seed,
 	})
 	if err != nil {

@@ -12,9 +12,54 @@ import (
 	"time"
 
 	root "qaoa2"
+	"qaoa2/internal/graph"
+	"qaoa2/internal/maxcut"
 	q2 "qaoa2/internal/qaoa2"
+	"qaoa2/internal/rng"
 	"qaoa2/internal/serve"
+	"qaoa2/internal/solver"
 )
+
+// drainGate holds sub-solves of the "gated-anneal" solver: once armed,
+// it lets `free` of them through and parks every later one until
+// released. The gate is package state, not a field, so the solver's
+// ConfigTag prints the same in both daemon generations of a test.
+var drainGate struct {
+	mu      sync.Mutex
+	free    int
+	release chan struct{} // nil: the gate is open
+}
+
+// gatedAnneal runs the registry's anneal solver behind drainGate.
+type gatedAnneal struct{ solver.AnnealSolver }
+
+func (s gatedAnneal) SolveSub(g *graph.Graph, r *rng.Rand) (maxcut.Cut, error) {
+	drainGate.mu.Lock()
+	hold := drainGate.release
+	if drainGate.free > 0 {
+		drainGate.free--
+		hold = nil
+	}
+	drainGate.mu.Unlock()
+	if hold != nil {
+		<-hold
+	}
+	return s.AnnealSolver.SolveSub(g, r)
+}
+
+func init() {
+	// A test-only registry name: the daemon under test resolves it with
+	// its default ResolveSolvers, like any other name.
+	if err := solver.Register("gated-anneal", func(spec solver.Spec) (solver.Solver, error) {
+		inner, err := solver.Build(solver.Spec{Name: "anneal", Sweeps: spec.Sweeps})
+		if err != nil {
+			return nil, err
+		}
+		return gatedAnneal{inner.(solver.AnnealSolver)}, nil
+	}); err != nil {
+		panic(err)
+	}
+}
 
 // TestUsageErrorsExitTwo pins the CLI contract: usage errors report to
 // stderr and return 2.
@@ -63,6 +108,23 @@ func ringReq(n int, seed uint64) serve.SolveRequest {
 		spec.Edges = append(spec.Edges, serve.EdgeSpec{I: i, J: (i + 1) % n, W: 1})
 	}
 	return serve.SolveRequest{Graph: spec, MaxQubits: 16, Solver: "anneal", Merge: "anneal", Seed: seed}
+}
+
+// waitDraining polls the daemon's health until it reports draining.
+func waitDraining(t *testing.T, client *serve.Client) {
+	t.Helper()
+	deadline := time.Now().Add(30 * time.Second)
+	for {
+		h, err := client.Health(context.Background())
+		if err == nil && h["status"] == "draining" {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Errorf("daemon never reported draining (last %v, %v)", h, err)
+			return
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
 }
 
 // TestServeDrainResumeEndToEnd is the daemon acceptance test: ≥8
@@ -143,17 +205,31 @@ func TestServeDrainResumeEndToEnd(t *testing.T) {
 		t.Fatalf("post-completion duplicate not served from cache: %+v", again)
 	}
 
-	// The long job: ~300 sub-solves. SIGTERM once 10 sub-solves have
-	// streamed; ~95% of the work is still pending, so the drain
-	// interrupts mid-solve and the job parks with a checkpoint.
+	// The long job: ~300 sub-solves. The gate lets 10 through and parks
+	// the rest; SIGTERM goes out once those 10 have streamed, and the
+	// gate opens only after the daemon reports draining. However slowly
+	// the callback runs, the drain lands mid-solve and the job parks
+	// with a checkpoint.
 	big := root.ErdosRenyi(1500, 0.01, root.Unweighted, root.NewRand(11))
 	bigReq := serve.SolveRequest{
 		Graph:     serve.GraphSpecOf(big),
 		MaxQubits: 10,
-		Solver:    "anneal",
+		Solver:    "gated-anneal",
 		Merge:     "anneal",
 		Seed:      11,
 	}
+	release := make(chan struct{})
+	drainGate.mu.Lock()
+	drainGate.free, drainGate.release = 10, release
+	drainGate.mu.Unlock()
+	defer func() {
+		drainGate.mu.Lock()
+		if drainGate.release != nil {
+			close(drainGate.release)
+			drainGate.release = nil
+		}
+		drainGate.mu.Unlock()
+	}()
 	bigSt, err := client.Submit(ctx, bigReq)
 	if err != nil {
 		t.Fatal(err)
@@ -166,6 +242,11 @@ func TestServeDrainResumeEndToEnd(t *testing.T) {
 			if subSolves == 10 {
 				killOnce.Do(func() {
 					syscall.Kill(os.Getpid(), syscall.SIGTERM)
+					waitDraining(t, client)
+					drainGate.mu.Lock()
+					close(release)
+					drainGate.release = nil
+					drainGate.mu.Unlock()
 				})
 			}
 		}

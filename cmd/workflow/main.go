@@ -209,12 +209,20 @@ func runtimeDemo(w io.Writer, nodes int, p float64, maxQubits, parallelism int,
 	}
 	fmt.Fprintln(w, ")")
 
+	sub, err := qaoa2.BuildSolver(qaoa2.SolverSpec{Name: solverName, Seed: seed})
+	if err != nil {
+		return err
+	}
+	merge, err := qaoa2.BuildSolver(qaoa2.SolverSpec{Name: mergeName, Seed: seed})
+	if err != nil {
+		return err
+	}
 	solves, restores := 0, 0
 	res, err := qaoa2.Solve(g, qaoa2.Options{
 		MaxQubits:      maxQubits,
 		Parallelism:    parallelism,
-		SolverSpec:     qaoa2.SolverSpec{Name: solverName, Seed: seed},
-		MergeSpec:      qaoa2.SolverSpec{Name: mergeName, Seed: seed},
+		Solver:         sub,
+		MergeSolver:    merge,
 		Seed:           seed,
 		CheckpointPath: checkpoint,
 		OnRuntimeEvent: func(ev qaoa2.RuntimeEvent) {

@@ -36,14 +36,21 @@ func main() {
 	fmt.Printf("instance %v, qubit budget %d\n\n", g, maxQubits)
 	fmt.Printf("%-12s %10s %8s   %s\n", "solver", "cut", "wall", "per-sub attribution")
 
+	merge, err := qaoa2.BuildSolver(qaoa2.SolverSpec{Name: "gw", Seed: seed})
+	if err != nil {
+		log.Fatal(err)
+	}
 	for _, name := range []string{"qaoa", "gw", "ml-adaptive", "portfolio"} {
-		spec := qaoa2.SolverSpec{Name: name, Layers: 2, Seed: seed}
+		sub, err := qaoa2.BuildSolver(qaoa2.SolverSpec{Name: name, Layers: 2, Seed: seed})
+		if err != nil {
+			log.Fatalf("%s: %v", name, err)
+		}
 		start := time.Now()
 		res, err := qaoa2.Solve(g, qaoa2.Options{
-			MaxQubits:  maxQubits,
-			SolverSpec: spec,
-			MergeSpec:  qaoa2.SolverSpec{Name: "gw", Seed: seed},
-			Seed:       seed,
+			MaxQubits:   maxQubits,
+			Solver:      sub,
+			MergeSolver: merge,
+			Seed:        seed,
 		})
 		if err != nil {
 			log.Fatalf("%s: %v", name, err)

@@ -314,7 +314,9 @@ func (a *engineAnsatz) Stats() qsim.DistStats { return a.eng.Stats() }
 // Evaluate. The worker count is sized for one batching ansatz per
 // process; callers that batch on MANY ansätze concurrently (QAOA² with
 // multi-start sub-solves) should keep the product of their outer
-// parallelism and K near the core count — see qaoa2.Options.Restarts.
+// parallelism and K near the core count: each of up to Parallelism
+// concurrent sub-solves fans out min(K, GOMAXPROCS) workers, each
+// pinning a 2^n statevector for the sub-solve's lifetime.
 func (a *fusedAnsatz) EvaluateBatch(gammas, betas [][]float64, energies []float64) error {
 	if err := checkBatchParams(a.layers, gammas, betas, energies); err != nil {
 		return err

@@ -174,3 +174,48 @@ func TestCheckpointResumesWithExplicitModel(t *testing.T) {
 		t.Fatalf("a different bias resumed %d tasks", restores)
 	}
 }
+
+// TestCheckpointResumesWithRebuiltSpec: a solver built from the
+// registry is identified by its ConfigTag alone, so a checkpoint
+// written under solver.Build(spec) restores every solve task when the
+// run resumes with a solver freshly built from an equal spec — the
+// daemon restart path — and none when the spec asks for other layers.
+func TestCheckpointResumesWithRebuiltSpec(t *testing.T) {
+	g := graph.ErdosRenyi(30, 0.2, graph.Unweighted, rng.New(43))
+	path := filepath.Join(t.TempDir(), "spec.ckpt")
+	restores := 0
+	run := func(layers int) *Result {
+		t.Helper()
+		s, err := solver.Build(solver.Spec{Name: "qaoa", Layers: layers, MaxIters: 4, Seed: 3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := Solve(g, Options{MaxQubits: 6, Solver: s, Seed: 5, CheckpointPath: path,
+			OnRuntimeEvent: func(ev rt.Event) {
+				if ev.Restored {
+					restores++
+				}
+			}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	first := run(1)
+	solves := first.Stats.SubSolves + first.Stats.MergeSolves
+	if solves == 0 || restores != 0 {
+		t.Fatalf("fresh run: %d solves, %d restores", solves, restores)
+	}
+	second := run(1)
+	if restores != solves || second.Stats.Restored != solves {
+		t.Fatalf("equal spec restored %d of %d solves (stats %+v)", restores, solves, second.Stats)
+	}
+	if !reflect.DeepEqual(first.Cut, second.Cut) {
+		t.Fatalf("resumed cut %v differs from %v", second.Cut.Value, first.Cut.Value)
+	}
+	restores = 0
+	run(2)
+	if restores != 0 {
+		t.Fatalf("a spec with other layers resumed %d tasks", restores)
+	}
+}

@@ -52,10 +52,7 @@ func SolveIsing(h *ising.Hamiltonian, opts Options) (*IsingResult, error) {
 	if h == nil {
 		return nil, fmt.Errorf("qaoa2: nil Hamiltonian")
 	}
-	opts, err := opts.withDefaults()
-	if err != nil {
-		return nil, err
-	}
+	opts = opts.withDefaults()
 	if h.N() == 0 {
 		return &IsingResult{Spins: []int8{}, Energy: h.Offset(), Direct: true}, nil
 	}

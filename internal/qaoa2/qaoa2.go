@@ -8,18 +8,16 @@
 // recursively if it still exceeds the qubit budget.
 //
 // The package is the front of that algorithm, not its executor: Solve
-// resolves Options (defaults, registry specs, the checkpoint config
-// tag) and hands the solve to internal/runtime, the one implementation
-// of partition → sub-solve → merge → stitch. No goroutine starts here.
+// resolves Options (defaults, the checkpoint config tag) and hands the
+// solve to internal/runtime, the one implementation of partition →
+// sub-solve → merge → stitch. No goroutine starts here.
 package qaoa2
 
 import (
 	"fmt"
 	"sort"
 
-	"qaoa2/internal/backend"
 	"qaoa2/internal/graph"
-	"qaoa2/internal/qaoa"
 	rt "qaoa2/internal/runtime"
 	"qaoa2/internal/solver"
 )
@@ -31,37 +29,15 @@ type Options struct {
 	MaxQubits int
 	// Solver handles first-level sub-graphs (default QAOA with paper
 	// defaults). The paper's run-time decision mechanism plugs in
-	// GWSolver, BestOfSolver, or any registry solver here.
+	// GWSolver, BestOfSolver, or any registry solver here: build one
+	// from its name with solver.Build. The backend, restarts and every
+	// other knob live in the solver's own options, and
+	// solver.ConfigTag(Solver) is the checkpoint identity of the role.
 	Solver solver.Solver
 	// MergeSolver handles merge graphs on every recursion level
 	// (default: same as Solver). The paper chooses the classical
 	// solution for further iterations in the Fig. 4 runs.
 	MergeSolver solver.Solver
-	// SolverSpec names a registry solver (internal/solver) to build
-	// when Solver is nil — the declarative, JSON-serializable route the
-	// serve daemon and CLIs use. Its canonical form is folded into
-	// checkpoint fingerprints, so a resumed run re-binds to the
-	// identical solver configuration. Ignored when Solver is set.
-	SolverSpec solver.Spec
-	// MergeSpec is SolverSpec's counterpart for MergeSolver.
-	MergeSpec solver.Spec
-	// Backend selects the circuit-execution backend of the DEFAULT QAOA
-	// sub- and merge solvers (nil = backend.Default, the fused path).
-	// It is ignored when an explicit Solver/MergeSolver is provided —
-	// set the backend inside that solver's own options instead (e.g.
-	// solver.QAOASolver{Opts: qaoa.Options{Backend: ...}}).
-	Backend backend.Backend
-	// Restarts forwards qaoa.Options.Restarts to the DEFAULT QAOA sub-
-	// and merge solvers: every sub-graph solve runs this many batched
-	// multi-start optimizations (default 1). Like Backend, it is
-	// ignored when an explicit Solver/MergeSolver is provided.
-	//
-	// Concurrency compounds: each of up to Parallelism concurrent
-	// sub-solves fans out min(Restarts, GOMAXPROCS) batch workers (each
-	// pinning a 2^MaxQubits statevector buffer for the sub-solve's
-	// lifetime), so with Restarts > 1 consider lowering Parallelism to
-	// keep total workers near the core count.
-	Restarts int
 	// Parallelism is the executor's worker-pool size: it bounds
 	// concurrent sub-graph solves (default GOMAXPROCS), standing in for
 	// the pool of simulated quantum devices / classical nodes of Fig. 2.
@@ -94,39 +70,17 @@ type Options struct {
 	Interrupt <-chan struct{}
 }
 
-func (o Options) withDefaults() (Options, error) {
+func (o Options) withDefaults() Options {
 	if o.MaxQubits <= 0 {
 		o.MaxQubits = 16
 	}
-	// A spec only describes the solver it built: when an explicit
-	// Solver overrides it, drop the spec so checkpoint fingerprints
-	// derive from the solver actually running.
-	if o.Solver != nil {
-		o.SolverSpec = solver.Spec{}
-	} else if o.SolverSpec.Name != "" {
-		s, err := solver.Build(o.SolverSpec)
-		if err != nil {
-			return o, fmt.Errorf("qaoa2: %w", err)
-		}
-		o.Solver = s
-	}
-	if o.MergeSolver != nil {
-		o.MergeSpec = solver.Spec{}
-	} else if o.MergeSpec.Name != "" {
-		s, err := solver.Build(o.MergeSpec)
-		if err != nil {
-			return o, fmt.Errorf("qaoa2: merge: %w", err)
-		}
-		o.MergeSolver = s
-	}
 	if o.Solver == nil {
-		o.Solver = solver.QAOASolver{Opts: qaoa.Options{Backend: o.Backend, Restarts: o.Restarts}}
+		o.Solver = solver.QAOASolver{}
 	}
 	if o.MergeSolver == nil {
 		o.MergeSolver = o.Solver
-		o.MergeSpec = o.SolverSpec
 	}
-	return o, nil
+	return o
 }
 
 // Result reports a QAOA² run.
@@ -134,11 +88,7 @@ type Result = rt.Result
 
 // Solve runs the QAOA² divide-and-conquer on g.
 func Solve(g *graph.Graph, opts Options) (*Result, error) {
-	opts, err := opts.withDefaults()
-	if err != nil {
-		return nil, err
-	}
-	return rt.Solve(g, opts.executor())
+	return rt.Solve(g, opts.withDefaults().executor())
 }
 
 // executor maps defaulted options onto the executor's.
@@ -155,9 +105,10 @@ func (o Options) executor() rt.Options {
 		Interrupt:      o.Interrupt,
 	}
 	if o.CheckpointPath != "" {
-		// Only a checkpoint header reads the tag, and rendering it
-		// prints both solvers' full state.
-		ro.ConfigTag = configTag(o)
+		// The solvers' names do not tell two configurations apart, so
+		// the header also carries each role's ConfigTag. Only a header
+		// reads the tag, and rendering it prints both solvers' state.
+		ro.ConfigTag = "solver:" + solver.ConfigTag(o.Solver) + "|merge:" + solver.ConfigTag(o.MergeSolver)
 	}
 	return ro
 }

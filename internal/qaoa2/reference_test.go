@@ -23,10 +23,8 @@ import (
 // goroutines, checkpoint or events. Inputs are trusted (the executor's
 // validation has its own tests).
 func referenceSolve(g *graph.Graph, opts Options) (*Result, error) {
-	opts, err := opts.withDefaults()
-	if err != nil {
-		return nil, err
-	}
+	opts = opts.withDefaults()
+	var err error
 	n := g.N()
 	if n == 0 {
 		return &Result{Cut: maxcut.Cut{Spins: []int8{}}}, nil

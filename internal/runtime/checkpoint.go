@@ -28,8 +28,8 @@ type Header struct {
 	MaxQubits int    `json:"maxQubits"`
 	Solver    string `json:"solver"`
 	Merge     string `json:"merge"`
-	// Config carries any further solver configuration that changes
-	// results without changing the solver name (backend, restarts,
+	// Config carries any further configuration that changes results
+	// without changing the solver names (each solver's ConfigTag, an
 	// explicit partition); free-form fingerprint.
 	Config string `json:"config,omitempty"`
 }
@@ -41,11 +41,11 @@ type Header struct {
 const checkpointVersion = 2
 
 // Fingerprint digests the header into a stable 16-hex-character id.
-// Two runs share a fingerprint exactly when their checkpoints are
-// interchangeable — the same identity the resume match uses — so it
-// doubles as the job/result-cache key of the solve service
-// (internal/serve): identical (graph, seed, solver-config) submissions
-// collapse onto one fingerprint regardless of scheduling knobs.
+// Two headers share a fingerprint exactly when every field agrees —
+// the same identity the resume match uses. The solve service
+// (internal/serve) also keys jobs with Fingerprint, but over a header
+// of its own (no Version; Config "layers:N[;problem:…]"), so a job id
+// is not the fingerprint of the job's checkpoint header.
 func (h Header) Fingerprint() string {
 	f := fnv.New64a()
 	fmt.Fprintf(f, "%d|%s|%d|%d|%s|%s|%s",

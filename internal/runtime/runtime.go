@@ -46,16 +46,14 @@ type Options struct {
 	Partition [][]int
 	// Seed derives every task's deterministic random stream.
 	Seed uint64
-	// Checkpoint, when set, is consulted before every solve task and
-	// appended to after; the caller owns open/close.
-	Checkpoint *Checkpoint
-	// CheckpointPath is a convenience alternative: Solve opens (or
-	// resumes) the checkpoint at this path and closes it on return.
-	// Ignored when Checkpoint is set.
+	// CheckpointPath, when set, names the checkpoint Solve opens (or
+	// resumes), consults before every solve task, appends to after, and
+	// closes on return.
 	CheckpointPath string
 	// ConfigTag fingerprints solver configuration that is invisible to
-	// Solver.Name() (execution backend, restarts). It is folded into
-	// the checkpoint header so stale checkpoints never resume.
+	// Solver.Name() (qaoa2 passes each role's solver.ConfigTag). It is
+	// folded into the checkpoint header so stale checkpoints never
+	// resume.
 	ConfigTag string
 	// OnEvent, when set, receives one event per completed task, in
 	// completion order. Calls are serialized.
@@ -199,8 +197,8 @@ func Solve(g *graph.Graph, opts Options) (*Result, error) {
 		return &Result{Cut: maxcut.Cut{Spins: []int8{}, Value: 0}}, nil
 	}
 
-	ckpt := opts.Checkpoint
-	if ckpt == nil && opts.CheckpointPath != "" {
+	var ckpt *Checkpoint
+	if opts.CheckpointPath != "" {
 		var err error
 		ckpt, err = OpenCheckpoint(opts.CheckpointPath, Header{
 			Graph:     GraphFingerprint(g),

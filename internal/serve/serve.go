@@ -23,7 +23,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"reflect"
 	"runtime"
 	"sort"
 	"sync"
@@ -63,29 +62,18 @@ type Config struct {
 	// be up (default 5s; cmd/qaoa2d passes its -drain-grace).
 	DrainGrace time.Duration
 	// Resolve maps a request to concrete solvers (default
-	// ResolveSolvers; tests inject instrumented solvers). With the
-	// default, jobs run through qaoa2.Options.SolverSpec so the
-	// runtime checkpoint header fingerprints the canonical spec JSON —
-	// stable across daemon restarts; a custom Resolve falls back to
-	// fingerprinting the solver's printed state, which errs toward
-	// re-solving rather than resuming wrongly.
+	// ResolveSolvers; tests inject instrumented solvers). Every job runs
+	// the solvers it returns, and the job's checkpoint header carries
+	// their solver.ConfigTag: registry solvers print the same tag in
+	// every process, so a daemon restarted on the same StateDir resumes
+	// its parked jobs. A solver whose printed state differs between
+	// processes errs toward re-solving rather than resuming wrongly.
 	Resolve func(SolveRequest) (Solvers, error)
-
-	// specDispatch records that Resolve is the registry default, so
-	// runJob can dispatch by spec (set by withDefaults).
-	specDispatch bool
 }
 
 func (c Config) withDefaults() Config {
 	if c.GlobalParallelism <= 0 {
 		c.GlobalParallelism = runtime.GOMAXPROCS(0)
-	}
-	// Passing the exported default explicitly is the same as leaving
-	// it nil — both get registry spec dispatch (the reflect pointer
-	// comparison catches Config{Resolve: serve.ResolveSolvers}).
-	if c.Resolve != nil &&
-		reflect.ValueOf(c.Resolve).Pointer() == reflect.ValueOf(ResolveSolvers).Pointer() {
-		c.Resolve = nil
 	}
 	if c.MaxJobParallelism <= 0 || c.MaxJobParallelism > c.GlobalParallelism {
 		c.MaxJobParallelism = c.GlobalParallelism
@@ -101,7 +89,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Resolve == nil {
 		c.Resolve = ResolveSolvers
-		c.specDispatch = true
 	}
 	return c
 }
@@ -672,31 +659,19 @@ func (s *Server) ImportCheckpoint(id string, data []byte) error {
 func (s *Server) runJob(j *job) {
 	defer s.wg.Done()
 	start := time.Now()
-	opts := q2.Options{
-		MaxQubits:      j.req.MaxQubits,
-		Parallelism:    j.parallelism,
-		Seed:           j.req.Seed,
-		CheckpointPath: s.checkpointPath(j),
-		OnRuntimeEvent: func(ev rt.Event) { s.appendEvent(j, ev) },
-		Interrupt:      s.drainCh,
-	}
-	var err error
-	if s.cfg.specDispatch {
-		// Registry dispatch: the checkpoint header fingerprints the
-		// canonical spec JSON, so a daemon restarted on the same
-		// StateDir re-binds resumed jobs to the identical solver
-		// configuration across processes.
-		opts.SolverSpec = j.req.SolverSpec(j.req.Solver)
-		opts.MergeSpec = j.req.SolverSpec(j.req.Merge)
-	} else {
-		var solvers Solvers
-		solvers, err = s.cfg.Resolve(j.req)
-		opts.Solver = solvers.Sub
-		opts.MergeSolver = solvers.Merge
-	}
+	solvers, err := s.cfg.Resolve(j.req)
 	var res *q2.Result
 	if err == nil {
-		res, err = q2.Solve(j.g, opts)
+		res, err = q2.Solve(j.g, q2.Options{
+			MaxQubits:      j.req.MaxQubits,
+			Solver:         solvers.Sub,
+			MergeSolver:    solvers.Merge,
+			Parallelism:    j.parallelism,
+			Seed:           j.req.Seed,
+			CheckpointPath: s.checkpointPath(j),
+			OnRuntimeEvent: func(ev rt.Event) { s.appendEvent(j, ev) },
+			Interrupt:      s.drainCh,
+		})
 	}
 
 	s.mu.Lock()

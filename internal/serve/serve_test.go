@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"qaoa2/internal/graph"
+	"qaoa2/internal/ising"
 	"qaoa2/internal/maxcut"
 	"qaoa2/internal/rng"
 	rt "qaoa2/internal/runtime"
@@ -398,6 +399,40 @@ func TestParallelismInvariantKeys(t *testing.T) {
 	}
 	if an.key(fp(ga)) == cn.key(fp(gc)) {
 		t.Fatal("seed change kept the job key")
+	}
+}
+
+// TestJobKeysPinned pins the job ids of one graph and one problem
+// request. Persisted jobs.json files and fleet routing key on these ids,
+// so a refactor of how jobs run must not move them.
+func TestJobKeysPinned(t *testing.T) {
+	graphReq := SolveRequest{
+		Graph: GraphSpec{Nodes: 5, Edges: []EdgeSpec{
+			{0, 1, 1}, {1, 2, 2.5}, {2, 3, 1}, {3, 4, -0.5}, {4, 0, 1}, {1, 3, 1},
+		}},
+		MaxQubits: 4, Solver: "qaoa", Merge: "gw", Layers: 2, Seed: 9,
+	}
+	problemReq := SolveRequest{
+		Problem: &ProblemSpec{Kind: ising.KindIsing, Vars: 3,
+			Couplings: []CouplingSpec{{0, 1, 1}, {1, 2, -0.5}},
+			Fields:    []float64{0.25, 0, -1}, Offset: 2},
+		Solver: "exact", Merge: "exact", Seed: 3,
+	}
+	for _, tc := range []struct {
+		name string
+		req  SolveRequest
+		want string
+	}{
+		{"graph", graphReq, "7647e836a9f74d5d"},
+		{"problem", problemReq, "5762045a3ba08b4f"},
+	} {
+		got, err := tc.req.JobKey()
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if got != tc.want {
+			t.Errorf("%s request: job id %s, want %s", tc.name, got, tc.want)
+		}
 	}
 }
 

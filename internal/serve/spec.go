@@ -165,9 +165,12 @@ func (r SolveRequest) normalize() (SolveRequest, error) {
 
 // key fingerprints the result-determining fields of a normalized
 // request over the given graph fingerprint. It is the job ID: two
-// submissions with equal keys are the same solve. The identity is the
-// task-graph runtime's checkpoint-header fingerprint, so the cache
-// key and the on-disk resume match can never drift apart.
+// submissions with equal keys are the same solve. It digests a header
+// of its own (no Version; Config "layers:N[;problem:…]") with
+// runtime.Header.Fingerprint. The job's checkpoint header is a second
+// identity: it carries the checkpoint version and the built solvers'
+// ConfigTags, and only it decides whether a parked job's checkpoint
+// resumes.
 func (r SolveRequest) key(graphFP string) string {
 	cfg := fmt.Sprintf("layers:%d", r.Layers)
 	if r.Problem != nil {
@@ -187,10 +190,10 @@ func (r SolveRequest) key(graphFP string) string {
 }
 
 // JobKey computes the fingerprint job id any server will assign this
-// request: normalize, build the graph, fingerprint the checkpoint
-// header. Fingerprints are location-independent, so the fleet front
+// request: normalize, build the graph, fingerprint the key header (see
+// key). Fingerprints are location-independent, so the fleet front
 // door routes on the id computed here knowing it equals the id every
-// worker's result cache and checkpoint file use.
+// worker's result cache and checkpoint file name use.
 func (r SolveRequest) JobKey() (string, error) {
 	n, err := r.normalize()
 	if err != nil {

@@ -1,7 +1,6 @@
 package solver
 
 import (
-	"encoding/json"
 	"fmt"
 	"sort"
 	"strings"
@@ -19,8 +18,8 @@ import (
 // Spec is the parameterized, JSON-serializable description of a
 // registered solver — the one currency every surface trades in: the
 // serve wire format carries (name, layers, seed) fields that build a
-// Spec, CLIs build one from flags, and checkpoint headers fingerprint
-// one canonically so a resumed run re-binds to the identical solver.
+// Spec, and CLIs build one from flags. Build turns it into a Solver;
+// checkpoints identify the built solver by ConfigTag, not by its spec.
 //
 // Every field except Name is optional; factories read the fields they
 // understand and ignore the rest, so one flat struct parameterizes the
@@ -61,20 +60,6 @@ type Spec struct {
 	// BudgetMS is the portfolio racing deadline in milliseconds
 	// (0 = wait for every member; see PortfolioSolver.Deadline).
 	BudgetMS int64 `json:"budgetMS,omitempty"`
-}
-
-// Canonical renders the spec as deterministic JSON — the form folded
-// into checkpoint headers and job fingerprints. encoding/json writes
-// struct fields in declaration order and omits empty optionals, so two
-// equal specs always canonicalize identically.
-func (s Spec) Canonical() string {
-	b, err := json.Marshal(s)
-	if err != nil {
-		// A Spec is plain data; Marshal cannot fail on it. Keep a
-		// non-empty fallback so a fingerprint never silently collapses.
-		return fmt.Sprintf("%+v", s)
-	}
-	return string(b)
 }
 
 // inherit copies s's parameter fields onto a member spec named name —
@@ -145,9 +130,6 @@ func Build(spec Spec) (Solver, error) {
 	}
 	return f(spec)
 }
-
-// FromName builds a solver from a bare name with default parameters.
-func FromName(name string) (Solver, error) { return Build(Spec{Name: name}) }
 
 // buildInner materializes a composite's member solvers: the spec's
 // explicit Inner list, or the given default member names with the

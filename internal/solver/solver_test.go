@@ -44,7 +44,7 @@ func (s fixedSolver) SolveSub(g *graph.Graph, _ *rng.Rand) (maxcut.Cut, error) {
 
 func TestRegistryBuildsEveryName(t *testing.T) {
 	for _, name := range Names() {
-		s, err := FromName(name)
+		s, err := Build(Spec{Name: name})
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -52,7 +52,7 @@ func TestRegistryBuildsEveryName(t *testing.T) {
 			t.Fatalf("%s: empty solver name", name)
 		}
 	}
-	if _, err := FromName("bogus"); err == nil || !strings.Contains(err.Error(), "unknown solver") {
+	if _, err := Build(Spec{Name: "bogus"}); err == nil || !strings.Contains(err.Error(), "unknown solver") {
 		t.Fatalf("unknown name accepted (err %v)", err)
 	}
 }
@@ -109,26 +109,19 @@ func TestRegisterExtendsEverySurface(t *testing.T) {
 	}
 }
 
-func TestSpecCanonicalStableAndRoundTrips(t *testing.T) {
+func TestSpecJSONRoundTrips(t *testing.T) {
 	spec := Spec{Name: "portfolio", Layers: 3, Rhobeg: 0.5, BudgetMS: 250,
 		Inner: []Spec{{Name: "qaoa", Layers: 2}, {Name: "gw"}}}
-	c1, c2 := spec.Canonical(), spec.Canonical()
-	if c1 != c2 {
-		t.Fatalf("canonical unstable:\n%s\n%s", c1, c2)
+	b, err := json.Marshal(spec)
+	if err != nil {
+		t.Fatal(err)
 	}
 	var back Spec
-	if err := json.Unmarshal([]byte(c1), &back); err != nil {
+	if err := json.Unmarshal(b, &back); err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(spec, back) {
-		t.Fatalf("canonical does not round-trip:\n%+v\n%+v", spec, back)
-	}
-	// Distinct parameterizations must canonicalize differently — this
-	// string is a checkpoint-identity input.
-	other := spec
-	other.Layers = 4
-	if other.Canonical() == c1 {
-		t.Fatal("different specs share a canonical form")
+		t.Fatalf("spec does not round-trip through JSON:\n%+v\n%+v", spec, back)
 	}
 }
 

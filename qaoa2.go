@@ -118,7 +118,8 @@ func SolveQAOA(g *Graph, opts QAOAOptions, r *Rand) (*QAOAResult, error) {
 }
 
 // Circuit-execution backends (the pluggable simulation layer behind
-// QAOAOptions.Backend and Options.Backend; see DESIGN.md).
+// QAOAOptions.Backend, which a QAOA² run sets inside its solvers, e.g.
+// QAOASolver{Opts: QAOAOptions{Backend: ...}}; see DESIGN.md).
 type (
 	// Backend prepares executable QAOA ansätze for a graph.
 	Backend = backend.Backend
@@ -336,15 +337,14 @@ func AnnealIsing(h *IsingHamiltonian, opts IsingAnnealOptions, r *Rand) IsingSol
 }
 
 // Solver registry (internal/solver): the single place solvers are
-// named and constructed. Every surface — this library's
-// Options.SolverSpec, the serve daemon's wire format, cmd/qaoa2 and
-// cmd/workflow flags, hpc remote dispatch — resolves names through
-// this one table, so a solver registered here is selectable
-// everywhere at once.
+// named and constructed. Every surface — this library's BuildSolver,
+// the serve daemon's wire format, cmd/qaoa2 and cmd/workflow flags,
+// hpc remote dispatch — resolves names through this one table, so a
+// solver registered here is selectable everywhere at once.
 type (
 	// SolverSpec is the parameterized, JSON-serializable description
-	// of a registry solver (qaoa2.Options.SolverSpec / MergeSpec take
-	// one directly).
+	// of a registry solver. BuildSolver turns it into the solver that
+	// Options.Solver / MergeSolver take.
 	SolverSpec = solver.Spec
 	// SolverFactory builds a solver from its spec.
 	SolverFactory = solver.Factory
@@ -355,12 +355,9 @@ type (
 	SolverAttempt = solver.Attempt
 )
 
-// BuildSolver constructs the solver a spec describes.
+// BuildSolver constructs the solver a spec describes (a bare name is
+// SolverSpec{Name: name}).
 func BuildSolver(spec SolverSpec) (SubSolver, error) { return solver.Build(spec) }
-
-// SolverByName builds a registry solver from a bare name with default
-// parameters.
-func SolverByName(name string) (SubSolver, error) { return solver.FromName(name) }
 
 // SolverNames lists every registered solver name, sorted.
 func SolverNames() []string { return solver.Names() }

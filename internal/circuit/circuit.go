@@ -1,15 +1,12 @@
 // Package circuit provides the gate-level intermediate representation
 // between the synthesis engine (internal/synth, the Classiq substitute)
 // and the statevector simulator (internal/qsim): a flat gate list with
-// depth/gate-count metrics, optimization passes (rotation fusion,
-// inverse cancellation, commuting-layer scheduling, basis decomposition,
-// linear-topology routing) and a text export.
+// depth/gate-count metrics and linear-topology routing.
 package circuit
 
 import (
 	"fmt"
 	"strconv"
-	"strings"
 )
 
 // Kind enumerates the supported gates.
@@ -53,27 +50,6 @@ func (k Kind) IsTwoQubit() bool {
 func (k Kind) IsParameterized() bool {
 	switch k {
 	case RX, RY, RZ, RZZ:
-		return true
-	}
-	return false
-}
-
-// IsDiagonal reports whether the gate is diagonal in the computational
-// basis (all diagonal gates commute with each other — the property the
-// scheduling pass exploits).
-func (k Kind) IsDiagonal() bool {
-	switch k {
-	case Z, RZ, RZZ, CZ:
-		return true
-	}
-	return false
-}
-
-// IsSelfInverse reports whether two consecutive identical applications
-// cancel.
-func (k Kind) IsSelfInverse() bool {
-	switch k {
-	case H, X, Y, Z, CNOT, CZ, SWAP:
 		return true
 	}
 	return false
@@ -276,16 +252,4 @@ func (c *Circuit) Apply(b Backend) {
 			panic(fmt.Sprintf("circuit: cannot execute %v", g.Kind))
 		}
 	}
-}
-
-// Export renders the circuit as one gate per line, suitable for logs and
-// golden tests.
-func (c *Circuit) Export() string {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "qubits %d\n", c.N)
-	for _, g := range c.Gates {
-		sb.WriteString(g.String())
-		sb.WriteByte('\n')
-	}
-	return sb.String()
 }

@@ -2,7 +2,6 @@ package circuit
 
 import (
 	"math"
-	"strings"
 	"testing"
 
 	"qaoa2/internal/qsim"
@@ -89,17 +88,6 @@ func TestApplyCoversAllKinds(t *testing.T) {
 	}
 }
 
-func TestExportFormat(t *testing.T) {
-	c := New(2)
-	c.AddH(0).AddRZZ(0, 1, 0.25).AddCNOT(0, 1)
-	text := c.Export()
-	for _, want := range []string{"qubits 2", "H 0", "RZZ 0 1 0.25", "CNOT 0 1"} {
-		if !strings.Contains(text, want) {
-			t.Fatalf("export missing %q:\n%s", want, text)
-		}
-	}
-}
-
 func TestCloneIndependence(t *testing.T) {
 	c := New(2)
 	c.AddH(0)
@@ -111,189 +99,20 @@ func TestCloneIndependence(t *testing.T) {
 }
 
 func TestKindPredicates(t *testing.T) {
-	if !RZZ.IsTwoQubit() || !RZZ.IsParameterized() || !RZZ.IsDiagonal() {
+	if !RZZ.IsTwoQubit() || !RZZ.IsParameterized() {
 		t.Fatal("RZZ predicates wrong")
 	}
-	if H.IsTwoQubit() || H.IsDiagonal() || !H.IsSelfInverse() {
+	if H.IsTwoQubit() || H.IsParameterized() {
 		t.Fatal("H predicates wrong")
 	}
-	if RX.IsDiagonal() || RX.IsSelfInverse() || !RX.IsParameterized() {
+	if RX.IsTwoQubit() || !RX.IsParameterized() {
 		t.Fatal("RX predicates wrong")
 	}
-	if !CNOT.IsSelfInverse() || CNOT.IsParameterized() {
+	if !CNOT.IsTwoQubit() || CNOT.IsParameterized() {
 		t.Fatal("CNOT predicates wrong")
 	}
 	if CZ.String() != "CZ" || Kind(42).String() == "" {
 		t.Fatal("Kind String broken")
-	}
-}
-
-// statesEqual simulates both circuits from |0...0> and compares
-// amplitudes exactly (up to tolerance), catching global-phase bugs too.
-func statesEqual(t *testing.T, a, b *Circuit, eps float64) {
-	t.Helper()
-	if a.N != b.N {
-		t.Fatal("qubit count mismatch")
-	}
-	sa, _ := qsim.NewPlusState(a.N)
-	sb, _ := qsim.NewPlusState(b.N)
-	a.Apply(sa)
-	b.Apply(sb)
-	for i := 0; i < sa.Len(); i++ {
-		da := sa.Amp(uint64(i)) - sb.Amp(uint64(i))
-		if math.Hypot(real(da), imag(da)) > eps {
-			t.Fatalf("amplitude %d differs: %v vs %v", i, sa.Amp(uint64(i)), sb.Amp(uint64(i)))
-		}
-	}
-}
-
-func TestFuseRotationsMergesAdjacent(t *testing.T) {
-	c := New(2)
-	c.AddRZ(0, 0.3).AddRZ(0, 0.4)
-	c.AddRX(1, 0.1).AddRX(1, 0.2)
-	f := FuseRotations(c)
-	if len(f.Gates) != 2 {
-		t.Fatalf("fused to %d gates: %v", len(f.Gates), f.Gates)
-	}
-	statesEqual(t, c, f, 1e-10)
-}
-
-func TestFuseRotationsAcrossDiagonals(t *testing.T) {
-	// RZZ(0,1) ... RZ(0) ... RZZ(0,1) merges because RZ is diagonal.
-	c := New(2)
-	c.AddRZZ(0, 1, 0.3).AddRZ(0, 0.7).AddRZZ(1, 0, 0.4)
-	f := FuseRotations(c)
-	if got := len(f.Gates); got != 2 {
-		t.Fatalf("fused to %d gates: %v", got, f.Gates)
-	}
-	statesEqual(t, c, f, 1e-10)
-}
-
-func TestFuseRotationsBlockedByNonDiagonal(t *testing.T) {
-	c := New(2)
-	c.AddRZ(0, 0.3).AddH(0).AddRZ(0, 0.4)
-	f := FuseRotations(c)
-	if len(f.Gates) != 3 {
-		t.Fatalf("H should block fusion, got %v", f.Gates)
-	}
-}
-
-func TestFuseRotationsDropsIdentity(t *testing.T) {
-	c := New(1)
-	c.AddRZ(0, 1.3).AddRZ(0, -1.3)
-	f := FuseRotations(c)
-	if len(f.Gates) != 0 {
-		t.Fatalf("cancelling rotations kept: %v", f.Gates)
-	}
-	c2 := New(1)
-	c2.AddRX(0, 2*math.Pi)
-	if got := FuseRotations(c2); len(got.Gates) != 0 {
-		t.Fatalf("2π rotation kept: %v", got.Gates)
-	}
-}
-
-func TestFuseRotationsRXNotAcrossDiagonal(t *testing.T) {
-	// RX does not commute with RZ; fusion across it would be wrong.
-	c := New(1)
-	c.AddRX(0, 0.3).AddRZ(0, 0.5).AddRX(0, 0.4)
-	f := FuseRotations(c)
-	if len(f.Gates) != 3 {
-		t.Fatalf("RX fused across RZ: %v", f.Gates)
-	}
-}
-
-func TestCancelInversesBasic(t *testing.T) {
-	c := New(2)
-	c.AddH(0).AddH(0)
-	c.AddCNOT(0, 1).AddCNOT(0, 1)
-	out := CancelInverses(c)
-	if len(out.Gates) != 0 {
-		t.Fatalf("cancellation left %v", out.Gates)
-	}
-}
-
-func TestCancelInversesCascades(t *testing.T) {
-	// H X X H collapses completely through cascading.
-	c := New(1)
-	c.AddH(0).AddX(0).AddX(0).AddH(0)
-	out := CancelInverses(c)
-	if len(out.Gates) != 0 {
-		t.Fatalf("cascade left %v", out.Gates)
-	}
-}
-
-func TestCancelInversesRespectsBlockers(t *testing.T) {
-	c := New(2)
-	c.AddCNOT(0, 1).AddH(1).AddCNOT(0, 1)
-	out := CancelInverses(c)
-	if len(out.Gates) != 3 {
-		t.Fatalf("blocked cancellation removed gates: %v", out.Gates)
-	}
-	// CNOT direction matters.
-	c2 := New(2)
-	c2.AddCNOT(0, 1).AddCNOT(1, 0)
-	if got := CancelInverses(c2); len(got.Gates) != 2 {
-		t.Fatalf("reversed CNOTs cancelled: %v", got.Gates)
-	}
-}
-
-func TestCancelInversesSymmetricOperands(t *testing.T) {
-	c := New(2)
-	c.AddCZ(0, 1).AddCZ(1, 0)
-	if got := CancelInverses(c); len(got.Gates) != 0 {
-		t.Fatalf("CZ symmetric cancellation failed: %v", got.Gates)
-	}
-}
-
-func TestDecomposeToCXEquivalence(t *testing.T) {
-	c := New(3)
-	c.AddH(0).AddH(1).AddH(2)
-	c.AddRZZ(0, 1, 0.7).AddCZ(1, 2).AddSwap(0, 2).AddRZZ(1, 2, -0.4)
-	d := DecomposeToCX(c)
-	for _, g := range d.Gates {
-		if g.Kind == RZZ || g.Kind == CZ || g.Kind == SWAP {
-			t.Fatalf("decomposition left %v", g)
-		}
-	}
-	statesEqual(t, c, d, 1e-10)
-}
-
-func TestScheduleCommutingPreservesState(t *testing.T) {
-	r := rng.New(5)
-	c := New(5)
-	for k := 0; k < 20; k++ {
-		a, b := r.Intn(5), r.Intn(5)
-		if a == b {
-			continue
-		}
-		c.AddRZZ(a, b, r.Float64())
-	}
-	c.AddRX(0, 0.3) // non-diagonal separator
-	for k := 0; k < 10; k++ {
-		a, b := r.Intn(5), r.Intn(5)
-		if a == b {
-			continue
-		}
-		c.AddRZZ(a, b, r.Float64())
-	}
-	s := ScheduleCommuting(c)
-	if len(s.Gates) != len(c.Gates) {
-		t.Fatalf("scheduling changed gate count %d -> %d", len(c.Gates), len(s.Gates))
-	}
-	statesEqual(t, c, s, 1e-9)
-}
-
-func TestScheduleCommutingReducesPathDepth(t *testing.T) {
-	// RZZ chain 0-1, 1-2, 2-3, 3-4 in order has ASAP depth 4; reordered
-	// as (0-1, 2-3), (1-2, 3-4) it has depth 2.
-	c := New(5)
-	c.AddRZZ(0, 1, 0.1).AddRZZ(1, 2, 0.1).AddRZZ(2, 3, 0.1).AddRZZ(3, 4, 0.1)
-	if c.Depth() != 4 {
-		t.Fatalf("precondition failed: chain depth %d", c.Depth())
-	}
-	s := ScheduleCommuting(c)
-	if s.Depth() != 2 {
-		t.Fatalf("scheduled depth %d want 2", s.Depth())
 	}
 }
 
@@ -390,21 +209,5 @@ func BenchmarkDepth(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		c.Depth()
-	}
-}
-
-func BenchmarkScheduleCommuting(b *testing.B) {
-	r := rng.New(1)
-	c := New(20)
-	for k := 0; k < 500; k++ {
-		a, q := r.Intn(20), r.Intn(20)
-		if a == q {
-			continue
-		}
-		c.AddRZZ(a, q, 0.1)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ScheduleCommuting(c)
 	}
 }

@@ -1,234 +1,5 @@
 package circuit
 
-import "math"
-
-// angleEps treats rotations within this tolerance of 0 (mod 2π) as
-// identity after fusion.
-const angleEps = 1e-12
-
-// normalizeAngle reduces an angle to (-π, π].
-func normalizeAngle(theta float64) float64 {
-	t := math.Mod(theta, 2*math.Pi)
-	if t > math.Pi {
-		t -= 2 * math.Pi
-	}
-	if t <= -math.Pi {
-		t += 2 * math.Pi
-	}
-	return t
-}
-
-// FuseRotations merges consecutive rotations of the same kind on the
-// same qubit(s) (RX·RX, RY·RY, RZ·RZ, RZZ·RZZ). Z-basis rotations are
-// additionally merged across intervening diagonal gates, which commute
-// with them. Fused rotations whose accumulated angle is 0 (mod 2π) are
-// dropped entirely. Returns a new circuit.
-func FuseRotations(c *Circuit) *Circuit {
-	out := &Circuit{N: c.N, Gates: make([]Gate, 0, len(c.Gates))}
-	for _, g := range c.Gates {
-		if idx := fuseTarget(out, g); idx >= 0 {
-			out.Gates[idx].Param = normalizeAngle(out.Gates[idx].Param + g.Param)
-			continue
-		}
-		out.Gates = append(out.Gates, g)
-	}
-	// Drop rotations that became identity.
-	kept := out.Gates[:0]
-	for _, g := range out.Gates {
-		if g.Kind.IsParameterized() && math.Abs(normalizeAngle(g.Param)) <= angleEps {
-			continue
-		}
-		kept = append(kept, g)
-	}
-	out.Gates = kept
-	return out
-}
-
-// fuseTarget scans backwards for a gate that g can merge into, stopping
-// at the first blocker on either of g's qubits.
-func fuseTarget(out *Circuit, g Gate) int {
-	if !g.Kind.IsParameterized() {
-		return -1
-	}
-	zBasis := g.Kind == RZ || g.Kind == RZZ
-	for i := len(out.Gates) - 1; i >= 0; i-- {
-		prev := out.Gates[i]
-		if !sharesQubit(prev, g) {
-			continue
-		}
-		if sameOperands(prev, g) {
-			return i
-		}
-		// A diagonal intervening gate commutes with Z-basis rotations;
-		// keep scanning. Anything else blocks.
-		if zBasis && prev.Kind.IsDiagonal() {
-			continue
-		}
-		return -1
-	}
-	return -1
-}
-
-func sharesQubit(a, b Gate) bool {
-	if a.Q0 == b.Q0 || (b.Q1 >= 0 && a.Q0 == b.Q1) {
-		return true
-	}
-	if a.Q1 >= 0 && (a.Q1 == b.Q0 || (b.Q1 >= 0 && a.Q1 == b.Q1)) {
-		return true
-	}
-	return false
-}
-
-func sameOperands(a, b Gate) bool {
-	if a.Kind != b.Kind {
-		return false
-	}
-	if a.Q0 == b.Q0 && a.Q1 == b.Q1 {
-		return true
-	}
-	// RZZ, CZ and SWAP are symmetric in their operands.
-	if a.Kind == RZZ || a.Kind == CZ || a.Kind == SWAP {
-		return a.Q0 == b.Q1 && a.Q1 == b.Q0
-	}
-	return false
-}
-
-// CancelInverses removes adjacent self-inverse pairs (H·H, X·X, Z·Z,
-// CNOT·CNOT with identical control/target, CZ·CZ, SWAP·SWAP), cascading
-// so that newly adjacent pairs cancel too. Returns a new circuit.
-func CancelInverses(c *Circuit) *Circuit {
-	out := &Circuit{N: c.N, Gates: make([]Gate, 0, len(c.Gates))}
-	for _, g := range c.Gates {
-		if g.Kind.IsSelfInverse() {
-			if idx := cancelTarget(out, g); idx >= 0 {
-				out.Gates = append(out.Gates[:idx], out.Gates[idx+1:]...)
-				continue
-			}
-		}
-		out.Gates = append(out.Gates, g)
-	}
-	return out
-}
-
-// cancelTarget finds the most recent gate touching any of g's qubits and
-// returns its index if it is g's exact inverse; otherwise -1.
-func cancelTarget(out *Circuit, g Gate) int {
-	for i := len(out.Gates) - 1; i >= 0; i-- {
-		prev := out.Gates[i]
-		if !sharesQubit(prev, g) {
-			continue
-		}
-		if prev.Kind == g.Kind && prev.Q0 == g.Q0 && prev.Q1 == g.Q1 {
-			return i
-		}
-		if sameOperands(prev, g) && g.Kind.IsSelfInverse() {
-			return i
-		}
-		return -1
-	}
-	return -1
-}
-
-// DecomposeToCX lowers the circuit to the hardware basis
-// {H, X, Y, Z, RX, RY, RZ, CNOT}: RZZ(θ) → CNOT·RZ(θ)·CNOT,
-// CZ → H·CNOT·H, SWAP → three CNOTs. Returns a new circuit.
-func DecomposeToCX(c *Circuit) *Circuit {
-	out := New(c.N)
-	for _, g := range c.Gates {
-		switch g.Kind {
-		case RZZ:
-			out.AddCNOT(g.Q0, g.Q1)
-			out.AddRZ(g.Q1, g.Param)
-			out.AddCNOT(g.Q0, g.Q1)
-		case CZ:
-			out.AddH(g.Q1)
-			out.AddCNOT(g.Q0, g.Q1)
-			out.AddH(g.Q1)
-		case SWAP:
-			out.AddCNOT(g.Q0, g.Q1)
-			out.AddCNOT(g.Q1, g.Q0)
-			out.AddCNOT(g.Q0, g.Q1)
-		default:
-			out.Gates = append(out.Gates, g)
-		}
-	}
-	return out
-}
-
-// ScheduleCommuting reorders maximal runs of diagonal gates (RZ, Z, RZZ,
-// CZ — which all commute pairwise) using greedy conflict coloring so
-// that gates on disjoint qubits pack into the same depth layer. The
-// unitary is unchanged; the ASAP depth typically shrinks. This is the
-// core depth optimization the synthesis engine applies to QAOA cost
-// layers. Returns a new circuit.
-func ScheduleCommuting(c *Circuit) *Circuit {
-	out := &Circuit{N: c.N, Gates: make([]Gate, 0, len(c.Gates))}
-	i := 0
-	for i < len(c.Gates) {
-		if !c.Gates[i].Kind.IsDiagonal() {
-			out.Gates = append(out.Gates, c.Gates[i])
-			i++
-			continue
-		}
-		j := i
-		for j < len(c.Gates) && c.Gates[j].Kind.IsDiagonal() {
-			j++
-		}
-		out.Gates = append(out.Gates, colorSchedule(c.N, c.Gates[i:j])...)
-		i = j
-	}
-	return out
-}
-
-// colorSchedule assigns each gate the smallest color (layer) not yet
-// used at any of its qubits — greedy edge coloring when the gates are
-// RZZs over graph edges (commuting gates may take ANY free color, not
-// just one after their predecessors) — then emits the gates color by
-// color.
-func colorSchedule(n int, gates []Gate) []Gate {
-	used := make([][]bool, n) // used[q][color]
-	for q := range used {
-		used[q] = make([]bool, 0, 8)
-	}
-	colorAt := func(q, color int) bool {
-		if color >= len(used[q]) {
-			return false
-		}
-		return used[q][color]
-	}
-	mark := func(q, color int) {
-		for len(used[q]) <= color {
-			used[q] = append(used[q], false)
-		}
-		used[q][color] = true
-	}
-	layerOf := make([]int, len(gates))
-	maxLayer := 0
-	for gi, g := range gates {
-		color := 0
-		for colorAt(g.Q0, color) || (g.Q1 >= 0 && colorAt(g.Q1, color)) {
-			color++
-		}
-		layerOf[gi] = color
-		mark(g.Q0, color)
-		if g.Q1 >= 0 {
-			mark(g.Q1, color)
-		}
-		if color+1 > maxLayer {
-			maxLayer = color + 1
-		}
-	}
-	out := make([]Gate, 0, len(gates))
-	for layer := 0; layer < maxLayer; layer++ {
-		for gi, g := range gates {
-			if layerOf[gi] == layer {
-				out = append(out, g)
-			}
-		}
-	}
-	return out
-}
-
 // RouteLinear rewrites the circuit for a 1-D nearest-neighbor topology:
 // SWAPs are inserted so every two-qubit gate acts on adjacent physical
 // wires. It returns the routed circuit (in physical wire indices), a

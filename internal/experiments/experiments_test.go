@@ -300,17 +300,6 @@ func TestSynthesisAblationImprovesDepth(t *testing.T) {
 	}
 }
 
-func TestCircuitMetricsForBasis(t *testing.T) {
-	g := graph.Complete(5)
-	native, cx, err := CircuitMetricsForBasis(g, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cx.TwoQubitGates <= native.TwoQubitGates {
-		t.Fatalf("CX basis should cost more 2q gates: %d vs %d", cx.TwoQubitGates, native.TwoQubitGates)
-	}
-}
-
 func TestSelectorTrainsOnGridData(t *testing.T) {
 	res, err := RunGrid(tinyGrid())
 	if err != nil {

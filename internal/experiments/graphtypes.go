@@ -187,7 +187,7 @@ func RunPartitionAblation(nodes int, prob float64, maxQubits int, seed uint64) (
 		// explicit partition, or recompute the modularity one.
 		parts := cfg.parts
 		if parts == nil {
-			parts, err = recoverModularityParts(g, maxQubits)
+			parts, err = partition.SizeCapped(g, maxQubits)
 			if err != nil {
 				return nil, err
 			}
@@ -200,10 +200,6 @@ func RunPartitionAblation(nodes int, prob float64, maxQubits int, seed uint64) (
 		})
 	}
 	return rows, nil
-}
-
-func recoverModularityParts(g *graph.Graph, maxQubits int) ([][]int, error) {
-	return partition.SizeCapped(g, maxQubits)
 }
 
 // partitionCrossWeight sums weight of edges whose endpoints lie in

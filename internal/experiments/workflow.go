@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"qaoa2/internal/backend"
-	"qaoa2/internal/circuit"
 	"qaoa2/internal/graph"
 	"qaoa2/internal/gw"
 	"qaoa2/internal/hpc"
@@ -325,40 +324,4 @@ func SynthesisAblation(nodes int, prob float64, layers, instances int, seed uint
 		out = append(out, [2]int{naive.Report.Depth, opt.Report.Depth})
 	}
 	return out, nil
-}
-
-// CircuitMetricsForBasis reports depth/2q-count for the native and CX
-// bases on one instance, exercising circuit.DecomposeToCX for reports.
-func CircuitMetricsForBasis(g *graph.Graph, layers int) (native, cx synth.Report, err error) {
-	tn, err := synth.BuildTemplate(synth.Model{Graph: g, Layers: layers},
-		synth.Preferences{Objective: synth.MinimizeDepth, Basis: synth.BasisNative})
-	if err != nil {
-		return native, cx, err
-	}
-	tc, err := synth.BuildTemplate(synth.Model{Graph: g, Layers: layers},
-		synth.Preferences{Objective: synth.MinimizeDepth, Basis: synth.BasisCX})
-	if err != nil {
-		return native, cx, err
-	}
-	// Bind representative non-zero parameters before optimizing: with
-	// unbound (zero) angles the transpiler would legitimately delete the
-	// whole cost layer (RZ(0) drops, adjacent CNOTs cancel).
-	gammas := make([]float64, layers)
-	betas := make([]float64, layers)
-	for i := range gammas {
-		gammas[i] = 0.4
-		betas[i] = 0.3
-	}
-	if err := tc.Bind(gammas, betas); err != nil {
-		return native, cx, err
-	}
-	// Run the generic optimization pipeline over the CX circuit to keep
-	// the transpiler honest (fusion/cancellation must preserve the
-	// non-trivial gates).
-	fused := circuit.CancelInverses(circuit.FuseRotations(tc.Circuit))
-	rep := tc.Report
-	rep.TotalGates = len(fused.Gates)
-	rep.Depth = fused.Depth()
-	rep.TwoQubitGates = fused.TwoQubitCount()
-	return tn.Report, rep, nil
 }

@@ -12,8 +12,8 @@ import (
 )
 
 // readerSeeds are the inputs every reader's fuzz target starts from,
-// written in Read's 0-based format; inFormat rewrites them for the
-// other two. They cover a header far over MaxNodes, one just over
+// written in Read's 0-based format; inFormat rewrites them for
+// ReadGset. They cover a header far over MaxNodes, one just over
 // it, NaN and infinite weights, parallel weights that sum to +Inf, a
 // self-loop, an out-of-range endpoint, both edge-count mismatches and
 // one valid graph.
@@ -31,7 +31,7 @@ var readerSeeds = []string{
 	"# comment\n4 3\n0 1 1.5\n1 2 -2\n2 3 1\n",
 }
 
-// formats are the three readers, each with the writer of one header
+// formats are the two readers, each with the writer of one header
 // line and one edge line of its syntax.
 var formats = []struct {
 	name   string
@@ -45,9 +45,6 @@ var formats = []struct {
 	{"gset", ReadGset,
 		func(n, m string) string { return n + " " + m },
 		func(i, j int, w string) string { return fmt.Sprintf("%d %d %s", i+1, j+1, w) }},
-	{"dimacs", ReadDIMACS,
-		func(n, m string) string { return "p edge " + n + " " + m },
-		func(i, j int, w string) string { return fmt.Sprintf("e %d %d %s", i+1, j+1, w) }},
 }
 
 // inFormat rewrites a seed of Read's format in format k's syntax.
@@ -59,9 +56,6 @@ func inFormat(k int, seed string) string {
 		fields := strings.Fields(line)
 		switch {
 		case len(fields) == 0 || strings.HasPrefix(line, "#"):
-			if k == 2 && len(fields) > 0 {
-				line = "c" + line[1:]
-			}
 			out = append(out, line)
 		case header:
 			out = append(out, f.header(fields[0], fields[1]))
@@ -75,7 +69,7 @@ func inFormat(k int, seed string) string {
 	return strings.Join(out, "\n")
 }
 
-// fuzzRead is the property all three targets check: an input either
+// fuzzRead is the property both targets check: an input either
 // fails with an error, or parses to a graph of at most MaxNodes nodes
 // with finite weights that WriteTo and Read reproduce bit for bit.
 // Either way the bytes allocated are bounded by the input's length and
@@ -130,9 +124,8 @@ func fuzzFormat(f *testing.F, k int) {
 	})
 }
 
-func FuzzRead(f *testing.F)       { fuzzFormat(f, 0) }
-func FuzzReadGset(f *testing.F)   { fuzzFormat(f, 1) }
-func FuzzReadDIMACS(f *testing.F) { fuzzFormat(f, 2) }
+func FuzzRead(f *testing.F)     { fuzzFormat(f, 0) }
+func FuzzReadGset(f *testing.F) { fuzzFormat(f, 1) }
 
 // TestReadersRefuseTyped: an oversized header and every kind of
 // non-finite weight fail with a *RefusedError in each format, malformed

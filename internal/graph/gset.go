@@ -64,74 +64,6 @@ func ReadGset(r io.Reader) (*Graph, error) {
 	return er.graph()
 }
 
-// ReadDIMACS parses the DIMACS edge format:
-//
-//	c <comment>
-//	p edge n m
-//	e i j [w]    (1-based endpoints; weight defaults to 1)
-//
-// The declared edge count must match the 'e' lines seen. A problem line
-// over MaxNodes nodes and a non-finite weight fail with a
-// *RefusedError.
-func ReadDIMACS(r io.Reader) (*Graph, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<16), 1<<24)
-	er := edgeReader{format: "dimacs", base: 1, n: -1}
-	lineNo := 0
-	for sc.Scan() {
-		lineNo++
-		line := strings.TrimSpace(sc.Text())
-		if line == "" || strings.HasPrefix(line, "c") {
-			continue
-		}
-		fields := strings.Fields(line)
-		switch fields[0] {
-		case "p":
-			if er.n >= 0 {
-				return nil, er.errorf(lineNo, "duplicate problem line")
-			}
-			if len(fields) != 4 || fields[1] != "edge" {
-				return nil, er.errorf(lineNo, "want \"p edge n m\", got %q", line)
-			}
-			n, err1 := strconv.Atoi(fields[2])
-			m, err2 := strconv.Atoi(fields[3])
-			if err1 != nil || err2 != nil || n < 0 || m < 0 {
-				return nil, er.errorf(lineNo, "bad problem line %q", line)
-			}
-			if err := er.header(lineNo, n, m); err != nil {
-				return nil, err
-			}
-		case "e":
-			if er.n < 0 {
-				return nil, er.errorf(lineNo, "edge before the problem line")
-			}
-			if len(fields) != 3 && len(fields) != 4 {
-				return nil, er.errorf(lineNo, "want \"e i j [w]\", got %q", line)
-			}
-			wField := "1"
-			if len(fields) == 4 {
-				wField = fields[3]
-			}
-			i, j, w, err := edgeFields(fields[1], fields[2], wField)
-			if err != nil {
-				return nil, er.errorf(lineNo, "%v", err)
-			}
-			if err := er.edge(lineNo, i, j, w); err != nil {
-				return nil, err
-			}
-		default:
-			return nil, er.errorf(lineNo, "unknown record %q", fields[0])
-		}
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	if er.n < 0 {
-		return nil, fmt.Errorf("graph: dimacs input has no problem line")
-	}
-	return er.graph()
-}
-
 // edgeFields parses one "i j w" edge triple.
 func edgeFields(si, sj, sw string) (int, int, float64, error) {
 	i, err := strconv.Atoi(si)

@@ -48,46 +48,6 @@ func TestReadGsetMalformed(t *testing.T) {
 	}
 }
 
-func TestReadDIMACS(t *testing.T) {
-	in := `c DIMACS edge format, weights optional
-p edge 4 4
-e 1 2
-e 2 3 2
-e 1 3 -1
-e 3 4
-`
-	g, err := ReadDIMACS(strings.NewReader(in))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g.N() != 4 || g.M() != 4 {
-		t.Fatalf("parsed %d nodes / %d edges", g.N(), g.M())
-	}
-	if e := g.Edges()[0]; e.I != 0 || e.J != 1 || e.W != 1 {
-		t.Fatalf("default weight edge %+v, want (0,1,1)", e)
-	}
-	if e := g.Edges()[1]; e.W != 2 {
-		t.Fatalf("explicit weight lost: %+v", e)
-	}
-}
-
-func TestReadDIMACSMalformed(t *testing.T) {
-	for name, in := range map[string]string{
-		"empty":            "",
-		"no problem line":  "e 1 2\n",
-		"duplicate p":      "p edge 2 0\np edge 2 0\n",
-		"wrong format tag": "p col 2 1\ne 1 2\n",
-		"unknown record":   "p edge 2 1\nx 1 2\n",
-		"count mismatch":   "p edge 3 2\ne 1 2\n",
-		"zero endpoint":    "p edge 2 1\ne 0 1\n",
-		"out of range":     "p edge 2 1\ne 1 9\n",
-	} {
-		if _, err := ReadDIMACS(strings.NewReader(in)); err == nil {
-			t.Errorf("%s: accepted %q", name, in)
-		}
-	}
-}
-
 // TestGsetRoundTripThroughWriteTo: a Gset-parsed graph re-serialized by
 // WriteTo (0-based) re-reads identically through Read.
 func TestGsetRoundTripThroughWriteTo(t *testing.T) {

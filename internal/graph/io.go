@@ -35,10 +35,10 @@ func (g *Graph) WriteTo(w io.Writer) (int64, error) {
 	return total, bw.Flush()
 }
 
-// MaxNodes is the largest node count Read, ReadGset and ReadDIMACS
-// accept. A header is a few bytes, so without a bound it could ask for
-// any node table: "2000000000 0" alone would be a 48 GB allocation. The
-// bound equals the solve service's instance limit and is far above the
+// MaxNodes is the largest node count Read and ReadGset accept. A
+// header is a few bytes, so without a bound it could ask for any node
+// table: "2000000000 0" alone would be a 48 GB allocation. The bound
+// equals the solve service's instance limit and is far above the
 // largest catalogued instance (3000 nodes).
 const MaxNodes = 1 << 20
 
@@ -47,7 +47,7 @@ const MaxNodes = 1 << 20
 // edge weight — as written, or summed over an edge listed twice — that
 // is NaN or infinite.
 type RefusedError struct {
-	Format string // "" for Read's own format, "gset" or "dimacs"
+	Format string // "" for Read's own format, "gset" for ReadGset's
 	Line   int    // physical line, comments and blanks counted; 0 for a summed weight
 	Reason string
 }

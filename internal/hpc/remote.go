@@ -15,7 +15,7 @@ import (
 )
 
 // RemoteSolver offloads sub-graph solves to a running qaoa2d daemon:
-// it is a drop-in SubSolver, so the coordinator workflow (and plain
+// it is a drop-in solver.Solver, so the coordinator workflow (and plain
 // qaoa2.Solve) can dispatch leaves to a remote solve service instead
 // of the local simulator — the first step toward the multi-backend
 // dispatch the service layer exists for.
@@ -92,7 +92,7 @@ type RemoteSolver struct {
 	Fallback solver.Solver
 }
 
-// Name implements SubSolver.
+// Name implements solver.Solver.
 func (s RemoteSolver) Name() string {
 	solver := s.Solver
 	if solver == "" {
@@ -124,7 +124,7 @@ func (s RemoteSolver) ConfigTag() string {
 		sub, merge, s.Layers, s.MaxQubits, fb)
 }
 
-// SolveSub implements SubSolver by submitting the sub-graph and
+// SolveSub implements solver.Solver by submitting the sub-graph and
 // waiting on the daemon's event stream, retrying transient failures
 // and degrading to Fallback when the remote path is exhausted.
 func (s RemoteSolver) SolveSub(g *graph.Graph, r *rng.Rand) (maxcut.Cut, error) {

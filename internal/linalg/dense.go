@@ -1,6 +1,6 @@
 // Package linalg implements the small dense linear-algebra kernel the
 // repository needs: vectors, square matrices, a cyclic Jacobi symmetric
-// eigensolver and a Cholesky factorization. It exists because the
+// eigensolver and a pivoted linear solve. It exists because the
 // Goemans-Williamson substrate (internal/sdp, internal/gw) requires a
 // positive-semidefinite projection and a Gram factorization, and the
 // module must build offline with the standard library only.
@@ -99,18 +99,6 @@ func (a *Dense) Trace() float64 {
 	return t
 }
 
-// FrobeniusInner returns <a, b> = sum_ij a_ij b_ij.
-func FrobeniusInner(a, b *Dense) float64 {
-	if a.N != b.N {
-		panic("linalg: order mismatch in FrobeniusInner")
-	}
-	s := 0.0
-	for i, v := range a.Data {
-		s += v * b.Data[i]
-	}
-	return s
-}
-
 // FrobeniusNorm returns ||a||_F.
 func (a *Dense) FrobeniusNorm() float64 {
 	s := 0.0
@@ -151,30 +139,6 @@ func (a *Dense) MatVec(x, y []float64) {
 		}
 		y[i] = s
 	}
-}
-
-// MatMul returns C = A B for square matrices of equal order.
-func MatMul(a, b *Dense) *Dense {
-	if a.N != b.N {
-		panic("linalg: order mismatch in MatMul")
-	}
-	n := a.N
-	c := NewDense(n)
-	for i := 0; i < n; i++ {
-		ci := c.Row(i)
-		ai := a.Row(i)
-		for k := 0; k < n; k++ {
-			aik := ai[k]
-			if aik == 0 {
-				continue
-			}
-			bk := b.Row(k)
-			for j := 0; j < n; j++ {
-				ci[j] += aik * bk[j]
-			}
-		}
-	}
-	return c
 }
 
 // Dot returns the inner product of two equal-length vectors.

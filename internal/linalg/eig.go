@@ -264,28 +264,3 @@ func ProjectPSD(a *Dense) { NewSymEig(a.N).ProjectPSD(a) }
 
 // GramFactor is SymEig.GramFactor on a fresh solver, for one-off use.
 func GramFactor(a *Dense) *Mat { return NewSymEig(a.N).GramFactor(a) }
-
-// Cholesky computes the lower-triangular factor L with L Lᵀ = A for a
-// symmetric positive definite A. It returns false if A is not positive
-// definite (within jitter tolerance).
-func Cholesky(a *Dense) (*Dense, bool) {
-	n := a.N
-	l := NewDense(n)
-	for i := 0; i < n; i++ {
-		for j := 0; j <= i; j++ {
-			sum := a.At(i, j)
-			for k := 0; k < j; k++ {
-				sum -= l.At(i, k) * l.At(j, k)
-			}
-			if i == j {
-				if sum <= 0 {
-					return nil, false
-				}
-				l.Set(i, i, math.Sqrt(sum))
-			} else {
-				l.Set(i, j, sum/l.At(j, j))
-			}
-		}
-	}
-	return l, true
-}

@@ -127,15 +127,6 @@ func TestMatVecDimensionPanic(t *testing.T) {
 	NewDense(2).MatVec([]float64{1}, []float64{1, 2})
 }
 
-func TestFrobeniusInnerMismatchPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("no panic on order mismatch")
-		}
-	}()
-	FrobeniusInner(NewDense(2), NewDense(3))
-}
-
 func TestMatAccessorsAndClone(t *testing.T) {
 	m := NewMat(2, 3)
 	m.Set(1, 2, 4)
@@ -160,13 +151,4 @@ func TestMaxAbsOffDiag(t *testing.T) {
 	if got := a.MaxAbsOffDiag(); got != 7 {
 		t.Fatalf("MaxAbsOffDiag %v", got)
 	}
-}
-
-func TestMatMulMismatchPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("no panic on MatMul mismatch")
-		}
-	}()
-	MatMul(NewDense(2), NewDense(3))
 }

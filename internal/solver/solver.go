@@ -8,7 +8,7 @@
 // what it is called. This package provides:
 //
 //   - Solver, the per-sub-graph solve interface every layer takes
-//     (the facade's qaoa2.SubSolver is an alias of it);
+//     (its only other name is the facade's qaoa2.SubSolver alias);
 //   - the concrete solvers: simulated QAOA, Goemans-Williamson, the
 //     SDP-pinned GW variant, recursive QAOA, simulated annealing,
 //     local search, brute force, random baselines, and the composite

@@ -139,7 +139,6 @@ var reachAllowlist = map[string]string{
 	"graph.Bipartite":              "fixture in the tests of 8 packages",
 	"hpc.VerifyNoOversubscription": "scheduler invariant oracle of the Simulate tests in sched_test.go",
 	"linalg.EigSym":                "cold-start oracle of the SymEig tests in linalg",
-	"partition.CrossWeight":        "objective the Kernighan–Lin tests check refinement against",
 	"partition.Modularity":         "CNM objective of TestGreedyModularityImprovesOverSingletons",
 	"partition.GreedyModularity":   "CNM entry point of FuzzSizeCapped and the lazy-heap oracle tests",
 	"qsim.Fidelity":                "state comparison of the qsim, circuit and synth tests",

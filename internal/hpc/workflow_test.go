@@ -197,13 +197,15 @@ func checkMixed(t *testing.T, res *qaoa2.Result, quantum, classical string) {
 }
 
 // TestDensityPolicyResumesCheckpoint: a routed run fingerprints like
-// any other solver, so rerunning it restores every solve task.
+// any other solver, so rerunning it restores every solve task. At a
+// budget of 4 the instance's 11 parts straddle the density threshold (8
+// route to exact, 3 to gw) and the merge graph divides again.
 func TestDensityPolicyResumesCheckpoint(t *testing.T) {
 	g := graph.ErdosRenyi(40, 0.15, graph.Unweighted, rng.New(8))
 	path := filepath.Join(t.TempDir(), "fig2.ckpt")
 	restored := 0
 	opts := qaoa2.Options{
-		MaxQubits:      7,
+		MaxQubits:      4,
 		Solver:         DensityPolicy(0.7, solver.ExactSolver{}, solver.GWSolver{}),
 		MergeSolver:    solver.GWSolver{},
 		Parallelism:    3,
@@ -260,11 +262,14 @@ func TestCoordinatedBeatsRandom(t *testing.T) {
 // graph that divides again — to one cut at every worker count. The pin
 // was re-captured when the coordinator became qaoa2.Solve: its leaves
 // now draw the executor's per-part streams, so GW rounds other
-// hyperplanes (the dedicated coordinator gave 78.9791099387327).
+// hyperplanes (the dedicated coordinator gave 78.9791099387327). It was
+// re-captured again when the divide became one capped agglomeration:
+// 16 first-level parts instead of 19 (the recursive divide gave
+// 80.83345466232977).
 func TestCoordinatedMergePinned(t *testing.T) {
 	const (
-		wantBits  = 0x40543557523959ed // 80.83345466232977
-		wantSpins = "+-+---+-++--+--++-++-+-++----+-+++-+++-++---+-+----+++-----+"
+		wantBits  = 0x40534668cfa92f0a // 77.10014716646052
+		wantSpins = "--+--++-+---+---++-+-+--+----+-++++++++++---+++-+--+++-----+"
 	)
 	g := graph.ErdosRenyi(60, 0.12, graph.UniformWeights, rng.New(6))
 	for _, workers := range []int{1, 3} {
@@ -279,7 +284,7 @@ func TestCoordinatedMergePinned(t *testing.T) {
 			spins[v] = "-+"[(s+1)/2]
 		}
 		if math.Float64bits(res.Cut.Value) != wantBits || string(spins) != wantSpins ||
-			res.Levels != 2 || res.SubGraphs != 19 {
+			res.Levels != 2 || res.SubGraphs != 16 {
 			t.Fatalf("workers=%d: cut %v (%#x) over %d levels, %d sub-graphs, spins %s",
 				workers, res.Cut.Value, math.Float64bits(res.Cut.Value), res.Levels, res.SubGraphs, spins)
 		}

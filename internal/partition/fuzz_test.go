@@ -10,11 +10,14 @@ import (
 // FuzzSizeCapped fuzzes the QAOA² divider: for ANY graph and ANY
 // positive qubit budget, the produced partition must be a disjoint
 // cover of all nodes with every part sized within the budget — the
-// invariant the whole divide-and-conquer rests on — and the indexed
-// merge queue must find the communities the lazy boxed heap finds. The
-// graph is
-// decoded from raw fuzz bytes: the first byte sizes the node set, the
-// second the budget, and each subsequent byte pair adds one edge.
+// invariant the whole divide-and-conquer rests on. A graph that does
+// not fit must come back in parts that each induce a connected
+// sub-graph, since CNM only merges adjacent communities, and equal to
+// the lazy boxed heap's capped agglomeration part for part. The
+// uncapped indexed queue must find the communities the uncapped lazy
+// heap finds. The graph is decoded from raw fuzz bytes: the first byte
+// sizes the node set, the second the budget, and each subsequent byte
+// pair adds one edge.
 func FuzzSizeCapped(f *testing.F) {
 	for _, seed := range fuzzSeeds() {
 		f.Add(seed)
@@ -54,10 +57,41 @@ func FuzzSizeCapped(f *testing.F) {
 				t.Fatalf("node %d not covered by any part", v)
 			}
 		}
-		if got, want := GreedyModularity(g), greedyModularityBoxed(g); !reflect.DeepEqual(got, want) {
+		if g.N() > maxSize {
+			for pi, part := range parts {
+				if !connected(g, part) {
+					t.Fatalf("part %d %v does not induce a connected sub-graph", pi, part)
+				}
+			}
+			if want := greedyModularityBoxed(g, maxSize); !reflect.DeepEqual(parts, want) {
+				t.Fatalf("SizeCapped(n=%d, m=%d, cap=%d) = %v, capped lazy heap oracle %v", g.N(), g.M(), maxSize, parts, want)
+			}
+		}
+		if got, want := GreedyModularity(g), greedyModularityBoxed(g, g.N()); !reflect.DeepEqual(got, want) {
 			t.Fatalf("GreedyModularity(n=%d, m=%d) = %v, lazy heap oracle %v", g.N(), g.M(), got, want)
 		}
 	})
+}
+
+// connected reports whether part induces a connected sub-graph of g.
+func connected(g *graph.Graph, part []int) bool {
+	in := make(map[int]bool, len(part))
+	for _, v := range part {
+		in[v] = true
+	}
+	reached := map[int]bool{part[0]: true}
+	stack := []int{part[0]}
+	for len(stack) > 0 {
+		v := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		for _, h := range g.Neighbors(v) {
+			if in[h.To] && !reached[h.To] {
+				reached[h.To] = true
+				stack = append(stack, h.To)
+			}
+		}
+	}
+	return len(reached) == len(part)
 }
 
 // fuzzSeeds is the seed corpus: empty graph, single node, isolated

@@ -65,8 +65,10 @@ func (h *boxedHeap) Pop() interface{} {
 }
 
 // greedyModularityBoxed is GreedyModularity as it stood on the boxed
-// heap, line for line.
-func greedyModularityBoxed(g *graph.Graph) [][]int {
+// heap, line for line, with a size cap added the lazy way: a popped
+// pair whose communities hold more than limit nodes together is
+// discarded. Sizes only grow, so a discarded pair never fits again.
+func greedyModularityBoxed(g *graph.Graph, limit int) [][]int {
 	n := g.N()
 	if n == 0 {
 		return nil
@@ -115,6 +117,9 @@ func greedyModularityBoxed(g *graph.Graph) [][]int {
 		if it.stamp != stamps[c]+stamps[d] {
 			continue
 		}
+		if len(members[c])+len(members[d]) > limit {
+			continue
+		}
 		if it.dq <= 1e-15 {
 			break
 		}
@@ -151,29 +156,36 @@ func greedyModularityBoxed(g *graph.Graph) [][]int {
 	return out
 }
 
-// checkedGreedy is GreedyModularity's loop with the workspace audited
-// after every merge: one entry per live pair and never more than the M
-// it started with, each at the queue position it records, parents
-// before children; every row entry names its row's community, both
-// recorded slots point back at the entry, no row holds an entry of a
-// dead community or two entries of one pair, and the rows hold each
-// queued pair twice.
-func checkedGreedy(t *testing.T, name string, g *graph.Graph) {
+// checkedGreedy is the agglomeration capped at limit with the
+// workspace audited after every merge: one entry per live pair and
+// never more than the M it started with, each at the queue position it
+// records, parents before children; every row entry names its row's
+// community, both recorded slots point back at the entry, no row holds
+// an entry of a dead community, two entries of one pair or a pair whose
+// sizes sum past the limit; the rows hold each queued pair twice, and
+// the live communities' sizes sum to n.
+func checkedGreedy(t *testing.T, name string, g *graph.Graph, limit int) {
 	t.Helper()
 	m2 := 2 * g.TotalWeight()
 	if g.N() == 0 || m2 == 0 {
 		return
 	}
-	s := newCNM(g.N(), g.M())
+	s := newCNM(g.N(), g.M(), limit)
+	if s.limit != int32(limit) {
+		t.Fatalf("%s: workspace limit %d, want %d", name, s.limit, limit)
+	}
 	s.reset(g, m2)
 	for step := 0; ; step++ {
 		if len(s.queue) > g.M() {
 			t.Fatalf("%s step %d: queue holds %d entries, graph has %d edges", name, step, len(s.queue), g.M())
 		}
-		halves := 0
+		halves, members := 0, 0
 		seen := make([]int, g.N()) // seen[o] = c+1: row c has a pair with o
 		for c, row := range s.rows[:g.N()] {
 			halves += len(row)
+			if s.tail[c] >= 0 {
+				members += int(s.size[c])
+			}
 			if len(row) > 0 && s.tail[c] < 0 {
 				t.Fatalf("%s step %d: dead community %d holds %d entries", name, step, c, len(row))
 			}
@@ -184,6 +196,9 @@ func checkedGreedy(t *testing.T, name string, g *graph.Graph) {
 				}
 				if m.a >= m.b || s.tail[m.a] < 0 || s.tail[m.b] < 0 {
 					t.Fatalf("%s step %d: row %d entry is pair {%d,%d}", name, step, c, m.a, m.b)
+				}
+				if sum := s.size[m.a] + s.size[m.b]; sum > int32(limit) {
+					t.Fatalf("%s step %d: row %d holds pair {%d,%d} of %d nodes, limit %d", name, step, c, m.a, m.b, sum, limit)
 				}
 				if m.slot(int32(c)) != int32(i) {
 					t.Fatalf("%s step %d: row %d slot %d holds an entry recording slot %d", name, step, c, i, m.slot(int32(c)))
@@ -201,12 +216,18 @@ func checkedGreedy(t *testing.T, name string, g *graph.Graph) {
 				}
 			}
 		}
+		if members != g.N() {
+			t.Fatalf("%s step %d: live communities hold %d nodes, graph has %d", name, step, members, g.N())
+		}
 		if halves != 2*len(s.queue) {
 			t.Fatalf("%s step %d: %d row entries for %d queued pairs", name, step, halves, len(s.queue))
 		}
 		for i, m := range s.queue {
 			if m.pos != i {
 				t.Fatalf("%s step %d: entry at %d records position %d", name, step, i, m.pos)
+			}
+			if sum := s.size[m.a] + s.size[m.b]; sum > int32(limit) {
+				t.Fatalf("%s step %d: queue holds pair {%d,%d} of %d nodes, limit %d", name, step, m.a, m.b, sum, limit)
 			}
 			if i > 0 && m.before(s.queue[(i-1)/2]) {
 				t.Fatalf("%s step %d: entry %d sorts before its parent", name, step, i)
@@ -257,44 +278,37 @@ func mergeGraphOf(t *testing.T, g *graph.Graph, budget int) *graph.Graph {
 	return merged
 }
 
-// TestTypedHeapKeepsPartitions walks the same recursion SizeCapped does
-// (every community above the budget is partitioned again on its induced
-// sub-graph) over the fuzz corpus, the ER graphs the benchmark
-// partitions and the signed merge graph of one of them, and requires
-// the indexed queue's communities to equal the lazy boxed heap's at
-// every level.
+// TestTypedHeapKeepsPartitions runs the agglomeration over the fuzz
+// corpus, the ER graphs the benchmark partitions and the signed merge
+// graphs of two of them, and requires the indexed queue's communities
+// to equal the lazy boxed heap's, uncapped and at each graph's budget,
+// with the workspace audited after every merge at limits 2, 5, 16 and n.
 func TestTypedHeapKeepsPartitions(t *testing.T) {
-	var walk func(name string, g *graph.Graph, budget, depth int)
-	walk = func(name string, g *graph.Graph, budget, depth int) {
-		got, want := GreedyModularity(g), greedyModularityBoxed(g)
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("%s depth %d: indexed queue partition differs\n got %v\nwant %v", name, depth, got, want)
+	check := func(name string, g *graph.Graph, budget int) {
+		if got, want := GreedyModularity(g), greedyModularityBoxed(g, g.N()); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: indexed queue partition differs\n got %v\nwant %v", name, got, want)
 		}
-		checkedGreedy(t, name, g)
-		if len(got) <= 1 {
-			return
+		got, err := SizeCapped(g, budget)
+		if err != nil {
+			t.Fatal(err)
 		}
-		for _, comm := range got {
-			if len(comm) <= budget {
-				continue
-			}
-			sub, _, err := g.InducedSubgraph(comm)
-			if err != nil {
-				t.Fatal(err)
-			}
-			walk(name, sub, budget, depth+1)
+		if want := greedyModularityBoxed(g, budget); g.N() > budget && !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s, budget %d: indexed queue partition differs\n got %v\nwant %v", name, budget, got, want)
+		}
+		for _, limit := range []int{2, 5, 16, g.N()} {
+			checkedGreedy(t, fmt.Sprintf("%s limit %d", name, limit), g, limit)
 		}
 	}
 	for i, seed := range fuzzSeeds() {
 		if g, budget := graphFromBytes(seed); g != nil {
-			walk(fmt.Sprintf("fuzz seed %d", i), g, budget, 0)
+			check(fmt.Sprintf("fuzz seed %d", i), g, budget)
 		}
 	}
-	walk("ER(200)", graph.ErdosRenyi(200, 0.05, graph.Unweighted, rng.New(1)), 16, 0)
-	walk("ER(200) weighted", graph.ErdosRenyi(200, 0.05, graph.UniformWeights, rng.New(2)), 8, 0)
-	walk("ER(1400)", graph.ErdosRenyi(1400, 10.0/1400, graph.Unweighted, rng.New(3)), 16, 0)
+	check("ER(200)", graph.ErdosRenyi(200, 0.05, graph.Unweighted, rng.New(1)), 16)
+	check("ER(200) weighted", graph.ErdosRenyi(200, 0.05, graph.UniformWeights, rng.New(2)), 8)
+	check("ER(1400)", graph.ErdosRenyi(1400, 10.0/1400, graph.Unweighted, rng.New(3)), 16)
 	er1200 := graph.ErdosRenyi(1200, 8.0/1200, graph.Unweighted, rng.New(4))
-	walk("ER(1200)", er1200, 12, 0)
-	walk("ER(1200) merge graph", mergeGraphOf(t, er1200, 12), 12, 0)
-	walk("ER(200) weighted merge graph", mergeGraphOf(t, graph.ErdosRenyi(200, 0.05, graph.UniformWeights, rng.New(5)), 8), 8, 0)
+	check("ER(1200)", er1200, 12)
+	check("ER(1200) merge graph", mergeGraphOf(t, er1200, 12), 12)
+	check("ER(200) weighted merge graph", mergeGraphOf(t, graph.ErdosRenyi(200, 0.05, graph.UniformWeights, rng.New(5)), 8), 8)
 }

@@ -1,9 +1,9 @@
 // Package partition implements the graph-dividing step of QAOA² (paper
 // §3.3 step 2): communities are found with the Clauset-Newman-Moore
 // greedy modularity agglomeration — the algorithm behind NetworkX's
-// greedy_modularity_communities, which the paper uses — and any
-// community larger than the qubit budget is split recursively until
-// every part fits.
+// greedy_modularity_communities, which the paper uses — capped at the
+// qubit budget: a pair of communities that together exceed it is never
+// merged, so every part fits as built and nothing is split afterwards.
 package partition
 
 import (
@@ -177,14 +177,18 @@ func (q *mergeQueue) remove(m *merge) {
 	}
 }
 
-// cnm is one Clauset-Newman-Moore agglomeration and the workspace it
-// runs in. A community is named by its smallest node: merging the pair
-// c < d folds d into c. Every slice is sized by the graph the workspace
-// is made for and serves any run over a graph no larger, such as
-// SizeCapped's induced sub-graphs. Nodes, entries and slots are int32.
+// cnm is one Clauset-Newman-Moore agglomeration capped at limit members
+// per community, and the workspace it runs in. A community is named by
+// its smallest node: merging the pair c < d folds d into c. Sizes only
+// grow, so a pair whose sizes sum past the limit can never merge; it
+// leaves the rows and the queue the moment it stops fitting, and every
+// pair left holds the whole weight between its two communities. Nodes,
+// entries and slots are int32.
 type cnm struct {
 	a       []float64 // a[c]: fraction of total degree in c
-	entries []merge   // entries[k] starts as edge k's pair
+	size    []int32   // size[c]: members of c
+	limit   int32
+	entries []merge // entries[k] starts as edge k's pair
 	queue   mergeQueue
 	// rows[c] lists c's live pairs as indices into entries; it is empty
 	// once c is merged away. A row starts as c's window of slots, in
@@ -197,9 +201,11 @@ type cnm struct {
 	tail  []int32 // tail[c]: c's last member; -1 once c is merged away
 }
 
-func newCNM(n, m int) *cnm {
+func newCNM(n, m, limit int) *cnm {
 	return &cnm{
 		a:       make([]float64, n),
+		size:    make([]int32, n),
+		limit:   int32(limit),
 		entries: make([]merge, m),
 		queue:   make(mergeQueue, m),
 		rows:    make([][]int32, n),
@@ -217,6 +223,7 @@ func (s *cnm) reset(g *graph.Graph, m2 float64) {
 	free := s.slots[:2*m]
 	for v := 0; v < n; v++ {
 		s.a[v] = g.WeightedDegree(v) / m2
+		s.size[v] = 1
 		d := g.Degree(v)
 		s.rows[v], free = free[:0:d], free[d:]
 		s.at[v], s.next[v], s.tail[v] = -1, -1, int32(v)
@@ -246,6 +253,13 @@ func (s *cnm) unlink(c int32, e *merge) {
 	s.rows[c] = row[:len(row)-1]
 }
 
+// drop removes e from nb's row and from the queue; the caller takes it
+// out of the row of e's other community.
+func (s *cnm) drop(nb int32, e *merge) {
+	s.unlink(nb, e)
+	s.queue.remove(e)
+}
+
 // reserve makes room for k more entries in c's row. A row that outgrows
 // its window moves to spare at twice the size it needs.
 func (s *cnm) reserve(c int32, k int) {
@@ -263,8 +277,9 @@ func (s *cnm) reserve(c int32, k int) {
 	copy(s.rows[c], row)
 }
 
-// mergeBest applies the merge with the largest modularity gain and
-// reports false, changing nothing, once no merge improves Q.
+// mergeBest applies the merge with the largest modularity gain among
+// the pairs that fit and reports false, changing nothing, once no merge
+// improves Q.
 func (s *cnm) mergeBest() bool {
 	if len(s.queue) == 0 || s.queue[0].dq <= 1e-15 {
 		return false
@@ -274,11 +289,22 @@ func (s *cnm) mergeBest() bool {
 	s.queue.remove(top)
 	s.unlink(c, top)
 	s.a[c] += s.a[d]
+	s.size[c] += s.size[d]
 	s.next[s.tail[c]], s.tail[c], s.tail[d] = d, s.tail[d], -1
-	kept := len(s.rows[c])
+	// Compact c's row to the pairs that still fit and mark them.
+	kept := s.rows[c][:0]
 	for _, k := range s.rows[c] {
-		s.at[s.entries[k].other(c)] = k
+		m := &s.entries[k]
+		nb := m.other(c)
+		if s.size[c]+s.size[nb] > s.limit {
+			s.drop(nb, m)
+			continue
+		}
+		m.setSlot(c, int32(len(kept)))
+		kept = append(kept, k)
+		s.at[nb] = k
 	}
+	s.rows[c] = kept
 	// Fold d's row into c's. The queue is fixed after every single key
 	// change, so it is a valid heap at each step.
 	s.reserve(c, len(s.rows[d])-1)
@@ -290,8 +316,11 @@ func (s *cnm) mergeBest() bool {
 		nb := m.other(d)
 		if ck := s.at[nb]; ck >= 0 {
 			s.entries[ck].w += m.w
-			s.unlink(nb, m)
-			s.queue.remove(m)
+			s.drop(nb, m)
+			continue
+		}
+		if s.size[c]+s.size[nb] > s.limit {
+			s.drop(nb, m)
 			continue
 		}
 		// m now stands for {c, nb}: it keeps its slot in nb's row, takes
@@ -308,7 +337,7 @@ func (s *cnm) mergeBest() bool {
 		s.queue.fix(m)
 	}
 	s.rows[d] = nil
-	for _, k := range s.rows[c][:kept] {
+	for _, k := range s.rows[c][:len(kept)] {
 		m := &s.entries[k]
 		nb := m.other(c)
 		s.at[nb] = -1
@@ -318,8 +347,8 @@ func (s *cnm) mergeBest() bool {
 	return true
 }
 
-// communities runs the agglomeration on g, which is no larger than the
-// workspace, until no merge gains modularity, and returns the
+// communities runs the agglomeration on g, the graph the workspace is
+// made for, until no merge that fits gains modularity, and returns the
 // communities as sorted node lists ordered by their smallest node.
 func (s *cnm) communities(g *graph.Graph) [][]int {
 	n := g.N()
@@ -327,8 +356,8 @@ func (s *cnm) communities(g *graph.Graph) [][]int {
 		return nil
 	}
 	m2 := 2 * g.TotalWeight()
-	if m2 == 0 {
-		// No edges: every node is its own community.
+	if m2 == 0 || s.limit < 2 {
+		// Nothing merges: every node is its own community.
 		out := make([][]int, n)
 		for i := range out {
 			out[i] = []int{i}
@@ -339,14 +368,14 @@ func (s *cnm) communities(g *graph.Graph) [][]int {
 	for s.mergeBest() {
 	}
 	count := 0
-	for _, t := range s.tail[:n] {
+	for _, t := range s.tail {
 		if t >= 0 {
 			count++
 		}
 	}
 	out := make([][]int, 0, count)
 	nodes := make([]int, 0, n)
-	for c, t := range s.tail[:n] {
+	for c, t := range s.tail {
 		if t < 0 {
 			continue
 		}
@@ -365,118 +394,34 @@ func (s *cnm) communities(g *graph.Graph) [][]int {
 // community and the merge with the largest modularity gain is applied
 // while a positive gain exists. Communities are returned as sorted node
 // lists ordered by their smallest node. Matches NetworkX's
-// greedy_modularity_communities on connected weighted graphs.
+// greedy_modularity_communities on connected weighted graphs. It is
+// SizeCapped's agglomeration with a cap that never binds.
 func GreedyModularity(g *graph.Graph) [][]int {
-	return newCNM(g.N(), g.M()).communities(g)
+	return newCNM(g.N(), g.M(), g.N()).communities(g)
 }
 
-// SizeCapped partitions g into parts of at most maxSize nodes: greedy
-// modularity first, then any oversized community is recursively split on
-// its induced subgraph (paper §3.3: "If a sub-graph has more nodes than
-// n, the sub-graph is divided into fewer sub-graphs, recursively"). If
-// modularity refuses to split a piece (single community), it falls back
-// to a balanced bisection so progress is guaranteed.
+// SizeCapped partitions g into parts of at most maxSize nodes (paper
+// §3.3: a sub-graph must fit the device). A graph that fits is one
+// part; any other runs one CNM agglomeration that never merges a pair
+// of communities whose sizes sum past maxSize, so the merges that would
+// build an oversized community are never made and nothing is split
+// afterwards. Each of those parts induces a connected sub-graph, since
+// CNM only merges adjacent communities. Parts are sorted node lists
+// ordered by their smallest node.
 func SizeCapped(g *graph.Graph, maxSize int) ([][]int, error) {
 	if maxSize < 1 {
 		return nil, fmt.Errorf("partition: maxSize must be positive, got %d", maxSize)
 	}
-	all := make([]int, g.N())
-	for i := range all {
-		all[i] = i
-	}
-	var out [][]int
-	var ws *cnm // one workspace for every level, made only if one runs
-	if g.N() > maxSize {
-		ws = newCNM(g.N(), g.M())
-	}
-	if err := splitRecursive(g, all, maxSize, &out, 0, ws); err != nil {
-		return nil, err
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i][0] < out[j][0] })
-	return out, nil
-}
-
-func splitRecursive(g *graph.Graph, nodes []int, maxSize int, out *[][]int, depth int, ws *cnm) error {
-	if len(nodes) == 0 {
-		return nil
-	}
-	if len(nodes) <= maxSize {
-		part := append([]int(nil), nodes...)
-		sort.Ints(part)
-		*out = append(*out, part)
-		return nil
-	}
-	if depth > 64 {
-		return fmt.Errorf("partition: recursion depth exceeded (maxSize=%d)", maxSize)
-	}
-	sub, mapping, err := g.InducedSubgraph(nodes)
-	if err != nil {
-		return err
-	}
-	comms := ws.communities(sub)
-	if len(comms) <= 1 {
-		comms = bisect(sub)
-	}
-	for _, comm := range comms {
-		mapped := make([]int, len(comm))
-		for i, v := range comm {
-			mapped[i] = mapping[v]
-		}
-		if err := splitRecursive(g, mapped, maxSize, out, depth+1, ws); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// bisect splits a graph's nodes into two balanced halves by BFS layering
-// from the highest-degree node, keeping connected chunks together where
-// possible. Used only when modularity finds no community structure.
-func bisect(g *graph.Graph) [][]int {
 	n := g.N()
-	if n < 2 {
-		return [][]int{allNodes(n)}
-	}
-	start := 0
-	for v := 1; v < n; v++ {
-		if g.Degree(v) > g.Degree(start) {
-			start = v
+	switch {
+	case n == 0:
+		return nil, nil
+	case n <= maxSize:
+		all := make([]int, n)
+		for i := range all {
+			all[i] = i
 		}
+		return [][]int{all}, nil
 	}
-	order := make([]int, 0, n)
-	seen := make([]bool, n)
-	queue := []int{start}
-	seen[start] = true
-	for len(queue) > 0 {
-		v := queue[0]
-		queue = queue[1:]
-		order = append(order, v)
-		for _, h := range g.Neighbors(v) {
-			if !seen[h.To] {
-				seen[h.To] = true
-				queue = append(queue, h.To)
-			}
-		}
-	}
-	for v := 0; v < n; v++ { // disconnected leftovers
-		if !seen[v] {
-			order = append(order, v)
-		}
-	}
-	half := n / 2
-	a, b := order[:half], order[half:]
-	// Refine the BFS split with Kernighan-Lin so the recursive division
-	// severs as little weight as possible.
-	if ra, rb, err := KernighanLin(g, a, b, 4); err == nil && len(ra) > 0 && len(rb) > 0 {
-		return [][]int{ra, rb}
-	}
-	return [][]int{a, b}
-}
-
-func allNodes(n int) []int {
-	out := make([]int, n)
-	for i := range out {
-		out[i] = i
-	}
-	return out
+	return newCNM(n, g.M(), maxSize).communities(g), nil
 }

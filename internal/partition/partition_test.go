@@ -188,8 +188,8 @@ func TestSizeCappedRespectsCap(t *testing.T) {
 }
 
 func TestSizeCappedOnCompleteGraph(t *testing.T) {
-	// K20 has no community structure; the bisection fallback must still
-	// produce a legal partition.
+	// K20 has no community structure; the capped agglomeration must
+	// still produce a legal partition.
 	parts, err := SizeCapped(graph.Complete(20), 6)
 	if err != nil {
 		t.Fatal(err)
@@ -312,9 +312,10 @@ func partsFNV(parts [][]int) uint64 {
 }
 
 // TestSizeCappedPinnedPartitions pins the divide of the benchmark's
-// merge-heavy and dag-checkpoint shapes to the partitions the map-row
-// agglomeration produced, so a change to the divide's storage or order
-// that moves any node fails here, not only in the oracle walk.
+// merge-heavy and dag-checkpoint shapes to the partitions the capped
+// agglomeration produced when it replaced the recursive divide, so a
+// change to the divide's storage or order that moves any node fails
+// here, not only against the oracle.
 func TestSizeCappedPinnedPartitions(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
@@ -323,8 +324,8 @@ func TestSizeCappedPinnedPartitions(t *testing.T) {
 		parts  int
 		fnv    uint64
 	}{
-		{"merge-heavy ER(1400)", er1400(), 16, 238, 0x46eb91e70c514495},
-		{"dag-checkpoint ER(1200)", er1200(), 12, 234, 0x46fdaa131d32c749},
+		{"merge-heavy ER(1400)", er1400(), 16, 101, 0xa1f4bb03cebfdb69},
+		{"dag-checkpoint ER(1200)", er1200(), 12, 122, 0x5547d4c6f31f2d5d},
 	} {
 		parts, err := SizeCapped(tc.g, tc.budget)
 		if err != nil {
@@ -340,10 +341,12 @@ func TestSizeCappedPinnedPartitions(t *testing.T) {
 // TestSizeCappedAllocationCeiling pins what one divide of the
 // dag-checkpoint shape allocates. The lazy merge heap it replaced grew
 // by one entry per neighbour per merge and took 20 MB here; a queue of
-// one entry per live pair takes under 4. The malloc count pins the
-// storage: rows kept as one map per node cost ~18 000 allocations
-// here; slice rows in one workspace per call leave ~1 500, nearly all
-// of them the induced sub-graphs and the parts themselves.
+// one entry per live pair took under 4, and dropping the pairs that no
+// longer fit leaves about 0.5. The malloc count pins the storage: rows
+// kept as one map per node cost ~18 000 allocations here, slice rows
+// with a recursion over induced sub-graphs ~1 500; one capped
+// agglomeration in one workspace leaves 23, the workspace, the spare
+// row space and the parts.
 func TestSizeCappedAllocationCeiling(t *testing.T) {
 	g := er1200()
 	const runs = 3
@@ -357,11 +360,11 @@ func TestSizeCappedAllocationCeiling(t *testing.T) {
 	runtime.ReadMemStats(&after)
 	perRun := (after.TotalAlloc - before.TotalAlloc) / runs
 	mallocs := (after.Mallocs - before.Mallocs) / runs
-	if perRun > 6<<20 {
-		t.Fatalf("SizeCapped(ER(1200), 12) allocates %d bytes, ceiling %d", perRun, 6<<20)
+	if perRun > 1<<20 {
+		t.Fatalf("SizeCapped(ER(1200), 12) allocates %d bytes, ceiling %d", perRun, 1<<20)
 	}
-	if mallocs > 2000 {
-		t.Fatalf("SizeCapped(ER(1200), 12) makes %d allocations, ceiling %d", mallocs, 2000)
+	if mallocs > 32 {
+		t.Fatalf("SizeCapped(ER(1200), 12) makes %d allocations, ceiling %d", mallocs, 32)
 	}
 	t.Logf("SizeCapped(ER(1200), 12): %d bytes, %d allocations per run", perRun, mallocs)
 }

@@ -131,24 +131,33 @@ func TestOneExecutor(t *testing.T) {
 
 // reachAllowlist names the internal declarations no root reaches that
 // stay anyway: test fixtures and oracles, each with the tests that use
-// it. TestEverythingIsReachable fails when an entry names nothing or a
-// root now reaches it, so the list cannot outlive its reasons.
+// it; a method's key is pkg.Type.Method. TestEverythingIsReachable
+// fails when an entry names nothing or a root now reaches it, so the
+// list cannot outlive its reasons.
 var reachAllowlist = map[string]string{
-	"graph.Complete":               "fixture in the tests of 14 packages",
-	"graph.Path":                   "fixture in the tests of 7 packages",
-	"graph.Bipartite":              "fixture in the tests of 8 packages",
-	"hpc.VerifyNoOversubscription": "scheduler invariant oracle of the Simulate tests in sched_test.go",
-	"linalg.EigSym":                "cold-start oracle of the SymEig tests in linalg",
-	"partition.Modularity":         "CNM objective of TestGreedyModularityImprovesOverSingletons",
-	"partition.GreedyModularity":   "CNM entry point of FuzzSizeCapped and the lazy-heap oracle tests",
-	"qsim.Fidelity":                "state comparison of the qsim, circuit and synth tests",
-	"runtime.CanonicalRecords":     "checkpoint comparison of the runtime and hpc determinism tests",
-	"solver.DefaultSelector":       "trained selector of the experiments, solver and qaoa2 tests",
-	"synth.Synthesize":             "entry point of the synth semantics tests",
+	"graph.Complete":                "fixture in the tests of 14 packages",
+	"graph.Path":                    "fixture in the tests of 7 packages",
+	"graph.Bipartite":               "fixture in the tests of 8 packages",
+	"hpc.VerifyNoOversubscription":  "scheduler invariant oracle of the Simulate tests in sched_test.go",
+	"linalg.EigSym":                 "cold-start oracle of the SymEig tests in linalg",
+	"linalg.Dense.AxpyMat":          "matrix update of the reference ADMM in sdp/admm_test.go and the linalg perturbation tests",
+	"linalg.Dense.MatVec":           "product oracle of the Laplacian test in graph and the linalg solve tests",
+	"linalg.Mat.Gram":               "builds the PSD inputs and checks the factors of the linalg GramFactor tests",
+	"partition.Modularity":          "CNM objective of TestGreedyModularityImprovesOverSingletons",
+	"partition.GreedyModularity":    "CNM entry point of FuzzSizeCapped and the lazy-heap oracle tests",
+	"qsim.Engine.CommBytesExpected": "closed-form exchange volume the qsim engine tests gate BytesSent against",
+	"qsim.Fidelity":                 "state comparison of the qsim, circuit and synth tests",
+	"qsim.State.Amp":                "amplitude read of the qsim, circuit, backend and qaoa tests",
+	"qsim.State.NormSquared":        "unit-norm oracle of the qsim, circuit, backend and synth tests",
+	"qsim.State.Z2Full":             "reduction check of the qsim, backend and qaoa Z2 tests",
+	"qsim.State.ExpandZ2":           "expands reduced states for the full-vector comparisons of the qsim, backend and qaoa Z2 tests",
+	"runtime.CanonicalRecords":      "checkpoint comparison of the runtime and hpc determinism tests",
+	"solver.DefaultSelector":        "trained selector of the experiments, solver and qaoa2 tests",
+	"synth.Synthesize":              "entry point of the synth semantics tests",
 }
 
-// TestEverythingIsReachable fails for every top-level func, type and
-// var under internal/ that no command, example, benchmark or
+// TestEverythingIsReachable fails for every top-level func, type, var
+// and method under internal/ that no command, example, benchmark or
 // experiment renderer can reach, so code that only its own tests call
 // is deleted rather than kept. See unreachable for the rules.
 func TestEverythingIsReachable(t *testing.T) {
@@ -168,7 +177,13 @@ func TestEverythingIsReachable(t *testing.T) {
 // one only init calls and one only bench/ calls all pass, as does an
 // allowlisted oracle only a test calls; a func only its test calls
 // fails, and so do an allowlist entry naming nothing and one naming a
-// func a root reaches.
+// func a root reaches. Of the methods of reached types, one the command
+// selects, one only another reached method selects (the fixpoint), one
+// only a module interface lists, a String only fmt calls and an
+// exported one of a facade-aliased type all pass, as does an
+// allowlisted method oracle; a method only its test calls fails, and so
+// do an unexported method of the aliased type and a method entry naming
+// nothing.
 func TestReachabilityOnSyntheticModule(t *testing.T) {
 	lib := `// Package lib is the synthetic module's only internal package.
 package lib
@@ -184,7 +199,27 @@ func fromInit() {}
 // Store is reached from the command; its method reaches viaMethod.
 type Store struct{}
 
-func (Store) Get() int { return viaMethod() }
+func (s Store) Get() int { return viaMethod() + s.inner() }
+
+func (Store) inner() int { return 0 }
+
+func (Store) Fetch() int { return 7 }
+
+func (Store) String() string { return "store" }
+
+func (Store) Probe() int { return 8 }
+
+func (Store) Check() int { return 9 }
+
+// Source is the interface the command asserts Store satisfies.
+type Source interface{ Fetch() int }
+
+// Table is aliased by the facade.
+type Table struct{}
+
+func (Table) Rows() int { return 10 }
+
+func (Table) hidden() int { return 11 }
 
 func viaMethod() int { return 2 }
 
@@ -198,9 +233,10 @@ func Dead() int { return 6 }
 `
 	files := map[string]string{
 		"go.mod":                   "module demo\n\ngo 1.23\n",
+		"demo.go":                  "// Package demo is the synthetic facade.\npackage demo\n\nimport \"demo/internal/lib\"\n\n// Table is public.\ntype Table = lib.Table\n",
 		"internal/lib/lib.go":      lib,
-		"internal/lib/lib_test.go": "package lib\n\nimport \"testing\"\n\nfunc TestLib(t *testing.T) { _, _ = Oracle(), Dead() }\n",
-		"cmd/app/main.go":          "package main\n\nimport \"demo/internal/lib\"\n\nfunc main() { _, _ = lib.Store{}.Get(), lib.Used() }\n",
+		"internal/lib/lib_test.go": "package lib\n\nimport \"testing\"\n\nfunc TestLib(t *testing.T) { _, _, _, _ = Oracle(), Dead(), Store{}.Probe(), Store{}.Check() }\n",
+		"cmd/app/main.go":          "package main\n\nimport (\n\t\"fmt\"\n\n\t\"demo/internal/lib\"\n)\n\nvar _ lib.Source = lib.Store{}\n\nfunc main() { fmt.Println(lib.Store{}.Get(), lib.Used(), lib.Store{}) }\n",
 		"bench/main.go":            "package main\n\nimport \"demo/internal/lib\"\n\nfunc main() { _ = lib.BenchOnly() }\n",
 	}
 	root := t.TempDir()
@@ -214,19 +250,24 @@ func Dead() int { return 6 }
 		}
 	}
 	allow := map[string]string{
-		"lib.Oracle": "oracle of TestLib",
-		"lib.Used":   "stale: the command calls it",
-		"lib.Gone":   "stale: no such func",
+		"lib.Oracle":       "oracle of TestLib",
+		"lib.Store.Check":  "oracle of TestLib",
+		"lib.Used":         "stale: the command calls it",
+		"lib.Gone":         "stale: no such func",
+		"lib.Store.Vanish": "stale: no such method",
 	}
 	got, err := unreachable(root, allow)
 	if err != nil {
 		t.Fatal(err)
 	}
-	deadLine := strings.Count(lib[:strings.Index(lib, "func Dead")], "\n") + 1
+	line := func(decl string) int { return strings.Count(lib[:strings.Index(lib, decl)], "\n") + 1 }
 	want := []string{
-		"allowlisted but no such func, type or var: lib.Gone",
+		"allowlisted but no such func, type, var or method: lib.Gone",
+		"allowlisted but no such func, type, var or method: lib.Store.Vanish",
 		"allowlisted but reached from a root: lib.Used",
-		fmt.Sprintf("internal/lib/lib.go:%d lib.Dead", deadLine),
+		fmt.Sprintf("internal/lib/lib.go:%d lib.Store.Probe", line("func (Store) Probe")),
+		fmt.Sprintf("internal/lib/lib.go:%d lib.Table.hidden", line("func (Table) hidden")),
+		fmt.Sprintf("internal/lib/lib.go:%d lib.Dead", line("func Dead")),
 	}
 	if strings.Join(got, "\n") != strings.Join(want, "\n") {
 		t.Fatalf("problems:\n  %s\nwant:\n  %s", strings.Join(got, "\n  "), strings.Join(want, "\n  "))
@@ -240,32 +281,56 @@ type reachFile struct {
 	imports map[string]string
 }
 
+// stdlibMethods names the methods the standard library calls through
+// an interface: fmt's Stringer, Formatter and GoStringer; error and the
+// errors package's Unwrap, Is and As; the json and encoding text
+// (un)marshalers; http.Handler, RoundTripper and Flusher; sort.Interface
+// and heap.Interface; the io readers, writers and closers; net.Error.
+// A reached type's method of one of these names is reached even when no
+// module code selects it.
+var stdlibMethods = []string{
+	"String", "Error", "Unwrap", "Is", "As", "Format", "GoString",
+	"MarshalJSON", "UnmarshalJSON", "MarshalText", "UnmarshalText",
+	"ServeHTTP", "RoundTrip", "Flush",
+	"Len", "Less", "Swap", "Push", "Pop",
+	"Read", "Write", "Close", "WriteTo", "ReadFrom",
+	"Timeout", "Temporary",
+}
+
 // reachDecl is a node the walk visits, with its file: a root, or a
 // top-level declaration of a non-test file under internal/ (a func, a
-// type, a var or const spec, or a method, which hangs off its
-// receiver's type).
+// type, a var or const spec, or a method).
 type reachDecl struct {
 	node     ast.Node
 	file     *reachFile
 	pos      string
-	reported bool // funcs, types and vars; consts are followed, never reported
+	reported bool   // funcs, types, vars and methods; consts are followed, never reported
+	recv     string // a method's receiver type, "path.Type"; "" for the rest
 }
 
 // unreachable parses the module at root with go/ast alone and returns,
-// sorted, "file:line pkg.Name" for each top-level func, type and var
-// in a non-test file under internal/ that no root reaches and allow
-// does not name, plus a line for each allow entry that names no such
-// declaration or names one a root reaches. pkg is the import path
-// below internal/.
+// sorted, "file:line pkg.Name" for each top-level func, type and var,
+// and "file:line pkg.Type.Method" for each method of a reached type, in
+// a non-test file under internal/ that no root reaches and allow does
+// not name, plus a line for each allow entry that names no such
+// declaration or names one a root reaches. pkg is the import path below
+// internal/.
 //
 // The roots are every non-test file outside internal/ (the facade,
 // cmd/*, examples/*), every file under bench/ (its own module, which
 // decorates internals), the module root's bench_test.go (the experiment
 // renderers), and each package-level var initializer and init func.
-// An identifier reaches the same-package declaration of that name, an
-// import.Name selector the imported package's, and a reached type
-// reaches all its methods. Matching is by name only, so a local that
-// shadows a top-level name keeps it: the check errs toward keeping code.
+// An identifier reaches the same-package declaration of that name and
+// an import.Name selector the imported package's. A method is reached
+// when its receiver type is and one of these holds: reached code
+// selects its name (x.Name); an interface type in reached code lists
+// it; the standard library calls it (stdlibMethods); or it is exported
+// and its type is aliased by the facade (a non-test file at the module
+// root), which makes it public API. The walk runs to a fixpoint, so a
+// method reached late still reaches what it selects. Matching is by
+// name only, so a local that shadows a top-level name keeps it and a
+// selected name keeps that method on every reached type: the check errs
+// toward keeping code.
 func unreachable(root string, allow map[string]string) ([]string, error) {
 	mod, err := os.ReadFile(filepath.Join(root, "go.mod"))
 	if err != nil {
@@ -282,14 +347,15 @@ func unreachable(root string, allow map[string]string) ([]string, error) {
 	}
 
 	type parsed struct {
-		f    *ast.File
-		rf   *reachFile
-		root bool
+		f      *ast.File
+		rf     *reachFile
+		root   bool
+		facade bool
 	}
 	var files []parsed
-	pkgNames := map[string]string{}      // import path → package name
-	decls := map[string][]*reachDecl{}   // "path.Name" → its declarations
-	methods := map[string][]*reachDecl{} // "path.Type" → its methods
+	pkgNames := map[string]string{}    // import path → package name
+	decls := map[string][]*reachDecl{} // "path.Name" or "path.Type.Method" → its declarations
+	methods := map[string][]string{}   // "path.Type" → its methods' keys
 	var roots []*reachDecl
 	fset := token.NewFileSet()
 	err = filepath.WalkDir(root, func(p string, d fs.DirEntry, err error) error {
@@ -325,39 +391,41 @@ func unreachable(root string, allow map[string]string) ([]string, error) {
 			pkg += "/" + dir
 		}
 		rf := &reachFile{pkg: pkg, imports: map[string]string{}}
-		files = append(files, parsed{f, rf, isRoot})
+		files = append(files, parsed{f, rf, isRoot, !test && path.Dir(rel) == "."})
 		if !internal || test {
 			return nil
 		}
 		pkgNames[pkg] = f.Name.Name
-		add := func(name *ast.Ident, node ast.Node, reported bool) {
+		add := func(key string, name *ast.Ident, node ast.Node, reported bool, recv string) {
 			if name.Name == "_" {
 				return
 			}
-			key := pkg + "." + name.Name
+			if decls[key] == nil && recv != "" {
+				methods[recv] = append(methods[recv], key)
+			}
 			decls[key] = append(decls[key], &reachDecl{node, rf,
-				fmt.Sprintf("%s:%d", rel, fset.Position(name.Pos()).Line), reported})
+				fmt.Sprintf("%s:%d", rel, fset.Position(name.Pos()).Line), reported, recv})
 		}
 		for _, decl := range f.Decls {
 			switch d := decl.(type) {
 			case *ast.FuncDecl:
 				switch {
 				case d.Recv != nil:
-					key := pkg + "." + receiverType(d.Recv.List[0].Type)
-					methods[key] = append(methods[key], &reachDecl{node: d, file: rf})
+					recv := pkg + "." + receiverType(d.Recv.List[0].Type)
+					add(recv+"."+d.Name.Name, d.Name, d, true, recv)
 				case d.Name.Name == "init":
 					roots = append(roots, &reachDecl{node: d, file: rf})
 				default:
-					add(d.Name, d, true)
+					add(pkg+"."+d.Name.Name, d.Name, d, true, "")
 				}
 			case *ast.GenDecl:
 				for _, spec := range d.Specs {
 					switch s := spec.(type) {
 					case *ast.TypeSpec:
-						add(s.Name, s, true)
+						add(pkg+"."+s.Name.Name, s.Name, s, true, "")
 					case *ast.ValueSpec:
 						for _, name := range s.Names {
-							add(name, s, d.Tok == token.VAR)
+							add(pkg+"."+name.Name, name, s, d.Tok == token.VAR, "")
 						}
 						if d.Tok == token.VAR {
 							for _, v := range s.Values {
@@ -374,6 +442,7 @@ func unreachable(root string, allow map[string]string) ([]string, error) {
 		return nil, err
 	}
 
+	public := map[string]bool{} // "path.Type" the facade aliases
 	for _, pf := range files {
 		for _, imp := range pf.f.Imports {
 			ipath, err := strconv.Unquote(imp.Path.Value)
@@ -392,17 +461,55 @@ func unreachable(root string, allow map[string]string) ([]string, error) {
 		if pf.root {
 			roots = append(roots, &reachDecl{node: pf.f, file: pf.rf})
 		}
+		if !pf.facade {
+			continue
+		}
+		ast.Inspect(pf.f, func(n ast.Node) bool {
+			if s, ok := n.(*ast.TypeSpec); ok && s.Assign.IsValid() {
+				if sel, ok := s.Type.(*ast.SelectorExpr); ok {
+					if id, ok := sel.X.(*ast.Ident); ok && pf.rf.imports[id.Name] != "" {
+						public[pf.rf.imports[id.Name]+"."+sel.Sel.Name] = true
+					}
+				}
+			}
+			return true
+		})
 	}
 
 	reached := map[string]bool{}
+	live := map[string]bool{}        // method names reached code selects, lists or the stdlib calls
+	waiting := map[string][]string{} // method name → reached types' methods of that name, not yet live
 	work := roots
+	reach := func(key string) {
+		reached[key] = true
+		work = append(work, decls[key]...)
+	}
+	liven := func(name string) {
+		if live[name] {
+			return
+		}
+		live[name] = true
+		for _, m := range waiting[name] {
+			reach(m)
+		}
+		delete(waiting, name)
+	}
 	mark := func(key string) {
 		if reached[key] || decls[key] == nil {
 			return
 		}
-		reached[key] = true
-		work = append(work, decls[key]...)
-		work = append(work, methods[key]...)
+		reach(key)
+		for _, m := range methods[key] {
+			name := m[len(key)+1:]
+			if live[name] || (public[key] && ast.IsExported(name)) {
+				reach(m)
+			} else {
+				waiting[name] = append(waiting[name], m)
+			}
+		}
+	}
+	for _, name := range stdlibMethods {
+		live[name] = true
 	}
 	for len(work) > 0 {
 		d := work[len(work)-1]
@@ -417,8 +524,15 @@ func unreachable(root string, allow map[string]string) ([]string, error) {
 						return false
 					}
 				}
+				liven(x.Sel.Name)
 				ast.Inspect(x.X, visit)
 				return false
+			case *ast.InterfaceType:
+				for _, field := range x.Methods.List {
+					for _, name := range field.Names {
+						liven(name.Name)
+					}
+				}
 			case *ast.Ident:
 				mark(d.file.pkg + "." + x.Name)
 			}
@@ -431,8 +545,8 @@ func unreachable(root string, allow map[string]string) ([]string, error) {
 	short := func(key string) string { return strings.TrimPrefix(key, module+"/internal/") }
 	reportable := map[string]bool{}
 	for key, ds := range decls {
-		if !ds[0].reported {
-			continue
+		if !ds[0].reported || (ds[0].recv != "" && !reached[ds[0].recv]) {
+			continue // a const, or a method of a type that is reported itself
 		}
 		name := short(key)
 		reportable[name] = true
@@ -446,7 +560,7 @@ func unreachable(root string, allow map[string]string) ([]string, error) {
 	}
 	for name := range allow {
 		if !reportable[name] {
-			problems = append(problems, fmt.Sprintf("allowlisted but no such func, type or var: %s", name))
+			problems = append(problems, fmt.Sprintf("allowlisted but no such func, type, var or method: %s", name))
 		}
 	}
 	sort.Strings(problems)

@@ -12,23 +12,19 @@ import (
 // Kind enumerates the supported gates.
 type Kind uint8
 
-// Gate kinds. RZZ is the native MaxCut cost interaction; CNOT+RZ is its
-// hardware-basis decomposition.
+// Gate kinds: the QAOA gate set internal/synth emits and the SWAP that
+// RouteLinear inserts. RZZ is the native MaxCut cost interaction; CNOT+RZ
+// is its hardware-basis decomposition.
 const (
 	H Kind = iota
-	X
-	Y
-	Z
 	RX
-	RY
 	RZ
 	RZZ
 	CNOT
-	CZ
 	SWAP
 )
 
-var kindNames = [...]string{"H", "X", "Y", "Z", "RX", "RY", "RZ", "RZZ", "CNOT", "CZ", "SWAP"}
+var kindNames = [...]string{"H", "RX", "RZ", "RZZ", "CNOT", "SWAP"}
 
 func (k Kind) String() string {
 	if int(k) < len(kindNames) {
@@ -40,7 +36,7 @@ func (k Kind) String() string {
 // IsTwoQubit reports whether the kind acts on two qubits.
 func (k Kind) IsTwoQubit() bool {
 	switch k {
-	case RZZ, CNOT, CZ, SWAP:
+	case RZZ, CNOT, SWAP:
 		return true
 	}
 	return false
@@ -49,7 +45,7 @@ func (k Kind) IsTwoQubit() bool {
 // IsParameterized reports whether the kind carries a rotation angle.
 func (k Kind) IsParameterized() bool {
 	switch k {
-	case RX, RY, RZ, RZZ:
+	case RX, RZ, RZZ:
 		return true
 	}
 	return false
@@ -133,20 +129,8 @@ func (c *Circuit) add2(k Kind, q0, q1 int, param float64) *Circuit {
 // AddH appends a Hadamard on q.
 func (c *Circuit) AddH(q int) *Circuit { return c.add1(H, q, 0) }
 
-// AddX appends a Pauli-X on q.
-func (c *Circuit) AddX(q int) *Circuit { return c.add1(X, q, 0) }
-
-// AddY appends a Pauli-Y on q.
-func (c *Circuit) AddY(q int) *Circuit { return c.add1(Y, q, 0) }
-
-// AddZ appends a Pauli-Z on q.
-func (c *Circuit) AddZ(q int) *Circuit { return c.add1(Z, q, 0) }
-
 // AddRX appends RX(theta) on q.
 func (c *Circuit) AddRX(q int, theta float64) *Circuit { return c.add1(RX, q, theta) }
-
-// AddRY appends RY(theta) on q.
-func (c *Circuit) AddRY(q int, theta float64) *Circuit { return c.add1(RY, q, theta) }
 
 // AddRZ appends RZ(theta) on q.
 func (c *Circuit) AddRZ(q int, theta float64) *Circuit { return c.add1(RZ, q, theta) }
@@ -156,9 +140,6 @@ func (c *Circuit) AddRZZ(a, b int, theta float64) *Circuit { return c.add2(RZZ, 
 
 // AddCNOT appends a CNOT with the given control and target.
 func (c *Circuit) AddCNOT(control, target int) *Circuit { return c.add2(CNOT, control, target, 0) }
-
-// AddCZ appends a CZ on the pair.
-func (c *Circuit) AddCZ(a, b int) *Circuit { return c.add2(CZ, a, b, 0) }
 
 // AddSwap appends a SWAP on the pair.
 func (c *Circuit) AddSwap(a, b int) *Circuit { return c.add2(SWAP, a, b, 0) }
@@ -210,15 +191,10 @@ func (c *Circuit) GateCounts() map[Kind]int {
 // qsim.State implements it.
 type Backend interface {
 	ApplyH(q int)
-	ApplyX(q int)
-	ApplyY(q int)
-	ApplyZ(q int)
 	ApplyRX(q int, theta float64)
-	ApplyRY(q int, theta float64)
 	ApplyRZ(q int, theta float64)
 	ApplyRZZ(q1, q2 int, theta float64)
 	ApplyCNOT(control, target int)
-	ApplyCZ(q1, q2 int)
 	ApplySwap(q1, q2 int)
 }
 
@@ -228,24 +204,14 @@ func (c *Circuit) Apply(b Backend) {
 		switch g.Kind {
 		case H:
 			b.ApplyH(g.Q0)
-		case X:
-			b.ApplyX(g.Q0)
-		case Y:
-			b.ApplyY(g.Q0)
-		case Z:
-			b.ApplyZ(g.Q0)
 		case RX:
 			b.ApplyRX(g.Q0, g.Param)
-		case RY:
-			b.ApplyRY(g.Q0, g.Param)
 		case RZ:
 			b.ApplyRZ(g.Q0, g.Param)
 		case RZZ:
 			b.ApplyRZZ(g.Q0, g.Q1, g.Param)
 		case CNOT:
 			b.ApplyCNOT(g.Q0, g.Q1)
-		case CZ:
-			b.ApplyCZ(g.Q0, g.Q1)
 		case SWAP:
 			b.ApplySwap(g.Q0, g.Q1)
 		default:

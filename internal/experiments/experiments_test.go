@@ -238,7 +238,7 @@ func TestRunEngineScalingTrafficModel(t *testing.T) {
 		t.Fatalf("points %d", len(points))
 	}
 	// Single rank never communicates; more ranks only add traffic (the
-	// per-evaluation exchange volume follows CommBytesExpected).
+	// per-evaluation exchange volume follows Engine.CommBytesExpected).
 	if points[0].Messages != 0 || points[0].Bytes != 0 {
 		t.Fatalf("1 rank sent traffic: %+v", points[0])
 	}

@@ -171,11 +171,11 @@ type ScalingPoint struct {
 // RunEngineScaling evaluates one fixed-size graph through the sharded
 // fused backend (fused-dist: qsim.Engine over rank slices) at every
 // rank count, measuring per-evaluation wall time and the exchange
-// traffic of the global-qubit mixer rotations. Diagonal cost layers never communicate, so the
-// traffic column isolates the mixer's pairwise slice exchanges — the
-// quantity the closed form DistStats.CommBytesExpected predicts. Rank
-// counts must be powers of two; they are clamped per the fused-dist
-// backend rules.
+// traffic of the global-qubit mixer rotations. Diagonal cost layers
+// never communicate, so the traffic column isolates the mixer's
+// pairwise slice exchanges — the quantity the closed form
+// qsim.Engine.CommBytesExpected predicts. Rank counts must be powers of
+// two; they are clamped per the fused-dist backend rules.
 func RunEngineScaling(qubits, layers int, ranks []int, seed uint64) ([]ScalingPoint, error) {
 	r := rng.New(seed)
 	g := graph.ErdosRenyi(qubits, 0.3, graph.Unweighted, r)

@@ -90,15 +90,6 @@ func (a *Dense) MaxAbsOffDiag() float64 {
 	return max
 }
 
-// Trace returns the sum of diagonal entries.
-func (a *Dense) Trace() float64 {
-	t := 0.0
-	for i := 0; i < a.N; i++ {
-		t += a.At(i, i)
-	}
-	return t
-}
-
 // FrobeniusNorm returns ||a||_F.
 func (a *Dense) FrobeniusNorm() float64 {
 	s := 0.0

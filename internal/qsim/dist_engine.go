@@ -119,25 +119,6 @@ func (e *Engine) CommBytesExpected(layers int) uint64 {
 	return rounds * uint64(c.ranks) * uint64(len(c.amps)) * 16
 }
 
-// CommBytesExpected is the closed-form exchange volume of the fused
-// distributed schedule WITHOUT the Z2 reduction: layers · log2(ranks)
-// exchange rounds, each moving every rank's full slice of 2^(n−log2
-// ranks) amplitudes at 16 bytes each. Zero at ranks == 1 (everything is
-// local). The method hangs off DistStats so tests can gate a measured
-// ledger against theory next to the counters themselves; the Z2-reduced
-// engine's schedule differs (mirror exchanges, halved slices) — use
-// Engine.CommBytesExpected for an engine's own configuration.
-func (DistStats) CommBytesExpected(n, ranks, layers int) uint64 {
-	pg := 0
-	for 1<<uint(pg) < ranks {
-		pg++
-	}
-	if ranks < 1 || 1<<uint(pg) != ranks || pg == 0 {
-		return 0
-	}
-	return uint64(layers) * uint64(pg) * uint64(ranks) * (uint64(16) << uint(n-pg))
-}
-
 // evaluateRanks runs one evaluation across all ranks — rank 0 on the
 // caller's goroutine — and sums their energies in rank order.
 func (e *Engine) evaluateRanks(gammas, betas []float64) float64 {

@@ -38,11 +38,11 @@ func TestMaxAmpIndexTieBreaksLow(t *testing.T) {
 
 func TestTopAmpIndices(t *testing.T) {
 	s, _ := NewState(3)
-	s.SetAmp(0, 0)
-	s.SetAmp(5, complex(0.8, 0))
-	s.SetAmp(2, complex(0.5, 0))
-	s.SetAmp(7, complex(0.33, 0))
-	s.SetAmp(1, complex(0.1, 0))
+	s.amps[0] = 0
+	s.amps[5] = complex(0.8, 0)
+	s.amps[2] = complex(0.5, 0)
+	s.amps[7] = complex(0.33, 0)
+	s.amps[1] = complex(0.1, 0)
 	top := s.TopAmpIndices(3)
 	want := []uint64{5, 2, 7}
 	if len(top) != 3 {

@@ -19,7 +19,10 @@ func randomState(t testing.TB, n int, seed uint64) *State {
 	for i := range s.amps {
 		s.amps[i] = complex(r.Float64()*2-1, r.Float64()*2-1)
 	}
-	s.Normalize()
+	inv := complex(1/math.Sqrt(s.NormSquared()), 0)
+	for i := range s.amps {
+		s.amps[i] *= inv
+	}
 	return s
 }
 

@@ -98,26 +98,15 @@ func applyPauliCode(s *State, q, code int) {
 	}
 }
 
-// The backend method set mirrors State, injecting errors after each
-// perfect gate.
+// The method set is circuit.Backend's — the gates of a synthesized
+// QAOA circuit and of its routing — each the State gate followed by
+// sampled noise. The Pauli errors themselves go straight to the State.
 
 // ApplyH applies H then samples 1-qubit noise.
 func (n *NoisyState) ApplyH(q int) { n.S.ApplyH(q); n.after1(q) }
 
-// ApplyX applies X then samples 1-qubit noise.
-func (n *NoisyState) ApplyX(q int) { n.S.ApplyX(q); n.after1(q) }
-
-// ApplyY applies Y then samples 1-qubit noise.
-func (n *NoisyState) ApplyY(q int) { n.S.ApplyY(q); n.after1(q) }
-
-// ApplyZ applies Z then samples 1-qubit noise.
-func (n *NoisyState) ApplyZ(q int) { n.S.ApplyZ(q); n.after1(q) }
-
 // ApplyRX applies RX then samples 1-qubit noise.
 func (n *NoisyState) ApplyRX(q int, theta float64) { n.S.ApplyRX(q, theta); n.after1(q) }
-
-// ApplyRY applies RY then samples 1-qubit noise.
-func (n *NoisyState) ApplyRY(q int, theta float64) { n.S.ApplyRY(q, theta); n.after1(q) }
 
 // ApplyRZ applies RZ then samples 1-qubit noise.
 func (n *NoisyState) ApplyRZ(q int, theta float64) { n.S.ApplyRZ(q, theta); n.after1(q) }
@@ -130,9 +119,6 @@ func (n *NoisyState) ApplyRZZ(q1, q2 int, theta float64) {
 
 // ApplyCNOT applies CNOT then samples 2-qubit noise.
 func (n *NoisyState) ApplyCNOT(c, t int) { n.S.ApplyCNOT(c, t); n.after2(c, t) }
-
-// ApplyCZ applies CZ then samples 2-qubit noise.
-func (n *NoisyState) ApplyCZ(q1, q2 int) { n.S.ApplyCZ(q1, q2); n.after2(q1, q2) }
 
 // ApplySwap applies SWAP then samples 2-qubit noise.
 func (n *NoisyState) ApplySwap(q1, q2 int) { n.S.ApplySwap(q1, q2); n.after2(q1, q2) }

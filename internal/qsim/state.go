@@ -1,23 +1,21 @@
 // Package qsim is a from-scratch statevector quantum-circuit simulator,
 // the substitute for the aer simulator used in the paper. It provides
 //
-//   - exact state evolution for the gate set QAOA needs (H, X, RX, RY,
-//     RZ, the diagonal two-qubit RZZ, CNOT, CZ and generic 1q/2q
-//     unitaries), with amplitude-sliced multi-core parallelism;
+//   - exact state evolution for the gates a QAOA circuit is made of —
+//     the H wall, RZZ (or CNOT + RZ) cost layers, RX mixers, and the
+//     SWAPs of linear routing — plus the Pauli X, Y and Z the noise
+//     model (noise.go) injects, with amplitude-sliced multi-core
+//     parallelism; this gate walk is what internal/backend's dense and
+//     noisy backends execute;
 //
-//   - fused diagonal-operator kernels (diagonal.go): FillPlus and the
-//     ApplyPhaseDiagonal family, which let internal/backend's
-//     FusedBackend apply an entire e^{-iγ H_C} cost layer as one
-//     element-wise phase pass instead of a per-gate walk — the gate-walk
-//     path above is only one of the execution backends;
-//
-//   - a cache-blocked fused execution engine for the QAOA objective:
-//     the blocked multi-qubit mixer ApplyRXAll (mixer.go, with
-//     AVX-512 and AVX2+FMA kernel tiers on amd64) and Engine
-//     (engine.go), which runs whole p-layer evaluations — phase, mixer,
-//     initial state and energy reduction fused into ⌈1 + (n−10)/6⌉
-//     sweeps per layer — with zero steady-state allocations over a
-//     persistent worker pool (pool.go);
+//   - a cache-blocked fused execution engine for the QAOA objective,
+//     which internal/backend's fused backends run: the cost diagonal
+//     in indexed or dense form (diagonal.go), the blocked multi-qubit
+//     mixer ApplyRXAll (mixer.go, with AVX-512 and AVX2+FMA kernel
+//     tiers on amd64) and Engine (engine.go), which runs whole p-layer
+//     evaluations — phase, mixer, initial state and energy reduction
+//     fused into ⌈1 + (n−10)/6⌉ sweeps per layer — with zero
+//     steady-state allocations over a persistent worker pool (pool.go);
 //
 //   - measurement: probability extraction, shot sampling, highest- and
 //     top-K-amplitude queries (the paper decodes the best-amplitude bit
@@ -97,9 +95,6 @@ func (s *State) Len() int { return len(s.amps) }
 // Amp returns the amplitude of basis state i.
 func (s *State) Amp(i uint64) complex128 { return s.amps[i] }
 
-// SetAmp assigns the amplitude of basis state i (for tests).
-func (s *State) SetAmp(i uint64, v complex128) { s.amps[i] = v }
-
 // Clone deep-copies the state (including its serial/pool kernel mode
 // and any Z2-reduction mark).
 func (s *State) Clone() *State {
@@ -122,18 +117,6 @@ func (s *State) NormSquared() float64 {
 		total += re*re + im*im
 	}
 	return total
-}
-
-// Normalize rescales the state to unit norm.
-func (s *State) Normalize() {
-	norm := math.Sqrt(s.NormSquared())
-	if norm == 0 {
-		return
-	}
-	inv := complex(1/norm, 0)
-	for i := range s.amps {
-		s.amps[i] *= inv
-	}
 }
 
 // Fidelity returns |⟨s|t⟩|².
@@ -247,13 +230,6 @@ func (s *State) ApplyRX(q int, theta float64) {
 	})
 }
 
-// ApplyRY applies RY(θ) = exp(-iθY/2) to qubit q.
-func (s *State) ApplyRY(q int, theta float64) {
-	c := complex(math.Cos(theta/2), 0)
-	sn := complex(math.Sin(theta/2), 0)
-	s.Apply1Q(q, [2][2]complex128{{c, -sn}, {sn, c}})
-}
-
 // ApplyRZ applies RZ(θ) = exp(-iθZ/2) = diag(e^{-iθ/2}, e^{+iθ/2}).
 func (s *State) ApplyRZ(q int, theta float64) {
 	s.checkQubit(q)
@@ -321,25 +297,6 @@ func (s *State) ApplyCNOT(control, target int) {
 	})
 }
 
-// ApplyCZ applies a controlled-Z between the two qubits.
-func (s *State) ApplyCZ(q1, q2 int) {
-	s.checkQubit(q1)
-	s.checkQubit(q2)
-	if q1 == q2 {
-		panic("qsim: CZ on identical qubits")
-	}
-	b1 := uint64(1) << uint(q1)
-	b2 := uint64(1) << uint(q2)
-	both := b1 | b2
-	s.parFor(len(s.amps), func(start, end int) {
-		for i := start; i < end; i++ {
-			if uint64(i)&both == both {
-				s.amps[i] = -s.amps[i]
-			}
-		}
-	})
-}
-
 // ApplySwap exchanges two qubits.
 func (s *State) ApplySwap(q1, q2 int) {
 	s.checkQubit(q1)
@@ -358,56 +315,6 @@ func (s *State) ApplySwap(q1, q2 int) {
 			if x1 != 0 && x2 == 0 {
 				j := u ^ b1 ^ b2
 				s.amps[u], s.amps[j] = s.amps[j], s.amps[u]
-			}
-		}
-	})
-}
-
-// Apply2Q applies a generic 4x4 unitary to qubits (qLow, qHigh) where
-// the matrix is indexed by bits (bit1<<1 | bit0), bit0 belonging to q1.
-func (s *State) Apply2Q(q1, q2 int, m [4][4]complex128) {
-	s.checkQubit(q1)
-	s.checkQubit(q2)
-	if q1 == q2 {
-		panic("qsim: two-qubit gate on identical qubits")
-	}
-	b1 := uint64(1) << uint(q1)
-	b2 := uint64(1) << uint(q2)
-	quads := len(s.amps) / 4
-	lo, hi := q1, q2
-	if lo > hi {
-		lo, hi = hi, lo
-	}
-	loMask := uint64(1)<<uint(lo) - 1
-	midMask := uint64(1)<<uint(hi-1) - 1 ^ loMask
-	s.parFor(quads, func(start, end int) {
-		for k := start; k < end; k++ {
-			uk := uint64(k)
-			// Spread k into an index with zeros at bit positions lo, hi.
-			base := uk & loMask
-			base |= (uk & midMask) << 1
-			base |= (uk &^ (loMask | midMask)) << 2
-			var idx [4]uint64
-			for v := 0; v < 4; v++ {
-				id := base
-				if v&1 != 0 {
-					id |= b1
-				}
-				if v&2 != 0 {
-					id |= b2
-				}
-				idx[v] = id
-			}
-			var in [4]complex128
-			for v := 0; v < 4; v++ {
-				in[v] = s.amps[idx[v]]
-			}
-			for v := 0; v < 4; v++ {
-				var acc complex128
-				for w := 0; w < 4; w++ {
-					acc += m[v][w] * in[w]
-				}
-				s.amps[idx[v]] = acc
 			}
 		}
 	})

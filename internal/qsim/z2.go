@@ -27,8 +27,7 @@ import (
 // The measurement layer (measure.go) understands reduced states and
 // reports FULL-space results — Sample, TopAmpIndices and MaxAmpIndex on
 // a reduced state are bit-identical to the same calls on the expanded
-// 2^n state. Mutating collapse operations (MeasureQubit, PostSelect)
-// break the symmetry, so they materialize the full vector first.
+// 2^n state.
 
 // Z2Full reports the reduction: nonzero nFull means this State is the
 // even-sector half-vector of an nFull-qubit Z2-symmetric state (and
@@ -62,35 +61,6 @@ func (s *State) ExpandZ2() *State {
 	if s.z2Full == 0 {
 		return s
 	}
-	f := &State{n: s.z2Full, amps: s.expandedAmps(), pool: s.pool, serial: s.serial}
-	return f
-}
-
-// materializeZ2 converts a reduced state to its full form in place,
-// clearing the reduction mark. Collapse operations call it before
-// mutating, because a post-measurement state is no longer symmetric.
-func (s *State) materializeZ2() {
-	if s.z2Full == 0 {
-		return
-	}
-	s.n = s.z2Full
-	s.amps = s.expandedAmps()
-	s.z2Full = 0
-}
-
-// z2PairProb is the full-basis probability of either member of the
-// stored pair: |a·2^{-1/2}|², computed with the exact floating-point
-// operations expandedAmps uses — so measurement results on the reduced
-// state are bit-identical to the same calls on the expansion.
-func z2PairProb(a complex128) float64 {
-	v := a * complex(1/math.Sqrt2, 0)
-	re, im := real(v), imag(v)
-	return re*re + im*im
-}
-
-// expandedAmps builds the full 2^n amplitude buffer from the reduced
-// half-vector.
-func (s *State) expandedAmps() []complex128 {
 	half := len(s.amps)
 	mask := uint64(2*half - 1)
 	full := make([]complex128, 2*half)
@@ -100,5 +70,15 @@ func (s *State) expandedAmps() []complex128 {
 		full[i] = v
 		full[mask^uint64(i)] = v
 	}
-	return full
+	return &State{n: s.z2Full, amps: full, pool: s.pool, serial: s.serial}
+}
+
+// z2PairProb is the full-basis probability of either member of the
+// stored pair: |a·2^{-1/2}|², computed with the exact floating-point
+// operations ExpandZ2 uses — so measurement results on the reduced
+// state are bit-identical to the same calls on the expansion.
+func z2PairProb(a complex128) float64 {
+	v := a * complex(1/math.Sqrt2, 0)
+	re, im := real(v), imag(v)
+	return re*re + im*im
 }

@@ -1,7 +1,6 @@
 package qsim
 
 import (
-	"math"
 	"testing"
 
 	"qaoa2/internal/rng"
@@ -97,41 +96,5 @@ func TestZ2MeasurementMatchesExpanded(t *testing.T) {
 				t.Fatalf("n=%d: histogram[%d] = %d reduced vs %d expanded", nFull, basis, gotH[basis], c)
 			}
 		}
-	}
-}
-
-// TestZ2CollapseMaterializes pins that symmetry-breaking mutations
-// expand the half-vector in place before collapsing.
-func TestZ2CollapseMaterializes(t *testing.T) {
-	nFull := 6
-	red := z2EvaluatedState(t, nFull, 19)
-	ref := red.ExpandZ2().Clone()
-
-	bit := red.Clone()
-	outcome := bit.MeasureQubit(nFull-1, rng.New(77))
-	if bit.Z2Full() != 0 || bit.N() != nFull || bit.Len() != 1<<uint(nFull) {
-		t.Fatalf("MeasureQubit left Z2Full=%d n=%d len=%d", bit.Z2Full(), bit.N(), bit.Len())
-	}
-	want := ref.MeasureQubit(nFull-1, rng.New(77))
-	if outcome != want {
-		t.Fatalf("reduced measurement observed %d, expanded observed %d", outcome, want)
-	}
-	if d := maxAmpDiff(bit, ref); d > 1e-12 {
-		t.Fatalf("post-measurement states deviate by %v", d)
-	}
-
-	ps := red.Clone()
-	if err := ps.PostSelect(0, 1, 0); err != nil {
-		t.Fatal(err)
-	}
-	if ps.Z2Full() != 0 || ps.Len() != 1<<uint(nFull) {
-		t.Fatalf("PostSelect left Z2Full=%d len=%d", ps.Z2Full(), ps.Len())
-	}
-	norm := 0.0
-	for i := 0; i < ps.Len(); i++ {
-		norm += ps.Probability(uint64(i))
-	}
-	if math.Abs(norm-1) > 1e-12 {
-		t.Fatalf("post-selected norm %v", norm)
 	}
 }

@@ -305,3 +305,33 @@ func TestInstanceSizeBounds(t *testing.T) {
 		}
 	}
 }
+
+// TestLayersBound pins the QAOA depth bound: normalize admits
+// maxLayers, and a body asking for more gets HTTP 400 naming the limit
+// before any graph or problem is built.
+func TestLayersBound(t *testing.T) {
+	if _, err := (SolveRequest{Layers: maxLayers}).normalize(); err != nil {
+		t.Fatalf("maxLayers refused: %v", err)
+	}
+	s, err := New(Config{GlobalParallelism: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	for _, layers := range []int{maxLayers + 1, 2000000000} {
+		body := fmt.Sprintf(`{"graph":{"nodes":2,"edges":[{"i":0,"j":1,"w":1}]},"layers":%d}`, layers)
+		rec := httptest.NewRecorder()
+		s.Handler().ServeHTTP(rec, httptest.NewRequest("POST", "/v1/solve", strings.NewReader(body)))
+		var eb errorBody
+		if err := json.NewDecoder(rec.Body).Decode(&eb); err != nil {
+			t.Fatal(err)
+		}
+		want := fmt.Sprintf("%d layers, limit %d", layers, maxLayers)
+		if rec.Code != http.StatusBadRequest || !strings.Contains(eb.Error, want) {
+			t.Fatalf("layers=%d: HTTP %d %q, want 400 with %q", layers, rec.Code, eb.Error, want)
+		}
+	}
+	if jobs := s.Jobs(); len(jobs) != 0 {
+		t.Fatalf("refused requests left %d jobs", len(jobs))
+	}
+}

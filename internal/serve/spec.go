@@ -46,6 +46,15 @@ const (
 	maxGraphEdges = 1 << 20
 )
 
+// maxLayers bounds the QAOA depth p a request may ask for. Layers sizes
+// the ansatz parameters and the optimizer's working set before a single
+// circuit runs, at about 144 bytes per layer, so without a bound a
+// 20-byte field asks for hundreds of gigabytes once a QAOA leaf starts.
+// The paper's iteration budget saturates at p = 8 (qaoa.IterationsFor)
+// and no command, example or experiment goes deeper; 64 is eight times
+// that.
+const maxLayers = 64
+
 // ErrTooLarge rejects an instance over the bounds above (HTTP 413).
 var ErrTooLarge = errors.New("serve: instance too large")
 
@@ -110,7 +119,7 @@ type SolveRequest struct {
 	Solver string `json:"solver,omitempty"`
 	Merge  string `json:"merge,omitempty"`
 	// Layers is the QAOA ansatz depth p for qaoa/best solvers
-	// (0 = solver default).
+	// (0 = solver default, at most 64).
 	Layers int    `json:"layers,omitempty"`
 	Seed   uint64 `json:"seed,omitempty"`
 	// Priority selects the queue lane ("normal" default, "high").
@@ -129,6 +138,9 @@ type SolveRequest struct {
 // recomputes the identical graph (the derivation is pure), which is
 // what lets restore verify persisted job keys.
 func (r SolveRequest) normalize() (SolveRequest, error) {
+	if r.Layers > maxLayers {
+		return r, fmt.Errorf("serve: %d layers, limit %d", r.Layers, maxLayers)
+	}
 	if r.Problem != nil {
 		p, err := r.Problem.Build()
 		if err != nil {

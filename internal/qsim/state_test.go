@@ -136,11 +136,36 @@ func TestRXPiIsMinusIX(t *testing.T) {
 	}
 }
 
-func TestZSign(t *testing.T) {
-	s, _ := NewPlusState(1)
-	s.ApplyZ(0)
-	if !cEq(s.Amp(1), complex(-1/math.Sqrt2, 0), tol) {
-		t.Fatalf("Z |1> branch: %v", s.Amp(1))
+func TestRYRotation(t *testing.T) {
+	// RY(θ) = RZ(π/2)·RX(θ)·RZ(-π/2): the RZ conjugation turns the X axis
+	// into the Y axis, which pins the relative conventions of RX and RZ.
+	s, _ := NewState(1)
+	s.ApplyRZ(0, -math.Pi/2)
+	s.ApplyRX(0, math.Pi/2)
+	s.ApplyRZ(0, math.Pi/2)
+	// RY(π/2)|0> = (|0>+|1>)/√2.
+	inv := complex(1/math.Sqrt2, 0)
+	if !cEq(s.Amp(0), inv, tol) || !cEq(s.Amp(1), inv, tol) {
+		t.Fatalf("RY(π/2)|0> = %v, %v", s.Amp(0), s.Amp(1))
+	}
+}
+
+func TestZAndCZSigns(t *testing.T) {
+	// CZ = H_t·CNOT(c, t)·H_t.
+	s, _ := NewPlusState(2)
+	s.ApplyH(1)
+	s.ApplyCNOT(0, 1)
+	s.ApplyH(1)
+	if !cEq(s.Amp(0b11), complex(-0.5, 0), tol) {
+		t.Fatalf("CZ |11> sign: %v", s.Amp(3))
+	}
+	if !cEq(s.Amp(0b01), complex(0.5, 0), tol) {
+		t.Fatalf("CZ |01>: %v", s.Amp(1))
+	}
+	s2, _ := NewPlusState(1)
+	s2.ApplyZ(0)
+	if !cEq(s2.Amp(1), complex(-1/math.Sqrt2, 0), tol) {
+		t.Fatalf("Z |1> branch: %v", s2.Amp(1))
 	}
 }
 
@@ -154,6 +179,56 @@ func TestSwap(t *testing.T) {
 	s.ApplySwap(1, 1) // no-op
 	if !cEq(s.Amp(0b100), 1, tol) {
 		t.Fatal("self-swap changed state")
+	}
+}
+
+// apply2Q is a reference two-qubit gate: it applies the 4x4 matrix m to
+// qubits (q1, q2) with basis index v = (bit q2)<<1 | (bit q1), by a plain
+// matrix-vector product over every quadruple of amplitudes.
+func apply2Q(s *State, q1, q2 int, m [4][4]complex128) {
+	b1 := uint64(1) << uint(q1)
+	b2 := uint64(1) << uint(q2)
+	for i := range s.amps {
+		base := uint64(i)
+		if base&(b1|b2) != 0 {
+			continue
+		}
+		idx := [4]uint64{base, base | b1, base | b2, base | b1 | b2}
+		var in [4]complex128
+		for v := range idx {
+			in[v] = s.amps[idx[v]]
+		}
+		for v := range idx {
+			var acc complex128
+			for w := range in {
+				acc += m[v][w] * in[w]
+			}
+			s.amps[idx[v]] = acc
+		}
+	}
+}
+
+func TestApply2QMatchesCNOT(t *testing.T) {
+	// CNOT with control=first operand, target=second, basis v=(t<<1)|c.
+	var m [4][4]complex128
+	m[0][0] = 1
+	m[3][1] = 1
+	m[2][2] = 1
+	m[1][3] = 1
+	for _, pair := range [][2]int{{0, 1}, {1, 0}, {0, 2}, {2, 0}, {1, 2}} {
+		a, _ := NewPlusState(3)
+		b := a.Clone()
+		a.ApplyRZ(0, 0.3) // make the state non-trivial
+		b.ApplyRZ(0, 0.3)
+		a.ApplyRZZ(pair[0], pair[1], 0.5)
+		b.ApplyRZZ(pair[0], pair[1], 0.5)
+		a.ApplyCNOT(pair[0], pair[1])
+		apply2Q(b, pair[0], pair[1], m)
+		for i := 0; i < a.Len(); i++ {
+			if !cEq(a.Amp(uint64(i)), b.Amp(uint64(i)), 1e-10) {
+				t.Fatalf("pair %v: amp %d differs: %v vs %v", pair, i, a.Amp(uint64(i)), b.Amp(uint64(i)))
+			}
+		}
 	}
 }
 

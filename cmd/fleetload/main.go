@@ -3,7 +3,9 @@
 // concurrent solve jobs through the front door, optionally kills one
 // worker mid-soak, verifies every result bit-identical against a
 // single-daemon reference, and reports submit-to-done latency
-// percentiles as machine-readable bench JSON.
+// percentiles as machine-readable bench JSON. It exits 1 when a job
+// diverged from the reference or a kill drew no failover or re-park:
+// it is the fleet's CI gate.
 //
 // Usage:
 //
@@ -93,11 +95,25 @@ func run(args []string, stdout, stderr io.Writer) int {
 	} else {
 		stdout.Write(out)
 	}
-	if rep.Mismatches > 0 {
-		fmt.Fprintf(stderr, "fleetload: %d jobs diverged from the single-daemon reference\n", rep.Mismatches)
+	if err := rep.verdict(); err != nil {
+		fmt.Fprintf(stderr, "fleetload: %v\n", err)
 		return 1
 	}
 	return 0
+}
+
+// verdict is the soak's pass/fail: every routed result bit-identical
+// to the single-daemon reference, and a kill mid-soak answered by at
+// least one failover or re-park — otherwise the kill leg never
+// exercised recovery.
+func (rep report) verdict() error {
+	if rep.Mismatches > 0 {
+		return fmt.Errorf("%d jobs diverged from the single-daemon reference", rep.Mismatches)
+	}
+	if rep.Killed && rep.Failovers == 0 && rep.Reparks == 0 {
+		return fmt.Errorf("a worker was killed mid-soak but the coordinator recorded no failovers or re-parks: the kill leg did not exercise recovery")
+	}
+	return nil
 }
 
 // worker is one in-process qaoa2d behind a real TCP listener.

@@ -47,3 +47,33 @@ func TestSoakSmall(t *testing.T) {
 		t.Fatalf("verification: %+v", rep)
 	}
 }
+
+// TestVerdicts: fleetload fails a soak whose results diverged from the
+// reference and a kill soak with no recovery; a clean kill soak, a
+// steady-state soak and an unverified one pass.
+func TestVerdicts(t *testing.T) {
+	clean := report{Schema: "qaoa2-fleetload/v1", Workers: 3, Jobs: 120, Killed: true,
+		Failovers: 2, Reparks: 1, Verified: true}
+	for _, tc := range []struct {
+		name string
+		edit func(*report)
+		want string // "" passes
+	}{
+		{"clean kill soak", func(*report) {}, ""},
+		{"diverged", func(r *report) { r.Mismatches = 3 }, "diverged"},
+		{"kill without recovery", func(r *report) { r.Failovers, r.Reparks = 0, 0 }, "recovery"},
+		{"re-park alone recovers", func(r *report) { r.Failovers = 0 }, ""},
+		{"steady state", func(r *report) { r.Killed, r.Failovers, r.Reparks = false, 0, 0 }, ""},
+		{"unverified", func(r *report) { r.Verified = false }, ""},
+	} {
+		rep := clean
+		tc.edit(&rep)
+		err := rep.verdict()
+		switch {
+		case tc.want == "" && err != nil:
+			t.Errorf("%s: failed: %v", tc.name, err)
+		case tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want)):
+			t.Errorf("%s: verdict %v, want a failure naming %q", tc.name, err, tc.want)
+		}
+	}
+}

@@ -23,11 +23,6 @@
 //	maxcutbench -instance g14 -gset-dir ~/gset
 //	                       # solve a downloaded Gset instance and report
 //	                       # the cut against the best-known value
-//	maxcutbench -fleet fleet.json
-//	                       # CI gate over a cmd/fleetload soak record:
-//	                       # exit 1 on divergence or dead failover legs
-//	maxcutbench -fleet fleet.json -fleet-baseline fleet_base.json
-//	                       # additionally bound p90 latency growth
 package main
 
 import (
@@ -58,9 +53,6 @@ func main() {
 		gsetDir   = flag.String("gset-dir", ".", "directory holding downloaded Gset files for -instance (embedded fixtures need none)")
 		subSolver = flag.String("solver", "best", "sub-graph solver registry name for -instance")
 		mergeName = flag.String("merge", "gw", "merge solver registry name for -instance")
-		fleetPath = flag.String("fleet", "", "gate a cmd/fleetload bench record (qaoa2-fleetload/v1): bit-identity with the reference, failover activity on kill soaks, and bounded latency vs -fleet-baseline")
-		fleetBase = flag.String("fleet-baseline", "", "baseline fleetload record for the latency leg of -fleet")
-		fleetTol  = flag.Float64("fleet-tolerance", 100, "allowed p90 latency growth in percent for -fleet-baseline")
 		features  = flag.Bool("cpufeatures", false, "print the mixer-kernel tier runtime detection selected and the environment opt-outs in effect, then exit")
 	)
 	flag.Parse()
@@ -68,29 +60,6 @@ func main() {
 	if *features {
 		printCPUFeatures(os.Stdout)
 		return
-	}
-
-	if *fleetPath != "" {
-		fresh, err := loadFleetReport(*fleetPath)
-		if err != nil {
-			log.Fatal(err)
-		}
-		var baseline *fleetReport
-		if *fleetBase != "" {
-			b, err := loadFleetReport(*fleetBase)
-			if err != nil {
-				log.Fatal(err)
-			}
-			baseline = &b
-		}
-		ok, msg := fleetGate(fresh, baseline, *fleetTol)
-		if !ok {
-			log.Fatal(msg)
-		}
-		fmt.Println(msg)
-		if !*jsonOut && *compare == "" && *backends == "" && *instance == "" {
-			return
-		}
 	}
 
 	if *instance != "" {

@@ -32,32 +32,22 @@ func PrepareIsing(b Backend, h *ising.Hamiltonian, cfg Config) (Ansatz, error) {
 	return nil, fmt.Errorf("backend: %s cannot execute Ising Hamiltonians (want fused|fused-z2|fused-full|fused-dist[:ranks]|dense)", b.Name())
 }
 
-// checkIsing validates the common PrepareIsing preconditions.
-func checkIsing(h *ising.Hamiltonian, cfg Config) error {
-	if h == nil {
-		return fmt.Errorf("backend: nil Hamiltonian")
-	}
-	if h.N() < 1 {
-		return fmt.Errorf("backend: Hamiltonian must have at least one spin")
-	}
-	if h.N() > qsim.MaxQubits {
-		return fmt.Errorf("backend: %d spins exceeds simulator capacity of %d qubits", h.N(), qsim.MaxQubits)
-	}
-	if cfg.Layers < 1 {
-		return fmt.Errorf("backend: need at least one QAOA layer, got %d", cfg.Layers)
-	}
-	return nil
-}
-
 // maximizationDiagonal is D = −E over full basis states, the
-// maximization-convention diagonal of h.
-func maximizationDiagonal(h *ising.Hamiltonian) []float64 {
-	energy := h.Table()
-	diag := make([]float64, len(energy))
-	for i, e := range energy {
-		diag[i] = -e
+// maximization-convention diagonal of h: the cut table of its
+// reduction graph (ising.Hamiltonian.ToMaxCut) over the first n wires,
+// the ancilla held at bit 0 (s = +1), where E = offset + W − 2·cut.
+func maximizationDiagonal(h *ising.Hamiltonian) ([]float64, error) {
+	g, err := h.ToMaxCut()
+	if err != nil {
+		return nil, err
 	}
-	return diag
+	diag := make([]float64, 1<<uint(h.N()))
+	doubleCuts(g, nil, diag)
+	shift := h.Offset() + g.TotalWeight()
+	for x, cut := range diag {
+		diag[x] = -(shift - 2*cut)
+	}
+	return diag, nil
 }
 
 // PrepareIsing implements IsingBackend on the fused path, at every rank
@@ -81,11 +71,14 @@ func maximizationDiagonal(h *ising.Hamiltonian) []float64 {
 // tests pin both directions (symmetric → reduced, fields → full,
 // identical results either way).
 func (f Fused) PrepareIsing(h *ising.Hamiltonian, cfg Config) (Ansatz, error) {
-	if err := checkIsing(h, cfg); err != nil {
+	if err := checkGraph(h, cfg); err != nil {
 		return nil, err
 	}
 	// shift = offset − E = D + offset.
-	diag := maximizationDiagonal(h)
+	diag, err := maximizationDiagonal(h)
+	if err != nil {
+		return nil, err
+	}
 	return f.prepare(h.N(), h.Z2Symmetric(), cfg.Layers, func(k int) (qsim.CostTables, []float64) {
 		return phaseTables(diag, h.Offset(), 1<<uint(k)), diag
 	})
@@ -100,10 +93,14 @@ func (f Fused) PrepareIsing(h *ising.Hamiltonian, cfg Config) (Ansatz, error) {
 // no routed circuit; Layout is the identity and Report is zero): the
 // walk exists for parity, not for device-shaped compilation.
 func (Dense) PrepareIsing(h *ising.Hamiltonian, cfg Config) (Ansatz, error) {
-	if err := checkIsing(h, cfg); err != nil {
+	if err := checkGraph(h, cfg); err != nil {
 		return nil, err
 	}
-	return &denseIsingAnsatz{n: h.N(), layers: cfg.Layers, h: h.Clone(), diag: maximizationDiagonal(h)}, nil
+	diag, err := maximizationDiagonal(h)
+	if err != nil {
+		return nil, err
+	}
+	return &denseIsingAnsatz{n: h.N(), layers: cfg.Layers, h: h.Clone(), diag: diag}, nil
 }
 
 type denseIsingAnsatz struct {

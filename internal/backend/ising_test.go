@@ -264,10 +264,9 @@ func TestDenseIsingAnsatzAccessors(t *testing.T) {
 	if len(diag) != 8 {
 		t.Fatalf("diagonal length %d, want 8", len(diag))
 	}
-	table := h.Table()
 	for x, d := range diag {
-		if math.Abs(d-(-table[x])) > 1e-12 {
-			t.Fatalf("diagonal[%d] = %g, want −E = %g", x, d, -table[x])
+		if e := h.EnergyBits(bitsOf(uint64(x), 3)); math.Abs(d+e) > 1e-12 {
+			t.Fatalf("diagonal[%d] = %g, want −E = %g", x, d, -e)
 		}
 	}
 	if l := ans.Layout(); l != nil {
@@ -275,5 +274,57 @@ func TestDenseIsingAnsatzAccessors(t *testing.T) {
 	}
 	if rep := ans.Report(); rep.Depth != 0 || rep.TwoQubitGates != 0 {
 		t.Fatalf("dense Ising ansatz reported synthesis: %+v", rep)
+	}
+}
+
+// TestIsingDiagonalMatchesEnergy: the Ising diagonal — the cut table of
+// the reduction graph — is −E at every basis state, on 200 random
+// Hamiltonians of 1 to 12 spins with fields, offsets, zero and merged
+// terms. Integer weights and offsets give the oracle's float64 bits,
+// the sign of a zero included (every partial sum is an exact integer);
+// real ones agree to 1e-12.
+func TestIsingDiagonalMatchesEnergy(t *testing.T) {
+	r := rng.New(35)
+	for trial := 0; trial < 200; trial++ {
+		n := 1 + trial%12
+		integral := trial%2 == 0
+		draw := func(scale float64) float64 {
+			if integral {
+				return float64(r.Intn(int(2*scale)+1)) - scale
+			}
+			return (r.Float64()*2 - 1) * scale
+		}
+		h := ising.New(n)
+		for k := 0; k < n*n/2+1 && n > 1; k++ {
+			i, j := r.Intn(n), r.Intn(n)
+			if i == j {
+				continue
+			}
+			if err := h.AddCoupling(i, j, draw(3)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i := 0; i < n; i++ {
+			if r.Float64() < 0.6 {
+				if err := h.AddField(i, draw(2)); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		h.AddOffset(draw(5))
+		diag, err := maximizationDiagonal(h)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(diag) != 1<<n {
+			t.Fatalf("trial %d: %d entries for %d spins", trial, len(diag), n)
+		}
+		for x, d := range diag {
+			want := -h.EnergyBits(bitsOf(uint64(x), n))
+			if integral && math.Float64bits(d) != math.Float64bits(want) || !integral && math.Abs(d-want) > 1e-12 {
+				t.Fatalf("trial %d (n=%d, integral %v): diagonal[%d] = %.17g, want −E = %.17g",
+					trial, n, integral, x, d, want)
+			}
+		}
 	}
 }

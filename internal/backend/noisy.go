@@ -11,7 +11,7 @@ import (
 // Pauli noise model of internal/qsim/noise.go, averaging ⟨H_C⟩ over
 // Trajectories runs per evaluation — the NISQ degradation model that
 // bounds useful circuit depth (paper §1). With a zero Model it is
-// equivalent to Dense (a single noiseless trajectory).
+// Dense: a single noiseless trajectory.
 type Noisy struct {
 	// Model is the per-gate stochastic Pauli error model.
 	Model qsim.NoiseModel

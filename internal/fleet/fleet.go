@@ -97,7 +97,8 @@ type Config struct {
 	// ProbeTimeout bounds one health probe (default 2s).
 	ProbeTimeout time.Duration
 	// Retry shapes each worker client's unary retries. The zero value
-	// gets a small fleet default seeded from Seed.
+	// gets a small fleet default seeded from Seed. Its Breaker is
+	// replaced: every worker client gets a breaker of its own.
 	Retry retry.Policy
 	// Seed seeds retry jitter (fleet runs stay replayable).
 	Seed uint64
@@ -212,11 +213,9 @@ func New(cfg Config) (*Coordinator, error) {
 			return nil, fmt.Errorf("fleet: duplicate worker name %q", spec.Name)
 		}
 		br := &retry.Breaker{}
-		cl := &serve.Client{
-			Base:    spec.URL,
-			Retry:   cfg.Retry,
-			Breaker: br,
-		}
+		pol := cfg.Retry
+		pol.Breaker = br
+		cl := &serve.Client{Base: spec.URL, Retry: pol}
 		if cfg.Transport != nil {
 			cfg.Transport(spec.Name, cl)
 		}

@@ -67,26 +67,86 @@ func readPrefix(format string, line int) string {
 	return p
 }
 
-// edgeReader is what the three readers share once a line is split into
-// numbers: the header's bound, the per-edge checks, and a graph built
-// only after the whole input has been read and checked, so a failed or
-// refused read allocates in proportion to its input, never to its
-// header.
+// edgeReader is the one loop both readers run: blank lines and the
+// format's comments skipped, the first other line the "n m" header,
+// every later one an "i j w" edge. It holds the header's bound, the
+// per-edge checks, and a graph built only after the whole input has
+// been read and checked, so a failed or refused read allocates in
+// proportion to its input, never to its header.
 type edgeReader struct {
-	format string // as in RefusedError
-	base   int    // the file's first node number: 0 or 1
-	n, m   int    // declared sizes; n is -1 before the header
-	edges  []Edge
+	format  string // as in RefusedError
+	base    int    // the file's first node number: 0 or 1
+	comment func(line string) bool
+	n, m    int // declared sizes; n is -1 before the header
+	edges   []Edge
 }
 
 func (r *edgeReader) errorf(line int, format string, args ...any) error {
 	return errors.New(readPrefix(r.format, line) + fmt.Sprintf(format, args...))
 }
 
-// header records the declared node and edge counts.
-func (r *edgeReader) header(line, n, m int) error {
-	if n > MaxNodes {
-		return &RefusedError{Format: r.format, Line: line,
+// read scans the whole input and builds the graph.
+func (r *edgeReader) read(in io.Reader) (*Graph, error) {
+	sc := bufio.NewScanner(in)
+	sc.Buffer(make([]byte, 1<<16), 1<<24)
+	r.n = -1
+	lineNo := 0
+	for sc.Scan() {
+		lineNo++
+		line := strings.TrimSpace(sc.Text())
+		if line == "" || r.comment(line) {
+			continue
+		}
+		fields := strings.Fields(line)
+		if r.n < 0 {
+			if len(fields) != 2 {
+				return nil, r.errorf(lineNo, "want header \"n m\", got %q", line)
+			}
+			if err := r.header(lineNo, line, fields[0], fields[1]); err != nil {
+				return nil, err
+			}
+			continue
+		}
+		if len(fields) != 3 {
+			return nil, r.errorf(lineNo, "want \"i j w\", got %q", line)
+		}
+		i, j, w, err := edgeFields(fields[0], fields[1], fields[2])
+		if err != nil {
+			return nil, r.errorf(lineNo, "%v", err)
+		}
+		if err := r.edge(lineNo, i, j, w); err != nil {
+			return nil, err
+		}
+	}
+	if err := sc.Err(); err != nil {
+		return nil, err
+	}
+	if r.n < 0 {
+		if r.format != "" {
+			return nil, fmt.Errorf("graph: empty %s input", r.format)
+		}
+		return nil, fmt.Errorf("graph: empty input")
+	}
+	return r.graph()
+}
+
+// header parses and bounds the declared node and edge counts. Read's
+// own format names the count that failed; the Gset format quotes the
+// whole line.
+func (r *edgeReader) header(lineNo int, line, sn, sm string) error {
+	n, errN := strconv.Atoi(sn)
+	m, errM := strconv.Atoi(sm)
+	switch {
+	case r.format != "" && (errN != nil || errM != nil || n < 0 || m < 0):
+		return r.errorf(lineNo, "bad header %q", line)
+	case errN != nil:
+		return r.errorf(lineNo, "bad node count: %v", errN)
+	case errM != nil:
+		return r.errorf(lineNo, "bad edge count: %v", errM)
+	case n < 0 || m < 0:
+		return r.errorf(lineNo, "negative header values")
+	case n > MaxNodes:
+		return &RefusedError{Format: r.format, Line: lineNo,
 			Reason: fmt.Sprintf("header declares %d nodes, limit %d", n, MaxNodes)}
 	}
 	r.n, r.m = n, m
@@ -133,57 +193,27 @@ func (r *edgeReader) graph() (*Graph, error) {
 	return g, nil
 }
 
+// edgeFields parses one "i j w" edge triple.
+func edgeFields(si, sj, sw string) (int, int, float64, error) {
+	i, err := strconv.Atoi(si)
+	if err != nil {
+		return 0, 0, 0, fmt.Errorf("bad endpoint: %v", err)
+	}
+	j, err := strconv.Atoi(sj)
+	if err != nil {
+		return 0, 0, 0, fmt.Errorf("bad endpoint: %v", err)
+	}
+	w, err := strconv.ParseFloat(sw, 64)
+	if err != nil {
+		return 0, 0, 0, fmt.Errorf("bad weight: %v", err)
+	}
+	return i, j, w, nil
+}
+
 // Read parses the format produced by WriteTo. Lines starting with '#'
 // and blank lines are ignored. A header over MaxNodes nodes and a
 // non-finite weight fail with a *RefusedError.
 func Read(r io.Reader) (*Graph, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<16), 1<<24)
-	er := edgeReader{n: -1}
-	lineNo := 0
-	for sc.Scan() {
-		lineNo++
-		line := strings.TrimSpace(sc.Text())
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		fields := strings.Fields(line)
-		if er.n < 0 {
-			if len(fields) != 2 {
-				return nil, er.errorf(lineNo, "want header \"n m\", got %q", line)
-			}
-			n, err := strconv.Atoi(fields[0])
-			if err != nil {
-				return nil, er.errorf(lineNo, "bad node count: %v", err)
-			}
-			m, err := strconv.Atoi(fields[1])
-			if err != nil {
-				return nil, er.errorf(lineNo, "bad edge count: %v", err)
-			}
-			if n < 0 || m < 0 {
-				return nil, er.errorf(lineNo, "negative header values")
-			}
-			if err := er.header(lineNo, n, m); err != nil {
-				return nil, err
-			}
-			continue
-		}
-		if len(fields) != 3 {
-			return nil, er.errorf(lineNo, "want \"i j w\", got %q", line)
-		}
-		i, j, w, err := edgeFields(fields[0], fields[1], fields[2])
-		if err != nil {
-			return nil, er.errorf(lineNo, "%v", err)
-		}
-		if err := er.edge(lineNo, i, j, w); err != nil {
-			return nil, err
-		}
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	if er.n < 0 {
-		return nil, fmt.Errorf("graph: empty input")
-	}
-	return er.graph()
+	er := edgeReader{comment: func(line string) bool { return strings.HasPrefix(line, "#") }}
+	return er.read(r)
 }

@@ -2,7 +2,11 @@ package hpc
 
 import (
 	"fmt"
+	"net"
+	"net/http"
 	"strings"
+	"sync/atomic"
+	"syscall"
 	"testing"
 	"time"
 
@@ -49,9 +53,9 @@ func TestFallbackDegradationBreaker(t *testing.T) {
 		// Nothing listens here: every dial is refused immediately.
 		Client:   &serve.Client{Base: "http://127.0.0.1:1"},
 		Retry:    tinyRetry(3),
-		Breaker:  br,
 		Fallback: solver.AnnealSolver{},
 	}
+	dead.Retry.Breaker = br
 
 	start := time.Now()
 	degraded, err := q2.Solve(big, q2.Options{
@@ -145,5 +149,40 @@ func TestRemoteTerminalFallsBack(t *testing.T) {
 	}
 	if !strings.Contains(report.Attempts[0].Err, "unknown solver") {
 		t.Fatalf("remote attempt error %q lost the root cause", report.Attempts[0].Err)
+	}
+}
+
+// refusingTransport counts dials to a daemon that is down.
+type refusingTransport struct{ dials atomic.Int32 }
+
+func (rt *refusingTransport) RoundTrip(*http.Request) (*http.Response, error) {
+	rt.dials.Add(1)
+	return nil, &net.OpError{Op: "dial", Net: "tcp", Err: syscall.ECONNREFUSED}
+}
+
+// TestRemoteRetryIsTheOnlyLoop: against a dead daemon, RemoteSolver's
+// two attempts dial twice — the client's own three-attempt policy does
+// not nest inside them — and the error says "exhausted" once.
+func TestRemoteRetryIsTheOnlyLoop(t *testing.T) {
+	tr := &refusingTransport{}
+	br := &retry.Breaker{FailureThreshold: 3, Cooldown: time.Minute}
+	client := &serve.Client{Base: "http://daemon.invalid", HTTP: &http.Client{Transport: tr}, Retry: tinyRetry(3)}
+	client.Retry.Breaker = br
+	dead := RemoteSolver{Client: client, Retry: tinyRetry(2)}
+	_, err := dead.SolveSub(graph.ErdosRenyi(6, 0.5, graph.Unweighted, rng.New(1)), rng.New(1))
+	if err == nil {
+		t.Fatal("dead daemon reported success")
+	}
+	if n := tr.dials.Load(); n != 2 {
+		t.Fatalf("%d dials, want 2 (one per RemoteSolver attempt)", n)
+	}
+	if n := strings.Count(err.Error(), "exhausted"); n != 1 || !strings.Contains(err.Error(), "after 2 attempts") {
+		t.Fatalf("error %q: want one exhaustion, after 2 attempts", err)
+	}
+	// The single-attempt copy keeps the client's breaker: it counted
+	// both refusals, so a third failure opens it.
+	br.Failure()
+	if br.State() != retry.BreakerOpen {
+		t.Fatalf("client breaker %v after three failures, want open", br.State())
 	}
 }

@@ -37,9 +37,12 @@ import (
 // bit-identical cut. Transient failures (connection refused/reset,
 // 5xx, 429, mid-stream drops, jobs parked by a daemon drain) retry
 // under Retry with deterministic backoff; terminal rejections (4xx,
-// unknown solver) fail immediately. A shared Breaker trips after
-// repeated failures so the remaining leaves skip the dead daemon's
-// timeout entirely and degrade straight to Fallback.
+// unknown solver) fail immediately. Retry is the only retry loop on
+// the hop: each attempt runs through a single-attempt copy of Client
+// that keeps the client's breaker. A breaker shared through
+// Retry.Breaker trips after repeated failures so the remaining leaves
+// skip the dead daemon's timeout entirely and degrade straight to
+// Fallback.
 type RemoteSolver struct {
 	// Client reaches the daemon.
 	Client *serve.Client
@@ -73,14 +76,13 @@ type RemoteSolver struct {
 	// retry.Default seeded from the leaf seed — deterministic backoff
 	// jitter per leaf. A single-attempt policy (MaxAttempts 1,
 	// retry.Policy{MaxAttempts: 1}) restores the historical
-	// fail-on-first-error behavior.
+	// fail-on-first-error behavior. Its Breaker, when set, is
+	// consulted before every attempt and fed every outcome. Share ONE
+	// breaker across all leaves targeting the same daemon: after
+	// FailureThreshold consecutive failures the remaining leaves fail
+	// fast (and degrade to Fallback) instead of each burning the full
+	// retry budget against a dead endpoint.
 	Retry retry.Policy
-	// Breaker, when set, is consulted before every attempt and fed
-	// every outcome. Share ONE breaker across all leaves targeting the
-	// same daemon: after FailureThreshold consecutive failures the
-	// remaining leaves fail fast (and degrade to Fallback) instead of
-	// each burning the full retry budget against a dead endpoint.
-	Breaker *retry.Breaker
 	// Fallback, when set, solves the sub-graph locally after the
 	// remote path is exhausted (retries spent, breaker open, or the
 	// dispatch deadline passed). The degradation is visible in the
@@ -216,11 +218,12 @@ func (s RemoteSolver) solveRemote(ctx context.Context, g *graph.Graph, seed uint
 
 	pol := s.Retry
 	if pol.MaxAttempts == 0 {
+		br := pol.Breaker
 		pol = retry.Default(seed)
+		pol.Breaker = br
 	}
-	if pol.Breaker == nil {
-		pol.Breaker = s.Breaker
-	}
+	once := *s.Client
+	once.Retry = retry.Policy{Breaker: s.Client.Retry.Breaker}
 	base := pol.Classify
 	if base == nil {
 		base = retry.Classify
@@ -236,7 +239,7 @@ func (s RemoteSolver) solveRemote(ctx context.Context, g *graph.Graph, seed uint
 
 	var cut maxcut.Cut
 	err := pol.Do(ctx, func(actx context.Context) error {
-		st, err := s.Client.Solve(actx, req, nil)
+		st, err := once.Solve(actx, req, nil)
 		if err != nil {
 			return err
 		}

@@ -39,7 +39,7 @@ func Anneal(h *Hamiltonian, opts AnnealOptions, r *rng.Rand) Solution {
 		w  float64
 	}
 	adj := make([][]half, n)
-	for _, c := range h.couplings {
+	for _, c := range h.couplings.terms {
 		adj[c.I] = append(adj[c.I], half{c.J, c.W})
 		adj[c.J] = append(adj[c.J], half{c.I, c.W})
 	}

@@ -7,12 +7,12 @@
 // always as a MINIMIZATION objective. The package provides exact
 // QUBO↔Ising conversion, first-class constructors for classic problems
 // (weighted maximum independent set, minimum vertex cover, number
-// partitioning, and MaxCut itself as the degenerate J = w/2 case), a
-// 2^n diagonal table that compiles straight into the fused phase-table
-// execution path (internal/backend, internal/qsim/diagonal.go), and an
-// exact ancilla reduction to MaxCut so every layer above the device —
+// partitioning, and MaxCut itself as the degenerate J = w/2 case), and
+// an exact ancilla reduction to MaxCut so every layer above the device —
 // partitioning, QAOA² merging, the solve daemon, checkpoints, the
-// fleet — runs Ising workloads on unchanged plumbing.
+// fleet — runs Ising workloads on unchanged plumbing. The reduction is
+// also how the backend builds a Hamiltonian's 2^n diagonal: the cut
+// table of ToMaxCut's graph (internal/backend).
 //
 // Spin/bit convention (shared with the rest of the repository, see
 // graph.SpinsFromBits): bit q of a basis index is 0 for s_q = +1 and
@@ -45,10 +45,33 @@ type Coupling struct {
 // and QUBO.ToIsing build common shapes.
 type Hamiltonian struct {
 	n         int
-	couplings []Coupling
-	index     map[[2]int]int // (i,j) → couplings slot, duplicate merging
+	couplings pairs
 	fields    []float64
 	offset    float64
+}
+
+// pairs accumulates quadratic terms: (i,j) and (j,i) merge into one
+// I < J term, kept in first-seen order.
+type pairs struct {
+	terms []Coupling
+	index map[[2]int]int // (i,j) → terms slot
+}
+
+// add accumulates w onto the (i,j) term; i ≠ j is the caller's check.
+func (p *pairs) add(i, j int, w float64) {
+	if i > j {
+		i, j = j, i
+	}
+	key := [2]int{i, j}
+	if slot, ok := p.index[key]; ok {
+		p.terms[slot].W += w
+		return
+	}
+	if p.index == nil {
+		p.index = make(map[[2]int]int)
+	}
+	p.index[key] = len(p.terms)
+	p.terms = append(p.terms, Coupling{I: i, J: j, W: w})
 }
 
 // New returns an empty Hamiltonian over n spins (E ≡ 0).
@@ -56,11 +79,7 @@ func New(n int) *Hamiltonian {
 	if n < 0 {
 		n = 0
 	}
-	return &Hamiltonian{
-		n:      n,
-		index:  make(map[[2]int]int),
-		fields: make([]float64, n),
-	}
+	return &Hamiltonian{n: n, fields: make([]float64, n)}
 }
 
 // N returns the number of spin variables.
@@ -68,7 +87,7 @@ func (h *Hamiltonian) N() int { return h.n }
 
 // Couplings returns the quadratic terms (i < j, duplicates merged). The
 // slice is owned by the Hamiltonian; callers must not modify it.
-func (h *Hamiltonian) Couplings() []Coupling { return h.couplings }
+func (h *Hamiltonian) Couplings() []Coupling { return h.couplings.terms }
 
 // Fields returns the linear terms h_i. The slice is owned by the
 // Hamiltonian; callers must not modify it.
@@ -87,16 +106,7 @@ func (h *Hamiltonian) AddCoupling(i, j int, w float64) error {
 	if i < 0 || j < 0 || i >= h.n || j >= h.n {
 		return fmt.Errorf("ising: coupling (%d,%d) outside 0..%d", i, j, h.n-1)
 	}
-	if i > j {
-		i, j = j, i
-	}
-	key := [2]int{i, j}
-	if slot, ok := h.index[key]; ok {
-		h.couplings[slot].W += w
-		return nil
-	}
-	h.index[key] = len(h.couplings)
-	h.couplings = append(h.couplings, Coupling{I: i, J: j, W: w})
+	h.couplings.add(i, j, w)
 	return nil
 }
 
@@ -135,7 +145,7 @@ func (h *Hamiltonian) Energy(spins []int8) float64 {
 		panic(fmt.Sprintf("ising: %d spins for %d variables", len(spins), h.n))
 	}
 	e := h.offset
-	for _, c := range h.couplings {
+	for _, c := range h.couplings.terms {
 		e += c.W * float64(spins[c.I]) * float64(spins[c.J])
 	}
 	for i, f := range h.fields {
@@ -155,53 +165,12 @@ func (h *Hamiltonian) EnergyBits(bits []uint8) float64 {
 // Clone returns an independent deep copy.
 func (h *Hamiltonian) Clone() *Hamiltonian {
 	c := New(h.n)
-	c.couplings = append([]Coupling(nil), h.couplings...)
-	for slot, cp := range c.couplings {
-		c.index[[2]int{cp.I, cp.J}] = slot
+	for _, cp := range h.couplings.terms {
+		c.couplings.add(cp.I, cp.J, cp.W)
 	}
 	copy(c.fields, h.fields)
 	c.offset = h.offset
 	return c
-}
-
-// Table returns the 2^n diagonal of E in the computational basis:
-// Table()[x] = E(s(x)) with bit q of x giving spin q (0 → +1, 1 → −1).
-// This is the object the fused backend compiles into its phase tables
-// (internal/qsim/diagonal.go) — the Ising counterpart of
-// backend.CutTable. n must be small enough for a dense table (the
-// backend enforces qsim.MaxQubits).
-func (h *Hamiltonian) Table() []float64 {
-	size := 1 << uint(h.n)
-	table := make([]float64, size)
-	for i := range table {
-		table[i] = h.offset
-	}
-	for _, c := range h.couplings {
-		bi := uint64(1) << uint(c.I)
-		bj := uint64(1) << uint(c.J)
-		for x := range table {
-			u := uint64(x)
-			if (u&bi != 0) == (u&bj != 0) {
-				table[x] += c.W
-			} else {
-				table[x] -= c.W
-			}
-		}
-	}
-	for i, f := range h.fields {
-		if f == 0 {
-			continue
-		}
-		bi := uint64(1) << uint(i)
-		for x := range table {
-			if uint64(x)&bi != 0 {
-				table[x] -= f
-			} else {
-				table[x] += f
-			}
-		}
-	}
-	return table
 }
 
 // GroundState brute-forces the minimum-energy assignment — the exact
@@ -257,7 +226,7 @@ const MaxExactSpins = 26
 // merge, serve, fleet) with zero changes there.
 func (h *Hamiltonian) ToMaxCut() (*graph.Graph, error) {
 	g := graph.New(h.n + 1)
-	for _, c := range h.couplings {
+	for _, c := range h.couplings.terms {
 		if c.W == 0 {
 			continue
 		}

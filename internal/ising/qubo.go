@@ -15,8 +15,7 @@ import "fmt"
 // 1e-12.
 type QUBO struct {
 	n      int
-	quad   []Coupling
-	index  map[[2]int]int
+	quad   pairs
 	linear []float64
 	offset float64
 }
@@ -26,11 +25,7 @@ func NewQUBO(n int) *QUBO {
 	if n < 0 {
 		n = 0
 	}
-	return &QUBO{
-		n:      n,
-		index:  make(map[[2]int]int),
-		linear: make([]float64, n),
-	}
+	return &QUBO{n: n, linear: make([]float64, n)}
 }
 
 // N returns the number of binary variables.
@@ -38,7 +33,7 @@ func (q *QUBO) N() int { return q.n }
 
 // Quad returns the quadratic terms (i < j, duplicates merged). The
 // slice is owned by the QUBO; callers must not modify it.
-func (q *QUBO) Quad() []Coupling { return q.quad }
+func (q *QUBO) Quad() []Coupling { return q.quad.terms }
 
 // Linear returns the linear terms. The slice is owned by the QUBO;
 // callers must not modify it.
@@ -56,16 +51,7 @@ func (q *QUBO) AddQuad(i, j int, w float64) error {
 	if i < 0 || j < 0 || i >= q.n || j >= q.n {
 		return fmt.Errorf("ising: QUBO term (%d,%d) outside 0..%d", i, j, q.n-1)
 	}
-	if i > j {
-		i, j = j, i
-	}
-	key := [2]int{i, j}
-	if slot, ok := q.index[key]; ok {
-		q.quad[slot].W += w
-		return nil
-	}
-	q.index[key] = len(q.quad)
-	q.quad = append(q.quad, Coupling{I: i, J: j, W: w})
+	q.quad.add(i, j, w)
 	return nil
 }
 
@@ -87,7 +73,7 @@ func (q *QUBO) Value(x []uint8) float64 {
 		panic(fmt.Sprintf("ising: %d bits for %d QUBO variables", len(x), q.n))
 	}
 	v := q.offset
-	for _, t := range q.quad {
+	for _, t := range q.quad.terms {
 		if x[t.I] == 1 && x[t.J] == 1 {
 			v += t.W
 		}
@@ -109,7 +95,7 @@ func (q *QUBO) Value(x []uint8) float64 {
 // round-trip tests pin the identity pointwise).
 func (q *QUBO) ToIsing() *Hamiltonian {
 	h := New(q.n)
-	for _, t := range q.quad {
+	for _, t := range q.quad.terms {
 		h.AddCoupling(t.I, t.J, t.W/4)
 		h.AddField(t.I, -t.W/4)
 		h.AddField(t.J, -t.W/4)
@@ -133,7 +119,7 @@ func (q *QUBO) ToIsing() *Hamiltonian {
 //	h s_i     → h · (1 − 2x_i)
 func (h *Hamiltonian) ToQUBO() *QUBO {
 	q := NewQUBO(h.n)
-	for _, c := range h.couplings {
+	for _, c := range h.couplings.terms {
 		q.AddQuad(c.I, c.J, 4*c.W)
 		q.AddLinear(c.I, -2*c.W)
 		q.AddLinear(c.J, -2*c.W)

@@ -64,41 +64,44 @@ type Options struct {
 	Interrupt <-chan struct{}
 }
 
-// Event reports one completed task.
+// Event reports one completed task. Its JSON form is the solve
+// service's NDJSON event record (internal/serve).
 type Event struct {
 	// Task is the stable task id, also the checkpoint key for solve
 	// tasks (e.g. "s0/sub3", "s2/merge").
-	Task string
+	Task string `json:"task"`
 	// Kind is the task kind ("partition", "sub-solve", "merge-build",
 	// "merge-solve", "stitch").
-	Kind string
+	Kind string `json:"kind"`
 	// Stage is the divide-and-conquer level (0 = original graph).
-	Stage int
+	Stage int `json:"stage"`
 	// Index is the sub-graph index within the stage; -1 otherwise.
-	Index int
+	Index int `json:"index"`
 	// Nodes/Edges size the task's graph.
-	Nodes, Edges int
+	Nodes int `json:"nodes"`
+	Edges int `json:"edges"`
 	// Value is the cut value for solve tasks.
-	Value float64
+	Value float64 `json:"value,omitempty"`
 	// Solver names the solver that produced the cut for solve tasks —
 	// for composite strategies, the winning member (the checkpoint
 	// records the same name, so restored events re-attribute
 	// identically).
-	Solver string
+	Solver string `json:"solver,omitempty"`
 	// Attempts carries the per-member attribution of a composite
 	// solve, with per-attempt timing (nil for plain solvers and for
 	// restored results).
-	Attempts []solver.Attempt
+	Attempts []solver.Attempt `json:"attempts,omitempty"`
 	// Nanos is the solve task's wall time (0 for restored results).
 	// Timing is telemetry: it never enters checkpoints or result
 	// identity.
-	Nanos int64
+	Nanos int64 `json:"nanos,omitempty"`
 	// Worker is the pool worker that ran the task, in
 	// [0, Options.Parallelism). Like Nanos it is telemetry: scheduling
-	// decides it, so it never enters checkpoints or result identity.
-	Worker int
+	// decides it, so it never enters checkpoints, result identity or
+	// the wire.
+	Worker int `json:"-"`
 	// Restored marks results served from the checkpoint.
-	Restored bool
+	Restored bool `json:"restored,omitempty"`
 }
 
 // Stats summarizes a run.
@@ -113,20 +116,21 @@ type Stats struct {
 	Stages int
 }
 
-// SubReport records one solved sub-graph at the first level.
+// SubReport records one solved sub-graph at the first level. Its JSON
+// form is the solve service's per-sub-graph report (internal/serve).
 type SubReport struct {
-	Nodes int     // sub-graph size
-	Edges int     // sub-graph edge count
-	Value float64 // cut value found by the solver
+	Nodes int     `json:"nodes"` // sub-graph size
+	Edges int     `json:"edges"` // sub-graph edge count
+	Value float64 `json:"value"` // cut value found by the solver
 	// Solver names the solver that actually produced the kept cut:
 	// for composite strategies (best, portfolio, ml-adaptive) this is
 	// the WINNING member, so the report exposes the per-sub-graph
 	// quantum-vs-classical decision directly.
-	Solver string
+	Solver string `json:"solver"`
 	// Attempts details every inner try of a composite solve, with
 	// per-attempt timing (nil for plain solvers, and for solves
 	// restored from a checkpoint — timing is telemetry, not identity).
-	Attempts []solver.Attempt
+	Attempts []solver.Attempt `json:"attempts,omitempty"`
 }
 
 // Result reports a QAOA² run.
@@ -282,25 +286,15 @@ func (st *solveState) runDirect(g *graph.Graph, worker int) error {
 	if err != nil {
 		return err
 	}
-	rep := SubReport{Nodes: g.N(), Edges: g.M(), Value: sv.cut.Value,
-		Solver: sv.winner, Attempts: sv.attempts}
 	st.mu.Lock()
-	st.stats.Tasks++
-	if sv.restored {
-		st.stats.Restored++
-	} else {
-		st.stats.SubSolves++
-	}
 	st.result = &Result{
 		Cut:        sv.cut,
 		SubGraphs:  1,
-		SubReports: []SubReport{rep},
+		SubReports: []SubReport{sv.report(g)},
 		IntraCut:   sv.cut.Value,
 	}
 	st.mu.Unlock()
-	st.emit(Event{Task: "s0/direct", Kind: kindSubSolve.String(), Stage: 0, Index: 0,
-		Nodes: g.N(), Edges: g.M(), Value: sv.cut.Value, Solver: sv.winner,
-		Attempts: sv.attempts, Nanos: sv.nanos, Worker: worker, Restored: sv.restored})
+	st.finishSolve(Event{Task: "s0/direct", Kind: kindSubSolve.String(), Stage: 0, Index: 0}, g, sv, worker)
 	return nil
 }
 
@@ -312,6 +306,33 @@ type solved struct {
 	attempts []solver.Attempt
 	nanos    int64
 	restored bool
+}
+
+// report is the solve's first-level sub-graph report.
+func (sv solved) report(g *graph.Graph) SubReport {
+	return SubReport{Nodes: g.N(), Edges: g.M(), Value: sv.cut.Value,
+		Solver: sv.winner, Attempts: sv.attempts}
+}
+
+// finishSolve counts a completed solve task — a solver call of its
+// kind, or a restore — and streams its event: ev names the task, the
+// rest comes from g and sv.
+func (st *solveState) finishSolve(ev Event, g *graph.Graph, sv solved, worker int) {
+	st.mu.Lock()
+	st.stats.Tasks++
+	switch {
+	case sv.restored:
+		st.stats.Restored++
+	case ev.Kind == kindMergeSolve.String():
+		st.stats.MergeSolves++
+	default:
+		st.stats.SubSolves++
+	}
+	st.mu.Unlock()
+	ev.Nodes, ev.Edges, ev.Value = g.N(), g.M(), sv.cut.Value
+	ev.Solver, ev.Attempts, ev.Nanos = sv.winner, sv.attempts, sv.nanos
+	ev.Worker, ev.Restored = worker, sv.restored
+	st.emit(ev)
 }
 
 // solveTask runs one checkpointable solve: checkpoint lookup first,
@@ -452,19 +473,8 @@ func (st *solveState) runSub(sg *stage, i, worker int) error {
 			sg.index, i, len(sg.parts[i]), len(sv.cut.Spins))
 	}
 	sg.cuts[i] = sv.cut
-	sg.reports[i] = SubReport{Nodes: sub.N(), Edges: sub.M(), Value: sv.cut.Value,
-		Solver: sv.winner, Attempts: sv.attempts}
-	st.mu.Lock()
-	st.stats.Tasks++
-	if sv.restored {
-		st.stats.Restored++
-	} else {
-		st.stats.SubSolves++
-	}
-	st.mu.Unlock()
-	st.emit(Event{Task: key, Kind: kindSubSolve.String(), Stage: sg.index, Index: i,
-		Nodes: sub.N(), Edges: sub.M(), Value: sv.cut.Value, Solver: sv.winner,
-		Attempts: sv.attempts, Nanos: sv.nanos, Worker: worker, Restored: sv.restored})
+	sg.reports[i] = sv.report(sub)
+	st.finishSolve(Event{Task: key, Kind: kindSubSolve.String(), Stage: sg.index, Index: i}, sub, sv, worker)
 	return nil
 }
 
@@ -537,17 +547,7 @@ func (st *solveState) runMergeSolve(sg *stage, worker int) error {
 			sg.index, len(sv.cut.Spins), sg.merged.N())
 	}
 	sg.flips = sv.cut.Spins
-	st.mu.Lock()
-	st.stats.Tasks++
-	if sv.restored {
-		st.stats.Restored++
-	} else {
-		st.stats.MergeSolves++
-	}
-	st.mu.Unlock()
-	st.emit(Event{Task: key, Kind: kindMergeSolve.String(), Stage: sg.index, Index: -1,
-		Nodes: sg.merged.N(), Edges: sg.merged.M(), Value: sv.cut.Value, Solver: sv.winner,
-		Attempts: sv.attempts, Nanos: sv.nanos, Worker: worker, Restored: sv.restored})
+	st.finishSolve(Event{Task: key, Kind: kindMergeSolve.String(), Stage: sg.index, Index: -1}, sg.merged, sv, worker)
 	st.scheduleStitch(sg.index)
 	return nil
 }

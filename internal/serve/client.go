@@ -34,21 +34,18 @@ type Client struct {
 	// HTTP overrides the transport (tests inject httptest clients and
 	// fault-injecting round-trippers).
 	HTTP *http.Client
-	// RequestTimeout bounds each unary call (Submit, Job) and each
-	// stream (re)connect attempt when set; streams themselves are
-	// unbounded — pass a deadline context to bound a whole Solve.
-	RequestTimeout time.Duration
 	// Retry shapes Submit/Job retries and the Follow reconnect loop.
 	// The zero policy performs single attempts (no behavior change);
-	// retry.Default(seed) opts into the dispatch-layer defaults.
+	// retry.Default(seed) opts into the dispatch-layer defaults. Its
+	// AttemptTimeout bounds each unary call; streams are unbounded —
+	// pass a deadline context to bound a whole Solve. Its Breaker,
+	// when set, gates every request so a dead daemon fails fast
+	// instead of stalling each call through the full retry budget:
+	// share one breaker per daemon across clients and leaves.
 	// Submissions are idempotent — identical (graph, seed, solver)
 	// requests coalesce onto one job server-side — so retrying is
 	// always safe.
 	Retry retry.Policy
-	// Breaker, when set, gates every request so a dead daemon fails
-	// fast instead of stalling each call through the full retry
-	// budget. Share one breaker per daemon across clients/leaves.
-	Breaker *retry.Breaker
 }
 
 func (c *Client) http() *http.Client {
@@ -60,19 +57,6 @@ func (c *Client) http() *http.Client {
 
 func (c *Client) url(path string) string {
 	return strings.TrimSuffix(c.Base, "/") + path
-}
-
-// policy resolves the effective retry policy: the configured one,
-// with the client's breaker and request timeout folded in.
-func (c *Client) policy() retry.Policy {
-	p := c.Retry
-	if p.Breaker == nil {
-		p.Breaker = c.Breaker
-	}
-	if p.AttemptTimeout <= 0 {
-		p.AttemptTimeout = c.RequestTimeout
-	}
-	return p
 }
 
 // decodeError maps a non-2xx response to a typed status error the
@@ -122,7 +106,7 @@ func (c *Client) Submit(ctx context.Context, req SolveRequest) (JobStatus, error
 		return JobStatus{}, err
 	}
 	var st JobStatus
-	err = c.policy().Do(ctx, func(actx context.Context) error {
+	err = c.Retry.Do(ctx, func(actx context.Context) error {
 		hreq, err := http.NewRequestWithContext(actx, http.MethodPost, c.url("/v1/solve"), bytes.NewReader(body))
 		if err != nil {
 			return err
@@ -148,7 +132,7 @@ func (c *Client) Submit(ctx context.Context, req SolveRequest) (JobStatus, error
 // under the client's policy.
 func (c *Client) Job(ctx context.Context, id string) (JobStatus, error) {
 	var st JobStatus
-	err := c.policy().Do(ctx, func(actx context.Context) error {
+	err := c.Retry.Do(ctx, func(actx context.Context) error {
 		st = JobStatus{}
 		return c.getJSON(actx, "/v1/jobs/"+id, &st)
 	})
@@ -218,7 +202,7 @@ func (c *Client) Stream(ctx context.Context, id string, onEvent func(Event)) (Jo
 // Reconnect attempts draw from the client's retry policy; receiving
 // new events counts as progress and refreshes the attempt budget.
 func (c *Client) Follow(ctx context.Context, id string, onEvent func(Event)) (JobStatus, error) {
-	pol := c.policy()
+	pol := c.Retry
 	attempts := pol.MaxAttempts
 	if attempts <= 0 {
 		attempts = 1
@@ -312,7 +296,7 @@ func (c *Client) Solve(ctx context.Context, req SolveRequest, onEvent func(Event
 // other failure surfaces as err after the client's retry policy.
 func (c *Client) CachePeek(ctx context.Context, id string) (JobStatus, bool, error) {
 	var st JobStatus
-	err := c.policy().Do(ctx, func(actx context.Context) error {
+	err := c.Retry.Do(ctx, func(actx context.Context) error {
 		st = JobStatus{}
 		return c.getJSON(actx, "/v1/cache/"+id, &st)
 	})
@@ -331,7 +315,7 @@ func (c *Client) CachePeek(ctx context.Context, id string) (JobStatus, bool, err
 // (job unknown, no checkpoint written) surface as ok=false.
 func (c *Client) FetchCheckpoint(ctx context.Context, id string) ([]byte, bool, error) {
 	var data []byte
-	err := c.policy().Do(ctx, func(actx context.Context) error {
+	err := c.Retry.Do(ctx, func(actx context.Context) error {
 		hreq, err := http.NewRequestWithContext(actx, http.MethodGet, c.url("/v1/jobs/"+id+"/checkpoint"), nil)
 		if err != nil {
 			return err
@@ -362,7 +346,7 @@ func (c *Client) FetchCheckpoint(ctx context.Context, id string) ([]byte, bool, 
 // hand-off. Safe to retry: the server installs the checkpoint with an
 // atomic rename.
 func (c *Client) SeedCheckpoint(ctx context.Context, id string, data []byte) error {
-	return c.policy().Do(ctx, func(actx context.Context) error {
+	return c.Retry.Do(ctx, func(actx context.Context) error {
 		hreq, err := http.NewRequestWithContext(actx, http.MethodPut, c.url("/v1/jobs/"+id+"/checkpoint"), bytes.NewReader(data))
 		if err != nil {
 			return err

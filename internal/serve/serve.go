@@ -31,7 +31,6 @@ import (
 	"qaoa2/internal/graph"
 	q2 "qaoa2/internal/qaoa2"
 	rt "qaoa2/internal/runtime"
-	"qaoa2/internal/solver"
 )
 
 // Config configures a Server.
@@ -123,29 +122,18 @@ const (
 // checkpoint store's +/- encoding, so bit-identity across runs is a
 // string comparison.
 type JobResult struct {
-	Spins     string      `json:"spins"`
-	Value     float64     `json:"value"`
-	Levels    int         `json:"levels"`
-	SubGraphs int         `json:"subGraphs"`
-	IntraCut  float64     `json:"intraCut"`
-	CrossCut  float64     `json:"crossCut"`
-	Reports   []SubReport `json:"reports,omitempty"`
+	Spins     string         `json:"spins"`
+	Value     float64        `json:"value"`
+	Levels    int            `json:"levels"`
+	SubGraphs int            `json:"subGraphs"`
+	IntraCut  float64        `json:"intraCut"`
+	CrossCut  float64        `json:"crossCut"`
+	Reports   []rt.SubReport `json:"reports,omitempty"`
 	// Problem is the problem-level decode of an Ising/QUBO submission
 	// (nil for plain MaxCut jobs): the job's Spins/Value describe the
 	// reduced MaxCut instance; this carries the answer in the
 	// problem's own variables.
 	Problem *ProblemReport `json:"problem,omitempty"`
-}
-
-// SubReport mirrors runtime.SubReport in wire form. Solver names the
-// member that actually produced the kept cut; Attempts carries the
-// per-member attribution of composite solves.
-type SubReport struct {
-	Nodes    int              `json:"nodes"`
-	Edges    int              `json:"edges"`
-	Value    float64          `json:"value"`
-	Solver   string           `json:"solver"`
-	Attempts []solver.Attempt `json:"attempts,omitempty"`
 }
 
 // JobStatus is the externally visible job snapshot (submit responses,
@@ -848,11 +836,7 @@ func resultOf(req SolveRequest, res *q2.Result) *JobResult {
 		SubGraphs: res.SubGraphs,
 		IntraCut:  res.IntraCut,
 		CrossCut:  res.CrossCut,
-		Reports:   make([]SubReport, len(res.SubReports)),
-	}
-	for i, r := range res.SubReports {
-		out.Reports[i] = SubReport{Nodes: r.Nodes, Edges: r.Edges, Value: r.Value,
-			Solver: r.Solver, Attempts: r.Attempts}
+		Reports:   res.SubReports,
 	}
 	if req.Problem != nil {
 		out.Problem = problemReportOf(req.Problem, res.Cut.Spins)
@@ -878,7 +862,7 @@ func DecodeSpins(s string) ([]int8, error) {
 func (s *Server) appendEvent(j *job, ev rt.Event) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	j.events = append(j.events, eventFromRuntime(len(j.events)+1, ev))
+	j.events = append(j.events, Event{Seq: len(j.events) + 1, Event: ev})
 	if ev.Restored {
 		j.restores++
 	}

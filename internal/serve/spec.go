@@ -250,45 +250,11 @@ func ResolveSolvers(req SolveRequest) (Solvers, error) {
 }
 
 // Event is one task-completion progress event of a job, streamed over
-// NDJSON at GET /v1/jobs/{id}/events. Seq is 1-based and strictly
-// increasing per job; subscribers that attach mid-run replay the
-// prefix first, so every subscriber observes the identical sequence.
+// NDJSON at GET /v1/jobs/{id}/events: the executor's event stamped
+// with its sequence number. Seq is 1-based and strictly increasing per
+// job; subscribers that attach mid-run replay the prefix first, so
+// every subscriber observes the identical sequence.
 type Event struct {
-	Seq   int     `json:"seq"`
-	Task  string  `json:"task"`
-	Kind  string  `json:"kind"`
-	Stage int     `json:"stage"`
-	Index int     `json:"index"`
-	Nodes int     `json:"nodes"`
-	Edges int     `json:"edges"`
-	Value float64 `json:"value,omitempty"`
-	// Solver names the solver that produced a solve task's cut — for
-	// composite strategies (best, portfolio, ml-adaptive), the member
-	// that actually won.
-	Solver string `json:"solver,omitempty"`
-	// Attempts is the per-member attribution of a composite solve
-	// (value, wall time, error per inner solver).
-	Attempts []solver.Attempt `json:"attempts,omitempty"`
-	// Nanos is the solve task's wall time (0 for restored tasks).
-	Nanos    int64 `json:"nanos,omitempty"`
-	Restored bool  `json:"restored,omitempty"`
-}
-
-// eventFromRuntime stamps a runtime event with its per-job sequence
-// number.
-func eventFromRuntime(seq int, ev rt.Event) Event {
-	return Event{
-		Seq:      seq,
-		Task:     ev.Task,
-		Kind:     ev.Kind,
-		Stage:    ev.Stage,
-		Index:    ev.Index,
-		Nodes:    ev.Nodes,
-		Edges:    ev.Edges,
-		Value:    ev.Value,
-		Solver:   ev.Solver,
-		Attempts: ev.Attempts,
-		Nanos:    ev.Nanos,
-		Restored: ev.Restored,
-	}
+	Seq int `json:"seq"`
+	rt.Event
 }

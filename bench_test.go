@@ -200,21 +200,19 @@ func BenchmarkFig2Coordinator(b *testing.B) {
 	printOnce("Fig2", experiments.RenderFig2(points))
 }
 
-// BenchmarkScalingStatevector regenerates the distributed-simulation
+// BenchmarkScalingStatevector regenerates the strong-scaling
 // observation of §4 ("33 qubits ... 512 nodes", "almost ideal
-// scaling"): cache-blocking rank exchange volume and wall time per rank
-// count.
+// scaling") inside one node: wall time per fused evaluation on one
+// core and on the kernel pool at GOMAXPROCS cores.
 func BenchmarkScalingStatevector(b *testing.B) {
 	qubits := 16
-	ranks := []int{1, 2, 4, 8}
 	if fullScale() {
 		qubits = 22
-		ranks = []int{1, 2, 4, 8, 16}
 	}
 	var points []experiments.ScalingPoint
 	var err error
 	for i := 0; i < b.N; i++ {
-		points, err = experiments.RunEngineScaling(qubits, 2, ranks, 7)
+		points, err = experiments.RunEngineScaling(qubits, 2, 7)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -493,21 +491,6 @@ func BenchmarkBackendFused(b *testing.B) { benchmarkBackendEvaluate(b, root.Fuse
 // CI ratio gate holds BenchmarkBackendFused at ≥1.7× over this.
 func BenchmarkBackendFusedFull(b *testing.B) {
 	benchmarkBackendEvaluate(b, root.FusedBackend{Full: true})
-}
-
-// BenchmarkBackendFusedDist measures the sharded fused engine at its
-// default four ranks — the intra-process model of the paper's
-// multi-node decomposition. Comm volume per evaluation is the closed
-// form layers·log2(ranks)·2^(n−log2(ranks))·16 bytes.
-func BenchmarkBackendFusedDist(b *testing.B) {
-	benchmarkBackendEvaluate(b, root.FusedBackend{Ranks: 4})
-}
-
-// BenchmarkBackendFusedDist1 measures the sharded backend at a single
-// rank, which builds the inline engine: the same code as
-// BenchmarkBackendFused, held near its cost by the CI ratio gate.
-func BenchmarkBackendFusedDist1(b *testing.B) {
-	benchmarkBackendEvaluate(b, root.FusedBackend{Ranks: 1})
 }
 
 // BenchmarkBackendFusedBatch8 measures the batched multi-start API:

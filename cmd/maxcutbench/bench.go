@@ -31,18 +31,15 @@ type benchConfig struct {
 // unreduced fused-full control and the dense oracle), a smaller fused
 // shape as a dispatch-overhead sentinel, and a 20-qubit point where
 // the half-vector's memory advantage shows beyond the L2-resident
-// sizes.
-// The fused-dist points track the sharded engine: ranks=4 measures the
-// pairwise-exchange overhead at both tracked qubit scales. (Ranks=1 is
-// not tracked: it builds the inline engine, the fused-z2 rows' code.)
+// sizes. Each row runs on the shared kernel pool, the only parallelism
+// inside a leaf; its one-core against all-core curve is the workflow
+// demo's scaling table (experiments.RunEngineScaling), not a row here.
 var benchConfigs = []benchConfig{
 	{"fused-z2", 16, 3},
 	{"fused-full", 16, 3},
 	{"dense", 16, 3},
 	{"fused-z2", 12, 2},
 	{"fused-z2", 20, 3},
-	{"fused-dist:4", 16, 3},
-	{"fused-dist:4", 20, 3},
 }
 
 // benchRounds is the best-of count for every measurement: the harness

@@ -24,6 +24,7 @@ func TestUsageErrorsExitTwo(t *testing.T) {
 		{"unknown solver", []string{"-solver", "bogus"}, "unknown solver"},
 		{"unknown merge", []string{"-merge", "bogus"}, "unknown solver"},
 		{"unknown backend", []string{"-backend", "bogus"}, "bogus"},
+		{"retired sharded backend", []string{"-backend", "fused-dist:2"}, "unknown backend \"fused-dist:2\""},
 	}
 	for _, tc := range cases {
 		var out, errb strings.Builder

@@ -59,7 +59,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		jobs    = fs.Int("jobs", 4, "hybrid jobs in the Fig. 1 scheduling comparison")
 		workers = fs.String("workers", "1,2,4", "comma-separated worker counts for the Fig. 2 sweep")
 		qubits  = fs.Int("qubits", 16, "statevector size for the scaling experiment")
-		ranks   = fs.String("ranks", "1,2,4,8", "comma-separated rank counts (powers of two)")
 
 		solveNodes  = fs.Int("solve-nodes", 120, "graph size for the task-graph runtime solve (0 skips it)")
 		solveProb   = fs.Float64("solve-p", 0.08, "edge probability for the runtime solve")
@@ -97,11 +96,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "workflow: %v\n", err)
 		return 2
 	}
-	rankList, err := parseInts(*ranks)
-	if err != nil {
-		fmt.Fprintf(stderr, "workflow: %v\n", err)
-		return 2
-	}
 
 	fig1, err := experiments.RunFig1(*jobs)
 	if err != nil {
@@ -121,7 +115,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fmt.Fprint(stdout, experiments.RenderFig2(points))
 	fmt.Fprintln(stdout)
 
-	scaling, err := experiments.RunEngineScaling(*qubits, 2, rankList, 7)
+	scaling, err := experiments.RunEngineScaling(*qubits, 2, 7)
 	if err != nil {
 		fmt.Fprintf(stderr, "workflow: %v\n", err)
 		return 1

@@ -20,7 +20,6 @@ func TestUsageErrorsExitTwo(t *testing.T) {
 		{"unknown flag", []string{"-bogus"}, "-bogus"},
 		{"positional args", []string{"stray"}, "unexpected arguments"},
 		{"bad workers list", []string{"-workers", "1,x"}, "bad integer list"},
-		{"bad ranks list", []string{"-ranks", "2,,4"}, "bad integer list"},
 	}
 	for _, tc := range cases {
 		var out, errb strings.Builder

@@ -135,25 +135,24 @@ func TestOneExecutor(t *testing.T) {
 // fails when an entry names nothing or a root now reaches it, so the
 // list cannot outlive its reasons.
 var reachAllowlist = map[string]string{
-	"graph.Complete":                "fixture in the tests of 14 packages",
-	"graph.Path":                    "fixture in the tests of 7 packages",
-	"graph.Bipartite":               "fixture in the tests of 8 packages",
-	"hpc.VerifyNoOversubscription":  "scheduler invariant oracle of the Simulate tests in sched_test.go",
-	"linalg.EigSym":                 "cold-start oracle of the SymEig tests in linalg",
-	"linalg.Dense.AxpyMat":          "matrix update of the reference ADMM in sdp/admm_test.go and the linalg perturbation tests",
-	"linalg.Dense.MatVec":           "product oracle of the Laplacian test in graph and the linalg solve tests",
-	"linalg.Mat.Gram":               "builds the PSD inputs and checks the factors of the linalg GramFactor tests",
-	"partition.Modularity":          "CNM objective of TestGreedyModularityImprovesOverSingletons",
-	"partition.GreedyModularity":    "CNM entry point of FuzzSizeCapped and the lazy-heap oracle tests",
-	"qsim.Engine.CommBytesExpected": "closed-form exchange volume the qsim engine tests gate BytesSent against",
-	"qsim.Fidelity":                 "state comparison of the qsim, circuit and synth tests",
-	"qsim.State.Amp":                "amplitude read of the qsim, circuit, backend and qaoa tests",
-	"qsim.State.NormSquared":        "unit-norm oracle of the qsim, circuit, backend and synth tests",
-	"qsim.State.Z2Full":             "reduction check of the qsim, backend and qaoa Z2 tests",
-	"qsim.State.ExpandZ2":           "expands reduced states for the full-vector comparisons of the qsim, backend and qaoa Z2 tests",
-	"runtime.CanonicalRecords":      "checkpoint comparison of the runtime and hpc determinism tests",
-	"solver.DefaultSelector":        "trained selector of the experiments, solver and qaoa2 tests",
-	"synth.Synthesize":              "entry point of the synth semantics tests",
+	"graph.Complete":               "fixture in the tests of 14 packages",
+	"graph.Path":                   "fixture in the tests of 7 packages",
+	"graph.Bipartite":              "fixture in the tests of 8 packages",
+	"hpc.VerifyNoOversubscription": "scheduler invariant oracle of the Simulate tests in sched_test.go",
+	"linalg.EigSym":                "cold-start oracle of the SymEig tests in linalg",
+	"linalg.Dense.AxpyMat":         "matrix update of the reference ADMM in sdp/admm_test.go and the linalg perturbation tests",
+	"linalg.Dense.MatVec":          "product oracle of the Laplacian test in graph and the linalg solve tests",
+	"linalg.Mat.Gram":              "builds the PSD inputs and checks the factors of the linalg GramFactor tests",
+	"partition.Modularity":         "CNM objective of TestGreedyModularityImprovesOverSingletons",
+	"partition.GreedyModularity":   "CNM entry point of FuzzSizeCapped and the lazy-heap oracle tests",
+	"qsim.Fidelity":                "state comparison of the qsim, circuit and synth tests",
+	"qsim.State.Amp":               "amplitude read of the qsim, circuit, backend and qaoa tests",
+	"qsim.State.NormSquared":       "unit-norm oracle of the qsim, circuit, backend and synth tests",
+	"qsim.State.Z2Full":            "reduction check of the qsim, backend and qaoa Z2 tests",
+	"qsim.State.ExpandZ2":          "expands reduced states for the full-vector comparisons of the qsim, backend and qaoa Z2 tests",
+	"runtime.CanonicalRecords":     "checkpoint comparison of the runtime and hpc determinism tests",
+	"solver.DefaultSelector":       "trained selector of the experiments, solver and qaoa2 tests",
+	"synth.Synthesize":             "entry point of the synth semantics tests",
 }
 
 // TestEverythingIsReachable fails for every top-level func, type, var

@@ -18,8 +18,7 @@
 //     dispatch and circuit synthesis from the optimizer's inner loop. By
 //     default it additionally folds out the Z2 spin-flip symmetry,
 //     simulating the 2^(n−1) even-sector amplitudes only ("fused-full"
-//     names the unreduced variant), and "fused-dist:N" runs the same
-//     engine over N statevector slices of an in-process comm world.
+//     names the unreduced variant).
 //
 //   - Noisy: trajectory-sampled Pauli noise around the Dense gate walk,
 //     the NISQ model of internal/qsim/noise.go.
@@ -31,8 +30,6 @@ package backend
 import (
 	"fmt"
 	"slices"
-	"strconv"
-	"strings"
 
 	"qaoa2/internal/graph"
 	"qaoa2/internal/ising"
@@ -173,9 +170,7 @@ func Default(prefs synth.Preferences) Backend {
 // Default rule at solve time (represented as a nil Backend). "fused"
 // and its explicit alias "fused-z2" run the symmetry-reduced fast path;
 // "fused-full" is the unreduced engine, kept addressable for A/B
-// benchmarking against the reduction. "fused-dist" is the same engine
-// sharded over the in-process comm world at the default rank count;
-// "fused-dist:N" selects N ranks (a power of two).
+// benchmarking against the reduction.
 func ByName(name string) (Backend, error) {
 	switch name {
 	case "":
@@ -184,21 +179,12 @@ func ByName(name string) (Backend, error) {
 		return Fused{}, nil
 	case "fused-full":
 		return Fused{Full: true}, nil
-	case "fused-dist":
-		return Fused{Ranks: defaultDistRanks}, nil
 	case "dense":
 		return Dense{}, nil
 	case "noisy":
 		return Noisy{}, nil
 	}
-	if rest, ok := strings.CutPrefix(name, "fused-dist:"); ok {
-		ranks, err := strconv.Atoi(rest)
-		if err != nil || ranks < 1 || ranks&(ranks-1) != 0 {
-			return nil, fmt.Errorf("backend: fused-dist rank count %q must be a power of two ≥ 1", rest)
-		}
-		return Fused{Ranks: ranks}, nil
-	}
-	return nil, fmt.Errorf("backend: unknown backend %q (want fused|fused-z2|fused-full|fused-dist[:ranks]|dense|noisy)", name)
+	return nil, fmt.Errorf("backend: unknown backend %q (want fused|fused-z2|fused-full|dense|noisy)", name)
 }
 
 // CutTable returns the diagonal of H_C in the computational basis:

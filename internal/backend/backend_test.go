@@ -1,6 +1,7 @@
 package backend
 
 import (
+	"fmt"
 	"math"
 	"math/cmplx"
 	"slices"
@@ -113,28 +114,15 @@ func TestCutTableMatchesEdgeLoop(t *testing.T) {
 	}
 }
 
+// TestByName resolves each spelling to its canonical Name and rejects
+// every other name — the retired sharded "fused-dist" spellings
+// included — with the unknown-backend error, whose "want" list names
+// exactly the accepted spellings.
 func TestByName(t *testing.T) {
-	checkByName(t, map[string]string{
+	good := map[string]string{
 		"fused": "fused", "fused-z2": "fused", "fused-full": "fused-full",
 		"dense": "dense", "noisy": "noisy",
-	}, []string{"gpu"})
-	if be, err := ByName(""); err != nil || be != nil {
-		t.Fatalf("ByName(\"\") = %v, %v; want nil, nil", be, err)
 	}
-}
-
-// TestFusedDistByName: every sharded spelling resolves to the canonical
-// rank-suffixed name, and every malformed rank suffix is rejected.
-func TestFusedDistByName(t *testing.T) {
-	checkByName(t, map[string]string{
-		"fused-dist": "fused-dist:4", "fused-dist:1": "fused-dist:1", "fused-dist:8": "fused-dist:8",
-	}, []string{"fused-dist:3", "fused-dist:0", "fused-dist:-2", "fused-dist:x", "fused-dist:"})
-}
-
-// checkByName resolves each spelling to its canonical Name and requires
-// every bad spelling to be rejected.
-func checkByName(t *testing.T, good map[string]string, bad []string) {
-	t.Helper()
 	for name, want := range good {
 		be, err := ByName(name)
 		if err != nil {
@@ -144,10 +132,15 @@ func checkByName(t *testing.T, good map[string]string, bad []string) {
 			t.Fatalf("ByName(%q).Name() = %q", name, be.Name())
 		}
 	}
-	for _, name := range bad {
-		if _, err := ByName(name); err == nil {
-			t.Fatalf("%q accepted", name)
+	for _, name := range []string{"gpu", "fused-dist", "fused-dist:2"} {
+		_, err := ByName(name)
+		want := fmt.Sprintf("backend: unknown backend %q (want fused|fused-z2|fused-full|dense|noisy)", name)
+		if err == nil || err.Error() != want {
+			t.Fatalf("ByName(%q) error %v, want %q", name, err, want)
 		}
+	}
+	if be, err := ByName(""); err != nil || be != nil {
+		t.Fatalf("ByName(\"\") = %v, %v; want nil, nil", be, err)
 	}
 }
 

@@ -33,9 +33,9 @@ func TestEvaluateBatchMatchesEvaluate(t *testing.T) {
 	const layers, k = 2, 9
 	gammas, betas := batchParams(layers, k, 11)
 
-	// The native path is the single-node fused engine's only: at any
-	// rank count the sharded backend evaluates batches sequentially.
-	for _, be := range []backend.Backend{backend.Fused{}, backend.Fused{Ranks: 1}, backend.Dense{}} {
+	// The native path is the fused engine's; Dense evaluates batches
+	// sequentially.
+	for _, be := range []backend.Backend{backend.Fused{}, backend.Dense{}} {
 		ans, err := be.Prepare(g, backend.Config{Layers: layers})
 		if err != nil {
 			t.Fatal(err)

@@ -1,7 +1,6 @@
 package backend
 
 import (
-	"fmt"
 	"math"
 	"os"
 	"runtime"
@@ -19,10 +18,6 @@ import (
 // Sincos. It also bounds the integral build (cutLevels): a graph takes
 // it only when Σ|w| + 1 ≤ maxPhaseLevels.
 const maxPhaseLevels = 4096
-
-// defaultDistRanks is the rank count "fused-dist" selects when no
-// explicit ":N" suffix is given.
-const defaultDistRanks = 4
 
 // Fused is the diagonal-cost fast path: because H_C is diagonal in the
 // computational basis, the whole e^{-iγ H_C} cost layer is one
@@ -54,32 +49,18 @@ const defaultDistRanks = 4
 // QAOA2_NOZ2, to force the unreduced engine — the A/B control for
 // benchmarks and for bisecting any suspected reduction issue.
 //
-// Ranks ≥ 1 ("fused-dist:N") runs the same engine over N statevector
-// slices of the in-process hpc comm world: cost layers stay rank-local
-// (diagonals never communicate) and only the top log2(N) qubits' mixer
-// rotations run as pairwise slice exchanges — the paper's §4
-// multi-node decomposition, metered through qsim.DistStats. Rank count
-// is a CONFIG knob, not a capacity requirement: sub-graphs too small to
-// give every rank at least one local qubit are clamped to the largest
-// valid power of two, so QAOA² leaf solves of any size run under one
-// backend selection. At one rank the engine is the inline single-node
-// one (held at fused-z2 cost by the bench ratio gate).
+// Parallelism inside one ansatz is the engine's: Evaluate splits every
+// sweep over the shared kernel pool, and EvaluateBatch stripes the
+// parameter vectors over serial per-worker engines.
 type Fused struct {
 	// Full disables the Z2 symmetry reduction and simulates all 2^n
 	// amplitudes.
 	Full bool
-	// Ranks is the statevector slice count (a power of two). 0 selects
-	// the single-node engine with the native batch path ("fused",
-	// "fused-full"); N ≥ 1 names the backend "fused-dist:N".
-	Ranks int
 }
 
 // Name implements Backend, matching the ByName spelling.
 func (f Fused) Name() string {
-	switch {
-	case f.Ranks != 0:
-		return fmt.Sprintf("fused-dist:%d", f.Ranks)
-	case f.Full:
+	if f.Full {
 		return "fused-full"
 	}
 	return "fused"
@@ -106,18 +87,13 @@ func (f Fused) Prepare(g *graph.Graph, cfg Config) (Ansatz, error) {
 }
 
 // prepare is the preamble Prepare and PrepareIsing share: the Z2
-// decision, the rank clamp, the cost tables and the engine build.
+// decision, the cost tables and the engine build.
 // symmetric reports diag(x) == diag(~x) for the n-qubit diagonal.
 // tables builds the engine's tables over its 2^k-entry index space (k =
 // n, or n − 1 on the Z2-reduced engine, whose tables are the prefix
 // halves) and returns the full 2^n diagonal too when it built one.
 func (f Fused) prepare(n int, symmetric bool, layers int, tables func(k int) (qsim.CostTables, []float64)) (Ansatz, error) {
-	if f.Ranks < 0 || f.Ranks&(f.Ranks-1) != 0 {
-		return nil, fmt.Errorf("backend: fused-dist rank count %d is not a power of two", f.Ranks)
-	}
-	fa := &fusedAnsatz{}
-	a := &fa.engineAnsatz
-	a.n, a.layers = n, layers
+	a := &fusedAnsatz{n: n, layers: layers}
 	// The Z2-reduced engine needs a pair to fold, i.e. at least two
 	// qubits.
 	a.z2 = !f.Full && symmetric && n >= 2 && os.Getenv("QAOA2_NOZ2") == ""
@@ -125,20 +101,13 @@ func (f Fused) prepare(n int, symmetric bool, layers int, tables func(k int) (qs
 	if a.z2 {
 		k--
 	}
-	// Clamp: every rank must keep at least one local qubit of the
-	// (possibly reduced) index space. Small QAOA² leaves routinely hit
-	// this; the backend stays selectable at any sub-graph size.
-	a.ranks = min(max(f.Ranks, 1), 1<<uint(k-1))
 	a.cost, a.diag = tables(k)
 	eng, err := a.newEngine()
 	if err != nil {
 		return nil, err
 	}
 	a.eng = eng
-	if f.Ranks != 0 {
-		return a, nil
-	}
-	return fa, nil
+	return a, nil
 }
 
 // integralSpan reports whether g takes the integral build (cutLevels):
@@ -258,11 +227,10 @@ func phaseTables(diag []float64, add float64, n int) qsim.CostTables {
 	return qsim.CostTables{Levels: levels, Values: values, Idx: idx}
 }
 
-// engineAnsatz is a prepared fused ansatz: the compiled tables and the
-// engine built over them.
-type engineAnsatz struct {
+// fusedAnsatz is a prepared fused ansatz: the compiled tables, the
+// engine built over them and the native batch path's engines.
+type fusedAnsatz struct {
 	n, layers int
-	ranks     int             // effective (clamped) slice count
 	z2        bool            // engines run on the Z2-reduced half-vector
 	cost      qsim.CostTables // the engine's tables (half-length when z2)
 	diagOnce  sync.Once
@@ -271,39 +239,26 @@ type engineAnsatz struct {
 	// integral one (which has no float64 table of its own).
 	diag []float64
 	eng  *qsim.Engine
-}
-
-// fusedAnsatz is the single-node engineAnsatz plus the native batch
-// path.
-type fusedAnsatz struct {
-	engineAnsatz
 	// batch holds one serial-mode engine per batch worker, sharing the
 	// read-only tables; grown lazily by EvaluateBatch.
 	batch []*qsim.Engine
 }
 
 // newEngine builds an execution engine over the ansatz's shared tables.
-func (a *engineAnsatz) newEngine() (*qsim.Engine, error) {
-	return qsim.NewEngine(a.n, a.z2, a.ranks, a.cost)
+func (a *fusedAnsatz) newEngine() (*qsim.Engine, error) {
+	return qsim.NewEngine(a.n, a.z2, a.cost)
 }
 
 // Evaluate implements Ansatz. The returned state is the engine's reused
 // buffer, valid until the next Evaluate; on the default Z2 path it is a
 // reduced state (qsim.State with Z2Full() != 0), whose measurement
 // accessors are bit-identical to the expanded statevector's.
-func (a *engineAnsatz) Evaluate(gammas, betas []float64) (float64, *qsim.State, error) {
+func (a *fusedAnsatz) Evaluate(gammas, betas []float64) (float64, *qsim.State, error) {
 	if err := checkParams(a.layers, gammas, betas); err != nil {
 		return 0, nil, err
 	}
 	return a.eng.Evaluate(gammas, betas), a.eng.State(), nil
 }
-
-// Ranks returns the effective slice count after small-graph clamping.
-func (a *engineAnsatz) Ranks() int { return a.ranks }
-
-// Stats exposes the engine's communication ledger for scaling
-// experiments and bench provenance.
-func (a *engineAnsatz) Stats() qsim.DistStats { return a.eng.Stats() }
 
 // EvaluateBatch implements BatchEvaluator: the K parameter vectors are
 // striped over min(K, GOMAXPROCS) workers, each owning a persistent
@@ -359,7 +314,7 @@ func (a *fusedAnsatz) EvaluateBatch(gammas, betas [][]float64, energies []float6
 // Values[Idx[x]], and on a Z2 engine the upper half is filled by
 // complement, cut(x) = cut(~x) — so a caller that never asks (every
 // exactly decoded leaf) never pays for 2^n float64s.
-func (a *engineAnsatz) Diagonal() []float64 {
+func (a *fusedAnsatz) Diagonal() []float64 {
 	a.diagOnce.Do(func() {
 		if a.diag != nil {
 			return
@@ -378,7 +333,7 @@ func (a *engineAnsatz) Diagonal() []float64 {
 
 // TableMax implements TableMaxer without a scan: Values ascend, so the
 // indexed form's maximum is its last value.
-func (a *engineAnsatz) TableMax() float64 {
+func (a *fusedAnsatz) TableMax() float64 {
 	if v := a.cost.Values; v != nil {
 		return v[len(v)-1]
 	}
@@ -386,7 +341,7 @@ func (a *engineAnsatz) TableMax() float64 {
 }
 
 // Layout implements Ansatz: always identity.
-func (a *engineAnsatz) Layout() []int { return nil }
+func (a *fusedAnsatz) Layout() []int { return nil }
 
 // Report implements Ansatz: no circuit is synthesized.
-func (a *engineAnsatz) Report() synth.Report { return synth.Report{} }
+func (a *fusedAnsatz) Report() synth.Report { return synth.Report{} }

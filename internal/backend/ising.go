@@ -29,7 +29,7 @@ func PrepareIsing(b Backend, h *ising.Hamiltonian, cfg Config) (Ansatz, error) {
 	if ib, ok := b.(IsingBackend); ok {
 		return ib.PrepareIsing(h, cfg)
 	}
-	return nil, fmt.Errorf("backend: %s cannot execute Ising Hamiltonians (want fused|fused-z2|fused-full|fused-dist[:ranks]|dense)", b.Name())
+	return nil, fmt.Errorf("backend: %s cannot execute Ising Hamiltonians (want fused|fused-z2|fused-full|dense)", b.Name())
 }
 
 // maximizationDiagonal is D = −E over full basis states, the
@@ -50,9 +50,9 @@ func maximizationDiagonal(h *ising.Hamiltonian) ([]float64, error) {
 	return diag, nil
 }
 
-// PrepareIsing implements IsingBackend on the fused path, at every rank
-// count: the Ising cost layer is as diagonal as MaxCut's, so the
-// identical engine executes it — only the tables change. The
+// PrepareIsing implements IsingBackend on the fused path: the Ising
+// cost layer is as diagonal as MaxCut's, so the identical engine
+// executes it — only the tables change. The
 // expectation diagonal is D = −E (maximization convention) and the
 // phase table is shift = offset − E, which reproduces the global phase
 // of the Dense reference walk (RZZ(−2γJ_ij) · RZ(−2γh_i) per layer accrues

@@ -109,11 +109,6 @@ func TestIsingFusedDenseParity(t *testing.T) {
 				t.Fatal(err)
 			}
 			assertIsingParity(t, "fused vs dense", fused, dense, gammas, betas)
-			sharded, err := PrepareIsing(Fused{Ranks: 2}, h, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			assertIsingParity(t, "fused-dist:2 vs dense", sharded, dense, gammas, betas)
 		})
 	}
 }

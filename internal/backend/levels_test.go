@@ -25,14 +25,6 @@ func floatPrepare(f Fused, g *graph.Graph, layers int) (Ansatz, error) {
 	})
 }
 
-// engineOf returns the engine ansatz behind a fused Ansatz.
-func engineOf(a Ansatz) *engineAnsatz {
-	if fa, ok := a.(*fusedAnsatz); ok {
-		return &fa.engineAnsatz
-	}
-	return a.(*engineAnsatz)
-}
-
 // sameEvaluation requires two ansätze to return bit-identical energies
 // and amplitudes at the same angles.
 func sameEvaluation(t *testing.T, name string, got, want Ansatz, gammas, betas []float64) {
@@ -62,7 +54,7 @@ func sameEvaluation(t *testing.T, name string, got, want Ansatz, gammas, betas [
 // TestFusedIntegralBuildMatchesFloatBuild is the integral build's
 // differential test: at n = 1…14 on unweighted, signed-integer
 // (merge-graph-like) and zero-weight-edge graphs, under fused,
-// fused-full and fused-dist:4, the ansatz Prepare builds from int32
+// and fused-full, the ansatz Prepare builds from int32
 // level indices must evaluate bit for bit like the CutTable →
 // phaseTables oracle, expand Diagonal() to CutTable bit for bit, and
 // report CutTable's maximum as TableMax.
@@ -76,7 +68,7 @@ func TestFusedIntegralBuildMatchesFloatBuild(t *testing.T) {
 		{"signed", func() float64 { return float64(int(r.Uint64()%13) - 6) }},
 		{"zero-edges", func() float64 { return float64(r.Uint64() % 2) }},
 	}
-	backends := []Fused{{}, {Full: true}, {Ranks: 4}}
+	backends := []Fused{{}, {Full: true}}
 	for n := 1; n <= 14; n++ {
 		for _, wt := range weightings {
 			g := graph.New(n)
@@ -99,7 +91,7 @@ func TestFusedIntegralBuildMatchesFloatBuild(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if engineOf(got).diag != nil {
+				if got.(*fusedAnsatz).diag != nil {
 					t.Fatalf("%s: the integral build holds a float64 table", name)
 				}
 				want, err := floatPrepare(f, g, layers)
@@ -177,7 +169,7 @@ func TestFusedIntegralSpanGuard(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if took := engineOf(got).diag == nil; took != tc.integral {
+			if took := got.(*fusedAnsatz).diag == nil; took != tc.integral {
 				t.Fatalf("%s: int32 build taken = %v, want %v", name, took, tc.integral)
 			}
 			want, err := floatPrepare(f, tc.g, 2)

@@ -1,7 +1,7 @@
 // Property tests pinning FusedBackend to DenseBackend, the reference
 // oracle: identical amplitudes (within 1e-12, including global phase)
-// and identical decoded cuts across random graphs, depths p ∈ {1,2,3},
-// seeds and rank counts. An external test package so the tests can
+// and identical decoded cuts across random graphs, depths p ∈ {1,2,3}
+// and seeds. An external test package so the tests can
 // drive the full qaoa.Solve loop without an import cycle.
 package backend_test
 
@@ -28,28 +28,15 @@ func decodeArgmax(g *graph.Graph, s *qsim.State) float64 {
 	return g.CutValueBits(bits)
 }
 
-// TestFusedMatchesDense: the default Z2-reduced engine (its state is
-// expanded before comparing) and the explicit unreduced fused-full
-// control.
+// TestFusedMatchesDense pins the default Z2-reduced engine (its state
+// is expanded before comparing) and the explicit unreduced fused-full
+// control to the Dense oracle. The size list crosses the reduced
+// engine's single-tile / mirrored-pair kernel regimes. The env is
+// pinned so the reduction assertions hold even on the CI leg that
+// exports QAOA2_NOZ2=1 for the rest of the suite.
 func TestFusedMatchesDense(t *testing.T) {
-	checkFusedMatchesDense(t, []backend.Fused{{}, {Full: true}})
-}
-
-// TestFusedDistMatchesDense: the sharded engine at 1, 2 and 4 ranks,
-// reduced and unreduced; the 5-node graphs clamp 4 ranks to 2.
-func TestFusedDistMatchesDense(t *testing.T) {
-	checkFusedMatchesDense(t, []backend.Fused{{Ranks: 1}, {Ranks: 2}, {Ranks: 4}, {Ranks: 2, Full: true}})
-}
-
-// checkFusedMatchesDense pins each fused variant to the Dense oracle.
-// The size list crosses the reduced engine's single-tile /
-// mirrored-pair kernel regimes. The env is pinned so the reduction
-// assertions hold even on the CI leg that exports QAOA2_NOZ2=1 for the
-// rest of the suite.
-func checkFusedMatchesDense(t *testing.T, variants []backend.Fused) {
-	t.Helper()
 	t.Setenv("QAOA2_NOZ2", "")
-	for _, fb := range variants {
+	for _, fb := range []backend.Fused{{}, {Full: true}} {
 		for _, w := range []graph.Weighting{graph.Unweighted, graph.UniformWeights} {
 			for _, n := range []int{5, 8, 11, 13} {
 				for seed := uint64(0); seed < 3; seed++ {
@@ -107,14 +94,10 @@ func checkFusedMatchesDense(t *testing.T, variants []backend.Fused) {
 	}
 }
 
-func TestFusedZ2OptOut(t *testing.T)     { checkZ2OptOut(t, 0) }
-func TestFusedDistZ2OptOut(t *testing.T) { checkZ2OptOut(t, 2) }
-
-// checkZ2OptOut pins both reduction escape hatches at one rank count:
-// the Full field (fused-full) and the QAOA2_NOZ2 environment variable
-// must produce unreduced full-length states.
-func checkZ2OptOut(t *testing.T, ranks int) {
-	t.Helper()
+// TestFusedZ2OptOut pins both reduction escape hatches: the Full field
+// (fused-full) and the QAOA2_NOZ2 environment variable must produce
+// unreduced full-length states.
+func TestFusedZ2OptOut(t *testing.T) {
 	g := graph.ErdosRenyi(7, 0.5, graph.Unweighted, rng.New(11))
 	gammas, betas := []float64{0.4}, []float64{0.9}
 	evaluate := func(b backend.Backend) *qsim.State {
@@ -131,44 +114,15 @@ func checkZ2OptOut(t *testing.T, ranks int) {
 	}
 
 	t.Setenv("QAOA2_NOZ2", "")
-	if s := evaluate(backend.Fused{Ranks: ranks}); s.Z2Full() != g.N() {
-		t.Fatalf("ranks=%d: default state not reduced: Z2Full=%d", ranks, s.Z2Full())
+	if s := evaluate(backend.Fused{}); s.Z2Full() != g.N() {
+		t.Fatalf("default state not reduced: Z2Full=%d", s.Z2Full())
 	}
-	if s := evaluate(backend.Fused{Full: true, Ranks: ranks}); s.Z2Full() != 0 || s.Len() != 1<<uint(g.N()) {
-		t.Fatalf("ranks=%d: full state reduced: Z2Full=%d Len=%d", ranks, s.Z2Full(), s.Len())
+	if s := evaluate(backend.Fused{Full: true}); s.Z2Full() != 0 || s.Len() != 1<<uint(g.N()) {
+		t.Fatalf("full state reduced: Z2Full=%d Len=%d", s.Z2Full(), s.Len())
 	}
 	t.Setenv("QAOA2_NOZ2", "1")
-	if s := evaluate(backend.Fused{Ranks: ranks}); s.Z2Full() != 0 || s.Len() != 1<<uint(g.N()) {
-		t.Fatalf("ranks=%d: QAOA2_NOZ2 state reduced: Z2Full=%d Len=%d", ranks, s.Z2Full(), s.Len())
-	}
-}
-
-// TestFusedDistClampsRanks: a sub-graph too small for the requested
-// rank count must still prepare (QAOA² leaves can be tiny) — the
-// effective rank count clamps to the largest valid power of two.
-func TestFusedDistClampsRanks(t *testing.T) {
-	t.Setenv("QAOA2_NOZ2", "")
-	g := graph.ErdosRenyi(3, 0.9, graph.Unweighted, rng.New(5))
-	ans, err := backend.Fused{Ranks: 8}.Prepare(g, backend.Config{Layers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ranker, ok := ans.(interface{ Ranks() int })
-	if !ok {
-		t.Fatal("sharded ansatz does not expose Ranks")
-	}
-	// 3 nodes reduce to a 2-qubit index space: at most 2 ranks keep a
-	// local qubit each.
-	if got := ranker.Ranks(); got != 2 {
-		t.Fatalf("effective ranks %d, want 2", got)
-	}
-	if _, _, err := ans.Evaluate([]float64{0.4}, []float64{0.7}); err != nil {
-		t.Fatal(err)
-	}
-	for _, ranks := range []int{3, -2} {
-		if _, err := (backend.Fused{Ranks: ranks}).Prepare(g, backend.Config{Layers: 1}); err == nil {
-			t.Fatalf("rank count %d accepted", ranks)
-		}
+	if s := evaluate(backend.Fused{}); s.Z2Full() != 0 || s.Len() != 1<<uint(g.N()) {
+		t.Fatalf("QAOA2_NOZ2 state reduced: Z2Full=%d Len=%d", s.Z2Full(), s.Len())
 	}
 }
 

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"math"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -206,47 +207,25 @@ func TestRunFig2Workflow(t *testing.T) {
 	}
 }
 
-// TestRunScalingTrafficModel is the single-layer schedule: global-qubit
-// exchanges only, no Z2 mirror exchange between layers.
-func TestRunScalingTrafficModel(t *testing.T) {
-	points, err := RunEngineScaling(10, 1, []int{1, 2, 4}, 7)
+// TestRunEngineScalingRows: one serial row and one kernel-pool row at
+// GOMAXPROCS cores, both timed, rendered with a core column. The rows
+// are not compared for energy: the pool's partial sums depend on its
+// worker count.
+func TestRunEngineScalingRows(t *testing.T) {
+	points, err := RunEngineScaling(10, 2, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(points) != 3 {
-		t.Fatalf("points %d", len(points))
+	if len(points) != 2 || points[0].Cores != 1 || points[1].Cores != runtime.GOMAXPROCS(0) {
+		t.Fatalf("rows %+v, want cores 1 and %d", points, runtime.GOMAXPROCS(0))
 	}
-	// Single rank never communicates; more ranks only add traffic.
-	if points[0].Messages != 0 {
-		t.Fatalf("1 rank sent %d messages", points[0].Messages)
-	}
-	if points[2].Messages <= points[1].Messages {
-		t.Fatalf("messages not growing with ranks: %+v", points)
+	for _, p := range points {
+		if p.Qubits != 10 || p.Seconds <= 0 {
+			t.Fatalf("row %+v", p)
+		}
 	}
 	out := RenderEngineScaling(points)
-	if !strings.Contains(out, "ranks") {
-		t.Fatalf("scaling render:\n%s", out)
-	}
-}
-
-func TestRunEngineScalingTrafficModel(t *testing.T) {
-	points, err := RunEngineScaling(10, 2, []int{1, 2, 4}, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(points) != 3 {
-		t.Fatalf("points %d", len(points))
-	}
-	// Single rank never communicates; more ranks only add traffic (the
-	// per-evaluation exchange volume follows Engine.CommBytesExpected).
-	if points[0].Messages != 0 || points[0].Bytes != 0 {
-		t.Fatalf("1 rank sent traffic: %+v", points[0])
-	}
-	if points[2].Messages <= points[1].Messages {
-		t.Fatalf("messages not growing with ranks: %+v", points)
-	}
-	out := RenderEngineScaling(points)
-	if !strings.Contains(out, "fused-dist") {
+	if !strings.Contains(out, "cores") || !strings.Contains(out, "kernel pool") {
 		t.Fatalf("engine scaling render:\n%s", out)
 	}
 }

@@ -28,8 +28,8 @@ func DefaultTable1Config() GridConfig {
 // FullTable1Config pushes the qubit count as close to the paper's 30-33
 // as a large-memory single node allows (17-20 qubits ≈ 16 MiB states;
 // raise toward qsim.MaxQubits=26 on fat nodes). True 30-33 requires a
-// distributed-memory fleet, whose decomposition the sharded qsim.Engine
-// runs in one process.
+// distributed-memory statevector, which this reproduction does not
+// model.
 func FullTable1Config() GridConfig {
 	return GridConfig{
 		NodeCounts:       []int{17, 18, 19, 20},

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	goruntime "runtime"
 	"time"
 
 	"qaoa2/internal/backend"
@@ -10,7 +11,6 @@ import (
 	"qaoa2/internal/hpc"
 	"qaoa2/internal/qaoa"
 	"qaoa2/internal/qaoa2"
-	"qaoa2/internal/qsim"
 	"qaoa2/internal/rng"
 	"qaoa2/internal/runtime"
 	"qaoa2/internal/sdp"
@@ -156,27 +156,23 @@ func RenderFig2(points []Fig2Point) string {
 	return RenderTable("Fig2: coordinator workflow sweep", header, rows)
 }
 
-// ScalingPoint is one rank count of the distributed-statevector strong
-// scaling experiment (§4's "simulation of QAOA for 33 qubits takes ~10
-// minutes on 512 compute nodes" and the "almost ideal scaling" remark).
+// ScalingPoint is one core count of the statevector strong-scaling
+// experiment (§4's "simulation of QAOA for 33 qubits takes ~10 minutes
+// on 512 compute nodes" and the "almost ideal scaling" remark, measured
+// here inside one node).
 type ScalingPoint struct {
-	Ranks     int
-	Qubits    int
-	Seconds   float64
-	CommGates int
-	Messages  int
-	Bytes     uint64
+	Cores   int
+	Qubits  int
+	Seconds float64
 }
 
-// RunEngineScaling evaluates one fixed-size graph through the sharded
-// fused backend (fused-dist: qsim.Engine over rank slices) at every
-// rank count, measuring per-evaluation wall time and the exchange
-// traffic of the global-qubit mixer rotations. Diagonal cost layers
-// never communicate, so the traffic column isolates the mixer's
-// pairwise slice exchanges — the quantity the closed form
-// qsim.Engine.CommBytesExpected predicts. Rank counts must be powers of
-// two; they are clamped per the fused-dist backend rules.
-func RunEngineScaling(qubits, layers int, ranks []int, seed uint64) ([]ScalingPoint, error) {
+// RunEngineScaling evaluates one fixed-size graph through the fused
+// backend on one core and on GOMAXPROCS cores, measuring wall time per
+// evaluation. The one-core row is the serial worker engine that
+// EvaluateBatch of a single vector runs; the other row is Evaluate,
+// whose sweeps split over the shared kernel pool. The rows' energies
+// may differ in the last bits: the pool sums its per-worker partials.
+func RunEngineScaling(qubits, layers int, seed uint64) ([]ScalingPoint, error) {
 	r := rng.New(seed)
 	g := graph.ErdosRenyi(qubits, 0.3, graph.Unweighted, r)
 	gammas, betas := make([]float64, layers), make([]float64, layers)
@@ -184,53 +180,55 @@ func RunEngineScaling(qubits, layers int, ranks []int, seed uint64) ([]ScalingPo
 		gammas[i] = 0.4
 		betas[i] = 0.3
 	}
+	ans, err := backend.Fused{}.Prepare(g, backend.Config{Layers: layers})
+	if err != nil {
+		return nil, err
+	}
+	energy := make([]float64, 1)
+	serial := func() error {
+		return backend.EvaluateBatch(ans, [][]float64{gammas}, [][]float64{betas}, energy)
+	}
+	pooled := func() error {
+		_, _, err := ans.Evaluate(gammas, betas)
+		return err
+	}
 	var out []ScalingPoint
-	for _, rk := range ranks {
-		ans, err := backend.Fused{Ranks: rk}.Prepare(g, backend.Config{Layers: layers})
-		if err != nil {
+	for _, row := range []struct {
+		cores int
+		eval  func() error
+	}{{1, serial}, {goruntime.GOMAXPROCS(0), pooled}} {
+		// Warm-up evaluation: engines build, pool workers start.
+		if err := row.eval(); err != nil {
 			return nil, err
 		}
-		// Warm-up evaluation: engine goroutines park, buffers settle.
-		if _, _, err := ans.Evaluate(gammas, betas); err != nil {
-			return nil, err
-		}
-		const reps = 3
+		const reps = 10
 		start := time.Now()
 		for rep := 0; rep < reps; rep++ {
-			if _, _, err := ans.Evaluate(gammas, betas); err != nil {
+			if err := row.eval(); err != nil {
 				return nil, err
 			}
 		}
-		elapsed := time.Since(start).Seconds() / reps
-		stats := ans.(interface{ Stats() qsim.DistStats }).Stats()
-		total := reps + 1 // stats are cumulative across evaluations
 		out = append(out, ScalingPoint{
-			Ranks:     rk,
-			Qubits:    qubits,
-			Seconds:   elapsed,
-			CommGates: stats.CommGates / total,
-			Messages:  stats.MessagesSent / total,
-			Bytes:     stats.BytesSent / uint64(total),
+			Cores:   row.cores,
+			Qubits:  qubits,
+			Seconds: time.Since(start).Seconds() / reps,
 		})
 	}
 	return out, nil
 }
 
-// RenderEngineScaling tabulates the sharded fused-engine scaling run.
+// RenderEngineScaling tabulates the fused-engine scaling run.
 func RenderEngineScaling(points []ScalingPoint) string {
-	header := []string{"ranks", "qubits", "sec/eval", "comm sweeps", "messages", "bytes"}
+	header := []string{"cores", "qubits", "sec/eval"}
 	var rows [][]string
 	for _, p := range points {
 		rows = append(rows, []string{
-			fmt.Sprintf("%d", p.Ranks),
+			fmt.Sprintf("%d", p.Cores),
 			fmt.Sprintf("%d", p.Qubits),
 			fmt.Sprintf("%.4f", p.Seconds),
-			fmt.Sprintf("%d", p.CommGates),
-			fmt.Sprintf("%d", p.Messages),
-			fmt.Sprintf("%d", p.Bytes),
 		})
 	}
-	return RenderTable("Sharded fused engine strong scaling (fused-dist ranks)", header, rows)
+	return RenderTable("Fused engine strong scaling (kernel pool cores)", header, rows)
 }
 
 // GWScalePoint is one size of the GW complexity measurement (§3.4's

@@ -91,7 +91,7 @@ func TestSolveIsingMatchesMaxCutSolve(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, be := range []backend.Backend{backend.Fused{}, backend.Fused{Full: true}, backend.Fused{Ranks: 2}} {
+		for _, be := range []backend.Backend{backend.Fused{}, backend.Fused{Full: true}} {
 			for vi, opts := range variants {
 				opts.Backend = be
 				want, err := Solve(g, opts, rng.New(7))

@@ -96,15 +96,14 @@ func (s *State) rxHighPass(g0, m int, c, sn float64) {
 	batches := len(s.amps) >> uint(m) / highBatch
 	amps := s.amps
 	s.parForTiles(batches, highBatch<<uint(m), func(start, end int) {
-		rxHighSweep(amps, make([]complex128, highBufLen), nil, 0, g0, m, start, end, c, sn)
+		rxHighSweep(amps, make([]complex128, highBufLen), nil, g0, m, start, end, c, sn)
 	})
 }
 
 // rxHighSweep is THE high-group sweep: it butterflies qubits [g0, g0+m)
 // over batches [start, end), each batch being highBatch adjacent tiles —
 // 2^m rows of highBatch contiguous amplitudes, 2^g0 apart. The
-// engine's sweep core and ApplyRXAll both reach the high butterflies
-// through it.
+// engine and ApplyRXAll both reach the high butterflies through it.
 //
 // The state is never copied. The first level (d = 1) reads the strided
 // rows where they live and writes the butterflied result into scratch
@@ -118,11 +117,11 @@ func (s *State) rxHighPass(g0, m int, c, sn float64) {
 // are bit-identical to it (mixer_rows_test.go keeps that walk as the
 // oracle).
 //
-// With cost non-nil (tables whose entry off+i belongs to amps[i]) the
+// With cost non-nil (tables whose entry i belongs to amps[i]) the
 // sweep also returns Σ|a|²·D over the rows it just stored, read back
 // while they are cache-resident in (row, column) order; with cost nil
 // it returns 0.
-func rxHighSweep(amps, scratch []complex128, cost *CostTables, off, g0, m, start, end int, c, sn float64) float64 {
+func rxHighSweep(amps, scratch []complex128, cost *CostTables, g0, m, start, end int, c, sn float64) float64 {
 	tl := 1 << uint(m)
 	stride := 1 << uint(g0)
 	mask := stride - 1
@@ -147,7 +146,7 @@ func rxHighSweep(amps, scratch []complex128, cost *CostTables, off, g0, m, start
 		if cost != nil {
 			p := base
 			for v := 0; v < tl; v++ {
-				acc = cost.fold(acc, amps[p:p+highBatch], off+p)
+				acc = cost.fold(acc, amps[p:p+highBatch], p)
 				p += stride
 			}
 		}

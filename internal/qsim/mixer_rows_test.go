@@ -173,7 +173,7 @@ func TestRxHighSweepMatchesGatherSweep(t *testing.T) {
 						d = diag
 					}
 					we := gatherSweep(want, d, g0, m, start, end, c, sn)
-					ge := rxHighSweep(got, scratch, cost, 0, g0, m, start, end, c, sn)
+					ge := rxHighSweep(got, scratch, cost, g0, m, start, end, c, sn)
 					if math.Float64bits(ge) != math.Float64bits(we) {
 						t.Fatalf("g0=%d m=%d form=%d: energy %v, want %v", g0, m, form, ge, we)
 					}
@@ -186,12 +186,11 @@ func TestRxHighSweepMatchesGatherSweep(t *testing.T) {
 	})
 }
 
-// TestEnginesBitIdenticalToGatherSweep runs the engine inline and at
-// ranks 4 against twins whose high sweeps are the gather oracle: energy
-// and every amplitude must agree in their float64 bits at nFull =
-// 12…21, p = 1…3, reduced and unreduced. The twins differ from the
-// production engines only in every core's highBody, swapped between
-// buildEngine and launch.
+// TestEnginesBitIdenticalToGatherSweep runs the engine against a twin
+// whose high sweeps are the gather oracle: energy and every amplitude
+// must agree in their float64 bits at nFull = 12…21, p = 1…3, reduced
+// and unreduced. The twin differs from the production engine only in
+// its highBody, swapped after NewEngine.
 func TestEnginesBitIdenticalToGatherSweep(t *testing.T) {
 	sizes := []int{12, 13, 14, 15, 16, 17, 18, 19, 20, 21}
 	if testing.Short() {
@@ -205,40 +204,32 @@ func TestEnginesBitIdenticalToGatherSweep(t *testing.T) {
 				size /= 2
 			}
 			cost := fixtureTables(size, false, diag, levels, idx, shift)
-			for _, ranks := range []int{1, 4} {
-				name := fmt.Sprintf("nFull=%d z2=%v ranks=%d", nFull, z2, ranks)
-				eng, err := NewEngine(nFull, z2, ranks, cost)
-				if err != nil {
-					t.Fatal(err)
+			name := fmt.Sprintf("nFull=%d z2=%v", nFull, z2)
+			eng, err := NewEngine(nFull, z2, cost)
+			if err != nil {
+				t.Fatal(err)
+			}
+			twin, err := NewEngine(nFull, z2, cost)
+			if err != nil {
+				t.Fatal(err)
+			}
+			twin.highBody = func(w, start, end int) {
+				if twin.expect {
+					twin.partials[w] += gatherSweep(twin.amps, diag[:size], twin.g0, twin.m, start, end, twin.c, twin.sn)
+					return
 				}
-				twin, err := buildEngine(nFull, z2, ranks, cost)
-				if err != nil {
-					t.Fatal(err)
+				gatherSweep(twin.amps, nil, twin.g0, twin.m, start, end, twin.c, twin.sn)
+			}
+			for p := 1; p <= 3; p++ {
+				gammas, betas := engineParams(eng.State().N(), p)
+				got, want := eng.Evaluate(gammas, betas), twin.Evaluate(gammas, betas)
+				if math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("%s p=%d: energy %v, oracle sweep %v", name, p, got, want)
 				}
-				for _, c := range twin.cores {
-					c.highBody = func(w, start, end int) {
-						if c.expect {
-							dg := diag[c.base : c.base+len(c.amps)]
-							c.partials[w] += gatherSweep(c.amps, dg, c.g0, c.m, start, end, c.c, c.sn)
-							return
-						}
-						gatherSweep(c.amps, nil, c.g0, c.m, start, end, c.c, c.sn)
-					}
+				st, ost := eng.State(), twin.State()
+				if i := firstBitDiff(st.amps, ost.amps); i >= 0 {
+					t.Fatalf("%s p=%d: amp %d = %v, oracle sweep %v", name, p, i, st.amps[i], ost.amps[i])
 				}
-				twin.launch()
-				for p := 1; p <= 3; p++ {
-					gammas, betas := distParams(eng.State().N(), p)
-					got, want := eng.Evaluate(gammas, betas), twin.Evaluate(gammas, betas)
-					if math.Float64bits(got) != math.Float64bits(want) {
-						t.Fatalf("%s p=%d: energy %v, oracle sweep %v", name, p, got, want)
-					}
-					st, ost := eng.State(), twin.State()
-					if i := firstBitDiff(st.amps, ost.amps); i >= 0 {
-						t.Fatalf("%s p=%d: amp %d = %v, oracle sweep %v", name, p, i, st.amps[i], ost.amps[i])
-					}
-				}
-				eng.Stop()
-				twin.Stop()
 			}
 		}
 	}

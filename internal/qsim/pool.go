@@ -38,8 +38,7 @@ type poolTask struct {
 // step; a shared queue hands tiles to whichever worker dequeues first,
 // migrating each tile's cache (and, on multi-socket machines, NUMA)
 // footprint between cores on every sweep. Affinity keeps a tile's
-// working set warm in one core's private cache — and keeps the sharded
-// engine's rank slices from ping-ponging between workers.
+// working set warm in one core's private cache.
 type workerPool struct {
 	workers int
 	tasks   []chan poolTask // tasks[w]: worker w's private queue
@@ -54,9 +53,10 @@ func newWorkerPool(workers int) *workerPool {
 	}
 	p := &workerPool{workers: workers, tasks: make([]chan poolTask, workers)}
 	for i := range p.tasks {
-		// Small buffer: concurrent callers (engine ranks, batch stripes)
-		// enqueue at most one chunk each per worker per run; a full
-		// queue back-pressures the dispatching caller, never a worker.
+		// Small buffer: concurrent callers (the engines of concurrent
+		// sub-solves) enqueue at most one chunk each per worker per run;
+		// a full queue back-pressures the dispatching caller, never a
+		// worker.
 		p.tasks[i] = make(chan poolTask, 4)
 		go p.work(i)
 	}

@@ -19,13 +19,7 @@
 //
 //   - measurement: probability extraction, shot sampling, highest- and
 //     top-K-amplitude queries (the paper decodes the best-amplitude bit
-//     string; top-K is its suggested improvement);
-//
-//   - a sharded mode of the same engine (dist_engine.go): one sweep
-//     core per contiguous rank slice, exchanging slices over a
-//     comm.World only for the global qubits — the cache-blocking
-//     rank-exchange pattern of the MPI-parallel aer simulator (Doi &
-//     Horii), for the scaling experiments.
+//     string; top-K is its suggested improvement).
 //
 // Convention: qubit q is bit q of the basis-state index (little-endian),
 // so |x_{n-1} ... x_1 x_0⟩ has index Σ x_q 2^q.

@@ -11,7 +11,7 @@ import (
 func z2EvaluatedState(t testing.TB, nFull int, seed uint64) *State {
 	t.Helper()
 	diag, levels, idx, shift := z2Fixture(t, nFull, seed)
-	eng, err := NewEngine(nFull, true, 1, fixtureTables(1<<uint(nFull-1), false, diag, levels, idx, shift))
+	eng, err := NewEngine(nFull, true, fixtureTables(1<<uint(nFull-1), false, diag, levels, idx, shift))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -49,7 +49,7 @@ func TestRegistryConfigTagsHoldNoAddress(t *testing.T) {
 	for _, name := range Names() {
 		for _, spec := range []Spec{
 			{Name: name},
-			{Name: name, Layers: 2, Seed: 7, Backend: "fused-dist:2",
+			{Name: name, Layers: 2, Seed: 7, Backend: "fused-full",
 				Inner: []Spec{{Name: "qaoa", Layers: 1, Backend: "dense"}, {Name: "anneal"}}},
 		} {
 			s, err := Build(spec)

@@ -131,19 +131,16 @@ type (
 	DenseBackend = backend.Dense
 	// FusedBackend is the diagonal-cost fast path (the default). It
 	// simulates only the 2^(n−1) Z2 even-sector amplitudes unless Full
-	// is set (or QAOA2_NOZ2 is in the environment). Ranks ≥ 1 shards
-	// the statevector over a power-of-two rank count of the in-process
-	// comm world ("fused-dist:N"), with only the top log2(ranks)
-	// qubits' rotations routed through slice exchanges.
+	// is set (or QAOA2_NOZ2 is in the environment). Its sweeps split
+	// over the process's kernel pool, one worker per core.
 	FusedBackend = backend.Fused
 	// NoisyBackend averages trajectory-sampled Pauli noise.
 	NoisyBackend = backend.Noisy
 )
 
 // BackendByName resolves a CLI backend name ("fused" and its alias
-// "fused-z2", the unreduced "fused-full", the sharded
-// "fused-dist[:ranks]", "dense", "noisy"; "" selects the default rule
-// at solve time).
+// "fused-z2", the unreduced "fused-full", "dense", "noisy"; "" selects
+// the default rule at solve time).
 func BackendByName(name string) (Backend, error) { return backend.ByName(name) }
 
 // KernelTier reports which mixer-kernel tier runtime feature detection

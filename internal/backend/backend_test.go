@@ -115,9 +115,7 @@ func TestCutTableMatchesEdgeLoop(t *testing.T) {
 }
 
 // TestByName resolves each spelling to its canonical Name and rejects
-// every other name — the retired sharded "fused-dist" spellings
-// included — with the unknown-backend error, whose "want" list names
-// exactly the accepted spellings.
+// an unknown name with the unknown-backend error.
 func TestByName(t *testing.T) {
 	good := map[string]string{
 		"fused": "fused", "fused-z2": "fused", "fused-full": "fused-full",
@@ -132,15 +130,31 @@ func TestByName(t *testing.T) {
 			t.Fatalf("ByName(%q).Name() = %q", name, be.Name())
 		}
 	}
-	for _, name := range []string{"gpu", "fused-dist", "fused-dist:2"} {
+	checkUnknown(t, []string{"gpu"})
+	if be, err := ByName(""); err != nil || be != nil {
+		t.Fatalf("ByName(\"\") = %v, %v; want nil, nil", be, err)
+	}
+}
+
+// TestFusedDistByName: every spelling of the retired sharded backend,
+// with or without a rank suffix, gets the unknown-backend error.
+func TestFusedDistByName(t *testing.T) {
+	checkUnknown(t, []string{
+		"fused-dist", "fused-dist:1", "fused-dist:2", "fused-dist:8",
+		"fused-dist:3", "fused-dist:0", "fused-dist:-2", "fused-dist:x", "fused-dist:",
+	})
+}
+
+// checkUnknown requires each name to be rejected with the unknown-backend
+// error, whose "want" list names exactly the accepted spellings.
+func checkUnknown(t *testing.T, names []string) {
+	t.Helper()
+	for _, name := range names {
 		_, err := ByName(name)
 		want := fmt.Sprintf("backend: unknown backend %q (want fused|fused-z2|fused-full|dense|noisy)", name)
 		if err == nil || err.Error() != want {
 			t.Fatalf("ByName(%q) error %v, want %q", name, err, want)
 		}
-	}
-	if be, err := ByName(""); err != nil || be != nil {
-		t.Fatalf("ByName(\"\") = %v, %v; want nil, nil", be, err)
 	}
 }
 

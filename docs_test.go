@@ -76,9 +76,13 @@ func TestEveryPackageHasGodoc(t *testing.T) {
 // starts no goroutine of its own. Nor does a second divide-and-conquer
 // driver: only the executor (internal/runtime), the partitioner itself
 // and the partition ablation (internal/experiments) import
-// internal/partition. The check is syntactic: any `.Runtime` selector
-// or `Runtime:` literal key counts.
+// internal/partition. Nor does a second Ising route: an Ising problem
+// executes only as its ancilla MaxCut reduction, so only
+// internal/qaoa2, the solve daemon (internal/serve), the facade and
+// internal/ising itself import internal/ising. The check is syntactic:
+// any `.Runtime` selector or `Runtime:` literal key counts.
 func TestOneExecutor(t *testing.T) {
+	isingImporters := map[string]bool{".": true, "internal/qaoa2": true, "internal/serve": true, "internal/ising": true}
 	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
@@ -103,6 +107,9 @@ func TestOneExecutor(t *testing.T) {
 			if imp.Path.Value == `"qaoa2/internal/partition"` &&
 				dir != "internal/runtime" && dir != "internal/partition" && dir != "internal/experiments" {
 				t.Errorf("%s: divides graphs outside the executor (imports internal/partition)", path)
+			}
+			if imp.Path.Value == `"qaoa2/internal/ising"` && !isingImporters[dir] {
+				t.Errorf("%s: executes Ising problems outside the MaxCut reduction (imports internal/ising)", path)
 			}
 		}
 		ast.Inspect(f, func(n ast.Node) bool {
@@ -146,6 +153,7 @@ var reachAllowlist = map[string]string{
 	"partition.Modularity":         "CNM objective of TestGreedyModularityImprovesOverSingletons",
 	"partition.GreedyModularity":   "CNM entry point of FuzzSizeCapped and the lazy-heap oracle tests",
 	"qsim.Fidelity":                "state comparison of the qsim, circuit and synth tests",
+	"qsim.NewPlusState":            "uniform-superposition fixture of the qsim state, measure, noise and engine tests",
 	"qsim.State.Amp":               "amplitude read of the qsim, circuit, backend and qaoa tests",
 	"qsim.State.NormSquared":       "unit-norm oracle of the qsim, circuit, backend and synth tests",
 	"qsim.State.Z2Full":            "reduction check of the qsim, backend and qaoa Z2 tests",

@@ -98,5 +98,5 @@ func ExampleNumberPartition() {
 	fmt.Printf("sides:     %v | %v\n", left, right)
 	// Output:
 	// imbalance: 0
-	// sides:     [7 8] | [4 5 6]
+	// sides:     [4 5 6] | [7 8]
 }

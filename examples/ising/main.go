@@ -1,8 +1,8 @@
 // Ising/QUBO plane demo: encode classic problems as Ising
-// Hamiltonians, solve them through the QAOA² stack (directly on the
-// device when they fit, via the exact ancilla MaxCut reduction when
-// they don't), and decode the spins back into problem-level answers
-// with feasibility verdicts — all through the public qaoa2 API.
+// Hamiltonians, solve them through the QAOA² stack (each one as its
+// exact ancilla MaxCut reduction, whatever its size or solver), and
+// decode the spins back into problem-level answers with feasibility
+// verdicts — all through the public qaoa2 API.
 //
 // The same problems travel over HTTP: POST /v1/solve with a "problem"
 // field instead of "graph" and the daemon runs the identical
@@ -47,12 +47,11 @@ func main() {
 	fmt.Printf("  selected %v, weight %.0f, feasible %v\n\n",
 		asg.Selected, asg.Objective, asg.Feasible)
 
-	// 2. A raw Hamiltonian with local fields. Fields break the Z2
-	// spin-flip symmetry, so this cannot use the reduced engine — and
-	// at 20 spins over a 10-qubit budget it cannot run directly either.
-	// SolveIsing routes it through the ancilla MaxCut reduction and the
-	// full divide-and-conquer; the energy is recomputed exactly from
-	// the Hamiltonian, never from intermediate cut values.
+	// 2. A raw Hamiltonian with local fields. Each field becomes an
+	// edge to one ancilla node, so the 20 spins are a 21-node MaxCut
+	// instance; over a 10-qubit budget it runs through the full
+	// divide-and-conquer. The energy is recomputed exactly from the
+	// Hamiltonian, never from intermediate cut values.
 	h := qaoa2.NewIsing(20)
 	r := qaoa2.NewRand(11)
 	for i := 0; i < 20; i++ {
@@ -76,13 +75,19 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	route := "direct"
-	if !res.Direct {
-		route = fmt.Sprintf("reduction (%d sub-graphs)", res.MaxCut.SubGraphs)
-	}
 	fmt.Printf("random field Hamiltonian (20 spins, 10-qubit device):\n")
-	fmt.Printf("  energy %.4f via %s\n", res.Energy, route)
-	anneal := qaoa2.AnnealIsing(h, qaoa2.IsingAnnealOptions{}, qaoa2.NewRand(11))
+	fmt.Printf("  energy %.4f via reduction (%d sub-graphs)\n", res.Energy, res.MaxCut.SubGraphs)
+	// The classical baseline is the same route with one annealing leaf:
+	// a classical solver has no qubit budget, so the whole 21-node
+	// reduction fits.
+	anneal, err := qaoa2.SolveIsing(h, qaoa2.Options{
+		MaxQubits: h.N() + 1,
+		Solver:    qaoa2.AnnealSolver{},
+		Seed:      11,
+	})
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Printf("  annealing baseline %.4f\n\n", anneal.Energy)
 
 	// 3. QUBO round trip: build in {0,1} variables, solve in ±1 spins.

@@ -32,7 +32,6 @@ import (
 	"slices"
 
 	"qaoa2/internal/graph"
-	"qaoa2/internal/ising"
 	"qaoa2/internal/qsim"
 	"qaoa2/internal/synth"
 )
@@ -266,25 +265,17 @@ func physOf(layout []int, q int) int {
 	return layout[q]
 }
 
-// checkGraph validates the common Prepare and PrepareIsing
-// preconditions: a graph or Hamiltonian of 1..qsim.MaxQubits variables
-// and at least one layer.
-func checkGraph[P interface {
-	*graph.Graph | *ising.Hamiltonian
-	N() int
-}](p P, cfg Config) error {
-	what, unit := "graph", "node"
-	if _, ok := any(p).(*ising.Hamiltonian); ok {
-		what, unit = "Hamiltonian", "spin"
+// checkGraph validates Prepare's preconditions: a graph of
+// 1..qsim.MaxQubits nodes and at least one layer.
+func checkGraph(g *graph.Graph, cfg Config) error {
+	if g == nil {
+		return fmt.Errorf("backend: nil graph")
 	}
-	if p == nil {
-		return fmt.Errorf("backend: nil %s", what)
+	if g.N() < 1 {
+		return fmt.Errorf("backend: graph must have at least one node")
 	}
-	if p.N() < 1 {
-		return fmt.Errorf("backend: %s must have at least one %s", what, unit)
-	}
-	if p.N() > qsim.MaxQubits {
-		return fmt.Errorf("backend: %d %ss exceeds simulator capacity of %d qubits", p.N(), unit, qsim.MaxQubits)
+	if g.N() > qsim.MaxQubits {
+		return fmt.Errorf("backend: %d nodes exceeds simulator capacity of %d qubits", g.N(), qsim.MaxQubits)
 	}
 	if cfg.Layers < 1 {
 		return fmt.Errorf("backend: need at least one QAOA layer, got %d", cfg.Layers)

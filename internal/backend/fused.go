@@ -67,41 +67,30 @@ func (f Fused) Name() string {
 }
 
 // Prepare implements Backend: builds the cost tables once over the
-// engine's index space — cut tables satisfy cut(x) = cut(~x), so every
-// graph is Z2-eligible — and compiles them into the fused engine. A
-// graph inside integralSpan's guard (every QAOA² leaf of an unweighted
-// instance) takes cutLevels and never holds a float64 cut table; any
-// other graph takes CutTable and phaseTables.
+// engine's index space and compiles them into the fused engine. Cut
+// tables satisfy cut(x) = cut(~x), so every graph of at least two nodes
+// (a pair to fold) runs on the Z2-reduced engine, whose tables are the
+// prefix halves. A graph inside integralSpan's guard (every QAOA² leaf
+// of an unweighted instance) takes cutLevels and never holds a float64
+// cut table; any other graph takes CutTable and phaseTables.
 func (f Fused) Prepare(g *graph.Graph, cfg Config) (Ansatz, error) {
 	if err := checkGraph(g, cfg); err != nil {
 		return nil, err
 	}
-	add := -g.TotalWeight() / 2
-	return f.prepare(g.N(), true, cfg.Layers, func(k int) (qsim.CostTables, []float64) {
-		if lo, ok := integralSpan(g); ok {
-			return cutLevels(g, k, lo, add), nil
-		}
-		diag := CutTable(g, nil)
-		return phaseTables(diag, add, 1<<uint(k)), diag
-	})
-}
-
-// prepare is the preamble Prepare and PrepareIsing share: the Z2
-// decision, the cost tables and the engine build.
-// symmetric reports diag(x) == diag(~x) for the n-qubit diagonal.
-// tables builds the engine's tables over its 2^k-entry index space (k =
-// n, or n − 1 on the Z2-reduced engine, whose tables are the prefix
-// halves) and returns the full 2^n diagonal too when it built one.
-func (f Fused) prepare(n int, symmetric bool, layers int, tables func(k int) (qsim.CostTables, []float64)) (Ansatz, error) {
-	a := &fusedAnsatz{n: n, layers: layers}
-	// The Z2-reduced engine needs a pair to fold, i.e. at least two
-	// qubits.
-	a.z2 = !f.Full && symmetric && n >= 2 && os.Getenv("QAOA2_NOZ2") == ""
+	n := g.N()
+	a := &fusedAnsatz{n: n, layers: cfg.Layers}
+	a.z2 = !f.Full && n >= 2 && os.Getenv("QAOA2_NOZ2") == ""
 	k := n
 	if a.z2 {
 		k--
 	}
-	a.cost, a.diag = tables(k)
+	add := -g.TotalWeight() / 2
+	if lo, ok := integralSpan(g); ok {
+		a.cost = cutLevels(g, k, lo, add)
+	} else {
+		a.diag = CutTable(g, nil)
+		a.cost = phaseTables(a.diag, add, 1<<uint(k))
+	}
 	eng, err := a.newEngine()
 	if err != nil {
 		return nil, err
@@ -168,8 +157,8 @@ const phaseCacheBits = 10
 // take the indexed form — Values the distinct values ascending, Idx
 // with Values[Idx[i]] == diag[i], Levels[j] = Values[j] + add — else
 // the dense form (diag[:n], and the shifted copy for the per-amplitude
-// Sincos fallback). It serves real weights, Ising diagonals and the
-// tests' oracle for cutLevels.
+// Sincos fallback). It serves real weights and is the tests' oracle
+// for cutLevels.
 //
 // Both passes resolve a value through a direct-mapped cache keyed by a
 // hash of its bits, and fall back to a binary search of the sorted

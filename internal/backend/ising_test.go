@@ -3,7 +3,6 @@ package backend
 import (
 	"math"
 	"math/cmplx"
-	"os"
 	"testing"
 
 	"qaoa2/internal/graph"
@@ -11,8 +10,15 @@ import (
 	"qaoa2/internal/rng"
 )
 
-// testHamiltonian builds a deterministic random Hamiltonian.
-func testHamiltonian(t *testing.T, n int, seed uint64, withFields bool) *ising.Hamiltonian {
+// An Ising Hamiltonian reaches the backend only as its ancilla MaxCut
+// reduction (ising.Hamiltonian.ToMaxCut). These tests pin the backends
+// on the graphs that reduction produces: real and negative weights, a
+// star of field edges on the ancilla, and an isolated ancilla when the
+// Hamiltonian has no fields.
+
+// reducedGraph builds a deterministic random Hamiltonian and returns
+// it with its reduction graph.
+func reducedGraph(t *testing.T, n int, seed uint64, withFields bool) (*ising.Hamiltonian, *graph.Graph) {
 	t.Helper()
 	r := rng.New(seed)
 	h := ising.New(n)
@@ -31,7 +37,11 @@ func testHamiltonian(t *testing.T, n int, seed uint64, withFields bool) *ising.H
 		}
 	}
 	h.AddOffset(r.Float64() - 0.5)
-	return h
+	g, err := h.ToMaxCut()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return h, g
 }
 
 func testAngles(layers int, seed uint64) (gammas, betas []float64) {
@@ -80,6 +90,9 @@ func assertIsingParity(t *testing.T, name string, a, b Ansatz, gammas, betas []f
 	}
 }
 
+// TestIsingFusedDenseParity pins fused and fused-full to the Dense walk
+// on reduction graphs: the signed real weights, the ancilla star and
+// the isolated ancilla that TestFusedMatchesDense's ER graphs lack.
 func TestIsingFusedDenseParity(t *testing.T) {
 	for _, tc := range []struct {
 		name       string
@@ -92,192 +105,67 @@ func TestIsingFusedDenseParity(t *testing.T) {
 		{"single-qubit-field", 1, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			h := testHamiltonian(t, tc.n, uint64(tc.n)*13+1, tc.withFields)
+			_, g := reducedGraph(t, tc.n, uint64(tc.n)*13+1, tc.withFields)
 			cfg := Config{Layers: 3}
 			gammas, betas := testAngles(3, 99)
-			dense, err := PrepareIsing(Dense{}, h, cfg)
+			dense, err := Dense{}.Prepare(g, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
-			full, err := PrepareIsing(Fused{Full: true}, h, cfg)
-			if err != nil {
-				t.Fatal(err)
+			for _, f := range []Fused{{Full: true}, {}} {
+				fused, err := f.Prepare(g, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				assertIsingParity(t, f.Name()+" vs dense", fused, dense, gammas, betas)
 			}
-			assertIsingParity(t, "fused-full vs dense", full, dense, gammas, betas)
-			fused, err := PrepareIsing(Fused{}, h, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			assertIsingParity(t, "fused vs dense", fused, dense, gammas, betas)
 		})
 	}
 }
 
-// TestIsingZ2Guard pins the eligibility rule: the reduced engine runs
-// exactly when the Hamiltonian is Z2-symmetric (h ≡ 0); fields force
-// the full engine — and either way the amplitudes match the oracle, so
-// a fall-back can never be silently wrong.
+// TestIsingZ2Guard pins that the Z2 guard is structural: a reduction
+// graph is a cut table, flip-symmetric whether or not the Hamiltonian
+// has fields, so both run on the reduced engine and match the Dense
+// walk.
 func TestIsingZ2Guard(t *testing.T) {
+	t.Setenv("QAOA2_NOZ2", "")
 	cfg := Config{Layers: 2}
 	gammas, betas := testAngles(2, 5)
-
-	sym := testHamiltonian(t, 6, 17, false)
-	a, err := PrepareIsing(Fused{}, sym, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// QAOA2_NOZ2 legitimately disables the reduction (the CI A/B leg);
-	// the positive half of the guard only applies when it is unset.
-	wantZ2 := os.Getenv("QAOA2_NOZ2") == ""
-	if fa := a.(*fusedAnsatz); fa.z2 != wantZ2 {
-		t.Fatalf("Z2-symmetric Hamiltonian: reduced engine = %v, want %v", fa.z2, wantZ2)
-	}
-	_, s, err := a.Evaluate(gammas, betas)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if wantZ2 && s.Z2Full() == 0 {
-		t.Fatal("reduced evaluation returned a full state")
-	}
-
-	asym := sym.Clone()
-	asym.AddField(3, 0.4)
-	b, err := PrepareIsing(Fused{}, asym, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fb := b.(*fusedAnsatz); fb.z2 {
-		t.Fatal("field-carrying Hamiltonian ran on the Z2-reduced engine")
-	}
-	_, sb, err := b.Evaluate(gammas, betas)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sb.Z2Full() != 0 {
-		t.Fatal("fallback evaluation returned a reduced state")
-	}
-	// The fallback is still correct, not just full-sized.
-	oracle, err := PrepareIsing(Dense{}, asym, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertIsingParity(t, "fallback vs dense", b, oracle, gammas, betas)
-}
-
-// TestIsingMaxCutDegenerateCase pins that the Ising compilation of a
-// MaxCut instance reproduces the existing fused MaxCut path exactly:
-// same diagonal (up to sign convention), same amplitudes.
-func TestIsingMaxCutDegenerateCase(t *testing.T) {
-	g := graph.New(6)
-	r := rng.New(3)
-	for i := 0; i < 6; i++ {
-		for j := i + 1; j < 6; j++ {
-			if r.Float64() < 0.7 {
-				g.MustAddEdge(i, j, r.Float64()*2)
-			}
+	for _, withFields := range []bool{false, true} {
+		h, g := reducedGraph(t, 6, 17, withFields)
+		if h.Z2Symmetric() == withFields {
+			t.Fatalf("fields %v: Z2Symmetric = %v", withFields, h.Z2Symmetric())
 		}
-	}
-	p, err := ising.MaxCutProblem(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := Config{Layers: 3}
-	gammas, betas := testAngles(3, 31)
-
-	viaIsing, err := PrepareIsing(Fused{}, p.H, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	viaMaxCut, err := Fused{}.Prepare(g, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The Ising diagonal D = −E must equal the cut table.
-	cutDiag := viaMaxCut.Diagonal()
-	for i, d := range viaIsing.Diagonal() {
-		if math.Abs(d-cutDiag[i]) > 1e-12 {
-			t.Fatalf("diagonal[%d] = %g, cut table %g", i, d, cutDiag[i])
-		}
-	}
-	assertIsingParity(t, "ising vs maxcut fused", viaIsing, viaMaxCut, gammas, betas)
-}
-
-func TestPrepareIsingValidation(t *testing.T) {
-	h := testHamiltonian(t, 4, 1, true)
-	if _, err := PrepareIsing(Noisy{}, h, Config{Layers: 1}); err == nil {
-		t.Fatal("noisy backend accepted an Ising Hamiltonian")
-	}
-	if _, err := PrepareIsing(Fused{}, nil, Config{Layers: 1}); err == nil {
-		t.Fatal("nil Hamiltonian accepted")
-	}
-	if _, err := PrepareIsing(Fused{}, h, Config{Layers: 0}); err == nil {
-		t.Fatal("zero layers accepted")
-	}
-	if _, err := PrepareIsing(Dense{}, ising.New(0), Config{Layers: 1}); err == nil {
-		t.Fatal("zero-spin Hamiltonian accepted")
-	}
-}
-
-// TestIsingBatchParity pins the batched evaluation path (the
-// multi-start coordinator's route) against sequential evaluation.
-func TestIsingBatchParity(t *testing.T) {
-	h := testHamiltonian(t, 7, 77, true)
-	a, err := PrepareIsing(Fused{}, h, Config{Layers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	const k = 5
-	gs := make([][]float64, k)
-	bs := make([][]float64, k)
-	for i := range gs {
-		gs[i], bs[i] = testAngles(2, uint64(i)*7+1)
-	}
-	batch := make([]float64, k)
-	if err := EvaluateBatch(a, gs, bs, batch); err != nil {
-		t.Fatal(err)
-	}
-	for i := range gs {
-		e, _, err := a.Evaluate(gs[i], bs[i])
+		a, err := Fused{}.Prepare(g, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if math.Abs(e-batch[i]) > 1e-12 {
-			t.Fatalf("batch[%d] = %.15g, sequential %.15g", i, batch[i], e)
+		if !a.(*fusedAnsatz).z2 {
+			t.Fatalf("fields %v: reduction graph ran on the full engine", withFields)
 		}
+		_, s, err := a.Evaluate(gammas, betas)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if s.Z2Full() != g.N() {
+			t.Fatalf("fields %v: Z2Full = %d, want %d", withFields, s.Z2Full(), g.N())
+		}
+		oracle, err := Dense{}.Prepare(g, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		assertIsingParity(t, "reduced vs dense", a, oracle, gammas, betas)
 	}
 }
 
-// TestDenseIsingAnsatzAccessors: the dense Ising gate walk exposes its
-// energy diagonal, no routed layout, and an empty synthesis report.
-func TestDenseIsingAnsatzAccessors(t *testing.T) {
-	h := testHamiltonian(t, 3, 5, true)
-	ans, err := PrepareIsing(Dense{}, h, Config{Layers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	diag := ans.Diagonal()
-	if len(diag) != 8 {
-		t.Fatalf("diagonal length %d, want 8", len(diag))
-	}
-	for x, d := range diag {
-		if e := h.EnergyBits(bitsOf(uint64(x), 3)); math.Abs(d+e) > 1e-12 {
-			t.Fatalf("diagonal[%d] = %g, want −E = %g", x, d, -e)
-		}
-	}
-	if l := ans.Layout(); l != nil {
-		t.Fatalf("dense Ising ansatz reported a layout: %v", l)
-	}
-	if rep := ans.Report(); rep.Depth != 0 || rep.TwoQubitGates != 0 {
-		t.Fatalf("dense Ising ansatz reported synthesis: %+v", rep)
-	}
-}
-
-// TestIsingDiagonalMatchesEnergy: the Ising diagonal — the cut table of
-// the reduction graph — is −E at every basis state, on 200 random
-// Hamiltonians of 1 to 12 spins with fields, offsets, zero and merged
-// terms. Integer weights and offsets give the oracle's float64 bits,
-// the sign of a zero included (every partial sum is an exact integer);
-// real ones agree to 1e-12.
+// TestIsingDiagonalMatchesEnergy: the fused diagonal of a reduction
+// graph encodes the energy, −E = −(offset + W − 2·cut), at every basis
+// state, the ancilla half included (an ancilla bit of 1 decodes by the
+// global flip), on 200 random Hamiltonians of 1 to 12 spins with
+// fields, offsets, zero and merged terms. Integer weights and offsets
+// take the integral build and give the oracle's float64 bits, the sign
+// of a zero included; real ones take the float build and agree to
+// 1e-12.
 func TestIsingDiagonalMatchesEnergy(t *testing.T) {
 	r := rng.New(35)
 	for trial := 0; trial < 200; trial++ {
@@ -307,18 +195,29 @@ func TestIsingDiagonalMatchesEnergy(t *testing.T) {
 			}
 		}
 		h.AddOffset(draw(5))
-		diag, err := maximizationDiagonal(h)
+		g, err := h.ToMaxCut()
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(diag) != 1<<n {
-			t.Fatalf("trial %d: %d entries for %d spins", trial, len(diag), n)
+		a, err := Fused{}.Prepare(g, Config{Layers: 1})
+		if err != nil {
+			t.Fatal(err)
 		}
-		for x, d := range diag {
-			want := -h.EnergyBits(bitsOf(uint64(x), n))
-			if integral && math.Float64bits(d) != math.Float64bits(want) || !integral && math.Abs(d-want) > 1e-12 {
-				t.Fatalf("trial %d (n=%d, integral %v): diagonal[%d] = %.17g, want −E = %.17g",
-					trial, n, integral, x, d, want)
+		diag := a.Diagonal()
+		if len(diag) != 1<<(n+1) {
+			t.Fatalf("trial %d: %d entries for %d spins and the ancilla", trial, len(diag), n)
+		}
+		shift := h.Offset() + g.TotalWeight()
+		for x, cut := range diag {
+			data := uint64(x) & (1<<n - 1)
+			if x>>n != 0 {
+				data ^= 1<<n - 1
+			}
+			got := -(shift - 2*cut)
+			want := -h.EnergyBits(bitsOf(data, n))
+			if integral && math.Float64bits(got) != math.Float64bits(want) || !integral && math.Abs(got-want) > 1e-12 {
+				t.Fatalf("trial %d (n=%d, integral %v): diagonal[%d] gives %.17g, want −E = %.17g",
+					trial, n, integral, x, got, want)
 			}
 		}
 	}

@@ -10,19 +10,27 @@ import (
 	"testing"
 
 	"qaoa2/internal/graph"
-	"qaoa2/internal/qsim"
 	"qaoa2/internal/rng"
 )
 
-// floatPrepare is the float-build oracle: f.Prepare with the tables
-// always taken from CutTable and phaseTables, the path real-weighted
-// graphs take.
+// floatPrepare is the float-build oracle: f.Prepare's ansatz, same Z2
+// decision, with its tables rebuilt from CutTable and phaseTables —
+// the path real-weighted graphs take — and its engine rebuilt over
+// them.
 func floatPrepare(f Fused, g *graph.Graph, layers int) (Ansatz, error) {
-	add := -g.TotalWeight() / 2
-	return f.prepare(g.N(), true, layers, func(k int) (qsim.CostTables, []float64) {
-		diag := CutTable(g, nil)
-		return phaseTables(diag, add, 1<<uint(k)), diag
-	})
+	ans, err := f.Prepare(g, Config{Layers: layers})
+	if err != nil {
+		return nil, err
+	}
+	a := ans.(*fusedAnsatz)
+	k := a.n
+	if a.z2 {
+		k--
+	}
+	a.diag = CutTable(g, nil)
+	a.cost = phaseTables(a.diag, -g.TotalWeight()/2, 1<<uint(k))
+	a.eng, err = a.newEngine()
+	return a, err
 }
 
 // sameEvaluation requires two ansätze to return bit-identical energies

@@ -11,19 +11,20 @@
 // an exact ancilla reduction to MaxCut so every layer above the device —
 // partitioning, QAOA² merging, the solve daemon, checkpoints, the
 // fleet — runs Ising workloads on unchanged plumbing. The reduction is
-// also how the backend builds a Hamiltonian's 2^n diagonal: the cut
-// table of ToMaxCut's graph (internal/backend).
+// the only way a Hamiltonian executes: internal/qaoa2.SolveIsing and
+// the solve daemon both solve ToMaxCut's graph and decode its cut with
+// DecodeMaxCutSpins, so no solver or backend knows this package.
 //
 // Spin/bit convention (shared with the rest of the repository, see
 // graph.SpinsFromBits): bit q of a basis index is 0 for s_q = +1 and
 // 1 for s_q = −1; QUBO variables map as x_i = (1 − s_i)/2, so x_i = 1
 // means "selected" and corresponds to bit 1.
 //
-// The Z2 spin-flip symmetry that the fused backend's reduced engine
-// exploits holds exactly when every field h_i is zero (E(s) = E(−s));
-// Z2Symmetric reports it and the backend enforces it — a Hamiltonian
-// with fields silently falls back to the full (unreduced) engine, never
-// to wrong amplitudes.
+// The Z2 spin-flip symmetry E(s) = E(−s) holds exactly when every
+// field h_i is zero (Z2Symmetric). The reduction graph is always
+// flip-symmetric — a cut is — so the fused backend's Z2-reduced engine
+// runs every reduced Hamiltonian exactly, fields or not; the fields
+// live on the ancilla's edges.
 package ising
 
 import (
@@ -133,10 +134,9 @@ func (h *Hamiltonian) HasFields() bool {
 	return false
 }
 
-// Z2Symmetric reports whether E(s) = E(−s) for every s, i.e. whether
-// the fused backend's Z2-reduced engine may legally execute this
-// Hamiltonian. Quadratic terms and the offset are always symmetric;
-// only fields break it.
+// Z2Symmetric reports whether E(s) = E(−s) for every s. Quadratic
+// terms and the offset are always symmetric; only fields break it. A
+// symmetric Hamiltonian's reduction graph has an isolated ancilla.
 func (h *Hamiltonian) Z2Symmetric() bool { return !h.HasFields() }
 
 // Energy evaluates E(s) for a full ±1 assignment.

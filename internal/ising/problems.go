@@ -61,8 +61,8 @@ type Assignment struct {
 
 // MaxCutProblem encodes MaxCut on g as the degenerate Ising case
 // J_ij = w_ij/2, offset = −W/2, no fields: E(s) = −cut(s), so the
-// Hamiltonian is Z2-symmetric and the fused backend's reduced engine
-// applies. The compiled diagonal is exactly −CutTable.
+// Hamiltonian is Z2-symmetric and its reduction is g at half weight
+// plus an isolated ancilla.
 func MaxCutProblem(g *graph.Graph) (*Problem, error) {
 	if g == nil {
 		return nil, fmt.Errorf("ising: nil graph")
@@ -158,8 +158,8 @@ func MinVertexCover(g *graph.Graph, penalty float64) (*Problem, error) {
 // NumberPartition encodes two-way number partitioning of nums:
 // E(s) = (Σ a_i s_i)² = Σ a_i² + 2 Σ_{i<j} a_i a_j s_i s_j, minimized
 // at the most balanced split. No fields — the encoding is Z2-symmetric
-// (swapping the two sides changes nothing), so the fused backend's
-// reduced engine applies.
+// (swapping the two sides changes nothing), so its reduction leaves the
+// ancilla isolated.
 func NumberPartition(nums []float64) (*Problem, error) {
 	if len(nums) == 0 {
 		return nil, fmt.Errorf("ising: number partitioning needs at least one number")

@@ -9,9 +9,9 @@
 // cut among the top-K amplitudes, the improvement the paper suggests in
 // §3.2/§5). Solve spends the optimizer's whole budget; SolveCut, the
 // entry point of QAOA² leaves, stops as soon as the decoded cut is
-// certified optimal. SolveIsing is the same variational loop on the
-// ansatz backend.PrepareIsing compiles from an Ising Hamiltonian, with
-// −E in place of the cut as the value of a decoded bit string.
+// certified optimal. An Ising Hamiltonian reaches this package only as
+// its ancilla MaxCut reduction (internal/qaoa2.SolveIsing), so every
+// ansatz here is a graph's and every decoded value is a cut.
 package qaoa
 
 import (
@@ -236,7 +236,7 @@ func solve(g *graph.Graph, opts Options, r *rng.Rand, stopAtCertificate bool) (*
 			stopAt = &tableMax
 		}
 	}
-	res, err := run(ans, n, g.CutValueBits, stopAt, opts, r)
+	res, err := run(ans, g, stopAt, opts, r)
 	if err != nil {
 		return nil, err
 	}
@@ -254,15 +254,14 @@ func (o Options) backend() (backend.Backend, backend.Config) {
 	return be, backend.Config{Layers: o.Layers, Synthesis: o.Synthesis, Seed: o.Seed}
 }
 
-// run is the QAOA variational loop every entry point shares. It trains
-// the prepared ansatz on n logical qubits (one start, or opts.Restarts
-// lockstep starts), re-evaluates the best parameters and decodes the
-// final state into the bit string of highest value, where value is the
-// objective's exact score of a bit string. With stopAt, a single start
-// stops at the first evaluation whose decoded value equals *stopAt and
-// reports that evaluation. Result.Optimal is left to the caller.
-func run(ans backend.Ansatz, n int, value func(bits []uint8) float64, stopAt *float64, opts Options, r *rng.Rand) (*Result, error) {
-	dec := decoder{n: n, layout: ans.Layout(), topK: opts.TopK, value: value}
+// run is the QAOA variational loop Solve and SolveCut share. It trains
+// the ansatz prepared for g (one start, or opts.Restarts lockstep
+// starts), re-evaluates the best parameters and decodes the final state
+// into the bit string of highest cut. With stopAt, a single start stops
+// at the first evaluation whose decoded cut equals *stopAt and reports
+// that evaluation. Result.Optimal is left to the caller.
+func run(ans backend.Ansatz, g *graph.Graph, stopAt *float64, opts Options, r *rng.Rand) (*Result, error) {
+	dec := decoder{g: g, layout: ans.Layout(), topK: opts.TopK}
 	// Only the sampled objective reads the diagonal; an exactly scored
 	// leaf never asks the backend to materialise it.
 	var table []float64
@@ -568,14 +567,12 @@ func ZZCorrelation(s *qsim.State, layout []int, i, j int) float64 {
 }
 
 // decoder reads the solution bit string off a state: of the candidate
-// basis states it keeps the one of highest value, the objective's exact
-// score (g.CutValueBits for MaxCut, −E for an Ising Hamiltonian), and
-// returns it as a maxcut.Cut whose Value is that score.
+// basis states it keeps the one of highest cut, scored exactly by
+// g.CutValueBits.
 type decoder struct {
-	n      int   // logical qubits
+	g      *graph.Graph
 	layout []int // logical node → physical wire (nil: identity)
 	topK   int
-	value  func(bits []uint8) float64
 }
 
 // exact decodes from the statevector: the best of the top-K probability
@@ -615,15 +612,15 @@ func (d decoder) sampled(s *qsim.State, shots int, r *rng.Rand) maxcut.Cut {
 	return d.best(indices)
 }
 
-// best scores candidate basis states and keeps the highest value.
+// best scores candidate basis states and keeps the highest cut.
 func (d decoder) best(indices []uint64) maxcut.Cut {
 	best := maxcut.Cut{Value: math.Inf(-1)}
 	for _, idx := range indices {
-		bits := make([]uint8, d.n)
+		bits := make([]uint8, d.g.N())
 		for q := range bits {
 			bits[q] = uint8(idx >> uint(physOf(d.layout, q)) & 1)
 		}
-		if v := d.value(bits); v > best.Value {
+		if v := d.g.CutValueBits(bits); v > best.Value {
 			best = maxcut.Cut{Spins: graph.SpinsFromBits(bits), Value: v}
 		}
 	}

@@ -2,11 +2,12 @@ package qaoa2
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"qaoa2/internal/graph"
 	"qaoa2/internal/ising"
-	"qaoa2/internal/qaoa"
+	"qaoa2/internal/rng"
 	"qaoa2/internal/solver"
 )
 
@@ -28,28 +29,158 @@ func coverProblem(t *testing.T, n int) *ising.Problem {
 	return p
 }
 
-func TestSolveIsingDirectPath(t *testing.T) {
-	p := coverProblem(t, 8)
-	_, ground, err := p.H.GroundState()
+// fieldFreeProblem is a raw field-free Hamiltonian over n spins with
+// real couplings: its reduction graph leaves the ancilla isolated.
+func fieldFreeProblem(t *testing.T, n int, seed uint64) *ising.Problem {
+	t.Helper()
+	r := rng.New(seed)
+	h := ising.New(n)
+	for i := 0; i < n; i++ {
+		for j := i + 1; j < n; j++ {
+			if r.Float64() < 0.4 {
+				if err := h.AddCoupling(i, j, r.Float64()*2-1); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	}
+	return ising.FromHamiltonian(h)
+}
+
+// misProblem is the weighted maximum independent set on ER(10, 0.35)
+// with vertex weights 1–3.
+func misProblem(t *testing.T, seed uint64) *ising.Problem {
+	t.Helper()
+	r := rng.New(seed)
+	g := graph.ErdosRenyi(10, 0.35, graph.Unweighted, r)
+	weights := make([]float64, g.N())
+	for i := range weights {
+		weights[i] = float64(1 + r.Intn(3))
+	}
+	p, err := ising.WeightedMIS(g, weights, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := SolveIsing(p.H, Options{MaxQubits: 10, Solver: solver.ExactSolver{}, Seed: 1})
+	return p
+}
+
+// solveReduced is the reference SolveIsing is pinned to: Solve on the
+// reduction graph under the same options, decoded.
+func solveReduced(t *testing.T, h *ising.Hamiltonian, opts Options) []int8 {
+	t.Helper()
+	g, err := h.ToMaxCut()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res.Direct {
-		t.Fatal("device-sized Hamiltonian with a capable solver did not run direct")
+	res, err := Solve(g, opts)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if res.MaxCut != nil {
-		t.Fatal("direct path carries a reduction result")
+	spins, err := h.DecodeMaxCutSpins(res.Cut.Spins)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if math.Abs(res.Energy-ground) > 1e-9 {
-		t.Fatalf("direct energy %g, ground %g", res.Energy, ground)
+	return spins
+}
+
+// TestSolveIsingIsTheReduction pins the one Ising route. For
+// field-carrying and field-free Hamiltonians, device-sized and over
+// the qubit budget, under each registry solver, SolveIsing returns the
+// decoded Solve of the reduction graph under the same options, carries
+// that MaxCut result, and reports Energy as E(Spins) bit for bit.
+// Device-sized rows also hold exact to the ground state, and qaoa to a
+// perfect split of the number-partitioning instance.
+func TestSolveIsingIsTheReduction(t *testing.T) {
+	partition, err := ising.NumberPartition([]float64{3, 1, 1, 2, 2, 1})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if res.Report.Winner != "exact" {
-		t.Fatalf("attribution winner %q, want exact", res.Report.Winner)
+	problems := []struct {
+		name      string
+		p         *ising.Problem
+		maxQubits int
+		device    bool // the reduction graph fits MaxQubits
+	}{
+		{"fields-device", coverProblem(t, 8), 10, true},
+		{"fields-over-budget", coverProblem(t, 20), 8, false},
+		{"field-free-device", partition, 10, true},
+		{"field-free-over-budget", fieldFreeProblem(t, 14, 9), 8, false},
 	}
+	for _, pc := range problems {
+		for _, name := range []string{"qaoa", "exact", "anneal", "random", "best", "gw"} {
+			t.Run(pc.name+"/"+name, func(t *testing.T) {
+				s, err := solver.Build(solver.Spec{Name: name})
+				if err != nil {
+					t.Fatal(err)
+				}
+				h := pc.p.H
+				opts := Options{MaxQubits: pc.maxQubits, Solver: s, Seed: 7}
+				res, err := SolveIsing(h, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if want := solveReduced(t, h, opts); !slices.Equal(res.Spins, want) {
+					t.Fatalf("spins %v, reduction %v", res.Spins, want)
+				}
+				if res.MaxCut == nil {
+					t.Fatal("no MaxCut result")
+				}
+				if pc.device != (res.MaxCut.SubGraphs == 1) {
+					t.Fatalf("%d sub-graphs on a device-sized = %v instance", res.MaxCut.SubGraphs, pc.device)
+				}
+				if math.Float64bits(res.Energy) != math.Float64bits(h.Energy(res.Spins)) {
+					t.Fatalf("energy %v, E(spins) %v", res.Energy, h.Energy(res.Spins))
+				}
+				if name == "exact" && pc.device {
+					_, ground, err := h.GroundState()
+					if err != nil {
+						t.Fatal(err)
+					}
+					if math.Abs(res.Energy-ground) > 1e-9 {
+						t.Fatalf("exact energy %g, ground %g", res.Energy, ground)
+					}
+				}
+				if name == "qaoa" && pc.p == partition {
+					a, err := partition.Decode(res.Spins)
+					if err != nil {
+						t.Fatal(err)
+					}
+					// 3+1+1 = 2+2+1: a perfect split exists.
+					if a.Objective != 0 {
+						t.Fatalf("imbalance %g, want 0", a.Objective)
+					}
+				}
+			})
+		}
+	}
+
+	// best races qaoa and gw on every leaf of a weighted-MIS instance:
+	// gw is a real attempt, not a member dropped for lack of Ising
+	// support.
+	t.Run("weighted-mis/best", func(t *testing.T) {
+		s, err := solver.Build(solver.Spec{Name: "best"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		p := misProblem(t, 1)
+		opts := Options{MaxQubits: 12, Solver: s, Seed: 1}
+		res, err := SolveIsing(p.H, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := solveReduced(t, p.H, opts); !slices.Equal(res.Spins, want) {
+			t.Fatalf("spins %v, reduction %v", res.Spins, want)
+		}
+		ranGW := false
+		for _, rep := range res.MaxCut.SubReports {
+			for _, a := range rep.Attempts {
+				ranGW = ranGW || a.Solver == "gw" && a.Err == ""
+			}
+		}
+		if !ranGW {
+			t.Fatalf("gw never ran: %+v", res.MaxCut.SubReports)
+		}
+	})
 }
 
 func TestSolveIsingReductionPathForMaxCutOnlySolver(t *testing.T) {
@@ -58,14 +189,10 @@ func TestSolveIsingReductionPathForMaxCutOnlySolver(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// gw has no native Ising support: even a device-sized instance must
-	// take the ancilla reduction.
+	// gw only speaks MaxCut: it solves the Hamiltonian's reduction.
 	res, err := SolveIsing(p.H, Options{MaxQubits: 10, Solver: solver.GWSolver{}, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
-	}
-	if res.Direct {
-		t.Fatal("gw solver cannot run the direct Ising path")
 	}
 	if res.MaxCut == nil || res.MaxCut.SubGraphs < 1 {
 		t.Fatal("reduction path lost the underlying MaxCut result")
@@ -100,9 +227,6 @@ func TestSolveIsingReductionPathOverBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Direct {
-		t.Fatal("20 spins on an 8-qubit budget ran direct")
-	}
 	if res.MaxCut.SubGraphs < 2 {
 		t.Fatalf("expected a real decomposition, got %d sub-graphs", res.MaxCut.SubGraphs)
 	}
@@ -122,38 +246,6 @@ func TestSolveIsingReductionPathOverBudget(t *testing.T) {
 	}
 	if a.Objective >= float64(p.H.N()) {
 		t.Fatalf("cover of size %g is the trivial one", a.Objective)
-	}
-}
-
-func TestSolveIsingDirectDefaultSolver(t *testing.T) {
-	// The QAOA solver has native support: a Z2-symmetric problem
-	// (number partitioning) exercises the fused Z2-reduced engine
-	// through the whole direct stack.
-	p, err := ising.NumberPartition([]float64{3, 1, 1, 2, 2, 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := SolveIsing(p.H, Options{
-		Solver: solver.QAOASolver{Opts: qaoa.Options{Layers: 4, TopK: 8}},
-		Seed:   2,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Direct {
-		t.Fatal("default solver should run direct")
-	}
-	if res.Report.Winner != "qaoa" {
-		t.Fatalf("winner %q, want qaoa", res.Report.Winner)
-	}
-	a, err := p.Decode(res.Spins)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// 3+1+1 = 2+2+1: a perfect partition exists and the instance is
-	// tiny; QAOA with top-1 decoding finds imbalance 0.
-	if a.Objective != 0 {
-		t.Fatalf("imbalance %g, want 0", a.Objective)
 	}
 }
 
@@ -187,7 +279,7 @@ func TestSolveIsingEmptyAndNil(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Energy != 2.5 || len(res.Spins) != 0 || !res.Direct {
+	if res.Energy != 2.5 || len(res.Spins) != 0 {
 		t.Fatalf("empty Hamiltonian: %+v", res)
 	}
 }

@@ -227,13 +227,13 @@ func SummarizeSubReports(reports []SubReport) string {
 }
 
 // Ising/QUBO workload plane (internal/ising; see DESIGN.md "The
-// Ising/QUBO plane"). General Ising Hamiltonians E(s) = Σ J_ij s_i s_j
-// + Σ h_i s_i + c compile into the same fused diagonal phase tables as
-// MaxCut, so every backend — including the Z2-reduced engine when
-// h ≡ 0 — executes them with zero kernel changes. First-class problem
-// constructors (weighted MIS, vertex cover, number partitioning) keep
-// the original instance data so results decode back to problem-level
-// answers with feasibility verdicts.
+// Ising/QUBO plane"). A general Ising Hamiltonian E(s) = Σ J_ij s_i s_j
+// + Σ h_i s_i + c solves as its exact ancilla MaxCut reduction on N+1
+// nodes, so every solver, backend and option of the MaxCut stack
+// applies unchanged. First-class problem constructors (weighted MIS,
+// vertex cover, number partitioning) keep the original instance data
+// so results decode back to problem-level answers with feasibility
+// verdicts.
 type (
 	// IsingHamiltonian is a minimization Ising Hamiltonian over ±1
 	// spins: couplings J_ij, local fields h_i, constant offset.
@@ -243,11 +243,6 @@ type (
 	// QUBO is the {0,1} quadratic form x^T Q x + c, exactly
 	// interconvertible with IsingHamiltonian (ToIsing / ToQUBO).
 	QUBO = ising.QUBO
-	// IsingSolution is a spin assignment with its energy — the Ising
-	// counterpart of Cut.
-	IsingSolution = ising.Solution
-	// IsingAnnealOptions configures AnnealIsing.
-	IsingAnnealOptions = ising.AnnealOptions
 	// Problem binds a Hamiltonian to the problem it encodes (kind,
 	// instance data) so assignments decode with feasibility checks.
 	Problem = ising.Problem
@@ -255,9 +250,6 @@ type (
 	Assignment = ising.Assignment
 	// IsingResult reports a SolveIsing / SolveProblem run.
 	IsingResult = qaoa2.IsingResult
-	// IsingSubSolver is the optional native-Ising extension of
-	// SubSolver (implemented by qaoa, exact, anneal, random, best-of).
-	IsingSubSolver = solver.IsingSolver
 	// ProblemSpec is the wire form of an Ising/QUBO submission
 	// (SolveRequest.Problem); the daemon normalizes it to the ancilla
 	// MaxCut reduction and folds its canonical JSON into the job key.
@@ -312,10 +304,10 @@ func NumberPartition(nums []float64) (*Problem, error) { return ising.NumberPart
 func ProblemFromHamiltonian(h *IsingHamiltonian) *Problem { return ising.FromHamiltonian(h) }
 
 // SolveIsing minimizes an Ising Hamiltonian through the QAOA² stack:
-// directly on the device when it fits and the solver speaks Ising
-// natively, otherwise via the exact ancilla MaxCut reduction through
-// the full divide-and-conquer (partitioning, checkpoints, attribution
-// all apply). The reported Energy always comes from the Hamiltonian.
+// its exact ancilla MaxCut reduction runs through Solve (partitioning,
+// checkpoints, every solver and its attribution apply) and the cut
+// decodes back to spins. The reported Energy always comes from the
+// Hamiltonian.
 func SolveIsing(h *IsingHamiltonian, opts Options) (*IsingResult, error) {
 	return qaoa2.SolveIsing(h, opts)
 }
@@ -325,12 +317,6 @@ func SolveIsing(h *IsingHamiltonian, opts Options) (*IsingResult, error) {
 // selected vertices).
 func SolveProblem(p *Problem, opts Options) (*IsingResult, Assignment, error) {
 	return qaoa2.SolveProblem(p, opts)
-}
-
-// AnnealIsing minimizes E(s) with single-spin-flip Metropolis
-// annealing — the classical baseline that handles fields natively.
-func AnnealIsing(h *IsingHamiltonian, opts IsingAnnealOptions, r *Rand) IsingSolution {
-	return ising.Anneal(h, opts, r)
 }
 
 // Solver registry (internal/solver): the single place solvers are

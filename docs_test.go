@@ -16,6 +16,7 @@ import (
 	"os"
 	"path"
 	"path/filepath"
+	"regexp"
 	"sort"
 	"strconv"
 	"strings"
@@ -136,32 +137,148 @@ func TestOneExecutor(t *testing.T) {
 	}
 }
 
+// facadeUsers are the root files whose mentions of facade names decide
+// the public surface; every .go file under examples/ and cmd/ counts
+// too. facade_test.go is not one of them: it pins the surface, it does
+// not decide it.
+var facadeUsers = []string{"README.md", "example_test.go", "golden_test.go", "bench_test.go", "docs_test.go"}
+
+// TestFacadeNamesAreUsed keeps the facade to one public surface. An
+// exported name of the root package stays only when a facade user
+// mentions it as qaoa2.Name or root.Name (the commands' import name),
+// or when it appears in the signature of a func that stays. A name
+// that fails both is reported with its place; delete it, or use it
+// where users read.
+func TestFacadeNamesAreUsed(t *testing.T) {
+	fset := token.NewFileSet()
+	pkgs, err := parser.ParseDir(fset, ".", func(fi fs.FileInfo) bool {
+		return !strings.HasSuffix(fi.Name(), "_test.go")
+	}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	names := map[string]token.Pos{} // facade name → its declaration
+	funcs := map[string]*ast.FuncDecl{}
+	for _, pkg := range pkgs {
+		for _, f := range pkg.Files {
+			for _, decl := range f.Decls {
+				switch d := decl.(type) {
+				case *ast.FuncDecl:
+					if d.Recv == nil {
+						names[d.Name.Name], funcs[d.Name.Name] = d.Name.Pos(), d
+					}
+				case *ast.GenDecl:
+					for _, spec := range d.Specs {
+						switch s := spec.(type) {
+						case *ast.TypeSpec:
+							names[s.Name.Name] = s.Name.Pos()
+						case *ast.ValueSpec:
+							for _, id := range s.Names {
+								names[id.Name] = id.Pos()
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+
+	files := append([]string(nil), facadeUsers...)
+	for _, dir := range []string{"examples", "cmd"} {
+		err := filepath.WalkDir(dir, func(p string, d fs.DirEntry, err error) error {
+			if err == nil && !d.IsDir() && strings.HasSuffix(p, ".go") {
+				files = append(files, p)
+			}
+			return err
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	used := map[string]bool{}
+	mention := regexp.MustCompile(`\b(?:qaoa2|root)\.([A-Z]\w*)`)
+	for _, p := range files {
+		data, err := os.ReadFile(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range mention.FindAllSubmatch(data, -1) {
+			used[string(m[1])] = true
+		}
+	}
+	for grew := true; grew; {
+		grew = false
+		for name, fd := range funcs {
+			if !used[name] {
+				continue
+			}
+			ast.Inspect(fd.Type, func(n ast.Node) bool {
+				if id, ok := n.(*ast.Ident); ok && names[id.Name].IsValid() && !used[id.Name] {
+					used[id.Name], grew = true, true
+				}
+				return true
+			})
+		}
+	}
+
+	var unused []string
+	for name := range names {
+		if ast.IsExported(name) && !used[name] {
+			unused = append(unused, name)
+		}
+	}
+	sort.Slice(unused, func(i, j int) bool { return names[unused[i]] < names[unused[j]] })
+	for i, name := range unused {
+		unused[i] = fmt.Sprintf("%s %s", fset.Position(names[name]), name)
+	}
+	if len(unused) > 0 {
+		t.Fatalf("%d facade names no README, example, command or root doc test uses (delete them, or use them there):\n  %s",
+			len(unused), strings.Join(unused, "\n  "))
+	}
+}
+
 // reachAllowlist names the internal declarations no root reaches that
 // stay anyway: test fixtures and oracles, each with the tests that use
 // it; a method's key is pkg.Type.Method. TestEverythingIsReachable
 // fails when an entry names nothing or a root now reaches it, so the
 // list cannot outlive its reasons.
 var reachAllowlist = map[string]string{
-	"graph.Complete":               "fixture in the tests of 14 packages",
-	"graph.Path":                   "fixture in the tests of 7 packages",
-	"graph.Bipartite":              "fixture in the tests of 8 packages",
-	"hpc.VerifyNoOversubscription": "scheduler invariant oracle of the Simulate tests in sched_test.go",
-	"linalg.EigSym":                "cold-start oracle of the SymEig tests in linalg",
-	"linalg.Dense.AxpyMat":         "matrix update of the reference ADMM in sdp/admm_test.go and the linalg perturbation tests",
-	"linalg.Dense.MatVec":          "product oracle of the Laplacian test in graph and the linalg solve tests",
-	"linalg.Mat.Gram":              "builds the PSD inputs and checks the factors of the linalg GramFactor tests",
-	"partition.Modularity":         "CNM objective of TestGreedyModularityImprovesOverSingletons",
-	"partition.GreedyModularity":   "CNM entry point of FuzzSizeCapped and the lazy-heap oracle tests",
-	"qsim.Fidelity":                "state comparison of the qsim, circuit and synth tests",
-	"qsim.NewPlusState":            "uniform-superposition fixture of the qsim state, measure, noise and engine tests",
-	"qsim.State.Amp":               "amplitude read of the qsim, circuit, backend and qaoa tests",
-	"qsim.State.NormSquared":       "unit-norm oracle of the qsim, circuit, backend and synth tests",
-	"qsim.State.Z2Full":            "reduction check of the qsim, backend and qaoa Z2 tests",
-	"qsim.State.ExpandZ2":          "expands reduced states for the full-vector comparisons of the qsim, backend and qaoa Z2 tests",
-	"runtime.CanonicalRecords":     "checkpoint comparison of the runtime and hpc determinism tests",
-	"solver.DefaultSelector":       "trained selector of the experiments, solver and qaoa2 tests",
-	"synth.Synthesize":             "entry point of the synth semantics tests",
+	"faults.New":                    chaosHarness,
+	"faults.Injector":               chaosHarness,
+	"faults.Site":                   chaosHarness,
+	"faults.Class":                  chaosHarness,
+	"faults.Decision":               chaosHarness,
+	"faults.siteState":              chaosHarness,
+	"faults.transport":              chaosHarness,
+	"faults.truncatedBody":          chaosHarness,
+	"faults.cutWriter":              chaosHarness,
+	"graph.Complete":                "fixture in the tests of 14 packages",
+	"graph.Path":                    "fixture in the tests of 7 packages",
+	"graph.Bipartite":               "fixture in the tests of 8 packages",
+	"ising.Hamiltonian.GroundState": "brute-force ground-state oracle of the qaoa2, serve and ising tests",
+	"ising.Hamiltonian.EnergyBits":  "energy oracle of GroundState and of the backend, ising and qaoa2 reference tests",
+	"hpc.VerifyNoOversubscription":  "scheduler invariant oracle of the Simulate tests in sched_test.go",
+	"linalg.EigSym":                 "cold-start oracle of the SymEig tests in linalg",
+	"linalg.Dense.AxpyMat":          "matrix update of the reference ADMM in sdp/admm_test.go and the linalg perturbation tests",
+	"linalg.Dense.MatVec":           "product oracle of the Laplacian test in graph and the linalg solve tests",
+	"linalg.Mat.Gram":               "builds the PSD inputs and checks the factors of the linalg GramFactor tests",
+	"partition.Modularity":          "CNM objective of TestGreedyModularityImprovesOverSingletons",
+	"partition.GreedyModularity":    "CNM entry point of FuzzSizeCapped and the lazy-heap oracle tests",
+	"qsim.Fidelity":                 "state comparison of the qsim, circuit and synth tests",
+	"qsim.NewPlusState":             "uniform-superposition fixture of the qsim state, measure, noise and engine tests",
+	"qsim.State.Amp":                "amplitude read of the qsim, circuit, backend and qaoa tests",
+	"qsim.State.NormSquared":        "unit-norm oracle of the qsim, circuit, backend and synth tests",
+	"qsim.State.Z2Full":             "reduction check of the qsim, backend and qaoa Z2 tests",
+	"qsim.State.ExpandZ2":           "expands reduced states for the full-vector comparisons of the qsim, backend and qaoa Z2 tests",
+	"runtime.CanonicalRecords":      "checkpoint comparison of the runtime and hpc determinism tests",
+	"solver.DefaultSelector":        "trained selector of the experiments, solver and qaoa2 tests",
+	"synth.Synthesize":              "entry point of the synth semantics tests",
 }
+
+// chaosHarness is the reason the fault injector stays: package faults
+// is the seeded chaos harness of the hpc chaos soak and the serve
+// client tests, and no command, example or benchmark imports it.
+const chaosHarness = "chaos harness of the hpc chaos soak and the serve client tests"
 
 // TestEverythingIsReachable fails for every top-level func, type, var
 // and method under internal/ that no command, example, benchmark or
@@ -186,11 +303,10 @@ func TestEverythingIsReachable(t *testing.T) {
 // fails, and so do an allowlist entry naming nothing and one naming a
 // func a root reaches. Of the methods of reached types, one the command
 // selects, one only another reached method selects (the fixpoint), one
-// only a module interface lists, a String only fmt calls and an
-// exported one of a facade-aliased type all pass, as does an
-// allowlisted method oracle; a method only its test calls fails, and so
-// do an unexported method of the aliased type and a method entry naming
-// nothing.
+// only a module interface lists and a String only fmt calls all pass,
+// as does an allowlisted method oracle; a method only its test calls
+// fails, and so do an exported method of a type the facade aliases but
+// nothing selects and a method entry naming nothing.
 func TestReachabilityOnSyntheticModule(t *testing.T) {
 	lib := `// Package lib is the synthetic module's only internal package.
 package lib
@@ -221,12 +337,10 @@ func (Store) Check() int { return 9 }
 // Source is the interface the command asserts Store satisfies.
 type Source interface{ Fetch() int }
 
-// Table is aliased by the facade.
+// Table is aliased by the facade; nothing selects its method.
 type Table struct{}
 
 func (Table) Rows() int { return 10 }
-
-func (Table) hidden() int { return 11 }
 
 func viaMethod() int { return 2 }
 
@@ -273,7 +387,7 @@ func Dead() int { return 6 }
 		"allowlisted but no such func, type, var or method: lib.Store.Vanish",
 		"allowlisted but reached from a root: lib.Used",
 		fmt.Sprintf("internal/lib/lib.go:%d lib.Store.Probe", line("func (Store) Probe")),
-		fmt.Sprintf("internal/lib/lib.go:%d lib.Table.hidden", line("func (Table) hidden")),
+		fmt.Sprintf("internal/lib/lib.go:%d lib.Table.Rows", line("func (Table) Rows")),
 		fmt.Sprintf("internal/lib/lib.go:%d lib.Dead", line("func Dead")),
 	}
 	if strings.Join(got, "\n") != strings.Join(want, "\n") {
@@ -331,9 +445,8 @@ type reachDecl struct {
 // an import.Name selector the imported package's. A method is reached
 // when its receiver type is and one of these holds: reached code
 // selects its name (x.Name); an interface type in reached code lists
-// it; the standard library calls it (stdlibMethods); or it is exported
-// and its type is aliased by the facade (a non-test file at the module
-// root), which makes it public API. The walk runs to a fixpoint, so a
+// it; or the standard library calls it (stdlibMethods). Aliasing a type
+// in the facade reaches the type, not its methods. The walk runs to a fixpoint, so a
 // method reached late still reaches what it selects. Matching is by
 // name only, so a local that shadows a top-level name keeps it and a
 // selected name keeps that method on every reached type: the check errs
@@ -354,10 +467,9 @@ func unreachable(root string, allow map[string]string) ([]string, error) {
 	}
 
 	type parsed struct {
-		f      *ast.File
-		rf     *reachFile
-		root   bool
-		facade bool
+		f    *ast.File
+		rf   *reachFile
+		root bool
 	}
 	var files []parsed
 	pkgNames := map[string]string{}    // import path → package name
@@ -398,7 +510,7 @@ func unreachable(root string, allow map[string]string) ([]string, error) {
 			pkg += "/" + dir
 		}
 		rf := &reachFile{pkg: pkg, imports: map[string]string{}}
-		files = append(files, parsed{f, rf, isRoot, !test && path.Dir(rel) == "."})
+		files = append(files, parsed{f, rf, isRoot})
 		if !internal || test {
 			return nil
 		}
@@ -449,7 +561,6 @@ func unreachable(root string, allow map[string]string) ([]string, error) {
 		return nil, err
 	}
 
-	public := map[string]bool{} // "path.Type" the facade aliases
 	for _, pf := range files {
 		for _, imp := range pf.f.Imports {
 			ipath, err := strconv.Unquote(imp.Path.Value)
@@ -468,19 +579,6 @@ func unreachable(root string, allow map[string]string) ([]string, error) {
 		if pf.root {
 			roots = append(roots, &reachDecl{node: pf.f, file: pf.rf})
 		}
-		if !pf.facade {
-			continue
-		}
-		ast.Inspect(pf.f, func(n ast.Node) bool {
-			if s, ok := n.(*ast.TypeSpec); ok && s.Assign.IsValid() {
-				if sel, ok := s.Type.(*ast.SelectorExpr); ok {
-					if id, ok := sel.X.(*ast.Ident); ok && pf.rf.imports[id.Name] != "" {
-						public[pf.rf.imports[id.Name]+"."+sel.Sel.Name] = true
-					}
-				}
-			}
-			return true
-		})
 	}
 
 	reached := map[string]bool{}
@@ -508,7 +606,7 @@ func unreachable(root string, allow map[string]string) ([]string, error) {
 		reach(key)
 		for _, m := range methods[key] {
 			name := m[len(key)+1:]
-			if live[name] || (public[key] && ast.IsExported(name)) {
+			if live[name] {
 				reach(m)
 			} else {
 				waiting[name] = append(waiting[name], m)

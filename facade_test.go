@@ -2,16 +2,25 @@ package qaoa2_test
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"net/http/httptest"
 	"testing"
+	"time"
 
 	"qaoa2"
+	"qaoa2/internal/backend"
+	"qaoa2/internal/fleet"
+	"qaoa2/internal/paraminit"
+	"qaoa2/internal/qsim"
+	"qaoa2/internal/retry"
+	"qaoa2/internal/serve"
 )
 
-// The facade tests pin the public API surface: everything a downstream
-// user needs must be reachable through the root package alone.
+// The facade tests pin the public API surface: the workflow a
+// downstream user runs must be reachable through the root package
+// alone. The tests that compose the facade with a package it does not
+// re-export (fleet, retry, paraminit, noise models) pin that the
+// facade's types plug into it unchanged.
 
 func TestFacadeGraphAndBaselines(t *testing.T) {
 	g := qaoa2.NewGraph(4)
@@ -29,12 +38,6 @@ func TestFacadeGraphAndBaselines(t *testing.T) {
 	r := qaoa2.NewRand(1)
 	if c := qaoa2.RandomCut(g, 4, r); c.Value < 0 {
 		t.Fatal("random cut negative")
-	}
-	if c := qaoa2.OneExchange(g, r); c.Value != 3 {
-		t.Fatalf("one-exchange %v (two disjoint edges are trivially optimal)", c.Value)
-	}
-	if c := qaoa2.SimulatedAnnealing(g, qaoa2.AnnealOptions{Sweeps: 50}, r); c.Value != 3 {
-		t.Fatalf("annealing %v", c.Value)
 	}
 }
 
@@ -78,17 +81,23 @@ func TestFacadeQAOA2EndToEnd(t *testing.T) {
 	}
 }
 
+// TestFacadeRQAOA builds RQAOA by registry name and runs it as the
+// leaf solver of a Solve whose graph fits the device in one piece.
 func TestFacadeRQAOA(t *testing.T) {
 	g := qaoa2.ErdosRenyi(10, 0.4, qaoa2.Unweighted, qaoa2.NewRand(6))
-	res, err := qaoa2.SolveRQAOA(g, qaoa2.RQAOAOptions{
-		Cutoff: 6,
-		QAOA:   qaoa2.QAOAOptions{Layers: 2, MaxIters: 25},
-	}, qaoa2.NewRand(6))
+	s, err := qaoa2.BuildSolver(qaoa2.SolverSpec{Name: "rqaoa", Cutoff: 6, Layers: 2, MaxIters: 25})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := qaoa2.Solve(g, qaoa2.Options{MaxQubits: 10, Solver: s, Seed: 6})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := res.Cut.Validate(g); err != nil {
 		t.Fatal(err)
+	}
+	if len(res.SubReports) != 1 || res.SubReports[0].Solver != "rqaoa" {
+		t.Fatalf("sub-reports %+v, want one rqaoa solve", res.SubReports)
 	}
 }
 
@@ -129,21 +138,16 @@ func TestFacadeDensityPolicy(t *testing.T) {
 	}
 }
 
+// TestFacadeNoiseAndWarmStart starts the facade's QAOA solver from a
+// learned warm start (a paraminit prediction in QAOAOptions.InitGammas
+// and InitBetas) and runs it on the noisy backend.
 func TestFacadeNoiseAndWarmStart(t *testing.T) {
 	g := qaoa2.ErdosRenyi(8, 0.4, qaoa2.Unweighted, qaoa2.NewRand(8))
-	v, err := qaoa2.NoisyExpectation(g, []float64{0.4, 0.6}, []float64{0.5, 0.2},
-		qaoa2.NoiseModel{OneQubit: 0.05, TwoQubit: 0.05}, 4, qaoa2.SynthPreferences{}, qaoa2.NewRand(9))
+	data, err := paraminit.BuildDataset([]*qaoa2.Graph{g}, qaoa2.QAOAOptions{Layers: 2, MaxIters: 25}, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v <= 0 || v > g.TotalWeight() {
-		t.Fatalf("noisy expectation %v outside (0, total weight]", v)
-	}
-	data, err := qaoa2.BuildParamDataset([]*qaoa2.Graph{g}, qaoa2.QAOAOptions{Layers: 2, MaxIters: 25}, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pred, err := qaoa2.TrainParamPredictor(data, qaoa2.ParamConfig{Layers: 2, Epochs: 30, Seed: 11})
+	pred, err := paraminit.Train(data, paraminit.Config{Layers: 2, Epochs: 30, Seed: 11})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,6 +157,19 @@ func TestFacadeNoiseAndWarmStart(t *testing.T) {
 	}
 	if len(gs) != 2 || len(bs) != 2 {
 		t.Fatalf("prediction shape %d/%d", len(gs), len(bs))
+	}
+	res, err := qaoa2.SolveQAOA(g, qaoa2.QAOAOptions{
+		Layers: 2, MaxIters: 25, InitGammas: gs, InitBetas: bs,
+		Backend: backend.Noisy{Model: qsim.NoiseModel{OneQubit: 0.05, TwoQubit: 0.05}, Trajectories: 4},
+	}, qaoa2.NewRand(9))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := res.Cut.Validate(g); err != nil {
+		t.Fatal(err)
+	}
+	if v := res.Expectation; v <= 0 || v > g.TotalWeight() {
+		t.Fatalf("noisy expectation %v outside (0, total weight]", v)
 	}
 }
 
@@ -173,55 +190,48 @@ func TestFacadeScheduler(t *testing.T) {
 	}
 }
 
-// TestFacadeFaultTolerance pins the fault-tolerant dispatch surface:
-// retry policies with deterministic jitter, error classification, the
-// circuit breaker lifecycle, the stream-interruption sentinel, and the
-// seeded fault injector.
+// TestFacadeFaultTolerance pins fault-tolerant dispatch through the
+// facade: a RemoteSolver whose daemon is unreachable retries under its
+// policy, trips the shared circuit breaker, and degrades every leaf to
+// its local fallback, so Solve still returns a valid cut and the
+// attribution shows the degradation.
 func TestFacadeFaultTolerance(t *testing.T) {
-	pol := qaoa2.DefaultRetryPolicy(7)
-	if pol.MaxAttempts < 2 {
-		t.Fatalf("default policy retries nothing: %+v", pol)
+	br := &retry.Breaker{FailureThreshold: 2, Cooldown: time.Minute}
+	dead := qaoa2.RemoteSolver{
+		// Nothing listens here: every dial is refused immediately.
+		Client: &qaoa2.ServeClient{Base: "http://127.0.0.1:1"},
+		Retry: retry.Policy{MaxAttempts: 2, BaseDelay: time.Millisecond,
+			MaxDelay: 2 * time.Millisecond, Seed: 7, Breaker: br},
+		Fallback: qaoa2.AnnealSolver{},
 	}
-	if a, b := pol.Delay(2), qaoa2.DefaultRetryPolicy(7).Delay(2); a != b {
-		t.Fatalf("jitter not deterministic: %v vs %v", a, b)
+	g := qaoa2.ErdosRenyi(24, 0.2, qaoa2.Unweighted, qaoa2.NewRand(3))
+	res, err := qaoa2.Solve(g, qaoa2.Options{
+		MaxQubits: 8, Solver: dead, MergeSolver: qaoa2.AnnealSolver{}, Seed: 3,
+	})
+	if err != nil {
+		t.Fatalf("degraded solve failed outright: %v", err)
 	}
-
-	se := &qaoa2.StatusError{Code: 503, Msg: "draining"}
-	if qaoa2.ClassifyError(se) != qaoa2.Retryable {
-		t.Fatal("503 not retryable")
+	if err := res.Cut.Validate(g); err != nil {
+		t.Fatal(err)
 	}
-	if qaoa2.ClassifyError(&qaoa2.StatusError{Code: 400, Msg: "bad"}) != qaoa2.Terminal {
-		t.Fatal("400 not terminal")
+	if res.SubGraphs < 2 {
+		t.Fatalf("expected decomposition, got %d sub-graphs", res.SubGraphs)
 	}
-
-	br := &qaoa2.Breaker{FailureThreshold: 2}
-	if br.State() != qaoa2.BreakerClosed {
-		t.Fatalf("new breaker %v", br.State())
+	for i, sr := range res.SubReports {
+		if sr.Solver != "fallback:anneal" {
+			t.Fatalf("leaf %d attributed to %q, want fallback:anneal", i, sr.Solver)
+		}
 	}
-	br.Failure()
-	br.Failure()
-	if br.State() != qaoa2.BreakerOpen {
-		t.Fatalf("breaker %v after threshold failures", br.State())
-	}
-	if err := br.Allow(); !errors.Is(err, qaoa2.ErrBreakerOpen) {
-		t.Fatalf("open breaker allowed: %v", err)
-	}
-
-	if qaoa2.ErrStreamInterrupted == nil || qaoa2.ErrRetryExhausted == nil {
-		t.Fatal("sentinels missing")
-	}
-
-	in := qaoa2.NewFaultInjector(7).Site("s", qaoa2.FaultSite{P: 1})
-	if d := in.Decide("s"); d.Class == "" || d.Seq != 1 {
-		t.Fatalf("P=1 site passed: %+v", d)
+	if br.State() != retry.BreakerOpen {
+		t.Fatalf("breaker %v after a dead-daemon run, want open", br.State())
 	}
 }
 
-// TestFacadeFleet pins the multi-node fleet surface: a coordinator
-// over two in-process workers built entirely through the root
-// package, routing a solve and answering the roster.
+// TestFacadeFleet puts two facade solve servers behind a fleet
+// coordinator and solves through the facade's client pointed at the
+// coordinator's front door, which speaks the single-daemon wire API.
 func TestFacadeFleet(t *testing.T) {
-	var specs []qaoa2.FleetWorkerSpec
+	var specs []fleet.WorkerSpec
 	for i := 0; i < 2; i++ {
 		srv, err := qaoa2.NewServeServer(qaoa2.ServeConfig{GlobalParallelism: 2})
 		if err != nil {
@@ -230,26 +240,29 @@ func TestFacadeFleet(t *testing.T) {
 		defer srv.Close()
 		hs := httptest.NewServer(srv.Handler())
 		defer hs.Close()
-		specs = append(specs, qaoa2.FleetWorkerSpec{Name: fmt.Sprintf("w%d", i), URL: hs.URL})
+		specs = append(specs, fleet.WorkerSpec{Name: fmt.Sprintf("w%d", i), URL: hs.URL})
 	}
-	c, err := qaoa2.NewFleetCoordinator(qaoa2.FleetConfig{Workers: specs})
+	c, err := fleet.New(fleet.Config{Workers: specs})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
+	front := httptest.NewServer(c.Handler())
+	defer front.Close()
 
 	g := qaoa2.ErdosRenyi(14, 0.3, qaoa2.Unweighted, qaoa2.NewRand(3))
 	req := qaoa2.SolveRequest{Graph: qaoa2.GraphSpecOf(g), MaxQubits: 8,
 		Solver: "anneal", Merge: "anneal", Seed: 3}
-	st, err := c.Solve(context.Background(), req, nil)
+	client := &qaoa2.ServeClient{Base: front.URL}
+	st, err := client.Solve(context.Background(), req, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.State != qaoa2.JobDone || st.Result == nil {
+	if st.State != serve.JobDone || st.Result == nil {
 		t.Fatalf("fleet solve: %+v", st)
 	}
 	ws := c.Workers()
-	if len(ws) != 2 || ws[0].State != qaoa2.FleetWorkerHealthy {
+	if len(ws) != 2 || ws[0].State != fleet.WorkerHealthy {
 		t.Fatalf("roster: %+v", ws)
 	}
 	if c.Stats().Routed != 1 {

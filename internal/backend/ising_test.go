@@ -17,8 +17,8 @@ import (
 // Hamiltonian has no fields.
 
 // reducedGraph builds a deterministic random Hamiltonian and returns
-// it with its reduction graph.
-func reducedGraph(t *testing.T, n int, seed uint64, withFields bool) (*ising.Hamiltonian, *graph.Graph) {
+// its reduction graph.
+func reducedGraph(t *testing.T, n int, seed uint64, withFields bool) *graph.Graph {
 	t.Helper()
 	r := rng.New(seed)
 	h := ising.New(n)
@@ -41,7 +41,7 @@ func reducedGraph(t *testing.T, n int, seed uint64, withFields bool) (*ising.Ham
 	if err != nil {
 		t.Fatal(err)
 	}
-	return h, g
+	return g
 }
 
 func testAngles(layers int, seed uint64) (gammas, betas []float64) {
@@ -105,7 +105,7 @@ func TestIsingFusedDenseParity(t *testing.T) {
 		{"single-qubit-field", 1, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			_, g := reducedGraph(t, tc.n, uint64(tc.n)*13+1, tc.withFields)
+			g := reducedGraph(t, tc.n, uint64(tc.n)*13+1, tc.withFields)
 			cfg := Config{Layers: 3}
 			gammas, betas := testAngles(3, 99)
 			dense, err := Dense{}.Prepare(g, cfg)
@@ -132,9 +132,9 @@ func TestIsingZ2Guard(t *testing.T) {
 	cfg := Config{Layers: 2}
 	gammas, betas := testAngles(2, 5)
 	for _, withFields := range []bool{false, true} {
-		h, g := reducedGraph(t, 6, 17, withFields)
-		if h.Z2Symmetric() == withFields {
-			t.Fatalf("fields %v: Z2Symmetric = %v", withFields, h.Z2Symmetric())
+		g := reducedGraph(t, 6, 17, withFields)
+		if (g.Degree(6) > 0) != withFields {
+			t.Fatalf("fields %v: ancilla degree %d", withFields, g.Degree(6))
 		}
 		a, err := Fused{}.Prepare(g, cfg)
 		if err != nil {

@@ -238,16 +238,6 @@ func (g *Graph) Laplacian() *linalg.Dense {
 	return l
 }
 
-// AdjacencyMatrix returns the dense weighted adjacency matrix.
-func (g *Graph) AdjacencyMatrix() *linalg.Dense {
-	a := linalg.NewDense(g.n)
-	for _, e := range g.edges {
-		a.Add(e.I, e.J, e.W)
-		a.Add(e.J, e.I, e.W)
-	}
-	return a
-}
-
 // fromEdges builds the graph on n nodes whose Edges() is edges, which
 // it keeps. The caller guarantees what AddEdge would check or merge:
 // I < J in range and no pair listed twice. Adjacency rows are cut from
@@ -377,37 +367,6 @@ func (g *Graph) Contract(groupOf []int, numGroups int, weight func(e Edge) float
 		lo = hi
 	}
 	return fromEdges(numGroups, merged), nil
-}
-
-// ConnectedComponents returns the node sets of the connected components,
-// each sorted ascending, ordered by smallest contained node.
-func (g *Graph) ConnectedComponents() [][]int {
-	seen := make([]bool, g.n)
-	var comps [][]int
-	queue := make([]int, 0, g.n)
-	for s := 0; s < g.n; s++ {
-		if seen[s] {
-			continue
-		}
-		seen[s] = true
-		queue = queue[:0]
-		queue = append(queue, s)
-		comp := []int{s}
-		for len(queue) > 0 {
-			v := queue[len(queue)-1]
-			queue = queue[:len(queue)-1]
-			for _, h := range g.adj[v] {
-				if !seen[h.To] {
-					seen[h.To] = true
-					queue = append(queue, h.To)
-					comp = append(comp, h.To)
-				}
-			}
-		}
-		sort.Ints(comp)
-		comps = append(comps, comp)
-	}
-	return comps
 }
 
 // Density returns 2m / (n(n-1)), the fraction of possible edges present.

@@ -260,26 +260,6 @@ func TestContractValidation(t *testing.T) {
 	}
 }
 
-func TestConnectedComponents(t *testing.T) {
-	g := New(6)
-	g.MustAddEdge(0, 1, 1)
-	g.MustAddEdge(1, 2, 1)
-	g.MustAddEdge(4, 5, 1)
-	comps := g.ConnectedComponents()
-	if len(comps) != 3 {
-		t.Fatalf("components=%v", comps)
-	}
-	if len(comps[0]) != 3 || comps[0][0] != 0 {
-		t.Fatalf("first component %v", comps[0])
-	}
-	if len(comps[1]) != 1 || comps[1][0] != 3 {
-		t.Fatalf("singleton component %v", comps[1])
-	}
-	if len(comps[2]) != 2 || comps[2][0] != 4 {
-		t.Fatalf("last component %v", comps[2])
-	}
-}
-
 func TestIntegralWeights(t *testing.T) {
 	pair := func(ws ...float64) *Graph {
 		g := New(len(ws) + 1)
@@ -339,8 +319,8 @@ func TestCutValuePanicsOnBadLength(t *testing.T) {
 	Complete(3).CutValue([]int8{1, 1})
 }
 
-// TestAccessors covers the log/linalg helper surface: weighted
-// degrees, the dense adjacency matrix, and the String summary.
+// TestAccessors covers the log helper surface: weighted degrees and
+// the String summary.
 func TestAccessors(t *testing.T) {
 	g := New(3)
 	MustAdd := g.MustAddEdge
@@ -351,16 +331,6 @@ func TestAccessors(t *testing.T) {
 	}
 	if d := g.WeightedDegree(2); math.Abs(d-0.5) > 1e-15 {
 		t.Fatalf("WeightedDegree(2) = %g, want 0.5", d)
-	}
-	a := g.AdjacencyMatrix()
-	if v := a.At(0, 1); v != 2 {
-		t.Fatalf("A[0,1] = %g, want 2", v)
-	}
-	if v := a.At(1, 0); v != 2 {
-		t.Fatalf("A[1,0] = %g, want 2 (symmetric)", v)
-	}
-	if v := a.At(0, 2); v != 0 {
-		t.Fatalf("A[0,2] = %g, want 0", v)
 	}
 	if s := g.String(); s != "graph{n=3 m=2 w=2.500}" {
 		t.Fatalf("String() = %q", s)

@@ -7,8 +7,7 @@
 // always as a MINIMIZATION objective. The package provides exact
 // QUBO↔Ising conversion, first-class constructors for classic problems
 // (weighted maximum independent set, minimum vertex cover, number
-// partitioning, and MaxCut itself as the degenerate J = w/2 case), and
-// an exact ancilla reduction to MaxCut so every layer above the device —
+// partitioning), and an exact ancilla reduction to MaxCut so every layer above the device —
 // partitioning, QAOA² merging, the solve daemon, checkpoints, the
 // fleet — runs Ising workloads on unchanged plumbing. The reduction is
 // the only way a Hamiltonian executes: internal/qaoa2.SolveIsing and
@@ -21,7 +20,7 @@
 // means "selected" and corresponds to bit 1.
 //
 // The Z2 spin-flip symmetry E(s) = E(−s) holds exactly when every
-// field h_i is zero (Z2Symmetric). The reduction graph is always
+// field h_i is zero. The reduction graph is always
 // flip-symmetric — a cut is — so the fused backend's Z2-reduced engine
 // runs every reduced Hamiltonian exactly, fields or not; the fields
 // live on the ancilla's edges.
@@ -42,7 +41,7 @@ type Coupling struct {
 
 // Hamiltonian is an Ising minimization objective over n spins.
 // The zero-cost way to build one is New followed by AddCoupling /
-// AddField / AddOffset; problem constructors (MaxCut, WeightedMIS, ...)
+// AddField / AddOffset; problem constructors (WeightedMIS, ...)
 // and QUBO.ToIsing build common shapes.
 type Hamiltonian struct {
 	n         int
@@ -123,22 +122,6 @@ func (h *Hamiltonian) AddField(i int, w float64) error {
 // AddOffset accumulates the constant term.
 func (h *Hamiltonian) AddOffset(c float64) { h.offset += c }
 
-// HasFields reports whether any linear term is nonzero — the condition
-// that breaks the Z2 spin-flip symmetry.
-func (h *Hamiltonian) HasFields() bool {
-	for _, f := range h.fields {
-		if f != 0 {
-			return true
-		}
-	}
-	return false
-}
-
-// Z2Symmetric reports whether E(s) = E(−s) for every s. Quadratic
-// terms and the offset are always symmetric; only fields break it. A
-// symmetric Hamiltonian's reduction graph has an isolated ancilla.
-func (h *Hamiltonian) Z2Symmetric() bool { return !h.HasFields() }
-
 // Energy evaluates E(s) for a full ±1 assignment.
 func (h *Hamiltonian) Energy(spins []int8) float64 {
 	if len(spins) != h.n {
@@ -174,7 +157,7 @@ func (h *Hamiltonian) Clone() *Hamiltonian {
 }
 
 // GroundState brute-forces the minimum-energy assignment — the exact
-// reference for tests and small merge problems. n must be at most
+// reference the tests check solvers against. n must be at most
 // MaxExactSpins.
 func (h *Hamiltonian) GroundState() ([]int8, float64, error) {
 	if h.n > MaxExactSpins {

@@ -50,6 +50,18 @@ func energies(h *Hamiltonian) []float64 {
 	return out
 }
 
+// flipSymmetric reports whether E(s) = E(−s) at every basis state.
+func flipSymmetric(h *Hamiltonian) bool {
+	table := energies(h)
+	mask := len(table) - 1
+	for x := range table {
+		if table[x] != table[x^mask] {
+			return false
+		}
+	}
+	return true
+}
+
 func TestCouplingMergeAndValidation(t *testing.T) {
 	h := New(4)
 	if err := h.AddCoupling(2, 0, 1.5); err != nil {
@@ -75,29 +87,26 @@ func TestCouplingMergeAndValidation(t *testing.T) {
 	}
 }
 
+// TestZ2Symmetry pins that only fields break the spin-flip symmetry.
 func TestZ2Symmetry(t *testing.T) {
 	h := randomHamiltonian(t, 6, 3, false)
-	if !h.Z2Symmetric() || h.HasFields() {
-		t.Fatal("field-free Hamiltonian must be Z2-symmetric")
-	}
-	table := energies(h)
-	mask := len(table) - 1
-	for x := range table {
-		if table[x] != table[x^mask] {
-			t.Fatalf("Z2-symmetric table differs at %d vs %d", x, x^mask)
-		}
+	if !flipSymmetric(h) {
+		t.Fatal("field-free Hamiltonian is not Z2-symmetric")
 	}
 	h.AddField(2, 0.25)
-	if h.Z2Symmetric() {
-		t.Fatal("Hamiltonian with a field reported Z2-symmetric")
+	if flipSymmetric(h) {
+		t.Fatal("Hamiltonian with a field is Z2-symmetric")
 	}
 	// Fields that cancel back to zero restore the symmetry.
 	h.AddField(2, -0.25)
-	if !h.Z2Symmetric() {
-		t.Fatal("cancelled field still breaks the reported symmetry")
+	if !flipSymmetric(h) {
+		t.Fatal("cancelled field still breaks the symmetry")
 	}
 }
 
+// TestQUBOIsingRoundTrip converts a QUBO to Ising, checks the energy
+// pointwise, then goes on through the ancilla MaxCut reduction and
+// back: the decoded optimal cut is a QUBO minimizer.
 func TestQUBOIsingRoundTrip(t *testing.T) {
 	r := rng.New(17)
 	q := NewQUBO(6)
@@ -120,44 +129,32 @@ func TestQUBOIsingRoundTrip(t *testing.T) {
 		}
 	}
 
-	// Round-trip QUBO → Ising → QUBO reproduces coefficients (power-of-
-	// two factors; only summation order contributes error).
-	back := h.ToQUBO()
-	if back.N() != q.N() || math.Abs(back.Offset()-q.Offset()) > 1e-12 {
-		t.Fatalf("round-trip offset %g, want %g", back.Offset(), q.Offset())
+	minF := math.Inf(1)
+	for x := 0; x < 1<<6; x++ {
+		minF = math.Min(minF, q.Value(bitsOf(uint64(x), 6)))
 	}
-	wantQuad := map[[2]int]float64{}
-	for _, c := range q.Quad() {
-		wantQuad[[2]int{c.I, c.J}] = c.W
+	g, err := h.ToMaxCut()
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, c := range back.Quad() {
-		if math.Abs(c.W-wantQuad[[2]int{c.I, c.J}]) > 1e-12 {
-			t.Fatalf("round-trip quad (%d,%d) = %g, want %g", c.I, c.J, c.W, wantQuad[[2]int{c.I, c.J}])
-		}
-		delete(wantQuad, [2]int{c.I, c.J})
+	cut, err := maxcut.BruteForce(g)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for k, w := range wantQuad {
-		if w != 0 {
-			t.Fatalf("round-trip dropped quad term %v = %g", k, w)
-		}
+	spins, err := h.DecodeMaxCutSpins(cut.Spins)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for i := range q.Linear() {
-		if math.Abs(back.Linear()[i]-q.Linear()[i]) > 1e-12 {
-			t.Fatalf("round-trip linear[%d] = %g, want %g", i, back.Linear()[i], q.Linear()[i])
-		}
-	}
-
-	// And the other direction: Ising → QUBO → Ising.
-	h2 := randomHamiltonian(t, 5, 23, true)
-	rt := h2.ToQUBO().ToIsing()
-	for x := 0; x < 1<<5; x++ {
-		bits := bitsOf(uint64(x), 5)
-		if a, b := h2.EnergyBits(bits), rt.EnergyBits(bits); math.Abs(a-b) > 1e-12 {
-			t.Fatalf("ising round-trip differs at %d: %g vs %g", x, a, b)
-		}
+	if f := q.Value(graph.BitsFromSpins(spins)); math.Abs(f-minF) > 1e-12 {
+		t.Fatalf("round-trip QUBO value %g, want minimum %g", f, minF)
 	}
 }
 
+// TestMaxCutProblemIsDegenerateCase pins MaxCut as the field-free
+// corner of the Ising plane: the Hamiltonian Σ w_ij (s_i s_j − 1)/2
+// has E(s) = −cut(s) pointwise, is flip-symmetric, and its ancilla
+// reduction is the graph itself with couplings as edge weights and an
+// isolated ancilla.
 func TestMaxCutProblemIsDegenerateCase(t *testing.T) {
 	g := graph.New(5)
 	g.MustAddEdge(0, 1, 1)
@@ -166,15 +163,18 @@ func TestMaxCutProblemIsDegenerateCase(t *testing.T) {
 	g.MustAddEdge(3, 4, 0.5)
 	g.MustAddEdge(0, 4, 1.5)
 	g.MustAddEdge(1, 3, 1)
-	p, err := MaxCutProblem(g)
-	if err != nil {
-		t.Fatal(err)
+	h := New(g.N())
+	for _, ed := range g.Edges() {
+		if err := h.AddCoupling(ed.I, ed.J, ed.W/2); err != nil {
+			t.Fatal(err)
+		}
+		h.AddOffset(-ed.W / 2)
 	}
-	if !p.H.Z2Symmetric() {
+	if !flipSymmetric(h) {
 		t.Fatal("MaxCut Hamiltonian must be Z2-symmetric")
 	}
 	// E(s) = −cut(s) pointwise (cut values summed edge by edge).
-	for x, e := range energies(p.H) {
+	for x, e := range energies(h) {
 		cut := 0.0
 		for _, ed := range g.Edges() {
 			if (x>>uint(ed.I))&1 != (x>>uint(ed.J))&1 {
@@ -185,8 +185,8 @@ func TestMaxCutProblemIsDegenerateCase(t *testing.T) {
 			t.Fatalf("x=%d: E = %g, want −cut = %g", x, e, -cut)
 		}
 	}
-	// Ground state = optimal cut, and Decode reports the cut value.
-	spins, energy, err := p.H.GroundState()
+	// Ground state = optimal cut, and Decode reports its energy.
+	spins, energy, err := h.GroundState()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,12 +197,23 @@ func TestMaxCutProblemIsDegenerateCase(t *testing.T) {
 	if math.Abs(-energy-want.Value) > 1e-12 {
 		t.Fatalf("ground energy %g, want −%g", energy, want.Value)
 	}
-	a, err := p.Decode(spins)
+	a, err := FromHamiltonian(h).Decode(spins)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if math.Abs(a.Objective-want.Value) > 1e-12 || !a.Feasible {
-		t.Fatalf("decoded objective %g feasible=%v, want %g", a.Objective, a.Feasible, want.Value)
+	if math.Abs(a.Objective+want.Value) > 1e-12 || !a.Feasible {
+		t.Fatalf("decoded objective %g feasible=%v, want −%g", a.Objective, a.Feasible, want.Value)
+	}
+	// The reduction adds nothing: no field, so no ancilla edge.
+	red, err := h.ToMaxCut()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if red.N() != g.N()+1 || red.M() != g.M() || red.Degree(g.N()) != 0 {
+		t.Fatalf("reduction %v of a field-free Hamiltonian, want %v plus an isolated ancilla", red, g)
+	}
+	if math.Abs(2*red.TotalWeight()-g.TotalWeight()) > 1e-12 {
+		t.Fatalf("reduction weight %g, want half of %g", red.TotalWeight(), g.TotalWeight())
 	}
 }
 
@@ -247,8 +258,8 @@ func TestWeightedMISGroundState(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.H.Z2Symmetric() {
-		t.Fatal("MIS encoding needs fields; reported Z2-symmetric")
+	if flipSymmetric(p.H) {
+		t.Fatal("MIS encoding needs fields; it is Z2-symmetric")
 	}
 	spins, energy, err := p.H.GroundState()
 	if err != nil {
@@ -321,7 +332,7 @@ func TestNumberPartitionGroundState(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !p.H.Z2Symmetric() {
+	if !flipSymmetric(p.H) {
 		t.Fatal("number partitioning must be Z2-symmetric")
 	}
 	spins, energy, err := p.H.GroundState()

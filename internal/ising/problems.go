@@ -12,7 +12,6 @@ import (
 // and folds them into fingerprint job keys.
 const (
 	KindIsing           = "ising"
-	KindMaxCut          = "maxcut"
 	KindMIS             = "mis"
 	KindVertexCover     = "vertex-cover"
 	KindNumberPartition = "number-partition"
@@ -28,8 +27,8 @@ type Problem struct {
 	Kind string
 	// H is the minimization Hamiltonian encoding the problem.
 	H *Hamiltonian
-	// Graph is the instance graph for graph problems (MaxCut's weighted
-	// graph; the conflict graph for MIS and vertex cover), nil otherwise.
+	// Graph is the conflict graph for MIS and vertex cover, nil
+	// otherwise.
 	Graph *graph.Graph
 	// Weights are per-vertex weights for weighted MIS (nil = unweighted).
 	Weights []float64
@@ -57,24 +56,6 @@ type Assignment struct {
 	// Selected lists the chosen vertices (x_i = 1) for selection
 	// problems (MIS, vertex cover), nil otherwise.
 	Selected []int
-}
-
-// MaxCutProblem encodes MaxCut on g as the degenerate Ising case
-// J_ij = w_ij/2, offset = −W/2, no fields: E(s) = −cut(s), so the
-// Hamiltonian is Z2-symmetric and its reduction is g at half weight
-// plus an isolated ancilla.
-func MaxCutProblem(g *graph.Graph) (*Problem, error) {
-	if g == nil {
-		return nil, fmt.Errorf("ising: nil graph")
-	}
-	h := New(g.N())
-	for _, e := range g.Edges() {
-		if err := h.AddCoupling(e.I, e.J, e.W/2); err != nil {
-			return nil, err
-		}
-	}
-	h.AddOffset(-g.TotalWeight() / 2)
-	return &Problem{Kind: KindMaxCut, H: h, Graph: g}, nil
 }
 
 // WeightedMIS encodes maximum-weight independent set on the conflict
@@ -199,8 +180,6 @@ func (p *Problem) Decode(spins []int8) (Assignment, error) {
 		Feasible: true,
 	}
 	switch p.Kind {
-	case KindMaxCut:
-		a.Objective = p.Graph.CutValue(spins)
 	case KindMIS:
 		for i, x := range a.X {
 			if x == 1 {

@@ -7,12 +7,9 @@ import "fmt"
 //
 //	F(x) = Σ_{i<j} Q_ij x_i x_j + Σ_i L_i x_i + offset,
 //
-// as a MINIMIZATION objective, mirroring Hamiltonian. The two forms
-// convert exactly into each other under x_i = (1 − s_i)/2: every
-// conversion factor is a power of two, so ToIsing followed by ToQUBO
-// (and vice versa) reproduces the original coefficients up to
-// floating-point summation order — the round-trip tests pin it at
-// 1e-12.
+// as a MINIMIZATION objective, mirroring Hamiltonian. ToIsing converts
+// it exactly under x_i = (1 − s_i)/2: F(x) = E(s(x)) at every
+// assignment, up to floating-point summation order (pinned at 1e-12).
 type QUBO struct {
 	n      int
 	quad   pairs
@@ -30,14 +27,6 @@ func NewQUBO(n int) *QUBO {
 
 // N returns the number of binary variables.
 func (q *QUBO) N() int { return q.n }
-
-// Quad returns the quadratic terms (i < j, duplicates merged). The
-// slice is owned by the QUBO; callers must not modify it.
-func (q *QUBO) Quad() []Coupling { return q.quad.terms }
-
-// Linear returns the linear terms. The slice is owned by the QUBO;
-// callers must not modify it.
-func (q *QUBO) Linear() []float64 { return q.linear }
 
 // Offset returns the constant term.
 func (q *QUBO) Offset() float64 { return q.offset }
@@ -92,7 +81,7 @@ func (q *QUBO) Value(x []uint8) float64 {
 //	L x_i     → L/2 · (1 − s_i)
 //
 // Minima map one-to-one: F(x) = E(s(x)) for every assignment (the
-// round-trip tests pin the identity pointwise).
+// conversion tests pin the identity pointwise).
 func (q *QUBO) ToIsing() *Hamiltonian {
 	h := New(q.n)
 	for _, t := range q.quad.terms {
@@ -110,28 +99,4 @@ func (q *QUBO) ToIsing() *Hamiltonian {
 	}
 	h.AddOffset(q.offset)
 	return h
-}
-
-// ToQUBO converts under s_i = 1 − 2x_i, the exact inverse of
-// QUBO.ToIsing:
-//
-//	J s_i s_j → J · (1 − 2x_i − 2x_j + 4 x_i x_j)
-//	h s_i     → h · (1 − 2x_i)
-func (h *Hamiltonian) ToQUBO() *QUBO {
-	q := NewQUBO(h.n)
-	for _, c := range h.couplings.terms {
-		q.AddQuad(c.I, c.J, 4*c.W)
-		q.AddLinear(c.I, -2*c.W)
-		q.AddLinear(c.J, -2*c.W)
-		q.AddOffset(c.W)
-	}
-	for i, f := range h.fields {
-		if f == 0 {
-			continue
-		}
-		q.AddLinear(i, -2*f)
-		q.AddOffset(f)
-	}
-	q.AddOffset(h.offset)
-	return q
 }

@@ -212,28 +212,6 @@ func (p *Predictor) Predict(g *graph.Graph) (gammas, betas []float64, err error)
 	return p.PredictFeatures(mlselect.Features(g))
 }
 
-// MSE evaluates mean squared parameter error over examples.
-func (p *Predictor) MSE(examples []Example) (float64, error) {
-	if len(examples) == 0 {
-		return 0, fmt.Errorf("paraminit: no examples")
-	}
-	total := 0.0
-	count := 0
-	for _, e := range examples {
-		gs, bs, err := p.PredictFeatures(e.Features)
-		if err != nil {
-			return 0, err
-		}
-		for l := range gs {
-			dg := gs[l] - e.Gammas[l]
-			db := bs[l] - e.Betas[l]
-			total += dg*dg + db*db
-			count += 2
-		}
-	}
-	return total / float64(count), nil
-}
-
 // BuildDataset runs QAOA on every graph and collects (features,
 // optimized parameters) pairs — the "large dataset of QAOA results" the
 // paper describes accumulating on the supercomputer.

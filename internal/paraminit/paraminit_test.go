@@ -33,11 +33,18 @@ func TestTrainLearnsSyntheticMapping(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mse, err := p.MSE(test)
-	if err != nil {
-		t.Fatal(err)
+	// Mean squared parameter error over the held-out examples.
+	total := 0.0
+	for _, e := range test {
+		gs, bs, err := p.PredictFeatures(e.Features)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for l := range gs {
+			total += (gs[l]-e.Gammas[l])*(gs[l]-e.Gammas[l]) + (bs[l]-e.Betas[l])*(bs[l]-e.Betas[l])
+		}
 	}
-	if mse > 0.003 {
+	if mse := total / float64(2*2*len(test)); mse > 0.003 {
 		t.Fatalf("held-out MSE %v too high", mse)
 	}
 }

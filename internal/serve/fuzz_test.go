@@ -3,6 +3,10 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
+	"io/fs"
+	"maps"
+	"os"
+	"path/filepath"
 	"testing"
 )
 
@@ -55,6 +59,65 @@ func FuzzSolveRequest(f *testing.F) {
 		}
 		if n.Layers > maxLayers {
 			t.Fatalf("accepted %d layers, limit %d", n.Layers, maxLayers)
+		}
+	})
+}
+
+// FuzzImportCheckpoint drives arbitrary ids and bodies through the
+// checkpoint import, the receiving half of the fleet's re-park
+// hand-off and the one place a request names a file. It must never
+// panic and never create a file outside the state dir; a rejected
+// import leaves the state dir as it was, and an accepted one adds or
+// replaces exactly <id>.ckpt with the body.
+func FuzzImportCheckpoint(f *testing.F) {
+	for _, seed := range []struct{ id, data string }{
+		{"0123456789abcdef", `{"version":2,"graph":"g","seed":1}` + "\n"},
+		{"0123456789abcdef", ""},
+		{"..%2F..%2Fpwned", "{}"},
+		{"../../pwned", "{}"},
+		{"0123456789ABCDEF", "{}"},
+		{"/etc/0123456789a", "{}"},
+		{"", "{}"},
+	} {
+		f.Add(seed.id, []byte(seed.data))
+	}
+	root := f.TempDir()
+	dir := filepath.Join(root, "state")
+	s, err := New(Config{StateDir: dir})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Cleanup(s.Close)
+	// files maps every file under root to its contents.
+	files := func(t *testing.T) map[string]string {
+		out := map[string]string{}
+		err := filepath.WalkDir(root, func(p string, d fs.DirEntry, err error) error {
+			if err != nil || d.IsDir() {
+				return err
+			}
+			data, err := os.ReadFile(p)
+			out[p] = string(data)
+			return err
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	f.Fuzz(func(t *testing.T, id string, data []byte) {
+		before := files(t)
+		err := s.ImportCheckpoint(id, data)
+		after := files(t)
+		if err == nil {
+			path := filepath.Join(dir, id+".ckpt")
+			if filepath.Dir(path) != dir {
+				t.Fatalf("accepted id %q names %s, outside the state dir", id, path)
+			}
+			before[path] = string(data)
+			defer os.Remove(path)
+		}
+		if !maps.Equal(before, after) {
+			t.Fatalf("import of id %q (err %v) left files %v, want %v", id, err, after, before)
 		}
 	})
 }

@@ -7,8 +7,11 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"io/fs"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -333,5 +336,61 @@ func TestLayersBound(t *testing.T) {
 	}
 	if jobs := s.Jobs(); len(jobs) != 0 {
 		t.Fatalf("refused requests left %d jobs", len(jobs))
+	}
+}
+
+// TestCheckpointImportRejectsNonKeyIDs pins that PUT
+// /v1/jobs/{id}/checkpoint writes only inside the state dir. The id
+// names the checkpoint file, so an id that is not a job key — an
+// escaped "../" path above all — is answered 400 and creates nothing,
+// while a job-key id still imports.
+func TestCheckpointImportRejectsNonKeyIDs(t *testing.T) {
+	root := t.TempDir()
+	dir := filepath.Join(root, "a", "state")
+	s, err := New(Config{StateDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	hs := httptest.NewServer(s.Handler())
+	defer hs.Close()
+	put := func(id string) int {
+		req, err := http.NewRequest(http.MethodPut, hs.URL+"/v1/jobs/"+id+"/checkpoint", strings.NewReader("{}"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := hs.Client().Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	for _, id := range []string{
+		"..%2F..%2Fpwned", "..%2F0123456789abcdef", "0123456789ABCDEF",
+		"0123456789abcde", "0123456789abcdef0", "0123456789abcdeg",
+	} {
+		if code := put(id); code != http.StatusBadRequest {
+			t.Errorf("PUT %s: status %d, want 400", id, code)
+		}
+	}
+	if code := put("0123456789abcdef"); code != http.StatusOK {
+		t.Fatalf("PUT of a job key: status %d, want 200", code)
+	}
+	var files []string
+	err = filepath.WalkDir(root, func(p string, d fs.DirEntry, err error) error {
+		if err == nil && !d.IsDir() {
+			files = append(files, p)
+		}
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := filepath.Join(dir, "0123456789abcdef.ckpt"); len(files) != 1 || files[0] != want {
+		t.Fatalf("files after the imports: %v, want only %s", files, want)
+	}
+	if data, err := os.ReadFile(files[0]); err != nil || string(data) != "{}" {
+		t.Fatalf("imported checkpoint %q, %v; want {}", data, err)
 	}
 }

@@ -606,9 +606,13 @@ func (s *Server) CheckpointData(id string) ([]byte, error) {
 // runtime re-validates the header on open and falls back to a full
 // recompute on any mismatch, so a stale or foreign checkpoint can
 // cost time but never correctness. Rejected while the job is already
-// running (its checkpoint file is live) or when the server keeps no
-// state.
+// running (its checkpoint file is live), when the server keeps no
+// state, or when id is not a job key: the id names a file in the state
+// dir, so it is checked before anything touches the filesystem.
 func (s *Server) ImportCheckpoint(id string, data []byte) error {
+	if !isJobKey(id) {
+		return fmt.Errorf("serve: import checkpoint: job id %q is not 16 lowercase hex characters", id)
+	}
 	if s.cfg.StateDir == "" {
 		return fmt.Errorf("serve: no state dir to import a checkpoint into")
 	}
@@ -640,6 +644,20 @@ func (s *Server) ImportCheckpoint(id string, data []byte) error {
 		return fmt.Errorf("serve: import checkpoint: %w", err)
 	}
 	return nil
+}
+
+// isJobKey reports whether id has the form of a job key, the 16
+// lowercase hex characters rt.Header.Fingerprint produces.
+func isJobKey(id string) bool {
+	if len(id) != 16 {
+		return false
+	}
+	for _, c := range []byte(id) {
+		if (c < '0' || c > '9') && (c < 'a' || c > 'f') {
+			return false
+		}
+	}
+	return true
 }
 
 // runJob executes one job through the task-graph runtime and settles

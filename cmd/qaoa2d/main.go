@@ -8,9 +8,13 @@
 // Usage:
 //
 //	qaoa2d -addr 127.0.0.1:8817 -dir /var/lib/qaoa2d
-//	curl -s localhost:8817/v1/solve -d '{"graph":{"nodes":3,"edges":[
-//	  {"i":0,"j":1,"w":1},{"i":1,"j":2,"w":1}]},"solver":"anneal"}'
+//	curl -s localhost:8817/v1/solve -d '{"graph":"3 2\n0 1 1\n1 2 1\n","solver":"anneal"}'
 //	curl -s localhost:8817/v1/jobs/<id>/events   # NDJSON stream
+//
+// The graph is one string in the edge-list text form graph.Read reads
+// ("n m", then one "i j w" line per edge); the object form
+// {"nodes":3,"edges":[{"i":0,"j":1,"w":1},...]} of earlier clients is
+// still read.
 //
 // With -front the same binary becomes a fleet front door instead of a
 // worker: it routes submissions to the named workers by result

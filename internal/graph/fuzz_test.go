@@ -15,8 +15,8 @@ import (
 // written in Read's 0-based format; inFormat rewrites them for
 // ReadGset. They cover a header far over MaxNodes, one just over
 // it, NaN and infinite weights, parallel weights that sum to +Inf, a
-// self-loop, an out-of-range endpoint, both edge-count mismatches and
-// one valid graph.
+// self-loop, an out-of-range endpoint, both edge-count mismatches, one
+// valid graph and a header declaring far more edges than follow.
 var readerSeeds = []string{
 	"2000000000 0\n",
 	fmt.Sprintf("%d 0\n", MaxNodes+1),
@@ -29,20 +29,22 @@ var readerSeeds = []string{
 	"3 2\n0 1 1\n",
 	"3 1\n0 1 1\n1 2 1\n",
 	"# comment\n4 3\n0 1 1.5\n1 2 -2\n2 3 1\n",
+	"3 1000000\n0 1 1\n",
 }
 
 // formats are the two readers, each with the writer of one header
 // line and one edge line of its syntax.
 var formats = []struct {
-	name   string
-	read   func(io.Reader) (*Graph, error)
-	header func(n, m string) string
-	edge   func(i, j int, w string) string
+	name    string
+	read    func(io.Reader) (*Graph, error)
+	dialect format
+	header  func(n, m string) string
+	edge    func(i, j int, w string) string
 }{
-	{"graph", Read,
+	{"graph", Read, plain,
 		func(n, m string) string { return n + " " + m },
 		func(i, j int, w string) string { return fmt.Sprintf("%d %d %s", i, j, w) }},
-	{"gset", ReadGset,
+	{"gset", ReadGset, gset,
 		func(n, m string) string { return n + " " + m },
 		func(i, j int, w string) string { return fmt.Sprintf("%d %d %s", i+1, j+1, w) }},
 }
@@ -69,16 +71,45 @@ func inFormat(k int, seed string) string {
 	return strings.Join(out, "\n")
 }
 
+// addEdgeLoop is the graph an AddEdge per edge builds, nil when a
+// summed weight is not finite: the oracle of FromEdges.
+func addEdgeLoop(n int, edges []Edge) *Graph {
+	g := New(n)
+	for _, e := range edges {
+		g.MustAddEdge(e.I, e.J, e.W)
+	}
+	for _, e := range g.Edges() {
+		if math.IsNaN(e.W) || math.IsInf(e.W, 0) {
+			return nil
+		}
+	}
+	return g
+}
+
 // fuzzRead is the property both targets check: an input either
 // fails with an error, or parses to a graph of at most MaxNodes nodes
 // with finite weights that WriteTo and Read reproduce bit for bit.
 // Either way the bytes allocated are bounded by the input's length and
-// the returned graph's size, never by what a header declares.
-func fuzzRead(t *testing.T, read func(io.Reader) (*Graph, error), data []byte) {
+// the returned graph's size, never by what a header declares. The
+// graph is the one an AddEdge loop builds from the scanned edges, and
+// a scanned input fails only where that loop sums to a non-finite
+// weight.
+func fuzzRead(t *testing.T, read func(io.Reader) (*Graph, error), dialect format, data []byte) {
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	g, err := read(bytes.NewReader(data))
 	runtime.ReadMemStats(&after)
+	if n, edges, scanErr := scan(dialect, string(data), self); scanErr == nil {
+		want := addEdgeLoop(n, edges)
+		if (want == nil) != (err != nil) {
+			t.Fatalf("read error %v, AddEdge loop graph %v", err, want)
+		}
+		if want != nil {
+			requireSameGraph(t, "read against the AddEdge loop", g, want)
+		}
+	} else if err == nil || err.Error() != scanErr.Error() {
+		t.Fatalf("read error %v, scan error %v", err, scanErr)
+	}
 	limit := uint64(1<<20 + 256*len(data))
 	if err == nil {
 		limit += 64 * uint64(g.N())
@@ -120,7 +151,7 @@ func fuzzFormat(f *testing.F, k int) {
 		f.Add([]byte(inFormat(k, seed)))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		fuzzRead(t, formats[k].read, data)
+		fuzzRead(t, formats[k].read, formats[k].dialect, data)
 	})
 }
 

@@ -2,9 +2,12 @@ package graph
 
 import (
 	"bytes"
+	"errors"
+	"fmt"
 	"math"
 	"strings"
 	"testing"
+	"time"
 
 	"qaoa2/internal/rng"
 )
@@ -151,4 +154,67 @@ func (w *limitedWriter) Write(p []byte) (int, error) {
 	}
 	w.written += len(p)
 	return len(p), nil
+}
+
+// TestFromEdgesMatchesAddEdge: on multigraphs with pairs listed several
+// times in both orientations, FromEdges builds the AddEdge loop's graph
+// (edges, adjacency, weight bits), and refuses what the loop would
+// accept only to sum to a non-finite weight.
+func TestFromEdgesMatchesAddEdge(t *testing.T) {
+	r := rng.New(5)
+	for trial := 0; trial < 50; trial++ {
+		n := 2 + r.Intn(30)
+		var edges []Edge
+		for k := r.Intn(4 * n); k > 0; k-- {
+			i, j := r.Intn(n), r.Intn(n)
+			if i == j {
+				continue
+			}
+			edges = append(edges, Edge{I: i, J: j, W: 2*r.Float64() - 1})
+		}
+		g, err := FromEdges(n, edges, self)
+		if err != nil {
+			t.Fatal(err)
+		}
+		requireSameGraph(t, "FromEdges", g, addEdgeLoop(n, edges))
+	}
+	for _, tc := range []struct {
+		name    string
+		edges   []Edge
+		refused bool
+	}{
+		{"self-loop", []Edge{{1, 1, 1}}, false},
+		{"out of range", []Edge{{0, 3, 1}}, false},
+		{"negative endpoint", []Edge{{-1, 0, 1}}, false},
+		{"NaN", []Edge{{0, 1, math.NaN()}}, true},
+		{"+Inf", []Edge{{0, 1, math.Inf(1)}}, true},
+		{"sum to +Inf", []Edge{{0, 1, 1e308}, {1, 0, 1e308}}, true},
+	} {
+		_, err := FromEdges(3, tc.edges, self)
+		var re *RefusedError
+		if err == nil || errors.As(err, &re) != tc.refused {
+			t.Errorf("%s: error %v, want refused=%v", tc.name, err, tc.refused)
+		}
+	}
+}
+
+// TestReadStarInLinearTime: a star lists every edge at one endpoint,
+// which made the AddEdge loop quadratic (2.6 s at 100 000 edges).
+func TestReadStarInLinearTime(t *testing.T) {
+	const m = 1 << 18
+	star := []byte(fmt.Sprintf("%d %d\n", m+1, m))
+	for j := 1; j <= m; j++ {
+		star = append(star, fmt.Sprintf("0 %d 1\n", j)...)
+	}
+	start := time.Now()
+	g, err := Read(bytes.NewReader(star))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if took := time.Since(start); took > 2*time.Second {
+		t.Fatalf("reading a %d-edge star took %v", m, took)
+	}
+	if g.Degree(0) != m {
+		t.Fatalf("centre degree %d, want %d", g.Degree(0), m)
+	}
 }

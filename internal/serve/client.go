@@ -175,12 +175,10 @@ func (c *Client) Stream(ctx context.Context, id string, onEvent func(Event)) (Jo
 			// replayed stream will deliver the complete line.
 			return JobStatus{}, fmt.Errorf("%w: job %s: bad stream line %q", ErrStreamInterrupted, id, line)
 		}
-		switch {
-		case sl.Event != nil:
-			if onEvent != nil {
-				onEvent(*sl.Event)
-			}
-		case sl.Status != nil:
+		if sl.Event != nil && onEvent != nil {
+			onEvent(*sl.Event)
+		}
+		if sl.Status != nil {
 			return *sl.Status, nil
 		}
 	}

@@ -2,12 +2,22 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
+	"errors"
+	"io"
 	"io/fs"
 	"maps"
+	"net/http"
 	"os"
 	"path/filepath"
+	"reflect"
+	"runtime"
+	"strings"
 	"testing"
+
+	"qaoa2/internal/graph"
+	rt "qaoa2/internal/runtime"
 )
 
 // FuzzSolveRequest drives arbitrary bodies through the admission steps
@@ -34,6 +44,13 @@ func FuzzSolveRequest(f *testing.F) {
 		`{"problem":{"kind":"ising","vars":2,"fields":[1]}}`,
 		`{"problem":{"kind":"mis"}}`,
 		`{"problem":{"kind":"tsp"}}`,
+		`{"graph":"3 2\n0 1 1\n1 2 -0.5\n","layers":3,"solver":"qaoa","seed":7}`,
+		`{"problem":{"kind":"mis","graph":"# conflict graph\n3 1\n0 2 1\n"}}`,
+		`{"graph":"3\n0 1 1\n"}`,
+		`{"graph":"3 2\n0 1 1\n"}`,
+		`{"graph":"3 1\n0 1 NaN\n"}`,
+		`{"graph":"3 1\n1 1 1\n"}`,
+		`{"graph":"2000000000 0"}`,
 	} {
 		f.Add([]byte(seed))
 	}
@@ -59,6 +76,156 @@ func FuzzSolveRequest(f *testing.F) {
 		}
 		if n.Layers > maxLayers {
 			t.Fatalf("accepted %d layers, limit %d", n.Layers, maxLayers)
+		}
+	})
+}
+
+// FuzzGraphSpecText sends arbitrary text as a request's graph. The
+// request either fails to decode, with the error graph.Read gives for
+// the text the JSON string carries, or decodes to a graph that builds
+// wherever graph.Read's does (with the same node count and
+// fingerprint) and refuses only what graph.Read refuses or an empty
+// graph. Re-encoding the decoded graph gives the same graph back.
+// Decoding never allocates by what a header declares.
+func FuzzGraphSpecText(f *testing.F) {
+	for _, seed := range []string{
+		"3 2\n0 1 1\n1 2 -0.5\n",
+		"# comment\n\n4 2\n3 0 1e-300\r\n0 3 1e21\n",
+		"2000000000 0\n",
+		"1000000 1000000\n",
+		"0 0\n",
+		"3 1\n0 1 NaN\n",
+		"3 2\n0 1 1e308\n1 0 1e308\n",
+		"3 1\n1 1 1\n",
+		"3 2\n0 1 1\n",
+		"3 1\n0\u00a01 1\n",
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, text string) {
+		body, err := json.Marshal(map[string]string{"graph": text})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var carried struct{ Graph string }
+		if err := json.Unmarshal(body, &carried); err != nil {
+			t.Fatal(err)
+		}
+		want, readErr := graph.Read(strings.NewReader(carried.Graph))
+
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		var req SolveRequest
+		err = json.Unmarshal(body, &req)
+		runtime.ReadMemStats(&after)
+		if alloc, limit := after.TotalAlloc-before.TotalAlloc, uint64(1<<20+64*len(body)); alloc > limit {
+			t.Fatalf("decoding %d bytes allocated %d bytes, limit %d", len(body), alloc, limit)
+		}
+		if err != nil {
+			if readErr == nil || err.Error() != readErr.Error() {
+				t.Fatalf("decode error %v, graph.Read error %v", err, readErr)
+			}
+			return
+		}
+		g, err := req.Graph.Build()
+		if err != nil {
+			if readErr == nil && want.N() > 0 && want.M() <= maxGraphEdges {
+				t.Fatalf("build refused what graph.Read accepts: %v", err)
+			}
+			return
+		}
+		if readErr != nil {
+			t.Fatalf("built what graph.Read refuses: %v", readErr)
+		}
+		if g.N() != want.N() || rt.GraphFingerprint(g) != rt.GraphFingerprint(want) {
+			t.Fatalf("decoded %v, graph.Read made %v", g, want)
+		}
+		again, err := json.Marshal(req.Graph)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var back GraphSpec
+		if err := json.Unmarshal(again, &back); err != nil {
+			t.Fatalf("re-encoded graph %s does not decode: %v", again, err)
+		}
+		if gb, err := back.Build(); err != nil || gb.N() != g.N() || rt.GraphFingerprint(gb) != rt.GraphFingerprint(g) {
+			t.Fatalf("re-encoded graph built as %v (%v), want %v", gb, err, g)
+		}
+	})
+}
+
+// bodyTransport answers every request with 200 and the given body.
+type bodyTransport []byte
+
+func (b bodyTransport) RoundTrip(req *http.Request) (*http.Response, error) {
+	return &http.Response{StatusCode: http.StatusOK, Header: http.Header{},
+		Body: io.NopCloser(bytes.NewReader(b)), Request: req}, nil
+}
+
+// FuzzStreamLines serves arbitrary bodies to Client.Stream. It never
+// panics; the events of the lines before the first status line reach
+// onEvent in body order and Stream returns that status; a body with no
+// status line, or a line that does not decode before it, ends in
+// ErrStreamInterrupted.
+func FuzzStreamLines(f *testing.F) {
+	const (
+		ev     = `{"event":{"seq":1,"task":"s0/sub0","kind":"sub-solve","nodes":4,"value":3}}`
+		ev2    = `{"event":{"seq":2,"task":"s0/stitch","kind":"stitch"}}`
+		status = `{"status":{"id":"0123456789abcdef","state":"done","result":{"spins":"+-","value":1}}}`
+	)
+	for _, seed := range []string{
+		"",
+		ev + "\n" + ev2 + "\n" + status + "\n",
+		status,
+		ev + "\n" + ev2 + "\n",
+		ev + "\n" + `{"event":{"seq":2`,
+		"\r\n  \n" + ev + "\r\n" + status + "\r\n" + ev2 + "\n",
+		`{"event":{"seq":1},"status":{"state":"queued"}}` + "\n" + ev2,
+		"null\n{}\n" + status,
+		`"text"` + "\n" + status,
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		c := &Client{Base: "http://stream.test", HTTP: &http.Client{Transport: bodyTransport(body)}}
+		var got []Event
+		st, err := c.Stream(context.Background(), "0123456789abcdef", func(e Event) { got = append(got, e) })
+		if err != nil && !errors.Is(err, ErrStreamInterrupted) {
+			t.Fatalf("Stream error %v does not wrap ErrStreamInterrupted", err)
+		}
+		if len(body) >= 1<<20 { // past the line bound the client reads with
+			return
+		}
+		var want []Event
+		var wantStatus *JobStatus
+		torn := false
+		for _, line := range bytes.Split(body, []byte("\n")) {
+			if line = bytes.TrimSpace(line); len(line) == 0 {
+				continue
+			}
+			var sl StreamLine
+			if json.Unmarshal(line, &sl) != nil {
+				torn = true
+				break
+			}
+			if sl.Event != nil {
+				want = append(want, *sl.Event)
+			}
+			if sl.Status != nil {
+				wantStatus = sl.Status
+				break
+			}
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("events %+v, want %+v", got, want)
+		}
+		switch {
+		case wantStatus == nil || torn:
+			if !errors.Is(err, ErrStreamInterrupted) {
+				t.Fatalf("body without a status line returned %+v, %v", st, err)
+			}
+		case err != nil || !reflect.DeepEqual(st, *wantStatus):
+			t.Fatalf("returned %+v, %v; want the first status line %+v", st, err, *wantStatus)
 		}
 	})
 }

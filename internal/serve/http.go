@@ -29,11 +29,13 @@ const maxCheckpointImport = 64 << 20
 // MaxSolveBody bounds POST /v1/solve bodies, here and at the fleet
 // front door that forwards them. The decoder buffers a
 // whole request before anything validates it, so the bound is what a
-// hostile client can make the server hold per connection. An edge is
-// ~26 bytes of JSON at unit weight and ~45 with a 17-digit real one,
-// so 16 MiB admits 350 000 to 600 000 edges: ER(2500, 0.1), past the
-// largest graph of the paper's Fig. 4, with room to spare, and the
-// largest Gset instance (G81, 40 000 edges) more than ten times over.
+// hostile client can make the server hold per connection. An edge of
+// the text form takes 7 to 33 bytes of JSON (from "0 1 1\n" to
+// five-digit endpoints and a 17-digit weight), so 16 MiB holds the
+// edge bound of 2^20 at unit weight and 500 000 edges at full
+// precision: ER(2500, 0.1), past the largest graph of the paper's
+// Fig. 4, and the largest Gset instance (G81, 40 000 edges) more than
+// ten times over. The object form takes ~26 to ~45 bytes an edge.
 const MaxSolveBody = 16 << 20
 
 // Handler returns the HTTP API:

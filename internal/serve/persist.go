@@ -182,7 +182,15 @@ func (s *Server) restore() error {
 	if err != nil {
 		return fmt.Errorf("serve: read job table: %w", err)
 	}
-	var st persistedState
+	// Requests decode one by one: a record whose text-form graph does
+	// not parse is skipped like any other damaged record.
+	var st struct {
+		Version int `json:"version"`
+		Jobs    []struct {
+			persistedJob
+			Request json.RawMessage `json:"request"`
+		} `json:"jobs"`
+	}
 	if err := json.Unmarshal(data, &st); err != nil {
 		return s.quarantine(path, fmt.Errorf("serve: corrupt job table %s: %w", path, err))
 	}
@@ -192,7 +200,11 @@ func (s *Server) restore() error {
 	var requeue []*job
 	var skipErr error
 	for _, pj := range st.Jobs {
-		req, err := pj.Request.normalize()
+		if err := json.Unmarshal(pj.Request, &pj.persistedJob.Request); err != nil {
+			skipErr = fmt.Errorf("serve: skipped persisted job %s: %w", pj.ID, err)
+			continue
+		}
+		req, err := pj.persistedJob.Request.normalize()
 		if err != nil {
 			skipErr = fmt.Errorf("serve: skipped persisted job %s: %w", pj.ID, err)
 			continue

@@ -3,6 +3,7 @@ package serve
 import (
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 )
@@ -144,8 +145,9 @@ func TestRestoreStaleTmp(t *testing.T) {
 	}
 }
 
-// TestRestoreSkipsBadEntry: one tampered record (ID no longer matches
-// its request fingerprint) is dropped; intact records restore.
+// TestRestoreSkipsBadEntry: a tampered record (ID no longer matches
+// its request fingerprint) and a record whose graph no longer parses
+// are dropped; intact records restore.
 func TestRestoreSkipsBadEntry(t *testing.T) {
 	dir, id := seedStateDir(t)
 	path := filepath.Join(dir, jobsFile)
@@ -157,8 +159,11 @@ func TestRestoreSkipsBadEntry(t *testing.T) {
 	// verification must reject the clone and keep the original.
 	forged := strings.Replace(string(data), `"id":"`+id+`"`,
 		`"id":"deadbeef"`, 1)
+	record := strings.TrimSuffix(strings.TrimSpace(forged[strings.Index(forged, `{"id":"deadbeef"`):]), "]}")
+	unreadable := regexp.MustCompile(`"graph":"[^"]*"`).ReplaceAllString(
+		strings.Replace(record, "deadbeef", "0badc0de", 1), `"graph":"3 1\n0 0 1\n"`)
 	doctored := strings.TrimSuffix(strings.TrimSpace(string(data)), "]}") +
-		"," + forged[strings.Index(forged, `{"id":"deadbeef"`):]
+		"," + record + "," + unreadable + "]}"
 	if err := os.WriteFile(path, []byte(doctored), 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -171,8 +176,10 @@ func TestRestoreSkipsBadEntry(t *testing.T) {
 	if st, err := s.Job(id); err != nil || st.State != JobDone {
 		t.Fatalf("intact record lost: %+v, %v", st, err)
 	}
-	if _, err := s.Job("deadbeef"); err == nil {
-		t.Fatal("tampered record restored")
+	for _, bad := range []string{"deadbeef", "0badc0de"} {
+		if _, err := s.Job(bad); err == nil {
+			t.Fatalf("damaged record %s restored", bad)
+		}
 	}
 	if err := s.PersistErr(); err == nil || !strings.Contains(err.Error(), "skipped") {
 		t.Fatalf("PersistErr %v, want a skipped-entry note", err)

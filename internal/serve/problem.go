@@ -114,8 +114,26 @@ func (p ProblemSpec) Build() (*ising.Problem, error) {
 // render identically and distinct specs that happen to reduce to the
 // same MaxCut graph (e.g. raw Hamiltonians differing only in Offset)
 // still key as distinct solves.
+//
+// The graph renders in the object form the ids were first computed on,
+// not in the wire's text form, so ids and persisted jobs keep matching;
+// its edges render as [] when nil, because the text form decodes no
+// edges as an empty list and a restored job must key as it did.
 func (p ProblemSpec) canonical() string {
-	b, err := json.Marshal(p)
+	type fields ProblemSpec // the fields without the methods
+	key := struct {
+		Kind  string       `json:"kind"`
+		Graph *graphObject `json:"graph,omitempty"`
+		*fields
+	}{Kind: p.Kind, fields: (*fields)(&p)}
+	if p.Graph != nil {
+		g := graphObject(*p.Graph)
+		if g.Edges == nil {
+			g.Edges = []EdgeSpec{}
+		}
+		key.Graph = &g
+	}
+	b, err := json.Marshal(key)
 	if err != nil {
 		// Unreachable: the spec holds only JSON-native types. Keying on
 		// the error string keeps distinct failures from colliding.

@@ -1,6 +1,8 @@
 package serve
 
 import (
+	"bytes"
+	"encoding/json"
 	"errors"
 	"fmt"
 
@@ -16,10 +18,47 @@ type EdgeSpec struct {
 	W float64 `json:"w"`
 }
 
-// GraphSpec is the wire form of a MaxCut instance.
+// GraphSpec is the wire form of a MaxCut instance. On the wire it is
+// one JSON string holding graph.Read's text form ("n m" and one "i j w"
+// line per edge); UnmarshalJSON also reads the object form
+// {"nodes":n,"edges":[{"i":i,"j":j,"w":w},...]} that clients and
+// jobs.json files written before the text form still carry.
 type GraphSpec struct {
 	Nodes int        `json:"nodes"`
 	Edges []EdgeSpec `json:"edges"`
+}
+
+// graphObject is GraphSpec without its methods: encoding/json gives it
+// the object form. It decodes that form, and it renders a problem's
+// graph in the job key (ProblemSpec.canonical), whose ids predate the
+// text form.
+type graphObject GraphSpec
+
+// MarshalText writes the graph in the text form; encoding/json sends
+// it as one string.
+func (s GraphSpec) MarshalText() ([]byte, error) {
+	return graph.AppendText(nil, s.Nodes, s.Edges, func(e EdgeSpec) graph.Edge { return graph.Edge(e) }), nil
+}
+
+// UnmarshalJSON reads a string through graph.ParseText, so a text-form
+// graph fails here with graph.Read's error for the same text, and any
+// other value as the object form, unknown fields refused.
+func (s *GraphSpec) UnmarshalJSON(data []byte) error {
+	if len(data) == 0 || data[0] != '"' {
+		dec := json.NewDecoder(bytes.NewReader(data))
+		dec.DisallowUnknownFields()
+		return dec.Decode((*graphObject)(s))
+	}
+	var text string
+	if err := json.Unmarshal(data, &text); err != nil {
+		return err
+	}
+	n, edges, err := graph.ParseText(text, func(e graph.Edge) EdgeSpec { return EdgeSpec(e) })
+	if err != nil {
+		return err
+	}
+	*s = GraphSpec{Nodes: n, Edges: edges}
+	return nil
 }
 
 // GraphSpecOf converts a graph into its wire form (the client-side
@@ -36,11 +75,11 @@ func GraphSpecOf(g *graph.Graph) GraphSpec {
 // adjacency table from it before a single edge is read, so without a
 // bound a 30-byte body asks for gigabytes behind MaxSolveBody. 2^20 of
 // each is fifty times the nodes and twenty-five times the edges of the
-// largest Gset instance (G81: 20 000 nodes, 40 000 edges), more edges
-// than a MaxSolveBody body can spell out, and costs tens of megabytes
-// to hold. In-process callers of Submit never pass the body limit, and
-// a number-partition problem squares its input, so edges are bounded
-// here too.
+// largest Gset instance (G81: 20 000 nodes, 40 000 edges) and costs
+// tens of megabytes to hold. A text-form body within MaxSolveBody can
+// list up to 2.8 million edge lines, in-process callers of Submit never
+// pass the body limit, and a number-partition problem squares its
+// input, so edges are bounded here too.
 const (
 	maxGraphNodes = 1 << 20
 	maxGraphEdges = 1 << 20
@@ -70,7 +109,9 @@ func checkSize(nodes, edges int) error {
 	return nil
 }
 
-// Build materializes the instance.
+// Build materializes the instance in time linear in its edges. A
+// non-finite weight, or a pair listed twice whose weights sum to one,
+// fails with a *graph.RefusedError.
 func (s GraphSpec) Build() (*graph.Graph, error) {
 	if s.Nodes <= 0 {
 		return nil, fmt.Errorf("serve: graph needs nodes >= 1, got %d", s.Nodes)
@@ -78,11 +119,9 @@ func (s GraphSpec) Build() (*graph.Graph, error) {
 	if err := checkSize(s.Nodes, len(s.Edges)); err != nil {
 		return nil, err
 	}
-	g := graph.New(s.Nodes)
-	for _, e := range s.Edges {
-		if err := g.AddEdge(e.I, e.J, e.W); err != nil {
-			return nil, fmt.Errorf("serve: bad edge (%d,%d): %w", e.I, e.J, err)
-		}
+	g, err := graph.FromEdges(s.Nodes, s.Edges, func(e EdgeSpec) graph.Edge { return graph.Edge(e) })
+	if err != nil {
+		return nil, fmt.Errorf("serve: bad edge: %w", err)
 	}
 	return g, nil
 }

@@ -1,7 +1,8 @@
 // Command qaoa2 solves a MaxCut instance with the QAOA² divide-and-
 // conquer method, choosing sub-graph solvers the way the paper's hybrid
-// workflow does (quantum, classical, or best-of), and prints the
-// decomposition and the resulting cut.
+// workflow does (quantum, classical, the best of both, or the learned
+// QAOA-vs-GW selection), and prints the decomposition and the
+// resulting cut.
 //
 // Solver names resolve through the solver registry (internal/solver),
 // the same table the qaoa2d daemon accepts over HTTP.
@@ -12,7 +13,6 @@
 //	qaoa2 -in instance.txt -solver gw
 //	qaoa2 -nodes 200 -solver qaoa -backend dense    # reference gate walk
 //	qaoa2 -nodes 200 -solver ml-adaptive            # learned QAOA-vs-GW gate
-//	qaoa2 -nodes 200 -solver portfolio -portfolio-budget 500
 package main
 
 import (
@@ -49,7 +49,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		iters     = fs.Int("iters", 0, "optimizer iteration budget (0 = paper's p-dependent default)")
 		rhobeg    = fs.Float64("rhobeg", 0.5, "COBYLA initial trust radius")
 		shots     = fs.Int("shots", 0, "QAOA objective shots (0 = exact expectation, 4096 = paper)")
-		budget    = fs.Int64("portfolio-budget", 0, "portfolio racing deadline in milliseconds (0 = wait for every member)")
 		seed      = fs.Uint64("seed", 1, "random seed")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -77,7 +76,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	spec := func(name string) root.SolverSpec {
 		return root.SolverSpec{
 			Name: name, Layers: *layers, MaxIters: *iters, Rhobeg: *rhobeg,
-			Shots: *shots, Backend: *backendN, BudgetMS: *budget, Seed: *seed,
+			Shots: *shots, Backend: *backendN, Seed: *seed,
 		}
 	}
 	sub, err := root.BuildSolver(spec(*solverN))

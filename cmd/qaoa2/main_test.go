@@ -25,6 +25,8 @@ func TestUsageErrorsExitTwo(t *testing.T) {
 		{"unknown merge", []string{"-merge", "bogus"}, "unknown solver"},
 		{"unknown backend", []string{"-backend", "bogus"}, "bogus"},
 		{"retired sharded backend", []string{"-backend", "fused-dist:2"}, "unknown backend \"fused-dist:2\""},
+		{"retired portfolio solver", []string{"-solver", "portfolio"}, "unknown solver \"portfolio\""},
+		{"retired portfolio budget", []string{"-portfolio-budget", "5"}, "flag provided but not defined: -portfolio-budget"},
 	}
 	for _, tc := range cases {
 		var out, errb strings.Builder
@@ -76,7 +78,7 @@ func TestRunSolvesSmallInstance(t *testing.T) {
 func TestCLIAndHTTPAcceptIdenticalSolverNames(t *testing.T) {
 	names := root.SolverNames()
 	want := []string{"anneal", "best", "exact", "gw", "ml-adaptive", "one-exchange",
-		"portfolio", "qaoa", "random", "rqaoa", "sdp-gw"}
+		"qaoa", "random", "rqaoa", "sdp-gw"}
 	if !reflect.DeepEqual(names, want) {
 		t.Fatalf("registry names = %v, want %v (update both this test and the docs when adding solvers)", names, want)
 	}

@@ -50,12 +50,8 @@ func (s gatedAnneal) SolveSub(g *graph.Graph, r *rng.Rand) (maxcut.Cut, error) {
 func init() {
 	// A test-only registry name: the daemon under test resolves it with
 	// its default ResolveSolvers, like any other name.
-	if err := solver.Register("gated-anneal", func(spec solver.Spec) (solver.Solver, error) {
-		inner, err := solver.Build(solver.Spec{Name: "anneal", Sweeps: spec.Sweeps})
-		if err != nil {
-			return nil, err
-		}
-		return gatedAnneal{inner.(solver.AnnealSolver)}, nil
+	if err := solver.Register("gated-anneal", func(solver.Spec) (solver.Solver, error) {
+		return gatedAnneal{}, nil
 	}); err != nil {
 		panic(err)
 	}

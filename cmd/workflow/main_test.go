@@ -68,9 +68,9 @@ func TestSubmitDemoAgainstLiveService(t *testing.T) {
 		t.Fatalf("cached resubmission output:\n%s", second.String())
 	}
 
-	// The registry's adaptive solvers are selectable by name over the
+	// The registry's composite solvers are selectable by name over the
 	// same remote path (ISSUE 5 acceptance: cmd/workflow -submit).
-	for _, name := range []string{"ml-adaptive", "portfolio"} {
+	for _, name := range []string{"ml-adaptive", "best"} {
 		var buf strings.Builder
 		if err := submitDemo(&buf, hs.URL, 30, 0.2, 8, 2, 9, name, "gw"); err != nil {
 			t.Fatalf("%s: %v", name, err)

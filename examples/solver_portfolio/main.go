@@ -5,12 +5,13 @@
 //
 //	go run ./examples/solver_portfolio
 //
-// It compares the paper's fixed policies (all-QAOA, all-GW) against the
-// two adaptive ones the registry adds: "ml-adaptive" (the learned
-// QAOA-vs-GW gate from the Fig. 3 knowledge base — one solve per
-// sub-graph) and "portfolio" (race members concurrently, keep the
-// best). The attribution columns come from SubReport.Solver, which
-// names the member that actually produced each kept cut.
+// It compares the paper's fixed policies (all-QAOA, all-GW) against its
+// two per-sub-graph choices: "best" (run QAOA, then GW unless QAOA's
+// cut is certified optimal, and keep the better — the paper's "Best"
+// series) and "ml-adaptive" (the learned QAOA-vs-GW gate from the
+// Fig. 3 knowledge base, §5 — one solve per sub-graph). The
+// attribution column comes from SubReport.Solver, which names the
+// member that actually produced each kept cut.
 package main
 
 import (
@@ -40,7 +41,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	for _, name := range []string{"qaoa", "gw", "ml-adaptive", "portfolio"} {
+	for _, name := range []string{"qaoa", "gw", "best", "ml-adaptive"} {
 		sub, err := qaoa2.BuildSolver(qaoa2.SolverSpec{Name: name, Layers: 2, Seed: seed})
 		if err != nil {
 			log.Fatalf("%s: %v", name, err)
@@ -65,8 +66,8 @@ func main() {
 }
 
 // winners aggregates SubReport.Solver — the ACTUAL producer of each
-// kept cut, which for ml-adaptive and portfolio exposes the
-// per-sub-graph quantum-vs-classical decision.
+// kept cut, which for best and ml-adaptive exposes the per-sub-graph
+// quantum-vs-classical decision.
 func winners(reports []qaoa2.SubReport) string {
 	count := map[string]int{}
 	for _, r := range reports {

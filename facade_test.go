@@ -82,10 +82,12 @@ func TestFacadeQAOA2EndToEnd(t *testing.T) {
 }
 
 // TestFacadeRQAOA builds RQAOA by registry name and runs it as the
-// leaf solver of a Solve whose graph fits the device in one piece.
+// leaf solver of a Solve whose graph fits the device in one piece; at
+// the default cutoff (8) the 10-node leaf eliminates before it brute-
+// forces the residual.
 func TestFacadeRQAOA(t *testing.T) {
 	g := qaoa2.ErdosRenyi(10, 0.4, qaoa2.Unweighted, qaoa2.NewRand(6))
-	s, err := qaoa2.BuildSolver(qaoa2.SolverSpec{Name: "rqaoa", Cutoff: 6, Layers: 2, MaxIters: 25})
+	s, err := qaoa2.BuildSolver(qaoa2.SolverSpec{Name: "rqaoa", Layers: 2, MaxIters: 25})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -48,7 +48,7 @@ type RemoteSolver struct {
 	Client *serve.Client
 	// Solver/Merge name the solvers the daemon resolves through the
 	// shared registry (internal/solver) — any registered name,
-	// including "ml-adaptive" and "portfolio" (default
+	// including the composites "best" and "ml-adaptive" (default
 	// "anneal"/"anneal", deterministic and cheap; set "qaoa" to spend
 	// remote quantum simulation). The DAEMON's registry is the
 	// authority: names are deliberately not pre-validated here, so a

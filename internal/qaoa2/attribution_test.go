@@ -69,8 +69,7 @@ func TestAttributionNamesActualWinnerEverywhere(t *testing.T) {
 	const seed = 77
 
 	composites := map[string]solver.Solver{
-		"best":      solver.BestOfSolver{Solvers: attributionMembers()},
-		"portfolio": solver.PortfolioSolver{Solvers: attributionMembers()},
+		"best": solver.BestOfSolver{Solvers: attributionMembers()},
 	}
 	for label, comp := range composites {
 		opts := Options{MaxQubits: 6, Partition: parts, Solver: comp,
@@ -201,8 +200,7 @@ func TestCertifiedSkipKeepsAttributionShape(t *testing.T) {
 	members := []solver.Solver{solver.ExactSolver{}, solver.OneExchangeSolver{}, solver.RandomSolver{Trials: 1}}
 	everyMemberRuns := []solver.Solver{uncertified{solver.ExactSolver{}}, solver.OneExchangeSolver{}, solver.RandomSolver{Trials: 1}}
 	for label, build := range map[string]func([]solver.Solver) solver.Solver{
-		"best":      func(m []solver.Solver) solver.Solver { return solver.BestOfSolver{Solvers: m} },
-		"portfolio": func(m []solver.Solver) solver.Solver { return solver.PortfolioSolver{Solvers: m} },
+		"best": func(m []solver.Solver) solver.Solver { return solver.BestOfSolver{Solvers: m} },
 	} {
 		opts := Options{
 			MaxQubits: 6, Partition: parts, MergeSolver: solver.OneExchangeSolver{}, Seed: 77,

@@ -123,7 +123,7 @@ type SubReport struct {
 	Edges int     `json:"edges"` // sub-graph edge count
 	Value float64 `json:"value"` // cut value found by the solver
 	// Solver names the solver that actually produced the kept cut:
-	// for composite strategies (best, portfolio, ml-adaptive) this is
+	// for the composite strategies (best, ml-adaptive) this is
 	// the WINNING member, so the report exposes the per-sub-graph
 	// quantum-vs-classical decision directly.
 	Solver string `json:"solver"`

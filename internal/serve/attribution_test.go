@@ -24,7 +24,7 @@ func TestServeCompositeAttributionEndToEnd(t *testing.T) {
 	defer s.Close()
 
 	g := graph.ErdosRenyi(36, 0.25, graph.Unweighted, rng.New(6))
-	for _, name := range []string{"best", "portfolio", "ml-adaptive"} {
+	for _, name := range []string{"best", "ml-adaptive"} {
 		st, err := s.Submit(SolveRequest{
 			Graph:     GraphSpecOf(g),
 			MaxQubits: 6,
@@ -166,7 +166,7 @@ func assertWinnerAmongAttempts(t *testing.T, label, winner string, value float64
 func TestServeSolverNamesKeyJobs(t *testing.T) {
 	g := graph.ErdosRenyi(10, 0.4, graph.Unweighted, rng.New(2))
 	reqA := SolveRequest{Graph: GraphSpecOf(g), Solver: "ml-adaptive", Merge: "gw", Seed: 1}
-	reqB := SolveRequest{Graph: GraphSpecOf(g), Solver: "portfolio", Merge: "gw", Seed: 1}
+	reqB := SolveRequest{Graph: GraphSpecOf(g), Solver: "best", Merge: "gw", Seed: 1}
 	a, err := reqA.normalize()
 	if err != nil {
 		t.Fatal(err)
@@ -179,7 +179,7 @@ func TestServeSolverNamesKeyJobs(t *testing.T) {
 	if a.key(fp) == b.key(fp) {
 		t.Fatal("different solvers share a job key")
 	}
-	if !strings.Contains("ml-adaptive portfolio", a.Solver) {
+	if !strings.Contains("ml-adaptive best", a.Solver) {
 		t.Fatalf("normalize rewrote the solver name to %q", a.Solver)
 	}
 }

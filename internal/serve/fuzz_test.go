@@ -32,6 +32,7 @@ func FuzzSolveRequest(f *testing.F) {
 		`{"graph":{"nodes":2,"edges":[{"i":0,"j":1,"w":1}]},"layers":65}`,
 		`{"graph":{"nodes":2000000000}}`,
 		`{"graph":{"nodes":2,"edges":[{"i":0,"j":0,"w":1}]}}`,
+		// "portfolio" is a deleted solver: the unknown-solver rejection.
 		`{"graph":{"nodes":2},"solver":"portfolio","merge":"best","maxQubits":4,"priority":"high","parallelism":2}`,
 		`{"graph":{"nodes":2},"priority":"urgent"}`,
 		`{"graph":{"nodes":2},"parallelism":-1}`,

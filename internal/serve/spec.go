@@ -152,8 +152,8 @@ type SolveRequest struct {
 	MaxQubits int          `json:"maxQubits,omitempty"`
 	// Solver/Merge name the sub-graph and merge-graph solvers — any
 	// name in the solver registry (internal/solver: "qaoa", "gw",
-	// "sdp-gw", "rqaoa", "best", "portfolio", "ml-adaptive", "anneal",
-	// "random", "one-exchange", "exact", plus anything registered at
+	// "sdp-gw", "rqaoa", "best", "ml-adaptive", "anneal", "random",
+	// "one-exchange", "exact", plus anything registered at
 	// run time); defaults mirror cmd/qaoa2 ("best" / "gw").
 	Solver string `json:"solver,omitempty"`
 	Merge  string `json:"merge,omitempty"`

@@ -28,7 +28,7 @@ func BenchmarkMLAdaptiveDispatch(b *testing.B) {
 // on the serve daemon's submission path, so it must stay trivially
 // cheap relative to a solve.
 func BenchmarkRegistryBuild(b *testing.B) {
-	spec := Spec{Name: "portfolio", Layers: 3, Seed: 1}
+	spec := Spec{Name: "best", Layers: 3, Seed: 1}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if _, err := Build(spec); err != nil {

@@ -1,6 +1,7 @@
 package solver
 
 import (
+	"crypto/sha256"
 	"fmt"
 	"reflect"
 	"strings"
@@ -49,8 +50,7 @@ func TestRegistryConfigTagsHoldNoAddress(t *testing.T) {
 	for _, name := range Names() {
 		for _, spec := range []Spec{
 			{Name: name},
-			{Name: name, Layers: 2, Seed: 7, Backend: "fused-full",
-				Inner: []Spec{{Name: "qaoa", Layers: 1, Backend: "dense"}, {Name: "anneal"}}},
+			{Name: name, Layers: 2, Seed: 7, Backend: "fused-full"},
 		} {
 			s, err := Build(spec)
 			if err != nil {
@@ -79,5 +79,41 @@ func TestRegistryConfigTagsHoldNoAddress(t *testing.T) {
 	addressPaths(reflect.ValueOf(MLAdaptiveSolver{Model: DefaultSelector()}), "ml", false, &paths)
 	if len(paths) != 1 || !strings.Contains(paths[0], "ml.Model") {
 		t.Fatalf("walk missed the Model pointer: %v", paths)
+	}
+}
+
+// TestRegistryConfigTagsUnchanged pins the sha256 of ConfigTag for every
+// registered name, at its zero spec and at a spec setting every QAOA
+// field, to the tags recorded before Spec lost the fields no command,
+// daemon or benchmark set (restarts, sweeps, trials, cutoff, inner
+// members, the racing budget). A checkpoint header carries these tags
+// and a serve job's checkpoint resumes only under them, so none may move.
+func TestRegistryConfigTagsUnchanged(t *testing.T) {
+	want := map[string][2]string{
+		"anneal":       {"6ee4003d0c83ae7b9bb93e6966271cba20bfcbbc97edd5b3a07fef4679a427f5", "6ee4003d0c83ae7b9bb93e6966271cba20bfcbbc97edd5b3a07fef4679a427f5"},
+		"best":         {"6adb095b5fb25da87c1398bf21b78d383f233e7e8919c596b5398bfdafd15203", "72e3686e6fd38efea3d2bf5f465b7f67a848f4ebe28b8899ccb7d7232fb17baf"},
+		"exact":        {"8e2569f44487de74de31e660401c0aeaa3d548caae7c930c65e6b164e3000217", "8e2569f44487de74de31e660401c0aeaa3d548caae7c930c65e6b164e3000217"},
+		"gw":           {"41e4ce20d8417c2ab97ab8c05165d286646d0825749af9de4d1261457be924cb", "41e4ce20d8417c2ab97ab8c05165d286646d0825749af9de4d1261457be924cb"},
+		"ml-adaptive":  {"85a57e8ff8369abb853f46560c154748e372de3bd59f81f9023779294cd4af62", "7d02772d02f5f6485c102acdd60f981703c5b29dd3a7dcadeca7fe1f9239c66a"},
+		"one-exchange": {"2b5f94864ca7ae5f0e478d108a59a8b3c98ff704d95826d2e28abfd57a7e1996", "2b5f94864ca7ae5f0e478d108a59a8b3c98ff704d95826d2e28abfd57a7e1996"},
+		"qaoa":         {"c25f5418cdb85c7e560b721d86dfec25898c5b851988873a588902b5d667a66f", "cf135b409d633950762a254f1cf3f3d7b15da2952ec854c34de86a33cddbdc49"},
+		"random":       {"6ffea3bfb3824aaeeb09f6a4120fa5642fb8cdb2ba6a1d8d9411d22741ea4ecf", "6ffea3bfb3824aaeeb09f6a4120fa5642fb8cdb2ba6a1d8d9411d22741ea4ecf"},
+		"rqaoa":        {"c9b73cfe4903850448360bd5e99b14ca8826abe3d781c812522a15967f937d96", "7c632ca06957ed19d4d4a03c0569749833d4e2938171fe44f98b19a4e18f2f2f"},
+		"sdp-gw":       {"defdea65a3d03ca4a896e6512b5758a5ae5204cf20e6f0efb011a72df6803054", "320c32d271dd3915e65f3817a0c2bc8e67027d3be1ec3146d46054585e1f841d"},
+	}
+	for name, sums := range want {
+		for i, spec := range []Spec{
+			{Name: name},
+			{Name: name, Layers: 2, Seed: 7, Backend: "fused-full", MaxIters: 20, Rhobeg: 0.4, Shots: 64},
+		} {
+			s, err := Build(spec)
+			if err != nil {
+				t.Fatalf("%+v: %v", spec, err)
+			}
+			tag := ConfigTag(s)
+			if got := fmt.Sprintf("%x", sha256.Sum256([]byte(tag))); got != sums[i] {
+				t.Errorf("%+v: ConfigTag moved: sha256 %s, want %s\n%s", spec, got, sums[i], tag)
+			}
+		}
 	}
 }

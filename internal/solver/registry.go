@@ -5,11 +5,9 @@ import (
 	"sort"
 	"strings"
 	"sync"
-	"time"
 
 	"qaoa2/internal/backend"
 	"qaoa2/internal/gw"
-	"qaoa2/internal/maxcut"
 	"qaoa2/internal/qaoa"
 	"qaoa2/internal/rqaoa"
 	"qaoa2/internal/sdp"
@@ -23,7 +21,10 @@ import (
 //
 // Every field except Name is optional; factories read the fields they
 // understand and ignore the rest, so one flat struct parameterizes the
-// whole registry without per-solver wire types.
+// whole registry without per-solver wire types. It holds only what a
+// command, the daemon or the benchmark sets: a solver's other knobs
+// (anneal sweeps, random trials, the rqaoa cutoff, QAOA restarts,
+// explicit composite members) are fields of the solver's own Go type.
 type Spec struct {
 	// Name selects the registered factory ("qaoa", "gw", "best", ...).
 	Name string `json:"name"`
@@ -34,7 +35,6 @@ type Spec struct {
 	MaxIters int     `json:"maxIters,omitempty"`
 	Rhobeg   float64 `json:"rhobeg,omitempty"`
 	Shots    int     `json:"shots,omitempty"`
-	Restarts int     `json:"restarts,omitempty"`
 	// Backend names the circuit-execution backend ("fused"/"fused-z2",
 	// "fused-full", "dense", "noisy"; "" = the solve-time default).
 	Backend string `json:"backend,omitempty"`
@@ -43,33 +43,10 @@ type Spec struct {
 	// the solve's rng, never from here.
 	Seed uint64 `json:"seed,omitempty"`
 
-	// Anneal / random / rqaoa / sdp knobs.
-	Sweeps int `json:"sweeps,omitempty"` // anneal: full sweeps
-	Trials int `json:"trials,omitempty"` // random: best-of draws
-	Cutoff int `json:"cutoff,omitempty"` // rqaoa: brute-force residual size
 	// Method pins the SDP relaxation solver for "sdp-gw" ("mixing",
 	// the default, or "admm", the reference; "auto" is the default's
 	// older spelling, kept so stored specs still build).
 	Method string `json:"method,omitempty"`
-
-	// Composite solvers (best, portfolio, ml-adaptive).
-	//
-	// Inner lists the member specs; empty selects the registered
-	// default members, with this spec's parameter fields inherited.
-	Inner []Spec `json:"inner,omitempty"`
-	// BudgetMS is the portfolio racing deadline in milliseconds
-	// (0 = wait for every member; see PortfolioSolver.Deadline).
-	BudgetMS int64 `json:"budgetMS,omitempty"`
-}
-
-// inherit copies s's parameter fields onto a member spec named name —
-// how composite defaults thread the parent's QAOA knobs through.
-func (s Spec) inherit(name string) Spec {
-	inner := s
-	inner.Name = name
-	inner.Inner = nil
-	inner.BudgetMS = 0
-	return inner
 }
 
 // Factory builds a solver from its spec.
@@ -131,26 +108,15 @@ func Build(spec Spec) (Solver, error) {
 	return f(spec)
 }
 
-// buildInner materializes a composite's member solvers: the spec's
-// explicit Inner list, or the given default member names with the
-// parent's parameters inherited.
-func buildInner(spec Spec, defaults ...string) ([]Solver, error) {
-	inner := spec.Inner
-	if len(inner) == 0 {
-		inner = make([]Spec, len(defaults))
-		for i, name := range defaults {
-			inner[i] = spec.inherit(name)
-		}
+// compositeMembers builds the members both composites (best,
+// ml-adaptive) run: qaoa with the composite spec's own parameters,
+// then gw.
+func compositeMembers(spec Spec) (quantum, classical Solver, err error) {
+	opts, err := qaoaOptions(spec)
+	if err != nil {
+		return nil, nil, fmt.Errorf("solver: %s member qaoa: %w", spec.Name, err)
 	}
-	out := make([]Solver, len(inner))
-	for i, is := range inner {
-		s, err := Build(is)
-		if err != nil {
-			return nil, fmt.Errorf("solver: %s member %d: %w", spec.Name, i, err)
-		}
-		out[i] = s
-	}
-	return out, nil
+	return QAOASolver{Opts: opts}, GWSolver{}, nil
 }
 
 // qaoaOptions maps the spec's QAOA fields onto qaoa.Options.
@@ -164,7 +130,6 @@ func qaoaOptions(spec Spec) (qaoa.Options, error) {
 		MaxIters: spec.MaxIters,
 		Rhobeg:   spec.Rhobeg,
 		Shots:    spec.Shots,
-		Restarts: spec.Restarts,
 		Backend:  be,
 		Seed:     spec.Seed,
 	}, nil
@@ -208,13 +173,13 @@ func init() {
 		if err != nil {
 			return nil, err
 		}
-		return RQAOASolver{Opts: rqaoa.Options{Cutoff: spec.Cutoff, QAOA: opts}}, nil
+		return RQAOASolver{Opts: rqaoa.Options{QAOA: opts}}, nil
 	})
-	mustRegister("anneal", func(spec Spec) (Solver, error) {
-		return AnnealSolver{Opts: maxcut.AnnealOptions{Sweeps: spec.Sweeps}}, nil
+	mustRegister("anneal", func(Spec) (Solver, error) {
+		return AnnealSolver{}, nil
 	})
-	mustRegister("random", func(spec Spec) (Solver, error) {
-		return RandomSolver{Trials: spec.Trials}, nil
+	mustRegister("random", func(Spec) (Solver, error) {
+		return RandomSolver{}, nil
 	})
 	mustRegister("one-exchange", func(Spec) (Solver, error) {
 		return OneExchangeSolver{}, nil
@@ -223,30 +188,17 @@ func init() {
 		return ExactSolver{}, nil
 	})
 	mustRegister("best", func(spec Spec) (Solver, error) {
-		inner, err := buildInner(spec, "qaoa", "gw")
+		quantum, classical, err := compositeMembers(spec)
 		if err != nil {
 			return nil, err
 		}
-		return BestOfSolver{Solvers: inner}, nil
-	})
-	mustRegister("portfolio", func(spec Spec) (Solver, error) {
-		inner, err := buildInner(spec, "qaoa", "gw", "anneal")
-		if err != nil {
-			return nil, err
-		}
-		return PortfolioSolver{
-			Solvers:  inner,
-			Deadline: time.Duration(spec.BudgetMS) * time.Millisecond,
-		}, nil
+		return BestOfSolver{Solvers: []Solver{quantum, classical}}, nil
 	})
 	mustRegister("ml-adaptive", func(spec Spec) (Solver, error) {
-		members, err := buildInner(spec, "qaoa", "gw")
+		quantum, classical, err := compositeMembers(spec)
 		if err != nil {
 			return nil, err
 		}
-		if len(members) != 2 {
-			return nil, fmt.Errorf("solver: ml-adaptive needs exactly 2 members (quantum, classical), got %d", len(members))
-		}
-		return MLAdaptiveSolver{Quantum: members[0], Classical: members[1]}, nil
+		return MLAdaptiveSolver{Quantum: quantum, Classical: classical}, nil
 	})
 }

@@ -11,8 +11,9 @@
 //     (its only other name is the facade's qaoa2.SubSolver alias);
 //   - the concrete solvers: simulated QAOA, Goemans-Williamson, the
 //     SDP-pinned GW variant, recursive QAOA, simulated annealing,
-//     local search, brute force, random baselines, and the composite
-//     best-of / ml-adaptive / portfolio strategies;
+//     local search, brute force, random baselines, and the two
+//     composite strategies: best-of (the paper's "Best" series) and
+//     ml-adaptive (its §5 learned selection);
 //   - a registry (Register / Build / Names) keyed by JSON-serializable
 //     Specs, so the HTTP wire format, checkpoint fingerprints, and CLI
 //     flags all resolve through the identical table; and
@@ -68,8 +69,7 @@ type Attempt struct {
 	// identity: it varies run to run and is excluded from checkpoint
 	// records and determinism comparisons.
 	Nanos int64 `json:"nanos"`
-	// Err records a failed, abandoned or skipped attempt ("" on
-	// success).
+	// Err records a failed or skipped attempt ("" on success).
 	Err string `json:"err,omitempty"`
 }
 
@@ -95,7 +95,7 @@ type Report struct {
 	Optimal bool
 }
 
-// Attributor is implemented by composite solvers (best-of, portfolio,
+// Attributor is implemented by composite solvers (best-of,
 // ml-adaptive) that can attribute the returned cut to the inner solver
 // that actually produced it, and by plain solvers (qaoa, exact) that
 // have a certificate to report with it.
@@ -209,9 +209,8 @@ func (s RQAOASolver) SolveSub(g *graph.Graph, r *rng.Rand) (maxcut.Cut, error) {
 // optimal (Report.Optimal): a later member replaces the kept cut only
 // on a strictly greater value, which an optimum rules out, so the
 // result is the one running every member would have returned.
-// PortfolioSolver is the concurrent, deadline-bounded sibling; both
-// derive inner randomness identically (Split(i+1)), so without a
-// deadline they return the same cut.
+// Member i draws its randomness from r.Split(i+1), so the cut depends
+// on the member list and the caller's stream only.
 type BestOfSolver struct {
 	Solvers []Solver
 }

@@ -6,11 +6,9 @@ import (
 	"reflect"
 	"strings"
 	"testing"
-	"time"
 
 	"qaoa2/internal/graph"
 	"qaoa2/internal/maxcut"
-	"qaoa2/internal/qaoa"
 	"qaoa2/internal/rng"
 )
 
@@ -22,16 +20,12 @@ func testGraph(n int, p float64, seed uint64) *graph.Graph {
 type fixedSolver struct {
 	name  string
 	value float64
-	delay time.Duration
 	err   error
 }
 
 func (s fixedSolver) Name() string { return s.name }
 
 func (s fixedSolver) SolveSub(g *graph.Graph, _ *rng.Rand) (maxcut.Cut, error) {
-	if s.delay > 0 {
-		time.Sleep(s.delay)
-	}
 	if s.err != nil {
 		return maxcut.Cut{}, s.err
 	}
@@ -52,8 +46,12 @@ func TestRegistryBuildsEveryName(t *testing.T) {
 			t.Fatalf("%s: empty solver name", name)
 		}
 	}
-	if _, err := Build(Spec{Name: "bogus"}); err == nil || !strings.Contains(err.Error(), "unknown solver") {
-		t.Fatalf("unknown name accepted (err %v)", err)
+	// "portfolio" was a registered name until the concurrent race was
+	// deleted; it now gets the error every unknown name gets.
+	for _, name := range []string{"bogus", "portfolio"} {
+		if _, err := Build(Spec{Name: name}); err == nil || !strings.Contains(err.Error(), "unknown solver") {
+			t.Fatalf("unknown name %q accepted (err %v)", name, err)
+		}
 	}
 }
 
@@ -86,11 +84,11 @@ func TestRegisterRejectsDuplicates(t *testing.T) {
 func TestRegisterExtendsEverySurface(t *testing.T) {
 	name := "test-custom-solver"
 	if err := Register(name, func(spec Spec) (Solver, error) {
-		return fixedSolver{name: name, value: float64(spec.Trials)}, nil
+		return fixedSolver{name: name, value: float64(spec.Layers)}, nil
 	}); err != nil {
 		t.Fatal(err)
 	}
-	s, err := Build(Spec{Name: name, Trials: 4})
+	s, err := Build(Spec{Name: name, Layers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,8 +108,8 @@ func TestRegisterExtendsEverySurface(t *testing.T) {
 }
 
 func TestSpecJSONRoundTrips(t *testing.T) {
-	spec := Spec{Name: "portfolio", Layers: 3, Rhobeg: 0.5, BudgetMS: 250,
-		Inner: []Spec{{Name: "qaoa", Layers: 2}, {Name: "gw"}}}
+	spec := Spec{Name: "sdp-gw", Layers: 3, MaxIters: 40, Rhobeg: 0.5, Shots: 64,
+		Backend: "dense", Seed: 9, Method: "admm"}
 	b, err := json.Marshal(spec)
 	if err != nil {
 		t.Fatal(err)
@@ -193,14 +191,7 @@ func TestNestedCompositeAttributesLeafWinner(t *testing.T) {
 	if rep.Attempts[1].Solver != "leaf-high" {
 		t.Fatalf("nested member's attempt labeled %q, want its leaf winner", rep.Attempts[1].Solver)
 	}
-	// Same through a racing portfolio and the ml-adaptive router.
-	_, prep, err := (PortfolioSolver{Solvers: outer.Solvers}).SolveSubAttributed(g, rng.New(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if prep.Winner != "leaf-high" {
-		t.Fatalf("portfolio nested winner %q", prep.Winner)
-	}
+	// Same through the ml-adaptive router.
 	ml := MLAdaptiveSolver{Quantum: nestedBest, Classical: nestedBest}
 	_, mrep, err := ml.SolveSubAttributed(g, rng.New(1))
 	if err != nil {
@@ -211,200 +202,23 @@ func TestNestedCompositeAttributesLeafWinner(t *testing.T) {
 	}
 }
 
-// withoutTiming strips the telemetry from an attempt list.
-func withoutTiming(attempts []Attempt) []Attempt {
-	out := append([]Attempt(nil), attempts...)
-	for i := range out {
-		out[i].Nanos = 0
-	}
-	return out
-}
-
-// TestPortfolioMatchesBestOfWithoutDeadline pins the no-deadline
-// equivalence — cut, winner, certificate, attempt list up to timing and
-// the caller's rng afterwards — on line-ups where nothing is certified,
-// where the first member settles the race, and where a later one does
-// (earlier members must still be heard). Run it under -race: settled
-// races leave member goroutines running behind the return.
-func TestPortfolioMatchesBestOfWithoutDeadline(t *testing.T) {
-	g := testGraph(12, 0.3, 11)
-	anneal := AnnealSolver{Opts: maxcut.AnnealOptions{Sweeps: 40}}
-	q := QAOASolver{Opts: qaoa.Options{Layers: 2, MaxIters: 20}}
-	for name, inner := range map[string][]Solver{
-		"uncertified":    {anneal, OneExchangeSolver{}, RandomSolver{Trials: 3}},
-		"first settles":  {q, GWSolver{}, anneal},
-		"second settles": {anneal, q, GWSolver{}},
-		"last settles":   {GWSolver{}, anneal, ExactSolver{}},
-		"nested":         {anneal, BestOfSolver{Solvers: []Solver{q, GWSolver{}}}, OneExchangeSolver{}},
-	} {
-		for seed := uint64(0); seed < 5; seed++ {
-			rb, rp := rng.New(seed), rng.New(seed)
-			bCut, bRep, err := BestOfSolver{Solvers: inner}.SolveSubAttributed(g, rb)
-			if err != nil {
-				t.Fatal(err)
-			}
-			pCut, pRep, err := PortfolioSolver{Solvers: inner}.SolveSubAttributed(g, rp)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if bCut.Value != pCut.Value || !reflect.DeepEqual(bCut.Spins, pCut.Spins) {
-				t.Fatalf("%s seed %d: portfolio cut differs from best-of", name, seed)
-			}
-			if bRep.Winner != pRep.Winner || bRep.Optimal != pRep.Optimal {
-				t.Fatalf("%s seed %d: portfolio winner %q optimal %v, best-of winner %q optimal %v",
-					name, seed, pRep.Winner, pRep.Optimal, bRep.Winner, bRep.Optimal)
-			}
-			if b, p := withoutTiming(bRep.Attempts), withoutTiming(pRep.Attempts); !reflect.DeepEqual(b, p) {
-				t.Fatalf("%s seed %d: portfolio attempts %+v, best-of %+v", name, seed, p, b)
-			}
-			if rb.Uint64() != rp.Uint64() {
-				t.Fatalf("%s seed %d: portfolio left the caller's rng in a different state", name, seed)
-			}
-			if name != "uncertified" && !bRep.Optimal {
-				t.Fatalf("%s seed %d: line-up built to certify did not", name, seed)
-			}
-		}
-	}
-}
-
-// TestPortfolioSettlesOnCertifiedOptimum checks the two halves of the
-// settle rule with members of known speed: a certified optimum ends the
-// race without waiting for later members, but not before every earlier
-// member has been heard, since an earlier member wins a tie.
-func TestPortfolioSettlesOnCertifiedOptimum(t *testing.T) {
-	g := testGraph(8, 0.5, 1)
-	exact, err := maxcut.BruteForce(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	start := time.Now()
-	cut, rep, err := PortfolioSolver{Solvers: []Solver{
-		fixedSolver{name: "slow-tie", value: exact.Value, delay: 30 * time.Millisecond},
-		ExactSolver{},
-		fixedSolver{name: "never-heard", value: 1, delay: 5 * time.Second},
-		fixedSolver{name: "fails-unheard", err: fmt.Errorf("boom")},
-	}}.SolveSubAttributed(g, rng.New(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if elapsed := time.Since(start); elapsed > 2*time.Second {
-		t.Fatalf("race waited %v for a member behind the optimum", elapsed)
-	}
-	if rep.Winner != "slow-tie" || cut.Value != exact.Value || !rep.Optimal {
-		t.Fatalf("winner %q value %v optimal %v, want the earlier member's tie", rep.Winner, cut.Value, rep.Optimal)
-	}
-	for i, name := range []string{"never-heard", "fails-unheard"} {
-		if at := rep.Attempts[2+i]; at != (Attempt{Solver: name, Err: SkippedOptimal}) {
-			t.Fatalf("member behind the optimum reported as %+v", at)
-		}
-	}
-}
-
-func TestPortfolioDeadlineKeepsFinishedMembers(t *testing.T) {
+// TestBestOfFailsOnMemberError: a member error fails the composite
+// and the error names the member, whatever the other members found.
+func TestBestOfFailsOnMemberError(t *testing.T) {
 	g := testGraph(6, 0.5, 1)
-	s := PortfolioSolver{
-		Deadline: 20 * time.Millisecond,
-		Solvers: []Solver{
-			fixedSolver{name: "fast-low", value: 2},
-			fixedSolver{name: "slow-high", value: 99, delay: 2 * time.Second},
-		},
-	}
-	start := time.Now()
-	cut, rep, err := s.SolveSubAttributed(g, rng.New(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if elapsed := time.Since(start); elapsed > time.Second {
-		t.Fatalf("deadline did not bound the race: %v", elapsed)
-	}
-	if rep.Winner != "fast-low" || cut.Value != 2 {
-		t.Fatalf("winner %q value %v, want the finished member", rep.Winner, cut.Value)
-	}
-	abandoned := rep.Attempts[1]
-	if abandoned.Solver != "slow-high" || !strings.Contains(abandoned.Err, "abandoned") {
-		t.Fatalf("slow member not marked abandoned: %+v", abandoned)
-	}
-}
-
-func TestPortfolioDeadlineWaitsForFirstFinisher(t *testing.T) {
-	g := testGraph(6, 0.5, 1)
-	s := PortfolioSolver{
-		Deadline: time.Millisecond,
-		Solvers: []Solver{
-			fixedSolver{name: "slowish", value: 5, delay: 50 * time.Millisecond},
-		},
-	}
-	cut, rep, err := s.SolveSubAttributed(g, rng.New(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Winner != "slowish" || cut.Value != 5 {
-		t.Fatalf("empty race did not wait for the first finisher: %+v", rep)
-	}
-}
-
-func TestPortfolioDeadlineOutlivesFastFailingMember(t *testing.T) {
-	// A member that fails BEFORE the deadline must not satisfy the
-	// "someone finished" condition: the race keeps waiting for the
-	// slow member that can actually answer.
-	g := testGraph(6, 0.5, 1)
-	s := PortfolioSolver{
-		Deadline: 5 * time.Millisecond,
-		Solvers: []Solver{
-			fixedSolver{name: "fail-fast", err: fmt.Errorf("no qpu")},
-			fixedSolver{name: "slow-good", value: 7, delay: 40 * time.Millisecond},
-		},
-	}
-	cut, rep, err := s.SolveSubAttributed(g, rng.New(1))
-	if err != nil {
-		t.Fatalf("portfolio gave up instead of waiting for the slow member: %v", err)
-	}
-	if rep.Winner != "slow-good" || cut.Value != 7 {
-		t.Fatalf("winner %q/%v, want slow-good/7", rep.Winner, cut.Value)
-	}
-	if !strings.Contains(rep.Attempts[0].Err, "no qpu") {
-		t.Fatalf("failed member not recorded: %+v", rep.Attempts[0])
-	}
-	// Error tolerance is keyed on the configured mode, not on whether
-	// the timer happened to fire: a deadline race where every member
-	// finishes EARLY (one error, one success) still succeeds.
-	early := PortfolioSolver{
-		Deadline: time.Hour,
-		Solvers: []Solver{
-			fixedSolver{name: "early-fail", err: fmt.Errorf("no qpu")},
-			fixedSolver{name: "early-good", value: 4},
-		},
-	}
-	cut, rep, err = early.SolveSubAttributed(g, rng.New(1))
-	if err != nil || rep.Winner != "early-good" || cut.Value != 4 {
-		t.Fatalf("pre-deadline finish with one error: cut %v winner %q err %v", cut.Value, rep.Winner, err)
-	}
-	// And when EVERY member fails, the race reports the first error.
-	allFail := PortfolioSolver{
-		Deadline: time.Millisecond,
-		Solvers: []Solver{
-			fixedSolver{name: "a", err: fmt.Errorf("boom-a"), delay: 10 * time.Millisecond},
-			fixedSolver{name: "b", err: fmt.Errorf("boom-b"), delay: 10 * time.Millisecond},
-		},
-	}
-	if _, _, err := allFail.SolveSubAttributed(g, rng.New(1)); err == nil ||
-		!strings.Contains(err.Error(), "boom-a") {
-		t.Fatalf("all-failed race err = %v, want boom-a", err)
-	}
-}
-
-func TestPortfolioErrorDeterministicWithoutDeadline(t *testing.T) {
-	g := testGraph(6, 0.5, 1)
-	s := PortfolioSolver{Solvers: []Solver{
+	s := BestOfSolver{Solvers: []Solver{
 		fixedSolver{name: "ok", value: 3},
 		fixedSolver{name: "boom", err: fmt.Errorf("kaput")},
 	}}
 	if _, _, err := s.SolveSubAttributed(g, rng.New(1)); err == nil ||
-		!strings.Contains(err.Error(), "boom") {
-		t.Fatalf("deadline-free portfolio swallowed a member error: %v", err)
+		!strings.Contains(err.Error(), "boom") || !strings.Contains(err.Error(), "kaput") {
+		t.Fatalf("best-of swallowed a member error: %v", err)
 	}
-	if _, _, err := (PortfolioSolver{}).SolveSubAttributed(g, rng.New(1)); err == nil {
-		t.Fatal("empty portfolio accepted")
+	if _, err := s.SolveSub(g, rng.New(1)); err == nil {
+		t.Fatal("SolveSub swallowed a member error")
+	}
+	if _, _, err := (BestOfSolver{}).SolveSubAttributed(g, rng.New(1)); err == nil {
+		t.Fatal("empty best-of accepted")
 	}
 }
 

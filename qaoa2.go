@@ -192,8 +192,8 @@ func SummarizeSubReports(reports []SubReport) string {
 // named and constructed. Every surface — BuildSolver, the serve
 // daemon's wire format, cmd/qaoa2 and cmd/workflow flags, hpc remote
 // dispatch — resolves names through this one table, so every
-// registered solver (the portfolio, rqaoa, sdp-gw, random and
-// one-exchange included) is buildable by name.
+// registered solver (rqaoa, sdp-gw, random and one-exchange included)
+// is buildable by name.
 
 // SolverSpec is the parameterized, JSON-serializable description of a
 // registry solver. BuildSolver turns it into the solver that

@@ -17,7 +17,6 @@ import (
 	root "qaoa2"
 	"qaoa2/internal/experiments"
 	"qaoa2/internal/graph"
-	"qaoa2/internal/paraminit"
 	"qaoa2/internal/qaoa"
 	"qaoa2/internal/qsim"
 	"qaoa2/internal/rng"
@@ -289,28 +288,6 @@ func BenchmarkTopKDecoding(b *testing.B) {
 	printOnce("TopKDecoding", fmt.Sprintf("mean cut: top-1 %.3f vs top-16 %.3f", v1/float64(b.N), v16/float64(b.N)))
 }
 
-// BenchmarkOptimizerAblation measures ablation A3: COBYLA (the paper's
-// optimizer) versus Nelder-Mead and SPSA on the same instance.
-func BenchmarkOptimizerAblation(b *testing.B) {
-	r := rng.New(11)
-	g := graph.ErdosRenyi(12, 0.3, graph.Unweighted, r)
-	for _, kind := range []qaoa.OptimizerKind{qaoa.COBYLA, qaoa.NelderMead, qaoa.SPSA} {
-		b.Run(kind.String(), func(b *testing.B) {
-			total := 0.0
-			for i := 0; i < b.N; i++ {
-				res, err := qaoa.Solve(g, qaoa.Options{
-					Layers: 3, MaxIters: 50, Optimizer: kind, Seed: uint64(i),
-				}, rng.New(uint64(i)))
-				if err != nil {
-					b.Fatal(err)
-				}
-				total += res.Expectation
-			}
-			b.ReportMetric(total/float64(b.N), "mean-expectation")
-		})
-	}
-}
-
 // BenchmarkRQAOA measures extension X1: recursive QAOA end to end.
 func BenchmarkRQAOA(b *testing.B) {
 	r := rng.New(12)
@@ -378,54 +355,6 @@ func BenchmarkNoiseDegradation(b *testing.B) {
 	printOnce("NoiseDegradation", text)
 	b.ReportMetric(values[0], "clean-expectation")
 	b.ReportMetric(values[len(values)-1], "noisy-expectation")
-}
-
-// BenchmarkWarmStart measures extension X3 (the paper's §2 outlook):
-// neural-network-predicted initial parameters versus the linear ramp at
-// a tight iteration budget.
-func BenchmarkWarmStart(b *testing.B) {
-	r := rng.New(15)
-	var train []*graph.Graph
-	for i := 0; i < 12; i++ {
-		train = append(train, graph.ErdosRenyi(10, 0.3, graph.Unweighted, r))
-	}
-	data, err := paraminit.BuildDataset(train, qaoa.Options{Layers: 2, MaxIters: 60}, 16)
-	if err != nil {
-		b.Fatal(err)
-	}
-	pred, err := paraminit.Train(data, paraminit.Config{Layers: 2, Epochs: 300, Seed: 17})
-	if err != nil {
-		b.Fatal(err)
-	}
-	var cold, warm float64
-	const budget = 14
-	for i := 0; i < b.N; i++ {
-		g := graph.ErdosRenyi(10, 0.3, graph.Unweighted, r)
-		if g.M() == 0 {
-			continue
-		}
-		gs, bs, err := pred.Predict(g)
-		if err != nil {
-			b.Fatal(err)
-		}
-		rc, err := qaoa.Solve(g, qaoa.Options{Layers: 2, MaxIters: budget, Seed: uint64(i)}, rng.New(uint64(i)))
-		if err != nil {
-			b.Fatal(err)
-		}
-		rw, err := qaoa.Solve(g, qaoa.Options{
-			Layers: 2, MaxIters: budget, Seed: uint64(i), InitGammas: gs, InitBetas: bs,
-		}, rng.New(uint64(i)))
-		if err != nil {
-			b.Fatal(err)
-		}
-		cold += rc.Expectation
-		warm += rw.Expectation
-	}
-	b.ReportMetric(cold/float64(b.N), "cold-expectation")
-	b.ReportMetric(warm/float64(b.N), "warm-expectation")
-	printOnce("WarmStart", fmt.Sprintf(
-		"mean <H_C> at %d-eval budget: linear-ramp init %.3f vs learned init %.3f",
-		budget, cold/float64(b.N), warm/float64(b.N)))
 }
 
 // BenchmarkGraphTypes measures extension X5 (§5: "other graph types"):

@@ -10,7 +10,6 @@ import (
 	"qaoa2"
 	"qaoa2/internal/backend"
 	"qaoa2/internal/fleet"
-	"qaoa2/internal/paraminit"
 	"qaoa2/internal/qsim"
 	"qaoa2/internal/retry"
 	"qaoa2/internal/serve"
@@ -19,7 +18,7 @@ import (
 // The facade tests pin the public API surface: the workflow a
 // downstream user runs must be reachable through the root package
 // alone. The tests that compose the facade with a package it does not
-// re-export (fleet, retry, paraminit, noise models) pin that the
+// re-export (fleet, retry, noise models) pin that the
 // facade's types plug into it unchanged.
 
 func TestFacadeGraphAndBaselines(t *testing.T) {
@@ -140,28 +139,12 @@ func TestFacadeDensityPolicy(t *testing.T) {
 	}
 }
 
-// TestFacadeNoiseAndWarmStart starts the facade's QAOA solver from a
-// learned warm start (a paraminit prediction in QAOAOptions.InitGammas
-// and InitBetas) and runs it on the noisy backend.
-func TestFacadeNoiseAndWarmStart(t *testing.T) {
+// TestFacadeNoisyBackend runs the facade's QAOA solver on the noisy
+// backend.
+func TestFacadeNoisyBackend(t *testing.T) {
 	g := qaoa2.ErdosRenyi(8, 0.4, qaoa2.Unweighted, qaoa2.NewRand(8))
-	data, err := paraminit.BuildDataset([]*qaoa2.Graph{g}, qaoa2.QAOAOptions{Layers: 2, MaxIters: 25}, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pred, err := paraminit.Train(data, paraminit.Config{Layers: 2, Epochs: 30, Seed: 11})
-	if err != nil {
-		t.Fatal(err)
-	}
-	gs, bs, err := pred.Predict(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(gs) != 2 || len(bs) != 2 {
-		t.Fatalf("prediction shape %d/%d", len(gs), len(bs))
-	}
 	res, err := qaoa2.SolveQAOA(g, qaoa2.QAOAOptions{
-		Layers: 2, MaxIters: 25, InitGammas: gs, InitBetas: bs,
+		Layers: 2, MaxIters: 25,
 		Backend: backend.Noisy{Model: qsim.NoiseModel{OneQubit: 0.05, TwoQubit: 0.05}, Trajectories: 4},
 	}, qaoa2.NewRand(9))
 	if err != nil {

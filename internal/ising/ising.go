@@ -206,24 +206,25 @@ const MaxExactSpins = 26
 // spin-flip symmetry lets a solver pin s_a for free. DecodeMaxCutSpins
 // inverts the reduction. This is the bridge that runs field-carrying
 // Hamiltonians through every MaxCut-shaped layer (partitioning, QAOA²
-// merge, serve, fleet) with zero changes there.
+// merge, serve, fleet) with zero changes there. The graph is built in
+// one pass over the terms (graph.FromEdges), so the reduction is linear
+// in them however they crowd onto a node; a coupling or field whose
+// accumulated weight is not finite fails with a *graph.RefusedError.
 func (h *Hamiltonian) ToMaxCut() (*graph.Graph, error) {
-	g := graph.New(h.n + 1)
+	edges := make([]graph.Edge, 0, len(h.couplings.terms)+h.n)
 	for _, c := range h.couplings.terms {
-		if c.W == 0 {
-			continue
-		}
-		if err := g.AddEdge(c.I, c.J, c.W); err != nil {
-			return nil, fmt.Errorf("ising: reduction edge (%d,%d): %w", c.I, c.J, err)
+		if c.W != 0 {
+			edges = append(edges, graph.Edge(c))
 		}
 	}
 	for i, f := range h.fields {
-		if f == 0 {
-			continue
+		if f != 0 {
+			edges = append(edges, graph.Edge{I: i, J: h.n, W: f})
 		}
-		if err := g.AddEdge(i, h.n, f); err != nil {
-			return nil, fmt.Errorf("ising: reduction ancilla edge %d: %w", i, err)
-		}
+	}
+	g, err := graph.FromEdges(h.n+1, edges, func(e graph.Edge) graph.Edge { return e })
+	if err != nil {
+		return nil, fmt.Errorf("ising: reduction: %w", err)
 	}
 	return g, nil
 }

@@ -1,8 +1,11 @@
 package ising
 
 import (
+	"errors"
 	"math"
+	"slices"
 	"testing"
+	"time"
 
 	"qaoa2/internal/graph"
 	"qaoa2/internal/maxcut"
@@ -403,6 +406,107 @@ func TestToMaxCutReduction(t *testing.T) {
 	}
 	if _, err := h.DecodeMaxCutSpins(cut.Spins[:3]); err == nil {
 		t.Fatal("short decode accepted")
+	}
+}
+
+// addEdgeReduction is ToMaxCut's graph built one AddEdge at a time:
+// couplings in order, then each nonzero field to the ancilla.
+func addEdgeReduction(t *testing.T, h *Hamiltonian) *graph.Graph {
+	t.Helper()
+	g := graph.New(h.N() + 1)
+	for _, c := range h.Couplings() {
+		if c.W != 0 {
+			g.MustAddEdge(c.I, c.J, c.W)
+		}
+	}
+	for i, f := range h.Fields() {
+		if f != 0 {
+			g.MustAddEdge(i, h.N(), f)
+		}
+	}
+	return g
+}
+
+// TestToMaxCutMatchesAddEdge: ToMaxCut builds the graph an AddEdge per
+// term builds — edges, adjacency order and weights — on random
+// Hamiltonians with fields, zero terms and couplings listed in both
+// orders.
+func TestToMaxCutMatchesAddEdge(t *testing.T) {
+	for seed := uint64(1); seed <= 30; seed++ {
+		n := 2 + int(seed%9)
+		h := randomHamiltonian(t, n, seed, seed%3 != 0)
+		r := rng.New(seed + 100)
+		for k := 0; k < n; k++ {
+			i, j := r.Intn(n), r.Intn(n)
+			if i != j {
+				if err := h.AddCoupling(j, i, r.Float64()-0.5); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		if err := h.AddCoupling(0, 1, 0); err != nil { // a zero term stays out
+			t.Fatal(err)
+		}
+		got, err := h.ToMaxCut()
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := addEdgeReduction(t, h)
+		if !slices.Equal(got.Edges(), want.Edges()) {
+			t.Fatalf("seed %d: edges %v, want %v", seed, got.Edges(), want.Edges())
+		}
+		for i := 0; i < want.N(); i++ {
+			if !slices.Equal(got.Neighbors(i), want.Neighbors(i)) {
+				t.Fatalf("seed %d: node %d adjacency %v, want %v", seed, i, got.Neighbors(i), want.Neighbors(i))
+			}
+		}
+	}
+}
+
+// TestToMaxCutStarInLinearTime: every coupling of a star shares its
+// centre, which made an AddEdge-per-term reduction quadratic.
+func TestToMaxCutStarInLinearTime(t *testing.T) {
+	const m = 1 << 18
+	h := New(m + 1)
+	for j := 1; j <= m; j++ {
+		if err := h.AddCoupling(0, j, 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	start := time.Now()
+	g, err := h.ToMaxCut()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if took := time.Since(start); took > 2*time.Second {
+		t.Fatalf("reducing a %d-coupling star took %v", m, took)
+	}
+	if g.Degree(0) != m {
+		t.Fatalf("centre degree %d, want %d", g.Degree(0), m)
+	}
+}
+
+// TestToMaxCutRefusesNonFiniteSums: a coupling or field whose
+// accumulated weight overflows has no reduction graph.
+func TestToMaxCutRefusesNonFiniteSums(t *testing.T) {
+	couplings := New(3)
+	for range 2 {
+		if err := couplings.AddCoupling(0, 1, 1e308); err != nil {
+			t.Fatal(err)
+		}
+	}
+	fields := New(3)
+	for range 2 {
+		if err := fields.AddField(2, -1e308); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for name, h := range map[string]*Hamiltonian{"coupling": couplings, "field": fields} {
+		_, err := h.ToMaxCut()
+		var re *graph.RefusedError
+		if !errors.As(err, &re) {
+			t.Errorf("%s summing to -/+Inf: error %v, want a *graph.RefusedError", name, err)
+		}
 	}
 }
 

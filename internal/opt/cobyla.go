@@ -1,9 +1,8 @@
-// Package opt provides the classical optimizers driving the QAOA
+// Package opt provides the classical optimizer driving the QAOA
 // variational loop: a from-scratch COBYLA (the paper's optimizer, whose
-// rhobeg parameter is swept in the Fig. 3 grid search), plus Nelder-Mead
-// and SPSA for the optimizer-ablation experiments.
+// rhobeg parameter is swept in the Fig. 3 grid search).
 //
-// All optimizers MINIMIZE; the QAOA layer negates its expectation.
+// COBYLA MINIMIZES; the QAOA layer negates its expectation.
 package opt
 
 import (
@@ -20,7 +19,7 @@ type Result struct {
 	X         []float64 // best point found
 	F         float64   // objective at X
 	Evals     int       // objective evaluations consumed
-	Converged bool      // trust region shrank below Rhoend (COBYLA) or tolerance met
+	Converged bool      // trust region shrank below Rhoend
 }
 
 // COBYLAOptions configures MinimizeCOBYLA.
@@ -42,7 +41,7 @@ type COBYLAOptions struct {
 // budget counts objective evaluations against a cap and a caller's stop
 // predicate. Stop is asked after every evaluation; once it answers true
 // the run makes no further call to the objective: eval returns +Inf,
-// which every optimizer step rejects, so the run falls through to its
+// which every COBYLA step rejects, so the run falls through to its
 // Result with the best point it kept.
 type budget struct {
 	f       Objective

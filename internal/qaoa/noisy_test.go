@@ -92,26 +92,3 @@ func TestNoisyExpectationValidation(t *testing.T) {
 		t.Fatalf("edgeless graph: %v err=%v", v, err)
 	}
 }
-
-func TestInitialParameterOverride(t *testing.T) {
-	g := graph.Complete(4)
-	// Garbage override length must be rejected.
-	if _, err := Solve(g, Options{Layers: 2, InitGammas: []float64{1}, InitBetas: []float64{1, 2}}, rng.New(1)); err == nil {
-		t.Fatal("bad override length accepted")
-	}
-	// A valid override near the known optimum must work end to end.
-	base, err := Solve(g, Options{Layers: 2, MaxIters: 60, Seed: 2}, rng.New(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	warm, err := Solve(g, Options{
-		Layers: 2, MaxIters: 60, Seed: 2,
-		InitGammas: base.Gammas, InitBetas: base.Betas,
-	}, rng.New(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if warm.Expectation < base.Expectation-0.1 {
-		t.Fatalf("warm start at the previous optimum regressed: %v vs %v", warm.Expectation, base.Expectation)
-	}
-}

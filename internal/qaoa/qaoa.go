@@ -30,31 +30,6 @@ import (
 	"qaoa2/internal/synth"
 )
 
-// OptimizerKind selects the classical optimizer for the variational loop.
-type OptimizerKind int
-
-const (
-	// COBYLA is the paper's optimizer (default).
-	COBYLA OptimizerKind = iota
-	// NelderMead is a derivative-free ablation alternative.
-	NelderMead
-	// SPSA is the stochastic-approximation ablation alternative.
-	SPSA
-)
-
-func (k OptimizerKind) String() string {
-	switch k {
-	case COBYLA:
-		return "cobyla"
-	case NelderMead:
-		return "nelder-mead"
-	case SPSA:
-		return "spsa"
-	default:
-		return fmt.Sprintf("OptimizerKind(%d)", int(k))
-	}
-}
-
 // DefaultShots is the paper's circuit sampling budget (§3.2).
 const DefaultShots = 4096
 
@@ -82,8 +57,6 @@ type Options struct {
 	// finds the optimum, flattening grid-search comparisons; sampled
 	// decoding restores the paper's scale behaviour (see DESIGN.md).
 	DecodeShots int
-	// Optimizer picks the classical optimizer (default COBYLA).
-	Optimizer OptimizerKind
 	// Restarts runs this many independent optimizer starts — start 0
 	// from the standard initialization, the rest from deterministic
 	// perturbations of it — and keeps the start whose final parameters
@@ -95,12 +68,6 @@ type Options struct {
 	// ansatz. Each restart gets the full MaxIters budget and, under
 	// Shots > 0, its own sampling stream.
 	Restarts int
-	// InitGammas/InitBetas override the linear-ramp starting point
-	// (both must have length Layers when set). This is the hook for
-	// learned warm starts — the paper's §2 outlook of predicting initial
-	// parameters from previous results (internal/paraminit).
-	InitGammas []float64
-	InitBetas  []float64
 	// Synthesis forwards preferences to the circuit synthesis engine.
 	// Only synthesizing backends (dense, noisy) honor it; setting any
 	// preference switches the default backend from fused to dense.
@@ -182,8 +149,8 @@ func physOf(layout []int, q int) int {
 // Solve runs QAOA on g for the optimizer's whole budget and decodes the
 // state at the best parameters found. The graph must fit the simulator
 // (g.N() ≤ qsim.MaxQubits). Callers that read more than the cut — the
-// trained angles (paraminit), the final state's correlations (rqaoa),
-// the expectation (Fig. 3, Table 1) — use Solve.
+// trained angles (the noise ablation), the final state's correlations
+// (rqaoa), the expectation (Fig. 3, Table 1) — use Solve.
 func Solve(g *graph.Graph, opts Options, r *rng.Rand) (*Result, error) {
 	return solve(g, opts, r, false)
 }
@@ -275,17 +242,8 @@ func run(ans backend.Ansatz, g *graph.Graph, stopAt *float64, opts Options, r *r
 	}
 
 	p := opts.Layers
-	x0 := make([]float64, 2*p)
 	initGammas, initBetas := InitialParameters(p)
-	if opts.InitGammas != nil || opts.InitBetas != nil {
-		if len(opts.InitGammas) != p || len(opts.InitBetas) != p {
-			return nil, fmt.Errorf("qaoa: initial parameter overrides need length %d, got %d/%d",
-				p, len(opts.InitGammas), len(opts.InitBetas))
-		}
-		initGammas, initBetas = opts.InitGammas, opts.InitBetas
-	}
-	copy(x0[:p], initGammas)
-	copy(x0[p:], initBetas)
+	x0 := slices.Concat(initGammas, initBetas)
 
 	var res opt.Result
 	var hit *point
@@ -294,11 +252,11 @@ func run(ans backend.Ansatz, g *graph.Graph, stopAt *float64, opts Options, r *r
 		// Multi-start runs its whole budget: SolveCut stops single starts
 		// only.
 		res, err = multiStart(ans, opts, x0, shotRand, table)
+		if err != nil {
+			return nil, err
+		}
 	} else {
-		res, hit, err = runOptimizer(ans, opts, x0, shotRand, table, dec, stopAt)
-	}
-	if err != nil {
-		return nil, err
+		res, hit = runOptimizer(ans, opts, x0, shotRand, table, dec, stopAt)
 	}
 
 	gammas := make([]float64, p)
@@ -347,34 +305,6 @@ type point struct {
 	cut    maxcut.Cut
 }
 
-// minimize dispatches one optimizer run on the objective.
-// stop, when non-nil, is asked after every evaluation.
-func minimize(opts Options, objective func([]float64) float64, x0 []float64, seed uint64, stop func() bool) (opt.Result, error) {
-	switch opts.Optimizer {
-	case COBYLA:
-		return opt.MinimizeCOBYLA(objective, x0, opt.COBYLAOptions{
-			Rhobeg:   opts.Rhobeg,
-			MaxEvals: opts.MaxIters,
-			Stop:     stop,
-		}), nil
-	case NelderMead:
-		return opt.MinimizeNelderMead(objective, x0, opt.NelderMeadOptions{
-			Step:     opts.Rhobeg,
-			MaxEvals: opts.MaxIters,
-			Stop:     stop,
-		}), nil
-	case SPSA:
-		return opt.MinimizeSPSA(objective, x0, opt.SPSAOptions{
-			C:        opts.Rhobeg / 2,
-			MaxEvals: opts.MaxIters,
-			Seed:     seed,
-			Stop:     stop,
-		}), nil
-	default:
-		return opt.Result{}, fmt.Errorf("qaoa: unknown optimizer %v", opts.Optimizer)
-	}
-}
-
 // sampledEnergy estimates ⟨H_C⟩ from a finite-shot histogram of s. It
 // sums in ascending basis order: map order would make the rounding of
 // real-weighted tables differ from call to call.
@@ -392,7 +322,7 @@ func sampledEnergy(s *qsim.State, table []float64, shots int, r *rng.Rand) float
 // sampling from shotRand). With stopAt it decodes every evaluated state
 // and stops at the first whose decoded value equals *stopAt, returning
 // that evaluation.
-func runOptimizer(ans backend.Ansatz, opts Options, x0 []float64, shotRand *rng.Rand, table []float64, dec decoder, stopAt *float64) (opt.Result, *point, error) {
+func runOptimizer(ans backend.Ansatz, opts Options, x0 []float64, shotRand *rng.Rand, table []float64, dec decoder, stopAt *float64) (opt.Result, *point) {
 	p := opts.Layers
 	var hit *point
 	objective := func(x []float64) float64 {
@@ -410,14 +340,16 @@ func runOptimizer(ans backend.Ansatz, opts Options, x0 []float64, shotRand *rng.
 		if opts.Shots > 0 {
 			f = sampledEnergy(s, table, opts.Shots, shotRand)
 		}
-		return -f // optimizers minimize
+		return -f // COBYLA minimizes
 	}
 	var stop func() bool
 	if stopAt != nil {
 		stop = func() bool { return hit != nil }
 	}
-	res, err := minimize(opts, objective, x0, opts.Seed, stop)
-	return res, hit, err
+	res := opt.MinimizeCOBYLA(objective, x0, opt.COBYLAOptions{
+		Rhobeg: opts.Rhobeg, MaxEvals: opts.MaxIters, Stop: stop,
+	})
+	return res, hit
 }
 
 // multiStart runs opts.Restarts lockstep optimizer instances over ONE
@@ -459,7 +391,6 @@ func multiStart(ans backend.Ansatz, opts Options, x0 []float64, shotRand *rng.Ra
 	reqCh := make(chan evalRequest)
 	doneCh := make(chan struct{})
 	results := make([]opt.Result, restarts)
-	errs := make([]error, restarts)
 	for k := 0; k < restarts; k++ {
 		go func(k int) {
 			defer func() { doneCh <- struct{}{} }()
@@ -468,7 +399,9 @@ func multiStart(ans backend.Ansatz, opts Options, x0 []float64, shotRand *rng.Ra
 				reqCh <- evalRequest{slot: k, x: x, resp: resp}
 				return <-resp
 			}
-			results[k], errs[k] = minimize(opts, objective, starts[k], opts.Seed+uint64(k)*0x9e3779b9, nil)
+			results[k] = opt.MinimizeCOBYLA(objective, starts[k], opt.COBYLAOptions{
+				Rhobeg: opts.Rhobeg, MaxEvals: opts.MaxIters,
+			})
 		}(k)
 	}
 
@@ -512,12 +445,6 @@ func multiStart(ans backend.Ansatz, opts Options, x0 []float64, shotRand *rng.Ra
 			flush()
 		}
 	}
-	for _, err := range errs {
-		if err != nil {
-			return opt.Result{}, err
-		}
-	}
-
 	// Rank the restarts by the EXACT expectation at their final
 	// parameters (one more batched evaluation), so shot noise cannot
 	// pick the winner; report the summed evaluation cost.

@@ -235,25 +235,6 @@ func TestTooManyQubitsRejected(t *testing.T) {
 	}
 }
 
-func TestUnknownOptimizerRejected(t *testing.T) {
-	if _, err := Solve(graph.Complete(2), Options{Optimizer: OptimizerKind(9)}, rng.New(1)); err == nil {
-		t.Fatal("unknown optimizer accepted")
-	}
-}
-
-func TestOptimizerAlternatives(t *testing.T) {
-	g := graph.Complete(3)
-	for _, k := range []OptimizerKind{NelderMead, SPSA} {
-		res, err := Solve(g, Options{Layers: 2, MaxIters: 100, Optimizer: k, Seed: 8}, rng.New(8))
-		if err != nil {
-			t.Fatalf("%v: %v", k, err)
-		}
-		if res.Cut.Value < 2 {
-			t.Fatalf("%v failed triangle: %v", k, res.Cut.Value)
-		}
-	}
-}
-
 func TestSynthesisPreferencesFlowThrough(t *testing.T) {
 	g := graph.Path(5)
 	res, err := Solve(g, Options{
@@ -313,12 +294,6 @@ func TestInitialParametersRamp(t *testing.T) {
 		if betas[l] >= betas[l-1] {
 			t.Fatalf("betas not decreasing: %v", betas)
 		}
-	}
-}
-
-func TestOptimizerKindString(t *testing.T) {
-	if COBYLA.String() != "cobyla" || NelderMead.String() != "nelder-mead" || SPSA.String() != "spsa" {
-		t.Fatal("optimizer strings broken")
 	}
 }
 

@@ -97,17 +97,8 @@ func TestSolveCutMatchesSolve(t *testing.T) {
 		{"p3", Options{Layers: 3}},
 		{"top4", Options{Layers: 2, MaxIters: 30, TopK: 4}},
 		{"shots", Options{Layers: 2, MaxIters: 30, Shots: 256, Seed: 3}},
-		{"nelder-mead", Options{Layers: 2, MaxIters: 30, Optimizer: NelderMead}},
-		{"spsa", Options{Layers: 2, MaxIters: 30, Optimizer: SPSA, Seed: 4}},
 		{"restarts", Options{Layers: 2, MaxIters: 30, Restarts: 3, Seed: 5}},
 		{"restarts-shots", Options{Layers: 2, MaxIters: 20, Restarts: 3, Shots: 128, Seed: 6}},
-	}
-	// Zero angles start from |+⟩, which decodes to cut 0: these runs
-	// certify inside the optimizer loop, not at its first point.
-	zero := []float64{0, 0}
-	for _, v := range variants[1:] {
-		v.name, v.opts.InitGammas, v.opts.InitBetas = "zero-"+v.name, zero, zero
-		variants = append(variants, v)
 	}
 	for _, v := range variants {
 		integral = append(integral, row{"er10/" + v.name, g10, v.opts})
@@ -117,7 +108,7 @@ func TestSolveCutMatchesSolve(t *testing.T) {
 		uncertifiable = append(uncertifiable, row{"er10-sampled/" + v.name, g10, sampled})
 	}
 
-	certified := 0
+	certified, inLoop := 0, 0
 	for _, c := range integral {
 		full, err := Solve(c.g, c.opts, rng.New(9))
 		if err != nil {
@@ -136,6 +127,9 @@ func TestSolveCutMatchesSolve(t *testing.T) {
 			continue
 		}
 		certified++
+		if cut.Evaluations > 1 {
+			inLoop++
+		}
 		opt, err := maxcut.BruteForce(c.g)
 		if err != nil {
 			t.Fatal(err)
@@ -156,6 +150,11 @@ func TestSolveCutMatchesSolve(t *testing.T) {
 	}
 	if certified < len(integral)*3/4 {
 		t.Errorf("only %d of %d integral rows certified: the oracle lost its teeth", certified, len(integral))
+	}
+	// A row certified after its first point stopped inside the optimizer
+	// loop, where the stop must cut COBYLA's run short.
+	if inLoop == 0 {
+		t.Error("no integral row certified after its first evaluation: the in-loop stop is untested")
 	}
 
 	for _, c := range uncertifiable {

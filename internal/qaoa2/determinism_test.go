@@ -2,8 +2,10 @@ package qaoa2
 
 import (
 	"errors"
+	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 
@@ -217,5 +219,49 @@ func TestCheckpointResumesWithRebuiltSpec(t *testing.T) {
 	run(2)
 	if restores != 0 {
 		t.Fatalf("a spec with other layers resumed %d tasks", restores)
+	}
+}
+
+// TestCheckpointFromOldQAOAOptionsRestoresNothing: testdata holds the
+// checkpoint of a qaoa-leaf solve written while qaoa.Options still had
+// its optimizer switch and initial-angle override. Its header carries
+// the older ConfigTag, so today's equal spec restores none of its
+// records, reruns the solve and returns the cut the older tree recorded.
+func TestCheckpointFromOldQAOAOptionsRestoresNothing(t *testing.T) {
+	data, err := os.ReadFile("testdata/qaoa-leaf-old-options.ckpt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if records := strings.Count(string(data), "\n") - 1; records != 6 {
+		t.Fatalf("fixture holds %d records, want 6", records)
+	}
+	path := filepath.Join(t.TempDir(), "old.ckpt")
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s, err := solver.Build(solver.Spec{Name: "qaoa", Layers: 2, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	restores := 0
+	g := graph.ErdosRenyi(24, 0.2, graph.Unweighted, rng.New(42))
+	res, err := Solve(g, Options{MaxQubits: 6, Solver: s, Seed: 5, Parallelism: 1, CheckpointPath: path,
+		OnRuntimeEvent: func(ev rt.Event) {
+			if ev.Restored {
+				restores++
+			}
+		}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if restores != 0 || res.Stats.Restored != 0 {
+		t.Fatalf("restored %d records (stats %d), want 0", restores, res.Stats.Restored)
+	}
+	spins := make([]byte, len(res.Cut.Spins))
+	for i, x := range res.Cut.Spins {
+		spins[i] = map[int8]byte{1: '+', -1: '-'}[x]
+	}
+	if res.Cut.Value != 40 || string(spins) != "+--+--++--+++-+-+-++--++" {
+		t.Fatalf("cut %v spins %s, want the recorded 40 +--+--++--+++-+-+-++--++", res.Cut.Value, spins)
 	}
 }

@@ -335,3 +335,38 @@ func TestGraphObjectRefusesUnknownFields(t *testing.T) {
 		t.Fatal("unknown graph field accepted")
 	}
 }
+
+// TestProblemWeightSumRefused: a raw Ising problem whose coupling sums
+// overflow has no reduction graph; Submit refuses it with the graph
+// package's error and the HTTP front door answers 400.
+func TestProblemWeightSumRefused(t *testing.T) {
+	s, err := New(Config{GlobalParallelism: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	hs := httptest.NewServer(s.Handler())
+	defer hs.Close()
+	spec := ProblemSpec{Kind: ising.KindIsing, Vars: 2, Couplings: []CouplingSpec{{0, 1, 1e308}, {1, 0, 1e308}}}
+	_, err = s.Submit(SolveRequest{Problem: &spec, Solver: "anneal"})
+	var re *graph.RefusedError
+	if !errors.As(err, &re) {
+		t.Fatalf("Submit: error %v, want a *graph.RefusedError", err)
+	}
+	body, err := json.Marshal(SolveRequest{Problem: &spec, Solver: "anneal"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post(hs.URL+"/v1/solve", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	msg, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(msg), "finite") {
+		t.Fatalf("POST %s: %d %s, want 400 naming the weight", body, resp.StatusCode, msg)
+	}
+	if n := len(s.Jobs()); n != 0 {
+		t.Fatalf("%d jobs admitted", n)
+	}
+}

@@ -83,42 +83,44 @@ type Stats struct {
 	Failovers int
 }
 
-// Config configures a Coordinator.
+// Config configures a Coordinator. The ring places each worker at
+// virtualNodes positions, a health probe and a cache sweep wait at
+// most probeTimeout, and one job may consume 2×len(Workers)+1 worker
+// attempts across failovers.
 type Config struct {
 	// Workers is the fleet roster. At least one required.
 	Workers []WorkerSpec
-	// VirtualNodes is the number of ring positions per worker
-	// (default 64): enough that key ranges stay within a few percent
-	// of even for small fleets.
-	VirtualNodes int
 	// HealthInterval is the probe cadence (default 1s; negative
 	// disables the probe loop — tests drive CheckNow directly).
 	HealthInterval time.Duration
-	// ProbeTimeout bounds one health probe (default 2s).
-	ProbeTimeout time.Duration
-	// Retry shapes each worker client's unary retries. The zero value
-	// gets a small fleet default seeded from Seed. Its Breaker is
-	// replaced: every worker client gets a breaker of its own.
+	// Retry shapes each worker client's unary retries and stream
+	// reconnects. The zero value gets a small fleet default seeded
+	// from Seed. Its Breaker is replaced: every worker client gets a
+	// breaker of its own.
 	Retry retry.Policy
 	// Seed seeds retry jitter (fleet runs stay replayable).
 	Seed uint64
-	// MaxRoutes bounds how many worker attempts one job may consume
-	// across failovers (default 2×len(Workers)+1).
-	MaxRoutes int
-	// Transport, when set, wraps every worker client's HTTP transport
-	// (tests inject fault injectors here).
-	Transport func(workerName string, c *serve.Client)
 }
+
+// virtualNodes is the number of ring positions per worker: enough
+// that key ranges stay within a few percent of even for small fleets.
+const virtualNodes = 64
+
+// probeTimeout bounds one health probe and one cache sweep.
+const probeTimeout = 2 * time.Second
 
 // ErrNoWorkers reports that no live worker is available to route to.
 var ErrNoWorkers = errors.New("fleet: no live worker available")
 
-// worker is the coordinator's per-worker record. The client, breaker
+// worker is the coordinator's per-worker record. The clients, breaker
 // and name are immutable after New; state/lastErr are guarded by mu.
 type worker struct {
-	name    string
-	url     string
-	client  *serve.Client
+	name   string
+	url    string
+	client *serve.Client
+	// once makes single attempts with no breaker: a probe or sweep is
+	// one request and one verdict.
+	once    *serve.Client
 	breaker *retry.Breaker
 
 	mu      sync.Mutex
@@ -143,6 +145,9 @@ type Coordinator struct {
 	cfg     Config
 	ring    *ring
 	workers map[string]*worker
+	// maxRoutes bounds how many worker attempts one job may consume
+	// across failovers.
+	maxRoutes int
 
 	statsMu sync.Mutex
 	stats   Stats
@@ -178,17 +183,8 @@ func New(cfg Config) (*Coordinator, error) {
 	if len(cfg.Workers) == 0 {
 		return nil, errors.New("fleet: no workers configured")
 	}
-	if cfg.VirtualNodes <= 0 {
-		cfg.VirtualNodes = 64
-	}
 	if cfg.HealthInterval == 0 {
 		cfg.HealthInterval = time.Second
-	}
-	if cfg.ProbeTimeout <= 0 {
-		cfg.ProbeTimeout = 2 * time.Second
-	}
-	if cfg.MaxRoutes <= 0 {
-		cfg.MaxRoutes = 2*len(cfg.Workers) + 1
 	}
 	if cfg.Retry.MaxAttempts == 0 {
 		cfg.Retry = retry.Policy{
@@ -199,10 +195,11 @@ func New(cfg Config) (*Coordinator, error) {
 		}
 	}
 	c := &Coordinator{
-		cfg:     cfg,
-		workers: make(map[string]*worker, len(cfg.Workers)),
-		routes:  make(map[string]routeEntry),
-		stop:    make(chan struct{}),
+		cfg:       cfg,
+		workers:   make(map[string]*worker, len(cfg.Workers)),
+		maxRoutes: 2*len(cfg.Workers) + 1,
+		routes:    make(map[string]routeEntry),
+		stop:      make(chan struct{}),
 	}
 	names := make([]string, 0, len(cfg.Workers))
 	for _, spec := range cfg.Workers {
@@ -215,20 +212,17 @@ func New(cfg Config) (*Coordinator, error) {
 		br := &retry.Breaker{}
 		pol := cfg.Retry
 		pol.Breaker = br
-		cl := &serve.Client{Base: spec.URL, Retry: pol}
-		if cfg.Transport != nil {
-			cfg.Transport(spec.Name, cl)
-		}
 		c.workers[spec.Name] = &worker{
 			name:    spec.Name,
 			url:     spec.URL,
-			client:  cl,
+			client:  &serve.Client{Base: spec.URL, Retry: pol},
+			once:    &serve.Client{Base: spec.URL},
 			breaker: br,
 			state:   WorkerHealthy,
 		}
 		names = append(names, spec.Name)
 	}
-	c.ring = newRing(names, cfg.VirtualNodes)
+	c.ring = newRing(names, virtualNodes)
 	if cfg.HealthInterval > 0 {
 		c.wg.Add(1)
 		go c.healthLoop()
@@ -312,12 +306,12 @@ func (c *Coordinator) probe(w *worker) {
 		w.setState(WorkerDead, err)
 		return
 	}
-	ctx, cancel := context.WithTimeout(context.Background(), c.cfg.ProbeTimeout)
+	ctx, cancel := context.WithTimeout(context.Background(), probeTimeout)
 	defer cancel()
 	// Probes bypass the client's retry policy: one request, one
 	// verdict. A worker that needs retries to answer /healthz IS the
 	// signal the breaker exists to accumulate.
-	body, err := (&serve.Client{Base: w.url, HTTP: w.client.HTTP}).Health(ctx)
+	body, err := w.once.Health(ctx)
 	if err != nil {
 		w.breaker.Failure()
 		w.setState(WorkerDead, err)
@@ -426,7 +420,7 @@ func (c *Coordinator) pick(id string, tried map[string]bool) (*worker, error) {
 // ids are location-independent, so a hit from ANY worker is the
 // answer to THIS submission.
 func (c *Coordinator) CacheSweep(ctx context.Context, id string) (serve.JobStatus, bool) {
-	sctx, cancel := context.WithTimeout(ctx, c.cfg.ProbeTimeout)
+	sctx, cancel := context.WithTimeout(ctx, probeTimeout)
 	defer cancel()
 	type hit struct {
 		st serve.JobStatus
@@ -442,8 +436,7 @@ func (c *Coordinator) CacheSweep(ctx context.Context, id string) (serve.JobStatu
 		go func(w *worker) {
 			// Single attempt per worker: a sweep is advisory, the solve
 			// path is the fallback.
-			cl := &serve.Client{Base: w.url, HTTP: w.client.HTTP}
-			st, ok, err := cl.CachePeek(sctx, id)
+			st, ok, err := w.once.CachePeek(sctx, id)
 			results <- hit{st, ok && err == nil}
 		}(w)
 	}
@@ -509,7 +502,7 @@ func (c *Coordinator) solveRouted(ctx context.Context, id string, req serve.Solv
 	var ckpt []byte
 	tried := make(map[string]bool)
 	var lastErr error
-	for route := 0; route < c.cfg.MaxRoutes; route++ {
+	for route := 0; route < c.maxRoutes; route++ {
 		w, err := c.pick(id, tried)
 		if err != nil {
 			// Every worker tried or down: refresh health and start a
@@ -537,7 +530,7 @@ func (c *Coordinator) solveRouted(ctx context.Context, id string, req serve.Solv
 			w.client.SeedCheckpoint(ctx, id, ckpt)
 		}
 		c.remember(id, w.name, req)
-		st, err := c.runOn(ctx, w, req, forward)
+		st, err := w.client.Solve(ctx, req, forward)
 		if err == nil && (st.State == serve.JobDone || st.State == serve.JobFailed) {
 			// JobFailed is a deterministic solver error: every worker
 			// would fail identically, so surface it instead of burning
@@ -559,7 +552,7 @@ func (c *Coordinator) solveRouted(ctx context.Context, id string, req serve.Solv
 			w.setState(WorkerDead, err)
 		}
 	}
-	return serve.JobStatus{}, fmt.Errorf("fleet: job %s exhausted %d routes: %w", id, c.cfg.MaxRoutes, lastErr)
+	return serve.JobStatus{}, fmt.Errorf("fleet: job %s exhausted %d routes: %w", id, c.maxRoutes, lastErr)
 }
 
 func (c *Coordinator) wrap(err, last error) error {
@@ -567,19 +560,6 @@ func (c *Coordinator) wrap(err, last error) error {
 		return fmt.Errorf("%w (last worker error: %v)", err, last)
 	}
 	return err
-}
-
-// runOn submits and follows one job on one worker. A nil error with a
-// non-terminal status means the worker parked the job (drain).
-func (c *Coordinator) runOn(ctx context.Context, w *worker, req serve.SolveRequest, forward func(serve.Event)) (serve.JobStatus, error) {
-	st, err := w.client.Submit(ctx, req)
-	if err != nil {
-		return serve.JobStatus{}, err
-	}
-	if st.State == serve.JobDone || st.State == serve.JobFailed {
-		return st, nil
-	}
-	return w.client.Follow(ctx, st.ID, forward)
 }
 
 // remember records a front-door routing decision for later status and
@@ -619,8 +599,7 @@ func (c *Coordinator) JobStatus(ctx context.Context, id string) (serve.JobStatus
 		if w.getState() == WorkerDead {
 			continue
 		}
-		cl := &serve.Client{Base: w.url, HTTP: w.client.HTTP}
-		if st, err := cl.Job(ctx, id); err == nil {
+		if st, err := w.once.Job(ctx, id); err == nil {
 			return st, nil
 		}
 	}
@@ -697,7 +676,7 @@ func (c *Coordinator) Submit(ctx context.Context, req serve.SolveRequest) (serve
 	}
 	tried := make(map[string]bool)
 	var lastErr error
-	for route := 0; route < c.cfg.MaxRoutes; route++ {
+	for route := 0; route < c.maxRoutes; route++ {
 		w, err := c.pick(id, tried)
 		if err != nil {
 			return serve.JobStatus{}, c.wrap(err, lastErr)

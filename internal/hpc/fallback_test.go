@@ -186,3 +186,44 @@ func TestRemoteRetryIsTheOnlyLoop(t *testing.T) {
 		t.Fatalf("client breaker %v after three failures, want open", br.State())
 	}
 }
+
+// slowAnneal is AnnealSolver behind a fixed delay: a leaf that takes
+// longer than a submission should.
+type slowAnneal struct{ solver.AnnealSolver }
+
+func (s slowAnneal) SolveSub(g *graph.Graph, r *rng.Rand) (maxcut.Cut, error) {
+	time.Sleep(400 * time.Millisecond)
+	return s.AnnealSolver.SolveSub(g, r)
+}
+
+func init() {
+	// A test-only registry name the daemon under test resolves like
+	// any other.
+	if err := solver.Register("slow-anneal", func(solver.Spec) (solver.Solver, error) {
+		return slowAnneal{}, nil
+	}); err != nil {
+		panic(err)
+	}
+}
+
+// TestRemoteLeafOutlivesAttemptTimeout: the attempt timeout bounds a
+// submission, not the streamed solve. A healthy daemon whose leaf
+// takes 400 ms answers a RemoteSolver with 100 ms attempts; the leaf
+// is not retried into exhaustion and handed to a fallback.
+func TestRemoteLeafOutlivesAttemptTimeout(t *testing.T) {
+	_, client := startService(t)
+	g := graph.ErdosRenyi(8, 0.5, graph.Unweighted, rng.New(1))
+	slow := RemoteSolver{Client: client, Solver: "slow-anneal",
+		Retry: retry.Policy{MaxAttempts: 2, AttemptTimeout: 100 * time.Millisecond}}
+	cut, err := slow.SolveSub(g, rng.New(1))
+	if err != nil {
+		t.Fatalf("healthy daemon, 400 ms leaf: %v", err)
+	}
+	want, err := localMirror{}.SolveSub(g, rng.New(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if serve.EncodeSpins(cut.Spins) != serve.EncodeSpins(want.Spins) || cut.Value != want.Value {
+		t.Fatalf("remote cut %v differs from the local anneal %v", cut.Value, want.Value)
+	}
+}

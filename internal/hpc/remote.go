@@ -2,7 +2,6 @@ package hpc
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"time"
 
@@ -39,10 +38,12 @@ import (
 // under Retry with deterministic backoff; terminal rejections (4xx,
 // unknown solver) fail immediately. Retry is the only retry loop on
 // the hop: each attempt runs through a single-attempt copy of Client
-// that keeps the client's breaker. A breaker shared through
-// Retry.Breaker trips after repeated failures so the remaining leaves
-// skip the dead daemon's timeout entirely and degrade straight to
-// Fallback.
+// that keeps the client's breaker. Retry's AttemptTimeout bounds that
+// copy's submission only; the event stream that follows is unbounded,
+// so a healthy daemon may take as long as a leaf needs. A breaker
+// shared through Retry.Breaker trips after repeated failures so the
+// remaining leaves skip the dead daemon's timeout entirely and
+// degrade straight to Fallback.
 type RemoteSolver struct {
 	// Client reaches the daemon.
 	Client *serve.Client
@@ -63,20 +64,13 @@ type RemoteSolver struct {
 	// solve directly (budget = sub-graph size). A smaller budget makes
 	// the daemon divide-and-conquer the sub-graph again.
 	MaxQubits int
-	// Priority selects the daemon queue lane ("" = normal).
-	Priority string
 
-	// Context bounds the whole dispatch lifetime (nil = Background);
-	// cancel it to abandon in-flight leaves.
-	Context context.Context
-	// Timeout bounds one leaf's complete remote dispatch — all retry
-	// attempts included (0 = no per-leaf bound).
-	Timeout time.Duration
 	// Retry shapes the resubmission loop. The zero policy means
 	// retry.Default seeded from the leaf seed — deterministic backoff
 	// jitter per leaf. A single-attempt policy (MaxAttempts 1,
 	// retry.Policy{MaxAttempts: 1}) restores the historical
-	// fail-on-first-error behavior. Its Breaker, when set, is
+	// fail-on-first-error behavior. Its AttemptTimeout bounds each
+	// submission, not the streamed solve. Its Breaker, when set, is
 	// consulted before every attempt and fed every outcome. Share ONE
 	// breaker across all leaves targeting the same daemon: after
 	// FailureThreshold consecutive failures the remaining leaves fail
@@ -84,8 +78,8 @@ type RemoteSolver struct {
 	// retry budget against a dead endpoint.
 	Retry retry.Policy
 	// Fallback, when set, solves the sub-graph locally after the
-	// remote path is exhausted (retries spent, breaker open, or the
-	// dispatch deadline passed). The degradation is visible in the
+	// remote path is exhausted (retries spent, breaker open, or a
+	// terminal rejection). The degradation is visible in the
 	// attribution report: the winner becomes "fallback:<name>" and the
 	// failed remote attempt stays in Attempts with its error. For
 	// bit-identical degradation, use the local twin of the remote
@@ -145,18 +139,8 @@ func (s RemoteSolver) SolveSubAttributed(g *graph.Graph, r *rng.Rand) (maxcut.Cu
 	// and the local fallback all solve the identical (graph, seed).
 	seed := r.Uint64()
 
-	ctx := s.Context
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	cancel := context.CancelFunc(func() {})
-	if s.Timeout > 0 {
-		ctx, cancel = context.WithTimeout(ctx, s.Timeout)
-	}
-	defer cancel()
-
 	start := time.Now()
-	cut, err := s.solveRemote(ctx, g, seed)
+	cut, err := s.solveRemote(g, seed)
 	if err == nil {
 		return cut, solver.Report{Winner: s.Name()}, nil
 	}
@@ -194,7 +178,7 @@ func (s RemoteSolver) SolveSubAttributed(g *graph.Graph, r *rng.Rand) (maxcut.Cu
 // solveRemote runs the retried remote dispatch for one (graph, seed)
 // leaf. Each attempt resubmits — idempotent by construction — and
 // follows the job's event stream to a settled status.
-func (s RemoteSolver) solveRemote(ctx context.Context, g *graph.Graph, seed uint64) (maxcut.Cut, error) {
+func (s RemoteSolver) solveRemote(g *graph.Graph, seed uint64) (maxcut.Cut, error) {
 	sub, merge := s.Solver, s.Merge
 	if sub == "" {
 		sub = "anneal"
@@ -213,7 +197,6 @@ func (s RemoteSolver) solveRemote(ctx context.Context, g *graph.Graph, seed uint
 		Merge:     merge,
 		Layers:    s.Layers,
 		Seed:      seed,
-		Priority:  s.Priority,
 	}
 
 	pol := s.Retry
@@ -222,23 +205,15 @@ func (s RemoteSolver) solveRemote(ctx context.Context, g *graph.Graph, seed uint
 		pol = retry.Default(seed)
 		pol.Breaker = br
 	}
+	// The attempt timeout moves to the single-attempt copy, whose
+	// policy bounds only the submission: the stream of a long leaf on
+	// a healthy daemon must not expire with it.
 	once := *s.Client
-	once.Retry = retry.Policy{Breaker: s.Client.Retry.Breaker}
-	base := pol.Classify
-	if base == nil {
-		base = retry.Classify
-	}
-	pol.Classify = func(err error) retry.Class {
-		// A torn event stream re-follows the same job: the server-side
-		// replay makes re-attachment lossless.
-		if errors.Is(err, serve.ErrStreamInterrupted) {
-			return retry.Retryable
-		}
-		return base(err)
-	}
+	once.Retry = retry.Policy{AttemptTimeout: pol.AttemptTimeout, Breaker: s.Client.Retry.Breaker}
+	pol.AttemptTimeout = 0
 
 	var cut maxcut.Cut
-	err := pol.Do(ctx, func(actx context.Context) error {
+	err := pol.Do(context.Background(), func(actx context.Context) error {
 		st, err := once.Solve(actx, req, nil)
 		if err != nil {
 			return err

@@ -1,7 +1,7 @@
 // Package retry is the fault-tolerance policy engine behind remote
 // dispatch: capped exponential backoff with deterministic jitter,
-// per-attempt timeouts, a total attempt/time budget, transport-aware
-// error classification, and a per-endpoint circuit breaker. The solve
+// per-attempt timeouts, an attempt budget, transport-aware error
+// classification, and a per-endpoint circuit breaker. The solve
 // plane's leaves are idempotent — the daemon's fingerprint-keyed
 // result cache answers a resubmitted (graph, seed) pair with the
 // identical cut — so retrying is always safe; this package decides
@@ -55,8 +55,8 @@ func (e *StatusError) Error() string { return fmt.Sprintf("%s (HTTP %d)", e.Msg,
 
 // Sentinel errors Do and Breaker return; wrap-aware (errors.Is).
 var (
-	// ErrExhausted wraps the last error once the attempt or time
-	// budget runs out.
+	// ErrExhausted wraps the last error once the attempt budget runs
+	// out.
 	ErrExhausted = errors.New("retry: budget exhausted")
 	// ErrOpen fails an attempt fast while the circuit breaker is open.
 	ErrOpen = errors.New("retry: circuit breaker open")
@@ -83,7 +83,7 @@ func MarkTerminal(err error) error { return &marked{err: err, class: Terminal} }
 //
 //   - explicit marks win;
 //   - context cancellation/expiry is terminal (the caller gave up —
-//     Do handles per-attempt deadlines separately);
+//     Do marks an expired per-attempt deadline retryable);
 //   - HTTP 5xx and 429 are retryable, other statuses terminal;
 //   - connection refused/reset, torn reads (EOF mid-response), and
 //     net.Error transport failures are retryable;
@@ -127,29 +127,21 @@ type Policy struct {
 	// BaseDelay seeds the exponential backoff (default 50ms when
 	// retries are enabled); MaxDelay caps its growth (default 2s).
 	BaseDelay, MaxDelay time.Duration
-	// AttemptTimeout bounds each individual try (0 = none). An attempt
-	// that hits it is retryable; the PARENT context's deadline stays
-	// terminal.
+	// AttemptTimeout bounds each individual try of Do (0 = none). An
+	// attempt that hits it is retryable; the PARENT context's deadline
+	// stays terminal.
 	AttemptTimeout time.Duration
-	// Budget bounds total elapsed time across tries and backoff waits
-	// (0 = none): Do stops with ErrExhausted rather than start a wait
-	// that would overrun it.
-	Budget time.Duration
 	// Seed drives the deterministic jitter stream.
 	Seed uint64
-	// Classify overrides the package classifier (nil = Classify).
-	Classify func(error) Class
-	// Breaker, when set, gates every attempt and is fed the outcome:
-	// transport failures and 5xx count against the endpoint, any
-	// response from an alive endpoint (2xx result or terminal 4xx)
+	// Breaker, when set, gates every attempt of Do and is fed the
+	// outcome: transport failures and 5xx count against the endpoint,
+	// any response from an alive endpoint (2xx result or terminal 4xx)
 	// resets it.
 	Breaker *Breaker
 
 	// Sleep waits between attempts (tests inject; default
-	// time.After/context select). Now stamps the budget clock (tests
-	// inject; default time.Now).
+	// time.After/context select).
 	Sleep func(ctx context.Context, d time.Duration) error
-	Now   func() time.Time
 }
 
 // Default returns the dispatch-layer policy remote leaf solves use: 4
@@ -187,13 +179,6 @@ func (p Policy) Delay(attempt int) time.Duration {
 	return time.Duration(float64(d) * (0.5 + 0.5*u))
 }
 
-func (p Policy) classify(err error) Class {
-	if p.Classify != nil {
-		return p.Classify(err)
-	}
-	return Classify(err)
-}
-
 func (p Policy) sleep(ctx context.Context, d time.Duration) error {
 	if p.Sleep != nil {
 		return p.Sleep(ctx, d)
@@ -208,25 +193,13 @@ func (p Policy) sleep(ctx context.Context, d time.Duration) error {
 	}
 }
 
-func (p Policy) now() time.Time {
-	if p.Now != nil {
-		return p.Now()
-	}
-	return time.Now()
-}
-
 // Do runs op under the policy: attempts are classified, retryable
-// failures back off and try again within the attempt/time budget, and
-// the breaker (when set) fails fast while the endpoint is known dead.
-// The returned error wraps the last attempt's failure; errors.Is
+// failures back off and try again within the attempt budget, and the
+// breaker (when set) fails fast while the endpoint is known dead. The
+// returned error wraps the last attempt's failure; errors.Is
 // distinguishes ErrExhausted (budget ran out retrying) and ErrOpen
 // (breaker refused) from terminal failures passed through unchanged.
 func (p Policy) Do(ctx context.Context, op func(context.Context) error) error {
-	attempts := p.MaxAttempts
-	if attempts <= 0 {
-		attempts = 1
-	}
-	start := p.now()
 	var err error
 	for attempt := 1; ; attempt++ {
 		if p.Breaker != nil {
@@ -254,47 +227,58 @@ func (p Policy) Do(ctx context.Context, op func(context.Context) error) error {
 			// regardless of the attempt error's shape.
 			return err
 		}
-		// An attempt-timeout expiry is transient by construction (the
-		// parent context is still live).
-		class := Retryable
-		if !(p.AttemptTimeout > 0 && errors.Is(err, context.DeadlineExceeded)) {
-			class = p.classify(err)
+		if p.AttemptTimeout > 0 && errors.Is(err, context.DeadlineExceeded) {
+			// An attempt-timeout expiry is transient by construction
+			// (the parent context is still live), also to a caller's
+			// own loop around a single-attempt policy.
+			err = MarkRetryable(err)
 		}
 		if p.Breaker != nil {
 			// A terminal HTTP status came from an ALIVE endpoint: the
 			// request is wrong, not the daemon — don't trip the breaker.
 			var se *StatusError
-			if class == Terminal && errors.As(err, &se) && se.Code < 500 {
+			if Classify(err) == Terminal && errors.As(err, &se) && se.Code < 500 {
 				p.Breaker.Success()
 			} else {
 				p.Breaker.Failure()
 			}
 		}
-		if class == Terminal {
-			return err
-		}
-		if attempt >= attempts {
-			if attempts == 1 {
-				// No retries were configured: pass the error through
-				// unwrapped so zero-Policy call sites keep their
-				// historical error shape.
-				return err
-			}
-			return fmt.Errorf("%w after %d attempts: %w", ErrExhausted, attempt, err)
-		}
-		delay := p.Delay(attempt)
-		var se *StatusError
-		if errors.As(err, &se) && se.RetryAfter > delay {
-			// Honor the server's Retry-After hint when it asks for more
-			// patience than the backoff schedule.
-			delay = se.RetryAfter
-		}
-		if p.Budget > 0 && p.now().Add(delay).Sub(start) > p.Budget {
-			return fmt.Errorf("%w after %d attempts (%v time budget): %w",
-				ErrExhausted, attempt, p.Budget, err)
-		}
-		if serr := p.sleep(ctx, delay); serr != nil {
-			return err
+		if stop := p.Backoff(ctx, attempt, err); stop != nil {
+			return stop
 		}
 	}
+}
+
+// Backoff is the step after failed attempt number attempt (1-based)
+// of any retry loop under the policy. It returns the error to give up
+// with: err itself when the caller's context is done or err is
+// terminal, err wrapped in ErrExhausted when that was the last
+// attempt. Otherwise it waits out the backoff — at least the server's
+// Retry-After hint — and returns nil to try again.
+func (p Policy) Backoff(ctx context.Context, attempt int, err error) error {
+	if ctx.Err() != nil || Classify(err) == Terminal {
+		return err
+	}
+	attempts := max(p.MaxAttempts, 1)
+	if attempt >= attempts {
+		if attempts == 1 {
+			// No retries were configured: pass the error through
+			// unwrapped so zero-Policy call sites keep their
+			// historical error shape.
+			return err
+		}
+		return fmt.Errorf("%w after %d attempts: %w", ErrExhausted, attempt, err)
+	}
+	delay := p.Delay(attempt)
+	var se *StatusError
+	if errors.As(err, &se) && se.RetryAfter > delay {
+		// Honor the server's Retry-After hint when it asks for more
+		// patience than the backoff schedule: a draining daemon or a
+		// deep queue knows its own recovery horizon.
+		delay = se.RetryAfter
+	}
+	if p.sleep(ctx, delay) != nil {
+		return err
+	}
+	return nil
 }

@@ -18,11 +18,29 @@ import (
 
 // ErrStreamInterrupted reports an event stream that died before its
 // terminal status line — a mid-stream disconnect, a torn NDJSON line,
-// or a response that ended early. It is retryable: the server's
-// event-replay path lets a re-attached subscriber observe the
-// identical sequence, so Follow reconnects on it and deduplicates the
-// replayed prefix by sequence number.
+// or a response that ended early. Stream marks it retryable where it
+// creates it: the server's event-replay path lets a re-attached
+// subscriber observe the identical sequence, so Follow reconnects on
+// it and deduplicates the replayed prefix by sequence number.
 var ErrStreamInterrupted = errors.New("serve: event stream interrupted")
+
+// maxStreamLine bounds one NDJSON line Stream reads. The longest line
+// is the terminal status of the largest job serve admits, and it grows
+// with the node count. Per node it holds at most:
+//
+//	  1 B  its spin in result.spins
+//	  1 B  its spin in result.problem.spins
+//	  8 B  its index in result.problem.selected ("1048575,")
+//	502 B  one first-level sub-report, as every sub-graph holds a
+//	       node: ≤ 100 B of fixed fields at full-width numbers, the
+//	       two attempts of a composite at ≤ 110 B each, and room for
+//	       the attempts' error text
+//	-----
+//	512 B
+//
+// so maxGraphNodes × 512 B = 2^20 × 2^9 B = 512 MiB. The scanner's
+// buffer grows to the longest line actually read, not to this bound.
+const maxStreamLine = maxGraphNodes * 512
 
 // Client is the Go API against a running qaoa2d daemon (or any
 // Server.Handler). The zero HTTP client is replaced by
@@ -34,17 +52,18 @@ type Client struct {
 	// HTTP overrides the transport (tests inject httptest clients and
 	// fault-injecting round-trippers).
 	HTTP *http.Client
-	// Retry shapes Submit/Job retries and the Follow reconnect loop.
-	// The zero policy performs single attempts (no behavior change);
+	// Retry shapes the unary calls' retries (Submit, Job, CachePeek,
+	// FetchCheckpoint, SeedCheckpoint) and the Follow reconnect loop,
+	// which takes the same backoff step (retry.Policy.Backoff). The
+	// zero policy performs single attempts (no behavior change);
 	// retry.Default(seed) opts into the dispatch-layer defaults. Its
-	// AttemptTimeout bounds each unary call; streams are unbounded —
-	// pass a deadline context to bound a whole Solve. Its Breaker,
-	// when set, gates every request so a dead daemon fails fast
-	// instead of stalling each call through the full retry budget:
-	// share one breaker per daemon across clients and leaves.
-	// Submissions are idempotent — identical (graph, seed, solver)
-	// requests coalesce onto one job server-side — so retrying is
-	// always safe.
+	// AttemptTimeout and Breaker apply to the unary calls only:
+	// streams are unbounded — pass a deadline context to bound a whole
+	// Solve — and a breaker, shared per daemon across clients and
+	// leaves, makes a dead daemon fail fast instead of stalling each
+	// call through the full retry budget. Submissions are idempotent —
+	// identical (graph, seed, solver) requests coalesce onto one job
+	// server-side — so retrying is always safe.
 	Retry retry.Policy
 }
 
@@ -147,8 +166,8 @@ func (c *Client) Job(ctx context.Context, id string) (JobStatus, error) {
 // status line once the job settles. A job parked by a server drain
 // returns with State == JobQueued; resubscribe after the server
 // restarts to follow the resumed run. A mid-stream disconnect — the
-// connection torn before the status line — returns an error wrapping
-// ErrStreamInterrupted; Follow is the reconnecting variant.
+// connection torn before the status line — returns a retryable error
+// wrapping ErrStreamInterrupted; Follow is the reconnecting variant.
 func (c *Client) Stream(ctx context.Context, id string, onEvent func(Event)) (JobStatus, error) {
 	hreq, err := http.NewRequestWithContext(ctx, http.MethodGet, c.url("/v1/jobs/"+id+"/events"), nil)
 	if err != nil {
@@ -163,7 +182,7 @@ func (c *Client) Stream(ctx context.Context, id string, onEvent func(Event)) (Jo
 		return JobStatus{}, decodeError(resp)
 	}
 	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
+	sc.Buffer(make([]byte, 0, 64*1024), maxStreamLine)
 	for sc.Scan() {
 		line := bytes.TrimSpace(sc.Bytes())
 		if len(line) == 0 {
@@ -172,8 +191,10 @@ func (c *Client) Stream(ctx context.Context, id string, onEvent func(Event)) (Jo
 		var sl StreamLine
 		if err := json.Unmarshal(line, &sl); err != nil {
 			// A torn NDJSON line: the connection died mid-write. The
-			// replayed stream will deliver the complete line.
-			return JobStatus{}, fmt.Errorf("%w: job %s: bad stream line %q", ErrStreamInterrupted, id, line)
+			// replayed stream will deliver the complete line. The
+			// error quotes its first 256 bytes only, as a status line
+			// may run to hundreds of MiB.
+			return JobStatus{}, interrupted(id, fmt.Sprintf("bad stream line %.256q", line))
 		}
 		if sl.Event != nil && onEvent != nil {
 			onEvent(*sl.Event)
@@ -187,9 +208,14 @@ func (c *Client) Stream(ctx context.Context, id string, onEvent func(Event)) (Jo
 		return JobStatus{}, ctx.Err()
 	}
 	if err := sc.Err(); err != nil {
-		return JobStatus{}, fmt.Errorf("%w: job %s: %v", ErrStreamInterrupted, id, err)
+		return JobStatus{}, interrupted(id, err.Error())
 	}
-	return JobStatus{}, fmt.Errorf("%w: job %s: stream ended without a status line", ErrStreamInterrupted, id)
+	return JobStatus{}, interrupted(id, "stream ended without a status line")
+}
+
+// interrupted is the retryable ErrStreamInterrupted of job id.
+func interrupted(id, why string) error {
+	return retry.MarkRetryable(fmt.Errorf("%w: job %s: %s", ErrStreamInterrupted, id, why))
 }
 
 // Follow streams a job to its settled status, reconnecting through
@@ -197,14 +223,9 @@ func (c *Client) Stream(ctx context.Context, id string, onEvent func(Event)) (Jo
 // (the server guarantees an identical sequence to every subscriber)
 // and Follow deduplicates by Event.Seq, so onEvent observes each
 // event exactly once, in order, across any number of reconnects.
-// Reconnect attempts draw from the client's retry policy; receiving
-// new events counts as progress and refreshes the attempt budget.
+// Reconnects take the client policy's backoff step; receiving new
+// events counts as progress and refreshes the attempt budget.
 func (c *Client) Follow(ctx context.Context, id string, onEvent func(Event)) (JobStatus, error) {
-	pol := c.Retry
-	attempts := pol.MaxAttempts
-	if attempts <= 0 {
-		attempts = 1
-	}
 	lastSeq, attempt := 0, 0
 	for {
 		progressed := false
@@ -222,54 +243,12 @@ func (c *Client) Follow(ctx context.Context, id string, onEvent func(Event)) (Jo
 		if err == nil {
 			return st, nil
 		}
-		if ctx.Err() != nil {
-			return JobStatus{}, err
-		}
-		retryable := errors.Is(err, ErrStreamInterrupted)
-		if !retryable {
-			if cl := pol.Classify; cl != nil {
-				retryable = cl(err) == retry.Retryable
-			} else {
-				retryable = retry.Classify(err) == retry.Retryable
-			}
-		}
-		if !retryable {
-			return JobStatus{}, err
-		}
 		if progressed {
 			attempt = 0
 		}
 		attempt++
-		if attempt >= attempts {
-			if attempts == 1 {
-				return JobStatus{}, err
-			}
-			return JobStatus{}, fmt.Errorf("%w after %d attempts: %w", retry.ErrExhausted, attempt, err)
-		}
-		// Honor a server Retry-After hint when it exceeds the backoff
-		// schedule: a draining daemon or a deep queue knows its own
-		// recovery horizon better than our exponential curve does.
-		// Policy.Do already does this for unary calls; the reconnect
-		// loop must match, or Follow hammers a congested server at
-		// whatever cadence the jittered curve happens to pick.
-		delay := pol.Delay(attempt)
-		var se *retry.StatusError
-		if errors.As(err, &se) && se.RetryAfter > delay {
-			delay = se.RetryAfter
-		}
-		if serr := pol.Sleep; serr != nil {
-			if e := serr(ctx, delay); e != nil {
-				return JobStatus{}, err
-			}
-		} else {
-			t := time.NewTimer(delay)
-			select {
-			case <-t.C:
-			case <-ctx.Done():
-				t.Stop()
-				return JobStatus{}, err
-			}
-			t.Stop()
+		if err := c.Retry.Backoff(ctx, attempt, err); err != nil {
+			return JobStatus{}, err
 		}
 	}
 }

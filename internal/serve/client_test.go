@@ -2,6 +2,7 @@ package serve
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -12,6 +13,7 @@ import (
 
 	"qaoa2/internal/faults"
 	"qaoa2/internal/retry"
+	rt "qaoa2/internal/runtime"
 )
 
 // fastRetry is a test policy: real retries, negligible delays.
@@ -189,5 +191,38 @@ func TestDecodeErrorTyped(t *testing.T) {
 	}
 	if retry.Classify(err) != retry.Terminal {
 		t.Fatal("404 classified retryable")
+	}
+}
+
+// TestStreamReadsLargeJobStatus streams the terminal status line of a
+// job at the node bound serve admits: a perfect matching on
+// maxGraphNodes nodes solved with "random" leaves at 16 qubits, which
+// the daemon finishes with one spin per node and one two-node
+// sub-report per matched pair. The line is ~26 MiB; a client that
+// reads lines only up to 1 MiB fails it with "token too long" although
+// the job is done.
+func TestStreamReadsLargeJobStatus(t *testing.T) {
+	reports := make([]rt.SubReport, maxGraphNodes/2)
+	for i := range reports {
+		reports[i] = rt.SubReport{Nodes: 2, Edges: 1, Value: 1, Solver: "random"}
+	}
+	want := JobStatus{ID: "0123456789abcdef", State: JobDone, Priority: PriorityNormal, Result: &JobResult{
+		Spins:     strings.Repeat("+-", maxGraphNodes/2),
+		Value:     maxGraphNodes / 2,
+		SubGraphs: len(reports),
+		IntraCut:  maxGraphNodes / 2,
+		Reports:   reports,
+	}}
+	line, err := json.Marshal(StreamLine{Status: &want})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := &Client{Base: "http://stream.test", HTTP: &http.Client{Transport: bodyTransport(append(line, '\n'))}}
+	st, err := c.Stream(context.Background(), want.ID, nil)
+	if err != nil {
+		t.Fatalf("%d-byte status line: %v", len(line), err)
+	}
+	if st.State != JobDone || len(st.Result.Spins) != maxGraphNodes || len(st.Result.Reports) != len(reports) {
+		t.Fatalf("got state %s, %d spins, %d reports", st.State, len(st.Result.Spins), len(st.Result.Reports))
 	}
 }

@@ -194,7 +194,7 @@ func FuzzStreamLines(f *testing.F) {
 		if err != nil && !errors.Is(err, ErrStreamInterrupted) {
 			t.Fatalf("Stream error %v does not wrap ErrStreamInterrupted", err)
 		}
-		if len(body) >= 1<<20 { // past the line bound the client reads with
+		if len(body) >= maxStreamLine { // past the line bound the client reads with
 			return
 		}
 		var want []Event

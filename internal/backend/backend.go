@@ -129,6 +129,23 @@ func TableMax(a Ansatz) float64 {
 	return slices.Max(table[:len(table)/2])
 }
 
+// Releaser is the optional extension of Ansatz for backends that pool
+// their buffers: Fused hands its engines and level index back for the
+// next Prepare of the same shape. After Release every state the ansatz
+// returned is empty (Len() == 0) and the ansatz must not be used again.
+type Releaser interface {
+	// Release returns the ansatz's buffers; a second call does nothing.
+	Release()
+}
+
+// Release hands a's buffers back when it implements Releaser; Dense and
+// Noisy pool nothing, so for them it does nothing.
+func Release(a Ansatz) {
+	if r, ok := a.(Releaser); ok {
+		r.Release()
+	}
+}
+
 // checkBatchParams validates an EvaluateBatch call.
 func checkBatchParams(layers int, gammas, betas [][]float64, energies []float64) error {
 	if len(betas) != len(gammas) || len(energies) != len(gammas) {

@@ -234,7 +234,7 @@ func TestIndexLevels(t *testing.T) {
 			shifted[i] = tc.diag[i] + tc.add
 		}
 		wantValues, wantIdx := indexLevels(tc.diag[:tc.n], maxPhaseLevels)
-		got := phaseTables(tc.diag, tc.add, tc.n)
+		got := phaseTables(tc.diag, tc.add, make([]int32, tc.n))
 		if wantValues == nil {
 			if got.Levels != nil || got.Values != nil || got.Idx != nil ||
 				!slices.Equal(got.Shift, shifted) || !slices.Equal(got.Diag, tc.diag[:tc.n]) {

@@ -127,3 +127,20 @@ func BenchmarkFusedPrepare20(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkFusedPrepareReleased20 is BenchmarkFusedPrepare20 with the
+// ansatz released after each Prepare, as a QAOA² leaf releases it once
+// its cut is read: from the second iteration on, the engine and the
+// level index come back from their pools, and ReportAllocs shows what
+// a leaf of this size still allocates — no 2^n buffer.
+func BenchmarkFusedPrepareReleased20(b *testing.B) {
+	g := graph.ErdosRenyi(20, 0.5, graph.Unweighted, rng.New(20))
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		a, err := (backend.Fused{}).Prepare(g, backend.Config{Layers: 3})
+		if err != nil {
+			b.Fatal(err)
+		}
+		backend.Release(a)
+	}
+}

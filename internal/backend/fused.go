@@ -85,11 +85,12 @@ func (f Fused) Prepare(g *graph.Graph, cfg Config) (Ansatz, error) {
 		k--
 	}
 	add := -g.TotalWeight() / 2
+	a.idx = takeIndex(k)
 	if lo, ok := integralSpan(g); ok {
-		a.cost = cutLevels(g, k, lo, add)
+		a.cost = cutLevels(g, *a.idx, lo, add)
 	} else {
 		a.diag = CutTable(g, nil)
-		a.cost = phaseTables(a.diag, add, 1<<uint(k))
+		a.cost = phaseTables(a.diag, add, *a.idx)
 	}
 	eng, err := a.newEngine()
 	if err != nil {
@@ -118,16 +119,15 @@ func integralSpan(g *graph.Graph) (lo int, ok bool) {
 }
 
 // cutLevels is the integral build: CutTable's doubling recurrence run
-// in int32 over the first k wires — the engine's own index space of 2^k
-// entries, the Z2 prefix half when k = n − 1 — writing each entry as
-// its level index cut(x) − lo. The same pass tracks the largest and
-// smallest index, so the levels cover exactly the cut range: level j
-// has value float64(lo' + j) and phase that value + add, with lo' the
-// smallest cut. Under integralSpan every CutTable entry is that integer
+// in int32 over the first k wires — the engine's own index space of
+// 2^k = len(idx) entries, the Z2 prefix half when k = n − 1 — writing
+// each entry of idx as its level index cut(x) − lo. The same pass
+// tracks the largest and smallest index, so the levels cover exactly
+// the cut range: level j has value float64(lo' + j) and phase that
+// value + add, with lo' the smallest cut. Under integralSpan every CutTable entry is that integer
 // exactly, so Values[Idx[x]] == CutTable(g, nil)[x] and the phases are
 // phaseTables' own, without the 2^n float64 table.
-func cutLevels(g *graph.Graph, k, lo int, add float64) qsim.CostTables {
-	idx := make([]int32, 1<<uint(k))
+func cutLevels(g *graph.Graph, idx []int32, lo int, add float64) qsim.CostTables {
 	idx[0] = int32(-lo) // cut(0) = 0
 	first, last := doubleCuts(g, nil, idx)
 	if first > 0 {
@@ -151,20 +151,21 @@ func cutLevels(g *graph.Graph, k, lo int, add float64) qsim.CostTables {
 // few collisions, and fit the stack.
 const phaseCacheBits = 10
 
-// phaseTables is the float build: it compiles the first n entries of a
-// diagonal, with phase diagonal diag[i] + add, into the engine's
-// tables. When diag[:n] has at most maxPhaseLevels distinct values they
-// take the indexed form — Values the distinct values ascending, Idx
-// with Values[Idx[i]] == diag[i], Levels[j] = Values[j] + add — else
-// the dense form (diag[:n], and the shifted copy for the per-amplitude
-// Sincos fallback). It serves real weights and is the tests' oracle
-// for cutLevels.
+// phaseTables is the float build: it compiles the first n = len(idx)
+// entries of a diagonal, with phase diagonal diag[i] + add, into the
+// engine's tables. When diag[:n] has at most maxPhaseLevels distinct
+// values they take the indexed form — Values the distinct values
+// ascending, Idx (written into idx) with Values[Idx[i]] == diag[i],
+// Levels[j] = Values[j] + add — else the dense form (diag[:n], and the
+// shifted copy for the per-amplitude Sincos fallback). It serves real
+// weights and is the tests' oracle for cutLevels.
 //
 // Both passes resolve a value through a direct-mapped cache keyed by a
 // hash of its bits, and fall back to a binary search of the sorted
 // values only on a cache miss: a cut table has few distinct values, so
 // nearly every entry costs one hash and one compare.
-func phaseTables(diag []float64, add float64, n int) qsim.CostTables {
+func phaseTables(diag []float64, add float64, idx []int32) qsim.CostTables {
+	n := len(idx)
 	diag = diag[:n]
 	var keys [1 << phaseCacheBits]float64 // value last resolved in each slot
 	var at [1 << phaseCacheBits]int32     // its position in values (second pass)
@@ -200,7 +201,6 @@ func phaseTables(diag []float64, add float64, n int) qsim.CostTables {
 	}
 
 	forget()
-	idx := make([]int32, n)
 	for i, d := range diag {
 		h := slot(d)
 		if keys[h] != d {
@@ -222,6 +222,7 @@ type fusedAnsatz struct {
 	n, layers int
 	z2        bool            // engines run on the Z2-reduced half-vector
 	cost      qsim.CostTables // the engine's tables (half-length when z2)
+	idx       *[]int32        // the pooled level index buffer (takeIndex)
 	diagOnce  sync.Once
 	// diag is the full 2^n ⟨H_C⟩ diagonal Diagonal returns: kept from
 	// the float build, built on the first Diagonal call after the
@@ -238,10 +239,47 @@ func (a *fusedAnsatz) newEngine() (*qsim.Engine, error) {
 	return qsim.NewEngine(a.n, a.z2, a.cost)
 }
 
+// indexPools holds released level index buffers, one free list per
+// length 2^k. Like the engines' free lists (qsim.Engine.Release) they
+// are sync.Pools, emptied by two garbage collections; they hold
+// *[]int32, so a Put stores a pointer and allocates nothing.
+var indexPools [qsim.MaxQubits + 1]sync.Pool
+
+// takeIndex returns a level index buffer of 2^k entries, a released
+// one when its pool holds one. Its contents are unspecified: both
+// builds write every entry.
+func takeIndex(k int) *[]int32 {
+	if idx, ok := indexPools[k].Get().(*[]int32); ok {
+		return idx
+	}
+	idx := make([]int32, 1<<uint(k))
+	return &idx
+}
+
+// Release implements Releaser: it hands the main engine, every batch
+// engine and the level index back to their pools. Every state the
+// ansatz returned is empty afterwards; the ansatz must not be used
+// again. A second call does nothing.
+func (a *fusedAnsatz) Release() {
+	if a.eng == nil {
+		return
+	}
+	a.eng.Release()
+	for _, e := range a.batch {
+		e.Release()
+	}
+	k := a.n
+	if a.z2 {
+		k--
+	}
+	indexPools[k].Put(a.idx)
+	a.eng, a.batch, a.idx, a.cost.Idx = nil, nil, nil, nil
+}
+
 // Evaluate implements Ansatz. The returned state is the engine's reused
-// buffer, valid until the next Evaluate; on the default Z2 path it is a
-// reduced state (qsim.State with Z2Full() != 0), whose measurement
-// accessors are bit-identical to the expanded statevector's.
+// buffer, valid until the next Evaluate or Release; on the default Z2
+// path it is a reduced state (qsim.State with Z2Full() != 0), whose
+// measurement accessors are bit-identical to the expanded statevector's.
 func (a *fusedAnsatz) Evaluate(gammas, betas []float64) (float64, *qsim.State, error) {
 	if err := checkParams(a.layers, gammas, betas); err != nil {
 		return 0, nil, err
@@ -260,7 +298,8 @@ func (a *fusedAnsatz) Evaluate(gammas, betas []float64) (float64, *qsim.State, e
 // multi-start sub-solves) should keep the product of their outer
 // parallelism and K near the core count: each of up to Parallelism
 // concurrent sub-solves fans out min(K, GOMAXPROCS) workers, each
-// pinning a 2^n statevector for the sub-solve's lifetime.
+// pinning a 2^n statevector until the sub-solve releases the ansatz
+// (Release), which hands every worker engine back to its pool.
 func (a *fusedAnsatz) EvaluateBatch(gammas, betas [][]float64, energies []float64) error {
 	if err := checkBatchParams(a.layers, gammas, betas, energies); err != nil {
 		return err
@@ -307,6 +346,9 @@ func (a *fusedAnsatz) Diagonal() []float64 {
 	a.diagOnce.Do(func() {
 		if a.diag != nil {
 			return
+		}
+		if a.cost.Idx == nil {
+			panic("backend: Diagonal of a released ansatz")
 		}
 		a.diag = make([]float64, 1<<uint(a.n))
 		for x, j := range a.cost.Idx {

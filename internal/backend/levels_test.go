@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"qaoa2/internal/graph"
+	"qaoa2/internal/qsim"
 	"qaoa2/internal/rng"
 )
 
@@ -28,7 +29,7 @@ func floatPrepare(f Fused, g *graph.Graph, layers int) (Ansatz, error) {
 		k--
 	}
 	a.diag = CutTable(g, nil)
-	a.cost = phaseTables(a.diag, -g.TotalWeight()/2, 1<<uint(k))
+	a.cost = phaseTables(a.diag, -g.TotalWeight()/2, make([]int32, 1<<uint(k)))
 	a.eng, err = a.newEngine()
 	return a, err
 }
@@ -254,5 +255,67 @@ func TestFusedDiagonalConcurrentFirstCall(t *testing.T) {
 		if &d[0] != &tables[0][0] || !slices.Equal(d, want) {
 			t.Fatalf("caller %d got a different or wrong table", i)
 		}
+	}
+}
+
+// TestFusedReleaseReturnsEverything: Release empties the main engine's
+// and every batch engine's state, a second Release is harmless, and two
+// ansätze prepared afterwards share neither a level index nor a
+// statevector. Dense pools nothing, so Release leaves it usable.
+func TestFusedReleaseReturnsEverything(t *testing.T) {
+	g := graph.ErdosRenyi(12, 0.5, graph.Unweighted, rng.New(8))
+	ans, err := Fused{}.Prepare(g, Config{Layers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	gammas, betas := []float64{0.3, 0.6}, []float64{0.5, 0.2}
+	if err := EvaluateBatch(ans, [][]float64{gammas, betas, gammas}, [][]float64{betas, gammas, gammas}, make([]float64, 3)); err != nil {
+		t.Fatal(err)
+	}
+	_, st, err := ans.Evaluate(gammas, betas)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := ans.(*fusedAnsatz)
+	states := []*qsim.State{st}
+	for _, e := range a.batch {
+		states = append(states, e.State())
+	}
+	Release(ans)
+	Release(ans)
+	for i, s := range states {
+		if s.Len() != 0 {
+			t.Fatalf("state %d still holds %d amplitudes after Release", i, s.Len())
+		}
+	}
+
+	prep := func() *fusedAnsatz {
+		t.Helper()
+		b, err := Fused{}.Prepare(g, Config{Layers: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b.(*fusedAnsatz)
+	}
+	b, c := prep(), prep()
+	if &b.cost.Idx[0] == &c.cost.Idx[0] {
+		t.Fatal("two live ansätze share one level index after a double release")
+	}
+	_, sb, _ := b.Evaluate(gammas, betas)
+	keep := sb.Clone()
+	c.Evaluate(betas, gammas)
+	for i := 0; i < keep.Len(); i++ {
+		if sb.Amp(uint64(i)) != keep.Amp(uint64(i)) {
+			t.Fatal("two live ansätze share one statevector after a double release")
+		}
+	}
+
+	d, err := Dense{}.Prepare(g, Config{Layers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	Release(d)
+	if _, s, err := d.Evaluate(gammas, betas); err != nil || s.Len() != 1<<12 {
+		t.Fatalf("Dense after Release: %v", err)
 	}
 }

@@ -137,6 +137,22 @@ type Result struct {
 	// only when graph.IntegralWeights holds, so a graph with real
 	// weights never gets one, whatever its cut.
 	Optimal bool
+
+	ans backend.Ansatz // the ansatz State belongs to, until Release
+}
+
+// Release hands the ansatz's buffers — the fused backend's engines and
+// level index — back to their pools (backend.Release) and sets State to
+// nil. A caller that needs only the cut releases as soon as it has
+// read it, so the next sub-solve of the same size reuses the
+// statevector; the former State is empty afterwards. A second call
+// does nothing.
+func (r *Result) Release() {
+	if r.ans != nil {
+		backend.Release(r.ans)
+		r.ans = nil
+	}
+	r.State = nil
 }
 
 func physOf(layout []int, q int) int {
@@ -293,6 +309,7 @@ func run(ans backend.Ansatz, g *graph.Graph, stopAt *float64, opts Options, r *r
 		Report:      ans.Report(),
 		State:       s,
 		Layout:      dec.layout,
+		ans:         ans,
 	}, nil
 }
 

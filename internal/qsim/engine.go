@@ -3,6 +3,7 @@ package qsim
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 )
 
@@ -78,18 +79,22 @@ type Engine struct {
 // directly. The boundary rotation of qubit nFull−1 pairs index i with
 // its complement — tile t with the mirror tile T−1−t — and is fused
 // into the mirrored low sweep (runMirrorChunk).
+//
+// NewEngine takes a released engine of the same shape (index qubits,
+// z2) when its pool holds one (see Release), and allocates one
+// otherwise. Either way the engine gets a fresh State, in the default
+// kernel mode; its amplitudes are unspecified until the first Evaluate.
 func NewEngine(nFull int, z2 bool, cost CostTables) (*Engine, error) {
-	var s *State
-	var err error
+	n := nFull
+	check := checkQubits
 	if z2 {
-		s, err = NewZ2State(nFull)
-	} else {
-		s, err = NewState(nFull)
+		n--
+		check = checkZ2Qubits
 	}
-	if err != nil {
+	if err := check(nFull); err != nil {
 		return nil, err
 	}
-	size := s.Len()
+	size := 1 << uint(n)
 	indexed := cost.Levels != nil || cost.Values != nil || cost.Idx != nil
 	dense := cost.Diag != nil || cost.Shift != nil
 	switch {
@@ -105,34 +110,80 @@ func NewEngine(nFull int, z2 bool, cost CostTables) (*Engine, error) {
 			len(cost.Diag), len(cost.Shift), size)
 	}
 
+	e, _ := enginePool(n, z2).Get().(*Engine)
+	if e == nil {
+		e = &Engine{
+			amps: make([]complex128, size),
+			n:    n,
+			m0:   min(n, lowBlockQubits),
+			z2:   z2,
+			norm: 1 / math.Sqrt(float64(size)),
+		}
+		e.lowBody = e.runLowChunk
+		if z2 {
+			if e.m0 == lowBlockQubits {
+				// The mirror sweep works on a 2-tile scratch buffer; halving
+				// the tile keeps the pair at 16 KiB — the same L1 working set
+				// the full engine's low sweep was sized for.
+				e.m0 = lowBlockQubits - 1
+			}
+			e.lowBody = e.runMirrorChunk
+		}
+		e.highBody = e.runHighChunk
+	}
+	e.state = &State{n: n, amps: e.amps}
+	if z2 {
+		e.state.z2Full = nFull
+	}
+	e.cost = cost
+	if cap(e.phases) < len(cost.Levels) {
+		e.phases = make([]complex128, len(cost.Levels))
+	}
+	e.phases = e.phases[:len(cost.Levels)]
 	workers := 1
-	if p := s.kernelPool(); p != nil {
+	if p := e.state.kernelPool(); p != nil {
 		workers = p.workers
 	}
-	e := &Engine{
-		state:  s,
-		amps:   s.amps,
-		n:      s.n,
-		m0:     min(s.n, lowBlockQubits),
-		z2:     z2,
-		norm:   1 / math.Sqrt(float64(size)),
-		cost:   cost,
-		phases: make([]complex128, len(cost.Levels)),
-	}
-	e.lowBody = e.runLowChunk
-	if z2 {
-		if e.m0 == lowBlockQubits {
-			// The mirror sweep works on a 2-tile scratch buffer; halving
-			// the tile keeps the pair at 16 KiB — the same L1 working set
-			// the full engine's low sweep was sized for.
-			e.m0 = lowBlockQubits - 1
-		}
-		e.lowBody = e.runMirrorChunk
-	}
-	e.highBody = e.runHighChunk
-	e.partials = make([]float64, workers)
-	e.scratch = workerScratch(workers, scratchLen(e.n, e.m0, z2))
+	e.fitWorkers(workers)
 	return e, nil
+}
+
+// enginePools holds released engines, one free list per shape: z2 ×
+// index qubits. A sync.Pool drops what it holds across two garbage
+// collections, so an idle process keeps no statevector alive.
+var enginePools [2][MaxQubits + 1]sync.Pool
+
+// enginePool returns the free list of the engines over n index qubits.
+func enginePool(n int, z2 bool) *sync.Pool {
+	if z2 {
+		return &enginePools[1][n]
+	}
+	return &enginePools[0][n]
+}
+
+// Release hands the engine back to the free list of its shape, for
+// the next NewEngine of that shape. The State it returned loses its
+// amplitudes (Len() == 0; any amplitude access panics), so a stale
+// holder cannot read or write the next owner's vector. Releasing twice
+// is a no-op, but the engine must not be used after Release.
+func (e *Engine) Release() {
+	if e.state == nil {
+		return
+	}
+	e.state.amps = nil
+	e.state, e.cost = nil, CostTables{}
+	enginePool(e.n, e.z2).Put(e)
+}
+
+// fitWorkers sizes the energy partials (zeroed) and the kernel scratch
+// to a pool of the given worker count, keeping the buffers it has.
+func (e *Engine) fitWorkers(workers int) {
+	if cap(e.partials) < workers {
+		e.partials = make([]float64, workers)
+	}
+	e.partials = e.partials[:workers]
+	clear(e.partials)
+	e.scratch = workerScratch(e.scratch, workers, scratchLen(e.n, e.m0, e.z2))
 }
 
 // scratchLen is the per-worker scratch an engine over n index qubits
@@ -150,23 +201,26 @@ func scratchLen(n, m0 int, z2 bool) int {
 	return l
 }
 
-// workerScratch allocates one kernel scratch buffer per worker. The
-// buffers live on the heap rather than the chunk bodies' stacks so the
-// vector kernels see the allocator's alignment — whole cache lines, as
-// for the statevector itself — where a stack array is only 8-byte
-// aligned and every ZMM access to it would split a line.
-func workerScratch(workers, n int) [][]complex128 {
-	sc := make([][]complex128, workers)
-	for i := range sc {
-		sc[i] = make([]complex128, n)
+// workerScratch extends sc to one kernel scratch buffer of n entries
+// per worker. The buffers live on the heap rather than the chunk
+// bodies' stacks so the vector kernels see the allocator's alignment —
+// whole cache lines, as for the statevector itself — where a stack
+// array is only 8-byte aligned and every ZMM access to it would split
+// a line.
+func workerScratch(sc [][]complex128, workers, n int) [][]complex128 {
+	if more := workers - len(sc); more > 0 {
+		sc = slices.Grow(sc, more)
+		for range more {
+			sc = append(sc, make([]complex128, n))
+		}
 	}
 	return sc
 }
 
 // State returns the engine's statevector buffer: after Evaluate it
-// holds the final state, valid until the next Evaluate. On a Z2 engine
-// it is a reduced state whose measurement accessors report full-space
-// results.
+// holds the final state, valid until the next Evaluate or Release
+// (after which it is empty). On a Z2 engine it is a reduced state whose
+// measurement accessors report full-space results.
 func (e *Engine) State() *State { return e.state }
 
 // SetSerial forces single-goroutine kernel execution (see
@@ -253,8 +307,7 @@ func (e *Engine) dispatch(total, itemLen int, body func(w, start, end int)) {
 	if p.workers > len(e.partials) {
 		// The pool grew after construction (pool override on the state);
 		// re-size outside the steady-state path.
-		e.partials = make([]float64, p.workers)
-		e.scratch = workerScratch(p.workers, scratchLen(e.n, e.m0, e.z2))
+		e.fitWorkers(p.workers)
 	}
 	p.run(total, body, &e.wg)
 }

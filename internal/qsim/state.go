@@ -54,16 +54,24 @@ type State struct {
 
 // NewState allocates |0...0⟩ on n qubits.
 func NewState(n int) (*State, error) {
-	if n < 1 {
-		return nil, fmt.Errorf("qsim: need at least 1 qubit, got %d", n)
-	}
-	if n > MaxQubits {
-		return nil, fmt.Errorf("qsim: %d qubits exceeds MaxQubits=%d (%.1f GiB state)",
-			n, MaxQubits, float64(16*(uint64(1)<<uint(n)))/(1<<30))
+	if err := checkQubits(n); err != nil {
+		return nil, err
 	}
 	s := &State{n: n, amps: make([]complex128, 1<<uint(n))}
 	s.amps[0] = 1
 	return s, nil
+}
+
+// checkQubits rejects the qubit counts NewState cannot allocate.
+func checkQubits(n int) error {
+	if n < 1 {
+		return fmt.Errorf("qsim: need at least 1 qubit, got %d", n)
+	}
+	if n > MaxQubits {
+		return fmt.Errorf("qsim: %d qubits exceeds MaxQubits=%d (%.1f GiB state)",
+			n, MaxQubits, float64(16*(uint64(1)<<uint(n)))/(1<<30))
+	}
+	return nil
 }
 
 // NewPlusState allocates the uniform superposition H^⊗n |0...0⟩, the

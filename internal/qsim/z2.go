@@ -40,11 +40,8 @@ func (s *State) Z2Full() int { return s.z2Full }
 // State for every kernel. The state starts as the reduction of the
 // symmetric basis mix (|0…0⟩ + |1…1⟩)/√2.
 func NewZ2State(nFull int) (*State, error) {
-	if nFull < 2 {
-		return nil, fmt.Errorf("qsim: z2 reduction needs at least 2 qubits, got %d", nFull)
-	}
-	if nFull > MaxQubits {
-		return nil, fmt.Errorf("qsim: %d qubits exceeds MaxQubits=%d", nFull, MaxQubits)
+	if err := checkZ2Qubits(nFull); err != nil {
+		return nil, err
 	}
 	s, err := NewState(nFull - 1)
 	if err != nil {
@@ -52,6 +49,17 @@ func NewZ2State(nFull int) (*State, error) {
 	}
 	s.z2Full = nFull
 	return s, nil
+}
+
+// checkZ2Qubits rejects the full qubit counts NewZ2State cannot reduce.
+func checkZ2Qubits(nFull int) error {
+	if nFull < 2 {
+		return fmt.Errorf("qsim: z2 reduction needs at least 2 qubits, got %d", nFull)
+	}
+	if nFull > MaxQubits {
+		return fmt.Errorf("qsim: %d qubits exceeds MaxQubits=%d", nFull, MaxQubits)
+	}
+	return nil
 }
 
 // ExpandZ2 materializes the full 2^n statevector of a reduced state

@@ -140,13 +140,16 @@ func (s QAOASolver) SolveSub(g *graph.Graph, r *rng.Rand) (maxcut.Cut, error) {
 // (its own name, no attempts) plus the optimality certificate QAOA
 // reads off the cut table it already holds. A leaf needs only its cut,
 // so it runs qaoa.SolveCut, which stops the optimizer once that
-// certificate is earned.
+// certificate is earned, and releases the result's statevector as soon
+// as the cut is read, for the next leaf of the same size.
 func (s QAOASolver) SolveSubAttributed(g *graph.Graph, r *rng.Rand) (maxcut.Cut, Report, error) {
 	res, err := qaoa.SolveCut(g, s.Opts, r)
 	if err != nil {
 		return maxcut.Cut{}, Report{}, err
 	}
-	return res.Cut, Report{Winner: s.Name(), Optimal: res.Optimal}, nil
+	cut, rep := res.Cut, Report{Winner: s.Name(), Optimal: res.Optimal}
+	res.Release()
+	return cut, rep, nil
 }
 
 // GWSolver solves sub-graphs with Goemans-Williamson, returning the best

@@ -16,9 +16,9 @@ import (
 )
 
 // parseWorkers turns "-front w0=http://host:port,w1=..." into worker
-// specs. Names matter: the consistent-hash ring hashes them, so a
-// worker restarted under the same name at a new URL keeps its key
-// range (and its checkpoints stay warm).
+// specs. Names matter: routing hashes them, so a worker restarted
+// under the same name at a new URL keeps its keys (and its
+// checkpoints stay warm).
 func parseWorkers(s string) ([]fleet.WorkerSpec, error) {
 	var specs []fleet.WorkerSpec
 	for _, part := range strings.Split(s, ",") {

@@ -93,6 +93,18 @@ func TestFrontDoorEndToEnd(t *testing.T) {
 		}
 	}
 
+	// The front door's /healthz carries the routing counters in the
+	// flat string map a worker's /healthz is.
+	health, err := client.Health(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for key, want := range map[string]string{"status": "ok", "routed": "4", "cacheHits": "4", "failovers": "0", "reparks": "0"} {
+		if health[key] != want {
+			t.Fatalf("front door /healthz %s = %q, want %q: %v", key, health[key], want, health)
+		}
+	}
+
 	syscall.Kill(os.Getpid(), syscall.SIGTERM)
 	for name, exit := range map[string]chan int{"w0": exit0, "w1": exit1, "front": exitF} {
 		select {

@@ -1,7 +1,7 @@
 // Package fleet promotes the single qaoa2d daemon + RemoteSolver pair
 // into a coordinator/worker fleet: a front door that routes each solve
-// to one of several registered qaoa2d workers by its fingerprint job
-// id on a consistent-hash ring, sweeps every worker's result cache
+// to one of several registered qaoa2d workers by rendezvous hashing of
+// its fingerprint job id, sweeps every worker's result cache
 // before routing (fingerprint keys are location-independent, so a
 // result computed anywhere in the fleet answers a submission to the
 // front door), health-checks workers over /healthz behind per-worker
@@ -22,6 +22,8 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
+	"net/http"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -50,9 +52,9 @@ const (
 
 // WorkerSpec registers one worker with the coordinator.
 type WorkerSpec struct {
-	// Name is the stable ring identity. Routing hashes the name, not
-	// the URL, so a worker that moves (new port after a restart) keeps
-	// its key range.
+	// Name is the stable routing identity. Routing hashes the name,
+	// not the URL, so a worker that moves (new port after a restart)
+	// keeps its keys.
 	Name string
 	// URL is the worker's base URL, e.g. "http://127.0.0.1:8817".
 	URL string
@@ -83,10 +85,9 @@ type Stats struct {
 	Failovers int
 }
 
-// Config configures a Coordinator. The ring places each worker at
-// virtualNodes positions, a health probe and a cache sweep wait at
-// most probeTimeout, and one job may consume 2×len(Workers)+1 worker
-// attempts across failovers.
+// Config configures a Coordinator. A health probe and a cache sweep
+// wait at most probeTimeout, and one job may consume 2×len(Workers)+1
+// worker attempts across failovers.
 type Config struct {
 	// Workers is the fleet roster. At least one required.
 	Workers []WorkerSpec
@@ -101,10 +102,6 @@ type Config struct {
 	// Seed seeds retry jitter (fleet runs stay replayable).
 	Seed uint64
 }
-
-// virtualNodes is the number of ring positions per worker: enough
-// that key ranges stay within a few percent of even for small fleets.
-const virtualNodes = 64
 
 // probeTimeout bounds one health probe and one cache sweep.
 const probeTimeout = 2 * time.Second
@@ -143,7 +140,7 @@ func (w *worker) getState() WorkerState {
 // Coordinator is the fleet front door: routing, health, failover.
 type Coordinator struct {
 	cfg     Config
-	ring    *ring
+	names   []string // the roster, in Config order
 	workers map[string]*worker
 	// maxRoutes bounds how many worker attempts one job may consume
 	// across failovers.
@@ -176,7 +173,7 @@ type routeEntry struct {
 // sweep.
 const maxRoutesRemembered = 4096
 
-// New builds the ring, starts the health loop, and returns the
+// New registers the workers, starts the health loop, and returns the
 // coordinator. Workers start Healthy and are corrected by the first
 // probe round.
 func New(cfg Config) (*Coordinator, error) {
@@ -201,7 +198,6 @@ func New(cfg Config) (*Coordinator, error) {
 		routes:    make(map[string]routeEntry),
 		stop:      make(chan struct{}),
 	}
-	names := make([]string, 0, len(cfg.Workers))
 	for _, spec := range cfg.Workers {
 		if spec.Name == "" || spec.URL == "" {
 			return nil, fmt.Errorf("fleet: worker needs name and url, got %+v", spec)
@@ -220,9 +216,8 @@ func New(cfg Config) (*Coordinator, error) {
 			breaker: br,
 			state:   WorkerHealthy,
 		}
-		names = append(names, spec.Name)
+		c.names = append(c.names, spec.Name)
 	}
-	c.ring = newRing(names, virtualNodes)
 	if cfg.HealthInterval > 0 {
 		c.wg.Add(1)
 		go c.healthLoop()
@@ -325,94 +320,58 @@ func (c *Coordinator) probe(w *worker) {
 	w.setState(WorkerHealthy, nil)
 }
 
-// hash64 is the ring's hash: FNV-1a, the same family the checkpoint
-// fingerprints use.
+// hash64 is FNV-1a, the same family the checkpoint fingerprints use.
 func hash64(s string) uint64 {
 	h := fnv.New64a()
 	h.Write([]byte(s))
 	return h.Sum64()
 }
 
-// ring is an immutable consistent-hash ring over worker names.
-type ring struct {
-	hashes  []uint64 // sorted vnode positions
-	owners  []string // owners[i] owns hashes[i]
-	members []string
-}
-
-func newRing(names []string, vnodes int) *ring {
-	r := &ring{members: append([]string(nil), names...)}
-	type vn struct {
-		h uint64
-		n string
+// preference orders the members for a key by rendezvous hashing:
+// each member scores a mixed hash of (name, key), the highest score
+// is the key's home worker and the rest are its failover order, ties
+// broken by name. The list is a pure function of (key, membership),
+// so every coordinator instance, and every test, derives the same
+// route; dropping a member moves only the keys it was home to.
+func preference(members []string, key string) []string {
+	type scored struct {
+		name  string
+		score uint64
 	}
-	all := make([]vn, 0, len(names)*vnodes)
-	for _, n := range names {
-		for i := 0; i < vnodes; i++ {
-			all = append(all, vn{hash64(fmt.Sprintf("%s#%d", n, i)), n})
-		}
+	k := hash64(key)
+	all := make([]scored, len(members))
+	for i, n := range members {
+		// SplitMix64's finalizer: FNV alone leaves names that differ
+		// in one byte with correlated scores.
+		z := hash64(n) ^ k
+		z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
+		z = (z ^ (z >> 27)) * 0x94d049bb133111eb
+		all[i] = scored{n, z ^ (z >> 31)}
 	}
 	sort.Slice(all, func(i, j int) bool {
-		if all[i].h != all[j].h {
-			return all[i].h < all[j].h
+		if all[i].score != all[j].score {
+			return all[i].score > all[j].score
 		}
-		return all[i].n < all[j].n // total order even on hash ties
+		return all[i].name < all[j].name
 	})
-	for _, v := range all {
-		r.hashes = append(r.hashes, v.h)
-		r.owners = append(r.owners, v.n)
-	}
-	return r
-}
-
-// preference walks the ring clockwise from the key's position and
-// returns every member once, in encounter order: position 0 is the
-// key's home worker, the rest are its failover order. The list is a
-// pure function of (key, membership), so every coordinator instance —
-// and every test — derives the identical route.
-func (r *ring) preference(key string) []string {
-	if len(r.hashes) == 0 {
-		return nil
-	}
-	h := hash64(key)
-	start := sort.Search(len(r.hashes), func(i int) bool { return r.hashes[i] >= h })
-	out := make([]string, 0, len(r.members))
-	seen := make(map[string]bool, len(r.members))
-	for i := 0; i < len(r.hashes) && len(out) < len(r.members); i++ {
-		n := r.owners[(start+i)%len(r.hashes)]
-		if !seen[n] {
-			seen[n] = true
-			out = append(out, n)
-		}
+	out := make([]string, len(all))
+	for i, s := range all {
+		out[i] = s.name
 	}
 	return out
 }
 
-// Route reports which live worker the job id routes to right now —
-// the first non-dead worker in the ring's preference order. Draining
-// workers are skipped for NEW work but still count as checkpoint
-// donors elsewhere.
-func (c *Coordinator) Route(id string) (string, error) {
-	w, err := c.pick(id, nil)
-	if err != nil {
-		return "", err
-	}
-	return w.name, nil
-}
-
-// pick returns the first healthy, un-tried worker in preference
-// order.
-func (c *Coordinator) pick(id string, tried map[string]bool) (*worker, error) {
-	for _, name := range c.ring.preference(id) {
-		if tried[name] {
-			continue
-		}
-		w := c.workers[name]
-		if w.getState() == WorkerHealthy {
-			return w, nil
+// Route reports which worker the job id routes to right now: the
+// first healthy worker in its preference order, skipping the workers
+// named in skip (the route loop's tried set). Draining workers take
+// no new work; they still donate their checkpoints.
+func (c *Coordinator) Route(id string, skip ...string) (string, error) {
+	for _, name := range preference(c.names, id) {
+		if !slices.Contains(skip, name) && c.workers[name].getState() == WorkerHealthy {
+			return name, nil
 		}
 	}
-	return nil, ErrNoWorkers
+	return "", ErrNoWorkers
 }
 
 // CacheSweep asks every non-dead worker whether it already holds a
@@ -451,28 +410,43 @@ func (c *Coordinator) CacheSweep(ctx context.Context, id string) (serve.JobStatu
 }
 
 // Solve runs one request to completion somewhere in the fleet: cache
-// sweep, route, submit, follow — and on worker death or drain,
-// salvage the checkpoint when possible and re-route. Events forward
-// to onEvent exactly once each with strictly increasing Seq, even
-// across a failover (the replacement worker's replay is deduplicated
-// by task identity and renumbered in place; on the no-failure path
-// the numbers pass through unchanged).
+// sweep, then the route loop, which follows the job to a settled
+// status across worker deaths and drains. Events forward to onEvent
+// exactly once each with strictly increasing Seq, even across a
+// failover (the replacement worker's replay is deduplicated by task
+// identity and renumbered in place; on the no-failure path the
+// numbers pass through unchanged).
 func (c *Coordinator) Solve(ctx context.Context, req serve.SolveRequest, onEvent func(serve.Event)) (serve.JobStatus, error) {
+	return c.admit(ctx, req, c.dedupForwarder(onEvent))
+}
+
+// Submit routes one request to a worker without waiting for the
+// result (the front door's POST /v1/solve): cache sweep, then the
+// route loop. The returned status is the worker's submit answer.
+func (c *Coordinator) Submit(ctx context.Context, req serve.SolveRequest) (serve.JobStatus, error) {
+	return c.admit(ctx, req, nil)
+}
+
+// admit is Solve and Submit up to the route loop: a result computed
+// anywhere in the fleet answers the job, and only a miss is routed.
+func (c *Coordinator) admit(ctx context.Context, req serve.SolveRequest, forward func(serve.Event)) (serve.JobStatus, error) {
 	id, err := req.JobKey()
 	if err != nil {
 		return serve.JobStatus{}, err
 	}
 	if st, ok := c.CacheSweep(ctx, id); ok {
-		c.statsMu.Lock()
-		c.stats.CacheHits++
-		c.statsMu.Unlock()
+		c.count(func(s *Stats) { s.CacheHits++ })
 		return st, nil
 	}
-	forward := c.dedupForwarder(onEvent)
+	c.count(func(s *Stats) { s.Routed++ })
+	return c.route(ctx, id, req, nil, forward)
+}
+
+// count updates the routing counters under their lock.
+func (c *Coordinator) count(f func(*Stats)) {
 	c.statsMu.Lock()
-	c.stats.Routed++
+	f(&c.stats)
 	c.statsMu.Unlock()
-	return c.solveRouted(ctx, id, req, forward)
 }
 
 // dedupForwarder wraps onEvent with the cross-worker exactly-once
@@ -496,42 +470,67 @@ func (c *Coordinator) dedupForwarder(onEvent func(serve.Event)) func(serve.Event
 	}
 }
 
-// solveRouted is the failover loop shared by Solve and the front
-// door's stream proxy.
-func (c *Coordinator) solveRouted(ctx context.Context, id string, req serve.SolveRequest, forward func(serve.Event)) (serve.JobStatus, error) {
+// route is the one failover loop, behind Solve, Submit and FollowJob.
+// Each route runs one step on one worker: the first follows the job
+// on held, the live worker route memory names, when there is one;
+// every other step goes to the next healthy worker the job has not
+// tried, in its preference order, and submits the request (forward
+// nil) or submits and follows it to a settled status.
+//
+// A worker's own 4xx answer (see rejected) is the request's fault:
+// every worker would give it, so it comes back unchanged and blames
+// no worker. Any other failure fails over. The checkpoint is salvaged while the old
+// worker's HTTP plane still answers (a draining worker's does) and
+// seeded to the next, so the job resumes instead of recomputing; an
+// error, rather than a parked status, also marks the worker dead.
+func (c *Coordinator) route(ctx context.Context, id string, req serve.SolveRequest, held *worker, forward func(serve.Event)) (serve.JobStatus, error) {
 	var ckpt []byte
-	tried := make(map[string]bool)
+	var tried []string
 	var lastErr error
-	for route := 0; route < c.maxRoutes; route++ {
-		w, err := c.pick(id, tried)
-		if err != nil {
-			// Every worker tried or down: refresh health and start a
-			// second pass — a drained worker may have restarted.
-			if len(tried) == 0 {
-				return serve.JobStatus{}, c.wrap(err, lastErr)
+	for n := 0; n < c.maxRoutes; n++ {
+		w := held
+		if n > 0 || w == nil {
+			name, err := c.Route(id, tried...)
+			if err != nil && len(tried) > 0 {
+				// Every worker tried or down: refresh health and start a
+				// second pass — a drained worker may have restarted.
+				tried = nil
+				c.CheckNow()
+				name, err = c.Route(id)
 			}
-			tried = make(map[string]bool)
-			c.CheckNow()
-			if w, err = c.pick(id, tried); err != nil {
-				return serve.JobStatus{}, c.wrap(err, lastErr)
+			if err != nil {
+				if lastErr != nil {
+					err = fmt.Errorf("%w (last worker error: %v)", err, lastErr)
+				}
+				return serve.JobStatus{}, err
 			}
+			w = c.workers[name]
 		}
-		tried[w.name] = true
-		if route > 0 {
-			c.statsMu.Lock()
-			c.stats.Failovers++
-			if ckpt != nil {
-				c.stats.Reparks++
-			}
-			c.statsMu.Unlock()
+		tried = append(tried, w.name)
+		if n > 0 {
+			c.count(func(s *Stats) {
+				s.Failovers++
+				if ckpt != nil {
+					s.Reparks++
+				}
+			})
 		}
 		if ckpt != nil {
 			// Best-effort: a rejected or lost seed only costs recompute.
 			w.client.SeedCheckpoint(ctx, id, ckpt)
 		}
 		c.remember(id, w.name, req)
-		st, err := w.client.Solve(ctx, req, forward)
-		if err == nil && (st.State == serve.JobDone || st.State == serve.JobFailed) {
+		var st serve.JobStatus
+		var err error
+		switch {
+		case n == 0 && held != nil:
+			st, err = w.client.Follow(ctx, id, forward)
+		case forward == nil:
+			st, err = w.client.Submit(ctx, req)
+		default:
+			st, err = w.client.Solve(ctx, req, forward)
+		}
+		if err == nil && (forward == nil || st.State == serve.JobDone || st.State == serve.JobFailed) {
 			// JobFailed is a deterministic solver error: every worker
 			// would fail identically, so surface it instead of burning
 			// the fleet on re-runs.
@@ -540,11 +539,10 @@ func (c *Coordinator) solveRouted(ctx context.Context, id string, req serve.Solv
 		if ctx.Err() != nil {
 			return serve.JobStatus{}, ctx.Err()
 		}
+		if rejected(err) {
+			return serve.JobStatus{}, err
+		}
 		lastErr = err
-		// The worker drained (parked status) or died mid-job. Salvage
-		// its checkpoint while the HTTP plane still answers — a
-		// draining worker's does — so the replacement resumes instead
-		// of recomputing.
 		if data, ok, ferr := w.client.FetchCheckpoint(ctx, id); ok && ferr == nil {
 			ckpt = data
 		}
@@ -555,11 +553,15 @@ func (c *Coordinator) solveRouted(ctx context.Context, id string, req serve.Solv
 	return serve.JobStatus{}, fmt.Errorf("fleet: job %s exhausted %d routes: %w", id, c.maxRoutes, lastErr)
 }
 
-func (c *Coordinator) wrap(err, last error) error {
-	if last != nil {
-		return fmt.Errorf("%w (last worker error: %v)", err, last)
-	}
-	return err
+// rejected reports a worker's own 4xx answer: a bad graph, an unknown
+// solver, an instance over the size bounds. 429 (queue full) is the
+// worker's state, not the request's, and 404 on a job the worker took
+// means the worker lost it; both fail over, as a breaker's ErrOpen
+// and every transport error do.
+func rejected(err error) bool {
+	var se *retry.StatusError
+	return errors.As(err, &se) && se.Code >= 400 && se.Code < 500 &&
+		se.Code != http.StatusTooManyRequests && se.Code != http.StatusNotFound
 }
 
 // remember records a front-door routing decision for later status and
@@ -584,119 +586,53 @@ func (c *Coordinator) lookupRoute(id string) (routeEntry, bool) {
 	return e, ok
 }
 
-// JobStatus proxies one job's status: the assigned worker first, then
-// a fleet-wide sweep (another coordinator may have routed it, or the
-// route memory was evicted).
-func (c *Coordinator) JobStatus(ctx context.Context, id string) (serve.JobStatus, error) {
+// locate finds a live worker that knows job id: the remembered worker
+// first, then every worker in the job's preference order (another
+// coordinator may have routed it, or the route memory evicted it).
+func (c *Coordinator) locate(ctx context.Context, id string) (*worker, serve.JobStatus, error) {
+	names := preference(c.names, id)
 	if e, ok := c.lookupRoute(id); ok {
-		if w := c.workers[e.worker]; w != nil && w.getState() != WorkerDead {
-			if st, err := w.client.Job(ctx, id); err == nil {
-				return st, nil
-			}
-		}
+		names = append([]string{e.worker}, names...)
 	}
-	for _, w := range c.workers {
-		if w.getState() == WorkerDead {
-			continue
-		}
-		if st, err := w.once.Job(ctx, id); err == nil {
-			return st, nil
-		}
-	}
-	return serve.JobStatus{}, serve.ErrNotFound
-}
-
-// FollowJob proxies one job's event stream through the front door:
-// the assigned worker's NDJSON stream passes through with Seq
-// preserved; if that worker dies or drains mid-stream and the
-// original request is known, the job re-routes (checkpoint salvage
-// included) and the subscriber's sequence continues gap-free,
-// duplicates dropped.
-func (c *Coordinator) FollowJob(ctx context.Context, id string, onEvent func(serve.Event)) (serve.JobStatus, error) {
-	forward := c.dedupForwarder(onEvent)
-	entry, known := c.lookupRoute(id)
-	if known {
-		w := c.workers[entry.worker]
-		if w != nil && w.getState() != WorkerDead {
-			st, err := w.client.Follow(ctx, id, forward)
-			if err == nil && (st.State == serve.JobDone || st.State == serve.JobFailed) {
-				return st, nil
-			}
-			if ctx.Err() != nil {
-				return serve.JobStatus{}, ctx.Err()
-			}
-			if err != nil {
-				w.setState(WorkerDead, err)
-			}
-			if data, ok, ferr := w.client.FetchCheckpoint(ctx, id); ok && ferr == nil {
-				// Seed whoever the failover loop picks next.
-				if nw, perr := c.pick(id, map[string]bool{w.name: true}); perr == nil {
-					nw.client.SeedCheckpoint(ctx, id, data)
-				}
-			}
-		}
-		// Re-route with the remembered request; the dedup forwarder
-		// keeps the subscriber's sequence exactly-once.
-		return c.solveRouted(ctx, id, entry.req, forward)
-	}
-	// Unknown route: find any worker that knows the job and stream
-	// from it.
-	var lastErr error = serve.ErrNotFound
-	for _, name := range c.ring.preference(id) {
+	for _, name := range names {
 		w := c.workers[name]
 		if w.getState() == WorkerDead {
 			continue
 		}
-		st, err := w.client.Follow(ctx, id, forward)
-		if err == nil {
-			return st, nil
+		if st, err := w.once.Job(ctx, id); err == nil {
+			return w, st, nil
 		}
-		if ctx.Err() != nil {
-			return serve.JobStatus{}, ctx.Err()
-		}
-		lastErr = err
 	}
-	return serve.JobStatus{}, lastErr
+	return nil, serve.JobStatus{}, serve.ErrNotFound
 }
 
-// Submit routes one request to a worker without waiting for the
-// result (the front door's POST /v1/solve): cache sweep first, then
-// route and submit. The returned status is the worker's submit
-// answer.
-func (c *Coordinator) Submit(ctx context.Context, req serve.SolveRequest) (serve.JobStatus, error) {
-	id, err := req.JobKey()
+// JobStatus proxies one job's status from the worker that holds it.
+func (c *Coordinator) JobStatus(ctx context.Context, id string) (serve.JobStatus, error) {
+	_, st, err := c.locate(ctx, id)
+	return st, err
+}
+
+// FollowJob proxies one job's event stream through the front door:
+// the worker's NDJSON stream passes through with Seq preserved. A job
+// this coordinator routed goes through the route loop, so if its
+// worker dies or drains mid-stream the job re-routes (checkpoint
+// salvage included) and the subscriber's sequence continues gap-free,
+// duplicates dropped. A job routed elsewhere is followed on whichever
+// worker holds it.
+func (c *Coordinator) FollowJob(ctx context.Context, id string, onEvent func(serve.Event)) (serve.JobStatus, error) {
+	forward := c.dedupForwarder(onEvent)
+	if e, ok := c.lookupRoute(id); ok {
+		held := c.workers[e.worker]
+		if held.getState() == WorkerDead {
+			held = nil
+		}
+		return c.route(ctx, id, e.req, held, forward)
+	}
+	w, _, err := c.locate(ctx, id)
 	if err != nil {
 		return serve.JobStatus{}, err
 	}
-	if st, ok := c.CacheSweep(ctx, id); ok {
-		c.statsMu.Lock()
-		c.stats.CacheHits++
-		c.statsMu.Unlock()
-		return st, nil
-	}
-	tried := make(map[string]bool)
-	var lastErr error
-	for route := 0; route < c.maxRoutes; route++ {
-		w, err := c.pick(id, tried)
-		if err != nil {
-			return serve.JobStatus{}, c.wrap(err, lastErr)
-		}
-		tried[w.name] = true
-		st, serr := w.client.Submit(ctx, req)
-		if serr == nil {
-			c.statsMu.Lock()
-			c.stats.Routed++
-			c.statsMu.Unlock()
-			c.remember(id, w.name, req)
-			return st, nil
-		}
-		if ctx.Err() != nil {
-			return serve.JobStatus{}, ctx.Err()
-		}
-		lastErr = serr
-		w.setState(WorkerDead, serr)
-	}
-	return serve.JobStatus{}, fmt.Errorf("fleet: submit %s exhausted routes: %w", id, lastErr)
+	return w.client.Follow(ctx, id, forward)
 }
 
 // describeWorkers renders the roster compactly for error messages and

@@ -1,10 +1,13 @@
 package fleet
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -172,18 +175,17 @@ func refSolve(t *testing.T, resolve func(serve.SolveRequest) (serve.Solvers, err
 	return out
 }
 
-// TestRingInvariants pins the consistent-hash layer: preference lists
+// TestRouteInvariants pins the rendezvous order: preference lists
 // are complete, deterministic, reasonably balanced, and removing a
 // member only remaps the keys that member owned.
-func TestRingInvariants(t *testing.T) {
+func TestRouteInvariants(t *testing.T) {
 	members := []string{"a", "b", "c"}
-	r := newRing(members, 64)
 
 	counts := map[string]int{}
 	const keys = 600
 	for i := 0; i < keys; i++ {
 		key := fmt.Sprintf("%016x", uint64(i)*0x9e3779b97f4a7c15)
-		pref := r.preference(key)
+		pref := preference(members, key)
 		if len(pref) != len(members) {
 			t.Fatalf("preference(%s) = %v, want all %d members", key, pref, len(members))
 		}
@@ -195,7 +197,7 @@ func TestRingInvariants(t *testing.T) {
 			seen[n] = true
 		}
 		// Deterministic: recomputing yields the identical list.
-		again := r.preference(key)
+		again := preference(members, key)
 		if fmt.Sprint(pref) != fmt.Sprint(again) {
 			t.Fatalf("preference(%s) unstable: %v vs %v", key, pref, again)
 		}
@@ -203,17 +205,16 @@ func TestRingInvariants(t *testing.T) {
 	}
 	for _, m := range members {
 		if counts[m] < keys/10 {
-			t.Fatalf("ring badly unbalanced: %v", counts)
+			t.Fatalf("routing badly unbalanced: %v", counts)
 		}
 	}
 
 	// Minimal disruption: drop "c"; every key NOT owned by c keeps its
 	// owner.
-	r2 := newRing([]string{"a", "b"}, 64)
 	for i := 0; i < keys; i++ {
 		key := fmt.Sprintf("%016x", uint64(i)*0x9e3779b97f4a7c15)
-		before := r.preference(key)[0]
-		after := r2.preference(key)[0]
+		before := preference(members, key)[0]
+		after := preference([]string{"a", "b"}, key)[0]
 		if before != "c" && before != after {
 			t.Fatalf("key %s moved %s→%s though its owner never left", key, before, after)
 		}
@@ -434,5 +435,52 @@ func TestKillWorkerReRoutesBitIdentical(t *testing.T) {
 	}
 	if dead != 1 {
 		t.Fatalf("worker states after kill: %+v", c.Workers())
+	}
+}
+
+// TestBadRequestIsNotAFailover: a request every worker refuses (an
+// unknown solver) is the client's fault, not a worker's. Submit, Solve
+// and the front door return the worker's own answer (its text, and 400
+// at the front door), every worker stays healthy, and no failover is
+// counted.
+func TestBadRequestIsNotAFailover(t *testing.T) {
+	_, c := startFleet(t, 3, nil)
+	front := httptest.NewServer(c.Handler())
+	defer front.Close()
+	req := fleetReq(10, 8, 5)
+	req.Solver = "no-such-solver"
+	const want = `unknown solver "no-such-solver"`
+
+	ctx := context.Background()
+	if _, err := c.Submit(ctx, req); err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("Submit: %v, want the worker's %q", err, want)
+	}
+	if _, err := c.Solve(ctx, req, nil); err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("Solve: %v, want the worker's %q", err, want)
+	}
+	body, err := json.Marshal(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post(front.URL+"/v1/solve", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var reply struct {
+		Error string `json:"error"`
+	}
+	err = json.NewDecoder(resp.Body).Decode(&reply)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != http.StatusBadRequest || !strings.Contains(reply.Error, want) {
+		t.Fatalf("front door: HTTP %d %q (%v), want 400 and the worker's %q", resp.StatusCode, reply.Error, err, want)
+	}
+
+	for _, w := range c.Workers() {
+		if w.State != WorkerHealthy {
+			t.Fatalf("a bad request marked %s %s: %+v", w.Name, w.State, c.Workers())
+		}
+	}
+	if s := c.Stats(); s.Failovers != 0 {
+		t.Fatalf("a bad request counted failovers: %+v", s)
 	}
 }

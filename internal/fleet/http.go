@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"strconv"
 
 	"qaoa2/internal/retry"
 	"qaoa2/internal/serve"
@@ -20,7 +21,7 @@ import (
 //	                          survives worker death via re-route)
 //	GET  /v1/cache/{id}       fleet-wide cache peek
 //	GET  /v1/fleet/workers    worker roster with health states
-//	GET  /healthz             aggregate fleet health
+//	GET  /healthz             aggregate fleet health and routing counters
 func (c *Coordinator) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/solve", c.handleSolve)
@@ -146,7 +147,9 @@ func (c *Coordinator) handleWorkers(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleHealth aggregates: ok while every worker is healthy, degraded
-// while at least one live worker remains, down otherwise.
+// while at least one live worker remains, down otherwise. The routing
+// counters ride along as decimal strings, so the body stays the flat
+// string map a worker's /healthz is and serve.Client.Health reads.
 func (c *Coordinator) handleHealth(w http.ResponseWriter, r *http.Request) {
 	ws := c.Workers()
 	live, healthy := 0, 0
@@ -165,8 +168,13 @@ func (c *Coordinator) handleHealth(w http.ResponseWriter, r *http.Request) {
 	case healthy < len(ws):
 		status = "degraded"
 	}
+	st := c.Stats()
 	writeJSON(w, http.StatusOK, map[string]string{
-		"status":  status,
-		"workers": describeWorkers(ws),
+		"status":    status,
+		"workers":   describeWorkers(ws),
+		"routed":    strconv.Itoa(st.Routed),
+		"cacheHits": strconv.Itoa(st.CacheHits),
+		"failovers": strconv.Itoa(st.Failovers),
+		"reparks":   strconv.Itoa(st.Reparks),
 	})
 }

@@ -12,11 +12,14 @@ import (
 	"qaoa2/internal/serve"
 )
 
-// TestSoakKillOneWorker is the in-tree fleet soak: a batch of
-// concurrent jobs across 3 workers with one worker killed mid-soak.
-// Every job must complete bit-identical to the single-daemon
-// reference, and the test reports p50/p99 submit-to-done latency.
-// QAOA2_SOAK_JOBS scales the batch (default 40).
+// TestSoakKillOneWorker is the fleet soak: a batch of concurrent jobs
+// across 3 workers, with one worker killed once an eighth of the batch
+// has settled, so the kill always strands in-flight work. Every job
+// must complete bit-identical to the single-daemon reference, the kill
+// must draw at least one failover or re-park, and the health plane
+// must see exactly one dead worker. The test logs p50/p90/p99
+// submit-to-done latency and the routing counters. QAOA2_SOAK_JOBS
+// scales the batch (default 40).
 func TestSoakKillOneWorker(t *testing.T) {
 	jobs := 40
 	if v := os.Getenv("QAOA2_SOAK_JOBS"); v != "" {
@@ -60,6 +63,7 @@ func TestSoakKillOneWorker(t *testing.T) {
 		latency time.Duration
 	}
 	outs := make([]outcome, len(reqs))
+	settled := make(chan struct{}, len(reqs))
 	var wg sync.WaitGroup
 	for i, req := range reqs {
 		wg.Add(1)
@@ -68,10 +72,15 @@ func TestSoakKillOneWorker(t *testing.T) {
 			start := time.Now()
 			st, err := c.Solve(ctx, req, nil)
 			outs[i] = outcome{st: st, err: err, latency: time.Since(start)}
+			settled <- struct{}{}
 		}(i, req)
 	}
 
-	time.Sleep(80 * time.Millisecond)
+	// Pull the plug once an eighth of the batch has settled: the rest
+	// is then in flight across all workers.
+	for i := 0; i < (jobs+7)/8; i++ {
+		<-settled
+	}
 	victim.kill()
 	wg.Wait()
 
@@ -96,8 +105,11 @@ func TestSoakKillOneWorker(t *testing.T) {
 		return lats[i]
 	}
 	stats := c.Stats()
-	t.Logf("soak: %d jobs, p50=%v p99=%v, routed=%d cacheHits=%d failovers=%d reparks=%d",
-		len(lats), p(0.50), p(0.99), stats.Routed, stats.CacheHits, stats.Failovers, stats.Reparks)
+	t.Logf("soak: %d jobs, p50=%v p90=%v p99=%v, routed=%d cacheHits=%d failovers=%d reparks=%d",
+		len(lats), p(0.50), p(0.90), p(0.99), stats.Routed, stats.CacheHits, stats.Failovers, stats.Reparks)
+	if stats.Failovers+stats.Reparks == 0 {
+		t.Fatalf("a worker was killed mid-soak but no job failed over or re-parked: the kill did not exercise recovery (%+v)", stats)
+	}
 
 	// The kill must have been observed by the fleet, not dodged.
 	c.CheckNow()

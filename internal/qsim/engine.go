@@ -69,7 +69,8 @@ type Engine struct {
 // holds the expectation diagonal and the phase diagonal — the cost
 // table shifted to reproduce the gate walk's global phase — in one of
 // its two forms: indexed (Levels, Values, Idx: one Sincos per distinct
-// value) or dense (Diag, Shift: one Sincos per amplitude).
+// value; every Idx entry must name one of the levels) or dense (Diag,
+// Shift: one Sincos per amplitude).
 //
 // z2 builds the symmetry-reduced evaluator for a Z2-symmetric diagonal
 // (diagonal(i) == diagonal(~i), which holds for every MaxCut cut
@@ -109,6 +110,15 @@ func NewEngine(nFull int, z2 bool, cost CostTables) (*Engine, error) {
 		return nil, fmt.Errorf("qsim: engine diagonal has %d entries and phase diagonal %d, want %d",
 			len(cost.Diag), len(cost.Shift), size)
 	}
+	// The assembly phase kernels read the level table through the index
+	// without a bounds check (phaseIdx): one scan here covers every tile
+	// of every Evaluate.
+	for i, k := range cost.Idx {
+		if uint32(k) >= uint32(len(cost.Levels)) {
+			return nil, fmt.Errorf("qsim: engine phase index entry %d is level %d, want one of %d levels",
+				i, k, len(cost.Levels))
+		}
+	}
 
 	e, _ := enginePool(n, z2).Get().(*Engine)
 	if e == nil {
@@ -122,9 +132,9 @@ func NewEngine(nFull int, z2 bool, cost CostTables) (*Engine, error) {
 		e.lowBody = e.runLowChunk
 		if z2 {
 			if e.m0 == lowBlockQubits {
-				// The mirror sweep works on a 2-tile scratch buffer; halving
-				// the tile keeps the pair at 16 KiB — the same L1 working set
-				// the full engine's low sweep was sized for.
+				// The mirror sweep works on a tile pair; halving the tile
+				// keeps the pair at 16 KiB — the same L1 working set the
+				// full engine's low sweep was sized for.
 				e.m0 = lowBlockQubits - 1
 			}
 			e.lowBody = e.runMirrorChunk
@@ -183,22 +193,17 @@ func (e *Engine) fitWorkers(workers int) {
 	}
 	e.partials = e.partials[:workers]
 	clear(e.partials)
-	e.scratch = workerScratch(e.scratch, workers, scratchLen(e.n, e.m0, e.z2))
+	e.scratch = workerScratch(e.scratch, workers, scratchLen(e.n, e.m0))
 }
 
 // scratchLen is the per-worker scratch an engine over n index qubits
 // with an m0-qubit low group needs: the high sweep's level buffer when
-// there are high groups at all, and on Z2 engines the mirror sweep's
-// tile pair.
-func scratchLen(n, m0 int, z2 bool) int {
-	l := 0
+// there are high groups at all. The low sweeps work in place.
+func scratchLen(n, m0 int) int {
 	if n > m0 {
-		l = highBufLen
+		return highBufLen
 	}
-	if z2 && 2<<uint(m0) > l {
-		l = 2 << uint(m0)
-	}
-	return l
+	return 0
 }
 
 // workerScratch extends sc to one kernel scratch buffer of n entries
@@ -342,17 +347,7 @@ func (e *Engine) runLowChunk(w, start, end int) {
 // reduction's renormalization falls out automatically.
 func (e *Engine) phaseTile(buf []complex128, base int) {
 	if e.cost.Idx != nil {
-		idx := e.cost.Idx[base : base+len(buf)]
-		ph := e.phases
-		if e.first {
-			for i := range buf {
-				buf[i] = ph[idx[i]]
-			}
-		} else {
-			for i := range buf {
-				buf[i] *= ph[idx[i]]
-			}
-		}
+		phaseIdx(buf, e.phases, e.cost.Idx[base:], e.first)
 		return
 	}
 	sh := e.cost.Shift[base : base+len(buf)]
@@ -371,88 +366,31 @@ func (e *Engine) phaseTile(buf []complex128, base int) {
 	}
 }
 
-// phaseTileInto is phaseTile fused with the mirror sweep's scratch
-// load: it reads src (one tile of the vector), applies the layer's
-// phases, and writes the result to dst — in index order when reversed
-// is false, back-to-front (dst[i] ← src[len−1−i]) when true. base is
-// the tile's offset into the diagonal tables; the tables are addressed
-// in SRC order, so the reversed copy phases each amplitude with its own
-// diagonal entry. On the first layer src is not read at all — the
-// phased |+⟩ synthesis writes straight into scratch.
-func (e *Engine) phaseTileInto(dst, src []complex128, base int, reversed bool) {
-	last := len(dst) - 1
-	if e.cost.Idx != nil {
-		idx := e.cost.Idx[base : base+len(dst)]
-		ph := e.phases
-		switch {
-		case e.first && reversed:
-			for i := range dst {
-				dst[i] = ph[idx[last-i]]
-			}
-		case e.first:
-			for i := range dst {
-				dst[i] = ph[idx[i]]
-			}
-		case reversed:
-			for i := range dst {
-				j := last - i
-				dst[i] = src[j] * ph[idx[j]]
-			}
-		default:
-			for i := range dst {
-				dst[i] = src[i] * ph[idx[i]]
-			}
-		}
-		return
-	}
-	sh := e.cost.Shift[base : base+len(dst)]
-	gamma := e.gamma
-	if e.first {
-		amp0 := e.norm
-		for i := range dst {
-			j := i
-			if reversed {
-				j = last - i
-			}
-			sin, cos := math.Sincos(-gamma * sh[j])
-			dst[i] = complex(amp0*cos, amp0*sin)
-		}
-		return
-	}
-	for i := range dst {
-		j := i
-		if reversed {
-			j = last - i
-		}
-		sin, cos := math.Sincos(-gamma * sh[j])
-		dst[i] = src[j] * complex(cos, sin)
-	}
-}
-
 // runMirrorChunk is the Z2 engine's fused low sweep. The boundary
 // rotation — RX on full qubit nFull−1, which pairs reduced index i with
 // its complement maskLow^i — is an index REVERSAL, not a strided
-// butterfly, so it cannot ride the blocked kernels directly. Instead
-// the sweep processes mirror tile pairs: chunk item t is the pair
-// (t, T−1−t), t < T/2; tile t is copied forward and tile T−1−t
-// REVERSED into one 2·tileLen scratch buffer, where
+// butterfly, so it cannot ride the tile network directly. Instead the
+// sweep processes mirror tile pairs: chunk item t is the pair
+// (t, T−1−t), t < T/2, and both tiles stay where they live:
 //
-//   - butterfly levels h ≤ tileLen/2 act inside each half, applying the
-//     low-qubit rotations to both tiles (the reversed copy swaps each
-//     pair's 0/1 roles, which the symmetric RX matrix can't tell), and
-//   - level h = tileLen pairs forward[b] with reversed[tileLen−1−b] —
-//     exactly the boundary pairing i ↔ maskLow^i.
+//   - each tile is phased in place (phaseTile), then rxTile runs the
+//     low butterfly levels on each; the mirror tile's levels pair the
+//     same amplitudes whether it is read forward or reversed, and the
+//     symmetric RX update cannot tell a pair's 0/1 roles apart;
+//   - rxMirror then runs the boundary level, pairing fwd[b] with
+//     rev[tileLen−1−b] — exactly the boundary pairing i ↔ maskLow^i —
+//     and storing both in place.
 //
-// One rxTile call on the scratch therefore applies ALL low levels plus
-// the boundary to both tiles, inheriting the vector kernels and their
-// portable fallback, and the phase/energy folds run on the same
-// cache-resident data before both halves are written back.
+// Each amplitude sees the update sequence of the 2·tileLen network
+// over [fwd, reversed rev], so the result is bit-identical to running
+// it in a scratch copy (engine_mirror_test.go keeps that walk as the
+// oracle); the energy folds run on the same cache-resident pair.
 func (e *Engine) runMirrorChunk(w, start, end int) {
 	tl := 1 << uint(e.m0)
 	c, sn := e.c, e.sn
 	tiles := len(e.amps) >> uint(e.m0) // tile count T
 	if tiles == 1 {
-		// Single-tile half-vector (nFull ≤ lowBlockQubits+1): all low
+		// Single-tile half-vector (nFull ≤ lowBlockQubits): all low
 		// levels in place, then the boundary reversal as a scalar pass.
 		e.phaseTile(e.amps, 0)
 		rxTile(e.amps, 1, c, sn)
@@ -463,17 +401,14 @@ func (e *Engine) runMirrorChunk(w, start, end int) {
 		return
 	}
 	acc := 0.0
-	sc := e.scratch[w][:2*tl]
 	for t := start; t < end; t++ {
 		fb, rb := t*tl, (tiles-1-t)*tl
 		fwd, rev := e.amps[fb:fb+tl], e.amps[rb:rb+tl]
-		e.phaseTileInto(sc[:tl], fwd, fb, false)
-		e.phaseTileInto(sc[tl:], rev, rb, true)
-		rxTile(sc, 1, c, sn)
-		copy(fwd, sc[:tl])
-		for i := range rev {
-			rev[tl-1-i] = sc[tl+i]
-		}
+		e.phaseTile(fwd, fb)
+		e.phaseTile(rev, rb)
+		rxTile(fwd, 1, c, sn)
+		rxTile(rev, 1, c, sn)
+		rxMirror(fwd, rev, c, sn)
 		if e.expect {
 			acc = e.cost.fold(acc, fwd, fb)
 			acc = e.cost.fold(acc, rev, rb)

@@ -223,14 +223,25 @@ func checkRejects(t *testing.T, cases []badShape) {
 	}
 }
 
-// TestEngineRejectsBadShapes: qubit count, table lengths and the
-// exactly-one-form rule.
+// withLevel returns cost with its phase index copied and entry i set to
+// level k.
+func withLevel(cost CostTables, i int, k int32) CostTables {
+	cost.Idx = append([]int32(nil), cost.Idx...)
+	cost.Idx[i] = k
+	return cost
+}
+
+// TestEngineRejectsBadShapes: qubit count, table lengths, the
+// exactly-one-form rule and phase index entries past the level table.
 func TestEngineRejectsBadShapes(t *testing.T) {
 	diag, levels, idx, shift := engineFixture(t, 4, 9)
 	indexed := fixtureTables(16, false, diag, levels, idx, shift)
 	dense := fixtureTables(16, true, diag, levels, idx, shift)
 	both := indexed
 	both.Diag, both.Shift = dense.Diag, dense.Shift
+	if _, err := NewEngine(4, false, withLevel(indexed, 15, int32(len(levels)-1))); err != nil {
+		t.Fatalf("last level refused: %v", err)
+	}
 	checkRejects(t, []badShape{
 		{"short diagonal", 4, false, CostTables{Diag: diag[:3], Shift: shift}},
 		{"short phase diagonal", 4, false, CostTables{Diag: diag, Shift: shift[:3]}},
@@ -242,6 +253,8 @@ func TestEngineRejectsBadShapes(t *testing.T) {
 		{"levels without values", 4, false, CostTables{Levels: levels, Idx: idx}},
 		{"fewer values than levels", 4, false, CostTables{Levels: levels, Values: indexed.Values[:2], Idx: idx}},
 		{"zero qubits", 0, false, indexed},
+		{"level past the table", 4, false, withLevel(indexed, 15, int32(len(levels)))},
+		{"negative level", 4, false, withLevel(indexed, 0, -1)},
 	})
 }
 
@@ -259,6 +272,7 @@ func TestZ2EngineRejectsBadShapes(t *testing.T) {
 		{"full-length diagonal for reduced engine", 4, true, CostTables{Diag: zdiag, Shift: zshift[:8]}},
 		{"full-length dense phase diagonal for reduced engine", 4, true, CostTables{Diag: zdiag[:8], Shift: zshift}},
 		{"reduced both forms", 4, true, both},
+		{"reduced level past the table", 4, true, withLevel(half, 7, int32(len(levels)))},
 	})
 }
 
@@ -339,14 +353,19 @@ func BenchmarkEngineEvaluate16p3(b *testing.B) {
 // BenchmarkEngineZ2Evaluate16p3 is the reduced twin of
 // BenchmarkEngineEvaluate16p3: same full problem size, half the stored
 // amplitudes.
-func BenchmarkEngineZ2Evaluate16p3(b *testing.B) { benchmarkEngineZ2(b, 16) }
+func BenchmarkEngineZ2Evaluate16p3(b *testing.B) { benchmarkEngineZ2(b, 16, 3) }
 
 // BenchmarkEngineZ2Evaluate20p3 is the paper-scale leaf: an 8 MiB
 // half-vector, two high groups per layer, nothing cache-resident.
-func BenchmarkEngineZ2Evaluate20p3(b *testing.B) { benchmarkEngineZ2(b, 20) }
+func BenchmarkEngineZ2Evaluate20p3(b *testing.B) { benchmarkEngineZ2(b, 20, 3) }
 
-func benchmarkEngineZ2(b *testing.B, nFull int) {
+// BenchmarkEngineZ2Evaluate12p2 is the small-leaf shape of the
+// dag-checkpoint workload's p=2 leaves: a 32 KiB half-vector, two mirror
+// tile pairs and one high group per layer.
+func BenchmarkEngineZ2Evaluate12p2(b *testing.B) { benchmarkEngineZ2(b, 12, 2) }
+
+func benchmarkEngineZ2(b *testing.B, nFull, p int) {
 	diag, levels, idx, shift := z2Fixture(b, nFull, 41)
 	eng, _ := testEngine(b, nFull, true, false, diag, levels, idx, shift)
-	benchmarkEngine(b, eng, benchGammas, benchBetas)
+	benchmarkEngine(b, eng, benchGammas[:p], benchBetas[:p])
 }

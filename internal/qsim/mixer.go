@@ -30,14 +30,25 @@ import (
 //     an 8 KiB scratch, the middle levels run in scratch, and the last
 //     level stores straight back to the rows (rxHighSweep).
 //
-// Two kernels carry all of it, each in three tiers — AVX-512F, AVX2+FMA
-// (mixer_avx512_amd64.s, mixer_amd64.s) and portable Go — picked once
-// per process (KernelTier): rxTile runs a whole butterfly network on a
-// contiguous tile, rxRows runs one level over rows with independent
-// source and destination strides. Within a tier the two apply the same
+// Four kernels carry all of it, each in three tiers — AVX-512F,
+// AVX2+FMA (mixer_avx512_amd64.s, mixer_amd64.s) and portable Go —
+// picked once per process (KernelTier):
+//
+//   - rxTile runs a whole butterfly network on a contiguous tile;
+//   - rxRows runs one level over rows with independent source and
+//     destination strides;
+//   - rxMirror runs the one level that pairs a tile with a second tile
+//     read back to front — the Z2 engine's boundary qubit across a
+//     mirror tile pair (Engine.runMirrorChunk);
+//   - phaseIdx applies the indexed cost phases to a tile where it
+//     lives, the engine's phase-on-load.
+//
+// Within a tier the three butterfly kernels apply the same
 // c·v + σ⊙swap(partner) update, so how a network is split between them
-// does not change a bit of the result; across tiers, and against the
-// per-qubit ApplyRX walk, mixer_test.go pins amplitudes at 1e-12.
+// does not change a bit of the result; phaseIdx multiplies unfused, as
+// Go's complex product does, so all its tiers give the same bits.
+// Across tiers, and against the per-qubit ApplyRX walk, mixer_test.go
+// pins amplitudes at 1e-12.
 
 const (
 	// lowBlockQubits sizes the in-place low group: 2^10 amplitudes =
@@ -207,6 +218,72 @@ func rxRows(dst []complex128, dstStride int, src []complex128, srcStride int, ro
 		return
 	}
 	rxRowsGo(dst, dstStride, src, srcStride, rows, d, c, sn)
+}
+
+// rxMirror applies the butterfly level that pairs fwd[i] with
+// rev[len(fwd)−1−i], storing both members in place: the Z2 boundary
+// qubit across a mirror tile pair (Engine.runMirrorChunk). Only the
+// first len(fwd) entries of rev take part, and they must not overlap
+// fwd. The per-amplitude arithmetic is rxTile's in every kernel tier —
+// the RX update is the same for either member of a pair, so which one
+// sits on the 0 side does not matter.
+func rxMirror(fwd, rev []complex128, c, sn float64) {
+	rev = rev[:len(fwd)]
+	if n := len(fwd) &^ 3; useMixerAsm && n > 0 {
+		// The kernels take four pairs a step: fwd's head against rev's
+		// tail; the Go kernel pairs what is left in the middle.
+		if useMixerAsm512 {
+			rxMirrorAsm512(&fwd[0], &rev[len(rev)-n], n, c, sn)
+		} else {
+			rxMirrorAsm(&fwd[0], &rev[len(rev)-n], n, c, sn)
+		}
+		fwd, rev = fwd[n:], rev[:len(rev)-n]
+	}
+	rxMirrorGo(fwd, rev, c, sn)
+}
+
+// rxMirrorGo is the portable reversed-partner kernel: rxTileGo's
+// butterfly with the partner read back to front.
+func rxMirrorGo(fwd, rev []complex128, c, sn float64) {
+	last := len(fwd) - 1
+	for i := range fwd {
+		a0, a1 := fwd[i], rev[last-i]
+		fwd[i] = complex(c*real(a0)+sn*imag(a1), c*imag(a0)-sn*real(a1))
+		rev[last-i] = complex(sn*imag(a0)+c*real(a1), c*imag(a1)-sn*real(a0))
+	}
+}
+
+// phaseIdx is the indexed cost-phase pass over one tile:
+// buf[i] = ph[idx[i]] when load (the first layer, whose phase table
+// carries the |+⟩ amplitude), buf[i] *= ph[idx[i]] otherwise. idx is at
+// least as long as buf, and every entry must index ph: the assembly
+// tiers read the table through raw pointers, so the engine checks its
+// index once, at construction (NewEngine). No tier fuses the product,
+// so every tier gives the portable kernel's bits.
+func phaseIdx(buf, ph []complex128, idx []int32, load bool) {
+	idx = idx[:len(buf)]
+	if n := len(buf) &^ 3; useMixerAsm && n > 0 {
+		if useMixerAsm512 {
+			phaseIdxAsm512(&buf[0], &ph[0], &idx[0], n, load)
+		} else {
+			phaseIdxAsm(&buf[0], &ph[0], &idx[0], n, load)
+		}
+		buf, idx = buf[n:], idx[n:]
+	}
+	phaseIdxGo(buf, ph, idx, load)
+}
+
+// phaseIdxGo is the portable indexed phase kernel.
+func phaseIdxGo(buf, ph []complex128, idx []int32, load bool) {
+	if load {
+		for i := range buf {
+			buf[i] = ph[idx[i]]
+		}
+		return
+	}
+	for i := range buf {
+		buf[i] *= ph[idx[i]]
+	}
 }
 
 // rxRowsGo is the portable row kernel: rxTileGo's butterfly with

@@ -32,6 +32,34 @@ func rxRowsAsm(dst, src *complex128, dstStride, srcStride, rows, d int, c, sn fl
 //go:noescape
 func rxRowsAsm512(dst, src *complex128, dstStride, srcStride, rows, d int, c, sn float64)
 
+// rxMirrorAsm is the AVX2+FMA reversed-partner kernel (mixer_amd64.s):
+// the contract of rxMirror for n a multiple of 4. Callers must have
+// checked useMixerAsm.
+//
+//go:noescape
+func rxMirrorAsm(fwd, rev *complex128, n int, c, sn float64)
+
+// rxMirrorAsm512 is the AVX-512F reversed-partner kernel
+// (mixer_avx512_amd64.s); same contract as rxMirrorAsm. Callers must
+// have checked useMixerAsm512.
+//
+//go:noescape
+func rxMirrorAsm512(fwd, rev *complex128, n int, c, sn float64)
+
+// phaseIdxAsm is the AVX2 indexed phase kernel (mixer_amd64.s): the
+// contract of phaseIdx for n a multiple of 4. It reads ph[idx[i]]
+// without a bounds check. Callers must have checked useMixerAsm.
+//
+//go:noescape
+func phaseIdxAsm(buf, ph *complex128, idx *int32, n int, load bool)
+
+// phaseIdxAsm512 is the AVX-512F indexed phase kernel
+// (mixer_avx512_amd64.s); same contract as phaseIdxAsm. Callers must
+// have checked useMixerAsm512.
+//
+//go:noescape
+func phaseIdxAsm512(buf, ph *complex128, idx *int32, n int, load bool)
+
 // The assembly row kernels hard-code 8-amplitude (128-byte) rows.
 var _ = [1]struct{}{}[highBatch-8]
 

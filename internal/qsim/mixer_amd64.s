@@ -1,4 +1,6 @@
-// AVX2+FMA tile kernel for the blocked QAOA mixer (mixer.go).
+// AVX2+FMA kernels for the blocked QAOA mixer (mixer.go): the tile
+// network rxTileAsm, the row level rxRowsAsm, the reversed-partner
+// level rxMirrorAsm and the indexed phase pass phaseIdxAsm.
 //
 // rxTileAsm applies the butterfly network RX(θ)^⊗log2(n) to a
 // contiguous tile of n complex128 amplitudes. A butterfly on the pair
@@ -150,6 +152,122 @@ rowpair:
 	ADDQ R12, DI
 	SUBQ BX, R10
 	JG   rowblock
+	VZEROUPPER
+	RET
+
+// func rxMirrorAsm(fwd, rev *complex128, n int, c, sn float64)
+// The reversed-partner level (the Z2 boundary, rxMirror): fwd[i] pairs
+// with rev[n−1−i], both stored in place. Four pairs per iteration: fwd
+// is walked front to back and rev back to front, 64 bytes at a time.
+// Reversing a YMM register's four doubles reverses its two complexes
+// AND swaps re/im inside each, so one VPERMPD $0x1B lines the partner
+// up as swap(partner) — the same c·v + σ⊙swap(partner) update as the
+// level-h loop of rxTileAsm. n is a multiple of 4.
+TEXT ·rxMirrorAsm(SB), NOSPLIT, $0-40
+	MOVQ fwd+0(FP), DI
+	MOVQ rev+8(FP), SI
+	MOVQ n+16(FP), CX
+	VBROADCASTSD c+24(FP), Y0      // Y0 = (c, c, c, c)
+	VBROADCASTSD sn+32(FP), Y1
+	VXORPD rxsign<>(SB), Y1, Y1    // Y1 = σ = (s, −s, s, −s)
+	MOVQ CX, R8
+	SHLQ $4, R8
+	LEAQ -64(SI)(R8*1), SI         // rev[n−4 : n]
+	SHRQ $2, CX                    // n/4 iterations
+mirror:
+	VMOVUPD (DI), Y2               // fwd[i], fwd[i+1]
+	VMOVUPD 32(DI), Y3             // fwd[i+2], fwd[i+3]
+	VMOVUPD (SI), Y4               // rev[n−4−i], rev[n−3−i]
+	VMOVUPD 32(SI), Y5             // rev[n−2−i], rev[n−1−i]
+	VPERMPD $0x1B, Y5, Y6          // partners of Y2, swapped
+	VPERMPD $0x1B, Y4, Y7          // partners of Y3
+	VPERMPD $0x1B, Y2, Y8          // partners of Y5
+	VPERMPD $0x1B, Y3, Y9          // partners of Y4
+	VMULPD  Y0, Y2, Y10            // c·v
+	VFMADD231PD Y1, Y6, Y10        // + σ⊙swap(partner)
+	VMULPD  Y0, Y3, Y11
+	VFMADD231PD Y1, Y7, Y11
+	VMULPD  Y0, Y4, Y12
+	VFMADD231PD Y1, Y9, Y12
+	VMULPD  Y0, Y5, Y13
+	VFMADD231PD Y1, Y8, Y13
+	VMOVUPD Y10, (DI)
+	VMOVUPD Y11, 32(DI)
+	VMOVUPD Y12, (SI)
+	VMOVUPD Y13, 32(SI)
+	ADDQ $64, DI
+	SUBQ $64, SI
+	DECQ CX
+	JNZ  mirror
+	VZEROUPPER
+	RET
+
+// PHASES4 gathers ph[idx[i]], ..., ph[idx[i+3]] (idx at SI, ph at R8)
+// into Y2 (the first two) and Y3, one 16-byte load per phase.
+#define PHASES4 \
+	MOVL (SI), AX                      \
+	MOVL 4(SI), BX                     \
+	MOVL 8(SI), R10                    \
+	MOVL 12(SI), R11                   \
+	SHLQ $4, AX                        \
+	SHLQ $4, BX                        \
+	SHLQ $4, R10                       \
+	SHLQ $4, R11                       \
+	VMOVUPD (R8)(AX*1), X2             \
+	VINSERTF128 $1, (R8)(BX*1), Y2, Y2 \
+	VMOVUPD (R8)(R10*1), X3            \
+	VINSERTF128 $1, (R8)(R11*1), Y3, Y3
+
+// PHASE2(p) multiplies the two amplitudes in Y4 by the two phases in p
+// without fusing, in the order Go compiles a complex128 product:
+// Y5 = (re·re′, im·re′) from the duplicated real parts of the phases,
+// Y6 = (im·im′, re·im′) from the swapped amplitudes and the duplicated
+// imaginary parts, and VADDSUBPD subtracts in the real lanes and adds
+// in the imaginary ones: (re·re′ − im·im′, im·re′ + re·im′).
+#define PHASE2(p) \
+	VMOVDDUP p, Y5                 \
+	VPERMILPD $0xF, p, Y6          \
+	VPERMILPD $0x5, Y4, Y7         \
+	VMULPD  Y5, Y4, Y5             \
+	VMULPD  Y6, Y7, Y6             \
+	VADDSUBPD Y6, Y5, Y4
+
+// func phaseIdxAsm(buf, ph *complex128, idx *int32, n int, load bool)
+// The indexed phase pass (phaseIdx): buf[i] = ph[idx[i]] when load,
+// buf[i] *= ph[idx[i]] otherwise. Four amplitudes per iteration; idx
+// entries must be valid indices into ph (NewEngine checks them). n is
+// a multiple of 4.
+TEXT ·phaseIdxAsm(SB), NOSPLIT, $0-33
+	MOVQ buf+0(FP), DI
+	MOVQ ph+8(FP), R8
+	MOVQ idx+16(FP), SI
+	MOVQ n+24(FP), CX
+	SHRQ $2, CX                    // n/4 iterations
+	MOVBLZX load+32(FP), R9
+	TESTL R9, R9
+	JZ   phasemul
+phaseload:
+	PHASES4
+	VMOVUPD Y2, (DI)
+	VMOVUPD Y3, 32(DI)
+	ADDQ $16, SI
+	ADDQ $64, DI
+	DECQ CX
+	JNZ  phaseload
+	VZEROUPPER
+	RET
+phasemul:
+	PHASES4
+	VMOVUPD (DI), Y4
+	PHASE2(Y2)
+	VMOVUPD Y4, (DI)
+	VMOVUPD 32(DI), Y4
+	PHASE2(Y3)
+	VMOVUPD Y4, 32(DI)
+	ADDQ $16, SI
+	ADDQ $64, DI
+	DECQ CX
+	JNZ  phasemul
 	VZEROUPPER
 	RET
 

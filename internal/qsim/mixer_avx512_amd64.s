@@ -1,7 +1,10 @@
-// AVX-512F tile kernel for the blocked QAOA mixer (mixer.go) — the
-// wide sibling of rxTileAsm (mixer_amd64.s). One ZMM register holds
-// FOUR complex128 amplitudes, so each register load covers TWO
-// butterfly levels:
+// AVX-512F kernels for the blocked QAOA mixer (mixer.go) — the wide
+// siblings of the AVX2 kernels (mixer_amd64.s): the tile network
+// rxTileAsm512, the row level rxRowsAsm512, the reversed-partner level
+// rxMirrorAsm512 and the indexed phase pass phaseIdxAsm512.
+//
+// In the tile network one ZMM register holds FOUR complex128
+// amplitudes, so each register load covers TWO butterfly levels:
 //
 //   - level h = 1 pairs adjacent complexes inside each 256-bit half;
 //     VPERMPD $0x1B permutes 64-bit elements within each 256-bit lane
@@ -181,5 +184,129 @@ rowpair:
 	ADDQ R12, DI
 	SUBQ BX, R10
 	JG   rowblock
+	VZEROUPPER
+	RET
+
+// Full reversal of a ZMM register's eight doubles: the four complexes
+// in reverse order, re/im swapped inside each.
+DATA revpd512<>+0(SB)/8, $7
+DATA revpd512<>+8(SB)/8, $6
+DATA revpd512<>+16(SB)/8, $5
+DATA revpd512<>+24(SB)/8, $4
+DATA revpd512<>+32(SB)/8, $3
+DATA revpd512<>+40(SB)/8, $2
+DATA revpd512<>+48(SB)/8, $1
+DATA revpd512<>+56(SB)/8, $0
+GLOBL revpd512<>(SB), RODATA|NOPTR, $64
+
+// func rxMirrorAsm512(fwd, rev *complex128, n int, c, sn float64)
+// The reversed-partner level (the Z2 boundary, rxMirror): fwd[i] pairs
+// with rev[n−1−i], both stored in place. Four pairs per iteration: fwd
+// is walked front to back and rev back to front, one ZMM register at a
+// time; the full reversal lines each partner up as swap(partner), and
+// the update is the lvlh loop's VMULPD + VFMADD231PD chain. n is a
+// multiple of 4.
+TEXT ·rxMirrorAsm512(SB), NOSPLIT, $0-40
+	MOVQ fwd+0(FP), DI
+	MOVQ rev+8(FP), SI
+	MOVQ n+16(FP), CX
+	VBROADCASTSD c+24(FP), Z0         // Z0 = (c, ..., c)
+	VBROADCASTSD sn+32(FP), Z1
+	VPXORQ rxsign512<>(SB), Z1, Z1    // Z1 = σ = (s, −s, s, −s, ...)
+	VMOVDQU64 revpd512<>(SB), Z2      // reversal indices
+	MOVQ CX, R8
+	SHLQ $4, R8
+	LEAQ -64(SI)(R8*1), SI            // rev[n−4 : n]
+	SHRQ $2, CX                       // n/4 iterations
+mirror:
+	VMOVUPD (DI), Z3                  // fwd[i : i+4]
+	VMOVUPD (SI), Z4                  // rev[n−4−i : n−i]
+	VPERMPD Z4, Z2, Z6                // partners of Z3, swapped
+	VPERMPD Z3, Z2, Z5                // partners of Z4, swapped
+	VMULPD  Z0, Z3, Z7                // c·v
+	VFMADD231PD Z1, Z6, Z7            // + σ⊙swap(partner)
+	VMULPD  Z0, Z4, Z8
+	VFMADD231PD Z1, Z5, Z8
+	VMOVUPD Z7, (DI)
+	VMOVUPD Z8, (SI)
+	ADDQ $64, DI
+	SUBQ $64, SI
+	DECQ CX
+	JNZ  mirror
+	VZEROUPPER
+	RET
+
+// Negates the real lanes: (−0.0, +0.0) × 4.
+DATA phsign512<>+0(SB)/8, $0x8000000000000000
+DATA phsign512<>+8(SB)/8, $0x0000000000000000
+DATA phsign512<>+16(SB)/8, $0x8000000000000000
+DATA phsign512<>+24(SB)/8, $0x0000000000000000
+DATA phsign512<>+32(SB)/8, $0x8000000000000000
+DATA phsign512<>+40(SB)/8, $0x0000000000000000
+DATA phsign512<>+48(SB)/8, $0x8000000000000000
+DATA phsign512<>+56(SB)/8, $0x0000000000000000
+GLOBL phsign512<>(SB), RODATA|NOPTR, $64
+
+// PHASES4 gathers ph[idx[i]], ..., ph[idx[i+3]] (idx at SI, ph at R8)
+// into Y2 (the first two) and Y3, one 16-byte load per phase.
+#define PHASES4 \
+	MOVL (SI), AX                     \
+	MOVL 4(SI), BX                    \
+	MOVL 8(SI), R10                   \
+	MOVL 12(SI), R11                  \
+	SHLQ $4, AX                       \
+	SHLQ $4, BX                       \
+	SHLQ $4, R10                      \
+	SHLQ $4, R11                      \
+	VMOVUPD (R8)(AX*1), X2            \
+	VINSERTF128 $1, (R8)(BX*1), Y2, Y2 \
+	VMOVUPD (R8)(R10*1), X3           \
+	VINSERTF128 $1, (R8)(R11*1), Y3, Y3
+
+// func phaseIdxAsm512(buf, ph *complex128, idx *int32, n int, load bool)
+// The indexed phase pass (phaseIdx): buf[i] = ph[idx[i]] when load,
+// buf[i] *= ph[idx[i]] otherwise. Four amplitudes per iteration. The
+// product is not fused, and follows the order Go compiles a complex128
+// product in: Z5 = (re·re′, im·re′), Z6 = (−im·im′, re·im′), and their
+// sum is (re·re′ + (−im·im′), im·re′ + re·im′) — bit for bit Go's
+// (re·re′ − im·im′, re·im′ + im·re′). idx entries must be valid
+// indices into ph (NewEngine checks them). n is a multiple of 4.
+TEXT ·phaseIdxAsm512(SB), NOSPLIT, $0-33
+	MOVQ buf+0(FP), DI
+	MOVQ ph+8(FP), R8
+	MOVQ idx+16(FP), SI
+	MOVQ n+24(FP), CX
+	SHRQ $2, CX                       // n/4 iterations
+	MOVBLZX load+32(FP), R9
+	TESTL R9, R9
+	JZ   phasemul
+phaseload:
+	PHASES4
+	VMOVUPD Y2, (DI)
+	VMOVUPD Y3, 32(DI)
+	ADDQ $16, SI
+	ADDQ $64, DI
+	DECQ CX
+	JNZ  phaseload
+	VZEROUPPER
+	RET
+phasemul:
+	VMOVDQU64 phsign512<>(SB), Z9
+phaseloop:
+	PHASES4
+	VINSERTF64X4 $1, Y3, Z2, Z2
+	VMOVUPD (DI), Z4
+	VMOVDDUP Z2, Z5                   // (re′, re′) per complex
+	VPERMILPD $0xFF, Z2, Z6           // (im′, im′)
+	VPERMILPD $0x55, Z4, Z7           // (im, re)
+	VMULPD  Z5, Z4, Z5                // (re·re′, im·re′)
+	VMULPD  Z6, Z7, Z6                // (im·im′, re·im′)
+	VPXORQ  Z9, Z6, Z6                // (−im·im′, re·im′)
+	VADDPD  Z6, Z5, Z4
+	VMOVUPD Z4, (DI)
+	ADDQ $16, SI
+	ADDQ $64, DI
+	DECQ CX
+	JNZ  phaseloop
 	VZEROUPPER
 	RET

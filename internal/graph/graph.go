@@ -323,48 +323,60 @@ func (g *Graph) Contract(groupOf []int, numGroups int, weight func(e Edge) float
 			return nil, fmt.Errorf("graph: node %d assigned to invalid group %d", v, gr)
 		}
 	}
-	// Group pair and transformed weight of every cross edge, in edge
-	// order.
-	cross := make([]Edge, 0, len(g.edges))
+	// Group pair, packed lower<<32 | higher, and transformed weight of
+	// every cross edge, in edge order: position p holds the p-th.
+	cross := 0
 	for _, e := range g.edges {
-		gi, gj := groupOf[e.I], groupOf[e.J]
-		if gi == gj {
-			continue
+		if groupOf[e.I] != groupOf[e.J] {
+			cross++
 		}
-		if gi > gj {
-			gi, gj = gj, gi
-		}
-		cross = append(cross, Edge{I: gi, J: gj, W: weight(e)})
 	}
-	// Order by group pair with two stable counting passes (higher group,
-	// then lower), so each pair's run is still in edge order.
+	pair, w := make([]uint64, cross), make([]float64, cross)
+	byHigher, byPair := make([]int32, cross), make([]int32, cross)
+	p := 0
+	for _, e := range g.edges {
+		if gi, gj := groupOf[e.I], groupOf[e.J]; gi != gj {
+			pair[p], w[p] = uint64(min(gi, gj))<<32|uint64(max(gi, gj)), weight(e)
+			byPair[p] = int32(p)
+			p++
+		}
+	}
+	// Order the positions by group pair with two stable counting passes
+	// (higher group, then lower), so each pair's run is still in edge
+	// order.
 	next := make([]int, numGroups)
-	pass := func(dst, src []Edge, group func(Edge) int) {
+	pass := func(dst, src []int32, shift int) {
 		clear(next)
-		for _, e := range src {
-			next[group(e)]++
+		for _, p := range src {
+			next[uint32(pair[p]>>shift)]++
 		}
 		at := 0
 		for k, c := range next {
 			next[k], at = at, at+c
 		}
-		for _, e := range src {
-			k := group(e)
-			dst[next[k]] = e
-			next[k]++
+		for _, p := range src {
+			gr := uint32(pair[p] >> shift)
+			dst[next[gr]] = p
+			next[gr]++
 		}
 	}
-	byHigher := make([]Edge, len(cross))
-	pass(byHigher, cross, func(e Edge) int { return e.J })
-	pass(cross, byHigher, func(e Edge) int { return e.I })
-	merged := cross[:0]
-	for lo := 0; lo < len(cross); {
-		hi, sum := lo, 0.0
-		for ; hi < len(cross) && cross[hi].I == cross[lo].I && cross[hi].J == cross[lo].J; hi++ {
-			sum += cross[hi].W
+	pass(byHigher, byPair, 0)
+	pass(byPair, byHigher, 32)
+	// No pair is all ones: its lower group is below its higher one.
+	runs, last := 0, uint64(math.MaxUint64)
+	for _, p := range byPair {
+		if pair[p] != last {
+			runs, last = runs+1, pair[p]
 		}
-		merged = append(merged, Edge{I: cross[lo].I, J: cross[lo].J, W: sum})
-		lo = hi
+	}
+	merged := make([]Edge, 0, runs)
+	last = math.MaxUint64
+	for _, p := range byPair {
+		if pair[p] != last {
+			last = pair[p]
+			merged = append(merged, Edge{I: int(last >> 32), J: int(uint32(last))})
+		}
+		merged[len(merged)-1].W += w[p]
 	}
 	return fromEdges(numGroups, merged), nil
 }

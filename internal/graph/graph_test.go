@@ -260,6 +260,21 @@ func TestContractValidation(t *testing.T) {
 	}
 }
 
+// TestContractKeepsOnlyItsEdges requires the quotient's edge slice to
+// be exactly as long as its edge count: a QAOA² stage keeps its merge
+// graph for the whole solve, and a slice with the parent's capacity
+// would keep room for every parent edge alive with it.
+func TestContractKeepsOnlyItsEdges(t *testing.T) {
+	g, parts, groupOf := er1200Parts()
+	q, err := g.Contract(groupOf, len(parts), func(e Edge) float64 { return e.W })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if edges := q.Edges(); cap(edges) != len(edges) {
+		t.Fatalf("quotient of %d edges holds an edge slice of capacity %d", len(edges), cap(edges))
+	}
+}
+
 func TestIntegralWeights(t *testing.T) {
 	pair := func(ws ...float64) *Graph {
 		g := New(len(ws) + 1)

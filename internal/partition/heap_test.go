@@ -157,13 +157,16 @@ func greedyModularityBoxed(g *graph.Graph, limit int) [][]int {
 }
 
 // checkedGreedy is the agglomeration capped at limit with the
-// workspace audited after every merge: one entry per live pair and
-// never more than the M it started with, each at the queue position it
-// records, parents before children; every row entry names its row's
-// community, both recorded slots point back at the entry, no row holds
-// an entry of a dead community, two entries of one pair or a pair whose
-// sizes sum past the limit; the rows hold each queued pair twice, and
-// the live communities' sizes sum to n.
+// workspace audited after every merge. The queue: never more than the M
+// items it started with, each child after its 4-ary parent in the order
+// written out below from the entries, pos and the heap slots
+// round-tripping, each item's inline key the pair and the gain its
+// entry gives, and no pair over the limit. The rows: every entry names
+// its row's community, both recorded slots point back at it, no row
+// holds an entry of a dead community, two entries of one pair or a pair
+// whose sizes sum past the limit, every row entry has its slot in the
+// queue and the rows hold each queued pair twice, so the queue holds
+// exactly one slot per live pair. The live communities' sizes sum to n.
 func checkedGreedy(t *testing.T, name string, g *graph.Graph, limit int) {
 	t.Helper()
 	m2 := 2 * g.TotalWeight()
@@ -174,10 +177,41 @@ func checkedGreedy(t *testing.T, name string, g *graph.Graph, limit int) {
 	if s.limit != int32(limit) {
 		t.Fatalf("%s: workspace limit %d, want %d", name, s.limit, limit)
 	}
+	// ahead is the queue's total order — gain desc, then a, then b —
+	// taken from the entries, not from the inline pair.
+	ahead := func(x, y item) bool {
+		ex, ey := s.entries[x.k], s.entries[y.k]
+		if x.dq != y.dq {
+			return x.dq > y.dq
+		}
+		if ex.a != ey.a {
+			return ex.a < ey.a
+		}
+		return ex.b < ey.b
+	}
 	s.reset(g, m2)
 	for step := 0; ; step++ {
-		if len(s.queue) > g.M() {
-			t.Fatalf("%s step %d: queue holds %d entries, graph has %d edges", name, step, len(s.queue), g.M())
+		heap := s.queue.heap
+		if len(heap) > g.M() {
+			t.Fatalf("%s step %d: queue holds %d items, graph has %d edges", name, step, len(heap), g.M())
+		}
+		for i, it := range heap {
+			if it.k < 0 || int(it.k) >= g.M() || s.queue.pos[it.k] != int32(i) {
+				t.Fatalf("%s step %d: slot %d holds entry %d, which records another slot", name, step, i, it.k)
+			}
+			m := s.entries[it.k]
+			if it.pair != uint64(m.a)<<32|uint64(m.b) {
+				t.Fatalf("%s step %d: slot %d keys pair %#x, its entry is {%d,%d}", name, step, i, it.pair, m.a, m.b)
+			}
+			if dq := 2 * (m.w - s.a[m.a]*s.a[m.b]); it.dq != dq {
+				t.Fatalf("%s step %d: pair {%d,%d} queued at gain %v, its entry gives %v", name, step, m.a, m.b, it.dq, dq)
+			}
+			if sum := s.size[m.a] + s.size[m.b]; sum > int32(limit) {
+				t.Fatalf("%s step %d: queue holds pair {%d,%d} of %d nodes, limit %d", name, step, m.a, m.b, sum, limit)
+			}
+			if i > 0 && ahead(it, heap[(i-1)/4]) {
+				t.Fatalf("%s step %d: slot %d sorts before its parent", name, step, i)
+			}
 		}
 		halves, members := 0, 0
 		seen := make([]int, g.N()) // seen[o] = c+1: row c has a pair with o
@@ -211,27 +245,16 @@ func checkedGreedy(t *testing.T, name string, g *graph.Graph, limit int) {
 					t.Fatalf("%s step %d: row %d holds two entries for pair {%d,%d}", name, step, c, m.a, m.b)
 				}
 				seen[o] = c + 1
-				if s.queue[m.pos] != m {
-					t.Fatalf("%s step %d: pair {%d,%d} is not at its queue position", name, step, m.a, m.b)
+				if p := s.queue.pos[k]; p < 0 || int(p) >= len(heap) || heap[p].k != k {
+					t.Fatalf("%s step %d: pair {%d,%d} is not at its queue slot", name, step, m.a, m.b)
 				}
 			}
 		}
 		if members != g.N() {
 			t.Fatalf("%s step %d: live communities hold %d nodes, graph has %d", name, step, members, g.N())
 		}
-		if halves != 2*len(s.queue) {
-			t.Fatalf("%s step %d: %d row entries for %d queued pairs", name, step, halves, len(s.queue))
-		}
-		for i, m := range s.queue {
-			if m.pos != i {
-				t.Fatalf("%s step %d: entry at %d records position %d", name, step, i, m.pos)
-			}
-			if sum := s.size[m.a] + s.size[m.b]; sum > int32(limit) {
-				t.Fatalf("%s step %d: queue holds pair {%d,%d} of %d nodes, limit %d", name, step, m.a, m.b, sum, limit)
-			}
-			if i > 0 && m.before(s.queue[(i-1)/2]) {
-				t.Fatalf("%s step %d: entry %d sorts before its parent", name, step, i)
-			}
+		if halves != 2*len(heap) {
+			t.Fatalf("%s step %d: %d row entries for %d queued pairs", name, step, halves, len(heap))
 		}
 		if !s.mergeBest() {
 			return

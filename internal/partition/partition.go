@@ -9,6 +9,7 @@ package partition
 import (
 	"fmt"
 	"sort"
+	"sync"
 
 	"qaoa2/internal/graph"
 )
@@ -63,15 +64,14 @@ func Modularity(g *graph.Graph, communities [][]int) (float64, error) {
 	return q, nil
 }
 
-// merge is the one queue entry of a live pair of adjacent communities
-// a < b: w is the fraction of edge weight between them, dq the
-// modularity gain of merging them, pos its index in the mergeQueue, and
-// sa, sb its slots in rows[a] and rows[b].
+// merge is the entry of a live pair of adjacent communities a < b: w is
+// the fraction of edge weight between them, and sa, sb its slots in
+// rows[a] and rows[b]. Its gain and its place in the queue live in the
+// queue.
 type merge struct {
-	w, dq  float64
+	w      float64
 	a, b   int32
 	sa, sb int32
-	pos    int
 }
 
 // other returns the community paired with c.
@@ -98,6 +98,17 @@ func (x *merge) setSlot(c, i int32) {
 	}
 }
 
+// item is one slot of the merge queue: the key of entry k inline, dq
+// the modularity gain of merging the pair and pair its communities
+// packed as a<<32 | b.
+type item struct {
+	dq   float64
+	pair uint64
+	k    int32
+}
+
+func pairOf(a, b int32) uint64 { return uint64(a)<<32 | uint64(b) }
+
 // before is a TOTAL order over live entries (gain desc, then pair).
 // Gains tie often (in an unweighted graph every edge whose endpoints
 // have the same degree product has the same dq), and which of the tied
@@ -105,75 +116,93 @@ func (x *merge) setSlot(c, i int32) {
 // were touched in, which swap-removes permute. Only a total order over unique keys makes the
 // pop sequence — and therefore the whole partition — a function of the
 // keys alone, the same as the lazy-heap oracle's.
-func (x *merge) before(y *merge) bool {
+func (x *item) before(y *item) bool {
 	if x.dq != y.dq {
 		return x.dq > y.dq // max-heap on gain
 	}
-	if x.a != y.a {
-		return x.a < y.a
-	}
-	return x.b < y.b
+	return x.pair < y.pair
 }
 
-// mergeQueue is an index-tracked binary max-heap holding exactly one
-// entry per live community pair — NetworkX's indexed priority queue.
-// Entries are re-keyed or removed in place when a community changes, so
-// it only ever shrinks from its initial M entries.
-type mergeQueue []*merge
-
-func (q mergeQueue) swap(i, j int) {
-	q[i], q[j] = q[j], q[i]
-	q[i].pos, q[j].pos = i, j
+// mergeQueue is an index-tracked 4-ary max-heap holding exactly one
+// item per live community pair — NetworkX's indexed priority queue.
+// Items are re-keyed or removed in place when a community changes, so
+// it only ever shrinks from its initial M items. Keys sit in the heap
+// and pos[k] is entry k's slot, so a comparison reads no entry and a
+// sift moves no pointer.
+type mergeQueue struct {
+	heap []item
+	pos  []int32
 }
 
-func (q mergeQueue) up(i int) bool {
-	moved := false
+// place puts x at slot i.
+func (q *mergeQueue) place(i int, x item) {
+	q.heap[i] = x
+	q.pos[x.k] = int32(i)
+}
+
+// up sifts the item at i toward the root and reports whether it moved.
+func (q *mergeQueue) up(i int) bool {
+	x, start := q.heap[i], i
 	for i > 0 {
-		parent := (i - 1) / 2
-		if !q[i].before(q[parent]) {
+		parent := (i - 1) / 4
+		if !x.before(&q.heap[parent]) {
 			break
 		}
-		q.swap(i, parent)
-		i, moved = parent, true
+		q.place(i, q.heap[parent])
+		i = parent
 	}
-	return moved
+	if i == start {
+		return false
+	}
+	q.place(i, x)
+	return true
 }
 
-func (q mergeQueue) down(i int) {
-	for n := len(q); ; {
-		first := i
-		if l := 2*i + 1; l < n && q[l].before(q[first]) {
-			first = l
+// down sifts the item at i toward the leaves.
+func (q *mergeQueue) down(i int) {
+	h := q.heap
+	x := h[i]
+	for {
+		first := 4*i + 1
+		if first >= len(h) {
+			break
 		}
-		if r := 2*i + 2; r < n && q[r].before(q[first]) {
-			first = r
+		best, end := first, min(first+4, len(h))
+		for c := first + 1; c < end; c++ {
+			if h[c].before(&h[best]) {
+				best = c
+			}
 		}
-		if first == i {
-			return
+		if !h[best].before(&x) {
+			break
 		}
-		q.swap(i, first)
-		i = first
+		q.place(i, h[best])
+		i = best
+	}
+	q.place(i, x)
+}
+
+// fix gives entry k the key (dq, pair) and restores the heap order.
+func (q *mergeQueue) fix(k int32, dq float64, pair uint64) {
+	i := int(q.pos[k])
+	q.heap[i].dq, q.heap[i].pair = dq, pair
+	if !q.up(i) {
+		q.down(i)
 	}
 }
 
-// fix restores the heap order after the key of m alone has changed.
-func (q mergeQueue) fix(m *merge) {
-	if !q.up(m.pos) {
-		q.down(m.pos)
+// remove deletes entry k from the queue.
+func (q *mergeQueue) remove(k int32) {
+	i, n := int(q.pos[k]), len(q.heap)-1
+	last := q.heap[n]
+	q.heap = q.heap[:n]
+	q.pos[k] = -1
+	if i == n {
+		return
 	}
-}
-
-// remove deletes m from the queue.
-func (q *mergeQueue) remove(m *merge) {
-	s := *q
-	i, n := m.pos, len(s)-1
-	if i != n {
-		s.swap(i, n)
-	}
-	s[n] = nil
-	*q = s[:n]
-	if i != n {
-		(*q).fix((*q)[i])
+	q.place(i, last)
+	if !q.up(i) {
+		q.down(i)
 	}
 }
 
@@ -196,24 +225,49 @@ type cnm struct {
 	rows  [][]int32
 	slots []int32 // 2·M
 	spare []int32
+	moved int     // row space this run took from spare, in all its arrays
 	at    []int32 // at[nb]: while c absorbs d, c's entry for {c, nb}; else -1
 	next  []int32 // next[v]: the member after v in its community, -1 at the end
 	tail  []int32 // tail[c]: c's last member; -1 once c is merged away
 }
 
+// cnmPool holds idle workspaces. A sync.Pool drops what it holds across
+// two garbage collections, so an idle process keeps none alive.
+var cnmPool sync.Pool
+
+// newCNM returns a workspace for a graph of n nodes and m edges, taken
+// from cnmPool when it holds one.
 func newCNM(n, m, limit int) *cnm {
-	return &cnm{
-		a:       make([]float64, n),
-		size:    make([]int32, n),
-		limit:   int32(limit),
-		entries: make([]merge, m),
-		queue:   make(mergeQueue, m),
-		rows:    make([][]int32, n),
-		slots:   make([]int32, 2*m),
-		at:      make([]int32, n),
-		next:    make([]int32, n),
-		tail:    make([]int32, n),
+	s, _ := cnmPool.Get().(*cnm)
+	if s == nil {
+		s = new(cnm)
 	}
+	s.fit(n, m, limit)
+	return s
+}
+
+// fit sizes the workspace for a graph of n nodes and m edges, growing
+// only the slices that are short.
+func (s *cnm) fit(n, m, limit int) {
+	s.a = grow(s.a, n)
+	s.size = grow(s.size, n)
+	s.limit = int32(limit)
+	s.entries = grow(s.entries, m)
+	s.queue.heap = grow(s.queue.heap, m)
+	s.queue.pos = grow(s.queue.pos, m)
+	s.rows = grow(s.rows, n)
+	s.slots = grow(s.slots, 2*m)
+	s.at = grow(s.at, n)
+	s.next = grow(s.next, n)
+	s.tail = grow(s.tail, n)
+}
+
+// grow returns x resliced to length n, or a new slice if x is short.
+func grow[T any](x []T, n int) []T {
+	if cap(x) < n {
+		return make([]T, n)
+	}
+	return x[:n]
 }
 
 // reset loads g, whose total weight is m2/2, as n singleton
@@ -228,36 +282,36 @@ func (s *cnm) reset(g *graph.Graph, m2 float64) {
 		s.rows[v], free = free[:0:d], free[d:]
 		s.at[v], s.next[v], s.tail[v] = -1, -1, int32(v)
 	}
-	s.spare = s.spare[:0]
-	s.queue = s.queue[:m]
+	s.spare, s.moved = s.spare[:0], 0
+	s.queue.heap = s.queue.heap[:m]
 	for k, ed := range g.Edges() {
 		i, j := int32(ed.I), int32(ed.J)
 		e := &s.entries[k]
-		*e = merge{w: ed.W / m2, a: i, b: j, sa: int32(len(s.rows[i])), sb: int32(len(s.rows[j])), pos: k}
-		e.dq = 2 * (e.w - s.a[i]*s.a[j])
+		*e = merge{w: ed.W / m2, a: i, b: j, sa: int32(len(s.rows[i])), sb: int32(len(s.rows[j]))}
 		s.rows[i] = append(s.rows[i], int32(k))
 		s.rows[j] = append(s.rows[j], int32(k))
-		s.queue[k] = e
+		s.queue.place(k, item{dq: 2 * (e.w - s.a[i]*s.a[j]), pair: pairOf(i, j), k: int32(k)})
 	}
-	for i := m/2 - 1; i >= 0; i-- {
+	// m ≥ 1: a graph without edges has no weight and never gets here.
+	for i := (m - 2) / 4; i >= 0; i-- {
 		s.queue.down(i)
 	}
 }
 
-// unlink swap-removes e from c's row.
-func (s *cnm) unlink(c int32, e *merge) {
+// unlink swap-removes entry k from c's row.
+func (s *cnm) unlink(c, k int32) {
 	row := s.rows[c]
-	i, last := e.slot(c), row[len(row)-1]
+	i, last := s.entries[k].slot(c), row[len(row)-1]
 	row[i] = last
 	s.entries[last].setSlot(c, i)
 	s.rows[c] = row[:len(row)-1]
 }
 
-// drop removes e from nb's row and from the queue; the caller takes it
-// out of the row of e's other community.
-func (s *cnm) drop(nb int32, e *merge) {
-	s.unlink(nb, e)
-	s.queue.remove(e)
+// drop removes entry k from nb's row and from the queue; the caller
+// takes it out of the row of k's other community.
+func (s *cnm) drop(nb, k int32) {
+	s.unlink(nb, k)
+	s.queue.remove(k)
 }
 
 // reserve makes room for k more entries in c's row. A row that outgrows
@@ -268,6 +322,7 @@ func (s *cnm) reserve(c int32, k int) {
 		return
 	}
 	size := 2 * (len(row) + k)
+	s.moved += size
 	if cap(s.spare)-len(s.spare) < size {
 		s.spare = make([]int32, 0, max(size, 2*cap(s.spare)))
 	}
@@ -281,12 +336,13 @@ func (s *cnm) reserve(c int32, k int) {
 // the pairs that fit and reports false, changing nothing, once no merge
 // improves Q.
 func (s *cnm) mergeBest() bool {
-	if len(s.queue) == 0 || s.queue[0].dq <= 1e-15 {
+	q := &s.queue
+	if len(q.heap) == 0 || q.heap[0].dq <= 1e-15 {
 		return false
 	}
-	top := s.queue[0]
-	c, d := top.a, top.b
-	s.queue.remove(top)
+	top := q.heap[0].k
+	c, d := s.entries[top].a, s.entries[top].b
+	q.remove(top)
 	s.unlink(c, top)
 	s.a[c] += s.a[d]
 	s.size[c] += s.size[d]
@@ -297,7 +353,7 @@ func (s *cnm) mergeBest() bool {
 		m := &s.entries[k]
 		nb := m.other(c)
 		if s.size[c]+s.size[nb] > s.limit {
-			s.drop(nb, m)
+			s.drop(nb, k)
 			continue
 		}
 		m.setSlot(c, int32(len(kept)))
@@ -309,18 +365,18 @@ func (s *cnm) mergeBest() bool {
 	// change, so it is a valid heap at each step.
 	s.reserve(c, len(s.rows[d])-1)
 	for _, k := range s.rows[d] {
-		m := &s.entries[k]
-		if m == top {
+		if k == top {
 			continue
 		}
+		m := &s.entries[k]
 		nb := m.other(d)
 		if ck := s.at[nb]; ck >= 0 {
 			s.entries[ck].w += m.w
-			s.drop(nb, m)
+			s.drop(nb, k)
 			continue
 		}
 		if s.size[c]+s.size[nb] > s.limit {
-			s.drop(nb, m)
+			s.drop(nb, k)
 			continue
 		}
 		// m now stands for {c, nb}: it keeps its slot in nb's row, takes
@@ -333,16 +389,14 @@ func (s *cnm) mergeBest() bool {
 		} else {
 			m.a, m.sa, m.b, m.sb = nb, snb, c, sc
 		}
-		m.dq = 2 * (m.w - s.a[c]*s.a[nb])
-		s.queue.fix(m)
+		q.fix(k, 2*(m.w-s.a[c]*s.a[nb]), pairOf(m.a, m.b))
 	}
 	s.rows[d] = nil
 	for _, k := range s.rows[c][:len(kept)] {
 		m := &s.entries[k]
 		nb := m.other(c)
 		s.at[nb] = -1
-		m.dq = 2 * (m.w - s.a[c]*s.a[nb])
-		s.queue.fix(m)
+		q.fix(k, 2*(m.w-s.a[c]*s.a[nb]), pairOf(m.a, m.b))
 	}
 	return true
 }
@@ -366,6 +420,11 @@ func (s *cnm) communities(g *graph.Graph) [][]int {
 	}
 	s.reset(g, m2)
 	for s.mergeBest() {
+	}
+	if cap(s.spare) < s.moved {
+		// One array for all the rows this run moved, so the next divide
+		// of a graph like g in this workspace grows nothing.
+		s.spare = make([]int32, 0, s.moved)
 	}
 	count := 0
 	for _, t := range s.tail {
@@ -397,7 +456,7 @@ func (s *cnm) communities(g *graph.Graph) [][]int {
 // greedy_modularity_communities on connected weighted graphs. It is
 // SizeCapped's agglomeration with a cap that never binds.
 func GreedyModularity(g *graph.Graph) [][]int {
-	return newCNM(g.N(), g.M(), g.N()).communities(g)
+	return divide(g, g.N())
 }
 
 // SizeCapped partitions g into parts of at most maxSize nodes (paper
@@ -423,5 +482,15 @@ func SizeCapped(g *graph.Graph, maxSize int) ([][]int, error) {
 		}
 		return [][]int{all}, nil
 	}
-	return newCNM(n, g.M(), maxSize).communities(g), nil
+	return divide(g, maxSize), nil
+}
+
+// divide runs the agglomeration of g capped at limit in a pooled
+// workspace and hands the workspace back; the parts it returns are
+// allocated afresh, so they never alias it.
+func divide(g *graph.Graph, limit int) [][]int {
+	s := newCNM(g.N(), g.M(), limit)
+	parts := s.communities(g)
+	cnmPool.Put(s)
+	return parts
 }

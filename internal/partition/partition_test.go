@@ -4,9 +4,13 @@ import (
 	"encoding/binary"
 	"hash/fnv"
 	"math"
+	"reflect"
 	"runtime"
+	"runtime/debug"
+	"sync"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"qaoa2/internal/graph"
 	"qaoa2/internal/rng"
@@ -345,26 +349,114 @@ func TestSizeCappedPinnedPartitions(t *testing.T) {
 // longer fit leaves about 0.5. The malloc count pins the storage: rows
 // kept as one map per node cost ~18 000 allocations here, slice rows
 // with a recursion over induced sub-graphs ~1 500; one capped
-// agglomeration in one workspace leaves 23, the workspace, the spare
-// row space and the parts.
+// agglomeration in one workspace leaves 28, the workspace, the spare
+// row space and the parts. That is the cold divide, on an empty pool. A
+// warm one takes the workspace from the pool and allocates the parts:
+// the node array and the part headers, plus at most 4 other mallocs and
+// 16 KiB.
 func TestSizeCappedAllocationCeiling(t *testing.T) {
 	g := er1200()
-	const runs = 3
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	for i := 0; i < runs; i++ {
-		if _, err := SizeCapped(g, 12); err != nil {
+	// No collection may empty the pool between the two divides, and one
+	// P keeps the pool's per-P slot the same for both.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	measure := func() (parts [][]int, bytes, mallocs uint64) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		parts, err := SizeCapped(g, 12)
+		if err != nil {
 			t.Fatal(err)
 		}
+		runtime.ReadMemStats(&after)
+		return parts, after.TotalAlloc - before.TotalAlloc, after.Mallocs - before.Mallocs
 	}
-	runtime.ReadMemStats(&after)
-	perRun := (after.TotalAlloc - before.TotalAlloc) / runs
-	mallocs := (after.Mallocs - before.Mallocs) / runs
-	if perRun > 1<<20 {
-		t.Fatalf("SizeCapped(ER(1200), 12) allocates %d bytes, ceiling %d", perRun, 1<<20)
+	runtime.GC()
+	runtime.GC() // two collections empty a sync.Pool
+	_, cold, coldMallocs := measure()
+	if cold > 1<<20 {
+		t.Fatalf("cold SizeCapped(ER(1200), 12) allocates %d bytes, ceiling %d", cold, 1<<20)
 	}
-	if mallocs > 32 {
-		t.Fatalf("SizeCapped(ER(1200), 12) makes %d allocations, ceiling %d", mallocs, 32)
+	if coldMallocs > 32 {
+		t.Fatalf("cold SizeCapped(ER(1200), 12) makes %d allocations, ceiling %d", coldMallocs, 32)
 	}
-	t.Logf("SizeCapped(ER(1200), 12): %d bytes, %d allocations per run", perRun, mallocs)
+	parts, warm, warmMallocs := measure()
+	partsBytes := uint64(g.N())*uint64(unsafe.Sizeof(0)) + uint64(len(parts))*uint64(unsafe.Sizeof(parts[0]))
+	t.Logf("SizeCapped(ER(1200), 12): cold %d bytes, %d allocations; warm %d bytes, %d allocations; parts %d bytes",
+		cold, coldMallocs, warm, warmMallocs, partsBytes)
+	if raceDetector {
+		t.Skip("the race detector's sync.Pool drops a random share of what it is handed")
+	}
+	if warmMallocs > 2+4 || warm > partsBytes+16<<10 {
+		t.Fatalf("warm SizeCapped(ER(1200), 12) makes %d allocations of %d bytes; ceiling the parts' 2 of %d bytes plus 4 of 16 KiB",
+			warmMallocs, warm, partsBytes)
+	}
+}
+
+// TestPooledWorkspaceReuse divides graphs that grow and shrink in turn,
+// so each divide runs in the workspace the one before left in the pool,
+// and requires every result to equal the lazy boxed heap's and a fresh
+// workspace's. Every returned part is overwritten before the next
+// divide, so a part that aliased the workspace would corrupt it. The
+// same sequence then runs from 8 goroutines at once.
+func TestPooledWorkspaceReuse(t *testing.T) {
+	five := graph.New(5)
+	for _, e := range [][2]int{{0, 1}, {1, 2}, {2, 3}, {3, 4}, {0, 4}, {1, 3}} {
+		five.MustAddEdge(e[0], e[1], 1)
+	}
+	er1200 := er1200()
+	cases := []struct {
+		name  string
+		g     *graph.Graph
+		limit int
+	}{
+		{"ER(1400)/16", er1400(), 16},
+		{"5 nodes/2", five, 2},
+		{"ER(1200)/12", er1200, 12},
+		{"ER(1200) merge graph/12", mergeGraphOf(t, er1200, 12), 12},
+		{"ER(200) uncapped", graph.ErdosRenyi(200, 0.05, graph.Unweighted, rng.New(1)), 200},
+	}
+	want := make([][][]int, len(cases))
+	for i, c := range cases {
+		want[i] = greedyModularityBoxed(c.g, c.limit)
+		fresh := new(cnm) // never pooled
+		fresh.fit(c.g.N(), c.g.M(), c.limit)
+		if got := fresh.communities(c.g); !reflect.DeepEqual(got, want[i]) {
+			t.Fatalf("%s: fresh workspace %v, lazy heap %v", c.name, got, want[i])
+		}
+	}
+	run := func(report func(format string, args ...any)) {
+		for round := 0; round < 2; round++ {
+			for i, c := range cases {
+				var got [][]int
+				if c.limit == c.g.N() {
+					got = GreedyModularity(c.g)
+				} else {
+					var err error
+					if got, err = SizeCapped(c.g, c.limit); err != nil {
+						report("%s: %v", c.name, err)
+						return
+					}
+				}
+				if !reflect.DeepEqual(got, want[i]) {
+					report("round %d, %s: pooled workspace %v, want %v", round, c.name, got, want[i])
+					return
+				}
+				for _, part := range got {
+					for j := range part {
+						part[j] = -1
+					}
+				}
+			}
+		}
+	}
+	run(t.Fatalf)
+	var wg sync.WaitGroup
+	for w := 0; w < 8; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			run(t.Errorf)
+		}()
+	}
+	wg.Wait()
 }

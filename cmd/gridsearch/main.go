@@ -39,7 +39,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		table1   = fs.Bool("table1", false, "run the Table 1 high-qubit block instead of Fig. 3")
 		selector = fs.Bool("selector", false, "retrain the QAOA-vs-GW selectors on the grid and print solver.DefaultSelector literals")
 		seed     = fs.Uint64("seed", 0, "override the experiment seed (0 = config default)")
-		backendN = fs.String("backend", "", "QAOA circuit-execution backend: fused|dense|noisy (default: fused)")
+		backendN = fs.String("backend", "", "QAOA circuit-execution backend: fused|fused-z2|fused-full|dense|noisy (default: fused)")
 		restarts = fs.Int("restarts", 1, "batched multi-start optimizer runs per grid point (fused backend batches them over per-worker engines)")
 	)
 	if err := fs.Parse(args); err != nil {

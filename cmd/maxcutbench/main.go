@@ -157,7 +157,6 @@ func printCPUFeatures(w io.Writer) {
 	for _, v := range []struct{ name, effect string }{
 		{"QAOA2_NOASM", "disables all assembly kernels (portable tier)"},
 		{"QAOA2_NOAVX512", "disables the AVX-512 tile kernel (AVX2 tier)"},
-		{"QAOA2_NOZ2", "disables the Z2 symmetry reduction"},
 	} {
 		state := "unset"
 		if os.Getenv(v.name) != "" {

@@ -9,7 +9,7 @@ func TestPrintCPUFeatures(t *testing.T) {
 	var b strings.Builder
 	printCPUFeatures(&b)
 	out := b.String()
-	for _, want := range []string{"kernel tier: ", "QAOA2_NOASM", "QAOA2_NOAVX512", "QAOA2_NOZ2"} {
+	for _, want := range []string{"kernel tier: ", "QAOA2_NOASM", "QAOA2_NOAVX512"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("cpufeatures output missing %q:\n%s", want, out)
 		}

@@ -42,7 +42,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		weighted  = fs.Bool("weighted", false, "draw edge weights uniformly from [0,1)")
 		inFile    = fs.String("in", "", "read the instance from a file instead of generating (format: 'n m' header, 'i j w' lines)")
 		maxQubits = fs.Int("maxqubits", 16, "qubit budget: maximum sub-graph size")
-		backendN  = fs.String("backend", "", "QAOA circuit-execution backend: fused|dense|noisy (default: fused)")
+		backendN  = fs.String("backend", "", "QAOA circuit-execution backend: fused|fused-z2|fused-full|dense|noisy (default: fused)")
 		solverN   = fs.String("solver", "best", "sub-graph solver: "+root.SolverNamesHelp())
 		merge     = fs.String("merge", "gw", "merge-graph solver (same registry names)")
 		layers    = fs.Int("layers", 3, "QAOA ansatz layers p")

@@ -114,33 +114,31 @@ func TestEvaluateBatchRepeatedCallsReuseBuffers(t *testing.T) {
 // BenchmarkFusedPrepare20 times compiling one paper-scale leaf: a
 // 20-node, ~95-edge unweighted graph (G(20, 0.5), the density of the
 // benchmark's leaf-heavy communities) into the int32 level index over
-// the engine's index space (2^19 entries, 2^20 under QAOA2_NOZ2), its
-// level tables and the engine. ReportAllocs pins that Prepare holds the
-// index and the state and nothing of 2^n size besides: no float64 cut
-// table, which Diagonal() builds only when a caller asks for it.
-func BenchmarkFusedPrepare20(b *testing.B) {
-	g := graph.ErdosRenyi(20, 0.5, graph.Unweighted, rng.New(20))
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := (backend.Fused{}).Prepare(g, backend.Config{Layers: 3}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
+// the engine's index space (2^19 entries; 2^20 for the Full variant),
+// its level tables and the engine. ReportAllocs pins that Prepare holds
+// the index and the state and nothing of 2^n size besides: no float64
+// cut table, which Diagonal() builds only when a caller asks for it.
+//
+// The Released variants release the ansatz after each Prepare, as a
+// QAOA² leaf releases it once its cut is read: from the second
+// iteration on, the engine and the level index come back from their
+// pools, and ReportAllocs shows what a leaf of this size still
+// allocates — no 2^n buffer.
+func BenchmarkFusedPrepare20(b *testing.B)             { benchmarkFusedPrepare20(b, false, false) }
+func BenchmarkFusedPrepareFull20(b *testing.B)         { benchmarkFusedPrepare20(b, true, false) }
+func BenchmarkFusedPrepareReleased20(b *testing.B)     { benchmarkFusedPrepare20(b, false, true) }
+func BenchmarkFusedPrepareReleasedFull20(b *testing.B) { benchmarkFusedPrepare20(b, true, true) }
 
-// BenchmarkFusedPrepareReleased20 is BenchmarkFusedPrepare20 with the
-// ansatz released after each Prepare, as a QAOA² leaf releases it once
-// its cut is read: from the second iteration on, the engine and the
-// level index come back from their pools, and ReportAllocs shows what
-// a leaf of this size still allocates — no 2^n buffer.
-func BenchmarkFusedPrepareReleased20(b *testing.B) {
+func benchmarkFusedPrepare20(b *testing.B, full, release bool) {
 	g := graph.ErdosRenyi(20, 0.5, graph.Unweighted, rng.New(20))
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		a, err := (backend.Fused{}).Prepare(g, backend.Config{Layers: 3})
+		a, err := backend.Fused{Full: full}.Prepare(g, backend.Config{Layers: 3})
 		if err != nil {
 			b.Fatal(err)
 		}
-		backend.Release(a)
+		if release {
+			backend.Release(a)
+		}
 	}
 }

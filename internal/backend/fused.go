@@ -2,7 +2,6 @@ package backend
 
 import (
 	"math"
-	"os"
 	"runtime"
 	"slices"
 	"sync"
@@ -45,9 +44,9 @@ const maxPhaseLevels = 4096
 // every size. The reduction is exact (the parity tests pin it to the
 // Dense walk at 1e-12), and the returned states report full-space
 // measurement results (z2.go), so consumers cannot tell the difference.
-// Set Full (backend name "fused-full"), or the environment variable
-// QAOA2_NOZ2, to force the unreduced engine — the A/B control for
-// benchmarks and for bisecting any suspected reduction issue.
+// Set Full (backend name "fused-full") to force the unreduced engine —
+// the A/B control for benchmarks and for bisecting any suspected
+// reduction issue.
 //
 // Parallelism inside one ansatz is the engine's: Evaluate splits every
 // sweep over the shared kernel pool, and EvaluateBatch stripes the
@@ -79,7 +78,7 @@ func (f Fused) Prepare(g *graph.Graph, cfg Config) (Ansatz, error) {
 	}
 	n := g.N()
 	a := &fusedAnsatz{n: n, layers: cfg.Layers}
-	a.z2 = !f.Full && n >= 2 && os.Getenv("QAOA2_NOZ2") == ""
+	a.z2 = !f.Full && n >= 2
 	k := n
 	if a.z2 {
 		k--

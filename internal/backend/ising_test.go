@@ -128,7 +128,6 @@ func TestIsingFusedDenseParity(t *testing.T) {
 // has fields, so both run on the reduced engine and match the Dense
 // walk.
 func TestIsingZ2Guard(t *testing.T) {
-	t.Setenv("QAOA2_NOZ2", "")
 	cfg := Config{Layers: 2}
 	gammas, betas := testAngles(2, 5)
 	for _, withFields := range []bool{false, true} {

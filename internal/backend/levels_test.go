@@ -3,7 +3,6 @@ package backend
 import (
 	"fmt"
 	"math"
-	"os"
 	"runtime"
 	"slices"
 	"sync"
@@ -190,12 +189,12 @@ func TestFusedIntegralSpanGuard(t *testing.T) {
 	}
 }
 
-// preparedBytes is the heap Fused{}.Prepare allocates for g.
-func preparedBytes(t *testing.T, g *graph.Graph) uint64 {
+// preparedBytes is the heap f.Prepare allocates for g.
+func preparedBytes(t *testing.T, f Fused, g *graph.Graph) uint64 {
 	t.Helper()
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	a, err := Fused{}.Prepare(g, Config{Layers: 3})
+	a, err := f.Prepare(g, Config{Layers: 3})
 	runtime.ReadMemStats(&after)
 	if err != nil {
 		t.Fatal(err)
@@ -204,30 +203,32 @@ func preparedBytes(t *testing.T, g *graph.Graph) uint64 {
 	return after.TotalAlloc - before.TotalAlloc
 }
 
-// TestFusedPrepareHoldsNoFloatTable pins the integral build's memory: a
-// 16-node unweighted leaf allocates its level index and its state and
-// no 2^n float64 table (512 KiB here). The per-engine overhead that
-// does not grow with n — kernel scratch per pool worker, the level
-// tables — is measured on an 11-node graph and allowed on top.
+// TestFusedPrepareHoldsNoFloatTable pins the integral build's memory,
+// on the reduced and on the full engine: a 16-node unweighted leaf
+// allocates its level index and its state and no 2^n float64 table
+// (512 KiB here). The per-engine overhead that does not grow with n —
+// kernel scratch per pool worker, the level tables — is measured on an
+// 11-node graph and allowed on top.
 func TestFusedPrepareHoldsNoFloatTable(t *testing.T) {
 	small := graph.ErdosRenyi(11, 0.5, graph.Unweighted, rng.New(16))
 	big := graph.ErdosRenyi(16, 0.5, graph.Unweighted, rng.New(16))
-	preparedBytes(t, small) // start the kernel pool outside the measurement
-	// The engine stores 2^k amplitudes (16 B) and level indices (4 B):
-	// k = n − 1 on the Z2-reduced engine, n on the full one.
-	reduced := os.Getenv("QAOA2_NOZ2") == ""
-	tables := func(n int) uint64 {
-		if reduced {
-			n--
+	for _, f := range []Fused{{}, {Full: true}} {
+		preparedBytes(t, f, small) // start the kernel pool outside the measurement
+		// The engine stores 2^k amplitudes (16 B) and level indices (4 B):
+		// k = n − 1 on the Z2-reduced engine, n on the full one.
+		tables := func(n int) uint64 {
+			if !f.Full {
+				n--
+			}
+			return 20 << uint(n)
 		}
-		return 20 << uint(n)
-	}
-	overhead := int64(preparedBytes(t, small)) - int64(tables(11))
-	const slack = 64 << 10
-	limit := int64(tables(16)) + max(overhead, 0) + slack
-	if got := int64(preparedBytes(t, big)); got > limit {
-		t.Fatalf("Prepare of a 16-node leaf allocated %d B, want ≤ %d B (state + index %d B, fixed overhead %d B, slack %d B)",
-			got, limit, tables(16), overhead, slack)
+		overhead := int64(preparedBytes(t, f, small)) - int64(tables(11))
+		const slack = 64 << 10
+		limit := int64(tables(16)) + max(overhead, 0) + slack
+		if got := int64(preparedBytes(t, f, big)); got > limit {
+			t.Fatalf("%s: Prepare of a 16-node leaf allocated %d B, want ≤ %d B (state + index %d B, fixed overhead %d B, slack %d B)",
+				f.Name(), got, limit, tables(16), overhead, slack)
+		}
 	}
 }
 

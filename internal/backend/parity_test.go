@@ -28,14 +28,28 @@ func decodeArgmax(g *graph.Graph, s *qsim.State) float64 {
 	return g.CutValueBits(bits)
 }
 
+// kernelTiers are the kernel tier names, lowest first.
+var kernelTiers = []string{"portable", "avx2", "avx512"}
+
 // TestFusedMatchesDense pins the default Z2-reduced engine (its state
 // is expanded before comparing) and the explicit unreduced fused-full
-// control to the Dense oracle. The size list crosses the reduced
-// engine's single-tile / mirrored-pair kernel regimes. The env is
-// pinned so the reduction assertions hold even on the CI leg that
-// exports QAOA2_NOZ2=1 for the rest of the suite.
+// control to the Dense oracle, in one subtest per kernel tier this
+// process may run: Dense's per-gate walk does not go through the tiered
+// kernels, so it is the same oracle for every tier. The size list
+// crosses the reduced engine's single-tile / mirrored-pair kernel
+// regimes.
 func TestFusedMatchesDense(t *testing.T) {
-	t.Setenv("QAOA2_NOZ2", "")
+	for _, tier := range kernelTiers {
+		restore, err := qsim.SetKernelTier(tier)
+		if err != nil {
+			break // above this process's tier, as is every later one
+		}
+		t.Run(tier, checkFusedMatchesDense)
+		restore()
+	}
+}
+
+func checkFusedMatchesDense(t *testing.T) {
 	for _, fb := range []backend.Fused{{}, {Full: true}} {
 		for _, w := range []graph.Weighting{graph.Unweighted, graph.UniformWeights} {
 			for _, n := range []int{5, 8, 11, 13} {
@@ -94,9 +108,9 @@ func TestFusedMatchesDense(t *testing.T) {
 	}
 }
 
-// TestFusedZ2OptOut pins both reduction escape hatches: the Full field
-// (fused-full) and the QAOA2_NOZ2 environment variable must produce
-// unreduced full-length states.
+// TestFusedZ2OptOut pins the reduction's one escape hatch: the Full
+// field (fused-full) produces unreduced full-length states, and the
+// default reduced ones.
 func TestFusedZ2OptOut(t *testing.T) {
 	g := graph.ErdosRenyi(7, 0.5, graph.Unweighted, rng.New(11))
 	gammas, betas := []float64{0.4}, []float64{0.9}
@@ -113,16 +127,11 @@ func TestFusedZ2OptOut(t *testing.T) {
 		return s
 	}
 
-	t.Setenv("QAOA2_NOZ2", "")
 	if s := evaluate(backend.Fused{}); s.Z2Full() != g.N() {
 		t.Fatalf("default state not reduced: Z2Full=%d", s.Z2Full())
 	}
 	if s := evaluate(backend.Fused{Full: true}); s.Z2Full() != 0 || s.Len() != 1<<uint(g.N()) {
 		t.Fatalf("full state reduced: Z2Full=%d Len=%d", s.Z2Full(), s.Len())
-	}
-	t.Setenv("QAOA2_NOZ2", "1")
-	if s := evaluate(backend.Fused{}); s.Z2Full() != 0 || s.Len() != 1<<uint(g.N()) {
-		t.Fatalf("QAOA2_NOZ2 state reduced: Z2Full=%d Len=%d", s.Z2Full(), s.Len())
 	}
 }
 

@@ -98,7 +98,8 @@ func (s RemoteSolver) Name() string {
 }
 
 // ConfigTag exposes the result-determining configuration — what goes
-// into the SolveRequest — and nothing else. Client identity, retry
+// into the SolveRequest, and the local fallback's own solver.ConfigTag
+// — and nothing else. Client identity, retry
 // shape, breakers and timeouts are transport, not identity: the
 // daemons are deterministic, so any of them answers a given request
 // with the same bits. This keeps checkpoint headers stable across
@@ -114,7 +115,7 @@ func (s RemoteSolver) ConfigTag() string {
 	}
 	fb := ""
 	if s.Fallback != nil {
-		fb = s.Fallback.Name()
+		fb = solver.ConfigTag(s.Fallback)
 	}
 	return fmt.Sprintf("remote|solver:%s|merge:%s|layers:%d|maxQubits:%d|fallback:%s",
 		sub, merge, s.Layers, s.MaxQubits, fb)

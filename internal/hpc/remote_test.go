@@ -122,3 +122,20 @@ func TestRemoteSolverErrors(t *testing.T) {
 		t.Fatal("unknown remote solver accepted")
 	}
 }
+
+// TestRemoteSolverConfigTagRendersFallback: the fallback is part of the
+// identity by its whole config, not its name — two fallbacks that
+// differ only in annealing sweeps solve differently once the remote
+// path is exhausted, so they must not resume each other's checkpoints;
+// the same config built twice must.
+func TestRemoteSolverConfigTagRendersFallback(t *testing.T) {
+	tag := func(sweeps int) string {
+		return RemoteSolver{Fallback: solver.AnnealSolver{Opts: maxcut.AnnealOptions{Sweeps: sweeps}}}.ConfigTag()
+	}
+	if a, b := tag(50), tag(400); a == b {
+		t.Fatalf("fallbacks with 50 and 400 sweeps share the tag %q", a)
+	}
+	if a, b := tag(50), tag(50); a != b {
+		t.Fatalf("one fallback config tagged %q and %q", a, b)
+	}
+}

@@ -290,3 +290,43 @@ func TestSolveCutNeverMaterializesDiagonal(t *testing.T) {
 		t.Fatalf("sampled objective made %d Diagonal() calls, want 1", calls)
 	}
 }
+
+// TestUnreducedEngineMatchesReduced runs the variational loop on the
+// unreduced engine (fused-full) against the default Z2-reduced one:
+// Solve and SolveCut must reach the same cut value and the same
+// certificate, with expectations within 1e-9. Spins and evaluation
+// counts may differ — the two engines' last bits can split a decode
+// tie or move COBYLA's trajectory.
+func TestUnreducedEngineMatchesReduced(t *testing.T) {
+	r := rng.New(48)
+	for _, w := range []graph.Weighting{graph.Unweighted, graph.UniformWeights} {
+		for _, n := range []int{5, 7, 9, 11, 13} {
+			g := graph.ErdosRenyi(n, 0.4, w, r)
+			for _, run := range []struct {
+				name  string
+				solve func(*graph.Graph, Options, *rng.Rand) (*Result, error)
+			}{{"Solve", Solve}, {"SolveCut", SolveCut}} {
+				var res [2]*Result
+				for i, b := range []backend.Fused{{}, {Full: true}} {
+					var err error
+					res[i], err = run.solve(g, Options{Layers: 2, MaxIters: 30, Backend: b}, rng.New(uint64(n)))
+					if err != nil {
+						t.Fatal(err)
+					}
+				}
+				red, full := res[0], res[1]
+				name := fmt.Sprintf("%s w=%v n=%d", run.name, w, n)
+				if red.State.Z2Full() != n || full.State.Z2Full() != 0 {
+					t.Fatalf("%s: Z2Full %d reduced, %d full", name, red.State.Z2Full(), full.State.Z2Full())
+				}
+				if red.Cut.Value != full.Cut.Value || red.Optimal != full.Optimal {
+					t.Errorf("%s: reduced cut %v optimal %v, full cut %v optimal %v",
+						name, red.Cut.Value, red.Optimal, full.Cut.Value, full.Optimal)
+				}
+				if math.Abs(red.Expectation-full.Expectation) > 1e-9 {
+					t.Errorf("%s: expectations %v reduced vs %v full", name, red.Expectation, full.Expectation)
+				}
+			}
+		}
+	}
+}

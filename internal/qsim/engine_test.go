@@ -132,18 +132,15 @@ func testEngine(t testing.TB, nFull int, z2 bool, dense bool,
 var bothPhases = []bool{false, true}
 
 // checkEngineTable pins the engine configurations z2s × indexed/dense
-// phase × assembly/portable tile kernel against the unfused kernel walk
-// at 1e-12, energy AND amplitudes (reduced states expanded first). It
-// also requires re-evaluation to be bit-stable (buffer reuse,
-// first-layer in-place synthesis). The size list crosses every sweep
-// regime: single-tile reduced vectors with the scalar boundary pass,
-// vectors below, at and above lowBlockQubits, and high groups live.
+// phase × every kernel tier against the unfused kernel walk at 1e-12,
+// energy AND amplitudes (reduced states expanded first). It also
+// requires re-evaluation to be bit-stable (buffer reuse, first-layer
+// in-place synthesis). The size list crosses every sweep regime:
+// single-tile reduced vectors with the scalar boundary pass, vectors
+// below, at and above lowBlockQubits, and high groups live.
 func checkEngineTable(t *testing.T, z2s []bool) {
 	t.Helper()
-	saved := useMixerAsm
-	defer func() { useMixerAsm = saved }()
-	for _, asm := range []bool{false, saved} {
-		useMixerAsm = asm
+	kernelTiers(t, func(t *testing.T) {
 		for _, nFull := range []int{1, 2, 3, 4, 6, 9, 11, 12, 14, 16} {
 			for p := 1; p <= 3; p++ {
 				gammas, betas := engineParams(nFull, p)
@@ -159,7 +156,7 @@ func checkEngineTable(t *testing.T, z2s []bool) {
 						if !ok {
 							continue
 						}
-						name := fmt.Sprintf("asm=%v n=%d p=%d z2=%v dense=%v", asm, nFull, p, z2, dense)
+						name := fmt.Sprintf("n=%d p=%d z2=%v dense=%v", nFull, p, z2, dense)
 						got := eng.Evaluate(gammas, betas)
 						if math.Abs(got-want) > 1e-12 {
 							t.Fatalf("%s: energy %v, want %v", name, got, want)
@@ -181,10 +178,7 @@ func checkEngineTable(t *testing.T, z2s []bool) {
 				}
 			}
 		}
-	}
-	if !saved {
-		t.Log("assembly tile kernel not available on this machine; Go fallback covered")
-	}
+	})
 }
 
 // TestEngineMatchesKernelWalk: the unreduced engine, both phase forms.

@@ -76,8 +76,11 @@ func (s *State) TopAmpIndices(k int) []uint64 {
 	// Bounded selection: keep a slice of the k best, heapless since k is
 	// tiny in practice (k ≤ 32 in the experiments).
 	top := make([]entry, 0, k+1)
+	// The reduced branch pushes each representative with its complement,
+	// so indices do not arrive in ascending order: an entry tying the
+	// last one's probability still displaces it when its index is lower.
 	push := func(p float64, i uint64) {
-		if len(top) == k && p <= top[k-1].p {
+		if len(top) == k && (p < top[k-1].p || p == top[k-1].p && i > top[k-1].i) {
 			return
 		}
 		pos := sort.Search(len(top), func(j int) bool {

@@ -178,70 +178,6 @@ func (s *State) parForTiles(tiles, tileLen int, body func(start, end int)) {
 	p.run(tiles, func(_, start, end int) { body(start, end) }, &wg)
 }
 
-// rxTile applies the butterfly levels h = h0, 2·h0, ..., len(buf)/2 of
-// the network RX(θ)^⊗log2(len(buf)) to a cache-resident tile. h0 = 1 is
-// the full network; h0 = k·highBatch treats buf as rows of highBatch
-// interleaved tiles and starts at the level pairing row v with row
-// v+k. len(buf) and h0 must be powers of two, len(buf) ≥ 2·h0;
-// c = cos(θ/2), sn = sin(θ/2).
-func rxTile(buf []complex128, h0 int, c, sn float64) {
-	if useMixerAsm {
-		// The AVX-512 tier nests UNDER useMixerAsm so one flag still
-		// disables all assembly; tiles under two ZMM registers stay on
-		// the AVX2 kernel.
-		if useMixerAsm512 && len(buf) >= 8 {
-			rxTileAsm512(&buf[0], len(buf), h0, c, sn)
-		} else {
-			rxTileAsm(&buf[0], len(buf), h0, c, sn)
-		}
-		return
-	}
-	rxTileGo(buf, h0, c, sn)
-}
-
-// rxRows applies ONE butterfly level to rows of highBatch amplitudes:
-// row v (v&d == 0) pairs with row v+d, row v of src starting at
-// src[v·srcStride] and its result going to dst[v·dstStride] (strides in
-// amplitudes). dst and src may be the same slice with the same stride —
-// each pair is read before it is written. rows is a multiple of 2·d.
-// The per-amplitude arithmetic is rxTile's in every kernel tier.
-func rxRows(dst []complex128, dstStride int, src []complex128, srcStride int, rows, d int, c, sn float64) {
-	// The assembly kernels index raw pointers: prove the last row fits.
-	_ = dst[(rows-1)*dstStride+highBatch-1]
-	_ = src[(rows-1)*srcStride+highBatch-1]
-	if useMixerAsm {
-		if useMixerAsm512 {
-			rxRowsAsm512(&dst[0], &src[0], dstStride*16, srcStride*16, rows, d, c, sn)
-		} else {
-			rxRowsAsm(&dst[0], &src[0], dstStride*16, srcStride*16, rows, d, c, sn)
-		}
-		return
-	}
-	rxRowsGo(dst, dstStride, src, srcStride, rows, d, c, sn)
-}
-
-// rxMirror applies the butterfly level that pairs fwd[i] with
-// rev[len(fwd)−1−i], storing both members in place: the Z2 boundary
-// qubit across a mirror tile pair (Engine.runMirrorChunk). Only the
-// first len(fwd) entries of rev take part, and they must not overlap
-// fwd. The per-amplitude arithmetic is rxTile's in every kernel tier —
-// the RX update is the same for either member of a pair, so which one
-// sits on the 0 side does not matter.
-func rxMirror(fwd, rev []complex128, c, sn float64) {
-	rev = rev[:len(fwd)]
-	if n := len(fwd) &^ 3; useMixerAsm && n > 0 {
-		// The kernels take four pairs a step: fwd's head against rev's
-		// tail; the Go kernel pairs what is left in the middle.
-		if useMixerAsm512 {
-			rxMirrorAsm512(&fwd[0], &rev[len(rev)-n], n, c, sn)
-		} else {
-			rxMirrorAsm(&fwd[0], &rev[len(rev)-n], n, c, sn)
-		}
-		fwd, rev = fwd[n:], rev[:len(rev)-n]
-	}
-	rxMirrorGo(fwd, rev, c, sn)
-}
-
 // rxMirrorGo is the portable reversed-partner kernel: rxTileGo's
 // butterfly with the partner read back to front.
 func rxMirrorGo(fwd, rev []complex128, c, sn float64) {
@@ -251,26 +187,6 @@ func rxMirrorGo(fwd, rev []complex128, c, sn float64) {
 		fwd[i] = complex(c*real(a0)+sn*imag(a1), c*imag(a0)-sn*real(a1))
 		rev[last-i] = complex(sn*imag(a0)+c*real(a1), c*imag(a1)-sn*real(a0))
 	}
-}
-
-// phaseIdx is the indexed cost-phase pass over one tile:
-// buf[i] = ph[idx[i]] when load (the first layer, whose phase table
-// carries the |+⟩ amplitude), buf[i] *= ph[idx[i]] otherwise. idx is at
-// least as long as buf, and every entry must index ph: the assembly
-// tiers read the table through raw pointers, so the engine checks its
-// index once, at construction (NewEngine). No tier fuses the product,
-// so every tier gives the portable kernel's bits.
-func phaseIdx(buf, ph []complex128, idx []int32, load bool) {
-	idx = idx[:len(buf)]
-	if n := len(buf) &^ 3; useMixerAsm && n > 0 {
-		if useMixerAsm512 {
-			phaseIdxAsm512(&buf[0], &ph[0], &idx[0], n, load)
-		} else {
-			phaseIdxAsm(&buf[0], &ph[0], &idx[0], n, load)
-		}
-		buf, idx = buf[n:], idx[n:]
-	}
-	phaseIdxGo(buf, ph, idx, load)
 }
 
 // phaseIdxGo is the portable indexed phase kernel.
@@ -301,23 +217,6 @@ func rxRowsGo(dst []complex128, dstStride int, src []complex128, srcStride int, 
 				d1[j] = complex(sn*imag(a0)+c*real(a1), c*imag(a1)-sn*real(a0))
 			}
 		}
-	}
-}
-
-// KernelTier reports the active rxTile implementation tier: "avx512",
-// "avx2" or "portable". The tier is fixed at process start from CPUID/
-// XGETBV detection and the QAOA2_NOASM / QAOA2_NOAVX512 opt-outs; bench
-// provenance (maxcutbench -cpufeatures, the bench machine-class block)
-// records it so results from different kernel tiers never gate against
-// each other.
-func KernelTier() string {
-	switch {
-	case useMixerAsm && useMixerAsm512:
-		return "avx512"
-	case useMixerAsm:
-		return "avx2"
-	default:
-		return "portable"
 	}
 }
 

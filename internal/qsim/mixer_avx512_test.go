@@ -16,41 +16,15 @@ func randomTile(n int, seed uint64) []complex128 {
 	return buf
 }
 
-// TestRxTileAsm512MatchesGo pins the ZMM kernel against the portable
-// butterfly network tile-by-tile across every entry regime: h0 = 1
-// (fused levels 1+2), h0 = 2 (standalone half-rotate level) and
-// h0 = highBatch (the gathered high-pass shape), at the minimum two-
-// register size through full low-block tiles.
-func TestRxTileAsm512MatchesGo(t *testing.T) {
-	if !useMixerAsm512 {
-		t.Skip("AVX-512 tile kernel not active on this machine")
-	}
-	const c, sn = 0.731688868873821, 0.681638760023334
-	for _, n := range []int{8, 16, 64, 256, 1 << lowBlockQubits} {
-		for _, h0 := range []int{1, 2, highBatch} {
-			if n < 2*h0 {
-				continue
-			}
-			want := randomTile(n, uint64(n*3+h0))
-			got := append([]complex128(nil), want...)
-			rxTileGo(want, h0, c, sn)
-			rxTileAsm512(&got[0], n, h0, c, sn)
-			for i := range got {
-				if !cEq(got[i], want[i], 1e-12) {
-					t.Fatalf("n=%d h0=%d: amp %d = %v, want %v", n, h0, i, got[i], want[i])
-				}
-			}
-		}
-	}
-}
-
-// TestApplyRXAllWithoutAVX512Matches pins the nested dispatch: with the
-// 512-bit tier masked off (the QAOA2_NOAVX512=1 configuration) the
-// AVX2 kernel must carry the sweep and still match the per-qubit walk.
+// TestApplyRXAllWithoutAVX512Matches pins the AVX2 tier on an AVX-512
+// host (the QAOA2_NOAVX512=1 configuration): the AVX2 kernel must carry
+// the sweep and still match the per-qubit walk.
 func TestApplyRXAllWithoutAVX512Matches(t *testing.T) {
-	saved := useMixerAsm512
-	defer func() { useMixerAsm512 = saved }()
-	useMixerAsm512 = false
+	restore, err := SetKernelTier("avx2")
+	if err != nil {
+		t.Skip(err)
+	}
+	defer restore()
 	for _, n := range []int{6, 11, 16} {
 		blocked := randomState(t, n, uint64(n)*5+17)
 		walk := blocked.Clone()
@@ -64,25 +38,33 @@ func TestApplyRXAllWithoutAVX512Matches(t *testing.T) {
 	}
 }
 
-// TestKernelTierNames checks the tier report over every flag
-// combination (the flags are restored afterwards).
+// TestKernelTierNames checks the tier switch: every tier up to the
+// resolved one can be set and reports its name, every tier above it
+// and an unknown name are refused, and restore brings back the tier
+// the process resolved.
 func TestKernelTierNames(t *testing.T) {
-	savedAsm, saved512 := useMixerAsm, useMixerAsm512
-	defer func() { useMixerAsm, useMixerAsm512 = savedAsm, saved512 }()
-	cases := []struct {
-		asm, asm512 bool
-		want        string
-	}{
-		{false, false, "portable"},
-		{false, true, "portable"}, // 512 tier is only consulted under useMixerAsm
-		{true, false, "avx2"},
-		{true, true, "avx512"},
-	}
-	for _, tc := range cases {
-		useMixerAsm, useMixerAsm512 = tc.asm, tc.asm512
-		if got := KernelTier(); got != tc.want {
-			t.Fatalf("asm=%v asm512=%v: tier %q, want %q", tc.asm, tc.asm512, got, tc.want)
+	for tier, name := range tierNames {
+		restore, err := SetKernelTier(name)
+		if kernelTier(tier) > hostTier {
+			if err == nil {
+				restore()
+				t.Fatalf("SetKernelTier(%q) accepted above the resolved %s", name, tierNames[hostTier])
+			}
+			continue
 		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := KernelTier(); got != name {
+			t.Fatalf("after SetKernelTier(%q): tier %q", name, got)
+		}
+		restore()
+	}
+	if got := KernelTier(); got != tierNames[hostTier] {
+		t.Fatalf("restored tier %q, want %q", got, tierNames[hostTier])
+	}
+	if _, err := SetKernelTier("sse2"); err == nil {
+		t.Fatal("SetKernelTier accepted an unknown tier")
 	}
 }
 
@@ -100,17 +82,19 @@ func mixer16Q3P(s *State) {
 // (not failed) wherever CPUID/XGETBV detection rules the tier out, so
 // the suite stays green on AVX2-only and portable machines.
 func TestAVX512BeatsAVX2Microbench(t *testing.T) {
-	if !useMixerAsm || !useMixerAsm512 {
+	if hostTier < tierAVX512 {
 		t.Skip("AVX-512 tile kernel not active on this machine")
 	}
 	if testing.Short() {
 		t.Skip("microbench comparison skipped in -short mode")
 	}
 	s := randomState(t, 16, 321)
-	bench := func(asm512 bool) float64 {
-		saved := useMixerAsm512
-		defer func() { useMixerAsm512 = saved }()
-		useMixerAsm512 = asm512
+	bench := func(tier string) float64 {
+		restore, err := SetKernelTier(tier)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer restore()
 		best := 0.0
 		for round := 0; round < 5; round++ {
 			r := testing.Benchmark(func(b *testing.B) {
@@ -125,24 +109,23 @@ func TestAVX512BeatsAVX2Microbench(t *testing.T) {
 		}
 		return best
 	}
-	avx2 := bench(false)
-	avx512 := bench(true)
+	avx2 := bench("avx2")
+	avx512 := bench("avx512")
 	t.Logf("16q p=3 mixer: avx2 %.0f ns/op, avx512 %.0f ns/op (%.2fx)", avx2, avx512, avx2/avx512)
 	if avx512 >= avx2 {
 		t.Fatalf("AVX-512 kernel (%.0f ns/op) not faster than AVX2 (%.0f ns/op)", avx512, avx2)
 	}
 }
 
-func BenchmarkMixer16Q3PAVX512(b *testing.B) { benchmarkMixerTier(b, true) }
-func BenchmarkMixer16Q3PAVX2(b *testing.B)   { benchmarkMixerTier(b, false) }
+func BenchmarkMixer16Q3PAVX512(b *testing.B) { benchmarkMixerTier(b, "avx512") }
+func BenchmarkMixer16Q3PAVX2(b *testing.B)   { benchmarkMixerTier(b, "avx2") }
 
-func benchmarkMixerTier(b *testing.B, asm512 bool) {
-	if !useMixerAsm || (asm512 && !useMixerAsm512) {
-		b.Skip("kernel tier not active on this machine")
+func benchmarkMixerTier(b *testing.B, tier string) {
+	restore, err := SetKernelTier(tier)
+	if err != nil {
+		b.Skip(err)
 	}
-	saved := useMixerAsm512
-	defer func() { useMixerAsm512 = saved }()
-	useMixerAsm512 = asm512
+	defer restore()
 	s := randomState(b, 16, 321)
 	b.ReportAllocs()
 	b.ResetTimer()

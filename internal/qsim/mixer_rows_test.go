@@ -50,21 +50,16 @@ func gatherSweep(amps []complex128, diag []float64, g0, m, start, end int, c, sn
 	return acc
 }
 
-// kernelTiers runs body once per kernel tier this machine can execute,
-// flipping the dispatch flags as mixer_avx512_test.go does.
+// kernelTiers runs body as one subtest per kernel tier this process
+// may run, lowest first, switching tiers with SetKernelTier.
 func kernelTiers(t *testing.T, body func(t *testing.T)) {
-	savedAsm, saved512 := useMixerAsm, useMixerAsm512
-	defer func() { useMixerAsm, useMixerAsm512 = savedAsm, saved512 }()
-	tiers := []struct{ asm, asm512 bool }{{false, false}}
-	if savedAsm {
-		tiers = append(tiers, struct{ asm, asm512 bool }{true, false})
-	}
-	if savedAsm && saved512 {
-		tiers = append(tiers, struct{ asm, asm512 bool }{true, true})
-	}
-	for _, tier := range tiers {
-		useMixerAsm, useMixerAsm512 = tier.asm, tier.asm512
-		t.Run(KernelTier(), body)
+	for _, name := range tierNames {
+		restore, err := SetKernelTier(name)
+		if err != nil {
+			return // above the host's tier, as is every later one
+		}
+		t.Run(name, body)
+		restore()
 	}
 }
 

@@ -59,16 +59,12 @@ func TestApplyRXAllMatchesPerQubitWalk(t *testing.T) {
 	}
 }
 
-// TestApplyRXAllGoMatchesAsm runs the same sweep with the assembly tile
-// kernel disabled, pinning the portable fallback against the walk and —
-// on machines where the fast path is live — transitively against the
-// assembly path.
+// TestApplyRXAllGoMatchesAsm runs the same sweep in every kernel tier,
+// pinning the portable fallback against the walk and — on machines
+// where an assembly tier is live — transitively against the assembly
+// path.
 func TestApplyRXAllGoMatchesAsm(t *testing.T) {
-	saved := useMixerAsm
-	defer func() { useMixerAsm = saved }()
-
-	for _, asm := range []bool{false, saved} {
-		useMixerAsm = asm
+	kernelTiers(t, func(t *testing.T) {
 		for _, n := range []int{3, 6, 11, 16} {
 			blocked := randomState(t, n, uint64(n)*7+29)
 			walk := blocked.Clone()
@@ -77,13 +73,10 @@ func TestApplyRXAllGoMatchesAsm(t *testing.T) {
 				walk.ApplyRX(q, 0.93)
 			}
 			if d := maxAmpDiff(blocked, walk); d > 1e-12 {
-				t.Fatalf("asm=%v n=%d: deviation %v", asm, n, d)
+				t.Fatalf("n=%d: deviation %v", n, d)
 			}
 		}
-	}
-	if !saved {
-		t.Log("assembly tile kernel not available on this machine; Go fallback covered")
-	}
+	})
 }
 
 // TestApplyRXAllSerialMatches pins serial-mode kernel execution (the

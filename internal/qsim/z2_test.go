@@ -1,6 +1,7 @@
 package qsim
 
 import (
+	"slices"
 	"testing"
 
 	"qaoa2/internal/rng"
@@ -95,6 +96,31 @@ func TestZ2MeasurementMatchesExpanded(t *testing.T) {
 			if gotH[basis] != c {
 				t.Fatalf("n=%d: histogram[%d] = %d reduced vs %d expanded", nFull, basis, gotH[basis], c)
 			}
+		}
+	}
+}
+
+// TestZ2TopAmpIndicesKeepsCrossPairTies: the reduced selection pushes
+// each representative with its complement, so a pair pushed later can
+// carry a lower index at the same probability — pair 2 ties pair 1,
+// and its representative 2 must displace the complement 6 of pair 1,
+// and its complement 5 the complement 6. Both k must read the expanded
+// state's top-k.
+func TestZ2TopAmpIndicesKeepsCrossPairTies(t *testing.T) {
+	s, err := NewZ2State(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range s.amps {
+		s.amps[i] = complex(0.1*float64(i+1), 0)
+	}
+	s.amps[1], s.amps[2] = complex(0.6, 0.2), complex(0.6, 0.2)
+	full := s.ExpandZ2()
+	for _, want := range [][]uint64{{1, 2}, {1, 2, 5}} {
+		k := len(want)
+		got, exp := s.TopAmpIndices(k), full.TopAmpIndices(k)
+		if !slices.Equal(got, want) || !slices.Equal(exp, want) {
+			t.Fatalf("k=%d: reduced %v, expanded %v, want %v", k, got, exp, want)
 		}
 	}
 }

@@ -113,8 +113,9 @@ type (
 	DenseBackend = backend.Dense
 	// FusedBackend is the diagonal-cost fast path (the default). It
 	// simulates only the 2^(n−1) Z2 even-sector amplitudes unless Full
-	// is set (or QAOA2_NOZ2 is in the environment). Its sweeps split
-	// over the process's kernel pool, one worker per core.
+	// is set (backend name "fused-full"), the one way to run the
+	// unreduced engine. Its sweeps split over the process's kernel pool,
+	// one worker per core.
 	FusedBackend = backend.Fused
 )
 
@@ -123,11 +124,12 @@ type (
 // the default rule at solve time).
 func BackendByName(name string) (Backend, error) { return backend.ByName(name) }
 
-// KernelTier reports which mixer-kernel tier runtime feature detection
-// selected for this process: "avx512", "avx2", or "portable". The
-// QAOA2_NOASM and QAOA2_NOAVX512 environment variables force lower
-// tiers; `maxcutbench -cpufeatures` prints this alongside the opt-outs
-// in effect.
+// KernelTier reports the mixer-kernel tier this process runs:
+// "avx512", "avx2", or "portable". It is resolved once, at process
+// start, from CPUID/XGETBV feature detection capped by the
+// QAOA2_NOASM (portable) and QAOA2_NOAVX512 (avx2) environment
+// variables; `maxcutbench -cpufeatures` prints it alongside the
+// opt-outs in effect.
 func KernelTier() string { return qsim.KernelTier() }
 
 // EvaluateBatch evaluates K (γ⃗, β⃗) parameter vectors through the

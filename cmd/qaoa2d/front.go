@@ -1,15 +1,10 @@
 package main
 
 import (
-	"context"
 	"fmt"
 	"io"
 	"net"
-	"net/http"
-	"os"
-	"os/signal"
 	"strings"
-	"syscall"
 	"time"
 
 	"qaoa2/internal/fleet"
@@ -53,40 +48,11 @@ func runFront(workerList, addr string, grace time.Duration, stdout, stderr io.Wr
 		return 1
 	}
 
-	httpSrv := &http.Server{Handler: c.Handler()}
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, syscall.SIGINT, syscall.SIGTERM)
-	defer signal.Stop(sig)
-
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		fmt.Fprintf(stderr, "qaoa2d: %v\n", err)
-		c.Close()
-		return 1
-	}
-	fmt.Fprintf(stdout, "qaoa2d: front door on %s routing %d workers\n", ln.Addr(), len(specs))
-	if ready != nil {
-		ready <- ln.Addr().String()
-	}
-	stop := make(chan struct{})
-	defer close(stop)
-	go func() {
-		select {
-		case got := <-sig:
-			fmt.Fprintf(stdout, "qaoa2d: %v: front door shutting down (workers keep running)\n", got)
-			ctx, cancel := context.WithTimeout(context.Background(), grace)
-			defer cancel()
-			httpSrv.Shutdown(ctx)
-		case <-stop:
-		}
-	}()
-
-	err = httpSrv.Serve(ln)
-	c.Close()
-	if err == http.ErrServerClosed {
-		fmt.Fprintln(stdout, "qaoa2d: front door stopped; workers and their state are untouched")
-		return 0
-	}
-	fmt.Fprintf(stderr, "qaoa2d: %v\n", err)
-	return 1
+	return serveLoop(addr, grace, stdout, stderr, ready, loop{
+		handler:   c.Handler(),
+		listening: func(a net.Addr) string { return fmt.Sprintf("front door on %s routing %d workers", a, len(specs)) },
+		stopping:  "front door shutting down (workers keep running)",
+		stopped:   "front door stopped; workers and their state are untouched",
+		close:     c.Close,
+	})
 }

@@ -84,21 +84,50 @@ func run(args []string, stdout, stderr io.Writer, ready chan<- string) int {
 		return 1
 	}
 
+	return serveLoop(*addr, *drainGP, stdout, stderr, ready, loop{
+		handler:   srv.Handler(),
+		listening: func(a net.Addr) string { return fmt.Sprintf("listening on %s (%s)", a, srv) },
+		stopping:  "draining (running jobs checkpoint and park)",
+		stopped:   "drained, state persisted; restart to resume parked jobs",
+		drain:     srv.Drain,
+		close:     srv.Close,
+	})
+}
+
+// loop is what serveLoop serves and says: the solve daemon and the
+// front door differ in their lines and in the daemon's drain alone.
+type loop struct {
+	handler http.Handler
+	// listening announces the bound address; stopping follows the
+	// signal's name, stopped ends a signal-driven shutdown.
+	listening         func(net.Addr) string
+	stopping, stopped string
+	// drain, when set, runs on the signal before the HTTP shutdown;
+	// close runs once serving ends.
+	drain, close func()
+}
+
+// serveLoop is qaoa2d's one serve sequence: trap SIGTERM/SIGINT, listen
+// on addr, announce the bound address (on stdout, and to ready when it
+// is non-nil), serve until a signal, then drain and shut HTTP down
+// within grace. It returns 0 after a signal-driven shutdown and 1 on
+// failure.
+func serveLoop(addr string, grace time.Duration, stdout, stderr io.Writer, ready chan<- string, l loop) int {
 	// Trap SIGTERM/SIGINT before announcing readiness so a signal
 	// arriving at any point after `ready` fires drains instead of
 	// killing the process.
-	httpSrv := &http.Server{Handler: srv.Handler()}
+	httpSrv := &http.Server{Handler: l.handler}
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, syscall.SIGINT, syscall.SIGTERM)
 	defer signal.Stop(sig)
 
-	ln, err := net.Listen("tcp", *addr)
+	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		fmt.Fprintf(stderr, "qaoa2d: %v\n", err)
-		srv.Close()
+		l.close()
 		return 1
 	}
-	fmt.Fprintf(stdout, "qaoa2d: listening on %s (%s)\n", ln.Addr(), srv)
+	fmt.Fprintf(stdout, "qaoa2d: %s\n", l.listening(ln.Addr()))
 	if ready != nil {
 		ready <- ln.Addr().String()
 	}
@@ -107,9 +136,11 @@ func run(args []string, stdout, stderr io.Writer, ready chan<- string) int {
 	go func() {
 		select {
 		case got := <-sig:
-			fmt.Fprintf(stdout, "qaoa2d: %v: draining (running jobs checkpoint and park)\n", got)
-			srv.Drain()
-			ctx, cancel := context.WithTimeout(context.Background(), *drainGP)
+			fmt.Fprintf(stdout, "qaoa2d: %v: %s\n", got, l.stopping)
+			if l.drain != nil {
+				l.drain()
+			}
+			ctx, cancel := context.WithTimeout(context.Background(), grace)
 			defer cancel()
 			httpSrv.Shutdown(ctx)
 		case <-stop:
@@ -117,9 +148,9 @@ func run(args []string, stdout, stderr io.Writer, ready chan<- string) int {
 	}()
 
 	err = httpSrv.Serve(ln)
-	srv.Close()
+	l.close()
 	if err == http.ErrServerClosed {
-		fmt.Fprintln(stdout, "qaoa2d: drained, state persisted; restart to resume parked jobs")
+		fmt.Fprintln(stdout, "qaoa2d: "+l.stopped)
 		return 0
 	}
 	fmt.Fprintf(stderr, "qaoa2d: %v\n", err)

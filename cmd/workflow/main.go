@@ -155,18 +155,7 @@ func submitDemo(w io.Writer, base string, nodes int, p float64, maxQubits, paral
 		Parallelism: parallelism,
 	}
 	st, err := client.Solve(context.Background(), req, func(ev qaoa2.ServeEvent) {
-		switch ev.Kind {
-		case "sub-solve", "merge-solve":
-			mark := ""
-			if ev.Restored {
-				mark = " (restored from checkpoint)"
-			}
-			fmt.Fprintf(w, "  %-12s %-10s %3d nodes  cut %8.2f%s\n",
-				ev.Task, ev.Kind, ev.Nodes, ev.Value, mark)
-		case "partition":
-			fmt.Fprintf(w, "  %-12s %-10s %3d nodes %4d edges\n",
-				ev.Task, ev.Kind, ev.Nodes, ev.Edges)
-		}
+		printEvent(w, ev.Event)
 	})
 	if err != nil {
 		if errors.Is(err, retry.ErrExhausted) || errors.Is(err, retry.ErrOpen) ||
@@ -220,20 +209,13 @@ func runtimeDemo(w io.Writer, nodes int, p float64, maxQubits, parallelism int,
 		Seed:           seed,
 		CheckpointPath: checkpoint,
 		OnRuntimeEvent: func(ev qaoa2.RuntimeEvent) {
-			switch ev.Kind {
-			case "sub-solve", "merge-solve":
-				mark := ""
-				if ev.Restored {
-					mark = " (restored from checkpoint)"
-					restores++
-				} else {
-					solves++
-				}
-				fmt.Fprintf(w, "  %-12s %-10s %3d nodes  cut %8.2f%s\n",
-					ev.Task, ev.Kind, ev.Nodes, ev.Value, mark)
-			case "partition":
-				fmt.Fprintf(w, "  %-12s %-10s %3d nodes %4d edges\n",
-					ev.Task, ev.Kind, ev.Nodes, ev.Edges)
+			if !printEvent(w, ev) {
+				return
+			}
+			if ev.Restored {
+				restores++
+			} else {
+				solves++
 			}
 		},
 	})
@@ -244,6 +226,27 @@ func runtimeDemo(w io.Writer, nodes int, p float64, maxQubits, parallelism int,
 		res.Cut.Value, res.Levels, res.SubGraphs, qaoa2.SummarizeSubReports(res.SubReports))
 	fmt.Fprintf(w, "%d tasks solved, %d restored from checkpoint\n", solves, restores)
 	return nil
+}
+
+// printEvent prints one completed task of a local or remote solve: a
+// sub-solve or merge-solve with its cut, marked when restored from a
+// checkpoint, or a partition with its size. It reports whether the
+// task was a solve.
+func printEvent(w io.Writer, ev qaoa2.RuntimeEvent) (solve bool) {
+	switch ev.Kind {
+	case "sub-solve", "merge-solve":
+		mark := ""
+		if ev.Restored {
+			mark = " (restored from checkpoint)"
+		}
+		fmt.Fprintf(w, "  %-12s %-10s %3d nodes  cut %8.2f%s\n",
+			ev.Task, ev.Kind, ev.Nodes, ev.Value, mark)
+		return true
+	case "partition":
+		fmt.Fprintf(w, "  %-12s %-10s %3d nodes %4d edges\n",
+			ev.Task, ev.Kind, ev.Nodes, ev.Edges)
+	}
+	return false
 }
 
 func parseInts(csv string) ([]int, error) {

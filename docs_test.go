@@ -84,24 +84,7 @@ func TestEveryPackageHasGodoc(t *testing.T) {
 // any `.Runtime` selector or `Runtime:` literal key counts.
 func TestOneExecutor(t *testing.T) {
 	isingImporters := map[string]bool{".": true, "internal/qaoa2": true, "internal/serve": true, "internal/ising": true}
-	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if d.IsDir() {
-			if name := d.Name(); name == ".git" || path == "bench" {
-				return filepath.SkipDir
-			}
-			return nil
-		}
-		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
-			return nil
-		}
-		fset := token.NewFileSet()
-		f, err := parser.ParseFile(fset, path, nil, 0)
-		if err != nil {
-			return err
-		}
+	eachSourceFile(t, func(path string, fset *token.FileSet, f *ast.File) {
 		dir := filepath.ToSlash(filepath.Dir(path))
 		inQAOA2 := dir == "internal/qaoa2"
 		for _, imp := range f.Imports {
@@ -130,6 +113,53 @@ func TestOneExecutor(t *testing.T) {
 			}
 			return true
 		})
+	})
+}
+
+// TestStatementCount logs the size measure every CHANGES.md entry
+// reports: the statements of the non-test Go files outside bench/,
+// counting every ast.Stmt but the braces of a block (*ast.BlockStmt).
+// It gates nothing; read it with
+//
+//	go test -run TestStatementCount -v .
+func TestStatementCount(t *testing.T) {
+	n := 0
+	eachSourceFile(t, func(_ string, _ *token.FileSet, f *ast.File) {
+		ast.Inspect(f, func(x ast.Node) bool {
+			if _, ok := x.(ast.Stmt); ok {
+				if _, block := x.(*ast.BlockStmt); !block {
+					n++
+				}
+			}
+			return true
+		})
+	})
+	t.Logf("%d non-test Go statements outside bench/", n)
+}
+
+// eachSourceFile parses every non-test Go file of the module outside
+// bench/ and hands it to fn with its path and file set.
+func eachSourceFile(t *testing.T, fn func(path string, fset *token.FileSet, f *ast.File)) {
+	t.Helper()
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if name := d.Name(); name == ".git" || path == "bench" {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		fset := token.NewFileSet()
+		f, err := parser.ParseFile(fset, path, nil, 0)
+		if err != nil {
+			return err
+		}
+		fn(path, fset, f)
 		return nil
 	})
 	if err != nil {

@@ -374,11 +374,13 @@ func (c *Coordinator) Route(id string, skip ...string) (string, error) {
 	return "", ErrNoWorkers
 }
 
-// CacheSweep asks every non-dead worker whether it already holds a
-// completed result for the job id; the first hit wins. Fingerprint
-// ids are location-independent, so a hit from ANY worker is the
-// answer to THIS submission.
-func (c *Coordinator) CacheSweep(ctx context.Context, id string) (serve.JobStatus, bool) {
+// CachePeek sweeps the fleet's result caches: it asks every non-dead
+// worker whether it already holds a completed result for the job id,
+// and the first hit wins. Fingerprint ids are location-independent,
+// so a hit from ANY worker is the answer to THIS submission. A sweep
+// is advisory: a worker that fails to answer counts as a miss, and the
+// error is always nil.
+func (c *Coordinator) CachePeek(ctx context.Context, id string) (serve.JobStatus, bool, error) {
 	sctx, cancel := context.WithTimeout(ctx, probeTimeout)
 	defer cancel()
 	type hit struct {
@@ -403,10 +405,10 @@ func (c *Coordinator) CacheSweep(ctx context.Context, id string) (serve.JobStatu
 		h := <-results
 		if h.ok {
 			cancel()
-			return h.st, true
+			return h.st, true, nil
 		}
 	}
-	return serve.JobStatus{}, false
+	return serve.JobStatus{}, false, nil
 }
 
 // Solve runs one request to completion somewhere in the fleet: cache
@@ -432,9 +434,9 @@ func (c *Coordinator) Submit(ctx context.Context, req serve.SolveRequest) (serve
 func (c *Coordinator) admit(ctx context.Context, req serve.SolveRequest, forward func(serve.Event)) (serve.JobStatus, error) {
 	id, err := req.JobKey()
 	if err != nil {
-		return serve.JobStatus{}, err
+		return serve.JobStatus{}, refused{err}
 	}
-	if st, ok := c.CacheSweep(ctx, id); ok {
+	if st, ok, _ := c.CachePeek(ctx, id); ok {
 		c.count(func(s *Stats) { s.CacheHits++ })
 		return st, nil
 	}
@@ -470,7 +472,7 @@ func (c *Coordinator) dedupForwarder(onEvent func(serve.Event)) func(serve.Event
 	}
 }
 
-// route is the one failover loop, behind Solve, Submit and FollowJob.
+// route is the one failover loop, behind Solve, Submit and Follow.
 // Each route runs one step on one worker: the first follows the job
 // on held, the live worker route memory names, when there is one;
 // every other step goes to the next healthy worker the job has not
@@ -606,20 +608,20 @@ func (c *Coordinator) locate(ctx context.Context, id string) (*worker, serve.Job
 	return nil, serve.JobStatus{}, serve.ErrNotFound
 }
 
-// JobStatus proxies one job's status from the worker that holds it.
-func (c *Coordinator) JobStatus(ctx context.Context, id string) (serve.JobStatus, error) {
+// Job proxies one job's status from the worker that holds it.
+func (c *Coordinator) Job(ctx context.Context, id string) (serve.JobStatus, error) {
 	_, st, err := c.locate(ctx, id)
 	return st, err
 }
 
-// FollowJob proxies one job's event stream through the front door:
+// Follow proxies one job's event stream through the front door:
 // the worker's NDJSON stream passes through with Seq preserved. A job
 // this coordinator routed goes through the route loop, so if its
 // worker dies or drains mid-stream the job re-routes (checkpoint
 // salvage included) and the subscriber's sequence continues gap-free,
 // duplicates dropped. A job routed elsewhere is followed on whichever
 // worker holds it.
-func (c *Coordinator) FollowJob(ctx context.Context, id string, onEvent func(serve.Event)) (serve.JobStatus, error) {
+func (c *Coordinator) Follow(ctx context.Context, id string, onEvent func(serve.Event)) (serve.JobStatus, error) {
 	forward := c.dedupForwarder(onEvent)
 	if e, ok := c.lookupRoute(id); ok {
 		held := c.workers[e.worker]

@@ -5,11 +5,11 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"qaoa2/internal/graph"
@@ -191,18 +191,86 @@ func TestFrontDoorSizeBounds(t *testing.T) {
 	if code, _ := post(strings.NewReader(`{"graph":`)); code != http.StatusBadRequest {
 		t.Fatalf("truncated body: HTTP %d, want 400", code)
 	}
+}
 
-	// What a worker answered over the wire still passes through with
-	// its own code, and a failure with no type is still the gateway's.
-	for want, err := range map[int]error{
-		http.StatusRequestEntityTooLarge: fmt.Errorf("fleet: submit: %w", &retry.StatusError{Code: http.StatusRequestEntityTooLarge, Msg: "serve: instance too large"}),
-		http.StatusTooManyRequests:       &retry.StatusError{Code: http.StatusTooManyRequests, Msg: "queue full"},
-		http.StatusBadGateway:            errors.New("connection refused"),
+// TestFrontDoorAnswersAsDaemon: the front door serves the daemon's own
+// handlers, so one table of requests gets the same status code from a
+// daemon and from a one-worker front door. nodes:0, layers:65 and an
+// unknown priority are refused by the coordinator's own JobKey; they
+// used to come back 502 from the front door, and a retrying client
+// sent them four times. Now one POST reaches it.
+func TestFrontDoorAnswersAsDaemon(t *testing.T) {
+	daemon, err := serve.New(serve.Config{GlobalParallelism: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer daemon.Close()
+	_, c := startFleet(t, 1, nil)
+
+	valid, err := json.Marshal(fleetReq(12, 6, 43))
+	if err != nil {
+		t.Fatal(err)
+	}
+	id, err := fleetReq(12, 6, 43).JobKey()
+	if err != nil {
+		t.Fatal(err)
+	}
+	const tiny = `"3 2\n0 1 1\n1 2 1\n"`
+	oversize := func() io.Reader {
+		return io.MultiReader(io.LimitReader(spaces{}, serve.MaxSolveBody+1-int64(len(valid))), bytes.NewReader(valid))
+	}
+	const unknown = "/0123456789abcdef"
+	for _, row := range []struct {
+		name, method, path string
+		body               func() io.Reader
+		want               int
+	}{
+		{"valid solve", "POST", "/v1/solve", func() io.Reader { return bytes.NewReader(valid) }, http.StatusOK},
+		{"its events", "GET", "/v1/jobs/" + id + "/events", nil, http.StatusOK},
+		{"its cached repeat", "POST", "/v1/solve", func() io.Reader { return bytes.NewReader(valid) }, http.StatusOK},
+		{"its status", "GET", "/v1/jobs/" + id, nil, http.StatusOK},
+		{"its cache entry", "GET", "/v1/cache/" + id, nil, http.StatusOK},
+		{"truncated body", "POST", "/v1/solve", func() io.Reader { return strings.NewReader(`{"graph":`) }, http.StatusBadRequest},
+		{"body over MaxSolveBody", "POST", "/v1/solve", oversize, http.StatusRequestEntityTooLarge},
+		{"graph over the node bound", "POST", "/v1/solve", func() io.Reader { return strings.NewReader(`{"graph":{"nodes":10000000000}}`) }, http.StatusRequestEntityTooLarge},
+		{"nodes:0", "POST", "/v1/solve", func() io.Reader { return strings.NewReader(`{"graph":{"nodes":0}}`) }, http.StatusBadRequest},
+		{"layers:65", "POST", "/v1/solve", func() io.Reader { return strings.NewReader(`{"graph":` + tiny + `,"layers":65}`) }, http.StatusBadRequest},
+		{"unknown priority", "POST", "/v1/solve", func() io.Reader { return strings.NewReader(`{"graph":` + tiny + `,"priority":"urgent"}`) }, http.StatusBadRequest},
+		{"unknown job", "GET", "/v1/jobs" + unknown, nil, http.StatusNotFound},
+		{"unknown cache entry", "GET", "/v1/cache" + unknown, nil, http.StatusNotFound},
+		{"unknown events", "GET", "/v1/jobs" + unknown + "/events", nil, http.StatusNotFound},
+		{"healthz", "GET", "/healthz", nil, http.StatusOK},
 	} {
-		rec := httptest.NewRecorder()
-		writeError(rec, err)
-		if rec.Code != want {
-			t.Fatalf("writeError(%v): HTTP %d, want %d", err, rec.Code, want)
+		codes := map[string]int{}
+		for door, h := range map[string]http.Handler{"daemon": daemon.Handler(), "front door": c.Handler()} {
+			var body io.Reader
+			if row.body != nil {
+				body = row.body()
+			}
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, httptest.NewRequest(row.method, row.path, body))
+			codes[door] = rec.Code
+			if row.name == "its cached repeat" && !strings.Contains(rec.Body.String(), `"cached": true`) {
+				t.Errorf("%s at the %s: %s; want a cache hit", row.name, door, rec.Body)
+			}
 		}
+		if codes["daemon"] != row.want || codes["front door"] != row.want {
+			t.Errorf("%s: daemon HTTP %d, front door HTTP %d; want %d from both", row.name, codes["daemon"], codes["front door"], row.want)
+		}
+	}
+
+	var posts atomic.Int32
+	front := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.Method == http.MethodPost {
+			posts.Add(1)
+		}
+		c.Handler().ServeHTTP(w, r)
+	}))
+	defer front.Close()
+	cl := &serve.Client{Base: front.URL, Retry: retry.Default(1)}
+	_, err = cl.Submit(context.Background(), serve.SolveRequest{Graph: erSpec(3), Layers: 65})
+	var se *retry.StatusError
+	if !errors.As(err, &se) || se.Code != http.StatusBadRequest || posts.Load() != 1 {
+		t.Fatalf("layers:65 through a retrying client: %v after %d POSTs; want one POST answered 400", err, posts.Load())
 	}
 }

@@ -1,156 +1,65 @@
 package fleet
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
-	"fmt"
 	"net/http"
 	"strconv"
 
-	"qaoa2/internal/retry"
 	"qaoa2/internal/serve"
 )
 
-// Handler returns the fleet front door — the same wire surface a
-// single qaoa2d exposes, so serve.Client, hpc.RemoteSolver and
-// cmd/workflow point at a fleet by changing nothing but the URL:
+// Handler returns the fleet front door: the daemon's own job-plane
+// handlers (serve.JobMux) over the coordinator, so serve.Client,
+// hpc.RemoteSolver and cmd/workflow point at a fleet by changing
+// nothing but the URL and get the same status for the same request:
 //
 //	POST /v1/solve            route (cache sweep first) to a worker
 //	GET  /v1/jobs/{id}        proxied status
 //	GET  /v1/jobs/{id}/events proxied NDJSON stream (Seq preserved;
 //	                          survives worker death via re-route)
 //	GET  /v1/cache/{id}       fleet-wide cache peek
-//	GET  /v1/fleet/workers    worker roster with health states
 //	GET  /healthz             aggregate fleet health and routing counters
+//
+// and its one route of its own:
+//
+//	GET  /v1/fleet/workers    worker roster with health states
 func (c *Coordinator) Handler() http.Handler {
-	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v1/solve", c.handleSolve)
-	mux.HandleFunc("GET /v1/jobs/{id}", c.handleJob)
-	mux.HandleFunc("GET /v1/jobs/{id}/events", c.handleEvents)
-	mux.HandleFunc("GET /v1/cache/{id}", c.handleCachePeek)
-	mux.HandleFunc("GET /v1/fleet/workers", c.handleWorkers)
-	mux.HandleFunc("GET /healthz", c.handleHealth)
+	mux := serve.JobMux(c, gatewayStatus)
+	mux.HandleFunc("GET /v1/fleet/workers", func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", "application/json")
+		enc := json.NewEncoder(w)
+		enc.SetIndent("", "  ")
+		enc.Encode(c.Workers())
+	})
 	return mux
 }
 
-func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v)
-}
+// refused marks the coordinator's own refusal of a request (JobKey's
+// verdict): the request's fault, answered 400 as a worker answers it.
+type refused struct{ error }
 
-// writeError forwards a worker's typed status error (code and
-// Retry-After hint intact — the worker derived them from its real
-// queue state) or maps coordinator-level failures. An instance over
-// the size bounds is the client's fault, not a gateway's: 413, as a
-// worker answers it.
-func writeError(w http.ResponseWriter, err error) {
-	code := http.StatusBadGateway
-	var se *retry.StatusError
+func (r refused) Unwrap() error { return r.error }
+
+// gatewayStatus is the status of a coordinator error that the shared
+// mapping leaves to the gateway: 400 for a refusal, 503 with no live
+// worker, and 502 for any other failure to get an answer from one.
+func gatewayStatus(err error) int {
 	switch {
-	case errors.Is(err, serve.ErrTooLarge):
-		code = http.StatusRequestEntityTooLarge
-	case errors.As(err, &se):
-		code = se.Code
-		if se.RetryAfter > 0 {
-			w.Header().Set("Retry-After", fmt.Sprintf("%d", int(se.RetryAfter.Seconds())))
-		}
-	case errors.Is(err, serve.ErrNotFound):
-		code = http.StatusNotFound
+	case errors.As(err, new(refused)):
+		return http.StatusBadRequest
 	case errors.Is(err, ErrNoWorkers):
-		code = http.StatusServiceUnavailable
+		return http.StatusServiceUnavailable
 	}
-	writeJSON(w, code, map[string]string{"error": err.Error()})
+	return http.StatusBadGateway
 }
 
-func (c *Coordinator) handleSolve(w http.ResponseWriter, r *http.Request) {
-	var req serve.SolveRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, serve.MaxSolveBody))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		code := http.StatusBadRequest
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			code = http.StatusRequestEntityTooLarge
-		}
-		writeJSON(w, code, map[string]string{"error": "fleet: bad request body: " + err.Error()})
-		return
-	}
-	st, err := c.Submit(r.Context(), req)
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, st)
-}
-
-func (c *Coordinator) handleJob(w http.ResponseWriter, r *http.Request) {
-	st, err := c.JobStatus(r.Context(), r.PathValue("id"))
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, st)
-}
-
-func (c *Coordinator) handleCachePeek(w http.ResponseWriter, r *http.Request) {
-	st, ok := c.CacheSweep(r.Context(), r.PathValue("id"))
-	if !ok {
-		writeError(w, serve.ErrNotFound)
-		return
-	}
-	writeJSON(w, http.StatusOK, st)
-}
-
-// handleEvents proxies a job's NDJSON stream through the front door.
-// The wire format is identical to a worker's stream — serve.Client
-// cannot tell the difference — and the coordinator's re-route
-// machinery keeps the stream alive across a worker death.
-func (c *Coordinator) handleEvents(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	flusher, _ := w.(http.Flusher)
-	wrote := false
-	enc := json.NewEncoder(w)
-	st, err := c.FollowJob(r.Context(), id, func(ev serve.Event) {
-		if !wrote {
-			w.Header().Set("Content-Type", "application/x-ndjson")
-			w.WriteHeader(http.StatusOK)
-			wrote = true
-		}
-		enc.Encode(serve.StreamLine{Event: &ev})
-		if flusher != nil {
-			flusher.Flush()
-		}
-	})
-	if err != nil {
-		if !wrote {
-			writeError(w, err)
-		}
-		// Mid-stream failure: the torn connection is the signal; the
-		// subscriber's own Follow reconnects.
-		return
-	}
-	if !wrote {
-		w.Header().Set("Content-Type", "application/x-ndjson")
-		w.WriteHeader(http.StatusOK)
-	}
-	enc.Encode(serve.StreamLine{Status: &st})
-	if flusher != nil {
-		flusher.Flush()
-	}
-}
-
-func (c *Coordinator) handleWorkers(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, c.Workers())
-}
-
-// handleHealth aggregates: ok while every worker is healthy, degraded
-// while at least one live worker remains, down otherwise. The routing
+// Health aggregates: ok while every worker is healthy, degraded while
+// at least one live worker remains, down otherwise. The routing
 // counters ride along as decimal strings, so the body stays the flat
 // string map a worker's /healthz is and serve.Client.Health reads.
-func (c *Coordinator) handleHealth(w http.ResponseWriter, r *http.Request) {
+func (c *Coordinator) Health(context.Context) (map[string]string, error) {
 	ws := c.Workers()
 	live, healthy := 0, 0
 	for _, s := range ws {
@@ -169,12 +78,12 @@ func (c *Coordinator) handleHealth(w http.ResponseWriter, r *http.Request) {
 		status = "degraded"
 	}
 	st := c.Stats()
-	writeJSON(w, http.StatusOK, map[string]string{
+	return map[string]string{
 		"status":    status,
 		"workers":   describeWorkers(ws),
 		"routed":    strconv.Itoa(st.Routed),
 		"cacheHits": strconv.Itoa(st.CacheHits),
 		"failovers": strconv.Itoa(st.Failovers),
 		"reparks":   strconv.Itoa(st.Reparks),
-	})
+	}, nil
 }

@@ -88,13 +88,22 @@ type RemoteSolver struct {
 	Fallback solver.Solver
 }
 
+// solvers resolves the remote solver names, each "anneal" when empty.
+func (s RemoteSolver) solvers() (sub, merge string) {
+	sub, merge = s.Solver, s.Merge
+	if sub == "" {
+		sub = "anneal"
+	}
+	if merge == "" {
+		merge = "anneal"
+	}
+	return sub, merge
+}
+
 // Name implements solver.Solver.
 func (s RemoteSolver) Name() string {
-	solver := s.Solver
-	if solver == "" {
-		solver = "anneal"
-	}
-	return "remote:" + solver
+	sub, _ := s.solvers()
+	return "remote:" + sub
 }
 
 // ConfigTag exposes the result-determining configuration — what goes
@@ -106,13 +115,7 @@ func (s RemoteSolver) Name() string {
 // processes and daemon URLs, which is what lets a fleet re-park a
 // remote-dispatched run onto a different worker and resume it.
 func (s RemoteSolver) ConfigTag() string {
-	sub, merge := s.Solver, s.Merge
-	if sub == "" {
-		sub = "anneal"
-	}
-	if merge == "" {
-		merge = "anneal"
-	}
+	sub, merge := s.solvers()
 	fb := ""
 	if s.Fallback != nil {
 		fb = solver.ConfigTag(s.Fallback)
@@ -180,13 +183,7 @@ func (s RemoteSolver) SolveSubAttributed(g *graph.Graph, r *rng.Rand) (maxcut.Cu
 // leaf. Each attempt resubmits — idempotent by construction — and
 // follows the job's event stream to a settled status.
 func (s RemoteSolver) solveRemote(g *graph.Graph, seed uint64) (maxcut.Cut, error) {
-	sub, merge := s.Solver, s.Merge
-	if sub == "" {
-		sub = "anneal"
-	}
-	if merge == "" {
-		merge = "anneal"
-	}
+	sub, merge := s.solvers()
 	maxQubits := s.MaxQubits
 	if maxQubits <= 0 {
 		maxQubits = g.N()

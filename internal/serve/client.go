@@ -67,6 +67,9 @@ type Client struct {
 	Retry retry.Policy
 }
 
+// Client sends the job plane it reaches.
+var _ JobPlane = (*Client)(nil)
+
 func (c *Client) http() *http.Client {
 	if c.HTTP != nil {
 		return c.HTTP
@@ -97,11 +100,20 @@ func decodeError(resp *http.Response) error {
 	return se
 }
 
-// getJSON performs one GET and decodes the JSON response.
-func (c *Client) getJSON(ctx context.Context, path string, out any) error {
-	hreq, err := http.NewRequestWithContext(ctx, http.MethodGet, c.url(path), nil)
+// send makes every request of the client: body, when not nil, goes up
+// with Content-Type ctype; a 200's body goes to read (nil drains it),
+// and any other status comes back as decodeError's *retry.StatusError.
+func (c *Client) send(ctx context.Context, method, path, ctype string, body []byte, read func(io.Reader) error) error {
+	var rd io.Reader
+	if body != nil {
+		rd = bytes.NewReader(body)
+	}
+	hreq, err := http.NewRequestWithContext(ctx, method, c.url(path), rd)
 	if err != nil {
 		return err
+	}
+	if body != nil {
+		hreq.Header.Set("Content-Type", ctype)
 	}
 	resp, err := c.http().Do(hreq)
 	if err != nil {
@@ -111,7 +123,27 @@ func (c *Client) getJSON(ctx context.Context, path string, out any) error {
 	if resp.StatusCode != http.StatusOK {
 		return decodeError(resp)
 	}
-	return json.NewDecoder(resp.Body).Decode(out)
+	if read == nil {
+		io.Copy(io.Discard, resp.Body)
+		return nil
+	}
+	return read(resp.Body)
+}
+
+// callJSON sends one request — a body is JSON — and decodes the JSON
+// answer, retried under pol; the zero T comes back with an error.
+func callJSON[T any](ctx context.Context, c *Client, pol retry.Policy, method, path string, body []byte) (T, error) {
+	var out, zero T
+	err := pol.Do(ctx, func(actx context.Context) error {
+		out = zero
+		return c.send(actx, method, path, "application/json", body, func(r io.Reader) error {
+			return json.NewDecoder(r).Decode(&out)
+		})
+	})
+	if err != nil {
+		return zero, err
+	}
+	return out, nil
 }
 
 // Submit posts one solve request and returns the job's status —
@@ -124,41 +156,13 @@ func (c *Client) Submit(ctx context.Context, req SolveRequest) (JobStatus, error
 	if err != nil {
 		return JobStatus{}, err
 	}
-	var st JobStatus
-	err = c.Retry.Do(ctx, func(actx context.Context) error {
-		hreq, err := http.NewRequestWithContext(actx, http.MethodPost, c.url("/v1/solve"), bytes.NewReader(body))
-		if err != nil {
-			return err
-		}
-		hreq.Header.Set("Content-Type", "application/json")
-		resp, err := c.http().Do(hreq)
-		if err != nil {
-			return err
-		}
-		defer resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			return decodeError(resp)
-		}
-		return json.NewDecoder(resp.Body).Decode(&st)
-	})
-	if err != nil {
-		return JobStatus{}, err
-	}
-	return st, nil
+	return callJSON[JobStatus](ctx, c, c.Retry, http.MethodPost, "/v1/solve", body)
 }
 
 // Job fetches one job's status snapshot, retrying transient failures
 // under the client's policy.
 func (c *Client) Job(ctx context.Context, id string) (JobStatus, error) {
-	var st JobStatus
-	err := c.Retry.Do(ctx, func(actx context.Context) error {
-		st = JobStatus{}
-		return c.getJSON(actx, "/v1/jobs/"+id, &st)
-	})
-	if err != nil {
-		return JobStatus{}, err
-	}
-	return st, nil
+	return callJSON[JobStatus](ctx, c, c.Retry, http.MethodGet, "/v1/jobs/"+id, nil)
 }
 
 // Stream follows the job's NDJSON event stream ONCE, invoking onEvent
@@ -169,48 +173,41 @@ func (c *Client) Job(ctx context.Context, id string) (JobStatus, error) {
 // connection torn before the status line — returns a retryable error
 // wrapping ErrStreamInterrupted; Follow is the reconnecting variant.
 func (c *Client) Stream(ctx context.Context, id string, onEvent func(Event)) (JobStatus, error) {
-	hreq, err := http.NewRequestWithContext(ctx, http.MethodGet, c.url("/v1/jobs/"+id+"/events"), nil)
-	if err != nil {
-		return JobStatus{}, err
-	}
-	resp, err := c.http().Do(hreq)
-	if err != nil {
-		return JobStatus{}, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return JobStatus{}, decodeError(resp)
-	}
-	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 0, 64*1024), maxStreamLine)
-	for sc.Scan() {
-		line := bytes.TrimSpace(sc.Bytes())
-		if len(line) == 0 {
-			continue
+	var st JobStatus
+	err := c.send(ctx, http.MethodGet, "/v1/jobs/"+id+"/events", "", nil, func(r io.Reader) error {
+		sc := bufio.NewScanner(r)
+		sc.Buffer(make([]byte, 0, 64*1024), maxStreamLine)
+		for sc.Scan() {
+			line := bytes.TrimSpace(sc.Bytes())
+			if len(line) == 0 {
+				continue
+			}
+			var sl StreamLine
+			if err := json.Unmarshal(line, &sl); err != nil {
+				// A torn NDJSON line: the connection died mid-write. The
+				// replayed stream will deliver the complete line. The
+				// error quotes its first 256 bytes only, as a status line
+				// may run to hundreds of MiB.
+				return interrupted(id, fmt.Sprintf("bad stream line %.256q", line))
+			}
+			if sl.Event != nil && onEvent != nil {
+				onEvent(*sl.Event)
+			}
+			if sl.Status != nil {
+				st = *sl.Status
+				return nil
+			}
 		}
-		var sl StreamLine
-		if err := json.Unmarshal(line, &sl); err != nil {
-			// A torn NDJSON line: the connection died mid-write. The
-			// replayed stream will deliver the complete line. The
-			// error quotes its first 256 bytes only, as a status line
-			// may run to hundreds of MiB.
-			return JobStatus{}, interrupted(id, fmt.Sprintf("bad stream line %.256q", line))
+		if ctx.Err() != nil {
+			// The caller hung up; that is not an interruption to retry.
+			return ctx.Err()
 		}
-		if sl.Event != nil && onEvent != nil {
-			onEvent(*sl.Event)
+		if err := sc.Err(); err != nil {
+			return interrupted(id, err.Error())
 		}
-		if sl.Status != nil {
-			return *sl.Status, nil
-		}
-	}
-	if ctx.Err() != nil {
-		// The caller hung up; that is not an interruption to retry.
-		return JobStatus{}, ctx.Err()
-	}
-	if err := sc.Err(); err != nil {
-		return JobStatus{}, interrupted(id, err.Error())
-	}
-	return JobStatus{}, interrupted(id, "stream ended without a status line")
+		return interrupted(id, "stream ended without a status line")
+	})
+	return st, err
 }
 
 // interrupted is the retryable ErrStreamInterrupted of job id.
@@ -272,48 +269,39 @@ func (c *Client) Solve(ctx context.Context, req SolveRequest, onEvent func(Event
 // is not an error — it is the expected answer for a cold cache); any
 // other failure surfaces as err after the client's retry policy.
 func (c *Client) CachePeek(ctx context.Context, id string) (JobStatus, bool, error) {
-	var st JobStatus
-	err := c.Retry.Do(ctx, func(actx context.Context) error {
-		st = JobStatus{}
-		return c.getJSON(actx, "/v1/cache/"+id, &st)
-	})
+	st, err := callJSON[JobStatus](ctx, c, c.Retry, http.MethodGet, "/v1/cache/"+id, nil)
 	if err != nil {
-		var se *retry.StatusError
-		if errors.As(err, &se) && se.Code == http.StatusNotFound {
-			return JobStatus{}, false, nil
-		}
-		return JobStatus{}, false, err
+		return JobStatus{}, false, ignoreNotFound(err)
 	}
 	return st, true, nil
 }
 
+// ignoreNotFound turns a 404 answer into nil: the ok=false of a peek.
+func ignoreNotFound(err error) error {
+	var se *retry.StatusError
+	if errors.As(err, &se) && se.Code == http.StatusNotFound {
+		return nil
+	}
+	return err
+}
+
 // FetchCheckpoint downloads the raw checkpoint bytes of a job — the
 // donor half of the fleet's re-park hand-off. ErrNotFound-shaped 404s
-// (job unknown, no checkpoint written) surface as ok=false.
+// (job unknown, no checkpoint written) surface as ok=false. A body
+// over maxCheckpointImport, which no receiver would take, is refused.
 func (c *Client) FetchCheckpoint(ctx context.Context, id string) ([]byte, bool, error) {
 	var data []byte
 	err := c.Retry.Do(ctx, func(actx context.Context) error {
-		hreq, err := http.NewRequestWithContext(actx, http.MethodGet, c.url("/v1/jobs/"+id+"/checkpoint"), nil)
-		if err != nil {
+		return c.send(actx, http.MethodGet, "/v1/jobs/"+id+"/checkpoint", "", nil, func(r io.Reader) (err error) {
+			data, err = io.ReadAll(io.LimitReader(r, maxCheckpointImport+1))
+			if err == nil && len(data) > maxCheckpointImport {
+				err = fmt.Errorf("serve: checkpoint of job %s over %d bytes", id, maxCheckpointImport)
+			}
 			return err
-		}
-		resp, err := c.http().Do(hreq)
-		if err != nil {
-			return err
-		}
-		defer resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			return decodeError(resp)
-		}
-		data, err = io.ReadAll(resp.Body)
-		return err
+		})
 	})
 	if err != nil {
-		var se *retry.StatusError
-		if errors.As(err, &se) && se.Code == http.StatusNotFound {
-			return nil, false, nil
-		}
-		return nil, false, err
+		return nil, false, ignoreNotFound(err)
 	}
 	return data, true, nil
 }
@@ -324,21 +312,7 @@ func (c *Client) FetchCheckpoint(ctx context.Context, id string) ([]byte, bool, 
 // atomic rename.
 func (c *Client) SeedCheckpoint(ctx context.Context, id string, data []byte) error {
 	return c.Retry.Do(ctx, func(actx context.Context) error {
-		hreq, err := http.NewRequestWithContext(actx, http.MethodPut, c.url("/v1/jobs/"+id+"/checkpoint"), bytes.NewReader(data))
-		if err != nil {
-			return err
-		}
-		hreq.Header.Set("Content-Type", "application/octet-stream")
-		resp, err := c.http().Do(hreq)
-		if err != nil {
-			return err
-		}
-		defer resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			return decodeError(resp)
-		}
-		io.Copy(io.Discard, resp.Body)
-		return nil
+		return c.send(actx, http.MethodPut, "/v1/jobs/"+id+"/checkpoint", "application/octet-stream", data, nil)
 	})
 }
 
@@ -346,9 +320,5 @@ func (c *Client) SeedCheckpoint(ctx context.Context, id string, data []byte) err
 // fleet's health checker calls this under its per-worker breaker; no
 // client-side retry (a health probe that needs retries IS the signal).
 func (c *Client) Health(ctx context.Context) (map[string]string, error) {
-	var body map[string]string
-	if err := c.getJSON(ctx, "/healthz", &body); err != nil {
-		return nil, err
-	}
-	return body, nil
+	return callJSON[map[string]string](ctx, c, retry.Policy{}, http.MethodGet, "/healthz", nil)
 }

@@ -5,9 +5,11 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -224,5 +226,27 @@ func TestStreamReadsLargeJobStatus(t *testing.T) {
 	}
 	if st.State != JobDone || len(st.Result.Spins) != maxGraphNodes || len(st.Result.Reports) != len(reports) {
 		t.Fatalf("got state %s, %d spins, %d reports", st.State, len(st.Result.Spins), len(st.Result.Reports))
+	}
+}
+
+// TestFetchCheckpointBounded: the donor side of the re-park hand-off
+// takes a checkpoint up to maxCheckpointImport, the bound the receiver
+// enforces, and refuses a longer body instead of reading whatever a
+// worker sends.
+func TestFetchCheckpointBounded(t *testing.T) {
+	var size atomic.Int64
+	hs := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		io.Copy(w, io.LimitReader(spaces{}, size.Load()))
+	}))
+	defer hs.Close()
+	c := &Client{Base: hs.URL, HTTP: hs.Client()}
+
+	size.Store(maxCheckpointImport)
+	if data, ok, err := c.FetchCheckpoint(context.Background(), "0123456789abcdef"); err != nil || !ok || len(data) != maxCheckpointImport {
+		t.Fatalf("checkpoint at the bound: %d bytes, ok=%v, %v; want all of it", len(data), ok, err)
+	}
+	size.Store(maxCheckpointImport + 1)
+	if data, ok, err := c.FetchCheckpoint(context.Background(), "0123456789abcdef"); err == nil || ok || data != nil {
+		t.Fatalf("checkpoint one byte over the bound: %d bytes, ok=%v, %v; want a refusal", len(data), ok, err)
 	}
 }

@@ -21,7 +21,7 @@ import (
 )
 
 // FuzzSolveRequest drives arbitrary bodies through the admission steps
-// Submit runs before it queues a job: JSON decoding as handleSolve does
+// Submit runs before it queues a job: JSON decoding as POST /v1/solve does
 // it, normalize (which builds a submitted problem and its MaxCut
 // reduction), the graph build and ResolveSolvers. None may panic, and
 // every request that passes them all is within the instance bounds and

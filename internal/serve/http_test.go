@@ -15,6 +15,9 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
+
+	"qaoa2/internal/retry"
 )
 
 // erReq builds a multi-sub-graph request: an Erdős–Rényi-shaped ring
@@ -392,5 +395,68 @@ func TestCheckpointImportRejectsNonKeyIDs(t *testing.T) {
 	}
 	if data, err := os.ReadFile(files[0]); err != nil || string(data) != "{}" {
 		t.Fatalf("imported checkpoint %q, %v; want {}", data, err)
+	}
+}
+
+// TestStatusMapping pins the one error-to-status mapping every door
+// answers through, Retry-After included. The rows marked gateway run
+// with a coordinator's gateway function: what a worker answered over
+// the wire passes through with its own code, and a failure with no
+// type is the gateway's.
+func TestStatusMapping(t *testing.T) {
+	gateway := func(error) int { return http.StatusBadGateway }
+	for _, tc := range []struct {
+		name       string
+		err        error
+		gateway    bool
+		code       int
+		retryAfter string
+	}{
+		{"body over its bound", fmt.Errorf("serve: bad request body: %w", &http.MaxBytesError{Limit: MaxSolveBody}), false, http.StatusRequestEntityTooLarge, ""},
+		{"instance over its bound", fmt.Errorf("%w: 10000000000 nodes", ErrTooLarge), true, http.StatusRequestEntityTooLarge, ""},
+		{"queue full", hinted{ErrQueueFull, 7}, false, http.StatusTooManyRequests, "7"},
+		{"draining", hinted{ErrDraining, 30}, false, http.StatusServiceUnavailable, "30"},
+		{"no such job", ErrNotFound, true, http.StatusNotFound, ""},
+		{"refusal", errors.New("serve: 65 layers, limit 64"), false, http.StatusBadRequest, ""},
+		{"worker 503 with its hint", &retry.StatusError{Code: http.StatusServiceUnavailable, Msg: "serve: server draining", RetryAfter: 12 * time.Second}, true, http.StatusServiceUnavailable, "12"},
+		{"worker 413", fmt.Errorf("fleet: submit: %w", &retry.StatusError{Code: http.StatusRequestEntityTooLarge, Msg: "serve: instance too large"}), true, http.StatusRequestEntityTooLarge, ""},
+		{"worker 429", &retry.StatusError{Code: http.StatusTooManyRequests, Msg: "queue full"}, true, http.StatusTooManyRequests, ""},
+		{"gateway failure", errors.New("connection refused"), true, http.StatusBadGateway, ""},
+	} {
+		var g func(error) int
+		if tc.gateway {
+			g = gateway
+		}
+		rec := httptest.NewRecorder()
+		writeError(rec, tc.err, g)
+		if rec.Code != tc.code || rec.Header().Get("Retry-After") != tc.retryAfter {
+			t.Errorf("%s: HTTP %d, Retry-After %q; want %d, %q", tc.name, rec.Code, rec.Header().Get("Retry-After"), tc.code, tc.retryAfter)
+		}
+		var eb errorBody
+		if err := json.NewDecoder(rec.Body).Decode(&eb); err != nil || eb.Error != tc.err.Error() {
+			t.Errorf("%s: body %+v, %v; want the error's text", tc.name, eb, err)
+		}
+	}
+}
+
+// TestCheckpointImportBounded: a PUT /v1/jobs/{id}/checkpoint body one
+// byte over maxCheckpointImport is refused with 413 and writes
+// nothing. It used to be cut at the bound, imported and answered 200.
+func TestCheckpointImportBounded(t *testing.T) {
+	dir := t.TempDir()
+	s, err := New(Config{StateDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	header := []byte("{}\n")
+	body := io.MultiReader(bytes.NewReader(header), io.LimitReader(spaces{}, maxCheckpointImport+1-int64(len(header))))
+	rec := httptest.NewRecorder()
+	s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPut, "/v1/jobs/0123456789abcdef/checkpoint", body))
+	if rec.Code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("checkpoint one byte over the bound: HTTP %d %s, want 413", rec.Code, rec.Body)
+	}
+	if files, err := filepath.Glob(filepath.Join(dir, "0123456789abcdef*")); err != nil || len(files) != 0 {
+		t.Fatalf("files of the job after the refused import: %v, %v; want none", files, err)
 	}
 }

@@ -19,6 +19,7 @@
 package serve
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"os"
@@ -815,6 +816,44 @@ func hintSeconds(d time.Duration) int {
 		return maxRetryAfterSeconds
 	}
 	return secs
+}
+
+// Follow hands job id's events to onEvent (nil is allowed) in order —
+// the recorded prefix replays first, live events follow — and returns
+// the job's status once it settles: terminal, or parked by a drain.
+// Every subscriber, whenever it attaches, observes the identical event
+// sequence. The job is pinned against retention eviction while
+// followed; an evicted job settles at once from its tombstone.
+func (s *Server) Follow(ctx context.Context, id string, onEvent func(Event)) (JobStatus, error) {
+	ok, pinned := s.addStreamRef(id)
+	if !ok {
+		return JobStatus{}, ErrNotFound
+	}
+	// Only live jobs take an eviction pin; a stream admitted via a
+	// tombstone must not decrement a fresh same-id job's pin count.
+	if pinned {
+		defer s.releaseStreamRef(id)
+	}
+	for next := 0; ; {
+		evs, wake, status, settled, err := s.eventsFrom(id, next)
+		if err != nil {
+			return JobStatus{}, err
+		}
+		if onEvent != nil {
+			for _, ev := range evs {
+				onEvent(ev)
+			}
+		}
+		next += len(evs)
+		if settled {
+			return status, nil
+		}
+		select {
+		case <-wake:
+		case <-ctx.Done():
+			return JobStatus{}, ctx.Err()
+		}
+	}
 }
 
 // addStreamRef pins a job against eviction while a stream is

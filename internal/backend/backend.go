@@ -228,17 +228,17 @@ func CutTable(g *graph.Graph, layout []int) []float64 {
 }
 
 // doubleCuts runs CutTable's recurrence over the first log2(len(table))
-// wires, from table[0] (the all-zero string's entry) up, and returns
-// the smallest and largest entry it wrote or started from. Entries hold
+// wires, from table[0] (the all-zero string's entry) up. Entries hold
 // cut values offset by table[0]: CutTable starts from 0, the integral
-// build (cutLevels) from a level offset in int32.
-func doubleCuts[T int32 | float64](g *graph.Graph, layout []int, table []T) (first, last T) {
+// build (cutLevels) from a level offset in int32. Each wire's pass is
+// two branch-free streams the compiler can prove in bounds: δ built by
+// doubling, then the entries below added onto it.
+func doubleCuts[T int32 | float64](g *graph.Graph, layout []int, table []T) {
 	n := g.N()
 	node := make([]int, n) // inverse wire map: the node on each wire
 	for q := range node {
 		node[physOf(layout, q)] = q
 	}
-	first, last = table[0], table[0]
 	low := make([]T, n) // low[j] = w(b, j) for the wires j below b
 	for b := 0; 2<<uint(b) <= len(table); b++ {
 		var deg T
@@ -250,28 +250,21 @@ func doubleCuts[T int32 | float64](g *graph.Graph, layout []int, table []T) (fir
 				low[j] += w
 			}
 		}
-		delta := table[1<<uint(b) : 2<<uint(b)]
+		below := table[:1<<uint(b)]
+		delta := table[len(below):][:len(below)]
 		delta[0] = deg
 		for j := 0; j < b; j++ {
 			w2 := 2 * low[j]
 			lower := delta[:1<<uint(j)]
-			upper := delta[1<<uint(j) : 2<<uint(j)]
+			upper := delta[len(lower):][:len(lower)]
 			for y, v := range lower {
 				upper[y] = v - w2
 			}
 		}
-		for x, v := range table[:1<<uint(b)] {
-			v += delta[x]
-			delta[x] = v
-			if v < first {
-				first = v
-			}
-			if v > last {
-				last = v
-			}
+		for x, v := range below {
+			delta[x] += v
 		}
 	}
-	return first, last
 }
 
 // physOf maps logical node q to its physical wire under layout.

@@ -120,15 +120,17 @@ func integralSpan(g *graph.Graph) (lo int, ok bool) {
 // cutLevels is the integral build: CutTable's doubling recurrence run
 // in int32 over the first k wires — the engine's own index space of
 // 2^k = len(idx) entries, the Z2 prefix half when k = n − 1 — writing
-// each entry of idx as its level index cut(x) − lo. The same pass
-// tracks the largest and smallest index, so the levels cover exactly
-// the cut range: level j has value float64(lo' + j) and phase that
-// value + add, with lo' the smallest cut. Under integralSpan every CutTable entry is that integer
-// exactly, so Values[Idx[x]] == CutTable(g, nil)[x] and the phases are
+// each entry of idx as its level index cut(x) − lo. One pass over the
+// result then takes the largest and smallest index, so the levels
+// cover exactly the cut range: level j has value float64(lo' + j) and
+// phase that value + add, with lo' the smallest cut. Under
+// integralSpan every CutTable entry is that integer exactly, so
+// Values[Idx[x]] == CutTable(g, nil)[x] and the phases are
 // phaseTables' own, without the 2^n float64 table.
 func cutLevels(g *graph.Graph, idx []int32, lo int, add float64) qsim.CostTables {
 	idx[0] = int32(-lo) // cut(0) = 0
-	first, last := doubleCuts(g, nil, idx)
+	doubleCuts(g, nil, idx)
+	first, last := span(idx)
 	if first > 0 {
 		// Negative edges no cut can take all of: start the levels at the
 		// smallest cut rather than at Σ_{w<0} w.
@@ -143,6 +145,25 @@ func cutLevels(g *graph.Graph, idx []int32, lo int, add float64) qsim.CostTables
 		levels[j] = values[j] + add
 	}
 	return qsim.CostTables{Levels: levels, Values: values, Idx: idx}
+}
+
+// span returns the smallest and largest entry of a non-empty idx in one
+// pass of four independent branch-free min/max chains.
+func span(idx []int32) (lo, hi int32) {
+	l0, l1, l2, l3 := idx[0], idx[0], idx[0], idx[0]
+	h0, h1, h2, h3 := l0, l0, l0, l0
+	i := 0
+	for ; i+4 <= len(idx); i += 4 {
+		q := idx[i : i+4 : i+4]
+		l0, h0 = min(l0, q[0]), max(h0, q[0])
+		l1, h1 = min(l1, q[1]), max(h1, q[1])
+		l2, h2 = min(l2, q[2]), max(h2, q[2])
+		l3, h3 = min(l3, q[3]), max(h3, q[3])
+	}
+	for _, v := range idx[i:] {
+		l0, h0 = min(l0, v), max(h0, v)
+	}
+	return min(l0, l1, l2, l3), max(h0, h1, h2, h3)
 }
 
 // phaseCacheBits sizes phaseTables' direct-mapped value cache: 1024

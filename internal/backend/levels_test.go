@@ -320,3 +320,113 @@ func TestFusedReleaseReturnsEverything(t *testing.T) {
 		t.Fatalf("Dense after Release: %v", err)
 	}
 }
+
+// doubleCutsOracle is doubleCuts as it was before the level span moved
+// into its own pass: the same recurrence, tracking the smallest and
+// largest entry as it writes them. cutLevelsOracle is the integral
+// build over it. Both are kept as the oracle of TestCutLevelsMatchesOracle.
+func doubleCutsOracle[T int32 | float64](g *graph.Graph, layout []int, table []T) (first, last T) {
+	n := g.N()
+	node := make([]int, n) // inverse wire map: the node on each wire
+	for q := range node {
+		node[physOf(layout, q)] = q
+	}
+	first, last = table[0], table[0]
+	low := make([]T, n) // low[j] = w(b, j) for the wires j below b
+	for b := 0; 2<<uint(b) <= len(table); b++ {
+		var deg T
+		clear(low[:b])
+		for _, h := range g.Neighbors(node[b]) {
+			w := T(h.W)
+			deg += w
+			if j := physOf(layout, h.To); j < b {
+				low[j] += w
+			}
+		}
+		delta := table[1<<uint(b) : 2<<uint(b)]
+		delta[0] = deg
+		for j := 0; j < b; j++ {
+			w2 := 2 * low[j]
+			lower := delta[:1<<uint(j)]
+			upper := delta[1<<uint(j) : 2<<uint(j)]
+			for y, v := range lower {
+				upper[y] = v - w2
+			}
+		}
+		for x, v := range table[:1<<uint(b)] {
+			v += delta[x]
+			delta[x] = v
+			if v < first {
+				first = v
+			}
+			if v > last {
+				last = v
+			}
+		}
+	}
+	return first, last
+}
+
+func cutLevelsOracle(g *graph.Graph, idx []int32, lo int, add float64) qsim.CostTables {
+	idx[0] = int32(-lo)
+	first, last := doubleCutsOracle(g, nil, idx)
+	if first > 0 {
+		for i := range idx {
+			idx[i] -= first
+		}
+	}
+	levels := make([]float64, last-first+1)
+	values := make([]float64, len(levels))
+	for j := range values {
+		values[j] = float64(lo + int(first) + j)
+		levels[j] = values[j] + add
+	}
+	return qsim.CostTables{Levels: levels, Values: values, Idx: idx}
+}
+
+// TestCutLevelsMatchesOracle requires cutLevels to build the old
+// recurrence's tables exactly — every index entry, level and value —
+// and CutTable its float64 table bit for bit, on random graphs of 1…16
+// nodes with unweighted, signed (negative, zero and positive) and
+// zero-or-one weights, over the Z2 half and the full index space.
+func TestCutLevelsMatchesOracle(t *testing.T) {
+	r := rng.New(50)
+	weightings := []func() float64{
+		func() float64 { return 1 },
+		func() float64 { return float64(int(r.Uint64()%13) - 6) },
+		func() float64 { return float64(int(r.Uint64()%5) - 4) }, // mostly negative
+		func() float64 { return float64(r.Uint64() % 2) },
+	}
+	for n := 1; n <= 16; n++ {
+		for wi, w := range weightings {
+			g := graph.New(n)
+			for i := 0; i < n; i++ {
+				for j := i + 1; j < n; j++ {
+					if r.Float64() < 0.6 {
+						g.MustAddEdge(i, j, w())
+					}
+				}
+			}
+			lo, ok := integralSpan(g)
+			if !ok {
+				t.Fatalf("n=%d weighting %d: outside the integral span", n, wi)
+			}
+			for k := max(n-1, 1); k <= n; k++ {
+				name := fmt.Sprintf("n=%d weighting %d k=%d", n, wi, k)
+				got := cutLevels(g, make([]int32, 1<<uint(k)), lo, 0.25)
+				want := cutLevelsOracle(g, make([]int32, 1<<uint(k)), lo, 0.25)
+				if !slices.Equal(got.Idx, want.Idx) || !slices.Equal(got.Levels, want.Levels) || !slices.Equal(got.Values, want.Values) {
+					t.Fatalf("%s: cutLevels %v %v, oracle %v %v", name, got.Values, got.Idx, want.Values, want.Idx)
+				}
+			}
+			table := CutTable(g, nil)
+			want := make([]float64, len(table))
+			doubleCutsOracle(g, nil, want)
+			for x := range table {
+				if math.Float64bits(table[x]) != math.Float64bits(want[x]) {
+					t.Fatalf("n=%d weighting %d: CutTable[%d] = %v, oracle %v", n, wi, x, table[x], want[x])
+				}
+			}
+		}
+	}
+}

@@ -111,12 +111,15 @@ func NewEngine(nFull int, z2 bool, cost CostTables) (*Engine, error) {
 			len(cost.Diag), len(cost.Shift), size)
 	}
 	// The assembly phase kernels read the level table through the index
-	// without a bounds check (phaseIdx): one scan here covers every tile
-	// of every Evaluate.
-	for i, k := range cost.Idx {
-		if uint32(k) >= uint32(len(cost.Levels)) {
-			return nil, fmt.Errorf("qsim: engine phase index entry %d is level %d, want one of %d levels",
-				i, k, len(cost.Levels))
+	// without a bounds check (phaseIdx): one check here covers every
+	// tile of every Evaluate. Only a failing index is scanned for its
+	// first bad entry.
+	if cost.Idx != nil && indexMax(cost.Idx) >= uint32(len(cost.Levels)) {
+		for i, k := range cost.Idx {
+			if uint32(k) >= uint32(len(cost.Levels)) {
+				return nil, fmt.Errorf("qsim: engine phase index entry %d is level %d, want one of %d levels",
+					i, k, len(cost.Levels))
+			}
 		}
 	}
 
@@ -156,6 +159,16 @@ func NewEngine(nFull int, z2 bool, cost CostTables) (*Engine, error) {
 	}
 	e.fitWorkers(workers)
 	return e, nil
+}
+
+// indexMaxGo is the portable index check (indexMax): the largest entry
+// of idx read as uint32, 0 when idx is empty.
+func indexMaxGo(idx []int32) uint32 {
+	var m uint32
+	for _, k := range idx {
+		m = max(m, uint32(k))
+	}
+	return m
 }
 
 // enginePools holds released engines, one free list per shape: z2 ×

@@ -363,3 +363,64 @@ func benchmarkEngineZ2(b *testing.B, nFull, p int) {
 	eng, _ := testEngine(b, nFull, true, false, diag, levels, idx, shift)
 	benchmarkEngine(b, eng, benchGammas[:p], benchBetas[:p])
 }
+
+// TestEngineIndexCheckNamesFirstBadEntry pins NewEngine's index check
+// to the per-entry scan it replaced, in every kernel tier: at every
+// index length 2…256, with zero, one or several entries past the level
+// table or negative, it refuses exactly the indices holding one, and
+// names the first of them in the scan's words.
+func TestEngineIndexCheckNamesFirstBadEntry(t *testing.T) {
+	levels, values := make([]float64, 5), make([]float64, 5)
+	kernelTiers(t, func(t *testing.T) {
+		r := rng.New(50)
+		for n := 1; n <= 8; n++ {
+			for trial := 0; trial < 20; trial++ {
+				idx := make([]int32, 1<<uint(n))
+				for i := range idx {
+					idx[i] = int32(r.Uint64() % 5)
+				}
+				for bad := trial % 4; bad > 0; bad-- {
+					idx[r.Uint64()%uint64(len(idx))] = []int32{5, -1, 1 << 30, -1 << 31}[r.Uint64()%4]
+				}
+				want := ""
+				for i, k := range idx {
+					if k < 0 || k >= 5 {
+						want = fmt.Sprintf("qsim: engine phase index entry %d is level %d, want one of 5 levels", i, k)
+						break
+					}
+				}
+				e, err := NewEngine(n, false, CostTables{Levels: levels, Values: values, Idx: idx})
+				switch {
+				case want == "" && err != nil:
+					t.Fatalf("n=%d: valid index refused: %v", n, err)
+				case want != "" && (err == nil || err.Error() != want):
+					t.Fatalf("n=%d: error %v, want %q", n, err, want)
+				}
+				if e != nil {
+					e.Release()
+				}
+			}
+		}
+	})
+}
+
+// TestIndexMaxMatchesScan requires every tier's index check to return
+// the portable loop's maximum at lengths 0…300, whichever entry holds
+// it: the kernels' prefix, their lanes, or the tail the loop finishes.
+func TestIndexMaxMatchesScan(t *testing.T) {
+	kernelTiers(t, func(t *testing.T) {
+		r := rng.New(51)
+		for n := 0; n <= 300; n++ {
+			idx := make([]int32, n)
+			for i := range idx {
+				idx[i] = int32(r.Uint64() % 1000)
+			}
+			if n > 0 && n%3 != 0 {
+				idx[r.Uint64()%uint64(n)] = int32(r.Uint64())
+			}
+			if got, want := indexMax(idx), indexMaxGo(idx); got != want {
+				t.Fatalf("length %d: indexMax %d, portable %d", n, got, want)
+			}
+		}
+	})
+}

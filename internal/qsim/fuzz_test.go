@@ -1,0 +1,103 @@
+package qsim
+
+import (
+	"encoding/binary"
+	"math"
+	"testing"
+)
+
+// maxAmpPalette is the value set FuzzMaxAmpIndex builds amplitudes
+// from: four arbitrary bit patterns from the input, their last-ulp
+// neighbours and negation (last-ulp and exact ties), ±0, the smallest
+// subnormal, the largest finite value (its square overflows) and three
+// slots that hold NaN and ±Inf when special is set and finite values
+// otherwise — a vector drawn from a palette this small ties often,
+// within a kernel lane and across lanes and chains.
+func maxAmpPalette(raw []byte, special bool) [16]float64 {
+	var pal [16]float64
+	for i := range 4 {
+		var b [8]byte
+		copy(b[:], raw[min(len(raw), 8*i):])
+		pal[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[:]))
+	}
+	pal[4] = math.Float64frombits(math.Float64bits(pal[0]) + 1)
+	pal[5] = math.Float64frombits(math.Float64bits(pal[1]) - 1)
+	pal[6] = -pal[0]
+	pal[7] = 0.5
+	pal[8] = 0
+	pal[9] = math.Copysign(0, -1)
+	pal[10] = math.SmallestNonzeroFloat64
+	pal[11] = math.MaxFloat64
+	pal[12], pal[13], pal[14] = 1, 1/math.Sqrt2, 0x1p-540
+	if special {
+		pal[12], pal[13], pal[14] = math.NaN(), math.Inf(1), math.Inf(-1)
+	}
+	pal[15] = pal[2] * (1 / math.Sqrt2)
+	return pal
+}
+
+// FuzzMaxAmpIndex requires every kernel tier the host allows to return
+// the portable scan's index, on full and Z2-reduced states of 1…67
+// amplitudes: the first 32 bytes of raw seed the palette, the next
+// picks the length, and each byte after that one amplitude (low nibble
+// the real part, high nibble the imaginary).
+func FuzzMaxAmpIndex(f *testing.F) {
+	ties := make([]byte, 32+1+67)
+	ties[32] = 66
+	for i := 33; i < len(ties); i++ {
+		ties[i] = 0x77 // every amplitude (0.5, 0.5): one exact tie
+	}
+	f.Add(ties, false, false)
+	f.Add(ties, true, false)
+	ulp := make([]byte, 32+1+67)
+	binary.LittleEndian.PutUint64(ulp, math.Float64bits(0.006072534395455154))
+	binary.LittleEndian.PutUint64(ulp[8:], math.Float64bits(0.009752416188605784))
+	ulp[32] = 40
+	for i := 33; i < len(ulp); i++ {
+		ulp[i] = []byte{0x10, 0x14, 0x41, 0x88, 0x45}[i%5] // last-ulp pairs
+	}
+	f.Add(ulp, true, false)
+	f.Add(ulp, false, false)
+	mixed := make([]byte, 32+1+67)
+	for i := range mixed {
+		mixed[i] = byte(i*37 + 11)
+	}
+	mixed[32] = 63
+	f.Add(mixed, false, true)
+	f.Add(mixed, true, true)
+	f.Add(mixed, true, false)
+	f.Add([]byte{}, false, false)
+
+	f.Fuzz(func(t *testing.T, raw []byte, z2, special bool) {
+		pal := maxAmpPalette(raw, special)
+		n := 1
+		if len(raw) > 32 {
+			n += int(raw[32]) % 67
+		}
+		amps := make([]complex128, n)
+		for i := range amps {
+			var b byte
+			if 33+i < len(raw) {
+				b = raw[33+i]
+			}
+			amps[i] = complex(pal[b&15], pal[b>>4])
+		}
+		s := &State{amps: amps}
+		if z2 {
+			s.z2Full = 1
+		}
+		want := s.maxAmpScan(0, 0, -1)
+		for _, name := range tierNames {
+			restore, err := SetKernelTier(name)
+			if err != nil {
+				break // above the host's tier, as is every later one
+			}
+			got := s.MaxAmpIndex()
+			restore()
+			if got != want {
+				t.Fatalf("%s tier, %d amplitudes, z2 %v: MaxAmpIndex %d (%v), portable scan %d (%v)",
+					name, n, z2, got, amps[got], want, amps[want])
+			}
+		}
+	})
+}

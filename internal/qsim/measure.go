@@ -1,6 +1,7 @@
 package qsim
 
 import (
+	"math"
 	"sort"
 	"sync"
 
@@ -25,19 +26,36 @@ func (s *State) Probability(i uint64) float64 {
 // numerically smaller index, so the returned index matches the expanded
 // state's argmax — and TopAmpIndices(1) — exactly. (Ranking by the
 // stored |a|² instead can split a tie the expansion has.)
+//
+// The ranking runs at memory speed in the kernel tiers (maxProb), over
+// (re·k)² + (im·k)² with k = 1/√2 on a reduced state and 1 otherwise —
+// z2PairProb's and |a|²'s bits for every finite amplitude — and the
+// portable scan ranks what the kernels leave: the tail past their last
+// whole step, or the whole vector once they meet a NaN or +Inf.
 func (s *State) MaxAmpIndex() uint64 {
-	best := uint64(0)
-	bestP := -1.0
+	k := 1.0
 	if s.z2Full != 0 {
-		for i, a := range s.amps {
-			if p := z2PairProb(a); p > bestP {
+		k = 1 / math.Sqrt2
+	}
+	best, bestP, n := maxProb(s.amps, k)
+	return s.maxAmpScan(n, best, bestP)
+}
+
+// maxAmpScan is MaxAmpIndex's portable scan, the reference of every
+// kernel tier: it continues a scan that found bestP, first at best, over
+// amps[:from] through the rest of the vector. maxAmpScan(0, 0, −1) is
+// the whole scan.
+func (s *State) maxAmpScan(from int, best uint64, bestP float64) uint64 {
+	if s.z2Full != 0 {
+		for i := from; i < len(s.amps); i++ {
+			if p := z2PairProb(s.amps[i]); p > bestP {
 				bestP = p
 				best = uint64(i)
 			}
 		}
 		return best
 	}
-	for i := range s.amps {
+	for i := from; i < len(s.amps); i++ {
 		a := s.amps[i]
 		re, im := real(a), imag(a)
 		p := re*re + im*im

@@ -177,3 +177,37 @@ func BenchmarkSample4096From18(b *testing.B) {
 		s.Sample(4096, r)
 	}
 }
+
+// TestMaxAmpIndexAllocatesNothing pins the decode at zero allocations
+// in every tier: the kernels' lane results live on the caller's stack.
+func TestMaxAmpIndexAllocatesNothing(t *testing.T) {
+	s, err := NewZ2State(12)
+	if err != nil {
+		t.Fatal(err)
+	}
+	kernelTiers(t, func(t *testing.T) {
+		if a := testing.AllocsPerRun(10, func() { s.MaxAmpIndex() }); a != 0 {
+			t.Fatalf("MaxAmpIndex allocates %v per call", a)
+		}
+	})
+}
+
+// BenchmarkMaxAmpIndexZ2_20 times the decode of a 20-qubit leaf: the
+// ranking pass over its 2^19 Z2-reduced amplitudes, in the active tier.
+// The amplitudes are a deterministic pseudo-random fill, so no tier
+// falls back to the scan.
+func BenchmarkMaxAmpIndexZ2_20(b *testing.B) {
+	s, err := NewZ2State(20)
+	if err != nil {
+		b.Fatal(err)
+	}
+	copy(s.amps, randomTile(len(s.amps), 20))
+	b.SetBytes(int64(16 * len(s.amps)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		maxAmpSink = s.MaxAmpIndex()
+	}
+}
+
+var maxAmpSink uint64

@@ -6,8 +6,8 @@ import (
 	"slices"
 )
 
-// kernelTier is the instruction-set tier every mixer and phase kernel
-// dispatches on (rxTile, rxRows, rxMirror, phaseIdx). The tiers are
+// kernelTier is the instruction-set tier every kernel dispatches on
+// (rxTile, rxRows, rxMirror, phaseIdx, maxProb, indexMax). The tiers are
 // ordered: each one's CPU requirements include the one below it.
 type kernelTier uint8
 

@@ -232,21 +232,22 @@ func (s *Server) restore() error {
 		case JobDone:
 			j.state = JobDone
 			j.result = pj.Result
-			s.doneCount++
-			j.doneSeq = s.doneCount
-			close(j.done)
+			s.stampLocked(j)
 		case JobFailed:
 			j.state = JobFailed
 			j.err = fmt.Errorf("%s", pj.Error)
-			s.doneCount++
-			j.doneSeq = s.doneCount
-			close(j.done)
+			s.stampLocked(j)
 		default:
 			// Queued and interrupted/crashed running jobs both restart
 			// from their checkpoint.
 			j.state = JobQueued
 			j.order = pj.Order
 			requeue = append(requeue, j)
+		}
+		if dup, ok := s.jobs[j.id]; ok && dup.terminal() {
+			// A hand-edited table can repeat an id; the last entry wins,
+			// and the one it replaces leaves the eviction order too.
+			s.settled.remove(dup)
 		}
 		s.jobs[j.id] = j
 	}

@@ -185,3 +185,34 @@ func TestRestoreSkipsBadEntry(t *testing.T) {
 		t.Fatalf("PersistErr %v, want a skipped-entry note", err)
 	}
 }
+
+// TestRestoreRepeatedID: a table that lists one job twice (hand-edited)
+// restores it once — the last record wins — and the job it replaced
+// leaves the eviction order too, so a retention bound of one keeps the
+// job live instead of evicting it for its own stale copy.
+func TestRestoreRepeatedID(t *testing.T) {
+	dir, id := seedStateDir(t)
+	path := filepath.Join(dir, jobsFile)
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	text := string(data)
+	record := strings.TrimSuffix(strings.TrimSpace(text[strings.Index(text, `{"id":"`+id+`"`):]), "]}")
+	doubled := strings.TrimSuffix(strings.TrimSpace(text), "]}") + "," + record + "]}"
+	if err := os.WriteFile(path, []byte(doubled), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s, err := New(Config{GlobalParallelism: 2, StateDir: dir, RetainJobs: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	s.mu.Lock()
+	_, live := s.jobs[id]
+	listed := s.settled.n
+	s.mu.Unlock()
+	if !live || listed != 1 {
+		t.Fatalf("job live %v with %d terminal jobs listed; want live and 1", live, listed)
+	}
+}

@@ -19,13 +19,13 @@
 package serve
 
 import (
+	"container/heap"
 	"context"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
 	"runtime"
-	"sort"
 	"sync"
 	"time"
 
@@ -166,8 +166,10 @@ type job struct {
 	// digest of user-controlled input — a collision must error, never
 	// serve another tenant's result).
 	fp string
-	// doneSeq orders terminal jobs for cache eviction.
-	doneSeq int
+	// doneSeq orders terminal jobs for cache eviction; prev and next
+	// link them in that order (Server.settled).
+	doneSeq    int
+	prev, next *job
 
 	state       JobState
 	parallelism int
@@ -192,10 +194,69 @@ func (j *job) terminal() bool { return j.state == JobDone || j.state == JobFaile
 
 // tombstone is the terminal snapshot a retention-evicted job leaves
 // behind. seq orders tombstones so the oldest is dropped first when
-// the tombstone table itself hits the retention bound.
+// the tombstone table itself hits the retention bound; at is its slot
+// in that order (Server.graves).
 type tombstone struct {
 	status JobStatus
 	seq    int
+	at     int
+}
+
+// jobList links the terminal jobs oldest-settled first, through their
+// prev and next fields, and counts them.
+type jobList struct {
+	head, tail *job
+	n          int
+}
+
+// push appends a job that just settled.
+func (l *jobList) push(j *job) {
+	j.prev, j.next = l.tail, nil
+	if l.tail != nil {
+		l.tail.next = j
+	} else {
+		l.head = j
+	}
+	l.tail = j
+	l.n++
+}
+
+// remove unlinks a listed job.
+func (l *jobList) remove(j *job) {
+	if j.prev != nil {
+		j.prev.next = j.next
+	} else {
+		l.head = j.next
+	}
+	if j.next != nil {
+		j.next.prev = j.prev
+	} else {
+		l.tail = j.prev
+	}
+	j.prev, j.next = nil, nil
+	l.n--
+}
+
+// graveHeap orders tombstones by seq, oldest on top (container/heap).
+type graveHeap []*tombstone
+
+func (h graveHeap) Len() int           { return len(h) }
+func (h graveHeap) Less(a, b int) bool { return h[a].seq < h[b].seq }
+func (h graveHeap) Swap(a, b int) {
+	h[a], h[b] = h[b], h[a]
+	h[a].at, h[b].at = a, b
+}
+func (h *graveHeap) Push(x any) {
+	t := x.(*tombstone)
+	t.at = len(*h)
+	*h = append(*h, t)
+}
+func (h *graveHeap) Pop() any {
+	old := *h
+	t := old[len(old)-1]
+	old[len(old)-1] = nil
+	*h = old[:len(old)-1]
+	return t
 }
 
 // Server is the long-running solve service.
@@ -213,8 +274,9 @@ type Server struct {
 	drainCh  chan struct{} // closed on Drain; wired to runtime Interrupt
 	wg       sync.WaitGroup
 	// doneCount stamps job.doneSeq so eviction drops oldest-settled
-	// first.
+	// first; settled lists the terminal jobs in that order.
 	doneCount int
+	settled   jobList
 	// drainStart stamps the moment Drain began; the 503 Retry-After
 	// hint counts down the configured grace from it.
 	drainStart time.Time
@@ -226,7 +288,9 @@ type Server struct {
 	// whose connection was cut just before the status line can still
 	// reconnect and receive the job's final status even if the settled
 	// job was evicted in the gap, and cache peeks keep answering.
-	evicted map[string]tombstone
+	// graves holds the same tombstones, oldest first.
+	evicted map[string]*tombstone
+	graves  graveHeap
 
 	// persistKick marks the job table dirty for the persister
 	// goroutine (buffered 1: bursts coalesce); persistStop ends it.
@@ -248,7 +312,7 @@ func New(cfg Config) (*Server, error) {
 	s := &Server{
 		cfg:         cfg.withDefaults(),
 		jobs:        make(map[string]*job),
-		evicted:     make(map[string]tombstone),
+		evicted:     make(map[string]*tombstone),
 		drainCh:     make(chan struct{}),
 		persistKick: make(chan struct{}, 1),
 		persistStop: make(chan struct{}),
@@ -322,6 +386,7 @@ func (s *Server) Submit(req SolveRequest) (JobStatus, error) {
 			if s.waiting() >= s.cfg.QueueLimit {
 				return JobStatus{}, ErrQueueFull
 			}
+			s.settled.remove(j)
 			j.req = req
 			j.parallelism = s.clampParallelism(req.Parallelism)
 			j.state = JobQueued
@@ -347,7 +412,7 @@ func (s *Server) Submit(req SolveRequest) (JobStatus, error) {
 	}
 	// A fresh job supersedes any tombstone left by an evicted
 	// predecessor with the same identity.
-	delete(s.evicted, id)
+	s.forgetLocked(id)
 	s.jobs[id] = j
 	s.enqueueLocked(j)
 	return s.statusLocked(j), nil
@@ -715,53 +780,57 @@ func (s *Server) runJob(j *job) {
 // checkpoint files go with them — the result lives in the job table).
 // Caller holds mu.
 func (s *Server) settleLocked(j *job) {
-	s.doneCount++
-	j.doneSeq = s.doneCount
-	close(j.done)
+	s.stampLocked(j)
 	s.evictLocked()
 }
 
-// evictLocked enforces Config.RetainJobs over terminal jobs. Jobs
-// with attached stream subscribers are spared until those streams
-// close (the bound overshoots transiently by at most the subscriber
-// count). Caller holds mu.
+// stampLocked gives a job that just reached a terminal state the next
+// doneSeq, appends it to settled and closes its done channel. Caller
+// holds mu.
+func (s *Server) stampLocked(j *job) {
+	s.doneCount++
+	j.doneSeq = s.doneCount
+	s.settled.push(j)
+	close(j.done)
+}
+
+// evictLocked enforces Config.RetainJobs over terminal jobs: it evicts
+// the oldest-settled first, walking settled from its head. Jobs with
+// attached stream subscribers are spared until those streams close
+// (the bound overshoots transiently by at most the subscriber count).
+// Caller holds mu.
 func (s *Server) evictLocked() {
-	var terminal, evictable []*job
-	for _, j := range s.jobs {
-		if j.terminal() {
-			terminal = append(terminal, j)
-			if j.subs == 0 {
-				evictable = append(evictable, j)
+	excess := s.settled.n - s.cfg.RetainJobs
+	for j := s.settled.head; j != nil && excess > 0; {
+		next := j.next
+		if j.subs == 0 {
+			// Leave a terminal-status tombstone: a subscriber whose stream
+			// was cut right before the status line can reconnect after this
+			// eviction and still receive the final status (events are gone —
+			// only the heavy part of the record is reclaimed).
+			s.settled.remove(j)
+			t := &tombstone{status: s.statusLocked(j), seq: j.doneSeq}
+			s.evicted[j.id] = t
+			heap.Push(&s.graves, t)
+			delete(s.jobs, j.id)
+			if path := s.checkpointPath(j); path != "" {
+				os.Remove(path)
 			}
+			excess--
 		}
-	}
-	excess := len(terminal) - s.cfg.RetainJobs
-	if excess <= 0 {
-		return
-	}
-	if excess > len(evictable) {
-		excess = len(evictable)
-	}
-	sort.Slice(evictable, func(a, b int) bool { return evictable[a].doneSeq < evictable[b].doneSeq })
-	for _, j := range evictable[:excess] {
-		// Leave a terminal-status tombstone: a subscriber whose stream
-		// was cut right before the status line can reconnect after this
-		// eviction and still receive the final status (events are gone —
-		// only the heavy part of the record is reclaimed).
-		s.evicted[j.id] = tombstone{status: s.statusLocked(j), seq: j.doneSeq}
-		delete(s.jobs, j.id)
-		if path := s.checkpointPath(j); path != "" {
-			os.Remove(path)
-		}
+		j = next
 	}
 	for len(s.evicted) > s.cfg.RetainJobs {
-		oldestID, oldest := "", 0
-		for id, t := range s.evicted {
-			if oldestID == "" || t.seq < oldest {
-				oldestID, oldest = id, t.seq
-			}
-		}
-		delete(s.evicted, oldestID)
+		t := heap.Pop(&s.graves).(*tombstone)
+		delete(s.evicted, t.status.ID)
+	}
+}
+
+// forgetLocked drops id's tombstone, if it has one. Caller holds mu.
+func (s *Server) forgetLocked(id string) {
+	if t, ok := s.evicted[id]; ok {
+		heap.Remove(&s.graves, t.at)
+		delete(s.evicted, id)
 	}
 }
 

@@ -171,7 +171,8 @@ type ScalingPoint struct {
 // evaluation. The one-core row is the serial worker engine that
 // EvaluateBatch of a single vector runs; the other row is Evaluate,
 // whose sweeps split over the shared kernel pool. The rows' energies
-// may differ in the last bits: the pool sums its per-worker partials.
+// agree bit for bit: the engine sums one partial per sweep batch, in
+// batch order, on any worker count.
 func RunEngineScaling(qubits, layers int, seed uint64) ([]ScalingPoint, error) {
 	r := rng.New(seed)
 	g := graph.ErdosRenyi(qubits, 0.3, graph.Unweighted, r)

@@ -312,6 +312,34 @@ func TestDeterministicGivenSeeds(t *testing.T) {
 	}
 }
 
+// TestDenseSolveRepeatsBitForBit runs six identical dense-backend
+// solves of a 16-node real-weighted graph, a state past the kernels'
+// parallel threshold, and requires the same Expectation and Gammas bits
+// from each: ⟨H_C⟩ must not depend on how the cores split the sweep.
+func TestDenseSolveRepeatsBitForBit(t *testing.T) {
+	g := graph.ErdosRenyi(16, 0.3, graph.UniformWeights, rng.New(5))
+	opts := Options{Layers: 2, MaxIters: 20, Backend: backend.Dense{}, Seed: 3}
+	var first *Result
+	for run := range 6 {
+		res, err := Solve(g, opts, rng.New(3))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if run == 0 {
+			first = res
+			continue
+		}
+		same := math.Float64bits(res.Expectation) == math.Float64bits(first.Expectation)
+		for l := range res.Gammas {
+			same = same && math.Float64bits(res.Gammas[l]) == math.Float64bits(first.Gammas[l])
+		}
+		if !same {
+			t.Fatalf("run %d: expectation %v, gammas %v; run 0: %v, %v",
+				run, res.Expectation, res.Gammas, first.Expectation, first.Gammas)
+		}
+	}
+}
+
 func BenchmarkSolve12Nodes(b *testing.B) {
 	g := graph.ErdosRenyi(12, 0.3, graph.Unweighted, rng.New(1))
 	b.ResetTimer()

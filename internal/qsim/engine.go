@@ -3,7 +3,6 @@ package qsim
 import (
 	"fmt"
 	"math"
-	"slices"
 	"sync"
 )
 
@@ -23,23 +22,34 @@ import (
 //     the evaluation never does a separate FillPlus sweep.
 //
 //   - The energy ⟨ψ|D|ψ⟩ is folded into the LAST mixer sweep of the
-//     last layer, accumulated per chunk while the tiles are still in
-//     cache, so no separate ExpectDiagonal sweep runs either. On the
-//     indexed form the fold reads D through the phase index it already
-//     streams (CostTables), not a 2^n float64 table.
+//     last layer while its rows are still in cache, so no separate
+//     ExpectDiagonal sweep runs either. On the indexed form the fold
+//     reads D through the phase index it already streams (CostTables),
+//     not a 2^n float64 table.
+//
+// Reduction shape: the folding sweep is the last high group's, and
+// each of its batches writes its own partial sum (partials, one per
+// batch); Evaluate adds them in batch order. The energy is therefore a
+// function of the vector's shape, tables, angles and kernel tier alone
+// — never of the worker count or of which chunk finished first. A
+// vector without high groups is one low tile; its energy is one
+// in-order fold of the tile, still L1-resident after its low sweep.
 //
 // A p-layer evaluation therefore touches the state p·⌈1 + (n−10)/6⌉
 // times instead of the p·(1+n) + 2 sweeps of the unfused kernel walk.
 //
 // Parallelism: every sweep splits its tiles over the slice-affine
-// kernel pool (pool.go), so one vector and one schedule serve every
-// core count; a serial engine (SetSerial) runs each sweep inline.
+// kernel pool (pool.go, through State.sweep), so one vector and one
+// schedule serve every core count; a serial engine (SetSerial) runs
+// each sweep inline. The only per-worker state is the high sweep's
+// scratch.
 //
 // Allocation-freedom: the pass bodies are method values bound once at
 // construction and parameterized through engine fields; the per-layer
-// phase table, the expectation partials and the dispatch WaitGroup are
-// hoisted into the engine. An Engine is NOT safe for concurrent use —
-// batch drivers create one Engine per worker (see SetSerial).
+// phase table and the per-batch partials are sized once per engine
+// shape and kept by pooled engines. An Engine is NOT safe for
+// concurrent use — batch drivers create one Engine per worker (see
+// SetSerial).
 type Engine struct {
 	state *State       // the statevector (resolves the kernel pool)
 	amps  []complex128 // state's amplitudes
@@ -51,15 +61,14 @@ type Engine struct {
 	cost CostTables // the phase and expectation tables
 
 	phases   []complex128   // per-layer scratch: e^{-iγ·levels[j]}
-	partials []float64      // per-worker energy accumulators
-	scratch  [][]complex128 // per-worker kernel scratch (workerScratch)
-	wg       sync.WaitGroup
+	partials []float64      // energy of each batch of the folding sweep
+	scratch  [][]complex128 // per-worker high-sweep scratch (fitScratch)
 
 	// Current pass parameters, read by the prepared bodies.
 	gamma  float64 // cost angle of the current layer
 	c, sn  float64 // cos β, sin β of the current layer
 	first  bool    // layer 0: synthesize phase·|+⟩ in place of loading
-	expect bool    // accumulate ⟨D⟩ during this pass
+	expect bool    // this high sweep folds ⟨D⟩ into partials
 	g0, m  int     // current high-group qubit range [g0, g0+m)
 
 	lowBody, highBody func(w, start, end int)
@@ -143,6 +152,12 @@ func NewEngine(nFull int, z2 bool, cost CostTables) (*Engine, error) {
 			e.lowBody = e.runMirrorChunk
 		}
 		e.highBody = e.runHighChunk
+		if n > e.m0 {
+			// One partial per batch of the last high group's sweep,
+			// the one the energy folds into.
+			last := (n-e.m0-1)%mixerBlockQubits + 1
+			e.partials = make([]float64, size>>uint(last)/highBatch)
+		}
 	}
 	e.state = &State{n: n, amps: e.amps}
 	if z2 {
@@ -153,11 +168,6 @@ func NewEngine(nFull int, z2 bool, cost CostTables) (*Engine, error) {
 		e.phases = make([]complex128, len(cost.Levels))
 	}
 	e.phases = e.phases[:len(cost.Levels)]
-	workers := 1
-	if p := e.state.kernelPool(); p != nil {
-		workers = p.workers
-	}
-	e.fitWorkers(workers)
 	return e, nil
 }
 
@@ -198,41 +208,21 @@ func (e *Engine) Release() {
 	enginePool(e.n, e.z2).Put(e)
 }
 
-// fitWorkers sizes the energy partials (zeroed) and the kernel scratch
-// to a pool of the given worker count, keeping the buffers it has.
-func (e *Engine) fitWorkers(workers int) {
-	if cap(e.partials) < workers {
-		e.partials = make([]float64, workers)
-	}
-	e.partials = e.partials[:workers]
-	clear(e.partials)
-	e.scratch = workerScratch(e.scratch, workers, scratchLen(e.n, e.m0))
-}
-
-// scratchLen is the per-worker scratch an engine over n index qubits
-// with an m0-qubit low group needs: the high sweep's level buffer when
-// there are high groups at all. The low sweeps work in place.
-func scratchLen(n, m0 int) int {
-	if n > m0 {
-		return highBufLen
-	}
-	return 0
-}
-
-// workerScratch extends sc to one kernel scratch buffer of n entries
-// per worker. The buffers live on the heap rather than the chunk
+// fitScratch gives each worker of the state's kernel pool (one worker
+// when the engine runs inline) a high-sweep scratch buffer, keeping the
+// buffers it has. The buffers live on the heap rather than the chunk
 // bodies' stacks so the vector kernels see the allocator's alignment —
 // whole cache lines, as for the statevector itself — where a stack
 // array is only 8-byte aligned and every ZMM access to it would split
 // a line.
-func workerScratch(sc [][]complex128, workers, n int) [][]complex128 {
-	if more := workers - len(sc); more > 0 {
-		sc = slices.Grow(sc, more)
-		for range more {
-			sc = append(sc, make([]complex128, n))
-		}
+func (e *Engine) fitScratch() {
+	workers := 1
+	if p := e.state.kernelPool(); p != nil {
+		workers = p.workers
 	}
-	return sc
+	for len(e.scratch) < workers {
+		e.scratch = append(e.scratch, make([]complex128, highBufLen))
+	}
 }
 
 // State returns the engine's statevector buffer: after Evaluate it
@@ -248,8 +238,9 @@ func (e *Engine) SetSerial(serial bool) { e.state.SetSerial(serial) }
 // Evaluate runs the full p-layer fused evaluation at (γ⃗, β⃗) — the
 // ansatz Π_l RX(2β_l)^⊗n · e^{-iγ_l D'} |+⟩^⊗n — and returns the exact
 // energy ⟨ψ|D|ψ⟩. len(gammas) must equal len(betas); p = 0 degenerates
-// to ⟨+|D|+⟩. Partials are summed in per-worker order, so repeated
-// evaluations are bit-identical.
+// to ⟨+|D|+⟩. The energy's partials are one per batch of the folding
+// sweep, summed in batch order, so its bits are the same on every
+// worker count and on every repeat.
 func (e *Engine) Evaluate(gammas, betas []float64) float64 {
 	if len(gammas) != len(betas) {
 		panic(fmt.Sprintf("qsim: engine got %d gammas but %d betas", len(gammas), len(betas)))
@@ -263,7 +254,9 @@ func (e *Engine) Evaluate(gammas, betas []float64) float64 {
 		}
 		return e.cost.fold(0, e.amps, 0)
 	}
-	groups := 1 + (e.n-e.m0+mixerBlockQubits-1)/mixerBlockQubits
+	if e.n > e.m0 {
+		e.fitScratch()
+	}
 	lowTotal, lowLen := len(e.amps)>>uint(e.m0), 1<<uint(e.m0)
 	if e.z2 {
 		// The mirrored low sweep butterflies tile PAIRS.
@@ -274,7 +267,6 @@ func (e *Engine) Evaluate(gammas, betas []float64) float64 {
 		e.c = math.Cos(betas[l]) // RX(2β): θ/2 = β
 		e.sn = math.Sin(betas[l])
 		e.first = l == 0
-		last := l == p-1
 		if e.cost.Levels != nil {
 			amp := 1.0
 			if e.first {
@@ -285,21 +277,17 @@ func (e *Engine) Evaluate(gammas, betas []float64) float64 {
 				e.phases[j] = complex(amp*cos, amp*sin)
 			}
 		}
-		e.expect = last && groups == 1
-		if e.expect {
-			e.resetPartials()
-		}
-		e.dispatch(lowTotal, lowLen, e.lowBody)
+		e.state.sweep(lowTotal, lowLen, e.lowBody)
 		for g0 := e.m0; g0 < e.n; g0 += mixerBlockQubits {
 			e.g0 = g0
 			e.m = min(e.n-g0, mixerBlockQubits)
-			e.expect = last && g0+mixerBlockQubits >= e.n
-			if e.expect {
-				e.resetPartials()
-			}
+			e.expect = l == p-1 && g0+mixerBlockQubits >= e.n
 			batches := len(e.amps) >> uint(e.m) / highBatch
-			e.dispatch(batches, 1<<uint(e.m)*highBatch, e.highBody)
+			e.state.sweep(batches, 1<<uint(e.m)*highBatch, e.highBody)
 		}
+	}
+	if e.n == e.m0 {
+		return e.cost.fold(0, e.amps, 0)
 	}
 	total := 0.0
 	for _, v := range e.partials {
@@ -308,47 +296,17 @@ func (e *Engine) Evaluate(gammas, betas []float64) float64 {
 	return total
 }
 
-func (e *Engine) resetPartials() {
-	for i := range e.partials {
-		e.partials[i] = 0
-	}
-}
-
-// dispatch runs a prepared pass body over [0, total) chunks through the
-// kernel pool, inline when the sweep is small or the state is serial.
-func (e *Engine) dispatch(total, itemLen int, body func(w, start, end int)) {
-	p := e.state.kernelPool()
-	if p == nil || total*itemLen < parallelThreshold {
-		body(0, 0, total)
-		return
-	}
-	if p.workers > len(e.partials) {
-		// The pool grew after construction (pool override on the state);
-		// re-size outside the steady-state path.
-		e.fitWorkers(p.workers)
-	}
-	p.run(total, body, &e.wg)
-}
-
 // runLowChunk is the fused low sweep: per contiguous tile, apply the
-// cost phases (synthesizing the first layer's phase·|+⟩ directly), run
-// the low butterfly levels, and — when this is the evaluation's final
-// sweep — accumulate the energy while the tile is cache-resident.
-func (e *Engine) runLowChunk(w, start, end int) {
+// cost phases (synthesizing the first layer's phase·|+⟩ directly) and
+// run the low butterfly levels.
+func (e *Engine) runLowChunk(_, start, end int) {
 	tl := 1 << uint(e.m0)
 	c, sn := e.c, e.sn
-	acc := 0.0
 	for t := start; t < end; t++ {
 		b := t * tl
 		buf := e.amps[b : b+tl]
 		e.phaseTile(buf, b)
 		rxTile(buf, 1, c, sn)
-		if e.expect {
-			acc = e.cost.fold(acc, buf, b)
-		}
-	}
-	if e.expect {
-		e.partials[w] += acc
 	}
 }
 
@@ -397,8 +355,8 @@ func (e *Engine) phaseTile(buf []complex128, base int) {
 // Each amplitude sees the update sequence of the 2·tileLen network
 // over [fwd, reversed rev], so the result is bit-identical to running
 // it in a scratch copy (engine_mirror_test.go keeps that walk as the
-// oracle); the energy folds run on the same cache-resident pair.
-func (e *Engine) runMirrorChunk(w, start, end int) {
+// oracle).
+func (e *Engine) runMirrorChunk(_, start, end int) {
 	tl := 1 << uint(e.m0)
 	c, sn := e.c, e.sn
 	tiles := len(e.amps) >> uint(e.m0) // tile count T
@@ -408,12 +366,8 @@ func (e *Engine) runMirrorChunk(w, start, end int) {
 		e.phaseTile(e.amps, 0)
 		rxTile(e.amps, 1, c, sn)
 		z2Boundary(e.amps, c, sn)
-		if e.expect {
-			e.partials[w] += e.cost.fold(0, e.amps, 0)
-		}
 		return
 	}
-	acc := 0.0
 	for t := start; t < end; t++ {
 		fb, rb := t*tl, (tiles-1-t)*tl
 		fwd, rev := e.amps[fb:fb+tl], e.amps[rb:rb+tl]
@@ -422,13 +376,6 @@ func (e *Engine) runMirrorChunk(w, start, end int) {
 		rxTile(fwd, 1, c, sn)
 		rxTile(rev, 1, c, sn)
 		rxMirror(fwd, rev, c, sn)
-		if e.expect {
-			acc = e.cost.fold(acc, fwd, fb)
-			acc = e.cost.fold(acc, rev, rb)
-		}
-	}
-	if e.expect {
-		e.partials[w] += acc
 	}
 }
 
@@ -448,11 +395,12 @@ func z2Boundary(buf []complex128, c, sn float64) {
 
 // runHighChunk runs the current high group's sweep (rxHighSweep, which
 // butterflies the strided rows where they live) over one chunk of
-// batches, folding the energy in on the evaluation's final sweep.
+// batches in worker w's scratch; on the evaluation's final sweep each
+// batch writes its energy into its own partial.
 func (e *Engine) runHighChunk(w, start, end int) {
 	if e.expect {
-		e.partials[w] += rxHighSweep(e.amps, e.scratch[w], &e.cost, e.g0, e.m, start, end, e.c, e.sn)
+		rxHighSweep(e.amps, e.scratch[w], &e.cost, e.partials, e.g0, e.m, start, end, e.c, e.sn)
 		return
 	}
-	rxHighSweep(e.amps, e.scratch[w], nil, e.g0, e.m, start, end, e.c, e.sn)
+	rxHighSweep(e.amps, e.scratch[w], nil, nil, e.g0, e.m, start, end, e.c, e.sn)
 }

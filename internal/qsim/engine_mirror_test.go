@@ -70,18 +70,13 @@ func (e *Engine) phaseTileInto(dst, src []complex128, base int, reversed bool) {
 // rxTile call runs every low level and the boundary level, and is then
 // copied back; a single-tile vector takes the scalar boundary pass. On
 // an unreduced engine each tile is phased and butterflied in place.
-// The body fits the engine's worker count at the time of the call.
+// Each chunk works in a scratch buffer of its own.
 func scratchLowBody(e *Engine) func(w, start, end int) {
 	tl := 1 << uint(e.m0)
-	sc := make([][]complex128, len(e.partials))
-	for w := range sc {
-		sc[w] = make([]complex128, 2*tl)
-	}
-	return func(w, start, end int) {
+	return func(_, start, end int) {
 		c, sn := e.c, e.sn
 		tiles := len(e.amps) >> uint(e.m0)
 		if !e.z2 || tiles == 1 {
-			acc := 0.0
 			for t := start; t < end; t++ {
 				b := t * tl
 				buf := e.amps[b : b+tl]
@@ -90,17 +85,10 @@ func scratchLowBody(e *Engine) func(w, start, end int) {
 				if e.z2 {
 					z2Boundary(buf, c, sn)
 				}
-				if e.expect {
-					acc = e.cost.fold(acc, buf, b)
-				}
-			}
-			if e.expect {
-				e.partials[w] += acc
 			}
 			return
 		}
-		acc := 0.0
-		buf := sc[w]
+		buf := make([]complex128, 2*tl)
 		for t := start; t < end; t++ {
 			fb, rb := t*tl, (tiles-1-t)*tl
 			fwd, rev := e.amps[fb:fb+tl], e.amps[rb:rb+tl]
@@ -111,13 +99,6 @@ func scratchLowBody(e *Engine) func(w, start, end int) {
 			for i := range rev {
 				rev[tl-1-i] = buf[tl+i]
 			}
-			if e.expect {
-				acc = e.cost.fold(acc, fwd, fb)
-				acc = e.cost.fold(acc, rev, rb)
-			}
-		}
-		if e.expect {
-			e.partials[w] += acc
 		}
 	}
 }

@@ -300,8 +300,9 @@ func TestEngineZeroAlloc(t *testing.T)   { checkZeroAlloc(t, []bool{false}) }
 func TestZ2EngineZeroAlloc(t *testing.T) { checkZeroAlloc(t, []bool{true}) }
 
 // TestEngineOnExplicitPool runs fused evaluations through a private
-// multi-worker pool (the -race coverage for the chunked expectation
-// reduction).
+// multi-worker pool (the -race coverage for the per-batch expectation
+// partials) and requires the energy and every amplitude to equal a
+// serial twin's in their float64 bits.
 func TestEngineOnExplicitPool(t *testing.T) {
 	pool := newWorkerPool(4)
 	defer pool.Stop()
@@ -312,14 +313,54 @@ func TestEngineOnExplicitPool(t *testing.T) {
 
 	eng, _ := testEngine(t, n, false, false, diag, levels, idx, shift)
 	eng.state.pool = pool
-	got := eng.Evaluate(gammas, betas)
-	want, ws := referenceEvaluate(t, n, shift, diag, gammas, betas)
-	if math.Abs(got-want) > 1e-12 {
-		t.Fatalf("pooled energy %v, want %v", got, want)
+	twin, _ := testEngine(t, n, false, false, diag, levels, idx, shift)
+	twin.SetSerial(true)
+	got, want := eng.Evaluate(gammas, betas), twin.Evaluate(gammas, betas)
+	if math.Float64bits(got) != math.Float64bits(want) {
+		t.Fatalf("pooled energy %v, serial %v", got, want)
 	}
-	if d := maxAmpDiff(eng.State(), ws); d > 1e-12 {
-		t.Fatalf("pooled amplitudes deviate by %v", d)
+	if i := firstBitDiff(eng.amps, twin.amps); i >= 0 {
+		t.Fatalf("pooled amp %d = %v, serial %v", i, eng.amps[i], twin.amps[i])
 	}
+}
+
+// TestEngineEnergyIgnoresWorkerCount pins the reduction shape: the
+// energy is a function of the vector's shape, tables, angles and kernel
+// tier, so Evaluate returns the same float64 bits on a serial engine
+// and on private pools of 2, 3 and 4 workers — in every kernel tier, at
+// nFull = 16 and 20, p = 3, reduced and full. Under -short and the race
+// detector it stops at nFull = 16.
+func TestEngineEnergyIgnoresWorkerCount(t *testing.T) {
+	sizes := []int{16, 20}
+	if testing.Short() || raceDetector {
+		sizes = sizes[:1]
+	}
+	pools := []*workerPool{nil, newWorkerPool(2), newWorkerPool(3), newWorkerPool(4)}
+	for _, p := range pools[1:] {
+		defer p.Stop()
+	}
+	kernelTiers(t, func(t *testing.T) {
+		for _, nFull := range sizes {
+			diag, levels, idx, shift := z2Fixture(t, nFull, 9)
+			gammas, betas := engineParams(nFull, 3)
+			for _, z2 := range []bool{false, true} {
+				eng, _ := testEngine(t, nFull, z2, false, diag, levels, idx, shift)
+				var want uint64
+				for k, p := range pools {
+					eng.state.pool = p
+					eng.SetSerial(p == nil)
+					got := math.Float64bits(eng.Evaluate(gammas, betas))
+					if k == 0 {
+						want = got
+					} else if got != want {
+						t.Fatalf("nFull=%d z2=%v: energy bits %016x on %d workers, %016x serial",
+							nFull, z2, got, p.workers, want)
+					}
+				}
+				eng.Release()
+			}
+		}
+	})
 }
 
 // benchmarkEngine times a warm p=3 evaluation of one engine

@@ -3,7 +3,6 @@ package qsim
 import (
 	"math"
 	"sort"
-	"sync"
 
 	"qaoa2/internal/rng"
 )
@@ -197,23 +196,13 @@ func (s *State) Sample(shots int, r *rng.Rand) map[uint64]int {
 
 // ExpectDiagonal returns ⟨ψ| D |ψ⟩ for the diagonal operator with basis
 // values given by the table (len 2^n). The QAOA objective F_p = ⟨H_C⟩ is
-// evaluated through this with a precomputed cut-value table.
+// evaluated through this with a precomputed cut-value table. The sum
+// is one fold in index order on the calling goroutine, so its bits do
+// not depend on the core count; it is one pass against the dozens of
+// gate sweeps that prepared the state.
 func (s *State) ExpectDiagonal(table []float64) float64 {
 	if len(table) != len(s.amps) {
 		panic("qsim: diagonal table length mismatch")
 	}
-	var mu sync.Mutex
-	total := 0.0
-	s.parFor(len(s.amps), func(start, end int) {
-		acc := 0.0
-		for i := start; i < end; i++ {
-			a := s.amps[i]
-			re, im := real(a), imag(a)
-			acc += (re*re + im*im) * table[i]
-		}
-		mu.Lock()
-		total += acc
-		mu.Unlock()
-	})
-	return total
+	return (&CostTables{Diag: table}).fold(0, s.amps, 0)
 }

@@ -133,8 +133,8 @@ func TestExpectDiagonalLengthCheck(t *testing.T) {
 }
 
 func TestExpectDiagonalParallelPath(t *testing.T) {
-	// Engage the parallel reduction (n=15 → 32768 ≥ threshold) and
-	// compare with the serial sum.
+	// A state past the parallel threshold (n=15 → 32768 amplitudes)
+	// sums in index order, bit for bit the serial sum.
 	s, _ := NewPlusState(15)
 	s.ApplyRX(3, 0.6)
 	table := make([]float64, s.Len())
@@ -146,8 +146,39 @@ func TestExpectDiagonalParallelPath(t *testing.T) {
 	for i := 0; i < s.Len(); i++ {
 		want += s.Probability(uint64(i)) * table[i]
 	}
-	if math.Abs(got-want) > 1e-9 {
-		t.Fatalf("parallel %v serial %v", got, want)
+	if math.Float64bits(got) != math.Float64bits(want) {
+		t.Fatalf("ExpectDiagonal %v, in-order sum %v", got, want)
+	}
+}
+
+// TestExpectDiagonalIgnoresPool requires one bit pattern from 50 calls
+// of ExpectDiagonal on 2^18 amplitudes on a serial state and on each of
+// private pools of 2, 3 and 4 workers: the sum takes no lock and no
+// completion order.
+func TestExpectDiagonalIgnoresPool(t *testing.T) {
+	s, _ := NewPlusState(18)
+	for q := 0; q < s.N(); q += 3 {
+		s.ApplyRX(q, 0.3+0.1*float64(q))
+		s.ApplyRZZ(q, (q+1)%s.N(), 0.7)
+	}
+	r := rng.New(18)
+	table := make([]float64, s.Len())
+	for i := range table {
+		table[i] = float64(r.Uint64()%97) / 7
+	}
+	want := math.Float64bits(s.ExpectDiagonal(table))
+	for _, workers := range []int{0, 2, 3, 4} {
+		p := newWorkerPool(workers)
+		if p != nil {
+			defer p.Stop()
+		}
+		s.pool = p
+		s.SetSerial(p == nil)
+		for range 50 {
+			if got := math.Float64bits(s.ExpectDiagonal(table)); got != want {
+				t.Fatalf("%d workers: energy bits %016x, want %016x", workers, got, want)
+			}
+		}
 	}
 }
 

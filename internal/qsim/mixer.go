@@ -1,9 +1,6 @@
 package qsim
 
-import (
-	"math"
-	"sync"
-)
+import "math"
 
 // Cache-blocked multi-qubit mixer kernels. The QAOA mixer layer applies
 // RX(2β) to every qubit; done gate by gate that is n full statevector
@@ -97,7 +94,7 @@ func (s *State) rxLowPass(m int, c, sn float64) {
 	tl := 1 << uint(m)
 	tiles := len(s.amps) >> uint(m)
 	amps := s.amps
-	s.parForTiles(tiles, tl, func(start, end int) {
+	s.sweep(tiles, tl, func(_, start, end int) {
 		for t := start; t < end; t++ {
 			rxTile(amps[t*tl:t*tl+tl], 1, c, sn)
 		}
@@ -110,8 +107,8 @@ func (s *State) rxLowPass(m int, c, sn float64) {
 func (s *State) rxHighPass(g0, m int, c, sn float64) {
 	batches := len(s.amps) >> uint(m) / highBatch
 	amps := s.amps
-	s.parForTiles(batches, highBatch<<uint(m), func(start, end int) {
-		rxHighSweep(amps, make([]complex128, highBufLen), nil, g0, m, start, end, c, sn)
+	s.sweep(batches, highBatch<<uint(m), func(_, start, end int) {
+		rxHighSweep(amps, make([]complex128, highBufLen), nil, nil, g0, m, start, end, c, sn)
 	})
 }
 
@@ -123,7 +120,7 @@ func (s *State) rxHighPass(g0, m int, c, sn float64) {
 // The state is never copied. The first level (d = 1) reads the strided
 // rows where they live and writes the butterflied result into scratch
 // (the caller's, at least highBufLen long and ideally cache-line
-// aligned — see workerScratch); the middle levels run in scratch
+// aligned — see fitScratch); the middle levels run in scratch
 // through rxTile, one call per half because the last level is held
 // back; the last level (d = 2^(m−1)) reads scratch and stores straight
 // back to the strided rows. A one-qubit group is a single in-place
@@ -133,16 +130,16 @@ func (s *State) rxHighPass(g0, m int, c, sn float64) {
 // oracle).
 //
 // With cost non-nil (tables whose entry i belongs to amps[i]) the
-// sweep also returns Σ|a|²·D over the rows it just stored, read back
-// while they are cache-resident in (row, column) order; with cost nil
-// it returns 0.
-func rxHighSweep(amps, scratch []complex128, cost *CostTables, g0, m, start, end int, c, sn float64) float64 {
+// sweep also writes Σ|a|²·D over batch u's rows into sums[u], read back
+// in (row, column) order while the rows are cache-resident; one sum per
+// batch, so how a caller splits the batches between workers cannot
+// change a bit of any sum. With cost nil, sums is not touched.
+func rxHighSweep(amps, scratch []complex128, cost *CostTables, sums []float64, g0, m, start, end int, c, sn float64) {
 	tl := 1 << uint(m)
 	stride := 1 << uint(g0)
 	mask := stride - 1
 	bb := scratch[:tl*highBatch]
 	half := len(bb) / 2
-	acc := 0.0
 	for u := start; u < end; u++ {
 		t := u * highBatch
 		// Insert m zero bits at position g0 of the tile counter.
@@ -159,27 +156,13 @@ func rxHighSweep(amps, scratch []complex128, cost *CostTables, g0, m, start, end
 			rxRows(rows, stride, bb, highBatch, tl, tl/2, c, sn)
 		}
 		if cost != nil {
-			p := base
-			for v := 0; v < tl; v++ {
+			acc := 0.0
+			for p := base; p < base+tl*stride; p += stride {
 				acc = cost.fold(acc, amps[p:p+highBatch], p)
-				p += stride
 			}
+			sums[u] = acc
 		}
 	}
-	return acc
-}
-
-// parForTiles is parFor for sweeps whose work items are tiles of
-// tileLen amplitudes each: the parallelism threshold is still counted
-// in amplitudes.
-func (s *State) parForTiles(tiles, tileLen int, body func(start, end int)) {
-	p := s.kernelPool()
-	if p == nil || tiles*tileLen < parallelThreshold {
-		body(0, tiles)
-		return
-	}
-	var wg sync.WaitGroup
-	p.run(tiles, func(_, start, end int) { body(start, end) }, &wg)
 }
 
 // rxMirrorGo is the portable reversed-partner kernel: rxTileGo's

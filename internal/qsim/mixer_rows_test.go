@@ -11,13 +11,13 @@ import (
 // gatherSweep is the high-sweep oracle: the gather → rxTile → scatter
 // loop the engines and ApplyRXAll each carried before rxHighSweep. It
 // copies every batch's strided rows into a contiguous buffer, runs the
-// whole butterfly network there, folds the energy on the buffer and
-// copies the rows back. Same contract as rxHighSweep.
-func gatherSweep(amps []complex128, diag []float64, g0, m, start, end int, c, sn float64) float64 {
+// whole butterfly network there, folds the batch's energy on the buffer
+// into sums[u] and copies the rows back. Same contract as rxHighSweep,
+// with the expectation diagonal as a plain table (nil: no fold).
+func gatherSweep(amps []complex128, diag, sums []float64, g0, m, start, end int, c, sn float64) {
 	tl := 1 << uint(m)
 	stride := 1 << uint(g0)
 	mask := stride - 1
-	acc := 0.0
 	bb := make([]complex128, tl*highBatch)
 	for u := start; u < end; u++ {
 		t := u * highBatch
@@ -29,6 +29,7 @@ func gatherSweep(amps []complex128, diag []float64, g0, m, start, end int, c, sn
 		}
 		rxTile(bb, highBatch, c, sn)
 		if diag != nil {
+			acc := 0.0
 			p = base
 			for v := 0; v < tl; v++ {
 				d := diag[p : p+highBatch]
@@ -40,6 +41,7 @@ func gatherSweep(amps []complex128, diag []float64, g0, m, start, end int, c, sn
 				}
 				p += stride
 			}
+			sums[u] = acc
 		}
 		p = base
 		for v := 0; v < tl; v++ {
@@ -47,7 +49,6 @@ func gatherSweep(amps []complex128, diag []float64, g0, m, start, end int, c, sn
 			p += stride
 		}
 	}
-	return acc
 }
 
 // kernelTiers runs body as one subtest per kernel tier this process
@@ -141,7 +142,8 @@ func TestRxRowsMatchesGatheredTile(t *testing.T) {
 // TestRxHighSweepMatchesGatherSweep pins the shared sweep bit for bit
 // against the oracle on every (stride, width) geometry, without the
 // energy fold and with it through either table form, over a sub-range
-// of batches.
+// of batches: every amplitude, and every batch's energy sum, written
+// into its own slot and into no other.
 func TestRxHighSweepMatchesGatherSweep(t *testing.T) {
 	const c, sn = 0.5403023058681398, 0.8414709848078965
 	scratch := make([]complex128, highBufLen)
@@ -161,16 +163,22 @@ func TestRxHighSweepMatchesGatherSweep(t *testing.T) {
 				values := []float64{0, 1, 2, 3, 4, 5, 6, 7, 8}
 				batches := n >> uint(m) / highBatch
 				start, end := batches/4, batches
+				gs, ws := make([]float64, batches), make([]float64, batches)
 				folds := []*CostTables{nil, {Diag: diag}, {Levels: values, Values: values, Idx: idx}}
 				for form, cost := range folds {
 					var d []float64
 					if cost != nil {
 						d = diag
 					}
-					we := gatherSweep(want, d, g0, m, start, end, c, sn)
-					ge := rxHighSweep(got, scratch, cost, g0, m, start, end, c, sn)
-					if math.Float64bits(ge) != math.Float64bits(we) {
-						t.Fatalf("g0=%d m=%d form=%d: energy %v, want %v", g0, m, form, ge, we)
+					for u := range gs {
+						gs[u], ws[u] = -1, -1
+					}
+					gatherSweep(want, d, ws, g0, m, start, end, c, sn)
+					rxHighSweep(got, scratch, cost, gs, g0, m, start, end, c, sn)
+					for u := range gs {
+						if math.Float64bits(gs[u]) != math.Float64bits(ws[u]) {
+							t.Fatalf("g0=%d m=%d form=%d: batch %d energy %v, want %v", g0, m, form, u, gs[u], ws[u])
+						}
 					}
 					if i := firstBitDiff(got, want); i >= 0 {
 						t.Fatalf("g0=%d m=%d form=%d: amp %d = %v, want %v", g0, m, form, i, got[i], want[i])
@@ -185,7 +193,8 @@ func TestRxHighSweepMatchesGatherSweep(t *testing.T) {
 // whose high sweeps are the gather oracle: energy and every amplitude
 // must agree in their float64 bits at nFull = 12…21, p = 1…3, reduced
 // and unreduced. The twin differs from the production engine only in
-// its highBody, swapped after NewEngine.
+// its highBody, swapped after NewEngine; it writes the same per-batch
+// partials, which Evaluate sums in batch order.
 func TestEnginesBitIdenticalToGatherSweep(t *testing.T) {
 	sizes := []int{12, 13, 14, 15, 16, 17, 18, 19, 20, 21}
 	if testing.Short() {
@@ -208,12 +217,12 @@ func TestEnginesBitIdenticalToGatherSweep(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			twin.highBody = func(w, start, end int) {
+			twin.highBody = func(_, start, end int) {
 				if twin.expect {
-					twin.partials[w] += gatherSweep(twin.amps, diag[:size], twin.g0, twin.m, start, end, twin.c, twin.sn)
+					gatherSweep(twin.amps, diag[:size], twin.partials, twin.g0, twin.m, start, end, twin.c, twin.sn)
 					return
 				}
-				gatherSweep(twin.amps, nil, twin.g0, twin.m, start, end, twin.c, twin.sn)
+				gatherSweep(twin.amps, nil, nil, twin.g0, twin.m, start, end, twin.c, twin.sn)
 			}
 			for p := 1; p <= 3; p++ {
 				gammas, betas := engineParams(eng.State().N(), p)

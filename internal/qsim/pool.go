@@ -8,12 +8,11 @@ import (
 // The worker pool is the scheduling half of the fused execution engine
 // (engine.go): gate kernels are memory-bandwidth-bound sweeps whose
 // per-call cost is a few hundred microseconds at most, so spawning a
-// fresh goroutine fan-out per kernel call — the pre-engine parFor —
-// makes the optimizer inner loop scheduler-bound. Instead a fixed set
-// of workers is started once per process and kernel calls submit chunk
-// descriptors to them; a chunk descriptor is a plain struct, so a
-// dispatch allocates nothing and costs two channel operations per
-// worker.
+// fresh goroutine fan-out per kernel call makes the optimizer inner
+// loop scheduler-bound. Instead a fixed set of workers is started once
+// per process and kernel calls submit chunk descriptors to them; a
+// chunk descriptor is a plain struct, so a dispatch allocates nothing
+// and costs two channel operations per worker.
 //
 // Lifecycle: the shared pool starts lazily on the first parallel kernel
 // call (honoring GOMAXPROCS at that moment) and lives for the process —
@@ -21,8 +20,8 @@ import (
 // batch drivers can create private pools (newWorkerPool) and Stop them.
 
 // poolTask is one chunk of a parallel kernel sweep: body(w, start, end)
-// where w is the chunk index (used by reductions to pick a private
-// accumulator slot).
+// where w is the chunk index (used by the engine's high sweep to pick
+// its worker's scratch buffer).
 type poolTask struct {
 	body       func(w, start, end int)
 	w          int
@@ -132,14 +131,20 @@ func (s *State) kernelPool() *workerPool {
 	return defaultPool()
 }
 
-// parFor runs body(start, end) over [0, total) split across the
-// kernel pool, inline when the sweep is too small to amortize dispatch.
-func (s *State) parFor(total int, body func(start, end int)) {
+// sweep is the one front door to the kernel pool: it runs body(w,
+// start, end) over the work items [0, items), each itemLen amplitudes
+// long, split across the pool, or inline as body(0, 0, items) when the
+// state is serial or the sweep covers fewer than parallelThreshold
+// amplitudes. w names the chunk's worker, < the pool's worker count; a
+// body uses it only to pick per-worker scratch, never to place a result,
+// so what a sweep computes does not depend on the worker count. The
+// state's WaitGroup carries the dispatch, so a sweep allocates nothing
+// beyond what body captures.
+func (s *State) sweep(items, itemLen int, body func(w, start, end int)) {
 	p := s.kernelPool()
-	if p == nil || total < parallelThreshold {
-		body(0, total)
+	if p == nil || items*itemLen < parallelThreshold {
+		body(0, 0, items)
 		return
 	}
-	var wg sync.WaitGroup
-	p.run(total, func(_, start, end int) { body(start, end) }, &wg)
+	p.run(items, body, &s.wg)
 }

@@ -29,6 +29,7 @@ import (
 	"fmt"
 	"math"
 	"math/cmplx"
+	"sync"
 )
 
 // MaxQubits caps state allocation (2^26 amplitudes = 1 GiB); larger
@@ -50,6 +51,10 @@ type State struct {
 	// means amps is the even-sector half-vector of an nFull-qubit
 	// symmetric state and n == nFull−1.
 	z2Full int
+	// wg carries the dispatch of the state's parallel sweeps (sweep).
+	// One is enough: every sweep writes the amplitudes, so two never
+	// run on one state at once.
+	wg sync.WaitGroup
 }
 
 // NewState allocates |0...0⟩ on n qubits.
@@ -160,7 +165,7 @@ func (s *State) Apply1Q(q int, m [2][2]complex128) {
 	s.checkQubit(q)
 	step := uint64(1) << uint(q)
 	pairs := len(s.amps) / 2
-	s.parFor(pairs, func(start, end int) {
+	s.sweep(pairs, 1, func(_, start, end int) {
 		for k := start; k < end; k++ {
 			i0 := pairIndex(k, q)
 			i1 := i0 | step
@@ -182,7 +187,7 @@ func (s *State) ApplyX(q int) {
 	s.checkQubit(q)
 	step := uint64(1) << uint(q)
 	pairs := len(s.amps) / 2
-	s.parFor(pairs, func(start, end int) {
+	s.sweep(pairs, 1, func(_, start, end int) {
 		for k := start; k < end; k++ {
 			i0 := pairIndex(k, q)
 			i1 := i0 | step
@@ -200,7 +205,7 @@ func (s *State) ApplyY(q int) {
 func (s *State) ApplyZ(q int) {
 	s.checkQubit(q)
 	step := uint64(1) << uint(q)
-	s.parFor(len(s.amps), func(start, end int) {
+	s.sweep(len(s.amps), 1, func(_, start, end int) {
 		for i := start; i < end; i++ {
 			if uint64(i)&step != 0 {
 				s.amps[i] = -s.amps[i]
@@ -220,7 +225,7 @@ func (s *State) ApplyRX(q int, theta float64) {
 	sn := math.Sin(theta / 2)
 	step := uint64(1) << uint(q)
 	pairs := len(s.amps) / 2
-	s.parFor(pairs, func(start, end int) {
+	s.sweep(pairs, 1, func(_, start, end int) {
 		for k := start; k < end; k++ {
 			i0 := pairIndex(k, q)
 			i1 := i0 | step
@@ -238,7 +243,7 @@ func (s *State) ApplyRZ(q int, theta float64) {
 	step := uint64(1) << uint(q)
 	p0 := cmplx.Exp(complex(0, -theta/2))
 	p1 := cmplx.Exp(complex(0, theta/2))
-	s.parFor(len(s.amps), func(start, end int) {
+	s.sweep(len(s.amps), 1, func(_, start, end int) {
 		for i := start; i < end; i++ {
 			if uint64(i)&step == 0 {
 				s.amps[i] *= p0
@@ -262,7 +267,7 @@ func (s *State) ApplyRZZ(q1, q2 int, theta float64) {
 	b2 := uint64(1) << uint(q2)
 	same := cmplx.Exp(complex(0, -theta/2))
 	diff := cmplx.Exp(complex(0, theta/2))
-	s.parFor(len(s.amps), func(start, end int) {
+	s.sweep(len(s.amps), 1, func(_, start, end int) {
 		for i := start; i < end; i++ {
 			u := uint64(i)
 			if (u&b1 != 0) == (u&b2 != 0) {
@@ -287,7 +292,7 @@ func (s *State) ApplyCNOT(control, target int) {
 	// bit clear; enumerating pairs over the target qubit keeps each swap
 	// visited exactly once.
 	pairs := len(s.amps) / 2
-	s.parFor(pairs, func(start, end int) {
+	s.sweep(pairs, 1, func(_, start, end int) {
 		for k := start; k < end; k++ {
 			i0 := pairIndex(k, target)
 			if i0&cb == 0 {
@@ -308,7 +313,7 @@ func (s *State) ApplySwap(q1, q2 int) {
 	}
 	b1 := uint64(1) << uint(q1)
 	b2 := uint64(1) << uint(q2)
-	s.parFor(len(s.amps), func(start, end int) {
+	s.sweep(len(s.amps), 1, func(_, start, end int) {
 		for i := start; i < end; i++ {
 			u := uint64(i)
 			x1 := u & b1

@@ -297,9 +297,9 @@ func TestGateValidation(t *testing.T) {
 }
 
 func TestParallelKernelMatchesSerial(t *testing.T) {
-	// A state big enough to engage parFor must produce the same result
-	// as small-state (serial) logic; verify H on every qubit yields the
-	// uniform superposition.
+	// A state big enough to engage the kernel pool must produce the
+	// same result as small-state (serial) logic; verify H on every qubit
+	// yields the uniform superposition.
 	n := 15 // 32768 amplitudes ≥ parallelThreshold
 	s, _ := NewState(n)
 	for q := 0; q < n; q++ {

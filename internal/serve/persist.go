@@ -67,7 +67,7 @@ func (s *Server) persister() {
 }
 
 // persistNow snapshots the table under mu, then marshals and writes
-// it atomically (temp file + rename) outside mu. Persistence failures
+// it durably (replaceFile) outside mu. Persistence failures
 // are reported through PersistErr rather than failing the solve: the
 // in-memory service stays correct, only restart durability degrades.
 func (s *Server) persistNow() {
@@ -91,17 +91,40 @@ func (s *Server) persistNow() {
 		return
 	}
 	path := filepath.Join(s.cfg.StateDir, jobsFile)
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, append(data, '\n'), 0o644); err != nil {
-		s.lastPersistErr = err
-		return
-	}
-	if err := os.Rename(tmp, path); err != nil {
+	if err := replaceFile(path, path+".tmp", append(data, '\n')); err != nil {
 		s.lastPersistErr = err
 		return
 	}
 	s.persistWritten = seq
 	s.lastPersistErr = nil
+}
+
+// replaceFile replaces path with data through the temp file tmp: write,
+// Sync, close, then rename over path. The Sync puts the bytes on disk
+// before the rename can, so a host crash leaves path holding either
+// its old contents or data, never an empty or torn file. On any error
+// tmp is removed and path is left as it was.
+func replaceFile(path, tmp string, data []byte) (err error) {
+	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+	if err != nil {
+		return err
+	}
+	defer func() {
+		if err != nil {
+			_ = os.Remove(tmp) // best effort: err is the failure to report
+		}
+	}()
+	_, err = f.Write(data)
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		return err
+	}
+	return os.Rename(tmp, path)
 }
 
 // snapshotLocked captures the persistable job table. Caller holds mu;

@@ -216,3 +216,49 @@ func TestRestoreRepeatedID(t *testing.T) {
 		t.Fatalf("job live %v with %d terminal jobs listed; want live and 1", live, listed)
 	}
 }
+
+// TestReplaceFileFailureLeavesNoTemp provokes the one rename failure a
+// test can set up portably — a non-empty directory where the target
+// file goes — in both durable writers: the job table (persistNow) and
+// the checkpoint import. Each must report the failure, leave no .tmp
+// or .import file behind, and leave what held the target's place as it
+// was. (A real power cut between Sync and rename cannot be staged in a
+// test; the Sync is what keeps the renamed file from being empty.)
+func TestReplaceFileFailureLeavesNoTemp(t *testing.T) {
+	dir := t.TempDir()
+	s, err := New(Config{StateDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	const id = "0123456789abcdef"
+	blocked := func(name string) string {
+		p := filepath.Join(dir, name)
+		if err := os.MkdirAll(p, 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(p, "old"), []byte("old"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	table, ckpt := blocked(jobsFile), blocked(id+".ckpt")
+
+	s.persistNow()
+	if s.PersistErr() == nil {
+		t.Fatal("job table write over a directory reported no error")
+	}
+	if err := s.ImportCheckpoint(id, []byte(`{"version":2,"graph":"g","seed":1}`+"\n")); err == nil {
+		t.Fatal("checkpoint import over a directory reported no error")
+	}
+	for _, p := range []string{table, ckpt} {
+		if got, err := os.ReadFile(filepath.Join(p, "old")); err != nil || string(got) != "old" {
+			t.Fatalf("%s/old = %q, %v after the failed write; want it untouched", p, got, err)
+		}
+	}
+	left, _ := filepath.Glob(filepath.Join(dir, "*.tmp"))
+	imports, _ := filepath.Glob(filepath.Join(dir, "*.import"))
+	if left = append(left, imports...); len(left) > 0 {
+		t.Fatalf("failed writes left %v behind", left)
+	}
+}

@@ -702,11 +702,7 @@ func (s *Server) ImportCheckpoint(id string, data []byte) error {
 	}
 	path := filepath.Join(s.cfg.StateDir, id+".ckpt")
 	s.mu.Unlock()
-	tmp := path + ".import"
-	if err := os.WriteFile(tmp, data, 0o644); err != nil {
-		return fmt.Errorf("serve: import checkpoint: %w", err)
-	}
-	if err := os.Rename(tmp, path); err != nil {
+	if err := replaceFile(path, path+".import", data); err != nil {
 		return fmt.Errorf("serve: import checkpoint: %w", err)
 	}
 	return nil

@@ -221,8 +221,9 @@ func BenchmarkScalingStatevector(b *testing.B) {
 }
 
 // BenchmarkGWScaling regenerates the §3.4 complexity observation: GW
-// solve time growth with graph size per SDP back end (the paper's SCS
-// aborted beyond 2000 nodes; the mixing method keeps going).
+// solve time growth with graph size, each relaxation certified by its
+// dual bound (the paper's SCS aborted beyond 2000 nodes; there is no
+// SCS here, and the mixing method keeps going).
 func BenchmarkGWScaling(b *testing.B) {
 	sizes := []int{40, 80, 160, 320}
 	if fullScale() {

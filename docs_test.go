@@ -288,10 +288,7 @@ var reachAllowlist = map[string]string{
 	"ising.Hamiltonian.GroundState": "brute-force ground-state oracle of the qaoa2, serve and ising tests",
 	"ising.Hamiltonian.EnergyBits":  "energy oracle of GroundState and of the backend, ising and qaoa2 reference tests",
 	"hpc.VerifyNoOversubscription":  "scheduler invariant oracle of the Simulate tests in sched_test.go",
-	"linalg.EigSym":                 "cold-start oracle of the SymEig tests in linalg",
-	"linalg.Dense.AxpyMat":          "matrix update of the reference ADMM in sdp/admm_test.go and the linalg perturbation tests",
 	"linalg.Dense.MatVec":           "product oracle of the Laplacian test in graph and the linalg solve tests",
-	"linalg.Mat.Gram":               "builds the PSD inputs and checks the factors of the linalg GramFactor tests",
 	"partition.Modularity":          "CNM objective of TestGreedyModularityImprovesOverSingletons",
 	"partition.GreedyModularity":    "CNM entry point of FuzzSizeCapped and the lazy-heap oracle tests",
 	"qsim.Fidelity":                 "state comparison of the qsim, circuit and synth tests",

@@ -1,12 +1,14 @@
 package experiments
 
 import (
+	"fmt"
 	"math"
 	"runtime"
 	"strings"
 	"testing"
 
 	"qaoa2/internal/graph"
+	"qaoa2/internal/gw"
 	"qaoa2/internal/mlselect"
 	"qaoa2/internal/qaoa"
 	"qaoa2/internal/rng"
@@ -230,33 +232,62 @@ func TestRunEngineScalingRows(t *testing.T) {
 	}
 }
 
-func TestRunGWScalingBothMethods(t *testing.T) {
+// TestRunGWScalingCertified: every size reports its relaxation value,
+// the dual bound of that relaxation and the GW mean, in that order
+// from below: no cut beats the bound, and the bound sits within 1e-3
+// of the value.
+func TestRunGWScalingCertified(t *testing.T) {
 	points, err := RunGWScaling([]int{30, 150}, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// 30 nodes gets both methods; 150 is past gwScalingADMMLimit, so
-	// mixing only: expect 3 points.
-	if len(points) != 3 {
+	if len(points) != 2 {
 		t.Fatalf("points %d: %+v", len(points), points)
 	}
-	sawADMM := false
 	for _, p := range points {
-		if p.Method == sdp.ADMM {
-			sawADMM = true
-			if p.Nodes > gwScalingADMMLimit {
-				t.Fatalf("ADMM run at %d nodes", p.Nodes)
-			}
-		}
-		if p.AvgCut > p.SDPValue+1e-6 {
-			t.Fatalf("cut above SDP bound: %+v", p)
+		if p.AvgCut > p.Bound || p.SDPValue > p.Bound || p.Bound > p.SDPValue*(1+1e-3) {
+			t.Fatalf("cut, value and bound out of order: %+v", p)
 		}
 	}
-	if !sawADMM {
-		t.Fatal("no ADMM measurement")
-	}
-	if out := RenderGWScaling(points); !strings.Contains(out, "method") || !strings.Contains(out, "converged") {
+	if out := RenderGWScaling(points); !strings.Contains(out, "bound") || !strings.Contains(out, "gap") {
 		t.Fatalf("render:\n%s", out)
+	}
+}
+
+// TestFig4NothingBeatsTheBound runs every Fig. 4 series on the laptop
+// instances of DefaultFig4Config, ER(150/300/450, 0.1), unweighted and
+// uniform-weight: no series and no GW-full rounding exceeds the
+// certified bound, and GW-full's relaxation is within 1e-3 of it.
+func TestFig4NothingBeatsTheBound(t *testing.T) {
+	cfg := DefaultFig4Config()
+	for _, w := range []graph.Weighting{graph.Unweighted, graph.UniformWeights} {
+		for _, n := range cfg.NodeCounts {
+			seed := cfg.Seed ^ uint64(n)<<16
+			g := graph.ErdosRenyi(n, cfg.EdgeProb, w, rng.New(seed))
+			row, err := fig4Row(g, cfg, seed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			id := fmt.Sprintf("%v n=%d", w, n)
+			for name, v := range map[string]float64{"Random": row.Random, "Classic": row.Classic, "QAOA": row.QAOA, "Best": row.Best, "GW mean": row.GWFull} {
+				if v > row.Bound {
+					t.Errorf("%s: %s %v above the bound %v", id, name, v, row.Bound)
+				}
+			}
+			// The best of 30 roundings dominates every rounding.
+			opts := gw.Options{SDP: sdp.Options{Seed: seed}}
+			full, err := gw.Solve(g, opts, rng.New(seed^0xf1f1))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if full.Best.Value > row.Bound {
+				t.Errorf("%s: GW rounding %v above the bound %v", id, full.Best.Value, row.Bound)
+			}
+			if gap := (row.Bound - full.SDPValue) / full.SDPValue; gap > 1e-3 || gap < 0 {
+				t.Errorf("%s: relaxation %v, bound %v: gap %.3g", id, full.SDPValue, row.Bound, gap)
+			}
+			t.Logf("%s: QAOA/bound %.4f, gap %.2g", id, row.QAOA/row.Bound, (row.Bound-full.SDPValue)/full.SDPValue)
+		}
 	}
 }
 

@@ -30,15 +30,17 @@ type Options struct {
 
 // Result is the outcome of a GW run.
 type Result struct {
-	Average  float64    // mean cut over all roundings (paper's GW value)
-	Best     maxcut.Cut // best rounded cut
-	SDPValue float64    // relaxation objective (upper bound on MaxCut)
+	Average float64    // mean cut over all roundings (paper's GW value)
+	Best    maxcut.Cut // best rounded cut
+	// SDPValue is the relaxation objective at the embedding that was
+	// rounded (sdp.Result.Value): it approaches the SDP optimum from
+	// below and bounds nothing; sdp.DualBound certifies a bound.
+	SDPValue float64
 	Rounds   int
 	SDPIters int
 	// Converged is false when the relaxation stopped at its iteration
-	// cap instead of its residual test; the rounding is still valid.
+	// cap instead of its convergence test; the rounding is still valid.
 	Converged bool
-	Method    sdp.Method
 }
 
 // Solve runs Goemans-Williamson on g using randomness from r.
@@ -56,7 +58,6 @@ func Solve(g *graph.Graph, opts Options, r *rng.Rand) (*Result, error) {
 		Rounds:    opts.Rounds,
 		SDPIters:  rel.Iterations,
 		Converged: rel.Converged,
-		Method:    rel.Method,
 	}
 	if n == 0 {
 		res.Best = maxcut.Cut{Spins: []int8{}, Value: 0}

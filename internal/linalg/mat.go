@@ -1,7 +1,7 @@
 package linalg
 
 // Mat is a rectangular row-major matrix. It complements the square Dense
-// type for factor matrices (Gram embeddings, Burer-Monteiro iterates).
+// type for factor matrices (Burer-Monteiro embeddings).
 type Mat struct {
 	Rows, Cols int
 	Data       []float64 // len Rows*Cols, Data[i*Cols+j]
@@ -26,18 +26,4 @@ func (m *Mat) Clone() *Mat {
 	c := NewMat(m.Rows, m.Cols)
 	copy(c.Data, m.Data)
 	return c
-}
-
-// Gram returns the square matrix G = M Mᵀ (order Rows).
-func (m *Mat) Gram() *Dense {
-	g := NewDense(m.Rows)
-	for i := 0; i < m.Rows; i++ {
-		ri := m.Row(i)
-		for j := i; j < m.Rows; j++ {
-			v := Dot(ri, m.Row(j))
-			g.Set(i, j, v)
-			g.Set(j, i, v)
-		}
-	}
-	return g
 }

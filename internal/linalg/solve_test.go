@@ -101,21 +101,10 @@ func TestDenseAccessors(t *testing.T) {
 		t.Fatalf("Row view: %v", row)
 	}
 	b := a.Clone()
-	b.Scale(2)
+	b.Set(1, 2, 14)
 	if a.At(1, 2) != 7 || b.At(1, 2) != 14 {
-		t.Fatal("Clone/Scale broken")
+		t.Fatal("Clone shares storage")
 	}
-	b.AxpyMat(3, a)
-	if b.At(1, 2) != 14+21 {
-		t.Fatalf("AxpyMat: %v", b.At(1, 2))
-	}
-	var c *Dense = NewDense(2)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("CopyFrom accepted order mismatch")
-		}
-	}()
-	c.CopyFrom(a)
 }
 
 func TestMatVecDimensionPanic(t *testing.T) {
@@ -140,15 +129,5 @@ func TestMatAccessorsAndClone(t *testing.T) {
 	}
 	if len(m.Row(1)) != 3 || m.Row(1)[2] != 4 {
 		t.Fatalf("Mat row view %v", m.Row(1))
-	}
-}
-
-func TestMaxAbsOffDiag(t *testing.T) {
-	a := NewDense(3)
-	a.Set(0, 0, 100) // diagonal ignored
-	a.Set(0, 2, -7)
-	a.Set(2, 1, 3)
-	if got := a.MaxAbsOffDiag(); got != 7 {
-		t.Fatalf("MaxAbsOffDiag %v", got)
 	}
 }

@@ -222,46 +222,63 @@ func TestCheckpointResumesWithRebuiltSpec(t *testing.T) {
 	}
 }
 
-// TestCheckpointFromOldQAOAOptionsRestoresNothing: testdata holds the
-// checkpoint of a qaoa-leaf solve written while qaoa.Options still had
-// its optimizer switch and initial-angle override. Its header carries
-// the older ConfigTag, so today's equal spec restores none of its
-// records, reruns the solve and returns the cut the older tree recorded.
+// TestCheckpointFromOldQAOAOptionsRestoresNothing: testdata holds
+// checkpoints written by older trees whose solver options had fields
+// since deleted, so their headers carry older ConfigTags. Today's equal
+// spec restores none of the records, reruns the solve and returns the
+// cut the older tree recorded.
+//   - qaoa-leaf: qaoa.Options still had its optimizer switch and
+//     initial-angle override.
+//   - gw-leaf-gw-merge: sdp.Options still had Method and Rho (the ADMM
+//     reference solver); GW has no kernel tier, so this row holds on
+//     every tier.
 func TestCheckpointFromOldQAOAOptionsRestoresNothing(t *testing.T) {
-	data, err := os.ReadFile("testdata/qaoa-leaf-old-options.ckpt")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if records := strings.Count(string(data), "\n") - 1; records != 6 {
-		t.Fatalf("fixture holds %d records, want 6", records)
-	}
-	path := filepath.Join(t.TempDir(), "old.ckpt")
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	s, err := solver.Build(solver.Spec{Name: "qaoa", Layers: 2, Seed: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	restores := 0
-	g := graph.ErdosRenyi(24, 0.2, graph.Unweighted, rng.New(42))
-	res, err := Solve(g, Options{MaxQubits: 6, Solver: s, Seed: 5, Parallelism: 1, CheckpointPath: path,
-		OnRuntimeEvent: func(ev rt.Event) {
-			if ev.Restored {
-				restores++
+	for _, tc := range []struct {
+		name, fixture, spec string
+		layers              int
+		cut                 float64
+		spins               string
+	}{
+		{"qaoa-leaf", "qaoa-leaf-old-options.ckpt", "qaoa", 2, 40, "+--+--++--+++-+-+-++--++"},
+		{"gw-leaf-gw-merge", "gw-leaf-old-sdp-options.ckpt", "gw", 0, 41, "-+-+-++----+-+-+-+-++-++"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			data, err := os.ReadFile(filepath.Join("testdata", tc.fixture))
+			if err != nil {
+				t.Fatal(err)
 			}
-		}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if restores != 0 || res.Stats.Restored != 0 {
-		t.Fatalf("restored %d records (stats %d), want 0", restores, res.Stats.Restored)
-	}
-	spins := make([]byte, len(res.Cut.Spins))
-	for i, x := range res.Cut.Spins {
-		spins[i] = map[int8]byte{1: '+', -1: '-'}[x]
-	}
-	if res.Cut.Value != 40 || string(spins) != "+--+--++--+++-+-+-++--++" {
-		t.Fatalf("cut %v spins %s, want the recorded 40 +--+--++--+++-+-+-++--++", res.Cut.Value, spins)
+			if records := strings.Count(string(data), "\n") - 1; records != 6 {
+				t.Fatalf("fixture holds %d records, want 6", records)
+			}
+			path := filepath.Join(t.TempDir(), "old.ckpt")
+			if err := os.WriteFile(path, data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			s, err := solver.Build(solver.Spec{Name: tc.spec, Layers: tc.layers, Seed: 3})
+			if err != nil {
+				t.Fatal(err)
+			}
+			restores := 0
+			g := graph.ErdosRenyi(24, 0.2, graph.Unweighted, rng.New(42))
+			res, err := Solve(g, Options{MaxQubits: 6, Solver: s, Seed: 5, Parallelism: 1, CheckpointPath: path,
+				OnRuntimeEvent: func(ev rt.Event) {
+					if ev.Restored {
+						restores++
+					}
+				}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if restores != 0 || res.Stats.Restored != 0 {
+				t.Fatalf("restored %d records (stats %d), want 0", restores, res.Stats.Restored)
+			}
+			spins := make([]byte, len(res.Cut.Spins))
+			for i, x := range res.Cut.Spins {
+				spins[i] = map[int8]byte{1: '+', -1: '-'}[x]
+			}
+			if res.Cut.Value != tc.cut || string(spins) != tc.spins {
+				t.Fatalf("cut %v spins %s, want the recorded %v %s", res.Cut.Value, spins, tc.cut, tc.spins)
+			}
+		})
 	}
 }

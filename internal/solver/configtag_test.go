@@ -90,19 +90,24 @@ func TestRegistryConfigTagsHoldNoAddress(t *testing.T) {
 // and a serve job's checkpoint resumes only under them, so none may move
 // by accident. The four that render a qaoa.Options (qaoa, best,
 // ml-adaptive, rqaoa) moved once, on purpose, when Options lost its
-// optimizer switch and initial-angle override; the other six did not.
+// optimizer switch and initial-angle override. The four that render a
+// GWSolver (gw, sdp-gw, best, ml-adaptive: GWSolver has no ConfigTag
+// method, so its tag is %#v of its sdp.Options) moved once, on purpose,
+// when sdp.Options lost Method and Rho with the ADMM reference solver;
+// their checkpoints re-solve once instead of resuming. Serve job ids
+// do not hash ConfigTags and did not move.
 func TestRegistryConfigTagsUnchanged(t *testing.T) {
 	want := map[string][2]string{
 		"anneal":       {"6ee4003d0c83ae7b9bb93e6966271cba20bfcbbc97edd5b3a07fef4679a427f5", "6ee4003d0c83ae7b9bb93e6966271cba20bfcbbc97edd5b3a07fef4679a427f5"},
-		"best":         {"578b297fab843508e99b9cb99ba7d951fcc7733caa78db453d34f1f75a8b5ce1", "9efe5f90c211fcc6542c3173d2c825073afa869a0363b9fac59a70eb1ebae31b"},
+		"best":         {"d8fdb9536a07db02c1f461b38492ec6da0ee8bad79084c3e67acf130c2b8fbfa", "d9fa880f27087559231d4d47bf07023aaff861b2afd32a158ffbc79a40ebc456"},
 		"exact":        {"8e2569f44487de74de31e660401c0aeaa3d548caae7c930c65e6b164e3000217", "8e2569f44487de74de31e660401c0aeaa3d548caae7c930c65e6b164e3000217"},
-		"gw":           {"41e4ce20d8417c2ab97ab8c05165d286646d0825749af9de4d1261457be924cb", "41e4ce20d8417c2ab97ab8c05165d286646d0825749af9de4d1261457be924cb"},
-		"ml-adaptive":  {"d3a078861ef17131d77dc2440324520dbe3a781954f8f1d1dd8546ff8083199f", "5047da4b1c2ffba947bda4a228c2bb9c03b3f67a9a268063511157293e7f6f4c"},
+		"gw":           {"ee5a24ea52cf0571e375790442ec662a94eba5b39694eb92b68b6a0064132d68", "ee5a24ea52cf0571e375790442ec662a94eba5b39694eb92b68b6a0064132d68"},
+		"ml-adaptive":  {"6e765486996a3be53a709a5c3e2cd64b3d602aefc927641b8b67008d10f9572f", "d16c6d87c77c530f8b03e22b63c3bde3907d1b5f6cfd3d4703144be2ab86af01"},
 		"one-exchange": {"2b5f94864ca7ae5f0e478d108a59a8b3c98ff704d95826d2e28abfd57a7e1996", "2b5f94864ca7ae5f0e478d108a59a8b3c98ff704d95826d2e28abfd57a7e1996"},
 		"qaoa":         {"1289d9e02b9ab32644a8e4ff9a17875c19b068b10d6ccf7aa002873854bc9e38", "64e69b9d25acd1f3506c903716160811cca54b95bb9d5f145b412688b0c2418a"},
 		"random":       {"6ffea3bfb3824aaeeb09f6a4120fa5642fb8cdb2ba6a1d8d9411d22741ea4ecf", "6ffea3bfb3824aaeeb09f6a4120fa5642fb8cdb2ba6a1d8d9411d22741ea4ecf"},
 		"rqaoa":        {"8e654a75aae11310725653c51389f5e2222c8da637337f136adf071cb9814f16", "5e057827a825c2ebf9bdd0ed2f65756f063c27e844a955267c041db7b943cf32"},
-		"sdp-gw":       {"defdea65a3d03ca4a896e6512b5758a5ae5204cf20e6f0efb011a72df6803054", "320c32d271dd3915e65f3817a0c2bc8e67027d3be1ec3146d46054585e1f841d"},
+		"sdp-gw":       {"1af68586b7d78496d73d0b5a9a9e2293c68c16eea9603e4dfa5be171c19aca93", "17c48f0a5ee7e995afa27232bc61a4c5577fd9f71c2d9afcecca903e863b601a"},
 	}
 	for name, sums := range want {
 		for i, spec := range []Spec{

@@ -43,9 +43,9 @@ type Spec struct {
 	// the solve's rng, never from here.
 	Seed uint64 `json:"seed,omitempty"`
 
-	// Method pins the SDP relaxation solver for "sdp-gw" ("mixing",
-	// the default, or "admm", the reference; "auto" is the default's
-	// older spelling, kept so stored specs still build).
+	// Method names the SDP relaxation solver for "sdp-gw". "mixing" is
+	// the only one; "" and "auto", its older spelling, still build so
+	// stored specs do. "admm" is retired and refused.
 	Method string `json:"method,omitempty"`
 }
 
@@ -135,15 +135,15 @@ func qaoaOptions(spec Spec) (qaoa.Options, error) {
 	}, nil
 }
 
-// sdpMethod parses Spec.Method for "sdp-gw".
-func sdpMethod(name string) (sdp.Method, error) {
+// checkSDPMethod vets Spec.Method for "sdp-gw".
+func checkSDPMethod(name string) error {
 	switch name {
 	case "", "mixing", "auto":
-		return sdp.Mixing, nil
+		return nil
 	case "admm":
-		return sdp.ADMM, nil
+		return fmt.Errorf("solver: SDP method %q is retired (want mixing)", name)
 	default:
-		return 0, fmt.Errorf("solver: unknown SDP method %q (want mixing|admm)", name)
+		return fmt.Errorf("solver: unknown SDP method %q (want mixing)", name)
 	}
 }
 
@@ -162,11 +162,10 @@ func init() {
 		return GWSolver{}, nil
 	})
 	mustRegister("sdp-gw", func(spec Spec) (Solver, error) {
-		method, err := sdpMethod(spec.Method)
-		if err != nil {
+		if err := checkSDPMethod(spec.Method); err != nil {
 			return nil, err
 		}
-		return SDPGWSolver{GWSolver{Opts: gw.Options{SDP: sdp.Options{Method: method, Seed: spec.Seed}}}}, nil
+		return SDPGWSolver{GWSolver{Opts: gw.Options{SDP: sdp.Options{Seed: spec.Seed}}}}, nil
 	})
 	mustRegister("rqaoa", func(spec Spec) (Solver, error) {
 		opts, err := qaoaOptions(spec)

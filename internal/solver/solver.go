@@ -171,13 +171,12 @@ func (s GWSolver) SolveSub(g *graph.Graph, r *rng.Rand) (maxcut.Cut, error) {
 	return res.Best, nil
 }
 
-// SDPGWSolver is Goemans-Williamson with the SDP relaxation method and
-// seed named by the spec (registry name "sdp-gw") — the Burer-Monteiro
-// low-rank mixing method that "gw" also runs, the solver that kept
-// scaling where the paper's reference SCS build aborted beyond 2000
-// nodes, or the ADMM reference. It embeds GWSolver (one SolveSub
-// implementation) and differs only in name — the registry and
-// attribution identity of the pinned variant.
+// SDPGWSolver is Goemans-Williamson with the relaxation seed named by
+// the spec (registry name "sdp-gw") — the Burer-Monteiro low-rank
+// mixing method that "gw" also runs, the solver that kept scaling where
+// the paper's reference SCS build aborted beyond 2000 nodes. It embeds
+// GWSolver (one SolveSub implementation) and differs only in name —
+// the registry and attribution identity of the pinned variant.
 type SDPGWSolver struct {
 	GWSolver
 }

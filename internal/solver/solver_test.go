@@ -295,13 +295,17 @@ func TestSolveAttributedPlainSolver(t *testing.T) {
 	}
 }
 
+// TestSDPMethodParsing: the mixing method's spellings build; the retired
+// ADMM reference is refused by name, and an unknown method as unknown.
 func TestSDPMethodParsing(t *testing.T) {
-	for _, tc := range []struct{ method string }{{""}, {"admm"}, {"mixing"}, {"auto"}} {
-		if _, err := Build(Spec{Name: "sdp-gw", Method: tc.method}); err != nil {
-			t.Fatalf("method %q: %v", tc.method, err)
+	for _, method := range []string{"", "mixing", "auto"} {
+		if _, err := Build(Spec{Name: "sdp-gw", Method: method}); err != nil {
+			t.Fatalf("method %q: %v", method, err)
 		}
 	}
-	if _, err := Build(Spec{Name: "sdp-gw", Method: "scs"}); err == nil {
-		t.Fatal("unknown SDP method accepted")
+	for method, want := range map[string]string{"admm": `"admm" is retired`, "scs": `unknown SDP method "scs"`} {
+		if _, err := Build(Spec{Name: "sdp-gw", Method: method}); err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("method %q: err %v, want %q", method, err, want)
+		}
 	}
 }

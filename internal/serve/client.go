@@ -176,7 +176,7 @@ func (c *Client) Stream(ctx context.Context, id string, onEvent func(Event)) (Jo
 	var st JobStatus
 	err := c.send(ctx, http.MethodGet, "/v1/jobs/"+id+"/events", "", nil, func(r io.Reader) error {
 		sc := bufio.NewScanner(r)
-		sc.Buffer(make([]byte, 0, 64*1024), maxStreamLine)
+		sc.Buffer(nil, maxStreamLine)
 		for sc.Scan() {
 			line := bytes.TrimSpace(sc.Bytes())
 			if len(line) == 0 {

@@ -289,3 +289,83 @@ func FuzzImportCheckpoint(f *testing.F) {
 		}
 	})
 }
+
+// FuzzRestoreTable feeds arbitrary bytes to restore as the job table of
+// a server whose scheduler never starts, so no solve runs. Restore must
+// not panic, and what it restores must be one record per id: no id
+// listed twice across the lanes and the settled list, every listed job
+// the table's record for its id, every job listed, and every id the key
+// of its request.
+func FuzzRestoreTable(f *testing.F) {
+	req, err := ringReq(4, 1).normalize()
+	if err != nil {
+		f.Fatal(err)
+	}
+	g, err := req.Graph.Build()
+	if err != nil {
+		f.Fatal(err)
+	}
+	id := req.key(rt.GraphFingerprint(g))
+	table := func(states ...JobState) []byte {
+		st := persistedState{Version: persistVersion}
+		for _, state := range states {
+			pj := persistedJob{ID: id, Request: req, State: state, Priority: req.Priority}
+			if state == JobDone {
+				pj.Result = &JobResult{Spins: "+-+-", Value: 4}
+			}
+			st.Jobs = append(st.Jobs, pj)
+		}
+		data, err := json.Marshal(st)
+		if err != nil {
+			f.Fatal(err)
+		}
+		return data
+	}
+	f.Add(table(JobQueued, JobDone)) // a queued record replaced by a done one
+	f.Add(table(JobDone, JobQueued))
+	f.Add(table(JobQueued, JobQueued))
+	f.Add(table(JobFailed, JobDone, JobRunning))
+	f.Add([]byte(`{"version":1,"jobs":[]}`))
+	f.Add([]byte(`{"version":2}`))
+	f.Add([]byte(`{"jobs":[{"id":"x","request":{"graph":"3 1\n0 1 1\n"}}`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, jobsFile), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		s := newServer(Config{StateDir: dir})
+		if err := s.restore(); err != nil {
+			t.Fatal(err)
+		}
+		seen := map[string]bool{}
+		list := func(j *job) {
+			if seen[j.id] {
+				t.Fatalf("job %s listed twice", j.id)
+			}
+			seen[j.id] = true
+			if s.jobs[j.id] != j {
+				t.Fatalf("listed job %s is not the record the table holds for its id", j.id)
+			}
+		}
+		for _, lane := range s.lanes {
+			for _, j := range lane {
+				list(j)
+			}
+		}
+		for j := s.settled.head; j != nil; j = j.next {
+			list(j)
+		}
+		if len(seen) != len(s.jobs) {
+			t.Fatalf("%d jobs restored, %d listed", len(s.jobs), len(seen))
+		}
+		for id, j := range s.jobs {
+			g, err := j.req.Graph.Build()
+			if err != nil {
+				t.Fatalf("restored job %s: %v", id, err)
+			}
+			if key := j.req.key(rt.GraphFingerprint(g)); key != id || j.id != id {
+				t.Fatalf("job %s restored under id %s, its request keys %s", j.id, id, key)
+			}
+		}
+	})
+}

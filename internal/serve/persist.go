@@ -269,13 +269,17 @@ func (s *Server) restore() error {
 		}
 		if dup, ok := s.jobs[j.id]; ok && dup.terminal() {
 			// A hand-edited table can repeat an id; the last entry wins,
-			// and the one it replaces leaves the eviction order too.
+			// and the one it replaces leaves the eviction order too (or
+			// the run queue, below).
 			s.settled.remove(dup)
 		}
 		s.jobs[j.id] = j
 	}
 	sort.SliceStable(requeue, func(a, b int) bool { return requeue[a].order < requeue[b].order })
 	for _, j := range requeue {
+		if s.jobs[j.id] != j {
+			continue // a later record of the same id replaced it
+		}
 		s.lanes[laneOf(j.req.Priority)] = append(s.lanes[laneOf(j.req.Priority)], j)
 	}
 	// A retention bound lowered between generations applies to the

@@ -5,6 +5,7 @@ import (
 	"path/filepath"
 	"regexp"
 	"strings"
+	"sync/atomic"
 	"testing"
 )
 
@@ -214,6 +215,52 @@ func TestRestoreRepeatedID(t *testing.T) {
 	s.mu.Unlock()
 	if !live || listed != 1 {
 		t.Fatalf("job live %v with %d terminal jobs listed; want live and 1", live, listed)
+	}
+}
+
+// TestRestoreReplacedQueuedRecord: a table that lists one job first as
+// queued and then as done restores the done record only. The queued
+// copy it replaced must not stay in the run queue: it would solve again
+// and settle a second record under the id, whose eviction would then
+// delete the live one.
+func TestRestoreReplacedQueuedRecord(t *testing.T) {
+	dir, id := seedStateDir(t)
+	path := filepath.Join(dir, jobsFile)
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	text := strings.TrimSpace(string(data))
+	record := strings.TrimSuffix(text[strings.Index(text, `{"id":"`+id+`"`):], "]}")
+	queued := strings.Replace(record, `"state":"done"`, `"state":"queued"`, 1)
+	if queued == record {
+		t.Fatalf("no done state in record %s", record)
+	}
+	table := strings.TrimSuffix(text, record+"]}") + queued + "," + record + "]}"
+	if err := os.WriteFile(path, []byte(table), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var resolves atomic.Int32
+	s, err := New(Config{
+		GlobalParallelism: 2,
+		StateDir:          dir,
+		Resolve: func(r SolveRequest) (Solvers, error) {
+			resolves.Add(1)
+			return ResolveSolvers(r)
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st, err := s.Job(id); err != nil || st.State != JobDone {
+		t.Fatalf("job restored as %+v, %v; want done", st, err)
+	}
+	s.Close()
+	s.mu.Lock()
+	waiting, listed := s.waiting(), s.settled.n
+	s.mu.Unlock()
+	if n := resolves.Load(); n != 0 || waiting != 0 || listed != 1 {
+		t.Fatalf("replaced record ran %d times, %d jobs waiting, %d settled; want 0, 0, 1", n, waiting, listed)
 	}
 }
 

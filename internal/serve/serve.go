@@ -160,7 +160,9 @@ type JobStatus struct {
 type job struct {
 	id  string
 	req SolveRequest // normalized
-	g   *graph.Graph
+	// g is the built graph runJob solves; a settled job drops it
+	// (stampLocked).
+	g *graph.Graph
 	// fp is the graph fingerprint behind id; kept so a key match can
 	// be verified against the actual request (the id is a 64-bit
 	// digest of user-controlled input — a collision must error, never
@@ -309,15 +311,7 @@ type Server struct {
 // (completed results become cache entries, interrupted jobs re-queue
 // and resume from their checkpoints), and starts the scheduler.
 func New(cfg Config) (*Server, error) {
-	s := &Server{
-		cfg:         cfg.withDefaults(),
-		jobs:        make(map[string]*job),
-		evicted:     make(map[string]*tombstone),
-		drainCh:     make(chan struct{}),
-		persistKick: make(chan struct{}, 1),
-		persistStop: make(chan struct{}),
-	}
-	s.cond = sync.NewCond(&s.mu)
+	s := newServer(cfg)
 	if err := s.restore(); err != nil {
 		return nil, err
 	}
@@ -328,6 +322,20 @@ func New(cfg Config) (*Server, error) {
 	s.wg.Add(1)
 	go s.scheduler()
 	return s, nil
+}
+
+// newServer makes an empty Server with no goroutine running.
+func newServer(cfg Config) *Server {
+	s := &Server{
+		cfg:         cfg.withDefaults(),
+		jobs:        make(map[string]*job),
+		evicted:     make(map[string]*tombstone),
+		drainCh:     make(chan struct{}),
+		persistKick: make(chan struct{}, 1),
+		persistStop: make(chan struct{}),
+	}
+	s.cond = sync.NewCond(&s.mu)
+	return s
 }
 
 // laneOf maps a priority to its queue lane.
@@ -388,6 +396,7 @@ func (s *Server) Submit(req SolveRequest) (JobStatus, error) {
 			}
 			s.settled.remove(j)
 			j.req = req
+			j.g = g
 			j.parallelism = s.clampParallelism(req.Parallelism)
 			j.state = JobQueued
 			j.err = nil
@@ -781,9 +790,15 @@ func (s *Server) settleLocked(j *job) {
 }
 
 // stampLocked gives a job that just reached a terminal state the next
-// doneSeq, appends it to settled and closes its done channel. Caller
-// holds mu.
+// doneSeq, appends it to settled and closes its done channel. It drops
+// the job's built graph, and without a StateDir the request's graph
+// too: only runJob reads the one and only the job-table writer the
+// other. Caller holds mu.
 func (s *Server) stampLocked(j *job) {
+	j.g = nil
+	if s.cfg.StateDir == "" {
+		j.req.Graph = GraphSpec{}
+	}
 	s.doneCount++
 	j.doneSeq = s.doneCount
 	s.settled.push(j)

@@ -4,8 +4,11 @@
 // per `go test -bench` run so the output can be compared with the paper
 // side by side (EXPERIMENTS.md records that comparison).
 //
-// Default configurations are laptop-scale reductions; set QAOA2_FULL=1
-// to run at paper scale where memory allows (see DESIGN.md).
+// Fig. 4, the GW scaling table and the engine scaling table run at the
+// paper's scale. The Fig. 3 grid and the Table 1 block default to
+// laptop-scale reductions (the paper's reach 25 and 30-33 qubits); set
+// QAOA2_FULL=1 to run those two at paper scale where memory allows
+// (see DESIGN.md).
 package qaoa2_test
 
 import (
@@ -24,7 +27,7 @@ import (
 	"qaoa2/internal/synth"
 )
 
-// fullScale selects paper-scale configurations.
+// fullScale selects the paper-scale Fig. 3 grid and Table 1 block.
 func fullScale() bool { return os.Getenv("QAOA2_FULL") == "1" }
 
 var (
@@ -81,11 +84,7 @@ func table1Grid(b *testing.B) *experiments.GridResult {
 
 func fig4Data(b *testing.B) []experiments.Fig4Row {
 	fig4Once.Do(func() {
-		cfg := experiments.DefaultFig4Config()
-		if fullScale() {
-			cfg = experiments.FullFig4Config()
-		}
-		fig4Rows, fig4Err = experiments.RunFig4(cfg)
+		fig4Rows, fig4Err = experiments.RunFig4(experiments.DefaultFig4Config())
 	})
 	if fig4Err != nil {
 		b.Fatal(fig4Err)
@@ -151,7 +150,8 @@ func BenchmarkTable1(b *testing.B) {
 }
 
 // BenchmarkFig4 regenerates Fig. 4: the large-graph QAOA² solver-policy
-// comparison (Random / Classic / QAOA / Best / GW-full).
+// comparison (Random / Classic / QAOA / Best / GW-full) at the paper's
+// scale, with the exact-leaf control series.
 func BenchmarkFig4(b *testing.B) {
 	rows := fig4Data(b)
 	b.ResetTimer()
@@ -204,14 +204,10 @@ func BenchmarkFig2Coordinator(b *testing.B) {
 // scaling") inside one node: wall time per fused evaluation on one
 // core and on the kernel pool at GOMAXPROCS cores.
 func BenchmarkScalingStatevector(b *testing.B) {
-	qubits := 16
-	if fullScale() {
-		qubits = 22
-	}
 	var points []experiments.ScalingPoint
 	var err error
 	for i := 0; i < b.N; i++ {
-		points, err = experiments.RunEngineScaling(qubits, 2, 7)
+		points, err = experiments.RunEngineScaling(22, 2, 7)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -225,14 +221,10 @@ func BenchmarkScalingStatevector(b *testing.B) {
 // dual bound (the paper's SCS aborted beyond 2000 nodes; there is no
 // SCS here, and the mixing method keeps going).
 func BenchmarkGWScaling(b *testing.B) {
-	sizes := []int{40, 80, 160, 320}
-	if fullScale() {
-		sizes = []int{100, 250, 500, 1000, 2000, 2500}
-	}
 	var points []experiments.GWScalePoint
 	var err error
 	for i := 0; i < b.N; i++ {
-		points, err = experiments.RunGWScaling(sizes, 8)
+		points, err = experiments.RunGWScaling([]int{100, 250, 500, 1000, 2000, 2500}, 8)
 		if err != nil {
 			b.Fatal(err)
 		}

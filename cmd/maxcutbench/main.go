@@ -1,13 +1,13 @@
 // Command maxcutbench regenerates the paper's Fig. 4: large unweighted
 // G(n, 0.1) instances solved by QAOA² under three sub-solver policies
-// (all-QAOA, all-GW "Classic", Best-of), compared against GW on the
-// full graph and a random partition, reported relative to the QAOA
-// series exactly as in the paper.
+// (all-QAOA, all-GW "Classic", Best-of) and an exact-leaf control,
+// compared against GW on the full graph and a random partition,
+// reported relative to the QAOA series exactly as in the paper.
 //
 // Usage:
 //
-//	maxcutbench            # laptop-scale node counts
-//	maxcutbench -full      # paper-scale (500..2500 nodes)
+//	maxcutbench            # Fig. 4 at the paper's scale (500..2500 nodes)
+//	maxcutbench -seed 7    # the same with another instance seed
 //	maxcutbench -json      # backend microbenchmarks → BENCH_<stamp>.json
 //	maxcutbench -json -compare BENCH_baseline.json -tolerance 20
 //	                       # CI regression gate: exit 1 on >20% ns/op slowdown
@@ -41,7 +41,6 @@ func main() {
 	log.SetFlags(0)
 	log.SetPrefix("maxcutbench: ")
 	var (
-		full      = flag.Bool("full", false, "run at paper scale (nodes 500-2500, 16-qubit sub-graphs)")
 		seed      = flag.Uint64("seed", 0, "override the experiment seed (0 = config default)")
 		jsonOut   = flag.Bool("json", false, "run the backend microbenchmarks and write machine-readable results to BENCH_<stamp>.json instead of the Fig. 4 table")
 		compare   = flag.String("compare", "", "baseline BENCH_*.json to gate against (implies -json); exit 1 on regression")
@@ -133,9 +132,6 @@ func main() {
 	}
 
 	cfg := experiments.DefaultFig4Config()
-	if *full {
-		cfg = experiments.FullFig4Config()
-	}
 	if *seed != 0 {
 		cfg.Seed = *seed
 	}

@@ -1,10 +1,16 @@
 package experiments
 
-import "testing"
+import (
+	"reflect"
+	"testing"
+
+	"qaoa2/internal/qaoa"
+)
 
 // TestConfigConstructors pins the shape relations between the
-// laptop-scale defaults and their paper-scale variants: full configs
-// must strictly dominate the defaults in scale, and every config must
+// laptop-scale defaults and their paper-scale variants (full configs
+// must strictly dominate the defaults in scale), pins the one Fig. 4
+// configuration to the paper's values, and requires every config to
 // be runnable (non-empty sweeps, a usable seed).
 func TestConfigConstructors(t *testing.T) {
 	d3, f3 := DefaultFig3Config(), FullFig3Config()
@@ -15,13 +21,15 @@ func TestConfigConstructors(t *testing.T) {
 		t.Fatal("full Fig3 grid does not exceed the default scale")
 	}
 
-	d4, f4 := DefaultFig4Config(), FullFig4Config()
-	if len(d4.NodeCounts) == 0 || d4.MaxQubits <= 0 {
-		t.Fatalf("default Fig4 config empty: %+v", d4)
+	paper4 := Fig4Config{
+		NodeCounts: []int{500, 1000, 1500, 2000, 2500},
+		EdgeProb:   0.1,
+		MaxQubits:  16,
+		QAOA:       qaoa.Options{Layers: 6, Rhobeg: 0.5, MaxIters: qaoa.IterationsFor(6)},
+		Seed:       3,
 	}
-	if f4.MaxQubits <= d4.MaxQubits ||
-		f4.NodeCounts[len(f4.NodeCounts)-1] <= d4.NodeCounts[len(d4.NodeCounts)-1] {
-		t.Fatal("full Fig4 config does not exceed the default scale")
+	if d4 := DefaultFig4Config(); !reflect.DeepEqual(d4, paper4) {
+		t.Fatalf("Fig4 config %+v, want the paper's %+v", d4, paper4)
 	}
 
 	dt, ft := DefaultTable1Config(), FullTable1Config()

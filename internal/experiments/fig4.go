@@ -17,7 +17,8 @@ import (
 // unweighted G(n, p) instances, first-level sub-graphs solved either all
 // with QAOA, all with GW, or with the best of the two; further merge
 // iterations use the classical solver (as in the paper); plus the GW
-// solution of the FULL graph and a random-partition baseline.
+// solution of the FULL graph, a random-partition baseline, and a
+// control series whose leaves are solved exactly.
 type Fig4Config struct {
 	NodeCounts []int
 	EdgeProb   float64
@@ -26,22 +27,10 @@ type Fig4Config struct {
 	Seed       uint64
 }
 
-// DefaultFig4Config is the laptop-scale reduction (nodes 500-2500 →
-// 150-450, qubit budget 16 → 10).
-func DefaultFig4Config() Fig4Config {
-	return Fig4Config{
-		NodeCounts: []int{150, 300, 450},
-		EdgeProb:   0.1,
-		MaxQubits:  10,
-		QAOA:       qaoa.Options{Layers: 2, MaxIters: 30},
-		Seed:       3,
-	}
-}
-
-// FullFig4Config is the paper-scale configuration: node counts
+// DefaultFig4Config is the paper's configuration: node counts
 // {500,...,2500}, edge probability 0.1, 16-qubit sub-graphs, and the
 // best (rhobeg=0.5, p=6) QAOA parameterization from the grid search.
-func FullFig4Config() Fig4Config {
+func DefaultFig4Config() Fig4Config {
 	return Fig4Config{
 		NodeCounts: []int{500, 1000, 1500, 2000, 2500},
 		EdgeProb:   0.1,
@@ -58,6 +47,7 @@ type Fig4Row struct {
 	Classic float64 // QAOA² with GW sub-solvers
 	QAOA    float64 // QAOA² with QAOA sub-solvers
 	Best    float64 // QAOA² picking the better per sub-graph
+	Exact   float64 // QAOA² with brute-force sub-solvers: the leaf-optimum control
 	GWFull  float64 // GW on the entire graph (30-slice average)
 	// Bound is sdp.DualBound of GW-full's relaxation: no cut of the
 	// graph exceeds it.
@@ -89,38 +79,30 @@ func RunFig4(cfg Fig4Config) ([]Fig4Row, error) {
 func fig4Row(g *graph.Graph, cfg Fig4Config, seed uint64) (Fig4Row, error) {
 	n := g.N()
 	qaoaLeaf := solver.QAOASolver{Opts: cfg.QAOA}
-	gwLeaf := solver.GWSolver{}
-	classicalMerge := solver.GWSolver{} // "in case of further iterations ... the classical solution is chosen"
+	gwLeaf := solver.GWSolver{} // also the merge: "in case of further iterations ... the classical solution is chosen"
 
 	row := Fig4Row{Nodes: n}
-
-	resQ, err := qaoa2.Solve(g, qaoa2.Options{
-		MaxQubits: cfg.MaxQubits, Solver: qaoaLeaf, MergeSolver: classicalMerge, Seed: seed,
-	})
-	if err != nil {
-		return row, fmt.Errorf("experiments: fig4 QAOA series n=%d: %w", n, err)
+	for _, series := range []struct {
+		name string
+		leaf solver.Solver
+		cut  *float64
+	}{
+		{"QAOA", qaoaLeaf, &row.QAOA},
+		{"Classic", gwLeaf, &row.Classic},
+		{"Best", solver.BestOfSolver{Solvers: []solver.Solver{qaoaLeaf, gwLeaf}}, &row.Best},
+		{"Exact", solver.ExactSolver{}, &row.Exact},
+	} {
+		res, err := qaoa2.Solve(g, qaoa2.Options{
+			MaxQubits: cfg.MaxQubits, Solver: series.leaf, MergeSolver: gwLeaf, Seed: seed,
+		})
+		if err != nil {
+			return row, fmt.Errorf("experiments: fig4 %s series n=%d: %w", series.name, n, err)
+		}
+		*series.cut = res.Cut.Value
+		if series.cut == &row.QAOA {
+			row.SubGraphs, row.Levels = res.SubGraphs, res.Levels
+		}
 	}
-	row.QAOA = resQ.Cut.Value
-	row.SubGraphs = resQ.SubGraphs
-	row.Levels = resQ.Levels
-
-	resC, err := qaoa2.Solve(g, qaoa2.Options{
-		MaxQubits: cfg.MaxQubits, Solver: gwLeaf, MergeSolver: classicalMerge, Seed: seed,
-	})
-	if err != nil {
-		return row, fmt.Errorf("experiments: fig4 Classic series n=%d: %w", n, err)
-	}
-	row.Classic = resC.Cut.Value
-
-	resB, err := qaoa2.Solve(g, qaoa2.Options{
-		MaxQubits:   cfg.MaxQubits,
-		Solver:      solver.BestOfSolver{Solvers: []solver.Solver{qaoaLeaf, gwLeaf}},
-		MergeSolver: classicalMerge, Seed: seed,
-	})
-	if err != nil {
-		return row, fmt.Errorf("experiments: fig4 Best series n=%d: %w", n, err)
-	}
-	row.Best = resB.Cut.Value
 
 	opts := gw.Options{SDP: sdp.Options{Seed: seed}}
 	gwFull, err := gw.Solve(g, opts, rng.New(seed^0xf1f1))
@@ -152,7 +134,7 @@ func certify(g *graph.Graph, opts sdp.Options) (float64, error) {
 // and the QAOA series against the certified bound (every other
 // series' cut/bound is its column times that one).
 func RenderFig4(rows []Fig4Row) string {
-	header := []string{"nodes", "Random", "Classic", "QAOA", "Best", "GW", "QAOA/bound", "subgraphs", "levels"}
+	header := []string{"nodes", "Random", "Classic", "QAOA", "Best", "Exact", "GW", "QAOA/bound", "subgraphs", "levels"}
 	var table [][]string
 	for _, r := range rows {
 		norm := r.QAOA
@@ -165,6 +147,7 @@ func RenderFig4(rows []Fig4Row) string {
 			fmtF(r.Classic / norm),
 			fmtF(r.QAOA / norm),
 			fmtF(r.Best / norm),
+			fmtF(r.Exact / norm),
 			fmtF(r.GWFull / norm),
 			fmtF(r.QAOA / r.Bound),
 			fmt.Sprintf("%d", r.SubGraphs),

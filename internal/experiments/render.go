@@ -4,10 +4,11 @@
 // the workflow measurements behind Figs. 1-2 (device idle time,
 // coordinator overhead, distributed-simulation scaling).
 //
-// Every experiment has a reduced default configuration sized for a
-// laptop and a Full configuration at paper scale (see DESIGN.md for the
-// documented substitutions); rendered output mirrors the paper's
-// row/column layout so the two can be compared side by side.
+// Fig. 4 runs at the paper's scale. The Fig. 3 grid and Table 1 have a
+// reduced default configuration and a Full configuration at paper
+// scale (see DESIGN.md for the documented substitutions); rendered
+// output mirrors the paper's row/column layout so the two can be
+// compared side by side.
 package experiments
 
 import (

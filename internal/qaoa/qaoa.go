@@ -378,7 +378,8 @@ func runOptimizer(ans backend.Ansatz, opts Options, x0 []float64, shotRand *rng.
 // or one shared-ansatz Evaluate per request with per-restart sampling
 // streams under Shots > 0. Every restart's trajectory is deterministic
 // regardless of scheduling, because its evaluations depend only on its
-// own parameter sequence (and its own sampling stream).
+// own parameter sequence (and its own sampling stream), and a wave is
+// evaluated in restart order (which fixes the draws of a noisy ansatz).
 func multiStart(ans backend.Ansatz, opts Options, x0 []float64, shotRand *rng.Rand, table []float64) (opt.Result, error) {
 	restarts := opts.Restarts
 	p := opts.Layers
@@ -427,6 +428,9 @@ func multiStart(ans backend.Ansatz, opts Options, x0 []float64, shotRand *rng.Ra
 	bbuf := make([][]float64, 0, restarts)
 	ebuf := make([]float64, restarts)
 	flush := func() {
+		// Answer a wave in restart order, not arrival order: a noisy
+		// ansatz draws every evaluation's trajectories from one stream.
+		sort.Slice(pending, func(i, j int) bool { return pending[i].slot < pending[j].slot })
 		if opts.Shots > 0 {
 			for _, rq := range pending {
 				_, s, err := ans.Evaluate(rq.x[:p], rq.x[p:])

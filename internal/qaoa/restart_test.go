@@ -6,6 +6,7 @@ import (
 
 	"qaoa2/internal/backend"
 	"qaoa2/internal/graph"
+	"qaoa2/internal/qsim"
 	"qaoa2/internal/rng"
 )
 
@@ -78,4 +79,29 @@ func TestRestartsWithShots(t *testing.T) {
 		t.Fatalf("shot-sampled multi-start not deterministic: %v then %v",
 			res.Expectation, again.Expectation)
 	}
+}
+
+// TestNoisyRestartsRepeat: a noisy ansatz draws its trajectory noise
+// from one stream, so a wave's evaluations must reach it in restart
+// order, not in the order the restarts' goroutines asked. Identical
+// calls must then agree bit for bit at any core count (the core-count
+// CI leg runs this at 1, 2 and 4).
+func TestNoisyRestartsRepeat(t *testing.T) {
+	g := graph.ErdosRenyi(8, 0.4, graph.Unweighted, rng.New(3))
+	opts := Options{
+		Layers: 2, MaxIters: 20, Restarts: 3, Seed: 9,
+		Backend: backend.Noisy{Model: qsim.NoiseModel{OneQubit: 0.01, TwoQubit: 0.02}},
+	}
+	seen := map[uint64]int{}
+	for i := 0; i < 30; i++ {
+		res, err := Solve(g, opts, rng.New(9))
+		if err != nil {
+			t.Fatal(err)
+		}
+		seen[math.Float64bits(res.Expectation)]++
+	}
+	if len(seen) != 1 {
+		t.Fatalf("30 identical noisy multi-start solves gave %d expectations: %#x", len(seen), seen)
+	}
+	t.Logf("expectation bits %#x", seen)
 }

@@ -188,8 +188,10 @@ func TestDualBoundIsReadOnly(t *testing.T) {
 	}
 }
 
-// BenchmarkDualBound certifies the default relaxation of the Fig. 4
-// laptop instances, ER(n, 0.1).
+// BenchmarkDualBound certifies the default relaxation of ER(n, 0.1) at
+// the orders of the experiments package's Fig. 4 bound test. The
+// paper-scale orders (500-2500) are timed by the root package's
+// BenchmarkGWScaling, whose table has a bound-time column.
 func BenchmarkDualBound(b *testing.B) {
 	for _, n := range []int{150, 300, 450} {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {

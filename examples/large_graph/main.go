@@ -51,7 +51,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("%-8s cut %.1f  (full graph, SDP bound %.1f)\n", "GW", gwFull.Average, gwFull.SDPValue)
+	fmt.Printf("%-8s cut %.1f  (full graph, SDP relaxation %.1f)\n", "GW", gwFull.Average, gwFull.Relaxation.Value)
 
 	random := qaoa2.RandomCut(g, 1, qaoa2.NewRand(seed))
 	fmt.Printf("%-8s cut %.1f\n", "Random", random.Value)

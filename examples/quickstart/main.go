@@ -58,8 +58,8 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("GW average / best:  %.4f / %.4f  (SDP bound %.4f)\n",
-		gwres.Average, gwres.Best.Value, gwres.SDPValue)
+	fmt.Printf("GW average / best:  %.4f / %.4f  (SDP relaxation %.4f)\n",
+		gwres.Average, gwres.Best.Value, gwres.Relaxation.Value)
 
 	// QAOA² on a larger instance with the quantum-or-classical decision
 	// made per sub-graph.

@@ -282,18 +282,18 @@ func TestFig4NothingBeatsTheBound(t *testing.T) {
 				}
 			}
 			// The best of 30 roundings dominates every rounding.
-			opts := gw.Options{SDP: sdp.Options{Seed: seed}}
-			full, err := gw.Solve(g, opts, rng.New(seed^0xf1f1))
+			full, err := gw.Solve(g, sdp.Options{Seed: seed}, rng.New(seed^0xf1f1))
 			if err != nil {
 				t.Fatal(err)
 			}
 			if full.Best.Value > row.Bound {
 				t.Errorf("%s: GW rounding %v above the bound %v", id, full.Best.Value, row.Bound)
 			}
-			if gap := (row.Bound - full.SDPValue) / full.SDPValue; gap > 1e-3 || gap < 0 {
-				t.Errorf("%s: relaxation %v, bound %v: gap %.3g", id, full.SDPValue, row.Bound, gap)
+			value := full.Relaxation.Value
+			if gap := (row.Bound - value) / value; gap > 1e-3 || gap < 0 {
+				t.Errorf("%s: relaxation %v, bound %v: gap %.3g", id, value, row.Bound, gap)
 			}
-			t.Logf("%s: QAOA/bound %.4f, gap %.2g", id, row.QAOA/row.Bound, (row.Bound-full.SDPValue)/full.SDPValue)
+			t.Logf("%s: QAOA/bound %.4f, gap %.2g", id, row.QAOA/row.Bound, (row.Bound-value)/value)
 		}
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"qaoa2/internal/gw"
 	"qaoa2/internal/qaoa"
 	"qaoa2/internal/rng"
+	"qaoa2/internal/sdp"
 )
 
 // GridConfig parameterizes the Fig. 3 / Table 1 grid search: for every
@@ -130,7 +131,7 @@ func RunGrid(cfg GridConfig) (*GridResult, error) {
 					cellSeed := cfg.cellSeed(w, ni, pi, inst)
 					r := rng.New(cellSeed)
 					g := graph.ErdosRenyi(n, p, w, r)
-					gwRes, err := gw.Solve(g, gw.Options{}, r.Split(1))
+					gwRes, err := gw.Solve(g, sdp.Options{}, r.Split(1))
 					if err != nil {
 						return nil, fmt.Errorf("experiments: GW on n=%d p=%v: %w", n, p, err)
 					}

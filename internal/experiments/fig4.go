@@ -104,29 +104,17 @@ func fig4Row(g *graph.Graph, cfg Fig4Config, seed uint64) (Fig4Row, error) {
 		}
 	}
 
-	opts := gw.Options{SDP: sdp.Options{Seed: seed}}
-	gwFull, err := gw.Solve(g, opts, rng.New(seed^0xf1f1))
+	gwFull, err := gw.Solve(g, sdp.Options{Seed: seed}, rng.New(seed^0xf1f1))
 	if err != nil {
 		return row, fmt.Errorf("experiments: fig4 GW-full n=%d: %w", n, err)
 	}
 	row.GWFull = gwFull.Average
-	if row.Bound, err = certify(g, opts.SDP); err != nil {
+	if row.Bound, err = sdp.DualBound(g, gwFull.Relaxation); err != nil {
 		return row, fmt.Errorf("experiments: fig4 bound n=%d: %w", n, err)
 	}
 
 	row.Random = maxcut.RandomCut(g, 1, rng.New(seed^0x0dd0)).Value
 	return row, nil
-}
-
-// certify returns sdp.DualBound of the relaxation GW rounds under
-// opts: sdp.Solve is deterministic, so solving again reproduces that
-// embedding, and the GW solve itself never computes the bound.
-func certify(g *graph.Graph, opts sdp.Options) (float64, error) {
-	rel, err := sdp.Solve(g, opts)
-	if err != nil {
-		return 0, err
-	}
-	return sdp.DualBound(g, rel)
 }
 
 // RenderFig4 renders the series relative to the QAOA series, matching

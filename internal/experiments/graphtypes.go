@@ -79,7 +79,7 @@ func RunGraphTypes(families []GraphFamily, nodes, maxQubits int, seed uint64) ([
 		if err != nil {
 			return nil, fmt.Errorf("experiments: family %s: %w", fam.Name, err)
 		}
-		gwFull, err := gw.Solve(g, gw.Options{SDP: sdp.Options{Seed: seed}}, rng.New(seed))
+		gwFull, err := gw.Solve(g, sdp.Options{Seed: seed}, rng.New(seed))
 		if err != nil {
 			return nil, err
 		}

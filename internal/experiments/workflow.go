@@ -238,8 +238,8 @@ type GWScalePoint struct {
 	Nodes    int
 	Seconds  float64 // the GW solve: relaxation and 30 roundings
 	SDPValue float64 // relaxation value at the rounded embedding
-	// Bound is sdp.DualBound of that embedding; BoundSeconds times
-	// certify (the relaxation re-solved, then the bound).
+	// Bound is sdp.DualBound of that embedding; BoundSeconds times the
+	// bound alone.
 	// (Bound − SDPValue)/SDPValue is how far the relaxation provably
 	// is from the SDP optimum.
 	Bound        float64
@@ -261,21 +261,20 @@ func RunGWScaling(sizes []int, seed uint64) ([]GWScalePoint, error) {
 		// A bounded sweep budget keeps the timing about per-sweep cost
 		// growth, the paper's complexity observation, rather than
 		// convergence-path noise.
-		opts := gw.Options{SDP: sdp.Options{Seed: seed, MaxIters: 250}}
 		start := time.Now()
-		res, err := gw.Solve(g, opts, rng.New(seed))
+		res, err := gw.Solve(g, sdp.Options{Seed: seed, MaxIters: 250}, rng.New(seed))
 		if err != nil {
 			return nil, err
 		}
 		p := GWScalePoint{
 			Nodes:     n,
 			Seconds:   time.Since(start).Seconds(),
-			SDPValue:  res.SDPValue,
+			SDPValue:  res.Relaxation.Value,
 			AvgCut:    res.Average,
-			Converged: res.Converged,
+			Converged: res.Relaxation.Converged,
 		}
 		start = time.Now()
-		if p.Bound, err = certify(g, opts.SDP); err != nil {
+		if p.Bound, err = sdp.DualBound(g, res.Relaxation); err != nil {
 			return nil, err
 		}
 		p.BoundSeconds = time.Since(start).Seconds()

@@ -2,7 +2,7 @@
 // for MaxCut: solve the SDP relaxation, then round the vector solution
 // with random hyperplanes. Expected cut ≥ 0.878·OPT.
 //
-// Matching the paper (§3.4), the default applies the hyperplane slicing
+// Matching the paper (§3.4), Solve applies the hyperplane slicing
 // 30 times and reports the AVERAGE cut value — that average is the "GW
 // value" against which QAOA is compared in Figs. 3-4 and Table 1 — while
 // also retaining the best rounded cut for downstream use (the QAOA²
@@ -19,57 +19,35 @@ import (
 	"qaoa2/internal/sdp"
 )
 
-// DefaultRounds is the paper's slicing count.
-const DefaultRounds = 30
-
-// Options configures Solve.
-type Options struct {
-	Rounds int         // hyperplane slicings (default 30)
-	SDP    sdp.Options // relaxation solver configuration
-}
+// Rounds is the paper's slicing count.
+const Rounds = 30
 
 // Result is the outcome of a GW run.
 type Result struct {
 	Average float64    // mean cut over all roundings (paper's GW value)
 	Best    maxcut.Cut // best rounded cut
-	// SDPValue is the relaxation objective at the embedding that was
-	// rounded (sdp.Result.Value): it approaches the SDP optimum from
-	// below and bounds nothing; sdp.DualBound certifies a bound.
-	SDPValue float64
-	Rounds   int
-	SDPIters int
-	// Converged is false when the relaxation stopped at its iteration
-	// cap instead of its convergence test; the rounding is still valid.
-	Converged bool
+	// Relaxation is the solved SDP whose Vectors were rounded; hand it
+	// to sdp.DualBound for a certified upper bound.
+	Relaxation *sdp.Result
 }
 
-// Solve runs Goemans-Williamson on g using randomness from r.
-func Solve(g *graph.Graph, opts Options, r *rng.Rand) (*Result, error) {
-	if opts.Rounds <= 0 {
-		opts.Rounds = DefaultRounds
-	}
-	rel, err := sdp.Solve(g, opts.SDP)
+// Solve runs Goemans-Williamson on g: one relaxation under opts, then
+// Rounds roundings with hyperplane normals drawn from r.
+func Solve(g *graph.Graph, opts sdp.Options, r *rng.Rand) (*Result, error) {
+	rel, err := sdp.Solve(g, opts)
 	if err != nil {
 		return nil, err
 	}
 	n := g.N()
-	res := &Result{
-		SDPValue:  rel.Value,
-		Rounds:    opts.Rounds,
-		SDPIters:  rel.Iterations,
-		Converged: rel.Converged,
-	}
 	if n == 0 {
-		res.Best = maxcut.Cut{Spins: []int8{}, Value: 0}
-		return res, nil
+		return &Result{Best: maxcut.Cut{Spins: []int8{}}, Relaxation: rel}, nil
 	}
 
-	k := rel.Vectors.Cols
-	normal := make([]float64, k)
+	normal := make([]float64, rel.Vectors.Cols)
 	spins := make([]int8, n)
 	sum := 0.0
 	best := maxcut.Cut{Spins: make([]int8, n), Value: math.Inf(-1)}
-	for round := 0; round < opts.Rounds; round++ {
+	for round := 0; round < Rounds; round++ {
 		for j := range normal {
 			normal[j] = r.NormFloat64()
 		}
@@ -81,9 +59,7 @@ func Solve(g *graph.Graph, opts Options, r *rng.Rand) (*Result, error) {
 			copy(best.Spins, spins)
 		}
 	}
-	res.Average = sum / float64(opts.Rounds)
-	res.Best = best
-	return res, nil
+	return &Result{Average: sum / Rounds, Best: best, Relaxation: rel}, nil
 }
 
 // Round assigns spins by the sign of each embedding vector's projection

@@ -2,6 +2,8 @@ package gw
 
 import (
 	"math"
+	"reflect"
+	"slices"
 	"testing"
 
 	"qaoa2/internal/graph"
@@ -15,7 +17,7 @@ func TestGWFindsBipartiteOptimum(t *testing.T) {
 	// Bipartite graphs have a tight SDP, so GW's best rounding over 30
 	// hyperplanes recovers the full cut with overwhelming probability.
 	g := graph.Bipartite(4, 5)
-	res, err := Solve(g, Options{}, rng.New(1))
+	res, err := Solve(g, sdp.Options{}, rng.New(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,7 +42,7 @@ func TestGWRespectsApproximationGuarantee(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := Solve(g, Options{}, r)
+		res, err := Solve(g, sdp.Options{}, r)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -56,36 +58,74 @@ func TestGWRespectsApproximationGuarantee(t *testing.T) {
 func TestGWAverageAtMostBest(t *testing.T) {
 	r := rng.New(3)
 	g := graph.ErdosRenyi(20, 0.3, graph.Unweighted, r)
-	res, err := Solve(g, Options{}, r)
+	res, err := Solve(g, sdp.Options{}, r)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Average > res.Best.Value+1e-9 {
 		t.Fatalf("average %v above best %v", res.Average, res.Best.Value)
 	}
-	rel, err := sdp.Solve(g, sdp.Options{})
+	bound, err := sdp.DualBound(g, res.Relaxation)
 	if err != nil {
 		t.Fatal(err)
 	}
-	bound, err := sdp.DualBound(g, rel)
+	if res.Best.Value > bound {
+		t.Fatalf("best %v above the certified bound %v (relaxation %v)", res.Best.Value, bound, res.Relaxation.Value)
+	}
+}
+
+// TestGWRoundsItsRelaxation: Relaxation is the embedding Solve rounded.
+// It equals an independent sdp.Solve under the same options, and
+// Rounds roundings of its Vectors with normals from a fresh generator
+// of Solve's seed reproduce Average and Best bit for bit.
+func TestGWRoundsItsRelaxation(t *testing.T) {
+	g := graph.ErdosRenyi(40, 0.2, graph.UniformWeights, rng.New(12))
+	opts := sdp.Options{Seed: 5}
+	res, err := Solve(g, opts, rng.New(13))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Best.Value > bound || rel.Value != res.SDPValue {
-		t.Fatalf("best %v above the certified bound %v (relaxation %v, GW's %v)", res.Best.Value, bound, rel.Value, res.SDPValue)
+	rel, err := sdp.Solve(g, opts)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if res.Rounds != DefaultRounds {
-		t.Fatalf("default rounds = %d", res.Rounds)
+	got := res.Relaxation
+	if math.Float64bits(got.Value) != math.Float64bits(rel.Value) || got.Iterations != rel.Iterations ||
+		got.Converged != rel.Converged || !reflect.DeepEqual(got.Vectors, rel.Vectors) {
+		t.Fatalf("relaxation value %v after %d sweeps, an independent solve %v after %d", got.Value, got.Iterations, rel.Value, rel.Iterations)
+	}
+
+	r := rng.New(13)
+	normal := make([]float64, got.Vectors.Cols)
+	spins := make([]int8, g.N())
+	sum, best := 0.0, math.Inf(-1)
+	var bestSpins []int8
+	for range Rounds {
+		for j := range normal {
+			normal[j] = r.NormFloat64()
+		}
+		Round(got.Vectors, normal, spins)
+		v := g.CutValue(spins)
+		sum += v
+		if v > best {
+			best, bestSpins = v, slices.Clone(spins)
+		}
+	}
+	if avg := sum / Rounds; math.Float64bits(avg) != math.Float64bits(res.Average) {
+		t.Fatalf("re-rounded average %v, Solve's %v", avg, res.Average)
+	}
+	if math.Float64bits(best) != math.Float64bits(res.Best.Value) || !slices.Equal(bestSpins, res.Best.Spins) {
+		t.Fatalf("re-rounded best %v %v, Solve's %v %v", best, bestSpins, res.Best.Value, res.Best.Spins)
 	}
 }
 
 func TestGWDeterministicGivenSeed(t *testing.T) {
 	g := graph.ErdosRenyi(15, 0.4, graph.UniformWeights, rng.New(4))
-	a, err := Solve(g, Options{SDP: sdp.Options{Seed: 9}}, rng.New(7))
+	a, err := Solve(g, sdp.Options{Seed: 9}, rng.New(7))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Solve(g, Options{SDP: sdp.Options{Seed: 9}}, rng.New(7))
+	b, err := Solve(g, sdp.Options{Seed: 9}, rng.New(7))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +135,7 @@ func TestGWDeterministicGivenSeed(t *testing.T) {
 }
 
 func TestGWEmptyGraph(t *testing.T) {
-	res, err := Solve(graph.New(0), Options{}, rng.New(1))
+	res, err := Solve(graph.New(0), sdp.Options{}, rng.New(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +146,7 @@ func TestGWEmptyGraph(t *testing.T) {
 
 func TestGWSingleEdge(t *testing.T) {
 	g := graph.Complete(2)
-	res, err := Solve(g, Options{Rounds: 10}, rng.New(5))
+	res, err := Solve(g, sdp.Options{}, rng.New(5))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,22 +165,22 @@ func TestGWReportsRelaxationConvergence(t *testing.T) {
 	// A budget too small to settle is reported, and still rounds to a
 	// valid cut; only the flag differs.
 	path := graph.Path(12)
-	res, err := Solve(path, Options{}, rng.New(1))
+	res, err := Solve(path, sdp.Options{}, rng.New(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res.Converged || res.SDPIters > 150 {
-		t.Fatalf("path12: converged %v after %d sweeps", res.Converged, res.SDPIters)
+	if rel := res.Relaxation; !rel.Converged || rel.Iterations > 150 {
+		t.Fatalf("path12: converged %v after %d sweeps", rel.Converged, rel.Iterations)
 	}
 	if res.Best.Value != 11 {
 		t.Fatalf("path12 best cut %v want 11", res.Best.Value)
 	}
-	capped, err := Solve(path, Options{SDP: sdp.Options{MaxIters: 3}}, rng.New(1))
+	capped, err := Solve(path, sdp.Options{MaxIters: 3}, rng.New(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if capped.Converged || capped.SDPIters != 3 {
-		t.Fatalf("path12 with 3 sweeps: converged %v after %d, want the cap reported", capped.Converged, capped.SDPIters)
+	if rel := capped.Relaxation; rel.Converged || rel.Iterations != 3 {
+		t.Fatalf("path12 with 3 sweeps: converged %v after %d, want the cap reported", rel.Converged, rel.Iterations)
 	}
 	if err := capped.Best.Validate(path); err != nil {
 		t.Fatal(err)
@@ -161,7 +201,7 @@ func TestGWMeetsGuaranteeAtEveryLeafOrder(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				res, err := Solve(g, Options{}, r)
+				res, err := Solve(g, sdp.Options{}, r)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -189,24 +229,13 @@ func TestRoundTieBreak(t *testing.T) {
 	}
 }
 
-func TestGWCustomRoundsHonored(t *testing.T) {
-	g := graph.Complete(5)
-	res, err := Solve(g, Options{Rounds: 3}, rng.New(6))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Rounds != 3 {
-		t.Fatalf("rounds = %d want 3", res.Rounds)
-	}
-}
-
 func TestGWLargeGraphViaMixing(t *testing.T) {
 	if testing.Short() {
 		t.Skip("large graph in -short mode")
 	}
 	r := rng.New(8)
 	g := graph.ErdosRenyi(300, 0.05, graph.Unweighted, r)
-	res, err := Solve(g, Options{SDP: sdp.Options{Seed: 2}}, r)
+	res, err := Solve(g, sdp.Options{Seed: 2}, r)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,7 +252,7 @@ func BenchmarkGWLeaf16(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Solve(g, Options{}, r); err != nil {
+		if _, err := Solve(g, sdp.Options{}, r); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -234,7 +263,7 @@ func BenchmarkGW25(b *testing.B) {
 	r := rng.New(2)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Solve(g, Options{}, r); err != nil {
+		if _, err := Solve(g, sdp.Options{}, r); err != nil {
 			b.Fatal(err)
 		}
 	}

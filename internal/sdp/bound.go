@@ -51,8 +51,9 @@ const unitRoundoff = 0x1p-53
 // δ' comes from a decade ladder relative to max_i ‖g_i‖: it climbs
 // until a factorization succeeds, or, if the first did, descends until
 // one fails; then six geometric bisection steps narrow the gap. Each
-// rung is one O(n³/6) factorization, about ten in all: 12, 63 and
-// 210 ms at the 150, 300 and 450 nodes of Fig. 4 on a 2-vCPU Xeon.
+// rung is one O(n³/6) factorization, about ten in all: 0.35, 1.9–3.1,
+// 6.6–8.2, 18–25 and 38–39 s at the 500, 1 000, 1 500, 2 000 and
+// 2 500 nodes of Fig. 4 (seed 3, two runs) on a shared 2-vCPU Xeon.
 //
 // DualBound refuses graphs over 3 000 nodes with a *graph.RefusedError.
 // It reads g and res and changes neither; no solve path calls it.

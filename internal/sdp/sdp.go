@@ -34,25 +34,15 @@ import (
 type Options struct {
 	MaxIters int     // sweep budget (default 300)
 	Tol      float64 // relative convergence tolerance (default 1e-6)
-	Rank     int     // rank k of the embedding (default ceil(sqrt(2n))+1)
 	Seed     uint64  // initialization seed
 }
 
-func (o Options) withDefaults(n int) Options {
+func (o Options) withDefaults() Options {
 	if o.MaxIters <= 0 {
 		o.MaxIters = 300
 	}
 	if o.Tol <= 0 {
 		o.Tol = 1e-6
-	}
-	if o.Rank <= 0 {
-		o.Rank = int(math.Ceil(math.Sqrt(2*float64(n)))) + 1
-	}
-	if o.Rank > n && n > 0 {
-		o.Rank = n
-	}
-	if o.Rank < 1 {
-		o.Rank = 1
 	}
 	return o
 }
@@ -76,7 +66,7 @@ func Solve(g *graph.Graph, opts Options) (*Result, error) {
 	if g.N() == 0 {
 		return &Result{Vectors: linalg.NewMat(0, 1), Value: 0, Converged: true}, nil
 	}
-	return solveMixing(g, opts.withDefaults(g.N()))
+	return solveMixing(g, opts.withDefaults())
 }
 
 // VectorObjective evaluates Σ w_ij (1 − v_i·v_j)/2 for unit rows of v.
@@ -95,10 +85,11 @@ func VectorObjective(g *graph.Graph, v *linalg.Mat) float64 {
 // (‖g‖ + g·v_old)/2 ≥ 0, so a sweep sums its own gain from quantities
 // it already holds — no cancellation, and no second pass over the edges
 // to evaluate the objective; the returned Value is evaluated once, from
-// the final vectors.
+// the final vectors. The vectors have k = min(⌈√(2n)⌉ + 1, n)
+// coordinates.
 func solveMixing(g *graph.Graph, opts Options) (*Result, error) {
 	n := g.N()
-	k := opts.Rank
+	k := min(int(math.Ceil(math.Sqrt(2*float64(n))))+1, n)
 	r := rng.New(opts.Seed ^ 0x5dee5dee5dee5dee)
 	v := linalg.NewMat(n, k)
 	for i := 0; i < n; i++ {

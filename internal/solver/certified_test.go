@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"qaoa2/internal/graph"
-	"qaoa2/internal/gw"
 	"qaoa2/internal/maxcut"
 	"qaoa2/internal/qaoa"
 	"qaoa2/internal/rng"
@@ -92,7 +91,7 @@ func memberShapes(best func(...Solver) Solver) map[string]Solver {
 	q := QAOASolver{Opts: qaoa.Options{Layers: 2, MaxIters: 20}}
 	// A short SDP budget: the rounding is valid wherever the relaxation
 	// stops, and the default 600 iterations would be 90 % of the test.
-	c := GWSolver{Opts: gw.Options{Rounds: 10, SDP: sdp.Options{MaxIters: 40}}}
+	c := GWSolver{Opts: sdp.Options{MaxIters: 40}}
 	a := AnnealSolver{Opts: maxcut.AnnealOptions{Sweeps: 10}}
 	return map[string]Solver{
 		"qaoa-first":        best(q, c),

@@ -7,7 +7,6 @@ import (
 	"sync"
 
 	"qaoa2/internal/backend"
-	"qaoa2/internal/gw"
 	"qaoa2/internal/qaoa"
 	"qaoa2/internal/rqaoa"
 	"qaoa2/internal/sdp"
@@ -165,7 +164,7 @@ func init() {
 		if err := checkSDPMethod(spec.Method); err != nil {
 			return nil, err
 		}
-		return SDPGWSolver{GWSolver{Opts: gw.Options{SDP: sdp.Options{Seed: spec.Seed}}}}, nil
+		return SDPGWSolver{GWSolver{Opts: sdp.Options{Seed: spec.Seed}}}, nil
 	})
 	mustRegister("rqaoa", func(spec Spec) (Solver, error) {
 		opts, err := qaoaOptions(spec)

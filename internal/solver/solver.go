@@ -31,6 +31,7 @@ import (
 	"qaoa2/internal/qaoa"
 	"qaoa2/internal/rng"
 	"qaoa2/internal/rqaoa"
+	"qaoa2/internal/sdp"
 )
 
 // Solver produces a cut for one sub-graph. Implementations must be
@@ -156,7 +157,7 @@ func (s QAOASolver) SolveSubAttributed(g *graph.Graph, r *rng.Rand) (maxcut.Cut,
 // rounded cut (the merge step needs an assignment, not the averaged
 // value the paper reports for comparisons).
 type GWSolver struct {
-	Opts gw.Options
+	Opts sdp.Options
 }
 
 // Name implements Solver.

@@ -42,6 +42,7 @@ import (
 	"qaoa2/internal/qsim"
 	"qaoa2/internal/rng"
 	"qaoa2/internal/runtime"
+	"qaoa2/internal/sdp"
 	"qaoa2/internal/serve"
 	"qaoa2/internal/solver"
 )
@@ -141,8 +142,8 @@ func EvaluateBatch(a Ansatz, gammas, betas [][]float64, energies []float64) erro
 
 // Goemans-Williamson.
 type (
-	// GWOptions configures SolveGW.
-	GWOptions = gw.Options
+	// GWOptions configures SolveGW's SDP relaxation.
+	GWOptions = sdp.Options
 	// GWResult reports a GW run.
 	GWResult = gw.Result
 )

@@ -415,8 +415,8 @@ func BenchmarkBackendFusedFull(b *testing.B) {
 	benchmarkBackendEvaluate(b, root.FusedBackend{Full: true})
 }
 
-// BenchmarkBackendFusedBatch8 measures the batched multi-start API:
-// eight parameter vectors per EvaluateBatch call (ns/op is per batch;
+// BenchmarkBackendFusedBatch8 measures the batch API multi-start ranks
+// its final points with: eight parameter vectors per EvaluateBatch call (ns/op is per batch;
 // per-eval is reported as a metric).
 func BenchmarkBackendFusedBatch8(b *testing.B) {
 	g := graph.ErdosRenyi(16, 0.5, graph.Unweighted, rng.New(99))

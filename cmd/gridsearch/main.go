@@ -40,7 +40,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		selector = fs.Bool("selector", false, "retrain the QAOA-vs-GW selectors on the grid and print solver.DefaultSelector literals")
 		seed     = fs.Uint64("seed", 0, "override the experiment seed (0 = config default)")
 		backendN = fs.String("backend", "", "QAOA circuit-execution backend: fused|fused-z2|fused-full|dense|noisy (default: fused)")
-		restarts = fs.Int("restarts", 1, "batched multi-start optimizer runs per grid point (fused backend batches them over per-worker engines)")
+		restarts = fs.Int("restarts", 1, "optimizer runs per grid point, run in turn; the best final point by exact expectation is kept (1 = the paper's single start)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return 2

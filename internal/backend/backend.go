@@ -74,8 +74,8 @@ type Ansatz interface {
 // BatchEvaluator is the optional batched extension of Ansatz: backends
 // whose evaluations are cheap enough to be scheduler-bound implement it
 // to evaluate K parameter vectors with persistent per-worker state
-// buffers — multi-start screening and lockstep restart optimizers
-// (internal/qaoa) feed their coalesced evaluation requests through it.
+// buffers — ranking parameter vectors, such as the final points of a
+// multi-start run (internal/qaoa), goes through it.
 // Like Evaluate, EvaluateBatch is not safe for concurrent use on the
 // same Ansatz (it parallelizes internally).
 type BatchEvaluator interface {

@@ -36,9 +36,10 @@ type GridConfig struct {
 	// point (nil = the fused default; backend.Dense cross-checks the
 	// grid against the reference gate walk).
 	Backend backend.Backend
-	// Restarts runs every grid point's QAOA as a batched multi-start
-	// (qaoa.Options.Restarts); 0/1 reproduces the paper's single-start
-	// grid.
+	// Restarts runs every grid point's QAOA as a multi-start
+	// (qaoa.Options.Restarts): that many optimizer runs in turn, the
+	// best final point by exact expectation kept; 0/1 reproduces the
+	// paper's single-start grid.
 	Restarts int
 	Seed     uint64
 }

@@ -107,13 +107,15 @@ type Model struct {
 
 // TrainOptions configures Train.
 type TrainOptions struct {
-	Epochs    int     // full passes over the data (default 400)
-	LearnRate float64 // SGD step (default 0.1)
-	L2        float64 // ridge penalty (default 1e-4)
-	Seed      uint64  // shuffling
+	Epochs int    // full passes over the data (default 400)
+	Seed   uint64 // shuffling
 }
 
-// Train fits the model with mini-batch-free SGD over shuffled samples.
+// learnRate is Train's constant SGD step.
+const learnRate = 0.1
+
+// Train fits the model with mini-batch-free SGD over shuffled samples,
+// at the constant step learnRate and without a ridge term.
 func Train(samples []Sample, opts TrainOptions) (*Model, error) {
 	if len(samples) == 0 {
 		return nil, fmt.Errorf("mlselect: no training samples")
@@ -130,12 +132,6 @@ func Train(samples []Sample, opts TrainOptions) (*Model, error) {
 	if opts.Epochs <= 0 {
 		opts.Epochs = 400
 	}
-	if opts.LearnRate <= 0 {
-		opts.LearnRate = 0.1
-	}
-	if opts.L2 < 0 {
-		opts.L2 = 1e-4
-	}
 	r := rng.New(opts.Seed ^ 0x109dc)
 	m := &Model{Weights: make([]float64, dim)}
 	idx := make([]int, len(samples))
@@ -149,9 +145,9 @@ func Train(samples []Sample, opts TrainOptions) (*Model, error) {
 			p := m.Probability(s.X)
 			grad := p - float64(s.Y)
 			for j, x := range s.X {
-				m.Weights[j] -= opts.LearnRate * (grad*x + opts.L2*m.Weights[j])
+				m.Weights[j] -= learnRate * (grad * x)
 			}
-			m.Bias -= opts.LearnRate * grad
+			m.Bias -= learnRate * grad
 		}
 	}
 	return m, nil

@@ -60,13 +60,11 @@ type Options struct {
 	// Restarts runs this many independent optimizer starts — start 0
 	// from the standard initialization, the rest from deterministic
 	// perturbations of it — and keeps the start whose final parameters
-	// have the best exact expectation (default 1). The restarts run as
-	// lockstep goroutines whose objective evaluations are coalesced
-	// into batched backend calls (backend.EvaluateBatch) when the
-	// objective is exact, so multi-start costs Restarts× the
-	// evaluations but saturates the cores without re-Preparing the
-	// ansatz. Each restart gets the full MaxIters budget and, under
-	// Shots > 0, its own sampling stream.
+	// have the best exact expectation (default 1). The restarts run one
+	// after another on the one prepared ansatz, each with the full
+	// MaxIters budget and, under Shots > 0, its own sampling stream, so
+	// multi-start costs Restarts× the evaluations; one batched
+	// evaluation (backend.EvaluateBatch) ranks their final parameters.
 	Restarts int
 	// Synthesis forwards preferences to the circuit synthesis engine.
 	// Only synthesizing backends (dense, noisy) honor it; setting any
@@ -238,8 +236,8 @@ func (o Options) backend() (backend.Backend, backend.Config) {
 }
 
 // run is the QAOA variational loop Solve and SolveCut share. It trains
-// the ansatz prepared for g (one start, or opts.Restarts lockstep
-// starts), re-evaluates the best parameters and decodes the final state
+// the ansatz prepared for g (one start, or opts.Restarts starts in
+// turn), re-evaluates the best parameters and decodes the final state
 // into the bit string of highest cut. With stopAt, a single start stops
 // at the first evaluation whose decoded cut equals *stopAt and reports
 // that evaluation. Result.Optimal is left to the caller.
@@ -369,118 +367,42 @@ func runOptimizer(ans backend.Ansatz, opts Options, x0 []float64, shotRand *rng.
 	return res, hit
 }
 
-// multiStart runs opts.Restarts lockstep optimizer instances over ONE
-// shared prepared ansatz. Each restart is a goroutine whose objective
-// blocks on a request to the coordinator; the coordinator waits until
-// every still-active restart has a request outstanding and answers the
-// whole wave at once — through backend.EvaluateBatch (the fused
-// backend's per-worker-engine batch path) when the objective is exact,
-// or one shared-ansatz Evaluate per request with per-restart sampling
-// streams under Shots > 0. Every restart's trajectory is deterministic
-// regardless of scheduling, because its evaluations depend only on its
-// own parameter sequence (and its own sampling stream), and a wave is
-// evaluated in restart order (which fixes the draws of a noisy ansatz).
+// multiStart runs opts.Restarts optimizer starts in turn through
+// runOptimizer over ONE shared prepared ansatz, each for its whole
+// budget. Start 0 is x0; the rest perturb it on the deterministic
+// "Restart" stream, and restart k samples from its own split of
+// shotRand. The restarts are ranked by the EXACT expectation at their
+// final parameters — one backend.EvaluateBatch call — so shot noise
+// cannot pick the winner; the winner is reported with the summed
+// evaluation cost.
 func multiStart(ans backend.Ansatz, opts Options, x0 []float64, shotRand *rng.Rand, table []float64) (opt.Result, error) {
 	restarts := opts.Restarts
 	p := opts.Layers
-
-	// Start 0 is the standard initialization; the rest perturb it on a
-	// deterministic stream (a poor man's basin hopping).
-	starts := make([][]float64, restarts)
-	starts[0] = x0
 	pr := rng.New(opts.Seed ^ 0x52657374617274) // "Restart"
-	for k := 1; k < restarts; k++ {
-		xk := make([]float64, len(x0))
-		for j := range xk {
-			xk[j] = x0[j] + (pr.Float64()-0.5)*0.8
-		}
-		starts[k] = xk
-	}
-	shotRands := make([]*rng.Rand, restarts)
-	for k := range shotRands {
-		shotRands[k] = shotRand.Split(uint64(k) + 0x517)
-	}
-
-	type evalRequest struct {
-		slot int
-		x    []float64
-		resp chan float64
-	}
-	reqCh := make(chan evalRequest)
-	doneCh := make(chan struct{})
 	results := make([]opt.Result, restarts)
-	for k := 0; k < restarts; k++ {
-		go func(k int) {
-			defer func() { doneCh <- struct{}{} }()
-			resp := make(chan float64)
-			objective := func(x []float64) float64 {
-				reqCh <- evalRequest{slot: k, x: x, resp: resp}
-				return <-resp
-			}
-			results[k] = opt.MinimizeCOBYLA(objective, starts[k], opt.COBYLAOptions{
-				Rhobeg: opts.Rhobeg, MaxEvals: opts.MaxIters,
-			})
-		}(k)
-	}
-
-	pending := make([]evalRequest, 0, restarts)
-	gbuf := make([][]float64, 0, restarts)
-	bbuf := make([][]float64, 0, restarts)
-	ebuf := make([]float64, restarts)
-	flush := func() {
-		// Answer a wave in restart order, not arrival order: a noisy
-		// ansatz draws every evaluation's trajectories from one stream.
-		sort.Slice(pending, func(i, j int) bool { return pending[i].slot < pending[j].slot })
-		if opts.Shots > 0 {
-			for _, rq := range pending {
-				_, s, err := ans.Evaluate(rq.x[:p], rq.x[p:])
-				if err != nil {
-					panic(err) // parameter lengths are fixed by construction
-				}
-				rq.resp <- -sampledEnergy(s, table, opts.Shots, shotRands[rq.slot])
-			}
-		} else {
-			gbuf, bbuf = gbuf[:0], bbuf[:0]
-			for _, rq := range pending {
-				gbuf = append(gbuf, rq.x[:p])
-				bbuf = append(bbuf, rq.x[p:])
-			}
-			if err := backend.EvaluateBatch(ans, gbuf, bbuf, ebuf[:len(pending)]); err != nil {
-				panic(err) // parameter lengths are fixed by construction
-			}
-			for i, rq := range pending {
-				rq.resp <- -ebuf[i]
+	gammas := make([][]float64, restarts)
+	betas := make([][]float64, restarts)
+	evals := 0
+	for k := range results {
+		xk := x0
+		if k > 0 {
+			// A poor man's basin hopping.
+			xk = make([]float64, len(x0))
+			for j := range xk {
+				xk[j] = x0[j] + (pr.Float64()-0.5)*0.8
 			}
 		}
-		pending = pending[:0]
+		results[k], _ = runOptimizer(ans, opts, xk, shotRand.Split(uint64(k)+0x517), table, decoder{}, nil)
+		gammas[k], betas[k] = results[k].X[:p], results[k].X[p:]
+		evals += results[k].Evals
 	}
-	active := restarts
-	for active > 0 {
-		select {
-		case rq := <-reqCh:
-			pending = append(pending, rq)
-		case <-doneCh:
-			active--
-		}
-		if len(pending) > 0 && len(pending) >= active {
-			flush()
-		}
-	}
-	// Rank the restarts by the EXACT expectation at their final
-	// parameters (one more batched evaluation), so shot noise cannot
-	// pick the winner; report the summed evaluation cost.
-	gbuf, bbuf = gbuf[:0], bbuf[:0]
-	for k := 0; k < restarts; k++ {
-		gbuf = append(gbuf, results[k].X[:p])
-		bbuf = append(bbuf, results[k].X[p:])
-	}
-	if err := backend.EvaluateBatch(ans, gbuf, bbuf, ebuf); err != nil {
+	energies := make([]float64, restarts)
+	if err := backend.EvaluateBatch(ans, gammas, betas, energies); err != nil {
 		return opt.Result{}, err
 	}
-	best, evals := 0, 0
-	for k := 0; k < restarts; k++ {
-		evals += results[k].Evals
-		if ebuf[k] > ebuf[best] {
+	best := 0
+	for k, e := range energies {
+		if e > energies[best] {
 			best = k
 		}
 	}

@@ -305,13 +305,23 @@ func FuzzRestoreTable(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	id := req.key(rt.GraphFingerprint(g))
+	fp := rt.GraphFingerprint(g)
+	id := req.key(fp)
+	settled := req
+	settled.Graph = GraphSpec{}
 	table := func(states ...JobState) []byte {
 		st := persistedState{Version: persistVersion}
 		for _, state := range states {
-			pj := persistedJob{ID: id, Request: req, State: state, Priority: req.Priority}
-			if state == JobDone {
+			pj := persistedJob{ID: id, Request: req, State: state, Priority: req.Priority, Fingerprint: fp}
+			switch state {
+			case JobDone:
+				// A settled record as this tree writes it: no graph.
+				pj.Request = settled
 				pj.Result = &JobResult{Spins: "+-+-", Value: 4}
+			case JobFailed:
+				// A settled record as older trees wrote it: the graph, no
+				// fingerprint.
+				pj.Fingerprint = ""
 			}
 			st.Jobs = append(st.Jobs, pj)
 		}
@@ -359,12 +369,18 @@ func FuzzRestoreTable(f *testing.F) {
 			t.Fatalf("%d jobs restored, %d listed", len(s.jobs), len(seen))
 		}
 		for id, j := range s.jobs {
+			if key := j.req.key(j.fp); key != id || j.id != id {
+				t.Fatalf("job %s restored under id %s, its request keys %s", j.id, id, key)
+			}
+			if j.terminal() {
+				continue // a settled job holds no graph
+			}
 			g, err := j.req.Graph.Build()
 			if err != nil {
 				t.Fatalf("restored job %s: %v", id, err)
 			}
-			if key := j.req.key(rt.GraphFingerprint(g)); key != id || j.id != id {
-				t.Fatalf("job %s restored under id %s, its request keys %s", j.id, id, key)
+			if got := rt.GraphFingerprint(g); got != j.fp {
+				t.Fatalf("queued job %s: graph fingerprint %s, keyed by %s", id, got, j.fp)
 			}
 		}
 	})

@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"sort"
 
+	"qaoa2/internal/graph"
 	rt "qaoa2/internal/runtime"
 )
 
@@ -25,6 +26,10 @@ type persistedJob struct {
 	Priority string       `json:"priority"`
 	// Order preserves FIFO position within the lane across restarts.
 	Order int `json:"order"`
+	// Fingerprint is the graph fingerprint behind ID. A settled job's
+	// request holds no graph (stampLocked), so restore keys its record
+	// by this; tables written before it existed carry every graph.
+	Fingerprint string `json:"fingerprint,omitempty"`
 }
 
 // persistedState is the jobs.json schema.
@@ -151,12 +156,13 @@ func (s *Server) snapshotLocked() persistedState {
 	for _, id := range ids {
 		j := s.jobs[id]
 		pj := persistedJob{
-			ID:       j.id,
-			Request:  j.req,
-			State:    j.state,
-			Result:   j.result,
-			Priority: j.req.Priority,
-			Order:    pos[j.id],
+			ID:          j.id,
+			Request:     j.req,
+			State:       j.state,
+			Result:      j.result,
+			Priority:    j.req.Priority,
+			Order:       pos[j.id],
+			Fingerprint: j.fp,
 		}
 		if j.err != nil {
 			pj.Error = j.err.Error()
@@ -232,12 +238,17 @@ func (s *Server) restore() error {
 			skipErr = fmt.Errorf("serve: skipped persisted job %s: %w", pj.ID, err)
 			continue
 		}
-		g, err := req.Graph.Build()
-		if err != nil {
-			skipErr = fmt.Errorf("serve: skipped persisted job %s: %w", pj.ID, err)
-			continue
+		// A settled record without a graph is keyed by its fingerprint;
+		// any other record builds its graph.
+		var g *graph.Graph
+		fp := pj.Fingerprint
+		if settled := pj.State == JobDone || pj.State == JobFailed; !settled || req.Graph.Nodes != 0 {
+			if g, err = req.Graph.Build(); err != nil {
+				skipErr = fmt.Errorf("serve: skipped persisted job %s: %w", pj.ID, err)
+				continue
+			}
+			fp = rt.GraphFingerprint(g)
 		}
-		fp := rt.GraphFingerprint(g)
 		if got := req.key(fp); got != pj.ID {
 			skipErr = fmt.Errorf("serve: skipped persisted job %s: does not match its request (key %s)", pj.ID, got)
 			continue

@@ -791,14 +791,12 @@ func (s *Server) settleLocked(j *job) {
 
 // stampLocked gives a job that just reached a terminal state the next
 // doneSeq, appends it to settled and closes its done channel. It drops
-// the job's built graph, and without a StateDir the request's graph
-// too: only runJob reads the one and only the job-table writer the
-// other. Caller holds mu.
+// the job's built graph and the request's graph: only runJob reads
+// them, and the job table keys a settled record by its fingerprint
+// (persistedJob.Fingerprint). Caller holds mu.
 func (s *Server) stampLocked(j *job) {
 	j.g = nil
-	if s.cfg.StateDir == "" {
-		j.req.Graph = GraphSpec{}
-	}
+	j.req.Graph = GraphSpec{}
 	s.doneCount++
 	j.doneSeq = s.doneCount
 	s.settled.push(j)

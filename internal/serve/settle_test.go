@@ -1,7 +1,10 @@
 package serve
 
 import (
+	"encoding/json"
 	"errors"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -41,10 +44,10 @@ func failingReq() SolveRequest {
 }
 
 // TestSettledJobDropsGraphs: a done and a failed job hold no built
-// graph once they settle, and without a StateDir their requests hold no
-// edges either. With a StateDir the request keeps its graph, so the job
-// table still lists it and the job restores. A settled job still
-// answers a resubmission from the cache.
+// graph and no request edges once they settle, with or without a
+// StateDir; with one, the job table keys them by fingerprint, so they
+// still restore. A settled job still answers a resubmission from the
+// cache.
 func TestSettledJobDropsGraphs(t *testing.T) {
 	for _, withDir := range []bool{false, true} {
 		name := "memory"
@@ -68,8 +71,8 @@ func TestSettledJobDropsGraphs(t *testing.T) {
 			}
 			for _, id := range []string{done.ID, failed.ID} {
 				built, edges := graphsHeld(t, s, id)
-				if built || edges != withDir {
-					t.Errorf("settled job %s holds built graph %v, request edges %v; want false, %v", id, built, edges, withDir)
+				if built || edges {
+					t.Errorf("settled job %s holds built graph %v, request edges %v; want neither", id, built, edges)
 				}
 			}
 			hit, err := s.Submit(ringReq(10, 7))
@@ -185,5 +188,57 @@ func TestFailedRetrySolvesRebuiltGraph(t *testing.T) {
 	want := solveWait(t, fresh, req)
 	if retried.Result.Spins != want.Result.Spins || retried.Result.Value != want.Result.Value {
 		t.Fatalf("retry cut %v %s, want %v %s", retried.Result.Value, retried.Result.Spins, want.Result.Value, want.Result.Spins)
+	}
+}
+
+// TestSettledJobTableHoldsNoEdges: once a job settles on a StateDir
+// server, jobs.json lists none of its edges — the record carries the
+// graph fingerprint instead — and a server restarted on the directory
+// answers the resubmission as a cache hit with the same id and result.
+func TestSettledJobTableHoldsNoEdges(t *testing.T) {
+	dir := t.TempDir()
+	s, err := New(Config{GlobalParallelism: 1, StateDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(s.Close)
+	req := erReq(30, 8, 5)
+	done := solveWait(t, s, req)
+	failed := solveWait(t, s, failingReq())
+	if done.State != JobDone || failed.State != JobFailed {
+		t.Fatalf("jobs settled as %s and %s, want done and failed", done.State, failed.State)
+	}
+	s.Close()
+
+	data, err := os.ReadFile(filepath.Join(dir, jobsFile))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var st persistedState
+	if err := json.Unmarshal(data, &st); err != nil {
+		t.Fatal(err)
+	}
+	if len(st.Jobs) != 2 {
+		t.Fatalf("job table lists %d jobs, want 2", len(st.Jobs))
+	}
+	for _, pj := range st.Jobs {
+		if pj.Request.Graph.Nodes != 0 || len(pj.Request.Graph.Edges) != 0 || pj.Fingerprint == "" {
+			t.Errorf("settled record %s holds %d nodes, %d edges, fingerprint %q; want a fingerprint and no graph",
+				pj.ID, pj.Request.Graph.Nodes, len(pj.Request.Graph.Edges), pj.Fingerprint)
+		}
+	}
+
+	r, err := New(Config{GlobalParallelism: 1, StateDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(r.Close)
+	hit, err := r.Submit(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !hit.Cached || hit.ID != done.ID || hit.Result == nil ||
+		hit.Result.Spins != done.Result.Spins || hit.Result.Value != done.Result.Value {
+		t.Fatalf("restarted server answered %+v, want a cache hit on %s with %+v", hit, done.ID, done.Result)
 	}
 }

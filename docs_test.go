@@ -293,7 +293,7 @@ var reachAllowlist = map[string]string{
 	"partition.GreedyModularity":    "CNM entry point of FuzzSizeCapped and the lazy-heap oracle tests",
 	"qsim.Fidelity":                 "state comparison of the qsim, circuit and synth tests",
 	"qsim.NewPlusState":             "uniform-superposition fixture of the qsim state, measure, noise and engine tests",
-	"qsim.SetKernelTier":            "in-process kernel-tier switch of the qsim tier tests and backend.TestFusedMatchesDense",
+	"qsim.SetKernelTier":            "in-process kernel-tier switch of the qsim tier tests, backend.TestFusedMatchesDense and qaoa.TestDecodeAgreesAcrossTiers",
 	"qsim.State.Amp":                "amplitude read of the qsim, circuit, backend and qaoa tests",
 	"qsim.State.NormSquared":        "unit-norm oracle of the qsim, circuit, backend and synth tests",
 	"qsim.State.Z2Full":             "reduction check of the qsim, backend and qaoa Z2 tests",

@@ -128,6 +128,91 @@ func TestRenderFig3AndTable1(t *testing.T) {
 	if len(rows) != len(res.Config.NodeCounts)*2 {
 		t.Fatalf("table1 rows %d", len(rows))
 	}
+	// The tiny grid's panels as the per-panel counting loops printed
+	// them before Fig. 3 and Table 1 shared one aggregation.
+	const wantFig3 = "Fig3a (unweighted): P[QAOA > GW] by node count x edge probability\n" +
+		"     n\\p     0.2     0.5\n" +
+		"       6       0       1\n" +
+		"       8       0       1\n" +
+		"\n" +
+		"Fig3a (weighted): P[QAOA > GW] by node count x edge probability\n" +
+		"     n\\p     0.2     0.5\n" +
+		"       6       0       1\n" +
+		"       8       1       1\n" +
+		"\n" +
+		"Fig3b (unweighted): P[QAOA in [95,100)% of GW]\n" +
+		"     n\\p     0.2     0.5\n" +
+		"       6       0       0\n" +
+		"       8       0       0\n" +
+		"\n" +
+		"Fig3b (weighted): P[QAOA in [95,100)% of GW]\n" +
+		"     n\\p     0.2     0.5\n" +
+		"       6       0       0\n" +
+		"       8       0       0\n" +
+		"\n" +
+		"Fig3c (unweighted): P[QAOA > GW] by rhobeg x layers\n" +
+		"   rho\\p       2\n" +
+		"     0.1     0.5\n" +
+		"     0.5     0.5\n" +
+		"\n" +
+		"Fig3c (weighted): P[QAOA > GW] by rhobeg x layers\n" +
+		"   rho\\p       2\n" +
+		"     0.1    0.75\n" +
+		"     0.5    0.75\n" +
+		"\n" +
+		"best grid point: layers=2 rhobeg=0.1 win-rate=0.625\n"
+	const wantTable1 = "Table1 (top): P[QAOA > GW]\n" +
+		"nodes  weighted  p=0.2  p=0.5\n" +
+		"6      yes       0.000  1.000\n" +
+		"6      no        0.000  1.000\n" +
+		"8      yes       1.000  1.000\n" +
+		"8      no        0.000  1.000\n" +
+		"\n" +
+		"Table1 (bottom): P[QAOA in [95,100)% of GW]\n" +
+		"nodes  weighted  p=0.2  p=0.5\n" +
+		"6      yes       0.000  0.000\n" +
+		"6      no        0.000  0.000\n" +
+		"8      yes       0.000  0.000\n" +
+		"8      no        0.000  0.000\n"
+	if out != wantFig3 {
+		t.Errorf("Fig3 render:\n%s\nwant:\n%s", out, wantFig3)
+	}
+	if tbl != wantTable1 {
+		t.Errorf("Table1 render:\n%s\nwant:\n%s", tbl, wantTable1)
+	}
+}
+
+// TestRendersIgnoreCoreCount renders the tiny grid and a small Fig. 4
+// at GOMAXPROCS 1 and 4: fanOut spreads their cells and rows over the
+// cores, and the bytes must not depend on how many there are. The
+// records are listed too, since the selector's shuffle reads their
+// order.
+func TestRendersIgnoreCoreCount(t *testing.T) {
+	render := func(procs int) string {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		res, err := RunGrid(tinyGrid())
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows, err := RunFig4(Fig4Config{
+			NodeCounts: []int{30, 40, 50},
+			EdgeProb:   0.15,
+			MaxQubits:  8,
+			QAOA:       qaoa.Options{Layers: 2, MaxIters: 25},
+			Seed:       5,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		out := RenderFig3(res) + RenderTable1(res) + RenderFig4(rows)
+		for _, r := range res.Records {
+			out += fmt.Sprintln(r.Weighting, r.Nodes, r.Prob, r.Instance, r.Layers, r.Rhobeg, r.QAOAValue, r.GWAverage)
+		}
+		return out
+	}
+	if one, four := render(1), render(4); one != four {
+		t.Fatalf("GOMAXPROCS 1:\n%s\nGOMAXPROCS 4:\n%s", one, four)
+	}
 }
 
 func TestRunFig4SmallAndShapes(t *testing.T) {
@@ -181,6 +266,19 @@ func TestRunFig1IdleReduction(t *testing.T) {
 	out := RenderFig1(res)
 	if !strings.Contains(out, "heterogeneous") {
 		t.Fatalf("fig1 render:\n%s", out)
+	}
+	// The four-job table, as the scheduler printed it while it built
+	// its units in three places.
+	res, err = RunFig1(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = "Fig1: heterogeneous jobs vs monolithic allocation\n" +
+		"allocation     makespan  QPU busy  QPU held  QPU idle frac\n" +
+		"monolithic     72.000    8.000     72.000    0.889        \n" +
+		"heterogeneous  24.000    8.000     8.000     0.667        \n"
+	if out := RenderFig1(res); out != want {
+		t.Fatalf("fig1 render:\n%s\nwant:\n%s", out, want)
 	}
 }
 

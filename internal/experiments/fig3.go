@@ -2,6 +2,10 @@ package experiments
 
 import (
 	"fmt"
+	"runtime"
+	"slices"
+	"sync"
+	"sync/atomic"
 
 	"qaoa2/internal/backend"
 	"qaoa2/internal/graph"
@@ -115,7 +119,9 @@ func (cfg GridConfig) cellSeed(w graph.Weighting, ni, pi, inst int) uint64 {
 	return cfg.Seed ^ uint64(w+1)<<40 ^ uint64(ni+1)<<20 ^ uint64(pi+1)<<8 ^ uint64(inst)
 }
 
-// RunGrid executes the grid search. Deterministic for a fixed config.
+// RunGrid executes the grid search, its cells on every core (fanOut).
+// Deterministic for a fixed config: each cell's streams derive from its
+// own index, and the records keep the serial sweep order.
 func RunGrid(cfg GridConfig) (*GridResult, error) {
 	if len(cfg.NodeCounts) == 0 || len(cfg.EdgeProbs) == 0 || len(cfg.Layers) == 0 ||
 		len(cfg.Rhobegs) == 0 || len(cfg.Weightings) == 0 {
@@ -124,110 +130,143 @@ func RunGrid(cfg GridConfig) (*GridResult, error) {
 	if cfg.InstancesPerCell <= 0 {
 		cfg.InstancesPerCell = 1
 	}
-	res := &GridResult{Config: cfg}
+	var cells []gridCell
 	for _, w := range cfg.Weightings {
-		for ni, n := range cfg.NodeCounts {
-			for pi, p := range cfg.EdgeProbs {
+		for ni := range cfg.NodeCounts {
+			for pi := range cfg.EdgeProbs {
 				for inst := 0; inst < cfg.InstancesPerCell; inst++ {
-					cellSeed := cfg.cellSeed(w, ni, pi, inst)
-					r := rng.New(cellSeed)
-					g := graph.ErdosRenyi(n, p, w, r)
-					gwRes, err := gw.Solve(g, sdp.Options{}, r.Split(1))
-					if err != nil {
-						return nil, fmt.Errorf("experiments: GW on n=%d p=%v: %w", n, p, err)
-					}
-					for _, layers := range cfg.Layers {
-						for _, rhobeg := range cfg.Rhobegs {
-							qres, err := qaoa.Solve(g, qaoa.Options{
-								Layers:      layers,
-								MaxIters:    qaoa.IterationsFor(layers),
-								Rhobeg:      rhobeg,
-								Shots:       cfg.Shots,
-								DecodeShots: cfg.DecodeShots,
-								Backend:     cfg.Backend,
-								Restarts:    cfg.Restarts,
-								Seed:        cellSeed ^ uint64(layers)<<32 ^ uint64(rhobeg*1000),
-							}, r.Split(uint64(layers)<<16|uint64(rhobeg*1000)))
-							if err != nil {
-								return nil, fmt.Errorf("experiments: QAOA n=%d p=%v layers=%d: %w", n, p, layers, err)
-							}
-							res.Records = append(res.Records, GridRecord{
-								Weighting: w, Nodes: n, Prob: p, Instance: inst,
-								Layers: layers, Rhobeg: rhobeg,
-								QAOAValue: qres.Cut.Value,
-								GWAverage: gwRes.Average,
-								Graph:     g,
-							})
-						}
-					}
+					cells = append(cells, gridCell{w, ni, pi, inst})
 				}
 			}
 		}
 	}
-	return res, nil
+	records := make([][]GridRecord, len(cells))
+	if err := fanOut(len(cells), func(c int) (err error) {
+		records[c], err = cfg.runCell(cells[c])
+		return err
+	}); err != nil {
+		return nil, err
+	}
+	return &GridResult{Config: cfg, Records: slices.Concat(records...)}, nil
+}
+
+// gridCell is one (weighting, node count, edge probability, instance)
+// cell of the grid, by axis index.
+type gridCell struct {
+	w            graph.Weighting
+	ni, pi, inst int
+}
+
+// runCell draws one cell's graph, solves it once by GW and by QAOA at
+// every (layers, rhobeg) grid point, and returns the cell's records in
+// grid order.
+func (cfg GridConfig) runCell(c gridCell) ([]GridRecord, error) {
+	w, n, p, inst := c.w, cfg.NodeCounts[c.ni], cfg.EdgeProbs[c.pi], c.inst
+	cellSeed := cfg.cellSeed(w, c.ni, c.pi, inst)
+	r := rng.New(cellSeed)
+	g := graph.ErdosRenyi(n, p, w, r)
+	gwRes, err := gw.Solve(g, sdp.Options{}, r.Split(1))
+	if err != nil {
+		return nil, fmt.Errorf("experiments: GW on n=%d p=%v: %w", n, p, err)
+	}
+	var records []GridRecord
+	for _, layers := range cfg.Layers {
+		for _, rhobeg := range cfg.Rhobegs {
+			qres, err := qaoa.Solve(g, qaoa.Options{
+				Layers:      layers,
+				MaxIters:    qaoa.IterationsFor(layers),
+				Rhobeg:      rhobeg,
+				Shots:       cfg.Shots,
+				DecodeShots: cfg.DecodeShots,
+				Backend:     cfg.Backend,
+				Restarts:    cfg.Restarts,
+				Seed:        cellSeed ^ uint64(layers)<<32 ^ uint64(rhobeg*1000),
+			}, r.Split(uint64(layers)<<16|uint64(rhobeg*1000)))
+			if err != nil {
+				return nil, fmt.Errorf("experiments: QAOA n=%d p=%v layers=%d: %w", n, p, layers, err)
+			}
+			records = append(records, GridRecord{
+				Weighting: w, Nodes: n, Prob: p, Instance: inst,
+				Layers: layers, Rhobeg: rhobeg,
+				QAOAValue: qres.Cut.Value,
+				GWAverage: gwRes.Average,
+				Graph:     g,
+			})
+		}
+	}
+	return records, nil
+}
+
+// fanOut calls do(i) for every i in [0, n) on min(n, GOMAXPROCS)
+// goroutines and returns the error of the lowest failing index. Each
+// call writes only its own index's result, so callers keep the serial
+// order at every core count. Indices are handed out last first: the
+// experiments list their sizes ascending, so the largest start first.
+func fanOut(n int, do func(i int) error) error {
+	errs := make([]error, n)
+	var claimed atomic.Int64
+	var wg sync.WaitGroup
+	for range min(n, runtime.GOMAXPROCS(0)) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := n - int(claimed.Add(1)); i >= 0; i = n - int(claimed.Add(1)) {
+				errs[i] = do(i)
+			}
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // CellProportions aggregates records per (node count, edge probability)
 // for one weighting — the layout of Fig. 3(a) and 3(b). pred selects
 // the counted predicate.
 func (gr *GridResult) CellProportions(w graph.Weighting, pred func(GridRecord) bool) [][]float64 {
-	cfg := gr.Config
-	out := make([][]float64, len(cfg.NodeCounts))
-	for i := range out {
-		out[i] = make([]float64, len(cfg.EdgeProbs))
-	}
-	counts := make([][]int, len(cfg.NodeCounts))
-	for i := range counts {
-		counts[i] = make([]int, len(cfg.EdgeProbs))
-	}
-	nIdx := indexOfInts(cfg.NodeCounts)
-	pIdx := indexOfFloats(cfg.EdgeProbs)
-	for _, r := range gr.Records {
-		if r.Weighting != w {
-			continue
-		}
-		i, j := nIdx[r.Nodes], pIdx[r.Prob]
-		counts[i][j]++
-		if pred(r) {
-			out[i][j]++
-		}
-	}
-	for i := range out {
-		for j := range out[i] {
-			if counts[i][j] > 0 {
-				out[i][j] /= float64(counts[i][j])
-			}
-		}
-	}
-	return out
+	return proportions(gr, w, gr.Config.NodeCounts, gr.Config.EdgeProbs,
+		func(r GridRecord) (int, float64) { return r.Nodes, r.Prob }, pred)
 }
 
 // GridProportions aggregates records per (rhobeg, layers) — the layout
 // of Fig. 3(c).
 func (gr *GridResult) GridProportions(w graph.Weighting, pred func(GridRecord) bool) [][]float64 {
-	cfg := gr.Config
-	out := make([][]float64, len(cfg.Rhobegs))
-	counts := make([][]int, len(cfg.Rhobegs))
+	return proportions(gr, w, gr.Config.Rhobegs, gr.Config.Layers,
+		func(r GridRecord) (float64, int) { return r.Rhobeg, r.Layers }, pred)
+}
+
+// proportions is the one aggregation behind every Fig. 3 panel and
+// Table 1: over the records of weighting w, the share satisfying pred
+// in each (row, column) cell, where cell reads a record's row and
+// column keys. A cell without records reads 0.
+func proportions[R, C comparable](gr *GridResult, w graph.Weighting, rows []R, cols []C,
+	cell func(GridRecord) (R, C), pred func(GridRecord) bool) [][]float64 {
+	rIdx, cIdx := indexOf(rows), indexOf(cols)
+	out := make([][]float64, len(rows))
+	counts := make([][]int, len(rows))
 	for i := range out {
-		out[i] = make([]float64, len(cfg.Layers))
-		counts[i] = make([]int, len(cfg.Layers))
+		out[i] = make([]float64, len(cols))
+		counts[i] = make([]int, len(cols))
 	}
-	rIdx := indexOfFloats(cfg.Rhobegs)
-	lIdx := indexOfInts(cfg.Layers)
 	for _, r := range gr.Records {
 		if r.Weighting != w {
 			continue
 		}
-		i, j := rIdx[r.Rhobeg], lIdx[r.Layers]
+		rk, ck := cell(r)
+		i, j := rIdx[rk], cIdx[ck]
 		counts[i][j]++
 		if pred(r) {
 			out[i][j]++
 		}
 	}
 	for i := range out {
-		for j := range out[i] {
-			if counts[i][j] > 0 {
-				out[i][j] /= float64(counts[i][j])
+		for j, c := range counts[i] {
+			if c > 0 {
+				out[i][j] /= float64(c)
 			}
 		}
 	}
@@ -265,22 +304,8 @@ func (gr *GridResult) BestGridPoint() (layers int, rhobeg float64, winRate float
 // RenderFig3 renders the three panels of Fig. 3 for both weightings.
 func RenderFig3(gr *GridResult) string {
 	cfg := gr.Config
-	rows := make([]string, len(cfg.NodeCounts))
-	for i, n := range cfg.NodeCounts {
-		rows[i] = fmt.Sprintf("%d", n)
-	}
-	cols := make([]string, len(cfg.EdgeProbs))
-	for j, p := range cfg.EdgeProbs {
-		cols[j] = fmt.Sprintf("%.1f", p)
-	}
-	rrows := make([]string, len(cfg.Rhobegs))
-	for i, r := range cfg.Rhobegs {
-		rrows[i] = fmt.Sprintf("%.1f", r)
-	}
-	lcols := make([]string, len(cfg.Layers))
-	for j, l := range cfg.Layers {
-		lcols[j] = fmt.Sprintf("%d", l)
-	}
+	rows, cols := labels("%d", cfg.NodeCounts), labels("%.1f", cfg.EdgeProbs)
+	rrows, lcols := labels("%.1f", cfg.Rhobegs), labels("%d", cfg.Layers)
 	out := ""
 	for _, w := range cfg.Weightings {
 		out += RenderHeatmap(
@@ -302,16 +327,19 @@ func RenderFig3(gr *GridResult) string {
 	return out
 }
 
-func indexOfInts(xs []int) map[int]int {
-	m := make(map[int]int, len(xs))
+// labels formats each axis value with format: the row and column
+// labels of a rendered panel.
+func labels[T any](format string, xs []T) []string {
+	out := make([]string, len(xs))
 	for i, x := range xs {
-		m[x] = i
+		out[i] = fmt.Sprintf(format, x)
 	}
-	return m
+	return out
 }
 
-func indexOfFloats(xs []float64) map[float64]int {
-	m := make(map[float64]int, len(xs))
+// indexOf maps each axis value to its position.
+func indexOf[T comparable](xs []T) map[T]int {
+	m := make(map[T]int, len(xs))
 	for i, x := range xs {
 		m[x] = i
 	}

@@ -57,20 +57,21 @@ type Fig4Row struct {
 	Levels    int
 }
 
-// RunFig4 executes the comparison. Deterministic for a fixed config.
+// RunFig4 executes the comparison, its rows across cores (fanOut).
+// Deterministic for a fixed config.
 func RunFig4(cfg Fig4Config) ([]Fig4Row, error) {
 	if cfg.MaxQubits <= 1 {
 		return nil, fmt.Errorf("experiments: MaxQubits must exceed 1")
 	}
-	var rows []Fig4Row
-	for _, n := range cfg.NodeCounts {
+	rows := make([]Fig4Row, len(cfg.NodeCounts))
+	if err := fanOut(len(rows), func(i int) (err error) {
+		n := cfg.NodeCounts[i]
 		seed := cfg.Seed ^ uint64(n)<<16
 		g := graph.ErdosRenyi(n, cfg.EdgeProb, graph.Unweighted, rng.New(seed))
-		row, err := fig4Row(g, cfg, seed)
-		if err != nil {
-			return nil, err
-		}
-		rows = append(rows, row)
+		rows[i], err = fig4Row(g, cfg, seed)
+		return err
+	}); err != nil {
+		return nil, err
 	}
 	return rows, nil
 }

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"slices"
 
 	"qaoa2/internal/graph"
 	"qaoa2/internal/gw"
@@ -135,41 +136,27 @@ func RunPartitionAblation(nodes int, prob float64, maxQubits int, seed uint64) (
 	r := rng.New(seed)
 	g := graph.ErdosRenyi(nodes, prob, graph.Unweighted, r)
 
-	chunks := func() [][]int {
+	// chunk cuts a node order into consecutive parts of maxQubits,
+	// each its own copy.
+	chunk := func(order []int) [][]int {
 		var parts [][]int
 		for start := 0; start < nodes; start += maxQubits {
-			end := start + maxQubits
-			if end > nodes {
-				end = nodes
-			}
-			part := make([]int, 0, end-start)
-			for v := start; v < end; v++ {
-				part = append(part, v)
-			}
-			parts = append(parts, part)
+			parts = append(parts, slices.Clone(order[start:min(start+maxQubits, nodes)]))
 		}
 		return parts
-	}()
-	randomParts := func() [][]int {
-		perm := rng.New(seed ^ 0x1234).Perm(nodes)
-		var parts [][]int
-		for start := 0; start < nodes; start += maxQubits {
-			end := start + maxQubits
-			if end > nodes {
-				end = nodes
-			}
-			parts = append(parts, append([]int(nil), perm[start:end]...))
-		}
-		return parts
-	}()
+	}
+	identity := make([]int, nodes)
+	for v := range identity {
+		identity[v] = v
+	}
 
 	configs := []struct {
 		name  string
 		parts [][]int // nil = modularity
 	}{
 		{"modularity", nil},
-		{"chunks", chunks},
-		{"random", randomParts},
+		{"chunks", chunk(identity)},
+		{"random", chunk(rng.New(seed ^ 0x1234).Perm(nodes))},
 	}
 	var rows []PartitionAblationRow
 	for _, cfg := range configs {

@@ -12,21 +12,11 @@ import (
 // that instance/parameterization) — the "knowledge base" use of Fig. 3
 // the paper describes, pointed at the Moussa et al. ML direction.
 func SelectorDataset(records []GridRecord) []mlselect.Sample {
-	out := make([]mlselect.Sample, 0, len(records))
-	for _, r := range records {
-		if r.Graph == nil {
-			continue
-		}
-		y := 0
-		if r.QAOAWins() {
-			y = 1
-		}
-		// Append the QAOA parameterization to the graph features so the
-		// selector can also rank (layers, rhobeg) choices.
-		x := append(mlselect.Features(r.Graph), float64(r.Layers)/8.0, r.Rhobeg)
-		out = append(out, mlselect.Sample{X: x, Y: y})
-	}
-	return out
+	// Append the QAOA parameterization to the graph features so the
+	// selector can also rank (layers, rhobeg) choices.
+	return dataset(records, func(r GridRecord) []float64 {
+		return append(mlselect.Features(r.Graph), float64(r.Layers)/8.0, r.Rhobeg)
+	})
 }
 
 // TrainSelector shuffles the records deterministically, splits 80/20,
@@ -44,6 +34,12 @@ func TrainSelector(records []GridRecord, seed uint64) (*mlselect.Model, float64,
 // feature rows with possibly different labels; the logistic fit
 // absorbs that as the instance's empirical QAOA win rate.
 func SolverSelectorDataset(records []GridRecord) []mlselect.Sample {
+	return dataset(records, func(r GridRecord) []float64 { return mlselect.Features(r.Graph) })
+}
+
+// dataset turns each record that kept its graph into a sample over the
+// features it reads, labeled 1 when QAOA beat GW and 0 otherwise.
+func dataset(records []GridRecord, features func(GridRecord) []float64) []mlselect.Sample {
 	out := make([]mlselect.Sample, 0, len(records))
 	for _, r := range records {
 		if r.Graph == nil {
@@ -53,7 +49,7 @@ func SolverSelectorDataset(records []GridRecord) []mlselect.Sample {
 		if r.QAOAWins() {
 			y = 1
 		}
-		out = append(out, mlselect.Sample{X: mlselect.Features(r.Graph), Y: y})
+		out = append(out, mlselect.Sample{X: features(r), Y: y})
 	}
 	return out
 }

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"slices"
 
 	"qaoa2/internal/graph"
 	"qaoa2/internal/qaoa"
@@ -51,36 +52,21 @@ type Table1Row struct {
 	NearProps []float64 // per edge probability: P[QAOA in [95,100)% of GW]
 }
 
-// Table1Rows aggregates a grid result into the paper's Table 1 layout.
+// Table1Rows aggregates a grid result into the paper's Table 1 layout:
+// each row holds the Fig. 3(a) and 3(b) cells of one node count and
+// weighting.
 func Table1Rows(gr *GridResult) []Table1Row {
-	cfg := gr.Config
+	weightings := []graph.Weighting{graph.UniformWeights, graph.Unweighted}
+	var wins, nears [2][][]float64
+	for k, w := range weightings {
+		wins[k] = gr.CellProportions(w, GridRecord.QAOAWins)
+		nears[k] = gr.CellProportions(w, GridRecord.QAOANear)
+	}
 	var rows []Table1Row
-	for _, n := range cfg.NodeCounts {
-		for _, w := range []graph.Weighting{graph.UniformWeights, graph.Unweighted} {
-			row := Table1Row{Nodes: n, Weighted: w == graph.UniformWeights}
-			for _, p := range cfg.EdgeProbs {
-				wins, nears, total := 0, 0, 0
-				for _, r := range gr.Records {
-					if r.Nodes != n || r.Prob != p || r.Weighting != w {
-						continue
-					}
-					total++
-					if r.QAOAWins() {
-						wins++
-					}
-					if r.QAOANear() {
-						nears++
-					}
-				}
-				if total == 0 {
-					row.WinProps = append(row.WinProps, 0)
-					row.NearProps = append(row.NearProps, 0)
-					continue
-				}
-				row.WinProps = append(row.WinProps, float64(wins)/float64(total))
-				row.NearProps = append(row.NearProps, float64(nears)/float64(total))
-			}
-			rows = append(rows, row)
+	for i, n := range gr.Config.NodeCounts {
+		for k, w := range weightings {
+			rows = append(rows, Table1Row{Nodes: n, Weighted: w == graph.UniformWeights,
+				WinProps: wins[k][i], NearProps: nears[k][i]})
 		}
 	}
 	return rows
@@ -88,26 +74,16 @@ func Table1Rows(gr *GridResult) []Table1Row {
 
 // RenderTable1 renders the two stacked blocks of the paper's Table 1.
 func RenderTable1(gr *GridResult) string {
-	cfg := gr.Config
-	rows := Table1Rows(gr)
-	header := []string{"nodes", "weighted"}
-	for _, p := range cfg.EdgeProbs {
-		header = append(header, fmt.Sprintf("p=%.1f", p))
-	}
+	header := append([]string{"nodes", "weighted"}, labels("p=%.1f", gr.Config.EdgeProbs)...)
 	var winRows, nearRows [][]string
-	for _, r := range rows {
+	for _, r := range Table1Rows(gr) {
 		weighted := "no"
 		if r.Weighted {
 			weighted = "yes"
 		}
-		win := []string{fmt.Sprintf("%d", r.Nodes), weighted}
-		near := []string{fmt.Sprintf("%d", r.Nodes), weighted}
-		for i := range cfg.EdgeProbs {
-			win = append(win, fmtF(r.WinProps[i]))
-			near = append(near, fmtF(r.NearProps[i]))
-		}
-		winRows = append(winRows, win)
-		nearRows = append(nearRows, near)
+		row := []string{fmt.Sprintf("%d", r.Nodes), weighted}
+		winRows = append(winRows, slices.Concat(row, labels("%.3f", r.WinProps)))
+		nearRows = append(nearRows, slices.Concat(row, labels("%.3f", r.NearProps)))
 	}
 	return RenderTable("Table1 (top): P[QAOA > GW]", header, winRows) + "\n" +
 		RenderTable("Table1 (bottom): P[QAOA in [95,100)% of GW]", header, nearRows)

@@ -34,17 +34,7 @@ func (r Resources) sub(o Resources) Resources {
 
 // max returns the elementwise maximum.
 func (r Resources) max(o Resources) Resources {
-	return Resources{
-		Nodes: maxInt(r.Nodes, o.Nodes),
-		QPUs:  maxInt(r.QPUs, o.QPUs),
-	}
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
+	return Resources{Nodes: max(r.Nodes, o.Nodes), QPUs: max(r.QPUs, o.QPUs)}
 }
 
 // Step is one phase of a job: a resource requirement held for a
@@ -102,42 +92,16 @@ type Metrics struct {
 // Simulate runs the discrete-event cluster simulation: jobs arrive at
 // their submit times, allocatable units (whole monolithic jobs, or
 // individual steps of heterogeneous jobs) queue in FIFO order, and at
-// every event the scheduler starts every queued unit that fits the free
-// resources (conservative backfill — exactly SLURM's behaviour with
-// backfill enabled). Virtual time advances event to event; no wall-clock
-// time is consumed.
+// every event the scheduler starts, in queue order, every queued unit
+// that fits the resources still free. This is first-fit without
+// reservations: a wide unit at the head of the queue waits for as long
+// as narrower units behind it keep fitting, since nothing holds
+// resources back for it (SLURM's backfill would reserve its start
+// time). Virtual time advances event to event; no wall-clock time is
+// consumed.
 func Simulate(cluster Resources, jobs []Job) (*Metrics, error) {
 	if cluster.Nodes < 0 || cluster.QPUs < 0 {
 		return nil, fmt.Errorf("hpc: negative cluster resources %+v", cluster)
-	}
-	type unit struct {
-		job      *Job
-		jobIdx   int
-		stepIdx  int // first step of the unit
-		name     string
-		req      Resources
-		duration float64
-		ready    float64 // time the unit became startable
-		seq      int     // FIFO tiebreak
-		// useful compute delivered by this unit (monolithic units hold
-		// the max requirement but only compute per-step).
-		usefulQPU  float64
-		usefulNode float64
-	}
-	// Validate and build initial units.
-	var queue []*unit
-	seq := 0
-	mkMonolithic := func(j *Job, ji int) (*unit, error) {
-		var req Resources
-		total, uq, un := 0.0, 0.0, 0.0
-		for _, s := range j.Steps {
-			req = req.max(s.Req)
-			total += s.Duration
-			uq += float64(s.Req.QPUs) * s.Duration
-			un += float64(s.Req.Nodes) * s.Duration
-		}
-		return &unit{job: j, jobIdx: ji, name: j.Name, req: req, duration: total,
-			ready: j.Submit, usefulQPU: uq, usefulNode: un}, nil
 	}
 	for ji := range jobs {
 		j := &jobs[ji]
@@ -153,6 +117,37 @@ func Simulate(cluster Resources, jobs []Job) (*Metrics, error) {
 					j.Name, s.Name, s.Req, cluster)
 			}
 		}
+	}
+
+	// A unit allocates a run of its job's steps as one block: the whole
+	// job when monolithic, one step when heterogeneous.
+	type unit struct {
+		job      *Job
+		last     int // one past the unit's last step
+		name     string
+		req      Resources
+		duration float64
+		ready    float64 // time the unit became startable
+		// useful compute delivered by this unit (monolithic units hold
+		// the max requirement but only compute per-step).
+		usefulQPU  float64
+		usefulNode float64
+	}
+	// queue is FIFO: units are appended in the order they become ready
+	// and tryStart filters it in place.
+	var queue []*unit
+	enqueue := func(j *Job, first, last int, ready float64) {
+		u := &unit{job: j, last: last, name: j.Name, ready: ready}
+		if j.Heterogeneous {
+			u.name += "/" + j.Steps[first].Name
+		}
+		for _, s := range j.Steps[first:last] {
+			u.req = u.req.max(s.Req)
+			u.duration += s.Duration
+			u.usefulQPU += float64(s.Req.QPUs) * s.Duration
+			u.usefulNode += float64(s.Req.Nodes) * s.Duration
+		}
+		queue = append(queue, u)
 	}
 
 	// Event loop state.
@@ -178,26 +173,14 @@ func Simulate(cluster Resources, jobs []Job) (*Metrics, error) {
 	})
 	nextArrival := 0
 
-	enqueue := func(u *unit) {
-		u.seq = seq
-		seq++
-		queue = append(queue, u)
-	}
-
 	admit := func(t float64) {
 		for nextArrival < len(arrivals) && jobs[arrivals[nextArrival]].Submit <= t {
-			ji := arrivals[nextArrival]
-			j := &jobs[ji]
+			j := &jobs[arrivals[nextArrival]]
+			last := len(j.Steps)
 			if j.Heterogeneous {
-				s := j.Steps[0]
-				enqueue(&unit{job: j, jobIdx: ji, stepIdx: 0, name: j.Name + "/" + s.Name,
-					req: s.Req, duration: s.Duration, ready: j.Submit,
-					usefulQPU:  float64(s.Req.QPUs) * s.Duration,
-					usefulNode: float64(s.Req.Nodes) * s.Duration})
-			} else {
-				u, _ := mkMonolithic(j, ji)
-				enqueue(u)
+				last = 1
 			}
+			enqueue(j, 0, last, j.Submit)
 			nextArrival++
 		}
 	}
@@ -218,9 +201,8 @@ func Simulate(cluster Resources, jobs []Job) (*Metrics, error) {
 		nodeHeld += float64(u.req.Nodes) * u.duration
 	}
 
-	// tryStart launches every queued unit that fits, FIFO with backfill.
+	// tryStart launches, in queue order, every queued unit that fits.
 	tryStart := func(t float64) {
-		sort.SliceStable(queue, func(a, b int) bool { return queue[a].seq < queue[b].seq })
 		kept := queue[:0]
 		for _, u := range queue {
 			if u.req.fits(free) {
@@ -253,14 +235,9 @@ func Simulate(cluster Resources, jobs []Job) (*Metrics, error) {
 		for _, a := range active {
 			if a.end <= now+1e-12 {
 				free = free.add(a.u.req)
-				// Heterogeneous jobs chain their next step.
-				if a.u.job.Heterogeneous && a.u.stepIdx+1 < len(a.u.job.Steps) {
-					next := a.u.stepIdx + 1
-					s := a.u.job.Steps[next]
-					enqueue(&unit{job: a.u.job, jobIdx: a.u.jobIdx, stepIdx: next,
-						name: a.u.job.Name + "/" + s.Name, req: s.Req, duration: s.Duration, ready: now,
-						usefulQPU:  float64(s.Req.QPUs) * s.Duration,
-						usefulNode: float64(s.Req.Nodes) * s.Duration})
+				// A heterogeneous job chains its next step.
+				if u := a.u; u.last < len(u.job.Steps) {
+					enqueue(u.job, u.last, u.last+1, now)
 				}
 			} else {
 				stillActive = append(stillActive, a)
@@ -292,8 +269,7 @@ func Simulate(cluster Resources, jobs []Job) (*Metrics, error) {
 }
 
 // VerifyNoOversubscription checks a schedule's records against the
-// cluster capacity at every time point; tests and the experiment harness
-// call it as an invariant.
+// cluster capacity at every time point: the scheduler tests' invariant.
 func VerifyNoOversubscription(cluster Resources, records []StepRecord) error {
 	type event struct {
 		t     float64

@@ -226,9 +226,13 @@ func TestCheckpointResumesWithRebuiltSpec(t *testing.T) {
 // checkpoints written by older trees whose solver options had fields
 // since deleted, so their headers carry older ConfigTags. Today's equal
 // spec restores none of the records, reruns the solve and returns the
-// cut the older tree recorded.
+// pinned cut, on every kernel tier.
 //   - qaoa-leaf: qaoa.Options still had its optimizer switch and
-//     initial-angle override.
+//     initial-angle override. The older tree recorded cut 40
+//     (+--+--++--+++-+-+-++--++): one leaf holds two optima of equal
+//     probability, and its decode took whichever the avx512 tier's
+//     last bits ranked first. The tie-set decode takes the lower index
+//     on every tier, and the stitched cut reads 42.
 //   - gw-leaf-gw-merge: sdp.Options still had Method and Rho (the ADMM
 //     reference solver); GW has no kernel tier, so this row holds on
 //     every tier.
@@ -239,7 +243,7 @@ func TestCheckpointFromOldQAOAOptionsRestoresNothing(t *testing.T) {
 		cut                 float64
 		spins               string
 	}{
-		{"qaoa-leaf", "qaoa-leaf-old-options.ckpt", "qaoa", 2, 40, "+--+--++--+++-+-+-++--++"},
+		{"qaoa-leaf", "qaoa-leaf-old-options.ckpt", "qaoa", 2, 42, "-+-+---+--+++-+-+-++-+++"},
 		{"gw-leaf-gw-merge", "gw-leaf-old-sdp-options.ckpt", "gw", 0, 41, "-+-+-++----+-+-+-+-++-++"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

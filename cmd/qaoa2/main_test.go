@@ -55,6 +55,21 @@ func TestOperationalErrorExitOne(t *testing.T) {
 	}
 }
 
+// TestOverflowingWeightsExitOne: finite weights whose absolute sum
+// overflows bound no cut value; the QAOA solve refuses the graph
+// instead of printing a cut over no nodes.
+func TestOverflowingWeightsExitOne(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "f.txt")
+	if err := os.WriteFile(path, []byte("3 2\n0 1 1e308\n1 2 1e308\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var out, errb strings.Builder
+	code := run([]string{"-in", path, "-solver", "qaoa", "-merge", "qaoa", "-layers", "1"}, &out, &errb)
+	if code != 1 || !strings.Contains(errb.String(), "must be finite") {
+		t.Fatalf("exit %d, stderr:\n%s\nstdout:\n%s", code, errb.String(), out.String())
+	}
+}
+
 // TestRunSolvesSmallInstance exercises the happy path end-to-end.
 func TestRunSolvesSmallInstance(t *testing.T) {
 	var out, errb strings.Builder

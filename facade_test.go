@@ -3,6 +3,7 @@ package qaoa2_test
 import (
 	"context"
 	"fmt"
+	"math"
 	"net/http/httptest"
 	"testing"
 	"time"
@@ -38,6 +39,18 @@ func TestFacadeGraphAndBaselines(t *testing.T) {
 	r := qaoa2.NewRand(1)
 	if c := qaoa2.RandomCut(g, 4, r); c.Value < 0 {
 		t.Fatal("random cut negative")
+	}
+}
+
+// TestFacadeAddEdgeRefusesNaN: a NaN weight would make every cut value
+// NaN; AddEdge refuses it and leaves the graph unchanged.
+func TestFacadeAddEdgeRefusesNaN(t *testing.T) {
+	g := qaoa2.NewGraph(4)
+	if err := g.AddEdge(0, 1, math.NaN()); err == nil {
+		t.Fatal("NaN weight accepted")
+	}
+	if g.M() != 0 {
+		t.Fatalf("refused edge left %d edges", g.M())
 	}
 }
 

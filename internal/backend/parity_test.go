@@ -18,9 +18,14 @@ import (
 )
 
 // decodeArgmax reproduces the paper's decoding rule: the cut value of
-// the highest-probability basis state.
+// the highest-probability basis state (ties: the lowest index).
 func decodeArgmax(g *graph.Graph, s *qsim.State) float64 {
-	x := s.MaxAmpIndex()
+	x := uint64(0)
+	for i := range uint64(s.Len()) {
+		if s.Probability(i) > s.Probability(x) {
+			x = i
+		}
+	}
 	bits := make([]uint8, g.N())
 	for q := range bits {
 		bits[q] = uint8(x >> uint(q) & 1)

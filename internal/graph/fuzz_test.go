@@ -71,15 +71,13 @@ func inFormat(k int, seed string) string {
 	return strings.Join(out, "\n")
 }
 
-// addEdgeLoop is the graph an AddEdge per edge builds, nil when a
-// summed weight is not finite: the oracle of FromEdges.
+// addEdgeLoop is the graph an AddEdge per edge builds, nil when
+// AddEdge refuses a summed weight that is not finite: the oracle of
+// FromEdges.
 func addEdgeLoop(n int, edges []Edge) *Graph {
 	g := New(n)
 	for _, e := range edges {
-		g.MustAddEdge(e.I, e.J, e.W)
-	}
-	for _, e := range g.Edges() {
-		if math.IsNaN(e.W) || math.IsInf(e.W, 0) {
+		if g.AddEdge(e.I, e.J, e.W) != nil {
 			return nil
 		}
 	}

@@ -71,7 +71,8 @@ func (g *Graph) WeightedDegree(i int) float64 {
 
 // AddEdge inserts an undirected edge {i, j} with weight w. Adding an
 // edge that already exists accumulates the weight onto the existing
-// edge. Self-loops and out-of-range endpoints are errors.
+// edge. Self-loops, out-of-range endpoints, a NaN or infinite weight and
+// a merged weight that overflows are errors, and leave g unchanged.
 func (g *Graph) AddEdge(i, j int, w float64) error {
 	if i == j {
 		return fmt.Errorf("graph: self-loop on node %d", i)
@@ -79,13 +80,20 @@ func (g *Graph) AddEdge(i, j int, w float64) error {
 	if i < 0 || i >= g.n || j < 0 || j >= g.n {
 		return fmt.Errorf("graph: edge {%d,%d} out of range [0,%d)", i, j, g.n)
 	}
+	if math.IsNaN(w) || math.IsInf(w, 0) {
+		return fmt.Errorf("graph: edge {%d,%d} has weight %v, which is not finite", i, j, w)
+	}
 	if i > j {
 		i, j = j, i
 	}
 	// Merge with an existing edge if present.
 	for _, h := range g.adj[i] {
 		if h.To == j {
-			g.edges[h.Edge].W += w
+			sum := g.edges[h.Edge].W + w
+			if math.IsInf(sum, 0) {
+				return fmt.Errorf("graph: edge {%d,%d} is added again and its weights sum to %v", i, j, sum)
+			}
+			g.edges[h.Edge].W = sum
 			g.refreshHalf(h.Edge)
 			return nil
 		}
@@ -152,7 +160,7 @@ func (g *Graph) TotalWeight() float64 {
 func (g *Graph) IntegralWeights() bool {
 	sum := 0.0
 	for _, e := range g.edges {
-		if e.W != math.Trunc(e.W) { // NaN fails here, ±Inf at the sum
+		if e.W != math.Trunc(e.W) { // an overflowing sum fails below
 			return false
 		}
 		sum += math.Abs(e.W)
@@ -313,7 +321,8 @@ func (g *Graph) InducedSubgraph(nodes []int) (*Graph, []int, error) {
 // within a group are dropped. Group pairs connected by several edges get
 // a single edge carrying the transformed weights accumulated in edge
 // order; exact cancellations (accumulated weight 0) keep their edge so
-// connectivity is preserved. Edges are ordered by group pair.
+// connectivity is preserved. Edges are ordered by group pair. A merged
+// weight that is NaN or infinite is an error, as it is in AddEdge.
 func (g *Graph) Contract(groupOf []int, numGroups int, weight func(e Edge) float64) (*Graph, error) {
 	if len(groupOf) != g.n {
 		return nil, fmt.Errorf("graph: groupOf length %d != n %d", len(groupOf), g.n)
@@ -377,6 +386,11 @@ func (g *Graph) Contract(groupOf []int, numGroups int, weight func(e Edge) float
 			merged = append(merged, Edge{I: int(last >> 32), J: int(uint32(last))})
 		}
 		merged[len(merged)-1].W += w[p]
+	}
+	for _, e := range merged {
+		if math.IsNaN(e.W) || math.IsInf(e.W, 0) {
+			return nil, fmt.Errorf("graph: the edges between groups %d and %d merge to weight %v, which is not finite", e.I, e.J, e.W)
+		}
 	}
 	return fromEdges(numGroups, merged), nil
 }

@@ -39,6 +39,24 @@ func TestAddEdgeRejectsSelfLoopAndRange(t *testing.T) {
 	}
 }
 
+// TestAddEdgeRejectsNonFinite: a NaN or infinite weight, and a merge
+// whose sum overflows, are refused and leave the graph as it was.
+func TestAddEdgeRejectsNonFinite(t *testing.T) {
+	g := New(3)
+	g.MustAddEdge(0, 1, math.MaxFloat64)
+	for _, w := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if err := g.AddEdge(1, 2, w); err == nil {
+			t.Fatalf("weight %v accepted", w)
+		}
+	}
+	if err := g.AddEdge(1, 0, math.MaxFloat64); err == nil {
+		t.Fatal("overflowing merge accepted")
+	}
+	if w, _ := g.Weight(0, 1); g.M() != 1 || w != math.MaxFloat64 || g.Neighbors(1)[0].W != math.MaxFloat64 {
+		t.Fatalf("refused edges changed the graph: M=%d w(0,1)=%v", g.M(), w)
+	}
+}
+
 func TestAddEdgeMergesParallel(t *testing.T) {
 	g := New(2)
 	g.MustAddEdge(0, 1, 1)
@@ -258,6 +276,15 @@ func TestContractValidation(t *testing.T) {
 	if _, err := g.Contract([]int{0, 5}, 2, func(e Edge) float64 { return e.W }); err == nil {
 		t.Fatal("invalid group id accepted")
 	}
+	if _, err := g.Contract([]int{0, 1}, 2, func(Edge) float64 { return math.NaN() }); err == nil {
+		t.Fatal("NaN merged weight accepted")
+	}
+	big := New(4)
+	big.MustAddEdge(0, 2, math.MaxFloat64)
+	big.MustAddEdge(1, 3, math.MaxFloat64)
+	if _, err := big.Contract([]int{0, 0, 1, 1}, 2, func(e Edge) float64 { return e.W }); err == nil {
+		t.Fatal("overflowing merged weight accepted")
+	}
 }
 
 // TestContractKeepsOnlyItsEdges requires the quotient's edge slice to
@@ -292,8 +319,7 @@ func TestIntegralWeights(t *testing.T) {
 		{"unit", pair(1, 1, 1), true},
 		{"signed integers", pair(-3, 4, 0), true},
 		{"half", pair(1, 0.5), false},
-		{"nan", pair(1, math.NaN()), false},
-		{"inf", pair(1, math.Inf(-1)), false},
+		{"sum overflows", pair(math.MaxFloat64, -math.MaxFloat64), false},
 		{"sum below 2^53", pair(1<<52, 1<<52-1), true},
 		{"sum at 2^53", pair(1<<52, -(1 << 52)), false},
 	} {

@@ -445,53 +445,14 @@ type decoder struct {
 	topK   int
 }
 
-// tieTol is the relative tolerance of the exact decode's tie set. The
-// kernel tiers agree on every amplitude a to 1e-12 (the qsim parity
-// tests), so a probability p = |a|² moves by at most 2e-12·|a| between
-// tiers: 2e-12/√p relative, at most 1.6e-8 for the largest probability
-// of a 26-qubit state (p ≥ 2⁻²⁶). 1e-6 leaves a margin of 60 over that
-// worst case, and of 500 at 20 qubits.
-const tieTol = 1e-6
-
-// maxTies bounds the tie set. Past it the set keeps its lowest-index
-// members, which every tier still agrees on: a near-uniform state
-// decodes from the first maxTies of its most probable basis states.
-const maxTies = 64
-
 // exact decodes from the statevector: the best cut among the top-K
 // probability basis states (K=1 is the paper's rule), widened to their
-// tie set so that every kernel tier decodes the same bit string. The
-// tie set holds every stored index whose probability is within a
-// relative tieTol of the K-th largest, found by one pass after the
-// tiered ranking, plus every index clearly above it; the K-th index is
-// in its own tie set, so there is always a candidate. A Z2-reduced
-// state's pass reads representatives only: a complement ties its
-// representative's cut at a higher index, so it never wins.
+// tie set so that every kernel tier decodes the same bit string (see
+// qsim.State.DecodeCandidates). The buffer keeps the usual handful of
+// candidates on the stack.
 func (d decoder) exact(s *qsim.State) maxcut.Cut {
-	var kth uint64
-	if d.topK == 1 {
-		kth = s.MaxAmpIndex()
-	} else {
-		top := s.TopAmpIndices(d.topK)
-		kth = top[len(top)-1]
-	}
-	if n := uint64(s.Len()); kth >= n {
-		kth ^= 2*n - 1 // a complement: the representative holds its probability
-	}
-	p := s.Probability(kth)
-	lo, hi := p*(1-tieTol), p*(1+tieTol)
 	var buf [8]uint64
-	cand, ties := buf[:0], 0
-	for i := range uint64(s.Len()) {
-		switch q := s.Probability(i); {
-		case q > hi:
-			cand = append(cand, i)
-		case q >= lo && ties < maxTies:
-			cand = append(cand, i)
-			ties++
-		}
-	}
-	return d.best(cand)
+	return d.best(s.DecodeCandidates(d.topK, buf[:0]))
 }
 
 // sampled decodes from a finite-shot histogram: the best of the K most

@@ -3,16 +3,18 @@ package qsim
 import (
 	"encoding/binary"
 	"math"
+	"math/cmplx"
+	"slices"
 	"testing"
 )
 
-// maxAmpPalette is the value set FuzzMaxAmpIndex builds amplitudes
+// maxAmpPalette is the value set FuzzDecodeCandidates builds amplitudes
 // from: four arbitrary bit patterns from the input, their last-ulp
 // neighbours and negation (last-ulp and exact ties), ±0, the smallest
 // subnormal, the largest finite value (its square overflows) and three
 // slots that hold NaN and ±Inf when special is set and finite values
 // otherwise — a vector drawn from a palette this small ties often,
-// within a kernel lane and across lanes and chains.
+// exactly and in the last ulp.
 func maxAmpPalette(raw []byte, special bool) [16]float64 {
 	var pal [16]float64
 	for i := range 4 {
@@ -36,12 +38,13 @@ func maxAmpPalette(raw []byte, special bool) [16]float64 {
 	return pal
 }
 
-// FuzzMaxAmpIndex requires every kernel tier the host allows to return
-// the portable scan's index, on full and Z2-reduced states of 1…67
-// amplitudes: the first 32 bytes of raw seed the palette, the next
-// picks the length, and each byte after that one amplitude (low nibble
-// the real part, high nibble the imaginary).
-func FuzzMaxAmpIndex(f *testing.F) {
+// FuzzDecodeCandidates requires DecodeCandidates to match a sort-based
+// oracle over the expanded state for k ∈ {1, 2, 3, 8}, on full and
+// Z2-reduced states of 1…67 amplitudes: the first 32 bytes of raw seed
+// the palette, the next picks the length, and each byte after that one
+// amplitude (low nibble the real part, high nibble the imaginary). A
+// vector with no NaN or infinite amplitude always has a candidate.
+func FuzzDecodeCandidates(f *testing.F) {
 	ties := make([]byte, 32+1+67)
 	ties[32] = 66
 	for i := 33; i < len(ties); i++ {
@@ -83,20 +86,48 @@ func FuzzMaxAmpIndex(f *testing.F) {
 			amps[i] = complex(pal[b&15], pal[b>>4])
 		}
 		s := &State{amps: amps}
+		full := s
 		if z2 {
+			// The expansion, in the stored order: each pair's members
+			// carry ExpandZ2's amplitude a/√2 side by side.
 			s.z2Full = 1
-		}
-		want := s.maxAmpScan(0, 0, -1)
-		for _, name := range tierNames {
-			restore, err := SetKernelTier(name)
-			if err != nil {
-				break // above the host's tier, as is every later one
+			full = &State{amps: make([]complex128, 0, 2*n)}
+			for _, a := range amps {
+				v := complex(real(a)*z2Scale, imag(a)*z2Scale)
+				full.amps = append(full.amps, v, v)
 			}
-			got := s.MaxAmpIndex()
-			restore()
-			if got != want {
-				t.Fatalf("%s tier, %d amplitudes, z2 %v: MaxAmpIndex %d (%v), portable scan %d (%v)",
-					name, n, z2, got, amps[got], want, amps[want])
+		}
+		var probs []float64
+		for i := range full.amps {
+			if p := full.Probability(uint64(i)); !math.IsNaN(p) {
+				probs = append(probs, p)
+			}
+		}
+		finite := !slices.ContainsFunc(amps, func(a complex128) bool { return cmplx.IsNaN(a) || cmplx.IsInf(a) })
+		slices.Sort(probs)
+		slices.Reverse(probs)
+		for _, k := range []int{1, 2, 3, 8} {
+			got := s.DecodeCandidates(k, nil)
+			var want []uint64
+			if len(probs) > 0 {
+				p := probs[min(k, len(probs))-1]
+				lo, hi := p*(1-tieTol), p*(1+tieTol)
+				ties, step := 0, len(full.amps)/n
+				for i := range n {
+					q := full.Probability(uint64(step * i))
+					if q > hi || q >= lo && ties < maxTies {
+						want = append(want, uint64(i))
+						if q <= hi {
+							ties++
+						}
+					}
+				}
+			}
+			if !slices.Equal(got, want) {
+				t.Fatalf("k=%d, %d amplitudes, z2 %v: candidates %v, oracle %v", k, n, z2, got, want)
+			}
+			if finite && len(got) == 0 {
+				t.Fatalf("k=%d, %d finite amplitudes, z2 %v: no candidate", k, n, z2)
 			}
 		}
 	})

@@ -14,124 +14,99 @@ func (s *State) Probability(i uint64) float64 {
 	return re*re + im*im
 }
 
-// MaxAmpIndex returns the basis state with the largest probability (the
-// paper's solution-decoding rule: "the bit string corresponding to the
-// highest amplitude ... is chosen as a solution"). Ties resolve to the
-// smallest index for determinism.
+// tieTol is the relative tolerance of the decode's tie set. The kernel
+// tiers agree on every amplitude a to 1e-12 (the parity tests), so a
+// probability p = |a|² moves by at most 2e-12·|a| between tiers:
+// 2e-12/√p relative, at most 1.6e-8 for the largest probability of a
+// 26-qubit state (p ≥ 2⁻²⁶). 1e-6 leaves a margin of 60 over that worst
+// case, and of 500 at 20 qubits.
+const tieTol = 1e-6
+
+// maxTies bounds the tie set. Past it the set keeps its lowest-index
+// members, which every tier still agrees on: a near-uniform state
+// decodes from the first maxTies of its most probable basis states.
+const maxTies = 64
+
+// DecodeCandidates appends to dst the basis states a top-k decode must
+// score, in ascending index order: every stored index whose probability
+// is within a relative tieTol of the k-th largest probability of the
+// expanded state (at most maxTies of them, the lowest indices kept),
+// plus every index clearly above it. The paper decodes from the most
+// probable basis state (k = 1) and proposes the best cut among the k
+// most probable as an improvement; scoring the whole tie set instead of
+// one ranked index makes every kernel tier decode the same bit string,
+// since the tiers' probabilities differ in their last bits.
 //
-// On a Z2-reduced state (z2.go) the scan over representatives IS the
-// full-space argmax: each pair is ranked by z2PairProb, the probability
-// its members have in the expansion, and the representative is the
-// numerically smaller index, so the returned index matches the expanded
-// state's argmax — and TopAmpIndices(1) — exactly. (Ranking by the
-// stored |a|² instead can split a tie the expansion has.)
-//
-// The ranking runs at memory speed in the kernel tiers (maxProb), over
-// (re·k)² + (im·k)² with k = 1/√2 on a reduced state and 1 otherwise —
-// z2PairProb's and |a|²'s bits for every finite amplitude — and the
-// portable scan ranks what the kernels leave: the tail past their last
-// whole step, or the whole vector once they meet a NaN or +Inf.
-func (s *State) MaxAmpIndex() uint64 {
-	k := 1.0
+// On a Z2-reduced state the probabilities are the expansion's
+// (scaledProb), each stored pair counts twice toward k, and only
+// representatives are returned: a complement ties its representative's
+// cut at a higher index. k is clamped to [1, 2^n]. NaN probabilities
+// are never candidates; any other vector yields at least one candidate.
+// With k ≤ 64 and room in dst the call allocates nothing.
+func (s *State) DecodeCandidates(k int, dst []uint64) []uint64 {
+	c, copies := 1.0, 1
 	if s.z2Full != 0 {
-		k = 1 / math.Sqrt2
+		c, copies = z2Scale, 2
 	}
-	best, bestP, n := maxProb(s.amps, k)
-	return s.maxAmpScan(n, best, bestP)
+	p, ok := s.kthProb(min(max(k, 1), copies*len(s.amps)), c, copies)
+	if !ok {
+		return dst
+	}
+	lo, hi := p*(1-tieTol), p*(1+tieTol)
+	ties := 0
+	for i, a := range s.amps {
+		q := scaledProb(a, c)
+		if !(q >= lo) {
+			continue // the common case, and NaN
+		}
+		if q > hi {
+			dst = append(dst, uint64(i))
+		} else if ties < maxTies {
+			dst = append(dst, uint64(i))
+			ties++
+		}
+	}
+	return dst
 }
 
-// maxAmpScan is MaxAmpIndex's portable scan, the reference of every
-// kernel tier: it continues a scan that found bestP, first at best, over
-// amps[:from] through the rest of the vector. maxAmpScan(0, 0, −1) is
-// the whole scan.
-func (s *State) maxAmpScan(from int, best uint64, bestP float64) uint64 {
-	if s.z2Full != 0 {
-		for i := from; i < len(s.amps); i++ {
-			if p := z2PairProb(s.amps[i]); p > bestP {
-				bestP = p
-				best = uint64(i)
+// kthProb returns the k-th largest of the probabilities (scaledProb
+// with factor c) of the stored amplitudes, each counted copies times,
+// by value alone: a plain max at k = 1 and a bounded insertion
+// selection above it. NaN never ranks; ok is false when every
+// probability is NaN, and past the last other value the smallest of
+// them stands in.
+func (s *State) kthProb(k int, c float64, copies int) (p float64, ok bool) {
+	if k == 1 {
+		p = -1
+		for _, a := range s.amps {
+			if q := scaledProb(a, c); q > p {
+				p = q
 			}
 		}
-		return best
+		return p, p >= 0
 	}
-	for i := from; i < len(s.amps); i++ {
-		a := s.amps[i]
-		re, im := real(a), imag(a)
-		p := re*re + im*im
-		if p > bestP {
-			bestP = p
-			best = uint64(i)
-		}
+	var buf [64]float64
+	top := buf[:0] // the k largest so far, descending
+	if k > len(buf) {
+		top = make([]float64, 0, k)
 	}
-	return best
-}
-
-// TopAmpIndices returns the k basis states with the largest
-// probabilities, in descending probability order (ties: ascending
-// index). This is the paper's proposed improvement over single-best
-// decoding ("consider a number of highest amplitudes and chose the bit
-// string yielding the highest cut").
-// On a Z2-reduced state the selection runs over the VIRTUAL expanded
-// basis — each stored pair contributes both its representative and the
-// complement at equal probability — so the result is identical to
-// calling TopAmpIndices on the expanded state.
-func (s *State) TopAmpIndices(k int) []uint64 {
-	virtual := len(s.amps)
-	if s.z2Full != 0 {
-		virtual *= 2
-	}
-	if k < 1 {
-		k = 1
-	}
-	if k > virtual {
-		k = virtual
-	}
-	type entry struct {
-		p float64
-		i uint64
-	}
-	// Bounded selection: keep a slice of the k best, heapless since k is
-	// tiny in practice (k ≤ 32 in the experiments).
-	top := make([]entry, 0, k+1)
-	// The reduced branch pushes each representative with its complement,
-	// so indices do not arrive in ascending order: an entry tying the
-	// last one's probability still displaces it when its index is lower.
-	push := func(p float64, i uint64) {
-		if len(top) == k && (p < top[k-1].p || p == top[k-1].p && i > top[k-1].i) {
-			return
-		}
-		pos := sort.Search(len(top), func(j int) bool {
-			if top[j].p != p {
-				return top[j].p < p
+	for _, a := range s.amps {
+		q := scaledProb(a, c)
+		for range copies {
+			if math.IsNaN(q) || len(top) == k && !(q > top[k-1]) {
+				break
 			}
-			return top[j].i > i
-		})
-		top = append(top, entry{})
-		copy(top[pos+1:], top[pos:])
-		top[pos] = entry{p: p, i: i}
-		if len(top) > k {
-			top = top[:k]
+			// A full selection drops its smallest value for q.
+			top = append(top[:min(len(top), k-1)], q)
+			for j := len(top) - 1; j > 0 && top[j-1] < q; j-- {
+				top[j-1], top[j] = q, top[j-1]
+			}
 		}
 	}
-	if s.z2Full != 0 {
-		mask := uint64(2*len(s.amps) - 1)
-		for i := range s.amps {
-			p := z2PairProb(s.amps[i])
-			push(p, uint64(i))
-			push(p, mask^uint64(i))
-		}
-	} else {
-		for i := range s.amps {
-			a := s.amps[i]
-			re, im := real(a), imag(a)
-			push(re*re+im*im, uint64(i))
-		}
+	if len(top) == 0 {
+		return 0, false
 	}
-	out := make([]uint64, len(top))
-	for j, e := range top {
-		out[j] = e.i
-	}
-	return out
+	return top[len(top)-1], true
 }
 
 // Sample draws `shots` measurement outcomes in the computational basis,
@@ -170,7 +145,7 @@ func (s *State) Sample(shots int, r *rng.Rand) map[uint64]int {
 			if i >= virtual/2 {
 				i = mask ^ i
 			}
-			return z2PairProb(s.amps[i])
+			return scaledProb(s.amps[i], z2Scale)
 		}
 	}
 	cum := 0.0

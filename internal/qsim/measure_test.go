@@ -2,6 +2,7 @@ package qsim
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"qaoa2/internal/rng"
@@ -20,58 +21,71 @@ func TestProbabilitiesSumToOne(t *testing.T) {
 	}
 }
 
-func TestMaxAmpIndex(t *testing.T) {
+func TestDecodeCandidatesBasisState(t *testing.T) {
 	s, _ := NewState(3)
 	s.ApplyX(0)
 	s.ApplyX(2)
-	if got := s.MaxAmpIndex(); got != 0b101 {
-		t.Fatalf("MaxAmpIndex = %b", got)
+	if got := s.DecodeCandidates(1, nil); !slices.Equal(got, []uint64{0b101}) {
+		t.Fatalf("candidates %b, want [101]", got)
 	}
 }
 
-func TestMaxAmpIndexTieBreaksLow(t *testing.T) {
+// TestDecodeCandidatesKeepsTies: a uniform state ties every basis
+// state, and the decode scores them all (up to maxTies, lowest first).
+func TestDecodeCandidatesKeepsTies(t *testing.T) {
 	s, _ := NewPlusState(2)
-	if got := s.MaxAmpIndex(); got != 0 {
-		t.Fatalf("uniform state argmax = %d want 0", got)
+	if got := s.DecodeCandidates(1, nil); !slices.Equal(got, []uint64{0, 1, 2, 3}) {
+		t.Fatalf("uniform 2-qubit candidates %v, want all four", got)
+	}
+	s, _ = NewPlusState(8)
+	got := s.DecodeCandidates(1, nil)
+	if len(got) != maxTies || got[0] != 0 || got[maxTies-1] != maxTies-1 {
+		t.Fatalf("uniform 8-qubit candidates %v, want 0…%d", got, maxTies-1)
 	}
 }
 
-func TestTopAmpIndices(t *testing.T) {
+func TestDecodeCandidatesTopK(t *testing.T) {
 	s, _ := NewState(3)
 	s.amps[0] = 0
 	s.amps[5] = complex(0.8, 0)
 	s.amps[2] = complex(0.5, 0)
 	s.amps[7] = complex(0.33, 0)
 	s.amps[1] = complex(0.1, 0)
-	top := s.TopAmpIndices(3)
-	want := []uint64{5, 2, 7}
-	if len(top) != 3 {
-		t.Fatalf("top = %v", top)
-	}
-	for i := range want {
-		if top[i] != want[i] {
-			t.Fatalf("top = %v want %v", top, want)
+	for k, want := range map[int][]uint64{1: {5}, 2: {2, 5}, 3: {2, 5, 7}, 4: {1, 2, 5, 7}} {
+		if got := s.DecodeCandidates(k, nil); !slices.Equal(got, want) {
+			t.Fatalf("k=%d: candidates %v, want %v", k, got, want)
 		}
 	}
 }
 
-func TestTopAmpIndicesClamps(t *testing.T) {
-	s, _ := NewPlusState(2)
-	if got := s.TopAmpIndices(0); len(got) != 1 {
+// TestDecodeCandidatesClampsK: k below 1 is the paper's k = 1, and k
+// past the basis size is the whole basis.
+func TestDecodeCandidatesClampsK(t *testing.T) {
+	s, _ := NewState(2)
+	s.amps[0], s.amps[3] = complex(0.6, 0), complex(0.8, 0)
+	if got := s.DecodeCandidates(0, nil); !slices.Equal(got, []uint64{3}) {
 		t.Fatalf("k=0 gave %v", got)
 	}
-	if got := s.TopAmpIndices(100); len(got) != 4 {
-		t.Fatalf("k>len gave %d entries", len(got))
+	if got := s.DecodeCandidates(100, nil); !slices.Equal(got, []uint64{0, 1, 2, 3}) {
+		t.Fatalf("k>len gave %v", got)
 	}
 }
 
-func TestTopAmpConsistentWithMax(t *testing.T) {
+// TestDecodeCandidatesHoldsArgmax: on an evolved state the most
+// probable basis state (ties: lowest index) is always a candidate.
+func TestDecodeCandidatesHoldsArgmax(t *testing.T) {
 	s, _ := NewPlusState(4)
 	s.ApplyRX(0, 0.8)
 	s.ApplyRZZ(1, 2, 1.2)
 	s.ApplyRX(3, 0.3)
-	if s.TopAmpIndices(1)[0] != s.MaxAmpIndex() {
-		t.Fatal("TopAmpIndices(1) != MaxAmpIndex")
+	best := uint64(0)
+	for i := range uint64(s.Len()) {
+		if s.Probability(i) > s.Probability(best) {
+			best = i
+		}
+	}
+	if got := s.DecodeCandidates(1, nil); !slices.Contains(got, best) {
+		t.Fatalf("candidates %v miss the argmax %d", got, best)
 	}
 }
 
@@ -209,25 +223,29 @@ func BenchmarkSample4096From18(b *testing.B) {
 	}
 }
 
-// TestMaxAmpIndexAllocatesNothing pins the decode at zero allocations
-// in every tier: the kernels' lane results live on the caller's stack.
-func TestMaxAmpIndexAllocatesNothing(t *testing.T) {
+// TestDecodeCandidatesAllocatesNothing pins the decode at zero
+// allocations when the caller's buffer has room: the k = 1 pass and the
+// k > 1 selection both keep their state on the stack.
+func TestDecodeCandidatesAllocatesNothing(t *testing.T) {
 	s, err := NewZ2State(12)
 	if err != nil {
 		t.Fatal(err)
 	}
-	kernelTiers(t, func(t *testing.T) {
-		if a := testing.AllocsPerRun(10, func() { s.MaxAmpIndex() }); a != 0 {
-			t.Fatalf("MaxAmpIndex allocates %v per call", a)
+	copy(s.amps, randomTile(len(s.amps), 12))
+	for _, k := range []int{1, 16} {
+		if a := testing.AllocsPerRun(10, func() {
+			var buf [maxTies + 16]uint64
+			decodeSink = len(s.DecodeCandidates(k, buf[:0]))
+		}); a != 0 {
+			t.Fatalf("k=%d: DecodeCandidates allocates %v per call", k, a)
 		}
-	})
+	}
 }
 
-// BenchmarkMaxAmpIndexZ2_20 times the decode of a 20-qubit leaf: the
-// ranking pass over its 2^19 Z2-reduced amplitudes, in the active tier.
-// The amplitudes are a deterministic pseudo-random fill, so no tier
-// falls back to the scan.
-func BenchmarkMaxAmpIndexZ2_20(b *testing.B) {
+// BenchmarkDecodeCandidatesZ2_20 times the decode of a 20-qubit leaf:
+// the max pass and the tie pass over its 2^19 Z2-reduced amplitudes,
+// a deterministic pseudo-random fill.
+func BenchmarkDecodeCandidatesZ2_20(b *testing.B) {
 	s, err := NewZ2State(20)
 	if err != nil {
 		b.Fatal(err)
@@ -237,8 +255,9 @@ func BenchmarkMaxAmpIndexZ2_20(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		maxAmpSink = s.MaxAmpIndex()
+		var buf [8]uint64
+		decodeSink = len(s.DecodeCandidates(1, buf[:0]))
 	}
 }
 
-var maxAmpSink uint64
+var decodeSink int

@@ -27,7 +27,7 @@ import "math"
 //     an 8 KiB scratch, the middle levels run in scratch, and the last
 //     level stores straight back to the rows (rxHighSweep).
 //
-// Six kernels carry all of it, each in three tiers — AVX-512F,
+// Five kernels carry all of it, each in three tiers — AVX-512F,
 // AVX2+FMA (mixer_avx512_amd64.s, mixer_amd64.s) and portable Go —
 // picked once per process (KernelTier):
 //
@@ -39,8 +39,6 @@ import "math"
 //     mirror tile pair (Engine.runMirrorChunk);
 //   - phaseIdx applies the indexed cost phases to a tile where it
 //     lives, the engine's phase-on-load;
-//   - maxProb ranks the whole vector for the decode (MaxAmpIndex),
-//     returning the portable scan's index in every tier;
 //   - indexMax takes the largest entry of a level index, NewEngine's
 //     one check that phaseIdx will read inside its table.
 //

@@ -58,22 +58,6 @@ func phaseIdxAsm(buf, ph *complex128, idx *int32, n int, load bool)
 //go:noescape
 func phaseIdxAsm512(buf, ph *complex128, idx *int32, n int, load bool)
 
-// maxProbAsm is the AVX2 ranking pass (mixer_amd64.s): the contract of
-// maxProbAsm512 with eight lanes, written to p[:8] and at[:8], for n a
-// multiple of 8. Dispatched from tierAVX2 up.
-//
-//go:noescape
-func maxProbAsm(amps *complex128, n int, k float64, p *[16]float64, at *[16]int64) (finite bool)
-
-// maxProbAsm512 is the AVX-512F ranking pass (mixer_avx512_amd64.s):
-// over amps[:n], n a multiple of 16, it writes to p and at the largest
-// (re·k)² + (im·k)² each of its sixteen lanes saw and the lowest index
-// holding it, and reports whether every value was finite. Dispatched
-// only at tierAVX512.
-//
-//go:noescape
-func maxProbAsm512(amps *complex128, n int, k float64, p *[16]float64, at *[16]int64) (finite bool)
-
 // indexMaxAsm is the AVX2 index check (mixer_amd64.s): the largest of
 // idx[:n] read as uint32, n a multiple of 32. Dispatched from tierAVX2
 // up.
@@ -201,42 +185,6 @@ func phaseIdx(buf, ph []complex128, idx []int32, load bool) {
 		buf, idx = buf[n:], idx[n:]
 	}
 	phaseIdxGo(buf, ph, idx, load)
-}
-
-// maxProb is the ranking pass of State.MaxAmpIndex: it ranks a prefix
-// amps[:n] by (re·k)² + (im·k)², unfused and with every product rounded
-// on its own — the portable scan's arithmetic — and returns the lowest
-// index holding the largest value, with that value. n is the longest
-// prefix of whole kernel steps (16 amplitudes at AVX-512, 8 at AVX2).
-// n = 0 — nothing ranked, and best, bestP the scan's start 0, −1 — in
-// the portable tier, below one step, and whenever the kernel met a
-// value that is NaN or +Inf, which only the portable scan ranks.
-// Vectors of 8…15 amplitudes take the AVX2 kernel in the AVX-512 tier.
-func maxProb(amps []complex128, k float64) (best uint64, bestP float64, n int) {
-	var p [16]float64
-	var at [16]int64
-	lanes := 16
-	switch {
-	case activeTier == tierAVX512 && len(amps) >= 16:
-		n = len(amps) &^ 15
-		if !maxProbAsm512(&amps[0], n, k, &p, &at) {
-			return 0, -1, 0
-		}
-	case activeTier >= tierAVX2 && len(amps) >= 8:
-		n, lanes = len(amps)&^7, 8
-		if !maxProbAsm(&amps[0], n, k, &p, &at) {
-			return 0, -1, 0
-		}
-	default:
-		return 0, -1, 0
-	}
-	bestP = -1
-	for j, v := range p[:lanes] {
-		if i := uint64(at[j]); v > bestP || v == bestP && i < best {
-			best, bestP = i, v
-		}
-	}
-	return best, bestP, n
 }
 
 // indexMax returns the largest entry of a level index read as uint32,

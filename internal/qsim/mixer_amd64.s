@@ -1,7 +1,7 @@
 // AVX2+FMA kernels for the blocked QAOA mixer (mixer.go): the tile
 // network rxTileAsm, the row level rxRowsAsm, the reversed-partner
-// level rxMirrorAsm, the indexed phase pass phaseIdxAsm, the decode's
-// ranking pass maxProbAsm and the index check indexMaxAsm.
+// level rxMirrorAsm, the indexed phase pass phaseIdxAsm and the index
+// check indexMaxAsm.
 //
 // rxTileAsm applies the butterfly network RX(θ)^⊗log2(n) to a
 // contiguous tile of n complex128 amplitudes. A butterfly on the pair
@@ -289,83 +289,6 @@ TEXT ·xgetbv0(SB), NOSPLIT, $0-8
 	XGETBV
 	MOVL AX, eax+0(FP)
 	MOVL DX, edx+4(FP)
-	RET
-
-// Constants of maxProbAsm: +Inf and −1 to broadcast, the index step,
-// and the index lanes of its two chains — VUNPCKLPD/VUNPCKHPD of
-// amplitudes 0–1 and 2–3 hold, lane by lane, amplitudes 0, 2, 1, 3.
-DATA maxconst<>+0(SB)/8, $0x7ff0000000000000
-DATA maxconst<>+8(SB)/8, $0xbff0000000000000
-DATA maxconst<>+16(SB)/8, $8
-DATA maxconst<>+24(SB)/8, $0
-DATA maxconst<>+32(SB)/8, $0
-DATA maxconst<>+40(SB)/8, $2
-DATA maxconst<>+48(SB)/8, $1
-DATA maxconst<>+56(SB)/8, $3
-DATA maxconst<>+64(SB)/8, $4
-DATA maxconst<>+72(SB)/8, $6
-DATA maxconst<>+80(SB)/8, $5
-DATA maxconst<>+88(SB)/8, $7
-GLOBL maxconst<>(SB), RODATA|NOPTR, $96
-
-// RANK4(off, p) ranks the four amplitudes at off(DI) into p:
-// (re·k)² + (im·k)², k in Y0, every product rounded on its own.
-#define RANK4(off, p) \
-	VMULPD off(DI), Y0, Y10       \
-	VMULPD off+32(DI), Y0, Y11    \
-	VUNPCKLPD Y11, Y10, p         \
-	VUNPCKHPD Y11, Y10, Y11       \
-	VMULPD p, p, p                \
-	VMULPD Y11, Y11, Y11          \
-	VADDPD Y11, p, p
-
-// KEEP4(p, best, at, cur) keeps, lane by lane, the first largest value
-// (maxProbAsm512's KEEP) and ORs the lanes where p is NaN or +Inf into
-// Y9. Clobbers Y12.
-#define KEEP4(p, best, at, cur) \
-	VCMPPD $0x1e, best, p, Y12    \
-	VBLENDVPD Y12, p, best, best  \
-	VBLENDVPD Y12, cur, at, at    \
-	VCMPPD $0x05, Y1, p, Y12      \
-	VORPD Y12, Y9, Y9
-
-// func maxProbAsm(amps *complex128, n int, k float64, p *[16]float64, at *[16]int64) (finite bool)
-// The AVX2 ranking pass, maxProbAsm512's contract with two chains of
-// four lanes: eight amplitudes per iteration, and p[:8], at[:8] receive
-// the lanes. n is a multiple of 8.
-TEXT ·maxProbAsm(SB), NOSPLIT, $0-41
-	MOVQ amps+0(FP), DI
-	MOVQ n+8(FP), CX
-	SHRQ $3, CX                    // n/8 iterations
-	VBROADCASTSD k+16(FP), Y0      // Y0 = (k, ..., k)
-	VBROADCASTSD maxconst<>+0(SB), Y1  // +Inf
-	VBROADCASTSD maxconst<>+8(SB), Y2  // best values: −1, below every p
-	VMOVAPD Y2, Y3
-	VPXOR Y4, Y4, Y4               // their indices
-	VPXOR Y5, Y5, Y5
-	VMOVDQU maxconst<>+32(SB), Y6  // indices of the first chain
-	VMOVDQU maxconst<>+64(SB), Y7  // of the second
-	VBROADCASTSD maxconst<>+16(SB), Y8 // index step
-	VPXOR Y9, Y9, Y9
-maxloop:
-	RANK4(0, Y13)
-	RANK4(64, Y14)
-	KEEP4(Y13, Y2, Y4, Y6)
-	KEEP4(Y14, Y3, Y5, Y7)
-	VPADDQ Y8, Y6, Y6
-	VPADDQ Y8, Y7, Y7
-	ADDQ $128, DI
-	DECQ CX
-	JNZ  maxloop
-	MOVQ p+24(FP), R8
-	MOVQ at+32(FP), R9
-	VMOVUPD Y2, (R8)
-	VMOVUPD Y3, 32(R8)
-	VMOVDQU Y4, (R9)
-	VMOVDQU Y5, 32(R9)
-	VPTEST Y9, Y9
-	SETEQ finite+40(FP)
-	VZEROUPPER
 	RET
 
 // func indexMaxAsm(idx *int32, n int) uint32

@@ -1,8 +1,8 @@
 // AVX-512F kernels for the blocked QAOA mixer (mixer.go) — the wide
 // siblings of the AVX2 kernels (mixer_amd64.s): the tile network
 // rxTileAsm512, the row level rxRowsAsm512, the reversed-partner level
-// rxMirrorAsm512, the indexed phase pass phaseIdxAsm512, the decode's
-// ranking pass maxProbAsm512 and the index check indexMaxAsm512.
+// rxMirrorAsm512, the indexed phase pass phaseIdxAsm512 and the index
+// check indexMaxAsm512.
 //
 // In the tile network one ZMM register holds FOUR complex128
 // amplitudes, so each register load covers TWO butterfly levels:
@@ -309,91 +309,6 @@ phaseloop:
 	ADDQ $64, DI
 	DECQ CX
 	JNZ  phaseloop
-	VZEROUPPER
-	RET
-
-// Index lanes of a ranking register: VUNPCKLPD/VUNPCKHPD of amplitudes
-// 0–3 and 4–7 hold, lane by lane, amplitudes 0, 4, 1, 5, 2, 6, 3, 7.
-DATA maxlanes512<>+0(SB)/8, $0
-DATA maxlanes512<>+8(SB)/8, $4
-DATA maxlanes512<>+16(SB)/8, $1
-DATA maxlanes512<>+24(SB)/8, $5
-DATA maxlanes512<>+32(SB)/8, $2
-DATA maxlanes512<>+40(SB)/8, $6
-DATA maxlanes512<>+48(SB)/8, $3
-DATA maxlanes512<>+56(SB)/8, $7
-GLOBL maxlanes512<>(SB), RODATA|NOPTR, $64
-
-// RANK8(off, p) ranks the eight amplitudes at off(DI) into p: the
-// real parts scaled by k (Z0) in one register, the imaginary parts in
-// another, each squared and the two added — (re·k)² + (im·k)², every
-// product rounded on its own, as the portable scan computes it.
-#define RANK8(off, p) \
-	VMULPD off(DI), Z0, Z10       \
-	VMULPD off+64(DI), Z0, Z11    \
-	VUNPCKLPD Z11, Z10, p         \
-	VUNPCKHPD Z11, Z10, Z11       \
-	VMULPD p, p, p                \
-	VMULPD Z11, Z11, Z11          \
-	VADDPD Z11, p, p
-
-// KEEP(p, best, at, cur, kk) keeps, lane by lane, the first largest
-// value: best = p and at = cur where p > best (an ordered compare, so a
-// NaN never wins and a tie keeps the lower index the lane saw first).
-// It also sets the lanes where p is NaN or +Inf in K3.
-#define KEEP(p, best, at, cur, kk) \
-	VCMPPD $0x1e, best, p, kk     \
-	VMOVAPD p, kk, best           \
-	VMOVDQA64 cur, kk, at         \
-	VCMPPD $0x05, Z1, p, kk       \
-	KORW kk, K3, K3
-
-// func maxProbAsm512(amps *complex128, n int, k float64, p *[16]float64, at *[16]int64) (finite bool)
-// The decode's ranking pass (maxProb): amplitude i has the value
-// (re·k)² + (im·k)². Two chains of eight lanes take sixteen amplitudes
-// per iteration, amplitudes 16j…16j+7 in the first and 16j+8…16j+15 in
-// the second, so each lane sees its indices in ascending order; p and
-// at receive every lane's largest value and the lowest index holding
-// it. finite is false when any value was NaN or +Inf. n is a multiple
-// of 16.
-TEXT ·maxProbAsm512(SB), NOSPLIT, $0-41
-	MOVQ amps+0(FP), DI
-	MOVQ n+8(FP), CX
-	SHRQ $4, CX                       // n/16 iterations
-	VBROADCASTSD k+16(FP), Z0         // Z0 = (k, ..., k)
-	MOVQ $0x7ff0000000000000, AX
-	VPBROADCASTQ AX, Z1               // Z1 = (+Inf, ...)
-	MOVQ $0xbff0000000000000, AX
-	VPBROADCASTQ AX, Z2               // best values: −1, below every p
-	VMOVAPD Z2, Z3
-	VPXORQ Z4, Z4, Z4                 // their indices
-	VPXORQ Z5, Z5, Z5
-	VMOVDQU64 maxlanes512<>(SB), Z6   // indices of the first chain
-	MOVQ $8, AX
-	VPBROADCASTQ AX, Z8
-	VPADDQ Z8, Z6, Z7                 // of the second
-	MOVQ $16, AX
-	VPBROADCASTQ AX, Z8               // index step
-	KXORW K3, K3, K3
-maxloop:
-	RANK8(0, Z12)
-	RANK8(128, Z13)
-	KEEP(Z12, Z2, Z4, Z6, K1)
-	KEEP(Z13, Z3, Z5, Z7, K2)
-	VPADDQ Z8, Z6, Z6
-	VPADDQ Z8, Z7, Z7
-	ADDQ $256, DI
-	DECQ CX
-	JNZ  maxloop
-	MOVQ p+24(FP), R8
-	MOVQ at+32(FP), R9
-	VMOVUPD Z2, (R8)
-	VMOVUPD Z3, 64(R8)
-	VMOVDQU64 Z4, (R9)
-	VMOVDQU64 Z5, 64(R9)
-	KMOVW K3, AX
-	TESTL AX, AX
-	SETEQ finite+40(FP)
 	VZEROUPPER
 	RET
 

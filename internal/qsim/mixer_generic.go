@@ -18,6 +18,4 @@ func rxMirror(fwd, rev []complex128, c, sn float64) { rxMirrorGo(fwd, rev, c, sn
 
 func phaseIdx(buf, ph []complex128, idx []int32, load bool) { phaseIdxGo(buf, ph, idx, load) }
 
-func maxProb(amps []complex128, k float64) (best uint64, bestP float64, n int) { return 0, -1, 0 }
-
 func indexMax(idx []int32) uint32 { return indexMaxGo(idx) }

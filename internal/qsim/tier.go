@@ -7,7 +7,7 @@ import (
 )
 
 // kernelTier is the instruction-set tier every kernel dispatches on
-// (rxTile, rxRows, rxMirror, phaseIdx, maxProb, indexMax). The tiers are
+// (rxTile, rxRows, rxMirror, phaseIdx, indexMax). The tiers are
 // ordered: each one's CPU requirements include the one below it.
 type kernelTier uint8
 

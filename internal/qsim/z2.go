@@ -25,9 +25,9 @@ import (
 // and representatives index the prefix directly.
 //
 // The measurement layer (measure.go) understands reduced states and
-// reports FULL-space results — Sample, TopAmpIndices and MaxAmpIndex on
-// a reduced state are bit-identical to the same calls on the expanded
-// 2^n state.
+// reports FULL-space results — Sample and DecodeCandidates on a reduced
+// state read the expanded 2^n state's probabilities bit for bit (the
+// decode returns representatives only).
 
 // Z2Full reports the reduction: nonzero nFull means this State is the
 // even-sector half-vector of an nFull-qubit Z2-symmetric state (and
@@ -72,21 +72,24 @@ func (s *State) ExpandZ2() *State {
 	half := len(s.amps)
 	mask := uint64(2*half - 1)
 	full := make([]complex128, 2*half)
-	inv := complex(1/math.Sqrt2, 0)
 	for i, a := range s.amps {
-		v := a * inv
+		v := complex(real(a)*z2Scale, imag(a)*z2Scale)
 		full[i] = v
 		full[mask^uint64(i)] = v
 	}
 	return &State{n: s.z2Full, amps: full, pool: s.pool, serial: s.serial}
 }
 
-// z2PairProb is the full-basis probability of either member of the
-// stored pair: |a·2^{-1/2}|², computed with the exact floating-point
-// operations ExpandZ2 uses — so measurement results on the reduced
-// state are bit-identical to the same calls on the expansion.
-func z2PairProb(a complex128) float64 {
-	v := a * complex(1/math.Sqrt2, 0)
-	re, im := real(v), imag(v)
+// z2Scale takes a stored amplitude of a reduced state to its pair
+// members' amplitude in the expansion.
+const z2Scale = 1 / math.Sqrt2
+
+// scaledProb is |a·c|² with every product rounded on its own. With
+// c = z2Scale it is the expanded state's probability of a stored
+// amplitude in the exact floating-point operations ExpandZ2 uses, so
+// measurement results on a reduced state are bit-identical to the same
+// calls on its expansion; c = 1 gives |a|² to the bit.
+func scaledProb(a complex128, c float64) float64 {
+	re, im := real(a)*c, imag(a)*c
 	return re*re + im*im
 }

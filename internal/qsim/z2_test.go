@@ -1,6 +1,7 @@
 package qsim
 
 import (
+	"math"
 	"slices"
 	"testing"
 
@@ -20,36 +21,10 @@ func z2EvaluatedState(t testing.TB, nFull int, seed uint64) *State {
 	return eng.State()
 }
 
-// TestZ2MaxAmpIndexKeepsExpandedTies: two stored amplitudes whose |a|²
-// differ in the last bit can carry the same expanded probability (the
-// 1/√2 scaling rounds them together). The expansion ties them and picks
-// the lower index, and so must MaxAmpIndex — QAOA's certificate and its
-// decode both read it and must agree with TopAmpIndices(1).
-func TestZ2MaxAmpIndexKeepsExpandedTies(t *testing.T) {
-	a := complex(0.006072534395455154, 0.009752416188605784)
-	b := complex(0.006072534395455155, 0.009752416188605784)
-	if real(a)*real(a)+imag(a)*imag(a) >= real(b)*real(b)+imag(b)*imag(b) || z2PairProb(a) != z2PairProb(b) {
-		t.Fatal("fixture lost its near-tie")
-	}
-	s, err := NewZ2State(3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range s.amps {
-		s.amps[i] = 0
-	}
-	s.amps[1], s.amps[2] = a, b
-	got, top, full := s.MaxAmpIndex(), s.TopAmpIndices(1)[0], s.ExpandZ2().MaxAmpIndex()
-	if got != 1 || top != 1 || full != 1 {
-		t.Fatalf("MaxAmpIndex %d, TopAmpIndices(1) %d, expanded argmax %d; want 1 for all", got, top, full)
-	}
-}
-
 // TestZ2MeasurementMatchesExpanded pins the strongest sampling
-// guarantee the reduction offers: every read-only measurement accessor
-// on the reduced state is BIT-IDENTICAL to the same call on the
-// expanded 2^n state — equal probabilities, equal argmax/top-k, and
-// equal Sample histograms under the same random stream.
+// guarantee the reduction offers: the reduced state's probabilities and
+// Sample histograms are BIT-IDENTICAL to the expanded 2^n state's under
+// the same random stream.
 func TestZ2MeasurementMatchesExpanded(t *testing.T) {
 	for _, nFull := range []int{2, 5, 9, 12} {
 		red := z2EvaluatedState(t, nFull, uint64(nFull)*101+7)
@@ -63,25 +38,10 @@ func TestZ2MeasurementMatchesExpanded(t *testing.T) {
 
 		mask := uint64(full.Len() - 1)
 		for i, a := range red.amps {
-			rp := z2PairProb(a)
+			rp := scaledProb(a, z2Scale)
 			for _, x := range []uint64{uint64(i), mask ^ uint64(i)} {
 				if fp := full.Probability(x); rp != fp {
 					t.Fatalf("n=%d: probability[%d] = %v reduced vs %v expanded", nFull, x, rp, fp)
-				}
-			}
-		}
-
-		if got, want := red.MaxAmpIndex(), full.MaxAmpIndex(); got != want {
-			t.Fatalf("n=%d: MaxAmpIndex %d reduced vs %d expanded", nFull, got, want)
-		}
-		for _, k := range []int{1, 3, 1 << uint(nFull)} {
-			got, want := red.TopAmpIndices(k), full.TopAmpIndices(k)
-			if len(got) != len(want) {
-				t.Fatalf("n=%d k=%d: %d indices reduced vs %d expanded", nFull, k, len(got), len(want))
-			}
-			for j := range got {
-				if got[j] != want[j] {
-					t.Fatalf("n=%d k=%d: top[%d] = %d reduced vs %d expanded", nFull, k, j, got[j], want[j])
 				}
 			}
 		}
@@ -100,12 +60,38 @@ func TestZ2MeasurementMatchesExpanded(t *testing.T) {
 	}
 }
 
-// TestZ2TopAmpIndicesKeepsCrossPairTies: the reduced selection pushes
-// each representative with its complement, so a pair pushed later can
-// carry a lower index at the same probability — pair 2 ties pair 1,
-// and its representative 2 must displace the complement 6 of pair 1,
-// and its complement 5 the complement 6. Both k must read the expanded
-// state's top-k.
+// TestZ2MaxAmpIndexKeepsExpandedTies: two stored amplitudes whose |a|²
+// differ in the last bit can carry the same expanded probability (the
+// 1/√2 scaling rounds them together). The expansion ties them, so the
+// top-1 decode must score both, on the reduced state and its expansion.
+func TestZ2MaxAmpIndexKeepsExpandedTies(t *testing.T) {
+	a := complex(0.006072534395455154, 0.009752416188605784)
+	b := complex(0.006072534395455155, 0.009752416188605784)
+	if real(a)*real(a)+imag(a)*imag(a) >= real(b)*real(b)+imag(b)*imag(b) || scaledProb(a, z2Scale) != scaledProb(b, z2Scale) {
+		t.Fatal("fixture lost its near-tie")
+	}
+	s, err := NewZ2State(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range s.amps {
+		s.amps[i] = 0
+	}
+	s.amps[1], s.amps[2] = a, b
+	if got := s.DecodeCandidates(1, nil); !slices.Equal(got, []uint64{1, 2}) {
+		t.Fatalf("reduced candidates %v, want [1 2]", got)
+	}
+	if got := s.ExpandZ2().DecodeCandidates(1, nil); !slices.Equal(got, []uint64{1, 2, 5, 6}) {
+		t.Fatalf("expanded candidates %v, want [1 2 5 6]", got)
+	}
+	checkZ2DecodeMatchesExpanded(t, s)
+}
+
+// TestZ2TopAmpIndicesKeepsCrossPairTies: two pairs at one probability,
+// so a later pair's members carry lower indices than an earlier pair's
+// complement. Each stored pair counts twice toward k, so at k = 2 and 3
+// the reduced decode keeps both representatives and the expanded decode
+// both pairs.
 func TestZ2TopAmpIndicesKeepsCrossPairTies(t *testing.T) {
 	s, err := NewZ2State(3)
 	if err != nil {
@@ -116,11 +102,59 @@ func TestZ2TopAmpIndicesKeepsCrossPairTies(t *testing.T) {
 	}
 	s.amps[1], s.amps[2] = complex(0.6, 0.2), complex(0.6, 0.2)
 	full := s.ExpandZ2()
-	for _, want := range [][]uint64{{1, 2}, {1, 2, 5}} {
-		k := len(want)
-		got, exp := s.TopAmpIndices(k), full.TopAmpIndices(k)
-		if !slices.Equal(got, want) || !slices.Equal(exp, want) {
-			t.Fatalf("k=%d: reduced %v, expanded %v, want %v", k, got, exp, want)
+	for _, k := range []int{2, 3} {
+		if got := s.DecodeCandidates(k, nil); !slices.Equal(got, []uint64{1, 2}) {
+			t.Fatalf("k=%d: reduced candidates %v, want [1 2]", k, got)
+		}
+		if got := full.DecodeCandidates(k, nil); !slices.Equal(got, []uint64{1, 2, 5, 6}) {
+			t.Fatalf("k=%d: expanded candidates %v, want [1 2 5 6]", k, got)
 		}
 	}
+	checkZ2DecodeMatchesExpanded(t, s)
+}
+
+// TestZ2DecodeMatchesExpanded requires evaluated reduced states and
+// their expansions to decode to the same cut for every k.
+func TestZ2DecodeMatchesExpanded(t *testing.T) {
+	for _, nFull := range []int{2, 5, 9, 12} {
+		checkZ2DecodeMatchesExpanded(t, z2EvaluatedState(t, nFull, uint64(nFull)*101+7))
+	}
+}
+
+// checkZ2DecodeMatchesExpanded requires a reduced state and its
+// expansion to decode to the same cut for every k: the expansion's
+// candidates add complements, which tie their representatives' cuts at
+// higher indices.
+func checkZ2DecodeMatchesExpanded(t *testing.T, red *State) {
+	t.Helper()
+	full := red.ExpandZ2()
+	for _, k := range []int{1, 2, 3, 1 << uint(full.N())} {
+		gotX, gotV := bestSignedCut(red.DecodeCandidates(k, nil), full.N())
+		wantX, wantV := bestSignedCut(full.DecodeCandidates(k, nil), full.N())
+		if gotX != wantX || gotV != wantV {
+			t.Fatalf("n=%d k=%d: reduced decodes %b (cut %v), expanded %b (cut %v)",
+				full.N(), k, gotX, gotV, wantX, wantV)
+		}
+	}
+}
+
+// bestSignedCut scores basis states on the complete n-node graph with
+// signed weights w_uv = (7u + 3v) mod 5 − 2 and returns the best,
+// ties to the lowest index, as QAOA's decoder does.
+func bestSignedCut(cand []uint64, n int) (uint64, int) {
+	bestX, bestV := uint64(0), math.MinInt
+	for _, x := range cand {
+		v := 0
+		for u := range n {
+			for w := u + 1; w < n; w++ {
+				if x>>uint(u)&1 != x>>uint(w)&1 {
+					v += (7*u+3*w)%5 - 2
+				}
+			}
+		}
+		if v > bestV || v == bestV && x < bestX {
+			bestX, bestV = x, v
+		}
+	}
+	return bestX, bestV
 }

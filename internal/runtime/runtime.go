@@ -286,6 +286,9 @@ func (st *solveState) runDirect(g *graph.Graph, worker int) error {
 	if err != nil {
 		return err
 	}
+	if len(sv.cut.Spins) != g.N() {
+		return fmt.Errorf("runtime: graph has %d nodes but cut has %d spins", g.N(), len(sv.cut.Spins))
+	}
 	st.mu.Lock()
 	st.result = &Result{
 		Cut:        sv.cut,

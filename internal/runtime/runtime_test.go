@@ -97,6 +97,43 @@ func TestDirectSolveSmallGraph(t *testing.T) {
 	}
 }
 
+// shortSolver returns a cut over one node fewer than its graph has.
+type shortSolver struct{}
+
+func (shortSolver) Name() string { return "short" }
+func (shortSolver) SolveSub(g *graph.Graph, _ *rng.Rand) (maxcut.Cut, error) {
+	return maxcut.Cut{Spins: make([]int8, g.N()-1)}, nil
+}
+
+// TestDirectSolveRejectsShortCut: a graph that fits the device is one
+// solve task, and a cut with the wrong spin count fails it, as it does
+// a sub-graph or merge solve.
+func TestDirectSolveRejectsShortCut(t *testing.T) {
+	_, err := Solve(graph.Complete(5), Options{MaxQubits: 8, Solver: shortSolver{}, MergeSolver: shortSolver{}})
+	if err == nil || !strings.Contains(err.Error(), "4 spins") {
+		t.Fatalf("short direct cut: err = %v", err)
+	}
+}
+
+// TestOverflowingMergeGraphFails: every split of a 4-cycle of 1e308
+// edges into two sub-graphs leaves two cross edges whose signed weights
+// merge to ±Inf. The stage fails with an error; the merge solver
+// (rqaoa copies its graph first) never sees the non-finite weight.
+func TestOverflowingMergeGraphFails(t *testing.T) {
+	g := graph.New(4)
+	for v := range 4 {
+		g.MustAddEdge(v, (v+1)%4, 1e308)
+	}
+	rq, err := solver.Build(solver.Spec{Name: "rqaoa", Layers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = Solve(g, Options{MaxQubits: 2, Solver: exactSolver{}, MergeSolver: rq})
+	if err == nil || !strings.Contains(err.Error(), "not finite") {
+		t.Fatalf("overflowing merge graph: err = %v", err)
+	}
+}
+
 func TestEmptyGraph(t *testing.T) {
 	res, err := Solve(graph.New(0), solveOpts(8, 0))
 	if err != nil || res.Cut.Value != 0 || len(res.Cut.Spins) != 0 {

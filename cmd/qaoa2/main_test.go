@@ -56,17 +56,26 @@ func TestOperationalErrorExitOne(t *testing.T) {
 }
 
 // TestOverflowingWeightsExitOne: finite weights whose absolute sum
-// overflows bound no cut value; the QAOA solve refuses the graph
-// instead of printing a cut over no nodes.
+// overflows bound no cut value; reading the instance refuses the graph,
+// so no registry solver prints a cut for it.
+// The second file's pair 1-2 is listed twice: each listing alone rounds
+// away against float64's largest value, their merged sum does not.
 func TestOverflowingWeightsExitOne(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "f.txt")
-	if err := os.WriteFile(path, []byte("3 2\n0 1 1e308\n1 2 1e308\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	var out, errb strings.Builder
-	code := run([]string{"-in", path, "-solver", "qaoa", "-merge", "qaoa", "-layers", "1"}, &out, &errb)
-	if code != 1 || !strings.Contains(errb.String(), "must be finite") {
-		t.Fatalf("exit %d, stderr:\n%s\nstdout:\n%s", code, errb.String(), out.String())
+	for _, text := range []string{
+		"3 2\n0 1 1e308\n1 2 1e308\n",
+		"3 3\n0 1 1.7976931348623157e308\n1 2 7e291\n1 2 7e291\n",
+	} {
+		path := filepath.Join(t.TempDir(), "f.txt")
+		if err := os.WriteFile(path, []byte(text), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		for _, name := range root.SolverNames() {
+			var out, errb strings.Builder
+			code := run([]string{"-in", path, "-solver", name, "-merge", name, "-layers", "1"}, &out, &errb)
+			if code != 1 || !strings.Contains(errb.String(), "must be finite") || strings.Contains(out.String(), "cut value") {
+				t.Fatalf("%q, %s: exit %d, stderr:\n%s\nstdout:\n%s", text, name, code, errb.String(), out.String())
+			}
+		}
 	}
 }
 

@@ -23,20 +23,6 @@ func bitsOf(x uint64, n int) []uint8 {
 	return bits
 }
 
-// TestPrepareRefusesOverflowingWeights: two finite weights whose
-// absolute sum overflows bound no cut value, and every backend refuses
-// the graph instead of decoding NaN phases.
-func TestPrepareRefusesOverflowingWeights(t *testing.T) {
-	g := graph.New(3)
-	g.MustAddEdge(0, 1, 1e308)
-	g.MustAddEdge(1, 2, -1e308)
-	for _, b := range []Backend{Fused{}, Fused{Full: true}, Dense{}} {
-		if _, err := b.Prepare(g, Config{Layers: 1}); err == nil {
-			t.Fatalf("%s prepared a graph with Σ|w| = +Inf", b.Name())
-		}
-	}
-}
-
 func TestCutTableMatchesGraph(t *testing.T) {
 	r := rng.New(1)
 	g := graph.ErdosRenyi(6, 0.5, graph.UniformWeights, r)

@@ -10,6 +10,7 @@ package graph
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"qaoa2/internal/linalg"
@@ -27,6 +28,12 @@ type Graph struct {
 	edges []Edge
 	// adj[i] lists (neighbor, edge index) pairs for fast traversal.
 	adj [][]Half
+	// abs is Σ|w| over edges, summed in edge order. Rounding is
+	// monotone, so it bounds every sum of a subset of the weights taken
+	// in edge order — every cut value, every partial sum — and a copy
+	// that lists the same edges. Every graph keeps it finite
+	// (absRefusal).
+	abs float64
 }
 
 // Half is one endpoint's view of an edge.
@@ -71,8 +78,10 @@ func (g *Graph) WeightedDegree(i int) float64 {
 
 // AddEdge inserts an undirected edge {i, j} with weight w. Adding an
 // edge that already exists accumulates the weight onto the existing
-// edge. Self-loops, out-of-range endpoints, a NaN or infinite weight and
-// a merged weight that overflows are errors, and leave g unchanged.
+// edge; such a merge sums the absolute weights afresh, in O(M). Self-
+// loops, out-of-range endpoints, a NaN or infinite weight and a weight
+// that takes the graph's absolute weights past float64's range (which a
+// merged weight that overflows does) are errors, and leave g unchanged.
 func (g *Graph) AddEdge(i, j int, w float64) error {
 	if i == j {
 		return fmt.Errorf("graph: self-loop on node %d", i)
@@ -86,23 +95,56 @@ func (g *Graph) AddEdge(i, j int, w float64) error {
 	if i > j {
 		i, j = j, i
 	}
-	// Merge with an existing edge if present.
+	idx := len(g.edges)
 	for _, h := range g.adj[i] {
 		if h.To == j {
-			sum := g.edges[h.Edge].W + w
-			if math.IsInf(sum, 0) {
-				return fmt.Errorf("graph: edge {%d,%d} is added again and its weights sum to %v", i, j, sum)
-			}
-			g.edges[h.Edge].W = sum
-			g.refreshHalf(h.Edge)
-			return nil
+			idx = h.Edge
 		}
 	}
-	idx := len(g.edges)
+	abs := g.abs + math.Abs(w)
+	if idx < len(g.edges) {
+		// A merge changes a term inside the sum.
+		abs = 0
+		for k, e := range g.edges {
+			if k == idx {
+				e.W += w
+			}
+			abs += math.Abs(e.W)
+		}
+	}
+	if r := absRefusal(abs); r != "" {
+		return fmt.Errorf("graph: edge {%d,%d} of weight %v: %s", i, j, w, r)
+	}
+	g.abs = abs
+	if idx < len(g.edges) {
+		g.edges[idx].W += w
+		g.refreshHalf(idx)
+		return nil
+	}
 	g.edges = append(g.edges, Edge{I: i, J: j, W: w})
 	g.adj[i] = append(g.adj[i], Half{To: j, W: w, Edge: idx})
 	g.adj[j] = append(g.adj[j], Half{To: i, W: w, Edge: idx})
 	return nil
+}
+
+// absRefusal is why a graph whose absolute weights sum to abs is
+// refused, "" when it is not: every cut value lies within ±Σ|w|, so past
+// float64's range neither cut values nor cost phases are numbers. A sum
+// is nondecreasing as it grows, so a finite total has finite prefixes.
+func absRefusal(abs float64) string {
+	if abs <= math.MaxFloat64 {
+		return ""
+	}
+	return fmt.Sprintf("the absolute edge weights sum to %v; cut values must be finite", abs)
+}
+
+// absSum returns Σ|w| over edges, in their order.
+func absSum(edges []Edge) float64 {
+	abs := 0.0
+	for _, e := range edges {
+		abs += math.Abs(e.W)
+	}
+	return abs
 }
 
 // MustAddEdge is AddEdge that panics on error; for tests and literals.
@@ -170,11 +212,7 @@ func (g *Graph) IntegralWeights() bool {
 
 // Clone returns a deep copy of g.
 func (g *Graph) Clone() *Graph {
-	c := New(g.n)
-	for _, e := range g.edges {
-		c.MustAddEdge(e.I, e.J, e.W)
-	}
-	return c
+	return fromEdges(g.n, slices.Clone(g.edges), g.abs)
 }
 
 // CutValue evaluates the cut induced by the spin assignment
@@ -247,11 +285,12 @@ func (g *Graph) Laplacian() *linalg.Dense {
 }
 
 // fromEdges builds the graph on n nodes whose Edges() is edges, which
-// it keeps. The caller guarantees what AddEdge would check or merge:
-// I < J in range and no pair listed twice. Adjacency rows are cut from
+// it keeps, and whose absolute weights sum to abs (absSum). The caller
+// guarantees what AddEdge would check or merge: I < J in range, no pair
+// listed twice and a finite abs. Adjacency rows are cut from
 // one array at their exact length, so a later AddEdge reallocates the
 // row it grows and never writes into the next one.
-func fromEdges(n int, edges []Edge) *Graph {
+func fromEdges(n int, edges []Edge, abs float64) *Graph {
 	deg := make([]int, n)
 	for _, e := range edges {
 		deg[e.I]++
@@ -266,7 +305,7 @@ func fromEdges(n int, edges []Edge) *Graph {
 		adj[e.I] = append(adj[e.I], Half{To: e.J, W: e.W, Edge: idx})
 		adj[e.J] = append(adj[e.J], Half{To: e.I, W: e.W, Edge: idx})
 	}
-	return &Graph{n: n, edges: edges, adj: adj}
+	return &Graph{n: n, edges: edges, adj: adj, abs: abs}
 }
 
 // InducedSubgraph builds the subgraph on the given nodes. It returns
@@ -308,7 +347,8 @@ func (g *Graph) InducedSubgraph(nodes []int) (*Graph, []int, error) {
 		}
 		edges[k] = Edge{I: i, J: j, W: e.W}
 	}
-	sub := fromEdges(len(nodes), edges)
+	// A subset of g's edges in g's order: its sum is bounded by g.abs.
+	sub := fromEdges(len(nodes), edges, absSum(edges))
 	mapping := make([]int, len(nodes))
 	copy(mapping, nodes)
 	return sub, mapping, nil
@@ -321,8 +361,9 @@ func (g *Graph) InducedSubgraph(nodes []int) (*Graph, []int, error) {
 // within a group are dropped. Group pairs connected by several edges get
 // a single edge carrying the transformed weights accumulated in edge
 // order; exact cancellations (accumulated weight 0) keep their edge so
-// connectivity is preserved. Edges are ordered by group pair. A merged
-// weight that is NaN or infinite is an error, as it is in AddEdge.
+// connectivity is preserved. Edges are ordered by group pair. Merged
+// weights that are NaN, or whose absolute values sum past float64's
+// range, are an error, as they are in AddEdge.
 func (g *Graph) Contract(groupOf []int, numGroups int, weight func(e Edge) float64) (*Graph, error) {
 	if len(groupOf) != g.n {
 		return nil, fmt.Errorf("graph: groupOf length %d != n %d", len(groupOf), g.n)
@@ -387,12 +428,11 @@ func (g *Graph) Contract(groupOf []int, numGroups int, weight func(e Edge) float
 		}
 		merged[len(merged)-1].W += w[p]
 	}
-	for _, e := range merged {
-		if math.IsNaN(e.W) || math.IsInf(e.W, 0) {
-			return nil, fmt.Errorf("graph: the edges between groups %d and %d merge to weight %v, which is not finite", e.I, e.J, e.W)
-		}
+	abs := absSum(merged)
+	if r := absRefusal(abs); r != "" {
+		return nil, fmt.Errorf("graph: quotient: %s", r)
 	}
-	return fromEdges(numGroups, merged), nil
+	return fromEdges(numGroups, merged, abs), nil
 }
 
 // Density returns 2m / (n(n-1)), the fraction of possible edges present.

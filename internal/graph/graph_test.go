@@ -1,10 +1,12 @@
 package graph
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"slices"
 	"sort"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -54,6 +56,68 @@ func TestAddEdgeRejectsNonFinite(t *testing.T) {
 	}
 	if w, _ := g.Weight(0, 1); g.M() != 1 || w != math.MaxFloat64 || g.Neighbors(1)[0].W != math.MaxFloat64 {
 		t.Fatalf("refused edges changed the graph: M=%d w(0,1)=%v", g.M(), w)
+	}
+}
+
+// TestGraphRefusesOverflowingAbsoluteWeights: finite weights whose
+// absolute values sum past float64's range bound no cut value, and no
+// way of building a graph accepts them — AddEdge (leaving the graph as
+// it was), FromEdges and Read (with a *RefusedError), Contract — while
+// the same weights summing to float64's largest value are accepted.
+func TestGraphRefusesOverflowingAbsoluteWeights(t *testing.T) {
+	g := New(3)
+	g.MustAddEdge(0, 1, 1e308)
+	if err := g.AddEdge(1, 2, -1e308); err == nil || !strings.Contains(err.Error(), "must be finite") {
+		t.Fatalf("AddEdge past the range: error %v", err)
+	}
+	if g.M() != 1 || len(g.Neighbors(2)) != 0 || g.abs != 1e308 {
+		t.Fatalf("refused edge changed the graph: M=%d Σ|w|=%v", g.M(), g.abs)
+	}
+	g.MustAddEdge(1, 2, math.MaxFloat64-1e308) // exactly at the limit
+	var re *RefusedError
+	if _, err := FromEdges(3, []Edge{{0, 1, 1e308}, {2, 1, -1e308}}, self); !errors.As(err, &re) {
+		t.Fatalf("FromEdges past the range: error %v, want a *RefusedError", err)
+	}
+	if _, err := Read(strings.NewReader("3 2\n0 1 1e308\n1 2 1e308\n")); !errors.As(err, &re) {
+		t.Fatalf("Read past the range: error %v, want a *RefusedError", err)
+	}
+	// A 4-cycle of a quarter of the range per edge, contracted to one
+	// pair of groups by a weight hook that doubles every weight.
+	c := New(4)
+	for v := range 4 {
+		c.MustAddEdge(v, (v+1)%4, math.MaxFloat64/4)
+	}
+	if _, err := c.Contract([]int{0, 1, 0, 1}, 2, func(e Edge) float64 { return 2 * e.W }); err == nil {
+		t.Fatal("Contract past the range accepted")
+	}
+}
+
+// TestAbsoluteWeightsSumStoredEdges: Σ|w| is summed over the merged
+// weights the graph stores, not over the weights as added. Listed one
+// by one, 7e291 and 7e291 both round away against float64's largest
+// value, yet merged into one edge of 1.4e292 they take the sum past
+// the range: AddEdge refuses the second listing, Read and FromEdges
+// refuse the file, and Clone copies what was accepted without
+// re-adding (and re-checking) a single edge.
+func TestAbsoluteWeightsSumStoredEdges(t *testing.T) {
+	const big = 7e291
+	g := New(3)
+	g.MustAddEdge(0, 1, math.MaxFloat64)
+	g.MustAddEdge(1, 2, big)
+	if err := g.AddEdge(2, 1, big); err == nil || !strings.Contains(err.Error(), "must be finite") {
+		t.Fatalf("merge past the range: error %v", err)
+	}
+	if w, _ := g.Weight(1, 2); w != big || g.abs != math.MaxFloat64 {
+		t.Fatalf("refused merge changed the graph: w(1,2)=%v Σ|w|=%v", w, g.abs)
+	}
+	requireSameGraph(t, "Clone", g.Clone(), g)
+	text := fmt.Sprintf("3 3\n0 1 %v\n1 2 %v\n1 2 %v\n", math.MaxFloat64, big, big)
+	var re *RefusedError
+	if _, err := Read(strings.NewReader(text)); !errors.As(err, &re) {
+		t.Fatalf("Read: error %v, want a *RefusedError", err)
+	}
+	if _, err := FromEdges(3, []Edge{{0, 1, math.MaxFloat64}, {1, 2, big}, {2, 1, big}}, self); !errors.As(err, &re) {
+		t.Fatalf("FromEdges: error %v, want a *RefusedError", err)
 	}
 }
 
@@ -280,9 +344,9 @@ func TestContractValidation(t *testing.T) {
 		t.Fatal("NaN merged weight accepted")
 	}
 	big := New(4)
-	big.MustAddEdge(0, 2, math.MaxFloat64)
-	big.MustAddEdge(1, 3, math.MaxFloat64)
-	if _, err := big.Contract([]int{0, 0, 1, 1}, 2, func(e Edge) float64 { return e.W }); err == nil {
+	big.MustAddEdge(0, 2, math.MaxFloat64/2)
+	big.MustAddEdge(1, 3, math.MaxFloat64/2)
+	if _, err := big.Contract([]int{0, 0, 1, 1}, 2, func(e Edge) float64 { return 2 * e.W }); err == nil {
 		t.Fatal("overflowing merged weight accepted")
 	}
 }
@@ -319,7 +383,7 @@ func TestIntegralWeights(t *testing.T) {
 		{"unit", pair(1, 1, 1), true},
 		{"signed integers", pair(-3, 4, 0), true},
 		{"half", pair(1, 0.5), false},
-		{"sum overflows", pair(math.MaxFloat64, -math.MaxFloat64), false},
+		{"sum at float64's limit", pair(math.MaxFloat64/2, -math.MaxFloat64/2), false},
 		{"sum below 2^53", pair(1<<52, 1<<52-1), true},
 		{"sum at 2^53", pair(1<<52, -(1 << 52)), false},
 	} {
@@ -454,6 +518,10 @@ func requireSameGraph(t *testing.T, name string, got, want *Graph) {
 	t.Helper()
 	if got.N() != want.N() || got.M() != want.M() {
 		t.Fatalf("%s: n=%d m=%d, want n=%d m=%d", name, got.N(), got.M(), want.N(), want.M())
+	}
+	if got.abs != absSum(got.Edges()) || want.abs != absSum(want.Edges()) {
+		t.Fatalf("%s: Σ|w| kept as %v and %v, edges sum to %v and %v",
+			name, got.abs, want.abs, absSum(got.Edges()), absSum(want.Edges()))
 	}
 	for k, w := range want.Edges() {
 		e := got.Edges()[k]

@@ -66,8 +66,9 @@ const maxLine = 1 << 24
 
 // RefusedError is the error the readers and FromEdges return for input
 // that parses but is refused: a header declaring more than MaxNodes
-// nodes, or an edge weight — as written, or summed over an edge listed
-// twice — that is NaN or infinite.
+// nodes, an edge weight that is NaN or infinite, or merged weights
+// (a pair listed twice is summed) whose absolute values sum past
+// float64's range.
 type RefusedError struct {
 	Format string // "" for Read's own format, "gset" for ReadGset's
 	Line   int    // physical line, comments and blanks counted; 0 for a summed weight or no file
@@ -298,8 +299,8 @@ func ParseText[E any](text string, edge func(Edge) E) (n int, edges []E, err err
 // would build, with the same edge order, adjacency order and weights, a
 // pair listed more than once summed in input order. edge spells out one
 // element of edges. A self-loop or an endpoint out of range fails as in
-// AddEdge; a non-finite weight, or a pair whose weights sum to one, is
-// a *RefusedError.
+// AddEdge; a non-finite weight, or merged weights whose absolute values
+// sum past float64's range, is a *RefusedError.
 func FromEdges[E any](n int, edges []E, edge func(E) Edge) (*Graph, error) {
 	return build(plain, n, edges, edge)
 }
@@ -334,13 +335,10 @@ func build[E any](f format, n int, in []E, edge func(E) Edge) (*Graph, error) {
 		index[key] = len(out)
 		out = append(out, e)
 	}
-	if len(out) < len(in) { // only a summed weight can be non-finite now
-		for _, e := range out {
-			if math.IsNaN(e.W) || math.IsInf(e.W, 0) {
-				return nil, &RefusedError{Format: f.name,
-					Reason: fmt.Sprintf("edge {%d,%d} is listed more than once and its weights sum to %v", e.I+f.base, e.J+f.base, e.W)}
-			}
-		}
+	// A pair summing to ±Inf takes abs past the range too.
+	abs := absSum(out)
+	if r := absRefusal(abs); r != "" {
+		return nil, &RefusedError{Format: f.name, Reason: r}
 	}
-	return fromEdges(n, out), nil
+	return fromEdges(n, out, abs), nil
 }

@@ -6,6 +6,8 @@ package qsim
 // collapses to one element-wise phase pass over the statevector instead
 // of a per-edge RZZ gate walk.
 
+import "math"
+
 // CostTables is a cost diagonal in the form the fused engine reads. The
 // INDEXED form factors it through its distinct values: entry i has phase
 // diagonal Levels[Idx[i]] and expectation Values[Idx[i]], so a layer
@@ -23,21 +25,30 @@ type CostTables struct {
 }
 
 // fold returns acc + Σ|buf[i]|²·D[off+i], accumulated in index order,
-// where D is the expectation diagonal the tables hold.
-func (t *CostTables) fold(acc float64, buf []complex128, off int) float64 {
+// where D is the expectation diagonal the tables hold, and the larger of
+// peak and the largest |buf[i]|², both as float64 bits: the engine's
+// batch peaks (State.peaks) come out of the energy's own pass. A
+// nonnegative float orders as its bits, so the max is one integer
+// compare; a NaN |buf[i]|² orders above every number and makes the peak
+// NaN.
+func (t *CostTables) fold(acc float64, peak uint64, buf []complex128, off int) (float64, uint64) {
 	if t.Idx != nil {
 		idx := t.Idx[off : off+len(buf)]
 		values := t.Values
 		for i, a := range buf {
 			re, im := real(a), imag(a)
-			acc += (re*re + im*im) * values[idx[i]]
+			q := re*re + im*im
+			acc += q * values[idx[i]]
+			peak = max(peak, math.Float64bits(q))
 		}
-		return acc
+		return acc, peak
 	}
 	d := t.Diag[off : off+len(buf)]
 	for i, a := range buf {
 		re, im := real(a), imag(a)
-		acc += (re*re + im*im) * d[i]
+		q := re*re + im*im
+		acc += q * d[i]
+		peak = max(peak, math.Float64bits(q))
 	}
-	return acc
+	return acc, peak
 }

@@ -27,6 +27,12 @@ import (
 //     reads D through the phase index it already streams (CostTables),
 //     not a 2^n float64 table.
 //
+//   - The decode's filter is folded into that same pass: beside its
+//     energy partial each batch of the folding sweep records its
+//     largest |a|², and the State keeps these peaks, so
+//     State.DecodeCandidates reads only the batches whose peak can reach
+//     the tie set instead of two whole-vector passes.
+//
 // Reduction shape: the folding sweep is the last high group's, and
 // each of its batches writes its own partial sum (partials, one per
 // batch); Evaluate adds them in batch order. The energy is therefore a
@@ -46,10 +52,10 @@ import (
 //
 // Allocation-freedom: the pass bodies are method values bound once at
 // construction and parameterized through engine fields; the per-layer
-// phase table and the per-batch partials are sized once per engine
-// shape and kept by pooled engines. An Engine is NOT safe for
-// concurrent use — batch drivers create one Engine per worker (see
-// SetSerial).
+// phase table and the per-batch partials and peaks (one allocation)
+// are sized once per engine shape and kept by pooled engines. An
+// Engine is NOT safe for concurrent use — batch drivers create one
+// Engine per worker (see SetSerial).
 type Engine struct {
 	state *State       // the statevector (resolves the kernel pool)
 	amps  []complex128 // state's amplitudes
@@ -62,6 +68,7 @@ type Engine struct {
 
 	phases   []complex128   // per-layer scratch: e^{-iγ·levels[j]}
 	partials []float64      // energy of each batch of the folding sweep
+	peaks    []float64      // largest |a|² of each such batch (same allocation)
 	scratch  [][]complex128 // per-worker high-sweep scratch (fitScratch)
 
 	// Current pass parameters, read by the prepared bodies.
@@ -153,10 +160,12 @@ func NewEngine(nFull int, z2 bool, cost CostTables) (*Engine, error) {
 		}
 		e.highBody = e.runHighChunk
 		if n > e.m0 {
-			// One partial per batch of the last high group's sweep,
-			// the one the energy folds into.
+			// One partial and one peak per batch of the last high
+			// group's sweep, the one the energy folds into.
 			last := (n-e.m0-1)%mixerBlockQubits + 1
-			e.partials = make([]float64, size>>uint(last)/highBatch)
+			batches := size >> uint(last) / highBatch
+			sums := make([]float64, 2*batches)
+			e.partials, e.peaks = sums[:batches], sums[batches:]
 		}
 	}
 	e.state = &State{n: n, amps: e.amps}
@@ -203,7 +212,7 @@ func (e *Engine) Release() {
 	if e.state == nil {
 		return
 	}
-	e.state.amps = nil
+	e.state.amps, e.state.peaks = nil, nil
 	e.state, e.cost = nil, CostTables{}
 	enginePool(e.n, e.z2).Put(e)
 }
@@ -240,19 +249,23 @@ func (e *Engine) SetSerial(serial bool) { e.state.SetSerial(serial) }
 // energy ⟨ψ|D|ψ⟩. len(gammas) must equal len(betas); p = 0 degenerates
 // to ⟨+|D|+⟩. The energy's partials are one per batch of the folding
 // sweep, summed in batch order, so its bits are the same on every
-// worker count and on every repeat.
+// worker count and on every repeat. The state keeps the folding sweep's
+// batch peaks for DecodeCandidates until its next write.
 func (e *Engine) Evaluate(gammas, betas []float64) float64 {
 	if len(gammas) != len(betas) {
 		panic(fmt.Sprintf("qsim: engine got %d gammas but %d betas", len(gammas), len(betas)))
 	}
 	p := len(gammas)
 	if p == 0 {
-		// Degenerate ⟨+|D|+⟩: fill the vector and dot it.
+		// Degenerate ⟨+|D|+⟩: fill the vector and dot it. No sweep
+		// folds, so the state keeps no peaks.
 		amp := complex(e.norm, 0)
 		for i := range e.amps {
 			e.amps[i] = amp
 		}
-		return e.cost.fold(0, e.amps, 0)
+		e.state.peaks = nil
+		energy, _ := e.cost.fold(0, 0, e.amps, 0)
+		return energy
 	}
 	if e.n > e.m0 {
 		e.fitScratch()
@@ -286,8 +299,12 @@ func (e *Engine) Evaluate(gammas, betas []float64) float64 {
 			e.state.sweep(batches, 1<<uint(e.m)*highBatch, e.highBody)
 		}
 	}
+	// Every sweep dropped the state's peaks; the folding sweep's are
+	// the final state's (nil when there is no high group).
+	e.state.peaks = e.peaks
 	if e.n == e.m0 {
-		return e.cost.fold(0, e.amps, 0)
+		energy, _ := e.cost.fold(0, 0, e.amps, 0)
+		return energy
 	}
 	total := 0.0
 	for _, v := range e.partials {
@@ -396,11 +413,11 @@ func z2Boundary(buf []complex128, c, sn float64) {
 // runHighChunk runs the current high group's sweep (rxHighSweep, which
 // butterflies the strided rows where they live) over one chunk of
 // batches in worker w's scratch; on the evaluation's final sweep each
-// batch writes its energy into its own partial.
+// batch writes its energy into its own partial and its peak beside it.
 func (e *Engine) runHighChunk(w, start, end int) {
 	if e.expect {
-		rxHighSweep(e.amps, e.scratch[w], &e.cost, e.partials, e.g0, e.m, start, end, e.c, e.sn)
+		rxHighSweep(e.amps, e.scratch[w], &e.cost, e.partials, e.peaks, e.g0, e.m, start, end, e.c, e.sn)
 		return
 	}
-	rxHighSweep(e.amps, e.scratch[w], nil, nil, e.g0, e.m, start, end, e.c, e.sn)
+	rxHighSweep(e.amps, e.scratch[w], nil, nil, nil, e.g0, e.m, start, end, e.c, e.sn)
 }

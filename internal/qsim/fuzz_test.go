@@ -43,7 +43,9 @@ func maxAmpPalette(raw []byte, special bool) [16]float64 {
 // Z2-reduced states of 1…67 amplitudes: the first 32 bytes of raw seed
 // the palette, the next picks the length, and each byte after that one
 // amplitude (low nibble the real part, high nibble the imaginary). A
-// vector with no NaN or infinite amplitude always has a candidate.
+// vector with no NaN or infinite amplitude always has a candidate. A
+// vector of whole batches is also decoded through the batch peaks
+// (batchedLayouts), in every split of its batches into rows.
 func FuzzDecodeCandidates(f *testing.F) {
 	ties := make([]byte, 32+1+67)
 	ties[32] = 66
@@ -70,6 +72,15 @@ func FuzzDecodeCandidates(f *testing.F) {
 	f.Add(mixed, true, true)
 	f.Add(mixed, true, false)
 	f.Add([]byte{}, false, false)
+	// Whole batches: 64 exact ties and 48 last-ulp pairs.
+	ties64 := append([]byte(nil), ties...)
+	ties64[32] = 63
+	f.Add(ties64, false, false)
+	f.Add(ties64, true, false)
+	ulp48 := append([]byte(nil), ulp...)
+	ulp48[32] = 47
+	f.Add(ulp48, true, false)
+	f.Add(ulp48, false, false)
 
 	f.Fuzz(func(t *testing.T, raw []byte, z2, special bool) {
 		pal := maxAmpPalette(raw, special)
@@ -106,8 +117,8 @@ func FuzzDecodeCandidates(f *testing.F) {
 		finite := !slices.ContainsFunc(amps, func(a complex128) bool { return cmplx.IsNaN(a) || cmplx.IsInf(a) })
 		slices.Sort(probs)
 		slices.Reverse(probs)
+		layouts := append([]*State{s}, batchedLayouts(s)...)
 		for _, k := range []int{1, 2, 3, 8} {
-			got := s.DecodeCandidates(k, nil)
 			var want []uint64
 			if len(probs) > 0 {
 				p := probs[min(k, len(probs))-1]
@@ -123,12 +134,42 @@ func FuzzDecodeCandidates(f *testing.F) {
 					}
 				}
 			}
-			if !slices.Equal(got, want) {
-				t.Fatalf("k=%d, %d amplitudes, z2 %v: candidates %v, oracle %v", k, n, z2, got, want)
-			}
-			if finite && len(got) == 0 {
-				t.Fatalf("k=%d, %d finite amplitudes, z2 %v: no candidate", k, n, z2)
+			for _, l := range layouts {
+				got := l.DecodeCandidates(k, nil)
+				if !slices.Equal(got, want) {
+					t.Fatalf("k=%d, %d amplitudes, z2 %v, %d batches: candidates %v, oracle %v",
+						k, n, z2, len(l.peaks), got, want)
+				}
+				if finite && len(got) == 0 {
+					t.Fatalf("k=%d, %d finite amplitudes, z2 %v: no candidate", k, n, z2)
+				}
 			}
 		}
 	})
+}
+
+// batchedLayouts returns s's amplitudes as the states a folding sweep
+// could leave: for every batch count dividing len/highBatch, a State
+// with one peak per batch, each taken by the engine's own fold over the
+// batch's rows. A vector of no whole batches has none.
+func batchedLayouts(s *State) []*State {
+	n := len(s.amps)
+	if n%highBatch != 0 {
+		return nil
+	}
+	zero := CostTables{Diag: make([]float64, highBatch)}
+	var out []*State
+	for batches := 1; batches <= n/highBatch; batches++ {
+		if n/highBatch%batches != 0 {
+			continue
+		}
+		b := &State{n: s.n, amps: s.amps, z2Full: s.z2Full, peaks: make([]float64, batches)}
+		for off := 0; off < n; off += highBatch {
+			u := off / highBatch % batches
+			_, peak := zero.fold(0, math.Float64bits(b.peaks[u]), s.amps[off:off+highBatch], 0)
+			b.peaks[u] = math.Float64frombits(peak)
+		}
+		out = append(out, b)
+	}
+	return out
 }

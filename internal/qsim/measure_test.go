@@ -225,38 +225,187 @@ func BenchmarkSample4096From18(b *testing.B) {
 
 // TestDecodeCandidatesAllocatesNothing pins the decode at zero
 // allocations when the caller's buffer has room: the k = 1 pass and the
-// k > 1 selection both keep their state on the stack.
+// k > 1 selection both keep their state on the stack, on a bare state
+// and on an engine's, read through its peaks.
 func TestDecodeCandidatesAllocatesNothing(t *testing.T) {
 	s, err := NewZ2State(12)
 	if err != nil {
 		t.Fatal(err)
 	}
 	copy(s.amps, randomTile(len(s.amps), 12))
-	for _, k := range []int{1, 16} {
-		if a := testing.AllocsPerRun(10, func() {
-			var buf [maxTies + 16]uint64
-			decodeSink = len(s.DecodeCandidates(k, buf[:0]))
-		}); a != 0 {
-			t.Fatalf("k=%d: DecodeCandidates allocates %v per call", k, a)
+	diag, levels, idx, shift := z2Fixture(t, 16, 5)
+	eng, _ := testEngine(t, 16, true, false, diag, levels, idx, shift)
+	defer eng.Release()
+	eng.Evaluate(benchGammas, benchBetas)
+	for _, s := range []*State{s, eng.State()} {
+		for _, k := range []int{1, 16} {
+			if a := testing.AllocsPerRun(10, func() {
+				var buf [maxTies + 16]uint64
+				decodeSink = len(s.DecodeCandidates(k, buf[:0]))
+			}); a != 0 {
+				t.Fatalf("k=%d, %d peaks: DecodeCandidates allocates %v per call", k, len(s.peaks), a)
+			}
 		}
 	}
 }
 
-// BenchmarkDecodeCandidatesZ2_20 times the decode of a 20-qubit leaf:
-// the max pass and the tie pass over its 2^19 Z2-reduced amplitudes,
-// a deterministic pseudo-random fill.
-func BenchmarkDecodeCandidatesZ2_20(b *testing.B) {
-	s, err := NewZ2State(20)
-	if err != nil {
-		b.Fatal(err)
+// readsBatches reports whether a k = 1 decode of s reads it batch by
+// batch through its peaks rather than whole.
+func readsBatches(s *State) bool {
+	copies := 1
+	if s.z2Full != 0 {
+		copies = 2
 	}
-	copy(s.amps, randomTile(len(s.amps), 20))
-	b.SetBytes(int64(16 * len(s.amps)))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		var buf [8]uint64
-		decodeSink = len(s.DecodeCandidates(1, buf[:0]))
+	return s.view(1, copies, nil).width == highBatch
+}
+
+// TestEngineDecodeMatchesBareCopy: decoding an engine's final state
+// through its batch peaks gives exactly the candidates of a bare copy
+// of the same amplitudes (no peaks: one batch, read whole), for
+// k ∈ {1, 2, 4, 16}, on reduced and full engines of 8–22 qubits, in
+// every kernel tier. A state with high groups has peaks, and its k = 1
+// decode reads batches.
+func TestEngineDecodeMatchesBareCopy(t *testing.T) {
+	sizes := []int{8, 10, 11, 12, 14, 16, 17, 19, 20, 22}
+	if testing.Short() || raceDetector {
+		sizes = []int{8, 11, 12, 16}
+	}
+	kernelTiers(t, func(t *testing.T) {
+		for _, nFull := range sizes {
+			diag, levels, idx, shift := z2Fixture(t, nFull, uint64(nFull)+5)
+			gammas, betas := engineParams(nFull, 3)
+			for _, z2 := range []bool{false, true} {
+				eng, _ := testEngine(t, nFull, z2, false, diag, levels, idx, shift)
+				eng.Evaluate(gammas, betas)
+				s := eng.State()
+				bare := s.Clone()
+				if high := s.n > eng.m0; (s.peaks != nil) != high || bare.peaks != nil || readsBatches(s) != high {
+					t.Fatalf("nFull=%d z2=%v: %d peaks (high groups: %v), copy %d, reads batches %v",
+						nFull, z2, len(s.peaks), high, len(bare.peaks), readsBatches(s))
+				}
+				for _, k := range []int{1, 2, 4, 16} {
+					got, want := s.DecodeCandidates(k, nil), bare.DecodeCandidates(k, nil)
+					if !slices.Equal(got, want) || len(got) == 0 {
+						t.Fatalf("nFull=%d z2=%v k=%d: candidates %v, bare copy %v", nFull, z2, k, got, want)
+					}
+				}
+				eng.Release()
+			}
+		}
+	})
+}
+
+// TestEngineDecodeAllTies: at γ = 0 every amplitude of the final state
+// is the same, so every batch passes its peak's test, and the decode
+// keeps the maxTies lowest indices.
+func TestEngineDecodeAllTies(t *testing.T) {
+	want := make([]uint64, maxTies)
+	for i := range want {
+		want[i] = uint64(i)
+	}
+	for _, nFull := range []int{12, 18} {
+		diag, levels, idx, shift := z2Fixture(t, nFull, 7)
+		for _, z2 := range []bool{false, true} {
+			eng, _ := testEngine(t, nFull, z2, false, diag, levels, idx, shift)
+			eng.Evaluate([]float64{0, 0}, []float64{0.3, 1.2})
+			s := eng.State()
+			for _, k := range []int{1, 16} {
+				if got := s.DecodeCandidates(k, nil); !slices.Equal(got, want) {
+					t.Fatalf("nFull=%d z2=%v k=%d: candidates %v, want the first %d indices", nFull, z2, k, got, maxTies)
+				}
+			}
+			eng.Release()
+		}
+	}
+}
+
+// TestStateWritesDropPeaks: the peaks describe the amplitudes the
+// folding sweep left. A gate after Evaluate drops them — X on qubit 5
+// moves amplitudes between batches, so a stale peak would hide the
+// decode's answer — and so do a p = 0 Evaluate, whose fill is no
+// folding sweep, and Release.
+func TestStateWritesDropPeaks(t *testing.T) {
+	diag, levels, idx, shift := z2Fixture(t, 14, 3)
+	gammas, betas := engineParams(14, 2)
+	for _, z2 := range []bool{false, true} {
+		eng, _ := testEngine(t, 14, z2, false, diag, levels, idx, shift)
+		s := eng.State()
+		eng.Evaluate(gammas, betas)
+		if s.peaks == nil {
+			t.Fatalf("z2=%v: no peaks after Evaluate", z2)
+		}
+		s.ApplyX(5)
+		if s.peaks != nil {
+			t.Fatalf("z2=%v: peaks kept through a gate", z2)
+		}
+		for _, k := range []int{1, 4} {
+			if got, want := s.DecodeCandidates(k, nil), s.Clone().DecodeCandidates(k, nil); !slices.Equal(got, want) {
+				t.Fatalf("z2=%v k=%d: after a gate, candidates %v, bare copy %v", z2, k, got, want)
+			}
+		}
+		eng.Evaluate(gammas, betas)
+		eng.Evaluate(nil, nil)
+		if s.peaks != nil {
+			t.Fatalf("z2=%v: peaks kept through a p = 0 Evaluate", z2)
+		}
+		eng.Evaluate(gammas, betas)
+		eng.Release()
+		if s.peaks != nil {
+			t.Fatalf("z2=%v: peaks kept through Release", z2)
+		}
+	}
+}
+
+// TestDecodePeaksNearUnderAndOverflow pins peakFloor's range guard on
+// a reduced state: amplitudes x and y in two batches tie in the
+// expansion's probability, though y's |y|² falls a whole step below x's
+// — |x|² overflows where |x/√2|² does not, or both squares land on the
+// subnormal grid. The peaks cannot tell such a pair apart from a clear
+// gap, so the decode must read the vector whole and keep both.
+func TestDecodePeaksNearUnderAndOverflow(t *testing.T) {
+	big, tiny := math.Sqrt(math.MaxFloat64), 0x1p-536
+	for _, c := range []struct {
+		name string
+		x, y float64
+	}{
+		{"overflow", big * (1 + 1e-8), big * (1 - 1e-8)},
+		{"subnormal", tiny, math.Sqrt(3.25) * 0x1p-537},
+	} {
+		s := &State{n: 4, amps: make([]complex128, 2*highBatch), z2Full: 5}
+		s.amps[0], s.amps[highBatch] = complex(c.x, 0), complex(c.y, 0)
+		if got := s.DecodeCandidates(1, nil); !slices.Equal(got, []uint64{0, highBatch}) {
+			t.Fatalf("%s: whole-vector candidates %v, want the tie [0 %d]", c.name, got, highBatch)
+		}
+		for _, b := range batchedLayouts(s) {
+			if got := b.DecodeCandidates(1, nil); !slices.Equal(got, []uint64{0, highBatch}) {
+				t.Fatalf("%s, %d batches: candidates %v, want [0 %d]", c.name, len(b.peaks), got, highBatch)
+			}
+		}
+	}
+}
+
+// BenchmarkDecodeCandidatesZ2_20 times the decode of a 20-qubit leaf,
+// a p = 3 Evaluate's final state over 2^19 Z2-reduced amplitudes: on
+// the engine's state, which reads only the batches its peaks let
+// through, and on a bare copy of it (one batch: the max pass and the
+// tie pass over the whole vector).
+func BenchmarkDecodeCandidatesZ2_20(b *testing.B) {
+	diag, levels, idx, shift := z2Fixture(b, 20, 41)
+	eng, _ := testEngine(b, 20, true, false, diag, levels, idx, shift)
+	defer eng.Release()
+	eng.Evaluate(benchGammas, benchBetas)
+	for _, c := range []struct {
+		name string
+		s    *State
+	}{{"engine", eng.State()}, {"bare", eng.State().Clone()}} {
+		b.Run(c.name, func(b *testing.B) {
+			b.SetBytes(int64(16 * c.s.Len()))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				var buf [8]uint64
+				decodeSink = len(c.s.DecodeCandidates(1, buf[:0]))
+			}
+		})
 	}
 }
 

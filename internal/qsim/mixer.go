@@ -106,7 +106,7 @@ func (s *State) rxHighPass(g0, m int, c, sn float64) {
 	batches := len(s.amps) >> uint(m) / highBatch
 	amps := s.amps
 	s.sweep(batches, highBatch<<uint(m), func(_, start, end int) {
-		rxHighSweep(amps, make([]complex128, highBufLen), nil, nil, g0, m, start, end, c, sn)
+		rxHighSweep(amps, make([]complex128, highBufLen), nil, nil, nil, g0, m, start, end, c, sn)
 	})
 }
 
@@ -129,10 +129,12 @@ func (s *State) rxHighPass(g0, m int, c, sn float64) {
 //
 // With cost non-nil (tables whose entry i belongs to amps[i]) the
 // sweep also writes Σ|a|²·D over batch u's rows into sums[u], read back
-// in (row, column) order while the rows are cache-resident; one sum per
-// batch, so how a caller splits the batches between workers cannot
-// change a bit of any sum. With cost nil, sums is not touched.
-func rxHighSweep(amps, scratch []complex128, cost *CostTables, sums []float64, g0, m, start, end int, c, sn float64) {
+// in (row, column) order while the rows are cache-resident, and the
+// largest |a|² among them into peaks[u] — the batch peak a decode
+// filters on (State.peaks); one slot of each per batch, so how a caller
+// splits the batches between workers cannot change a bit of any of
+// them. With cost nil, sums and peaks are not touched.
+func rxHighSweep(amps, scratch []complex128, cost *CostTables, sums, peaks []float64, g0, m, start, end int, c, sn float64) {
 	tl := 1 << uint(m)
 	stride := 1 << uint(g0)
 	mask := stride - 1
@@ -154,11 +156,11 @@ func rxHighSweep(amps, scratch []complex128, cost *CostTables, sums []float64, g
 			rxRows(rows, stride, bb, highBatch, tl, tl/2, c, sn)
 		}
 		if cost != nil {
-			acc := 0.0
+			acc, peak := 0.0, uint64(0)
 			for p := base; p < base+tl*stride; p += stride {
-				acc = cost.fold(acc, amps[p:p+highBatch], p)
+				acc, peak = cost.fold(acc, peak, amps[p:p+highBatch], p)
 			}
-			sums[u] = acc
+			sums[u], peaks[u] = acc, math.Float64frombits(peak)
 		}
 	}
 }

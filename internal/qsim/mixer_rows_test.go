@@ -143,7 +143,8 @@ func TestRxRowsMatchesGatheredTile(t *testing.T) {
 // against the oracle on every (stride, width) geometry, without the
 // energy fold and with it through either table form, over a sub-range
 // of batches: every amplitude, and every batch's energy sum, written
-// into its own slot and into no other.
+// into its own slot and into no other. Each folded batch's peak is the
+// largest |a|² of its rows.
 func TestRxHighSweepMatchesGatherSweep(t *testing.T) {
 	const c, sn = 0.5403023058681398, 0.8414709848078965
 	scratch := make([]complex128, highBufLen)
@@ -163,7 +164,7 @@ func TestRxHighSweepMatchesGatherSweep(t *testing.T) {
 				values := []float64{0, 1, 2, 3, 4, 5, 6, 7, 8}
 				batches := n >> uint(m) / highBatch
 				start, end := batches/4, batches
-				gs, ws := make([]float64, batches), make([]float64, batches)
+				gs, ws, gp := make([]float64, batches), make([]float64, batches), make([]float64, batches)
 				folds := []*CostTables{nil, {Diag: diag}, {Levels: values, Values: values, Idx: idx}}
 				for form, cost := range folds {
 					var d []float64
@@ -171,10 +172,10 @@ func TestRxHighSweepMatchesGatherSweep(t *testing.T) {
 						d = diag
 					}
 					for u := range gs {
-						gs[u], ws[u] = -1, -1
+						gs[u], ws[u], gp[u] = -1, -1, -1
 					}
 					gatherSweep(want, d, ws, g0, m, start, end, c, sn)
-					rxHighSweep(got, scratch, cost, gs, g0, m, start, end, c, sn)
+					rxHighSweep(got, scratch, cost, gs, gp, g0, m, start, end, c, sn)
 					for u := range gs {
 						if math.Float64bits(gs[u]) != math.Float64bits(ws[u]) {
 							t.Fatalf("g0=%d m=%d form=%d: batch %d energy %v, want %v", g0, m, form, u, gs[u], ws[u])
@@ -182,6 +183,20 @@ func TestRxHighSweepMatchesGatherSweep(t *testing.T) {
 					}
 					if i := firstBitDiff(got, want); i >= 0 {
 						t.Fatalf("g0=%d m=%d form=%d: amp %d = %v, want %v", g0, m, form, i, got[i], want[i])
+					}
+					for u := range gp {
+						peak := -1.0
+						if cost != nil && u >= start {
+							peak = 0
+							for i := u * highBatch; i < n; i += 1 << uint(g0) {
+								for _, a := range got[i : i+highBatch] {
+									peak = max(peak, real(a)*real(a)+imag(a)*imag(a))
+								}
+							}
+						}
+						if math.Float64bits(gp[u]) != math.Float64bits(peak) {
+							t.Fatalf("g0=%d m=%d form=%d: batch %d peak %v, want %v", g0, m, form, u, gp[u], peak)
+						}
 					}
 				}
 			}

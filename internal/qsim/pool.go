@@ -139,8 +139,11 @@ func (s *State) kernelPool() *workerPool {
 // body uses it only to pick per-worker scratch, never to place a result,
 // so what a sweep computes does not depend on the worker count. The
 // state's WaitGroup carries the dispatch, so a sweep allocates nothing
-// beyond what body captures.
+// beyond what body captures. A sweep writes the amplitudes, so it
+// drops the batch peaks: this is the one place they go stale, and
+// Engine.Evaluate records them afresh after its last sweep.
 func (s *State) sweep(items, itemLen int, body func(w, start, end int)) {
+	s.peaks = nil
 	p := s.kernelPool()
 	if p == nil || items*itemLen < parallelThreshold {
 		body(0, 0, items)

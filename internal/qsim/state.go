@@ -51,6 +51,14 @@ type State struct {
 	// means amps is the even-sector half-vector of an nFull-qubit
 	// symmetric state and n == nFull−1.
 	z2Full int
+	// peaks, when set, holds the largest |a|² of each batch of the
+	// engine's folding sweep (Engine.Evaluate): batch u is the rows
+	// amps[r·stride + u·highBatch:][:highBatch], stride =
+	// len(peaks)·highBatch, r < len(amps)/stride. DecodeCandidates reads
+	// only the batches whose peak can reach its tie set. Every sweep
+	// drops them (sweep), and so does Evaluate's p = 0 fill, so they
+	// always describe the amplitudes.
+	peaks []float64
 	// wg carries the dispatch of the state's parallel sweeps (sweep).
 	// One is enough: every sweep writes the amplitudes, so two never
 	// run on one state at once.
@@ -103,7 +111,8 @@ func (s *State) Len() int { return len(s.amps) }
 func (s *State) Amp(i uint64) complex128 { return s.amps[i] }
 
 // Clone deep-copies the state (including its serial/pool kernel mode
-// and any Z2-reduction mark).
+// and any Z2-reduction mark). The copy keeps no batch peaks, so its
+// decode reads it whole.
 func (s *State) Clone() *State {
 	c := &State{n: s.n, amps: make([]complex128, len(s.amps)), pool: s.pool, serial: s.serial, z2Full: s.z2Full}
 	copy(c.amps, s.amps)

@@ -58,9 +58,10 @@ func Solve(g *graph.Graph, opts Options, r *rng.Rand) (*Result, error) {
 		return &Result{Cut: maxcut.Cut{Spins: []int8{}, Value: 0}}, nil
 	}
 
-	// Working copy with live-node bookkeeping. orig[i] maps the working
+	// Working graph with live-node bookkeeping: each elimination builds
+	// a new one, so g itself is never written. orig[i] maps the working
 	// graph's node i to the original node id.
-	work := g.Clone()
+	work := g
 	orig := make([]int, n)
 	for i := range orig {
 		orig[i] = i
@@ -106,7 +107,9 @@ func Solve(g *graph.Graph, opts Options, r *rng.Rand) (*Result, error) {
 			keeper:     orig[e.J],
 			sign:       sign,
 		})
-		work, orig = eliminate(work, orig, e.I, e.J, sign)
+		if work, orig, err = eliminate(work, orig, e.I, e.J, sign); err != nil {
+			return nil, err
+		}
 	}
 
 	if final == nil {
@@ -136,7 +139,7 @@ func Solve(g *graph.Graph, opts Options, r *rng.Rand) (*Result, error) {
 // (u,k), k≠v becomes an increment of sign·w on edge (v,k); the (u,v)
 // edge itself becomes a constant and is dropped (Solve re-evaluates the
 // final cut on the original graph, so constants need no tracking).
-func eliminate(g *graph.Graph, orig []int, u, v int, sign int8) (*graph.Graph, []int) {
+func eliminate(g *graph.Graph, orig []int, u, v int, sign int8) (*graph.Graph, []int, error) {
 	n := g.N()
 	// Renumber: drop u, keep order.
 	newIdx := make([]int, n)
@@ -167,7 +170,11 @@ func eliminate(g *graph.Graph, orig []int, u, v int, sign int8) (*graph.Graph, [
 		if na == nb {
 			continue // merged into a self-loop: constant
 		}
-		out.MustAddEdge(na, nb, w)
+		// Merged weights sum in a new order, and their absolute values
+		// can round past float64's range where g's did not.
+		if err := out.AddEdge(na, nb, w); err != nil {
+			return nil, nil, fmt.Errorf("rqaoa: eliminating node %d: %w", orig[u], err)
+		}
 	}
 	newOrig := make([]int, 0, n-1)
 	for i := 0; i < n; i++ {
@@ -175,5 +182,5 @@ func eliminate(g *graph.Graph, orig []int, u, v int, sign int8) (*graph.Graph, [
 			newOrig = append(newOrig, orig[i])
 		}
 	}
-	return out, newOrig
+	return out, newOrig, nil
 }

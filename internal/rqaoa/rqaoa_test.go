@@ -1,6 +1,8 @@
 package rqaoa
 
 import (
+	"math"
+	"strings"
 	"testing"
 
 	"qaoa2/internal/graph"
@@ -125,5 +127,23 @@ func TestRQAOAEmptyAndEdgeless(t *testing.T) {
 func TestRQAOARejectsHugeCutoff(t *testing.T) {
 	if _, err := Solve(graph.Complete(3), Options{Cutoff: maxcut.MaxExactNodes + 1}, rng.New(1)); err == nil {
 		t.Fatal("oversized cutoff accepted")
+	}
+}
+
+// TestRQAOAEliminationPastTheRange: eliminating node 2 into node 3
+// merges edges 1-2 and 1-3 of 7e291 into one of 1.4e292. Listed apart
+// beside float64's largest value their absolute values sum within the
+// range; merged they do not, so Solve reports an error rather than
+// building (or panicking on) a graph whose cut values are not finite.
+func TestRQAOAEliminationPastTheRange(t *testing.T) {
+	g := graph.New(4)
+	g.MustAddEdge(0, 1, math.MaxFloat64)
+	g.MustAddEdge(1, 2, 7e291)
+	g.MustAddEdge(1, 3, 7e291)
+	if _, _, err := eliminate(g, []int{0, 1, 2, 3}, 2, 3, 1); err == nil || !strings.Contains(err.Error(), "must be finite") {
+		t.Fatalf("eliminate: error %v", err)
+	}
+	if _, _, err := eliminate(g, []int{0, 1, 2, 3}, 2, 3, -1); err != nil {
+		t.Fatalf("eliminate with the cancelling sign: %v", err)
 	}
 }

@@ -91,7 +91,8 @@ type Event struct {
 	// solve, with per-attempt timing (nil for plain solvers and for
 	// restored results).
 	Attempts []solver.Attempt `json:"attempts,omitempty"`
-	// Nanos is the solve task's wall time (0 for restored results).
+	// Nanos is the task's wall time (0 for restored results): the
+	// solver call of a solve task, the whole task of the others.
 	// Timing is telemetry: it never enters checkpoints or result
 	// identity.
 	Nanos int64 `json:"nanos,omitempty"`
@@ -412,6 +413,7 @@ func (sg *stage) cover(parts [][]int) ([]int, error) {
 // runPartition divides a stage's graph and schedules one sub-solve
 // task per part plus the merge-build barrier behind them.
 func (st *solveState) runPartition(sg *stage, explicit [][]int, worker int) error {
+	start := time.Now()
 	parts := explicit
 	if parts == nil {
 		var err error
@@ -434,7 +436,8 @@ func (st *solveState) runPartition(sg *stage, explicit [][]int, worker int) erro
 	st.stats.Tasks++
 	st.mu.Unlock()
 	st.emit(Event{Task: fmt.Sprintf("s%d/partition", sg.index), Kind: kindPartition.String(),
-		Stage: sg.index, Index: -1, Nodes: sg.g.N(), Edges: sg.g.M(), Worker: worker})
+		Stage: sg.index, Index: -1, Nodes: sg.g.N(), Edges: sg.g.M(),
+		Nanos: time.Since(start).Nanoseconds(), Worker: worker})
 
 	subTasks := make([]*task, len(parts))
 	for i := range parts {
@@ -486,6 +489,7 @@ func (st *solveState) runSub(sg *stage, i, worker int) error {
 // (fits the device), by local search (contraction stalled) or by
 // unfolding the next stage.
 func (st *solveState) runMergeBuild(sg *stage, worker int) error {
+	start := time.Now()
 	spins := make([]int8, sg.g.N())
 	for i, part := range sg.parts {
 		for k, orig := range part {
@@ -506,7 +510,8 @@ func (st *solveState) runMergeBuild(sg *stage, worker int) error {
 	st.stats.Tasks++
 	st.mu.Unlock()
 	st.emit(Event{Task: fmt.Sprintf("s%d/merge-build", sg.index), Kind: kindMergeBuild.String(),
-		Stage: sg.index, Index: -1, Nodes: merged.N(), Edges: merged.M(), Worker: worker})
+		Stage: sg.index, Index: -1, Nodes: merged.N(), Edges: merged.M(),
+		Nanos: time.Since(start).Nanoseconds(), Worker: worker})
 
 	switch {
 	case merged.M() == 0:
@@ -568,6 +573,7 @@ func (st *solveState) scheduleStitch(deepest int) {
 // runStitch resolves the stage chain bottom-up: a stage's stitched
 // spins are exactly the flip orientation of the stage below it.
 func (st *solveState) runStitch(deepest, worker int) error {
+	start := time.Now()
 	var spins []int8
 	for k := deepest; k >= 0; k-- {
 		sg := st.stages[k]
@@ -606,7 +612,8 @@ func (st *solveState) runStitch(deepest, worker int) error {
 	}
 	st.mu.Unlock()
 	st.emit(Event{Task: "stitch", Kind: kindStitch.String(), Stage: 0, Index: -1,
-		Nodes: root.g.N(), Edges: root.g.M(), Value: value, Worker: worker})
+		Nodes: root.g.N(), Edges: root.g.M(), Value: value,
+		Nanos: time.Since(start).Nanoseconds(), Worker: worker})
 	return nil
 }
 

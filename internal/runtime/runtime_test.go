@@ -1,8 +1,10 @@
 package runtime
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -115,21 +117,26 @@ func TestDirectSolveRejectsShortCut(t *testing.T) {
 	}
 }
 
-// TestOverflowingMergeGraphFails: every split of a 4-cycle of 1e308
-// edges into two sub-graphs leaves two cross edges whose signed weights
-// merge to ±Inf. The stage fails with an error; the merge solver
-// (rqaoa copies its graph first) never sees the non-finite weight.
+// TestOverflowingMergeGraphFails: the input's absolute weights sum
+// within float64's range — each 7e291 rounds away against the largest
+// value — but the exact leaf puts nodes 1 and 2 (joined by a negative
+// edge) on one side, so the two cross edges 0-1 and 0-2 merge with one
+// sign into 1.4e292, and the merge graph's absolute weights sum past
+// the range. The stage fails with an error; the merge solver never
+// sees the graph.
 func TestOverflowingMergeGraphFails(t *testing.T) {
 	g := graph.New(4)
-	for v := range 4 {
-		g.MustAddEdge(v, (v+1)%4, 1e308)
-	}
+	g.MustAddEdge(1, 2, -1)
+	g.MustAddEdge(0, 3, math.MaxFloat64)
+	g.MustAddEdge(0, 1, 7e291)
+	g.MustAddEdge(0, 2, 7e291)
 	rq, err := solver.Build(solver.Spec{Name: "rqaoa", Layers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = Solve(g, Options{MaxQubits: 2, Solver: exactSolver{}, MergeSolver: rq})
-	if err == nil || !strings.Contains(err.Error(), "not finite") {
+	_, err = Solve(g, Options{MaxQubits: 2, Solver: exactSolver{}, MergeSolver: rq,
+		Partition: [][]int{{0}, {1, 2}, {3}}})
+	if err == nil || !strings.Contains(err.Error(), "must be finite") {
 		t.Fatalf("overflowing merge graph: err = %v", err)
 	}
 }
@@ -171,6 +178,53 @@ func TestDeterministicAcrossParallelism(t *testing.T) {
 		if !reflect.DeepEqual(base, res) {
 			t.Fatalf("parallelism %d diverged:\n%+v\nvs\n%+v", par, base, res)
 		}
+	}
+}
+
+// TestEveryTaskTimed: partition, merge-build and stitch events carry
+// their wall time as solve events do, and the timing stays telemetry:
+// a run whose events are consumed writes the same checkpoint bytes
+// (header fingerprint included) and finds the same cut as one whose
+// events are not.
+func TestEveryTaskTimed(t *testing.T) {
+	g := testGraph(40, 0.2, 4)
+	dir := t.TempDir()
+	timed := map[string]bool{}
+	var results []*Result
+	var ckpts [][]byte
+	for run, watch := range []bool{true, false} {
+		path := filepath.Join(dir, fmt.Sprintf("run%d.ckpt", run))
+		opts := Options{MaxQubits: 6, Solver: annealSolver{}, MergeSolver: annealSolver{},
+			Parallelism: 1, Seed: 5, CheckpointPath: path}
+		if watch {
+			opts.OnEvent = func(ev Event) {
+				if ev.Nanos <= 0 {
+					t.Errorf("%s (%s) reports %d ns", ev.Task, ev.Kind, ev.Nanos)
+				}
+				timed[ev.Kind] = true
+			}
+		}
+		res, err := Solve(g, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res.Stats = Stats{}
+		results, ckpts = append(results, res), append(ckpts, b)
+	}
+	for _, kind := range []string{"partition", "sub-solve", "merge-build", "merge-solve", "stitch"} {
+		if !timed[kind] {
+			t.Errorf("no %s event seen", kind)
+		}
+	}
+	if !bytes.Equal(ckpts[0], ckpts[1]) {
+		t.Fatalf("checkpoint bytes differ:\n%s\nvs\n%s", ckpts[0], ckpts[1])
+	}
+	if !reflect.DeepEqual(results[0], results[1]) {
+		t.Fatalf("cut differs:\n%+v\nvs\n%+v", results[0], results[1])
 	}
 }
 

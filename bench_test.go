@@ -21,10 +21,8 @@ import (
 	"qaoa2/internal/experiments"
 	"qaoa2/internal/graph"
 	"qaoa2/internal/qaoa"
-	"qaoa2/internal/qsim"
 	"qaoa2/internal/rng"
 	"qaoa2/internal/rqaoa"
-	"qaoa2/internal/synth"
 )
 
 // fullScale selects the paper-scale Fig. 3 grid and Table 1 block.
@@ -315,39 +313,6 @@ func BenchmarkMLSelect(b *testing.B) {
 	b.ReportMetric(acc, "holdout-accuracy")
 	b.StopTimer()
 	printOnce("MLSelect", fmt.Sprintf("selector hold-out accuracy on grid records: %.3f", acc))
-}
-
-// BenchmarkNoiseDegradation measures extension X4: QAOA expectation
-// under increasing trajectory-sampled Pauli noise — the NISQ decoherence
-// constraint (§1) that motivates solving small sub-graphs.
-func BenchmarkNoiseDegradation(b *testing.B) {
-	r := rng.New(13)
-	g := graph.ErdosRenyi(10, 0.3, graph.Unweighted, r)
-	res, err := qaoa.Solve(g, qaoa.Options{Layers: 3, MaxIters: 80, Seed: 13}, rng.New(13))
-	if err != nil {
-		b.Fatal(err)
-	}
-	levels := []float64{0, 0.01, 0.05, 0.2}
-	values := make([]float64, len(levels))
-	for i := 0; i < b.N; i++ {
-		for li, p := range levels {
-			v, err := qaoa.NoisyExpectation(g, res.Gammas, res.Betas,
-				qsim.NoiseModel{OneQubit: p, TwoQubit: p}, 16, synth.Preferences{}, rng.New(14))
-			if err != nil {
-				b.Fatal(err)
-			}
-			values[li] = v
-		}
-	}
-	b.StopTimer()
-	text := ""
-	for li, p := range levels {
-		text += fmt.Sprintf("noise p=%.2f  <H_C> = %.3f\n", p, values[li])
-	}
-	text += fmt.Sprintf("fully-mixed reference: %.3f", g.TotalWeight()/2)
-	printOnce("NoiseDegradation", text)
-	b.ReportMetric(values[0], "clean-expectation")
-	b.ReportMetric(values[len(values)-1], "noisy-expectation")
 }
 
 // BenchmarkGraphTypes measures extension X5 (§5: "other graph types"):

@@ -25,6 +25,7 @@ func TestUsageErrorsExitTwo(t *testing.T) {
 		{"unknown merge", []string{"-merge", "bogus"}, "unknown solver"},
 		{"unknown backend", []string{"-backend", "bogus"}, "bogus"},
 		{"retired sharded backend", []string{"-backend", "fused-dist:2"}, "unknown backend \"fused-dist:2\""},
+		{"retired noise backend", []string{"-backend", "noisy"}, "unknown backend \"noisy\" (want fused|fused-z2|fused-full|dense)"},
 		{"retired portfolio solver", []string{"-solver", "portfolio"}, "unknown solver \"portfolio\""},
 		{"retired portfolio budget", []string{"-portfolio-budget", "5"}, "flag provided but not defined: -portfolio-budget"},
 	}

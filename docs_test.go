@@ -288,11 +288,12 @@ var reachAllowlist = map[string]string{
 	"ising.Hamiltonian.GroundState": "brute-force ground-state oracle of the qaoa2, serve and ising tests",
 	"ising.Hamiltonian.EnergyBits":  "energy oracle of GroundState and of the backend, ising and qaoa2 reference tests",
 	"hpc.VerifyNoOversubscription":  "scheduler invariant oracle of the Simulate tests in sched_test.go",
-	"linalg.Dense.MatVec":           "product oracle of the Laplacian test in graph and the linalg solve tests",
+	"linalg.Mat.MatVec":             "product oracle of the Laplacian test in graph and the linalg solve tests",
+	"maxcut.Cut.Validate":           "cut-validity oracle of the root, gw, hpc, maxcut, qaoa, qaoa2, rqaoa, runtime and solver tests",
 	"partition.Modularity":          "CNM objective of TestGreedyModularityImprovesOverSingletons",
 	"partition.GreedyModularity":    "CNM entry point of FuzzSizeCapped and the lazy-heap oracle tests",
 	"qsim.Fidelity":                 "state comparison of the qsim, circuit and synth tests",
-	"qsim.NewPlusState":             "uniform-superposition fixture of the qsim state, measure, noise and engine tests",
+	"qsim.NewPlusState":             "uniform-superposition fixture of the qsim state, measure and engine tests",
 	"qsim.SetKernelTier":            "in-process kernel-tier switch of the qsim tier tests, backend.TestFusedMatchesDense and qaoa.TestDecodeAgreesAcrossTiers",
 	"qsim.State.Amp":                "amplitude read of the qsim, circuit, backend and qaoa tests",
 	"qsim.State.NormSquared":        "unit-norm oracle of the qsim, circuit, backend and synth tests",

@@ -9,9 +9,7 @@ import (
 	"time"
 
 	"qaoa2"
-	"qaoa2/internal/backend"
 	"qaoa2/internal/fleet"
-	"qaoa2/internal/qsim"
 	"qaoa2/internal/retry"
 	"qaoa2/internal/sdp"
 	"qaoa2/internal/serve"
@@ -20,7 +18,7 @@ import (
 // The facade tests pin the public API surface: the workflow a
 // downstream user runs must be reachable through the root package
 // alone. The tests that compose the facade with a package it does not
-// re-export (fleet, retry, noise models) pin that the
+// re-export (fleet, retry) pin that the
 // facade's types plug into it unchanged.
 
 func TestFacadeGraphAndBaselines(t *testing.T) {
@@ -154,25 +152,6 @@ func TestFacadeDensityPolicy(t *testing.T) {
 	}
 	if res.SubReports[0].Solver != "exact" {
 		t.Fatalf("sparse graph routed to %q, not the quantum solver", res.SubReports[0].Solver)
-	}
-}
-
-// TestFacadeNoisyBackend runs the facade's QAOA solver on the noisy
-// backend.
-func TestFacadeNoisyBackend(t *testing.T) {
-	g := qaoa2.ErdosRenyi(8, 0.4, qaoa2.Unweighted, qaoa2.NewRand(8))
-	res, err := qaoa2.SolveQAOA(g, qaoa2.QAOAOptions{
-		Layers: 2, MaxIters: 25,
-		Backend: backend.Noisy{Model: qsim.NoiseModel{OneQubit: 0.05, TwoQubit: 0.05}, Trajectories: 4},
-	}, qaoa2.NewRand(9))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := res.Cut.Validate(g); err != nil {
-		t.Fatal(err)
-	}
-	if v := res.Expectation; v <= 0 || v > g.TotalWeight() {
-		t.Fatalf("noisy expectation %v outside (0, total weight]", v)
 	}
 }
 

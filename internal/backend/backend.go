@@ -5,7 +5,7 @@
 // QAOA² sub-graph solvers) executes its ansatz through the Backend
 // interface instead of a hard-wired synth→qsim gate walk.
 //
-// Three implementations ship:
+// Two implementations ship:
 //
 //   - Dense: the reference oracle — synthesizes a gate-level circuit via
 //     internal/synth and walks it gate by gate through internal/qsim,
@@ -20,9 +20,6 @@
 //     simulating the 2^(n−1) even-sector amplitudes only ("fused-full"
 //     names the unreduced variant).
 //
-//   - Noisy: trajectory-sampled Pauli noise around the Dense gate walk,
-//     the NISQ model of internal/qsim/noise.go.
-//
 // Future backends (sparse statevector, GPU, remote device) slot in
 // behind the same interface.
 package backend
@@ -30,6 +27,7 @@ package backend
 import (
 	"fmt"
 	"slices"
+	"strings"
 
 	"qaoa2/internal/graph"
 	"qaoa2/internal/qsim"
@@ -40,12 +38,9 @@ import (
 type Config struct {
 	// Layers is the QAOA depth p (must be ≥ 1).
 	Layers int
-	// Synthesis forwards circuit-synthesis preferences; only backends
-	// that synthesize a gate-level circuit (Dense, Noisy) honor it.
+	// Synthesis forwards circuit-synthesis preferences; only Dense,
+	// which synthesizes a gate-level circuit, honors it.
 	Synthesis synth.Preferences
-	// Seed derives stochastic streams for backends that need randomness
-	// (noise trajectories); deterministic backends ignore it.
-	Seed uint64
 }
 
 // Ansatz is a prepared, executable QAOA ansatz for one graph. An Ansatz
@@ -138,8 +133,8 @@ type Releaser interface {
 	Release()
 }
 
-// Release hands a's buffers back when it implements Releaser; Dense and
-// Noisy pool nothing, so for them it does nothing.
+// Release hands a's buffers back when it implements Releaser; Dense
+// pools nothing, so for it Release does nothing.
 func Release(a Ansatz) {
 	if r, ok := a.(Releaser); ok {
 		r.Release()
@@ -182,25 +177,43 @@ func Default(prefs synth.Preferences) Backend {
 	return Fused{}
 }
 
-// ByName resolves a CLI backend name. The empty string selects the
-// Default rule at solve time (represented as a nil Backend). "fused"
-// and its explicit alias "fused-z2" run the symmetry-reduced fast path;
-// "fused-full" is the unreduced engine, kept addressable for A/B
-// benchmarking against the reduction.
+// names lists the backends ByName resolves, in the order NamesHelp
+// prints them. "fused" and its explicit alias "fused-z2" run the
+// symmetry-reduced fast path; "fused-full" is the unreduced engine,
+// kept addressable for A/B benchmarking against the reduction.
+var names = []struct {
+	name string
+	be   Backend
+}{
+	{"fused", Fused{}},
+	{"fused-z2", Fused{}},
+	{"fused-full", Fused{Full: true}},
+	{"dense", Dense{}},
+}
+
+// ByName resolves a CLI backend name, one of NamesHelp's. The empty
+// string selects the Default rule at solve time (represented as a nil
+// Backend).
 func ByName(name string) (Backend, error) {
-	switch name {
-	case "":
+	if name == "" {
 		return nil, nil
-	case "fused", "fused-z2":
-		return Fused{}, nil
-	case "fused-full":
-		return Fused{Full: true}, nil
-	case "dense":
-		return Dense{}, nil
-	case "noisy":
-		return Noisy{}, nil
 	}
-	return nil, fmt.Errorf("backend: unknown backend %q (want fused|fused-z2|fused-full|dense|noisy)", name)
+	for _, n := range names {
+		if n.name == name {
+			return n.be, nil
+		}
+	}
+	return nil, fmt.Errorf("backend: unknown backend %q (want %s)", name, NamesHelp())
+}
+
+// NamesHelp renders the names ByName resolves as an "a|b|c" usage
+// string for CLI flag help and errors.
+func NamesHelp() string {
+	s := make([]string, len(names))
+	for i, n := range names {
+		s[i] = n.name
+	}
+	return strings.Join(s, "|")
 }
 
 // CutTable returns the diagonal of H_C in the computational basis:

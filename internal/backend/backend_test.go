@@ -115,11 +115,12 @@ func TestCutTableMatchesEdgeLoop(t *testing.T) {
 }
 
 // TestByName resolves each spelling to its canonical Name and rejects
-// an unknown name with the unknown-backend error.
+// an unknown name, the retired trajectory-noise "noisy" among them, with
+// the unknown-backend error.
 func TestByName(t *testing.T) {
 	good := map[string]string{
 		"fused": "fused", "fused-z2": "fused", "fused-full": "fused-full",
-		"dense": "dense", "noisy": "noisy",
+		"dense": "dense",
 	}
 	for name, want := range good {
 		be, err := ByName(name)
@@ -130,7 +131,7 @@ func TestByName(t *testing.T) {
 			t.Fatalf("ByName(%q).Name() = %q", name, be.Name())
 		}
 	}
-	checkUnknown(t, []string{"gpu"})
+	checkUnknown(t, []string{"gpu", "noisy"})
 	if be, err := ByName(""); err != nil || be != nil {
 		t.Fatalf("ByName(\"\") = %v, %v; want nil, nil", be, err)
 	}
@@ -151,7 +152,7 @@ func checkUnknown(t *testing.T, names []string) {
 	t.Helper()
 	for _, name := range names {
 		_, err := ByName(name)
-		want := fmt.Sprintf("backend: unknown backend %q (want fused|fused-z2|fused-full|dense|noisy)", name)
+		want := fmt.Sprintf("backend: unknown backend %q (want fused|fused-z2|fused-full|dense)", name)
 		if err == nil || err.Error() != want {
 			t.Fatalf("ByName(%q) error %v, want %q", name, err, want)
 		}
@@ -326,63 +327,9 @@ func TestFusedReusesBuffer(t *testing.T) {
 	}
 }
 
-func TestNoisyZeroModelMatchesDense(t *testing.T) {
-	r := rng.New(3)
-	g := graph.ErdosRenyi(7, 0.4, graph.Unweighted, r)
-	if g.M() == 0 {
-		t.Skip("degenerate instance")
-	}
-	gammas := []float64{0.4, 0.7}
-	betas := []float64{0.3, 0.1}
-	dAns, err := Dense{}.Prepare(g, Config{Layers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	nAns, err := Noisy{Trajectories: 5}.Prepare(g, Config{Layers: 2, Seed: 9})
-	if err != nil {
-		t.Fatal(err)
-	}
-	eD, _, err := dAns.Evaluate(gammas, betas)
-	if err != nil {
-		t.Fatal(err)
-	}
-	eN, _, err := nAns.Evaluate(gammas, betas)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(eD-eN) > 1e-12 {
-		t.Fatalf("zero-noise backend energy %v != dense %v", eN, eD)
-	}
-}
-
-func TestNoisyFreshNoisePerEvaluation(t *testing.T) {
-	g := graph.Complete(6)
-	a, err := Noisy{
-		Model:        qsim.NoiseModel{OneQubit: 0.05, TwoQubit: 0.05},
-		Trajectories: 1,
-		Rand:         rng.New(4),
-	}.Prepare(g, Config{Layers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	gammas := []float64{0.4, 0.7}
-	betas := []float64{0.3, 0.1}
-	e1, _, err := a.Evaluate(gammas, betas)
-	if err != nil {
-		t.Fatal(err)
-	}
-	e2, _, err := a.Evaluate(gammas, betas)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if e1 == e2 {
-		t.Fatal("consecutive noisy evaluations reused the identical trajectory stream")
-	}
-}
-
 func TestPrepareRejectsBadInputs(t *testing.T) {
 	g := graph.Complete(3)
-	for _, be := range []Backend{Dense{}, Fused{}, Noisy{}} {
+	for _, be := range []Backend{Dense{}, Fused{}} {
 		if _, err := be.Prepare(nil, Config{Layers: 1}); err == nil {
 			t.Fatalf("%s: nil graph accepted", be.Name())
 		}

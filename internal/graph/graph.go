@@ -273,8 +273,8 @@ func BitsFromSpins(spins []int8) []uint8 {
 
 // Laplacian returns the graph Laplacian L = D − A as a dense matrix.
 // The MaxCut SDP objective is ¼⟨L, X⟩.
-func (g *Graph) Laplacian() *linalg.Dense {
-	l := linalg.NewDense(g.n)
+func (g *Graph) Laplacian() *linalg.Mat {
+	l := linalg.NewMat(g.n, g.n)
 	for _, e := range g.edges {
 		l.Add(e.I, e.I, e.W)
 		l.Add(e.J, e.J, e.W)

@@ -8,8 +8,8 @@ import (
 func almostEq(a, b, tol float64) bool { return math.Abs(a-b) <= tol }
 
 func TestIdentityProperties(t *testing.T) {
-	id := NewDense(4)
-	for i := 0; i < id.N; i++ {
+	id := NewMat(4, 4)
+	for i := 0; i < id.Rows; i++ {
 		id.Set(i, i, 1)
 	}
 	if id.FrobeniusNorm() != 2 {

@@ -5,9 +5,9 @@ import "math"
 // SolveLinear solves A x = b for a general square A using Gaussian
 // elimination with partial pivoting, returning false if A is singular
 // (within a scaled tolerance). A and b are left unmodified.
-func SolveLinear(a *Dense, b []float64) ([]float64, bool) {
-	n := a.N
-	if len(b) != n {
+func SolveLinear(a *Mat, b []float64) ([]float64, bool) {
+	n := a.Rows
+	if a.Cols != n || len(b) != n {
 		panic("linalg: dimension mismatch in SolveLinear")
 	}
 	// Working copies.

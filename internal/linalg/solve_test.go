@@ -9,7 +9,7 @@ import (
 
 func TestSolveLinearKnownSystem(t *testing.T) {
 	// [[2,1],[1,3]] x = [5,10] → x = [1,3].
-	a := NewDense(2)
+	a := NewMat(2, 2)
 	a.Set(0, 0, 2)
 	a.Set(0, 1, 1)
 	a.Set(1, 0, 1)
@@ -29,7 +29,7 @@ func TestSolveLinearKnownSystem(t *testing.T) {
 
 func TestSolveLinearNeedsPivoting(t *testing.T) {
 	// Zero leading entry forces a row swap.
-	a := NewDense(2)
+	a := NewMat(2, 2)
 	a.Set(0, 0, 0)
 	a.Set(0, 1, 1)
 	a.Set(1, 0, 1)
@@ -44,7 +44,7 @@ func TestSolveLinearNeedsPivoting(t *testing.T) {
 }
 
 func TestSolveLinearSingular(t *testing.T) {
-	a := NewDense(2)
+	a := NewMat(2, 2)
 	a.Set(0, 0, 1)
 	a.Set(0, 1, 2)
 	a.Set(1, 0, 2)
@@ -58,7 +58,7 @@ func TestSolveLinearRandomRoundTrip(t *testing.T) {
 	r := rng.New(9)
 	for trial := 0; trial < 10; trial++ {
 		n := 2 + r.Intn(8)
-		a := NewDense(n)
+		a := NewMat(n, n)
 		for i := range a.Data {
 			a.Data[i] = r.NormFloat64()
 		}
@@ -86,11 +86,12 @@ func TestSolveLinearDimensionPanic(t *testing.T) {
 			t.Fatal("no panic on dimension mismatch")
 		}
 	}()
-	SolveLinear(NewDense(2), []float64{1})
+	SolveLinear(NewMat(2, 2), []float64{1})
 }
 
 func TestDenseAccessors(t *testing.T) {
-	a := NewDense(3)
+	// The square case the SDP dual slack and the linear solves use.
+	a := NewMat(3, 3)
 	a.Set(1, 2, 5)
 	a.Add(1, 2, 2)
 	if a.At(1, 2) != 7 {
@@ -113,7 +114,7 @@ func TestMatVecDimensionPanic(t *testing.T) {
 			t.Fatal("no panic on MatVec mismatch")
 		}
 	}()
-	NewDense(2).MatVec([]float64{1}, []float64{1, 2})
+	NewMat(2, 2).MatVec([]float64{1}, []float64{1, 2})
 }
 
 func TestMatAccessorsAndClone(t *testing.T) {
@@ -129,5 +130,10 @@ func TestMatAccessorsAndClone(t *testing.T) {
 	}
 	if len(m.Row(1)) != 3 || m.Row(1)[2] != 4 {
 		t.Fatalf("Mat row view %v", m.Row(1))
+	}
+	y := make([]float64, 2)
+	m.MatVec([]float64{1, 2, 3}, y)
+	if y[0] != 0 || y[1] != 12 {
+		t.Fatalf("2x3 MatVec = %v, want [0 12]", y)
 	}
 }

@@ -139,7 +139,7 @@ func MinimizeCOBYLA(f Objective, x0 []float64, opts COBYLAOptions) Result {
 		b := bestIdx(simplex)
 		// Fit the linear model f(x) ≈ f(x_b) + g·(x − x_b) through all
 		// vertices: rows are (x_i − x_b), rhs f_i − f_b.
-		a := linalg.NewDense(dim)
+		a := linalg.NewMat(dim, dim)
 		rhs := make([]float64, dim)
 		row := 0
 		for i := range simplex {

@@ -1,10 +1,10 @@
 // Package qaoa implements the Quantum Approximate Optimization Algorithm
 // for MaxCut (paper §3.2): a p-layer ansatz |ψ_p(β⃗,γ⃗)⟩ =
 // Π_l e^{-iβ_l H_M} e^{-iγ_l H_C} |+⟩^⊗n executed through the pluggable
-// internal/backend layer — by default the fused diagonal-cost backend;
-// optionally the synth→qsim gate walk or the noisy-trajectory backend —
-// and trained by the COBYLA optimizer of internal/opt. The objective
-// F_p = ⟨ψ|H_C|ψ⟩ is maximized; the solution bit string is decoded from
+// internal/backend layer — by default the fused diagonal-cost backend,
+// optionally the synth→qsim gate walk — and trained by the COBYLA
+// optimizer of internal/opt. The objective F_p = ⟨ψ|H_C|ψ⟩ is
+// maximized; the solution bit string is decoded from
 // the highest amplitude of the final statevector (optionally the best
 // cut among the top-K amplitudes, the improvement the paper suggests in
 // §3.2/§5). Solve spends the optimizer's whole budget; SolveCut, the
@@ -67,7 +67,7 @@ type Options struct {
 	// evaluation (backend.EvaluateBatch) ranks their final parameters.
 	Restarts int
 	// Synthesis forwards preferences to the circuit synthesis engine.
-	// Only synthesizing backends (dense, noisy) honor it; setting any
+	// Only the synthesizing backend (dense) honors it; setting any
 	// preference switches the default backend from fused to dense.
 	Synthesis synth.Preferences
 	// Backend selects the circuit-execution backend. Nil applies the
@@ -163,7 +163,7 @@ func physOf(layout []int, q int) int {
 // Solve runs QAOA on g for the optimizer's whole budget and decodes the
 // state at the best parameters found. The graph must fit the simulator
 // (g.N() ≤ qsim.MaxQubits). Callers that read more than the cut — the
-// trained angles (the noise ablation), the final state's correlations
+// trained angles, the final state's correlations
 // (rqaoa), the expectation (Fig. 3, Table 1) — use Solve.
 func Solve(g *graph.Graph, opts Options, r *rng.Rand) (*Result, error) {
 	return solve(g, opts, r, false)
@@ -232,7 +232,7 @@ func (o Options) backend() (backend.Backend, backend.Config) {
 	if be == nil {
 		be = backend.Default(o.Synthesis)
 	}
-	return be, backend.Config{Layers: o.Layers, Synthesis: o.Synthesis, Seed: o.Seed}
+	return be, backend.Config{Layers: o.Layers, Synthesis: o.Synthesis}
 }
 
 // run is the QAOA variational loop Solve and SolveCut share. It trains

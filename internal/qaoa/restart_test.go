@@ -8,7 +8,6 @@ import (
 
 	"qaoa2/internal/backend"
 	"qaoa2/internal/graph"
-	"qaoa2/internal/qsim"
 	"qaoa2/internal/rng"
 )
 
@@ -82,31 +81,6 @@ func TestRestartsWithShots(t *testing.T) {
 	}
 }
 
-// TestNoisyRestartsRepeat: a noisy ansatz draws its trajectory noise
-// from one stream, and the restarts run in turn, so that stream is
-// consumed in one order: restart 0's evaluations, then restart 1's,
-// and so on. Identical calls must then agree bit for bit at any core
-// count (the core-count CI leg runs this at 1, 2 and 4).
-func TestNoisyRestartsRepeat(t *testing.T) {
-	g := graph.ErdosRenyi(8, 0.4, graph.Unweighted, rng.New(3))
-	opts := Options{
-		Layers: 2, MaxIters: 20, Restarts: 3, Seed: 9,
-		Backend: backend.Noisy{Model: qsim.NoiseModel{OneQubit: 0.01, TwoQubit: 0.02}},
-	}
-	seen := map[uint64]int{}
-	for i := 0; i < 30; i++ {
-		res, err := Solve(g, opts, rng.New(9))
-		if err != nil {
-			t.Fatal(err)
-		}
-		seen[math.Float64bits(res.Expectation)]++
-	}
-	if len(seen) != 1 {
-		t.Fatalf("30 identical noisy multi-start solves gave %d expectations: %#x", len(seen), seen)
-	}
-	t.Logf("expectation bits %#x", seen)
-}
-
 // TestRestartsAreRankedSingleStarts: multi-start is R single starts,
 // ranked. Restart k is runOptimizer from its start — x0 for k = 0, a
 // "Restart"-stream perturbation otherwise — sampling from its split of
@@ -122,7 +96,7 @@ func TestRestartsAreRankedSingleStarts(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			ans, err := backend.Fused{}.Prepare(g, backend.Config{Layers: opts.Layers, Seed: opts.Seed})
+			ans, err := backend.Fused{}.Prepare(g, backend.Config{Layers: opts.Layers})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -23,8 +23,8 @@ func TestProbabilitiesSumToOne(t *testing.T) {
 
 func TestDecodeCandidatesBasisState(t *testing.T) {
 	s, _ := NewState(3)
-	s.ApplyX(0)
-	s.ApplyX(2)
+	s.Apply1Q(0, pauliX)
+	s.Apply1Q(2, pauliX)
 	if got := s.DecodeCandidates(1, nil); !slices.Equal(got, []uint64{0b101}) {
 		t.Fatalf("candidates %b, want [101]", got)
 	}
@@ -91,7 +91,7 @@ func TestDecodeCandidatesHoldsArgmax(t *testing.T) {
 
 func TestSampleDeterministicState(t *testing.T) {
 	s, _ := NewState(3)
-	s.ApplyX(1)
+	s.Apply1Q(1, pauliX)
 	hist := s.Sample(100, rng.New(1))
 	if hist[0b010] != 100 {
 		t.Fatalf("basis-state sampling hist = %v", hist)
@@ -334,7 +334,7 @@ func TestStateWritesDropPeaks(t *testing.T) {
 		if s.peaks == nil {
 			t.Fatalf("z2=%v: no peaks after Evaluate", z2)
 		}
-		s.ApplyX(5)
+		s.Apply1Q(5, pauliX)
 		if s.peaks != nil {
 			t.Fatalf("z2=%v: peaks kept through a gate", z2)
 		}

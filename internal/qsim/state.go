@@ -3,10 +3,9 @@
 //
 //   - exact state evolution for the gates a QAOA circuit is made of —
 //     the H wall, RZZ (or CNOT + RZ) cost layers, RX mixers, and the
-//     SWAPs of linear routing — plus the Pauli X, Y and Z the noise
-//     model (noise.go) injects, with amplitude-sliced multi-core
-//     parallelism; this gate walk is what internal/backend's dense and
-//     noisy backends execute;
+//     SWAPs of linear routing — with amplitude-sliced multi-core
+//     parallelism; this gate walk is what internal/backend's dense
+//     backend executes;
 //
 //   - a cache-blocked fused execution engine for the QAOA objective,
 //     which internal/backend's fused backends run: the cost diagonal
@@ -189,38 +188,6 @@ func (s *State) Apply1Q(q int, m [2][2]complex128) {
 func (s *State) ApplyH(q int) {
 	inv := complex(1/math.Sqrt2, 0)
 	s.Apply1Q(q, [2][2]complex128{{inv, inv}, {inv, -inv}})
-}
-
-// ApplyX applies Pauli-X to qubit q.
-func (s *State) ApplyX(q int) {
-	s.checkQubit(q)
-	step := uint64(1) << uint(q)
-	pairs := len(s.amps) / 2
-	s.sweep(pairs, 1, func(_, start, end int) {
-		for k := start; k < end; k++ {
-			i0 := pairIndex(k, q)
-			i1 := i0 | step
-			s.amps[i0], s.amps[i1] = s.amps[i1], s.amps[i0]
-		}
-	})
-}
-
-// ApplyY applies Pauli-Y to qubit q.
-func (s *State) ApplyY(q int) {
-	s.Apply1Q(q, [2][2]complex128{{0, complex(0, -1)}, {complex(0, 1), 0}})
-}
-
-// ApplyZ applies Pauli-Z to qubit q.
-func (s *State) ApplyZ(q int) {
-	s.checkQubit(q)
-	step := uint64(1) << uint(q)
-	s.sweep(len(s.amps), 1, func(_, start, end int) {
-		for i := start; i < end; i++ {
-			if uint64(i)&step != 0 {
-				s.amps[i] = -s.amps[i]
-			}
-		}
-	})
 }
 
 // ApplyRX applies RX(θ) = exp(-iθX/2) to qubit q. The QAOA mixer layer

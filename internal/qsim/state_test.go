@@ -11,6 +11,14 @@ import (
 
 const tol = 1e-12
 
+// The Pauli matrices, applied through Apply1Q: X prepares the basis
+// states of the state, measure and peaks tests.
+var (
+	pauliX = [2][2]complex128{{0, 1}, {1, 0}}
+	pauliY = [2][2]complex128{{0, -1i}, {1i, 0}}
+	pauliZ = [2][2]complex128{{1, 0}, {0, -1}}
+)
+
 func cEq(a, b complex128, eps float64) bool {
 	return cmplx.Abs(a-b) <= eps
 }
@@ -79,7 +87,7 @@ func TestBellState(t *testing.T) {
 
 func TestXFlipsBit(t *testing.T) {
 	s, _ := NewState(3)
-	s.ApplyX(1)
+	s.Apply1Q(1, pauliX)
 	if !cEq(s.Amp(0b010), 1, tol) {
 		t.Fatalf("X did not flip qubit 1: %v", s.amps)
 	}
@@ -91,7 +99,7 @@ func TestCNOTControlOff(t *testing.T) {
 	if !cEq(s.Amp(0), 1, tol) {
 		t.Fatal("CNOT fired with control off")
 	}
-	s.ApplyX(0)
+	s.Apply1Q(0, pauliX)
 	s.ApplyCNOT(0, 1)
 	if !cEq(s.Amp(0b11), 1, tol) {
 		t.Fatalf("CNOT did not fire with control on: %v", s.amps)
@@ -107,7 +115,7 @@ func TestRZZPhases(t *testing.T) {
 		t.Fatalf("RZZ on |00>: %v", s.Amp(0))
 	}
 	s2, _ := NewState(2)
-	s2.ApplyX(0)
+	s2.Apply1Q(0, pauliX)
 	s2.ApplyRZZ(0, 1, theta)
 	if !cEq(s2.Amp(1), cmplx.Exp(complex(0, theta/2)), tol) {
 		t.Fatalf("RZZ on |01>: %v", s2.Amp(1))
@@ -163,7 +171,7 @@ func TestZAndCZSigns(t *testing.T) {
 		t.Fatalf("CZ |01>: %v", s.Amp(1))
 	}
 	s2, _ := NewPlusState(1)
-	s2.ApplyZ(0)
+	s2.Apply1Q(0, pauliZ)
 	if !cEq(s2.Amp(1), complex(-1/math.Sqrt2, 0), tol) {
 		t.Fatalf("Z |1> branch: %v", s2.Amp(1))
 	}
@@ -171,7 +179,7 @@ func TestZAndCZSigns(t *testing.T) {
 
 func TestSwap(t *testing.T) {
 	s, _ := NewState(3)
-	s.ApplyX(0) // |001>
+	s.Apply1Q(0, pauliX) // |001>
 	s.ApplySwap(0, 2)
 	if !cEq(s.Amp(0b100), 1, tol) {
 		t.Fatalf("swap failed: %v", s.amps)
@@ -247,7 +255,7 @@ func TestGatesPreserveNorm(t *testing.T) {
 			case 0:
 				s.ApplyH(q)
 			case 1:
-				s.ApplyX(q)
+				s.Apply1Q(q, pauliX)
 			case 2:
 				s.ApplyRX(q, theta)
 			case 3:
@@ -257,7 +265,7 @@ func TestGatesPreserveNorm(t *testing.T) {
 			case 5:
 				s.ApplyCNOT(q, p)
 			case 6:
-				s.ApplyY(q)
+				s.Apply1Q(q, pauliY)
 			}
 		}
 		return math.Abs(s.NormSquared()-1) < 1e-9
@@ -273,7 +281,7 @@ func TestFidelity(t *testing.T) {
 	if f := Fidelity(a, b); math.Abs(f-1) > tol {
 		t.Fatalf("self fidelity %v", f)
 	}
-	b.ApplyZ(0)
+	b.Apply1Q(0, pauliZ)
 	if f := Fidelity(a, b); f > 0.999 {
 		t.Fatalf("orthogonalish states fidelity %v", f)
 	}
@@ -291,7 +299,7 @@ func TestGateValidation(t *testing.T) {
 		f()
 	}
 	mustPanic("qubit range", func() { s.ApplyH(2) })
-	mustPanic("negative qubit", func() { s.ApplyX(-1) })
+	mustPanic("negative qubit", func() { s.Apply1Q(-1, pauliX) })
 	mustPanic("RZZ same qubit", func() { s.ApplyRZZ(1, 1, 0.1) })
 	mustPanic("CNOT same qubit", func() { s.ApplyCNOT(0, 0) })
 }

@@ -160,8 +160,8 @@ func DualBound(g *graph.Graph, res *Result) (float64, error) {
 // (a = R Rᵀ with R lower triangular), and reports whether every pivot
 // was positive. The strict upper triangle is neither read nor written.
 // A NaN pivot fails.
-func cholesky(a *linalg.Dense) bool {
-	n := a.N
+func cholesky(a *linalg.Mat) bool {
+	n := a.Rows
 	for i := range n {
 		ri := a.Row(i)
 		for j := 0; j <= i; j++ {

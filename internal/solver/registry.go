@@ -34,8 +34,8 @@ type Spec struct {
 	MaxIters int     `json:"maxIters,omitempty"`
 	Rhobeg   float64 `json:"rhobeg,omitempty"`
 	Shots    int     `json:"shots,omitempty"`
-	// Backend names the circuit-execution backend ("fused"/"fused-z2",
-	// "fused-full", "dense", "noisy"; "" = the solve-time default).
+	// Backend names the circuit-execution backend, one of
+	// backend.NamesHelp's ("" = the solve-time default).
 	Backend string `json:"backend,omitempty"`
 	// Seed feeds solvers that keep their own deterministic stream
 	// (qaoa's sampling); per-sub-graph randomness still derives from

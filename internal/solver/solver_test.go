@@ -309,3 +309,20 @@ func TestSDPMethodParsing(t *testing.T) {
 		}
 	}
 }
+
+// TestBackendNames: every backend name builds a qaoa solver; the
+// retired trajectory-noise "noisy" gets the unknown-backend error, in
+// qaoa and in the composites that carry a qaoa member.
+func TestBackendNames(t *testing.T) {
+	for _, be := range []string{"", "fused", "fused-z2", "fused-full", "dense"} {
+		if _, err := Build(Spec{Name: "qaoa", Backend: be}); err != nil {
+			t.Fatalf("backend %q: %v", be, err)
+		}
+	}
+	for _, name := range []string{"qaoa", "best"} {
+		_, err := Build(Spec{Name: name, Backend: "noisy"})
+		if err == nil || !strings.Contains(err.Error(), `unknown backend "noisy"`) {
+			t.Fatalf("%s with backend noisy: err %v, want the unknown-backend error", name, err)
+		}
+	}
+}

@@ -108,7 +108,8 @@ type (
 	Backend = backend.Backend
 	// Ansatz is a prepared ansatz: Evaluate(γ⃗, β⃗) → (⟨H_C⟩, state).
 	Ansatz = backend.Ansatz
-	// BackendConfig carries depth/synthesis/seed to Backend.Prepare.
+	// BackendConfig carries depth and synthesis preferences to
+	// Backend.Prepare.
 	BackendConfig = backend.Config
 	// DenseBackend is the reference synth→qsim gate walk.
 	DenseBackend = backend.Dense
@@ -120,10 +121,13 @@ type (
 	FusedBackend = backend.Fused
 )
 
-// BackendByName resolves a CLI backend name ("fused" and its alias
-// "fused-z2", the unreduced "fused-full", "dense", "noisy"; "" selects
-// the default rule at solve time).
+// BackendByName resolves a CLI backend name, one of
+// BackendNamesHelp's ("" selects the default rule at solve time).
 func BackendByName(name string) (Backend, error) { return backend.ByName(name) }
+
+// BackendNamesHelp renders the backend names as an "a|b|c" usage string
+// for CLI flag help.
+func BackendNamesHelp() string { return backend.NamesHelp() }
 
 // KernelTier reports the mixer-kernel tier this process runs:
 // "avx512", "avx2", or "portable". It is resolved once, at process

@@ -10,10 +10,15 @@ package qaoa2_test
 import (
 	"fmt"
 	"go/ast"
+	"go/build"
+	"go/importer"
 	"go/parser"
 	"go/token"
+	"go/types"
+	"io"
 	"io/fs"
 	"os"
+	"os/exec"
 	"path"
 	"path/filepath"
 	"regexp"
@@ -282,6 +287,7 @@ var reachAllowlist = map[string]string{
 	"faults.transport":              chaosHarness,
 	"faults.truncatedBody":          chaosHarness,
 	"faults.cutWriter":              chaosHarness,
+	"fleet.Coordinator.Solve":       "synchronous solve entry of the fleet cache, drain, kill-worker, bad-request and soak tests",
 	"graph.Complete":                "fixture in the tests of 14 packages",
 	"graph.Path":                    "fixture in the tests of 7 packages",
 	"graph.Bipartite":               "fixture in the tests of 8 packages",
@@ -297,6 +303,8 @@ var reachAllowlist = map[string]string{
 	"qsim.SetKernelTier":            "in-process kernel-tier switch of the qsim tier tests, backend.TestFusedMatchesDense and qaoa.TestDecodeAgreesAcrossTiers",
 	"qsim.State.Amp":                "amplitude read of the qsim, circuit, backend and qaoa tests",
 	"qsim.State.NormSquared":        "unit-norm oracle of the qsim, circuit, backend and synth tests",
+	"qsim.State.Clone":              "state copy of the qsim mixer, measure and state tests and the backend and qaoa release tests",
+	"qsim.workerPool.Stop":          "stops the private kernel pools of the qsim pool, engine, mixer, measure and release tests",
 	"qsim.State.Z2Full":             "reduction check of the qsim, backend and qaoa Z2 tests",
 	"qsim.State.ExpandZ2":           "expands reduced states for the full-vector comparisons of the qsim, backend and qaoa Z2 tests",
 	"runtime.CanonicalRecords":      "checkpoint comparison of the runtime and hpc determinism tests",
@@ -334,8 +342,9 @@ func TestEverythingIsReachable(t *testing.T) {
 // selects, one only another reached method selects (the fixpoint), one
 // only a module interface lists and a String only fmt calls all pass,
 // as does an allowlisted method oracle; a method only its test calls
-// fails, and so do an exported method of a type the facade aliases but
-// nothing selects and a method entry naming nothing.
+// fails, and so do one that shares its name with a method the command
+// selects on another type, an exported method of a type the facade
+// aliases but nothing selects and a method entry naming nothing.
 func TestReachabilityOnSyntheticModule(t *testing.T) {
 	lib := `// Package lib is the synthetic module's only internal package.
 package lib
@@ -366,6 +375,12 @@ func (Store) Check() int { return 9 }
 // Source is the interface the command asserts Store satisfies.
 type Source interface{ Fetch() int }
 
+// Other is reached from the command; only its test selects Get, a
+// name the command selects on Store.
+type Other struct{}
+
+func (Other) Get() int { return 11 }
+
 // Table is aliased by the facade; nothing selects its method.
 type Table struct{}
 
@@ -385,8 +400,8 @@ func Dead() int { return 6 }
 		"go.mod":                   "module demo\n\ngo 1.23\n",
 		"demo.go":                  "// Package demo is the synthetic facade.\npackage demo\n\nimport \"demo/internal/lib\"\n\n// Table is public.\ntype Table = lib.Table\n",
 		"internal/lib/lib.go":      lib,
-		"internal/lib/lib_test.go": "package lib\n\nimport \"testing\"\n\nfunc TestLib(t *testing.T) { _, _, _, _ = Oracle(), Dead(), Store{}.Probe(), Store{}.Check() }\n",
-		"cmd/app/main.go":          "package main\n\nimport (\n\t\"fmt\"\n\n\t\"demo/internal/lib\"\n)\n\nvar _ lib.Source = lib.Store{}\n\nfunc main() { fmt.Println(lib.Store{}.Get(), lib.Used(), lib.Store{}) }\n",
+		"internal/lib/lib_test.go": "package lib\n\nimport \"testing\"\n\nfunc TestLib(t *testing.T) { _, _, _, _, _ = Oracle(), Dead(), Store{}.Probe(), Store{}.Check(), Other{}.Get() }\n",
+		"cmd/app/main.go":          "package main\n\nimport (\n\t\"fmt\"\n\n\t\"demo/internal/lib\"\n)\n\nvar _ lib.Source = lib.Store{}\n\nfunc main() { fmt.Println(lib.Store{}.Get(), lib.Used(), lib.Store{}, lib.Other{}) }\n",
 		"bench/main.go":            "package main\n\nimport \"demo/internal/lib\"\n\nfunc main() { _ = lib.BenchOnly() }\n",
 	}
 	root := t.TempDir()
@@ -416,6 +431,7 @@ func Dead() int { return 6 }
 		"allowlisted but no such func, type, var or method: lib.Store.Vanish",
 		"allowlisted but reached from a root: lib.Used",
 		fmt.Sprintf("internal/lib/lib.go:%d lib.Store.Probe", line("func (Store) Probe")),
+		fmt.Sprintf("internal/lib/lib.go:%d lib.Other.Get", line("func (Other) Get")),
 		fmt.Sprintf("internal/lib/lib.go:%d lib.Table.Rows", line("func (Table) Rows")),
 		fmt.Sprintf("internal/lib/lib.go:%d lib.Dead", line("func Dead")),
 	}
@@ -429,6 +445,15 @@ func Dead() int { return 6 }
 type reachFile struct {
 	pkg     string
 	imports map[string]string
+}
+
+// reachSource is a file unreachable parsed, with its slash path below
+// the module root and whether it is a root.
+type reachSource struct {
+	f    *ast.File
+	rf   *reachFile
+	rel  string
+	root bool
 }
 
 // stdlibMethods names the methods the standard library calls through
@@ -473,13 +498,16 @@ type reachDecl struct {
 // An identifier reaches the same-package declaration of that name and
 // an import.Name selector the imported package's. A method is reached
 // when its receiver type is and one of these holds: reached code
-// selects its name (x.Name); an interface type in reached code lists
-// it; or the standard library calls it (stdlibMethods). Aliasing a type
-// in the facade reaches the type, not its methods. The walk runs to a fixpoint, so a
-// method reached late still reaches what it selects. Matching is by
-// name only, so a local that shadows a top-level name keeps it and a
-// selected name keeps that method on every reached type: the check errs
-// toward keeping code.
+// selects it (x.Name); an interface type in reached code lists its
+// name; or the standard library calls it (stdlibMethods). Selections are
+// typed (selections): one on a concrete type reaches that type and
+// that method alone, while one through an interface or a type
+// parameter, and one go/types left unresolved, keeps the name's method
+// on every reached type. Aliasing a type in the facade reaches the
+// type, not its methods. The walk runs to a fixpoint, so a method
+// reached late still reaches what it selects. Identifiers match by
+// name, so a local that shadows a top-level name keeps it: the check
+// errs toward keeping code.
 func unreachable(root string, allow map[string]string) ([]string, error) {
 	mod, err := os.ReadFile(filepath.Join(root, "go.mod"))
 	if err != nil {
@@ -495,12 +523,7 @@ func unreachable(root string, allow map[string]string) ([]string, error) {
 		return nil, fmt.Errorf("%s: no module line", filepath.Join(root, "go.mod"))
 	}
 
-	type parsed struct {
-		f    *ast.File
-		rf   *reachFile
-		root bool
-	}
-	var files []parsed
+	var files []reachSource
 	pkgNames := map[string]string{}    // import path → package name
 	decls := map[string][]*reachDecl{} // "path.Name" or "path.Type.Method" → its declarations
 	methods := map[string][]string{}   // "path.Type" → its methods' keys
@@ -539,7 +562,7 @@ func unreachable(root string, allow map[string]string) ([]string, error) {
 			pkg += "/" + dir
 		}
 		rf := &reachFile{pkg: pkg, imports: map[string]string{}}
-		files = append(files, parsed{f, rf, isRoot})
+		files = append(files, reachSource{f, rf, rel, isRoot})
 		if !internal || test {
 			return nil
 		}
@@ -609,6 +632,10 @@ func unreachable(root string, allow map[string]string) ([]string, error) {
 			roots = append(roots, &reachDecl{node: pf.f, file: pf.rf})
 		}
 	}
+	sels, err := selections(root, module, fset, files)
+	if err != nil {
+		return nil, err
+	}
 
 	reached := map[string]bool{}
 	live := map[string]bool{}        // method names reached code selects, lists or the stdlib calls
@@ -642,6 +669,24 @@ func unreachable(root string, allow map[string]string) ([]string, error) {
 			}
 		}
 	}
+	// selectMethod reaches what a typed method selection names: the
+	// receiver type and its one method of that name, or, through an
+	// interface or a type parameter, every reached type's.
+	selectMethod := func(sel *types.Selection) {
+		fn := sel.Obj().(*types.Func).Origin()
+		recv := fn.Type().(*types.Signature).Recv().Type()
+		if ptr, ok := recv.(*types.Pointer); ok {
+			recv = ptr.Elem()
+		}
+		named, ok := recv.(*types.Named)
+		if !ok || types.IsInterface(named) {
+			liven(fn.Name())
+			return
+		}
+		typ := named.Obj().Pkg().Path() + "." + named.Obj().Name()
+		mark(typ)
+		mark(typ + "." + fn.Name())
+	}
 	for _, name := range stdlibMethods {
 		live[name] = true
 	}
@@ -652,13 +697,19 @@ func unreachable(root string, allow map[string]string) ([]string, error) {
 		visit = func(n ast.Node) bool {
 			switch x := n.(type) {
 			case *ast.SelectorExpr:
-				if id, ok := x.X.(*ast.Ident); ok {
+				sel, typed := sels[x]
+				if id, ok := x.X.(*ast.Ident); ok && !typed {
 					if ipath, ok := d.file.imports[id.Name]; ok {
 						mark(ipath + "." + x.Sel.Name)
 						return false
 					}
 				}
-				liven(x.Sel.Name)
+				switch {
+				case !typed:
+					liven(x.Sel.Name)
+				case sel.Kind() != types.FieldVal:
+					selectMethod(sel)
+				}
 				ast.Inspect(x.X, visit)
 				return false
 			case *ast.InterfaceType:
@@ -700,6 +751,97 @@ func unreachable(root string, allow map[string]string) ([]string, error) {
 	sort.Strings(problems)
 	return problems, nil
 }
+
+// selections type-checks the parsed files package by package with
+// go/types and returns the field and method selections it resolves.
+// The module's own imports are checked from source; the standard
+// library's are read from export data, located by one `go list
+// -export` run. A file the build excludes here (a build constraint) is
+// not checked, so its selections stay unresolved; so would any the
+// checker could not type, but a type error fails the analysis instead
+// of weakening it.
+func selections(root, module string, fset *token.FileSet, files []reachSource) (map[*ast.SelectorExpr]*types.Selection, error) {
+	pkgs := map[string][]*ast.File{} // "path name" → the files the build compiles
+	std := map[string]bool{}
+	for _, src := range files {
+		dir, name := path.Split(src.rel)
+		if ok, err := build.Default.MatchFile(filepath.Join(root, filepath.FromSlash(dir)), name); err != nil || !ok {
+			continue
+		}
+		key := src.rf.pkg + " " + src.f.Name.Name
+		pkgs[key] = append(pkgs[key], src.f)
+		for _, ipath := range src.rf.imports {
+			if ipath != module && !strings.HasPrefix(ipath, module+"/") {
+				std[ipath] = true
+			}
+		}
+	}
+	list := exec.Command("go", "list", "-export", "-f", "{{.ImportPath}} {{.Export}}")
+	list.Dir = root
+	for ipath := range std {
+		list.Args = append(list.Args, ipath)
+	}
+	out, err := list.Output()
+	if err != nil {
+		return nil, fmt.Errorf("go list -export: %v", err)
+	}
+	export := map[string]string{}
+	for _, line := range strings.Split(strings.TrimSpace(string(out)), "\n") {
+		if ipath, file, ok := strings.Cut(line, " "); ok {
+			export[ipath] = file
+		}
+	}
+	gc := importer.ForCompiler(fset, "gc", func(ipath string) (io.ReadCloser, error) {
+		return os.Open(export[ipath])
+	})
+
+	info := &types.Info{Selections: map[*ast.SelectorExpr]*types.Selection{}}
+	checked := map[string]*types.Package{}
+	var firstErr error
+	var check func(ipath, key string) *types.Package
+	conf := types.Config{
+		Importer: importFunc(func(ipath string) (*types.Package, error) {
+			if pkg := checked[ipath]; pkg != nil {
+				return pkg, nil
+			}
+			for key := range pkgs {
+				if p, name, _ := strings.Cut(key, " "); p == ipath && !strings.HasSuffix(name, "_test") {
+					return check(ipath, key), nil
+				}
+			}
+			return gc.Import(ipath)
+		}),
+		Error: func(err error) {
+			if firstErr == nil {
+				firstErr = err
+			}
+		},
+	}
+	check = func(ipath, key string) *types.Package {
+		pkg, _ := conf.Check(ipath, fset, pkgs[key], info)
+		checked[ipath] = pkg
+		return pkg
+	}
+	keys := make([]string, 0, len(pkgs))
+	for key := range pkgs {
+		keys = append(keys, key)
+	}
+	sort.Strings(keys)
+	for _, key := range keys {
+		ipath, name, _ := strings.Cut(key, " ")
+		if strings.HasSuffix(name, "_test") {
+			check(ipath+"_test", key)
+		} else if checked[ipath] == nil {
+			check(ipath, key)
+		}
+	}
+	return info.Selections, firstErr
+}
+
+// importFunc adapts a func to types.Importer.
+type importFunc func(path string) (*types.Package, error)
+
+func (f importFunc) Import(path string) (*types.Package, error) { return f(path) }
 
 // receiverType is the name of a method receiver's type: T for T, *T,
 // T[P] and *T[P].

@@ -66,13 +66,11 @@ type Ansatz interface {
 	Report() synth.Report
 }
 
-// BatchEvaluator is the optional batched extension of Ansatz: backends
-// whose evaluations are cheap enough to be scheduler-bound implement it
-// to evaluate K parameter vectors with persistent per-worker state
-// buffers — ranking parameter vectors, such as the final points of a
-// multi-start run (internal/qaoa), goes through it.
-// Like Evaluate, EvaluateBatch is not safe for concurrent use on the
-// same Ansatz (it parallelizes internally).
+// BatchEvaluator is the optional batched extension of Ansatz: ranking
+// parameter vectors, such as the final points of a multi-start run
+// (internal/qaoa), goes through it. Like Evaluate, EvaluateBatch is not
+// safe for concurrent use on the same Ansatz, and it overwrites the
+// state an earlier Evaluate returned.
 type BatchEvaluator interface {
 	// EvaluateBatch computes energies[k] = ⟨ψ(γ⃗_k, β⃗_k)|H_C|ψ(γ⃗_k, β⃗_k)⟩
 	// for every k. It does not return states: batched callers only rank
@@ -82,12 +80,18 @@ type BatchEvaluator interface {
 }
 
 // EvaluateBatch evaluates K (γ⃗, β⃗) parameter vectors through a's native
-// batch path when it implements BatchEvaluator, and by sequential
-// Evaluate calls otherwise.
+// batch path when it implements BatchEvaluator, and by evaluateEach
+// otherwise.
 func EvaluateBatch(a Ansatz, gammas, betas [][]float64, energies []float64) error {
 	if be, ok := a.(BatchEvaluator); ok {
 		return be.EvaluateBatch(gammas, betas, energies)
 	}
+	return evaluateEach(a, gammas, betas, energies)
+}
+
+// evaluateEach evaluates the K parameter vectors one after another
+// through a.Evaluate, which checks each vector's length.
+func evaluateEach(a Ansatz, gammas, betas [][]float64, energies []float64) error {
 	if len(betas) != len(gammas) || len(energies) != len(gammas) {
 		return fmt.Errorf("backend: batch of %d gamma vectors with %d beta vectors and %d energy slots",
 			len(gammas), len(betas), len(energies))
@@ -139,20 +143,6 @@ func Release(a Ansatz) {
 	if r, ok := a.(Releaser); ok {
 		r.Release()
 	}
-}
-
-// checkBatchParams validates an EvaluateBatch call.
-func checkBatchParams(layers int, gammas, betas [][]float64, energies []float64) error {
-	if len(betas) != len(gammas) || len(energies) != len(gammas) {
-		return fmt.Errorf("backend: batch of %d gamma vectors with %d beta vectors and %d energy slots",
-			len(gammas), len(betas), len(energies))
-	}
-	for k := range gammas {
-		if err := checkParams(layers, gammas[k], betas[k]); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // Backend prepares executable ansätze. Implementations must be safe for

@@ -1,11 +1,13 @@
-// Tests for the batched multi-point evaluation API: the fused native
-// batch path and the generic sequential fallback must both agree with
-// per-call Evaluate to 1e-12, and the fused steady-state loop must not
+// Tests for the batched multi-point evaluation API: the fused batch
+// path and the generic sequential fallback must both return per-call
+// Evaluate's energy bits, the fused batch must pin no statevector
+// beyond the ansatz's own, and the fused steady-state loop must not
 // allocate.
 package backend_test
 
 import (
 	"math"
+	"runtime"
 	"testing"
 
 	"qaoa2/internal/backend"
@@ -33,8 +35,8 @@ func TestEvaluateBatchMatchesEvaluate(t *testing.T) {
 	const layers, k = 2, 9
 	gammas, betas := batchParams(layers, k, 11)
 
-	// The native path is the fused engine's; Dense evaluates batches
-	// sequentially.
+	// Fused implements BatchEvaluator; Dense takes the fallback. Both
+	// evaluate the vectors in turn, so the energies are Evaluate's bits.
 	for _, be := range []backend.Backend{backend.Fused{}, backend.Dense{}} {
 		ans, err := be.Prepare(g, backend.Config{Layers: layers})
 		if err != nil {
@@ -52,7 +54,7 @@ func TestEvaluateBatchMatchesEvaluate(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if math.Abs(energies[i]-want) > 1e-12 {
+			if math.Float64bits(energies[i]) != math.Float64bits(want) {
 				t.Fatalf("%s: batch energy[%d] = %v, Evaluate = %v", be.Name(), i, energies[i], want)
 			}
 		}
@@ -86,6 +88,37 @@ func TestFusedEvaluateSteadyStateAllocs(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("fused Evaluate allocates %v objects per call, want 0", allocs)
+	}
+}
+
+// TestFusedEvaluateBatchPinsNoStatevector: a batch runs on the
+// ansatz's own engine, so with the engine pools emptied (two garbage
+// collections) the first EvaluateBatch of 8 vectors on an evaluated
+// 16-qubit fused ansatz allocates less than one statevector.
+func TestFusedEvaluateBatchPinsNoStatevector(t *testing.T) {
+	g := graph.ErdosRenyi(16, 0.5, graph.Unweighted, rng.New(16))
+	ans, err := backend.Fused{}.Prepare(g, backend.Config{Layers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer backend.Release(ans)
+	gammas, betas := batchParams(2, 8, 23)
+	if _, _, err := ans.Evaluate(gammas[0], betas[0]); err != nil {
+		t.Fatal(err)
+	}
+	energies := make([]float64, len(gammas))
+	runtime.GC()
+	runtime.GC()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	err = backend.EvaluateBatch(ans, gammas, betas, energies)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const statevector = 16 << 15 // the Z2 engine's 2^15 complex128 amplitudes
+	if got := after.TotalAlloc - before.TotalAlloc; got >= statevector {
+		t.Fatalf("first batch allocated %d bytes, want less than one %d-byte statevector", got, statevector)
 	}
 }
 

@@ -2,7 +2,6 @@ package backend
 
 import (
 	"math"
-	"runtime"
 	"slices"
 	"sync"
 
@@ -48,9 +47,9 @@ const maxPhaseLevels = 4096
 // the A/B control for benchmarks and for bisecting any suspected
 // reduction issue.
 //
-// Parallelism inside one ansatz is the engine's: Evaluate splits every
-// sweep over the shared kernel pool, and EvaluateBatch stripes the
-// parameter vectors over serial per-worker engines.
+// Parallelism inside one ansatz is the engine's alone: Evaluate splits
+// every sweep over the shared kernel pool, and EvaluateBatch runs its
+// vectors one after another on the same engine.
 type Fused struct {
 	// Full disables the Z2 symmetry reduction and simulates all 2^n
 	// amplitudes.
@@ -236,8 +235,8 @@ func phaseTables(diag []float64, add float64, idx []int32) qsim.CostTables {
 	return qsim.CostTables{Levels: levels, Values: values, Idx: idx}
 }
 
-// fusedAnsatz is a prepared fused ansatz: the compiled tables, the
-// engine built over them and the native batch path's engines.
+// fusedAnsatz is a prepared fused ansatz: the compiled tables and the
+// engine built over them.
 type fusedAnsatz struct {
 	n, layers int
 	z2        bool            // engines run on the Z2-reduced half-vector
@@ -249,9 +248,6 @@ type fusedAnsatz struct {
 	// integral one (which has no float64 table of its own).
 	diag []float64
 	eng  *qsim.Engine
-	// batch holds one serial-mode engine per batch worker, sharing the
-	// read-only tables; grown lazily by EvaluateBatch.
-	batch []*qsim.Engine
 }
 
 // newEngine builds an execution engine over the ansatz's shared tables.
@@ -276,24 +272,21 @@ func takeIndex(k int) *[]int32 {
 	return &idx
 }
 
-// Release implements Releaser: it hands the main engine, every batch
-// engine and the level index back to their pools. Every state the
-// ansatz returned is empty afterwards; the ansatz must not be used
-// again. A second call does nothing.
+// Release implements Releaser: it hands the engine and the level index
+// back to their pools. Every state the ansatz returned is empty
+// afterwards; the ansatz must not be used again. A second call does
+// nothing.
 func (a *fusedAnsatz) Release() {
 	if a.eng == nil {
 		return
 	}
 	a.eng.Release()
-	for _, e := range a.batch {
-		e.Release()
-	}
 	k := a.n
 	if a.z2 {
 		k--
 	}
 	indexPools[k].Put(a.idx)
-	a.eng, a.batch, a.idx, a.cost.Idx = nil, nil, nil, nil
+	a.eng, a.idx, a.cost.Idx = nil, nil, nil
 }
 
 // Evaluate implements Ansatz. The returned state is the engine's reused
@@ -307,54 +300,13 @@ func (a *fusedAnsatz) Evaluate(gammas, betas []float64) (float64, *qsim.State, e
 	return a.eng.Evaluate(gammas, betas), a.eng.State(), nil
 }
 
-// EvaluateBatch implements BatchEvaluator: the K parameter vectors are
-// striped over min(K, GOMAXPROCS) workers, each owning a persistent
-// serial-mode engine (outer parallelism saturates the cores, so inner
-// kernel parallelism is disabled). Worker engines share the prepared
-// cost tables; only the 2^n statevector buffer is per-worker, and it is
-// reused across calls. Not safe for concurrent use with itself or
-// Evaluate. The worker count is sized for one batching ansatz per
-// process; callers that batch on MANY ansätze concurrently (QAOA² with
-// multi-start sub-solves) should keep the product of their outer
-// parallelism and K near the core count: each of up to Parallelism
-// concurrent sub-solves fans out min(K, GOMAXPROCS) workers, each
-// pinning a 2^n statevector until the sub-solve releases the ansatz
-// (Release), which hands every worker engine back to its pool.
+// EvaluateBatch implements BatchEvaluator: the K parameter vectors run
+// one after another on the ansatz's engine (evaluateEach), each sweep
+// split over the kernel pool like any Evaluate. A batch therefore pins
+// no statevector beyond the engine's, and it overwrites the state the
+// last Evaluate returned.
 func (a *fusedAnsatz) EvaluateBatch(gammas, betas [][]float64, energies []float64) error {
-	if err := checkBatchParams(a.layers, gammas, betas, energies); err != nil {
-		return err
-	}
-	k := len(gammas)
-	workers := runtime.GOMAXPROCS(0)
-	if workers > k {
-		workers = k
-	}
-	for len(a.batch) < workers {
-		eng, err := a.newEngine()
-		if err != nil {
-			return err
-		}
-		eng.SetSerial(true)
-		a.batch = append(a.batch, eng)
-	}
-	if workers == 1 {
-		for i := range gammas {
-			energies[i] = a.batch[0].Evaluate(gammas[i], betas[i])
-		}
-		return nil
-	}
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := w; i < k; i += workers {
-				energies[i] = a.batch[w].Evaluate(gammas[i], betas[i])
-			}
-		}(w)
-	}
-	wg.Wait()
-	return nil
+	return evaluateEach(a, gammas, betas, energies)
 }
 
 // Diagonal implements Ansatz. After the integral build the first call

@@ -97,13 +97,6 @@ func New(n int) *Circuit {
 	return &Circuit{N: n}
 }
 
-// Clone deep-copies the circuit.
-func (c *Circuit) Clone() *Circuit {
-	out := &Circuit{N: c.N, Gates: make([]Gate, len(c.Gates))}
-	copy(out.Gates, c.Gates)
-	return out
-}
-
 func (c *Circuit) checkQubit(q int) {
 	if q < 0 || q >= c.N {
 		panic(fmt.Sprintf("circuit: qubit %d out of range [0,%d)", q, c.N))

@@ -87,16 +87,6 @@ func TestApplyCoversAllKinds(t *testing.T) {
 	}
 }
 
-func TestCloneIndependence(t *testing.T) {
-	c := New(2)
-	c.AddH(0)
-	d := c.Clone()
-	d.AddH(1)
-	if len(c.Gates) != 1 || len(d.Gates) != 2 {
-		t.Fatal("clone shares gate storage")
-	}
-}
-
 func TestKindPredicates(t *testing.T) {
 	if !RZZ.IsTwoQubit() || !RZZ.IsParameterized() {
 		t.Fatal("RZZ predicates wrong")

@@ -307,22 +307,25 @@ func TestRunFig2Workflow(t *testing.T) {
 	}
 }
 
-// TestRunEngineScalingRows: one serial row and one kernel-pool row at
-// GOMAXPROCS cores, both timed, rendered with a core column. The rows
-// are not compared for energy: the pool's partial sums depend on its
-// worker count.
+// TestRunEngineScalingRows: a one-core row and a GOMAXPROCS row, both
+// timed, rendered with a core column, and the caller's GOMAXPROCS
+// restored afterwards.
 func TestRunEngineScalingRows(t *testing.T) {
+	procs := runtime.GOMAXPROCS(0)
 	points, err := RunEngineScaling(10, 2, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(points) != 2 || points[0].Cores != 1 || points[1].Cores != runtime.GOMAXPROCS(0) {
-		t.Fatalf("rows %+v, want cores 1 and %d", points, runtime.GOMAXPROCS(0))
+	if len(points) != 2 || points[0].Cores != 1 || points[1].Cores != procs {
+		t.Fatalf("rows %+v, want cores 1 and %d", points, procs)
 	}
 	for _, p := range points {
 		if p.Qubits != 10 || p.Seconds <= 0 {
 			t.Fatalf("row %+v", p)
 		}
+	}
+	if got := runtime.GOMAXPROCS(0); got != procs {
+		t.Fatalf("GOMAXPROCS %d after the run, want %d", got, procs)
 	}
 	out := RenderEngineScaling(points)
 	if !strings.Contains(out, "cores") || !strings.Contains(out, "kernel pool") {

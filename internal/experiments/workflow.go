@@ -174,11 +174,12 @@ type ScalingPoint struct {
 
 // RunEngineScaling evaluates one fixed-size graph through the fused
 // backend on one core and on GOMAXPROCS cores, measuring wall time per
-// evaluation. The one-core row is the serial worker engine that
-// EvaluateBatch of a single vector runs; the other row is Evaluate,
-// whose sweeps split over the shared kernel pool. The rows' energies
-// agree bit for bit: the engine sums one partial per sweep batch, in
-// batch order, on any worker count.
+// evaluation. Both rows time the same Evaluate, whose sweeps split over
+// the shared kernel pool: the one-core row runs it under
+// runtime.GOMAXPROCS(1), and the caller's setting is restored before
+// RunEngineScaling returns. The rows' energies agree bit for bit: the
+// engine sums one partial per sweep batch, in batch order, on any
+// worker count.
 func RunEngineScaling(qubits, layers int, seed uint64) ([]ScalingPoint, error) {
 	r := rng.New(seed)
 	g := graph.ErdosRenyi(qubits, 0.3, graph.Unweighted, r)
@@ -191,32 +192,30 @@ func RunEngineScaling(qubits, layers int, seed uint64) ([]ScalingPoint, error) {
 	if err != nil {
 		return nil, err
 	}
-	energy := make([]float64, 1)
-	serial := func() error {
-		return backend.EvaluateBatch(ans, [][]float64{gammas}, [][]float64{betas}, energy)
+	defer backend.Release(ans)
+	// The kernel pool sizes itself on first use: start it at the
+	// caller's setting before the one-core row narrows GOMAXPROCS.
+	if _, _, err := ans.Evaluate(gammas, betas); err != nil {
+		return nil, err
 	}
-	pooled := func() error {
-		_, _, err := ans.Evaluate(gammas, betas)
-		return err
-	}
+	procs := goruntime.GOMAXPROCS(0)
+	defer goruntime.GOMAXPROCS(procs)
 	var out []ScalingPoint
-	for _, row := range []struct {
-		cores int
-		eval  func() error
-	}{{1, serial}, {goruntime.GOMAXPROCS(0), pooled}} {
-		// Warm-up evaluation: engines build, pool workers start.
-		if err := row.eval(); err != nil {
+	for _, cores := range []int{1, procs} {
+		goruntime.GOMAXPROCS(cores)
+		// Warm-up evaluation: the caches fill at this core count.
+		if _, _, err := ans.Evaluate(gammas, betas); err != nil {
 			return nil, err
 		}
 		const reps = 10
 		start := time.Now()
 		for rep := 0; rep < reps; rep++ {
-			if err := row.eval(); err != nil {
+			if _, _, err := ans.Evaluate(gammas, betas); err != nil {
 				return nil, err
 			}
 		}
 		out = append(out, ScalingPoint{
-			Cores:   row.cores,
+			Cores:   cores,
 			Qubits:  qubits,
 			Seconds: time.Since(start).Seconds() / reps,
 		})

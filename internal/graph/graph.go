@@ -10,7 +10,6 @@ package graph
 import (
 	"fmt"
 	"math"
-	"slices"
 	"sort"
 
 	"qaoa2/internal/linalg"
@@ -208,11 +207,6 @@ func (g *Graph) IntegralWeights() bool {
 		sum += math.Abs(e.W)
 	}
 	return sum < 1<<53
-}
-
-// Clone returns a deep copy of g.
-func (g *Graph) Clone() *Graph {
-	return fromEdges(g.n, slices.Clone(g.edges), g.abs)
 }
 
 // CutValue evaluates the cut induced by the spin assignment

@@ -85,14 +85,6 @@ func New(n int) *Hamiltonian {
 // N returns the number of spin variables.
 func (h *Hamiltonian) N() int { return h.n }
 
-// Couplings returns the quadratic terms (i < j, duplicates merged). The
-// slice is owned by the Hamiltonian; callers must not modify it.
-func (h *Hamiltonian) Couplings() []Coupling { return h.couplings.terms }
-
-// Fields returns the linear terms h_i. The slice is owned by the
-// Hamiltonian; callers must not modify it.
-func (h *Hamiltonian) Fields() []float64 { return h.fields }
-
 // Offset returns the constant term.
 func (h *Hamiltonian) Offset() float64 { return h.offset }
 
@@ -143,17 +135,6 @@ func (h *Hamiltonian) Energy(spins []int8) float64 {
 // s = −1, the repository-wide convention).
 func (h *Hamiltonian) EnergyBits(bits []uint8) float64 {
 	return h.Energy(graph.SpinsFromBits(bits))
-}
-
-// Clone returns an independent deep copy.
-func (h *Hamiltonian) Clone() *Hamiltonian {
-	c := New(h.n)
-	for _, cp := range h.couplings.terms {
-		c.couplings.add(cp.I, cp.J, cp.W)
-	}
-	copy(c.fields, h.fields)
-	c.offset = h.offset
-	return c
 }
 
 // GroundState brute-forces the minimum-energy assignment — the exact

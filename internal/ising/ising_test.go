@@ -73,10 +73,10 @@ func TestCouplingMergeAndValidation(t *testing.T) {
 	if err := h.AddCoupling(0, 2, 0.5); err != nil {
 		t.Fatal(err)
 	}
-	if len(h.Couplings()) != 1 {
-		t.Fatalf("duplicate coupling not merged: %v", h.Couplings())
+	if len(h.couplings.terms) != 1 {
+		t.Fatalf("duplicate coupling not merged: %v", h.couplings.terms)
 	}
-	if c := h.Couplings()[0]; c.I != 0 || c.J != 2 || c.W != 2 {
+	if c := h.couplings.terms[0]; c.I != 0 || c.J != 2 || c.W != 2 {
 		t.Fatalf("merged coupling = %+v, want {0 2 2}", c)
 	}
 	if err := h.AddCoupling(1, 1, 1); err == nil {
@@ -414,12 +414,12 @@ func TestToMaxCutReduction(t *testing.T) {
 func addEdgeReduction(t *testing.T, h *Hamiltonian) *graph.Graph {
 	t.Helper()
 	g := graph.New(h.N() + 1)
-	for _, c := range h.Couplings() {
+	for _, c := range h.couplings.terms {
 		if c.W != 0 {
 			g.MustAddEdge(c.I, c.J, c.W)
 		}
 	}
-	for i, f := range h.Fields() {
+	for i, f := range h.fields {
 		if f != 0 {
 			g.MustAddEdge(i, h.N(), f)
 		}
@@ -544,26 +544,6 @@ func TestGroundStateCap(t *testing.T) {
 	}
 }
 
-func TestCloneIsIndependent(t *testing.T) {
-	h := randomHamiltonian(t, 4, 2, true)
-	c := h.Clone()
-	c.AddCoupling(0, 1, 10)
-	c.AddField(2, 3)
-	c.AddOffset(1)
-	hT, cT := energies(h), energies(c)
-	same := true
-	for i := range hT {
-		if hT[i] != cT[i] {
-			same = false
-		}
-	}
-	if same {
-		t.Fatal("clone shares state with original")
-	}
-}
-
-// TestFromHamiltonianAndAccessors covers the raw-Ising problem wrapper
-// and the read accessors: objective = energy, always feasible.
 func TestFromHamiltonianAndAccessors(t *testing.T) {
 	h := New(3)
 	if err := h.AddCoupling(0, 1, 1); err != nil {
@@ -573,8 +553,8 @@ func TestFromHamiltonianAndAccessors(t *testing.T) {
 		t.Fatal(err)
 	}
 	h.AddOffset(2)
-	if f := h.Fields(); len(f) != 3 || f[2] != -0.5 {
-		t.Fatalf("Fields() = %v", f)
+	if f := h.fields; len(f) != 3 || f[2] != -0.5 {
+		t.Fatalf("fields = %v", f)
 	}
 	p := FromHamiltonian(h)
 	if p.Kind != KindIsing || p.H != h {

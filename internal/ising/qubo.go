@@ -25,12 +25,6 @@ func NewQUBO(n int) *QUBO {
 	return &QUBO{n: n, linear: make([]float64, n)}
 }
 
-// N returns the number of binary variables.
-func (q *QUBO) N() int { return q.n }
-
-// Offset returns the constant term.
-func (q *QUBO) Offset() float64 { return q.offset }
-
 // AddQuad accumulates Q_ij += w. Self-terms are rejected: x_i² = x_i,
 // fold them into the linear coefficient instead.
 func (q *QUBO) AddQuad(i, j int, w float64) error {

@@ -20,13 +20,6 @@ type Cut struct {
 	Value float64 // sum of weights of edges crossing the partition
 }
 
-// Clone deep-copies the cut.
-func (c Cut) Clone() Cut {
-	s := make([]int8, len(c.Spins))
-	copy(s, c.Spins)
-	return Cut{Spins: s, Value: c.Value}
-}
-
 // Validate re-evaluates the cut on g and reports a mismatch between the
 // stored and recomputed value; used as a test/debug invariant.
 func (c Cut) Validate(g *graph.Graph) error {

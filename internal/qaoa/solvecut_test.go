@@ -36,7 +36,7 @@ func digest(res *Result) string {
 			}
 			h.Write(buf[:])
 		}
-		state = fmt.Sprintf("n=%d len=%d z2=%d amps=%016x", s.N(), s.Len(), s.Z2Full(), h.Sum64())
+		state = fmt.Sprintf("len=%d z2=%d amps=%016x", s.Len(), s.Z2Full(), h.Sum64())
 	}
 	return fmt.Sprintf("spins=%v value=%x exp=%x gammas=%x betas=%x evals=%d report=%+v layout=%v optimal=%v state=%s",
 		res.Cut.Spins, math.Float64bits(res.Cut.Value), math.Float64bits(res.Expectation),

@@ -46,16 +46,17 @@ import (
 //
 // Parallelism: every sweep splits its tiles over the slice-affine
 // kernel pool (pool.go, through State.sweep), so one vector and one
-// schedule serve every core count; a serial engine (SetSerial) runs
-// each sweep inline. The only per-worker state is the high sweep's
-// scratch.
+// schedule serve every core count. The pool is the only parallelism:
+// the engine starts no goroutine of its own, and a caller with several
+// parameter vectors evaluates them one after another. The only
+// per-worker state is the high sweep's scratch.
 //
 // Allocation-freedom: the pass bodies are method values bound once at
 // construction and parameterized through engine fields; the per-layer
 // phase table and the per-batch partials and peaks (one allocation)
 // are sized once per engine shape and kept by pooled engines. An
-// Engine is NOT safe for concurrent use — batch drivers create one
-// Engine per worker (see SetSerial).
+// Engine is NOT safe for concurrent use; concurrent sub-solves each
+// prepare their own.
 type Engine struct {
 	state *State       // the statevector (resolves the kernel pool)
 	amps  []complex128 // state's amplitudes
@@ -239,10 +240,6 @@ func (e *Engine) fitScratch() {
 // (after which it is empty). On a Z2 engine it is a reduced state whose
 // measurement accessors report full-space results.
 func (e *Engine) State() *State { return e.state }
-
-// SetSerial forces single-goroutine kernel execution (see
-// State.SetSerial); batch drivers set it on their per-worker engines.
-func (e *Engine) SetSerial(serial bool) { e.state.SetSerial(serial) }
 
 // Evaluate runs the full p-layer fused evaluation at (γ⃗, β⃗) — the
 // ansatz Π_l RX(2β_l)^⊗n · e^{-iγ_l D'} |+⟩^⊗n — and returns the exact

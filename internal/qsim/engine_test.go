@@ -301,8 +301,8 @@ func TestZ2EngineZeroAlloc(t *testing.T) { checkZeroAlloc(t, []bool{true}) }
 
 // TestEngineOnExplicitPool runs fused evaluations through a private
 // multi-worker pool (the -race coverage for the per-batch expectation
-// partials) and requires the energy and every amplitude to equal a
-// serial twin's in their float64 bits.
+// partials) and requires the energy and every amplitude to equal an
+// inline twin's (a one-worker pool) in their float64 bits.
 func TestEngineOnExplicitPool(t *testing.T) {
 	pool := newWorkerPool(4)
 	defer pool.Stop()
@@ -314,20 +314,20 @@ func TestEngineOnExplicitPool(t *testing.T) {
 	eng, _ := testEngine(t, n, false, false, diag, levels, idx, shift)
 	eng.state.pool = pool
 	twin, _ := testEngine(t, n, false, false, diag, levels, idx, shift)
-	twin.SetSerial(true)
+	twin.state.pool = inlinePool()
 	got, want := eng.Evaluate(gammas, betas), twin.Evaluate(gammas, betas)
 	if math.Float64bits(got) != math.Float64bits(want) {
-		t.Fatalf("pooled energy %v, serial %v", got, want)
+		t.Fatalf("pooled energy %v, inline %v", got, want)
 	}
 	if i := firstBitDiff(eng.amps, twin.amps); i >= 0 {
-		t.Fatalf("pooled amp %d = %v, serial %v", i, eng.amps[i], twin.amps[i])
+		t.Fatalf("pooled amp %d = %v, inline %v", i, eng.amps[i], twin.amps[i])
 	}
 }
 
 // TestEngineEnergyIgnoresWorkerCount pins the reduction shape: the
 // energy is a function of the vector's shape, tables, angles and kernel
-// tier, so Evaluate returns the same float64 bits on a serial engine
-// and on private pools of 2, 3 and 4 workers — in every kernel tier, at
+// tier, so Evaluate returns the same float64 bits on private pools of
+// 1 (inline), 2, 3 and 4 workers — in every kernel tier, at
 // nFull = 16 and 20, p = 3, reduced and full. Under -short and the race
 // detector it stops at nFull = 16.
 func TestEngineEnergyIgnoresWorkerCount(t *testing.T) {
@@ -335,7 +335,7 @@ func TestEngineEnergyIgnoresWorkerCount(t *testing.T) {
 	if testing.Short() || raceDetector {
 		sizes = sizes[:1]
 	}
-	pools := []*workerPool{nil, newWorkerPool(2), newWorkerPool(3), newWorkerPool(4)}
+	pools := []*workerPool{inlinePool(), newWorkerPool(2), newWorkerPool(3), newWorkerPool(4)}
 	for _, p := range pools[1:] {
 		defer p.Stop()
 	}
@@ -348,12 +348,11 @@ func TestEngineEnergyIgnoresWorkerCount(t *testing.T) {
 				var want uint64
 				for k, p := range pools {
 					eng.state.pool = p
-					eng.SetSerial(p == nil)
 					got := math.Float64bits(eng.Evaluate(gammas, betas))
 					if k == 0 {
 						want = got
 					} else if got != want {
-						t.Fatalf("nFull=%d z2=%v: energy bits %016x on %d workers, %016x serial",
+						t.Fatalf("nFull=%d z2=%v: energy bits %016x on %d workers, %016x inline",
 							nFull, z2, got, p.workers, want)
 					}
 				}

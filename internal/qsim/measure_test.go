@@ -166,14 +166,14 @@ func TestExpectDiagonalParallelPath(t *testing.T) {
 }
 
 // TestExpectDiagonalIgnoresPool requires one bit pattern from 50 calls
-// of ExpectDiagonal on 2^18 amplitudes on a serial state and on each of
-// private pools of 2, 3 and 4 workers: the sum takes no lock and no
+// of ExpectDiagonal on 2^18 amplitudes on each of private pools of 1
+// (inline), 2, 3 and 4 workers: the sum takes no lock and no
 // completion order.
 func TestExpectDiagonalIgnoresPool(t *testing.T) {
 	s, _ := NewPlusState(18)
-	for q := 0; q < s.N(); q += 3 {
+	for q := 0; q < s.n; q += 3 {
 		s.ApplyRX(q, 0.3+0.1*float64(q))
-		s.ApplyRZZ(q, (q+1)%s.N(), 0.7)
+		s.ApplyRZZ(q, (q+1)%s.n, 0.7)
 	}
 	r := rng.New(18)
 	table := make([]float64, s.Len())
@@ -181,16 +181,12 @@ func TestExpectDiagonalIgnoresPool(t *testing.T) {
 		table[i] = float64(r.Uint64()%97) / 7
 	}
 	want := math.Float64bits(s.ExpectDiagonal(table))
-	for _, workers := range []int{0, 2, 3, 4} {
-		p := newWorkerPool(workers)
-		if p != nil {
-			defer p.Stop()
-		}
+	for _, p := range []*workerPool{inlinePool(), newWorkerPool(2), newWorkerPool(3), newWorkerPool(4)} {
+		defer p.Stop()
 		s.pool = p
-		s.SetSerial(p == nil)
 		for range 50 {
 			if got := math.Float64bits(s.ExpectDiagonal(table)); got != want {
-				t.Fatalf("%d workers: energy bits %016x, want %016x", workers, got, want)
+				t.Fatalf("%d workers: energy bits %016x, want %016x", p.workers, got, want)
 			}
 		}
 	}

@@ -240,7 +240,7 @@ func TestEnginesBitIdenticalToGatherSweep(t *testing.T) {
 				gatherSweep(twin.amps, nil, nil, twin.g0, twin.m, start, end, twin.c, twin.sn)
 			}
 			for p := 1; p <= 3; p++ {
-				gammas, betas := engineParams(eng.State().N(), p)
+				gammas, betas := engineParams(eng.n, p)
 				got, want := eng.Evaluate(gammas, betas), twin.Evaluate(gammas, betas)
 				if math.Float64bits(got) != math.Float64bits(want) {
 					t.Fatalf("%s p=%d: energy %v, oracle sweep %v", name, p, got, want)

@@ -79,16 +79,16 @@ func TestApplyRXAllGoMatchesAsm(t *testing.T) {
 	})
 }
 
-// TestApplyRXAllSerialMatches pins serial-mode kernel execution (the
-// batch-evaluator configuration) against the default dispatch.
+// TestApplyRXAllSerialMatches pins inline kernel execution (a
+// one-worker pool) against the default dispatch.
 func TestApplyRXAllSerialMatches(t *testing.T) {
 	def := randomState(t, 15, 99)
 	ser := def.Clone()
-	ser.SetSerial(true)
+	ser.pool = inlinePool()
 	def.ApplyRXAll(1.21)
 	ser.ApplyRXAll(1.21)
 	if d := maxAmpDiff(def, ser); d > 1e-12 {
-		t.Fatalf("serial-mode mixer deviates by %v", d)
+		t.Fatalf("inline mixer deviates by %v", d)
 	}
 }
 
@@ -105,7 +105,7 @@ func TestApplyRXAllOnExplicitPool(t *testing.T) {
 	pooled := randomState(t, 16, 4242)
 	pooled.pool = pool
 	ref := pooled.Clone()
-	ref.SetSerial(true)
+	ref.pool = inlinePool()
 
 	pooled.ApplyRXAll(0.7)
 	ref.ApplyRXAll(0.7)

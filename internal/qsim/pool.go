@@ -16,8 +16,8 @@ import (
 //
 // Lifecycle: the shared pool starts lazily on the first parallel kernel
 // call (honoring GOMAXPROCS at that moment) and lives for the process —
-// idle workers block on the task channel and cost nothing. Tests and
-// batch drivers can create private pools (newWorkerPool) and Stop them.
+// idle workers block on the task channel and cost nothing. Tests can
+// create private pools (newWorkerPool) and Stop them.
 
 // poolTask is one chunk of a parallel kernel sweep: body(w, start, end)
 // where w is the chunk index (used by the engine's high sweep to pick
@@ -120,11 +120,8 @@ func defaultPool() *workerPool {
 }
 
 // kernelPool resolves the pool a kernel on s should dispatch to: nil
-// means run inline (serial states, single-CPU processes).
+// means run inline (single-CPU processes).
 func (s *State) kernelPool() *workerPool {
-	if s.serial {
-		return nil
-	}
 	if s.pool != nil {
 		return s.pool
 	}
@@ -134,7 +131,7 @@ func (s *State) kernelPool() *workerPool {
 // sweep is the one front door to the kernel pool: it runs body(w,
 // start, end) over the work items [0, items), each itemLen amplitudes
 // long, split across the pool, or inline as body(0, 0, items) when the
-// state is serial or the sweep covers fewer than parallelThreshold
+// process has one CPU or the sweep covers fewer than parallelThreshold
 // amplitudes. w names the chunk's worker, < the pool's worker count; a
 // body uses it only to pick per-worker scratch, never to place a result,
 // so what a sweep computes does not depend on the worker count. The

@@ -74,6 +74,10 @@ func TestWorkerPoolConcurrentCallers(t *testing.T) {
 	}
 }
 
+// inlinePool is a one-worker pool: run executes every chunk on the
+// caller, so a state given it is the inline twin of a pooled one.
+func inlinePool() *workerPool { return &workerPool{workers: 1} }
+
 func TestWorkerPoolSingleWorkerIsNil(t *testing.T) {
 	if p := newWorkerPool(1); p != nil {
 		t.Fatal("single-worker pool should be the inline sentinel nil")

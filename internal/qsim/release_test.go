@@ -113,18 +113,6 @@ func TestReleasedEngineMatchesFresh(t *testing.T) {
 	}
 }
 
-// TestReleasedSerialEngineDispatchesAgain: a batch worker's engine
-// (SetSerial) comes back from the pool as a main engine in the default
-// kernel mode, dispatching to the shared kernel pool again.
-func TestReleasedSerialEngineDispatchesAgain(t *testing.T) {
-	diag, levels, idx, shift := z2Fixture(t, 12, 3)
-	cost := fixtureTables(1<<11, false, diag, levels, idx, shift)
-	e := recycledEngine(t, 12, true, cost, func(e *Engine) { e.SetSerial(true) })
-	if e.state.serial || e.state.pool != nil || e.state.kernelPool() != defaultPool() {
-		t.Fatalf("reused engine: serial=%v pool override=%v, want the default kernel pool", e.state.serial, e.state.pool != nil)
-	}
-}
-
 // TestEngineReleaseIsFinal: a released engine's state is empty and
 // fails on access; a second Release does not put the engine in the
 // pool twice, so two same-shape engines never share a buffer.

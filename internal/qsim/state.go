@@ -39,13 +39,10 @@ const MaxQubits = 26
 type State struct {
 	n    int
 	amps []complex128
-	// pool overrides the shared kernel worker pool (tests, private
-	// engines); nil selects the process-wide pool.
+	// pool overrides the shared kernel worker pool for tests (a
+	// one-worker pool runs every kernel inline); nil selects the
+	// process-wide pool.
 	pool *workerPool
-	// serial forces every kernel to run on the calling goroutine. Batch
-	// evaluators set it so concurrent per-worker states do not fight
-	// over the pool (outer-level parallelism already saturates cores).
-	serial bool
 	// z2Full marks a Z2-symmetry-reduced state (z2.go): nonzero nFull
 	// means amps is the even-sector half-vector of an nFull-qubit
 	// symmetric state and n == nFull−1.
@@ -100,29 +97,20 @@ func NewPlusState(n int) (*State, error) {
 	return s, nil
 }
 
-// N returns the number of qubits.
-func (s *State) N() int { return s.n }
-
 // Len returns the number of amplitudes (2^n).
 func (s *State) Len() int { return len(s.amps) }
 
 // Amp returns the amplitude of basis state i.
 func (s *State) Amp(i uint64) complex128 { return s.amps[i] }
 
-// Clone deep-copies the state (including its serial/pool kernel mode
-// and any Z2-reduction mark). The copy keeps no batch peaks, so its
+// Clone deep-copies the state (including its pool override and any
+// Z2-reduction mark). The copy keeps no batch peaks, so its
 // decode reads it whole.
 func (s *State) Clone() *State {
-	c := &State{n: s.n, amps: make([]complex128, len(s.amps)), pool: s.pool, serial: s.serial, z2Full: s.z2Full}
+	c := &State{n: s.n, amps: make([]complex128, len(s.amps)), pool: s.pool, z2Full: s.z2Full}
 	copy(c.amps, s.amps)
 	return c
 }
-
-// SetSerial forces (true) or re-enables (false) single-goroutine kernel
-// execution on this state. Serial states are what batch evaluators hand
-// to their workers: the batch level already saturates the cores, so
-// inner kernel parallelism would only thrash the shared pool.
-func (s *State) SetSerial(serial bool) { s.serial = serial }
 
 // NormSquared returns ⟨ψ|ψ⟩, which is 1 for a valid state.
 func (s *State) NormSquared() float64 {

@@ -28,8 +28,8 @@ func TestNewStateIsGround(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.Len() != 8 || s.N() != 3 {
-		t.Fatalf("len=%d n=%d", s.Len(), s.N())
+	if s.Len() != 8 || s.n != 3 {
+		t.Fatalf("len=%d n=%d", s.Len(), s.n)
 	}
 	if !cEq(s.Amp(0), 1, tol) {
 		t.Fatalf("amp0=%v", s.Amp(0))

@@ -77,7 +77,7 @@ func (s *State) ExpandZ2() *State {
 		full[i] = v
 		full[mask^uint64(i)] = v
 	}
-	return &State{n: s.z2Full, amps: full, pool: s.pool, serial: s.serial}
+	return &State{n: s.z2Full, amps: full, pool: s.pool}
 }
 
 // z2Scale takes a stored amplitude of a reduced state to its pair

@@ -32,8 +32,8 @@ func TestZ2MeasurementMatchesExpanded(t *testing.T) {
 		if red.Z2Full() != nFull {
 			t.Fatalf("n=%d: ExpandZ2 mutated the receiver", nFull)
 		}
-		if full.N() != nFull || full.Len() != 1<<uint(nFull) {
-			t.Fatalf("n=%d: expansion has %d qubits / %d amps", nFull, full.N(), full.Len())
+		if full.n != nFull || full.Len() != 1<<uint(nFull) {
+			t.Fatalf("n=%d: expansion has %d qubits / %d amps", nFull, full.n, full.Len())
 		}
 
 		mask := uint64(full.Len() - 1)
@@ -128,12 +128,12 @@ func TestZ2DecodeMatchesExpanded(t *testing.T) {
 func checkZ2DecodeMatchesExpanded(t *testing.T, red *State) {
 	t.Helper()
 	full := red.ExpandZ2()
-	for _, k := range []int{1, 2, 3, 1 << uint(full.N())} {
-		gotX, gotV := bestSignedCut(red.DecodeCandidates(k, nil), full.N())
-		wantX, wantV := bestSignedCut(full.DecodeCandidates(k, nil), full.N())
+	for _, k := range []int{1, 2, 3, 1 << uint(full.n)} {
+		gotX, gotV := bestSignedCut(red.DecodeCandidates(k, nil), full.n)
+		wantX, wantV := bestSignedCut(full.DecodeCandidates(k, nil), full.n)
 		if gotX != wantX || gotV != wantV {
 			t.Fatalf("n=%d k=%d: reduced decodes %b (cut %v), expanded %b (cut %v)",
-				full.N(), k, gotX, gotV, wantX, wantV)
+				full.n, k, gotX, gotV, wantX, wantV)
 		}
 	}
 }

@@ -87,8 +87,6 @@ type Checkpoint struct {
 	f       *os.File
 	w       *bufio.Writer
 	entries map[string]Record
-	// restored counts entries loaded from disk at open time.
-	restored int
 	// now and fsync are time.Now and f.Sync, held as fields so a test
 	// can inject a clock and count fsyncs; synced is the time of the
 	// last fsync (zero before the first).
@@ -166,7 +164,6 @@ func OpenCheckpoint(path string, h Header) (*Checkpoint, error) {
 		}
 		// Header mismatch or corrupt header: start over.
 		c.entries = make(map[string]Record)
-		c.restored = 0
 	}
 	f, err := os.Create(path)
 	if err != nil {
@@ -267,7 +264,6 @@ func (c *Checkpoint) load(data []byte, want Header) bool {
 			Solver: e.Solver,
 		}
 	}
-	c.restored = len(c.entries)
 	return true
 }
 
@@ -277,13 +273,6 @@ func (c *Checkpoint) Lookup(key string) (Record, bool) {
 	defer c.mu.Unlock()
 	r, ok := c.entries[key]
 	return r, ok
-}
-
-// Restored reports how many entries were loaded from disk at open.
-func (c *Checkpoint) Restored() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.restored
 }
 
 // Len reports the total number of stored entries.

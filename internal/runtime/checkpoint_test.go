@@ -34,8 +34,8 @@ func TestCheckpointRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c2.Close()
-	if c2.Restored() != 1 || c2.Len() != 1 {
-		t.Fatalf("restored %d len %d", c2.Restored(), c2.Len())
+	if c2.Len() != 1 {
+		t.Fatalf("restored %d entries, want 1", c2.Len())
 	}
 	rec, ok := c2.Lookup("s0/sub0")
 	if !ok || rec.Cut.Value != 2.125 || rec.Solver != "exact" {
@@ -100,8 +100,8 @@ func TestCheckpointSyncsByTimeNotByRecord(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if killed.Restored() != records {
-		t.Fatalf("reopen beside an unclosed handle restored %d of %d records", killed.Restored(), records)
+	if killed.Len() != records {
+		t.Fatalf("reopen beside an unclosed handle restored %d of %d records", killed.Len(), records)
 	}
 	killed.Close()
 
@@ -152,8 +152,8 @@ func TestCheckpointHeaderMismatchRestarts(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c2.Close()
-	if c2.Restored() != 0 {
-		t.Fatalf("mismatched header restored %d entries", c2.Restored())
+	if c2.Len() != 0 {
+		t.Fatalf("mismatched header restored %d entries", c2.Len())
 	}
 	if _, ok := c2.Lookup("k"); ok {
 		t.Fatal("stale entry survived header mismatch")
@@ -181,8 +181,8 @@ func TestCheckpointTornTrailingLineSkipped(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c2.Close()
-	if c2.Restored() != 1 {
-		t.Fatalf("restored %d, want the 1 intact entry", c2.Restored())
+	if c2.Len() != 1 {
+		t.Fatalf("restored %d, want the 1 intact entry", c2.Len())
 	}
 	if _, ok := c2.Lookup("torn"); ok {
 		t.Fatal("torn entry restored")
@@ -205,8 +205,8 @@ func TestCheckpointTornTrailingLineSkipped(t *testing.T) {
 	if _, ok := c3.Lookup("next"); !ok {
 		t.Fatal("post-recovery append lost")
 	}
-	if c3.Restored() != 2 {
-		t.Fatalf("restored %d want 2", c3.Restored())
+	if c3.Len() != 2 {
+		t.Fatalf("restored %d want 2", c3.Len())
 	}
 }
 

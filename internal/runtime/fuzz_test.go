@@ -63,15 +63,12 @@ func FuzzOpenCheckpoint(f *testing.F) {
 		if !bytes.Equal(onDisk, cut) && !bytes.Equal(onDisk, headerLine) {
 			t.Fatalf("file after open is %q: neither the input cut at its last newline %q nor the header line", onDisk, cut)
 		}
-		if !bytes.Equal(onDisk, cut) && c.Restored() != 0 {
-			t.Fatalf("restarted file restored %d records", c.Restored())
+		if !bytes.Equal(onDisk, cut) && c.Len() != 0 {
+			t.Fatalf("restarted file restored %d records", c.Len())
 		}
 		// SniffHeader reads the header line the open matched.
 		if h, err := SniffHeader(data); bytes.Equal(onDisk, cut) && (err != nil || h != hdr) {
 			t.Fatalf("open kept the file, SniffHeader read %+v, %v", h, err)
-		}
-		if c.Restored() != c.Len() {
-			t.Fatalf("restored %d, holds %d", c.Restored(), c.Len())
 		}
 		for key, r := range c.entries {
 			if key == "" {
@@ -91,7 +88,7 @@ func FuzzOpenCheckpoint(f *testing.F) {
 		for _, ok := c.Lookup(key); ok; _, ok = c.Lookup(key) {
 			key += "+"
 		}
-		restored := c.Restored()
+		restored := c.Len()
 		if err := c.Record(key, Record{Cut: maxcut.Cut{Spins: []int8{1, -1}, Value: 1}, Solver: "exact"}); err != nil {
 			t.Fatalf("record: %v", err)
 		}
@@ -104,8 +101,8 @@ func FuzzOpenCheckpoint(f *testing.F) {
 		}
 		again.fsync = func() error { return nil }
 		defer again.Close()
-		if again.Restored() != restored+1 {
-			t.Fatalf("re-open restored %d records, want %d", again.Restored(), restored+1)
+		if again.Len() != restored+1 {
+			t.Fatalf("re-open restored %d records, want %d", again.Len(), restored+1)
 		}
 		if r, ok := again.Lookup(key); !ok || r.Cut.Value != 1 || len(r.Cut.Spins) != 2 {
 			t.Fatalf("appended record re-opened as %+v, %v", r, ok)

@@ -137,9 +137,9 @@ func BackendNamesHelp() string { return backend.NamesHelp() }
 // opt-outs in effect.
 func KernelTier() string { return qsim.KernelTier() }
 
-// EvaluateBatch evaluates K (γ⃗, β⃗) parameter vectors through the
-// ansatz's native batch path when available (the fused backend's
-// persistent per-worker state buffers), sequentially otherwise.
+// EvaluateBatch evaluates K (γ⃗, β⃗) parameter vectors one after another
+// on the ansatz and fills energies[k] with vector k's exact energy. It
+// overwrites the state the last Evaluate returned.
 func EvaluateBatch(a Ansatz, gammas, betas [][]float64, energies []float64) error {
 	return backend.EvaluateBatch(a, gammas, betas, energies)
 }

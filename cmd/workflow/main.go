@@ -158,11 +158,11 @@ func submitDemo(w io.Writer, base string, nodes int, p float64, maxQubits, paral
 		printEvent(w, ev.Event)
 	})
 	if err != nil {
-		if errors.Is(err, retry.ErrExhausted) || errors.Is(err, retry.ErrOpen) ||
-			retry.Classify(err) == retry.Retryable {
+		if errors.Is(err, retry.ErrExhausted) || retry.Classify(err) == retry.Retryable {
 			return fmt.Errorf("%w: %w", errDaemonUnreachable, err)
 		}
-		// The daemon answered and said no (bad request, unknown solver).
+		// The daemon answered and said no (bad request, unknown solver),
+		// or its answer was unusable (a done status without a result).
 		return fmt.Errorf("%w: %w", errJobFailed, err)
 	}
 	switch st.State {

@@ -92,8 +92,8 @@ func TestSubmitDemoAgainstLiveService(t *testing.T) {
 // convention), but the stderr message says which side broke — the
 // network path to the daemon, or the job the daemon rejected.
 func TestSubmitFailuresDistinguished(t *testing.T) {
-	// Nothing listens on port 1: every retry is refused, the breakerless
-	// default policy exhausts, and the failure names the dead daemon.
+	// Nothing listens on port 1: every retry is refused, the default
+	// policy exhausts, and the failure names the dead daemon.
 	var out, errb strings.Builder
 	if code := run([]string{"-submit", "http://127.0.0.1:1", "-solve-nodes", "20"}, &out, &errb); code != 1 {
 		t.Fatalf("dead daemon exited %d, want 1\nstderr: %s", code, errb.String())

@@ -287,7 +287,6 @@ var reachAllowlist = map[string]string{
 	"faults.transport":              chaosHarness,
 	"faults.truncatedBody":          chaosHarness,
 	"faults.cutWriter":              chaosHarness,
-	"fleet.Coordinator.Solve":       "synchronous solve entry of the fleet cache, drain, kill-worker, bad-request and soak tests",
 	"graph.Complete":                "fixture in the tests of 14 packages",
 	"graph.Path":                    "fixture in the tests of 7 packages",
 	"graph.Bipartite":               "fixture in the tests of 8 packages",

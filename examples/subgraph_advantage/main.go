@@ -2,8 +2,9 @@
 // construction. We sweep graph families and QAOA parameterizations,
 // record where QAOA beats the GW average (Fig. 3's quantity), pick the
 // best (layers, rhobeg) point, and train the logistic QAOA-vs-GW
-// selector on the collected records — the run-time decision mechanism
-// the SLURM workflow would consult.
+// selector on the collected records' graph features — the run-time
+// decision mechanism the SLURM workflow would consult, and the model
+// the "ml-adaptive" solver ships.
 package main
 
 import (
@@ -42,7 +43,10 @@ func main() {
 	}
 	fmt.Printf("\nQAOA beat the GW average in %d/%d grid points\n", wins, len(res.Records))
 
-	model, acc, err := experiments.TrainSelector(res.Records, 3)
+	// The graph-features-only model: a fresh sub-graph has no
+	// (layers, rhobeg) choice yet, so a model that also weighs those
+	// cannot score it.
+	model, acc, err := experiments.TrainSolverSelector(res.Records, 3)
 	if err != nil {
 		log.Fatal(err)
 	}

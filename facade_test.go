@@ -174,16 +174,14 @@ func TestFacadeScheduler(t *testing.T) {
 
 // TestFacadeFaultTolerance pins fault-tolerant dispatch through the
 // facade: a RemoteSolver whose daemon is unreachable retries under its
-// policy, trips the shared circuit breaker, and degrades every leaf to
-// its local fallback, so Solve still returns a valid cut and the
-// attribution shows the degradation.
+// policy and degrades every leaf to its local fallback, so Solve still
+// returns a valid cut and the attribution shows the degradation.
 func TestFacadeFaultTolerance(t *testing.T) {
-	br := &retry.Breaker{FailureThreshold: 2, Cooldown: time.Minute}
 	dead := qaoa2.RemoteSolver{
 		// Nothing listens here: every dial is refused immediately.
 		Client: &qaoa2.ServeClient{Base: "http://127.0.0.1:1"},
 		Retry: retry.Policy{MaxAttempts: 2, BaseDelay: time.Millisecond,
-			MaxDelay: 2 * time.Millisecond, Seed: 7, Breaker: br},
+			MaxDelay: 2 * time.Millisecond, Seed: 7},
 		Fallback: qaoa2.AnnealSolver{},
 	}
 	g := qaoa2.ErdosRenyi(24, 0.2, qaoa2.Unweighted, qaoa2.NewRand(3))
@@ -203,9 +201,6 @@ func TestFacadeFaultTolerance(t *testing.T) {
 		if sr.Solver != "fallback:anneal" {
 			t.Fatalf("leaf %d attributed to %q, want fallback:anneal", i, sr.Solver)
 		}
-	}
-	if br.State() != retry.BreakerOpen {
-		t.Fatalf("breaker %v after a dead-daemon run, want open", br.State())
 	}
 }
 

@@ -4,11 +4,10 @@
 // its fingerprint job id, sweeps every worker's result cache
 // before routing (fingerprint keys are location-independent, so a
 // result computed anywhere in the fleet answers a submission to the
-// front door), health-checks workers over /healthz behind per-worker
-// circuit breakers, and re-parks jobs off dead or draining workers —
-// fetching the drain checkpoint from the old worker when its HTTP
-// plane still answers and seeding it to the replacement, so a
-// re-routed job resumes instead of recomputing.
+// front door), health-checks workers over /healthz, and re-parks jobs
+// off dead or draining workers — fetching the drain checkpoint from
+// the old worker when its HTTP plane still answers and seeding it to
+// the replacement, so a re-routed job resumes instead of recomputing.
 //
 // Correctness never depends on the hand-off: the runtime returns
 // bit-identical results at any parallelism from any checkpoint prefix
@@ -44,9 +43,9 @@ const (
 	// new submissions but their HTTP plane still answers, so parked
 	// checkpoints can be fetched for re-routing.
 	WorkerDraining WorkerState = "draining"
-	// WorkerDead workers failed their last probe (or their breaker is
-	// open); jobs route around them and their in-flight work restarts
-	// elsewhere.
+	// WorkerDead workers failed their last probe or a route to them
+	// failed; jobs route around them and their in-flight work restarts
+	// elsewhere. The next probe that answers revives them.
 	WorkerDead WorkerState = "dead"
 )
 
@@ -62,11 +61,10 @@ type WorkerSpec struct {
 
 // WorkerStatus is one worker's externally visible state snapshot.
 type WorkerStatus struct {
-	Name    string             `json:"name"`
-	URL     string             `json:"url"`
-	State   WorkerState        `json:"state"`
-	Breaker retry.BreakerState `json:"breaker"`
-	LastErr string             `json:"lastError,omitempty"`
+	Name    string      `json:"name"`
+	URL     string      `json:"url"`
+	State   WorkerState `json:"state"`
+	LastErr string      `json:"lastError,omitempty"`
 }
 
 // Stats counts the coordinator's routing decisions.
@@ -96,8 +94,7 @@ type Config struct {
 	HealthInterval time.Duration
 	// Retry shapes each worker client's unary retries and stream
 	// reconnects. The zero value gets a small fleet default seeded
-	// from Seed. Its Breaker is replaced: every worker client gets a
-	// breaker of its own.
+	// from Seed.
 	Retry retry.Policy
 	// Seed seeds retry jitter (fleet runs stay replayable).
 	Seed uint64
@@ -109,16 +106,15 @@ const probeTimeout = 2 * time.Second
 // ErrNoWorkers reports that no live worker is available to route to.
 var ErrNoWorkers = errors.New("fleet: no live worker available")
 
-// worker is the coordinator's per-worker record. The clients, breaker
-// and name are immutable after New; state/lastErr are guarded by mu.
+// worker is the coordinator's per-worker record. The clients and name
+// are immutable after New; state/lastErr are guarded by mu.
 type worker struct {
 	name   string
 	url    string
 	client *serve.Client
-	// once makes single attempts with no breaker: a probe or sweep is
-	// one request and one verdict.
-	once    *serve.Client
-	breaker *retry.Breaker
+	// once makes single attempts: a probe or sweep is one request and
+	// one verdict.
+	once *serve.Client
 
 	mu      sync.Mutex
 	state   WorkerState
@@ -205,16 +201,12 @@ func New(cfg Config) (*Coordinator, error) {
 		if _, dup := c.workers[spec.Name]; dup {
 			return nil, fmt.Errorf("fleet: duplicate worker name %q", spec.Name)
 		}
-		br := &retry.Breaker{}
-		pol := cfg.Retry
-		pol.Breaker = br
 		c.workers[spec.Name] = &worker{
-			name:    spec.Name,
-			url:     spec.URL,
-			client:  &serve.Client{Base: spec.URL, Retry: pol},
-			once:    &serve.Client{Base: spec.URL},
-			breaker: br,
-			state:   WorkerHealthy,
+			name:   spec.Name,
+			url:    spec.URL,
+			client: &serve.Client{Base: spec.URL, Retry: cfg.Retry},
+			once:   &serve.Client{Base: spec.URL},
+			state:  WorkerHealthy,
 		}
 		c.names = append(c.names, spec.Name)
 	}
@@ -244,12 +236,7 @@ func (c *Coordinator) Workers() []WorkerStatus {
 	out := make([]WorkerStatus, 0, len(c.workers))
 	for _, w := range c.workers {
 		w.mu.Lock()
-		ws := WorkerStatus{
-			Name:    w.name,
-			URL:     w.url,
-			State:   w.state,
-			Breaker: w.breaker.State(),
-		}
+		ws := WorkerStatus{Name: w.name, URL: w.url, State: w.state}
 		if w.lastErr != nil {
 			ws.LastErr = w.lastErr.Error()
 		}
@@ -291,28 +278,21 @@ func (c *Coordinator) CheckNow() {
 	wg.Wait()
 }
 
-// probe is one health check: /healthz under the worker's breaker. A
-// probe failure marks the worker dead immediately — routing around a
-// live-but-flaky worker is cheap (determinism makes re-routed work
-// bit-identical), while routing to a dead one costs a full client
-// retry budget per job.
+// probe is one health check: a single /healthz request bounded by
+// probeTimeout, and its answer is the worker's state. A probe failure
+// marks the worker dead immediately — routing around a live-but-flaky
+// worker is cheap (determinism makes re-routed work bit-identical),
+// while routing to a dead one costs a full client retry budget per
+// job. A dead worker is asked again every HealthInterval, and the
+// first answer revives it.
 func (c *Coordinator) probe(w *worker) {
-	if err := w.breaker.Allow(); err != nil {
-		w.setState(WorkerDead, err)
-		return
-	}
 	ctx, cancel := context.WithTimeout(context.Background(), probeTimeout)
 	defer cancel()
-	// Probes bypass the client's retry policy: one request, one
-	// verdict. A worker that needs retries to answer /healthz IS the
-	// signal the breaker exists to accumulate.
 	body, err := w.once.Health(ctx)
 	if err != nil {
-		w.breaker.Failure()
 		w.setState(WorkerDead, err)
 		return
 	}
-	w.breaker.Success()
 	if body["status"] == "draining" {
 		w.setState(WorkerDraining, nil)
 		return
@@ -411,27 +391,11 @@ func (c *Coordinator) CachePeek(ctx context.Context, id string) (serve.JobStatus
 	return serve.JobStatus{}, false, nil
 }
 
-// Solve runs one request to completion somewhere in the fleet: cache
-// sweep, then the route loop, which follows the job to a settled
-// status across worker deaths and drains. Events forward to onEvent
-// exactly once each with strictly increasing Seq, even across a
-// failover (the replacement worker's replay is deduplicated by task
-// identity and renumbered in place; on the no-failure path the
-// numbers pass through unchanged).
-func (c *Coordinator) Solve(ctx context.Context, req serve.SolveRequest, onEvent func(serve.Event)) (serve.JobStatus, error) {
-	return c.admit(ctx, req, c.dedupForwarder(onEvent))
-}
-
 // Submit routes one request to a worker without waiting for the
-// result (the front door's POST /v1/solve): cache sweep, then the
-// route loop. The returned status is the worker's submit answer.
+// result (the front door's POST /v1/solve): a result computed anywhere
+// in the fleet answers the job, and only a miss goes to the route
+// loop. The returned status is the answering worker's.
 func (c *Coordinator) Submit(ctx context.Context, req serve.SolveRequest) (serve.JobStatus, error) {
-	return c.admit(ctx, req, nil)
-}
-
-// admit is Solve and Submit up to the route loop: a result computed
-// anywhere in the fleet answers the job, and only a miss is routed.
-func (c *Coordinator) admit(ctx context.Context, req serve.SolveRequest, forward func(serve.Event)) (serve.JobStatus, error) {
 	id, err := req.JobKey()
 	if err != nil {
 		return serve.JobStatus{}, refused{err}
@@ -441,7 +405,7 @@ func (c *Coordinator) admit(ctx context.Context, req serve.SolveRequest, forward
 		return st, nil
 	}
 	c.count(func(s *Stats) { s.Routed++ })
-	return c.route(ctx, id, req, nil, forward)
+	return c.route(ctx, id, req, nil, nil)
 }
 
 // count updates the routing counters under their lock.
@@ -472,7 +436,7 @@ func (c *Coordinator) dedupForwarder(onEvent func(serve.Event)) func(serve.Event
 	}
 }
 
-// route is the one failover loop, behind Solve, Submit and Follow.
+// route is the one failover loop, behind Submit and Follow.
 // Each route runs one step on one worker: the first follows the job
 // on held, the live worker route memory names, when there is one;
 // every other step goes to the next healthy worker the job has not
@@ -558,8 +522,8 @@ func (c *Coordinator) route(ctx context.Context, id string, req serve.SolveReque
 // rejected reports a worker's own 4xx answer: a bad graph, an unknown
 // solver, an instance over the size bounds. 429 (queue full) is the
 // worker's state, not the request's, and 404 on a job the worker took
-// means the worker lost it; both fail over, as a breaker's ErrOpen
-// and every transport error do.
+// means the worker lost it; both fail over, as every transport error
+// does.
 func rejected(err error) bool {
 	var se *retry.StatusError
 	return errors.As(err, &se) && se.Code >= 400 && se.Code < 500 &&

@@ -175,6 +175,17 @@ func refSolve(t *testing.T, resolve func(serve.SolveRequest) (serve.Solvers, err
 	return out
 }
 
+// solve is the front door's path through the coordinator, the one
+// serve.Client.Solve takes against it: Submit, then Follow a job the
+// submission did not settle.
+func solve(ctx context.Context, c *Coordinator, req serve.SolveRequest, onEvent func(serve.Event)) (serve.JobStatus, error) {
+	st, err := c.Submit(ctx, req)
+	if err != nil || st.State == serve.JobDone || st.State == serve.JobFailed {
+		return st, err
+	}
+	return c.Follow(ctx, st.ID, onEvent)
+}
+
 // TestRouteInvariants pins the rendezvous order: preference lists
 // are complete, deterministic, reasonably balanced, and removing a
 // member only remaps the keys that member owned.
@@ -273,7 +284,7 @@ func TestFleetSolveBitIdenticalAndCached(t *testing.T) {
 
 	ctx := context.Background()
 	for i, req := range reqs {
-		st, err := c.Solve(ctx, req, nil)
+		st, err := solve(ctx, c, req, nil)
 		if err != nil {
 			t.Fatalf("fleet solve %d: %v", i, err)
 		}
@@ -289,7 +300,7 @@ func TestFleetSolveBitIdenticalAndCached(t *testing.T) {
 	// worker's cache — same bits as the local recompute above.
 	base := c.Stats()
 	for i, req := range reqs {
-		st, err := c.Solve(ctx, req, nil)
+		st, err := solve(ctx, c, req, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -345,7 +356,7 @@ func TestDrainReparkResumes(t *testing.T) {
 		}
 	}
 
-	st, err := c.Solve(context.Background(), req, onEvent)
+	st, err := solve(context.Background(), c, req, onEvent)
 	if err != nil {
 		t.Fatalf("fleet solve through drain: %v", err)
 	}
@@ -406,7 +417,7 @@ func TestKillWorkerReRoutesBitIdentical(t *testing.T) {
 		wg.Add(1)
 		go func(i int, req serve.SolveRequest) {
 			defer wg.Done()
-			results[i], errs[i] = c.Solve(ctx, req, nil)
+			results[i], errs[i] = solve(ctx, c, req, nil)
 		}(i, req)
 	}
 	// Let the batch get airborne, then pull the plug.
@@ -439,8 +450,8 @@ func TestKillWorkerReRoutesBitIdentical(t *testing.T) {
 }
 
 // TestBadRequestIsNotAFailover: a request every worker refuses (an
-// unknown solver) is the client's fault, not a worker's. Submit, Solve
-// and the front door return the worker's own answer (its text, and 400
+// unknown solver) is the client's fault, not a worker's. Submit and
+// the front door return the worker's own answer (its text, and 400
 // at the front door), every worker stays healthy, and no failover is
 // counted.
 func TestBadRequestIsNotAFailover(t *testing.T) {
@@ -454,9 +465,6 @@ func TestBadRequestIsNotAFailover(t *testing.T) {
 	ctx := context.Background()
 	if _, err := c.Submit(ctx, req); err == nil || !strings.Contains(err.Error(), want) {
 		t.Fatalf("Submit: %v, want the worker's %q", err, want)
-	}
-	if _, err := c.Solve(ctx, req, nil); err == nil || !strings.Contains(err.Error(), want) {
-		t.Fatalf("Solve: %v, want the worker's %q", err, want)
 	}
 	body, err := json.Marshal(req)
 	if err != nil {
@@ -482,5 +490,69 @@ func TestBadRequestIsNotAFailover(t *testing.T) {
 	}
 	if s := c.Stats(); s.Failovers != 0 {
 		t.Fatalf("a bad request counted failovers: %+v", s)
+	}
+}
+
+// TestDoneWithoutResultFailsOver: a worker that answers with done
+// statuses that carry no result is a broken worker, not a settled job.
+// The job homed on it fails over to a sound worker, bit-identical to
+// the single-daemon reference, and the broken worker is marked dead.
+func TestDoneWithoutResultFailsOver(t *testing.T) {
+	broken := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		switch {
+		case r.URL.Path == "/healthz":
+			fmt.Fprintln(w, `{"status":"ok"}`)
+		case strings.HasSuffix(r.URL.Path, "/checkpoint"):
+			http.NotFound(w, r)
+		default:
+			fmt.Fprintln(w, `{"id":"abc","state":"done"}`)
+		}
+	}))
+	defer broken.Close()
+	srv, err := serve.New(serve.Config{GlobalParallelism: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	sound := httptest.NewServer(srv.Handler())
+	defer sound.Close()
+	c, err := New(Config{
+		Workers:        []WorkerSpec{{Name: "broken", URL: broken.URL}, {Name: "sound", URL: sound.URL}},
+		HealthInterval: -1,
+		Retry:          retry.Policy{MaxAttempts: 4, BaseDelay: time.Millisecond, MaxDelay: 2 * time.Millisecond},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+
+	// A request whose home is the broken worker.
+	var req serve.SolveRequest
+	for seed := uint64(1); ; seed++ {
+		req = fleetReq(16, 8, seed)
+		id, err := req.JobKey()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if home, _ := c.Route(id); home == "broken" {
+			break
+		}
+	}
+	want := refSolve(t, nil, []serve.SolveRequest{req})[0]
+
+	st, err := solve(context.Background(), c, req, nil)
+	if err != nil {
+		t.Fatalf("solve: %v", err)
+	}
+	if st.Result == nil || st.Result.Spins != want.Result.Spins || st.Result.Value != want.Result.Value {
+		t.Fatalf("failed-over job %+v, want the reference %+v", st, want.Result)
+	}
+	if s := c.Stats(); s.Failovers != 1 {
+		t.Fatalf("stats %+v, want one failover", s)
+	}
+	for _, w := range c.Workers() {
+		if want := map[string]WorkerState{"broken": WorkerDead, "sound": WorkerHealthy}[w.Name]; w.State != want {
+			t.Fatalf("worker %s %s, want %s: %+v", w.Name, w.State, want, c.Workers())
+		}
 	}
 }

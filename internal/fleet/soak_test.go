@@ -70,7 +70,7 @@ func TestSoakKillOneWorker(t *testing.T) {
 		go func(i int, req serve.SolveRequest) {
 			defer wg.Done()
 			start := time.Now()
-			st, err := c.Solve(ctx, req, nil)
+			st, err := solve(ctx, c, req, nil)
 			outs[i] = outcome{st: st, err: err, latency: time.Since(start)}
 			settled <- struct{}{}
 		}(i, req)

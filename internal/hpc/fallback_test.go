@@ -1,9 +1,11 @@
 package hpc
 
 import (
+	"errors"
 	"fmt"
 	"net"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"sync/atomic"
 	"syscall"
@@ -38,24 +40,21 @@ func tinyRetry(attempts int) retry.Policy {
 	}
 }
 
-// TestFallbackDegradationBreaker is the graceful-degradation
-// acceptance test: with the daemon entirely unreachable, a full QAOA²
-// solve (≥8 leaves) still completes in bounded time — the shared
-// breaker opens after a few refused dials so later leaves skip the
-// retry budget — and every leaf's cut comes from the local fallback,
-// bit-identical to a purely local run. The degradation is visible in
-// the attribution: each SubReport's winner is "fallback:anneal" with
-// the failed remote attempt on record.
-func TestFallbackDegradationBreaker(t *testing.T) {
+// TestFallbackDegradation is the graceful-degradation acceptance
+// test: with the daemon entirely unreachable, a full QAOA² solve (≥8
+// leaves) still completes in bounded time — each leaf spends its small
+// retry budget on refused dials — and every leaf's cut comes from the
+// local fallback, bit-identical to a purely local run. The degradation
+// is visible in the attribution: each SubReport's winner is
+// "fallback:anneal" with the failed remote attempt on record.
+func TestFallbackDegradation(t *testing.T) {
 	big := graph.ErdosRenyi(48, 0.15, graph.Unweighted, rng.New(6))
-	br := &retry.Breaker{FailureThreshold: 3, Cooldown: time.Minute}
 	dead := RemoteSolver{
 		// Nothing listens here: every dial is refused immediately.
 		Client:   &serve.Client{Base: "http://127.0.0.1:1"},
 		Retry:    tinyRetry(3),
 		Fallback: solver.AnnealSolver{},
 	}
-	dead.Retry.Breaker = br
 
 	start := time.Now()
 	degraded, err := q2.Solve(big, q2.Options{
@@ -68,10 +67,10 @@ func TestFallbackDegradationBreaker(t *testing.T) {
 		t.Fatalf("degraded solve failed outright: %v", err)
 	}
 	if elapsed := time.Since(start); elapsed > 30*time.Second {
-		t.Fatalf("degraded solve took %v; breaker did not bound the damage", elapsed)
+		t.Fatalf("degraded solve took %v; the retry budget did not bound the damage", elapsed)
 	}
 	if degraded.SubGraphs < 8 {
-		t.Fatalf("only %d leaves; the instance under-exercises the breaker", degraded.SubGraphs)
+		t.Fatalf("only %d leaves; the instance under-exercises the degradation", degraded.SubGraphs)
 	}
 
 	// Bit-identical to the purely local run with the same seeds.
@@ -106,9 +105,6 @@ func TestFallbackDegradationBreaker(t *testing.T) {
 		if sr.Attempts[1].Solver != "fallback:anneal" || sr.Attempts[1].Err != "" {
 			t.Fatalf("leaf %d second attempt %+v, want clean fallback", i, sr.Attempts[1])
 		}
-	}
-	if br.State() != retry.BreakerOpen {
-		t.Fatalf("breaker %v after a dead-daemon run, want open", br.State())
 	}
 }
 
@@ -165,9 +161,7 @@ func (rt *refusingTransport) RoundTrip(*http.Request) (*http.Response, error) {
 // not nest inside them — and the error says "exhausted" once.
 func TestRemoteRetryIsTheOnlyLoop(t *testing.T) {
 	tr := &refusingTransport{}
-	br := &retry.Breaker{FailureThreshold: 3, Cooldown: time.Minute}
 	client := &serve.Client{Base: "http://daemon.invalid", HTTP: &http.Client{Transport: tr}, Retry: tinyRetry(3)}
-	client.Retry.Breaker = br
 	dead := RemoteSolver{Client: client, Retry: tinyRetry(2)}
 	_, err := dead.SolveSub(graph.ErdosRenyi(6, 0.5, graph.Unweighted, rng.New(1)), rng.New(1))
 	if err == nil {
@@ -178,12 +172,6 @@ func TestRemoteRetryIsTheOnlyLoop(t *testing.T) {
 	}
 	if n := strings.Count(err.Error(), "exhausted"); n != 1 || !strings.Contains(err.Error(), "after 2 attempts") {
 		t.Fatalf("error %q: want one exhaustion, after 2 attempts", err)
-	}
-	// The single-attempt copy keeps the client's breaker: it counted
-	// both refusals, so a third failure opens it.
-	br.Failure()
-	if br.State() != retry.BreakerOpen {
-		t.Fatalf("client breaker %v after three failures, want open", br.State())
 	}
 }
 
@@ -225,5 +213,40 @@ func TestRemoteLeafOutlivesAttemptTimeout(t *testing.T) {
 	}
 	if serve.EncodeSpins(cut.Spins) != serve.EncodeSpins(want.Spins) || cut.Value != want.Value {
 		t.Fatalf("remote cut %v differs from the local anneal %v", cut.Value, want.Value)
+	}
+}
+
+// TestRemoteRefusesDoneWithoutResult: a daemon that answers a
+// submission with a done status but no result fails the leaf with a
+// terminal error after one request, or hands it to the fallback,
+// instead of dereferencing the missing result.
+func TestRemoteRefusesDoneWithoutResult(t *testing.T) {
+	var hits atomic.Int32
+	hs := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		hits.Add(1)
+		fmt.Fprintln(w, `{"id":"abc","state":"done"}`)
+	}))
+	defer hs.Close()
+	g := graph.ErdosRenyi(8, 0.5, graph.Unweighted, rng.New(1))
+
+	bare := RemoteSolver{Client: &serve.Client{Base: hs.URL}, Retry: tinyRetry(3)}
+	if _, err := bare.SolveSub(g, rng.New(1)); !errors.Is(err, serve.ErrNoResult) {
+		t.Fatalf("error %v, want serve.ErrNoResult", err)
+	}
+	if n := hits.Load(); n != 1 {
+		t.Fatalf("%d submissions, want 1: the refusal is terminal", n)
+	}
+
+	backed := RemoteSolver{Client: &serve.Client{Base: hs.URL}, Retry: tinyRetry(3), Fallback: solver.AnnealSolver{}}
+	cut, report, err := backed.SolveSubAttributed(g, rng.New(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := localMirror{}.SolveSub(g, rng.New(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if report.Winner != "fallback:anneal" || serve.EncodeSpins(cut.Spins) != serve.EncodeSpins(want.Spins) {
+		t.Fatalf("winner %q, cut %v; want the fallback's %v", report.Winner, cut.Value, want.Value)
 	}
 }

@@ -37,13 +37,10 @@ import (
 // 5xx, 429, mid-stream drops, jobs parked by a daemon drain) retry
 // under Retry with deterministic backoff; terminal rejections (4xx,
 // unknown solver) fail immediately. Retry is the only retry loop on
-// the hop: each attempt runs through a single-attempt copy of Client
-// that keeps the client's breaker. Retry's AttemptTimeout bounds that
-// copy's submission only; the event stream that follows is unbounded,
-// so a healthy daemon may take as long as a leaf needs. A breaker
-// shared through Retry.Breaker trips after repeated failures so the
-// remaining leaves skip the dead daemon's timeout entirely and
-// degrade straight to Fallback.
+// the hop: each attempt runs through a single-attempt copy of Client.
+// Retry's AttemptTimeout bounds that copy's submission only; the event
+// stream that follows is unbounded, so a healthy daemon may take as
+// long as a leaf needs.
 type RemoteSolver struct {
 	// Client reaches the daemon.
 	Client *serve.Client
@@ -70,18 +67,13 @@ type RemoteSolver struct {
 	// jitter per leaf. A single-attempt policy (MaxAttempts 1,
 	// retry.Policy{MaxAttempts: 1}) restores the historical
 	// fail-on-first-error behavior. Its AttemptTimeout bounds each
-	// submission, not the streamed solve. Its Breaker, when set, is
-	// consulted before every attempt and fed every outcome. Share ONE
-	// breaker across all leaves targeting the same daemon: after
-	// FailureThreshold consecutive failures the remaining leaves fail
-	// fast (and degrade to Fallback) instead of each burning the full
-	// retry budget against a dead endpoint.
+	// submission, not the streamed solve.
 	Retry retry.Policy
 	// Fallback, when set, solves the sub-graph locally after the
-	// remote path is exhausted (retries spent, breaker open, or a
-	// terminal rejection). The degradation is visible in the
-	// attribution report: the winner becomes "fallback:<name>" and the
-	// failed remote attempt stays in Attempts with its error. For
+	// remote path is exhausted (retries spent or a terminal
+	// rejection). The degradation is visible in the attribution
+	// report: the winner becomes "fallback:<name>" and the failed
+	// remote attempt stays in Attempts with its error. For
 	// bit-identical degradation, use the local twin of the remote
 	// solver (e.g. AnnealSolver for Solver "anneal"): it receives
 	// rng.New(leafSeed), exactly the stream the daemon would have used.
@@ -108,12 +100,12 @@ func (s RemoteSolver) Name() string {
 
 // ConfigTag exposes the result-determining configuration — what goes
 // into the SolveRequest, and the local fallback's own solver.ConfigTag
-// — and nothing else. Client identity, retry
-// shape, breakers and timeouts are transport, not identity: the
-// daemons are deterministic, so any of them answers a given request
-// with the same bits. This keeps checkpoint headers stable across
-// processes and daemon URLs, which is what lets a fleet re-park a
-// remote-dispatched run onto a different worker and resume it.
+// — and nothing else. Client identity, retry shape and timeouts are
+// transport, not identity: the daemons are deterministic, so any of
+// them answers a given request with the same bits. This keeps
+// checkpoint headers stable across processes and daemon URLs, which is
+// what lets a fleet re-park a remote-dispatched run onto a different
+// worker and resume it.
 func (s RemoteSolver) ConfigTag() string {
 	sub, merge := s.solvers()
 	fb := ""
@@ -199,15 +191,13 @@ func (s RemoteSolver) solveRemote(g *graph.Graph, seed uint64) (maxcut.Cut, erro
 
 	pol := s.Retry
 	if pol.MaxAttempts == 0 {
-		br := pol.Breaker
 		pol = retry.Default(seed)
-		pol.Breaker = br
 	}
 	// The attempt timeout moves to the single-attempt copy, whose
 	// policy bounds only the submission: the stream of a long leaf on
 	// a healthy daemon must not expire with it.
 	once := *s.Client
-	once.Retry = retry.Policy{AttemptTimeout: pol.AttemptTimeout, Breaker: s.Client.Retry.Breaker}
+	once.Retry = retry.Policy{AttemptTimeout: pol.AttemptTimeout}
 	pol.AttemptTimeout = 0
 
 	var cut maxcut.Cut

@@ -153,13 +153,18 @@ func Train(samples []Sample, opts TrainOptions) (*Model, error) {
 	return m, nil
 }
 
-// logit returns the model's log-odds z = bias + w·x.
+// logit returns the model's log-odds z = bias + w·x. The weights may
+// cover a prefix of x (hpc.DensityPolicy weighs two features). A model
+// with more weights than x has features was trained on another
+// feature vector, and logit panics rather than score x with part of
+// it.
 func (m *Model) logit(x []float64) float64 {
+	if len(m.Weights) > len(x) {
+		panic(fmt.Sprintf("mlselect: model of %d weights scores %d features", len(m.Weights), len(x)))
+	}
 	z := m.Bias
 	for j, w := range m.Weights {
-		if j < len(x) {
-			z += w * x[j]
-		}
+		z += w * x[j]
 	}
 	return z
 }
@@ -169,7 +174,8 @@ func (m *Model) Probability(x []float64) float64 {
 	return 1 / (1 + math.Exp(-m.logit(x)))
 }
 
-// PredictQAOA reports whether the model recommends QAOA for the graph.
+// PredictQAOA reports whether the model recommends QAOA for the graph,
+// scored on its Features; it panics for a model of more weights.
 // It decides on the sign of the logit, not on Probability ≥ 0.5: for z
 // just below 0 the sigmoid rounds to exactly 0.5, which would route a
 // graph the model scores negative to QAOA.

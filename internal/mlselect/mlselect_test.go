@@ -1,7 +1,9 @@
 package mlselect
 
 import (
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"qaoa2/internal/graph"
@@ -109,6 +111,32 @@ func TestPredictQAOAUsesDensitySignal(t *testing.T) {
 	}
 	if m.PredictQAOA(dense) {
 		t.Fatal("dense graph routed to QAOA")
+	}
+}
+
+// TestModelWiderThanFeaturesPanics: a model of more weights than a
+// graph has features (the selector that also weighs layers and rhobeg)
+// refuses to score the graph rather than drop its extra weights, while
+// a model of fewer weights (hpc.DensityPolicy's two) scores their
+// prefix of the features.
+func TestModelWiderThanFeaturesPanics(t *testing.T) {
+	g := graph.ErdosRenyi(10, 0.3, graph.Unweighted, rng.New(1))
+	narrow := &Model{Weights: []float64{0, -1}, Bias: 0.5}
+	if got, want := narrow.PredictQAOA(g), g.Density() <= 0.5; got != want {
+		t.Fatalf("density-gate model at density %v routed QAOA=%v, want %v", g.Density(), got, want)
+	}
+	wide := &Model{Weights: make([]float64, FeatureCount+2)}
+	msg := func() (msg string) {
+		defer func() {
+			if r := recover(); r != nil {
+				msg = fmt.Sprint(r)
+			}
+		}()
+		wide.PredictQAOA(g)
+		return ""
+	}()
+	if want := fmt.Sprintf("%d weights scores %d features", FeatureCount+2, FeatureCount); !strings.Contains(msg, want) {
+		t.Fatalf("a %d-weight model scored %d features (panic %q), want a panic naming both", FeatureCount+2, FeatureCount, msg)
 	}
 }
 

@@ -1,11 +1,11 @@
 // Package retry is the fault-tolerance policy engine behind remote
 // dispatch: capped exponential backoff with deterministic jitter,
-// per-attempt timeouts, an attempt budget, transport-aware error
-// classification, and a per-endpoint circuit breaker. The solve
-// plane's leaves are idempotent — the daemon's fingerprint-keyed
-// result cache answers a resubmitted (graph, seed) pair with the
-// identical cut — so retrying is always safe; this package decides
-// WHEN retrying is worth it and when to fail fast instead.
+// per-attempt timeouts, an attempt budget, and transport-aware error
+// classification. The solve plane's leaves are idempotent — the
+// daemon's fingerprint-keyed result cache answers a resubmitted
+// (graph, seed) pair with the identical cut — so retrying is always
+// safe; this package decides WHEN retrying is worth it and when to
+// fail fast instead.
 //
 // Determinism: jitter derives from (Policy.Seed, attempt index)
 // through internal/rng, never from the wall clock, so a replayed
@@ -53,14 +53,9 @@ type StatusError struct {
 // "<body> (HTTP <code>)" rendering.
 func (e *StatusError) Error() string { return fmt.Sprintf("%s (HTTP %d)", e.Msg, e.Code) }
 
-// Sentinel errors Do and Breaker return; wrap-aware (errors.Is).
-var (
-	// ErrExhausted wraps the last error once the attempt budget runs
-	// out.
-	ErrExhausted = errors.New("retry: budget exhausted")
-	// ErrOpen fails an attempt fast while the circuit breaker is open.
-	ErrOpen = errors.New("retry: circuit breaker open")
-)
+// ErrExhausted wraps the last error once Do's attempt budget runs out;
+// wrap-aware (errors.Is).
+var ErrExhausted = errors.New("retry: budget exhausted")
 
 // marked forces a classification onto a wrapped error (MarkRetryable /
 // MarkTerminal).
@@ -133,11 +128,6 @@ type Policy struct {
 	AttemptTimeout time.Duration
 	// Seed drives the deterministic jitter stream.
 	Seed uint64
-	// Breaker, when set, gates every attempt of Do and is fed the
-	// outcome: transport failures and 5xx count against the endpoint,
-	// any response from an alive endpoint (2xx result or terminal 4xx)
-	// resets it.
-	Breaker *Breaker
 
 	// Sleep waits between attempts (tests inject; default
 	// time.After/context select).
@@ -193,33 +183,20 @@ func (p Policy) sleep(ctx context.Context, d time.Duration) error {
 	}
 }
 
-// Do runs op under the policy: attempts are classified, retryable
-// failures back off and try again within the attempt budget, and the
-// breaker (when set) fails fast while the endpoint is known dead. The
+// Do runs op under the policy: attempts are classified, and retryable
+// failures back off and try again within the attempt budget. The
 // returned error wraps the last attempt's failure; errors.Is
-// distinguishes ErrExhausted (budget ran out retrying) and ErrOpen
-// (breaker refused) from terminal failures passed through unchanged.
+// distinguishes ErrExhausted (budget ran out retrying) from terminal
+// failures passed through unchanged.
 func (p Policy) Do(ctx context.Context, op func(context.Context) error) error {
-	var err error
 	for attempt := 1; ; attempt++ {
-		if p.Breaker != nil {
-			if berr := p.Breaker.Allow(); berr != nil {
-				if err != nil {
-					return fmt.Errorf("%w (last error: %v)", berr, err)
-				}
-				return berr
-			}
-		}
 		actx, cancel := ctx, context.CancelFunc(func() {})
 		if p.AttemptTimeout > 0 {
 			actx, cancel = context.WithTimeout(ctx, p.AttemptTimeout)
 		}
-		err = op(actx)
+		err := op(actx)
 		cancel()
 		if err == nil {
-			if p.Breaker != nil {
-				p.Breaker.Success()
-			}
 			return nil
 		}
 		if ctx.Err() != nil {
@@ -232,16 +209,6 @@ func (p Policy) Do(ctx context.Context, op func(context.Context) error) error {
 			// (the parent context is still live), also to a caller's
 			// own loop around a single-attempt policy.
 			err = MarkRetryable(err)
-		}
-		if p.Breaker != nil {
-			// A terminal HTTP status came from an ALIVE endpoint: the
-			// request is wrong, not the daemon — don't trip the breaker.
-			var se *StatusError
-			if Classify(err) == Terminal && errors.As(err, &se) && se.Code < 500 {
-				p.Breaker.Success()
-			} else {
-				p.Breaker.Failure()
-			}
 		}
 		if stop := p.Backoff(ctx, attempt, err); stop != nil {
 			return stop

@@ -24,6 +24,12 @@ import (
 // it and deduplicates the replayed prefix by sequence number.
 var ErrStreamInterrupted = errors.New("serve: event stream interrupted")
 
+// ErrNoResult reports a done status that carries no result: an answer
+// no caller can act on. The client refuses it as a terminal error
+// wherever it decodes a status, since the same server would give it
+// again.
+var ErrNoResult = errors.New("serve: done status without a result")
+
 // maxStreamLine bounds one NDJSON line Stream reads. The longest line
 // is the terminal status of the largest job serve admits, and it grows
 // with the node count. Per node it holds at most:
@@ -57,13 +63,11 @@ type Client struct {
 	// which takes the same backoff step (retry.Policy.Backoff). The
 	// zero policy performs single attempts (no behavior change);
 	// retry.Default(seed) opts into the dispatch-layer defaults. Its
-	// AttemptTimeout and Breaker apply to the unary calls only:
-	// streams are unbounded — pass a deadline context to bound a whole
-	// Solve — and a breaker, shared per daemon across clients and
-	// leaves, makes a dead daemon fail fast instead of stalling each
-	// call through the full retry budget. Submissions are idempotent —
-	// identical (graph, seed, solver) requests coalesce onto one job
-	// server-side — so retrying is always safe.
+	// AttemptTimeout applies to the unary calls only: streams are
+	// unbounded — pass a deadline context to bound a whole Solve.
+	// Submissions are idempotent — identical (graph, seed, solver)
+	// requests coalesce onto one job server-side — so retrying is
+	// always safe.
 	Retry retry.Policy
 }
 
@@ -146,6 +150,29 @@ func callJSON[T any](ctx context.Context, c *Client, pol retry.Policy, method, p
 	return out, nil
 }
 
+// callStatus is callJSON for the unary calls that answer a job status
+// under the client's policy; a status checkStatus refuses comes back as
+// its error.
+func callStatus(ctx context.Context, c *Client, method, path string, body []byte) (JobStatus, error) {
+	st, err := callJSON[JobStatus](ctx, c, c.Retry, method, path, body)
+	if err == nil {
+		err = checkStatus(st)
+	}
+	if err != nil {
+		return JobStatus{}, err
+	}
+	return st, nil
+}
+
+// checkStatus refuses a status no caller can act on: a done job
+// without its result.
+func checkStatus(st JobStatus) error {
+	if st.State == JobDone && st.Result == nil {
+		return retry.MarkTerminal(fmt.Errorf("%w: job %s", ErrNoResult, st.ID))
+	}
+	return nil
+}
+
 // Submit posts one solve request and returns the job's status —
 // possibly already complete (Cached) or attached to an in-flight
 // duplicate (Coalesced). Transient failures retry under the client's
@@ -156,13 +183,13 @@ func (c *Client) Submit(ctx context.Context, req SolveRequest) (JobStatus, error
 	if err != nil {
 		return JobStatus{}, err
 	}
-	return callJSON[JobStatus](ctx, c, c.Retry, http.MethodPost, "/v1/solve", body)
+	return callStatus(ctx, c, http.MethodPost, "/v1/solve", body)
 }
 
 // Job fetches one job's status snapshot, retrying transient failures
 // under the client's policy.
 func (c *Client) Job(ctx context.Context, id string) (JobStatus, error) {
-	return callJSON[JobStatus](ctx, c, c.Retry, http.MethodGet, "/v1/jobs/"+id, nil)
+	return callStatus(ctx, c, http.MethodGet, "/v1/jobs/"+id, nil)
 }
 
 // Stream follows the job's NDJSON event stream ONCE, invoking onEvent
@@ -172,6 +199,7 @@ func (c *Client) Job(ctx context.Context, id string) (JobStatus, error) {
 // restarts to follow the resumed run. A mid-stream disconnect — the
 // connection torn before the status line — returns a retryable error
 // wrapping ErrStreamInterrupted; Follow is the reconnecting variant.
+// A status line checkStatus refuses is a terminal error.
 func (c *Client) Stream(ctx context.Context, id string, onEvent func(Event)) (JobStatus, error) {
 	var st JobStatus
 	err := c.send(ctx, http.MethodGet, "/v1/jobs/"+id+"/events", "", nil, func(r io.Reader) error {
@@ -195,7 +223,7 @@ func (c *Client) Stream(ctx context.Context, id string, onEvent func(Event)) (Jo
 			}
 			if sl.Status != nil {
 				st = *sl.Status
-				return nil
+				return checkStatus(st)
 			}
 		}
 		if ctx.Err() != nil {
@@ -207,7 +235,10 @@ func (c *Client) Stream(ctx context.Context, id string, onEvent func(Event)) (Jo
 		}
 		return interrupted(id, "stream ended without a status line")
 	})
-	return st, err
+	if err != nil {
+		return JobStatus{}, err
+	}
+	return st, nil
 }
 
 // interrupted is the retryable ErrStreamInterrupted of job id.
@@ -269,7 +300,7 @@ func (c *Client) Solve(ctx context.Context, req SolveRequest, onEvent func(Event
 // is not an error — it is the expected answer for a cold cache); any
 // other failure surfaces as err after the client's retry policy.
 func (c *Client) CachePeek(ctx context.Context, id string) (JobStatus, bool, error) {
-	st, err := callJSON[JobStatus](ctx, c, c.Retry, http.MethodGet, "/v1/cache/"+id, nil)
+	st, err := callStatus(ctx, c, http.MethodGet, "/v1/cache/"+id, nil)
 	if err != nil {
 		return JobStatus{}, false, ignoreNotFound(err)
 	}
@@ -316,9 +347,9 @@ func (c *Client) SeedCheckpoint(ctx context.Context, id string, data []byte) err
 	})
 }
 
-// Health fetches /healthz: the server's liveness/drain state. The
-// fleet's health checker calls this under its per-worker breaker; no
-// client-side retry (a health probe that needs retries IS the signal).
+// Health fetches /healthz: the server's liveness/drain state, in one
+// attempt whatever the client's policy (a health probe that needs
+// retries IS the signal).
 func (c *Client) Health(ctx context.Context) (map[string]string, error) {
 	return callJSON[map[string]string](ctx, c, retry.Policy{}, http.MethodGet, "/healthz", nil)
 }

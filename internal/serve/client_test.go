@@ -250,3 +250,46 @@ func TestFetchCheckpointBounded(t *testing.T) {
 		t.Fatalf("checkpoint one byte over the bound: %d bytes, ok=%v, %v; want a refusal", len(data), ok, err)
 	}
 }
+
+// TestClientRefusesDoneWithoutResult: a server whose every status is
+// done without a result — the unary answers and the stream's status
+// line — gets a terminal ErrNoResult from each call, after one request
+// each despite a three-attempt policy.
+func TestClientRefusesDoneWithoutResult(t *testing.T) {
+	var hits atomic.Int32
+	hs := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		hits.Add(1)
+		const st = `{"id":"abc","state":"done"}`
+		if strings.HasSuffix(r.URL.Path, "/events") {
+			fmt.Fprintln(w, `{"status":`+st+`}`)
+			return
+		}
+		fmt.Fprintln(w, st)
+	}))
+	defer hs.Close()
+	c := &Client{Base: hs.URL, Retry: fastRetry(3)}
+	ctx := context.Background()
+	calls := map[string]func() error{
+		"Submit": func() error { _, err := c.Submit(ctx, SolveRequest{}); return err },
+		"Job":    func() error { _, err := c.Job(ctx, "abc"); return err },
+		"CachePeek": func() error {
+			_, ok, err := c.CachePeek(ctx, "abc")
+			if ok {
+				return errors.New("ok")
+			}
+			return err
+		},
+		"Stream": func() error { _, err := c.Stream(ctx, "abc", nil); return err },
+		"Follow": func() error { _, err := c.Follow(ctx, "abc", nil); return err },
+	}
+	for name, call := range calls {
+		hits.Store(0)
+		err := call()
+		if !errors.Is(err, ErrNoResult) || retry.Classify(err) != retry.Terminal {
+			t.Errorf("%s: %v, want a terminal ErrNoResult", name, err)
+		}
+		if n := hits.Load(); n != 1 {
+			t.Errorf("%s: %d requests, want 1: a terminal refusal is not retried", name, n)
+		}
+	}
+}

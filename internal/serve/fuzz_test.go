@@ -17,6 +17,7 @@ import (
 	"testing"
 
 	"qaoa2/internal/graph"
+	"qaoa2/internal/retry"
 	rt "qaoa2/internal/runtime"
 )
 
@@ -165,9 +166,10 @@ func (b bodyTransport) RoundTrip(req *http.Request) (*http.Response, error) {
 
 // FuzzStreamLines serves arbitrary bodies to Client.Stream. It never
 // panics; the events of the lines before the first status line reach
-// onEvent in body order and Stream returns that status; a body with no
-// status line, or a line that does not decode before it, ends in
-// ErrStreamInterrupted.
+// onEvent in body order and Stream returns that status, unless it is
+// a done status without a result, which ends in ErrNoResult; a body
+// with no status line, or a line that does not decode before it, ends
+// in ErrStreamInterrupted.
 func FuzzStreamLines(f *testing.F) {
 	const (
 		ev     = `{"event":{"seq":1,"task":"s0/sub0","kind":"sub-solve","nodes":4,"value":3}}`
@@ -184,6 +186,7 @@ func FuzzStreamLines(f *testing.F) {
 		`{"event":{"seq":1},"status":{"state":"queued"}}` + "\n" + ev2,
 		"null\n{}\n" + status,
 		`"text"` + "\n" + status,
+		ev + "\n" + `{"status":{"id":"abc","state":"done"}}`,
 	} {
 		f.Add([]byte(seed))
 	}
@@ -191,8 +194,8 @@ func FuzzStreamLines(f *testing.F) {
 		c := &Client{Base: "http://stream.test", HTTP: &http.Client{Transport: bodyTransport(body)}}
 		var got []Event
 		st, err := c.Stream(context.Background(), "0123456789abcdef", func(e Event) { got = append(got, e) })
-		if err != nil && !errors.Is(err, ErrStreamInterrupted) {
-			t.Fatalf("Stream error %v does not wrap ErrStreamInterrupted", err)
+		if err != nil && !errors.Is(err, ErrStreamInterrupted) && !errors.Is(err, ErrNoResult) {
+			t.Fatalf("Stream error %v wraps neither ErrStreamInterrupted nor ErrNoResult", err)
 		}
 		if len(body) >= maxStreamLine { // past the line bound the client reads with
 			return
@@ -224,6 +227,10 @@ func FuzzStreamLines(f *testing.F) {
 		case wantStatus == nil || torn:
 			if !errors.Is(err, ErrStreamInterrupted) {
 				t.Fatalf("body without a status line returned %+v, %v", st, err)
+			}
+		case wantStatus.State == JobDone && wantStatus.Result == nil:
+			if !errors.Is(err, ErrNoResult) || retry.Classify(err) != retry.Terminal {
+				t.Fatalf("done status without a result returned %+v, %v; want terminal ErrNoResult", st, err)
 			}
 		case err != nil || !reflect.DeepEqual(st, *wantStatus):
 			t.Fatalf("returned %+v, %v; want the first status line %+v", st, err, *wantStatus)

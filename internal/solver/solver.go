@@ -46,10 +46,9 @@ type Solver interface {
 
 // ConfigTag fingerprints a solver's result-determining configuration
 // for checkpoint headers: the solver's own ConfigTag when it provides
-// one (solvers holding process-local state — pointers, connections,
-// breakers — implement it to expose only what decides their results,
-// so their checkpoints resume across processes), its printed state
-// otherwise. Anything %#v renders unstably errs toward NOT resuming,
+// one (solvers holding process-local state — pointers, connections —
+// implement it to expose only what decides their results, so their
+// checkpoints resume across processes), its printed state otherwise. Anything %#v renders unstably errs toward NOT resuming,
 // never toward resuming wrongly.
 func ConfigTag(s Solver) string {
 	if ct, ok := s.(interface{ ConfigTag() string }); ok {

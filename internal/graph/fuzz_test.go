@@ -7,6 +7,7 @@ import (
 	"io"
 	"math"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -191,4 +192,50 @@ func TestReadersRefuseTyped(t *testing.T) {
 	if err != nil || g.N() != MaxNodes {
 		t.Fatalf("header at the bound: %v", err)
 	}
+}
+
+// FuzzInducedSubgraph checks InducedSubgraph against the edge-scan
+// oracle on any graph and any node list: unsorted, repeated or out of
+// range. The first byte sizes the graph, the second counts its edges,
+// three bytes per edge give the endpoints and a signed weight, and
+// every byte after them is one entry of the node list, reaching two
+// nodes past either end of the range. Both return the same graph and
+// mapping, or fail naming the same node.
+func FuzzInducedSubgraph(f *testing.F) {
+	f.Add([]byte{5, 4, 0, 1, 4, 1, 2, 8, 2, 3, 255, 3, 4, 1, 2, 3, 4, 5})
+	f.Add([]byte{5, 2, 0, 1, 4, 1, 2, 8, 6, 4, 6, 3})
+	f.Add([]byte{5, 2, 0, 1, 4, 1, 2, 8, 6, 0, 3, 8, 8})
+	f.Add([]byte{12, 30, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19, 20, 21, 22, 11, 10, 9, 8, 7, 6, 5, 4, 3, 2})
+	f.Add([]byte{0, 0, 0, 1, 2})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 2 {
+			return
+		}
+		n, m := int(data[0]%32), int(data[1])
+		data = data[2:]
+		g := New(n)
+		for ; m > 0 && len(data) >= 3 && n > 0; m-- {
+			i, j, w := int(data[0])%n, int(data[1])%n, float64(int8(data[2]))/4
+			data = data[3:]
+			if i != j {
+				g.MustAddEdge(i, j, w)
+			}
+		}
+		nodes := make([]int, len(data))
+		for k, b := range data {
+			nodes[k] = int(b)%(n+4) - 2
+		}
+		got, gotMap, err := g.InducedSubgraph(nodes)
+		want, wantMap, wantErr := inducedSubgraphEdgeScan(g, nodes)
+		if wantErr != nil || err != nil {
+			if err == nil || wantErr == nil || err.Error() != wantErr.Error() {
+				t.Fatalf("nodes %v: error %v, oracle error %v", nodes, err, wantErr)
+			}
+			return
+		}
+		requireSameGraph(t, fmt.Sprintf("nodes %v", nodes), got, want)
+		if !slices.Equal(gotMap, wantMap) {
+			t.Fatalf("nodes %v: mapping %v, want %v", nodes, gotMap, wantMap)
+		}
+	})
 }

@@ -8,9 +8,10 @@
 package graph
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"qaoa2/internal/linalg"
 )
@@ -283,9 +284,9 @@ func (g *Graph) Laplacian() *linalg.Mat {
 // guarantees what AddEdge would check or merge: I < J in range, no pair
 // listed twice and a finite abs. Adjacency rows are cut from
 // one array at their exact length, so a later AddEdge reallocates the
-// row it grows and never writes into the next one.
-func fromEdges(n int, edges []Edge, abs float64) *Graph {
-	deg := make([]int, n)
+// row it grows and never writes into the next one. deg is n zeroed ints
+// of the caller's scratch to count degrees in; the graph keeps none.
+func fromEdges(n int, edges []Edge, abs float64, deg []int) *Graph {
 	for _, e := range edges {
 		deg[e.I]++
 		deg[e.J]++
@@ -305,47 +306,88 @@ func fromEdges(n int, edges []Edge, abs float64) *Graph {
 // InducedSubgraph builds the subgraph on the given nodes. It returns
 // the subgraph (nodes renumbered 0..len(nodes)-1 in the given order,
 // edges in the parent's edge order) and the original-node index for
-// each subgraph node. Duplicate nodes are an error. The cost is the
-// summed degree of the given nodes, not the size of g.
+// each subgraph node. Duplicate nodes are an error. With k nodes the
+// cost is O(Σdeg·log k) over their summed degree, not the size of g.
 func (g *Graph) InducedSubgraph(nodes []int) (*Graph, []int, error) {
-	inv := make(map[int]int, len(nodes))
-	for k, v := range nodes {
+	k := len(nodes)
+	// bad is the first out-of-range entry; only a duplicate before it
+	// is reported instead, as a scan in input order would find them.
+	bad, sumDeg := k, 0
+	for at, v := range nodes {
 		if v < 0 || v >= g.n {
-			return nil, nil, fmt.Errorf("graph: node %d out of range", v)
+			bad = at
+			break
 		}
-		if _, dup := inv[v]; dup {
-			return nil, nil, fmt.Errorf("graph: duplicate node %d in subgraph spec", v)
+		sumDeg += len(g.adj[v])
+	}
+	// One buffer: the positions in nodes, sorted by node, which answer
+	// membership and renumbering by binary search; then the inside
+	// edges, at most half the summed degree as each has both ends in.
+	buf := make([]int, k+sumDeg/2)
+	pos := buf[:bad]
+	for at := range pos {
+		pos[at] = at
+	}
+	slices.SortFunc(pos, func(a, b int) int {
+		return cmp.Or(cmp.Compare(nodes[a], nodes[b]), cmp.Compare(a, b))
+	})
+	dup := bad
+	for r := 1; r < len(pos); r++ {
+		if nodes[pos[r]] == nodes[pos[r-1]] {
+			dup = min(dup, pos[r])
 		}
-		inv[v] = k
+	}
+	if dup < bad {
+		return nil, nil, fmt.Errorf("graph: duplicate node %d in subgraph spec", nodes[dup])
+	}
+	if bad < k {
+		return nil, nil, fmt.Errorf("graph: node %d out of range", nodes[bad])
 	}
 	// Each inside edge is found once, from its lower end; sorting the
 	// indices restores the parent's edge order.
-	var inside []int
+	inside := buf[k:k]
 	for _, v := range nodes {
 		for _, h := range g.adj[v] {
-			if h.To < v {
-				continue
-			}
-			if _, ok := inv[h.To]; ok {
+			if h.To > v && position(nodes, pos, h.To) >= 0 {
 				inside = append(inside, h.Edge)
 			}
 		}
 	}
-	sort.Ints(inside)
+	slices.Sort(inside)
 	edges := make([]Edge, len(inside))
-	for k, idx := range inside {
+	for at, idx := range inside {
 		e := g.edges[idx]
-		i, j := inv[e.I], inv[e.J]
+		i, j := position(nodes, pos, e.I), position(nodes, pos, e.J)
 		if i > j {
 			i, j = j, i
 		}
-		edges[k] = Edge{I: i, J: j, W: e.W}
+		edges[at] = Edge{I: i, J: j, W: e.W}
 	}
 	// A subset of g's edges in g's order: its sum is bounded by g.abs.
-	sub := fromEdges(len(nodes), edges, absSum(edges))
-	mapping := make([]int, len(nodes))
+	// The positions are spent; their k ints count the degrees.
+	clear(pos)
+	sub := fromEdges(k, edges, absSum(edges), pos)
+	mapping := make([]int, k)
 	copy(mapping, nodes)
 	return sub, mapping, nil
+}
+
+// position returns v's position in nodes, or -1 when v is not there.
+// pos lists the positions of nodes in increasing order of node.
+func position(nodes, pos []int, v int) int {
+	lo, hi := 0, len(pos)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if nodes[pos[m]] < v {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	if lo < len(pos) && nodes[pos[lo]] == v {
+		return pos[lo]
+	}
+	return -1
 }
 
 // Contract builds the quotient graph for a node grouping. groupOf maps
@@ -426,7 +468,8 @@ func (g *Graph) Contract(groupOf []int, numGroups int, weight func(e Edge) float
 	if r := absRefusal(abs); r != "" {
 		return nil, fmt.Errorf("graph: quotient: %s", r)
 	}
-	return fromEdges(numGroups, merged, abs), nil
+	clear(next)
+	return fromEdges(numGroups, merged, abs, next), nil
 }
 
 // Density returns 2m / (n(n-1)), the fraction of possible edges present.

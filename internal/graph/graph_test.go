@@ -110,7 +110,7 @@ func TestAbsoluteWeightsSumStoredEdges(t *testing.T) {
 	if w, _ := g.Weight(1, 2); w != big || g.abs != math.MaxFloat64 {
 		t.Fatalf("refused merge changed the graph: w(1,2)=%v Σ|w|=%v", w, g.abs)
 	}
-	requireSameGraph(t, "rebuilt", fromEdges(g.n, slices.Clone(g.edges), g.abs), g)
+	requireSameGraph(t, "rebuilt", fromEdges(g.n, slices.Clone(g.edges), g.abs, make([]int, g.n)), g)
 	text := fmt.Sprintf("3 3\n0 1 %v\n1 2 %v\n1 2 %v\n", math.MaxFloat64, big, big)
 	var re *RefusedError
 	if _, err := Read(strings.NewReader(text)); !errors.As(err, &re) {
@@ -585,6 +585,40 @@ func TestInducedSubgraphMatchesEdgeScan(t *testing.T) {
 			sort.Ints(sorted)
 			check("sorted subset", sorted)
 		}
+	}
+}
+
+// TestInducedSubgraphAllocationCeiling: cutting a 16-node part out of
+// the merge-heavy benchmark's graph shape allocates the sub-graph's
+// header, edges and two adjacency arrays, the mapping, and one scratch
+// buffer. Six allocations; the ceiling is that plus a tenth, rounded
+// up, as toolchains differ by a few.
+func TestInducedSubgraphAllocationCeiling(t *testing.T) {
+	g := ErdosRenyi(1400, 10.0/1400, Unweighted, rng.New(1))
+	// The first 16 nodes a breadth-first walk from node 0 reaches: a
+	// connected part, as the partitioner cuts them.
+	part := []int{0}
+	seen := map[int]bool{0: true}
+	for k := 0; len(part) < 16; k++ {
+		for _, h := range g.Neighbors(part[k]) {
+			if !seen[h.To] && len(part) < 16 {
+				seen[h.To] = true
+				part = append(part, h.To)
+			}
+		}
+	}
+	sub, _, err := g.InducedSubgraph(part)
+	if err != nil || sub.M() < len(part)-1 {
+		t.Fatalf("part %v: %v, %v", part, sub, err)
+	}
+	const ceiling = 7
+	allocs := testing.AllocsPerRun(20, func() {
+		if _, _, err := g.InducedSubgraph(part); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > ceiling {
+		t.Fatalf("a 16-node part allocates %.0f times, ceiling %d", allocs, ceiling)
 	}
 }
 

@@ -340,5 +340,5 @@ func build[E any](f format, n int, in []E, edge func(E) Edge) (*Graph, error) {
 	if r := absRefusal(abs); r != "" {
 		return nil, &RefusedError{Format: f.name, Reason: r}
 	}
-	return fromEdges(n, out, abs), nil
+	return fromEdges(n, out, abs, make([]int, n)), nil
 }

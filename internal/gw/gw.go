@@ -43,10 +43,19 @@ func Solve(g *graph.Graph, opts sdp.Options, r *rng.Rand) (*Result, error) {
 		return &Result{Best: maxcut.Cut{Spins: []int8{}}, Relaxation: rel}, nil
 	}
 
-	normal := make([]float64, rel.Vectors.Cols)
-	spins := make([]int8, n)
+	// A leaf's normal has a handful of coordinates and stays on the
+	// stack; only a large graph's is allocated.
+	k := rel.Vectors.Cols
+	var small [32]float64
+	normal := small[:min(k, len(small))]
+	if k > len(small) {
+		normal = make([]float64, k)
+	}
+	// The kept best spins and, behind them, the scratch: one allocation.
+	buf := make([]int8, 2*n)
+	spins := buf[n:]
 	sum := 0.0
-	best := maxcut.Cut{Spins: make([]int8, n), Value: math.Inf(-1)}
+	best := maxcut.Cut{Spins: buf[:n:n], Value: math.Inf(-1)}
 	for round := 0; round < Rounds; round++ {
 		for j := range normal {
 			normal[j] = r.NormFloat64()

@@ -244,6 +244,25 @@ func TestGWLargeGraphViaMixing(t *testing.T) {
 	}
 }
 
+// TestSolveAllocationCeiling: a 16-node leaf allocates its answer —
+// the two results, the embedding with its header, and the best spins
+// with the rounding scratch behind them — and nothing else. Five
+// allocations; the ceiling is that plus a tenth, rounded up, as
+// toolchains differ by a few.
+func TestSolveAllocationCeiling(t *testing.T) {
+	g := graph.ErdosRenyi(16, 0.4, graph.Unweighted, rng.New(16))
+	r := rng.New(2)
+	const ceiling = 6
+	allocs := testing.AllocsPerRun(20, func() {
+		if _, err := Solve(g, sdp.Options{}, r); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > ceiling {
+		t.Fatalf("a 16-node GW leaf allocates %.0f times, ceiling %d", allocs, ceiling)
+	}
+}
+
 // BenchmarkGWLeaf16 is one GW leaf at the qubit budget the benchmark
 // workloads use: the default relaxation plus 30 roundings on 16 nodes.
 func BenchmarkGWLeaf16(b *testing.B) {

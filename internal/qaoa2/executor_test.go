@@ -63,11 +63,11 @@ func TestSolveLeavesNoGoroutineBehind(t *testing.T) {
 
 // TestSolveAllocationCeiling pins what the executor itself allocates:
 // two 6-node parts with exact leaves, so the solvers' share is small
-// and fixed. The synchronous recursion did this solve in 225
-// allocations; the executor's tasks, ids and pool make it 255. The
-// ceiling is that plus a tenth (toolchains differ by a few), so
-// bookkeeping added per task or per solve shows here long before it
-// shows in a benchmark.
+// and fixed. The solve makes 66 allocations; the ceiling is that plus
+// a tenth, rounded up (toolchains differ by a few), so bookkeeping
+// added per task or per solve shows here long before it shows in a
+// benchmark. Under -race the pools fmt and the partitioner draw on drop
+// a random share of what they are handed, so the count is not fixed.
 func TestSolveAllocationCeiling(t *testing.T) {
 	g := twoCliquesBridge(6)
 	opts := Options{MaxQubits: 6, Solver: solver.ExactSolver{}, Parallelism: 1, Seed: 1}
@@ -78,7 +78,10 @@ func TestSolveAllocationCeiling(t *testing.T) {
 	if res.SubGraphs != 2 || res.Levels != 1 {
 		t.Fatalf("want 2 parts and one merge level, got %d and %d", res.SubGraphs, res.Levels)
 	}
-	const ceiling = 280
+	if raceDetector {
+		t.Skip("the race detector's sync.Pool drops a random share of what it is handed")
+	}
+	const ceiling = 73
 	allocs := testing.AllocsPerRun(20, func() {
 		if _, err := Solve(g, opts); err != nil {
 			t.Fatal(err)

@@ -32,10 +32,19 @@ func splitMix64(state *uint64) uint64 {
 }
 
 // New returns a generator seeded from seed. Two generators built from the
-// same seed produce identical streams.
+// same seed produce identical streams. New and Split are kept small
+// enough to inline, the seeding living in a method, so a generator that
+// does not outlive its caller is built on the caller's stack, not the
+// heap.
 func New(seed uint64) *Rand {
+	r := new(Rand)
+	r.seed(seed)
+	return r
+}
+
+// seed expands seed into xoshiro's state through SplitMix64.
+func (r *Rand) seed(seed uint64) {
 	sm := seed
-	r := &Rand{}
 	r.s0 = splitMix64(&sm)
 	r.s1 = splitMix64(&sm)
 	r.s2 = splitMix64(&sm)
@@ -44,7 +53,6 @@ func New(seed uint64) *Rand {
 	if r.s0|r.s1|r.s2|r.s3 == 0 {
 		r.s0 = 0x9e3779b97f4a7c15
 	}
-	return r
 }
 
 // Split derives a new, statistically independent generator from r.
@@ -52,7 +60,15 @@ func New(seed uint64) *Rand {
 // so sub-components can be given stable streams regardless of how many
 // draws the parent made before the split.
 func (r *Rand) Split(label uint64) *Rand {
-	return New(r.Uint64() ^ (label * 0xd1342543de82ef95))
+	c := new(Rand)
+	c.seedFrom(r, label)
+	return c
+}
+
+// seedFrom seeds r as parent's child stream for label. Split's one call,
+// so Split stays within the inlining budget.
+func (r *Rand) seedFrom(parent *Rand, label uint64) {
+	r.seed(parent.Uint64() ^ (label * 0xd1342543de82ef95))
 }
 
 func rotl(x uint64, k uint) uint64 { return (x << k) | (x >> (64 - k)) }

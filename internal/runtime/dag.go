@@ -52,14 +52,18 @@ func (k taskKind) String() string {
 // merge level is only known once the previous level's contraction is
 // built).
 type task struct {
-	id   string
-	kind taskKind
-	run  func(worker int) error // worker: the pool worker running it
+	// run does the task's work. It is called with part, the sub-graph
+	// a sub-solve task solves, so one function serves every sub-solve
+	// of a stage, and with the pool worker running it.
+	run  func(part, worker int) error
+	part int
 
 	// executor state, guarded by executor.mu.
 	pending int // unmet dependencies
 	done    bool
-	succs   []*task
+	// succ is the one task waiting on this one, if any: a sub-solve
+	// feeds its stage's merge-build barrier and nothing else.
+	succ *task
 }
 
 // executor runs a dynamic task DAG on a fixed pool of workers. The
@@ -92,17 +96,22 @@ func (e *executor) start(workers int) {
 }
 
 // add registers a task whose dependencies are deps (already-completed
-// dependencies are allowed). Safe to call from inside a running task.
-func (e *executor) add(t *task, deps ...*task) {
+// dependencies are allowed), t becoming the one successor of each.
+// Safe to call from inside a running task.
+func (e *executor) add(t *task, deps []task) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	e.outstanding++
-	for _, d := range deps {
+	for i := range deps {
+		d := &deps[i]
 		if d.done {
 			continue
 		}
+		if d.succ != nil {
+			panic("runtime: a task already has its successor")
+		}
 		t.pending++
-		d.succs = append(d.succs, t)
+		d.succ = t
 	}
 	if t.pending == 0 {
 		e.queue = append(e.queue, t)
@@ -150,7 +159,7 @@ func (e *executor) worker(id int) {
 		e.running++
 		e.mu.Unlock()
 
-		err := t.run(id)
+		err := t.run(t.part, id)
 
 		e.mu.Lock()
 		e.running--
@@ -158,7 +167,7 @@ func (e *executor) worker(id int) {
 			e.fail(err)
 		}
 		t.done = true
-		for _, s := range t.succs {
+		if s := t.succ; s != nil {
 			s.pending--
 			if s.pending == 0 {
 				e.queue = append(e.queue, s)

@@ -222,9 +222,7 @@ func Solve(g *graph.Graph, opts Options) (*Result, error) {
 	st := &solveState{opts: opts, ckpt: ckpt}
 	st.exec = newExecutor(opts.Interrupt)
 	if g.N() <= opts.MaxQubits && opts.Partition == nil {
-		st.exec.add(&task{id: "s0/direct", kind: kindSubSolve, run: func(w int) error {
-			return st.runDirect(g, w)
-		}})
+		st.exec.add(&task{run: func(_, w int) error { return st.runDirect(g, w) }}, nil)
 	} else {
 		if err := validatePartition(opts.Partition, opts.MaxQubits); err != nil {
 			return nil, err
@@ -376,11 +374,7 @@ func (st *solveState) addStage(g *graph.Graph, seed uint64, s solver.Solver, exp
 	st.stages = append(st.stages, sg)
 	st.stats.Stages++
 	st.mu.Unlock()
-	st.exec.add(&task{
-		id:   fmt.Sprintf("s%d/partition", sg.index),
-		kind: kindPartition,
-		run:  func(w int) error { return st.runPartition(sg, explicit, w) },
-	})
+	st.exec.add(&task{run: func(_, w int) error { return st.runPartition(sg, explicit, w) }}, nil)
 }
 
 // cover maps every node of the stage's graph to the part holding it,
@@ -439,25 +433,18 @@ func (st *solveState) runPartition(sg *stage, explicit [][]int, worker int) erro
 		Stage: sg.index, Index: -1, Nodes: sg.g.N(), Edges: sg.g.M(),
 		Nanos: time.Since(start).Nanoseconds(), Worker: worker})
 
-	subTasks := make([]*task, len(parts))
-	for i := range parts {
-		i := i
-		subTasks[i] = &task{
-			id:   fmt.Sprintf("s%d/sub%d", sg.index, i),
-			kind: kindSubSolve,
-			run:  func(w int) error { return st.runSub(sg, i, w) },
-		}
+	// One array of sub-tasks sharing one function; each solves its part.
+	subs := make([]task, len(parts))
+	runSub := func(i, w int) error { return st.runSub(sg, i, w) }
+	for i := range subs {
+		subs[i] = task{run: runSub, part: i}
 	}
-	mergeT := &task{
-		id:   fmt.Sprintf("s%d/merge-build", sg.index),
-		kind: kindMergeBuild,
-		run:  func(w int) error { return st.runMergeBuild(sg, w) },
-	}
+	mergeT := &task{run: func(_, w int) error { return st.runMergeBuild(sg, w) }}
 	// Register the barrier before its dependencies so the executor
 	// never observes a drained graph between sub-task completions.
-	st.exec.add(mergeT, subTasks...)
-	for _, t := range subTasks {
-		st.exec.add(t)
+	st.exec.add(mergeT, subs)
+	for i := range subs {
+		st.exec.add(&subs[i], nil)
 	}
 	return nil
 }
@@ -524,11 +511,7 @@ func (st *solveState) runMergeBuild(sg *stage, worker int) error {
 		}
 		st.scheduleStitch(sg.index)
 	case merged.N() <= st.opts.MaxQubits:
-		st.exec.add(&task{
-			id:   fmt.Sprintf("s%d/merge", sg.index),
-			kind: kindMergeSolve,
-			run:  func(w int) error { return st.runMergeSolve(sg, w) },
-		})
+		st.exec.add(&task{run: func(_, w int) error { return st.runMergeSolve(sg, w) }}, nil)
 	case merged.N() >= sg.g.N():
 		// Contraction made no progress (all-singleton partition):
 		// recursing would loop forever. Orient the merge nodes with
@@ -563,11 +546,7 @@ func (st *solveState) runMergeSolve(sg *stage, worker int) error {
 // scheduleStitch adds the final task folding flips down from the
 // deepest stage into the global assignment.
 func (st *solveState) scheduleStitch(deepest int) {
-	st.exec.add(&task{
-		id:   "stitch",
-		kind: kindStitch,
-		run:  func(w int) error { return st.runStitch(deepest, w) },
-	})
+	st.exec.add(&task{run: func(_, w int) error { return st.runStitch(deepest, w) }}, nil)
 }
 
 // runStitch resolves the stage chain bottom-up: a stage's stitched

@@ -91,7 +91,10 @@ func solveMixing(g *graph.Graph, opts Options) (*Result, error) {
 	n := g.N()
 	k := min(int(math.Ceil(math.Sqrt(2*float64(n))))+1, n)
 	r := rng.New(opts.Seed ^ 0x5dee5dee5dee5dee)
-	v := linalg.NewMat(n, k)
+	// The embedding and, behind it, the gradient buffer: one allocation.
+	data := make([]float64, (n+1)*k)
+	v := &linalg.Mat{Rows: n, Cols: k, Data: data[: n*k : n*k]}
+	gvec := data[n*k:]
 	for i := 0; i < n; i++ {
 		row := v.Row(i)
 		for j := range row {
@@ -103,7 +106,6 @@ func solveMixing(g *graph.Graph, opts Options) (*Result, error) {
 	obj := VectorObjective(g, v)
 	iter := 0
 	converged := false
-	gvec := make([]float64, k)
 	for iter < opts.MaxIters && !converged {
 		gain := 0.0
 		for i := 0; i < n; i++ {

@@ -297,24 +297,6 @@ func BenchmarkRQAOA(b *testing.B) {
 	b.ReportMetric(total/float64(b.N), "mean-cut")
 }
 
-// BenchmarkMLSelect measures extension X2: training the QAOA-vs-GW
-// selector on the Fig. 3 grid-search knowledge base.
-func BenchmarkMLSelect(b *testing.B) {
-	gr := fig3Grid(b)
-	b.ResetTimer()
-	var acc float64
-	for i := 0; i < b.N; i++ {
-		_, a, err := experiments.TrainSelector(gr.Records, uint64(i))
-		if err != nil {
-			b.Fatal(err)
-		}
-		acc = a
-	}
-	b.ReportMetric(acc, "holdout-accuracy")
-	b.StopTimer()
-	printOnce("MLSelect", fmt.Sprintf("selector hold-out accuracy on grid records: %.3f", acc))
-}
-
 // BenchmarkGraphTypes measures extension X5 (§5: "other graph types"):
 // QAOA² vs full-graph GW across graph families.
 func BenchmarkGraphTypes(b *testing.B) {

@@ -17,6 +17,7 @@ func TestUsageErrorsExitTwo(t *testing.T) {
 		{"unknown flag", []string{"-bogus"}, "-bogus"},
 		{"positional args", []string{"stray"}, "unexpected arguments"},
 		{"unknown backend", []string{"-backend", "bogus"}, "bogus"},
+		{"deleted selector flag", []string{"-selector"}, "-selector"},
 	}
 	for _, tc := range cases {
 		var out, errb strings.Builder

@@ -97,10 +97,8 @@ type BenchReport struct {
 
 // runJSONBench measures the given configurations and writes the
 // report; it returns the report and the written file name (the
-// -compare gate reuses the report). withML appends the ml-adaptive
-// dispatch measurement tracked alongside the kernel points; the
-// -backend A/B selector drops it.
-func runJSONBench(configs []benchConfig, withML bool) (BenchReport, string, error) {
+// -compare gate reuses the report).
+func runJSONBench(configs []benchConfig) (BenchReport, string, error) {
 	stamp := time.Now().UTC()
 	report := BenchReport{
 		Timestamp: stamp.Format(time.RFC3339),
@@ -143,9 +141,6 @@ func runJSONBench(configs []benchConfig, withML bool) (BenchReport, string, erro
 			AllocsPerOp: res.AllocsPerOp(),
 		})
 	}
-	if withML {
-		report.Results = append(report.Results, mlDispatchBench())
-	}
 
 	name := fmt.Sprintf("BENCH_%s.json", stamp.Format("20060102_150405"))
 	data, err := json.MarshalIndent(report, "", "  ")
@@ -153,35 +148,6 @@ func runJSONBench(configs []benchConfig, withML bool) (BenchReport, string, erro
 		return report, "", err
 	}
 	return report, name, os.WriteFile(name, append(data, '\n'), 0o644)
-}
-
-// mlDispatchBench measures the ml-adaptive DECISION path (feature
-// extraction + the logistic gate, no solve) on the 16-node acceptance
-// graph — the same path internal/solver's BenchmarkMLAdaptiveDispatch
-// measures, tracked in BENCH_baseline.json as the
-// "ml-adaptive-dispatch" configuration so a regression in the
-// registry's learned routing overhead gates CI like a kernel
-// regression does.
-func mlDispatchBench() BenchResult {
-	g := root.ErdosRenyi(16, 0.5, root.Unweighted, root.NewRand(99))
-	s := root.MLAdaptiveSolver{}
-	res := bestOf(func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if s.Choose(g) == nil {
-				b.Fatal("nil dispatch choice")
-			}
-		}
-	})
-	return BenchResult{
-		Backend:     "ml-adaptive-dispatch",
-		Qubits:      16,
-		Layers:      0,
-		Iterations:  res.N,
-		NsPerOp:     float64(res.T.Nanoseconds()) / float64(res.N),
-		BytesPerOp:  res.AllocedBytesPerOp(),
-		AllocsPerOp: res.AllocsPerOp(),
-	}
 }
 
 // cpuModel best-effort reads the CPU model line (Linux); empty

@@ -8,8 +8,7 @@ import (
 // TestRunJSONBenchWritesLoadableReport drives the -json measurement
 // path on one tiny configuration: the written BENCH_<stamp>.json must
 // round-trip through loadBaseline (the exact reader the -compare gate
-// uses) with sane measurements and the tracked ml-adaptive dispatch
-// entry appended.
+// uses) with sane measurements, one result per configuration.
 func TestRunJSONBenchWritesLoadableReport(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs real benchmark rounds")
@@ -27,15 +26,12 @@ func TestRunJSONBenchWritesLoadableReport(t *testing.T) {
 		}
 	}()
 
-	fresh, name, err := runJSONBench([]benchConfig{{backend: "fused-z2", qubits: 6, layers: 1}}, true)
+	fresh, name, err := runJSONBench([]benchConfig{{backend: "fused-z2", qubits: 6, layers: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(fresh.Results) != 2 {
-		t.Fatalf("want kernel + ml-dispatch results, got %+v", fresh.Results)
-	}
-	if fresh.Results[1].Backend != "ml-adaptive-dispatch" {
-		t.Fatalf("ml entry missing: %+v", fresh.Results[1])
+	if len(fresh.Results) != 1 {
+		t.Fatalf("want one kernel result, got %+v", fresh.Results)
 	}
 	for _, r := range fresh.Results {
 		if r.NsPerOp <= 0 || r.Iterations <= 0 {

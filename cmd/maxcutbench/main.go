@@ -83,7 +83,7 @@ func main() {
 		if len(configs) == 0 {
 			log.Fatal("-backend given but no backend names parsed")
 		}
-		fresh, name, err := runJSONBench(configs, false)
+		fresh, name, err := runJSONBench(configs)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -96,7 +96,7 @@ func main() {
 	}
 
 	if *jsonOut || *compare != "" {
-		fresh, name, err := runJSONBench(benchConfigs, true)
+		fresh, name, err := runJSONBench(benchConfigs)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -1,8 +1,7 @@
 // Command qaoa2 solves a MaxCut instance with the QAOA² divide-and-
 // conquer method, choosing sub-graph solvers the way the paper's hybrid
-// workflow does (quantum, classical, the best of both, or the learned
-// QAOA-vs-GW selection), and prints the decomposition and the
-// resulting cut.
+// workflow does (quantum, classical, or the best of both), and prints
+// the decomposition and the resulting cut.
 //
 // Solver names resolve through the solver registry (internal/solver),
 // the same table the qaoa2d daemon accepts over HTTP.
@@ -12,7 +11,6 @@
 //	qaoa2 -nodes 300 -prob 0.1 -solver best -maxqubits 12
 //	qaoa2 -in instance.txt -solver gw
 //	qaoa2 -nodes 200 -solver qaoa -backend dense    # reference gate walk
-//	qaoa2 -nodes 200 -solver ml-adaptive            # learned QAOA-vs-GW gate
 package main
 
 import (

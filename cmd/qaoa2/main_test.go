@@ -27,6 +27,8 @@ func TestUsageErrorsExitTwo(t *testing.T) {
 		{"retired sharded backend", []string{"-backend", "fused-dist:2"}, "unknown backend \"fused-dist:2\""},
 		{"retired noise backend", []string{"-backend", "noisy"}, "unknown backend \"noisy\" (want fused|fused-z2|fused-full|dense)"},
 		{"retired portfolio solver", []string{"-solver", "portfolio"}, "unknown solver \"portfolio\""},
+		{"retired learned gate", []string{"-solver", "ml-adaptive"}, "unknown solver \"ml-adaptive\""},
+		{"retired gw alias", []string{"-solver", "sdp-gw"}, "unknown solver \"sdp-gw\""},
 		{"retired portfolio budget", []string{"-portfolio-budget", "5"}, "flag provided but not defined: -portfolio-budget"},
 	}
 	for _, tc := range cases {
@@ -102,8 +104,8 @@ func TestRunSolvesSmallInstance(t *testing.T) {
 // end-to-end on both, and an unknown name is rejected by both.
 func TestCLIAndHTTPAcceptIdenticalSolverNames(t *testing.T) {
 	names := root.SolverNames()
-	want := []string{"anneal", "best", "exact", "gw", "ml-adaptive", "one-exchange",
-		"qaoa", "random", "rqaoa", "sdp-gw"}
+	want := []string{"anneal", "best", "exact", "gw", "one-exchange",
+		"qaoa", "random", "rqaoa"}
 	if !reflect.DeepEqual(names, want) {
 		t.Fatalf("registry names = %v, want %v (update both this test and the docs when adding solvers)", names, want)
 	}

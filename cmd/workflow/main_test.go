@@ -68,16 +68,14 @@ func TestSubmitDemoAgainstLiveService(t *testing.T) {
 		t.Fatalf("cached resubmission output:\n%s", second.String())
 	}
 
-	// The registry's composite solvers are selectable by name over the
-	// same remote path (ISSUE 5 acceptance: cmd/workflow -submit).
-	for _, name := range []string{"ml-adaptive", "best"} {
-		var buf strings.Builder
-		if err := submitDemo(&buf, hs.URL, 30, 0.2, 8, 2, 9, name, "gw"); err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if !strings.Contains(buf.String(), "done: cut ") {
-			t.Fatalf("%s submission incomplete:\n%s", name, buf.String())
-		}
+	// The registry's composite solver is selectable by name over the
+	// same remote path (cmd/workflow -submit).
+	var composite strings.Builder
+	if err := submitDemo(&composite, hs.URL, 30, 0.2, 8, 2, 9, "best", "gw"); err != nil {
+		t.Fatalf("best: %v", err)
+	}
+	if !strings.Contains(composite.String(), "done: cut ") {
+		t.Fatalf("best submission incomplete:\n%s", composite.String())
 	}
 	// And a bogus name fails fast with the registry's error.
 	var bogus strings.Builder

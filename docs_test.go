@@ -307,7 +307,6 @@ var reachAllowlist = map[string]string{
 	"qsim.State.Z2Full":             "reduction check of the qsim, backend and qaoa Z2 tests",
 	"qsim.State.ExpandZ2":           "expands reduced states for the full-vector comparisons of the qsim, backend and qaoa Z2 tests",
 	"runtime.CanonicalRecords":      "checkpoint comparison of the runtime and hpc determinism tests",
-	"solver.DefaultSelector":        "trained selector of the experiments, solver and qaoa2 tests",
 	"synth.Synthesize":              "entry point of the synth semantics tests",
 }
 

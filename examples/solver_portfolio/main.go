@@ -1,4 +1,4 @@
-// The solver-registry demo: one instance, four dispatch policies, all
+// The solver-registry demo: one instance, three dispatch policies, all
 // selected by registry NAME — the same names `qaoa2 -solver`, `workflow
 // -submit`, and POST /v1/solve accept — with per-solver attribution
 // showing which member actually won each sub-graph.
@@ -6,11 +6,9 @@
 //	go run ./examples/solver_portfolio
 //
 // It compares the paper's fixed policies (all-QAOA, all-GW) against its
-// two per-sub-graph choices: "best" (run QAOA, then GW unless QAOA's
-// cut is certified optimal, and keep the better — the paper's "Best"
-// series) and "ml-adaptive" (the learned QAOA-vs-GW gate from the
-// Fig. 3 knowledge base, §5 — one solve per sub-graph). The
-// attribution column comes from SubReport.Solver, which names the
+// per-sub-graph choice "best" (run QAOA, then GW unless QAOA's cut is
+// certified optimal, and keep the better — the paper's "Best" series).
+// The attribution column comes from SubReport.Solver, which names the
 // member that actually produced each kept cut.
 package main
 
@@ -41,7 +39,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	for _, name := range []string{"qaoa", "gw", "best", "ml-adaptive"} {
+	for _, name := range []string{"qaoa", "gw", "best"} {
 		sub, err := qaoa2.BuildSolver(qaoa2.SolverSpec{Name: name, Layers: 2, Seed: seed})
 		if err != nil {
 			log.Fatalf("%s: %v", name, err)
@@ -66,7 +64,7 @@ func main() {
 }
 
 // winners aggregates SubReport.Solver — the ACTUAL producer of each
-// kept cut, which for best and ml-adaptive exposes the per-sub-graph
+// kept cut, which for best exposes the per-sub-graph
 // quantum-vs-classical decision.
 func winners(reports []qaoa2.SubReport) string {
 	count := map[string]int{}

@@ -1,10 +1,7 @@
 // Subgraph advantage: a miniature of the paper's §4 knowledge-base
 // construction. We sweep graph families and QAOA parameterizations,
-// record where QAOA beats the GW average (Fig. 3's quantity), pick the
-// best (layers, rhobeg) point, and train the logistic QAOA-vs-GW
-// selector on the collected records' graph features — the run-time
-// decision mechanism the SLURM workflow would consult, and the model
-// the "ml-adaptive" solver ships.
+// record where QAOA beats the GW average (Fig. 3's quantity) and count
+// the grid points QAOA won.
 package main
 
 import (
@@ -13,7 +10,6 @@ import (
 
 	"qaoa2/internal/experiments"
 	"qaoa2/internal/graph"
-	"qaoa2/internal/rng"
 )
 
 func main() {
@@ -42,22 +38,4 @@ func main() {
 		}
 	}
 	fmt.Printf("\nQAOA beat the GW average in %d/%d grid points\n", wins, len(res.Records))
-
-	// The graph-features-only model: a fresh sub-graph has no
-	// (layers, rhobeg) choice yet, so a model that also weighs those
-	// cannot score it.
-	model, acc, err := experiments.TrainSolverSelector(res.Records, 3)
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("trained selector hold-out accuracy: %.3f\n", acc)
-
-	// Consult the selector the way a coordinator would (Fig. 2): should
-	// this fresh sub-graph go to the quantum or the classical queue?
-	probe := graph.ErdosRenyi(10, 0.1, graph.Unweighted, rng.New(99))
-	if model.PredictQAOA(probe) {
-		fmt.Println("fresh sparse sub-graph -> route to QAOA")
-	} else {
-		fmt.Println("fresh sparse sub-graph -> route to GW")
-	}
 }

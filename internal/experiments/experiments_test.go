@@ -9,11 +9,9 @@ import (
 
 	"qaoa2/internal/graph"
 	"qaoa2/internal/gw"
-	"qaoa2/internal/mlselect"
 	"qaoa2/internal/qaoa"
 	"qaoa2/internal/rng"
 	"qaoa2/internal/sdp"
-	"qaoa2/internal/solver"
 )
 
 // tinyGrid keeps unit tests fast; the benches run DefaultFig3Config.
@@ -301,6 +299,12 @@ func TestRunFig2Workflow(t *testing.T) {
 	if points[0].Tasks == 0 || points[0].SumBusy <= 0 {
 		t.Fatalf("no work recorded: %+v", points[0])
 	}
+	// The router sends 7 parts to QAOA and 1 to GW here. The cut was
+	// read when the router was a logistic gate on density, whose
+	// decision the plain threshold reproduces bit for bit.
+	if got := math.Float64bits(points[0].Cut); got != 0x405f400000000000 { // 125
+		t.Fatalf("cut %v (%#x), want 125", points[0].Cut, got)
+	}
 	out := RenderFig2(points)
 	if !strings.Contains(out, "workers") {
 		t.Fatalf("fig2 render:\n%s", out)
@@ -415,69 +419,6 @@ func TestSynthesisAblationImprovesDepth(t *testing.T) {
 	}
 	if improved == 0 {
 		t.Fatal("depth optimization never improved on random instances")
-	}
-}
-
-func TestSelectorTrainsOnGridData(t *testing.T) {
-	res, err := RunGrid(tinyGrid())
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Tiny grids may be label-skewed; just require training to succeed
-	// and accuracy to be a valid proportion.
-	_, acc, err := TrainSelector(res.Records, 11)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if acc < 0 || acc > 1 || math.IsNaN(acc) {
-		t.Fatalf("accuracy %v", acc)
-	}
-}
-
-func TestSelectorDatasetLabels(t *testing.T) {
-	res, err := RunGrid(tinyGrid())
-	if err != nil {
-		t.Fatal(err)
-	}
-	samples := SelectorDataset(res.Records)
-	if len(samples) != len(res.Records) {
-		t.Fatalf("samples %d records %d", len(samples), len(res.Records))
-	}
-	for i, s := range samples {
-		want := 0
-		if res.Records[i].QAOAWins() {
-			want = 1
-		}
-		if s.Y != want {
-			t.Fatalf("sample %d label %d want %d", i, s.Y, want)
-		}
-	}
-}
-
-// TestDefaultSelectorDecisionsOnFig3Grid: deciding on the logit sign
-// routes every Fig. 3 grid instance as the Probability ≥ 0.5 rule did,
-// so the shipped selector's behaviour is unchanged.
-func TestDefaultSelectorDecisionsOnFig3Grid(t *testing.T) {
-	cfg := DefaultFig3Config()
-	m := solver.DefaultSelector()
-	quantum, total := 0, 0
-	for _, w := range cfg.Weightings {
-		for ni, n := range cfg.NodeCounts {
-			for pi, p := range cfg.EdgeProbs {
-				g := graph.ErdosRenyi(n, p, w, rng.New(cfg.cellSeed(w, ni, pi, 0)))
-				got := m.PredictQAOA(g)
-				if want := m.Probability(mlselect.Features(g)) >= 0.5; got != want {
-					t.Errorf("n=%d p=%v w=%v: logit sign says %v, probability rule %v", n, p, w, got, want)
-				}
-				if got {
-					quantum++
-				}
-				total++
-			}
-		}
-	}
-	if quantum == 0 || quantum == total {
-		t.Fatalf("selector routes %d of %d grid instances to QAOA: degenerate", quantum, total)
 	}
 }
 

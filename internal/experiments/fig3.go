@@ -93,9 +93,6 @@ type GridRecord struct {
 	Rhobeg    float64
 	QAOAValue float64 // decoded MaxCut value
 	GWAverage float64 // 30-slice average, the paper's GW number
-	// Graph retains the instance so downstream consumers (the ML
-	// selector) can extract features.
-	Graph *graph.Graph
 }
 
 // QAOAWins reports the paper's Fig. 3(a)/3(c) predicate: QAOA strictly
@@ -190,7 +187,6 @@ func (cfg GridConfig) runCell(c gridCell) ([]GridRecord, error) {
 				Layers: layers, Rhobeg: rhobeg,
 				QAOAValue: qres.Cut.Value,
 				GWAverage: gwRes.Average,
-				Graph:     g,
 			})
 		}
 	}

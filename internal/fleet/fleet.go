@@ -147,7 +147,8 @@ type Coordinator struct {
 
 	// routes remembers which worker each front-door-submitted job id
 	// went to, so status and event-stream requests proxy to the right
-	// worker without sweeping the fleet. Bounded FIFO.
+	// worker without sweeping the fleet. Bounded FIFO. A settled job's
+	// entry keeps only the worker name.
 	routesMu   sync.Mutex
 	routes     map[string]routeEntry
 	routeOrder []string
@@ -158,10 +159,12 @@ type Coordinator struct {
 }
 
 // routeEntry remembers enough about a front-door submission to
-// re-route it if its worker dies mid-stream.
+// re-route it if its worker dies mid-stream: the worker, and the
+// request until the front door sees the job settle (nil after, when
+// nothing will re-route it and its graph would only take memory).
 type routeEntry struct {
 	worker string
-	req    serve.SolveRequest
+	req    *serve.SolveRequest
 }
 
 // maxRoutesRemembered bounds the front door's id→worker memory; the
@@ -485,7 +488,7 @@ func (c *Coordinator) route(ctx context.Context, id string, req serve.SolveReque
 			// Best-effort: a rejected or lost seed only costs recompute.
 			w.client.SeedCheckpoint(ctx, id, ckpt)
 		}
-		c.remember(id, w.name, req)
+		c.remember(id, w.name, &req)
 		var st serve.JobStatus
 		var err error
 		switch {
@@ -500,6 +503,7 @@ func (c *Coordinator) route(ctx context.Context, id string, req serve.SolveReque
 			// JobFailed is a deterministic solver error: every worker
 			// would fail identically, so surface it instead of burning
 			// the fleet on re-runs.
+			c.settle(id, st)
 			return st, nil
 		}
 		if ctx.Err() != nil {
@@ -532,7 +536,7 @@ func rejected(err error) bool {
 
 // remember records a front-door routing decision for later status and
 // stream proxying, evicting oldest-first past the bound.
-func (c *Coordinator) remember(id, workerName string, req serve.SolveRequest) {
+func (c *Coordinator) remember(id, workerName string, req *serve.SolveRequest) {
 	c.routesMu.Lock()
 	defer c.routesMu.Unlock()
 	if _, known := c.routes[id]; !known {
@@ -542,6 +546,19 @@ func (c *Coordinator) remember(id, workerName string, req serve.SolveRequest) {
 	for len(c.routeOrder) > maxRoutesRemembered {
 		delete(c.routes, c.routeOrder[0])
 		c.routeOrder = c.routeOrder[1:]
+	}
+}
+
+// settle drops the request of a job seen done or failed from its
+// route entry, keeping the worker name for status proxying.
+func (c *Coordinator) settle(id string, st serve.JobStatus) {
+	if st.State != serve.JobDone && st.State != serve.JobFailed {
+		return
+	}
+	c.routesMu.Lock()
+	defer c.routesMu.Unlock()
+	if e, ok := c.routes[id]; ok {
+		c.routes[id] = routeEntry{worker: e.worker}
 	}
 }
 
@@ -575,6 +592,7 @@ func (c *Coordinator) locate(ctx context.Context, id string) (*worker, serve.Job
 // Job proxies one job's status from the worker that holds it.
 func (c *Coordinator) Job(ctx context.Context, id string) (serve.JobStatus, error) {
 	_, st, err := c.locate(ctx, id)
+	c.settle(id, st)
 	return st, err
 }
 
@@ -583,16 +601,16 @@ func (c *Coordinator) Job(ctx context.Context, id string) (serve.JobStatus, erro
 // this coordinator routed goes through the route loop, so if its
 // worker dies or drains mid-stream the job re-routes (checkpoint
 // salvage included) and the subscriber's sequence continues gap-free,
-// duplicates dropped. A job routed elsewhere is followed on whichever
-// worker holds it.
+// duplicates dropped. A job routed elsewhere, or already seen settled,
+// is followed on whichever worker holds it.
 func (c *Coordinator) Follow(ctx context.Context, id string, onEvent func(serve.Event)) (serve.JobStatus, error) {
 	forward := c.dedupForwarder(onEvent)
-	if e, ok := c.lookupRoute(id); ok {
+	if e, ok := c.lookupRoute(id); ok && e.req != nil {
 		held := c.workers[e.worker]
 		if held.getState() == WorkerDead {
 			held = nil
 		}
-		return c.route(ctx, id, e.req, held, forward)
+		return c.route(ctx, id, *e.req, held, forward)
 	}
 	w, _, err := c.locate(ctx, id)
 	if err != nil {

@@ -556,3 +556,36 @@ func TestDoneWithoutResultFailsOver(t *testing.T) {
 		}
 	}
 }
+
+// TestSettledRouteForgetsRequest: once the front door sees a job done,
+// its route entry keeps the worker name and no request, so no graph
+// outlives the job there; status and stream requests still reach the
+// worker that holds the result.
+func TestSettledRouteForgetsRequest(t *testing.T) {
+	_, c := startFleet(t, 2, nil)
+	ctx := context.Background()
+	st, err := c.Submit(ctx, fleetReq(24, 8, 7))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.State != serve.JobDone && st.State != serve.JobFailed {
+		if e, ok := c.lookupRoute(st.ID); !ok || e.req == nil {
+			t.Fatalf("in-flight job %s: route entry %+v lost its request", st.ID, e)
+		}
+	}
+	final, err := c.Follow(ctx, st.ID, nil)
+	if err != nil || final.State != serve.JobDone {
+		t.Fatalf("follow: %+v, %v", final, err)
+	}
+	e, ok := c.lookupRoute(st.ID)
+	if !ok || e.worker == "" || e.req != nil {
+		t.Fatalf("settled job %s: route entry %+v, want the worker name only", st.ID, e)
+	}
+	again, err := c.Follow(ctx, st.ID, nil)
+	if err != nil || again.Result == nil || again.Result.Spins != final.Result.Spins {
+		t.Fatalf("settled job re-followed: %+v, %v", again, err)
+	}
+	if polled, err := c.Job(ctx, st.ID); err != nil || polled.State != serve.JobDone {
+		t.Fatalf("settled job polled: %+v, %v", polled, err)
+	}
+}

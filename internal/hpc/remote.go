@@ -46,9 +46,9 @@ type RemoteSolver struct {
 	Client *serve.Client
 	// Solver/Merge name the solvers the daemon resolves through the
 	// shared registry (internal/solver) — any registered name,
-	// including the composites "best" and "ml-adaptive" (default
-	// "anneal"/"anneal", deterministic and cheap; set "qaoa" to spend
-	// remote quantum simulation). The DAEMON's registry is the
+	// including the composite "best" (default "anneal"/"anneal",
+	// deterministic and cheap; set "qaoa" to spend remote quantum
+	// simulation). The DAEMON's registry is the
 	// authority: names are deliberately not pre-validated here, so a
 	// daemon that registered extra solvers at startup accepts names
 	// this process has never heard of; a genuine typo comes back as

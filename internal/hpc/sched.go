@@ -2,8 +2,9 @@
 // paper's HPE-Cray EX environment: a discrete-event SLURM-like
 // scheduler (sched.go) that models MPMD and heterogeneous jobs,
 // exclusive quantum-device access and the idle-time behaviour of
-// Fig. 1; the run-time routing rule of Fig. 2 (DensityPolicy), whose
-// coordinator/worker scheme is qaoa2.Solve on the task-graph executor;
+// Fig. 1; the run-time routing rule of Fig. 2 (DensityPolicy, a plain
+// density threshold), whose coordinator/worker scheme is qaoa2.Solve
+// on the task-graph executor;
 // and remote leaf dispatch to a solve daemon (RemoteSolver).
 package hpc
 

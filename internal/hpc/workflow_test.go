@@ -130,8 +130,9 @@ func TestCoordinatedDeterministicAcrossWorkerCounts(t *testing.T) {
 }
 
 // TestDensityPolicyRoutes: the router picks the quantum member exactly
-// when density ≤ threshold, attributes the solve to that member, and
-// returns the member's own cut on the same stream.
+// when density ≤ threshold, attributes the solve to that member with
+// its certificate (exact issues one, anneal none), and returns the
+// member's own cut on the same stream.
 func TestDensityPolicyRoutes(t *testing.T) {
 	quantum, classical := solver.ExactSolver{}, solver.AnnealSolver{Opts: maxcut.AnnealOptions{Sweeps: 30}}
 	sparse := graph.Path(10) // density 9/45 = 0.2
@@ -145,6 +146,7 @@ func TestDensityPolicyRoutes(t *testing.T) {
 		{graph.Complete(6), 0.5, classical},
 		{sparse, d, quantum},
 		{sparse, math.Nextafter(d, -1), classical},
+		{graph.Complete(6), 1, quantum}, // density exactly 1
 	} {
 		cut, rep, err := solver.SolveAttributed(DensityPolicy(tc.threshold, quantum, classical), tc.g, rng.New(5))
 		if err != nil {
@@ -153,6 +155,9 @@ func TestDensityPolicyRoutes(t *testing.T) {
 		if rep.Winner != tc.want.Name() {
 			t.Fatalf("density %v, threshold %v: routed to %s, want %s", tc.g.Density(), tc.threshold, rep.Winner, tc.want.Name())
 		}
+		if rep.Optimal != (rep.Winner == quantum.Name()) {
+			t.Fatalf("routed to %s: Optimal = %v, not the member's certificate", rep.Winner, rep.Optimal)
+		}
 		alone, err := tc.want.SolveSub(tc.g, rng.New(5))
 		if err != nil {
 			t.Fatal(err)
@@ -160,6 +165,27 @@ func TestDensityPolicyRoutes(t *testing.T) {
 		if !reflect.DeepEqual(cut, alone) {
 			t.Fatalf("routed %s cut %v differs from the member alone %v", rep.Winner, cut.Value, alone.Value)
 		}
+	}
+}
+
+// TestDensityPolicyAttributesNestedWinner: a composite member
+// attributes through the router to the leaf solver that produced the
+// cut, never to the composite.
+func TestDensityPolicyAttributesNestedWinner(t *testing.T) {
+	g := graph.ErdosRenyi(8, 0.5, graph.Unweighted, rng.New(3))
+	nested := solver.BestOfSolver{Solvers: []solver.Solver{
+		solver.RandomSolver{}, solver.ExactSolver{},
+	}}
+	cut, rep, err := solver.SolveAttributed(DensityPolicy(1, nested, solver.GWSolver{}), g, rng.New(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, want, err := solver.SolveAttributed(nested, g, rng.New(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Winner != want.Winner || rep.Winner == "best" || len(rep.Attempts) != 1 || rep.Attempts[0].Value != cut.Value {
+		t.Fatalf("router report %+v, nested member's winner %q", rep, want.Winner)
 	}
 }
 
@@ -196,10 +222,11 @@ func checkMixed(t *testing.T, res *qaoa2.Result, quantum, classical string) {
 	}
 }
 
-// TestDensityPolicyResumesCheckpoint: a routed run fingerprints like
-// any other solver, so rerunning it restores every solve task. At a
-// budget of 4 the instance's 11 parts straddle the density threshold (8
-// route to exact, 3 to gw) and the merge graph divides again.
+// TestDensityPolicyResumesCheckpoint: a routed run fingerprints by its
+// threshold and members, not by an address, so rerunning it restores
+// every solve task and a changed threshold restores none. At a budget
+// of 4 the instance's 11 parts straddle the density threshold (8 route
+// to exact, 3 to gw) and the merge graph divides again.
 func TestDensityPolicyResumesCheckpoint(t *testing.T) {
 	g := graph.ErdosRenyi(40, 0.15, graph.Unweighted, rng.New(8))
 	path := filepath.Join(t.TempDir(), "fig2.ckpt")
@@ -237,6 +264,14 @@ func TestDensityPolicyResumesCheckpoint(t *testing.T) {
 		if r.Solver != first.SubReports[i].Solver {
 			t.Fatalf("sub-graph %d re-attributed to %s, solved by %s", i, r.Solver, first.SubReports[i].Solver)
 		}
+	}
+	restored = 0
+	opts.Solver = DensityPolicy(0.75, solver.ExactSolver{}, solver.GWSolver{})
+	if _, err := qaoa2.Solve(g, opts); err != nil {
+		t.Fatal(err)
+	}
+	if restored != 0 {
+		t.Fatalf("a changed threshold resumed %d tasks", restored)
 	}
 }
 

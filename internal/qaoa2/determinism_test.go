@@ -134,49 +134,6 @@ func TestCheckpointStaleOnSolverConfigChange(t *testing.T) {
 	}
 }
 
-// TestCheckpointResumesWithExplicitModel: an ml-adaptive solver gated
-// by an explicit Model fingerprints by the model's weights, not by its
-// address, so an identical construction restores every solve task and
-// a changed bias restores none.
-func TestCheckpointResumesWithExplicitModel(t *testing.T) {
-	g := graph.ErdosRenyi(36, 0.2, graph.Unweighted, rng.New(41))
-	path := filepath.Join(t.TempDir(), "ml.ckpt")
-	restores := 0
-	mk := func(bias float64) Options {
-		m := solver.DefaultSelector()
-		m.Bias += bias
-		s := solver.MLAdaptiveSolver{Model: m, Quantum: solver.ExactSolver{}, Classical: cheapAnneal()}
-		return Options{MaxQubits: 6, Solver: s, MergeSolver: s, Seed: 8, CheckpointPath: path,
-			OnRuntimeEvent: func(ev rt.Event) {
-				if ev.Restored {
-					restores++
-				}
-			}}
-	}
-	first, err := Solve(g, mk(0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	solves := first.Stats.SubSolves + first.Stats.MergeSolves
-	second, err := Solve(g, mk(0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if restores != solves || second.Stats.Restored != solves {
-		t.Fatalf("identical model restored %d of %d solves (stats %+v)", restores, solves, second.Stats)
-	}
-	if !reflect.DeepEqual(first.Cut, second.Cut) {
-		t.Fatalf("resumed cut %v differs from %v", second.Cut.Value, first.Cut.Value)
-	}
-	restores = 0
-	if _, err := Solve(g, mk(0.5)); err != nil {
-		t.Fatal(err)
-	}
-	if restores != 0 {
-		t.Fatalf("a different bias resumed %d tasks", restores)
-	}
-}
-
 // TestCheckpointResumesWithRebuiltSpec: a solver built from the
 // registry is identified by its ConfigTag alone, so a checkpoint
 // written under solver.Build(spec) restores every solve task when the

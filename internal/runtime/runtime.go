@@ -124,8 +124,8 @@ type SubReport struct {
 	Edges int     `json:"edges"` // sub-graph edge count
 	Value float64 `json:"value"` // cut value found by the solver
 	// Solver names the solver that actually produced the kept cut:
-	// for the composite strategies (best, ml-adaptive) this is
-	// the WINNING member, so the report exposes the per-sub-graph
+	// for a composite (best, the density router) this is the
+	// WINNING member, so the report exposes the per-sub-graph
 	// quantum-vs-classical decision directly.
 	Solver string `json:"solver"`
 	// Attempts details every inner try of a composite solve, with
@@ -337,6 +337,28 @@ func (st *solveState) finishSolve(ev Event, g *graph.Graph, sv solved, worker in
 	st.emit(ev)
 }
 
+// taskKey is the stable id of a stage's task: its event's Task and, for
+// a solve task, its checkpoint key. It is "" when nothing reads it — no
+// OnEvent, and no checkpoint or not a solve task — so an unobserved
+// solve formats no key. The direct solve and the stitch have the fixed
+// ids "s0/direct" and "stitch".
+func (st *solveState) taskKey(kind taskKind, stage, index int) string {
+	checkpointed := st.ckpt != nil && (kind == kindSubSolve || kind == kindMergeSolve)
+	if st.opts.OnEvent == nil && !checkpointed {
+		return ""
+	}
+	switch kind {
+	case kindPartition:
+		return fmt.Sprintf("s%d/partition", stage)
+	case kindSubSolve:
+		return fmt.Sprintf("s%d/sub%d", stage, index)
+	case kindMergeBuild:
+		return fmt.Sprintf("s%d/merge-build", stage)
+	default:
+		return fmt.Sprintf("s%d/merge", stage)
+	}
+}
+
 // solveTask runs one checkpointable solve: checkpoint lookup first,
 // solver otherwise, record after. The checkpoint stores the WINNER's
 // name, so a restored composite solve re-attributes to the member
@@ -429,7 +451,7 @@ func (st *solveState) runPartition(sg *stage, explicit [][]int, worker int) erro
 	st.mu.Lock()
 	st.stats.Tasks++
 	st.mu.Unlock()
-	st.emit(Event{Task: fmt.Sprintf("s%d/partition", sg.index), Kind: kindPartition.String(),
+	st.emit(Event{Task: st.taskKey(kindPartition, sg.index, -1), Kind: kindPartition.String(),
 		Stage: sg.index, Index: -1, Nodes: sg.g.N(), Edges: sg.g.M(),
 		Nanos: time.Since(start).Nanoseconds(), Worker: worker})
 
@@ -455,7 +477,7 @@ func (st *solveState) runSub(sg *stage, i, worker int) error {
 	if err != nil {
 		return err
 	}
-	key := fmt.Sprintf("s%d/sub%d", sg.index, i)
+	key := st.taskKey(kindSubSolve, sg.index, i)
 	sv, err := st.solveTask(key, sub, sg.solver,
 		rng.New(sg.seed).Split(uint64(i)+0x9e37))
 	if err != nil {
@@ -496,7 +518,7 @@ func (st *solveState) runMergeBuild(sg *stage, worker int) error {
 	st.mu.Lock()
 	st.stats.Tasks++
 	st.mu.Unlock()
-	st.emit(Event{Task: fmt.Sprintf("s%d/merge-build", sg.index), Kind: kindMergeBuild.String(),
+	st.emit(Event{Task: st.taskKey(kindMergeBuild, sg.index, -1), Kind: kindMergeBuild.String(),
 		Stage: sg.index, Index: -1, Nodes: merged.N(), Edges: merged.M(),
 		Nanos: time.Since(start).Nanoseconds(), Worker: worker})
 
@@ -527,7 +549,7 @@ func (st *solveState) runMergeBuild(sg *stage, worker int) error {
 
 // runMergeSolve orients the deepest stage's merge graph.
 func (st *solveState) runMergeSolve(sg *stage, worker int) error {
-	key := fmt.Sprintf("s%d/merge", sg.index)
+	key := st.taskKey(kindMergeSolve, sg.index, -1)
 	sv, err := st.solveTask(key, sg.merged, st.opts.MergeSolver,
 		rng.New(sg.seed).Split(0x51ed))
 	if err != nil {

@@ -228,6 +228,40 @@ func TestEveryTaskTimed(t *testing.T) {
 	}
 }
 
+// TestTaskKeysBuiltOnlyWhenRead: a stage task's id is formatted only
+// for a reader — OnEvent for every task, the checkpoint for solve tasks
+// — and reads as the ids the checkpoint fixtures hold.
+func TestTaskKeysBuiltOnlyWhenRead(t *testing.T) {
+	quiet := &solveState{}
+	checkpointed := &solveState{ckpt: &Checkpoint{}}
+	watched := &solveState{opts: Options{OnEvent: func(Event) {}}}
+	for _, tc := range []struct {
+		kind         taskKind
+		stage, index int
+		key          string
+		solve        bool
+	}{
+		{kindPartition, 2, -1, "s2/partition", false},
+		{kindSubSolve, 1, 7, "s1/sub7", true},
+		{kindMergeBuild, 0, -1, "s0/merge-build", false},
+		{kindMergeSolve, 3, -1, "s3/merge", true},
+	} {
+		if got := quiet.taskKey(tc.kind, tc.stage, tc.index); got != "" {
+			t.Errorf("%s: unobserved solve built key %q", tc.kind, got)
+		}
+		if got := watched.taskKey(tc.kind, tc.stage, tc.index); got != tc.key {
+			t.Errorf("%s: event key %q, want %q", tc.kind, got, tc.key)
+		}
+		want := ""
+		if tc.solve {
+			want = tc.key
+		}
+		if got := checkpointed.taskKey(tc.kind, tc.stage, tc.index); got != want {
+			t.Errorf("%s: checkpoint-only key %q, want %q", tc.kind, got, want)
+		}
+	}
+}
+
 func TestEventsStreamInCompletionOrder(t *testing.T) {
 	g := testGraph(30, 0.2, 5)
 	var mu sync.Mutex

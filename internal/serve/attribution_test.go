@@ -3,7 +3,6 @@ package serve
 import (
 	"context"
 	"net/http/httptest"
-	"strings"
 	"testing"
 	"time"
 
@@ -12,10 +11,10 @@ import (
 	"qaoa2/internal/solver"
 )
 
-// End-to-end attribution over the service surface (ISSUE 5 acceptance):
-// composite solvers submitted BY NAME through the registry report, in
-// both the job result and the event stream, the member that actually
-// produced each kept cut — with per-member attempts and timing.
+// End-to-end attribution over the service surface: the composite
+// solver submitted BY NAME through the registry reports, in both the
+// job result and the event stream, the member that actually produced
+// each kept cut — with per-member attempts and timing.
 func TestServeCompositeAttributionEndToEnd(t *testing.T) {
 	s, err := New(Config{GlobalParallelism: 2})
 	if err != nil {
@@ -24,75 +23,74 @@ func TestServeCompositeAttributionEndToEnd(t *testing.T) {
 	defer s.Close()
 
 	g := graph.ErdosRenyi(36, 0.25, graph.Unweighted, rng.New(6))
-	for _, name := range []string{"best", "ml-adaptive"} {
-		st, err := s.Submit(SolveRequest{
-			Graph:     GraphSpecOf(g),
-			MaxQubits: 6,
-			Solver:    name,
-			Merge:     "one-exchange",
-			Layers:    1,
-			Seed:      4,
-		})
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
+	const name = "best"
+	st, err := s.Submit(SolveRequest{
+		Graph:     GraphSpecOf(g),
+		MaxQubits: 6,
+		Solver:    name,
+		Merge:     "one-exchange",
+		Layers:    1,
+		Seed:      4,
+	})
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	done, err := s.Done(st.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-done:
+	case <-time.After(60 * time.Second):
+		t.Fatalf("%s: job did not settle", name)
+	}
+	final, err := s.Job(st.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if final.State != JobDone {
+		t.Fatalf("%s: state %s (err %q)", name, final.State, final.Error)
+	}
+	// Result-side attribution: reports name a concrete member,
+	// never the composite itself, and carry its attempts.
+	if len(final.Result.Reports) == 0 {
+		t.Fatalf("%s: no sub-reports", name)
+	}
+	for i, r := range final.Result.Reports {
+		if r.Solver == name || r.Solver == "" {
+			t.Fatalf("%s: report %d attributed to %q, want the winning member", name, i, r.Solver)
 		}
-		done, err := s.Done(st.ID)
-		if err != nil {
-			t.Fatal(err)
+		if len(r.Attempts) == 0 {
+			t.Fatalf("%s: report %d has no attempts", name, i)
 		}
-		select {
-		case <-done:
-		case <-time.After(60 * time.Second):
-			t.Fatalf("%s: job did not settle", name)
+		assertWinnerAmongAttempts(t, name, r.Solver, r.Value, r.Attempts)
+	}
+	// Stream-side attribution: sub-solve events carry the same
+	// member names, attempts, and a wall time.
+	evs, _, _, _, err := s.eventsFrom(st.ID, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	saw := 0
+	for _, ev := range evs {
+		// Stage 0 sub-solves run the composite under test; deeper
+		// stages re-divide the merge graph with the PLAIN merge
+		// solver, so they carry no attempts.
+		if ev.Kind != "sub-solve" || ev.Stage != 0 {
+			continue
 		}
-		final, err := s.Job(st.ID)
-		if err != nil {
-			t.Fatal(err)
+		saw++
+		if ev.Solver == name || ev.Solver == "" {
+			t.Fatalf("%s: event %s attributed to %q", name, ev.Task, ev.Solver)
 		}
-		if final.State != JobDone {
-			t.Fatalf("%s: state %s (err %q)", name, final.State, final.Error)
+		if len(ev.Attempts) == 0 || ev.Nanos <= 0 {
+			t.Fatalf("%s: event %s missing telemetry: attempts %d nanos %d",
+				name, ev.Task, len(ev.Attempts), ev.Nanos)
 		}
-		// Result-side attribution: reports name a concrete member,
-		// never the composite itself, and carry its attempts.
-		if len(final.Result.Reports) == 0 {
-			t.Fatalf("%s: no sub-reports", name)
-		}
-		for i, r := range final.Result.Reports {
-			if r.Solver == name || r.Solver == "" {
-				t.Fatalf("%s: report %d attributed to %q, want the winning member", name, i, r.Solver)
-			}
-			if len(r.Attempts) == 0 {
-				t.Fatalf("%s: report %d has no attempts", name, i)
-			}
-			assertWinnerAmongAttempts(t, name, r.Solver, r.Value, r.Attempts)
-		}
-		// Stream-side attribution: sub-solve events carry the same
-		// member names, attempts, and a wall time.
-		evs, _, _, _, err := s.eventsFrom(st.ID, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		saw := 0
-		for _, ev := range evs {
-			// Stage 0 sub-solves run the composite under test; deeper
-			// stages re-divide the merge graph with the PLAIN merge
-			// solver, so they carry no attempts.
-			if ev.Kind != "sub-solve" || ev.Stage != 0 {
-				continue
-			}
-			saw++
-			if ev.Solver == name || ev.Solver == "" {
-				t.Fatalf("%s: event %s attributed to %q", name, ev.Task, ev.Solver)
-			}
-			if len(ev.Attempts) == 0 || ev.Nanos <= 0 {
-				t.Fatalf("%s: event %s missing telemetry: attempts %d nanos %d",
-					name, ev.Task, len(ev.Attempts), ev.Nanos)
-			}
-			assertWinnerAmongAttempts(t, name, ev.Solver, ev.Value, ev.Attempts)
-		}
-		if saw == 0 {
-			t.Fatalf("%s: stream carried no sub-solve events", name)
-		}
+		assertWinnerAmongAttempts(t, name, ev.Solver, ev.Value, ev.Attempts)
+	}
+	if saw == 0 {
+		t.Fatalf("%s: stream carried no sub-solve events", name)
 	}
 }
 
@@ -160,12 +158,12 @@ func assertWinnerAmongAttempts(t *testing.T, label, winner string, value float64
 	t.Fatalf("%s: winner %q/%v not among attempts %+v", label, winner, value, attempts)
 }
 
-// TestServeRegistryNamesRoundTripNormalization: defaults ("best"/"gw")
-// still resolve through the registry, and the solver names land in the
-// job key so distinct solvers never coalesce.
+// TestServeSolverNamesKeyJobs: registry names survive normalization
+// as given, and the solver name lands in the job key so distinct
+// solvers never coalesce.
 func TestServeSolverNamesKeyJobs(t *testing.T) {
 	g := graph.ErdosRenyi(10, 0.4, graph.Unweighted, rng.New(2))
-	reqA := SolveRequest{Graph: GraphSpecOf(g), Solver: "ml-adaptive", Merge: "gw", Seed: 1}
+	reqA := SolveRequest{Graph: GraphSpecOf(g), Solver: "qaoa", Merge: "gw", Seed: 1}
 	reqB := SolveRequest{Graph: GraphSpecOf(g), Solver: "best", Merge: "gw", Seed: 1}
 	a, err := reqA.normalize()
 	if err != nil {
@@ -179,7 +177,7 @@ func TestServeSolverNamesKeyJobs(t *testing.T) {
 	if a.key(fp) == b.key(fp) {
 		t.Fatal("different solvers share a job key")
 	}
-	if !strings.Contains("ml-adaptive best", a.Solver) {
-		t.Fatalf("normalize rewrote the solver name to %q", a.Solver)
+	if a.Solver != "qaoa" || b.Solver != "best" {
+		t.Fatalf("normalize rewrote the solver names to %q, %q", a.Solver, b.Solver)
 	}
 }

@@ -11,24 +11,28 @@ import (
 )
 
 // TestSolveRefusesPortfolio: "portfolio" named the concurrent racing
-// composite until it was deleted; a submission naming it now gets the
-// registry's unknown-solver error, as HTTP 400.
+// composite, "ml-adaptive" the learned QAOA-vs-GW gate and "sdp-gw" gw
+// under a second name, until each was deleted; a submission naming one
+// in either role now gets the registry's unknown-solver error, as HTTP
+// 400.
 func TestSolveRefusesPortfolio(t *testing.T) {
 	s, err := New(Config{GlobalParallelism: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	for _, role := range []string{"solver", "merge"} {
-		body := `{"graph":"4 4\n0 1 1\n1 2 1\n2 3 1\n0 3 1\n","` + role + `":"portfolio"}`
-		rec := httptest.NewRecorder()
-		s.Handler().ServeHTTP(rec, httptest.NewRequest("POST", "/v1/solve", strings.NewReader(body)))
-		var eb errorBody
-		if err := json.NewDecoder(rec.Body).Decode(&eb); err != nil {
-			t.Fatal(err)
-		}
-		if rec.Code != http.StatusBadRequest || !strings.Contains(eb.Error, `unknown solver "portfolio"`) {
-			t.Fatalf("%s: HTTP %d %q, want 400 with the unknown-solver error", role, rec.Code, eb.Error)
+	for _, name := range []string{"portfolio", "ml-adaptive", "sdp-gw"} {
+		for _, role := range []string{"solver", "merge"} {
+			body := `{"graph":"4 4\n0 1 1\n1 2 1\n2 3 1\n0 3 1\n","` + role + `":"` + name + `"}`
+			rec := httptest.NewRecorder()
+			s.Handler().ServeHTTP(rec, httptest.NewRequest("POST", "/v1/solve", strings.NewReader(body)))
+			var eb errorBody
+			if err := json.NewDecoder(rec.Body).Decode(&eb); err != nil {
+				t.Fatal(err)
+			}
+			if rec.Code != http.StatusBadRequest || !strings.Contains(eb.Error, `unknown solver "`+name+`"`) {
+				t.Fatalf("%s as %s: HTTP %d %q, want 400 with the unknown-solver error", name, role, rec.Code, eb.Error)
+			}
 		}
 	}
 }

@@ -152,9 +152,9 @@ type SolveRequest struct {
 	MaxQubits int          `json:"maxQubits,omitempty"`
 	// Solver/Merge name the sub-graph and merge-graph solvers — any
 	// name in the solver registry (internal/solver: "qaoa", "gw",
-	// "sdp-gw", "rqaoa", "best", "ml-adaptive", "anneal", "random",
-	// "one-exchange", "exact", plus anything registered at
-	// run time); defaults mirror cmd/qaoa2 ("best" / "gw").
+	// "rqaoa", "best", "anneal", "random", "one-exchange", "exact",
+	// plus anything registered at run time); defaults mirror
+	// cmd/qaoa2 ("best" / "gw").
 	Solver string `json:"solver,omitempty"`
 	Merge  string `json:"merge,omitempty"`
 	// Layers is the QAOA ansatz depth p for qaoa/best solvers

@@ -255,16 +255,3 @@ func TestCertificateNeedsExactArithmetic(t *testing.T) {
 		}
 	}
 }
-
-// TestMLAdaptiveForwardsCertificate checks the pass-through composite.
-func TestMLAdaptiveForwardsCertificate(t *testing.T) {
-	g := testGraph(8, 0.5, 2)
-	certifying := MLAdaptiveSolver{Quantum: ExactSolver{}, Classical: ExactSolver{}}
-	if _, rep, err := SolveAttributed(certifying, g, rng.New(1)); err != nil || !rep.Optimal {
-		t.Fatalf("ml-adaptive dropped its member's certificate: %+v, %v", rep, err)
-	}
-	silent := MLAdaptiveSolver{Quantum: OneExchangeSolver{}, Classical: OneExchangeSolver{}}
-	if _, rep, err := SolveAttributed(silent, g, rng.New(1)); err != nil || rep.Optimal {
-		t.Fatalf("ml-adaptive invented a certificate: %+v, %v", rep, err)
-	}
-}

@@ -73,12 +73,12 @@ func TestRegistryConfigTagsHoldNoAddress(t *testing.T) {
 		}
 	}
 
-	// The walk has teeth: without its own ConfigTag an explicit Model
-	// would print as an address.
+	// The walk has teeth: a member held by pointer prints as an
+	// address.
 	var paths []string
-	addressPaths(reflect.ValueOf(MLAdaptiveSolver{Model: DefaultSelector()}), "ml", false, &paths)
-	if len(paths) != 1 || !strings.Contains(paths[0], "ml.Model") {
-		t.Fatalf("walk missed the Model pointer: %v", paths)
+	addressPaths(reflect.ValueOf(BestOfSolver{Solvers: []Solver{&fixedSolver{name: "p"}}}), "best", true, &paths)
+	if len(paths) != 1 || !strings.Contains(paths[0], "best.Solvers[0]") {
+		t.Fatalf("walk missed the member pointer: %v", paths)
 	}
 }
 
@@ -88,11 +88,11 @@ func TestRegistryConfigTagsHoldNoAddress(t *testing.T) {
 // daemon or benchmark set (restarts, sweeps, trials, cutoff, inner
 // members, the racing budget). A checkpoint header carries these tags
 // and a serve job's checkpoint resumes only under them, so none may move
-// by accident. The four that render a qaoa.Options (qaoa, best,
-// ml-adaptive, rqaoa) moved once, on purpose, when Options lost its
-// optimizer switch and initial-angle override. The four that render a
-// GWSolver (gw, sdp-gw, best, ml-adaptive: GWSolver has no ConfigTag
-// method, so its tag is %#v of its options) moved twice, on purpose:
+// by accident. The three that render a qaoa.Options (qaoa, best,
+// rqaoa) moved once, on purpose, when Options lost its optimizer
+// switch and initial-angle override. The two that render a GWSolver
+// (gw, best: GWSolver has no ConfigTag method, so its tag is %#v of
+// its options) moved twice, on purpose:
 // when sdp.Options lost Method and Rho with the ADMM reference solver,
 // and when gw.Options (a rounding count no caller set, around an
 // sdp.Options) gave way to sdp.Options and sdp.Options lost its unset
@@ -104,12 +104,10 @@ func TestRegistryConfigTagsUnchanged(t *testing.T) {
 		"best":         {"a0fc4043c59a81dce768c85cc75cbd4ac07607cb02e74c0a74e2f8457512fc1e", "45dc5280e9c2fb3eaab16289cfdf194b1aa28ce62273619c4115bc74ed455f45"},
 		"exact":        {"8e2569f44487de74de31e660401c0aeaa3d548caae7c930c65e6b164e3000217", "8e2569f44487de74de31e660401c0aeaa3d548caae7c930c65e6b164e3000217"},
 		"gw":           {"9b460e7ffc46de0da4a4773d693d5d158ab9b65ccdfd4c3b89388afa3a1b8483", "9b460e7ffc46de0da4a4773d693d5d158ab9b65ccdfd4c3b89388afa3a1b8483"},
-		"ml-adaptive":  {"ee7e2d7daf88709d7062bdc65c9290b39fae5b2ec2c83ee748975ea1e5f3e24a", "eb38e5beb1b62314905693eda50fa1ee574f8172ca4d3b16832cc389b82a18c3"},
 		"one-exchange": {"2b5f94864ca7ae5f0e478d108a59a8b3c98ff704d95826d2e28abfd57a7e1996", "2b5f94864ca7ae5f0e478d108a59a8b3c98ff704d95826d2e28abfd57a7e1996"},
 		"qaoa":         {"1289d9e02b9ab32644a8e4ff9a17875c19b068b10d6ccf7aa002873854bc9e38", "64e69b9d25acd1f3506c903716160811cca54b95bb9d5f145b412688b0c2418a"},
 		"random":       {"6ffea3bfb3824aaeeb09f6a4120fa5642fb8cdb2ba6a1d8d9411d22741ea4ecf", "6ffea3bfb3824aaeeb09f6a4120fa5642fb8cdb2ba6a1d8d9411d22741ea4ecf"},
 		"rqaoa":        {"8e654a75aae11310725653c51389f5e2222c8da637337f136adf071cb9814f16", "5e057827a825c2ebf9bdd0ed2f65756f063c27e844a955267c041db7b943cf32"},
-		"sdp-gw":       {"3626c36e858fa1bb808d4d8e4462398622cf9be33a1a8e9a4b7620100619e5d5", "4a8d077f1ee4a85b7255f0c90be8d3e952db1c8aa49ff5d4de7a0972cfff8f9a"},
 	}
 	for name, sums := range want {
 		for i, spec := range []Spec{

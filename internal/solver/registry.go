@@ -9,7 +9,6 @@ import (
 	"qaoa2/internal/backend"
 	"qaoa2/internal/qaoa"
 	"qaoa2/internal/rqaoa"
-	"qaoa2/internal/sdp"
 )
 
 // Spec is the parameterized, JSON-serializable description of a
@@ -41,11 +40,6 @@ type Spec struct {
 	// (qaoa's sampling); per-sub-graph randomness still derives from
 	// the solve's rng, never from here.
 	Seed uint64 `json:"seed,omitempty"`
-
-	// Method names the SDP relaxation solver for "sdp-gw". "mixing" is
-	// the only one; "" and "auto", its older spelling, still build so
-	// stored specs do. "admm" is retired and refused.
-	Method string `json:"method,omitempty"`
 }
 
 // Factory builds a solver from its spec.
@@ -107,17 +101,6 @@ func Build(spec Spec) (Solver, error) {
 	return f(spec)
 }
 
-// compositeMembers builds the members both composites (best,
-// ml-adaptive) run: qaoa with the composite spec's own parameters,
-// then gw.
-func compositeMembers(spec Spec) (quantum, classical Solver, err error) {
-	opts, err := qaoaOptions(spec)
-	if err != nil {
-		return nil, nil, fmt.Errorf("solver: %s member qaoa: %w", spec.Name, err)
-	}
-	return QAOASolver{Opts: opts}, GWSolver{}, nil
-}
-
 // qaoaOptions maps the spec's QAOA fields onto qaoa.Options.
 func qaoaOptions(spec Spec) (qaoa.Options, error) {
 	be, err := backend.ByName(spec.Backend)
@@ -134,18 +117,6 @@ func qaoaOptions(spec Spec) (qaoa.Options, error) {
 	}, nil
 }
 
-// checkSDPMethod vets Spec.Method for "sdp-gw".
-func checkSDPMethod(name string) error {
-	switch name {
-	case "", "mixing", "auto":
-		return nil
-	case "admm":
-		return fmt.Errorf("solver: SDP method %q is retired (want mixing)", name)
-	default:
-		return fmt.Errorf("solver: unknown SDP method %q (want mixing)", name)
-	}
-}
-
 // The built-in registry. Every solver any surface has ever named lives
 // here; serve, cmd/qaoa2, cmd/workflow and hpc resolve through this
 // single table.
@@ -159,12 +130,6 @@ func init() {
 	})
 	mustRegister("gw", func(Spec) (Solver, error) {
 		return GWSolver{}, nil
-	})
-	mustRegister("sdp-gw", func(spec Spec) (Solver, error) {
-		if err := checkSDPMethod(spec.Method); err != nil {
-			return nil, err
-		}
-		return SDPGWSolver{GWSolver{Opts: sdp.Options{Seed: spec.Seed}}}, nil
 	})
 	mustRegister("rqaoa", func(spec Spec) (Solver, error) {
 		opts, err := qaoaOptions(spec)
@@ -185,18 +150,12 @@ func init() {
 	mustRegister("exact", func(Spec) (Solver, error) {
 		return ExactSolver{}, nil
 	})
+	// best runs qaoa with its own spec's parameters, then gw.
 	mustRegister("best", func(spec Spec) (Solver, error) {
-		quantum, classical, err := compositeMembers(spec)
+		opts, err := qaoaOptions(spec)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("solver: best member qaoa: %w", err)
 		}
-		return BestOfSolver{Solvers: []Solver{quantum, classical}}, nil
-	})
-	mustRegister("ml-adaptive", func(spec Spec) (Solver, error) {
-		quantum, classical, err := compositeMembers(spec)
-		if err != nil {
-			return nil, err
-		}
-		return MLAdaptiveSolver{Quantum: quantum, Classical: classical}, nil
+		return BestOfSolver{Solvers: []Solver{QAOASolver{Opts: opts}, GWSolver{}}}, nil
 	})
 }

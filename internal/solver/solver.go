@@ -9,11 +9,10 @@
 //
 //   - Solver, the per-sub-graph solve interface every layer takes
 //     (its only other name is the facade's qaoa2.SubSolver alias);
-//   - the concrete solvers: simulated QAOA, Goemans-Williamson, the
-//     SDP-pinned GW variant, recursive QAOA, simulated annealing,
-//     local search, brute force, random baselines, and the two
-//     composite strategies: best-of (the paper's "Best" series) and
-//     ml-adaptive (its §5 learned selection);
+//   - the concrete solvers: simulated QAOA, Goemans-Williamson,
+//     recursive QAOA, simulated annealing, local search, brute force,
+//     random baselines, and the composite best-of (the paper's "Best"
+//     series);
 //   - a registry (Register / Build / Names) keyed by JSON-serializable
 //     Specs, so the HTTP wire format, checkpoint fingerprints, and CLI
 //     flags all resolve through the identical table; and
@@ -95,10 +94,10 @@ type Report struct {
 	Optimal bool
 }
 
-// Attributor is implemented by composite solvers (best-of,
-// ml-adaptive) that can attribute the returned cut to the inner solver
-// that actually produced it, and by plain solvers (qaoa, exact) that
-// have a certificate to report with it.
+// Attributor is implemented by composite solvers (best-of, and
+// internal/hpc's density router) that can attribute the returned cut
+// to the inner solver that actually produced it, and by plain solvers
+// (qaoa, exact) that have a certificate to report with it.
 type Attributor interface {
 	Solver
 	// SolveSubAttributed is SolveSub plus attribution. It MUST return
@@ -170,19 +169,6 @@ func (s GWSolver) SolveSub(g *graph.Graph, r *rng.Rand) (maxcut.Cut, error) {
 	}
 	return res.Best, nil
 }
-
-// SDPGWSolver is Goemans-Williamson with the relaxation seed named by
-// the spec (registry name "sdp-gw") — the Burer-Monteiro low-rank
-// mixing method that "gw" also runs, the solver that kept scaling where
-// the paper's reference SCS build aborted beyond 2000 nodes. It embeds
-// GWSolver (one SolveSub implementation) and differs only in name —
-// the registry and attribution identity of the pinned variant.
-type SDPGWSolver struct {
-	GWSolver
-}
-
-// Name implements Solver.
-func (s SDPGWSolver) Name() string { return "sdp-gw" }
 
 // RQAOASolver solves sub-graphs with recursive QAOA (Bravyi et al.),
 // the non-local variant the paper cites as "leverageable using QAOA²":

@@ -108,8 +108,8 @@ func TestRegisterExtendsEverySurface(t *testing.T) {
 }
 
 func TestSpecJSONRoundTrips(t *testing.T) {
-	spec := Spec{Name: "sdp-gw", Layers: 3, MaxIters: 40, Rhobeg: 0.5, Shots: 64,
-		Backend: "dense", Seed: 9, Method: "admm"}
+	spec := Spec{Name: "qaoa", Layers: 3, MaxIters: 40, Rhobeg: 0.5, Shots: 64,
+		Backend: "dense", Seed: 9}
 	b, err := json.Marshal(spec)
 	if err != nil {
 		t.Fatal(err)
@@ -191,15 +191,6 @@ func TestNestedCompositeAttributesLeafWinner(t *testing.T) {
 	if rep.Attempts[1].Solver != "leaf-high" {
 		t.Fatalf("nested member's attempt labeled %q, want its leaf winner", rep.Attempts[1].Solver)
 	}
-	// Same through the ml-adaptive router.
-	ml := MLAdaptiveSolver{Quantum: nestedBest, Classical: nestedBest}
-	_, mrep, err := ml.SolveSubAttributed(g, rng.New(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if mrep.Winner != "leaf-high" {
-		t.Fatalf("ml-adaptive nested winner %q", mrep.Winner)
-	}
 }
 
 // TestBestOfFailsOnMemberError: a member error fails the composite
@@ -222,64 +213,6 @@ func TestBestOfFailsOnMemberError(t *testing.T) {
 	}
 }
 
-func TestMLAdaptiveRoutesAndAttributes(t *testing.T) {
-	quantum := fixedSolver{name: "q", value: 1}
-	classical := fixedSolver{name: "c", value: 2}
-	s := MLAdaptiveSolver{Quantum: quantum, Classical: classical}
-	sawQ, sawC := false, false
-	for seed := uint64(0); seed < 30; seed++ {
-		n := 6 + int(seed%18)
-		p := 0.1 + float64(seed%5)*0.2
-		g := graph.ErdosRenyi(n, p, graph.Unweighted, rng.New(seed))
-		chosen := s.Choose(g)
-		cut, rep, err := s.SolveSubAttributed(g, rng.New(seed))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if rep.Winner != chosen.Name() {
-			t.Fatalf("attributed %q but routed %q", rep.Winner, chosen.Name())
-		}
-		want := map[string]float64{"q": 1, "c": 2}[chosen.Name()]
-		if cut.Value != want {
-			t.Fatalf("routed member did not run: value %v for %q", cut.Value, chosen.Name())
-		}
-		switch chosen.Name() {
-		case "q":
-			sawQ = true
-		case "c":
-			sawC = true
-		}
-	}
-	if !sawQ || !sawC {
-		t.Fatalf("default selector never varied its decision (quantum %v classical %v) — gate is degenerate", sawQ, sawC)
-	}
-}
-
-func TestMLAdaptiveMatchesRoutedMemberBitForBit(t *testing.T) {
-	// Routing must change WHICH solver runs, never what it computes:
-	// a sub-graph routed to a member yields the member's standalone
-	// cut on the identical rng stream.
-	s := MLAdaptiveSolver{
-		Quantum:   AnnealSolver{Opts: maxcut.AnnealOptions{Sweeps: 30}},
-		Classical: OneExchangeSolver{},
-	}
-	for seed := uint64(0); seed < 10; seed++ {
-		g := graph.ErdosRenyi(10+int(seed), 0.3, graph.UniformWeights, rng.New(seed+50))
-		chosen := s.Choose(g)
-		got, err := s.SolveSub(g, rng.New(seed))
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, err := chosen.SolveSub(g, rng.New(seed))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got.Value != want.Value || !reflect.DeepEqual(got.Spins, want.Spins) {
-			t.Fatalf("seed %d: ml-adaptive diverged from routed member %s", seed, chosen.Name())
-		}
-	}
-}
-
 func TestSolveAttributedPlainSolver(t *testing.T) {
 	g := testGraph(8, 0.4, 2)
 	cut, rep, err := SolveAttributed(OneExchangeSolver{}, g, rng.New(3))
@@ -292,21 +225,6 @@ func TestSolveAttributedPlainSolver(t *testing.T) {
 	direct, _ := OneExchangeSolver{}.SolveSub(g, rng.New(3))
 	if cut.Value != direct.Value {
 		t.Fatal("SolveAttributed changed the plain solver's result")
-	}
-}
-
-// TestSDPMethodParsing: the mixing method's spellings build; the retired
-// ADMM reference is refused by name, and an unknown method as unknown.
-func TestSDPMethodParsing(t *testing.T) {
-	for _, method := range []string{"", "mixing", "auto"} {
-		if _, err := Build(Spec{Name: "sdp-gw", Method: method}); err != nil {
-			t.Fatalf("method %q: %v", method, err)
-		}
-	}
-	for method, want := range map[string]string{"admm": `"admm" is retired`, "scs": `unknown SDP method "scs"`} {
-		if _, err := Build(Spec{Name: "sdp-gw", Method: method}); err == nil || !strings.Contains(err.Error(), want) {
-			t.Fatalf("method %q: err %v, want %q", method, err, want)
-		}
 	}
 }
 

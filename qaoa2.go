@@ -177,9 +177,6 @@ type (
 	GWSolver = solver.GWSolver
 	// BestOfSolver keeps the best cut among its inner solvers.
 	BestOfSolver = solver.BestOfSolver
-	// MLAdaptiveSolver gates QAOA-vs-classical per sub-graph with the
-	// mlselect feature classifier (registry name "ml-adaptive").
-	MLAdaptiveSolver = solver.MLAdaptiveSolver
 	// AnnealSolver solves sub-graphs with simulated annealing.
 	AnnealSolver = solver.AnnealSolver
 	// ExactSolver brute-forces sub-graphs (tests, small merges).
@@ -199,8 +196,8 @@ func SummarizeSubReports(reports []SubReport) string {
 // named and constructed. Every surface — BuildSolver, the serve
 // daemon's wire format, cmd/qaoa2 and cmd/workflow flags, hpc remote
 // dispatch — resolves names through this one table, so every
-// registered solver (rqaoa, sdp-gw, random and one-exchange included)
-// is buildable by name.
+// registered solver (rqaoa, random and one-exchange included) is
+// buildable by name.
 
 // SolverSpec is the parameterized, JSON-serializable description of a
 // registry solver. BuildSolver turns it into the solver that

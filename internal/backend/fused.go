@@ -125,7 +125,8 @@ func integralSpan(g *graph.Graph) (lo int, ok bool) {
 // phase that value + add, with lo' the smallest cut. Under
 // integralSpan every CutTable entry is that integer exactly, so
 // Values[Idx[x]] == CutTable(g, nil)[x] and the phases are
-// phaseTables' own, without the 2^n float64 table.
+// phaseTables' own, without the 2^n float64 table. Levels and Values
+// are the two halves of one array.
 func cutLevels(g *graph.Graph, idx []int32, lo int, add float64) qsim.CostTables {
 	idx[0] = int32(-lo) // cut(0) = 0
 	doubleCuts(g, nil, idx)
@@ -137,8 +138,8 @@ func cutLevels(g *graph.Graph, idx []int32, lo int, add float64) qsim.CostTables
 			idx[i] -= first
 		}
 	}
-	levels := make([]float64, last-first+1)
-	values := make([]float64, len(levels))
+	tables := make([]float64, 2*(last-first+1))
+	levels, values := tables[:len(tables)/2:len(tables)/2], tables[len(tables)/2:]
 	for j := range values {
 		values[j] = float64(lo + int(first) + j)
 		levels[j] = values[j] + add

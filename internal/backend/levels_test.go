@@ -232,6 +232,32 @@ func TestFusedPrepareHoldsNoFloatTable(t *testing.T) {
 	}
 }
 
+// TestFusedPrepareAllocatesHeaderAndTables: once a released engine and
+// level index wait in their pools, preparing a 12-node unweighted leaf
+// allocates the ansatz header and one array holding its levels and
+// values: two allocations. The integral build's per-wire arrays live on
+// the stack and the engine's State is part of the engine. The ceiling is
+// that plus a tenth, rounded up, as toolchains differ by a few. Under
+// -race the pools drop a random share of what they are handed.
+func TestFusedPrepareAllocatesHeaderAndTables(t *testing.T) {
+	g := graph.ErdosRenyi(12, 0.5, graph.Unweighted, rng.New(8))
+	prepare := func() {
+		a, err := Fused{}.Prepare(g, Config{Layers: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		Release(a)
+	}
+	prepare()
+	if raceDetector {
+		t.Skip("the race detector's sync.Pool drops a random share of what it is handed")
+	}
+	const ceiling = 3
+	if allocs := testing.AllocsPerRun(20, prepare); allocs > ceiling {
+		t.Fatalf("Prepare of a 12-node leaf allocates %.0f times, ceiling %d", allocs, ceiling)
+	}
+}
+
 // TestFusedDiagonalConcurrentFirstCall: the lazy expansion runs once
 // however many goroutines ask first, and every caller gets the same
 // table (run under -race).

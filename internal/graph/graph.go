@@ -306,8 +306,10 @@ func fromEdges(n int, edges []Edge, abs float64, deg []int) *Graph {
 // InducedSubgraph builds the subgraph on the given nodes. It returns
 // the subgraph (nodes renumbered 0..len(nodes)-1 in the given order,
 // edges in the parent's edge order) and the original-node index for
-// each subgraph node. Duplicate nodes are an error. With k nodes the
-// cost is O(Σdeg·log k) over their summed degree, not the size of g.
+// each subgraph node, which is nodes itself: the caller's slice, its
+// capacity clipped to its length, not a copy. Duplicate nodes are an
+// error. With k nodes the cost is O(Σdeg·log k) over their summed
+// degree, not the size of g.
 func (g *Graph) InducedSubgraph(nodes []int) (*Graph, []int, error) {
 	k := len(nodes)
 	// bad is the first out-of-range entry; only a duplicate before it
@@ -366,10 +368,7 @@ func (g *Graph) InducedSubgraph(nodes []int) (*Graph, []int, error) {
 	// A subset of g's edges in g's order: its sum is bounded by g.abs.
 	// The positions are spent; their k ints count the degrees.
 	clear(pos)
-	sub := fromEdges(k, edges, absSum(edges), pos)
-	mapping := make([]int, k)
-	copy(mapping, nodes)
-	return sub, mapping, nil
+	return fromEdges(k, edges, absSum(edges), pos), nodes[:k:k], nil
 }
 
 // position returns v's position in nodes, or -1 when v is not there.

@@ -16,7 +16,7 @@ type Objective func(x []float64) float64
 
 // Result reports an optimization run.
 type Result struct {
-	X         []float64 // best point found
+	X         []float64 // best point found (x0 itself when the run ends at its first evaluation)
 	F         float64   // objective at X
 	Evals     int       // objective evaluations consumed
 	Converged bool      // trust region shrank below Rhoend
@@ -109,6 +109,11 @@ func MinimizeCOBYLA(f Objective, x0 []float64, opts COBYLAOptions) Result {
 	}
 
 	fBest := eval(x0)
+	if run.done() {
+		// Stopped or out of budget at the start: the simplex would make
+		// no evaluation, so x0 is the answer as it stands.
+		return Result{X: x0, F: fBest, Evals: run.evals}
+	}
 	simplex := buildSimplex(x0, fBest)
 
 	bestIdx := func(s []vertex) int {

@@ -146,6 +146,32 @@ func TestStopEndsAtTheApprovedEvaluation(t *testing.T) {
 	}
 }
 
+// TestStopAtFirstEvaluationBuildsNoSimplex: a run its Stop ends at the
+// first evaluation reports x0 itself after one call and allocates
+// nothing, since the simplex around x0 would make no evaluation. The
+// race detector's instrumentation is not counted.
+func TestStopAtFirstEvaluationBuildsNoSimplex(t *testing.T) {
+	x0 := []float64{0.35, 0.175, 0.525, 0.175}
+	calls := 0
+	f := func(x []float64) float64 { calls++; return sphere(x) }
+	opts := COBYLAOptions{Rhobeg: 0.5, MaxEvals: 30, Stop: func() bool { return calls > 0 }}
+	res := MinimizeCOBYLA(f, x0, opts)
+	if res.Evals != 1 || calls != 1 || res.F != sphere(x0) || &res.X[0] != &x0[0] {
+		t.Fatalf("stop at the first evaluation: %d evaluations (%d calls), X %v F %v; want 1, x0 itself and %v",
+			res.Evals, calls, res.X, res.F, sphere(x0))
+	}
+	if raceDetector {
+		t.Skip("allocation counts are the uninstrumented build's")
+	}
+	allocs := testing.AllocsPerRun(20, func() {
+		calls = 0
+		MinimizeCOBYLA(f, x0, opts)
+	})
+	if allocs != 0 {
+		t.Fatalf("a run stopped at its first evaluation allocates %.0f times, want 0", allocs)
+	}
+}
+
 func BenchmarkCOBYLASphere8(b *testing.B) {
 	x0 := make([]float64, 8)
 	for i := range x0 {

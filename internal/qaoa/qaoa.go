@@ -143,8 +143,8 @@ type Result struct {
 // level index — back to their pools (backend.Release) and sets State to
 // nil. A caller that needs only the cut releases as soon as it has
 // read it, so the next sub-solve of the same size reuses the
-// statevector; the former State is empty afterwards. A second call
-// does nothing.
+// statevector; the former State is empty afterwards, until that
+// sub-solve takes it over. A second call does nothing.
 func (r *Result) Release() {
 	if r.ans != nil {
 		backend.Release(r.ans)
@@ -255,39 +255,38 @@ func run(ans backend.Ansatz, g *graph.Graph, stopAt *float64, opts Options, r *r
 		shotRand = rng.New(opts.Seed ^ 0xa0a0a0a0)
 	}
 
+	// x is the run's one parameter vector: the optimizer starts from
+	// it, and the reported angles are copied back into it once the
+	// optimizer is done with it.
 	p := opts.Layers
-	initGammas, initBetas := InitialParameters(p)
-	x0 := slices.Concat(initGammas, initBetas)
+	x := ramp(p)
 
 	var res opt.Result
-	var hit *point
+	var hit point
 	var err error
 	if opts.Restarts > 1 {
 		// Multi-start runs its whole budget: SolveCut stops single starts
 		// only.
-		res, err = multiStart(ans, opts, x0, shotRand, table)
+		res, err = multiStart(ans, opts, x, shotRand, table)
 		if err != nil {
 			return nil, err
 		}
 	} else {
-		res, hit = runOptimizer(ans, opts, x0, shotRand, table, dec, stopAt)
+		res, hit = runOptimizer(ans, opts, x, shotRand, table, dec, stopAt)
 	}
 
-	gammas := make([]float64, p)
-	betas := make([]float64, p)
+	gammas, betas := x[:p:p], x[p:]
 	var expectation float64
 	var s *qsim.State
 	var cut maxcut.Cut
-	if hit != nil {
+	if hit.state != nil {
 		// A certified evaluation already holds everything to report, its
 		// decoded cut included.
-		copy(gammas, hit.x[:p])
-		copy(betas, hit.x[p:])
+		copy(x, hit.x)
 		expectation, s, cut = hit.energy, hit.state, hit.cut
 	} else {
 		// Re-run at the best parameters for decoding and exact expectation.
-		copy(gammas, res.X[:p])
-		copy(betas, res.X[p:])
+		copy(x, res.X)
 		expectation, s, err = ans.Evaluate(gammas, betas)
 		if err != nil {
 			return nil, err
@@ -311,8 +310,10 @@ func run(ans backend.Ansatz, g *graph.Graph, stopAt *float64, opts Options, r *r
 	}, nil
 }
 
-// point is a certified evaluation: its parameters, exact energy, final
-// state and decoded cut.
+// point is a certified evaluation: its parameters — the optimizer's
+// own slice, which it leaves unchanged once it stops — exact energy,
+// final state and decoded cut. The zero point, with no state, is no
+// evaluation.
 type point struct {
 	x      []float64
 	energy float64
@@ -337,9 +338,9 @@ func sampledEnergy(s *qsim.State, table []float64, shots int, r *rng.Rand) float
 // sampling from shotRand). With stopAt it decodes every evaluated state
 // and stops at the first whose decoded value equals *stopAt, returning
 // that evaluation.
-func runOptimizer(ans backend.Ansatz, opts Options, x0 []float64, shotRand *rng.Rand, table []float64, dec decoder, stopAt *float64) (opt.Result, *point) {
+func runOptimizer(ans backend.Ansatz, opts Options, x0 []float64, shotRand *rng.Rand, table []float64, dec decoder, stopAt *float64) (opt.Result, point) {
 	p := opts.Layers
-	var hit *point
+	var hit point
 	objective := func(x []float64) float64 {
 		energy, s, err := ans.Evaluate(x[:p], x[p:])
 		if err != nil {
@@ -348,7 +349,7 @@ func runOptimizer(ans backend.Ansatz, opts Options, x0 []float64, shotRand *rng.
 		if stopAt != nil {
 			if cut := dec.exact(s); cut.Value == *stopAt {
 				// The optimizer stops after this call, so s stays valid.
-				hit = &point{x: slices.Clone(x), energy: energy, state: s, cut: cut}
+				hit = point{x: x, energy: energy, state: s, cut: cut}
 			}
 		}
 		f := energy
@@ -359,7 +360,7 @@ func runOptimizer(ans backend.Ansatz, opts Options, x0 []float64, shotRand *rng.
 	}
 	var stop func() bool
 	if stopAt != nil {
-		stop = func() bool { return hit != nil }
+		stop = func() bool { return hit.state != nil }
 	}
 	res := opt.MinimizeCOBYLA(objective, x0, opt.COBYLAOptions{
 		Rhobeg: opts.Rhobeg, MaxEvals: opts.MaxIters, Stop: stop,
@@ -483,32 +484,49 @@ func (d decoder) sampled(s *qsim.State, shots int, r *rng.Rand) maxcut.Cut {
 }
 
 // best scores candidate basis states and keeps the highest cut; equal
-// cuts go to the lowest index.
+// cuts go to the lowest index. The candidates are scored on one stack
+// buffer of bits, and only the winner is decoded into spins.
 func (d decoder) best(indices []uint64) maxcut.Cut {
-	best := maxcut.Cut{Value: math.Inf(-1)}
-	var bestIdx uint64
-	for _, idx := range indices {
-		bits := make([]uint8, d.g.N())
+	var buf [qsim.MaxQubits]uint8
+	bits := buf[:d.g.N()]
+	fill := func(idx uint64) {
 		for q := range bits {
 			bits[q] = uint8(idx >> uint(physOf(d.layout, q)) & 1)
 		}
+	}
+	best := maxcut.Cut{Value: math.Inf(-1)}
+	var bestIdx uint64
+	for _, idx := range indices {
+		fill(idx)
 		if v := d.g.CutValueBits(bits); v > best.Value || v == best.Value && idx < bestIdx {
-			best, bestIdx = maxcut.Cut{Spins: graph.SpinsFromBits(bits), Value: v}, idx
+			best.Value, bestIdx = v, idx
 		}
+	}
+	if len(indices) > 0 {
+		fill(bestIdx)
+		best.Spins = graph.SpinsFromBits(bits)
 	}
 	return best
 }
 
 // InitialParameters returns the standard linear-ramp initialization:
 // γ grows and β shrinks across layers, mimicking an annealing schedule
-// (the discretized-adiabatic reading of QAOA in §3.2).
+// (the discretized-adiabatic reading of QAOA in §3.2). The two halves
+// share one array and are capped, so appending to gammas cannot write
+// into betas.
 func InitialParameters(p int) (gammas, betas []float64) {
-	gammas = make([]float64, p)
-	betas = make([]float64, p)
+	x := ramp(p)
+	return x[:p:p], x[p:]
+}
+
+// ramp returns the linear-ramp start as one vector: the p gammas, then
+// the p betas.
+func ramp(p int) []float64 {
+	x := make([]float64, 2*p)
 	for l := 0; l < p; l++ {
 		frac := (float64(l) + 0.5) / float64(p)
-		gammas[l] = 0.7 * frac
-		betas[l] = 0.7 * (1 - frac)
+		x[l] = 0.7 * frac
+		x[p+l] = 0.7 * (1 - frac)
 	}
-	return gammas, betas
+	return x
 }

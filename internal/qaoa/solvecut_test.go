@@ -330,3 +330,38 @@ func TestUnreducedEngineMatchesReduced(t *testing.T) {
 		}
 	}
 }
+
+// TestCertifiedLeafAllocatesOnlyItsAnswer: a 12-node unit-weight leaf
+// that certifies at its first evaluation allocates its ansatz header and
+// cost tables (backend.Fused.Prepare), its one gammas‖betas vector, its
+// Result and its decoded spins: five allocations once the engine and the
+// level index come from their pools. The optimizer builds no simplex and
+// the decode scores its candidates on the stack. The ceiling is that
+// plus a tenth, rounded up, as toolchains differ by a few. Under -race
+// the pools drop a random share of what they are handed.
+func TestCertifiedLeafAllocatesOnlyItsAnswer(t *testing.T) {
+	g := graph.ErdosRenyi(12, 0.5, graph.Unweighted, rng.New(8))
+	opts := Options{Layers: 2}
+	res, err := SolveCut(g, opts, rng.New(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Optimal || res.Evaluations != 1 {
+		t.Fatalf("optimal %v after %d evaluations, want a certificate at the first", res.Optimal, res.Evaluations)
+	}
+	res.Release()
+	if raceDetector {
+		t.Skip("the race detector's sync.Pool drops a random share of what it is handed")
+	}
+	const ceiling = 6
+	allocs := testing.AllocsPerRun(20, func() {
+		res, err := SolveCut(g, opts, rng.New(1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		res.Release()
+	})
+	if allocs > ceiling {
+		t.Fatalf("a certified 12-node leaf allocates %.0f times, ceiling %d", allocs, ceiling)
+	}
+}

@@ -2,6 +2,7 @@ package qaoa2
 
 import (
 	"errors"
+	"hash/fnv"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -241,5 +242,45 @@ func TestCheckpointFromOldQAOAOptionsRestoresNothing(t *testing.T) {
 				t.Fatalf("cut %v spins %s, want the recorded %v %s", res.Cut.Value, spins, tc.cut, tc.spins)
 			}
 		})
+	}
+}
+
+// TestDagCheckpointShapedSolveIsPinned: one solve shaped as the
+// benchmark's dag-checkpoint workload — ER(1200, 8/n), best(qaoa p=2,
+// gw) leaves, a gw merge, 12-qubit parts, the task-graph runtime with
+// its checkpoint on — returns the pinned cut and spins and writes the
+// pinned checkpoint bytes. The values were read before a leaf's set-up
+// and decode stopped allocating, so that work moved no output: not a
+// leaf's angles, streams or decoded spins, nor a record's encoding.
+func TestDagCheckpointShapedSolveIsPinned(t *testing.T) {
+	g := graph.ErdosRenyi(1200, 8.0/1200, graph.Unweighted, rng.New(1).Split(0x1a57))
+	leaf, err := solver.Build(solver.Spec{Name: "best", Layers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	merge, err := solver.Build(solver.Spec{Name: "gw"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "dag.ckpt")
+	res, err := Solve(g, Options{MaxQubits: 12, Solver: leaf, MergeSolver: merge, Parallelism: 1,
+		Runtime: true, Seed: 1, CheckpointPath: path})
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fnvOf := func(b []byte) uint64 {
+		h := fnv.New64a()
+		h.Write(b)
+		return h.Sum64()
+	}
+	got := [3]uint64{uint64(res.Cut.Value), fnvOf([]byte(rt.EncodeSpins(res.Cut.Spins))), fnvOf(data)}
+	want := [3]uint64{3115, 0x9793d7591577ed83, 0xfa2d6649d4e45e96}
+	if got != want {
+		t.Fatalf("cut, spins FNV, checkpoint FNV = %d, %#x, %#x; want %d, %#x, %#x",
+			got[0], got[1], got[2], want[0], want[1], want[2])
 	}
 }

@@ -58,8 +58,8 @@ import (
 // Engine is NOT safe for concurrent use; concurrent sub-solves each
 // prepare their own.
 type Engine struct {
-	state *State       // the statevector (resolves the kernel pool)
-	amps  []complex128 // state's amplitudes
+	state State        // the statevector (resolves the kernel pool)
+	amps  []complex128 // state's amplitudes while the engine is live
 	n     int          // index qubits: len(amps) == 2^n
 	m0    int          // low-group qubit count
 	z2    bool         // the vector is the Z2-reduced half-vector
@@ -100,8 +100,10 @@ type Engine struct {
 //
 // NewEngine takes a released engine of the same shape (index qubits,
 // z2) when its pool holds one (see Release), and allocates one
-// otherwise. Either way the engine gets a fresh State, in the default
-// kernel mode; its amplitudes are unspecified until the first Evaluate.
+// otherwise. Either way its State is in the default kernel mode, and
+// its amplitudes are unspecified until the first Evaluate. The State
+// is part of the engine, so a taken engine hands its new owner the
+// State its former owner held.
 func NewEngine(nFull int, z2 bool, cost CostTables) (*Engine, error) {
 	n := nFull
 	check := checkQubits
@@ -149,6 +151,10 @@ func NewEngine(nFull int, z2 bool, cost CostTables) (*Engine, error) {
 			z2:   z2,
 			norm: 1 / math.Sqrt(float64(size)),
 		}
+		e.state.n = n
+		if z2 {
+			e.state.z2Full = nFull
+		}
 		e.lowBody = e.runLowChunk
 		if z2 {
 			if e.m0 == lowBlockQubits {
@@ -169,10 +175,7 @@ func NewEngine(nFull int, z2 bool, cost CostTables) (*Engine, error) {
 			e.partials, e.peaks = sums[:batches], sums[batches:]
 		}
 	}
-	e.state = &State{n: n, amps: e.amps}
-	if z2 {
-		e.state.z2Full = nFull
-	}
+	e.state.amps = e.amps
 	e.cost = cost
 	if cap(e.phases) < len(cost.Levels) {
 		e.phases = make([]complex128, len(cost.Levels))
@@ -206,15 +209,16 @@ func enginePool(n int, z2 bool) *sync.Pool {
 
 // Release hands the engine back to the free list of its shape, for
 // the next NewEngine of that shape. The State it returned loses its
-// amplitudes (Len() == 0; any amplitude access panics), so a stale
-// holder cannot read or write the next owner's vector. Releasing twice
-// is a no-op, but the engine must not be used after Release.
+// amplitudes (Len() == 0; any amplitude access panics) until that
+// NewEngine takes the engine, when it becomes the new owner's: a
+// holder must drop it at Release. Releasing twice is a no-op, but the
+// engine must not be used after Release.
 func (e *Engine) Release() {
-	if e.state == nil {
+	if e.state.amps == nil {
 		return
 	}
-	e.state.amps, e.state.peaks = nil, nil
-	e.state, e.cost = nil, CostTables{}
+	e.state.amps, e.state.peaks, e.state.pool = nil, nil, nil
+	e.cost = CostTables{}
 	enginePool(e.n, e.z2).Put(e)
 }
 
@@ -237,9 +241,15 @@ func (e *Engine) fitScratch() {
 
 // State returns the engine's statevector buffer: after Evaluate it
 // holds the final state, valid until the next Evaluate or Release
-// (after which it is empty). On a Z2 engine it is a reduced state whose
-// measurement accessors report full-space results.
-func (e *Engine) State() *State { return e.state }
+// (after which it is empty), and nil once the engine is released. On a
+// Z2 engine it is a reduced state whose measurement accessors report
+// full-space results.
+func (e *Engine) State() *State {
+	if e.state.amps == nil {
+		return nil
+	}
+	return &e.state
+}
 
 // Evaluate runs the full p-layer fused evaluation at (γ⃗, β⃗) — the
 // ansatz Π_l RX(2β_l)^⊗n · e^{-iγ_l D'} |+⟩^⊗n — and returns the exact

@@ -211,6 +211,28 @@ func TestStreamsArePinned(t *testing.T) {
 	if got != want {
 		t.Fatalf("streams moved: got %#x, want %#x", got, want)
 	}
+
+	// Streams derived by value into one array, as a best-of derives its
+	// members' (labels 1, 2, … from the caller's stream) and a runtime
+	// stage its parts' (labels 0x9e37, … from New(seed)): the draws of
+	// the heap Split of the same labels, and the caller's stream left
+	// where those Splits leave it.
+	r = New(3)
+	members := make([]Rand, 2)
+	for i := range members {
+		members[i] = *r.Split(uint64(i) + 1)
+	}
+	parts := make([]Rand, 3)
+	for i := range parts {
+		parts[i] = *New(9).Split(uint64(i) + 0x9e37)
+	}
+	arrays := [6]uint64{members[0].Uint64(), members[1].Uint64(), r.Uint64(),
+		parts[0].Uint64(), parts[1].Uint64(), parts[2].Uint64()}
+	wantArrays := [6]uint64{0x3ed5eaf709c31163, 0x4535373c4f57b4dc, 0x37e00afb3229fd51,
+		0xd85e3161ebc49dc7, 0xac329b27dd09d4eb, 0xf2e6eb9c1841a290}
+	if arrays != wantArrays {
+		t.Fatalf("array-derived streams moved: got %#x, want %#x", arrays, wantArrays)
+	}
 }
 
 // TestLocalGeneratorDoesNotAllocate: New inlines, so a generator that

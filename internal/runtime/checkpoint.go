@@ -9,6 +9,7 @@ import (
 	"math"
 	"os"
 	"sort"
+	"strings"
 	"sync"
 	"time"
 
@@ -300,7 +301,10 @@ func (c *Checkpoint) Record(key string, r Record) error {
 	if err != nil {
 		return err
 	}
-	if _, err := c.w.Write(append(line, '\n')); err != nil {
+	if _, err := c.w.Write(line); err != nil {
+		return fmt.Errorf("runtime: checkpoint write: %w", err)
+	}
+	if err := c.w.WriteByte('\n'); err != nil {
 		return fmt.Errorf("runtime: checkpoint write: %w", err)
 	}
 	if err := c.flush(); err != nil {
@@ -347,17 +351,19 @@ func (c *Checkpoint) Close() error {
 
 // EncodeSpins renders a cut assignment in the +/- wire encoding used
 // by checkpoint entries — and, via internal/serve, by the solve
-// service's result wire format, so the two can never diverge.
+// service's result wire format, so the two can never diverge. The
+// string is its one allocation.
 func EncodeSpins(spins []int8) string {
-	b := make([]byte, len(spins))
-	for i, s := range spins {
+	var b strings.Builder
+	b.Grow(len(spins))
+	for _, s := range spins {
 		if s < 0 {
-			b[i] = '-'
+			b.WriteByte('-')
 		} else {
-			b[i] = '+'
+			b.WriteByte('+')
 		}
 	}
-	return string(b)
+	return b.String()
 }
 
 // DecodeSpins parses the +/- wire encoding; ok is false on any other

@@ -346,6 +346,25 @@ func TestSpinsEncoding(t *testing.T) {
 	}
 }
 
+// TestEncodeSpinsAllocatesOnce: the encoded string is EncodeSpins' one
+// allocation, for a leaf's 12 spins and for a 100-node assignment, past
+// the 32 bytes a byte slice can keep on the stack. The race detector's
+// instrumentation is not counted.
+func TestEncodeSpinsAllocatesOnce(t *testing.T) {
+	if raceDetector {
+		t.Skip("allocation counts are the uninstrumented build's")
+	}
+	for _, n := range []int{12, 100} {
+		spins := make([]int8, n)
+		for i := range spins {
+			spins[i] = int8(1 - 2*(i%3%2))
+		}
+		if allocs := testing.AllocsPerRun(20, func() { EncodeSpins(spins) }); allocs != 1 {
+			t.Fatalf("EncodeSpins of %d spins allocates %.0f times, want 1", n, allocs)
+		}
+	}
+}
+
 func TestHeaderFingerprint(t *testing.T) {
 	base := Header{Graph: "abc", Seed: 7, MaxQubits: 12, Solver: "qaoa", Merge: "gw", Config: "layers:3"}
 	fp := base.Fingerprint()

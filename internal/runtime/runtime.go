@@ -162,6 +162,7 @@ type stage struct {
 	solver solver.Solver
 
 	parts   [][]int
+	streams []rng.Rand // sub-solve i's stream
 	cuts    []maxcut.Cut
 	reports []SubReport
 	groupOf []int
@@ -455,11 +456,14 @@ func (st *solveState) runPartition(sg *stage, explicit [][]int, worker int) erro
 		Stage: sg.index, Index: -1, Nodes: sg.g.N(), Edges: sg.g.M(),
 		Nanos: time.Since(start).Nanoseconds(), Worker: worker})
 
-	// One array of sub-tasks sharing one function; each solves its part.
+	// One array of sub-tasks sharing one function, and one of their
+	// streams; each solves its part on its own stream.
 	subs := make([]task, len(parts))
+	sg.streams = make([]rng.Rand, len(parts))
 	runSub := func(i, w int) error { return st.runSub(sg, i, w) }
 	for i := range subs {
 		subs[i] = task{run: runSub, part: i}
+		sg.streams[i] = *rng.New(sg.seed).Split(uint64(i) + 0x9e37)
 	}
 	mergeT := &task{run: func(_, w int) error { return st.runMergeBuild(sg, w) }}
 	// Register the barrier before its dependencies so the executor
@@ -478,8 +482,7 @@ func (st *solveState) runSub(sg *stage, i, worker int) error {
 		return err
 	}
 	key := st.taskKey(kindSubSolve, sg.index, i)
-	sv, err := st.solveTask(key, sub, sg.solver,
-		rng.New(sg.seed).Split(uint64(i)+0x9e37))
+	sv, err := st.solveTask(key, sub, sg.solver, &sg.streams[i])
 	if err != nil {
 		return fmt.Errorf("runtime: stage %d sub-graph %d: %w", sg.index, i, err)
 	}

@@ -224,20 +224,24 @@ func (s BestOfSolver) SolveSubAttributed(g *graph.Graph, r *rng.Rand) (maxcut.Cu
 	if len(s.Solvers) == 0 {
 		return maxcut.Cut{}, Report{}, fmt.Errorf("solver: best-of has no inner solvers")
 	}
+	// Every member's stream is derived up front, in member order, into
+	// one array: a skipped member's too, since each Split draws from r
+	// and the caller's rng must leave in the state running every member
+	// would leave it in.
+	streams := make([]rng.Rand, len(s.Solvers))
+	for i := range streams {
+		streams[i] = *r.Split(uint64(i) + 1)
+	}
 	var best maxcut.Cut
 	rep := Report{Attempts: make([]Attempt, 0, len(s.Solvers))}
 	found := false
 	for i, inner := range s.Solvers {
-		// A skipped member's stream is derived all the same: each Split
-		// draws from r, and the caller's rng must leave in the state
-		// running every member would leave it in.
-		stream := r.Split(uint64(i) + 1)
 		if rep.Optimal {
 			rep.Attempts = append(rep.Attempts, Attempt{Solver: inner.Name(), Err: SkippedOptimal})
 			continue
 		}
 		start := time.Now()
-		cut, innerRep, err := SolveAttributed(inner, g, stream)
+		cut, innerRep, err := SolveAttributed(inner, g, &streams[i])
 		if err != nil {
 			return maxcut.Cut{}, Report{}, fmt.Errorf("solver: inner solver %s: %w", inner.Name(), err)
 		}

@@ -28,8 +28,8 @@ func main() {
 }
 
 // run is main with its exits and streams made testable. Usage errors
-// (bad flags, unknown solver/backend names) report to stderr and
-// return 2; operational failures (unreadable instance, failed solve)
+// (bad flags, unknown solver/backend names, and without -in a -nodes
+// below 1 or a -prob outside [0, 1]) report to stderr and return 2; operational failures (unreadable instance, failed solve)
 // return 1.
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("qaoa2", flag.ContinueOnError)
@@ -56,6 +56,16 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "qaoa2: unexpected arguments: %v\n", fs.Args())
 		fs.Usage()
 		return 2
+	}
+	if *inFile == "" {
+		if *nodes < 1 {
+			fmt.Fprintf(stderr, "qaoa2: -nodes %d: a generated instance needs at least one node\n", *nodes)
+			return 2
+		}
+		if !(*prob >= 0 && *prob <= 1) {
+			fmt.Fprintf(stderr, "qaoa2: -prob %v outside [0,1]\n", *prob)
+			return 2
+		}
 	}
 
 	// The backend reaches the solvers through their specs below; check

@@ -30,6 +30,11 @@ func TestUsageErrorsExitTwo(t *testing.T) {
 		{"retired learned gate", []string{"-solver", "ml-adaptive"}, "unknown solver \"ml-adaptive\""},
 		{"retired gw alias", []string{"-solver", "sdp-gw"}, "unknown solver \"sdp-gw\""},
 		{"retired portfolio budget", []string{"-portfolio-budget", "5"}, "flag provided but not defined: -portfolio-budget"},
+		{"probability above 1", []string{"-prob", "2"}, "-prob 2 outside [0,1]"},
+		{"negative probability", []string{"-prob", "-0.1"}, "-prob -0.1 outside [0,1]"},
+		{"NaN probability", []string{"-nodes", "30", "-prob", "NaN"}, "-prob NaN outside [0,1]"},
+		{"negative node count", []string{"-nodes", "-3"}, "-nodes -3"},
+		{"no nodes", []string{"-nodes", "0"}, "-nodes 0"},
 	}
 	for _, tc := range cases {
 		var out, errb strings.Builder

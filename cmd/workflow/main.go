@@ -50,7 +50,8 @@ func main() {
 }
 
 // run is main with its exits and streams made testable. Usage errors
-// (bad flags, malformed integer lists) report to stderr and return 2;
+// (bad flags, a negative -solve-nodes, a -solve-p outside [0, 1],
+// malformed integer lists) report to stderr and return 2;
 // operational failures return 1.
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("workflow", flag.ContinueOnError)
@@ -77,6 +78,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if fs.NArg() > 0 {
 		fmt.Fprintf(stderr, "workflow: unexpected arguments: %v\n", fs.Args())
 		fs.Usage()
+		return 2
+	}
+	if *solveNodes < 0 {
+		fmt.Fprintf(stderr, "workflow: -solve-nodes %d is negative (0 skips the solve)\n", *solveNodes)
+		return 2
+	}
+	if !(*solveProb >= 0 && *solveProb <= 1) {
+		fmt.Fprintf(stderr, "workflow: -solve-p %v outside [0,1]\n", *solveProb)
 		return 2
 	}
 

@@ -20,6 +20,10 @@ func TestUsageErrorsExitTwo(t *testing.T) {
 		{"unknown flag", []string{"-bogus"}, "-bogus"},
 		{"positional args", []string{"stray"}, "unexpected arguments"},
 		{"bad workers list", []string{"-workers", "1,x"}, "bad integer list"},
+		{"negative solve nodes", []string{"-solve-nodes", "-3"}, "-solve-nodes -3"},
+		{"solve probability above 1", []string{"-solve-p", "2"}, "-solve-p 2 outside [0,1]"},
+		{"NaN solve probability", []string{"-solve-p", "NaN"}, "-solve-p NaN outside [0,1]"},
+		{"NaN solve probability, remote", []string{"-submit", "http://127.0.0.1:1", "-solve-p", "NaN"}, "-solve-p NaN"},
 	}
 	for _, tc := range cases {
 		var out, errb strings.Builder

@@ -10,6 +10,8 @@ import (
 	"slices"
 	"strings"
 	"testing"
+
+	"qaoa2/internal/rng"
 )
 
 // readerSeeds are the inputs every reader's fuzz target starts from,
@@ -237,5 +239,95 @@ func FuzzInducedSubgraph(f *testing.F) {
 		if !slices.Equal(gotMap, wantMap) {
 			t.Fatalf("nodes %v: mapping %v, want %v", nodes, gotMap, wantMap)
 		}
+	})
+}
+
+// erdosRenyiAddEdge is ErdosRenyi as a Float64 comparison and an
+// AddEdge per pair: the oracle of the one-pass build.
+func erdosRenyiAddEdge(n int, p float64, w Weighting, r *rng.Rand) *Graph {
+	g := New(n)
+	for i := 0; i < n; i++ {
+		for j := i + 1; j < n; j++ {
+			if r.Float64() >= p {
+				continue
+			}
+			weight := 1.0
+			if w == UniformWeights {
+				weight = r.Float64()
+			}
+			g.MustAddEdge(i, j, weight)
+		}
+	}
+	return g
+}
+
+// plantedAddEdge is PlantedCommunities' graph the same way.
+func plantedAddEdge(k, size int, pIn, pOut float64, w Weighting, r *rng.Rand) *Graph {
+	n := k * size
+	g := New(n)
+	for i := 0; i < n; i++ {
+		for j := i + 1; j < n; j++ {
+			p := pOut
+			if i/size == j/size {
+				p = pIn
+			}
+			if r.Float64() >= p {
+				continue
+			}
+			weight := 1.0
+			if w == UniformWeights {
+				weight = r.Float64()
+			}
+			g.MustAddEdge(i, j, weight)
+		}
+	}
+	return g
+}
+
+// FuzzGenerators checks ErdosRenyi and PlantedCommunities against
+// their AddEdge loops for any probability bits: the same graph (edge
+// order, weight bits, adjacency order, Σ|w|) and the same next draw,
+// or a panic exactly when a probability is NaN or outside [0, 1].
+// ErdosRenyi takes n%65 nodes and probability p; PlantedCommunities
+// 1+n%4 communities of (n/4)%17 nodes, p inside and q between them.
+func FuzzGenerators(f *testing.F) {
+	for _, p := range []float64{0, math.Copysign(0, -1), 5e-324, 1e-300, 0.01, 0.3, 0.5, math.Nextafter(1, 0), 1, math.NaN(), -0.1, 1.5} {
+		f.Add(uint8(17), math.Float64bits(p), math.Float64bits(0.05), true, uint64(1))
+		f.Add(uint8(64), math.Float64bits(0.2), math.Float64bits(p), false, uint64(2))
+	}
+	f.Fuzz(func(t *testing.T, n uint8, pBits, qBits uint64, weighted bool, seed uint64) {
+		p, q := math.Float64frombits(pBits), math.Float64frombits(qBits)
+		w := Unweighted
+		if weighted {
+			w = UniformWeights
+		}
+		valid := func(ps ...float64) bool {
+			for _, p := range ps {
+				if !(p >= 0 && p <= 1) {
+					return false
+				}
+			}
+			return true
+		}
+		check := func(name string, ok bool, gen, oracle func(r *rng.Rand) *Graph) {
+			t.Helper()
+			if !ok {
+				requirePanic(t, name, func() { gen(rng.New(seed)) })
+				return
+			}
+			got, want := rng.New(seed), rng.New(seed)
+			requireSameGraph(t, name, gen(got), oracle(want))
+			if g, w := got.Uint64(), want.Uint64(); g != w {
+				t.Fatalf("%s: next draw %#x, want %#x", name, g, w)
+			}
+		}
+		nodes := int(n % 65)
+		check(fmt.Sprintf("ErdosRenyi(%d, %v, %v)", nodes, p, w), valid(p),
+			func(r *rng.Rand) *Graph { return ErdosRenyi(nodes, p, w, r) },
+			func(r *rng.Rand) *Graph { return erdosRenyiAddEdge(nodes, p, w, r) })
+		k, size := 1+int(n%4), int(n/4)%17
+		check(fmt.Sprintf("PlantedCommunities(%d, %d, %v, %v, %v)", k, size, p, q, w), valid(p, q),
+			func(r *rng.Rand) *Graph { g, _ := PlantedCommunities(k, size, p, q, w, r); return g },
+			func(r *rng.Rand) *Graph { return plantedAddEdge(k, size, p, q, w, r) })
 	})
 }

@@ -45,10 +45,15 @@ type Half struct {
 
 // New creates an empty graph with n nodes. It panics if n < 0.
 func New(n int) *Graph {
+	checkNodes(n)
+	return &Graph{n: n, adj: make([][]Half, n)}
+}
+
+// checkNodes panics if n is not a node count.
+func checkNodes(n int) {
 	if n < 0 {
 		panic("graph: negative node count")
 	}
-	return &Graph{n: n, adj: make([][]Half, n)}
 }
 
 // N returns the number of nodes.

@@ -91,6 +91,34 @@ func (r *Rand) Float64() float64 {
 	return float64(r.Uint64()>>11) * 0x1p-53
 }
 
+// NextBelow draws until a draw's top 53 bits, u>>11 read as an integer,
+// fall below below, taking at most limit draws. It returns how many it
+// took and whether the last was such a hit, and leaves the stream where
+// that many Uint64 calls would. Float64() is (u>>11)·2⁻⁵³ exactly, so
+// with below = ⌈p·2⁵³⌉ a hit is a draw whose Float64() < p: a run of
+// Bernoulli(p) trials skipped to its next success, the state held in
+// registers rather than written back on every draw.
+func (r *Rand) NextBelow(limit int, below uint64) (draws int, hit bool) {
+	s0, s1, s2, s3 := r.s0, r.s1, r.s2, r.s3
+	for draws < limit {
+		draws++
+		u := rotl(s1*5, 7) * 9
+		t := s1 << 17
+		s2 ^= s0
+		s3 ^= s1
+		s1 ^= s2
+		s0 ^= s3
+		s2 ^= t
+		s3 = rotl(s3, 45)
+		if u>>11 < below {
+			hit = true
+			break
+		}
+	}
+	r.s0, r.s1, r.s2, r.s3 = s0, s1, s2, s3
+	return draws, hit
+}
+
 // Intn returns a uniform int in [0, n). It panics if n <= 0.
 func (r *Rand) Intn(n int) int {
 	if n <= 0 {

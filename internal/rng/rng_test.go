@@ -251,3 +251,70 @@ func TestLocalGeneratorDoesNotAllocate(t *testing.T) {
 		t.Fatalf("a local generator and 100 normal draws allocate %.0f times, want 0", allocs)
 	}
 }
+
+// TestNextBelowMatchesUint64Loop: NextBelow takes the draws, reports
+// the hit and leaves the stream exactly as a loop of Uint64 calls that
+// stops at the first draw whose top 53 bits fall below the threshold,
+// or after limit draws.
+func TestNextBelowMatchesUint64Loop(t *testing.T) {
+	loop := func(r *Rand, limit int, below uint64) (int, bool) {
+		for draws := 1; draws <= limit; draws++ {
+			if r.Uint64()>>11 < below {
+				return draws, true
+			}
+		}
+		return max(limit, 0), false
+	}
+	// A stream one draw past its seed, and the draw on which it first
+	// falls below 2⁵³/100, so a limit of that many hits on its last.
+	stream := func() *Rand {
+		r := New(8)
+		r.Uint64()
+		return r
+	}
+	const rare = 1 << 53 / 100
+	first, _ := loop(stream(), 1000, rare)
+	if first < 2 {
+		t.Fatalf("the stream hits 2⁵³/100 on draw %d; the cases need a later first hit", first)
+	}
+	cases := []struct {
+		name      string
+		limit     int
+		below     uint64
+		wantDraws int
+		wantHit   bool
+	}{
+		{"limit 0", 0, 1 << 53, 0, false},
+		{"negative limit", -3, 1 << 53, 0, false},
+		{"threshold 0", 50, 0, 50, false},
+		{"threshold 2^53", 50, 1 << 53, 1, true},
+		{"no hit before the limit", first - 1, rare, first - 1, false},
+		{"hit on the last draw", first, rare, first, true},
+		{"hit before the limit", first + 40, rare, first, true},
+		{"threshold 1", 1000, 1, 1000, false},
+	}
+	for _, tc := range cases {
+		got, want := stream(), stream()
+		draws, hit := got.NextBelow(tc.limit, tc.below)
+		loopDraws, loopHit := loop(want, tc.limit, tc.below)
+		if draws != loopDraws || hit != loopHit || draws != tc.wantDraws || hit != tc.wantHit {
+			t.Fatalf("%s: %d draws, hit %v; the Uint64 loop %d, %v; want %d, %v",
+				tc.name, draws, hit, loopDraws, loopHit, tc.wantDraws, tc.wantHit)
+		}
+		if g, w := got.Uint64(), want.Uint64(); g != w {
+			t.Fatalf("%s: next draw %#x, want %#x", tc.name, g, w)
+		}
+	}
+	// A long run at an even threshold, call after call.
+	got, want := stream(), stream()
+	for k := 0; k < 1000; k++ {
+		draws, hit := got.NextBelow(5, 1<<52)
+		loopDraws, loopHit := loop(want, 5, 1<<52)
+		if draws != loopDraws || hit != loopHit {
+			t.Fatalf("call %d: %d draws, hit %v; the Uint64 loop %d, %v", k, draws, hit, loopDraws, loopHit)
+		}
+	}
+	if g, w := got.Uint64(), want.Uint64(); g != w {
+		t.Fatalf("after 1000 calls: next draw %#x, want %#x", g, w)
+	}
+}
